@@ -6,7 +6,6 @@ from .poly import (
     Polynomial,
     ZeroPolynomialError,
     NotRealRootedError,
-    poly_eval,
     apply_shift_operator,
     laguerre_transform,
     diagram_identity_check,

@@ -1,0 +1,8 @@
+"""``python -m interlace``: the same entry point as the ``interlace`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .poly import Polynomial, apply_shift_operator, real_roots
-from .matrices import SymMatrix
+from .matrices import _validate_psd_list
 
 __all__ = [
     "DetPolyFamily",
@@ -39,24 +39,13 @@ __all__ = [
     "multivariate_barrier",
 ]
 
-PSD_TOL = 1e-9
-
 
 class DetPolyFamily:
     """A list of PSD matrices of one dimension, defining det(xI + sum z_i A_i)."""
 
     def __init__(self, matrices):
-        mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices]
-        if not mats:
-            raise ValueError("family must contain at least one matrix")
-        d = mats[0].n
-        if any(m.n != d for m in mats):
-            raise ValueError("matrices must share a dimension")
-        for i, m in enumerate(mats):
-            if not m.is_psd(PSD_TOL):
-                raise ValueError(f"matrix {i} is not positive semidefinite")
-        self.matrices = mats
-        self.dimension = d
+        self.matrices = _validate_psd_list(matrices)
+        self.dimension = self.matrices[0].n
 
     @property
     def m(self) -> int:

@@ -48,7 +48,6 @@ class RunConfig:
     mode: str = "float"
     tol: float = 1e-9
     budget: int = DEFAULT_BUDGET
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("float", "exact"):
@@ -59,8 +58,7 @@ class RunConfig:
             raise ValueError("budget must be at least 1")
 
     def to_json(self) -> dict:
-        return {"mode": self.mode, "tol": self.tol,
-                "budget": self.budget, "seed": self.seed}
+        return {"mode": self.mode, "tol": self.tol, "budget": self.budget}
 
 
 def _read_input(path: str) -> str:
@@ -282,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comparison tolerance (default 1e-9)")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max enumerated outcomes per level (default 2^20)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in output for reproducibility")
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -323,8 +319,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches our parse-error code
         return int(e.code) if e.code else 0
     try:
-        cfg = RunConfig(mode=args.mode, tol=args.tol,
-                        budget=args.budget, seed=args.seed)
+        cfg = RunConfig(mode=args.mode, tol=args.tol, budget=args.budget)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

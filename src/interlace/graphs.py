@@ -17,13 +17,12 @@ built by repeated lifting.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
 from .poly import Polynomial, real_roots
-from .matrices import SymMatrix
+from .matrices import SymMatrix, charpoly_batch_exact
 
 __all__ = [
     "Graph",
@@ -371,54 +370,20 @@ def matching_poly(g: Graph, cap: int = MATCHING_CAP) -> Polynomial:
 
 def _charpoly_sum_over_signings(g: Graph) -> list[int]:
     """Sum over all 2^m signings of char_poly(A_s) coefficients, exact ints."""
-    from .matrices import charpoly_batch_exact
-
     n, m = g.n, g.m
     basis = np.zeros((m, n, n), dtype=np.int64)
     for i, (u, v) in enumerate(g.edges):
         basis[i, u, v] = 1
         basis[i, v, u] = 1
-    total = [0] * (n + 1)
-    # Magnitude check for the int64 fast path: coefficients of +-1
-    # matrices at n <= 12 stay far below 2^63 (see growth bound below).
-    use_int64 = n <= 12
+    total = np.zeros(n + 1, dtype=object)
     chunk = 4096
     for start in range(0, 1 << m, chunk):
         stop = min(start + chunk, 1 << m)
         codes = np.arange(start, stop, dtype=np.int64)
         signs = 1 - 2 * ((codes[:, None] >> np.arange(m)[None, :]) & 1)
         mats = np.einsum("bm,mij->bij", signs, basis)
-        if use_int64:
-            coeffs = _charpoly_batch_int64(mats)
-            for j in range(n + 1):
-                total[j] += int(coeffs[:, j].sum(dtype=object))
-        else:
-            coeffs = charpoly_batch_exact(mats.astype(object))
-            for j in range(n + 1):
-                total[j] += int(coeffs[:, j].sum())
-    return total
-
-
-def _charpoly_batch_int64(mats: np.ndarray) -> np.ndarray:
-    """Faddeev-LeVerrier in int64; valid for +-1 entries up to n = 12.
-
-    Intermediate entries are bounded by n^k * max binomial-scale
-    coefficients ~ 1e13 at n = 12, comfortably inside int64.
-    """
-    b, n, _ = mats.shape
-    out = np.zeros((b, n + 1), dtype=np.int64)
-    out[:, n] = 1
-    eye = np.eye(n, dtype=np.int64)
-    m = mats.copy()
-    for k in range(1, n + 1):
-        tr = np.trace(m, axis1=1, axis2=2)
-        if np.any(tr % k != 0):
-            raise RuntimeError("trace not divisible in exact Faddeev-LeVerrier")
-        c = -(tr // k)
-        out[:, n - k] = c
-        if k < n:
-            m = np.matmul(mats, m + c[:, None, None] * eye)
-    return out
+        total += charpoly_batch_exact(mats).sum(axis=0, dtype=object)
+    return total.tolist()
 
 
 def godsil_gutman_check(g: Graph) -> bool:

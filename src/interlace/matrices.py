@@ -3,18 +3,16 @@
 ``SymMatrix`` wraps a numpy array in one of two regimes: float64, or an
 exact regime (integer dtype, or object dtype holding ints/Fractions).
 Characteristic polynomials follow the convention ``det(xI - A)``, always
-monic.  The exact scalar path uses the Berkowitz algorithm, which is
-division-free and therefore safe for integer and rational entries; the
-float path just takes eigenvalues.  Batched variants cover the
-enumeration pipelines: thousands of small matrices at a time, either in
-float64 (eigenvalues plus a vectorized Vieta recurrence) or exactly
-(Faddeev-LeVerrier, whose only divisions are by ``k`` at step ``k`` and
-are exact on integer traces).
+monic, lowest degree first.  There is one kernel per arithmetic, both
+batched over a (B, n, n) stack: ``charpoly_batch_exact`` runs Berkowitz's
+division-free recurrence in int64 when a magnitude bound proves that
+nothing overflows and in object dtype (ints, Fractions) otherwise, and
+``charpoly_batch`` takes float64 eigenvalues (``eigvalsh``) and multiplies
+them out with a vectorized Vieta recurrence.  ``char_poly`` is a one-row
+call of the kernel that matches the matrix's regime.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -132,50 +130,19 @@ class SymMatrix:
         return bool(w[0] >= -tol * scale)
 
 
-def _berkowitz(a: np.ndarray) -> list:
-    """Division-free characteristic polynomial of ``a`` (highest degree first)."""
-    n = a.shape[0]
-    if n == 0:
-        return [1]
-    v = [1, -a[0, 0]]
-    for i in range(1, n):
-        asub = a[:i, :i]
-        row = a[i, :i]
-        col = a[:i, i]
-        t = [1, -a[i, i]]
-        w = col
-        for _ in range(i):
-            t.append(-(row @ w))
-            w = asub @ w
-        new = [0] * (i + 2)
-        for ell in range(i + 2):
-            s = 0
-            for j, vj in enumerate(v):
-                kk = ell - j
-                if 0 <= kk < len(t):
-                    s += t[kk] * vj
-            new[ell] = s
-        v = new
-    return v
-
-
 def char_poly(m: SymMatrix) -> Polynomial:
     """Monic characteristic polynomial ``det(xI - A)``.
 
-    Exact matrices go through Berkowitz and the result is exact; float
-    matrices go through ``eigvalsh`` and the coefficients carry the usual
-    O(n eps ||A||) error.
+    A one-matrix call of :func:`charpoly_batch_exact` for exact matrices
+    (the result is exact) or of :func:`charpoly_batch` for float ones
+    (the coefficients carry the usual O(n eps ||A||) error).
     """
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
     if m.n == 0:
         return Polynomial.one()
-    if m.is_exact:
-        coeffs = _berkowitz(m.a)
-        return Polynomial(list(reversed(coeffs)))
-    import numpy.polynomial.polynomial as npoly
-    w = m.eigenvalues()
-    return Polynomial(npoly.polyfromroots(w))
+    kernel = charpoly_batch_exact if m.is_exact else charpoly_batch
+    return Polynomial(kernel(m.a[None])[0])
 
 
 def charpoly_batch(mats: np.ndarray) -> np.ndarray:
@@ -197,31 +164,71 @@ def charpoly_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def charpoly_batch_exact(mats: np.ndarray) -> np.ndarray:
-    """Exact characteristic polynomials of a (B, n, n) integer/object stack.
+    """Exact characteristic polynomials of a (B, n, n) stack, lowest-first.
 
-    Faddeev-LeVerrier: c_k = -tr(M_k)/k with M_{k+1} = A (M_k + c_k I).
-    Every division is exact (the trace at step k is divisible by k for
-    integer matrices; Fractions divide exactly).  Returns an object
-    array, coefficients lowest-first, shape (B, n+1).
+    Berkowitz's division-free recurrence, batched over the stack.  With
+    ``v`` the characteristic polynomial of the leading i x i block A_i
+    (highest degree first), the next block's is the full convolution of
+    ``v`` with the Toeplitz column ``t = [1, -a, -R C, -R A_i C, ...,
+    -R A_i^(i-1) C]``, truncated to length i + 2, where ``a``, ``R`` and
+    ``C`` are the new diagonal entry, row and column.  Only ring
+    operations occur, so the result is exact over ints and Fractions.
+
+    An integer-dtype stack runs in int64 when no intermediate can
+    overflow; anything else runs in object dtype.  The bound: let
+    M = max |a_rs| and N = n M.  Every eigenvalue of every A_i has
+    modulus at most ||A_i||_inf <= N, so the coefficient of degree
+    i - j in ``v`` is at most C(i, j) N^j.  Entries of A_i^k C, and every
+    partial sum of the products forming them, are at most N^k M, hence
+    |t_q| <= N^q.  A convolution term t_(l-j) v_j is then at most
+    C(i, j) N^l, and any partial sum over j at most 2^i N^l.  So every
+    intermediate is at most (2 n M)^n, and int64 is safe when that is
+    below 2^63.  The int64 result keeps that dtype; otherwise the result
+    is an object array.
     """
     mats = np.asarray(mats)
-    if mats.dtype != object:
-        mats = mats.astype(object)
     b, n, _ = mats.shape
-    out = np.zeros((b, n + 1), dtype=object)
-    out[:, n] = 1
-    eye = np.eye(n, dtype=object)
-    m = mats.copy()
-    for k in range(1, n + 1):
-        tr = np.trace(m, axis1=1, axis2=2)
-        c = np.array([_exact_div(t, k) for t in tr], dtype=object)
-        out[:, n - k] = c
-        if k < n:
-            m = np.matmul(mats, m + c[:, None, None] * eye)
-    return out
+    if np.issubdtype(mats.dtype, np.integer) and (2 * n * _max_abs(mats)) ** n < 2 ** 63:
+        mats = mats.astype(np.int64)
+    else:
+        mats = mats.astype(object)
+    v = np.ones((b, 1), dtype=mats.dtype)
+    for i in range(n):
+        a_i = mats[:, :i, :i]
+        row = mats[:, i, :i]
+        w = mats[:, :i, i]
+        t = np.empty((b, i + 2), dtype=mats.dtype)
+        t[:, 0] = 1
+        t[:, 1] = -mats[:, i, i]
+        for q in range(2, i + 2):
+            if q > 2:
+                w = np.matmul(a_i, w[:, :, None])[:, :, 0]
+            t[:, q] = -(row * w).sum(axis=1)
+        new = np.zeros((b, i + 2), dtype=mats.dtype)
+        for j in range(i + 1):
+            new[:, j:] += v[:, j:j + 1] * t[:, :i + 2 - j]
+        v = new
+    return v[:, ::-1].copy()
 
 
-def _exact_div(t, k: int):
-    if isinstance(t, int) and t % k == 0:
-        return -(t // k)
-    return -Fraction(t, k) if isinstance(t, int) else -(t / k)
+def _max_abs(mats: np.ndarray) -> int:
+    # Python ints: np.abs would wrap at the most negative int64.
+    return max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
+
+
+# Relative slack on the bottom eigenvalue when checking PSD inputs.
+PSD_TOL = 1e-9
+
+
+def _validate_psd_list(matrices) -> list[SymMatrix]:
+    """The inputs as PSD ``SymMatrix`` objects of one shared dimension."""
+    mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices]
+    if not mats:
+        raise ValueError("need at least one matrix")
+    d = mats[0].n
+    if any(m.n != d for m in mats):
+        raise ValueError("matrices must share a dimension")
+    for i, m in enumerate(mats):
+        if not m.is_psd(PSD_TOL):
+            raise ValueError(f"matrix {i} is not positive semidefinite")
+    return mats

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial, is_real_rooted
-from .matrices import SymMatrix, char_poly, charpoly_batch
+from .matrices import SymMatrix, charpoly_batch, charpoly_batch_exact, _validate_psd_list
 
 __all__ = [
     "BudgetExceededError",
@@ -50,7 +50,6 @@ __all__ = [
 DEFAULT_BUDGET = 1 << 20
 MAX_VARIABLES = 16
 MAX_DIMENSION = 10
-PSD_TOL = 1e-9
 
 
 class BudgetExceededError(RuntimeError):
@@ -199,19 +198,6 @@ class TruncatedMultiAffine:
         return f"TruncatedMultiAffine({len(self.terms)} terms)"
 
 
-def _validate_psd_list(matrices) -> list[SymMatrix]:
-    mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    d = mats[0].n
-    if any(m.n != d for m in mats):
-        raise ValueError("matrices must share a dimension")
-    for i, m in enumerate(mats):
-        if not m.is_psd(PSD_TOL):
-            raise ValueError(f"matrix {i} is not positive semidefinite")
-    return mats
-
-
 def _det_truncated(mats: list[SymMatrix], exact: bool) -> TruncatedMultiAffine:
     """det(xI + sum z_i A_i) in the truncated ring, by memoized minor expansion."""
     d = mats[0].n
@@ -308,29 +294,23 @@ def expected_char_poly(rvs, budget: int = DEFAULT_BUDGET) -> Polynomial:
 
 def _expected_char_with_base(base: np.ndarray, rvs, budget: int,
                              exact: bool) -> Polynomial:
-    """E char_poly(base + sum r_i r_i^T); base is a plain (d, d) array."""
+    """E char_poly(base + sum r_i r_i^T); base is a plain (d, d) array.
+
+    Outcomes are enumerated in chunks; each chunk's matrices go through
+    one kernel call, exact (object dtype) or float.
+    """
     d = base.shape[0]
     total = _outcome_count(rvs)
     if total > budget:
         raise BudgetExceededError(
             f"{total} outcomes exceed the budget of {budget}")
-    if not rvs:
-        return char_poly(SymMatrix(base))
-    if exact:
-        acc = Polynomial.zero()
-        for combo in itertools.product(*[r.support for r in rvs]):
-            mat = base
-            weight = 1
-            for p, v in combo:
-                mat = mat + np.outer(v, v)
-                weight = weight * p
-            acc = acc + weight * char_poly(SymMatrix(mat))
-        return acc
-    outers = [np.stack([np.outer(v, v).astype(float) for _, v in r.support])
+    dtype, kernel = (object, charpoly_batch_exact) if exact else (float, charpoly_batch)
+    outers = [np.stack([np.outer(v, v).astype(dtype) for _, v in r.support])
               for r in rvs]
-    probs = [np.array([float(p) for p, _ in r.support]) for r in rvs]
-    basef = base.astype(float)
-    acc = np.zeros(d + 1)
+    probs = [np.array([p if exact else float(p) for p, _ in r.support], dtype=dtype)
+             for r in rvs]
+    base = base.astype(dtype)
+    acc = np.zeros(d + 1, dtype=dtype)
     chunk = 8192
     ranges = itertools.product(*[range(len(r.support)) for r in rvs])
     while True:
@@ -338,12 +318,12 @@ def _expected_char_with_base(base: np.ndarray, rvs, budget: int,
         if not block:
             break
         idx = np.array(block)
-        mats = np.broadcast_to(basef, (len(block), d, d)).copy()
-        w = np.ones(len(block))
+        mats = np.broadcast_to(base, (len(block), d, d)).copy()
+        w = np.ones(len(block), dtype=dtype)
         for i in range(len(rvs)):
             mats += outers[i][idx[:, i]]
             w *= probs[i][idx[:, i]]
-        acc = acc + w @ charpoly_batch(mats)
+        acc = acc + w @ kernel(mats)
     return Polynomial(acc)
 
 

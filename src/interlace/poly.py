@@ -30,7 +30,6 @@ __all__ = [
     "Polynomial",
     "ZeroPolynomialError",
     "NotRealRootedError",
-    "poly_eval",
     "apply_shift_operator",
     "laguerre_transform",
     "diagram_identity_check",
@@ -235,11 +234,6 @@ class Polynomial:
             b.append(0.0)
         scale = max([1.0] + [abs(c) for c in a + b])
         return all(abs(x - y) <= tol * scale for x, y in zip(a, b))
-
-
-def poly_eval(p: Polynomial, x):
-    """Horner evaluation; exact when both the polynomial and ``x`` are exact."""
-    return p(x)
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 
 from .poly import Polynomial, apply_shift_operator, kth_largest_root, \
     have_common_interlacing
-from .matrices import SymMatrix, char_poly
+from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     _expected_char_with_base, mixed_char
 from .graphs import Graph, Signing, signed_adjacency
@@ -320,9 +320,11 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     conditional expected polynomial after fixing vectors summing to A is
     exactly ``(1 - (1/m) d/dx)^(k-l) char_poly(A)``, and that closed
     form is what the level loop evaluates (one shift operator per
-    unfixed draw).  Repeated indices exist in the outcome tree but are
-    provably never selected while the pledge is positive - this is
-    asserted, not assumed.  Returns (chosen index list, certificate).
+    unfixed draw); each level forms all m candidates'
+    ``char_poly(A + v_j v_j^T)`` in one batched kernel call.  Repeated
+    indices exist in the outcome tree but are provably never selected
+    while the pledge is positive - this is asserted, not assumed.
+    Returns (chosen index list, certificate).
     """
     if not system.is_isotropic(tol):
         raise ValueError(
@@ -341,20 +343,21 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     chosen: list[int] = []
     levels: list[float] = []
     cf = c if exact else float(c)
+    vecs = system.vectors
+    outers = vecs[:, :, None] * vecs[:, None, :]
+    kernel = charpoly_batch_exact if exact else charpoly_batch
     for lvl in range(k):
         best_j = -1
         best_val = None
+        chis = kernel(base + outers)
         for j in range(m):
-            v = system.vectors[j]
-            chi = char_poly(SymMatrix(base + np.outer(v, v)))
-            q = chi
+            q = Polynomial(chis[j])
             for _ in range(k - lvl - 1):
                 q = apply_shift_operator(q, cf)
             val = kth_largest_root(q, k)
             if best_val is None or val > best_val:
                 best_j, best_val = j, val
-        v = system.vectors[best_j]
-        base = base + np.outer(v, v)
+        base = base + outers[best_j]
         chosen.append(best_j)
         levels.append(best_val)
     if len(set(chosen)) != k:

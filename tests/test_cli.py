@@ -234,14 +234,21 @@ def test_identical_invocations_are_byte_identical(tmp_path, iso_system_file):
     outs = []
     for name in ("a.json", "b.json"):
         target = tmp_path / name
-        assert main(["ri", iso_system_file, "-k", "2", "--seed", "7",
-                     "--out", str(target)]) == 0
+        assert main(["ri", iso_system_file, "-k", "2", "--out", str(target)]) == 0
         outs.append(target.read_bytes())
     assert outs[0] == outs[1]
 
 
 def test_console_script_installed():
-    proc = subprocess.run(["interlace", "--help"], capture_output=True, text=True)
+    # The `interlace` script exists only after an install, so check that
+    # pyproject.toml declares it and run the same entry point as a module.
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    assert 'interlace = "interlace.cli:main"' in scripts
+    proc = subprocess.run([sys.executable, "-m", "interlace", "--help"],
+                          capture_output=True, text=True)
     assert proc.returncode == 0
     for sub in ("ri", "weaver", "lift", "mixedchar"):
         assert sub in proc.stdout

@@ -109,18 +109,59 @@ def test_charpoly_batch_matches_single():
         assert np.allclose(co[i], expect, rtol=1e-9, atol=1e-9)
 
 
+def faddeev_leverrier(a) -> list:
+    """Reference det(xI - A), lowest-first, by Faddeev-LeVerrier over Fractions.
+
+    c_k = -tr(M_k)/k with M_1 = A and M_(k+1) = A (M_k + c_k I); independent
+    of the Berkowitz recurrence inside the library.
+    """
+    a = [[Fraction(x) for x in row] for row in np.asarray(a).tolist()]
+    n = len(a)
+    out = [Fraction(0)] * n + [Fraction(1)]
+    m = a
+    for k in range(1, n + 1):
+        c = -sum(m[i][i] for i in range(n)) / k
+        out[n - k] = c
+        shifted = [[m[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+        m = [[sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
+             for i in range(n)]
+    return out
+
+
 def test_charpoly_batch_exact_integer_inputs():
     rng = np.random.default_rng(19)
     for _ in range(10):
         n = int(rng.integers(1, 6))
-        b = rng.integers(-3, 4, (n, n))
-        a = b + b.T
-        stack = np.empty((1, n, n), dtype=object)
-        stack[0] = a
-        co = charpoly_batch_exact(stack)
-        p = char_poly(SymMatrix(a))
-        assert list(co[0]) == list(p.coeffs)  # both lowest-first
-        assert all(isinstance(c, int) for c in co[0])
+        stack = rng.integers(-3, 4, (3, n, n))
+        stack = stack + np.transpose(stack, (0, 2, 1))
+        ints = charpoly_batch_exact(stack)
+        objs = charpoly_batch_exact(stack.astype(object))
+        floats = charpoly_batch(stack.astype(float))
+        for b in range(3):
+            ref = faddeev_leverrier(stack[b])
+            assert list(ints[b]) == ref and list(objs[b]) == ref
+            assert all(isinstance(c, int) for c in objs[b])
+            assert np.allclose(floats[b], [float(c) for c in ref], rtol=1e-9, atol=1e-9)
+
+
+def test_charpoly_batch_exact_large_entries_leave_int64():
+    # (2 n max|a|)^n far exceeds 2^63 here, and int64 arithmetic would wrap.
+    rng = np.random.default_rng(23)
+    stack = rng.integers(10**6 - 100, 10**6 + 100, (3, 8, 8)) \
+        * rng.choice([-1, 1], (3, 8, 8))
+    co = charpoly_batch_exact(stack)
+    for b in range(3):
+        assert list(co[b]) == faddeev_leverrier(stack[b])
+
+
+def test_charpoly_batch_exact_signed_n12_stays_int64_and_exact():
+    rng = np.random.default_rng(29)
+    stack = np.triu(rng.choice([-1, 1], (4, 12, 12)), 1)
+    stack = stack + np.transpose(stack, (0, 2, 1))
+    co = charpoly_batch_exact(stack)
+    assert co.dtype == np.int64
+    for b in range(4):
+        assert list(co[b]) == faddeev_leverrier(stack[b])
 
 
 def test_charpoly_batch_exact_fraction_inputs():
