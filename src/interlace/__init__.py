@@ -7,6 +7,7 @@ from .poly import (
     ZeroPolynomialError,
     NotRealRootedError,
     apply_shift_operator,
+    shift_roots,
     laguerre_transform,
     diagram_identity_check,
     sturm_sequence,

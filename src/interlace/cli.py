@@ -10,7 +10,8 @@ mixedchar mixed characteristic polynomial of a PSD list
 Inputs are JSON (vector systems, matrix lists) or edge-list text
 (graphs); ``-`` reads stdin.  Exit codes: 0 success, 1 certificate
 invariant violated, 2 parse error, 3 precondition failure, 4 enumeration
-budget exceeded.
+budget exceeded, 5 numerical failure (a float root computation met a
+polynomial it could not certify real-rooted).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_INVARIANT = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
+EXIT_NUMERICAL = 5
 
 
 class ParseFailure(Exception):
@@ -252,10 +254,7 @@ def cmd_lift(args, cfg: RunConfig) -> int:
 def cmd_mixedchar(args, cfg: RunConfig) -> int:
     mats = _parse_matrices(_read_input(args.input), cfg)
     poly = mixed_char(mats)
-    try:
-        roots = [float(r) for r in real_roots(poly)]
-    except NotRealRootedError as e:  # impossible for PSD inputs; surfaced if reached
-        raise ValueError(f"mixed characteristic polynomial not real-rooted: {e}") from e
+    roots = [float(r) for r in real_roots(poly)]
     payload = {
         "command": "mixedchar",
         "config": cfg.to_json(),
@@ -331,6 +330,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except NotRealRootedError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as e:
         print(f"precondition failed: {e}", file=sys.stderr)
         return EXIT_PRECONDITION

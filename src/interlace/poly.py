@@ -14,7 +14,9 @@ repeatedly splitting off gcd(p, p')) and companion-matrix eigenvalues
 with an imaginary-part tolerance in the float regime.  ``real_roots``
 always returns floats: companion eigenvalues polished by Newton steps,
 with a Sturm-guided bisection fallback for roots that fail a residual
-check.
+check.  ``shift_roots`` skips coefficients altogether: it applies the
+shift operator to batches of real roots by bracketed secular-equation
+solves, so its output is real-rooted by construction.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "ZeroPolynomialError",
     "NotRealRootedError",
     "apply_shift_operator",
+    "shift_roots",
     "laguerre_transform",
     "diagram_identity_check",
     "sturm_sequence",
@@ -253,6 +256,126 @@ def apply_shift_operator(p: Polynomial, c) -> Polynomial:
         return p
     c = _normalize_scalar(c)
     return p - c * p.derivative()
+
+
+def shift_roots(roots, zeros: int, c):
+    """Apply ``1 - c*d/dx`` in root space, batched over rows.
+
+    Row b of ``roots`` (shape (B, d)) and ``zeros`` stand for the monic
+    polynomial ``p_b = x**zeros * prod_i (x - roots[b, i])``.  Returns
+    ``(out, zeros')`` with ``p_b - c p_b' = x**zeros' * prod_i (x - out[b, i])``,
+    each row of ``out`` sorted descending: ``zeros' = zeros - 1`` and
+    ``out`` has d + 1 columns when ``zeros > 0``, otherwise ``zeros' = 0``
+    and d columns.  ``c = 0`` returns the input, sorted.
+
+    A root of ``p - c p'`` solves ``p'/p = sum_j w_j / (x - mu_j) = 1/c``,
+    where the poles ``mu_j`` (sorted descending) are the given roots with
+    weight 1 and, if ``zeros > 0``, the origin with weight ``zeros``.
+    The left side falls from +inf to -inf between neighbouring poles and
+    from +inf to 0 above the top pole, so for ``c > 0`` there is exactly
+    one root in each gap and one in ``(mu_0, mu_0 + W c]``, ``W = d + zeros``
+    (there ``p'/p <= W/(x - mu_0)``): the result is real-rooted and
+    interlaces the input by construction.  A root of multiplicity r keeps
+    r - 1 copies in place, which is why a zero-width gap returns its pole.
+
+    Each gap is solved by Gragg-style two-pole rational steps: the poles
+    below the iterate are modelled by ``a + A/(x - lo)``, those above by
+    ``a' + B/(x - hi)``, with A, B matched to the derivatives, and the
+    model's one root in the gap is the next iterate.  A step that leaves
+    the current sign-change bracket is replaced by its midpoint.  An entry
+    stops once the residual is within the rounding error of evaluating the
+    sum, or once the bracket holds no float between its ends.
+    """
+    roots = np.asarray(roots, dtype=float)
+    if roots.ndim != 2:
+        raise ValueError("roots must be a (B, d) array")
+    if zeros < 0:
+        raise ValueError("the zero multiplicity must be nonnegative")
+    c = float(c)
+    if c < 0:
+        raise ValueError("the shift 1 - cD keeps real roots only for c >= 0")
+    if c == 0:
+        return -np.sort(-roots, axis=1), zeros
+    nrows, d = roots.shape
+    weights = np.ones((nrows, d + (zeros > 0)))
+    poles = roots
+    if zeros:
+        poles = np.concatenate([roots, np.zeros((nrows, 1))], axis=1)
+        weights[:, -1] = zeros
+    order = np.argsort(-poles, axis=1, kind="stable")
+    mu = np.take_along_axis(poles, order, axis=1)
+    w = np.take_along_axis(weights, order, axis=1)
+    npoles = mu.shape[1]
+    if npoles == 0:
+        return np.empty((nrows, 0)), 0
+    inv_c = 1.0 / c
+    eps = np.finfo(float).eps
+    # Unknown i lives in (mu_i, mu_(i-1)); unknown 0 in (mu_0, mu_0 + W c].
+    lo = mu
+    hi = np.empty_like(mu)
+    hi[:, 0] = mu[:, 0] + (d + zeros) * c
+    hi[:, 1:] = mu[:, :-1]
+    idx = np.arange(npoles)
+    below = (idx[None, :] >= idx[:, None]).astype(float)  # [unknown, pole]
+    above = 1.0 - below
+    x = 0.5 * (lo + hi)
+    x[:, 0] = hi[:, 0]
+    active = (x > lo) & ((x < hi) | (idx == 0))
+    x = np.where(active, x, lo)
+    down, up = lo.copy(), hi.copy()
+    out = x.copy()
+    rows = np.flatnonzero(active.any(axis=1))
+    lo, hi, mu, w = lo[rows], hi[rows], mu[rows], w[rows]
+    x, down, up, active = x[rows], down[rows], up[rows], active[rows]
+    # Scratch for the (rows, unknown, pole) terms; fresh arrays this size
+    # cost more in page faults than the arithmetic on them.
+    scratch = np.empty((2, rows.size, npoles, npoles))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            # Finished entries ride along, masked out by ``active``.
+            live_scratch = scratch[:, :rows.size]
+            diff = np.subtract(x[:, :, None], mu[:, None, :], out=live_scratch[0])
+            terms = np.divide(w[:, None, :], diff, out=live_scratch[1])
+            dterms = np.divide(terms, diff, out=diff)
+            phi = np.einsum("bij,ij->bi", terms, below)
+            psi = np.einsum("bij,ij->bi", terms, above)
+            g = phi + psi - inv_c
+            # Rounding error of g: three roundings per term, one per sum.
+            bound = (npoles + 3) * eps * (phi - psi + inv_c)
+            down_next = np.where(g > 0, x, down)
+            up_next = np.where(g > 0, up, x)
+            # Two-pole model C + A/(y - lo) + B/(y - hi) = 1/c; B = 0 for
+            # the top root, whose upper end is not a pole.
+            dphi = np.einsum("bij,ij->bi", dterms, below)
+            dpsi = np.einsum("bij,ij->bi", dterms, above)
+            dlo = x - lo
+            dhi = x - hi
+            dhi[:, 0] = 1.0
+            big_a = dphi * dlo * dlo
+            big_b = dpsi * dhi * dhi
+            t = inv_c - (phi - big_a / dlo) - (psi - big_b / dhi)
+            # Its root in the gap is y = lo + u, 0 < u < h, where
+            # t u^2 - lin u + A h = 0; the discriminant is written as a sum
+            # of squares and each branch avoids cancellation.
+            h = hi - lo
+            lin = t * h + big_a + big_b
+            sq = np.sqrt((t * h - big_a + big_b) ** 2 + 4.0 * big_a * big_b)
+            u = np.where(lin > 0, 2.0 * big_a * h / (lin + sq),
+                         (lin - sq) / (2.0 * t))
+            y = lo + u
+            mid = 0.5 * (down_next + up_next)
+            active &= ~((np.abs(g) <= bound) | (y == x)
+                        | (mid == down_next) | (mid == up_next))
+            y = np.where((y > down_next) & (y < up_next), y, mid)
+            x = np.where(active, y, x)
+            down = np.where(active, down_next, down)
+            up = np.where(active, up_next, up)
+            live = active.any(axis=1)
+            if not live.all():
+                out[rows] = x
+                rows, lo, hi, mu, w = rows[live], lo[live], hi[live], mu[live], w[live]
+                x, down, up, active = x[live], down[live], up[live], active[live]
+    return out, max(zeros - 1, 0)
 
 
 def laguerre_transform(n: int, k: int) -> Polynomial:

@@ -18,7 +18,8 @@ Three instantiations:
   lambda_k of the chosen Gram sum at least ``(1 - sqrt(k/n))^2 * n/m``.
   The i.i.d. uniform sampling model admits the closed form
   ``(1 - (1/m) d/dx)^(k-l) char_poly(fixed sum)`` for the conditional
-  polynomials, which is what the level loop evaluates.
+  polynomials.  Float systems evaluate it in root space (bordered Gram
+  spectra, then :func:`shift_roots`), exact systems on exact polynomials.
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2``, by walking
   two-point block lifts in dimension 2d.
@@ -36,8 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial, apply_shift_operator, kth_largest_root, \
-    have_common_interlacing
-from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact
+    have_common_interlacing, shift_roots
+from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     _expected_char_with_base, mixed_char
 from .graphs import Graph, Signing, signed_adjacency
@@ -317,14 +318,29 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     """Choose k of m isotropic vectors with a large k-th Gram eigenvalue.
 
     The sampling model is k i.i.d. draws uniform over the m columns; the
-    conditional expected polynomial after fixing vectors summing to A is
-    exactly ``(1 - (1/m) d/dx)^(k-l) char_poly(A)``, and that closed
-    form is what the level loop evaluates (one shift operator per
-    unfixed draw); each level forms all m candidates'
-    ``char_poly(A + v_j v_j^T)`` in one batched kernel call.  Repeated
-    indices exist in the outcome tree but are provably never selected
-    while the pledge is positive - this is asserted, not assumed.
-    Returns (chosen index list, certificate).
+    conditional expected polynomial after fixing l vectors summing to B
+    is exactly ``(1 - (1/m) d/dx)^(k-l) char_poly(B)``.  Level l scores
+    every candidate v_j by the k-th largest root of
+    ``(1 - (1/m) d/dx)^(k-l-1) char_poly(B + v_j v_j^T)`` and keeps the
+    best, ties going to the lowest index.
+
+    Float systems never form a polynomial.  With S the l chosen rows,
+    ``char_poly(S^T S + v_j v_j^T) = x^(n-l-1) det(x - G_j)`` where G_j is
+    the (l+1) x (l+1) Gram matrix of S and v_j, so one batched
+    ``eigvalsh`` of the (m, l+1, l+1) stack gives every candidate's roots
+    and the zero root's multiplicity n - l - 1 comes from the rank.
+    :func:`shift_roots` then applies each ``1 - (1/m) d/dx`` in root space,
+    and the k-th largest root is the smallest of the k roots it tracks.
+    A level costs O(m l^3) for the spectra plus O(m k^2) per shift and
+    solver step, against m characteristic polynomials of size n and
+    their companion roots.  Exact systems keep the exact polynomials:
+    one Berkowitz call on the stack ``B + v_j v_j^T``, exact shifts and
+    certified roots.  The pledge, lambda_k of ``(1 - (1/m) d/dx)^k x^n``,
+    is computed in root space in both modes.
+
+    Repeated indices exist in the outcome tree but are provably never
+    selected while the pledge is positive - this is asserted, not
+    assumed.  Returns (chosen index list, certificate).
     """
     if not system.is_isotropic(tol):
         raise ValueError(
@@ -333,33 +349,23 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     m = system.m
-    c = Fraction(1, m)
-    pledge_poly = Polynomial.monomial(n)
+    roots, zeros = np.empty((1, 0)), n
     for _ in range(k):
-        pledge_poly = apply_shift_operator(pledge_poly, c)
-    pledged = kth_largest_root(pledge_poly, k)
+        roots, zeros = shift_roots(roots, zeros, 1.0 / m)
+    pledged = float(roots[0, -1])
     exact = system.is_exact
+    vecs = system.vectors
     base = np.zeros((n, n), dtype=object if exact else float)
     chosen: list[int] = []
     levels: list[float] = []
-    cf = c if exact else float(c)
-    vecs = system.vectors
-    outers = vecs[:, :, None] * vecs[:, None, :]
-    kernel = charpoly_batch_exact if exact else charpoly_batch
+    outers = vecs[:, :, None] * vecs[:, None, :] if exact else None
     for lvl in range(k):
-        best_j = -1
-        best_val = None
-        chis = kernel(base + outers)
-        for j in range(m):
-            q = Polynomial(chis[j])
-            for _ in range(k - lvl - 1):
-                q = apply_shift_operator(q, cf)
-            val = kth_largest_root(q, k)
-            if best_val is None or val > best_val:
-                best_j, best_val = j, val
-        base = base + outers[best_j]
+        vals = _ri_scores_exact(base + outers, k - lvl - 1, Fraction(1, m), k) \
+            if exact else _ri_scores_float(vecs, chosen, k)
+        best_j = int(np.argmax(vals))
+        base = base + np.outer(vecs[best_j], vecs[best_j])
         chosen.append(best_j)
-        levels.append(best_val)
+        levels.append(float(vals[best_j]))
     if len(set(chosen)) != k:
         raise RuntimeError("a column was selected twice; the positive pledge "
                            "should make this impossible")
@@ -369,6 +375,34 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
                                 achieved=achieved, pledged=pledged,
                                 k=k, direction="maximize", levels=levels)
     return chosen, cert
+
+
+def _ri_scores_exact(stack, shifts: int, c, k: int) -> list:
+    """lambda_k of ``(1 - c d/dx)^shifts char_poly(A)`` for each A in the stack."""
+    vals = []
+    for row in charpoly_batch_exact(stack):
+        q = Polynomial(row)
+        for _ in range(shifts):
+            q = apply_shift_operator(q, c)
+        vals.append(kth_largest_root(q, k))
+    return vals
+
+
+def _ri_scores_float(vecs: np.ndarray, chosen: list, k: int) -> np.ndarray:
+    """Every row's level score, from the spectra of the bordered Gram matrices."""
+    m, n = vecs.shape
+    lvl = len(chosen)
+    s = vecs[chosen]
+    cross = vecs @ s.T
+    gram = np.empty((m, lvl + 1, lvl + 1))
+    gram[:, :lvl, :lvl] = s @ s.T
+    gram[:, :lvl, lvl] = cross
+    gram[:, lvl, :lvl] = cross
+    gram[:, lvl, lvl] = np.einsum("ij,ij->i", vecs, vecs)
+    roots, zeros = np.linalg.eigvalsh(gram), n - lvl - 1
+    for _ in range(k - lvl - 1):
+        roots, zeros = shift_roots(roots, zeros, 1.0 / m)
+    return np.min(roots, axis=1)
 
 
 # ----------------------------------------------------------------------

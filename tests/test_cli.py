@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from interlace import VectorSystem
+import interlace.cli
+from interlace import VectorSystem, NotRealRootedError
 from interlace.cli import main
 
 
@@ -212,6 +213,23 @@ def test_budget_exceeded_exit_4(capsys, tmp_path):
     # 2^25 outcomes blow the budget of 2^20 during the weaver walk
     code, _ = run_cli(capsys, ["weaver", str(path)])
     assert code == 4
+
+
+def _raise_not_real_rooted(*args, **kwargs):
+    raise NotRealRootedError("complex root 0.5+0.1j (imag part beyond tolerance)")
+
+
+def test_numerical_failure_exit_5(capsys, monkeypatch, iso_system_file, tmp_path):
+    # a numerical failure is not a failed precondition (exit 3)
+    monkeypatch.setattr(interlace.cli, "restricted_invertibility_select",
+                        _raise_not_real_rooted)
+    code, payload = run_cli(capsys, ["ri", iso_system_file, "-k", "2"])
+    assert code == 5 and payload is None
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1.0, 0.0], [0.0, 1.0]]]))
+    monkeypatch.setattr(interlace.cli, "real_roots", _raise_not_real_rooted)
+    assert main(["mixedchar", str(mats)]) == 5
+    assert "numerical failure: complex root" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(capsys, tmp_path, iso_system_file):

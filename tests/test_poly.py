@@ -16,6 +16,7 @@ from interlace import (
     ZeroPolynomialError,
     NotRealRootedError,
     apply_shift_operator,
+    shift_roots,
     laguerre_transform,
     diagram_identity_check,
     sturm_root_count,
@@ -101,6 +102,80 @@ def test_shift_operator_negative_c_can_break_real_rootedness():
     # complex roots for c chosen adversarially; witness a concrete case:
     p = Polynomial([1, -1, 1]) * Polynomial([1, 1])  # has complex factor already
     assert not is_real_rooted(p)
+
+
+def _sorted_multiset(roots, zeros):
+    return np.sort(np.concatenate([roots, np.zeros(zeros)]))[::-1]
+
+
+def test_shift_roots_zero_shift_is_identity():
+    roots = np.array([[0.5, 2.0, -1.0], [3.0, 3.0, 0.0]])
+    out, zeros = shift_roots(roots, 4, 0)
+    assert zeros == 4
+    assert (out == -np.sort(-roots, axis=1)).all()
+
+
+def test_shift_roots_repeated_poles():
+    # p = (x-2)^3 (x-1): p - p'/2 = (x-2)^2 (x^2 - 5x + 9/2), so the
+    # triple root keeps two copies and the rest solve the quadratic
+    out, zeros = shift_roots(np.array([[2.0, 1.0, 2.0, 2.0]]), 0, 0.5)
+    assert zeros == 0
+    assert list(out[0, 1:3]) == [2.0, 2.0]
+    r7 = math.sqrt(7.0)
+    assert out[0, 0] == pytest.approx((5 + r7) / 2, rel=1e-15)
+    assert out[0, 3] == pytest.approx((5 - r7) / 2, rel=1e-15)
+    # a zero root of multiplicity s keeps s - 1 copies
+    out, zeros = shift_roots(np.empty((1, 0)), 3, 0.25)
+    assert zeros == 2 and out[0, 0] == pytest.approx(0.75, rel=1e-15)
+
+
+def test_shift_roots_interlace_their_input():
+    rng = np.random.default_rng(20261018)
+    for _ in range(50):
+        d = int(rng.integers(1, 9))
+        zeros = int(rng.integers(0, 4))
+        roots = rng.uniform(-3, 3, (5, d))
+        roots[:, -1] = roots[:, 0]  # one repeated root per row
+        c = float(rng.uniform(0.01, 2))
+        out, z2 = shift_roots(roots, zeros, c)
+        assert z2 == max(zeros - 1, 0)
+        for row_in, row_out in zip(roots, out):
+            before = _sorted_multiset(row_in, zeros)
+            after = _sorted_multiset(row_out, z2)
+            assert len(after) == len(before)
+            assert before[0] < after[0] <= before[0] + len(before) * c
+            for i in range(1, len(before)):
+                assert before[i] <= after[i] <= before[i - 1]
+
+
+def test_shift_roots_rational_inputs_against_sturm():
+    # every kernel root must have a root of the exact polynomial
+    # (1 - cD)[x^s prod (x - r)] within 1e-9, by exact Sturm counts
+    cases = [
+        ([Fraction(3), Fraction(1, 2), Fraction(5, 4), Fraction(-2, 3)], 2, Fraction(1, 3)),
+        ([Fraction(7, 5), Fraction(7, 5), Fraction(1, 10)], 1, Fraction(2, 9)),
+        ([Fraction(-1), Fraction(4), Fraction(9, 7)], 0, Fraction(5, 2)),
+    ]
+    for roots, zeros, c in cases:
+        p = Polynomial.from_roots(roots + [0] * zeros)
+        q = apply_shift_operator(p, c)
+        out, z2 = shift_roots(np.array([[float(r) for r in roots]]), zeros, float(c))
+        assert len(out[0]) + z2 == q.degree
+        delta = Fraction(1, 10 ** 9)
+        for r in out[0]:
+            r = Fraction(float(r))
+            assert sturm_root_count(q, r - delta, r + delta) == 1
+        if z2:
+            assert q.coeffs[:z2] == (0,) * z2 and q.coeffs[z2] != 0
+
+
+def test_shift_roots_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        shift_roots(np.array([1.0, 2.0]), 0, 1.0)  # not a batch
+    with pytest.raises(ValueError):
+        shift_roots(np.array([[1.0]]), -1, 1.0)
+    with pytest.raises(ValueError):
+        shift_roots(np.array([[1.0]]), 0, -0.5)
 
 
 def test_laguerre_transform_values():

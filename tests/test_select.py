@@ -11,11 +11,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 
 from interlace import (
     Polynomial,
     SymMatrix,
     char_poly,
+    charpoly_batch,
+    apply_shift_operator,
+    shift_roots,
     kth_largest_root,
     real_roots,
     matching_poly,
@@ -235,7 +239,7 @@ def test_ri_orthonormal_basis():
 
 def test_ri_duplicated_basis_exact():
     # four half-scaled copies of each basis vector: isotropic with
-    # Fraction entries, so the pledge computation is exact end to end
+    # Fraction entries, so the level loop runs on exact polynomials
     n = 3
     vecs = []
     for i in range(n):
@@ -267,6 +271,87 @@ def test_ri_random_isotropic():
         gram = sub.T @ sub
         w = np.linalg.eigvalsh(gram)
         assert cert.achieved == pytest.approx(float(w[-k]), abs=1e-9)
+
+
+def _coefficient_walk(system, k):
+    """The float ri walk through monomial coefficients, as the reference.
+
+    Each level forms every candidate's characteristic polynomial with
+    ``charpoly_batch``, applies the shift operator to its coefficients and
+    takes companion roots.  Returns (chosen, per-level candidate scores).
+    """
+    vecs = np.asarray(system.vectors, dtype=float)
+    m, n = vecs.shape
+    outers = vecs[:, :, None] * vecs[:, None, :]
+    base = np.zeros((n, n))
+    chosen, scores = [], []
+    for lvl in range(k):
+        vals = []
+        for row in charpoly_batch(base + outers):
+            q = Polynomial(row)
+            for _ in range(k - lvl - 1):
+                q = apply_shift_operator(q, 1.0 / m)
+            vals.append(kth_largest_root(q, k))
+        best = int(np.argmax(vals))
+        base = base + outers[best]
+        chosen.append(best)
+        scores.append(vals)
+    return chosen, scores
+
+
+def test_ri_float_walk_matches_coefficient_walk():
+    rng = np.random.default_rng(20261018)
+    sizes = [(4, 6, 2), (5, 9, 3), (6, 10, 3), (8, 16, 4), (10, 20, 5),
+             (12, 30, 6), (16, 48, 8), (16, 40, 10)]
+    for n, m, k in sizes:
+        vs = VectorSystem.random_isotropic(n, m, rng)
+        chosen, cert = restricted_invertibility_select(vs, k)
+        ref_chosen, ref_scores = _coefficient_walk(vs, k)
+        for lvl, (j, j_ref) in enumerate(zip(chosen, ref_chosen)):
+            vals = ref_scores[lvl]
+            if j != j_ref:
+                # only a tie may send the walks apart
+                assert abs(vals[j] - vals[j_ref]) < 1e-12
+                break
+            assert cert.levels[lvl] == pytest.approx(vals[j], rel=1e-9)
+
+
+def test_ri_basis_levels_are_exact():
+    # the last level is lambda_k of a Gram sum of distinct basis vectors;
+    # companion roots of its repeated eigenvalue missed it by ~2e-6
+    _, cert = restricted_invertibility_select(VectorSystem(np.eye(4)), 3)
+    assert cert.levels[-1] == pytest.approx(1.0, abs=1e-12)
+    halves = [row * math.sqrt(0.5) for row in np.eye(4) for _ in range(2)]
+    _, cert = restricted_invertibility_select(VectorSystem(halves), 3)
+    assert cert.levels[-1] == pytest.approx(0.5, abs=1e-12)
+
+
+def _laguerre_pledge_roots(n, m, k):
+    """Roots of (1 - D/m)^k x^n other than 0, by Golub-Welsch."""
+    return np.sort(scipy.special.roots_genlaguerre(k, n - k)[0])[::-1] / m
+
+
+@pytest.mark.parametrize("n,m,k", [(16, 48, 8), (40, 80, 20), (128, 256, 64)])
+def test_ri_pledge_matches_laguerre_roots(n, m, k):
+    roots, zeros = np.empty((1, 0)), n
+    for _ in range(k):
+        roots, zeros = shift_roots(roots, zeros, 1.0 / m)
+    assert zeros == n - k
+    ref = _laguerre_pledge_roots(n, m, k)
+    assert np.max(np.abs(roots[0] - ref) / ref) <= 1e-12
+    assert roots[0, -1] >= restricted_invertibility_bound(n, m, k)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ri_n40_gate(seed):
+    # the coefficient walk stops here with NotRealRootedError
+    n, m, k = 40, 80, 20
+    vs = VectorSystem.random_isotropic(n, m, np.random.default_rng(seed))
+    chosen, cert = restricted_invertibility_select(vs, k)
+    assert len(chosen) == len(set(chosen)) == k
+    assert cert.valid()
+    assert cert.achieved >= restricted_invertibility_bound(n, m, k) - 1e-7
+    assert cert.pledged == pytest.approx(_laguerre_pledge_roots(n, m, k)[-1], rel=1e-12)
 
 
 def test_ri_rejects_bad_inputs():
