@@ -8,15 +8,18 @@ polynomial silently becomes a float polynomial and all downstream work
 happens in double precision.  The two regimes share one API; functions
 dispatch on ``Polynomial.is_exact``.
 
-Root-finding is split the same way.  ``is_real_rooted`` uses a
-gcd/Sturm certificate in the exact regime (multiplicities handled by
-repeatedly splitting off gcd(p, p')) and companion-matrix eigenvalues
-with an imaginary-part tolerance in the float regime.  ``real_roots``
-always returns floats: companion eigenvalues polished by Newton steps,
-with a Sturm-guided bisection fallback for roots that fail a residual
-check.  ``shift_roots`` skips coefficients altogether: it applies the
-shift operator to batches of real roots by bracketed secular-equation
-solves, so its output is real-rooted by construction.
+Root-finding is split the same way, one pipeline per regime, and
+``real_roots`` and ``is_real_rooted`` share it.  An exact polynomial is
+taken apart into square-free layers by repeatedly splitting off
+gcd(q, q'); a Sturm count certifies each layer real-rooted, and since
+its roots are simple, companion eigenvalues and Newton steps find them
+to working precision, the layer index giving their multiplicity.  A
+float polynomial gets companion eigenvalues, accepted as real by an
+imaginary-part tolerance (``IM_TOL``) or a backward-error rescue, then
+Newton steps.  ``real_roots`` always returns floats.  ``shift_roots``
+skips coefficients altogether: it applies the shift operator to batches
+of real roots by bracketed secular-equation solves, so its output is
+real-rooted by construction.
 """
 
 from __future__ import annotations
@@ -47,6 +50,14 @@ __all__ = [
 
 # Relative tolerance used when comparing roots of float polynomials.
 ROOT_TOL = 1e-7
+
+# Companion eigenvalues of a real-rooted float polynomial leave the real
+# axis through rounding: by about eps * cond at a simple root and by
+# eps**(1/r) at an r-fold root (1.5e-8 for r = 2, 6e-6 for r = 3).
+# Imaginary parts up to IM_TOL * (1 + |root|) pass as real, which covers
+# simple and double roots; higher multiplicities fall to the
+# backward-error rescue in ``_companion_roots``.
+IM_TOL = 1e-6
 
 
 class ZeroPolynomialError(ValueError):
@@ -543,16 +554,10 @@ def sturm_root_count(p: Polynomial, a, b) -> int:
     return _sign_changes(seq, a) - _sign_changes(seq, b)
 
 
-def cauchy_root_bound(p: Polynomial):
-    """A bound B with every complex root of p inside |z| <= B."""
-    if p.is_zero:
-        raise ZeroPolynomialError("root bound of the zero polynomial")
-    if p.degree == 0:
-        return 0 if p.is_exact else 0.0
-    lead = p.leading()
-    if p.is_exact:
-        return 1 + max(abs(Fraction(c) / lead) for c in p.coeffs[:-1])
-    return 1.0 + max(abs(c / lead) for c in p.coeffs[:-1])
+def cauchy_root_bound(p: Polynomial) -> Fraction:
+    """A bound B with every complex root of exact ``p`` (degree >= 1) in |z| < B."""
+    lead = Fraction(p.leading())
+    return 1 + max(abs(c / lead) for c in p.coeffs[:-1])
 
 
 # ----------------------------------------------------------------------
@@ -560,49 +565,37 @@ def cauchy_root_bound(p: Polynomial):
 # ----------------------------------------------------------------------
 
 
-def is_real_rooted(p: Polynomial, tol: float = 1e-6) -> bool:
+def is_real_rooted(p: Polynomial, tol: float = IM_TOL) -> bool:
     """Whether every complex root of ``p`` is real.
 
-    Exact polynomials get an exact yes/no: peel off multiplicities with
-    gcd(p, p') and count distinct real roots by Sturm on each square-free
-    layer.  Float polynomials use companion-matrix eigenvalues and accept
-    imaginary parts up to ``tol * (1 + |root|)``; nearby conjugate pairs
-    below that threshold are treated as a real double root.
+    Exact polynomials get an exact yes/no: :func:`_exact_roots` certifies
+    each square-free layer by a Sturm count.  Float polynomials use
+    companion-matrix eigenvalues and accept imaginary parts up to
+    ``tol * (1 + |root|)``, or failing that a backward-error test, so
+    nearby conjugate pairs are treated as a real multiple root.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial is not classified")
     if p.degree == 0:
         return True
     if p.is_exact:
-        return _is_real_rooted_exact(p)
-    return _is_real_rooted_float(p, tol)
+        return _exact_roots(p) is not None
+    q, _ = _strip_zero_roots(p)
+    return q.degree == 0 or _companion_roots(q, tol)[1]
 
 
-def _is_real_rooted_exact(p: Polynomial) -> bool:
-    q = _to_fraction_poly(p)
-    while q.degree > 0:
-        g = _polygcd(q, q.derivative())
-        trivial = g.is_zero or g.degree == 0
-        distinct = q.degree if trivial else q.degree - g.degree
-        bound = cauchy_root_bound(q)
-        if sturm_root_count(q, -bound - 1, bound + 1) != distinct:
-            return False
-        if trivial:
-            return True
-        q = g
-    return True
-
-
-def _is_real_rooted_float(p: Polynomial, tol: float) -> bool:
-    s = _strip_zero_roots(p)
-    q = s.reduced
-    if q.degree == 0:
-        return True
-    coeffs = np.array(q.coeffs, dtype=float)
+def _companion(q: Polynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Float coefficients of ``q`` scaled to max |c| = 1, and their roots."""
+    coeffs = np.array(q.to_float().coeffs, dtype=float)
     coeffs = coeffs / np.abs(coeffs).max()
-    roots = npoly.polyroots(coeffs)
+    return coeffs, npoly.polyroots(coeffs)
+
+
+def _companion_roots(q: Polynomial, tol: float) -> tuple[np.ndarray, bool]:
+    """Companion eigenvalues of float ``q`` and whether they pass as real."""
+    coeffs, roots = _companion(q)
     if np.all(np.abs(roots.imag) <= tol * (1.0 + np.abs(roots))):
-        return True
+        return roots, True
     # Companion eigenvalues of an m-fold root scatter by about eps**(1/m)
     # into the complex plane, so the imaginary-part test alone rejects
     # honest multiple roots.  Rescue clause: project the roots onto the
@@ -612,19 +605,39 @@ def _is_real_rooted_float(p: Polynomial, tol: float) -> bool:
     recon = npoly.polyfromroots(np.sort(roots.real))
     monic = coeffs / coeffs[-1]
     scale = max(1.0, float(np.max(np.abs(recon))), float(np.max(np.abs(monic))))
-    return bool(np.max(np.abs(recon - monic)) <= math.sqrt(tol) * scale)
+    return roots, bool(np.max(np.abs(recon - monic)) <= math.sqrt(tol) * scale)
 
 
-class _Stripped:
-    __slots__ = ("reduced", "zeros")
+def _exact_roots(p: Polynomial) -> list[float] | None:
+    """The real roots of exact ``p`` with multiplicity, or None if one is complex.
 
-    def __init__(self, reduced, zeros):
-        self.reduced = reduced
-        self.zeros = zeros
+    Walks the square-free layers q_0 = p, q_(j+1) = gcd(q_j, q_j').  The
+    square-free part s_j = q_j / q_(j+1) has one root for each root of p
+    of multiplicity above j, so f_j = s_j / s_(j+1) holds, once each, the
+    roots of multiplicity exactly j + 1.  A Sturm count equal to deg f_j
+    certifies f_j real-rooted; its roots are simple, so companion
+    eigenvalues and Newton steps find them to working precision, and each
+    is listed j + 1 times.
+    """
+    layers = [_to_fraction_poly(p)]
+    while layers[-1].degree > 0:
+        layers.append(_polygcd(layers[-1], layers[-1].derivative()))
+    parts = [_polydivmod(a, b)[0] for a, b in zip(layers, layers[1:])]
+    parts.append(Polynomial.one())
+    roots = []
+    for j, (s, s_next) in enumerate(zip(parts, parts[1:])):
+        f = _polydivmod(s, s_next)[0]
+        if f.degree == 0:
+            continue
+        bound = cauchy_root_bound(f)
+        if sturm_root_count(f, -bound, bound) != f.degree:
+            return None
+        roots.extend(_newton_polish(f.to_float(), _companion(f)[1].real) * (j + 1))
+    return roots
 
 
-def _strip_zero_roots(p: Polynomial) -> _Stripped:
-    """Factor out x**s where the s lowest coefficients are exactly zero.
+def _strip_zero_roots(p: Polynomial) -> tuple[Polynomial, int]:
+    """Split ``p = x**s q`` where the s lowest coefficients are exactly zero.
 
     Polynomials built by shift operators often carry an exact power of x;
     splitting it off keeps the companion matrix well conditioned and
@@ -633,114 +646,60 @@ def _strip_zero_roots(p: Polynomial) -> _Stripped:
     s = 0
     while s < len(p.coeffs) and p.coeffs[s] == 0:
         s += 1
-    return _Stripped(Polynomial(p.coeffs[s:]), s)
+    return Polynomial(p.coeffs[s:]), s
 
 
-def real_roots(p: Polynomial, tol: float = 1e-9) -> np.ndarray:
+def real_roots(p: Polynomial) -> np.ndarray:
     """All real roots of ``p`` with multiplicity, sorted descending, as floats.
 
-    Raises :class:`NotRealRootedError` if a genuinely complex root is
-    detected.  Pipeline: strip exact zero roots, companion-matrix
-    eigenvalues, up to four Newton polish steps per root, then a residual
-    check ``|p(r)| <= tol * scale(p, r)``; roots failing the check are
-    re-bracketed by Sturm counts and bisected.
+    Exact zero roots are split off first.  The rest of an exact polynomial
+    goes through :func:`_exact_roots`: square-free layers, each certified
+    by a Sturm count, with simple roots from companion eigenvalues and
+    Newton steps.  A float polynomial gets its companion eigenvalues,
+    accepted as real by the imaginary-part test or the backward-error
+    rescue, then up to four Newton steps per root.  Raises
+    :class:`NotRealRootedError` if a complex root is found.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has every number as a root")
     if p.degree == 0:
         return np.empty(0)
-    stripped = _strip_zero_roots(p)
-    q = stripped.reduced
-    out = [0.0] * stripped.zeros
-    if q.degree > 0:
-        qf = q.to_float()
-        coeffs = np.array(qf.coeffs, dtype=float)
-        coeffs = coeffs / np.abs(coeffs).max()
-        roots = npoly.polyroots(coeffs)
-        im_tol = 1e-6
-        bad = np.abs(roots.imag) > im_tol * (1.0 + np.abs(roots))
-        if np.any(bad):
-            certified = _is_real_rooted_exact(p) if p.is_exact \
-                else _is_real_rooted_float(qf, im_tol)
-            if not certified:
-                worst = roots[bad][np.argmax(np.abs(roots[bad].imag))]
-                raise NotRealRootedError(
-                    f"complex root {worst:.6g} (imag part beyond tolerance)")
-            # Certified real: the offending imaginary parts are companion
-            # noise around a multiple root, keep the real projections.
-        dq = qf.derivative()
-        polished = []
-        for r in np.sort(roots.real):
-            r = _newton_polish(qf, dq, float(r))
-            polished.append(r)
-        polished = _residual_repair(qf, q, polished, tol)
-        out.extend(polished)
-    arr = np.array(sorted(out, reverse=True), dtype=float)
-    return arr
+    q, zeros = _strip_zero_roots(p)
+    if q.degree == 0:
+        roots = []
+    elif p.is_exact:
+        roots = _exact_roots(q)
+        if roots is None:
+            raise NotRealRootedError(
+                "complex root (a Sturm count falls short of the degree)")
+    else:
+        eig, real = _companion_roots(q, IM_TOL)
+        if not real:
+            bad = eig[np.abs(eig.imag) > IM_TOL * (1.0 + np.abs(eig))]
+            worst = bad[np.argmax(np.abs(bad.imag))]
+            raise NotRealRootedError(
+                f"complex root {worst:.6g} (imag part beyond tolerance)")
+        roots = _newton_polish(q.to_float(), eig.real)
+    return np.array(sorted([0.0] * zeros + roots, reverse=True), dtype=float)
 
 
-def _newton_polish(qf: Polynomial, dq: Polynomial, r: float, steps: int = 4) -> float:
-    for _ in range(steps):
-        fr = qf(r)
-        dr = dq(r)
-        if dr == 0:
-            break
-        step = fr / dr
-        nxt = r - step
-        if not math.isfinite(nxt):
-            break
-        if abs(qf(nxt)) < abs(fr):
+def _newton_polish(qf: Polynomial, starts, steps: int = 4) -> list[float]:
+    """Up to ``steps`` Newton steps on float ``qf`` from each start, ascending."""
+    dq = qf.derivative()
+    out = []
+    for r in np.sort(starts):
+        r = float(r)
+        for _ in range(steps):
+            fr = qf(r)
+            dr = dq(r)
+            if dr == 0:
+                break
+            nxt = r - fr / dr
+            if not math.isfinite(nxt) or abs(qf(nxt)) >= abs(fr):
+                break
             r = nxt
-        else:
-            break
-    return r
-
-
-def _residual_scale(qf: Polynomial, r: float) -> float:
-    g = max(1.0, abs(r))
-    scale = 0.0
-    power = 1.0
-    for c in qf.coeffs:
-        scale += abs(c) * power
-        power *= g
-    return scale
-
-
-def _residual_repair(qf: Polynomial, q: Polynomial, roots: list[float], tol: float):
-    """Bisection fallback for roots whose residual is out of tolerance.
-
-    Uses Sturm counts on the exact polynomial when available to find a
-    bracket around the suspect value, otherwise brackets by sign change
-    in a shrinking window.  Multiple roots with zero-derivative plateaus
-    are left as polished if no bracket exists.
-    """
-    fixed = []
-    for r in roots:
-        if abs(qf(r)) <= tol * _residual_scale(qf, r):
-            fixed.append(r)
-            continue
-        width = 1e-3 * (1.0 + abs(r))
-        lo, hi = r - width, r + width
-        ok = False
-        for _ in range(40):
-            if qf(lo) * qf(hi) < 0:
-                ok = True
-                break
-            width *= 0.5
-            lo, hi = r - width, r + width
-        if not ok:
-            fixed.append(r)
-            continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if qf(lo) * qf(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-15 * (1.0 + abs(mid)):
-                break
-        fixed.append(0.5 * (lo + hi))
-    return fixed
+        out.append(r)
+    return out
 
 
 def kth_largest_root(p: Polynomial, k: int) -> float:

@@ -18,8 +18,8 @@ Three instantiations:
   lambda_k of the chosen Gram sum at least ``(1 - sqrt(k/n))^2 * n/m``.
   The i.i.d. uniform sampling model admits the closed form
   ``(1 - (1/m) d/dx)^(k-l) char_poly(fixed sum)`` for the conditional
-  polynomials.  Float systems evaluate it in root space (bordered Gram
-  spectra, then :func:`shift_roots`), exact systems on exact polynomials.
+  polynomials, evaluated in root space: bordered Gram spectra (float or
+  exact), then :func:`shift_roots`.
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2``, by walking
   two-point block lifts in dimension 2d.
@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .poly import Polynomial, apply_shift_operator, kth_largest_root, \
+from .poly import Polynomial, kth_largest_root, real_roots, \
     have_common_interlacing, shift_roots
 from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
@@ -324,19 +323,19 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     ``(1 - (1/m) d/dx)^(k-l-1) char_poly(B + v_j v_j^T)`` and keeps the
     best, ties going to the lowest index.
 
-    Float systems never form a polynomial.  With S the l chosen rows,
-    ``char_poly(S^T S + v_j v_j^T) = x^(n-l-1) det(x - G_j)`` where G_j is
-    the (l+1) x (l+1) Gram matrix of S and v_j, so one batched
-    ``eigvalsh`` of the (m, l+1, l+1) stack gives every candidate's roots
-    and the zero root's multiplicity n - l - 1 comes from the rank.
-    :func:`shift_roots` then applies each ``1 - (1/m) d/dx`` in root space,
-    and the k-th largest root is the smallest of the k roots it tracks.
-    A level costs O(m l^3) for the spectra plus O(m k^2) per shift and
-    solver step, against m characteristic polynomials of size n and
-    their companion roots.  Exact systems keep the exact polynomials:
-    one Berkowitz call on the stack ``B + v_j v_j^T``, exact shifts and
-    certified roots.  The pledge, lambda_k of ``(1 - (1/m) d/dx)^k x^n``,
-    is computed in root space in both modes.
+    Levels are scored in root space, the same way in both modes.  With S
+    the l chosen rows, ``char_poly(S^T S + v_j v_j^T) = x^(n-l-1)
+    det(x - G_j)`` where G_j is the (l+1) x (l+1) Gram matrix of S and
+    v_j, so the spectra of the (m, l+1, l+1) stack give every candidate's
+    roots and the zero root's multiplicity n - l - 1 comes from the rank.
+    Float stacks take one batched ``eigvalsh``; exact stacks take one
+    exact Berkowitz call and :func:`real_roots` of each small polynomial,
+    which certifies it square-free layer by layer.  :func:`shift_roots`
+    then applies each ``1 - (1/m) d/dx``, and the k-th largest root is
+    the smallest of the k roots it tracks.  A level costs O(m l^3) for
+    the spectra plus O(m k^2) per shift and solver step, against m
+    characteristic polynomials of size n and their roots.  The pledge,
+    lambda_k of ``(1 - (1/m) d/dx)^k x^n``, is computed the same way.
 
     Repeated indices exist in the outcome tree but are provably never
     selected while the pledge is positive - this is asserted, not
@@ -353,15 +352,12 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     for _ in range(k):
         roots, zeros = shift_roots(roots, zeros, 1.0 / m)
     pledged = float(roots[0, -1])
-    exact = system.is_exact
     vecs = system.vectors
-    base = np.zeros((n, n), dtype=object if exact else float)
+    base = np.zeros((n, n), dtype=vecs.dtype)
     chosen: list[int] = []
     levels: list[float] = []
-    outers = vecs[:, :, None] * vecs[:, None, :] if exact else None
-    for lvl in range(k):
-        vals = _ri_scores_exact(base + outers, k - lvl - 1, Fraction(1, m), k) \
-            if exact else _ri_scores_float(vecs, chosen, k)
+    for _ in range(k):
+        vals = _ri_scores(vecs, chosen, k)
         best_j = int(np.argmax(vals))
         base = base + np.outer(vecs[best_j], vecs[best_j])
         chosen.append(best_j)
@@ -377,29 +373,27 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     return chosen, cert
 
 
-def _ri_scores_exact(stack, shifts: int, c, k: int) -> list:
-    """lambda_k of ``(1 - c d/dx)^shifts char_poly(A)`` for each A in the stack."""
-    vals = []
-    for row in charpoly_batch_exact(stack):
-        q = Polynomial(row)
-        for _ in range(shifts):
-            q = apply_shift_operator(q, c)
-        vals.append(kth_largest_root(q, k))
-    return vals
+def _ri_scores(vecs: np.ndarray, chosen: list, k: int) -> np.ndarray:
+    """Every row's level score, from the spectra of the bordered Gram matrices.
 
-
-def _ri_scores_float(vecs: np.ndarray, chosen: list, k: int) -> np.ndarray:
-    """Every row's level score, from the spectra of the bordered Gram matrices."""
+    The (m, l+1, l+1) stack keeps the dtype of ``vecs``: float spectra come
+    from ``eigvalsh``, exact ones from the exact kernel and exact roots.
+    """
     m, n = vecs.shape
     lvl = len(chosen)
     s = vecs[chosen]
     cross = vecs @ s.T
-    gram = np.empty((m, lvl + 1, lvl + 1))
+    gram = np.empty((m, lvl + 1, lvl + 1), dtype=vecs.dtype)
     gram[:, :lvl, :lvl] = s @ s.T
     gram[:, :lvl, lvl] = cross
     gram[:, lvl, :lvl] = cross
     gram[:, lvl, lvl] = np.einsum("ij,ij->i", vecs, vecs)
-    roots, zeros = np.linalg.eigvalsh(gram), n - lvl - 1
+    if vecs.dtype == object:
+        roots = np.array([real_roots(Polynomial(row))
+                          for row in charpoly_batch_exact(gram)])
+    else:
+        roots = np.linalg.eigvalsh(gram)
+    zeros = n - lvl - 1
     for _ in range(k - lvl - 1):
         roots, zeros = shift_roots(roots, zeros, 1.0 / m)
     return np.min(roots, axis=1)

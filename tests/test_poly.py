@@ -265,9 +265,23 @@ def test_real_roots_multiplicity_and_zeros():
     assert np.allclose(r[:2], 2, atol=1e-6)
 
 
+@pytest.mark.parametrize("roots", [
+    [2] * 5 + [-1] * 3,
+    [Fraction(16, 25)] * 3 + [Fraction(9, 25)] * 2 + [0] * 2,
+    [1] * 12,
+])
+def test_real_roots_exact_multiple_roots(roots):
+    # companion eigenvalues of an r-fold root scatter by eps**(1/r); the
+    # square-free layers leave only simple roots to find
+    got = real_roots(Polynomial.from_roots(roots))
+    want = sorted((float(r) for r in roots), reverse=True)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_real_roots_raises_on_complex():
-    with pytest.raises(NotRealRootedError):
-        real_roots(Polynomial([7.0, -5.0, 1.0]))
+    for p in (Polynomial([7.0, -5.0, 1.0]), Polynomial([7, -5, 1])):
+        with pytest.raises(NotRealRootedError):
+            real_roots(p)
     with pytest.raises(ZeroPolynomialError):
         real_roots(Polynomial([]))
 

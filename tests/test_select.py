@@ -318,12 +318,18 @@ def test_ri_float_walk_matches_coefficient_walk():
 
 def test_ri_basis_levels_are_exact():
     # the last level is lambda_k of a Gram sum of distinct basis vectors;
-    # companion roots of its repeated eigenvalue missed it by ~2e-6
+    # companion roots of its repeated eigenvalue missed it by up to ~2e-6
     _, cert = restricted_invertibility_select(VectorSystem(np.eye(4)), 3)
     assert cert.levels[-1] == pytest.approx(1.0, abs=1e-12)
     halves = [row * math.sqrt(0.5) for row in np.eye(4) for _ in range(2)]
     _, cert = restricted_invertibility_select(VectorSystem(halves), 3)
     assert cert.levels[-1] == pytest.approx(0.5, abs=1e-12)
+    # exact systems: the exact Gram polynomials have the repeated roots
+    _, cert = restricted_invertibility_select(VectorSystem(np.eye(4, dtype=int)), 3)
+    assert cert.levels[-1] == pytest.approx(1.0, abs=1e-12)
+    quarters = [row * Fraction(1, 2) for row in np.eye(4, dtype=int) for _ in range(4)]
+    _, cert = restricted_invertibility_select(VectorSystem(quarters), 3)
+    assert cert.levels[-1] == pytest.approx(0.25, abs=1e-12)
 
 
 def _laguerre_pledge_roots(n, m, k):
