@@ -47,6 +47,8 @@ from .graphs import (
     laplacian,
     signed_adjacency,
     matching_poly,
+    expected_signed_chars,
+    frontier_order,
     godsil_gutman_check,
     heilmann_lieb_check,
     two_lift,

@@ -9,9 +9,11 @@ mixedchar mixed characteristic polynomial of a PSD list
 
 Inputs are JSON (vector systems, matrix lists) or edge-list text
 (graphs); ``-`` reads stdin.  Exit codes: 0 success, 1 certificate
-invariant violated, 2 parse error, 3 precondition failure, 4 enumeration
-budget exceeded, 5 numerical failure (a float root computation met a
-polynomial it could not certify real-rooted).
+invariant violated, 2 parse error, 3 precondition failure, 4 budget
+exceeded, 5 numerical failure (a float root computation met a
+polynomial it could not certify real-rooted).  ``--budget`` counts
+enumerated outcomes per level, or for ``lift`` the states of the signing
+DP per expected polynomial.
 """
 
 from __future__ import annotations
@@ -278,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-9,
                         help="comparison tolerance (default 1e-9)")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max enumerated outcomes per level (default 2^20)")
+                        help="max enumerated outcomes per level, or signing DP "
+                             "states per polynomial for lift (default 2^20)")
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,10 +8,16 @@ The spectral story: a signing flips adjacency entries to -1 on chosen
 edges.  Averaging the characteristic polynomial over all 2^{|E|}
 signings gives exactly the matching polynomial (Godsil-Gutman), whose
 largest root is at most ``2 sqrt(d-1)`` for maximum degree d
-(Heilmann-Lieb).  A signing whose signed adjacency meets that bound
-produces a 2-lift whose new eigenvalues are precisely the signed
-spectrum, which is how bipartite Ramanujan graphs of every degree are
-built by repeated lifting.
+(Heilmann-Lieb).  With the signs of some edges fixed, the average over
+the rest is still closed-form, a sum over matchings of the random edges
+of characteristic polynomials of fixed-signed induced subgraphs;
+:func:`expected_signed_chars` computes it exactly, without enumerating
+signings, and the signing walk in ``select`` is built on it, taking the
+edges in :func:`frontier_order` so the cost does not depend on how the
+vertices are numbered.  A signing
+whose signed adjacency meets the bound produces a 2-lift whose new
+eigenvalues are precisely the signed spectrum, which is how bipartite
+Ramanujan graphs of every degree are built by repeated lifting.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import scipy.linalg
 
 from .poly import Polynomial, real_roots
 from .matrices import SymMatrix, charpoly_batch_exact
+from .mixedchar import BudgetExceededError, DEFAULT_BUDGET
 
 __all__ = [
     "Graph",
@@ -31,6 +38,8 @@ __all__ = [
     "laplacian",
     "signed_adjacency",
     "matching_poly",
+    "expected_signed_chars",
+    "frontier_order",
     "godsil_gutman_check",
     "heilmann_lieb_check",
     "two_lift",
@@ -40,6 +49,9 @@ __all__ = [
 
 MATCHING_CAP = 24
 GG_EDGE_CAP = 20
+# Leaf vertex sets per exact-kernel call in expected_signed_chars: bounds
+# the (sets, rows, n, n) stacks, which would otherwise dominate peak memory.
+LEAF_CHUNK = 256
 
 
 class Graph:
@@ -320,34 +332,13 @@ def _matching_counts(g: Graph) -> list[int]:
     return counts
 
 
-def _matching_recurrence(g: Graph) -> Polynomial:
-    """mu_G = mu_{G-e} - mu_{G-{a,b}}, memoized on (remaining edges, vertex count)."""
-    cache: dict = {}
-
-    def mu(edges: tuple, nv: int) -> Polynomial:
-        if not edges:
-            return Polynomial.monomial(nv)
-        key = (edges, nv)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        a, b = edges[0]
-        without_edge = mu(edges[1:], nv)
-        kept = tuple(e for e in edges[1:] if a not in e and b not in e)
-        without_verts = mu(kept, nv - 2)
-        out = without_edge - without_verts
-        cache[key] = out
-        return out
-
-    return mu(g.edges, g.n)
-
-
 def matching_poly(g: Graph, cap: int = MATCHING_CAP) -> Polynomial:
     """The matching polynomial ``sum_i (-1)^i m_i x^(n-2i)``, exact.
 
-    Computed independently by matching enumeration and by the
-    edge-deletion recurrence; the two integer polynomials must agree
-    exactly or a RuntimeError flags the internal inconsistency.
+    Computed independently by matching enumeration and by the signing
+    engine with nothing fixed (:func:`expected_signed_chars`, which runs
+    the deletion-contraction recurrence); the two integer polynomials must
+    agree exactly or a RuntimeError flags the internal inconsistency.
     """
     if g.n > cap:
         raise ValueError(f"matching polynomial capped at {cap} vertices, got {g.n}")
@@ -357,10 +348,137 @@ def matching_poly(g: Graph, cap: int = MATCHING_CAP) -> Polynomial:
         if g.n - 2 * i >= 0:
             coeffs[g.n - 2 * i] = (-1) ** i * mi
     direct = Polynomial(coeffs)
-    recur = _matching_recurrence(g)
+    recur = expected_signed_chars(g, [[]])[0]
     if direct != recur:
         raise RuntimeError("matching polynomial paths disagree; internal error")
     return direct
+
+
+# ----------------------------------------------------------------------
+# Expected characteristic polynomials of partial signings
+# ----------------------------------------------------------------------
+
+
+def expected_signed_chars(g: Graph, prefixes,
+                          budget: int = DEFAULT_BUDGET) -> list[Polynomial]:
+    """``E_R det(xI - A_s)`` for each row of fixed signs, as exact integer polynomials.
+
+    Each row of ``prefixes`` signs the first f edges of ``g.edges`` (the
+    set F); the other edges R get independent uniform signs.  Expanding
+    the determinant over permutations, a random sign survives the
+    expectation only on a transposition, so
+
+        Phi_F = sum over matchings M of R of (-1)^|M| chi(A_F[V - V(M)]),
+
+    the generalised Godsil-Gutman identity Phi_F(G) = Phi_F(G - e) -
+    Phi_F(G - a - b) for e = (a, b) in R unrolled; with F empty it is the
+    matching polynomial.  A dict DP over the R edges counts the matchings
+    by state (matched vertices that still matter, |M|): a vertex outside
+    V(F) leaves the state after its last R edge, so only the matched
+    vertices of V(F) remain at the end.  The leaves are grouped by
+    S = V(M) & V(F): chi(A_F[V - V(M)]) is chi of A_F with the rows and
+    columns of S zeroed, divided by x^(2|M|), and the stacks of those
+    matrices, for every row, go through :func:`charpoly_batch_exact`
+    ``LEAF_CHUNK`` vertex sets at a time.  All rows share the DP, since it
+    depends on F only through V(F).
+
+    The DP's states, summed over its steps, are counted against
+    ``budget``; :class:`BudgetExceededError` is raised as soon as the
+    count passes it.
+    """
+    prefixes = np.array(prefixes, dtype=np.int64, ndmin=2)
+    rows, f = prefixes.shape
+    n = g.n
+    if f > g.m:
+        raise ValueError(f"{f} signs given for {g.m} edges")
+    if not np.isin(prefixes, (-1, 1)).all():
+        raise ValueError("signs must be +1 or -1")
+    fixed, rest = g.edges[:f], g.edges[f:]
+    in_f = 0
+    for a, b in fixed:
+        in_f |= 1 << a | 1 << b
+    last = {}
+    for t, (a, b) in enumerate(rest):
+        last[a] = last[b] = t
+    states = {(0, 0): 1}
+    seen = 1
+    for t, (a, b) in enumerate(rest):
+        pair = 1 << a | 1 << b
+        # a vertex outside V(F) leaves the key after its last R edge
+        keep = ~sum(1 << v for v in (a, b) if last[v] == t and not in_f >> v & 1)
+        nxt: dict = {}
+        for (mask, k), c in states.items():
+            key = (mask & keep, k)
+            nxt[key] = nxt.get(key, 0) + c
+            if not mask & pair:
+                key = ((mask | pair) & keep, k + 1)
+                nxt[key] = nxt.get(key, 0) + c
+        states = nxt
+        seen += len(states)
+        if seen > budget:
+            raise BudgetExceededError(
+                f"signing DP passed {budget} states with {len(rest) - t - 1} "
+                f"of {len(rest)} random edges left")
+    groups = {}
+    for mask, _ in states:
+        groups.setdefault(mask, len(groups))
+    half = n // 2
+    weights = np.zeros((len(groups), half + 1), dtype=object)
+    for (mask, k), c in states.items():
+        weights[groups[mask], k] = -c if k & 1 else c
+    signed = np.zeros((rows, n, n), dtype=np.int64)
+    for i, (a, b) in enumerate(fixed):
+        signed[:, a, b] = signed[:, b, a] = prefixes[:, i]
+    live = np.ones((len(groups), n), dtype=np.int64)
+    for mask, gi in groups.items():
+        live[gi, [v for v in range(n) if mask >> v & 1]] = 0
+    total = np.zeros((rows, n + 1), dtype=object)
+    for lo in range(0, len(groups), LEAF_CHUNK):
+        keep = live[lo:lo + LEAF_CHUNK]
+        stack = signed[None] * (keep[:, None, :, None] * keep[:, None, None, :])
+        chars = charpoly_batch_exact(stack.reshape(-1, n, n))
+        chars = chars.reshape(len(keep), rows, n + 1).astype(object)
+        for k in range(half + 1):
+            total[:, :n + 1 - 2 * k] += np.tensordot(
+                weights[lo:lo + LEAF_CHUNK, k], chars[:, :, 2 * k:], 1)
+    return [Polynomial(row.tolist()) for row in total]
+
+
+def frontier_order(g: Graph) -> list[int]:
+    """A vertex order whose prefixes have small frontiers.
+
+    The frontier of a prefix P is the set of vertices outside P with a
+    neighbour in P.  With the vertices renumbered in this order, a prefix
+    of the sorted edges is every edge at a prefix P of the vertices plus
+    some edges of the next vertex v, so the vertices touching both fixed
+    and random edges, over which the leaf sets of
+    :func:`expected_signed_chars` range, lie in the frontier of P plus v.
+    From each start vertex the order grows greedily: the next vertex is
+    the frontier vertex adding the fewest new ones (ties: most placed
+    neighbours, then lowest label); once a component is done the same
+    rule picks among all unplaced vertices.  The order with the least
+    sum over prefixes of 2^|frontier| is returned, ties to the lowest
+    start, so the cost follows the graph's shape rather than its
+    numbering.
+    """
+    adj = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    best = None
+    for start in range(g.n):
+        order, placed, front, cost = [start], {start}, set(adj[start]), 0
+        while len(order) < g.n:
+            cost += 1 << len(front)
+            pool = front or set(range(g.n)) - placed
+            v = min(pool, key=lambda u: (len(adj[u] - placed - front),
+                                         -len(adj[u] & placed), u))
+            order.append(v)
+            placed.add(v)
+            front = (front | adj[v]) - placed
+        if best is None or cost < best[0]:
+            best = (cost, order)
+    return best[1] if best else []
 
 
 # ----------------------------------------------------------------------

@@ -176,19 +176,21 @@ def charpoly_batch_exact(mats: np.ndarray) -> np.ndarray:
 
     An integer-dtype stack runs in int64 when no intermediate can
     overflow; anything else runs in object dtype.  The bound: let
-    M = max |a_rs| and N = n M.  Every eigenvalue of every A_i has
-    modulus at most ||A_i||_inf <= N, so the coefficient of degree
+    M = max |a_rs| and N the largest absolute row sum over the stack, so
+    M <= N and ||A_i||_inf <= N for every leading block A_i.  Every
+    eigenvalue of A_i has modulus at most N, so the coefficient of degree
     i - j in ``v`` is at most C(i, j) N^j.  Entries of A_i^k C, and every
     partial sum of the products forming them, are at most N^k M, hence
     |t_q| <= N^q.  A convolution term t_(l-j) v_j is then at most
     C(i, j) N^l, and any partial sum over j at most 2^i N^l.  So every
-    intermediate is at most (2 n M)^n, and int64 is safe when that is
-    below 2^63.  The int64 result keeps that dtype; otherwise the result
+    intermediate is at most (2 N)^n, and int64 is safe when that is
+    below 2^63: a signed adjacency stack of a cubic graph stays int64 up
+    to n = 24.  The int64 result keeps that dtype; otherwise the result
     is an object array.
     """
     mats = np.asarray(mats)
     b, n, _ = mats.shape
-    if np.issubdtype(mats.dtype, np.integer) and (2 * n * _max_abs(mats)) ** n < 2 ** 63:
+    if np.issubdtype(mats.dtype, np.integer) and (2 * _max_row_sum(mats)) ** n < 2 ** 63:
         mats = mats.astype(np.int64)
     else:
         mats = mats.astype(object)
@@ -211,9 +213,15 @@ def charpoly_batch_exact(mats: np.ndarray) -> np.ndarray:
     return v[:, ::-1].copy()
 
 
-def _max_abs(mats: np.ndarray) -> int:
-    # Python ints: np.abs would wrap at the most negative int64.
-    return max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
+def _max_row_sum(mats: np.ndarray) -> int:
+    # Python ints first: np.abs would wrap at the most negative int64.  When
+    # the row sums could overflow, n max|a| bounds them and is already far
+    # past anything int64 can take.
+    top = max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
+    n = mats.shape[-1]
+    if n * top >= 2 ** 62:
+        return n * top
+    return int(np.abs(mats).sum(axis=-1).max(initial=0))
 
 
 # Relative slack on the bottom eigenvalue when checking PSD inputs.

@@ -26,6 +26,9 @@ Three instantiations:
 * ``signing_select``: choose edge signs of a d-regular graph so the
   signed adjacency matrix has largest eigenvalue at most the largest
   root of the matching polynomial (whence at most ``2 sqrt(d-1)``).
+  Its conditional polynomials are exact and closed-form
+  (:func:`expected_signed_chars`), so it enumerates no outcomes and does
+  not go through :func:`greedy_walk`.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from .poly import Polynomial, kth_largest_root, real_roots, \
 from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     _expected_char_with_base, mixed_char
-from .graphs import Graph, Signing, signed_adjacency
+from .graphs import Graph, Signing, expected_signed_chars, frontier_order, \
+    signed_adjacency
 
 __all__ = [
     "VectorSystem",
@@ -469,24 +473,50 @@ def signing_vectors(g: Graph, exact: bool = True) -> list[DiscreteRandomVector]:
 def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     """Pick edge signs minimizing the top eigenvalue of the signed adjacency.
 
-    Works on the rank-one model: the signed adjacency plus dI is the
-    Gram sum of the per-edge two-point vectors, so a greedy walk
-    minimizing lambda_1 lands at most at the pledge, which is the top
-    matching-polynomial root shifted by d.  Returns (signing, certificate);
-    the certificate's values live in the shifted (Gram-sum) coordinates.
+    Walks the edges with the vertices relabelled in
+    :func:`frontier_order`, in the relabelled graph's sorted edge order,
+    which keeps the engine's leaf sets small whatever the input's vertex
+    numbering.  The expected characteristic
+    polynomial of a uniformly random signing is the matching polynomial
+    mu_G, whose top root is the pledge; with the first edges' signs fixed
+    it is the exact integer polynomial Phi_F of
+    :func:`expected_signed_chars`.  At each edge both children come out
+    of one engine call, and the one with the smaller largest root is
+    kept, its roots taken from the exact polynomial by the certified exact
+    root pipeline; ties, identical children among them, go to +1.  The
+    children are an interlacing family, so the kept one's largest root
+    never exceeds its parent's, and the final signing's top eigenvalue is
+    at most the pledge.  Returns (signing,
+    certificate); the certificate's values are in Gram coordinates (the
+    signed adjacency plus dI, the Gram sum of :func:`signing_vectors`), so
+    ``choices`` is 0 for +1 and 1 for -1, in walk order, and every value
+    is shifted by d.  ``budget`` bounds the engine's DP states per call.
     """
     d = g.regularity()
     if d is None:
         raise ValueError("graph is not regular")
     if g.m == 0:
         raise ValueError("graph has no edges")
-    rvs = signing_vectors(g, exact=False)
-    state = AssignmentState(fixed=[], remaining=rvs, k=1, direction="minimize")
-    cert = greedy_walk(state, budget=budget)
-    signing = Signing({e: 1 if cert.choices[i] == 0 else -1
-                       for i, e in enumerate(g.edges)})
-    a_s = signed_adjacency(g, signing)
-    lam = float(np.max(a_s.eigenvalues()))
-    if abs((lam + d) - cert.achieved) > 1e-8:
+    order = frontier_order(g)
+    label = {v: i for i, v in enumerate(order)}
+    walk = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+    mu = expected_signed_chars(walk, [[]], budget)[0]
+    pledged = kth_largest_root(mu, 1) + d
+    signs: list[int] = []
+    levels: list[float] = []
+    for _ in walk.edges:
+        plus, minus = expected_signed_chars(walk, [signs + [1], signs + [-1]], budget)
+        top = kth_largest_root(plus, 1)
+        low = top if minus == plus else kth_largest_root(minus, 1)
+        signs.append(-1 if low < top else 1)
+        levels.append(min(low, top) + d)
+    signing = Signing({(order[a], order[b]): s for (a, b), s in zip(walk.edges, signs)})
+    gram = signed_adjacency(g, signing).a + d * np.eye(g.n, dtype=int)
+    achieved = _lambda_k_of_matrix(gram, 1)
+    if abs(achieved - levels[-1]) > 1e-8:
         raise AssertionError("signed adjacency spectrum inconsistent with walk")
+    cert = SelectionCertificate(choices=[0 if s == 1 else 1 for s in signs],
+                                final_poly=char_poly(SymMatrix(gram)),
+                                achieved=achieved, pledged=pledged, k=1,
+                                direction="minimize", levels=levels)
     return signing, cert

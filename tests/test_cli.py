@@ -134,6 +134,29 @@ def test_lift_single_iteration(capsys, tmp_path):
     assert set(step["signs"]) <= {-1, 1}
 
 
+def test_lift_three_iterations_reach_48_vertices(capsys, tmp_path):
+    # The third 2-lift walks a 24-vertex graph with 36 edges: 2^36 signings,
+    # out of reach for enumeration, and some 10^4 signing DP states.
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    code, payload = run_cli(capsys, ["lift", str(k33), "--iterations", "3"])
+    assert code == 0
+    assert [step["lift_ramanujan"] for step in payload["steps"]] == [True] * 3
+    assert [step["n"] for step in payload["steps"]] == [6, 12, 24]
+    assert all(step["certificate_valid"] for step in payload["steps"])
+    assert payload["final_n"] == 48
+
+
+def test_lift_budget_exceeded_exit_4(capsys, tmp_path):
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    code = main(["lift", str(k33), "--budget", "8"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "budget exceeded" in captured.err
+
+
 def test_lift_non_regular_exit_3(capsys, tmp_path):
     p = tmp_path / "path.txt"
     p.write_text("0 1\n1 2\n")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from interlace import graphs
 from interlace import (
     Graph,
     Signing,
@@ -14,6 +15,8 @@ from interlace import (
     laplacian,
     signed_adjacency,
     matching_poly,
+    expected_signed_chars,
+    frontier_order,
     godsil_gutman_check,
     heilmann_lieb_check,
     two_lift,
@@ -21,7 +24,9 @@ from interlace import (
     spectral_approx_factors,
     Polynomial,
     char_poly,
+    charpoly_batch_exact,
     real_roots,
+    BudgetExceededError,
 )
 
 
@@ -236,6 +241,118 @@ def test_heilmann_lieb_randomized():
         g = Graph(n, edges)
         if g.max_degree() >= 2:
             assert heilmann_lieb_check(g)
+
+
+# ----------------------------------------------------------------------
+# Expected characteristic polynomials of partial signings
+# ----------------------------------------------------------------------
+
+
+def _cube():
+    return Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
+
+
+def _signing_sum(g, prefix):
+    """Sum of char_poly(A_s) over the signings agreeing with ``prefix``, exact."""
+    free = g.m - len(prefix)
+    codes = np.arange(1 << free, dtype=np.int64)
+    signs = np.hstack([
+        np.broadcast_to(np.asarray(prefix, dtype=np.int64), (len(codes), len(prefix))),
+        1 - 2 * ((codes[:, None] >> np.arange(free)) & 1),
+    ])
+    mats = np.zeros((len(codes), g.n, g.n), dtype=np.int64)
+    for i, (a, b) in enumerate(g.edges):
+        mats[:, a, b] = mats[:, b, a] = signs[:, i]
+    return charpoly_batch_exact(mats).sum(axis=0, dtype=object), 1 << free
+
+
+def test_expected_signed_chars_match_exhaustive_average():
+    rng = np.random.default_rng(59)
+    for g in (Graph.complete_bipartite(3, 3), Graph.complete(4), Graph.petersen(), _cube()):
+        for f in (0, 3, min(7, g.m - 2), g.m - 1):
+            prefixes = rng.choice([-1, 1], (3, f))
+            got = expected_signed_chars(g, prefixes)
+            assert len(got) == 3
+            for prefix, phi in zip(prefixes, got):
+                total, count = _signing_sum(g, prefix)
+                assert all(isinstance(c, int) for c in phi.coeffs)
+                assert Polynomial(list(total)) == count * phi, (g, prefix)
+
+
+def test_expected_signed_chars_leaf_chunks_add_up(monkeypatch):
+    g = _cube()
+    prefixes = np.random.default_rng(67).choice([-1, 1], (2, 6))
+    whole = expected_signed_chars(g, prefixes)
+    monkeypatch.setattr(graphs, "LEAF_CHUNK", 1)
+    assert expected_signed_chars(g, prefixes) == whole
+
+
+def test_expected_signed_chars_fully_signed_is_char_poly():
+    g = _cube()
+    signs = np.random.default_rng(61).choice([-1, 1], g.m)
+    phi = expected_signed_chars(g, [signs])[0]
+    s = Signing(dict(zip(g.edges, signs.tolist())))
+    assert phi == char_poly(signed_adjacency(g, s))
+
+
+def test_expected_signed_chars_empty_prefix_is_matching_poly():
+    for g in (Graph.path(4), Graph.cycle(5), Graph.complete(4), Graph.complete(5),
+              Graph.complete_bipartite(2, 3), Graph.complete_bipartite(3, 3),
+              Graph.petersen(), _cube(), Graph(3, [])):
+        assert expected_signed_chars(g, [[]])[0] == matching_poly(g)
+
+
+def test_expected_signed_chars_budget_and_validation():
+    g = Graph.complete_bipartite(3, 3)
+    with pytest.raises(BudgetExceededError):
+        expected_signed_chars(g, [[]], budget=8)
+    with pytest.raises(ValueError):
+        expected_signed_chars(g, [[1] * 10])
+    with pytest.raises(ValueError):
+        expected_signed_chars(g, [[1, 0]])
+
+
+def _frontier_sizes(g, order):
+    """|frontier| of each proper prefix of ``order``."""
+    adj = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    placed, out = set(), []
+    for v in order[:-1]:
+        placed.add(v)
+        out.append(len({u for p in placed for u in adj[p]} - placed))
+    return out
+
+
+def _relabelled(g, rng):
+    perm = rng.permutation(g.n)
+    return Graph(g.n, [(int(perm[a]), int(perm[b])) for a, b in g.edges])
+
+
+def test_frontier_order_is_a_permutation_with_small_frontiers():
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for g, width in ((Graph.path(6), 1), (Graph.cycle(7), 2), (_cube(), 4),
+                     (Graph.petersen(), 5), (two_triangles, 2), (Graph(3, []), 0)):
+        order = frontier_order(g)
+        assert sorted(order) == list(range(g.n))
+        assert max(_frontier_sizes(g, order)) == width
+    assert frontier_order(Graph(0, [])) == []
+
+
+def test_frontier_order_does_not_depend_on_the_numbering():
+    # A connected 24-vertex cubic Ramanujan double cover of K_{3,3}: under
+    # random numberings the sorted-edge order leaves frontiers of 10-15
+    # vertices, the frontier order 6 every time.
+    k33 = Graph.complete_bipartite(3, 3)
+    g = two_lift(k33, Signing({e: -1 if i in (0, 4) else 1 for i, e in enumerate(k33.edges)}))
+    g = two_lift(g, Signing({e: -1 if i % 5 == 0 else 1 for i, e in enumerate(g.edges)}))
+    assert g.n == 24 and g.is_connected() and is_ramanujan_bipartite(g)
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        h = _relabelled(g, rng)
+        assert max(_frontier_sizes(h, list(range(h.n)))) >= 10
+        assert max(_frontier_sizes(h, frontier_order(h))) == 6
 
 
 # ----------------------------------------------------------------------

@@ -164,6 +164,22 @@ def test_charpoly_batch_exact_signed_n12_stays_int64_and_exact():
         assert list(co[b]) == faddeev_leverrier(stack[b])
 
 
+def test_charpoly_batch_exact_signed_cubic_n24_stays_int64():
+    # Row sums of 3 give (2 * 3)^24 < 2^63, so signed cubic graphs stay int64
+    # up to n = 24 (the bound n max|a| would give 48^24).
+    rng = np.random.default_rng(31)
+    n = 24
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+    stack = np.zeros((3, n, n), dtype=np.int64)
+    for a, b in edges:
+        stack[:, a, b] = stack[:, b, a] = rng.choice([-1, 1], 3)
+    co = charpoly_batch_exact(stack)
+    assert co.dtype == np.int64
+    ref = charpoly_batch_exact(stack.astype(object))
+    assert ref.dtype == object
+    assert (co == ref).all()
+
+
 def test_charpoly_batch_exact_fraction_inputs():
     a = np.empty((1, 2, 2), dtype=object)
     a[0] = [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]

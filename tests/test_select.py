@@ -38,6 +38,7 @@ from interlace import (
     Graph,
     Signing,
     signed_adjacency,
+    frontier_order,
 )
 
 
@@ -481,6 +482,29 @@ def test_signing_select_k33():
     assert cert.valid()
     lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
     assert lam <= 2 * math.sqrt(2) + 1e-7  # Ramanujan threshold for d=3
+
+
+def test_signing_select_matches_exact_enumeration_walk():
+    # Reference: the exact-mode greedy walk over the rank-one signing vectors,
+    # which enumerates all 2^|R| signings at every level, in the same edge
+    # order (the graph relabelled by frontier_order).
+    cube = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
+    for g in (Graph.complete(4), Graph.complete_bipartite(3, 3), Graph.complete(5), cube):
+        d = g.regularity()
+        order = frontier_order(g)
+        label = {v: i for i, v in enumerate(order)}
+        walk = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+        state = AssignmentState(fixed=[], remaining=signing_vectors(walk, exact=True),
+                                k=1, direction="minimize")
+        ref = greedy_walk(state)
+        signing, cert = signing_select(g)
+        assert cert.choices == ref.choices
+        assert [signing[(order[a], order[b])] for a, b in walk.edges] \
+            == [1 - 2 * c for c in ref.choices]
+        assert abs(cert.pledged - (real_roots(matching_poly(g))[0] + d)) <= 1e-12
+        assert cert.valid()
+        assert cert.levels[-1] <= cert.pledged + 1e-12
+        assert cert.achieved == pytest.approx(ref.achieved, abs=1e-9)
 
 
 def test_signing_select_requires_regular():
