@@ -1,6 +1,6 @@
 """Interlacing families: real-rooted polynomials, barriers, mixed
 characteristic polynomials, and greedy spectral selection with
-brute-force certificates."""
+certificates."""
 
 from .poly import (
     Polynomial,
@@ -33,8 +33,8 @@ from .barrier import (
 from .mixedchar import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    ENGINE_BUDGET,
     DiscreteRandomVector,
-    TruncatedMultiAffine,
     mixed_char,
     expected_char_poly,
     mixed_identity_check,
@@ -59,7 +59,6 @@ from .select import (
     VectorSystem,
     AssignmentState,
     SelectionCertificate,
-    conditional_expected_poly,
     greedy_walk,
     restricted_invertibility_select,
     restricted_invertibility_bound,

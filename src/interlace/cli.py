@@ -11,9 +11,12 @@ Inputs are JSON (vector systems, matrix lists) or edge-list text
 (graphs); ``-`` reads stdin.  Exit codes: 0 success, 1 certificate
 invariant violated, 2 parse error, 3 precondition failure, 4 budget
 exceeded, 5 numerical failure (a float root computation met a
-polynomial it could not certify real-rooted).  ``--budget`` counts
-enumerated outcomes per level, or for ``lift`` the states of the signing
-DP per expected polynomial.
+polynomial it could not certify real-rooted).  ``--budget`` caps the
+work per conditional polynomial, in each engine's own unit: for
+``weaver``, the mixed-characteristic engine's rank-one terms x C(2n, n)
+exterior-table entries, n = 2 x dim, checked before the walk starts
+(default 2^24); for ``lift``, the states of the signing DP (default
+2^20).  ``ri`` and ``mixedchar`` take no budget.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .poly import real_roots, NotRealRootedError
 from .matrices import SymMatrix
-from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET
+from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET, ENGINE_BUDGET
 from .graphs import Graph, adjacency, signed_adjacency, is_ramanujan_bipartite, \
     two_lift
 from .select import VectorSystem, restricted_invertibility_select, \
@@ -279,9 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="arithmetic regime (default float)")
     common.add_argument("--tol", type=float, default=1e-9,
                         help="comparison tolerance (default 1e-9)")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max enumerated outcomes per level, or signing DP "
-                             "states per polynomial for lift (default 2^20)")
+    common.add_argument("--budget", type=int, default=None,
+                        help="work cap per polynomial: for weaver, rank-one terms "
+                             "x C(2n, n) exterior-table entries, n = 2 x dim "
+                             "(default 2^24); for lift, signing DP states "
+                             "(default 2^20)")
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -321,7 +326,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches our parse-error code
         return int(e.code) if e.code else 0
     try:
-        cfg = RunConfig(mode=args.mode, tol=args.tol, budget=args.budget)
+        budget = args.budget
+        if budget is None:  # each engine's own unit has its own default
+            budget = ENGINE_BUDGET if args.command == "weaver" else DEFAULT_BUDGET
+        cfg = RunConfig(mode=args.mode, tol=args.tol, budget=budget)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -4,27 +4,36 @@ The mixed characteristic polynomial of PSD matrices ``A_1..A_m`` is
 
     mu[A_1..A_m](x) = prod_i (1 - d/dz_i) det(xI + sum_i z_i A_i) | z=0.
 
-For independent random vectors ``r_i`` with covariances ``A_i = E r_i r_i^T``,
-it equals ``E char_poly(sum_i r_i r_i^T)`` - an identity special to rank
-one, checked here by brute-force enumeration of finitely supported
+For independent random vectors ``r_i`` with covariances ``A_i = E r_i r_i^T``
+and a fixed ``B = sum_j u_j u_j^T``, ``E char_poly(B + sum_i r_i r_i^T)``
+equals mu of the rank-one parts ``u_j u_j^T`` together with the A_i (MSS,
+Interlacing Families II, Sec. 4) - an identity special to rank one,
+checked here against brute-force enumeration of finitely supported
 distributions (and known to fail already for rank-2 summands; see the
 negative test in the suite).  For PSD inputs the mixed characteristic
 polynomial is real-rooted, and when the A_i sum to the identity with
 traces at most eps, its largest root is at most ``(1 + sqrt(eps))^2``.
 
-The differential formula is evaluated without symbolic calculus: since
-each variable is differentiated at most once before setting z = 0, only
-the multi-affine part of the determinant matters.  ``TruncatedMultiAffine``
-implements exactly that quotient ring (z_i^2 = 0): elements are maps
-from subsets S of variables to coefficient polynomials in x, and
-products drop any term where supports collide.  The determinant is
-expanded by minors, memoized on column subsets; this stays division-free,
-which matters because the truncated ring has zero divisors and Gaussian
-elimination would divide by them.
+Each variable is differentiated at most once before z is set to 0, so only
+the multi-affine part of the determinant matters, and applying the
+operators evaluates that part at z = -1.  The engine carries it as tables
+on exterior powers: W_k[I, J] is the multi-affine part of the k x k minor
+det Z[I, J] of Z = sum_i z_i A_i, at z = 1, and mu(x) = sum_k (-1)^k
+x^(n-k) tr W_k.  Adding a variable whose matrix is sum_j w_j u_j u_j^T
+adds sum_j w_j L_k(u_j) W_(k-1) L_k(u_j)^T to every W_k, where L_k(u) is
+the C(n, k) x C(n, k-1) map with L_k(u)[I, I - a] = (-1)^pos(a, I) u_a
+(:func:`fold_terms`).  That is division-free and linear in the number of
+variables; exact tables hold integers after one common scaling
+(:class:`TableArithmetic`), in int64 under a proven magnitude bound.
+:func:`mixed_char` runs on it, and so do the greedy walk's conditional
+polynomials in :mod:`interlace.select`.  :func:`expected_char_poly`
+enumerates outcomes under a budget; it is the independent oracle the
+identity is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -37,23 +46,29 @@ from .matrices import SymMatrix, charpoly_batch, charpoly_batch_exact, _validate
 __all__ = [
     "BudgetExceededError",
     "DEFAULT_BUDGET",
+    "ENGINE_BUDGET",
     "MAX_VARIABLES",
     "MAX_DIMENSION",
     "DiscreteRandomVector",
-    "TruncatedMultiAffine",
+    "TableArithmetic",
+    "engine_cost",
+    "fold_terms",
     "mixed_char",
     "expected_char_poly",
     "mixed_identity_check",
     "mixed_char_root_bound",
 ]
 
+# Outcomes for expected_char_poly, and signing DP states for lift.
 DEFAULT_BUDGET = 1 << 20
+# The exterior-power engine's cost per polynomial, in engine_cost's unit.
+ENGINE_BUDGET = 1 << 24
 MAX_VARIABLES = 16
 MAX_DIMENSION = 10
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would exceed the configured outcome budget."""
+    """A computation would exceed its configured budget."""
 
 
 # ----------------------------------------------------------------------
@@ -135,118 +150,202 @@ class DiscreteRandomVector:
 
 
 # ----------------------------------------------------------------------
-# The truncated multi-affine carrier ring
+# The exterior-power engine
 # ----------------------------------------------------------------------
 
 
-class TruncatedMultiAffine:
-    """Elements sum_S c_S(x) * prod_{i in S} z_i with every z_i-degree <= 1.
+def engine_cost(n: int, terms: int) -> int:
+    """The engine's cost of one polynomial: rank-one terms x C(2n, n).
 
-    ``terms`` maps frozensets of variable indices to coefficient
-    polynomials.  Multiplication drops any product whose variable sets
-    intersect, implementing z_i^2 = 0.  That truncation is exactly what
-    survives taking each partial derivative at most once and then
-    setting z = 0.
+    C(2n, n) = sum_k C(n, k)^2 is the number of table entries, and every
+    rank-one term touches each of them a few times, so this is the unit
+    a budget on the engine counts in.
+    """
+    return terms * math.comb(2 * n, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_index(n: int) -> tuple:
+    """Per k = 1..n, ``(elem, sub, sign)`` describing L_k on k-subsets of range(n).
+
+    The k-subsets are numbered in lexicographic order.  Row I of the
+    (C(n, k), k) arrays ``elem`` and ``sub`` lists, for p = 0..k-1, the
+    element a = I[p] and the number of the (k-1)-subset I - a, and
+    ``sign[p]`` is (-1)^p, so L_k(u)[I, sub[I, p]] = sign[p] u[elem[I, p]].
+    """
+    out = [None]
+    number = {(): 0}
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        sub = [[number[s[:p] + s[p + 1:]] for p in range(k)] for s in subsets]
+        out.append((np.array(subsets, dtype=np.intp), np.array(sub, dtype=np.intp),
+                    np.resize(np.array([1, -1], dtype=np.int64), k)))
+        number = {s: i for i, s in enumerate(subsets)}
+    return tuple(out)
+
+
+def fold_terms(tables: list, weights, vecs) -> list:
+    """The tables with one more variable, the matrix sum_j w_j u_j u_j^T.
+
+    W_k gains sum_j w_j L_k(u_j) W_(k-1) L_k(u_j)^T for k = n down to 1,
+    every term read from the old W_(k-1), so each new product carries the
+    new variable exactly once.  Only ring operations occur, so the tables
+    keep their dtype (int64, object or float64).  ``tables[k]`` may carry
+    a leading batch axis, (B, C(n,k), C(n,k)): every table of the batch
+    gets the same variable, a slice of at most about 2^22 / (n C(n, n/2)^2)
+    tables at a time so that the temporaries stay near 2^22 entries.
+    Returns new tables; the old ones are not modified and can be shared.
+    """
+    n = len(tables) - 1
+    if tables[0].ndim == 3:
+        step = max(1, (1 << 22) // (n * math.comb(n, n // 2) ** 2))
+        if len(tables[0]) > step:
+            parts = [fold_terms([t[i:i + step] for t in tables], weights, vecs)
+                     for i in range(0, len(tables[0]), step)]
+            return [np.concatenate(level) for level in zip(*parts)]
+    index = _subset_index(n)
+    out = [tables[0]]
+    for k in range(1, n + 1):
+        elem, sub, sign = index[k]
+        gathered = tables[k - 1][..., sub, :]  # (..., C(n,k), k, C(n,k-1))
+        acc = tables[k]
+        for w, u in zip(weights, vecs):
+            coef = u[elem] * sign  # the nonzeros of L_k(u), row by row
+            left = np.einsum("ip,...ipj->...ij", coef, gathered)  # L_k(u) W_(k-1)
+            acc = acc + w * np.einsum("...ijq,jq->...ij", left[..., sub], coef)  # ... L_k(u)^T
+        out.append(acc)
+    return out
+
+
+class TableArithmetic:
+    """How the exterior-power tables of one family of rank-one terms are held.
+
+    The tables are W_k, k = 0..n, of size C(n, k) x C(n, k): W_k[I, J] is
+    the multi-affine part of the k x k minor det Z[I, J], Z = sum_i z_i A_i,
+    at z = 1.  Since applying prod_i (1 - d/dz_i) at z = 0 evaluates the
+    multi-affine part at z = -1, mu(x) = sum_k (-1)^k x^(n-k) tr W_k.
+
+    Float terms give float64 tables.  Exact terms (ints, Fractions) are all
+    scaled by one common L, so that every L w u u^T is an integer weight
+    times the outer product of an integer vector and the tables hold
+    integers.  Since mu[L A](x) = L^n mu[A](x / L), the coefficient of
+    x^j is divided by L^(n-j) at the end.
+
+    Integer tables run in int64 when nothing can overflow.  With the terms
+    folded so far, W_k[I, J] = sum_T prod_(t in T) w_t det U_T[I]
+    det U_T[J] over the k-sets T of terms with at most one from each
+    variable, U_T having the u_t as columns.  Cauchy-Schwarz over T and
+    Cauchy-Binet give |W_k[I, J]| <= max_I det P[I, I] <= D^k (Hadamard),
+    where P = sum_t |w_t| u_t u_t^T over every term the family may use and
+    D is its largest diagonal entry.  Integer w_t != 0 and u_t give
+    u_t[a]^2 <= |w_t| u_t[a]^2 <= D.  In one step, an entry of
+    L_k(u) W_(k-1) is a sum of k products u_a W_(k-1)[.], each at most
+    D^k; an entry of L_k(u) W_(k-1) L_k(u)^T is a sum of k^2 products
+    u_a u_b W_(k-1)[.], at most k^2 D^k before and after scaling by w; and
+    summed over the terms of one variable, sum_j |w_j u_ja u_jb| <= D
+    (Cauchy-Schwarz) keeps the new W_k within D^k + k^2 D^k.  So every
+    intermediate is at most (n^2 + 1) D^n, and int64 is safe when that is
+    below 2^63: 16 sign vectors in dimension 10 give D = 16 and stay
+    int64.  Otherwise the tables hold Python ints (object dtype).  Traces
+    are summed as Python ints either way.
     """
 
-    __slots__ = ("terms",)
+    def __init__(self, n: int, pairs, exact: bool):
+        """``pairs`` are all the (w, u) the family's polynomials may use,
+        each with the largest weight it will be folded with."""
+        self.n = n
+        if not exact:
+            self.scale, self.dtype = None, np.float64
+            return
+        pairs = [_reduced_term(w, u) for w, u in pairs]
+        self.scale = math.lcm(1, *(w.denominator for w, _ in pairs))
+        diag = [0] * n
+        for w, u in pairs:
+            w = abs(int(w * self.scale))
+            for a, x in enumerate(u):
+                diag[a] += w * x * x
+        top = max(diag, default=0)
+        self.dtype = np.int64 if (n * n + 1) * top ** n < 2 ** 63 else object
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for s, p in terms.items():
-                if not p.is_zero:
-                    self.terms[frozenset(s)] = p
+    def encode(self, pairs) -> tuple:
+        """Weights and a (terms, n) vector array, ready for :func:`fold_terms`.
 
-    @classmethod
-    def zero(cls) -> "TruncatedMultiAffine":
-        return cls()
+        Exact terms with u = 0 add nothing and are dropped: the bound
+        above does not cover their weights.
+        """
+        if self.scale is None:
+            return ([float(w) for w, _ in pairs],
+                    np.array([u for _, u in pairs], dtype=float).reshape(-1, self.n))
+        ints = [(int(w * self.scale), u) for w, u in
+                (_reduced_term(w, u) for w, u in pairs) if any(u)]
+        return ([w for w, _ in ints],
+                np.array([u for _, u in ints], dtype=self.dtype).reshape(-1, self.n))
 
-    @classmethod
-    def constant(cls, p: Polynomial) -> "TruncatedMultiAffine":
-        return cls({frozenset(): p})
+    def empty(self) -> list:
+        """The tables of no variables: W_0 = [1], every other W_k zero."""
+        return [np.ones((1, 1), dtype=self.dtype)] + [
+            np.zeros((c, c), dtype=self.dtype)
+            for c in (math.comb(self.n, k) for k in range(1, self.n + 1))]
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for s, p in other.terms.items():
-            q = out.get(s)
-            out[s] = p if q is None else q + p
-        return TruncatedMultiAffine(out)
-
-    def __neg__(self):
-        return TruncatedMultiAffine({s: -p for s, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for s1, p1 in self.terms.items():
-            for s2, p2 in other.terms.items():
-                if s1 & s2:
-                    continue  # z_i^2 = 0
-                s = s1 | s2
-                prod = p1 * p2
-                q = out.get(s)
-                out[s] = prod if q is None else q + prod
-        return TruncatedMultiAffine(out)
-
-    def coefficient(self, s) -> Polynomial:
-        return self.terms.get(frozenset(s), Polynomial.zero())
-
-    def __repr__(self):
-        return f"TruncatedMultiAffine({len(self.terms)} terms)"
+    def poly(self, tables: list) -> Polynomial:
+        """mu(x) = sum_k (-1)^k x^(n-k) tr W_k, with the scaling undone."""
+        n = self.n
+        co = [0] * (n + 1)
+        for k, table in enumerate(tables):
+            trace = sum(table.diagonal().tolist())
+            co[n - k] = -trace if k % 2 else trace
+        if self.scale not in (None, 1):
+            co = [Fraction(c, self.scale ** (n - j)) for j, c in enumerate(co)]
+        return Polynomial(co)
 
 
-def _det_truncated(mats: list[SymMatrix], exact: bool) -> TruncatedMultiAffine:
-    """det(xI + sum z_i A_i) in the truncated ring, by memoized minor expansion."""
-    d = mats[0].n
-    x_poly = Polynomial([0, 1]) if exact else Polynomial([0.0, 1.0])
-    arrays = [m.a if exact else m.a.astype(float) for m in mats]
+def _reduced_term(w, u) -> tuple:
+    """w u u^T as (w / q^2, q u) with q u an integer vector (a list of ints)."""
+    u = [Fraction(x) for x in u]
+    q = math.lcm(1, *(x.denominator for x in u))
+    return Fraction(w) / (q * q), [int(x * q) for x in u]
 
-    def entry(r: int, c: int) -> TruncatedMultiAffine:
-        terms = {}
-        if r == c:
-            terms[frozenset()] = x_poly
-        for i, a in enumerate(arrays):
-            val = a[r, c]
-            if val != 0:
-                terms[frozenset({i})] = terms.get(frozenset({i}), Polynomial.zero()) \
-                    + Polynomial([val])
-        return TruncatedMultiAffine(terms)
 
-    cache: dict[frozenset, TruncatedMultiAffine] = {}
+def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
+    """Pairs (w, u) with sum w u u^T = A.
 
-    def minor(cols: frozenset) -> TruncatedMultiAffine:
-        if not cols:
-            return TruncatedMultiAffine.constant(Polynomial.one())
-        hit = cache.get(cols)
-        if hit is not None:
-            return hit
-        row = d - len(cols)
-        acc = TruncatedMultiAffine.zero()
-        for pos, c in enumerate(sorted(cols)):
-            e = entry(row, c)
-            if not e.terms:
-                continue
-            sub = minor(cols - {c})
-            term = e * sub
-            acc = acc + term if pos % 2 == 0 else acc - term
-        cache[cols] = acc
-        return acc
-
-    return minor(frozenset(range(d)))
+    Float input gives all d eigenpairs of ``eigh``.  Exact input gives an
+    exact LDL^T: a zero pivot is skipped, and what a zero pivot with a
+    nonzero row leaves (only an indefinite input within the PSD check's
+    slack has one) is split entrywise, by
+    e_i e_j^T + e_j e_i^T = ((e_i + e_j)(e_i + e_j)^T - (e_i - e_j)(e_i - e_j)^T) / 2.
+    """
+    if not exact:
+        w, u = np.linalg.eigh(mat.a.astype(float))
+        return list(zip(w.tolist(), u.T))
+    a = np.array([[Fraction(x) for x in row] for row in mat.a.tolist()], dtype=object)
+    d = mat.n
+    terms = []
+    for k in range(d):
+        p = a[k, k]
+        if p != 0:
+            u = a[:, k] / p
+            terms.append((p, u))
+            a = a - p * np.outer(u, u)
+    unit = np.eye(d, dtype=int).astype(object)
+    for i in range(d):
+        if a[i, i] != 0:
+            terms.append((a[i, i], unit[i]))
+        for j in range(i + 1, d):
+            if a[i, j] != 0:
+                terms += [(a[i, j] / 2, unit[i] + unit[j]), (-a[i, j] / 2, unit[i] - unit[j])]
+    return terms
 
 
 def mixed_char(matrices, check_real_rooted: bool = False) -> Polynomial:
     """Mixed characteristic polynomial of PSD matrices A_1..A_m.
 
-    Expands ``prod(1 - d/dz_i) det(xI + sum z_i A_i)|_{z=0}`` by
-    inclusion-exclusion over variable subsets: the result is
-    ``sum_S (-1)^{|S|} c_S(x)`` where c_S is the coefficient of
-    ``prod_{i in S} z_i`` in the determinant.  Monic of degree d; exact
-    for exact inputs.  With ``check_real_rooted`` the result is verified
-    real-rooted before being returned (always true for PSD inputs).
+    Each A_i is split into rank-one terms (``eigh`` for float input, an
+    exact LDL^T for exact input) and folded into the exterior-power tables
+    as one variable (:func:`fold_terms`); the cost is linear in m.  Monic
+    of degree d; exact for exact inputs.  With ``check_real_rooted`` the
+    result is verified real-rooted before being returned (always true for
+    PSD inputs).
     """
     mats = _validate_psd_list(matrices)
     m = len(mats)
@@ -256,10 +355,13 @@ def mixed_char(matrices, check_real_rooted: bool = False) -> Polynomial:
     if d > MAX_DIMENSION:
         raise ValueError(f"dimension capped at {MAX_DIMENSION}, got {d}")
     exact = all(mat.is_exact for mat in mats)
-    det = _det_truncated(mats, exact)
-    acc = Polynomial.zero()
-    for s, c_s in det.terms.items():
-        acc = acc + c_s if len(s) % 2 == 0 else acc - c_s
+    groups = [_rank_one_terms(mat, exact) for mat in mats]
+    arith = TableArithmetic(d, [t for g in groups for t in g], exact)
+    tables = arith.empty()
+    for g in groups:
+        if g:
+            tables = fold_terms(tables, *arith.encode(g))
+    acc = arith.poly(tables)
     if check_real_rooted and not is_real_rooted(acc):
         raise AssertionError("mixed characteristic polynomial failed real-rootedness")
     return acc

@@ -446,17 +446,6 @@ def _polydivmod(a: Polynomial, b: Polynomial):
     return Polynomial(q), Polynomial(r)
 
 
-def _polygcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of exact polynomials by the Euclidean algorithm."""
-    a, b = _to_fraction_poly(a), _to_fraction_poly(b)
-    while not b.is_zero:
-        _, r = _polydivmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a.monic()
-
-
 def _normalize_for_sturm(p: Polynomial) -> Polynomial:
     """Scale so the largest |coefficient| is 1; sign-preserving."""
     if p.is_zero:
@@ -611,28 +600,33 @@ def _companion_roots(q: Polynomial, tol: float) -> tuple[np.ndarray, bool]:
 def _exact_roots(p: Polynomial) -> list[float] | None:
     """The real roots of exact ``p`` with multiplicity, or None if one is complex.
 
-    Walks the square-free layers q_0 = p, q_(j+1) = gcd(q_j, q_j').  The
-    square-free part s_j = q_j / q_(j+1) has one root for each root of p
-    of multiplicity above j, so f_j = s_j / s_(j+1) holds, once each, the
-    roots of multiplicity exactly j + 1.  A Sturm count equal to deg f_j
-    certifies f_j real-rooted; its roots are simple, so companion
-    eigenvalues and Newton steps find them to working precision, and each
-    is listed j + 1 times.
+    Walks the square-free layers q_0 = p, q_(j+1) = gcd(q_j, q_j'), taking
+    each gcd as the last element of the Sturm sequence of q_j, made monic.
+    The square-free part s_j = q_j / q_(j+1) has one root for each root of
+    p of multiplicity above j, so f_j = s_j / s_(j+1) holds, once each, the
+    roots of multiplicity exactly j + 1.  One Sturm count certifies them
+    all: p has deg q_0 - deg q_1 distinct roots, and if that many lie in
+    (-B, B] for the Cauchy bound B, every root is real.  The roots of f_j
+    are then simple and real, so companion eigenvalues and Newton steps
+    find them to working precision, and each is listed j + 1 times.
     """
     layers = [_to_fraction_poly(p)]
+    first = None
     while layers[-1].degree > 0:
-        layers.append(_polygcd(layers[-1], layers[-1].derivative()))
+        seq = sturm_sequence(layers[-1])
+        first = first or seq
+        layers.append(seq[-1].monic())
+    bound = cauchy_root_bound(layers[0])
+    distinct = layers[0].degree - layers[1].degree
+    if _sign_changes(first, -bound) - _sign_changes(first, bound) != distinct:
+        return None
     parts = [_polydivmod(a, b)[0] for a, b in zip(layers, layers[1:])]
     parts.append(Polynomial.one())
     roots = []
     for j, (s, s_next) in enumerate(zip(parts, parts[1:])):
         f = _polydivmod(s, s_next)[0]
-        if f.degree == 0:
-            continue
-        bound = cauchy_root_bound(f)
-        if sturm_root_count(f, -bound, bound) != f.degree:
-            return None
-        roots.extend(_newton_polish(f.to_float(), _companion(f)[1].real) * (j + 1))
+        if f.degree > 0:
+            roots.extend(_newton_polish(f.to_float(), _companion(f)[1].real) * (j + 1))
     return roots
 
 

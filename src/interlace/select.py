@@ -12,6 +12,12 @@ realization no worse than the root pledge.  Each walk returns a
 :class:`SelectionCertificate` recording the pledge, the per-level trace,
 and the achieved value, with the invariant checked numerically.
 
+:func:`greedy_walk` enumerates no outcomes: for independent rank-one
+random vectors each conditional polynomial is a mixed characteristic
+polynomial, which the exterior-power engine of
+:mod:`interlace.mixedchar` computes at a cost linear in the number of
+vectors, with tail tables shared by every level.
+
 Three instantiations:
 
 * ``restricted_invertibility_select``: pick k of m isotropic vectors with
@@ -21,8 +27,8 @@ Three instantiations:
   polynomials, evaluated in root space: bordered Gram spectra (float or
   exact), then :func:`shift_roots`.
 * ``weaver_partition``: split an isotropic system into two halves, each
-  of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2``, by walking
-  two-point block lifts in dimension 2d.
+  of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2``, by a
+  :func:`greedy_walk` over two-point block lifts in dimension 2d.
 * ``signing_select``: choose edge signs of a d-regular graph so the
   signed adjacency matrix has largest eigenvalue at most the largest
   root of the matching polynomial (whence at most ``2 sqrt(d-1)``).
@@ -42,7 +48,7 @@ from .poly import Polynomial, kth_largest_root, real_roots, \
     have_common_interlacing, shift_roots
 from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
-    _expected_char_with_base, mixed_char
+    ENGINE_BUDGET, TableArithmetic, engine_cost, fold_terms
 from .graphs import Graph, Signing, expected_signed_chars, frontier_order, \
     signed_adjacency
 
@@ -50,7 +56,6 @@ __all__ = [
     "VectorSystem",
     "AssignmentState",
     "SelectionCertificate",
-    "conditional_expected_poly",
     "greedy_walk",
     "restricted_invertibility_select",
     "restricted_invertibility_bound",
@@ -168,41 +173,11 @@ class AssignmentState:
             and all(r.is_exact for r in self.remaining)
 
 
-def _base_matrix(fixed, dim: int, exact: bool) -> np.ndarray:
-    acc = np.zeros((dim, dim), dtype=object if exact else float)
-    for v in fixed:
-        a = np.asarray(v)
-        if exact and a.dtype != object:
-            a = a.astype(object)
-        elif not exact:
-            a = a.astype(float)
-        acc = acc + np.outer(a, a)
-    return acc
-
-
-def conditional_expected_poly(state: AssignmentState,
-                              budget: int = DEFAULT_BUDGET,
-                              cross_check: bool = False) -> Polynomial:
-    """E over the remaining randomness of char_poly(sum fixed + sum remaining).
-
-    Brute-force enumeration of all remaining outcome tuples, exact in
-    exact mode.  With ``cross_check`` the result is recomputed through
-    the differential route (mixed characteristic polynomial of the
-    covariances together with the fixed rank-one matrices) and the two
-    must agree; a disagreement raises RuntimeError.
-    """
-    exact = state.is_exact
-    base = _base_matrix(state.fixed, state.dim, exact)
-    out = _expected_char_with_base(base, state.remaining, budget, exact)
-    if cross_check:
-        mats = [SymMatrix.outer(v) for v in state.fixed] \
-            + [r.covariance() for r in state.remaining]
-        alt = mixed_char(mats)
-        agree = out == alt if (out.is_exact and alt.is_exact) \
-            else out.allclose(alt, 1e-8)
-        if not agree:
-            raise RuntimeError("enumeration and differential paths disagree")
-    return out
+def _vector(v, exact: bool) -> np.ndarray:
+    a = np.asarray(v)
+    if exact:
+        return a if a.dtype == object else a.astype(object)
+    return a.astype(float)
 
 
 @dataclass
@@ -246,7 +221,7 @@ def _lambda_k_of_matrix(a: np.ndarray, k: int) -> float:
     return float(w[-k])
 
 
-def greedy_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET,
+def greedy_walk(state: AssignmentState, budget: int = ENGINE_BUDGET,
                 check_interlacing: bool = False) -> SelectionCertificate:
     """Walk the outcome tree, fixing the best support element at each level.
 
@@ -256,31 +231,56 @@ def greedy_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET,
     ``check_interlacing`` every visited sibling family is additionally
     verified to pass :func:`have_common_interlacing` - the structural
     fact that makes greedy sound.
+
+    No outcome is enumerated.  With the fixed vectors u and the
+    independent remaining r_i of covariances A_i, the conditional
+    polynomial E char_poly(sum u u^T + sum r_i r_i^T) is the mixed
+    characteristic polynomial mu[u u^T..., A_1..A_m], computed by the
+    exterior-power engine of :mod:`interlace.mixedchar`.  The tables of
+    the tails r_t.. are built once, backward, each r_t folded in as one
+    variable whose terms come straight from its support (p v v^T).  The
+    fixed vectors are folded into every tail table as rank-one steps, one
+    batched step per vector, so at level l the table of r_(l+1).. already
+    holds the vectors fixed so far, and a child is one more rank-one step:
+    its candidate.  That is O(m^2) table updates in O(m) batched calls.
+    Exact states get exact polynomials.  ``budget`` caps the engine's
+    cost per polynomial (:func:`engine_cost`: rank-one terms x C(2n, n)
+    table entries); the pledge, the largest polynomial, is checked before
+    the first step, and :class:`BudgetExceededError` is raised if over.
     """
     exact = state.is_exact
     d = state.dim
     k = state.k
     maximize = state.direction == "maximize"
-    base = _base_matrix(state.fixed, d, exact)
-    pledge_poly = _expected_char_with_base(base, state.remaining, budget, exact)
-    pledged = kth_largest_root(pledge_poly, k)
+    fixed = [_vector(v, exact) for v in state.fixed]
+    supports = [[(p, _vector(v, exact)) for p, v in rv.support]
+                for rv in state.remaining]
+    cost = engine_cost(d, len(fixed) + sum(len(s) for s in supports))
+    if cost > budget:
+        raise BudgetExceededError(
+            f"engine cost {cost} (rank-one terms x C({2 * d}, {d})) exceeds "
+            f"the budget of {budget}")
+    every = [(1, v) for v in fixed] + [t for s in supports for p, v in s
+                                       for t in ((p, v), (1, v))]
+    arith = TableArithmetic(d, every, exact)
+    suffix = [arith.empty()]  # the tails r_t.., built backward from t = m
+    for s in reversed(supports):
+        suffix.append(fold_terms(suffix[-1], *arith.encode(s)))
+    # At level l, tails[k][i] is W_k of r_(l+i).. and the vectors fixed so far.
+    tails = [np.stack(level[::-1]) for level in zip(*suffix)]
+    for v in fixed:
+        tails = fold_terms(tails, *arith.encode([(1, v)]))
+    pledged = kth_largest_root(arith.poly([t[0] for t in tails]), k)
+    base = np.zeros((d, d), dtype=object if exact else float)
+    for v in fixed:
+        base = base + np.outer(v, v)
     choices: list[int] = []
     levels: list[float] = []
-    remaining = list(state.remaining)
-    for lvl, rv in enumerate(remaining):
-        tail = remaining[lvl + 1:]
-        cand_polys = []
-        cand_vals = []
-        for prob, vec in rv.support:
-            v = np.asarray(vec)
-            if exact and v.dtype != object:
-                v = v.astype(object)
-            elif not exact:
-                v = v.astype(float)
-            child = _expected_char_with_base(base + np.outer(v, v), tail,
-                                             budget, exact)
-            cand_polys.append(child)
-            cand_vals.append(kth_largest_root(child, k))
+    for lvl, support in enumerate(supports):
+        shared = [t[1] for t in tails]
+        points = [arith.encode([(1, v)]) for _, v in support]
+        cand_polys = [arith.poly(fold_terms(shared, *pt)) for pt in points]
+        cand_vals = [kth_largest_root(p, k) for p in cand_polys]
         if check_interlacing and len(cand_polys) > 1:
             if not have_common_interlacing(cand_polys):
                 raise AssertionError(
@@ -290,12 +290,9 @@ def greedy_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET,
             if (cand_vals[j] > cand_vals[best]) if maximize \
                     else (cand_vals[j] < cand_vals[best]):
                 best = j
-        v = np.asarray(rv.support[best][1])
-        if exact and v.dtype != object:
-            v = v.astype(object)
-        elif not exact:
-            v = v.astype(float)
+        v = support[best][1]
         base = base + np.outer(v, v)
+        tails = fold_terms([t[1:] for t in tails], *points[best])
         choices.append(best)
         levels.append(cand_vals[best])
     achieved = _lambda_k_of_matrix(base, k)
@@ -409,7 +406,7 @@ def _ri_scores(vecs: np.ndarray, chosen: list, k: int) -> np.ndarray:
 
 
 def weaver_partition(system: VectorSystem, alpha,
-                     budget: int = DEFAULT_BUDGET, tol: float = ISO_TOL):
+                     budget: int = ENGINE_BUDGET, tol: float = ISO_TOL):
     """Partition an isotropic system into halves of small spectral norm.
 
     Each vector v is lifted to the two-point random vector taking values
@@ -417,7 +414,8 @@ def weaver_partition(system: VectorSystem, alpha,
     minimizing lambda_1 of the lifted Gram sum assigns every vector to a
     side.  The realized maximum of the two block norms is at most
     ``(1 + sqrt(2 alpha))^2 / 2`` whenever ``alpha >= max ||v_i||^2``.
-    Returns (side-one indices, side-two indices, certificate).
+    ``budget`` is :func:`greedy_walk`'s cap on the engine's cost per
+    polynomial.  Returns (side-one indices, side-two indices, certificate).
     """
     if not system.is_isotropic(tol):
         raise ValueError(

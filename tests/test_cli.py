@@ -233,9 +233,24 @@ def test_budget_exceeded_exit_4(capsys, tmp_path):
     vs = VectorSystem.random_isotropic(3, 25, rng)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vectors": vs.vectors.astype(float).tolist()}))
-    # 2^25 outcomes blow the budget of 2^20 during the weaver walk
-    code, _ = run_cli(capsys, ["weaver", str(path)])
+    # the engine states 50 rank-one terms x C(12, 6) = 46200 units up front,
+    # over a budget of 1000
+    code = main(["weaver", str(path), "--budget", "1000"])
     assert code == 4
+    assert "budget exceeded" in capsys.readouterr().err
+
+
+def test_weaver_m25_default_budget_certifies(capsys, tmp_path):
+    rng = np.random.default_rng(107)
+    vs = VectorSystem.random_isotropic(3, 25, rng)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vectors": vs.vectors.astype(float).tolist()}))
+    code, payload = run_cli(capsys, ["weaver", str(path)])
+    assert code == 0
+    assert sorted(payload["s1"] + payload["s2"]) == list(range(25))
+    assert payload["certificate_valid"] is True
+    assert max(payload["norm1"], payload["norm2"]) <= payload["bound"] + 1e-7
+    assert payload["achieved"] <= payload["pledged"] + 1e-7
 
 
 def _raise_not_real_rooted(*args, **kwargs):

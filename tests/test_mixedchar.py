@@ -1,14 +1,16 @@
 """Mixed characteristic polynomials and the expectation identity.
 
-The truncated multi-affine ring computes det(xI + sum z_i A_i) modulo
-z_i^2; inclusion-exclusion over the z-gradient then yields the mixed
-characteristic polynomial.  Expected characteristic polynomials of
+``mixed_char`` runs on the exterior-power engine; the truncated
+multi-affine ring of ``tests/oracles.py`` computes det(xI + sum z_i A_i)
+modulo z_i^2, and inclusion-exclusion over the z-gradient yields the same
+polynomial independently.  Expected characteristic polynomials of
 independent finite-support random rank-one sums are computed by direct
 enumeration and must agree.
 """
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,6 @@ from interlace import (
     SymMatrix,
     char_poly,
     DiscreteRandomVector,
-    TruncatedMultiAffine,
     BudgetExceededError,
     mixed_char,
     expected_char_poly,
@@ -28,6 +29,8 @@ from interlace import (
     is_real_rooted,
     real_roots,
 )
+from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms
+from oracles import TruncatedMultiAffine, ring_mixed_char
 
 
 # ----------------------------------------------------------------------
@@ -277,3 +280,142 @@ def test_mixed_char_root_bound_holds_randomized():
         bound = mixed_char_root_bound(mats)
         top = real_roots(mixed_char(mats))[0]
         assert top <= bound + 1e-7
+
+
+# ----------------------------------------------------------------------
+# The exterior-power engine against the truncated ring
+# ----------------------------------------------------------------------
+
+
+def _random_family(rng, d, m, kinds=("rank1", "full", "mixed"), denominators=(1,)):
+    """m PSD integer (or rational) matrices B B^T of mixed rank."""
+    mats = []
+    for _ in range(m):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        r = {"rank1": 1, "full": d, "mixed": int(rng.integers(1, d + 1))}[kind]
+        b = rng.integers(-2, 3, size=(d, r))
+        q = int(rng.choice(denominators))
+        mats.append(SymMatrix(np.array([[Fraction(int(x), q) for x in row]
+                                        for row in b @ b.T], dtype=object)))
+    return mats
+
+
+def test_engine_matches_ring_exact():
+    rng = np.random.default_rng(211)
+    for _ in range(40):
+        d = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 9))
+        mats = _random_family(rng, d, m)
+        got = mixed_char(mats)
+        assert got.is_exact
+        assert got == ring_mixed_char(mats)
+
+
+def test_engine_matches_ring_rational_inputs():
+    # one common scale L makes the tables integral; undoing it must be exact
+    rng = np.random.default_rng(223)
+    for _ in range(25):
+        d = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 7))
+        mats = _random_family(rng, d, m, denominators=(1, 2, 3, 7, 10))
+        got = mixed_char(mats)
+        assert got == ring_mixed_char(mats)
+    third = SymMatrix(np.array([[Fraction(1, 3), Fraction(1, 3)],
+                                [Fraction(1, 3), Fraction(1, 3)]], dtype=object))
+    seventh = SymMatrix(np.array([[Fraction(2, 7), 0], [0, Fraction(1, 7)]], dtype=object))
+    # det(xI + z1 A + z2 B) by hand: mu = x^2 - (2/3 + 3/7) x + (1/3 * 1/7 + 1/3 * 2/7)
+    assert mixed_char([third, seventh]) == \
+        Polynomial([Fraction(1, 7), -Fraction(23, 21), 1])
+
+
+def test_engine_matches_ring_float():
+    rng = np.random.default_rng(227)
+    for _ in range(30):
+        d = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 9))
+        mats = []
+        for _ in range(m):
+            b = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+            mats.append(b @ b.T)
+        got = mixed_char(mats)
+        want = ring_mixed_char(mats)
+        scale = max(abs(c) for c in want.coeffs)
+        assert len(got.coeffs) == len(want.coeffs)
+        assert max(abs(a - b) for a, b in zip(got.coeffs, want.coeffs)) <= 1e-12 * scale
+
+
+def _engine_poly(mats, dtype=None):
+    """mixed_char's route through the engine, optionally forcing the table dtype."""
+    exact = all(mat.is_exact for mat in mats)
+    groups = [_rank_one_terms(mat, exact) for mat in mats]
+    arith = TableArithmetic(mats[0].n, [t for g in groups for t in g], exact)
+    chosen = arith.dtype
+    if dtype is not None:
+        arith.dtype = dtype
+    tables = arith.empty()
+    for g in groups:
+        tables = fold_terms(tables, *arith.encode(g))
+    return arith.poly(tables), chosen
+
+
+def test_engine_int64_for_sign_vectors_in_dimension_10():
+    rng = np.random.default_rng(229)
+    mats = [SymMatrix.outer(v) for v in rng.choice([-1, 1], size=(16, 10))]
+    _, chosen = _engine_poly(mats[:1])
+    assert chosen is np.int64
+    small = mats[:3]
+    as_int64, chosen = _engine_poly(small)
+    assert chosen is np.int64
+    as_objects, _ = _engine_poly(small, dtype=object)
+    assert as_int64 == as_objects
+
+
+def test_engine_python_ints_for_large_entries():
+    # entries near 10^6: the int64 bound fails, so the tables hold Python
+    # ints; int64 tables would overflow and disagree with the ring
+    rng = np.random.default_rng(233)
+    for _ in range(3):
+        mats = []
+        for r in (1, 2, 4, 3):
+            b = rng.integers(-10 ** 3, 10 ** 3, size=(4, r))
+            mats.append(SymMatrix((b @ b.T).astype(object)))
+        got, chosen = _engine_poly(mats)
+        assert chosen is object
+        assert got == ring_mixed_char(mats)
+        assert got == mixed_char(mats)
+
+
+def test_mixed_char_d10_m16_exact_is_fast_and_equals_char_poly_of_sum():
+    rng = np.random.default_rng(239)
+    vecs = rng.choice([-1, 1], size=(16, 10))
+    mats = [SymMatrix.outer(v) for v in vecs]
+    t0 = time.perf_counter()
+    got = mixed_char(mats)
+    elapsed = time.perf_counter() - t0
+    total = SymMatrix(sum(np.outer(v, v) for v in vecs).astype(object))
+    assert got == char_poly(total)
+    assert elapsed < 2.0
+
+
+def test_mixed_char_ldl_handles_a_zero_pivot_with_a_nonzero_row():
+    # indefinite by 1e-12, inside the PSD check's slack: the LDL^T skips
+    # the zero pivot and splits what is left entrywise
+    eps = Fraction(1, 10 ** 6)
+    a = SymMatrix(np.array([[0, eps], [eps, 1]], dtype=object))
+    b = SymMatrix(np.array([[1, 0], [0, 2]], dtype=object))
+    assert mixed_char([a, b]) == ring_mixed_char([a, b])
+
+
+def test_fold_terms_batch_equals_one_table_at_a_time():
+    # at n = 10 a batch folds at most 6 tables at once, so 7 tables take
+    # two slices; each table must come out as if folded alone
+    rng = np.random.default_rng(263)
+    n = 10
+    stack = [np.ones((7, 1, 1), dtype=np.int64)] + [
+        rng.integers(-3, 4, size=(7, math.comb(n, k), math.comb(n, k)))
+        for k in range(1, n + 1)]
+    weights, vecs = [2, -1], rng.integers(-2, 3, size=(2, n))
+    batched = fold_terms(stack, weights, vecs)
+    for b in range(7):
+        alone = fold_terms([t[b] for t in stack], weights, vecs)
+        assert all((x[b] == y).all() for x, y in zip(batched, alone))

@@ -27,7 +27,7 @@ from interlace import (
     VectorSystem,
     AssignmentState,
     SelectionCertificate,
-    conditional_expected_poly,
+    BudgetExceededError,
     greedy_walk,
     restricted_invertibility_bound,
     restricted_invertibility_select,
@@ -40,6 +40,7 @@ from interlace import (
     signed_adjacency,
     frontier_order,
 )
+from oracles import conditional_expected_poly, enumeration_walk
 
 
 # ----------------------------------------------------------------------
@@ -486,8 +487,9 @@ def test_signing_select_k33():
 
 def test_signing_select_matches_exact_enumeration_walk():
     # Reference: the exact-mode greedy walk over the rank-one signing vectors,
-    # which enumerates all 2^|R| signings at every level, in the same edge
-    # order (the graph relabelled by frontier_order).
+    # whose children are exact mixed characteristic polynomials from the
+    # exterior-power engine, in the same edge order (the graph relabelled by
+    # frontier_order).
     cube = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
     for g in (Graph.complete(4), Graph.complete_bipartite(3, 3), Graph.complete(5), cube):
         d = g.regularity()
@@ -512,3 +514,101 @@ def test_signing_select_requires_regular():
         signing_select(Graph.path(3))
     with pytest.raises(ValueError):
         signing_select(Graph(2, []))
+
+
+# ----------------------------------------------------------------------
+# Engine walks against enumeration walks
+# ----------------------------------------------------------------------
+
+
+def _lifted_state(vs: VectorSystem) -> AssignmentState:
+    """weaver_partition's walk: each v is (v, 0) or (0, v) with probability 1/2."""
+    d = vs.dim
+    zero = np.zeros(d, dtype=object if vs.is_exact else float)
+    rvs = [DiscreteRandomVector.two_point(np.concatenate([row, zero]),
+                                          np.concatenate([zero, row]))
+           for row in vs.vectors]
+    return AssignmentState(fixed=[], remaining=rvs, k=1, direction="minimize")
+
+
+def _rational_isotropic(d: int, weights, order) -> VectorSystem:
+    """Rows of w Q for rational rotations Q, with the w^2 summing to one,
+    permuted by ``order``."""
+    rows = []
+    for t, w in enumerate(weights):
+        q = np.eye(d, dtype=object)
+        for i in range(d - 1):  # Givens rotations by Pythagorean triples
+            c, s = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(5, 13), Fraction(12, 13)),
+                    (Fraction(8, 17), Fraction(15, 17))][(i + t) % 3]
+            g = np.eye(d, dtype=object)
+            g[i, i], g[i, i + 1], g[i + 1, i], g[i + 1, i + 1] = c, -s, s, c
+            q = q.dot(g)
+        rows.extend(w * q)
+    return VectorSystem(np.array([rows[i] for i in order], dtype=object))
+
+
+def test_exact_weaver_choices_equal_enumeration_walk():
+    half, three, four = Fraction(1, 2), Fraction(3, 5), Fraction(4, 5)
+    systems = [_rational_isotropic(2, [half] * 4, [5, 0, 3, 6, 1, 7, 2, 4]),
+               _rational_isotropic(2, [three * three, three * four, four], [4, 1, 5, 0, 2, 3]),
+               _rational_isotropic(3, [three, four], [3, 0, 4, 1, 5, 2]),
+               _rational_isotropic(2, [three, four], [0, 1, 2, 3])]
+    for vs in systems:
+        assert vs.is_exact and vs.gram_sum() == SymMatrix.identity(vs.dim, exact=True)
+        assert vs.m <= 8
+        state = _lifted_state(vs)
+        choices, levels, pledged = enumeration_walk(state)
+        cert = greedy_walk(state)
+        assert cert.choices == choices
+        assert cert.levels == levels
+        assert cert.pledged == pledged
+        assert cert.valid()
+        s1, s2, via_weaver = weaver_partition(vs, vs.max_norm_sq())
+        assert via_weaver.choices == choices
+
+
+def test_float_weaver_levels_match_enumeration_walk():
+    rng = np.random.default_rng(241)
+    for m in (10, 12, 14):
+        vs = VectorSystem.random_isotropic(3, m, rng)
+        state = _lifted_state(vs)
+        choices, levels, pledged = enumeration_walk(state)
+        cert = greedy_walk(state)
+        assert abs(cert.pledged - pledged) <= 1e-10
+        assert max(abs(a - b) for a, b in zip(cert.levels, levels)) <= 1e-10
+        # the two level-0 children are equal in exact arithmetic, so rounding
+        # may break the tie the other way and mirror the whole walk
+        assert cert.choices in (choices, [1 - c for c in choices])
+
+
+def test_weaver_m64_certifies():
+    rng = np.random.default_rng(251)
+    vs = VectorSystem.random_isotropic(3, 64, rng)
+    alpha = vs.max_norm_sq()
+    s1, s2, cert = weaver_partition(vs, alpha)
+    assert sorted(s1 + s2) == list(range(64))
+    assert cert.valid()
+    for side in (s1, s2):
+        block = vs.vectors[side].T @ vs.vectors[side]
+        assert np.linalg.eigvalsh(block)[-1] <= weaver_bound(alpha) + 1e-7
+
+
+def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
+    # the common scale is 2 * 10^20; the zero vector's weight would be that
+    # large too, past int64, but a zero vector adds nothing to the tables
+    big = 10 ** 10
+    r = DiscreteRandomVector.two_point(np.array([Fraction(1, big), 0], dtype=object),
+                                       np.array([0, Fraction(2, big)], dtype=object))
+    state = AssignmentState(fixed=[np.array([0, 0], dtype=object)], remaining=[r, r], k=1)
+    choices, levels, pledged = enumeration_walk(state)
+    cert = greedy_walk(state)
+    assert (cert.choices, cert.levels, cert.pledged) == (choices, levels, pledged)
+
+
+def test_greedy_walk_budget_is_checked_before_the_first_step():
+    rng = np.random.default_rng(257)
+    vs = VectorSystem.random_isotropic(3, 25, rng)
+    with pytest.raises(BudgetExceededError):
+        weaver_partition(vs, vs.max_norm_sq(), budget=50 * math.comb(12, 6) - 1)
+    s1, s2, cert = weaver_partition(vs, vs.max_norm_sq(), budget=50 * math.comb(12, 6))
+    assert cert.valid()
