@@ -33,7 +33,6 @@ from .barrier import (
 from .mixedchar import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    ENGINE_BUDGET,
     DiscreteRandomVector,
     mixed_char,
     expected_char_poly,
@@ -59,7 +58,9 @@ from .select import (
     VectorSystem,
     AssignmentState,
     SelectionCertificate,
+    WALK_BUDGET,
     greedy_walk,
+    walk_costs,
     restricted_invertibility_select,
     restricted_invertibility_bound,
     weaver_partition,

@@ -12,11 +12,13 @@ Inputs are JSON (vector systems, matrix lists) or edge-list text
 invariant violated, 2 parse error, 3 precondition failure, 4 budget
 exceeded, 5 numerical failure (a float root computation met a
 polynomial it could not certify real-rooted).  ``--budget`` caps the
-work per conditional polynomial, in each engine's own unit: for
-``weaver``, the mixed-characteristic engine's rank-one terms x C(2n, n)
-exterior-table entries, n = 2 x dim, checked before the walk starts
-(default 2^24); for ``lift``, the states of the signing DP (default
-2^20).  ``ri`` and ``mixedchar`` take no budget.
+work in each command's own unit: for ``weaver``, the whole walk's
+estimated matrix or table entries (``walk_costs``: enumerated outcomes
+x n^2, or the mixed-characteristic engine's rank-one table updates x
+C(2n, n), n = 2 x dim, whichever route is cheaper), checked before the
+walk starts (default 2^30); for ``lift``, the states of the signing DP
+per polynomial (default 2^20).  ``ri`` and ``mixedchar`` take no
+budget.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ import numpy as np
 
 from .poly import real_roots, NotRealRootedError
 from .matrices import SymMatrix
-from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET, ENGINE_BUDGET
+from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET
 from .graphs import Graph, adjacency, signed_adjacency, is_ramanujan_bipartite, \
     two_lift
 from .select import VectorSystem, restricted_invertibility_select, \
-    restricted_invertibility_bound, weaver_partition, weaver_bound, signing_select
+    restricted_invertibility_bound, weaver_partition, weaver_bound, signing_select, \
+    WALK_BUDGET
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -283,10 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-9,
                         help="comparison tolerance (default 1e-9)")
     common.add_argument("--budget", type=int, default=None,
-                        help="work cap per polynomial: for weaver, rank-one terms "
-                             "x C(2n, n) exterior-table entries, n = 2 x dim "
-                             "(default 2^24); for lift, signing DP states "
-                             "(default 2^20)")
+                        help="work cap: for weaver, the whole walk's estimated "
+                             "entries, enumerated outcomes x n^2 or rank-one "
+                             "table updates x C(2n, n), n = 2 x dim, whichever "
+                             "is cheaper (default 2^30); for lift, signing DP "
+                             "states per polynomial (default 2^20)")
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -327,8 +331,8 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         budget = args.budget
-        if budget is None:  # each engine's own unit has its own default
-            budget = ENGINE_BUDGET if args.command == "weaver" else DEFAULT_BUDGET
+        if budget is None:  # each command's own unit has its own default
+            budget = WALK_BUDGET if args.command == "weaver" else DEFAULT_BUDGET
         cfg = RunConfig(mode=args.mode, tol=args.tol, budget=budget)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

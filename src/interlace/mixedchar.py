@@ -25,10 +25,11 @@ the C(n, k) x C(n, k-1) map with L_k(u)[I, I - a] = (-1)^pos(a, I) u_a
 (:func:`fold_terms`).  That is division-free and linear in the number of
 variables; exact tables hold integers after one common scaling
 (:class:`TableArithmetic`), in int64 under a proven magnitude bound.
-:func:`mixed_char` runs on it, and so do the greedy walk's conditional
-polynomials in :mod:`interlace.select`.  :func:`expected_char_poly`
-enumerates outcomes under a budget; it is the independent oracle the
-identity is checked against.
+:func:`mixed_char` runs on it, and so does the greedy walk of
+:mod:`interlace.select` wherever it is cheaper than enumeration.
+:func:`expected_char_poly` enumerates outcomes under a budget; it is the
+independent oracle the identity is checked against, and its kernel is
+the greedy walk's other route.
 """
 
 from __future__ import annotations
@@ -46,12 +47,10 @@ from .matrices import SymMatrix, charpoly_batch, charpoly_batch_exact, _validate
 __all__ = [
     "BudgetExceededError",
     "DEFAULT_BUDGET",
-    "ENGINE_BUDGET",
     "MAX_VARIABLES",
     "MAX_DIMENSION",
     "DiscreteRandomVector",
     "TableArithmetic",
-    "engine_cost",
     "fold_terms",
     "mixed_char",
     "expected_char_poly",
@@ -61,8 +60,6 @@ __all__ = [
 
 # Outcomes for expected_char_poly, and signing DP states for lift.
 DEFAULT_BUDGET = 1 << 20
-# The exterior-power engine's cost per polynomial, in engine_cost's unit.
-ENGINE_BUDGET = 1 << 24
 MAX_VARIABLES = 16
 MAX_DIMENSION = 10
 
@@ -154,16 +151,6 @@ class DiscreteRandomVector:
 # ----------------------------------------------------------------------
 
 
-def engine_cost(n: int, terms: int) -> int:
-    """The engine's cost of one polynomial: rank-one terms x C(2n, n).
-
-    C(2n, n) = sum_k C(n, k)^2 is the number of table entries, and every
-    rank-one term touches each of them a few times, so this is the unit
-    a budget on the engine counts in.
-    """
-    return terms * math.comb(2 * n, n)
-
-
 @functools.lru_cache(maxsize=None)
 def _subset_index(n: int) -> tuple:
     """Per k = 1..n, ``(elem, sub, sign)`` describing L_k on k-subsets of range(n).
@@ -192,17 +179,10 @@ def fold_terms(tables: list, weights, vecs) -> list:
     new variable exactly once.  Only ring operations occur, so the tables
     keep their dtype (int64, object or float64).  ``tables[k]`` may carry
     a leading batch axis, (B, C(n,k), C(n,k)): every table of the batch
-    gets the same variable, a slice of at most about 2^22 / (n C(n, n/2)^2)
-    tables at a time so that the temporaries stay near 2^22 entries.
-    Returns new tables; the old ones are not modified and can be shared.
+    gets the same variable.  Returns new tables; the old ones are not
+    modified and can be shared.
     """
     n = len(tables) - 1
-    if tables[0].ndim == 3:
-        step = max(1, (1 << 22) // (n * math.comb(n, n // 2) ** 2))
-        if len(tables[0]) > step:
-            parts = [fold_terms([t[i:i + step] for t in tables], weights, vecs)
-                     for i in range(0, len(tables[0]), step)]
-            return [np.concatenate(level) for level in zip(*parts)]
     index = _subset_index(n)
     out = [tables[0]]
     for k in range(1, n + 1):

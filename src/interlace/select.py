@@ -12,11 +12,15 @@ realization no worse than the root pledge.  Each walk returns a
 :class:`SelectionCertificate` recording the pledge, the per-level trace,
 and the achieved value, with the invariant checked numerically.
 
-:func:`greedy_walk` enumerates no outcomes: for independent rank-one
-random vectors each conditional polynomial is a mixed characteristic
-polynomial, which the exterior-power engine of
+:func:`greedy_walk` has two routes to the same polynomials.  Outcome
+enumeration costs the product of the support sizes per polynomial.  For
+independent rank-one random vectors each conditional polynomial is also
+a mixed characteristic polynomial, which the exterior-power engine of
 :mod:`interlace.mixedchar` computes at a cost linear in the number of
-vectors, with tail tables shared by every level.
+vectors but exponential in the dimension, with tail tables shared by
+every level.  Each walk takes the route :func:`walk_costs` estimates
+cheaper, and the whole walk's estimate is checked against its budget
+before the first step.
 
 Three instantiations:
 
@@ -48,7 +52,7 @@ from .poly import Polynomial, kth_largest_root, real_roots, \
     have_common_interlacing, shift_roots
 from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
-    ENGINE_BUDGET, TableArithmetic, engine_cost, fold_terms
+    TableArithmetic, fold_terms, _expected_char_with_base
 from .graphs import Graph, Signing, expected_signed_chars, frontier_order, \
     signed_adjacency
 
@@ -56,7 +60,9 @@ __all__ = [
     "VectorSystem",
     "AssignmentState",
     "SelectionCertificate",
+    "WALK_BUDGET",
     "greedy_walk",
+    "walk_costs",
     "restricted_invertibility_select",
     "restricted_invertibility_bound",
     "weaver_partition",
@@ -67,6 +73,8 @@ __all__ = [
 
 CERT_TOL = 1e-7
 ISO_TOL = 1e-8
+# The default cap on one greedy walk's work, in walk_costs' unit.
+WALK_BUDGET = 1 << 30
 
 
 class VectorSystem:
@@ -221,8 +229,34 @@ def _lambda_k_of_matrix(a: np.ndarray, k: int) -> float:
     return float(w[-k])
 
 
-def greedy_walk(state: AssignmentState, budget: int = ENGINE_BUDGET,
-                check_interlacing: bool = False) -> SelectionCertificate:
+def walk_costs(dim: int, fixed: int, sizes) -> dict:
+    """Estimated work of one :func:`greedy_walk` by each route, in entries.
+
+    ``sizes`` are the support sizes of the remaining random vectors.
+    ``"enumerate"`` builds and expands one dim x dim matrix per outcome of
+    every polynomial, dim^2 entries each: prod(sizes) outcomes for the
+    pledge and, at level l, sizes[l] children of prod(sizes[l+1:]) each.
+    ``"engine"`` makes rank-one table updates of C(2 dim, dim) entries
+    each: one per support point to build the tail tables, each fixed
+    vector into all m + 1 of them, one per child, and each choice into
+    the m - l tails left.  Both routes take about the same time per
+    entry, within a factor of three (exact walks 10-20 times as long as
+    float ones, on either route), so the smaller estimate picks the
+    faster route except near the crossover.
+    """
+    m = len(sizes)
+    outcomes = tail = math.prod(sizes)
+    for s in sizes:
+        tail //= s
+        outcomes += s * tail
+    updates = 2 * sum(sizes) + fixed * (m + 1) + m * (m + 1) // 2
+    return {"enumerate": outcomes * dim * dim,
+            "engine": updates * math.comb(2 * dim, dim)}
+
+
+def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
+                check_interlacing: bool = False,
+                route: str = "auto") -> SelectionCertificate:
     """Walk the outcome tree, fixing the best support element at each level.
 
     "Best" means the largest (or smallest, per direction) k-th largest
@@ -232,75 +266,117 @@ def greedy_walk(state: AssignmentState, budget: int = ENGINE_BUDGET,
     verified to pass :func:`have_common_interlacing` - the structural
     fact that makes greedy sound.
 
-    No outcome is enumerated.  With the fixed vectors u and the
-    independent remaining r_i of covariances A_i, the conditional
-    polynomial E char_poly(sum u u^T + sum r_i r_i^T) is the mixed
-    characteristic polynomial mu[u u^T..., A_1..A_m], computed by the
-    exterior-power engine of :mod:`interlace.mixedchar`.  The tables of
-    the tails r_t.. are built once, backward, each r_t folded in as one
-    variable whose terms come straight from its support (p v v^T).  The
-    fixed vectors are folded into every tail table as rank-one steps, one
-    batched step per vector, so at level l the table of r_(l+1).. already
-    holds the vectors fixed so far, and a child is one more rank-one step:
-    its candidate.  That is O(m^2) table updates in O(m) batched calls.
-    Exact states get exact polynomials.  ``budget`` caps the engine's
-    cost per polynomial (:func:`engine_cost`: rank-one terms x C(2n, n)
-    table entries); the pledge, the largest polynomial, is checked before
-    the first step, and :class:`BudgetExceededError` is raised if over.
+    The conditional polynomials come from one of two routes, ``"enumerate"``
+    (:func:`_enumeration_route`) or ``"engine"`` (:func:`_engine_route`);
+    ``"auto"`` takes the one :func:`walk_costs` estimates cheaper, the
+    engine on a tie.  Both give the same polynomials, exact for exact
+    states.  ``budget`` caps the chosen route's estimate for the whole
+    walk; it is checked before the first step, and
+    :class:`BudgetExceededError` is raised if over.
     """
     exact = state.is_exact
     d = state.dim
     k = state.k
     maximize = state.direction == "maximize"
     fixed = [_vector(v, exact) for v in state.fixed]
-    supports = [[(p, _vector(v, exact)) for p, v in rv.support]
-                for rv in state.remaining]
-    cost = engine_cost(d, len(fixed) + sum(len(s) for s in supports))
-    if cost > budget:
+    costs = walk_costs(d, len(fixed), [len(r.support) for r in state.remaining])
+    if route == "auto":
+        route = "engine" if costs["engine"] <= costs["enumerate"] else "enumerate"
+    if route not in costs:
+        raise ValueError(f"unknown route {route!r}")
+    if costs[route] > budget:
         raise BudgetExceededError(
-            f"engine cost {cost} (rank-one terms x C({2 * d}, {d})) exceeds "
-            f"the budget of {budget}")
-    every = [(1, v) for v in fixed] + [t for s in supports for p, v in s
-                                       for t in ((p, v), (1, v))]
-    arith = TableArithmetic(d, every, exact)
-    suffix = [arith.empty()]  # the tails r_t.., built backward from t = m
-    for s in reversed(supports):
-        suffix.append(fold_terms(suffix[-1], *arith.encode(s)))
-    # At level l, tails[k][i] is W_k of r_(l+i).. and the vectors fixed so far.
-    tails = [np.stack(level[::-1]) for level in zip(*suffix)]
-    for v in fixed:
-        tails = fold_terms(tails, *arith.encode([(1, v)]))
-    pledged = kth_largest_root(arith.poly([t[0] for t in tails]), k)
-    base = np.zeros((d, d), dtype=object if exact else float)
-    for v in fixed:
-        base = base + np.outer(v, v)
+            f"the walk's {route} route costs {costs[route]} entries, over the "
+            f"budget of {budget}")
     choices: list[int] = []
     levels: list[float] = []
-    for lvl, support in enumerate(supports):
-        shared = [t[1] for t in tails]
-        points = [arith.encode([(1, v)]) for _, v in support]
-        cand_polys = [arith.poly(fold_terms(shared, *pt)) for pt in points]
+
+    def choose(cand_polys: list) -> int:
         cand_vals = [kth_largest_root(p, k) for p in cand_polys]
         if check_interlacing and len(cand_polys) > 1:
             if not have_common_interlacing(cand_polys):
                 raise AssertionError(
-                    f"children at level {lvl} lack a common interlacing")
+                    f"children at level {len(choices)} lack a common interlacing")
         best = 0
         for j in range(1, len(cand_vals)):
             if (cand_vals[j] > cand_vals[best]) if maximize \
                     else (cand_vals[j] < cand_vals[best]):
                 best = j
-        v = support[best][1]
-        base = base + np.outer(v, v)
-        tails = fold_terms([t[1:] for t in tails], *points[best])
         choices.append(best)
         levels.append(cand_vals[best])
+        return best
+
+    walk = _engine_route if route == "engine" else _enumeration_route
+    pledged = kth_largest_root(walk(d, fixed, state.remaining, exact, choose), k)
+    base = np.zeros((d, d), dtype=object if exact else float)
+    for v in fixed + [_vector(r.support[j][1], exact)
+                      for r, j in zip(state.remaining, choices)]:
+        base = base + np.outer(v, v)
     achieved = _lambda_k_of_matrix(base, k)
     cert = SelectionCertificate(choices=choices,
                                 final_poly=char_poly(SymMatrix(base)),
                                 achieved=achieved, pledged=pledged,
                                 k=k, direction=state.direction, levels=levels)
     return cert
+
+
+def _enumeration_route(d: int, fixed: list, remaining: list, exact: bool,
+                       choose) -> Polynomial:
+    """The pledge; at each level, ``choose`` gets the children and returns one.
+
+    Every polynomial is the average of char_poly over its outcomes.
+    """
+    base = np.zeros((d, d), dtype=object if exact else float)
+    for v in fixed:
+        base = base + np.outer(v, v)
+    # greedy_walk has checked the whole walk's cost against its budget
+    pledge = _expected_char_with_base(base, remaining, math.inf, exact)
+    for lvl, rv in enumerate(remaining):
+        outers = [np.outer(v, v) for v in (_vector(v, exact) for _, v in rv.support)]
+        best = choose([_expected_char_with_base(base + o, remaining[lvl + 1:],
+                                                math.inf, exact) for o in outers])
+        base = base + outers[best]
+    return pledge
+
+
+def _engine_route(d: int, fixed: list, remaining: list, exact: bool,
+                  choose) -> Polynomial:
+    """The pledge; at each level, ``choose`` gets the children and returns one.
+
+    With the fixed vectors u and the independent remaining r_i of
+    covariances A_i, the conditional polynomial E char_poly(sum u u^T +
+    sum r_i r_i^T) is the mixed characteristic polynomial mu[u u^T...,
+    A_1..A_m], computed by the exterior-power engine of
+    :mod:`interlace.mixedchar`.  The tables of the tails r_t.. are built
+    once, backward, each r_t folded in as one variable whose terms come
+    straight from its support (p v v^T), into one stack.  The fixed
+    vectors are folded into the whole stack as rank-one steps, one batched
+    step per vector, so at level l the table of r_(l+1).. already holds
+    the vectors fixed so far, and a child is one more rank-one step: its
+    candidate.  That is O(m^2) table updates in O(m) batched calls.
+    """
+    supports = [[(p, _vector(v, exact)) for p, v in rv.support] for rv in remaining]
+    every = [(1, v) for v in fixed] + [t for s in supports for p, v in s
+                                       for t in ((p, v), (1, v))]
+    arith = TableArithmetic(d, every, exact)
+    # tails[k][i] is W_k of r_i.., filled backward from the empty tail i = m;
+    # at level l it is W_k of r_(l+i).. and the vectors fixed so far
+    table = arith.empty()
+    tails = [np.zeros((len(supports) + 1,) + t.shape, dtype=t.dtype) for t in table]
+    for i in range(len(supports), -1, -1):
+        if i < len(supports):
+            table = fold_terms(table, *arith.encode(supports[i]))
+        for stack, t in zip(tails, table):
+            stack[i] = t
+    for v in fixed:
+        tails = fold_terms(tails, *arith.encode([(1, v)]))
+    pledge = arith.poly([t[0] for t in tails])
+    for support in supports:
+        shared = [t[1] for t in tails]
+        points = [arith.encode([(1, v)]) for _, v in support]
+        best = choose([arith.poly(fold_terms(shared, *pt)) for pt in points])
+        tails = fold_terms([t[1:] for t in tails], *points[best])
+    return pledge
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +482,7 @@ def _ri_scores(vecs: np.ndarray, chosen: list, k: int) -> np.ndarray:
 
 
 def weaver_partition(system: VectorSystem, alpha,
-                     budget: int = ENGINE_BUDGET, tol: float = ISO_TOL):
+                     budget: int = WALK_BUDGET, tol: float = ISO_TOL):
     """Partition an isotropic system into halves of small spectral norm.
 
     Each vector v is lifted to the two-point random vector taking values
@@ -414,8 +490,8 @@ def weaver_partition(system: VectorSystem, alpha,
     minimizing lambda_1 of the lifted Gram sum assigns every vector to a
     side.  The realized maximum of the two block norms is at most
     ``(1 + sqrt(2 alpha))^2 / 2`` whenever ``alpha >= max ||v_i||^2``.
-    ``budget`` is :func:`greedy_walk`'s cap on the engine's cost per
-    polynomial.  Returns (side-one indices, side-two indices, certificate).
+    ``budget`` is :func:`greedy_walk`'s cap on the whole walk's work, in
+    :func:`walk_costs`' unit.  Returns (side-one indices, side-two indices, certificate).
     """
     if not system.is_isotropic(tol):
         raise ValueError(

@@ -233,8 +233,8 @@ def test_budget_exceeded_exit_4(capsys, tmp_path):
     vs = VectorSystem.random_isotropic(3, 25, rng)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vectors": vs.vectors.astype(float).tolist()}))
-    # the engine states 50 rank-one terms x C(12, 6) = 46200 units up front,
-    # over a budget of 1000
+    # the cheaper route, the engine, states (100 + 325) rank-one table
+    # updates x C(12, 6) = 392700 entries up front, over a budget of 1000
     code = main(["weaver", str(path), "--budget", "1000"])
     assert code == 4
     assert "budget exceeded" in capsys.readouterr().err

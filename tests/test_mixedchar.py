@@ -407,8 +407,7 @@ def test_mixed_char_ldl_handles_a_zero_pivot_with_a_nonzero_row():
 
 
 def test_fold_terms_batch_equals_one_table_at_a_time():
-    # at n = 10 a batch folds at most 6 tables at once, so 7 tables take
-    # two slices; each table must come out as if folded alone
+    # each table of a batch must come out as if folded alone
     rng = np.random.default_rng(263)
     n = 10
     stack = [np.ones((7, 1, 1), dtype=np.int64)] + [

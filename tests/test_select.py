@@ -29,6 +29,7 @@ from interlace import (
     SelectionCertificate,
     BudgetExceededError,
     greedy_walk,
+    walk_costs,
     restricted_invertibility_bound,
     restricted_invertibility_select,
     weaver_partition,
@@ -487,9 +488,9 @@ def test_signing_select_k33():
 
 def test_signing_select_matches_exact_enumeration_walk():
     # Reference: the exact-mode greedy walk over the rank-one signing vectors,
-    # whose children are exact mixed characteristic polynomials from the
-    # exterior-power engine, in the same edge order (the graph relabelled by
-    # frontier_order).
+    # by its cheaper route (every remaining signing enumerated, or exact mixed
+    # characteristic polynomials from the exterior-power engine), in the same
+    # edge order (the graph relabelled by frontier_order).
     cube = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
     for g in (Graph.complete(4), Graph.complete_bipartite(3, 3), Graph.complete(5), cube):
         d = g.regularity()
@@ -558,11 +559,12 @@ def test_exact_weaver_choices_equal_enumeration_walk():
         assert vs.m <= 8
         state = _lifted_state(vs)
         choices, levels, pledged = enumeration_walk(state)
-        cert = greedy_walk(state)
-        assert cert.choices == choices
-        assert cert.levels == levels
-        assert cert.pledged == pledged
-        assert cert.valid()
+        for route in ("engine", "enumerate"):
+            cert = greedy_walk(state, route=route)
+            assert cert.choices == choices
+            assert cert.levels == levels
+            assert cert.pledged == pledged
+            assert cert.valid()
         s1, s2, via_weaver = weaver_partition(vs, vs.max_norm_sq())
         assert via_weaver.choices == choices
 
@@ -573,7 +575,7 @@ def test_float_weaver_levels_match_enumeration_walk():
         vs = VectorSystem.random_isotropic(3, m, rng)
         state = _lifted_state(vs)
         choices, levels, pledged = enumeration_walk(state)
-        cert = greedy_walk(state)
+        cert = greedy_walk(state, route="engine")
         assert abs(cert.pledged - pledged) <= 1e-10
         assert max(abs(a - b) for a, b in zip(cert.levels, levels)) <= 1e-10
         # the two level-0 children are equal in exact arithmetic, so rounding
@@ -601,14 +603,60 @@ def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
                                        np.array([0, Fraction(2, big)], dtype=object))
     state = AssignmentState(fixed=[np.array([0, 0], dtype=object)], remaining=[r, r], k=1)
     choices, levels, pledged = enumeration_walk(state)
-    cert = greedy_walk(state)
+    cert = greedy_walk(state, route="engine")
     assert (cert.choices, cert.levels, cert.pledged) == (choices, levels, pledged)
 
 
 def test_greedy_walk_budget_is_checked_before_the_first_step():
     rng = np.random.default_rng(257)
     vs = VectorSystem.random_isotropic(3, 25, rng)
+    cost = walk_costs(6, 0, [2] * 25)["engine"]
+    assert cost == (100 + 325) * math.comb(12, 6)
     with pytest.raises(BudgetExceededError):
-        weaver_partition(vs, vs.max_norm_sq(), budget=50 * math.comb(12, 6) - 1)
-    s1, s2, cert = weaver_partition(vs, vs.max_norm_sq(), budget=50 * math.comb(12, 6))
+        weaver_partition(vs, vs.max_norm_sq(), budget=cost - 1)
+    s1, s2, cert = weaver_partition(vs, vs.max_norm_sq(), budget=cost)
     assert cert.valid()
+    with pytest.raises(BudgetExceededError):  # a forced route has no fallback
+        greedy_walk(_lifted_state(vs), route="enumerate")
+    with pytest.raises(ValueError):
+        greedy_walk(_lifted_state(vs), route="ring")
+
+
+def test_walk_costs_pick_enumeration_in_high_dimension():
+    # two-point lifts: 2^m + 2 (2^m - 1) outcomes, n^2 entries each, against
+    # 4m + m(m+1)/2 rank-one updates of C(2n, n) entries
+    assert walk_costs(12, 0, [2] * 6) == {"enumerate": 190 * 144,
+                                          "engine": 45 * math.comb(24, 12)}
+    assert walk_costs(6, 0, [2] * 12)["engine"] < walk_costs(6, 0, [2] * 12)["enumerate"]
+    assert walk_costs(4, 1, [3]) == {"enumerate": 6 * 16, "engine": 9 * math.comb(8, 4)}
+
+
+def test_weaver_dimension_7_certifies_at_the_default_budget():
+    # the engine alone would cost 45 x C(28, 14), about 1.8e9 entries, over the
+    # default budget; enumeration costs 190 x 196 and certifies
+    rng = np.random.default_rng(269)
+    vs = VectorSystem.random_isotropic(7, 7, rng)
+    alpha = vs.max_norm_sq()
+    s1, s2, cert = weaver_partition(vs, alpha)
+    assert sorted(s1 + s2) == list(range(7))
+    assert cert.valid()
+    choices, levels, pledged = enumeration_walk(_lifted_state(vs))
+    assert cert.choices == choices and cert.levels == levels
+    for side in (s1, s2):
+        block = vs.vectors[side].T @ vs.vectors[side]
+        assert np.linalg.eigvalsh(block)[-1] <= weaver_bound(alpha) + 1e-7
+
+
+def test_routes_agree_on_a_walk_with_fixed_vectors_and_three_point_supports():
+    rng = np.random.default_rng(271)
+    fixed = [rng.integers(-2, 3, size=3).astype(object) for _ in range(2)]
+    rvs = [DiscreteRandomVector([(Fraction(1, 3), rng.integers(-2, 3, size=3)),
+                                 (Fraction(1, 6), rng.integers(-2, 3, size=3)),
+                                 (Fraction(1, 2), rng.integers(-2, 3, size=3))])
+           for _ in range(4)]
+    for k, direction in ((1, "minimize"), (2, "maximize")):
+        state = AssignmentState(fixed=fixed, remaining=rvs, k=k, direction=direction)
+        a = greedy_walk(state, route="engine")
+        b = greedy_walk(state, route="enumerate")
+        assert (a.choices, a.levels, a.pledged) == (b.choices, b.levels, b.pledged)
+        assert a.final_poly == b.final_poly and a.valid()
