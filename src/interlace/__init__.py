@@ -15,6 +15,10 @@ from .poly import (
     is_real_rooted,
     real_roots,
     kth_largest_root,
+    TopRoot,
+    roots_above,
+    top_root,
+    compare_top_roots,
     interlaces,
     have_common_interlacing,
 )

@@ -20,6 +20,15 @@ Newton steps.  ``real_roots`` always returns floats.  ``shift_roots``
 skips coefficients altogether: it applies the shift operator to batches
 of real roots by bracketed secular-equation solves, so its output is
 real-rooted by construction.
+
+A third route, ``top_root``, is valid only for exact polynomials that are
+real-rooted by construction (the expected characteristic polynomials of
+an interlacing family), and checks no such thing.  For them Descartes'
+rule of signs is exact: the sign changes of p(b + y), one Taylor shift in
+integers, count the roots above b with multiplicity.  ``top_root``
+estimates the largest root in floats, polishes it by Newton steps with
+exact values, and certifies a bracket of dyadic ends around it by two
+such counts; ``compare_top_roots`` orders two top roots exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -44,6 +54,10 @@ __all__ = [
     "is_real_rooted",
     "real_roots",
     "kth_largest_root",
+    "TopRoot",
+    "roots_above",
+    "top_root",
+    "compare_top_roots",
     "interlaces",
     "have_common_interlacing",
 ]
@@ -58,6 +72,8 @@ ROOT_TOL = 1e-7
 # simple and double roots; higher multiplicities fall to the
 # backward-error rescue in ``_companion_roots``.
 IM_TOL = 1e-6
+
+_EPS = np.finfo(float).eps
 
 
 class ZeroPolynomialError(ValueError):
@@ -702,6 +718,252 @@ def kth_largest_root(p: Polynomial, k: int) -> float:
     if not 1 <= k <= len(roots):
         raise ValueError(f"k={k} out of range for {len(roots)} roots")
     return float(roots[k - 1])
+
+
+# ----------------------------------------------------------------------
+# Top roots of polynomials real-rooted by construction
+# ----------------------------------------------------------------------
+
+
+class TopRoot(NamedTuple):
+    """The largest root of a real-rooted polynomial and its certificate.
+
+    ``lo`` and ``hi`` are dyadic rationals: no root lies above ``hi`` and
+    ``mult`` roots, counted with multiplicity, lie in (lo, hi], so the
+    top root does too, and so does the float ``root``.  ``mult`` is the
+    top root's multiplicity unless another root lies within the bracket.
+    """
+
+    root: float
+    mult: int
+    lo: Fraction
+    hi: Fraction
+
+
+def _integer_coeffs(p: Polynomial) -> list[int]:
+    """Coefficients of a positive integer multiple of ``p``, made to lead positive."""
+    if p.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has no top root")
+    if not p.is_exact:
+        raise TypeError("top roots are certified for exact polynomials only")
+    if p.degree == 0:
+        raise ValueError("a nonzero constant has no roots")
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    a = [(c * den).numerator for c in p.coeffs]
+    return a if a[-1] > 0 else [-c for c in a]
+
+
+def _count_above(a: list[int], b: Fraction) -> int:
+    """Roots above b of the real-rooted integer polynomial ``a``, with multiplicity.
+
+    With b = m/d, the coefficients of d^n p((m + z)/d) come from one Taylor
+    shift in integers; their sign changes count its positive roots
+    (Descartes), exactly so since every root is real.
+    """
+    m, d = b.numerator, b.denominator
+    n = len(a) - 1
+    cs = [c * d ** (n - i) for i, c in enumerate(a)] if d != 1 else list(a)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            cs[j] += m * cs[j + 1]
+    signs = [c > 0 for c in cs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def roots_above(p: Polynomial, b) -> int:
+    """Roots of exact, real-rooted ``p`` above the rational ``b``, with multiplicity.
+
+    Descartes' rule of signs on p(b + y).  The count is exact only when
+    every root of ``p`` is real, which this does not check: call it on
+    polynomials real-rooted by construction, or after :func:`is_real_rooted`.
+    """
+    return _count_above(_integer_coeffs(p), Fraction(b))
+
+
+def _root_bound(a: list[int]) -> Fraction:
+    """A power of two B with every root of ``a`` in (-B, B).
+
+    Fujiwara's bound 2 max_k |a_(n-k)/a_n|^(1/k), doubled, with each
+    |a_(n-k)/a_n| rounded up to a power of two through bit lengths, so it
+    stays within a small factor of the largest root modulus.
+    """
+    n = len(a) - 1
+    lead = a[-1].bit_length()
+    exps = [-((lead - 1 - c.bit_length()) // (n - i))
+            for i, c in enumerate(a[:-1]) if c]
+    return Fraction(2) ** (2 + max(exps, default=0))
+
+
+def _derivative_value(a: list[int], k: int, x: float) -> tuple[int, int]:
+    """``(num, e)`` with the k-th derivative of ``a`` at x equal to num / 2^(e deg)."""
+    m, den = x.as_integer_ratio()
+    e = den.bit_length() - 1
+    coeffs = [math.perm(i, k) * c for i, c in enumerate(a)][k:]
+    acc = 0
+    for j, c in enumerate(reversed(coeffs)):
+        acc = acc * m + (c << (e * j))
+    return acc, e
+
+
+def _float_start(a: list[int]) -> float:
+    """A float point at or just above the top root of real-rooted ``a``.
+
+    Laguerre's method from above on a real-rooted polynomial falls
+    monotonically to its top root, cubically at a simple one.  It starts
+    at the Laguerre-Samuelson bound mean + sqrt((n - 1)/n) * spread, an
+    upper bound on the roots of any real-rooted polynomial, and stops once
+    p(x) is within the rounding error of its evaluation, before noise can
+    carry it below the root.
+    """
+    n = len(a) - 1
+    try:
+        c = [x / a[-1] for x in a]
+    except OverflowError:
+        return math.nan
+    mean = -c[-2] / n
+    spread = (c[-2] * c[-2] - 2 * c[-3] - n * mean * mean) if n > 1 else 0.0
+    x = mean + math.sqrt(max(spread, 0.0) * (n - 1) / n)
+    x += 1e-9 * (1.0 + abs(x))
+    for _ in range(100):
+        f = df = ddf = size = 0.0
+        for coef in reversed(c):
+            ddf = ddf * x + 2 * df
+            df = df * x + f
+            f = f * x + coef
+            size = size * abs(x) + abs(coef)
+        if not (f > 2 * (n + 1) * size * _EPS and df > 0):
+            break
+        g = df / f
+        h = g * g - ddf / f
+        nxt = x - n / (g + math.sqrt(max((n - 1) * (n * h - g * g), 0.0)))
+        if not nxt < x:
+            break
+        x = nxt
+    return x
+
+
+def _newton(a: list[int], x: float, k: int, steps: int = 4) -> tuple[float, list]:
+    """Newton steps on the k-th derivative of ``a``, values exact at each float x.
+
+    Returns the last iterate and the steps taken; stops early once a step
+    no longer moves x.
+    """
+    taken = []
+    for _ in range(steps):
+        num, e = _derivative_value(a, k, x)
+        den, _ = _derivative_value(a, k + 1, x)
+        try:
+            step = num / (den << e)
+        except (ZeroDivisionError, OverflowError):
+            break
+        if x - step == x or not math.isfinite(x - step):
+            break
+        x -= step
+        taken.append(step)
+    return x, taken
+
+
+def top_root(p: Polynomial) -> TopRoot:
+    """The largest root of exact ``p``, with a bracket certified by exact counts.
+
+    ``p`` must be real-rooted, which is not checked: Descartes' rule of
+    signs, which :func:`roots_above` applies, counts the roots above a
+    point exactly only then.  Float Laguerre steps from above give a first
+    estimate.  Exact Newton steps on p, with values exact at each float
+    iterate, follow; at an r-fold root they shrink by (r - 1)/r each,
+    which gives a guess of r, and more of them on the (r-1)-th
+    derivative, whose top root is simple, polish the estimate to a float
+    x.  It is accepted once no root lies above x + 2 ulp and at least one
+    lies above x - 2 ulp; otherwise bisection on the exact counts from a
+    root bound takes over.  No value is returned without its bracket
+    certified.
+    """
+    a = _integer_coeffs(p)
+    n = len(a) - 1
+    bound = _root_bound(a)
+    lo, hi = -bound, bound     # n roots above lo, none above hi
+    x = _float_start(a)
+    if math.isfinite(x):
+        # exact Newton on p falls by (r - 1)/r per step at an r-fold root
+        x, taken = _newton(a, x, 0)
+        ratio = taken[-1] / taken[-2] if len(taken) > 1 else 0.0
+        r = max(1, min(n, round(1.0 / (1.0 - ratio)))) if 0 < ratio < 1 else 1
+        if r > 1:
+            x = _newton(a, x, r - 1)[0]
+        w = 2 * math.ulp(x) if x else float(bound) * 2.0 ** -52
+        below, above = Fraction(x - w), Fraction(x + w)
+        if _count_above(a, above):
+            lo = above
+        else:
+            mult = _count_above(a, below)
+            if mult:
+                return TopRoot(x, mult, below, above)
+            hi = below
+    # bisection on the counts, down to a few ulp of the float grid; the
+    # bracket then widens to hold x, which keeps both counts valid
+    tiny = float(bound) * 2.0 ** -60
+    while True:
+        x = float((lo + hi) / 2)
+        if hi - lo <= 4 * Fraction(max(math.ulp(x), tiny)):
+            lo = min(lo, Fraction(math.nextafter(x, -math.inf)))
+            hi = max(hi, Fraction(x))
+            return TopRoot(x, _count_above(a, lo), lo, hi)
+        lo, hi = _refine(a, lo, hi)
+
+
+def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd of exact polynomials, by Euclid in Fraction arithmetic."""
+    while not b.is_zero:
+        a, b = b, _polydivmod(a, b)[1]
+    return a.monic()
+
+
+def _drop_common_roots(p: Polynomial, q: Polynomial) -> Polynomial:
+    """``p`` divided by every factor it shares with ``q``: roots(p) minus roots(q)."""
+    while True:
+        g = _poly_gcd(p, q)
+        if g.degree == 0:
+            return p
+        p = _polydivmod(p, g)[0]
+
+
+def _refine(a: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Halve a bracket (lo, hi] of the top root of ``a``."""
+    mid = (lo + hi) / 2
+    return (mid, hi) if _count_above(a, mid) else (lo, mid)
+
+
+def compare_top_roots(p: Polynomial, q: Polynomial,
+                      tp: TopRoot | None = None, tq: TopRoot | None = None) -> int:
+    """The sign of top(p) - top(q), exactly, for exact real-rooted ``p`` and ``q``.
+
+    Disjoint brackets (from :func:`top_root`, or passed in) decide at once.
+    Otherwise top(p) > top(q) exactly when p has a root above top(q), and
+    such a root is not a root of q; so with v = p stripped of every factor
+    shared with q, top(p) > top(q) iff v is not constant and top(v) >
+    top(q).  Those two are distinct algebraic numbers, so halving both
+    brackets by exact counts separates them.  The same with p and q
+    swapped; if neither holds, the top roots are equal.
+    """
+    tp = tp or top_root(p)
+    tq = tq or top_root(q)
+    if tp.hi <= tq.lo:
+        return -1
+    if tq.hi <= tp.lo:
+        return 1
+    for sign, f, g, tg in ((1, p, q, tq), (-1, q, p, tp)):
+        v = _drop_common_roots(f, g)
+        if v.degree == 0:
+            continue
+        tv = top_root(v)
+        av, ag = _integer_coeffs(v), _integer_coeffs(g)
+        vlo, vhi, glo, ghi = tv.lo, tv.hi, tg.lo, tg.hi
+        while vlo < ghi and glo < vhi:
+            vlo, vhi = _refine(av, vlo, vhi)
+            glo, ghi = _refine(ag, glo, ghi)
+        if vlo >= ghi:
+            return sign
+    return 0
 
 
 # ----------------------------------------------------------------------

@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, kth_largest_root, real_roots, \
-    have_common_interlacing, shift_roots
+from .poly import Polynomial, kth_largest_root, real_roots, top_root, \
+    compare_top_roots, have_common_interlacing, shift_roots
 from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, _expected_char_with_base
@@ -550,14 +550,19 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     Walks the edges with the vertices relabelled in
     :func:`frontier_order`, in the relabelled graph's sorted edge order,
     which keeps the engine's leaf sets small whatever the input's vertex
-    numbering.  The expected characteristic
-    polynomial of a uniformly random signing is the matching polynomial
-    mu_G, whose top root is the pledge; with the first edges' signs fixed
-    it is the exact integer polynomial Phi_F of
-    :func:`expected_signed_chars`.  At each edge both children come out
-    of one engine call, and the one with the smaller largest root is
-    kept, its roots taken from the exact polynomial by the certified exact
-    root pipeline; ties, identical children among them, go to +1.  The
+    numbering.  With the first edges' signs fixed, the expected
+    characteristic polynomial of a uniformly random signing is the exact
+    integer polynomial Phi_F of :func:`expected_signed_chars`; at each
+    edge both children come out of one engine call.  With nothing fixed
+    it is the matching polynomial mu_G, whose top root is the pledge; by
+    linearity it is the average of the first edge's two children, so it
+    costs no call of its own.  Every Phi_F is real-rooted by theorem, so
+    the children are ranked by :func:`top_root` (a top root in a bracket
+    certified by exact root counts) and :func:`compare_top_roots` (exact,
+    also when the brackets overlap), not by the full exact root pipeline;
+    the tests, not this walk, check the real-rootedness.  The child with
+    the smaller largest root is kept, ties going to +1.  Identical
+    children both equal their parent, whose top root is reused.  The
     children are an interlacing family, so the kept one's largest root
     never exceeds its parent's, and the final signing's top eigenvalue is
     at most the pledge.  Returns (signing,
@@ -574,16 +579,28 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     order = frontier_order(g)
     label = {v: i for i, v in enumerate(order)}
     walk = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
-    mu = expected_signed_chars(walk, [[]], budget)[0]
-    pledged = kth_largest_root(mu, 1) + d
     signs: list[int] = []
     levels: list[float] = []
+    parent = None
     for _ in walk.edges:
         plus, minus = expected_signed_chars(walk, [signs + [1], signs + [-1]], budget)
-        top = kth_largest_root(plus, 1)
-        low = top if minus == plus else kth_largest_root(minus, 1)
-        signs.append(-1 if low < top else 1)
-        levels.append(min(low, top) + d)
+        if parent is None:
+            # mu_G is the average of the first edge's two children
+            total = plus + minus
+            if any(c % 2 for c in total.coeffs):
+                raise AssertionError("the children's sum has an odd coefficient")
+            parent = top_root(Polynomial([c // 2 for c in total.coeffs]))
+            pledged = parent.root + d
+        if plus == minus:
+            # each child is then their average, the parent
+            sign, best = 1, parent
+        else:
+            top_plus, top_minus = top_root(plus), top_root(minus)
+            lower = compare_top_roots(minus, plus, top_minus, top_plus) < 0
+            sign, best = (-1, top_minus) if lower else (1, top_plus)
+        signs.append(sign)
+        levels.append(best.root + d)
+        parent = best
     signing = Signing({(order[a], order[b]): s for (a, b), s in zip(walk.edges, signs)})
     gram = signed_adjacency(g, signing).a + d * np.eye(g.n, dtype=int)
     achieved = _lambda_k_of_matrix(gram, 1)

@@ -23,9 +23,13 @@ from interlace import (
     is_real_rooted,
     real_roots,
     kth_largest_root,
+    roots_above,
+    top_root,
+    compare_top_roots,
     interlaces,
     have_common_interlacing,
 )
+from interlace.poly import cauchy_root_bound
 
 
 def test_construction_strips_leading_zeros():
@@ -308,6 +312,98 @@ def test_kth_largest_root():
         kth_largest_root(p, 4)
     with pytest.raises(ValueError):
         kth_largest_root(p, 0)
+
+
+# ----------------------------------------------------------------------
+# Certified top roots of real-rooted polynomials
+# ----------------------------------------------------------------------
+
+
+DEGREE_24_FOURFOLD = Polynomial([256, 0, -5120, 0, 40704, 0, -162816, 0, 344416, 0,
+                                 -386688, 0, 255440, 0, -106368, 0, 28833, 0, -5092,
+                                 0, 566, 0, -36, 0, 1])
+
+
+def _top_multiplicity(p):
+    """Multiplicity of the top root from the exact square-free layers."""
+    roots = real_roots(p)
+    return int(np.sum(np.abs(roots - roots[0]) <= 1e-9 * (1 + abs(roots[0]))))
+
+
+@pytest.mark.parametrize("p", [
+    Polynomial([-3, 0, 1]) * Polynomial([-3, 0, 1]) * Polynomial([-3, 0, 1])
+    * Polynomial([-3, 0, 1]),
+    Polynomial.from_roots([1] * 12),
+    Polynomial([0, 0, 0, 0, 0, -5, 0, 1]),
+    Polynomial.from_roots([4, -1, 2]) * -3,
+    Polynomial([Fraction(1, 6), Fraction(-5, 6), 1]),
+    Polynomial.from_roots([Fraction(7, 3), Fraction(7, 3), Fraction(-1, 2)], Fraction(2, 5)),
+    DEGREE_24_FOURFOLD,
+], ids=["(x2-3)^4", "(x-1)^12", "x5(x2-5)", "negative lead", "rational",
+        "rational double", "degree 24"])
+def test_top_root_matches_exact_roots_and_certifies_its_bracket(p):
+    got = top_root(p)
+    want = real_roots(p)[0]
+    assert abs(got.root - want) <= 1e-12 * (1 + abs(want))
+    assert got.lo < got.root <= got.hi
+    assert got.mult == _top_multiplicity(p)
+    # the bracket's two counts, by Descartes and independently by Sturm
+    assert roots_above(p, got.hi) == 0
+    assert roots_above(p, got.lo) == got.mult
+    assert sturm_root_count(p, got.hi, cauchy_root_bound(p)) == 0
+    assert sturm_root_count(p, got.lo, got.hi) == 1
+
+
+def test_top_root_degree_24_fourfold_root_to_the_ulp():
+    got = top_root(DEGREE_24_FOURFOLD)
+    assert got.mult == 4
+    # the bracket is a few ulp wide around the root
+    assert got.hi - got.lo <= 4 * Fraction(math.ulp(got.root))
+    assert got.root == pytest.approx(2.3429230827771703, rel=1e-15)
+
+
+def test_top_root_of_all_zero_roots_and_of_a_linear_polynomial():
+    got = top_root(Polynomial.monomial(5, 3))
+    assert (got.root, got.mult) == (0.0, 5)
+    assert got.lo < 0 < got.hi
+    assert top_root(Polynomial([1, 1])).root == -1.0
+
+
+def test_top_root_rejects_constants_zero_and_float_polynomials():
+    with pytest.raises(ZeroPolynomialError):
+        top_root(Polynomial.zero())
+    with pytest.raises(ValueError):
+        top_root(Polynomial([5]))
+    with pytest.raises(TypeError):
+        top_root(Polynomial([-2.0, 1.0]))
+
+
+def test_top_root_bisection_fallback_certifies_the_same_root(monkeypatch):
+    import interlace.poly as poly_module
+    monkeypatch.setattr(poly_module, "_float_start", lambda a: math.nan)
+    for p in (DEGREE_24_FOURFOLD, Polynomial.from_roots([Fraction(1, 3), 2, 2, -5])):
+        got = top_root(p)
+        want = real_roots(p)[0]
+        assert abs(got.root - want) <= 1e-12 * (1 + abs(want))
+        assert got.lo < got.root <= got.hi
+        assert roots_above(p, got.hi) == 0 and roots_above(p, got.lo) >= 1
+
+
+def test_compare_top_roots_disjoint_equal_and_overlapping():
+    a = Polynomial.from_roots([3, 1, -2])
+    b = Polynomial.from_roots([2, 2, 0])
+    assert compare_top_roots(a, b) == 1 and compare_top_roots(b, a) == -1
+    # distinct polynomials sharing their top root, with other multiplicities
+    c = Polynomial.from_roots([3, 3, 0])
+    assert compare_top_roots(a, c) == 0 and compare_top_roots(c, a) == 0
+    assert compare_top_roots(a, a) == 0
+    # top roots 1 and 1 + 2^-70: their first brackets overlap
+    one = Polynomial([-1, 1])
+    near = Polynomial([-(2 ** 70 + 1), 2 ** 70]) * Polynomial.from_roots([-4, 0])
+    t_one, t_near = top_root(one), top_root(near)
+    assert t_one.lo < t_near.hi and t_near.lo < t_one.hi
+    assert compare_top_roots(one, near) == -1
+    assert compare_top_roots(near, one, t_near, t_one) == 1
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,11 @@ from interlace import (
     shift_roots,
     kth_largest_root,
     real_roots,
+    is_real_rooted,
+    roots_above,
+    sturm_root_count,
+    top_root,
+    compare_top_roots,
     matching_poly,
     DiscreteRandomVector,
     VectorSystem,
@@ -41,6 +46,7 @@ from interlace import (
     signed_adjacency,
     frontier_order,
 )
+import interlace.select as select_module
 from oracles import conditional_expected_poly, enumeration_walk
 
 
@@ -508,6 +514,87 @@ def test_signing_select_matches_exact_enumeration_walk():
         assert cert.valid()
         assert cert.levels[-1] <= cert.pledged + 1e-12
         assert cert.achieved == pytest.approx(ref.achieved, abs=1e-9)
+
+
+def _recorded_signing_walk(monkeypatch, g):
+    """signing_select on g, recording each level's children and every top_root call."""
+    pairs, ranked = [], []
+    chars, top = select_module.expected_signed_chars, select_module.top_root
+
+    def recorded_chars(*args, **kwargs):
+        out = chars(*args, **kwargs)
+        pairs.append(out)
+        return out
+
+    def recorded_top(p):
+        ranked.append(p)
+        return top(p)
+
+    monkeypatch.setattr(select_module, "expected_signed_chars", recorded_chars)
+    monkeypatch.setattr(select_module, "top_root", recorded_top)
+    _, cert = signing_select(g)
+    return cert, pairs, ranked
+
+
+def _random_cubic_bipartite(half: int, seed: int) -> Graph:
+    """A simple union of three random perfect matchings between two halves."""
+    rng = np.random.default_rng(seed)
+    while True:
+        edges = {(i, half + int(j)) for _ in range(3)
+                 for i, j in enumerate(rng.permutation(half))}
+        if len(edges) == 3 * half:
+            return Graph(2 * half, sorted(edges))
+
+
+CUBE = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
+
+
+@pytest.mark.parametrize("g", [Graph.complete(4), Graph.complete_bipartite(3, 3), CUBE,
+                               Graph.petersen(), _random_cubic_bipartite(5, 3)],
+                         ids=["K4", "K33", "cube", "petersen", "cubic10"])
+def test_signing_walk_children_are_real_rooted_and_certified(monkeypatch, g):
+    # top_root counts roots by Descartes' rule, exact only for real-rooted
+    # input; the walk relies on Phi_F being real-rooted by theorem and does
+    # not check it, so every Phi_F it evaluates is checked here, exactly.
+    cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
+    assert len(pairs) == g.m and cert.valid()
+    for p in {q for pair in pairs for q in pair}:
+        assert is_real_rooted(p)
+        t = top_root(p)
+        assert t.lo < t.root <= t.hi
+        assert roots_above(p, t.hi) == 0 and roots_above(p, t.lo) == t.mult >= 1
+        assert sturm_root_count(p, t.lo, t.hi) == 1
+        assert abs(t.root - real_roots(p)[0]) <= 1e-12 * (1 + abs(t.root))
+
+
+def test_signing_walk_ranks_every_polynomial_once(monkeypatch):
+    cert, pairs, ranked = _recorded_signing_walk(monkeypatch, CUBE)
+    # one edge closes no cycle, so the first children agree, and their
+    # average, the pledge's mu_G, is the only polynomial ranked for them
+    assert pairs[0][0] == pairs[0][1]
+    assert ranked[0] == matching_poly(CUBE)
+    assert cert.pledged == top_root(matching_poly(CUBE)).root + 3
+    # identical children reuse their parent's top root; distinct ones are
+    # ranked once each
+    distinct = sum(plus != minus for plus, minus in pairs)
+    assert 0 < distinct < len(pairs)
+    assert len(ranked) == 1 + 2 * distinct
+
+
+def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monkeypatch):
+    # On two disjoint copies of K4 every Phi_F factors into the two
+    # copies' parts, so distinct children can share the other part's top root.
+    k4 = Graph.complete(4)
+    g = Graph(8, list(k4.edges) + [(a + 4, b + 4) for a, b in k4.edges])
+    cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
+    ties = [level for level, (plus, minus) in enumerate(pairs) if plus != minus
+            and abs(real_roots(plus)[0] - real_roots(minus)[0]) <= 1e-9]
+    assert ties
+    for level in ties:
+        plus, minus = pairs[level]
+        assert compare_top_roots(plus, minus) == 0
+        assert cert.choices[level] == 0
+    assert cert.valid()
 
 
 def test_signing_select_requires_regular():
