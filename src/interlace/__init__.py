@@ -17,6 +17,7 @@ from .poly import (
     kth_largest_root,
     TopRoot,
     roots_above,
+    root_clusters,
     top_root,
     compare_top_roots,
     interlaces,

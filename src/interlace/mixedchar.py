@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import Polynomial, is_real_rooted
+from .poly import Polynomial
 from .matrices import SymMatrix, charpoly_batch, charpoly_batch_exact, _validate_psd_list
 
 __all__ = [
@@ -317,15 +317,13 @@ def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
     return terms
 
 
-def mixed_char(matrices, check_real_rooted: bool = False) -> Polynomial:
+def mixed_char(matrices) -> Polynomial:
     """Mixed characteristic polynomial of PSD matrices A_1..A_m.
 
     Each A_i is split into rank-one terms (``eigh`` for float input, an
     exact LDL^T for exact input) and folded into the exterior-power tables
     as one variable (:func:`fold_terms`); the cost is linear in m.  Monic
-    of degree d; exact for exact inputs.  With ``check_real_rooted`` the
-    result is verified real-rooted before being returned (always true for
-    PSD inputs).
+    of degree d; exact for exact inputs.
     """
     mats = _validate_psd_list(matrices)
     m = len(mats)
@@ -341,10 +339,7 @@ def mixed_char(matrices, check_real_rooted: bool = False) -> Polynomial:
     for g in groups:
         if g:
             tables = fold_terms(tables, *arith.encode(g))
-    acc = arith.poly(tables)
-    if check_real_rooted and not is_real_rooted(acc):
-        raise AssertionError("mixed characteristic polynomial failed real-rootedness")
-    return acc
+    return arith.poly(tables)
 
 
 # ----------------------------------------------------------------------

@@ -8,27 +8,28 @@ polynomial silently becomes a float polynomial and all downstream work
 happens in double precision.  The two regimes share one API; functions
 dispatch on ``Polynomial.is_exact``.
 
-Root-finding is split the same way, one pipeline per regime, and
-``real_roots`` and ``is_real_rooted`` share it.  An exact polynomial is
-taken apart into square-free layers by repeatedly splitting off
-gcd(q, q'); a Sturm count certifies each layer real-rooted, and since
-its roots are simple, companion eigenvalues and Newton steps find them
-to working precision, the layer index giving their multiplicity.  A
-float polynomial gets companion eigenvalues, accepted as real by an
+Exact roots come from one kernel, ``root_clusters``, and exact input is
+checked real-rooted by one checker.  The kernel is valid for exact
+polynomials that are real-rooted, and does not test that: for them
+Descartes' rule of signs is exact, so the sign changes of p(b + y), one
+Taylor shift in integers, count the roots above b with multiplicity.  It
+walks the roots from the top down, estimating each cluster in floats,
+polishing the estimate by Newton steps with exact values, and
+certifying a bracket of dyadic ends around it by two such counts.
+``top_root`` is its first cluster and ``compare_top_roots`` orders two
+top roots exactly.  Production paths whose polynomials are real-rooted
+by theorem call the kernel directly.  Everything else goes through the
+checker first: ``real_roots``, ``kth_largest_root`` and
+``is_real_rooted`` certify exact input real-rooted with one Sturm
+sequence and raise :class:`NotRealRootedError` (or answer no) when it
+is not.
+
+A float polynomial gets companion eigenvalues, accepted as real by an
 imaginary-part tolerance (``IM_TOL``) or a backward-error rescue, then
 Newton steps.  ``real_roots`` always returns floats.  ``shift_roots``
 skips coefficients altogether: it applies the shift operator to batches
 of real roots by bracketed secular-equation solves, so its output is
 real-rooted by construction.
-
-A third route, ``top_root``, is valid only for exact polynomials that are
-real-rooted by construction (the expected characteristic polynomials of
-an interlacing family), and checks no such thing.  For them Descartes'
-rule of signs is exact: the sign changes of p(b + y), one Taylor shift in
-integers, count the roots above b with multiplicity.  ``top_root``
-estimates the largest root in floats, polishes it by Newton steps with
-exact values, and certifies a bracket of dyadic ends around it by two
-such counts; ``compare_top_roots`` orders two top roots exactly.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -56,6 +57,7 @@ __all__ = [
     "kth_largest_root",
     "TopRoot",
     "roots_above",
+    "root_clusters",
     "top_root",
     "compare_top_roots",
     "interlaces",
@@ -435,134 +437,88 @@ def diagram_identity_check(n: int, k: int) -> bool:
 # ----------------------------------------------------------------------
 
 
-def _to_fraction_poly(p: Polynomial) -> Polynomial:
-    return Polynomial([Fraction(c) for c in p.coeffs])
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
 
 
-def _polydivmod(a: Polynomial, b: Polynomial):
-    """Quotient and remainder of exact polynomials, in Fraction arithmetic."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(Fraction(c) for c in a.coeffs)
-    bc = [Fraction(c) for c in b.coeffs]
-    db = len(bc) - 1
-    lead = bc[-1]
-    q = [Fraction(0)] * max(len(r) - db, 0)
-    while len(r) - 1 >= db and any(c != 0 for c in r):
-        while r and r[-1] == 0:
+def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """``(q, r)`` with c f = q g + r, deg r < deg g, for some integer c > 0.
+
+    Pseudo-division in integers: each step scales the remainder by
+    |lead g| before cancelling its leading term, so q and r are positive
+    multiples of the true quotient and remainder.  r drops its
+    high zeros; ``[]`` is the zero remainder.
+    """
+    scale, sign, dg = abs(g[-1]), (1 if g[-1] > 0 else -1), len(g) - 1
+    q, r = [0] * max(len(f) - dg, 0), list(f)
+    while len(r) > dg:
+        c, shift = sign * r[-1], len(r) - 1 - dg
+        q = [scale * x for x in q]
+        q[shift] += c
+        r = [scale * x for x in r]
+        for i, y in enumerate(g):
+            r[shift + i] -= c * y
+        while r and not r[-1]:
             r.pop()
-        if len(r) - 1 < db:
-            break
-        shift = len(r) - 1 - db
-        factor = r[-1] / lead
-        q[shift] = factor
-        for i in range(db + 1):
-            r[shift + i] -= factor * bc[i]
-        r.pop()
-    return Polynomial(q), Polynomial(r)
-
-
-def _normalize_for_sturm(p: Polynomial) -> Polynomial:
-    """Scale so the largest |coefficient| is 1; sign-preserving."""
-    if p.is_zero:
-        return p
-    m = max(abs(c) for c in p.coeffs)
-    if p.is_exact:
-        return Polynomial([Fraction(c) / m for c in p.coeffs])
-    return Polynomial([c / m for c in p.coeffs])
+    return q, r
 
 
 def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    """Canonical Sturm sequence ``p, p', -rem(...), ...``.
+    """Canonical Sturm sequence ``p, p', -rem(...), ...`` of exact ``p``.
 
-    Exact input gives an exact sequence.  Float input runs the same
-    recurrence in doubles, dropping remainders whose scaled magnitude
-    falls below 1e-10; float Sturm sequences are only trustworthy at
-    modest degree and well-separated roots, so the exact path is
-    authoritative whenever it is available.
+    Each element is taken up to a positive factor, which leaves every
+    sign count unchanged: the sequence runs in integers, each element
+    primitive, each remainder a pseudo-remainder.  It ends at
+    gcd(p, p'), up to a constant.  Sturm sequences are the checker of
+    real-rootedness, and a float one certifies nothing, so float input
+    raises ``TypeError``.
     """
     if p.is_zero:
         raise ZeroPolynomialError("Sturm sequence of the zero polynomial")
-    exact = p.is_exact
-    seq = [_normalize_for_sturm(p)]
-    if p.degree == 0:
-        return seq
-    seq.append(_normalize_for_sturm(p.derivative()))
-    while seq[-1].degree > 0:
-        if exact:
-            _, r = _polydivmod(seq[-2], seq[-1])
-        else:
-            r = _float_polyrem(seq[-2], seq[-1])
-        if r.is_zero:
+    if not p.is_exact:
+        raise TypeError("Sturm sequences are taken of exact polynomials only")
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    seq = [_primitive([(c * den).numerator for c in p.coeffs])]
+    if len(seq[0]) > 1:
+        seq.append(_primitive([i * c for i, c in enumerate(seq[0])][1:]))
+    while len(seq[-1]) > 1:
+        r = _pseudo_divmod(seq[-2], seq[-1])[1]
+        if not r:
             break
-        seq.append(_normalize_for_sturm(-r))
-    return seq
-
-
-def _float_polyrem(a: Polynomial, b: Polynomial) -> Polynomial:
-    r = np.array(a.coeffs, dtype=float)
-    bc = np.array(b.coeffs, dtype=float)
-    db = len(bc) - 1
-    while len(r) - 1 >= db:
-        if abs(r[-1]) <= 1e-14 * (np.abs(r).max() + 1.0):
-            r = r[:-1]
-            continue
-        factor = r[-1] / bc[-1]
-        shift = len(r) - 1 - db
-        r[shift:shift + db + 1] -= factor * bc
-        r = r[:-1]
-        if len(r) == 0:
-            break
-    if len(r) and np.abs(r).max() <= 1e-10:
-        return Polynomial.zero()
-    return Polynomial(r)
-
-
-def _sign(v) -> int:
-    if isinstance(v, float):
-        if abs(v) <= 1e-12:
-            return 0
-        return 1 if v > 0 else -1
-    return (v > 0) - (v < 0)
+        seq.append([-c for c in _primitive(r)])
+    return [Polynomial(q) for q in seq]
 
 
 def _sign_changes(seq: list[Polynomial], x) -> int:
-    signs = [_sign(q(x)) for q in seq]
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    signs = [v > 0 for v in (q(x) for q in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def sturm_root_count(p: Polynomial, a, b) -> int:
-    """Number of distinct real roots of ``p`` in the half-open interval (a, b].
+    """Number of distinct real roots of exact ``p`` in the half-open interval (a, b].
 
     Works without square-free reduction: the Sturm sequence terminates at
-    gcd(p, p') and the sign-change count sees each root once regardless
-    of multiplicity.  Endpoints where p vanishes are nudged outward.
+    g = gcd(p, p') and the sign-change count sees each root once
+    regardless of multiplicity.  The endpoints are taken exactly, float
+    ones too.  At a root of p the count equals the one just above it, so
+    a root at b is counted and one at a is not; where g vanishes as well,
+    the count is taken on the sequence divided by g, a Sturm sequence of
+    the square-free part.
     """
     if p.is_zero:
         raise ZeroPolynomialError("root count of the zero polynomial")
     if a > b:
         raise ValueError("need a <= b")
-    if p.degree == 0:
-        return 0
     seq = sturm_sequence(p)
-    exact = p.is_exact
-    # Nudge an endpoint off a root of p so the sign count is unambiguous.
-    def clear(x, direction):
-        step = (Fraction(1, 10 ** 6) if exact else 1e-6) * (1 + abs(x))
-        while p(x) == 0:
-            x = x + direction * step
-            step *= 2
-        return x
-    a = clear(a, -1)
-    b = clear(b, 1)
-    return _sign_changes(seq, a) - _sign_changes(seq, b)
-
-
-def cauchy_root_bound(p: Polynomial) -> Fraction:
-    """A bound B with every complex root of exact ``p`` (degree >= 1) in |z| < B."""
-    lead = Fraction(p.leading())
-    return 1 + max(abs(c / lead) for c in p.coeffs[:-1])
+    g = list(seq[-1].coeffs)
+    def changes(x):
+        x = Fraction(x)
+        if seq[-1](x) == 0:
+            return _sign_changes([Polynomial(_pseudo_divmod(list(q.coeffs), g)[0])
+                                  for q in seq], x)
+        return _sign_changes(seq, x)
+    return changes(a) - changes(b)
 
 
 # ----------------------------------------------------------------------
@@ -570,35 +526,50 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
 # ----------------------------------------------------------------------
 
 
+def _sturm_certifies_real_roots(p: Polynomial) -> bool:
+    """Whether every root of exact, nonconstant ``p`` is real, by one Sturm sequence.
+
+    The sequence ends at g = gcd(p, p'), so p has deg p - deg g distinct
+    roots; every one of them is real exactly when that many lie in
+    (-B, B] for the root bound B.
+    """
+    seq = sturm_sequence(p)
+    bound = int(max(_root_bound(list(seq[0].coeffs)), 1))  # an integer, for speed
+    distinct = p.degree - seq[-1].degree
+    return _sign_changes(seq, -bound) - _sign_changes(seq, bound) == distinct
+
+
+def _require_real_roots(p: Polynomial) -> None:
+    if not _sturm_certifies_real_roots(p):
+        raise NotRealRootedError(
+            "complex root (a Sturm count falls short of the distinct roots)")
+
+
 def is_real_rooted(p: Polynomial, tol: float = IM_TOL) -> bool:
     """Whether every complex root of ``p`` is real.
 
-    Exact polynomials get an exact yes/no: :func:`_exact_roots` certifies
-    each square-free layer by a Sturm count.  Float polynomials use
-    companion-matrix eigenvalues and accept imaginary parts up to
-    ``tol * (1 + |root|)``, or failing that a backward-error test, so
-    nearby conjugate pairs are treated as a real multiple root.
+    Exact polynomials get an exact yes/no from one Sturm sequence: the
+    number of distinct roots in (-B, B], for the root bound B, must be
+    deg p - deg gcd(p, p').  Float polynomials use companion-matrix
+    eigenvalues and accept imaginary parts up to ``tol * (1 + |root|)``,
+    or failing that a backward-error test, so nearby conjugate pairs are
+    treated as a real multiple root.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial is not classified")
     if p.degree == 0:
         return True
     if p.is_exact:
-        return _exact_roots(p) is not None
+        return _sturm_certifies_real_roots(p)
     q, _ = _strip_zero_roots(p)
     return q.degree == 0 or _companion_roots(q, tol)[1]
 
 
-def _companion(q: Polynomial) -> tuple[np.ndarray, np.ndarray]:
-    """Float coefficients of ``q`` scaled to max |c| = 1, and their roots."""
-    coeffs = np.array(q.to_float().coeffs, dtype=float)
-    coeffs = coeffs / np.abs(coeffs).max()
-    return coeffs, npoly.polyroots(coeffs)
-
-
 def _companion_roots(q: Polynomial, tol: float) -> tuple[np.ndarray, bool]:
     """Companion eigenvalues of float ``q`` and whether they pass as real."""
-    coeffs, roots = _companion(q)
+    coeffs = np.array(q.to_float().coeffs, dtype=float)
+    coeffs = coeffs / np.abs(coeffs).max()
+    roots = npoly.polyroots(coeffs)
     if np.all(np.abs(roots.imag) <= tol * (1.0 + np.abs(roots))):
         return roots, True
     # Companion eigenvalues of an m-fold root scatter by about eps**(1/m)
@@ -611,39 +582,6 @@ def _companion_roots(q: Polynomial, tol: float) -> tuple[np.ndarray, bool]:
     monic = coeffs / coeffs[-1]
     scale = max(1.0, float(np.max(np.abs(recon))), float(np.max(np.abs(monic))))
     return roots, bool(np.max(np.abs(recon - monic)) <= math.sqrt(tol) * scale)
-
-
-def _exact_roots(p: Polynomial) -> list[float] | None:
-    """The real roots of exact ``p`` with multiplicity, or None if one is complex.
-
-    Walks the square-free layers q_0 = p, q_(j+1) = gcd(q_j, q_j'), taking
-    each gcd as the last element of the Sturm sequence of q_j, made monic.
-    The square-free part s_j = q_j / q_(j+1) has one root for each root of
-    p of multiplicity above j, so f_j = s_j / s_(j+1) holds, once each, the
-    roots of multiplicity exactly j + 1.  One Sturm count certifies them
-    all: p has deg q_0 - deg q_1 distinct roots, and if that many lie in
-    (-B, B] for the Cauchy bound B, every root is real.  The roots of f_j
-    are then simple and real, so companion eigenvalues and Newton steps
-    find them to working precision, and each is listed j + 1 times.
-    """
-    layers = [_to_fraction_poly(p)]
-    first = None
-    while layers[-1].degree > 0:
-        seq = sturm_sequence(layers[-1])
-        first = first or seq
-        layers.append(seq[-1].monic())
-    bound = cauchy_root_bound(layers[0])
-    distinct = layers[0].degree - layers[1].degree
-    if _sign_changes(first, -bound) - _sign_changes(first, bound) != distinct:
-        return None
-    parts = [_polydivmod(a, b)[0] for a, b in zip(layers, layers[1:])]
-    parts.append(Polynomial.one())
-    roots = []
-    for j, (s, s_next) in enumerate(zip(parts, parts[1:])):
-        f = _polydivmod(s, s_next)[0]
-        if f.degree > 0:
-            roots.extend(_newton_polish(f.to_float(), _companion(f)[1].real) * (j + 1))
-    return roots
 
 
 def _strip_zero_roots(p: Polynomial) -> tuple[Polynomial, int]:
@@ -662,27 +600,25 @@ def _strip_zero_roots(p: Polynomial) -> tuple[Polynomial, int]:
 def real_roots(p: Polynomial) -> np.ndarray:
     """All real roots of ``p`` with multiplicity, sorted descending, as floats.
 
-    Exact zero roots are split off first.  The rest of an exact polynomial
-    goes through :func:`_exact_roots`: square-free layers, each certified
-    by a Sturm count, with simple roots from companion eigenvalues and
-    Newton steps.  A float polynomial gets its companion eigenvalues,
-    accepted as real by the imaginary-part test or the backward-error
-    rescue, then up to four Newton steps per root.  Raises
-    :class:`NotRealRootedError` if a complex root is found.
+    An exact polynomial is first certified real-rooted by one Sturm
+    sequence (as in :func:`is_real_rooted`); its roots then come from
+    :func:`root_clusters`, each within a few ulp and inside a bracket
+    certified by exact counts.  A float polynomial has its exact zero
+    roots split off, then gets its companion eigenvalues, accepted as
+    real by the imaginary-part test or the backward-error rescue, then up
+    to four Newton steps per root.  Raises :class:`NotRealRootedError` if
+    a complex root is found.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has every number as a root")
     if p.degree == 0:
         return np.empty(0)
+    if p.is_exact:
+        _require_real_roots(p)
+        return np.array([c.root for c in root_clusters(p) for _ in range(c.mult)])
     q, zeros = _strip_zero_roots(p)
-    if q.degree == 0:
-        roots = []
-    elif p.is_exact:
-        roots = _exact_roots(q)
-        if roots is None:
-            raise NotRealRootedError(
-                "complex root (a Sturm count falls short of the degree)")
-    else:
+    roots = []
+    if q.degree > 0:
         eig, real = _companion_roots(q, IM_TOL)
         if not real:
             bad = eig[np.abs(eig.imag) > IM_TOL * (1.0 + np.abs(eig))]
@@ -713,25 +649,36 @@ def _newton_polish(qf: Polynomial, starts, steps: int = 4) -> list[float]:
 
 
 def kth_largest_root(p: Polynomial, k: int) -> float:
-    """The k-th largest real root, 1-indexed with multiplicity."""
-    roots = real_roots(p)
-    if not 1 <= k <= len(roots):
-        raise ValueError(f"k={k} out of range for {len(roots)} roots")
-    return float(roots[k - 1])
+    """The k-th largest real root, 1-indexed with multiplicity.
+
+    Exact ``p`` is certified real-rooted as in :func:`real_roots`, and
+    its clusters are then taken from the top only until k roots are in
+    hand.  Float ``p`` goes through :func:`real_roots`.
+    """
+    if not 1 <= k <= p.degree:
+        raise ValueError(f"k={k} out of range for {p.degree} roots")
+    if not p.is_exact:
+        return float(real_roots(p)[k - 1])
+    _require_real_roots(p)
+    for cluster in root_clusters(p):
+        k -= cluster.mult
+        if k <= 0:
+            return cluster.root
 
 
 # ----------------------------------------------------------------------
-# Top roots of polynomials real-rooted by construction
+# The exact root kernel, for real-rooted polynomials
 # ----------------------------------------------------------------------
 
 
 class TopRoot(NamedTuple):
-    """The largest root of a real-rooted polynomial and its certificate.
+    """One cluster of roots of a real-rooted polynomial, and its certificate.
 
-    ``lo`` and ``hi`` are dyadic rationals: no root lies above ``hi`` and
-    ``mult`` roots, counted with multiplicity, lie in (lo, hi], so the
-    top root does too, and so does the float ``root``.  ``mult`` is the
-    top root's multiplicity unless another root lies within the bracket.
+    ``lo`` and ``hi`` are dyadic rationals.  Above ``hi`` lie only the
+    roots of the clusters before this one (none, for the top cluster),
+    and above ``lo`` lie exactly ``mult`` more, counted with
+    multiplicity; the float ``root`` lies in (lo, hi] too.  ``mult`` is
+    one root's multiplicity unless several roots share the bracket.
     """
 
     root: float
@@ -743,9 +690,9 @@ class TopRoot(NamedTuple):
 def _integer_coeffs(p: Polynomial) -> list[int]:
     """Coefficients of a positive integer multiple of ``p``, made to lead positive."""
     if p.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has no top root")
+        raise ZeroPolynomialError("the zero polynomial has no roots to count")
     if not p.is_exact:
-        raise TypeError("top roots are certified for exact polynomials only")
+        raise TypeError("roots are certified for exact polynomials only")
     if p.degree == 0:
         raise ValueError("a nonzero constant has no roots")
     den = math.lcm(*(c.denominator for c in p.coeffs))
@@ -863,68 +810,116 @@ def _newton(a: list[int], x: float, k: int, steps: int = 4) -> tuple[float, list
     return x, taken
 
 
-def top_root(p: Polynomial) -> TopRoot:
-    """The largest root of exact ``p``, with a bracket certified by exact counts.
+def root_clusters(p: Polynomial) -> Iterator[TopRoot]:
+    """The roots of exact ``p`` as clusters from the top down, each certified.
 
     ``p`` must be real-rooted, which is not checked: Descartes' rule of
     signs, which :func:`roots_above` applies, counts the roots above a
-    point exactly only then.  Float Laguerre steps from above give a first
-    estimate.  Exact Newton steps on p, with values exact at each float
-    iterate, follow; at an r-fold root they shrink by (r - 1)/r each,
-    which gives a guess of r, and more of them on the (r-1)-th
-    derivative, whose top root is simple, polish the estimate to a float
-    x.  It is accepted once no root lies above x + 2 ulp and at least one
-    lies above x - 2 ulp; otherwise bisection on the exact counts from a
-    root bound takes over.  No value is returned without its bracket
-    certified.
+    point exactly only then.  Each :class:`TopRoot` comes with its
+    bracket certified by two exact counts.  Exact zero roots are split
+    off first and come as one cluster at 0.0 with the bracket (-g, g],
+    g the reciprocal of the root bound of the reversed polynomial, so
+    that no other root lies in it.
+
+    The top cluster starts from float Laguerre steps from above
+    (:func:`_float_start`); later ones from the companion eigenvalues of
+    the float copy, computed once, when a second cluster is asked for.
+    Each start is polished and certified by :func:`_polish`.
     """
     a = _integer_coeffs(p)
+    zeros = next(i for i, c in enumerate(a) if c)
+    a = a[zeros:]
     n = len(a) - 1
     bound = _root_bound(a)
-    lo, hi = -bound, bound     # n roots above lo, none above hi
-    x = _float_start(a)
-    if math.isfinite(x):
-        # exact Newton on p falls by (r - 1)/r per step at an r-fold root
-        x, taken = _newton(a, x, 0)
-        ratio = taken[-1] / taken[-2] if len(taken) > 1 else 0.0
-        r = max(1, min(n, round(1.0 / (1.0 - ratio)))) if 0 < ratio < 1 else 1
-        if r > 1:
-            x = _newton(a, x, r - 1)[0]
-        w = 2 * math.ulp(x) if x else float(bound) * 2.0 ** -52
-        below, above = Fraction(x - w), Fraction(x + w)
-        if _count_above(a, above):
-            lo = above
+    # the zero cluster comes once the positive roots are done
+    positive = _count_above(a, Fraction(0)) if zeros else None
+    hi, done, starts = bound, 0, None
+    while True:
+        if done == positive:
+            gap = 1 / _root_bound(a[::-1])
+            yield TopRoot(0.0, zeros, -gap, gap)
+            hi = -gap
+        if done == n:
+            return
+        if done == 0:
+            x = _float_start(a)
         else:
-            mult = _count_above(a, below)
-            if mult:
-                return TopRoot(x, mult, below, above)
-            hi = below
-    # bisection on the counts, down to a few ulp of the float grid; the
-    # bracket then widens to hold x, which keeps both counts valid
-    tiny = float(bound) * 2.0 ** -60
+            if starts is None:
+                top = max(map(abs, a))
+                starts = sorted(npoly.polyroots([c / top for c in a]).real.tolist(),
+                                reverse=True)
+            x = starts[done] if done < len(starts) else math.nan
+        cluster = _polish(a, x, done, -bound, hi)
+        yield cluster
+        done += cluster.mult
+        hi = cluster.lo
+
+
+def _polish(a: list[int], x: float, done: int, lo: Fraction, hi: Fraction) -> TopRoot:
+    """The next cluster of ``a`` below the ``done`` roots above ``hi``, from start x.
+
+    Exact Newton steps on ``a``, with values exact at each float iterate,
+    shrink by (r - 1)/r each at an r-fold root, which gives a guess of r;
+    more of them on the (r-1)-th derivative, whose root there is simple,
+    polish x to a float.  It is accepted once the roots above x + 2 ulp
+    are just the ``done`` ones and more lie above x - 2 ulp.  Otherwise
+    the counts taken narrow (lo, hi] for :func:`_bisect`.
+    """
+    if not math.isfinite(x):
+        return _bisect(a, done, lo, hi)
+    x, taken = _newton(a, x, 0)
+    ratio = taken[-1] / taken[-2] if len(taken) > 1 else 0.0
+    r = max(1, min(len(a) - 1, round(1.0 / (1.0 - ratio)))) if 0 < ratio < 1 else 1
+    if r > 1:
+        x = _newton(a, x, r - 1)[0]
+    if not x <= hi:
+        return _bisect(a, done, lo, hi)
+    w = 2 * math.ulp(x)
+    below, above = Fraction(x - w), min(Fraction(x + w), hi)
+    if above < hi and _count_above(a, above) > done:
+        return _bisect(a, done, above, hi)
+    mult = _count_above(a, below) - done
+    if mult:
+        return TopRoot(x, mult, below, above)
+    return _bisect(a, done, lo, below)
+
+
+def _bisect(a: list[int], done: int, lo: Fraction, hi: Fraction) -> TopRoot:
+    """Halve (lo, hi], with ``done`` roots above hi and more above lo, to adjacent floats.
+
+    The stop is relative to the root, which is not 0 (zero roots are
+    stripped beforehand): the bracket ends one ulp of the root wide.
+    """
     while True:
-        x = float((lo + hi) / 2)
-        if hi - lo <= 4 * Fraction(max(math.ulp(x), tiny)):
-            lo = min(lo, Fraction(math.nextafter(x, -math.inf)))
-            hi = max(hi, Fraction(x))
-            return TopRoot(x, _count_above(a, lo), lo, hi)
-        lo, hi = _refine(a, lo, hi)
+        mid = Fraction(float((lo + hi) / 2))
+        if not lo < mid < hi:
+            return TopRoot(float(hi), _count_above(a, lo) - done, lo, hi)
+        if _count_above(a, mid) > done:
+            lo = mid
+        else:
+            hi = mid
 
 
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd of exact polynomials, by Euclid in Fraction arithmetic."""
-    while not b.is_zero:
-        a, b = b, _polydivmod(a, b)[1]
-    return a.monic()
+def top_root(p: Polynomial) -> TopRoot:
+    """The largest root of exact, real-rooted ``p``: the first of :func:`root_clusters`.
+
+    Real-rootedness is not checked.  No value is returned without its
+    bracket certified: no root lies above ``hi``, and ``mult`` lie above
+    ``lo``.
+    """
+    return next(root_clusters(p))
 
 
-def _drop_common_roots(p: Polynomial, q: Polynomial) -> Polynomial:
-    """``p`` divided by every factor it shares with ``q``: roots(p) minus roots(q)."""
+def _drop_common_roots(a: list[int], b: list[int]) -> list[int]:
+    """``a`` divided by every factor it shares with ``b``: roots(a) minus roots(b)."""
     while True:
-        g = _poly_gcd(p, q)
-        if g.degree == 0:
-            return p
-        p = _polydivmod(p, g)[0]
+        g, h = a, b     # Euclid, each remainder made primitive
+        while h:
+            g, h = h, _pseudo_divmod(g, h)[1]
+            h = _primitive(h) if h else h
+        if len(g) == 1:
+            return a
+        a = _primitive(_pseudo_divmod(a, g)[0])
 
 
 def _refine(a: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -952,11 +947,11 @@ def compare_top_roots(p: Polynomial, q: Polynomial,
     if tq.hi <= tp.lo:
         return 1
     for sign, f, g, tg in ((1, p, q, tq), (-1, q, p, tp)):
-        v = _drop_common_roots(f, g)
-        if v.degree == 0:
+        ag = _integer_coeffs(g)
+        av = _drop_common_roots(_integer_coeffs(f), ag)
+        if len(av) == 1:
             continue
-        tv = top_root(v)
-        av, ag = _integer_coeffs(v), _integer_coeffs(g)
+        tv = top_root(Polynomial(av))
         vlo, vhi, glo, ghi = tv.lo, tv.hi, tg.lo, tg.hi
         while vlo < ghi and glo < vhi:
             vlo, vhi = _refine(av, vlo, vhi)

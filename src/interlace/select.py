@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, kth_largest_root, real_roots, top_root, \
-    compare_top_roots, have_common_interlacing, shift_roots
+from .poly import Polynomial, kth_largest_root, root_clusters, top_root, \
+    compare_top_roots, shift_roots
 from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, _expected_char_with_base
@@ -255,16 +255,12 @@ def walk_costs(dim: int, fixed: int, sizes) -> dict:
 
 
 def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
-                check_interlacing: bool = False,
                 route: str = "auto") -> SelectionCertificate:
     """Walk the outcome tree, fixing the best support element at each level.
 
     "Best" means the largest (or smallest, per direction) k-th largest
     root of the child's conditional expected polynomial; ties go to the
-    lowest support index, so runs are deterministic.  With
-    ``check_interlacing`` every visited sibling family is additionally
-    verified to pass :func:`have_common_interlacing` - the structural
-    fact that makes greedy sound.
+    lowest support index, so runs are deterministic.
 
     The conditional polynomials come from one of two routes, ``"enumerate"``
     (:func:`_enumeration_route`) or ``"engine"`` (:func:`_engine_route`);
@@ -293,10 +289,6 @@ def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
 
     def choose(cand_polys: list) -> int:
         cand_vals = [kth_largest_root(p, k) for p in cand_polys]
-        if check_interlacing and len(cand_polys) > 1:
-            if not have_common_interlacing(cand_polys):
-                raise AssertionError(
-                    f"children at level {len(choices)} lack a common interlacing")
         best = 0
         for j in range(1, len(cand_vals)):
             if (cand_vals[j] > cand_vals[best]) if maximize \
@@ -406,8 +398,9 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     v_j, so the spectra of the (m, l+1, l+1) stack give every candidate's
     roots and the zero root's multiplicity n - l - 1 comes from the rank.
     Float stacks take one batched ``eigvalsh``; exact stacks take one
-    exact Berkowitz call and :func:`real_roots` of each small polynomial,
-    which certifies it square-free layer by layer.  :func:`shift_roots`
+    exact Berkowitz call and the :func:`root_clusters` of each small
+    polynomial, real-rooted as the characteristic polynomial of a
+    symmetric matrix, so no Sturm check runs.  :func:`shift_roots`
     then applies each ``1 - (1/m) d/dx``, and the k-th largest root is
     the smallest of the k roots it tracks.  A level costs O(m l^3) for
     the spectra plus O(m k^2) per shift and solver step, against m
@@ -454,7 +447,8 @@ def _ri_scores(vecs: np.ndarray, chosen: list, k: int) -> np.ndarray:
     """Every row's level score, from the spectra of the bordered Gram matrices.
 
     The (m, l+1, l+1) stack keeps the dtype of ``vecs``: float spectra come
-    from ``eigvalsh``, exact ones from the exact kernel and exact roots.
+    from ``eigvalsh``, exact ones from exact Berkowitz and
+    :func:`root_clusters`.
     """
     m, n = vecs.shape
     lvl = len(chosen)
@@ -466,7 +460,8 @@ def _ri_scores(vecs: np.ndarray, chosen: list, k: int) -> np.ndarray:
     gram[:, lvl, :lvl] = cross
     gram[:, lvl, lvl] = np.einsum("ij,ij->i", vecs, vecs)
     if vecs.dtype == object:
-        roots = np.array([real_roots(Polynomial(row))
+        roots = np.array([[c.root for c in root_clusters(Polynomial(row))
+                           for _ in range(c.mult)]
                           for row in charpoly_batch_exact(gram)])
     else:
         roots = np.linalg.eigvalsh(gram)

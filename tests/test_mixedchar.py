@@ -142,9 +142,9 @@ def test_mixed_char_real_rooted_flag():
         for _ in range(int(rng.integers(1, 5))):
             b = rng.standard_normal((d, d))
             mats.append(b @ b.T)
-        # must not raise: mixed characteristic polynomials of PSD
-        # families are always real-rooted
-        mixed_char(mats, check_real_rooted=True)
+        # mixed characteristic polynomials of PSD families are always
+        # real-rooted
+        assert is_real_rooted(mixed_char(mats))
 
 
 def test_mixed_char_rejects_non_psd():

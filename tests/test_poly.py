@@ -19,17 +19,30 @@ from interlace import (
     shift_roots,
     laguerre_transform,
     diagram_identity_check,
+    sturm_sequence,
     sturm_root_count,
     is_real_rooted,
     real_roots,
     kth_largest_root,
     roots_above,
+    root_clusters,
     top_root,
     compare_top_roots,
     interlaces,
     have_common_interlacing,
+    mixed_char,
+    Graph,
+    VectorSystem,
+    restricted_invertibility_select,
+    signing_select,
 )
-from interlace.poly import cauchy_root_bound
+import interlace.poly as poly_module
+
+
+def _cauchy_bound(p):
+    """Cauchy's bound: every root of exact ``p`` has modulus below it."""
+    lead = Fraction(p.leading())
+    return 1 + max(abs(c / lead) for c in p.coeffs[:-1])
 
 
 def test_construction_strips_leading_zeros():
@@ -218,6 +231,17 @@ def test_sturm_root_count_simple():
     assert sturm_root_count(p, 4, 10) == 0
 
 
+def test_sturm_root_count_at_roots_is_half_open():
+    p = Polynomial.from_roots([1, 2, 3])
+    assert sturm_root_count(p, 1, 3) == 2
+    assert sturm_root_count(p, 2, 2) == 0
+    # at a multiple root every element of the sequence vanishes
+    q = Polynomial.from_roots([1, 1, 1, 2, 2])
+    assert sturm_root_count(q, 1, 2) == 1
+    assert sturm_root_count(q, 0, 1) == 1
+    assert sturm_root_count(q, Fraction(1, 2), Fraction(3, 2)) == 1
+
+
 def test_sturm_counts_distinct_roots_only():
     cube = Polynomial.from_roots([3, 3, 3])
     assert sturm_root_count(cube, 0, 5) == 1
@@ -226,9 +250,12 @@ def test_sturm_counts_distinct_roots_only():
 
 
 def test_sturm_on_float_coefficients():
+    # a float Sturm sequence certifies nothing, so none is taken
     p = Polynomial.from_roots([0.5, 1.5, 2.5])
-    assert sturm_root_count(p, 0.0, 3.0) == 3
-    assert sturm_root_count(p, 1.0, 2.0) == 1
+    with pytest.raises(TypeError):
+        sturm_root_count(p, 0.0, 3.0)
+    with pytest.raises(TypeError):
+        sturm_sequence(p)
 
 
 def test_is_real_rooted_exact():
@@ -276,7 +303,7 @@ def test_real_roots_multiplicity_and_zeros():
 ])
 def test_real_roots_exact_multiple_roots(roots):
     # companion eigenvalues of an r-fold root scatter by eps**(1/r); the
-    # square-free layers leave only simple roots to find
+    # exact kernel polishes on the (r-1)-th derivative, where it is simple
     got = real_roots(Polynomial.from_roots(roots))
     want = sorted((float(r) for r in roots), reverse=True)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -325,7 +352,7 @@ DEGREE_24_FOURFOLD = Polynomial([256, 0, -5120, 0, 40704, 0, -162816, 0, 344416,
 
 
 def _top_multiplicity(p):
-    """Multiplicity of the top root from the exact square-free layers."""
+    """Multiplicity of the top root, from the exact roots."""
     roots = real_roots(p)
     return int(np.sum(np.abs(roots - roots[0]) <= 1e-9 * (1 + abs(roots[0]))))
 
@@ -350,7 +377,7 @@ def test_top_root_matches_exact_roots_and_certifies_its_bracket(p):
     # the bracket's two counts, by Descartes and independently by Sturm
     assert roots_above(p, got.hi) == 0
     assert roots_above(p, got.lo) == got.mult
-    assert sturm_root_count(p, got.hi, cauchy_root_bound(p)) == 0
+    assert sturm_root_count(p, got.hi, _cauchy_bound(p)) == 0
     assert sturm_root_count(p, got.lo, got.hi) == 1
 
 
@@ -387,6 +414,89 @@ def test_top_root_bisection_fallback_certifies_the_same_root(monkeypatch):
         assert abs(got.root - want) <= 1e-12 * (1 + abs(want))
         assert got.lo < got.root <= got.hi
         assert roots_above(p, got.hi) == 0 and roots_above(p, got.lo) >= 1
+
+
+def test_top_root_bisection_stops_relative_to_the_root(monkeypatch):
+    # a small root under a large root bound: the bracket is still a few
+    # ulp of the root wide
+    monkeypatch.setattr(poly_module, "_float_start", lambda a: math.nan)
+    want = Fraction(-119, 1000)
+    p = Polynomial.from_roots([want, Fraction(-3, 7), -1500, -2000])
+    got = top_root(p)
+    ulp = Fraction(math.ulp(got.root))
+    assert got.lo < want <= got.hi
+    assert got.hi - got.lo <= 4 * ulp
+    assert abs(Fraction(got.root) - want) <= 4 * ulp
+
+
+def _stress_roots(rng):
+    """Rational roots with multiplicities up to 6, some with a near-duplicate."""
+    roots = []
+    for _ in range(int(rng.integers(1, 4))):
+        r = Fraction(int(rng.integers(-200, 200)), int(rng.integers(1, 20)))
+        roots += [r] * int(rng.integers(1, 7))
+        if rng.random() < 0.5:
+            gap = Fraction(1, 10 ** int(rng.integers(8, 26)))
+            roots.append(r + gap * max(1, abs(r)))
+    return roots
+
+
+def test_root_clusters_certify_every_root_to_a_few_ulp():
+    rng = np.random.default_rng(20261018)
+    for _ in range(400):
+        roots = _stress_roots(rng)
+        p = Polynomial.from_roots(roots, lead=int(rng.choice([-3, 1, 2])))
+        clusters = list(root_clusters(p))
+        assert sum(c.mult for c in clusters) == len(roots)
+        for prev, c in zip([None] + clusters, clusters):
+            assert c.lo < c.root <= c.hi
+            assert prev is None or c.hi <= prev.lo
+            inside = [r for r in roots if c.lo < r <= c.hi]
+            assert len(inside) == c.mult
+            for r in inside:
+                assert abs(Fraction(c.root) - r) <= 4 * Fraction(math.ulp(float(r)))
+            # the bracket's content, by Sturm, independently of Descartes
+            assert sturm_root_count(p, c.lo, c.hi) == len(set(inside))
+
+
+def test_mixed_char_sign_vectors_roots_to_two_ulp():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(0)
+    p = mixed_char([np.outer(v, v) for v in rng.choice([-1, 1], size=(16, 10))])
+    assert p.degree == 10 and sturm_sequence(p)[-1].degree == 0  # square-free
+    mpmath.mp.dps = 50
+    coeffs = [mpmath.mpf(Fraction(c).numerator) / Fraction(c).denominator
+              for c in reversed(p.coeffs)]
+    want = sorted((mpmath.re(r) for r in mpmath.polyroots(coeffs, maxsteps=400,
+                                                          extraprec=400)), reverse=True)
+    for got, ref in zip(real_roots(p), want):
+        assert abs(mpmath.mpf(got) - ref) <= 2 * math.ulp(float(ref))
+
+
+def _rational_isotropic(rng, n):
+    """2n rational rows with Gram sum I_n: (3/5) H1 over (4/5) H2, H Householder reflections."""
+    rows = []
+    for w in (Fraction(3, 5), Fraction(4, 5)):
+        v = rng.integers(-3, 4, size=n).astype(object)
+        v[0] = 4
+        h = np.eye(n, dtype=int).astype(object) - Fraction(2, int(v @ v)) * np.outer(v, v)
+        rows.extend(w * h)
+    return VectorSystem(rows)
+
+
+def test_walks_on_constructions_take_no_sturm_sequence(monkeypatch):
+    def refuse(p):
+        raise AssertionError("a Sturm sequence was taken")
+    monkeypatch.setattr(poly_module, "sturm_sequence", refuse)
+    vs = _rational_isotropic(np.random.default_rng(6), 6)
+    assert vs.is_exact and vs.is_isotropic()
+    chosen, cert = restricted_invertibility_select(vs, 3)
+    assert len(set(chosen)) == 3 and cert.valid()
+    signing, cert = signing_select(Graph.complete_bipartite(3, 3))
+    assert len(signing.signs) == 9 and cert.valid()
+    # outside input still meets the checker
+    with pytest.raises(AssertionError):
+        real_roots(Polynomial([7, -5, 1]))
 
 
 def test_compare_top_roots_disjoint_equal_and_overlapping():

@@ -23,6 +23,7 @@ from interlace import (
     kth_largest_root,
     real_roots,
     is_real_rooted,
+    have_common_interlacing,
     roots_above,
     sturm_root_count,
     top_root,
@@ -202,8 +203,17 @@ def test_greedy_walk_interlacing_check_passes():
                                           rng.standard_normal(d).tolist())
            for _ in range(m)]
     st = AssignmentState(fixed=[], remaining=rvs, k=2, direction="maximize")
-    cert = greedy_walk(st, check_interlacing=True)
+    cert = greedy_walk(st)
     assert cert.valid()
+    # every visited sibling family has a common interlacing, the fact
+    # that makes greedy sound; children by enumeration, independently
+    fixed = []
+    for level, choice in enumerate(cert.choices):
+        children = [conditional_expected_poly(AssignmentState(
+            fixed=fixed + [v], remaining=rvs[level + 1:], k=2))
+            for _, v in rvs[level].support]
+        assert have_common_interlacing(children)
+        fixed.append(rvs[level].support[choice][1])
 
 
 def test_certificate_json_round_trip():
