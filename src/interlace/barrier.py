@@ -22,7 +22,6 @@ definite.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .poly import Polynomial, apply_shift_operator, real_roots
 from .matrices import _validate_psd_list
@@ -177,7 +176,10 @@ def multivariate_barrier(fam: DetPolyFamily, j: int, point) -> float:
     ``point`` is ``(x, z_1, ..., z_m)``.  Requires ``M = xI + sum z_i A_i``
     positive definite at the point (i.e. the point lies above the roots
     in the positive orthant sense); then the derivative is
-    ``trace(M^{-1} A_j)``, by Jacobi's formula.
+    ``trace(M^{-1} A_j)``, by Jacobi's formula.  The Cholesky factor
+    ``M = L L^T`` both checks positive definiteness (a point where it
+    fails raises ``ValueError``) and gives the trace through two solves
+    with the factor, ``M^{-1} A_j = L^{-T} (L^{-1} A_j)``.
     """
     point = [float(t) for t in point]
     if len(point) != fam.m + 1:
@@ -189,8 +191,8 @@ def multivariate_barrier(fam: DetPolyFamily, j: int, point) -> float:
     for z, a in zip(point[1:], fam.matrices):
         m_at = m_at + z * a.a.astype(float)
     try:
-        cf = scipy.linalg.cho_factor(m_at)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as e:
+        low = np.linalg.cholesky(m_at)
+    except np.linalg.LinAlgError as e:
         raise ValueError("matrix at query point is not positive definite") from e
     aj = fam.matrices[j].a.astype(float)
-    return float(np.trace(scipy.linalg.cho_solve(cf, aj)))
+    return float(np.trace(np.linalg.solve(low.T, np.linalg.solve(low, aj))))

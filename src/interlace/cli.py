@@ -62,8 +62,8 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("float", "exact"):
             raise ValueError("mode must be 'float' or 'exact'")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tolerance must be positive and finite")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
 
@@ -152,6 +152,28 @@ def _parse_matrices(text: str, cfg: RunConfig) -> list[SymMatrix]:
         except (TypeError, ValueError) as e:
             raise ParseFailure(f"matrix {i} malformed: {e}") from e
     return out
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=["float", "exact"], default="float",
                         help="arithmetic regime (default float)")
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_finite_float, default=1e-9,
                         help="comparison tolerance (default 1e-9)")
     common.add_argument("--budget", type=int, default=None,
                         help="work cap: for weaver, the whole walk's estimated "
@@ -304,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_w = sub.add_parser("weaver", parents=[common],
                          help="two-block partition of an isotropic system")
     p_w.add_argument("input", help="JSON vector system ('-' for stdin)")
-    p_w.add_argument("--alpha", type=float, default=None,
+    p_w.add_argument("--alpha", type=_finite_float, default=None,
                      help="norm parameter (default: max squared vector norm)")
     p_w.set_defaults(func=cmd_weaver)
 
     p_l = sub.add_parser("lift", parents=[common],
                          help="iterated signed 2-lifts of a Ramanujan graph")
     p_l.add_argument("input", help="edge list file ('-' for stdin)")
-    p_l.add_argument("--iterations", type=int, default=1,
+    p_l.add_argument("--iterations", type=_positive_int, default=1,
                      help="number of successive lifts (default 1)")
     p_l.set_defaults(func=cmd_lift)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .poly import Polynomial, real_roots
 from .matrices import SymMatrix, charpoly_batch_exact
@@ -592,7 +591,10 @@ def spectral_approx_factors(h: Graph, g: Graph) -> tuple[float, float]:
     Both graphs must be connected on the same vertex set so the
     Laplacian null spaces coincide (span of the all-ones vector); the
     factors are the extreme generalized eigenvalues of (L_G, L_H)
-    restricted to the complement.
+    restricted to the complement.  With Q an orthonormal basis of that
+    complement, Q^T L_H Q is positive definite because H is connected;
+    its Cholesky factor L = chol(Q^T L_H Q) reduces the pencil to the
+    ordinary symmetric eigenproblem of L^{-1} (Q^T L_G Q) L^{-T}.
     """
     if h.n != g.n:
         raise ValueError("graphs must share a vertex set")
@@ -604,5 +606,7 @@ def spectral_approx_factors(h: Graph, g: Graph) -> tuple[float, float]:
     center = np.eye(n) - np.ones((n, n)) / n
     u, sv, _ = np.linalg.svd(center)
     q = u[:, : n - 1]
-    w = scipy.linalg.eigh(q.T @ lg @ q, q.T @ lh @ q, eigvals_only=True)
+    low = np.linalg.cholesky(q.T @ lh @ q)
+    half = np.linalg.solve(low, q.T @ lg @ q)
+    w = np.linalg.eigvalsh(np.linalg.solve(low, half.T))
     return (float(w[0]), float(w[-1]))

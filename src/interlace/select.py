@@ -492,8 +492,10 @@ def weaver_partition(system: VectorSystem, alpha,
         raise ValueError(
             f"system is not isotropic (defect {system.isotropy_defect():.3g})")
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha={alpha} is not finite")
     mx = system.max_norm_sq()
-    if alpha < mx - 1e-12:
+    if not alpha >= mx - 1e-12:
         raise ValueError(f"alpha={alpha} is below the largest squared norm {mx}")
     d = system.dim
     exact = system.is_exact

@@ -208,6 +208,8 @@ def test_multivariate_barrier_rejects_singular_point():
     with pytest.raises(ValueError):
         multivariate_barrier(fam, 0, (0.0, 0.0))  # xI + 0*A = 0, singular
     with pytest.raises(ValueError):
+        multivariate_barrier(fam, 0, (-1.0, 0.5))  # xI + 0.5 A = -0.5 I, indefinite
+    with pytest.raises(ValueError):
         multivariate_barrier(fam, 0, (1.0,))  # wrong point length
     with pytest.raises(ValueError):
         multivariate_barrier(fam, 1, (1.0, 1.0))  # index out of range

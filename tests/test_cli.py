@@ -286,6 +286,36 @@ def test_bad_config_exit_2(capsys, iso_system_file):
     assert code == 2
 
 
+def test_ri_infinite_tol_exit_2(capsys, tmp_path):
+    # with --tol inf the isotropy precondition (defect 4.73) would pass
+    aniso = tmp_path / "aniso.json"
+    aniso.write_text(json.dumps({"vectors": [[2, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}))
+    target = tmp_path / "result.json"
+    assert main(["ri", str(aniso), "-k", "1"]) == 3
+    for tol in ("inf", "nan"):
+        code = main(["ri", str(aniso), "-k", "1", "--tol", tol, "--out", str(target)])
+        assert code == 2
+        assert not target.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_weaver_non_finite_alpha_exit_2(capsys, tmp_path, iso_system_file, alpha):
+    target = tmp_path / "result.json"
+    code = main(["weaver", iso_system_file, "--alpha", alpha, "--out", str(target)])
+    assert code == 2
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("iterations", ["0", "-2"])
+def test_lift_non_positive_iterations_exit_2(capsys, tmp_path, iterations):
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    target = tmp_path / "result.json"
+    code = main(["lift", str(k33), "--iterations", iterations, "--out", str(target)])
+    assert code == 2
+    assert not target.exists()
+
+
 def test_identical_invocations_are_byte_identical(tmp_path, iso_system_file):
     outs = []
     for name in ("a.json", "b.json"):
@@ -308,3 +338,21 @@ def test_console_script_installed():
     assert proc.returncode == 0
     for sub in ("ri", "weaver", "lift", "mixedchar"):
         assert sub in proc.stdout
+
+
+def test_import_loads_numpy_and_standard_library_only():
+    # start-up cost: a fresh interpreter importing the library and the CLI
+    # loads no third-party package besides numpy (private helper modules,
+    # named with a leading underscore, are not counted)
+    import os
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; before = set(sys.modules); import interlace, interlace.cli; "
+            "tops = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(*sorted(t for t in tops - set(sys.stdlib_module_names) "
+            "if not t.startswith('_')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["interlace", "numpy"]

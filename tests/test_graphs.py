@@ -480,6 +480,29 @@ def test_spectral_approx_factors_sandwich_randomized():
             assert qg <= k2 * qh + 1e-7 * abs(qg)
 
 
+def test_spectral_approx_factors_match_general_eigensolve():
+    # the Cholesky reduction against the eigenvalues of B^{-1} A, with A
+    # and B the Laplacians projected onto the complement of the ones vector
+    rng = np.random.default_rng(113)
+    checked = 0
+    while checked < 10:
+        n = int(rng.integers(4, 10))
+        all_edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        h = Graph(n, [e for e in all_edges if rng.random() < 0.6])
+        g_edges = [e for e in all_edges if rng.random() < 0.6]
+        g = Graph(n, g_edges, weights=rng.uniform(0.5, 2.0, len(g_edges)).tolist())
+        if not (h.is_connected() and g.is_connected()):
+            continue
+        q = np.linalg.svd(np.eye(n) - np.ones((n, n)) / n)[0][:, : n - 1]
+        a = q.T @ laplacian(g).a.astype(float) @ q
+        b = q.T @ laplacian(h).a.astype(float) @ q
+        w = np.sort(np.linalg.eigvals(np.linalg.solve(b, a)).real)
+        k1, k2 = spectral_approx_factors(h, g)
+        assert k1 == pytest.approx(w[0], rel=1e-9)
+        assert k2 == pytest.approx(w[-1], rel=1e-9)
+        checked += 1
+
+
 def test_spectral_approx_factors_requires_connected():
     with pytest.raises(ValueError):
         spectral_approx_factors(Graph(4, [(0, 1), (2, 3)]), Graph.complete(4))

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.special
 
 from interlace import (
     Polynomial,
@@ -352,8 +351,18 @@ def test_ri_basis_levels_are_exact():
 
 
 def _laguerre_pledge_roots(n, m, k):
-    """Roots of (1 - D/m)^k x^n other than 0, by Golub-Welsch."""
-    return np.sort(scipy.special.roots_genlaguerre(k, n - k)[0])[::-1] / m
+    """Roots of (1 - D/m)^k x^n other than 0, by Golub-Welsch.
+
+    They are the roots of the generalized Laguerre polynomial L_k^(a),
+    a = n - k, scaled by 1/m: the eigenvalues of its Jacobi matrix, with
+    diagonal 2i + a + 1 (i = 0..k-1) and off-diagonal sqrt(i (i + a))
+    (i = 1..k-1).
+    """
+    a = n - k
+    i = np.arange(1, k)
+    off = np.sqrt(i * (i + a))
+    jacobi = np.diag(2.0 * np.arange(k) + a + 1) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(jacobi)[::-1] / m
 
 
 @pytest.mark.parametrize("n,m,k", [(16, 48, 8), (40, 80, 20), (128, 256, 64)])
@@ -450,6 +459,13 @@ def test_weaver_rejects_alpha_below_max_norm():
     vs = VectorSystem([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         weaver_partition(vs, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_weaver_rejects_non_finite_alpha(alpha):
+    vs = VectorSystem([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        weaver_partition(vs, alpha)
 
 
 # ----------------------------------------------------------------------
