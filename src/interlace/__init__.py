@@ -51,6 +51,7 @@ from .graphs import (
     laplacian,
     signed_adjacency,
     matching_poly,
+    SigningEngine,
     expected_signed_chars,
     frontier_order,
     godsil_gutman_check,

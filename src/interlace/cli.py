@@ -16,9 +16,9 @@ work in each command's own unit: for ``weaver``, the whole walk's
 estimated matrix or table entries (``walk_costs``: enumerated outcomes
 x n^2, or the mixed-characteristic engine's rank-one table updates x
 C(2n, n), n = 2 x dim, whichever route is cheaper), checked before the
-walk starts (default 2^30); for ``lift``, the states of the signing DP
-per polynomial (default 2^20).  ``ri`` and ``mixedchar`` take no
-budget.
+walk starts (default 2^30); for ``lift``, the states of each walk's one
+backward matching DP, summed over its levels and checked before the
+first choice (default 2^20).  ``ri`` and ``mixedchar`` take no budget.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import real_roots, NotRealRootedError
-from .matrices import SymMatrix
+from .poly import Polynomial, real_roots, roots_above, NotRealRootedError
+from .matrices import SymMatrix, charpoly_batch_exact
 from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET
 from .graphs import Graph, adjacency, signed_adjacency, is_ramanujan_bipartite, \
     two_lift
@@ -234,6 +234,20 @@ def cmd_weaver(args, cfg: RunConfig) -> int:
     return EXIT_OK if cert.valid() else EXIT_INVARIANT
 
 
+def _signed_bound_holds(a_s: SymMatrix, d: int) -> bool:
+    """Whether every eigenvalue of bipartite ``a_s`` has |lambda| <= 2 sqrt(d-1), exactly.
+
+    chi(A_s) is an exact integer polynomial, and a bipartite graph's is
+    x^e q(x^2), the roots of q being the squared eigenvalues; so the
+    bound holds exactly when q has no root above the integer 4(d-1).
+    """
+    chi = charpoly_batch_exact(a_s.a.astype(np.int64)[None])[0].tolist()
+    e = (len(chi) - 1) % 2
+    if any(chi[1 - e::2]):
+        raise AssertionError("signed adjacency of a bipartite graph is not even or odd")
+    return roots_above(Polynomial(chi[e::2]), 4 * (d - 1)) == 0
+
+
 def cmd_lift(args, cfg: RunConfig) -> int:
     text = _read_input(args.input)
     try:
@@ -252,9 +266,11 @@ def cmd_lift(args, cfg: RunConfig) -> int:
         a_s = signed_adjacency(g, signing)
         lam = float(np.max(a_s.eigenvalues()))
         threshold = 2.0 * math.sqrt(d - 1.0)
+        bounded = _signed_bound_holds(a_s, d)
         lift = two_lift(g, signing)
-        certified = is_ramanujan_bipartite(lift)
-        ok = ok and cert.valid() and certified and lam <= threshold + max(cfg.tol, 1e-7)
+        # a signed eigenvalue past the bound is a nontrivial one of the lift
+        certified = bounded and is_ramanujan_bipartite(lift)
+        ok = ok and cert.valid() and certified
         steps.append({
             "iteration": it,
             "n": g.n,
@@ -311,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="work cap: for weaver, the whole walk's estimated "
                              "entries, enumerated outcomes x n^2 or rank-one "
                              "table updates x C(2n, n), n = 2 x dim, whichever "
-                             "is cheaper (default 2^30); for lift, signing DP "
-                             "states per polynomial (default 2^20)")
+                             "is cheaper (default 2^30); for lift, the states "
+                             "of each walk's one backward DP, checked before "
+                             "the first choice (default 2^20)")
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,14 +10,18 @@ signings gives exactly the matching polynomial (Godsil-Gutman), whose
 largest root is at most ``2 sqrt(d-1)`` for maximum degree d
 (Heilmann-Lieb).  With the signs of some edges fixed, the average over
 the rest is still closed-form, a sum over matchings of the random edges
-of characteristic polynomials of fixed-signed induced subgraphs;
-:func:`expected_signed_chars` computes it exactly, without enumerating
-signings, and the signing walk in ``select`` is built on it, taking the
-edges in :func:`frontier_order` so the cost does not depend on how the
-vertices are numbered.  A signing
-whose signed adjacency meets the bound produces a 2-lift whose new
-eigenvalues are precisely the signed spectrum, which is how bipartite
-Ramanujan graphs of every degree are built by repeated lifting.
+of characteristic polynomials of fixed-signed induced subgraphs.
+:class:`SigningEngine` computes it exactly for every prefix of the
+edges, without enumerating signings: one backward DP over the edges
+holds every level's matchings, grouped by their vertices among the
+fixed edges', and each group's leaf is a characteristic polynomial on
+those vertices only.  :func:`expected_signed_chars` is one level of it,
+and the signing walk in ``select`` runs on one engine, taking the edges
+in :func:`frontier_order` so the cost does not depend on how the
+vertices are numbered.  A signing whose signed adjacency meets the
+bound produces a 2-lift whose new eigenvalues are precisely the signed
+spectrum, which is how bipartite Ramanujan graphs of every degree are
+built by repeated lifting.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "laplacian",
     "signed_adjacency",
     "matching_poly",
+    "SigningEngine",
     "expected_signed_chars",
     "frontier_order",
     "godsil_gutman_check",
@@ -48,8 +53,9 @@ __all__ = [
 
 MATCHING_CAP = 24
 GG_EDGE_CAP = 20
-# Leaf vertex sets per exact-kernel call in expected_signed_chars: bounds
-# the (sets, rows, n, n) stacks, which would otherwise dominate peak memory.
+# Leaf groups per exact-kernel call in SigningEngine.chars: bounds the
+# (groups, rows, |V(F)|, |V(F)|) stacks, which would otherwise dominate
+# peak memory.
 LEAF_CHUNK = 256
 
 
@@ -358,89 +364,151 @@ def matching_poly(g: Graph, cap: int = MATCHING_CAP) -> Polynomial:
 # ----------------------------------------------------------------------
 
 
-def expected_signed_chars(g: Graph, prefixes,
-                          budget: int = DEFAULT_BUDGET) -> list[Polynomial]:
-    """``E_R det(xI - A_s)`` for each row of fixed signs, as exact integer polynomials.
+def _matching_tables(g: Graph, budget: int) -> list:
+    """The backward matching DP: level f's leaf groups and weights, f = 0..m.
 
-    Each row of ``prefixes`` signs the first f edges of ``g.edges`` (the
-    set F); the other edges R get independent uniform signs.  Expanding
-    the determinant over permutations, a random sign survives the
-    expectation only on a transposition, so
+    Takes the edges last to first.  A state is the set of matched
+    vertices that still have an edge earlier in the order, as a bit mask,
+    and its value is a vector over the matching size k holding
+    (-1)^k times the number of matchings of the edges taken so far with
+    that state.  A vertex leaves the key at its first edge, so after
+    edges m-1 .. f the keys are exactly the sets S = V(M) & V(F) of the
+    matchings M of R = edges f.., F = edges ..f-1, which is what level f
+    needs.  Entry f of the result is (masks, weights) with one row of
+    weights per mask.  The suffix's matchings, at most
+    2^(edges taken), bound every entry, so the weights leave int64 only
+    past 62 edges.  The states of every level are counted against
+    ``budget`` as the tables grow; :class:`BudgetExceededError` is raised
+    as soon as the count passes it.
+    """
+    m, half = g.m, g.n // 2
+    first: dict = {}
+    for t, (a, b) in enumerate(g.edges):
+        first.setdefault(a, t)
+        first.setdefault(b, t)
+    masks = np.zeros(1, dtype=np.int64 if g.n < 63 else object)
+    weights = np.ones((1, 1), dtype=np.int64)
+    tables = [(masks, weights)]
+    seen = 1
+    for t in range(m - 1, -1, -1):
+        a, b = g.edges[t]
+        pair = 1 << a | 1 << b
+        keep = ~sum(1 << v for v in (a, b) if first[v] == t)
+        if m - t == 63:
+            weights = weights.astype(object)
+        free = (masks & pair) == 0
+        width = min(weights.shape[1] + 1, half + 1)
+        cand = np.concatenate([masks, masks[free] | pair]) & keep
+        vals = np.zeros((len(cand), width), dtype=weights.dtype)
+        vals[:len(masks), :weights.shape[1]] = weights
+        vals[len(masks):, 1:] = -weights[free, :width - 1]
+        order = np.argsort(cand, kind="stable")
+        cand = cand[order]
+        starts = np.flatnonzero(np.concatenate([[True], cand[1:] != cand[:-1]]))
+        masks = cand[starts]
+        weights = np.add.reduceat(vals[order], starts, axis=0)
+        tables.append((masks, weights))
+        seen += len(masks)
+        if seen > budget:
+            raise BudgetExceededError(
+                f"signing DP passed {budget} states with {t} of {m} edges left")
+    tables.reverse()
+    return tables
+
+
+def _sign_rows(g: Graph, prefixes) -> np.ndarray:
+    """``prefixes`` as a (rows, f) int64 array of +-1, checked against g."""
+    prefixes = np.array(prefixes, dtype=np.int64, ndmin=2)
+    if prefixes.shape[1] > g.m:
+        raise ValueError(f"{prefixes.shape[1]} signs given for {g.m} edges")
+    if not (np.abs(prefixes) == 1).all():
+        raise ValueError("signs must be +1 or -1")
+    return prefixes
+
+
+class SigningEngine:
+    """Exact Phi_F of every prefix F of ``g.edges``, from one backward DP.
+
+    With the first f edges' signs fixed (the set F) and the other edges R
+    signed independently and uniformly, expanding ``E_R det(xI - A_s)``
+    over permutations leaves a random sign only on a transposition, so
 
         Phi_F = sum over matchings M of R of (-1)^|M| chi(A_F[V - V(M)]),
 
     the generalised Godsil-Gutman identity Phi_F(G) = Phi_F(G - e) -
     Phi_F(G - a - b) for e = (a, b) in R unrolled; with F empty it is the
-    matching polynomial.  A dict DP over the R edges counts the matchings
-    by state (matched vertices that still matter, |M|): a vertex outside
-    V(F) leaves the state after its last R edge, so only the matched
-    vertices of V(F) remain at the end.  The leaves are grouped by
-    S = V(M) & V(F): chi(A_F[V - V(M)]) is chi of A_F with the rows and
-    columns of S zeroed, divided by x^(2|M|), and the stacks of those
-    matrices, for every row, go through :func:`charpoly_batch_exact`
-    ``LEAF_CHUNK`` vertex sets at a time.  All rows share the DP, since it
-    depends on F only through V(F).
-
-    The DP's states, summed over its steps, are counted against
-    ``budget``; :class:`BudgetExceededError` is raised as soon as the
-    count passes it.
+    matching polynomial.  The construction runs the DP of
+    :func:`_matching_tables` once, so every level reads its leaf groups
+    S = V(M) & V(F) and their weights off one table; the DP's states are
+    counted against ``budget`` before any level is formed.  A vertex
+    outside V(F) is isolated in A_F, so each leaf is chi(A_F[V(F)] with
+    S zeroed) times x^(n - |V(F)|), divided by x^(2|M|): Berkowitz
+    (:func:`charpoly_batch_exact`) runs at size |V(F)|, on ``LEAF_CHUNK``
+    groups at a time, and in int64 while (2N)^|V(F)| < 2^63.
     """
-    prefixes = np.array(prefixes, dtype=np.int64, ndmin=2)
-    rows, f = prefixes.shape
-    n = g.n
-    if f > g.m:
-        raise ValueError(f"{f} signs given for {g.m} edges")
-    if not np.isin(prefixes, (-1, 1)).all():
-        raise ValueError("signs must be +1 or -1")
-    fixed, rest = g.edges[:f], g.edges[f:]
-    in_f = 0
-    for a, b in fixed:
-        in_f |= 1 << a | 1 << b
-    last = {}
-    for t, (a, b) in enumerate(rest):
-        last[a] = last[b] = t
-    states = {(0, 0): 1}
-    seen = 1
-    for t, (a, b) in enumerate(rest):
-        pair = 1 << a | 1 << b
-        # a vertex outside V(F) leaves the key after its last R edge
-        keep = ~sum(1 << v for v in (a, b) if last[v] == t and not in_f >> v & 1)
-        nxt: dict = {}
-        for (mask, k), c in states.items():
-            key = (mask & keep, k)
-            nxt[key] = nxt.get(key, 0) + c
-            if not mask & pair:
-                key = ((mask | pair) & keep, k + 1)
-                nxt[key] = nxt.get(key, 0) + c
-        states = nxt
-        seen += len(states)
-        if seen > budget:
-            raise BudgetExceededError(
-                f"signing DP passed {budget} states with {len(rest) - t - 1} "
-                f"of {len(rest)} random edges left")
-    groups = {}
-    for mask, _ in states:
-        groups.setdefault(mask, len(groups))
-    half = n // 2
-    weights = np.zeros((len(groups), half + 1), dtype=object)
-    for (mask, k), c in states.items():
-        weights[groups[mask], k] = -c if k & 1 else c
-    signed = np.zeros((rows, n, n), dtype=np.int64)
-    for i, (a, b) in enumerate(fixed):
-        signed[:, a, b] = signed[:, b, a] = prefixes[:, i]
-    live = np.ones((len(groups), n), dtype=np.int64)
-    for mask, gi in groups.items():
-        live[gi, [v for v in range(n) if mask >> v & 1]] = 0
-    total = np.zeros((rows, n + 1), dtype=object)
-    for lo in range(0, len(groups), LEAF_CHUNK):
-        keep = live[lo:lo + LEAF_CHUNK]
-        stack = signed[None] * (keep[:, None, :, None] * keep[:, None, None, :])
-        chars = charpoly_batch_exact(stack.reshape(-1, n, n))
-        chars = chars.reshape(len(keep), rows, n + 1).astype(object)
-        for k in range(half + 1):
-            total[:, :n + 1 - 2 * k] += np.tensordot(
-                weights[lo:lo + LEAF_CHUNK, k], chars[:, :, 2 * k:], 1)
-    return [Polynomial(row.tolist()) for row in total]
+
+    def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
+        self.g = g
+        self.tables = _matching_tables(g, budget)
+
+    def chars(self, prefixes) -> list[Polynomial]:
+        """Phi_F for each row of ``prefixes``, the signs of the first f edges."""
+        prefixes = _sign_rows(self.g, prefixes)
+        rows, f = prefixes.shape
+        n = self.g.n
+        masks, weights = self.tables[f]
+        fixed = self.g.edges[:f]
+        verts = sorted({v for e in fixed for v in e})
+        pos = {v: i for i, v in enumerate(verts)}
+        nf = len(verts)
+        signed = np.zeros((rows, nf, nf), dtype=np.int64)
+        for i, (a, b) in enumerate(fixed):
+            signed[:, pos[a], pos[b]] = signed[:, pos[b], pos[a]] = prefixes[:, i]
+        bits = np.array([1 << v for v in verts], dtype=masks.dtype)
+        live = ((masks[:, None] & bits[None, :]) == 0).astype(np.int64)
+        total = np.zeros((rows, n + 1), dtype=object)
+        for lo in range(0, len(masks), LEAF_CHUNK):
+            keep, w = live[lo:lo + LEAF_CHUNK], weights[lo:lo + LEAF_CHUNK]
+            stack = signed[None] * (keep[:, None, :, None] * keep[:, None, None, :])
+            chars = charpoly_batch_exact(stack.reshape(len(keep) * rows, nf, nf))
+            chars = chars.reshape(len(keep), rows, nf + 1)
+            if object in (chars.dtype, w.dtype) or \
+                    int(np.abs(w).sum()) * int(np.abs(chars).max()) >= 1 << 63:
+                chars, w = chars.astype(object), w.astype(object)
+            by_size = (w.T @ chars.reshape(len(w), -1)).reshape(-1, rows, nf + 1)
+            for k, part in enumerate(by_size):
+                # x^(n - nf) / x^(2k): coefficient j lands on j - off
+                off = 2 * k - (n - nf)
+                start = max(off, 0)
+                total[:, start - off:nf + 1 - off] += part[:, start:]
+        return [Polynomial(row.tolist()) for row in total]
+
+    def children(self, signs, parent: Polynomial | None = None):
+        """(Phi of ``signs`` + [1], Phi of ``signs`` + [-1]).
+
+        ``parent``, when given, must be Phi of ``signs`` itself: it is the
+        average of its two children, so only the +1 child is formed and
+        the -1 child is 2 parent - plus, exactly.
+        """
+        signs = list(signs)
+        if parent is None:
+            return tuple(self.chars([signs + [1], signs + [-1]]))
+        plus = self.chars([signs + [1]])[0]
+        return plus, 2 * parent - plus
+
+
+def expected_signed_chars(g: Graph, prefixes,
+                          budget: int = DEFAULT_BUDGET) -> list[Polynomial]:
+    """``E_R det(xI - A_s)`` for each row of fixed signs, as exact integer polynomials.
+
+    Each row of ``prefixes`` signs the first f edges of ``g.edges`` (the
+    set F); the other edges R get independent uniform signs.  This is one
+    level of a :class:`SigningEngine`, and all rows share its DP.  The
+    DP's states, over every level, are counted against ``budget``, and
+    :class:`BudgetExceededError` is raised before any leaf is formed once
+    the count passes it.
+    """
+    return SigningEngine(g, budget).chars(prefixes)
 
 
 def frontier_order(g: Graph) -> list[int]:
@@ -450,8 +518,8 @@ def frontier_order(g: Graph) -> list[int]:
     neighbour in P.  With the vertices renumbered in this order, a prefix
     of the sorted edges is every edge at a prefix P of the vertices plus
     some edges of the next vertex v, so the vertices touching both fixed
-    and random edges, over which the leaf sets of
-    :func:`expected_signed_chars` range, lie in the frontier of P plus v.
+    and random edges, over which the leaf groups of
+    :class:`SigningEngine` range, lie in the frontier of P plus v.
     From each start vertex the order grows greedily: the next vertex is
     the frontier vertex adding the fewest new ones (ties: most placed
     neighbours, then lowest label); once a component is done the same

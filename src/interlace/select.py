@@ -36,9 +36,9 @@ Three instantiations:
 * ``signing_select``: choose edge signs of a d-regular graph so the
   signed adjacency matrix has largest eigenvalue at most the largest
   root of the matching polynomial (whence at most ``2 sqrt(d-1)``).
-  Its conditional polynomials are exact and closed-form
-  (:func:`expected_signed_chars`), so it enumerates no outcomes and does
-  not go through :func:`greedy_walk`.
+  Its conditional polynomials are exact and closed-form, every level's
+  read off one backward matching DP (:class:`SigningEngine`), so it
+  enumerates no outcomes and does not go through :func:`greedy_walk`.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ from .poly import Polynomial, kth_largest_root, root_clusters, top_root, \
 from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, _expected_char_with_base
-from .graphs import Graph, Signing, expected_signed_chars, frontier_order, \
-    signed_adjacency
+from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
 
 __all__ = [
     "VectorSystem",
@@ -546,27 +545,31 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
 
     Walks the edges with the vertices relabelled in
     :func:`frontier_order`, in the relabelled graph's sorted edge order,
-    which keeps the engine's leaf sets small whatever the input's vertex
-    numbering.  With the first edges' signs fixed, the expected
+    which keeps the engine's leaf groups small whatever the input's
+    vertex numbering.  With the first edges' signs fixed, the expected
     characteristic polynomial of a uniformly random signing is the exact
-    integer polynomial Phi_F of :func:`expected_signed_chars`; at each
-    edge both children come out of one engine call.  With nothing fixed
-    it is the matching polynomial mu_G, whose top root is the pledge; by
-    linearity it is the average of the first edge's two children, so it
-    costs no call of its own.  Every Phi_F is real-rooted by theorem, so
-    the children are ranked by :func:`top_root` (a top root in a bracket
-    certified by exact root counts) and :func:`compare_top_roots` (exact,
-    also when the brackets overlap), not by the full exact root pipeline;
-    the tests, not this walk, check the real-rootedness.  The child with
-    the smaller largest root is kept, ties going to +1.  Identical
-    children both equal their parent, whose top root is reused.  The
-    children are an interlacing family, so the kept one's largest root
-    never exceeds its parent's, and the final signing's top eigenvalue is
-    at most the pledge.  Returns (signing,
-    certificate); the certificate's values are in Gram coordinates (the
-    signed adjacency plus dI, the Gram sum of :func:`signing_vectors`), so
-    ``choices`` is 0 for +1 and 1 for -1, in walk order, and every value
-    is shifted by d.  ``budget`` bounds the engine's DP states per call.
+    integer polynomial Phi_F; one :class:`SigningEngine` serves the
+    whole walk, its backward DP run once, and its states checked against
+    ``budget``, before the first choice.  At the first edge both children
+    are formed; with nothing fixed the polynomial is the matching
+    polynomial mu_G, whose top root is the pledge, and by linearity it is
+    the average of those two children, so it costs no call of its own.
+    From then on the kept child is the next level's parent, so only the
+    +1 child is formed and the -1 child is 2 parent - plus, exactly.
+    Every Phi_F is real-rooted by theorem, so the children are ranked by
+    :func:`top_root` (a top root in a bracket certified by exact root
+    counts) and :func:`compare_top_roots` (exact, also when the brackets
+    overlap), not by the full exact root pipeline; the tests, not this
+    walk, check the real-rootedness.  The child with the smaller largest
+    root is kept, ties going to +1.  Identical children both equal their
+    parent, whose top root is reused.  The children are an interlacing
+    family, so the kept one's largest root never exceeds its parent's,
+    and the final signing's top eigenvalue is at most the pledge.
+    Returns (signing, certificate); the certificate's values are in Gram
+    coordinates (the signed adjacency plus dI, the Gram sum of
+    :func:`signing_vectors`), so ``choices`` is 0 for +1 and 1 for -1, in
+    walk order, and every value is shifted by d.  ``budget`` bounds the
+    states of the walk's one backward DP.
     """
     d = g.regularity()
     if d is None:
@@ -576,11 +579,12 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     order = frontier_order(g)
     label = {v: i for i, v in enumerate(order)}
     walk = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+    engine = SigningEngine(walk, budget)
     signs: list[int] = []
     levels: list[float] = []
-    parent = None
+    parent = phi = None
     for _ in walk.edges:
-        plus, minus = expected_signed_chars(walk, [signs + [1], signs + [-1]], budget)
+        plus, minus = engine.children(signs, phi)
         if parent is None:
             # mu_G is the average of the first edge's two children
             total = plus + minus
@@ -590,11 +594,11 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
             pledged = parent.root + d
         if plus == minus:
             # each child is then their average, the parent
-            sign, best = 1, parent
+            sign, best, phi = 1, parent, plus
         else:
             top_plus, top_minus = top_root(plus), top_root(minus)
             lower = compare_top_roots(minus, plus, top_minus, top_plus) < 0
-            sign, best = (-1, top_minus) if lower else (1, top_plus)
+            sign, best, phi = (-1, top_minus, minus) if lower else (1, top_plus, plus)
         signs.append(sign)
         levels.append(best.root + d)
         parent = best

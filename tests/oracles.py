@@ -10,15 +10,20 @@ other ways:
   variable subsets (:func:`ring_mixed_char`);
 * conditional expected polynomials by enumerating every outcome of the
   remaining random vectors (:func:`conditional_expected_poly`);
-* the greedy walk with enumerated children (:func:`enumeration_walk`).
+* the greedy walk with enumerated children (:func:`enumeration_walk`);
+* the expected characteristic polynomial of a partial signing by a
+  forward dict DP over the random edges and n x n leaf matrices, one DP
+  per call (:func:`forward_signed_chars`), against the library's one
+  backward DP per walk with leaves on the fixed edges' vertices.
 """
 
 import numpy as np
 
-from interlace import AssignmentState, DEFAULT_BUDGET, Polynomial, SymMatrix, \
+from interlace import AssignmentState, DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, \
     kth_largest_root, mixed_char
-from interlace.matrices import _validate_psd_list
-from interlace.mixedchar import _expected_char_with_base
+from interlace.graphs import LEAF_CHUNK
+from interlace.matrices import _validate_psd_list, charpoly_batch_exact
+from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
 
 
 class TruncatedMultiAffine:
@@ -188,3 +193,88 @@ def enumeration_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET):
         choices.append(best)
         levels.append(vals[best])
     return choices, levels, pledged
+
+
+def forward_signed_chars(g: Graph, prefixes,
+                         budget: int = DEFAULT_BUDGET) -> list[Polynomial]:
+    """``E_R det(xI - A_s)`` for each row of fixed signs, as exact integer polynomials.
+
+    Each row of ``prefixes`` signs the first f edges of ``g.edges`` (the
+    set F); the other edges R get independent uniform signs.  Expanding
+    the determinant over permutations, a random sign survives the
+    expectation only on a transposition, so
+
+        Phi_F = sum over matchings M of R of (-1)^|M| chi(A_F[V - V(M)]),
+
+    the generalised Godsil-Gutman identity Phi_F(G) = Phi_F(G - e) -
+    Phi_F(G - a - b) for e = (a, b) in R unrolled; with F empty it is the
+    matching polynomial.  A dict DP over the R edges counts the matchings
+    by state (matched vertices that still matter, |M|): a vertex outside
+    V(F) leaves the state after its last R edge, so only the matched
+    vertices of V(F) remain at the end.  The leaves are grouped by
+    S = V(M) & V(F): chi(A_F[V - V(M)]) is chi of A_F with the rows and
+    columns of S zeroed, divided by x^(2|M|), and the stacks of those
+    matrices, for every row, go through :func:`charpoly_batch_exact`
+    ``LEAF_CHUNK`` vertex sets at a time.  All rows share the DP, since it
+    depends on F only through V(F).
+
+    The DP's states, summed over its steps, are counted against
+    ``budget``; :class:`BudgetExceededError` is raised as soon as the
+    count passes it.
+    """
+    prefixes = np.array(prefixes, dtype=np.int64, ndmin=2)
+    rows, f = prefixes.shape
+    n = g.n
+    if f > g.m:
+        raise ValueError(f"{f} signs given for {g.m} edges")
+    if not np.isin(prefixes, (-1, 1)).all():
+        raise ValueError("signs must be +1 or -1")
+    fixed, rest = g.edges[:f], g.edges[f:]
+    in_f = 0
+    for a, b in fixed:
+        in_f |= 1 << a | 1 << b
+    last = {}
+    for t, (a, b) in enumerate(rest):
+        last[a] = last[b] = t
+    states = {(0, 0): 1}
+    seen = 1
+    for t, (a, b) in enumerate(rest):
+        pair = 1 << a | 1 << b
+        # a vertex outside V(F) leaves the key after its last R edge
+        keep = ~sum(1 << v for v in (a, b) if last[v] == t and not in_f >> v & 1)
+        nxt: dict = {}
+        for (mask, k), c in states.items():
+            key = (mask & keep, k)
+            nxt[key] = nxt.get(key, 0) + c
+            if not mask & pair:
+                key = ((mask | pair) & keep, k + 1)
+                nxt[key] = nxt.get(key, 0) + c
+        states = nxt
+        seen += len(states)
+        if seen > budget:
+            raise BudgetExceededError(
+                f"signing DP passed {budget} states with {len(rest) - t - 1} "
+                f"of {len(rest)} random edges left")
+    groups = {}
+    for mask, _ in states:
+        groups.setdefault(mask, len(groups))
+    half = n // 2
+    weights = np.zeros((len(groups), half + 1), dtype=object)
+    for (mask, k), c in states.items():
+        weights[groups[mask], k] = -c if k & 1 else c
+    signed = np.zeros((rows, n, n), dtype=np.int64)
+    for i, (a, b) in enumerate(fixed):
+        signed[:, a, b] = signed[:, b, a] = prefixes[:, i]
+    live = np.ones((len(groups), n), dtype=np.int64)
+    for mask, gi in groups.items():
+        live[gi, [v for v in range(n) if mask >> v & 1]] = 0
+    total = np.zeros((rows, n + 1), dtype=object)
+    for lo in range(0, len(groups), LEAF_CHUNK):
+        keep = live[lo:lo + LEAF_CHUNK]
+        stack = signed[None] * (keep[:, None, :, None] * keep[:, None, None, :])
+        chars = charpoly_batch_exact(stack.reshape(-1, n, n))
+        chars = chars.reshape(len(keep), rows, n + 1).astype(object)
+        for k in range(half + 1):
+            total[:, :n + 1 - 2 * k] += np.tensordot(
+                weights[lo:lo + LEAF_CHUNK, k], chars[:, :, 2 * k:], 1)
+    return [Polynomial(row.tolist()) for row in total]

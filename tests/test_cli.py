@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import interlace.cli
-from interlace import VectorSystem, NotRealRootedError
+from interlace import Graph, Signing, VectorSystem, NotRealRootedError, signed_adjacency, \
+    signing_select
 from interlace.cli import main
 
 
@@ -145,6 +146,33 @@ def test_lift_three_iterations_reach_48_vertices(capsys, tmp_path):
     assert [step["n"] for step in payload["steps"]] == [6, 12, 24]
     assert all(step["certificate_valid"] for step in payload["steps"])
     assert payload["final_n"] == 48
+
+
+def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monkeypatch):
+    # the all-+1 signing of K_{3,3} has lambda = 3 > 2 sqrt(2); with a valid
+    # walk certificate beside it, only the exact signed bound can refuse it
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    g = Graph.complete_bipartite(3, 3)
+    _, cert = signing_select(g)
+    monkeypatch.setattr(interlace.cli, "signing_select",
+                        lambda graph, budget: (Signing.all_ones(graph), cert))
+    code, payload = run_cli(capsys, ["lift", str(k33)])
+    assert code == 1
+    step = payload["steps"][0]
+    assert step["signs"] == [1] * 9 and step["certificate_valid"] is True
+    assert step["lambda_max_signed"] == pytest.approx(3.0)
+    assert step["lift_ramanujan"] is False
+
+
+def test_signed_bound_is_exact_at_equality():
+    # the all-+1 cycle has top eigenvalue 2 = 2 sqrt(d - 1) exactly at d = 2;
+    # the all-+1 K_{3,3} has 3 > 2 sqrt(2)
+    c8 = Graph.cycle(8)
+    assert interlace.cli._signed_bound_holds(signed_adjacency(c8, Signing.all_ones(c8)), 2)
+    k33 = Graph.complete_bipartite(3, 3)
+    assert not interlace.cli._signed_bound_holds(
+        signed_adjacency(k33, Signing.all_ones(k33)), 3)
 
 
 def test_lift_budget_exceeded_exit_4(capsys, tmp_path):

@@ -27,7 +27,10 @@ from interlace import (
     charpoly_batch_exact,
     real_roots,
     BudgetExceededError,
+    SigningEngine,
+    signing_select,
 )
+from oracles import forward_signed_chars
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +313,99 @@ def test_expected_signed_chars_budget_and_validation():
         expected_signed_chars(g, [[1] * 10])
     with pytest.raises(ValueError):
         expected_signed_chars(g, [[1, 0]])
+
+
+def _in_walk_order(g):
+    """``g`` relabelled in frontier order, as the signing walk takes it."""
+    label = {v: i for i, v in enumerate(frontier_order(g))}
+    return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+
+
+def _double_cover24():
+    """A 24-vertex cubic bipartite Ramanujan graph: two walked 2-lifts of K_{3,3}."""
+    g = Graph.complete_bipartite(3, 3)
+    for _ in range(2):
+        g = two_lift(g, signing_select(g)[0])
+    return g
+
+
+ENGINE_GRAPHS = [_cube(), Graph.petersen(), Graph.complete_bipartite(4, 4),
+                 _in_walk_order(_double_cover24())]
+
+
+@pytest.mark.parametrize("g", ENGINE_GRAPHS, ids=["cube", "petersen", "K44", "cover24"])
+def test_signing_engine_matches_forward_oracle_at_every_level(g):
+    rng = np.random.default_rng(71)
+    engine = SigningEngine(g)
+    for f in range(g.m + 1):
+        prefixes = rng.choice([-1, 1], (2, f))
+        want = forward_signed_chars(g, prefixes)
+        assert engine.chars(prefixes) == want, f
+        assert expected_signed_chars(g, prefixes) == want, f
+
+
+@pytest.mark.parametrize("g", ENGINE_GRAPHS, ids=["cube", "petersen", "K44", "cover24"])
+def test_signing_engine_minus_child_from_parent_matches_oracle(g):
+    rng = np.random.default_rng(73)
+    engine = SigningEngine(g)
+    for f in range(1, g.m):
+        signs = rng.choice([-1, 1], f).tolist()
+        parent = forward_signed_chars(g, [signs])[0]
+        plus, minus = forward_signed_chars(g, [signs + [1], signs + [-1]])
+        assert engine.children(signs, parent) == (plus, minus), f
+        assert engine.children(signs) == (plus, minus), f
+
+
+def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
+    g = _in_walk_order(_double_cover24())
+    engine = SigningEngine(g)
+    sides = []
+
+    def recorded(mats):
+        sides.append(mats.shape)
+        return charpoly_batch_exact(mats)
+
+    monkeypatch.setattr(graphs, "charpoly_batch_exact", recorded)
+    rng = np.random.default_rng(79)
+    for f in range(g.m + 1):
+        sides.clear()
+        engine.chars(rng.choice([-1, 1], (3, f)))
+        width = len({v for e in g.edges[:f] for v in e})
+        groups = len(engine.tables[f][0])
+        assert [s[1:] for s in sides] == [(width, width)] * len(sides)
+        assert sum(s[0] for s in sides) == 3 * groups
+
+
+def test_signing_engine_past_62_vertices_and_edges():
+    # masks of 70 vertices and weights past 62 edges leave int64; every
+    # signing of a forest has the matching polynomial as its char poly,
+    # and the path's is mu_n = x mu_(n-1) - mu_(n-2)
+    g = Graph.path(70)
+    mu = [Polynomial([1]), Polynomial([0, 1])]
+    while len(mu) <= g.n:
+        mu.append(Polynomial([0, 1]) * mu[-1] - mu[-2])
+    engine = SigningEngine(g)
+    assert engine.tables[0][0].dtype == object and engine.tables[0][1].dtype == object
+    rng = np.random.default_rng(83)
+    for f in (0, 1, 35, g.m):
+        assert engine.chars(rng.choice([-1, 1], (2, f))) == [mu[g.n]] * 2
+
+
+def test_signing_engine_levels_and_budget():
+    g = _cube()
+    engine = SigningEngine(g)
+    assert len(engine.tables) == g.m + 1
+    # no edge is taken at level m and no vertex is matched yet at level 0
+    assert [len(m) for m, _ in (engine.tables[0], engine.tables[-1])] == [1, 1]
+    # the budget counts every level's states, all before the first level is formed
+    states = sum(len(m) for m, _ in engine.tables)
+    with pytest.raises(BudgetExceededError):
+        SigningEngine(g, budget=states - 1)
+    SigningEngine(g, budget=states)
+    with pytest.raises(ValueError):
+        engine.chars([[1] * (g.m + 1)])
+    with pytest.raises(ValueError):
+        engine.chars([[1, 2]])
 
 
 def _frontier_sizes(g, order):

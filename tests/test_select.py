@@ -17,6 +17,7 @@ from interlace import (
     SymMatrix,
     char_poly,
     charpoly_batch,
+    charpoly_batch_exact,
     apply_shift_operator,
     shift_roots,
     kth_largest_root,
@@ -43,11 +44,13 @@ from interlace import (
     signing_select,
     Graph,
     Signing,
+    SigningEngine,
     signed_adjacency,
     frontier_order,
 )
+import interlace.graphs as graphs_module
 import interlace.select as select_module
-from oracles import conditional_expected_poly, enumeration_walk
+from oracles import conditional_expected_poly, enumeration_walk, forward_signed_chars
 
 
 # ----------------------------------------------------------------------
@@ -545,10 +548,10 @@ def test_signing_select_matches_exact_enumeration_walk():
 def _recorded_signing_walk(monkeypatch, g):
     """signing_select on g, recording each level's children and every top_root call."""
     pairs, ranked = [], []
-    chars, top = select_module.expected_signed_chars, select_module.top_root
+    children, top = SigningEngine.children, select_module.top_root
 
-    def recorded_chars(*args, **kwargs):
-        out = chars(*args, **kwargs)
+    def recorded_children(self, *args, **kwargs):
+        out = children(self, *args, **kwargs)
         pairs.append(out)
         return out
 
@@ -556,7 +559,7 @@ def _recorded_signing_walk(monkeypatch, g):
         ranked.append(p)
         return top(p)
 
-    monkeypatch.setattr(select_module, "expected_signed_chars", recorded_chars)
+    monkeypatch.setattr(SigningEngine, "children", recorded_children)
     monkeypatch.setattr(select_module, "top_root", recorded_top)
     _, cert = signing_select(g)
     return cert, pairs, ranked
@@ -621,6 +624,68 @@ def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monke
         assert compare_top_roots(plus, minus) == 0
         assert cert.choices[level] == 0
     assert cert.valid()
+
+
+@pytest.mark.parametrize("g", [CUBE, Graph.petersen(), Graph.complete_bipartite(4, 4),
+                               _random_cubic_bipartite(5, 3)],
+                         ids=["cube", "petersen", "K44", "cubic10"])
+def test_signing_walk_children_match_forward_oracle(monkeypatch, g):
+    # after the first level the walk forms only the +1 child and takes the
+    # -1 child from its parent; both must be the oracle's children
+    seen = []
+    children = SigningEngine.children
+
+    def recorded(self, signs, parent=None):
+        out = children(self, signs, parent)
+        seen.append((self.g, list(signs), parent is None, out))
+        return out
+
+    monkeypatch.setattr(SigningEngine, "children", recorded)
+    signing_select(g)
+    assert [first for _, _, first, _ in seen] == [True] + [False] * (g.m - 1)
+    for walk, signs, _, pair in seen:
+        assert pair == tuple(forward_signed_chars(walk, [signs + [1], signs + [-1]]))
+
+
+def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
+    passes, rows = [], []
+    tables, chars = graphs_module._matching_tables, SigningEngine.chars
+
+    def counted(*args):
+        passes.append(args[1:])
+        return tables(*args)
+
+    def recorded(self, prefixes):
+        rows.append(len(prefixes))
+        return chars(self, prefixes)
+
+    monkeypatch.setattr(graphs_module, "_matching_tables", counted)
+    monkeypatch.setattr(SigningEngine, "chars", recorded)
+    _, cert = signing_select(CUBE)
+    assert cert.valid()
+    assert passes == [(select_module.DEFAULT_BUDGET,)]
+    assert rows == [2] + [1] * (CUBE.m - 1)
+
+
+def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
+    calls = []
+
+    def recorded(mats):
+        calls.append(mats.shape)
+        return charpoly_batch_exact(mats)
+
+    monkeypatch.setattr(graphs_module, "charpoly_batch_exact", recorded)
+    k33 = Graph.complete_bipartite(3, 3)
+    # the walk's tables are K_{3,3}'s in frontier order
+    label = {v: i for i, v in enumerate(frontier_order(k33))}
+    walk = Graph(6, [(label[a], label[b]) for a, b in k33.edges])
+    states = sum(len(m) for m, _ in SigningEngine(walk).tables)
+    for budget in (8, states - 1):
+        with pytest.raises(BudgetExceededError):
+            signing_select(k33, budget=budget)
+        assert calls == []
+    signing_select(k33, budget=states)
+    assert calls
 
 
 def test_signing_select_requires_regular():
