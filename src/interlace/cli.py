@@ -16,9 +16,10 @@ work in each command's own unit: for ``weaver``, the whole walk's
 estimated matrix or table entries (``walk_costs``: enumerated outcomes
 x n^2, or the mixed-characteristic engine's rank-one table updates x
 C(2n, n), n = 2 x dim, whichever route is cheaper), checked before the
-walk starts (default 2^30); for ``lift``, the states of each walk's one
-backward matching DP, summed over its levels and checked before the
-first choice (default 2^20).  ``ri`` and ``mixedchar`` take no budget.
+walk starts (default 2^30); for ``lift``, each walk's states of its one
+backward matching DP plus its leaf matrix entries (groups x |V(F)|^2 at
+every level), checked before the first choice (default 2^20).  ``ri``
+and ``mixedchar`` take no budget.
 """
 
 from __future__ import annotations
@@ -327,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="work cap: for weaver, the whole walk's estimated "
                              "entries, enumerated outcomes x n^2 or rank-one "
                              "table updates x C(2n, n), n = 2 x dim, whichever "
-                             "is cheaper (default 2^30); for lift, the states "
-                             "of each walk's one backward DP, checked before "
-                             "the first choice (default 2^20)")
+                             "is cheaper (default 2^30); for lift, each walk's "
+                             "backward-DP states plus leaf entries, groups x "
+                             "|V(F)|^2 per level, checked before the first "
+                             "choice (default 2^20)")
     common.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -440,7 +440,8 @@ class SigningEngine:
     matching polynomial.  The construction runs the DP of
     :func:`_matching_tables` once, so every level reads its leaf groups
     S = V(M) & V(F) and their weights off one table; the DP's states are
-    counted against ``budget`` before any level is formed.  A vertex
+    counted against ``budget`` before any level is formed, and
+    :meth:`walk_entries` adds a walk's leaf entries to them.  A vertex
     outside V(F) is isolated in A_F, so each leaf is chi(A_F[V(F)] with
     S zeroed) times x^(n - |V(F)|), divided by x^(2|M|): Berkowitz
     (:func:`charpoly_batch_exact`) runs at size |V(F)|, on ``LEAF_CHUNK``
@@ -450,6 +451,15 @@ class SigningEngine:
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
         self.g = g
         self.tables = _matching_tables(g, budget)
+
+    def walk_entries(self) -> int:
+        """A walk's work on this engine: the DP's states plus, at every
+        level, the leaf matrix entries of one row, groups x |V(F)|^2."""
+        total, verts = 0, set()
+        for f, (masks, _) in enumerate(self.tables):
+            total += len(masks) * (1 + len(verts) ** 2)
+            verts.update(self.g.edges[f] if f < self.g.m else ())
+        return total
 
     def chars(self, prefixes) -> list[Polynomial]:
         """Phi_F for each row of ``prefixes``, the signs of the first f edges."""
@@ -482,19 +492,6 @@ class SigningEngine:
                 start = max(off, 0)
                 total[:, start - off:nf + 1 - off] += part[:, start:]
         return [Polynomial(row.tolist()) for row in total]
-
-    def children(self, signs, parent: Polynomial | None = None):
-        """(Phi of ``signs`` + [1], Phi of ``signs`` + [-1]).
-
-        ``parent``, when given, must be Phi of ``signs`` itself: it is the
-        average of its two children, so only the +1 child is formed and
-        the -1 child is 2 parent - plus, exactly.
-        """
-        signs = list(signs)
-        if parent is None:
-            return tuple(self.chars([signs + [1], signs + [-1]]))
-        plus = self.chars([signs + [1]])[0]
-        return plus, 2 * parent - plus
 
 
 def expected_signed_chars(g: Graph, prefixes,

@@ -549,14 +549,12 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     vertex numbering.  With the first edges' signs fixed, the expected
     characteristic polynomial of a uniformly random signing is the exact
     integer polynomial Phi_F; one :class:`SigningEngine` serves the
-    whole walk, its backward DP run once, and its states checked against
-    ``budget``, before the first choice.  At the first edge both children
-    are formed; with nothing fixed the polynomial is the matching
-    polynomial mu_G, whose top root is the pledge, and by linearity it is
-    the average of those two children, so it costs no call of its own.
-    From then on the kept child is the next level's parent, so only the
-    +1 child is formed and the -1 child is 2 parent - plus, exactly.
-    Every Phi_F is real-rooted by theorem, so the children are ranked by
+    whole walk, its backward DP run once.  Its level 0, with nothing
+    fixed, is the matching polynomial mu_G, whose top root is the pledge.
+    A parent is the average of its two children, so at every level only
+    the +1 child is formed and the -1 child is 2 parent - plus, exactly;
+    the kept child is the next level's parent.  Every Phi_F is
+    real-rooted by theorem, so the children are ranked by
     :func:`top_root` (a top root in a bracket certified by exact root
     counts) and :func:`compare_top_roots` (exact, also when the brackets
     overlap), not by the full exact root pipeline; the tests, not this
@@ -569,7 +567,11 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     coordinates (the signed adjacency plus dI, the Gram sum of
     :func:`signing_vectors`), so ``choices`` is 0 for +1 and 1 for -1, in
     walk order, and every value is shifted by d.  ``budget`` bounds the
-    states of the walk's one backward DP.
+    walk's work, :meth:`SigningEngine.walk_entries`: the states of its
+    backward DP plus, at every level, groups x |V(F)|^2 leaf entries.  The
+    DP's states are counted as its tables grow and the whole sum before
+    the first choice; :class:`BudgetExceededError` is raised when it
+    passes ``budget``.
     """
     d = g.regularity()
     if d is None:
@@ -580,18 +582,19 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     label = {v: i for i, v in enumerate(order)}
     walk = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
     engine = SigningEngine(walk, budget)
+    work = engine.walk_entries()
+    if work > budget:
+        raise BudgetExceededError(
+            f"the signing walk costs {work} DP states and leaf entries, over "
+            f"the budget of {budget}")
+    phi = engine.chars([[]])[0]
+    parent = top_root(phi)
+    pledged = parent.root + d
     signs: list[int] = []
     levels: list[float] = []
-    parent = phi = None
     for _ in walk.edges:
-        plus, minus = engine.children(signs, phi)
-        if parent is None:
-            # mu_G is the average of the first edge's two children
-            total = plus + minus
-            if any(c % 2 for c in total.coeffs):
-                raise AssertionError("the children's sum has an odd coefficient")
-            parent = top_root(Polynomial([c // 2 for c in total.coeffs]))
-            pledged = parent.root + d
+        plus = engine.chars([signs + [1]])[0]
+        minus = 2 * phi - plus
         if plus == minus:
             # each child is then their average, the parent
             sign, best, phi = 1, parent, plus

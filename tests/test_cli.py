@@ -185,6 +185,18 @@ def test_lift_budget_exceeded_exit_4(capsys, tmp_path):
     assert "budget exceeded" in captured.err
 
 
+def test_lift_default_budget_stops_the_fourth_lift_of_k33(capsys, tmp_path):
+    # the walk on the 48-vertex third lift costs about 1.2e8 DP states and
+    # leaf entries, over the default 2^20, so it stops before its first choice
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    code = main(["lift", str(k33), "--iterations", "4"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "leaf entries" in captured.err
+
+
 def test_lift_non_regular_exit_3(capsys, tmp_path):
     p = tmp_path / "path.txt"
     p.write_text("0 1\n1 2\n")

@@ -348,12 +348,11 @@ def test_signing_engine_matches_forward_oracle_at_every_level(g):
 def test_signing_engine_minus_child_from_parent_matches_oracle(g):
     rng = np.random.default_rng(73)
     engine = SigningEngine(g)
-    for f in range(1, g.m):
+    for f in range(g.m):
         signs = rng.choice([-1, 1], f).tolist()
-        parent = forward_signed_chars(g, [signs])[0]
         plus, minus = forward_signed_chars(g, [signs + [1], signs + [-1]])
-        assert engine.children(signs, parent) == (plus, minus), f
-        assert engine.children(signs) == (plus, minus), f
+        parent, child = engine.chars([signs])[0], engine.chars([signs + [1]])[0]
+        assert child == plus and 2 * parent - child == minus, f
 
 
 def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
@@ -367,6 +366,7 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
 
     monkeypatch.setattr(graphs, "charpoly_batch_exact", recorded)
     rng = np.random.default_rng(79)
+    entries = 0
     for f in range(g.m + 1):
         sides.clear()
         engine.chars(rng.choice([-1, 1], (3, f)))
@@ -374,6 +374,10 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
         groups = len(engine.tables[f][0])
         assert [s[1:] for s in sides] == [(width, width)] * len(sides)
         assert sum(s[0] for s in sides) == 3 * groups
+        entries += sum(s[0] * s[1] * s[2] for s in sides)
+    # a walk's work: the DP's states and one row's leaf entries per level
+    states = sum(len(m) for m, _ in engine.tables)
+    assert 3 * (engine.walk_entries() - states) == entries
 
 
 def test_signing_engine_past_62_vertices_and_edges():

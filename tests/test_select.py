@@ -546,22 +546,44 @@ def test_signing_select_matches_exact_enumeration_walk():
 
 
 def _recorded_signing_walk(monkeypatch, g):
-    """signing_select on g, recording each level's children and every top_root call."""
-    pairs, ranked = [], []
-    children, top = SigningEngine.children, select_module.top_root
+    """signing_select on g, recording each level's children and every top_root call.
 
-    def recorded_children(self, *args, **kwargs):
-        out = children(self, *args, **kwargs)
-        pairs.append(out)
+    The walk forms Phi of the empty prefix and then each level's +1 child
+    with ``SigningEngine.chars``; its -1 child shows in the
+    ``compare_top_roots`` call that ranks distinct children, and equals
+    the +1 child when there is none.
+    """
+    events, ranked = [], []
+    chars, top, compare = SigningEngine.chars, select_module.top_root, \
+        select_module.compare_top_roots
+
+    def recorded_chars(self, prefixes):
+        out = chars(self, prefixes)
+        events.append(("chars", out))
         return out
 
     def recorded_top(p):
         ranked.append(p)
         return top(p)
 
-    monkeypatch.setattr(SigningEngine, "children", recorded_children)
+    def recorded_compare(minus, plus, *args):
+        events.append(("compare", (plus, minus)))
+        return compare(minus, plus, *args)
+
+    monkeypatch.setattr(SigningEngine, "chars", recorded_chars)
     monkeypatch.setattr(select_module, "top_root", recorded_top)
+    monkeypatch.setattr(select_module, "compare_top_roots", recorded_compare)
     _, cert = signing_select(g)
+    walk_events = list(events)  # matching_poly below may run chars too
+    assert walk_events[0] == ("chars", [matching_poly(g)])
+    pairs = []
+    for kind, out in walk_events[1:]:
+        if kind == "chars":
+            assert len(out) == 1
+            pairs.append((out[0], out[0]))
+        else:
+            assert out[0] == pairs[-1][0] != out[1]
+            pairs[-1] = out
     return cert, pairs, ranked
 
 
@@ -598,8 +620,8 @@ def test_signing_walk_children_are_real_rooted_and_certified(monkeypatch, g):
 
 def test_signing_walk_ranks_every_polynomial_once(monkeypatch):
     cert, pairs, ranked = _recorded_signing_walk(monkeypatch, CUBE)
-    # one edge closes no cycle, so the first children agree, and their
-    # average, the pledge's mu_G, is the only polynomial ranked for them
+    # the pledge's mu_G is ranked first; one edge closes no cycle, so the
+    # first children agree and reuse its top root
     assert pairs[0][0] == pairs[0][1]
     assert ranked[0] == matching_poly(CUBE)
     assert cert.pledged == top_root(matching_poly(CUBE)).root + 3
@@ -630,21 +652,16 @@ def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monke
                                _random_cubic_bipartite(5, 3)],
                          ids=["cube", "petersen", "K44", "cubic10"])
 def test_signing_walk_children_match_forward_oracle(monkeypatch, g):
-    # after the first level the walk forms only the +1 child and takes the
-    # -1 child from its parent; both must be the oracle's children
-    seen = []
-    children = SigningEngine.children
-
-    def recorded(self, signs, parent=None):
-        out = children(self, signs, parent)
-        seen.append((self.g, list(signs), parent is None, out))
-        return out
-
-    monkeypatch.setattr(SigningEngine, "children", recorded)
-    signing_select(g)
-    assert [first for _, _, first, _ in seen] == [True] + [False] * (g.m - 1)
-    for walk, signs, _, pair in seen:
-        assert pair == tuple(forward_signed_chars(walk, [signs + [1], signs + [-1]]))
+    # the walk forms only the +1 child and takes the -1 child from its
+    # parent; both must be the oracle's children
+    cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
+    label = {v: i for i, v in enumerate(frontier_order(g))}
+    walk = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+    signs = [1 - 2 * c for c in cert.choices]
+    assert len(pairs) == g.m
+    for f, pair in enumerate(pairs):
+        prefix = signs[:f]
+        assert pair == tuple(forward_signed_chars(walk, [prefix + [1], prefix + [-1]])), f
 
 
 def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
@@ -664,7 +681,7 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
     _, cert = signing_select(CUBE)
     assert cert.valid()
     assert passes == [(select_module.DEFAULT_BUDGET,)]
-    assert rows == [2] + [1] * (CUBE.m - 1)
+    assert rows == [1] * (CUBE.m + 1)
 
 
 def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
@@ -679,12 +696,16 @@ def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
     # the walk's tables are K_{3,3}'s in frontier order
     label = {v: i for i, v in enumerate(frontier_order(k33))}
     walk = Graph(6, [(label[a], label[b]) for a, b in k33.edges])
-    states = sum(len(m) for m, _ in SigningEngine(walk).tables)
-    for budget in (8, states - 1):
+    engine = SigningEngine(walk)
+    states = sum(len(m) for m, _ in engine.tables)
+    work = engine.walk_entries()
+    assert work > states
+    # the DP passes 8 as it grows; states and then the leaf entries pass the rest
+    for budget in (8, states - 1, states, work - 1):
         with pytest.raises(BudgetExceededError):
             signing_select(k33, budget=budget)
         assert calls == []
-    signing_select(k33, budget=states)
+    signing_select(k33, budget=work)
     assert calls
 
 
