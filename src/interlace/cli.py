@@ -25,6 +25,7 @@ and ``mixedchar`` take no budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -115,6 +116,16 @@ def _emit(payload: dict, out_path):
         sys.stdout.write(text)
 
 
+def _number_array(rows, cfg: RunConfig) -> np.ndarray:
+    """JSON rows as a float64 array or, in exact mode, an object array in
+    which JSON integers stay ints and decimals and "p/q" strings become
+    Fractions."""
+    if cfg.mode == "exact":
+        return np.array([[x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
+                          for x in row] for row in rows], dtype=object)
+    return np.array(rows, dtype=float)
+
+
 def _parse_vector_system(text: str, cfg: RunConfig) -> VectorSystem:
     data = _load_json(text, cfg.mode == "exact")
     if isinstance(data, dict):
@@ -122,12 +133,7 @@ def _parse_vector_system(text: str, cfg: RunConfig) -> VectorSystem:
     if not isinstance(data, list) or not data:
         raise ParseFailure("expected a nonempty JSON list under 'vectors'")
     try:
-        if cfg.mode == "exact":
-            arr = np.array([[Fraction(x) if not isinstance(x, Fraction) else x
-                             for x in row] for row in data], dtype=object)
-        else:
-            arr = np.array(data, dtype=float)
-        return VectorSystem(arr)
+        return VectorSystem(_number_array(data, cfg))
     except (TypeError, ValueError) as e:
         raise ParseFailure(f"malformed vector system: {e}") from e
 
@@ -144,12 +150,7 @@ def _parse_matrices(text: str, cfg: RunConfig) -> list[SymMatrix]:
     for i, entry in enumerate(data):
         rows = entry.get("entries") if isinstance(entry, dict) else entry
         try:
-            if cfg.mode == "exact":
-                arr = np.array([[Fraction(x) if not isinstance(x, Fraction) else x
-                                 for x in row] for row in rows], dtype=object)
-            else:
-                arr = np.array(rows, dtype=float)
-            out.append(SymMatrix(arr))
+            out.append(SymMatrix(_number_array(rows, cfg)))
         except (TypeError, ValueError) as e:
             raise ParseFailure(f"matrix {i} malformed: {e}") from e
     return out
@@ -363,10 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on bad flags, which matches our parse-error code
         return int(e.code) if e.code else 0

@@ -445,7 +445,8 @@ class SigningEngine:
     outside V(F) is isolated in A_F, so each leaf is chi(A_F[V(F)] with
     S zeroed) times x^(n - |V(F)|), divided by x^(2|M|): Berkowitz
     (:func:`charpoly_batch_exact`) runs at size |V(F)|, on ``LEAF_CHUNK``
-    groups at a time, and in int64 while (2N)^|V(F)| < 2^63.
+    groups at a time, and in int64 while the leaves' coefficients provably
+    fit (up to |V(F)| = 45 for a cubic graph; see :func:`charpoly_batch_exact`).
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):

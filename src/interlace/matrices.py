@@ -5,14 +5,18 @@ exact regime (integer dtype, or object dtype holding ints/Fractions).
 Characteristic polynomials follow the convention ``det(xI - A)``, always
 monic, lowest degree first.  There is one kernel per arithmetic, both
 batched over a (B, n, n) stack: ``charpoly_batch_exact`` runs Berkowitz's
-division-free recurrence in int64 when a magnitude bound proves that
-nothing overflows and in object dtype (ints, Fractions) otherwise, and
+division-free recurrence on integers, each rational matrix cleared of its
+denominators first, in int64 left to wrap when a bound proves that the
+final coefficients fit and in Python ints otherwise, and
 ``charpoly_batch`` takes float64 eigenvalues (``eigvalsh``) and multiplies
 them out with a vectorized Vieta recurrence.  ``char_poly`` is a one-row
 call of the kernel that matches the matrix's regime.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -171,29 +175,38 @@ def charpoly_batch_exact(mats: np.ndarray) -> np.ndarray:
     (highest degree first), the next block's is the full convolution of
     ``v`` with the Toeplitz column ``t = [1, -a, -R C, -R A_i C, ...,
     -R A_i^(i-1) C]``, truncated to length i + 2, where ``a``, ``R`` and
-    ``C`` are the new diagonal entry, row and column.  Only ring
-    operations occur, so the result is exact over ints and Fractions.
+    ``C`` are the new diagonal entry, row and column.
 
-    An integer-dtype stack runs in int64 when no intermediate can
-    overflow; anything else runs in object dtype.  The bound: let
-    M = max |a_rs| and N the largest absolute row sum over the stack, so
-    M <= N and ||A_i||_inf <= N for every leading block A_i.  Every
-    eigenvalue of A_i has modulus at most N, so the coefficient of degree
-    i - j in ``v`` is at most C(i, j) N^j.  Entries of A_i^k C, and every
-    partial sum of the products forming them, are at most N^k M, hence
-    |t_q| <= N^q.  A convolution term t_(l-j) v_j is then at most
-    C(i, j) N^l, and any partial sum over j at most 2^i N^l.  So every
-    intermediate is at most (2 N)^n, and int64 is safe when that is
-    below 2^63: a signed adjacency stack of a cubic graph stays int64 up
-    to n = 24.  The int64 result keeps that dtype; otherwise the result
-    is an object array.
+    The recurrence runs on integers only.  An object stack (ints,
+    Fractions) is cleared matrix by matrix: with q the lcm of A's entry
+    denominators, chi(A)(x) = q^(-n) chi(qA)(qx), so the coefficient of
+    x^j is that of qA divided by q^(n-j).  Only ring operations occur, so
+    int64 arithmetic left to wrap modulo 2^64 is exact whenever the final
+    coefficients fit (:func:`_fits_int64`); the stack then runs in int64,
+    and in Python ints otherwise.  An integer-dtype stack returns int64
+    or object; anything else is read as exact rationals and returns
+    object.
     """
     mats = np.asarray(mats)
     b, n, _ = mats.shape
-    if np.issubdtype(mats.dtype, np.integer) and (2 * _max_row_sum(mats)) ** n < 2 ** 63:
-        mats = mats.astype(np.int64)
-    else:
-        mats = mats.astype(object)
+    if np.issubdtype(mats.dtype, np.integer):
+        return _berkowitz(mats.astype(np.int64) if _fits_int64(mats) else mats.astype(object))
+    scales, rows = [], []
+    for entries in mats.reshape(b, n * n).tolist():
+        q, ints = _cleared(entries)
+        scales.append(q)
+        rows.append(ints)
+    ints = np.array(rows, dtype=object).reshape(b, n, n)
+    co = _berkowitz(ints.astype(np.int64) if _fits_int64(ints) else ints).astype(object)
+    for row, q in zip(co, scales):
+        if q != 1:
+            row[:] = [Fraction(c, q ** (n - j)) for j, c in enumerate(row.tolist())]
+    return co
+
+
+def _berkowitz(mats: np.ndarray) -> np.ndarray:
+    """The recurrence of :func:`charpoly_batch_exact`, in the dtype of ``mats``."""
+    b, n, _ = mats.shape
     v = np.ones((b, 1), dtype=mats.dtype)
     for i in range(n):
         a_i = mats[:, :i, :i]
@@ -213,15 +226,38 @@ def charpoly_batch_exact(mats: np.ndarray) -> np.ndarray:
     return v[:, ::-1].copy()
 
 
-def _max_row_sum(mats: np.ndarray) -> int:
-    # Python ints first: np.abs would wrap at the most negative int64.  When
-    # the row sums could overflow, n max|a| bounds them and is already far
-    # past anything int64 can take.
-    top = max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
+def _fits_int64(mats: np.ndarray) -> bool:
+    """Whether every coefficient of every chi(A) in an integer stack lies in int64.
+
+    With lambda the eigenvalues of A, |c_(n-k)| = |e_k(lambda)| <=
+    e_k(|lambda|) <= C(n, k) r^k, where r is either bound on the mean of
+    |lambda|: the largest absolute row sum N (Gershgorin), or ||A||_F /
+    sqrt(n) (Maclaurin's inequality, the power mean and Schur's
+    sum |lambda|^2 <= ||A||_F^2).  The test runs on squares in Python
+    ints, n r^2 = min(n N^2, ||A||_F^2) taken over the stack.  Entries
+    with n max|a| >= 2^31 go to Python ints untested, so that the row
+    sums and squares below cannot overflow.  A signed adjacency stack of
+    a cubic graph (N = 3, ||A||_F^2 = 3n) fits up to n = 45.
+    """
     n = mats.shape[-1]
-    if n * top >= 2 ** 62:
-        return n * top
-    return int(np.abs(mats).sum(axis=-1).max(initial=0))
+    top = max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
+    if n * top >= 2 ** 31:
+        return False
+    a = mats.astype(np.int64)
+    rows = int(np.abs(a).sum(axis=-1).max(initial=0))
+    frobenius = int(np.einsum("bij,bij->b", a, a).max(initial=0))
+    r2n = min(n * rows * rows, frobenius)
+    return all(math.comb(n, k) ** 2 * r2n ** k < 2 ** 126 * n ** k for k in range(1, n + 1))
+
+
+def _cleared(entries: list) -> tuple:
+    """(q, [q x for x in entries]): q is the lcm of the entries'
+    denominators (ints, Fractions, other rationals), the rest plain ints."""
+    if all(type(x) is int for x in entries):
+        return 1, entries
+    entries = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in entries]
+    q = math.lcm(1, *(x.denominator for x in entries))
+    return q, [x.numerator * (q // x.denominator) for x in entries]
 
 
 # Relative slack on the bottom eigenvalue when checking PSD inputs.

@@ -23,7 +23,9 @@ x^(n-k) tr W_k.  Adding a variable whose matrix is sum_j w_j u_j u_j^T
 adds sum_j w_j L_k(u_j) W_(k-1) L_k(u_j)^T to every W_k, where L_k(u) is
 the C(n, k) x C(n, k-1) map with L_k(u)[I, I - a] = (-1)^pos(a, I) u_a
 (:func:`fold_terms`).  That is division-free and linear in the number of
-variables; exact tables hold integers after one common scaling
+variables.  Exact matrices are split into rank-one terms with integer
+vectors by fraction-free elimination (:func:`_rank_one_terms`), so exact
+tables hold integers after one common scaling of the weights
 (:class:`TableArithmetic`), in int64 under a proven magnitude bound.
 :func:`mixed_char` runs on it, and so does the greedy walk of
 :mod:`interlace.select` wherever it is cheaper than enumeration.
@@ -42,7 +44,8 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
-from .matrices import SymMatrix, charpoly_batch, charpoly_batch_exact, _validate_psd_list
+from .matrices import SymMatrix, charpoly_batch, charpoly_batch_exact, _cleared, \
+    _validate_psd_list
 
 __all__ = [
     "BudgetExceededError",
@@ -208,8 +211,12 @@ class TableArithmetic:
     Float terms give float64 tables.  Exact terms (ints, Fractions) are all
     scaled by one common L, so that every L w u u^T is an integer weight
     times the outer product of an integer vector and the tables hold
-    integers.  Since mu[L A](x) = L^n mu[A](x / L), the coefficient of
-    x^j is divided by L^(n-j) at the end.
+    integers: vectors of ints, such as the primitive ones of
+    :func:`_rank_one_terms`, are taken as they are, others are cleared of
+    their denominators first, and L is the lcm of the weights'
+    denominators (1 for sign vectors), applied in integer arithmetic.
+    Since mu[L A](x) = L^n mu[A](x / L), the coefficient of x^j is
+    divided by L^(n-j) at the end.
 
     Integer tables run in int64 when nothing can overflow.  With the terms
     folded so far, W_k[I, J] = sum_T prod_(t in T) w_t det U_T[I]
@@ -241,7 +248,7 @@ class TableArithmetic:
         self.scale = math.lcm(1, *(w.denominator for w, _ in pairs))
         diag = [0] * n
         for w, u in pairs:
-            w = abs(int(w * self.scale))
+            w = abs(self._integer(w))
             for a, x in enumerate(u):
                 diag[a] += w * x * x
         top = max(diag, default=0)
@@ -256,10 +263,14 @@ class TableArithmetic:
         if self.scale is None:
             return ([float(w) for w, _ in pairs],
                     np.array([u for _, u in pairs], dtype=float).reshape(-1, self.n))
-        ints = [(int(w * self.scale), u) for w, u in
+        ints = [(self._integer(w), u) for w, u in
                 (_reduced_term(w, u) for w, u in pairs) if any(u)]
         return ([w for w, _ in ints],
                 np.array([u for _, u in ints], dtype=self.dtype).reshape(-1, self.n))
+
+    def _integer(self, w) -> int:
+        """L w for a weight w (an int or a Fraction), in integer arithmetic."""
+        return w.numerator * (self.scale // w.denominator)
 
     def empty(self) -> list:
         """The tables of no variables: W_0 = [1], every other W_k zero."""
@@ -280,50 +291,75 @@ class TableArithmetic:
 
 
 def _reduced_term(w, u) -> tuple:
-    """w u u^T as (w / q^2, q u) with q u an integer vector (a list of ints)."""
-    u = [Fraction(x) for x in u]
-    q = math.lcm(1, *(x.denominator for x in u))
-    return Fraction(w) / (q * q), [int(x * q) for x in u]
+    """w u u^T as (w / q^2, q u) with q u an integer vector (a list of ints).
+
+    A vector of ints passes through untouched, q = 1.
+    """
+    q, ints = _cleared(list(u))
+    return (w, ints) if q == 1 else (Fraction(w) / (q * q), ints)
+
+
+def _ratio(num: int, den: int):
+    """num / den, as an int when den divides num and as a Fraction otherwise."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    num, den = num // g, den // g
+    return num if den == 1 else Fraction(num, den)
 
 
 def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
     """Pairs (w, u) with sum w u u^T = A.
 
-    Float input gives all d eigenpairs of ``eigh``.  Exact input gives an
-    exact LDL^T: a zero pivot is skipped, and what a zero pivot with a
-    nonzero row leaves (only an indefinite input within the PSD check's
-    slack has one) is split entrywise, by
+    Float input gives all d eigenpairs of ``eigh``.  Exact input is
+    cleared once, B = qA with q the lcm of its denominators, and reduced
+    by fraction-free (Bareiss) elimination in Python ints: with pivot p,
+    the previous pivot p_ and the pivot's column f of the current matrix
+    M (which is p_ times the Schur complement of B), the term is
+    f f^T / (q p_ p), and M becomes (p M - f f^T) / p_, an exact division.
+    Each term is taken as (g^2 / (q p_ p), f / g), g = gcd(f), so the
+    vectors are primitive and the weights ints wherever they can be.  A
+    zero pivot is skipped, and what a zero pivot with a nonzero row leaves
+    (only an indefinite input within the PSD check's slack has one) is
+    split entrywise, by
     e_i e_j^T + e_j e_i^T = ((e_i + e_j)(e_i + e_j)^T - (e_i - e_j)(e_i - e_j)^T) / 2.
     """
     if not exact:
         w, u = np.linalg.eigh(mat.a.astype(float))
         return list(zip(w.tolist(), u.T))
-    a = np.array([[Fraction(x) for x in row] for row in mat.a.tolist()], dtype=object)
     d = mat.n
+    q, flat = _cleared(mat.a.ravel().tolist())
+    m = [flat[i * d:(i + 1) * d] for i in range(d)]
     terms = []
+    prev = 1
     for k in range(d):
-        p = a[k, k]
-        if p != 0:
-            u = a[:, k] / p
-            terms.append((p, u))
-            a = a - p * np.outer(u, u)
-    unit = np.eye(d, dtype=int).astype(object)
+        p = m[k][k]
+        if p:
+            f = [row[k] for row in m]
+            g = math.gcd(*f)
+            terms.append((_ratio(g * g, q * prev * p), [x // g for x in f]))
+            m = [[(p * x - fi * fj) // prev for x, fj in zip(row, f)]
+                 for row, fi in zip(m, f)]
+            prev = p
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    scale = q * prev
     for i in range(d):
-        if a[i, i] != 0:
-            terms.append((a[i, i], unit[i]))
+        if m[i][i]:
+            terms.append((_ratio(m[i][i], scale), unit[i]))
         for j in range(i + 1, d):
-            if a[i, j] != 0:
-                terms += [(a[i, j] / 2, unit[i] + unit[j]), (-a[i, j] / 2, unit[i] - unit[j])]
+            if m[i][j]:
+                plus = [x + y for x, y in zip(unit[i], unit[j])]
+                minus = [x - y for x, y in zip(unit[i], unit[j])]
+                terms += [(_ratio(m[i][j], 2 * scale), plus),
+                          (_ratio(-m[i][j], 2 * scale), minus)]
     return terms
 
 
 def mixed_char(matrices) -> Polynomial:
     """Mixed characteristic polynomial of PSD matrices A_1..A_m.
 
-    Each A_i is split into rank-one terms (``eigh`` for float input, an
-    exact LDL^T for exact input) and folded into the exterior-power tables
-    as one variable (:func:`fold_terms`); the cost is linear in m.  Monic
-    of degree d; exact for exact inputs.
+    Each A_i is split into rank-one terms (``eigh`` for float input,
+    fraction-free elimination on integers for exact input) and folded
+    into the exterior-power tables as one variable (:func:`fold_terms`);
+    the cost is linear in m.  Monic of degree d; exact for exact inputs.
     """
     mats = _validate_psd_list(matrices)
     m = len(mats)

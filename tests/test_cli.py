@@ -396,3 +396,40 @@ def test_import_loads_numpy_and_standard_library_only():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["interlace", "numpy"]
+
+
+def test_exact_parse_keeps_json_integers_as_ints():
+    cfg = interlace.cli.RunConfig(mode="exact")
+    text = json.dumps({"matrices": [[[2, 0.5], [0.5, "1/3"]]]})
+    (mat,) = interlace.cli._parse_matrices(text, cfg)
+    entries = mat.a.ravel().tolist()
+    assert type(entries[0]) is int and entries[0] == 2
+    assert entries[1:] == [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]
+    assert all(isinstance(x, Fraction) for x in entries[1:])
+    system = interlace.cli._parse_vector_system(json.dumps([[1, "1/2"], [0.25, -3]]), cfg)
+    rows = system.vectors.tolist()
+    assert [type(x) for x in rows[0] + rows[1]] == [int, Fraction, Fraction, int]
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, iso_system_file):
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1, 1], [1, 1]], [[2, -1], [-1, 1]]]))
+    calls = [["mixedchar", str(mats), "--mode", "exact"],
+             ["ri", iso_system_file, "-k", "2"],
+             ["mixedchar", str(mats), "--no-such-flag"],
+             ["mixedchar", str(mats), "--mode", "exact"]]
+
+    def run(argv, name):
+        target = tmp_path / name
+        code = main(argv + ["--out", str(target)])
+        return code, target.read_bytes() if target.exists() else None
+
+    interlace.cli._parser.cache_clear()
+    first = [run(argv, f"first{i}.json") for i, argv in enumerate(calls)]
+    assert [code for code, _ in first] == [0, 0, 2, 0]
+    assert first[3] == first[0] and first[2][1] is None
+    # every call again on the parser those calls left behind, and on a new one
+    again = [run(argv, f"again{i}.json") for i, argv in enumerate(calls)]
+    interlace.cli._parser.cache_clear()
+    fresh = [run(argv, f"fresh{i}.json") for i, argv in enumerate(calls)]
+    assert again == first and fresh == first

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from interlace import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact
+from interlace.matrices import _berkowitz
 from interlace.poly import Polynomial, real_roots
 
 
@@ -187,3 +188,41 @@ def test_charpoly_batch_exact_fraction_inputs():
     assert co[0][2] == 1
     assert co[0][1] == Fraction(-5, 6)
     assert co[0][0] == Fraction(1, 6)
+
+
+def test_charpoly_batch_exact_signed_cubic_n32_runs_int64():
+    # (2 * 3)^32 passes 2^63, so the old intermediate bound would leave
+    # int64; the coefficients themselves stay below C(32, k) 3^(k/2), and
+    # int64 left to wrap is exact for a ring recurrence whose results fit.
+    rng = np.random.default_rng(37)
+    n = 32
+    assert (2 * 3) ** n >= 2 ** 63
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+    stack = np.zeros((4, n, n), dtype=np.int64)
+    for a, b in edges:
+        stack[:, a, b] = stack[:, b, a] = rng.choice([-1, 1], 4)
+    co = charpoly_batch_exact(stack)
+    assert co.dtype == np.int64
+    # the same recurrence on Python ints, which cannot wrap
+    ref = _berkowitz(stack.astype(object))
+    assert ref.dtype == object
+    assert (co == ref).all()
+    assert (charpoly_batch_exact(stack.astype(object)) == ref).all()
+
+
+def test_charpoly_batch_exact_rational_stacks_match_faddeev_leverrier():
+    # object stacks are cleared matrix by matrix, each by its own
+    # denominator, and the coefficients scaled back
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        n = int(rng.integers(1, 7))
+        stack = np.empty((3, n, n), dtype=object)
+        for b in range(3):
+            for i in range(n):
+                for j in range(i, n):
+                    x = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 11)))
+                    stack[b, i, j] = stack[b, j, i] = x
+        co = charpoly_batch_exact(stack)
+        assert co.dtype == object
+        for b in range(3):
+            assert list(co[b]) == faddeev_leverrier(stack[b])

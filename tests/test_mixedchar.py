@@ -398,7 +398,7 @@ def test_mixed_char_d10_m16_exact_is_fast_and_equals_char_poly_of_sum():
 
 
 def test_mixed_char_ldl_handles_a_zero_pivot_with_a_nonzero_row():
-    # indefinite by 1e-12, inside the PSD check's slack: the LDL^T skips
+    # indefinite by 1e-12, inside the PSD check's slack: the elimination skips
     # the zero pivot and splits what is left entrywise
     eps = Fraction(1, 10 ** 6)
     a = SymMatrix(np.array([[0, eps], [eps, 1]], dtype=object))
@@ -418,3 +418,67 @@ def test_fold_terms_batch_equals_one_table_at_a_time():
     for b in range(7):
         alone = fold_terms([t[b] for t in stack], weights, vecs)
         assert all((x[b] == y).all() for x, y in zip(batched, alone))
+
+
+def _psd_family(rng, d, m, denominators):
+    """m PSD matrices B B^T / q, B integer of random rank, q from ``denominators``."""
+    mats = []
+    for _ in range(m):
+        b = rng.integers(-2, 3, size=(d, int(rng.integers(1, d + 1))))
+        q = int(rng.choice(denominators))
+        mats.append(SymMatrix(np.array([[Fraction(int(x), q) for x in row]
+                                        for row in b @ b.T], dtype=object)))
+    return mats
+
+
+def _zero_pivot_family():
+    # a zero pivot, one within the PSD check's slack with a nonzero row, a
+    # zero pivot after a cancelling elimination step, and the zero matrix
+    eps = Fraction(1, 10 ** 6)
+    return [SymMatrix(np.array(a, dtype=object)) for a in (
+        [[0, 0, 0], [0, 2, 1], [0, 1, 3]],
+        [[0, eps, 0], [eps, 1, 0], [0, 0, 1]],
+        [[1, 1, 2], [1, 1, 2], [2, 2, 5]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    )]
+
+
+def _terms_sum(terms, d):
+    total = np.zeros((d, d), dtype=object)
+    for w, u in terms:
+        total = total + w * np.outer(np.array(u, dtype=object), np.array(u, dtype=object))
+    return total
+
+
+@pytest.mark.parametrize("family", ["integer", "rational", "zero-pivot"])
+def test_rank_one_terms_sum_back_and_mixed_char_equals_ring(family):
+    rng = np.random.default_rng(271)
+    if family == "zero-pivot":
+        families = [_zero_pivot_family()]
+    else:
+        denominators = [1] if family == "integer" else [1, 2, 3, 7, 10]
+        families = [_psd_family(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)),
+                                denominators) for _ in range(12)]
+    for mats in families:
+        for mat in mats:
+            terms = _rank_one_terms(mat, True)
+            assert (_terms_sum(terms, mat.n) == mat.a).all()
+            assert all(type(x) is int for _, u in terms for x in u)
+            assert all(isinstance(w, (int, Fraction)) for w, _ in terms)
+        assert mixed_char(mats) == ring_mixed_char(mats)
+
+
+def test_rank_one_terms_of_integer_input_stay_on_ints():
+    # JSON integers reach the engine as ints: the weights of an integer
+    # family with unit pivots are ints, the vectors always are
+    rng = np.random.default_rng(277)
+    for v in rng.choice([-1, 1], size=(6, 5)):
+        mat = SymMatrix(np.outer(v, v).astype(object))
+        terms = _rank_one_terms(mat, True)
+        assert len(terms) == 1
+        w, u = terms[0]
+        assert type(w) is int and all(type(x) is int for x in u)
+    mat = SymMatrix(np.array([[2, 1], [1, 2]], dtype=object))
+    terms = _rank_one_terms(mat, True)
+    assert all(type(x) is int for _, u in terms for x in u)
+    assert [w for w, _ in terms] == [Fraction(1, 2), Fraction(3, 2)]
