@@ -56,6 +56,7 @@ from .graphs import (
     frontier_order,
     godsil_gutman_check,
     heilmann_lieb_check,
+    squared_roots,
     two_lift,
     is_ramanujan_bipartite,
     spectral_approx_factors,

@@ -34,10 +34,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import Polynomial, real_roots, roots_above, NotRealRootedError
-from .matrices import SymMatrix, charpoly_batch_exact
+from .poly import real_roots, roots_above, NotRealRootedError
+from .matrices import SymMatrix, char_poly
 from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET
-from .graphs import Graph, adjacency, signed_adjacency, is_ramanujan_bipartite, \
+from .graphs import Graph, signed_adjacency, squared_roots, is_ramanujan_bipartite, \
     two_lift
 from .select import VectorSystem, restricted_invertibility_select, \
     restricted_invertibility_bound, weaver_partition, weaver_bound, signing_select, \
@@ -236,20 +236,6 @@ def cmd_weaver(args, cfg: RunConfig) -> int:
     return EXIT_OK if cert.valid() else EXIT_INVARIANT
 
 
-def _signed_bound_holds(a_s: SymMatrix, d: int) -> bool:
-    """Whether every eigenvalue of bipartite ``a_s`` has |lambda| <= 2 sqrt(d-1), exactly.
-
-    chi(A_s) is an exact integer polynomial, and a bipartite graph's is
-    x^e q(x^2), the roots of q being the squared eigenvalues; so the
-    bound holds exactly when q has no root above the integer 4(d-1).
-    """
-    chi = charpoly_batch_exact(a_s.a.astype(np.int64)[None])[0].tolist()
-    e = (len(chi) - 1) % 2
-    if any(chi[1 - e::2]):
-        raise AssertionError("signed adjacency of a bipartite graph is not even or odd")
-    return roots_above(Polynomial(chi[e::2]), 4 * (d - 1)) == 0
-
-
 def cmd_lift(args, cfg: RunConfig) -> int:
     text = _read_input(args.input)
     try:
@@ -261,17 +247,20 @@ def cmd_lift(args, cfg: RunConfig) -> int:
         raise ValueError("input must be d-regular with d >= 2")
     if not is_ramanujan_bipartite(g):
         raise ValueError("input graph is not bipartite Ramanujan")
+    threshold = 2.0 * math.sqrt(d - 1.0)
     steps = []
-    ok = True
+    ok = certified = True
     for it in range(args.iterations):
         signing, cert = signing_select(g, budget=cfg.budget)
         a_s = signed_adjacency(g, signing)
         lam = float(np.max(a_s.eigenvalues()))
-        threshold = 2.0 * math.sqrt(d - 1.0)
-        bounded = _signed_bound_holds(a_s, d)
+        bounded = roots_above(squared_roots(char_poly(a_s)), 4 * (d - 1)) == 0
         lift = two_lift(g, signing)
-        # a signed eigenvalue past the bound is a nontrivial one of the lift
-        certified = bounded and is_ramanujan_bipartite(lift)
+        # spec(lift) = spec(A) + spec(A_s) (Bilu-Linial) and a lift stays
+        # d-regular and bipartite, so a connected lift of a certified graph
+        # is Ramanujan when A_s meets the bound; at d = 2 a balanced signing
+        # meets it with equality and disconnects the lift
+        certified = certified and bounded and lift.is_connected()
         ok = ok and cert.valid() and certified
         steps.append({
             "iteration": it,
@@ -287,7 +276,6 @@ def cmd_lift(args, cfg: RunConfig) -> int:
             "lift_edges": [list(e) for e in lift.edges],
         })
         g = lift
-        d = g.regularity()
     payload = {
         "command": "lift",
         "config": cfg.to_json(),
@@ -324,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=["float", "exact"], default="float",
                         help="arithmetic regime (default float)")
     common.add_argument("--tol", type=_finite_float, default=1e-9,
-                        help="comparison tolerance (default 1e-9)")
+                        help="isotropy tolerance of ri and weaver, floored at "
+                             "1e-8, so the default 1e-9 never takes effect; "
+                             "lift and mixedchar ignore it")
     common.add_argument("--budget", type=int, default=None,
                         help="work cap: for weaver, the whole walk's estimated "
                              "entries, enumerated outcomes x n^2 or rank-one "

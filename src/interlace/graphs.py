@@ -30,8 +30,8 @@ import math
 
 import numpy as np
 
-from .poly import Polynomial, real_roots
-from .matrices import SymMatrix, charpoly_batch_exact
+from .poly import Polynomial, roots_above
+from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import BudgetExceededError, DEFAULT_BUDGET
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "frontier_order",
     "godsil_gutman_check",
     "heilmann_lieb_check",
+    "squared_roots",
     "two_lift",
     "is_ramanujan_bipartite",
     "spectral_approx_factors",
@@ -81,8 +82,8 @@ class Graph:
             weights = tuple(weights)
             if len(weights) != len(norm):
                 raise ValueError("one weight per edge required")
-            if any(float(w) <= 0 for w in weights):
-                raise ValueError("edge weights must be positive")
+            if not all(0 < float(w) < math.inf for w in weights):
+                raise ValueError("edge weights must be positive and finite")
             order = sorted(range(len(norm)), key=lambda i: norm[i])
             self.edges = tuple(norm[i] for i in order)
             self.weights = tuple(weights[i] for i in order)
@@ -289,28 +290,16 @@ def laplacian(g: Graph) -> SymMatrix:
 def signed_adjacency(g: Graph, s: Signing) -> SymMatrix:
     """Adjacency with entries flipped to -1 on negatively signed edges.
 
-    For regular graphs the rank-one decomposition
-    ``A_s = sum_e (e_a + s_e e_b)(e_a + s_e e_b)^T - d I`` is re-derived
-    and compared entrywise as a consistency check.
+    For a d-regular graph it equals
+    ``sum_e (e_a + s_e e_b)(e_a + s_e e_b)^T - d I``, the rank-one form the
+    signing walk's Gram matrix ``A_s + d I`` is read in.
     """
     s.validate_for(g)
     a = np.zeros((g.n, g.n), dtype=int)
     for u, v in g.edges:
         a[u, v] = s[(u, v)]
         a[v, u] = s[(u, v)]
-    out = SymMatrix(a)
-    d = g.regularity()
-    if d is not None:
-        alt = np.zeros((g.n, g.n), dtype=int)
-        for u, v in g.edges:
-            vec = np.zeros(g.n, dtype=int)
-            vec[u] = 1
-            vec[v] = s[(u, v)]
-            alt += np.outer(vec, vec)
-        alt -= d * np.eye(g.n, dtype=int)
-        if not np.array_equal(alt, a):
-            raise AssertionError("rank-one decomposition of the signing disagrees")
-    return out
+    return SymMatrix(a)
 
 
 # ----------------------------------------------------------------------
@@ -337,16 +326,17 @@ def _matching_counts(g: Graph) -> list[int]:
     return counts
 
 
-def matching_poly(g: Graph, cap: int = MATCHING_CAP) -> Polynomial:
+def matching_poly(g: Graph) -> Polynomial:
     """The matching polynomial ``sum_i (-1)^i m_i x^(n-2i)``, exact.
 
     Computed independently by matching enumeration and by the signing
     engine with nothing fixed (:func:`expected_signed_chars`, which runs
     the deletion-contraction recurrence); the two integer polynomials must
     agree exactly or a RuntimeError flags the internal inconsistency.
+    Graphs of more than ``MATCHING_CAP`` vertices are refused.
     """
-    if g.n > cap:
-        raise ValueError(f"matching polynomial capped at {cap} vertices, got {g.n}")
+    if g.n > MATCHING_CAP:
+        raise ValueError(f"matching polynomial capped at {MATCHING_CAP} vertices, got {g.n}")
     counts = _matching_counts(g)
     coeffs = [0] * (g.n + 1)
     for i, mi in enumerate(counts):
@@ -584,13 +574,16 @@ def godsil_gutman_check(g: Graph) -> bool:
     return all(total[j] == scale * mu_c[j] for j in range(g.n + 1))
 
 
-def heilmann_lieb_check(g: Graph, tol: float = 1e-9) -> bool:
-    """Whether the largest matching-polynomial root is at most 2 sqrt(d-1)."""
+def heilmann_lieb_check(g: Graph) -> bool:
+    """Whether every matching-polynomial root is at most 2 sqrt(d-1) in modulus, exactly.
+
+    mu_G is real-rooted and of the form x^e q(x^2) (:func:`squared_roots`),
+    so the bound holds when q has no root above the integer 4(d-1).
+    """
     d = g.max_degree()
     if d < 2:
         raise ValueError("maximum degree must be at least 2")
-    lam = float(real_roots(matching_poly(g))[0])
-    return lam <= 2.0 * math.sqrt(d - 1.0) + tol
+    return roots_above(squared_roots(matching_poly(g)), 4 * (d - 1)) == 0
 
 
 # ----------------------------------------------------------------------
@@ -598,13 +591,29 @@ def heilmann_lieb_check(g: Graph, tol: float = 1e-9) -> bool:
 # ----------------------------------------------------------------------
 
 
+def squared_roots(chi: Polynomial) -> Polynomial:
+    """q with ``chi(x) = x^e q(x^2)``, e the parity of chi's degree.
+
+    The characteristic polynomial of a bipartite (signed) graph and every
+    matching polynomial have this form, and q's roots are the squares of
+    chi's roots, one per pair +-lambda.  With chi exact and real-rooted,
+    ``roots_above(q, b^2)`` counts the pairs with |lambda| > b exactly.
+    Raises ValueError if chi has a term of the other parity.
+    """
+    e = chi.degree % 2
+    if any(chi.coeffs[1 - e::2]):
+        raise ValueError("polynomial is neither even nor odd")
+    return Polynomial(chi.coeffs[e::2])
+
+
 def two_lift(g: Graph, s: Signing) -> Graph:
     """The 2-cover determined by a signing.
 
     Vertex (v, layer) becomes ``v + layer*n``.  A +1 edge keeps both
-    copies parallel, a -1 edge crosses layers.  The lift's adjacency
-    spectrum is verified to be the multiset union of spec(A) and
-    spec(A_s) to 1e-8 before the graph is returned.
+    copies parallel, a -1 edge crosses layers.  In the basis of the sums
+    and differences of the two copies the lift's adjacency splits into A
+    and A_s, so its spectrum is the multiset union of spec(A) and
+    spec(A_s) (Bilu-Linial) and chi(lift) = chi(A) chi(A_s).
     """
     s.validate_for(g)
     n = g.n
@@ -618,22 +627,18 @@ def two_lift(g: Graph, s: Signing) -> Graph:
         edges.extend(pair)
         if weights is not None:
             weights.extend([g.weights[i]] * 2)
-    lift = Graph(2 * n, edges, weights)
-    got = np.sort(adjacency(lift).eigenvalues())
-    want = np.sort(np.concatenate([
-        adjacency(g).eigenvalues(),
-        signed_adjacency(g, s).eigenvalues(),
-    ]))
-    if not np.allclose(got, want, atol=1e-8):
-        raise AssertionError("lift spectrum does not match spec(A) union spec(A_s)")
-    return lift
+    return Graph(2 * n, edges, weights)
 
 
-def is_ramanujan_bipartite(g: Graph, tol: float = 1e-9) -> bool:
-    """Certify |lambda| <= 2 sqrt(d-1) for all nontrivial adjacency eigenvalues.
+def is_ramanujan_bipartite(g: Graph) -> bool:
+    """Certify |lambda| <= 2 sqrt(d-1) for all nontrivial adjacency eigenvalues, exactly.
 
     Requires a connected, d-regular, bipartite graph; one eigenvalue at
-    +d and one at -d are the trivial pair and are excluded.
+    +d and one at -d are the trivial pair and are excluded.  chi(A) is
+    taken in integers and split as x^e q(x^2) (:func:`squared_roots`):
+    q(d^2) = 0 is the trivial pair, and the graph is Ramanujan when no
+    other root of q lies above 4(d-1).  d^2 itself lies above it except
+    at d = 2, where d^2 = 4(d-1).
     """
     if not g.is_connected():
         raise ValueError("graph is not connected")
@@ -642,13 +647,12 @@ def is_ramanujan_bipartite(g: Graph, tol: float = 1e-9) -> bool:
         raise ValueError("graph is not regular")
     if g.bipartition() is None:
         raise ValueError("graph is not bipartite")
-    w = np.sort(adjacency(g).eigenvalues())
-    if abs(w[-1] - d) > 1e-8 or abs(w[0] + d) > 1e-8:
+    if g.n <= 2:
+        return True  # the trivial pair is the whole spectrum
+    q = squared_roots(char_poly(adjacency(g)))
+    if q(d * d) != 0:
         raise AssertionError("connected regular bipartite graph missing trivial eigenvalues")
-    nontrivial = w[1:-1]
-    if len(nontrivial) == 0:
-        return True
-    return bool(np.max(np.abs(nontrivial)) <= 2.0 * math.sqrt(d - 1.0) + tol)
+    return roots_above(q, 4 * (d - 1)) == int(d != 2)
 
 
 def spectral_approx_factors(h: Graph, g: Graph) -> tuple[float, float]:

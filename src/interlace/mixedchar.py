@@ -61,7 +61,8 @@ __all__ = [
     "mixed_char_root_bound",
 ]
 
-# Outcomes for expected_char_poly, and signing DP states for lift.
+# Outcomes for expected_char_poly; for lift, a signing walk's DP states
+# plus its leaf matrix entries (SigningEngine.walk_entries).
 DEFAULT_BUDGET = 1 << 20
 MAX_VARIABLES = 16
 MAX_DIMENSION = 10
@@ -300,8 +301,8 @@ def _reduced_term(w, u) -> tuple:
 
 
 def _ratio(num: int, den: int):
-    """num / den, as an int when den divides num and as a Fraction otherwise."""
-    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    """num / den, den > 0, as an int when den divides num and as a Fraction otherwise."""
+    g = math.gcd(num, den)
     num, den = num // g, den // g
     return num if den == 1 else Fraction(num, den)
 
@@ -317,10 +318,10 @@ def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
     f f^T / (q p_ p), and M becomes (p M - f f^T) / p_, an exact division.
     Each term is taken as (g^2 / (q p_ p), f / g), g = gcd(f), so the
     vectors are primitive and the weights ints wherever they can be.  A
-    zero pivot is skipped, and what a zero pivot with a nonzero row leaves
-    (only an indefinite input within the PSD check's slack has one) is
-    split entrywise, by
-    e_i e_j^T + e_j e_i^T = ((e_i + e_j)(e_i + e_j)^T - (e_i - e_j)(e_i - e_j)^T) / 2.
+    zero pivot is skipped.  The elimination decides PSD exactly: A is PSD
+    if and only if no pivot is negative and nothing is left at the end
+    (a zero pivot of a PSD matrix has a zero row).  Otherwise ValueError
+    is raised, also for input the float PSD check's slack lets through.
     """
     if not exact:
         w, u = np.linalg.eigh(mat.a.astype(float))
@@ -332,6 +333,8 @@ def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
     prev = 1
     for k in range(d):
         p = m[k][k]
+        if p < 0:
+            raise ValueError("matrix is not positive semidefinite")
         if p:
             f = [row[k] for row in m]
             g = math.gcd(*f)
@@ -339,17 +342,8 @@ def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
             m = [[(p * x - fi * fj) // prev for x, fj in zip(row, f)]
                  for row, fi in zip(m, f)]
             prev = p
-    unit = [[int(i == j) for j in range(d)] for i in range(d)]
-    scale = q * prev
-    for i in range(d):
-        if m[i][i]:
-            terms.append((_ratio(m[i][i], scale), unit[i]))
-        for j in range(i + 1, d):
-            if m[i][j]:
-                plus = [x + y for x, y in zip(unit[i], unit[j])]
-                minus = [x - y for x, y in zip(unit[i], unit[j])]
-                terms += [(_ratio(m[i][j], 2 * scale), plus),
-                          (_ratio(-m[i][j], 2 * scale), minus)]
+    if any(any(row) for row in m):
+        raise ValueError("matrix is not positive semidefinite")
     return terms
 
 

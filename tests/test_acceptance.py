@@ -149,7 +149,7 @@ def test_criterion_04_matching_root_bound(capsys):
         if not 2 <= g.max_degree() <= 6:
             continue
         produced += 1
-        if not heilmann_lieb_check(g, tol=1e-9):
+        if not heilmann_lieb_check(g):
             failures.append((produced, n, g.max_degree()))
     ok = not failures
     _report(capsys, 4, "matching-poly roots within 2 sqrt(d-1), 100 random graphs", ok)
@@ -347,7 +347,7 @@ def test_criterion_10_ramanujan_pipeline(capsys):
         if not cert.valid():
             failures.append((f"lift-{step}", "certificate", cert.achieved))
         g = two_lift(g, signing)
-        if not is_ramanujan_bipartite(g, tol=1e-7):
+        if not is_ramanujan_bipartite(g):
             failures.append((f"lift-{step}", "not-ramanujan", g.n))
     if g.n != 24:
         failures.append(("final-size", g.n))

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import interlace.cli
-from interlace import Graph, Signing, VectorSystem, NotRealRootedError, signed_adjacency, \
-    signing_select
+from interlace import Graph, Signing, VectorSystem, NotRealRootedError, signing_select
 from interlace.cli import main
 
 
@@ -165,14 +164,33 @@ def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monk
     assert step["lift_ramanujan"] is False
 
 
-def test_signed_bound_is_exact_at_equality():
-    # the all-+1 cycle has top eigenvalue 2 = 2 sqrt(d - 1) exactly at d = 2;
-    # the all-+1 K_{3,3} has 3 > 2 sqrt(2)
-    c8 = Graph.cycle(8)
-    assert interlace.cli._signed_bound_holds(signed_adjacency(c8, Signing.all_ones(c8)), 2)
-    k33 = Graph.complete_bipartite(3, 3)
-    assert not interlace.cli._signed_bound_holds(
-        signed_adjacency(k33, Signing.all_ones(k33)), 3)
+def test_lift_balanced_signing_of_a_cycle_is_not_certified(capsys, tmp_path, monkeypatch):
+    # a balanced signing of C8 meets the bound 2 = 2 sqrt(d - 1) with
+    # equality but disconnects the lift, so only the connectivity check
+    # refuses it; the walk never picks one, C_n's top matching root being < 2
+    g = Graph.cycle(8)
+    c8 = tmp_path / "c8.txt"
+    c8.write_text(g.to_edge_list())
+    _, cert = signing_select(g)
+    balanced = {e: -1 if 3 in e else 1 for e in g.edges}  # switching at vertex 3
+    monkeypatch.setattr(interlace.cli, "signing_select",
+                        lambda graph, budget: (Signing(balanced), cert))
+    code, payload = run_cli(capsys, ["lift", str(c8)])
+    assert code == 1
+    step = payload["steps"][0]
+    assert step["certificate_valid"] is True
+    assert step["lambda_max_signed"] == pytest.approx(2.0)
+    assert step["lift_ramanujan"] is False
+
+
+def test_lift_non_finite_weight_exit_2(capsys, tmp_path):
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("0 3 nan\n" + "\n".join(
+        f"{a} {b} 1" for a in range(3) for b in range(3, 6) if (a, b) != (0, 3)))
+    assert main(["lift", str(k33)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive and finite" in captured.err
 
 
 def test_lift_budget_exceeded_exit_4(capsys, tmp_path):
@@ -259,6 +277,18 @@ def test_mixedchar_non_psd_exit_3(capsys, tmp_path):
     mats.write_text(json.dumps({"matrices": [[[-1.0, 0.0], [0.0, 1.0]]]}))
     code, _ = run_cli(capsys, ["mixedchar", str(mats)])
     assert code == 3
+
+
+def test_mixedchar_exact_indefinite_exit_3(capsys, tmp_path):
+    # mu = x^2 + 2e-20 has no real root, and the float PSD check's slack
+    # admits both matrices; the exact elimination refuses the first
+    eps = "1/10000000000"
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[0, eps], [eps, 0]], [[0, "-" + eps], ["-" + eps, 0]]]))
+    assert main(["mixedchar", str(mats), "--mode", "exact"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive semidefinite" in captured.err
 
 
 def test_mixedchar_empty_list_exit_2(capsys, tmp_path):

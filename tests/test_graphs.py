@@ -26,6 +26,8 @@ from interlace import (
     char_poly,
     charpoly_batch_exact,
     real_roots,
+    roots_above,
+    squared_roots,
     BudgetExceededError,
     SigningEngine,
     signing_select,
@@ -52,6 +54,14 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])  # duplicate after normalization
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])  # out of range
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_graph_rejects_non_positive_or_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Graph(3, [(0, 1), (1, 2)], weights=[1.0, bad])
+    with pytest.raises(ValueError, match="positive and finite"):
+        Graph.from_edge_list(f"0 1 1\n1 2 {bad}\n")
 
 
 def test_named_graphs():
@@ -440,13 +450,17 @@ def test_frontier_order_is_a_permutation_with_small_frontiers():
     assert frontier_order(Graph(0, [])) == []
 
 
-def test_frontier_order_does_not_depend_on_the_numbering():
-    # A connected 24-vertex cubic Ramanujan double cover of K_{3,3}: under
-    # random numberings the sorted-edge order leaves frontiers of 10-15
-    # vertices, the frontier order 6 every time.
+def _cover24():
+    """A connected 24-vertex cubic Ramanujan double cover of K_{3,3}."""
     k33 = Graph.complete_bipartite(3, 3)
     g = two_lift(k33, Signing({e: -1 if i in (0, 4) else 1 for i, e in enumerate(k33.edges)}))
-    g = two_lift(g, Signing({e: -1 if i % 5 == 0 else 1 for i, e in enumerate(g.edges)}))
+    return two_lift(g, Signing({e: -1 if i % 5 == 0 else 1 for i, e in enumerate(g.edges)}))
+
+
+def test_frontier_order_does_not_depend_on_the_numbering():
+    # Under random numberings of the 24-vertex cover the sorted-edge order
+    # leaves frontiers of 10-15 vertices, the frontier order 6 every time.
+    g = _cover24()
     assert g.n == 24 and g.is_connected() and is_ramanujan_bipartite(g)
     rng = np.random.default_rng(3)
     for _ in range(6):
@@ -493,6 +507,54 @@ def test_two_lift_spectrum_is_union():
         assert np.allclose(w_lift, w_union, atol=1e-8)
 
 
+def _exact_char(g, s=None):
+    return char_poly(adjacency(g) if s is None else signed_adjacency(g, s))
+
+
+def _random_signings(rng, g, count):
+    return [Signing({e: int(rng.choice([-1, 1])) for e in g.edges}) for _ in range(count)]
+
+
+def test_signed_adjacency_is_its_rank_one_form():
+    # A_s = sum_e (e_a + s_e e_b)(e_a + s_e e_b)^T - d I on d-regular graphs
+    rng = np.random.default_rng(61)
+    for g in (Graph.petersen(), Graph.complete_bipartite(4, 4), _cover24()):
+        d = g.regularity()
+        for s in _random_signings(rng, g, 4):
+            gram = np.zeros((g.n, g.n), dtype=int)
+            for a, b in g.edges:
+                vec = np.zeros(g.n, dtype=int)
+                vec[a], vec[b] = 1, s[(a, b)]
+                gram += np.outer(vec, vec)
+            assert np.array_equal(gram - d * np.eye(g.n, dtype=int), signed_adjacency(g, s).a)
+
+
+def test_two_lift_char_poly_is_the_product_exactly():
+    # chi(lift) = chi(A) chi(A_s) in integers (Bilu-Linial), beside the
+    # float spectrum-union test above
+    rng = np.random.default_rng(67)
+    for g in (Graph.petersen(), Graph.complete_bipartite(4, 4), _cover24()):
+        chi = _exact_char(g)
+        for s in _random_signings(rng, g, 3):
+            assert _exact_char(two_lift(g, s)) == chi * _exact_char(g, s)
+
+
+def test_signed_bound_is_exact_at_equality():
+    # the all-+1 cycle has top eigenvalue 2 = 2 sqrt(d - 1) exactly at d = 2;
+    # the all-+1 K_{3,3} has 3 > 2 sqrt(2)
+    c8, k33 = Graph.cycle(8), Graph.complete_bipartite(3, 3)
+    assert roots_above(squared_roots(_exact_char(c8, Signing.all_ones(c8))), 4) == 0
+    assert roots_above(squared_roots(_exact_char(k33, Signing.all_ones(k33))), 8) == 1
+
+
+def test_squared_roots_splits_even_and_odd_polynomials():
+    assert squared_roots(Polynomial([-1, 0, 1])) == Polynomial([-1, 1])       # x^2 - 1
+    assert squared_roots(Polynomial([0, -3, 0, 1])) == Polynomial([-3, 1])    # x^3 - 3x
+    assert squared_roots(matching_poly(Graph.cycle(4))) == Polynomial([2, -4, 1])
+    with pytest.raises(ValueError):
+        squared_roots(Polynomial([1, 1, 1]))
+
+
 def test_two_lift_preserves_weights():
     g = Graph(2, [(0, 1)], weights=[2.5])
     s = Signing({(0, 1): -1})
@@ -509,6 +571,14 @@ def test_is_ramanujan_bipartite():
         is_ramanujan_bipartite(Graph.path(4))  # not regular
     with pytest.raises(ValueError):
         is_ramanujan_bipartite(Graph(4, [(0, 1), (2, 3)]))  # disconnected
+
+
+def test_even_cycles_are_ramanujan_at_equality():
+    # d = 2: the bound 2 sqrt(d - 1) = 2 = d, so the trivial pair sits on it
+    # and every nontrivial eigenvalue 2 cos(2 pi k / n) is within it
+    for n in (4, 6, 8, 10, 16):
+        assert is_ramanujan_bipartite(Graph.cycle(n))
+    assert is_ramanujan_bipartite(Graph.complete_bipartite(1, 1))
 
 
 def test_prism_graph_is_not_ramanujan():

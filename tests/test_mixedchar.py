@@ -398,12 +398,17 @@ def test_mixed_char_d10_m16_exact_is_fast_and_equals_char_poly_of_sum():
 
 
 def test_mixed_char_ldl_handles_a_zero_pivot_with_a_nonzero_row():
-    # indefinite by 1e-12, inside the PSD check's slack: the elimination skips
-    # the zero pivot and splits what is left entrywise
+    # indefinite by 1e-12, inside the float PSD check's slack: a zero pivot
+    # with a nonzero row leaves a residue, so the elimination refuses it
     eps = Fraction(1, 10 ** 6)
     a = SymMatrix(np.array([[0, eps], [eps, 1]], dtype=object))
     b = SymMatrix(np.array([[1, 0], [0, 2]], dtype=object))
-    assert mixed_char([a, b]) == ring_mixed_char([a, b])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        mixed_char([a, b])
+    for a in ([[0, eps, 0], [eps, 1, 0], [0, 0, 1]],  # the same in dimension 3
+              [[1, 2], [2, 1]]):  # a negative pivot
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            _rank_one_terms(SymMatrix(np.array(a, dtype=object)), True)
 
 
 def test_fold_terms_batch_equals_one_table_at_a_time():
@@ -432,12 +437,10 @@ def _psd_family(rng, d, m, denominators):
 
 
 def _zero_pivot_family():
-    # a zero pivot, one within the PSD check's slack with a nonzero row, a
-    # zero pivot after a cancelling elimination step, and the zero matrix
-    eps = Fraction(1, 10 ** 6)
+    # a zero pivot, a zero pivot after a cancelling elimination step, and
+    # the zero matrix
     return [SymMatrix(np.array(a, dtype=object)) for a in (
         [[0, 0, 0], [0, 2, 1], [0, 1, 3]],
-        [[0, eps, 0], [eps, 1, 0], [0, 0, 1]],
         [[1, 1, 2], [1, 1, 2], [2, 2, 5]],
         [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
     )]
