@@ -25,6 +25,7 @@ import numpy as np
 
 from .poly import Polynomial, apply_shift_operator, real_roots
 from .matrices import _validate_psd_list
+from .tolerances import BISECT_TOL, SHIFT_TOL
 
 __all__ = [
     "DetPolyFamily",
@@ -83,7 +84,7 @@ def upper_barrier(p: Polynomial, b) -> float:
 
 def _bisect(fn, lo: float, hi: float, increasing: bool, edge: float) -> float:
     """Find fn == 0 on [lo, hi] by bisection; fn monotone of known direction."""
-    tol = 1e-12 * (1.0 + abs(edge))
+    tol = BISECT_TOL * (1.0 + abs(edge))
     for _ in range(200):
         if hi - lo <= tol:
             break
@@ -137,8 +138,8 @@ def smax(p: Polynomial, phi) -> float:
                    increasing=False, edge=lmax)
 
 
-def lower_shift_check(p: Polynomial, phi, slack: float = 1e-7) -> bool:
-    """Whether ``smin_phi((1-D)p) >= smin_phi(p) + 1/(1+phi)`` holds (within slack).
+def lower_shift_check(p: Polynomial, phi) -> bool:
+    """Whether ``smin_phi((1-D)p) >= smin_phi(p) + 1/(1+phi) - SHIFT_TOL``.
 
     This is the quantitative content of the lower soft edge moving right
     under ``1 - d/dx``; it holds for every real-rooted ``p`` and phi > 0.
@@ -147,11 +148,11 @@ def lower_shift_check(p: Polynomial, phi, slack: float = 1e-7) -> bool:
     if phi <= 0:
         raise ValueError("phi must be positive")
     q = apply_shift_operator(p, 1)
-    return smin(q, phi) >= smin(p, phi) + 1.0 / (1.0 + phi) - slack
+    return smin(q, phi) >= smin(p, phi) + 1.0 / (1.0 + phi) - SHIFT_TOL
 
 
-def upper_shift_check(p: Polynomial, phi, slack: float = 1e-7) -> bool:
-    """Whether ``smax_phi((1-D)p) <= smax_phi(p) + 1/(1-phi)`` holds (within slack).
+def upper_shift_check(p: Polynomial, phi) -> bool:
+    """Whether ``smax_phi((1-D)p) <= smax_phi(p) + 1/(1-phi) + SHIFT_TOL``.
 
     Requires ``0 < phi < 1``; at phi >= 1 the bound degenerates.
     """
@@ -159,7 +160,7 @@ def upper_shift_check(p: Polynomial, phi, slack: float = 1e-7) -> bool:
     if not 0 < phi < 1:
         raise ValueError("phi must lie in (0, 1)")
     q = apply_shift_operator(p, 1)
-    return smax(q, phi) <= smax(p, phi) + 1.0 / (1.0 - phi) + slack
+    return smax(q, phi) <= smax(p, phi) + 1.0 / (1.0 - phi) + SHIFT_TOL
 
 
 def laguerre_root_bounds(n: int, k: int) -> tuple[float, float]:

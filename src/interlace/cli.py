@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import real_roots, roots_above, NotRealRootedError
+from .poly import real_roots, roots_above, root_clusters, NotRealRootedError
 from .matrices import SymMatrix, char_poly
 from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET
 from .graphs import Graph, signed_adjacency, squared_roots, is_ramanujan_bipartite, \
@@ -42,6 +42,7 @@ from .graphs import Graph, signed_adjacency, squared_roots, is_ramanujan_biparti
 from .select import VectorSystem, restricted_invertibility_select, \
     restricted_invertibility_bound, weaver_partition, weaver_bound, signing_select, \
     WALK_BUDGET
+from .tolerances import ISO_TOL
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -58,7 +59,7 @@ class ParseFailure(Exception):
 @dataclass
 class RunConfig:
     mode: str = "float"
-    tol: float = 1e-9
+    tol: float = ISO_TOL
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -185,7 +186,7 @@ def _positive_int(text: str) -> int:
 
 def cmd_ri(args, cfg: RunConfig) -> int:
     system = _parse_vector_system(_read_input(args.input), cfg)
-    chosen, cert = restricted_invertibility_select(system, args.k, tol=max(cfg.tol, 1e-8))
+    chosen, cert = restricted_invertibility_select(system, args.k, tol=cfg.tol)
     bound = restricted_invertibility_bound(system.dim, system.m, args.k)
     payload = {
         "command": "ri",
@@ -208,8 +209,7 @@ def cmd_ri(args, cfg: RunConfig) -> int:
 def cmd_weaver(args, cfg: RunConfig) -> int:
     system = _parse_vector_system(_read_input(args.input), cfg)
     alpha = args.alpha if args.alpha is not None else system.max_norm_sq()
-    s1, s2, cert = weaver_partition(system, alpha, budget=cfg.budget,
-                                    tol=max(cfg.tol, 1e-8))
+    s1, s2, cert = weaver_partition(system, alpha, budget=cfg.budget, tol=cfg.tol)
     vec = system.vectors.astype(float)
     norms = []
     for side in (s1, s2):
@@ -242,6 +242,8 @@ def cmd_lift(args, cfg: RunConfig) -> int:
         g = Graph.from_edge_list(text)
     except ValueError as e:
         raise ParseFailure(str(e)) from e
+    if g.weights is not None:
+        raise ValueError("lift takes an unweighted edge list")
     d = g.regularity()
     if d is None or d < 2:
         raise ValueError("input must be d-regular with d >= 2")
@@ -290,7 +292,10 @@ def cmd_lift(args, cfg: RunConfig) -> int:
 def cmd_mixedchar(args, cfg: RunConfig) -> int:
     mats = _parse_matrices(_read_input(args.input), cfg)
     poly = mixed_char(mats)
-    roots = [float(r) for r in real_roots(poly)]
+    if poly.is_exact:  # real-rooted by theorem: PSD input, decided exactly
+        roots = [c.root for c in root_clusters(poly) for _ in range(c.mult)]
+    else:
+        roots = [float(r) for r in real_roots(poly)]
     payload = {
         "command": "mixedchar",
         "config": cfg.to_json(),
@@ -311,10 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=["float", "exact"], default="float",
                         help="arithmetic regime (default float)")
-    common.add_argument("--tol", type=_finite_float, default=1e-9,
-                        help="isotropy tolerance of ri and weaver, floored at "
-                             "1e-8, so the default 1e-9 never takes effect; "
-                             "lift and mixedchar ignore it")
+    common.add_argument("--tol", type=_finite_float, default=ISO_TOL,
+                        help="isotropy tolerance of float ri and weaver input, "
+                             "the largest spectral-norm distance of the Gram "
+                             "sum from I (default %(default)g); exact input must be "
+                             "isotropic exactly, and lift and mixedchar "
+                             "ignore it")
     common.add_argument("--budget", type=int, default=None,
                         help="work cap: for weaver, the whole walk's estimated "
                              "entries, enumerated outcomes x n^2 or rank-one "

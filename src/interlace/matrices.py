@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
+from .tolerances import PSD_TOL, SYM_TOL
 
 __all__ = ["SymMatrix", "char_poly", "charpoly_batch", "charpoly_batch_exact"]
 
@@ -36,7 +37,7 @@ class SymMatrix:
     """A real symmetric matrix.
 
     Exact entries (ints, Fractions) must be symmetric entry-for-entry.
-    Float entries may deviate by up to ``1e-12`` relative to the largest
+    Float entries may deviate by up to ``SYM_TOL`` relative to the largest
     magnitude - products of symmetric factors routinely do - and are
     symmetrized to ``(A + A.T)/2`` on construction.
     """
@@ -52,7 +53,7 @@ class SymMatrix:
                 raise ValueError("matrix is not symmetric")
         elif arr.size:
             scale = max(1.0, float(np.max(np.abs(arr))))
-            if float(np.max(np.abs(arr - arr.T))) > 1e-12 * scale:
+            if float(np.max(np.abs(arr - arr.T))) > SYM_TOL * scale:
                 raise ValueError("matrix is not symmetric")
             arr = (arr + arr.T) / 2.0
         self.a = arr
@@ -125,13 +126,14 @@ class SymMatrix:
             return 0.0
         return float(np.max(np.abs(self.eigenvalues())))
 
-    def is_psd(self, tol: float = 1e-9) -> bool:
-        """Positive semidefinite up to ``-tol * max(1, trace)`` on the bottom eigenvalue."""
+    def is_psd(self) -> bool:
+        """Positive semidefinite up to ``-PSD_TOL * max(1, trace)`` on the
+        bottom eigenvalue."""
         if self.n == 0:
             return True
         w = self.eigenvalues()
         scale = max(1.0, abs(float(self.a.astype(float).trace())))
-        return bool(w[0] >= -tol * scale)
+        return bool(w[0] >= -PSD_TOL * scale)
 
 
 def char_poly(m: SymMatrix) -> Polynomial:
@@ -260,10 +262,6 @@ def _cleared(entries: list) -> tuple:
     return q, [x.numerator * (q // x.denominator) for x in entries]
 
 
-# Relative slack on the bottom eigenvalue when checking PSD inputs.
-PSD_TOL = 1e-9
-
-
 def _validate_psd_list(matrices) -> list[SymMatrix]:
     """The inputs as PSD ``SymMatrix`` objects of one shared dimension."""
     mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices]
@@ -273,6 +271,6 @@ def _validate_psd_list(matrices) -> list[SymMatrix]:
     if any(m.n != d for m in mats):
         raise ValueError("matrices must share a dimension")
     for i, m in enumerate(mats):
-        if not m.is_psd(PSD_TOL):
+        if not m.is_psd():
             raise ValueError(f"matrix {i} is not positive semidefinite")
     return mats

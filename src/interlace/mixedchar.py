@@ -46,6 +46,7 @@ import numpy as np
 from .poly import Polynomial
 from .matrices import SymMatrix, charpoly_batch, charpoly_batch_exact, _cleared, \
     _validate_psd_list
+from .tolerances import ISO_TOL, PROB_TOL
 
 __all__ = [
     "BudgetExceededError",
@@ -108,7 +109,7 @@ class DiscreteRandomVector:
             raise ValueError("support vectors must share a dimension")
         total = sum(p for p, _ in items)
         if isinstance(total, float) or any(isinstance(p, float) for p, _ in items):
-            if abs(float(total) - 1.0) > 1e-12:
+            if abs(float(total) - 1.0) > PROB_TOL:
                 raise ValueError(f"probabilities sum to {float(total)}, not 1")
         elif total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -434,26 +435,25 @@ def _expected_char_with_base(base: np.ndarray, rvs, budget: int,
     return Polynomial(acc)
 
 
-def mixed_identity_check(rvs, budget: int = DEFAULT_BUDGET,
-                         rtol: float = 1e-8) -> bool:
+def mixed_identity_check(rvs, budget: int = DEFAULT_BUDGET) -> bool:
     """Whether E char_poly(sum r_i r_i^T) equals mixed_char of the covariances.
 
     Exact inputs are compared coefficient-for-coefficient with no
-    tolerance; float inputs within ``rtol`` relative to the largest
-    coefficient magnitude.
+    tolerance; float inputs by :meth:`Polynomial.allclose`, within
+    ``COEFF_TOL`` relative to the largest coefficient magnitude.
     """
     rvs = list(rvs)
     expected = expected_char_poly(rvs, budget)
     mixed = mixed_char([r.covariance() for r in rvs])
     if expected.is_exact and mixed.is_exact:
         return expected == mixed
-    return expected.allclose(mixed, rtol)
+    return expected.allclose(mixed)
 
 
-def mixed_char_root_bound(matrices, tol: float = 1e-8) -> float:
+def mixed_char_root_bound(matrices) -> float:
     """The bound (1 + sqrt(eps))^2, eps = max trace, for families summing to I.
 
-    Raises if ``sum A_i`` differs from the identity by more than ``tol``
+    Raises if ``sum A_i`` differs from the identity by more than ``ISO_TOL``
     in spectral norm.  The largest root of the family's mixed
     characteristic polynomial is guaranteed to be at most this value.
     """
@@ -463,7 +463,7 @@ def mixed_char_root_bound(matrices, tol: float = 1e-8) -> float:
     for m in mats:
         total += m.a.astype(float)
     dev = np.linalg.eigvalsh(total - np.eye(d))
-    if np.max(np.abs(dev)) > tol:
+    if np.max(np.abs(dev)) > ISO_TOL:
         raise ValueError("matrices do not sum to the identity")
     eps = max(float(m.a.astype(float).trace()) for m in mats)
     return float((1.0 + math.sqrt(eps)) ** 2)

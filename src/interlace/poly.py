@@ -25,11 +25,11 @@ sequence and raise :class:`NotRealRootedError` (or answer no) when it
 is not.
 
 A float polynomial gets companion eigenvalues, accepted as real by an
-imaginary-part tolerance (``IM_TOL``) or a backward-error rescue, then
-Newton steps.  ``real_roots`` always returns floats.  ``shift_roots``
-skips coefficients altogether: it applies the shift operator to batches
-of real roots by bracketed secular-equation solves, so its output is
-real-rooted by construction.
+imaginary-part tolerance (``tolerances.IM_TOL``) or a backward-error
+rescue, then Newton steps.  ``real_roots`` always returns floats.
+``shift_roots`` skips coefficients altogether: it applies the shift
+operator to batches of real roots by bracketed secular-equation solves,
+so its output is real-rooted by construction.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+
+from .tolerances import COEFF_TOL, IM_TOL, ROOT_TOL, START_OFFSET
 
 __all__ = [
     "Polynomial",
@@ -63,17 +65,6 @@ __all__ = [
     "interlaces",
     "have_common_interlacing",
 ]
-
-# Relative tolerance used when comparing roots of float polynomials.
-ROOT_TOL = 1e-7
-
-# Companion eigenvalues of a real-rooted float polynomial leave the real
-# axis through rounding: by about eps * cond at a simple root and by
-# eps**(1/r) at an r-fold root (1.5e-8 for r = 2, 6e-6 for r = 3).
-# Imaginary parts up to IM_TOL * (1 + |root|) pass as real, which covers
-# simple and double roots; higher multiplicities fall to the
-# backward-error rescue in ``_companion_roots``.
-IM_TOL = 1e-6
 
 _EPS = np.finfo(float).eps
 
@@ -256,8 +247,9 @@ class Polynomial:
     def to_float(self) -> "Polynomial":
         return Polynomial([float(c) for c in self.coeffs])
 
-    def allclose(self, other: "Polynomial", tol: float = 1e-9) -> bool:
-        """Coefficientwise agreement, relative to the larger polynomial's size."""
+    def allclose(self, other: "Polynomial") -> bool:
+        """Coefficientwise agreement within ``COEFF_TOL``, relative to the
+        larger polynomial's size."""
         a = [float(c) for c in self.coeffs]
         b = [float(c) for c in other.coeffs]
         while len(a) < len(b):
@@ -265,7 +257,7 @@ class Polynomial:
         while len(b) < len(a):
             b.append(0.0)
         scale = max([1.0] + [abs(c) for c in a + b])
-        return all(abs(x - y) <= tol * scale for x, y in zip(a, b))
+        return all(abs(x - y) <= COEFF_TOL * scale for x, y in zip(a, b))
 
 
 # ----------------------------------------------------------------------
@@ -770,7 +762,7 @@ def _float_start(a: list[int]) -> float:
     mean = -c[-2] / n
     spread = (c[-2] * c[-2] - 2 * c[-3] - n * mean * mean) if n > 1 else 0.0
     x = mean + math.sqrt(max(spread, 0.0) * (n - 1) / n)
-    x += 1e-9 * (1.0 + abs(x))
+    x += START_OFFSET * (1.0 + abs(x))
     for _ in range(100):
         f = df = ddf = size = 0.0
         for coef in reversed(c):
@@ -966,13 +958,13 @@ def compare_top_roots(p: Polynomial, q: Polynomial,
 # ----------------------------------------------------------------------
 
 
-def interlaces(g: Polynomial, f: Polynomial, tol: float = ROOT_TOL) -> bool:
+def interlaces(g: Polynomial, f: Polynomial) -> bool:
     """Whether ``g`` interlaces ``f``.
 
     With roots of f being a_1 >= ... >= a_n and roots of g being
     b_1 >= ... >= b_m, requires m in {n-1, n} and the alternating chain
     b_i <= a_i and a_(i+1) <= b_i, each inequality slackened by
-    ``tol * (1 + |value|)``.  When m = n - 1 the smallest-root condition
+    ``ROOT_TOL * (1 + |value|)``.  When m = n - 1 the smallest-root condition
     is vacuous.  Both polynomials must be real-rooted.
     """
     ra = real_roots(f)
@@ -981,7 +973,7 @@ def interlaces(g: Polynomial, f: Polynomial, tol: float = ROOT_TOL) -> bool:
     if m not in (n - 1, n) or n == 0:
         return False
     def leq(x, y):
-        return x <= y + tol * (1.0 + max(abs(x), abs(y)))
+        return x <= y + ROOT_TOL * (1.0 + max(abs(x), abs(y)))
     for i in range(m):
         if not leq(rb[i], ra[i]):
             return False
@@ -991,7 +983,7 @@ def interlaces(g: Polynomial, f: Polynomial, tol: float = ROOT_TOL) -> bool:
     return True
 
 
-def have_common_interlacing(polys, tol: float = ROOT_TOL, grid: int = 11) -> bool:
+def have_common_interlacing(polys) -> bool:
     """Test whether a family of same-degree polynomials has a common interlacer.
 
     Two certificates are combined, both necessary, their conjunction the
@@ -999,9 +991,9 @@ def have_common_interlacing(polys, tol: float = ROOT_TOL, grid: int = 11) -> boo
 
     * interval test: for each j, max over the family of the (j+1)-st
       largest root must not exceed the min of the j-th largest (within
-      tolerance); a common interlacer can then be threaded through.
+      ``ROOT_TOL``); a common interlacer can then be threaded through.
     * convex-combination test: every pairwise combination
-      ``t*p + (1-t)*q`` on a ``grid``-point t-lattice in [0, 1] must be
+      ``t*p + (1-t)*q`` for t = 0, 1/10, ..., 1 must be
       real-rooted, the computable surrogate for the equivalence between
       common interlacing and real-rootedness of all convex combinations.
     """
@@ -1021,13 +1013,13 @@ def have_common_interlacing(polys, tol: float = ROOT_TOL, grid: int = 11) -> boo
     for j in range(n - 1):
         upper = min(r[j] for r in allroots)
         lower = max(r[j + 1] for r in allroots)
-        if lower > upper + tol * (1.0 + max(abs(lower), abs(upper))):
+        if lower > upper + ROOT_TOL * (1.0 + max(abs(lower), abs(upper))):
             return False
     exact = all(p.is_exact for p in polys)
     if exact:
-        ts = [Fraction(i, grid - 1) for i in range(grid)]
+        ts = [Fraction(i, 10) for i in range(11)]
     else:
-        ts = [i / (grid - 1) for i in range(grid)]
+        ts = [i / 10 for i in range(11)]
         polys = [p.to_float() for p in polys]
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):

@@ -10,7 +10,8 @@ vector at a time, always choosing the support element whose conditional
 expected polynomial has the best lambda_k - therefore lands on a
 realization no worse than the root pledge.  Each walk returns a
 :class:`SelectionCertificate` recording the pledge, the per-level trace,
-and the achieved value, with the invariant checked numerically.
+and the achieved value, with the invariant checked in floats, within
+``tolerances.CERT_TOL``.
 
 :func:`greedy_walk` has two routes to the same polynomials.  Outcome
 enumeration costs the product of the support sizes per polynomial.  For
@@ -43,6 +44,7 @@ Three instantiations:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -54,6 +56,7 @@ from .matrices import SymMatrix, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, _expected_char_with_base
 from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
+from .tolerances import ALPHA_TOL, CERT_TOL, ISO_TOL, SIGNING_TOL
 
 __all__ = [
     "VectorSystem",
@@ -70,8 +73,6 @@ __all__ = [
     "signing_vectors",
 ]
 
-CERT_TOL = 1e-7
-ISO_TOL = 1e-8
 # The default cap on one greedy walk's work, in walk_costs' unit.
 WALK_BUDGET = 1 << 30
 
@@ -122,6 +123,10 @@ class VectorSystem:
         return float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(self.dim)))))
 
     def is_isotropic(self, tol: float = ISO_TOL) -> bool:
+        """Whether the Gram sum is I: exactly for exact vectors, and for
+        float ones within ``tol`` in spectral norm."""
+        if self.is_exact:
+            return self.gram_sum() == SymMatrix.identity(self.dim, exact=True)
         return self.isotropy_defect() <= tol
 
     def max_norm_sq(self) -> float:
@@ -194,7 +199,8 @@ class SelectionCertificate:
     ``pledged`` is lambda_k of the root expected polynomial, ``achieved``
     is lambda_k of the realized sum, ``levels`` the lambda_k of the
     chosen conditional polynomial after each fixing.  The walk guarantees
-    achieved >= pledged (maximize) resp. <= (minimize) up to tolerance.
+    achieved >= pledged (maximize) resp. <= (minimize); :meth:`valid`
+    checks it in floats, within ``CERT_TOL``.
     """
 
     choices: list
@@ -205,10 +211,10 @@ class SelectionCertificate:
     direction: str
     levels: list = field(default_factory=list)
 
-    def valid(self, tol: float = CERT_TOL) -> bool:
+    def valid(self) -> bool:
         if self.direction == "maximize":
-            return self.achieved >= self.pledged - tol
-        return self.achieved <= self.pledged + tol
+            return self.achieved >= self.pledged - CERT_TOL
+        return self.achieved <= self.pledged + CERT_TOL
 
     def to_json(self) -> dict:
         return {
@@ -287,7 +293,7 @@ def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
     levels: list[float] = []
 
     def choose(cand_polys: list) -> int:
-        cand_vals = [kth_largest_root(p, k) for p in cand_polys]
+        cand_vals = [_kth_root(p, k) for p in cand_polys]
         best = 0
         for j in range(1, len(cand_vals)):
             if (cand_vals[j] > cand_vals[best]) if maximize \
@@ -298,7 +304,7 @@ def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
         return best
 
     walk = _engine_route if route == "engine" else _enumeration_route
-    pledged = kth_largest_root(walk(d, fixed, state.remaining, exact, choose), k)
+    pledged = _kth_root(walk(d, fixed, state.remaining, exact, choose), k)
     base = np.zeros((d, d), dtype=object if exact else float)
     for v in fixed + [_vector(r.support[j][1], exact)
                       for r, j in zip(state.remaining, choices)]:
@@ -309,6 +315,17 @@ def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
                                 achieved=achieved, pledged=pledged,
                                 k=k, direction=state.direction, levels=levels)
     return cert
+
+
+def _kth_root(p: Polynomial, k: int) -> float:
+    """lambda_k of a walk polynomial, an expected characteristic polynomial
+    and so real-rooted by theorem: exact ones straight from
+    :func:`root_clusters`, with no Sturm check, float ones by
+    :func:`kth_largest_root`."""
+    if not p.is_exact:
+        return kth_largest_root(p, k)
+    roots = (c.root for c in root_clusters(p) for _ in range(c.mult))
+    return next(itertools.islice(roots, k - 1, None))
 
 
 def _enumeration_route(d: int, fixed: list, remaining: list, exact: bool,
@@ -408,7 +425,9 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
 
     Repeated indices exist in the outcome tree but are provably never
     selected while the pledge is positive - this is asserted, not
-    assumed.  Returns (chosen index list, certificate).
+    assumed.  ``tol`` is the isotropy tolerance of float systems
+    (:meth:`VectorSystem.is_isotropic`).  Returns (chosen index list,
+    certificate).
     """
     if not system.is_isotropic(tol):
         raise ValueError(
@@ -485,7 +504,9 @@ def weaver_partition(system: VectorSystem, alpha,
     side.  The realized maximum of the two block norms is at most
     ``(1 + sqrt(2 alpha))^2 / 2`` whenever ``alpha >= max ||v_i||^2``.
     ``budget`` is :func:`greedy_walk`'s cap on the whole walk's work, in
-    :func:`walk_costs`' unit.  Returns (side-one indices, side-two indices, certificate).
+    :func:`walk_costs`' unit, and ``tol`` the isotropy tolerance of float
+    systems (:meth:`VectorSystem.is_isotropic`).  Returns (side-one
+    indices, side-two indices, certificate).
     """
     if not system.is_isotropic(tol):
         raise ValueError(
@@ -494,7 +515,7 @@ def weaver_partition(system: VectorSystem, alpha,
     if not math.isfinite(alpha):
         raise ValueError(f"alpha={alpha} is not finite")
     mx = system.max_norm_sq()
-    if not alpha >= mx - 1e-12:
+    if not alpha >= mx - ALPHA_TOL:
         raise ValueError(f"alpha={alpha} is below the largest squared norm {mx}")
     d = system.dim
     exact = system.is_exact
@@ -608,7 +629,7 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     signing = Signing({(order[a], order[b]): s for (a, b), s in zip(walk.edges, signs)})
     gram = signed_adjacency(g, signing).a + d * np.eye(g.n, dtype=int)
     achieved = _lambda_k_of_matrix(gram, 1)
-    if abs(achieved - levels[-1]) > 1e-8:
+    if abs(achieved - levels[-1]) > SIGNING_TOL:
         raise AssertionError("signed adjacency spectrum inconsistent with walk")
     cert = SelectionCertificate(choices=[0 if s == 1 else 1 for s in signs],
                                 final_poly=char_poly(SymMatrix(gram)),

@@ -1,0 +1,81 @@
+"""Every float tolerance of the library, each named once with its reason.
+
+The certificates are exact root inequalities that interlacing guarantees,
+so every slack granted here weakens one.  Each is granted only where
+float rounding forces it: on float input, or on the float values
+(eigenvalues, roots) that exact walks report beside their exact
+polynomials.  No other module of the package
+holds a float literal below 1e-3 (``tests/test_tolerances.py`` checks
+this).  Callers set none of them, save two defaults: ``IM_TOL`` of
+``is_real_rooted``'s ``tol``, and ``ISO_TOL`` of the isotropy ``tol``
+that ``--tol`` sets.
+"""
+
+# Companion eigenvalues of a real-rooted float polynomial leave the real
+# axis through rounding: by about eps * cond at a simple root and by
+# eps**(1/r) at an r-fold root (1.5e-8 for r = 2, 6e-6 for r = 3).
+# Imaginary parts up to IM_TOL * (1 + |root|) pass as real, which covers
+# simple and double roots; higher multiplicities fall to the
+# backward-error rescue of ``poly._companion_roots``, at sqrt(IM_TOL).
+IM_TOL = 1e-6
+
+# Relative slack when float roots of two polynomials are compared for
+# interlacing: the chain allows equal roots, and a float double root is
+# only good to about sqrt(eps) = 1.5e-8.
+ROOT_TOL = 1e-7
+
+# Slack on a certificate's achieved >= pledged (<= when minimizing): the
+# achieved value is an ``eigvalsh`` eigenvalue and the pledge a float root
+# of another polynomial, and a walk may meet its pledge with equality.
+CERT_TOL = 1e-7
+
+# Spectral-norm distance of a float Gram sum from I at which a vector
+# system still counts as isotropic, the default of ``--tol``: the Gram
+# sum of whitened float vectors misses I by rounding alone, about n eps.
+# The same condition on covariances bounds how far the matrices of
+# ``mixed_char_root_bound`` may sum from I.
+ISO_TOL = 1e-8
+
+# Relative slack on the bottom eigenvalue when float input is checked
+# PSD: ``eigvalsh`` returns a singular PSD matrix's zero eigenvalue only
+# to within about eps times its norm.  Exact input is decided by the
+# fraction-free elimination of ``mixedchar._rank_one_terms``.
+PSD_TOL = 1e-9
+
+# Relative asymmetry a float matrix may carry into ``SymMatrix``: products
+# of symmetric float factors are symmetric only up to rounding.
+SYM_TOL = 1e-12
+
+# How far float probabilities of a random vector may sum from 1: ten
+# draws of 0.1 add up to 1 only up to rounding.
+PROB_TOL = 1e-12
+
+# How far weaver's alpha may fall below the largest squared norm: an
+# alpha copied from the printed norm loses its last bits.
+ALPHA_TOL = 1e-12
+
+# The signing walk's check of ``eigvalsh`` on the final signed adjacency
+# against its exact top root: ``eigvalsh`` is backward stable, off by
+# about n eps ||A_s + dI||, and ||A_s + dI|| <= 2d.
+SIGNING_TOL = 1e-8
+
+# Relative coefficientwise agreement of two float polynomials computed by
+# independent routes (outcome enumeration and the mixed characteristic
+# ring), each a sum of many rounded terms, up to 2^20 outcomes.
+COEFF_TOL = 1e-8
+
+# Relative width at which the barriers' bisection stops: far below the
+# shift checks' slack, and some 4500 ulp of the edge, so the bisection's
+# 200 halvings always reach it.
+BISECT_TOL = 1e-12
+
+# Slack on the soft-edge inequalities of the shift checks: each side is a
+# bisection on p'/p evaluated near a float root of p, where cancellation
+# costs digits.
+SHIFT_TOL = 1e-7
+
+# Relative offset that lifts ``poly._float_start`` above the
+# Laguerre-Samuelson bound, which is attained when all roots but one
+# coincide and whose float value may then round below the top root;
+# Laguerre's steps fall monotonically to the root only from above.
+START_OFFSET = 1e-9

@@ -159,7 +159,7 @@ def conditional_expected_poly(state: AssignmentState, budget: int = DEFAULT_BUDG
             + [r.covariance() for r in state.remaining]
         alt = mixed_char(mats)
         agree = out == alt if (out.is_exact and alt.is_exact) \
-            else out.allclose(alt, 1e-8)
+            else out.allclose(alt)
         if not agree:
             raise RuntimeError("enumeration and engine disagree")
     return out

@@ -95,9 +95,9 @@ def test_criterion_02_shift_inequalities(capsys):
         f = Polynomial.from_roots(rng.uniform(-5.0, 5.0, deg).tolist())
         phi_lo = float(rng.uniform(0.05, 4.0))
         phi_up = float(rng.uniform(0.05, 0.95))
-        if not lower_shift_check(f, phi_lo, slack=1e-7):
+        if not lower_shift_check(f, phi_lo):
             failures.append(("lower", i, phi_lo))
-        if not upper_shift_check(f, phi_up, slack=1e-7):
+        if not upper_shift_check(f, phi_up):
             failures.append(("upper", i, phi_up))
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 30.0
@@ -188,7 +188,7 @@ def test_criterion_05_expectation_identity_and_real_roots(capsys):
     float_systems, exact_systems = _random_rank_one_systems()
     failures = []
     for i, rvs in enumerate(float_systems):
-        if not mixed_identity_check(rvs, rtol=1e-8):
+        if not mixed_identity_check(rvs):
             failures.append(("float-identity", i))
         if not is_real_rooted(expected_char_poly(rvs), tol=1e-7):
             failures.append(("float-roots", i))

@@ -193,6 +193,17 @@ def test_lift_non_finite_weight_exit_2(capsys, tmp_path):
     assert "positive and finite" in captured.err
 
 
+def test_lift_weighted_edge_list_exit_3(capsys, tmp_path):
+    # the signing walk reads the edges only, so a weight would be dropped
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b} 7" if (a, b) == (2, 4) else f"{a} {b}"
+                             for a in range(3) for b in range(3, 6)))
+    assert main(["lift", str(k33)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lift takes an unweighted edge list" in captured.err
+
+
 def test_lift_budget_exceeded_exit_4(capsys, tmp_path):
     k33 = tmp_path / "k33.txt"
     k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
@@ -366,6 +377,50 @@ def test_ri_infinite_tol_exit_2(capsys, tmp_path):
         code = main(["ri", str(aniso), "-k", "1", "--tol", tol, "--out", str(target)])
         assert code == 2
         assert not target.exists()
+
+
+def test_tol_applies_unfloored_to_float_input(capsys, tmp_path):
+    # the Gram sum diag(1, 1 + 5e-10) is inside the default 1e-8 and
+    # outside --tol 1e-10, which no floor raises back to 1e-8
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"vectors": [[1.0, 0.0], [0.0, math.sqrt(1 + 5e-10)]]}))
+    code, payload = run_cli(capsys, ["ri", str(path), "-k", "1"])
+    assert code == 0 and payload["config"]["tol"] == 1e-8
+    assert main(["ri", str(path), "-k", "1", "--tol", "1e-10"]) == 3
+    assert "not isotropic" in capsys.readouterr().err
+
+
+def test_exact_input_is_isotropic_exactly_or_exit_3(capsys, tmp_path):
+    # the Gram sum misses I by about 2e-10, inside every float tolerance
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1.0000000001]]}))
+    assert main(["ri", str(path), "-k", "1"]) == 0
+    capsys.readouterr()
+    for argv in (["ri", str(path), "-k", "1"], ["weaver", str(path)]):
+        assert main(argv + ["--mode", "exact", "--tol", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not isotropic" in captured.err
+
+
+def test_exact_roots_real_rooted_by_theorem_skip_the_sturm_check(capsys, monkeypatch,
+                                                                tmp_path):
+    # the Sturm checker is for polynomials from outside the library: exact
+    # mixedchar and the exact weaver walk take every root without it
+    def refuse(p):
+        raise AssertionError("Sturm check on a polynomial real-rooted by theorem")
+
+    monkeypatch.setattr(interlace.poly, "_require_real_roots", refuse)
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[2, 1], [1, 1]], [[1, "1/3"], ["1/3", 1]]]))
+    code, payload = run_cli(capsys, ["mixedchar", str(mats), "--mode", "exact"])
+    assert code == 0 and payload["degree"] == 2 and len(payload["roots"]) == 2
+    # rows of a rational rotation and of I, scaled by 3/5 and 4/5
+    vecs = [["9/25", "12/25"], ["-12/25", "9/25"], ["4/5", "0"], ["0", "4/5"]]
+    system = tmp_path / "rot.json"
+    system.write_text(json.dumps({"vectors": vecs}))
+    code, payload = run_cli(capsys, ["weaver", str(system), "--mode", "exact"])
+    assert code == 0 and payload["certificate_valid"] is True
+    assert sorted(payload["s1"] + payload["s2"]) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
