@@ -1,25 +1,22 @@
 """Command-line front end.
 
-Subcommands
------------
-ri        select k columns of an isotropic system (restricted invertibility)
-weaver    partition an isotropic system into two low-norm halves
-lift      iterate signed 2-lifts of a bipartite Ramanujan graph
-mixedchar mixed characteristic polynomial of a PSD list
+Subcommands and the flags each one reads
+----------------------------------------
+ri        select k columns of an isotropic system (restricted
+          invertibility): -k, --mode, --tol, --out
+weaver    partition an isotropic system into two low-norm halves:
+          --mode, --tol, --alpha, --budget, --out
+lift      iterate signed 2-lifts of a bipartite Ramanujan graph:
+          --iterations, --budget, --out
+mixedchar mixed characteristic polynomial of a PSD list: --mode, --out
 
 Inputs are JSON (vector systems, matrix lists) or edge-list text
 (graphs); ``-`` reads stdin.  Exit codes: 0 success, 1 certificate
 invariant violated, 2 parse error, 3 precondition failure, 4 budget
 exceeded, 5 numerical failure (a float root computation met a
-polynomial it could not certify real-rooted).  ``--budget`` caps the
-work in each command's own unit: for ``weaver``, the whole walk's
-estimated matrix or table entries (``walk_costs``: enumerated outcomes
-x n^2, or the mixed-characteristic engine's rank-one table updates x
-C(2n, n), n = 2 x dim, whichever route is cheaper), checked before the
-walk starts (default 2^30); for ``lift``, each walk's states of its one
-backward matching DP plus its leaf matrix entries (groups x |V(F)|^2 at
-every level), checked before the first choice (default 2^20).  ``ri``
-and ``mixedchar`` take no budget.
+polynomial it could not certify real-rooted: float ``mixedchar`` on the
+ten coordinate projections e_i e_i^T of dimension 10, whose
+mu = (x - 1)^10 has companion eigenvalues about 0.06 off the real axis).
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -54,24 +50,6 @@ EXIT_NUMERICAL = 5
 
 class ParseFailure(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    mode: str = "float"
-    tol: float = ISO_TOL
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.mode not in ("float", "exact"):
-            raise ValueError("mode must be 'float' or 'exact'")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tolerance must be positive and finite")
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "tol": self.tol, "budget": self.budget}
 
 
 def _read_input(path: str) -> str:
@@ -117,30 +95,30 @@ def _emit(payload: dict, out_path):
         sys.stdout.write(text)
 
 
-def _number_array(rows, cfg: RunConfig) -> np.ndarray:
-    """JSON rows as a float64 array or, in exact mode, an object array in
+def _number_array(rows, exact: bool) -> np.ndarray:
+    """JSON rows as a float64 array or, if ``exact``, an object array in
     which JSON integers stay ints and decimals and "p/q" strings become
     Fractions."""
-    if cfg.mode == "exact":
+    if exact:
         return np.array([[x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
                           for x in row] for row in rows], dtype=object)
     return np.array(rows, dtype=float)
 
 
-def _parse_vector_system(text: str, cfg: RunConfig) -> VectorSystem:
-    data = _load_json(text, cfg.mode == "exact")
+def _parse_vector_system(text: str, exact: bool) -> VectorSystem:
+    data = _load_json(text, exact)
     if isinstance(data, dict):
         data = data.get("vectors")
     if not isinstance(data, list) or not data:
         raise ParseFailure("expected a nonempty JSON list under 'vectors'")
     try:
-        return VectorSystem(_number_array(data, cfg))
+        return VectorSystem(_number_array(data, exact))
     except (TypeError, ValueError) as e:
         raise ParseFailure(f"malformed vector system: {e}") from e
 
 
-def _parse_matrices(text: str, cfg: RunConfig) -> list[SymMatrix]:
-    data = _load_json(text, cfg.mode == "exact")
+def _parse_matrices(text: str, exact: bool) -> list[SymMatrix]:
+    data = _load_json(text, exact)
     if isinstance(data, dict):
         data = data.get("matrices")
     if not isinstance(data, list):
@@ -151,7 +129,7 @@ def _parse_matrices(text: str, cfg: RunConfig) -> list[SymMatrix]:
     for i, entry in enumerate(data):
         rows = entry.get("entries") if isinstance(entry, dict) else entry
         try:
-            out.append(SymMatrix(_number_array(rows, cfg)))
+            out.append(SymMatrix(_number_array(rows, exact)))
         except (TypeError, ValueError) as e:
             raise ParseFailure(f"matrix {i} malformed: {e}") from e
     return out
@@ -165,6 +143,14 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
 
 
@@ -184,13 +170,13 @@ def _positive_int(text: str) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_ri(args, cfg: RunConfig) -> int:
-    system = _parse_vector_system(_read_input(args.input), cfg)
-    chosen, cert = restricted_invertibility_select(system, args.k, tol=cfg.tol)
+def cmd_ri(args) -> int:
+    system = _parse_vector_system(_read_input(args.input), args.mode == "exact")
+    chosen, cert = restricted_invertibility_select(system, args.k, tol=args.tol)
     bound = restricted_invertibility_bound(system.dim, system.m, args.k)
     payload = {
         "command": "ri",
-        "config": cfg.to_json(),
+        "config": {"mode": args.mode, "tol": args.tol},
         "n": system.dim,
         "m": system.m,
         "k": args.k,
@@ -206,10 +192,10 @@ def cmd_ri(args, cfg: RunConfig) -> int:
     return EXIT_OK if cert.valid() else EXIT_INVARIANT
 
 
-def cmd_weaver(args, cfg: RunConfig) -> int:
-    system = _parse_vector_system(_read_input(args.input), cfg)
+def cmd_weaver(args) -> int:
+    system = _parse_vector_system(_read_input(args.input), args.mode == "exact")
     alpha = args.alpha if args.alpha is not None else system.max_norm_sq()
-    s1, s2, cert = weaver_partition(system, alpha, budget=cfg.budget, tol=cfg.tol)
+    s1, s2, cert = weaver_partition(system, alpha, budget=args.budget, tol=args.tol)
     vec = system.vectors.astype(float)
     norms = []
     for side in (s1, s2):
@@ -219,7 +205,7 @@ def cmd_weaver(args, cfg: RunConfig) -> int:
         norms.append(float(np.max(np.abs(np.linalg.eigvalsh(block)))) if side else 0.0)
     payload = {
         "command": "weaver",
-        "config": cfg.to_json(),
+        "config": {"mode": args.mode, "tol": args.tol, "budget": args.budget},
         "m": system.m,
         "dim": system.dim,
         "alpha": float(alpha),
@@ -236,7 +222,7 @@ def cmd_weaver(args, cfg: RunConfig) -> int:
     return EXIT_OK if cert.valid() else EXIT_INVARIANT
 
 
-def cmd_lift(args, cfg: RunConfig) -> int:
+def cmd_lift(args) -> int:
     text = _read_input(args.input)
     try:
         g = Graph.from_edge_list(text)
@@ -253,7 +239,7 @@ def cmd_lift(args, cfg: RunConfig) -> int:
     steps = []
     ok = certified = True
     for it in range(args.iterations):
-        signing, cert = signing_select(g, budget=cfg.budget)
+        signing, cert = signing_select(g, budget=args.budget)
         a_s = signed_adjacency(g, signing)
         lam = float(np.max(a_s.eigenvalues()))
         bounded = roots_above(squared_roots(char_poly(a_s)), 4 * (d - 1)) == 0
@@ -271,7 +257,7 @@ def cmd_lift(args, cfg: RunConfig) -> int:
             "signs": [signing.signs[e] for e in g.edges],
             "lambda_max_signed": lam,
             "threshold": threshold,
-            "pledged": cert.pledged,
+            "pledged": cert.pledged - d,  # cert.pledged is in A_s + dI coordinates
             "certificate_valid": cert.valid(),
             "lift_n": lift.n,
             "lift_ramanujan": certified,
@@ -280,7 +266,7 @@ def cmd_lift(args, cfg: RunConfig) -> int:
         g = lift
     payload = {
         "command": "lift",
-        "config": cfg.to_json(),
+        "config": {"budget": args.budget},
         "iterations": args.iterations,
         "steps": steps,
         "final_n": g.n,
@@ -289,8 +275,8 @@ def cmd_lift(args, cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def cmd_mixedchar(args, cfg: RunConfig) -> int:
-    mats = _parse_matrices(_read_input(args.input), cfg)
+def cmd_mixedchar(args) -> int:
+    mats = _parse_matrices(_read_input(args.input), args.mode == "exact")
     poly = mixed_char(mats)
     if poly.is_exact:  # real-rooted by theorem: PSD input, decided exactly
         roots = [c.root for c in root_clusters(poly) for _ in range(c.mult)]
@@ -298,7 +284,7 @@ def cmd_mixedchar(args, cfg: RunConfig) -> int:
         roots = [float(r) for r in real_roots(poly)]
     payload = {
         "command": "mixedchar",
-        "config": cfg.to_json(),
+        "config": {"mode": args.mode},
         "m": len(mats),
         "d": mats[0].n,
         "poly": list(poly.coeffs),
@@ -313,51 +299,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="interlace",
         description="Greedy spectral selection with interlacing certificates.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=["float", "exact"], default="float",
-                        help="arithmetic regime (default float)")
-    common.add_argument("--tol", type=_finite_float, default=ISO_TOL,
-                        help="isotropy tolerance of float ri and weaver input, "
-                             "the largest spectral-norm distance of the Gram "
-                             "sum from I (default %(default)g); exact input must be "
-                             "isotropic exactly, and lift and mixedchar "
-                             "ignore it")
-    common.add_argument("--budget", type=int, default=None,
-                        help="work cap: for weaver, the whole walk's estimated "
-                             "entries, enumerated outcomes x n^2 or rank-one "
-                             "table updates x C(2n, n), n = 2 x dim, whichever "
-                             "is cheaper (default 2^30); for lift, each walk's "
-                             "backward-DP states plus leaf entries, groups x "
-                             "|V(F)|^2 per level, checked before the first "
-                             "choice (default 2^20)")
-    common.add_argument("--out", default=None, help="write JSON here instead of stdout")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ri = sub.add_parser("ri", parents=[common],
-                          help="restricted invertibility column selection")
-    p_ri.add_argument("input", help="JSON vector system ('-' for stdin)")
-    p_ri.add_argument("-k", type=int, required=True, help="subset size")
-    p_ri.set_defaults(func=cmd_ri)
+    def command(name, func, help, input_help, mode=False, tol=False):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("input", help=input_help + " ('-' for stdin)")
+        if mode:
+            p.add_argument("--mode", choices=["float", "exact"], default="float",
+                           help="arithmetic regime (default float)")
+        if tol:
+            p.add_argument("--tol", type=_positive_float, default=ISO_TOL,
+                           help="isotropy tolerance of float input, the largest "
+                                "spectral-norm distance of the Gram sum from I "
+                                "(default %(default)g); exact input must be "
+                                "isotropic exactly")
+        p.add_argument("--out", default=None, help="write JSON here instead of stdout")
+        p.set_defaults(func=func)
+        return p
 
-    p_w = sub.add_parser("weaver", parents=[common],
-                         help="two-block partition of an isotropic system")
-    p_w.add_argument("input", help="JSON vector system ('-' for stdin)")
+    p_ri = command("ri", cmd_ri, "restricted invertibility column selection",
+                   "JSON vector system", mode=True, tol=True)
+    p_ri.add_argument("-k", type=_positive_int, required=True, help="subset size")
+
+    p_w = command("weaver", cmd_weaver, "two-block partition of an isotropic system",
+                  "JSON vector system", mode=True, tol=True)
     p_w.add_argument("--alpha", type=_finite_float, default=None,
                      help="norm parameter (default: max squared vector norm)")
-    p_w.set_defaults(func=cmd_weaver)
+    p_w.add_argument("--budget", type=_positive_int, default=WALK_BUDGET,
+                     help="cap on the whole walk's estimated matrix or table "
+                          "entries by its cheaper route, enumerated outcomes x "
+                          "n^2 or rank-one table updates x C(2n, n), n = 2 x "
+                          "dim, checked before the walk starts (default 2^30)")
 
-    p_l = sub.add_parser("lift", parents=[common],
-                         help="iterated signed 2-lifts of a Ramanujan graph")
-    p_l.add_argument("input", help="edge list file ('-' for stdin)")
+    p_l = command("lift", cmd_lift, "iterated signed 2-lifts of a Ramanujan graph",
+                  "edge list file")
     p_l.add_argument("--iterations", type=_positive_int, default=1,
                      help="number of successive lifts (default 1)")
-    p_l.set_defaults(func=cmd_lift)
+    p_l.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                     help="cap on each walk's backward-DP states plus leaf "
+                          "entries, groups x |V(F)|^2 per level, checked "
+                          "before the first choice (default 2^20)")
 
-    p_m = sub.add_parser("mixedchar", parents=[common],
-                         help="mixed characteristic polynomial of PSD matrices")
-    p_m.add_argument("input", help="JSON list of matrices ('-' for stdin)")
-    p_m.set_defaults(func=cmd_mixedchar)
+    command("mixedchar", cmd_mixedchar, "mixed characteristic polynomial of PSD matrices",
+            "JSON list of matrices", mode=True)
     return parser
 
 
@@ -374,15 +358,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, which matches our parse-error code
         return int(e.code) if e.code else 0
     try:
-        budget = args.budget
-        if budget is None:  # each command's own unit has its own default
-            budget = WALK_BUDGET if args.command == "weaver" else DEFAULT_BUDGET
-        cfg = RunConfig(mode=args.mode, tol=args.tol, budget=budget)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        return args.func(args, cfg)
+        return args.func(args)
     except ParseFailure as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -45,7 +45,7 @@ import numpy as np
 
 from .poly import Polynomial
 from .matrices import SymMatrix, charpoly_batch, charpoly_batch_exact, _cleared, \
-    _validate_psd_list
+    _coerce_array, _validate_psd_list
 from .tolerances import ISO_TOL, PROB_TOL
 
 __all__ = [
@@ -79,12 +79,10 @@ class BudgetExceededError(RuntimeError):
 
 
 def _coerce_vector(v):
-    vec = np.asarray(v)
+    vec = _coerce_array(v)
     if vec.ndim != 1:
         raise ValueError("support vectors must be one-dimensional")
-    if vec.dtype == object or np.issubdtype(vec.dtype, np.integer):
-        return np.array(vec, dtype=object)
-    return np.array(vec, dtype=float)
+    return vec
 
 
 class DiscreteRandomVector:
@@ -453,17 +451,20 @@ def mixed_identity_check(rvs, budget: int = DEFAULT_BUDGET) -> bool:
 def mixed_char_root_bound(matrices) -> float:
     """The bound (1 + sqrt(eps))^2, eps = max trace, for families summing to I.
 
-    Raises if ``sum A_i`` differs from the identity by more than ``ISO_TOL``
-    in spectral norm.  The largest root of the family's mixed
-    characteristic polynomial is guaranteed to be at most this value.
+    Raises unless ``sum A_i`` is the identity: exactly for an exact family,
+    and for a float one within ``ISO_TOL`` in spectral norm.  The largest
+    root of the family's mixed characteristic polynomial is guaranteed to
+    be at most this value.
     """
     mats = _validate_psd_list(matrices)
     d = mats[0].n
-    total = np.zeros((d, d))
-    for m in mats:
-        total += m.a.astype(float)
-    dev = np.linalg.eigvalsh(total - np.eye(d))
-    if np.max(np.abs(dev)) > ISO_TOL:
+    total = sum(mats[1:], mats[0])
+    if all(m.is_exact for m in mats):
+        is_identity = total == SymMatrix.identity(d, exact=True)
+    else:
+        dev = np.linalg.eigvalsh(total.a.astype(float) - np.eye(d))
+        is_identity = np.max(np.abs(dev)) <= ISO_TOL
+    if not is_identity:
         raise ValueError("matrices do not sum to the identity")
     eps = max(float(m.a.astype(float).trace()) for m in mats)
     return float((1.0 + math.sqrt(eps)) ** 2)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .poly import Polynomial, kth_largest_root, root_clusters, top_root, \
     compare_top_roots, shift_roots
-from .matrices import SymMatrix, char_poly, charpoly_batch_exact
+from .matrices import SymMatrix, _coerce_array, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, _expected_char_with_base
 from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
@@ -88,11 +88,7 @@ class VectorSystem:
             arr = np.array([np.asarray(v) for v in vectors])
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise ValueError("need a nonempty list of equal-length vectors")
-        if arr.dtype == object or np.issubdtype(arr.dtype, np.integer):
-            arr = np.array(arr, dtype=object)
-        else:
-            arr = np.array(arr, dtype=float)
-        self.vectors = arr
+        self.vectors = _coerce_array(arr)
         self.vectors.setflags(write=False)
 
     @property
@@ -178,10 +174,7 @@ class AssignmentState:
 
     @property
     def is_exact(self) -> bool:
-        def vec_exact(v):
-            a = np.asarray(v)
-            return a.dtype == object or np.issubdtype(a.dtype, np.integer)
-        return all(vec_exact(v) for v in self.fixed) \
+        return all(_coerce_array(v).dtype == object for v in self.fixed) \
             and all(r.is_exact for r in self.remaining)
 
 
@@ -631,8 +624,9 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     achieved = _lambda_k_of_matrix(gram, 1)
     if abs(achieved - levels[-1]) > SIGNING_TOL:
         raise AssertionError("signed adjacency spectrum inconsistent with walk")
+    # the last kept child, every sign fixed, is chi(A_s); shifted by d, chi(gram)
     cert = SelectionCertificate(choices=[0 if s == 1 else 1 for s in signs],
-                                final_poly=char_poly(SymMatrix(gram)),
+                                final_poly=phi.taylor_shift(-d),
                                 achieved=achieved, pledged=pledged, k=1,
                                 direction="minimize", levels=levels)
     return signing, cert

@@ -15,6 +15,8 @@ import pytest
 
 import interlace.cli
 from interlace import Graph, Signing, VectorSystem, NotRealRootedError, signing_select
+from interlace.graphs import matching_poly
+from interlace.poly import top_root
 from interlace.cli import main
 
 
@@ -132,6 +134,20 @@ def test_lift_single_iteration(capsys, tmp_path):
     assert payload["final_n"] == 12
     assert len(step["signs"]) == 9
     assert set(step["signs"]) <= {-1, 1}
+
+
+def test_lift_pledge_is_in_adjacency_coordinates(capsys, tmp_path):
+    # the walk's certificate is in Gram coordinates, A_s + dI; the payload's
+    # pledge is the matching polynomial's top root, beside lambda_max_signed
+    # and the threshold, which are adjacency values
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    code, payload = run_cli(capsys, ["lift", str(k33)])
+    assert code == 0
+    step = payload["steps"][0]
+    assert step["lambda_max_signed"] <= step["pledged"] <= step["threshold"]
+    root = top_root(matching_poly(Graph.complete_bipartite(3, 3))).root
+    assert step["pledged"] == pytest.approx(root, rel=0, abs=math.ulp(root + 3))
 
 
 def test_lift_three_iterations_reach_48_vertices(capsys, tmp_path):
@@ -351,6 +367,19 @@ def test_numerical_failure_exit_5(capsys, monkeypatch, iso_system_file, tmp_path
     assert "numerical failure: complex root" in capsys.readouterr().err
 
 
+def test_float_mixedchar_on_ten_coordinate_projections_exit_5(capsys, tmp_path):
+    # e_i e_i^T, i < 10, are PSD and sum to I, and mu = (x - 1)^10 is
+    # real-rooted by theorem, but the float companion solver scatters its
+    # tenfold root about 0.06 off the real axis; exact mode certifies it
+    path = tmp_path / "projections.json"
+    path.write_text(json.dumps([np.diag(row).tolist() for row in np.eye(10)]))
+    assert main(["mixedchar", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "numerical failure" in captured.err
+    code, payload = run_cli(capsys, ["mixedchar", str(path), "--mode", "exact"])
+    assert code == 0 and payload["roots"] == [1] * 10
+
+
 def test_out_flag_writes_file(capsys, tmp_path, iso_system_file):
     target = tmp_path / "result.json"
     code = main(["ri", iso_system_file, "-k", "1", "--out", str(target)])
@@ -360,11 +389,47 @@ def test_out_flag_writes_file(capsys, tmp_path, iso_system_file):
     assert capsys.readouterr().out == ""
 
 
-def test_bad_config_exit_2(capsys, iso_system_file):
-    code, _ = run_cli(capsys, ["ri", iso_system_file, "-k", "1", "--tol", "-1"])
-    assert code == 2
-    code, _ = run_cli(capsys, ["ri", iso_system_file, "-k", "1", "--budget", "0"])
-    assert code == 2
+def test_bad_config_exit_2(capsys, tmp_path, iso_system_file):
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    for argv in (["ri", iso_system_file, "-k", "1", "--tol", "-1"],
+                 ["ri", iso_system_file, "-k", "1", "--tol", "0"],
+                 ["ri", iso_system_file, "-k", "0"],
+                 ["weaver", iso_system_file, "--budget", "0"],
+                 ["lift", str(k33), "--budget", "0"]):
+        code, payload = run_cli(capsys, argv)
+        assert code == 2 and payload is None, argv
+
+
+def test_flags_a_command_does_not_read_exit_2(capsys, tmp_path, iso_system_file):
+    # each command takes only the flags it reads
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1, 0], [0, 1]]]))
+    for argv in (["lift", str(k33), "--mode", "exact"],
+                 ["lift", str(k33), "--tol", "1"],
+                 ["mixedchar", str(mats), "--tol", "1"],
+                 ["mixedchar", str(mats), "--budget", "5"],
+                 ["ri", iso_system_file, "-k", "1", "--budget", "5"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_config_echoes_the_flags_its_command_read(capsys, tmp_path, iso_system_file):
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    mats = tmp_path / "mats.json"
+    mats.write_text(json.dumps([[[1, 0], [0, 1]]]))
+    expected = {("ri", iso_system_file, "-k", "1"): {"mode": "float", "tol": 1e-8},
+                ("weaver", iso_system_file): {"mode": "float", "tol": 1e-8,
+                                              "budget": 2 ** 30},
+                ("lift", str(k33)): {"budget": 2 ** 20},
+                ("mixedchar", str(mats)): {"mode": "float"}}
+    for argv, config in expected.items():
+        code, payload = run_cli(capsys, list(argv))
+        assert code == 0 and payload["config"] == config, argv
 
 
 def test_ri_infinite_tol_exit_2(capsys, tmp_path):
@@ -484,14 +549,14 @@ def test_import_loads_numpy_and_standard_library_only():
 
 
 def test_exact_parse_keeps_json_integers_as_ints():
-    cfg = interlace.cli.RunConfig(mode="exact")
     text = json.dumps({"matrices": [[[2, 0.5], [0.5, "1/3"]]]})
-    (mat,) = interlace.cli._parse_matrices(text, cfg)
+    (mat,) = interlace.cli._parse_matrices(text, exact=True)
     entries = mat.a.ravel().tolist()
     assert type(entries[0]) is int and entries[0] == 2
     assert entries[1:] == [Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]
     assert all(isinstance(x, Fraction) for x in entries[1:])
-    system = interlace.cli._parse_vector_system(json.dumps([[1, "1/2"], [0.25, -3]]), cfg)
+    system = interlace.cli._parse_vector_system(json.dumps([[1, "1/2"], [0.25, -3]]),
+                                                exact=True)
     rows = system.vectors.tolist()
     assert [type(x) for x in rows[0] + rows[1]] == [int, Fraction, Fraction, int]
 

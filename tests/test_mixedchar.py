@@ -266,6 +266,16 @@ def test_mixed_char_root_bound_requires_identity_sum():
         mixed_char_root_bound([SymMatrix([[Fraction(1, 2)]])])
 
 
+def test_mixed_char_root_bound_compares_an_exact_sum_with_i_exactly():
+    # the sum misses I by 1e-10, inside ISO_TOL: an exact family is refused
+    # by the exact comparison, and a float one still passes within ISO_TOL
+    with pytest.raises(ValueError, match="sum to the identity"):
+        mixed_char_root_bound([SymMatrix([[Fraction(1, 2) + Fraction(1, 10**10)]]),
+                               SymMatrix([[Fraction(1, 2)]])])
+    bound = mixed_char_root_bound([SymMatrix([[0.5 + 1e-10]]), SymMatrix([[0.5]])])
+    assert bound == pytest.approx((1 + math.sqrt(0.5)) ** 2)
+
+
 def test_mixed_char_root_bound_holds_randomized():
     rng = np.random.default_rng(43)
     for _ in range(20):

@@ -600,6 +600,15 @@ def _random_cubic_bipartite(half: int, seed: int) -> Graph:
 CUBE = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
 
 
+@pytest.mark.parametrize("g", [CUBE, Graph.complete_bipartite(3, 3), Graph.petersen()],
+                         ids=["cube", "K33", "petersen"])
+def test_signing_select_final_poly_is_chi_of_the_signed_gram(g):
+    # the walk takes final_poly from its last Phi, chi(A_s), shifted by d
+    signing, cert = signing_select(g)
+    gram = signed_adjacency(g, signing).a + 3 * np.eye(g.n, dtype=int)
+    assert cert.final_poly == char_poly(SymMatrix(gram))
+
+
 @pytest.mark.parametrize("g", [Graph.complete(4), Graph.complete_bipartite(3, 3), CUBE,
                                Graph.petersen(), _random_cubic_bipartite(5, 3)],
                          ids=["K4", "K33", "cube", "petersen", "cubic10"])
