@@ -15,6 +15,7 @@ from .poly import (
     is_real_rooted,
     real_roots,
     kth_largest_root,
+    float_top_root,
     TopRoot,
     roots_above,
     root_clusters,

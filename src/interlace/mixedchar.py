@@ -28,7 +28,8 @@ vectors by fraction-free elimination (:func:`_rank_one_terms`), so exact
 tables hold integers after one common scaling of the weights
 (:class:`TableArithmetic`), in int64 under a proven magnitude bound.
 :func:`mixed_char` runs on it, and so does the greedy walk of
-:mod:`interlace.select` wherever it is cheaper than enumeration.
+:mod:`interlace.select` wherever it is cheaper than enumeration; the
+walk's children need only the traces of their tables (:func:`fold_traces`).
 :func:`expected_char_poly` enumerates outcomes under a budget; it is the
 independent oracle the identity is checked against, and its kernel is
 the greedy walk's other route.
@@ -56,6 +57,7 @@ __all__ = [
     "DiscreteRandomVector",
     "TableArithmetic",
     "fold_terms",
+    "fold_traces",
     "mixed_char",
     "expected_char_poly",
     "mixed_identity_check",
@@ -200,6 +202,36 @@ def fold_terms(tables: list, weights, vecs) -> list:
     return out
 
 
+def fold_traces(tables: list, points) -> list:
+    """The traces tr W_k, k = 0..n, of ``fold_terms(tables, *point)`` for each point.
+
+    ``points`` are (weights, vecs) pairs as :func:`fold_terms` takes them.
+    A point's term (w, u) adds w tr L_k(u) W_(k-1) L_k(u)^T to tr W_k,
+    that is w sum_I c_I^T W_(k-1)[sub_I, sub_I] c_I, where c_I are the k
+    nonzeros of row I of L_k(u) and sub_I their columns: C(n, k) k^2
+    products, where the full fold forms every entry of the new table.
+    Every term of every point goes through one einsum per k.  The traces
+    are summed as Python scalars, like :meth:`TableArithmetic.poly`'s:
+    each row's form is an entry of the folded table, so int64 holds it,
+    but their sum need not fit.
+    """
+    n = len(tables) - 1
+    index = _subset_index(n)
+    owner = [i for i, (ws, _) in enumerate(points) for _ in ws]
+    weights = [w for ws, _ in points for w in ws]
+    vecs = np.concatenate([u for _, u in points])
+    base = [sum(t.diagonal().tolist()) for t in tables]
+    traces = [list(base) for _ in points]
+    for k in range(1, n + 1):
+        elem, sub, sign = index[k]
+        block = tables[k - 1][sub[:, :, None], sub[:, None, :]]  # (C(n,k), k, k)
+        coef = vecs[:, elem] * sign  # (terms, C(n,k), k)
+        forms = np.einsum("tip,ipq,tiq->ti", coef, block, coef)
+        for i, w, form in zip(owner, weights, forms.tolist()):
+            traces[i][k] += w * sum(form)
+    return traces
+
+
 class TableArithmetic:
     """How the exterior-power tables of one family of rank-one terms are held.
 
@@ -280,10 +312,13 @@ class TableArithmetic:
 
     def poly(self, tables: list) -> Polynomial:
         """mu(x) = sum_k (-1)^k x^(n-k) tr W_k, with the scaling undone."""
+        return self.from_traces([sum(t.diagonal().tolist()) for t in tables])
+
+    def from_traces(self, traces: list) -> Polynomial:
+        """:meth:`poly` from the traces tr W_k, k = 0..n, alone (:func:`fold_traces`)."""
         n = self.n
         co = [0] * (n + 1)
-        for k, table in enumerate(tables):
-            trace = sum(table.diagonal().tolist())
+        for k, trace in enumerate(traces):
             co[n - k] = -trace if k % 2 else trace
         if self.scale not in (None, 1):
             co = [Fraction(c, self.scale ** (n - j)) for j, c in enumerate(co)]

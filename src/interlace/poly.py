@@ -26,7 +26,14 @@ is not.
 
 A float polynomial gets companion eigenvalues, accepted as real by an
 imaginary-part tolerance (``tolerances.IM_TOL``) or a backward-error
-rescue, then Newton steps.  ``real_roots`` always returns floats.
+rescue, then Newton steps.  ``real_roots`` always returns floats.  A
+float walk polynomial, real-rooted by theorem, whose top root alone is
+ranked (the float ``weaver`` children) takes ``float_top_root``
+instead: Laguerre's method from above the Laguerre-Samuelson bound, the
+loop that also starts the exact kernel, with no companion matrix.  It
+stops within its evaluation's rounding of the root and raises
+:class:`NotRealRootedError` where the loop breaks down, which no
+real-rooted polynomial makes it do.
 ``shift_roots`` skips coefficients altogether: it applies the shift
 operator to batches of real roots by bracketed secular-equation solves,
 so its output is real-rooted by construction.
@@ -42,7 +49,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .tolerances import COEFF_TOL, IM_TOL, ROOT_TOL, START_OFFSET
+from .tolerances import COEFF_TOL, IM_TOL, LAGUERRE_TOL, ROOT_TOL, START_OFFSET
 
 __all__ = [
     "Polynomial",
@@ -57,6 +64,7 @@ __all__ = [
     "is_real_rooted",
     "real_roots",
     "kth_largest_root",
+    "float_top_root",
     "TopRoot",
     "roots_above",
     "root_clusters",
@@ -747,22 +755,38 @@ def _derivative_value(a: list[int], k: int, x: float) -> tuple[int, int]:
 def _float_start(a: list[int]) -> float:
     """A float point at or just above the top root of real-rooted ``a``.
 
-    Laguerre's method from above on a real-rooted polynomial falls
-    monotonically to its top root, cubically at a simple one.  It starts
-    at the Laguerre-Samuelson bound mean + sqrt((n - 1)/n) * spread, an
-    upper bound on the roots of any real-rooted polynomial, and stops once
-    p(x) is within the rounding error of its evaluation, before noise can
-    carry it below the root.
+    The end of :func:`_laguerre_from_above` on the float copy of ``a``;
+    a breakdown there only costs :func:`_polish` a bisection.
     """
-    n = len(a) - 1
     try:
         c = [x / a[-1] for x in a]
     except OverflowError:
         return math.nan
+    return _laguerre_from_above(c)[0]
+
+
+def _laguerre_from_above(c: list[float]) -> tuple[float, bool]:
+    """Laguerre's method from above on monic float ``c``: (last iterate, sound).
+
+    On a real-rooted polynomial it falls monotonically to the top root,
+    cubically at a simple one.  It starts at the Laguerre-Samuelson bound
+    mean + sqrt((n - 1)/n) * spread, an upper bound on the roots of any
+    real-rooted polynomial, and stops once p(x) is within the rounding
+    error of its evaluation, before noise can carry it below the root.
+    ``sound`` is false on a breakdown, which no real-rooted polynomial
+    reaches: an iterate where p(x) is negative beyond its rounding, or
+    p'(x) is not positive while p(x) is positive beyond it (a non-finite
+    iterate included); a step that does not descend; no stop within 100
+    steps; or (n - 1)(n h - g^2), which is nonnegative by Cauchy-Schwarz
+    for real roots, below -``LAGUERRE_TOL`` n g^2.  The iterates do not
+    depend on it.
+    """
+    n = len(c) - 1
     mean = -c[-2] / n
     spread = (c[-2] * c[-2] - 2 * c[-3] - n * mean * mean) if n > 1 else 0.0
     x = mean + math.sqrt(max(spread, 0.0) * (n - 1) / n)
     x += START_OFFSET * (1.0 + abs(x))
+    sound = True
     for _ in range(100):
         f = df = ddf = size = 0.0
         for coef in reversed(c):
@@ -770,14 +794,37 @@ def _float_start(a: list[int]) -> float:
             df = df * x + f
             f = f * x + coef
             size = size * abs(x) + abs(coef)
-        if not (f > 2 * (n + 1) * size * _EPS and df > 0):
-            break
+        slack = 2 * (n + 1) * size * _EPS
+        if not (f > slack and df > 0):
+            return x, sound and abs(f) <= slack < math.inf
         g = df / f
         h = g * g - ddf / f
-        nxt = x - n / (g + math.sqrt(max((n - 1) * (n * h - g * g), 0.0)))
+        disc = (n - 1) * (n * h - g * g)
+        sound = sound and disc >= -LAGUERRE_TOL * n * g * g
+        nxt = x - n / (g + math.sqrt(max(disc, 0.0)))
         if not nxt < x:
-            break
+            return x, False
         x = nxt
+    return x, False
+
+
+def float_top_root(p: Polynomial) -> float:
+    """The largest root of float ``p``, real-rooted by theorem, taken from above.
+
+    :func:`_laguerre_from_above`, the loop that starts the exact kernel,
+    on ``p`` made monic.  Its end x has |p(x)| within the rounding bound
+    of its evaluation, 2 (n + 1) eps sum |c_i| |x|^i, so at a simple root
+    it is within that bound over |p'| of the root, and at an r-fold one
+    within its r-th root (over |p^(r)/r!|).  Raises
+    :class:`NotRealRootedError` on a breakdown.
+    """
+    if p.degree < 1:
+        raise ValueError("a constant has no top root")
+    lead = float(p.leading())
+    x, sound = _laguerre_from_above([float(c) / lead for c in p.coeffs])
+    if not sound:
+        raise NotRealRootedError(
+            f"Laguerre's method from above broke down near {x:.6g}")
     return x
 
 

@@ -50,11 +50,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, kth_largest_root, root_clusters, top_root, \
-    compare_top_roots, shift_roots
+from .poly import Polynomial, float_top_root, kth_largest_root, root_clusters, \
+    top_root, compare_top_roots, shift_roots
 from .matrices import SymMatrix, _coerce_array, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
-    TableArithmetic, fold_terms, _expected_char_with_base
+    TableArithmetic, fold_terms, fold_traces, _expected_char_with_base
 from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
 from .tolerances import ALPHA_TOL, CERT_TOL, ISO_TOL, SIGNING_TOL
 
@@ -237,10 +237,13 @@ def walk_costs(dim: int, fixed: int, sizes) -> dict:
     ``"engine"`` makes rank-one table updates of C(2 dim, dim) entries
     each: one per support point to build the tail tables, each fixed
     vector into all m + 1 of them, one per child, and each choice into
-    the m - l tails left.  Both routes take about the same time per
-    entry, within a factor of three (exact walks 10-20 times as long as
-    float ones, on either route), so the smaller estimate picks the
-    faster route except near the crossover.
+    the m - l tails left.  A child costs only the traces of its update
+    (:func:`fold_traces`), C(2 dim, k) k^2 products per table W_k, but
+    is counted as a full update, so the engine's estimate is
+    conservative.  Both routes take about the same time per entry, within a factor of
+    three (exact walks 10-20 times as long as float ones, on either
+    route), so the smaller estimate picks the faster route except near
+    the crossover.
     """
     m = len(sizes)
     outcomes = tail = math.prod(sizes)
@@ -312,11 +315,13 @@ def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
 
 def _kth_root(p: Polynomial, k: int) -> float:
     """lambda_k of a walk polynomial, an expected characteristic polynomial
-    and so real-rooted by theorem: exact ones straight from
-    :func:`root_clusters`, with no Sturm check, float ones by
+    and so real-rooted by theorem, with no Sturm check: exact ones straight
+    from :func:`root_clusters`; float ones, for k = 1, by
+    :func:`float_top_root`, Laguerre's method from above, which raises
+    :class:`NotRealRootedError` on a breakdown, and for k > 1 by
     :func:`kth_largest_root`."""
     if not p.is_exact:
-        return kth_largest_root(p, k)
+        return float_top_root(p) if k == 1 else kth_largest_root(p, k)
     roots = (c.root for c in root_clusters(p) for _ in range(c.mult))
     return next(itertools.islice(roots, k - 1, None))
 
@@ -354,7 +359,12 @@ def _engine_route(d: int, fixed: list, remaining: list, exact: bool,
     vectors are folded into the whole stack as rank-one steps, one batched
     step per vector, so at level l the table of r_(l+1).. already holds
     the vectors fixed so far, and a child is one more rank-one step: its
-    candidate.  That is O(m^2) table updates in O(m) batched calls.
+    candidate.  A child's polynomial needs only the traces of its
+    tables, so each level makes one :func:`fold_traces` call for all its
+    candidates, C(n, k) k^2 products per table, and the chosen candidate
+    alone is folded, into the tails left.  A walk on m vectors and f
+    fixed ones makes m + f + m calls of :func:`fold_terms`, O(m^2) table
+    updates in all.
     """
     supports = [[(p, _vector(v, exact)) for p, v in rv.support] for rv in remaining]
     every = [(1, v) for v in fixed] + [t for s in supports for p, v in s
@@ -375,7 +385,7 @@ def _engine_route(d: int, fixed: list, remaining: list, exact: bool,
     for support in supports:
         shared = [t[1] for t in tails]
         points = [arith.encode([(1, v)]) for _, v in support]
-        best = choose([arith.poly(fold_terms(shared, *pt)) for pt in points])
+        best = choose([arith.from_traces(t) for t in fold_traces(shared, points)])
         tails = fold_terms([t[1:] for t in tails], *points[best])
     return pledge
 

@@ -20,10 +20,11 @@ other ways:
 import numpy as np
 
 from interlace import AssignmentState, DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, \
-    kth_largest_root, mixed_char
+    mixed_char
 from interlace.graphs import LEAF_CHUNK
 from interlace.matrices import _validate_psd_list, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
+from interlace.select import _kth_root
 
 
 class TruncatedMultiAffine:
@@ -168,14 +169,17 @@ def conditional_expected_poly(state: AssignmentState, budget: int = DEFAULT_BUDG
 def enumeration_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET):
     """The greedy walk with every child enumerated: (choices, levels, pledged).
 
-    Ties go to the lowest support index, as in ``greedy_walk``.
+    Ties go to the lowest support index, as in ``greedy_walk``.  Roots
+    come from ``greedy_walk``'s own kernel, ``select._kth_root``: this
+    checks the walk's route to its polynomials, and the kernel is checked
+    against 50-digit references in the tests of ``interlace.poly``.
     """
     exact = state.is_exact
     k = state.k
     maximize = state.direction == "maximize"
     base = _base(state.fixed, state.dim, exact)
     remaining = list(state.remaining)
-    pledged = kth_largest_root(_expected_char_with_base(base, remaining, budget, exact), k)
+    pledged = _kth_root(_expected_char_with_base(base, remaining, budget, exact), k)
     choices, levels = [], []
     for lvl, rv in enumerate(remaining):
         vals = []
@@ -183,7 +187,7 @@ def enumeration_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET):
             v = np.asarray(vec).astype(object if exact else float)
             child = _expected_char_with_base(base + np.outer(v, v), remaining[lvl + 1:],
                                              budget, exact)
-            vals.append(kth_largest_root(child, k))
+            vals.append(_kth_root(child, k))
         best = 0
         for j in range(1, len(vals)):
             if (vals[j] > vals[best]) if maximize else (vals[j] < vals[best]):

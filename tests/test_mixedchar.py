@@ -29,7 +29,7 @@ from interlace import (
     is_real_rooted,
     real_roots,
 )
-from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms
+from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms, fold_traces
 from oracles import TruncatedMultiAffine, ring_mixed_char
 
 
@@ -433,6 +433,36 @@ def test_fold_terms_batch_equals_one_table_at_a_time():
     for b in range(7):
         alone = fold_terms([t[b] for t in stack], weights, vecs)
         assert all((x[b] == y).all() for x, y in zip(batched, alone))
+
+
+def test_fold_traces_equal_the_full_fold():
+    # the full fold of each point is the oracle: exact tables must give the
+    # same polynomials, float ones the same within COEFF_TOL
+    rng = np.random.default_rng(281)
+    n = 4
+    dtypes = set()
+    for exact, size in ((False, None), (True, 3), (True, 10 ** 6)):
+        if exact:
+            terms = [(Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4))),
+                      [int(x) for x in rng.integers(-size, size + 1, size=n)])
+                     for _ in range(10)]
+        else:
+            terms = [(float(rng.uniform(0.1, 2.0)), rng.standard_normal(n)) for _ in range(10)]
+        arith = TableArithmetic(n, terms, exact)
+        dtypes.add(arith.dtype)
+        tables = arith.empty()
+        for group in (terms[:2], terms[2:5], terms[5:6]):
+            tables = fold_terms(tables, *arith.encode(group))
+        points = [arith.encode([t]) for t in terms[6:]] + [arith.encode(terms[7:9])]
+        if exact:
+            points.append(arith.encode([(1, [0] * n)]))  # a point with no terms
+        got = [arith.from_traces(t) for t in fold_traces(tables, points)]
+        want = [arith.poly(fold_terms(tables, *pt)) for pt in points]
+        if exact:
+            assert arith.scale > 1 and got == want
+        else:
+            assert all(a.allclose(b) for a, b in zip(got, want))
+    assert dtypes == {np.float64, np.int64, object}
 
 
 def _psd_family(rng, d, m, denominators):

@@ -24,6 +24,7 @@ from interlace import (
     is_real_rooted,
     real_roots,
     kth_largest_root,
+    float_top_root,
     roots_above,
     root_clusters,
     top_root,
@@ -35,8 +36,10 @@ from interlace import (
     VectorSystem,
     restricted_invertibility_select,
     signing_select,
+    weaver_partition,
 )
 import interlace.poly as poly_module
+import interlace.select as select_module
 
 
 def _cauchy_bound(p):
@@ -471,6 +474,102 @@ def test_mixed_char_sign_vectors_roots_to_two_ulp():
                                                           extraprec=400)), reverse=True)
     for got, ref in zip(real_roots(p), want):
         assert abs(mpmath.mpf(got) - ref) <= 2 * math.ulp(float(ref))
+
+
+def _reference_top_root(p, mpmath) -> tuple:
+    """The top root of float ``p``'s own coefficients to 50 digits, and the
+    multiplicity r of its cluster."""
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpf(c) for c in reversed(p.coeffs)]
+        roots = sorted(mpmath.polyroots(coeffs, maxsteps=800, extraprec=800),
+                       key=lambda z: -mpmath.re(z))
+        # rounding scatters a double or triple root of these by under 1e-4
+        return mpmath.re(roots[0]), sum(1 for z in roots if abs(z - roots[0]) < 1e-3)
+
+
+def _check_float_top_root(p, ref, r, mpmath) -> None:
+    """float_top_root(p) against the reference top root ``ref`` of multiplicity r.
+
+    Laguerre's loop stops at x once |p(x)| is within 2 (n + 1) eps sum
+    |c_i| |x|^i, its bound on the evaluation's rounding; near an r-fold
+    root p(x) ~ c_r (x - root)^r, so x lies within (slack / |c_r|)^(1/r)
+    of it, up to a factor of 2 for the slack's value at x.
+    """
+    got = float_top_root(p)
+    with mpmath.workdps(50):
+        ref = mpmath.mpf(ref)
+        coeffs = [mpmath.mpf(c) for c in reversed(p.coeffs)]
+        size = sum(abs(c) * abs(ref) ** i for i, c in enumerate(p.coeffs))
+        slack = 2 * (p.degree + 1) * size * np.finfo(float).eps
+        c_r = abs(mpmath.diff(lambda t: mpmath.polyval(coeffs, t), ref, r)) / math.factorial(r)
+        assert abs(got - ref) <= 2 * (slack / c_r) ** (mpmath.mpf(1) / r)
+
+
+def _weaver_children(vs, monkeypatch) -> list:
+    """Every float polynomial whose top root a weaver walk on ``vs`` takes."""
+    seen = []
+
+    def recorded(p):
+        seen.append(p)
+        return float_top_root(p)
+
+    monkeypatch.setattr(select_module, "float_top_root", recorded)
+    weaver_partition(vs, vs.max_norm_sq())
+    return seen
+
+
+def test_float_top_root_of_weaver_children_to_50_digit_references(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    vs = VectorSystem.random_isotropic(3, 8, np.random.default_rng(17))
+    children = _weaver_children(vs, monkeypatch)
+    assert len(children) == 2 * 8 + 1
+    for p in children:
+        _check_float_top_root(p, *_reference_top_root(p, mpmath), mpmath)
+
+
+def test_float_top_root_at_double_and_triple_top_roots(monkeypatch):
+    # two half-norm copies of each basis direction (the duplicated-basis
+    # system): its walk's float children have double and triple top roots,
+    # which rounding splits by about 1e-7 and 1e-5
+    mpmath = pytest.importorskip("mpmath")
+    half = math.sqrt(0.5)
+    vs = VectorSystem([[half if j == i else 0.0 for j in range(3)]
+                       for i in range(3) for _ in range(2)])
+    mults = set()
+    for p in _weaver_children(vs, monkeypatch):
+        ref, r = _reference_top_root(p, mpmath)
+        _check_float_top_root(p, ref, r, mpmath)
+        mults.add(r)
+    assert {1, 2, 3} <= mults
+
+
+def test_float_top_root_at_the_laguerre_samuelson_equality_case():
+    # all roots but the top one equal: the Laguerre-Samuelson bound is the
+    # top root itself, so the loop starts just above it.  Dyadic roots give
+    # float coefficients with no rounding, so the roots are the references.
+    mpmath = pytest.importorskip("mpmath")
+    for roots in ([3.0] + [1.0] * 5, [0.25] + [-1.5] * 3, [0.75] * 6):
+        p = Polynomial([float(c) for c in np.polynomial.polynomial.polyfromroots(roots)])
+        assert p == Polynomial.from_roots([Fraction(x) for x in roots])
+        _check_float_top_root(p, roots[0], roots.count(roots[0]), mpmath)
+
+
+def test_float_top_root_raises_on_a_complex_top_pair():
+    cases = [([1.01, -2.0, 1.0], [-1.0, 0.5]),  # 1 +- i/10
+             ([5.0, -4.0, 1.0], [-1.0, 0.5]),  # 2 +- i
+             ([1.0, 0.0, 1.0], [-1.0, 0.5]),  # +- i
+             # 1 +- i/8: a step jumps the pair, and only n h - g^2 < 0
+             # tells the root 0.75 below it from the top root
+             ([65 / 64, -2.0, 1.0], [0.5, 0.75])]
+    for pair, below in cases:
+        p = Polynomial(pair) * Polynomial.from_roots(below)
+        assert not p.is_exact
+        with pytest.raises(NotRealRootedError):
+            float_top_root(p)
+        with pytest.raises(NotRealRootedError):
+            select_module._kth_root(p, 1)
+    with pytest.raises(ValueError):
+        float_top_root(Polynomial([2.0]))
 
 
 def _rational_isotropic(rng, n):

@@ -49,6 +49,7 @@ from interlace import (
     frontier_order,
 )
 import interlace.graphs as graphs_module
+import interlace.poly as poly_module
 import interlace.select as select_module
 from oracles import conditional_expected_poly, enumeration_walk, forward_signed_chars
 
@@ -691,6 +692,29 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
     assert cert.valid()
     assert passes == [(select_module.DEFAULT_BUDGET,)]
     assert rows == [1] * (CUBE.m + 1)
+
+
+def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
+    # m folds of a support's two points build the tails and m of the
+    # choice update them; the children come from traces, and their top
+    # roots from Laguerre's method, not real_roots
+    folds = []
+    fold = select_module.fold_terms
+
+    def counted(*args):
+        folds.append(len(args[1]))
+        return fold(*args)
+
+    def refuse(p):
+        raise AssertionError("real_roots was reached")
+
+    monkeypatch.setattr(select_module, "fold_terms", counted)
+    monkeypatch.setattr(poly_module, "real_roots", refuse)
+    m = 12
+    vs = VectorSystem.random_isotropic(3, m, np.random.default_rng(283))
+    cert = greedy_walk(_lifted_state(vs), route="engine")
+    assert cert.valid() and len(cert.choices) == m
+    assert sorted(folds) == [1] * m + [2] * m  # terms per fold
 
 
 def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
