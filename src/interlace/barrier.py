@@ -13,6 +13,11 @@ moves these soft edges: the lower edge advances by at least
 ``1/(1+phi)`` and the upper edge by at most ``1/(1-phi)`` (the latter
 needs ``phi < 1``).
 
+All of it works on ``real_roots(f)``: the barriers are sums over the
+roots, ``smax_phi`` is the top root of ``f - f'/phi`` from ``shift_roots``,
+``smin_phi(f) = -smax_phi(f(-x))``, and the shift checks take the roots of
+``(1 - D) f`` from ``shift_roots`` too.
+
 ``multivariate_barrier`` is the several-variables analogue for
 ``f = det(xI + sum z_i A_i)``: the logarithmic derivative in ``z_j``,
 computed as ``trace(M^{-1} A_j)`` at a point where ``M`` is positive
@@ -23,9 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import Polynomial, apply_shift_operator, real_roots
+from .poly import Polynomial, real_roots, shift_roots
 from .matrices import _validate_psd_list
-from .tolerances import BISECT_TOL, SHIFT_TOL
+from .tolerances import SHIFT_TOL
 
 __all__ = [
     "DetPolyFamily",
@@ -52,90 +57,51 @@ class DetPolyFamily:
         return len(self.matrices)
 
 
-def _ratio(p: Polynomial, b: float) -> float:
-    pf = p.to_float()
-    val = pf(float(b))
-    der = pf.derivative()(float(b))
-    return der / val
+def _roots(p: Polynomial) -> np.ndarray:
+    roots = real_roots(p)
+    if len(roots) == 0:
+        raise ValueError("constant polynomial has no barrier")
+    return roots
 
 
 def lower_barrier(p: Polynomial, b) -> float:
-    """``-p'(b)/p(b)`` for ``b`` strictly below every root of ``p``.
-
-    Equals ``sum_i 1/(l_i - b)`` over the roots, hence positive.
-    """
-    roots = real_roots(p)
-    if len(roots) == 0:
-        raise ValueError("constant polynomial has no barrier")
+    """``-p'(b)/p(b) = sum_i 1/(l_i - b)`` for ``b`` strictly below every root of ``p``."""
+    roots = _roots(p)
     if not float(b) < roots[-1]:
         raise ValueError(f"b={b} is not strictly below the smallest root {roots[-1]}")
-    return -_ratio(p, b)
+    return float(np.sum(1.0 / (roots - float(b))))
 
 
 def upper_barrier(p: Polynomial, b) -> float:
-    """``p'(b)/p(b)`` for ``b`` strictly above every root of ``p``."""
-    roots = real_roots(p)
-    if len(roots) == 0:
-        raise ValueError("constant polynomial has no barrier")
+    """``p'(b)/p(b) = sum_i 1/(b - l_i)`` for ``b`` strictly above every root of ``p``."""
+    roots = _roots(p)
     if not float(b) > roots[0]:
         raise ValueError(f"b={b} is not strictly above the largest root {roots[0]}")
-    return _ratio(p, b)
+    return float(np.sum(1.0 / (float(b) - roots)))
 
 
-def _bisect(fn, lo: float, hi: float, increasing: bool, edge: float) -> float:
-    """Find fn == 0 on [lo, hi] by bisection; fn monotone of known direction."""
-    tol = BISECT_TOL * (1.0 + abs(edge))
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        v = fn(mid)
-        if (v < 0) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _phi(phi) -> float:
+    phi = float(phi)
+    if phi <= 0:
+        raise ValueError("phi must be positive")
+    return phi
+
+
+def _edge(roots: np.ndarray, phi: float) -> float:
+    """The soft upper edge of the polynomial with these roots: the top root of p - p'/phi."""
+    return float(shift_roots(roots[None, :], 0, 1.0 / phi)[0][0, 0])
 
 
 def smin(p: Polynomial, phi) -> float:
-    """Soft lower edge: the unique ``b < lambda_min`` with lower barrier == phi.
-
-    The lower barrier increases from 0 to +inf as b climbs toward the
-    smallest root, so the solution exists, is unique, and bisection from
-    the bracket ``[lambda_min - deg/phi - 1, lambda_min]`` converges
-    unconditionally.
-    """
-    phi = float(phi)
-    if phi <= 0:
-        raise ValueError("phi must be positive")
-    roots = real_roots(p)
-    if len(roots) == 0:
-        raise ValueError("constant polynomial has no soft edge")
-    lmin = float(roots[-1])
-    deg = len(roots)
-    lo = lmin - deg / phi - 1.0
-    pf = p.to_float()
-    dpf = pf.derivative()
-    # Phi at lo is at most deg/(deg/phi + 1) < phi, so the sign change is inside.
-    return _bisect(lambda b: -dpf(b) / pf(b) - phi, lo, lmin,
-                   increasing=True, edge=lmin)
+    """Soft lower edge: the unique ``b < lambda_min`` with lower barrier == phi,
+    ``-smax(p(-x), phi)``."""
+    return -_edge(-_roots(p), _phi(phi))
 
 
 def smax(p: Polynomial, phi) -> float:
-    """Soft upper edge: the unique ``b > lambda_max`` with upper barrier == phi."""
-    phi = float(phi)
-    if phi <= 0:
-        raise ValueError("phi must be positive")
-    roots = real_roots(p)
-    if len(roots) == 0:
-        raise ValueError("constant polynomial has no soft edge")
-    lmax = float(roots[0])
-    deg = len(roots)
-    hi = lmax + deg / phi + 1.0
-    pf = p.to_float()
-    dpf = pf.derivative()
-    return _bisect(lambda b: dpf(b) / pf(b) - phi, lmax, hi,
-                   increasing=False, edge=lmax)
+    """Soft upper edge: the unique ``b > lambda_max`` with upper barrier == phi,
+    the top root of ``p - p'/phi``."""
+    return _edge(_roots(p), _phi(phi))
 
 
 def lower_shift_check(p: Polynomial, phi) -> bool:
@@ -144,11 +110,10 @@ def lower_shift_check(p: Polynomial, phi) -> bool:
     This is the quantitative content of the lower soft edge moving right
     under ``1 - d/dx``; it holds for every real-rooted ``p`` and phi > 0.
     """
-    phi = float(phi)
-    if phi <= 0:
-        raise ValueError("phi must be positive")
-    q = apply_shift_operator(p, 1)
-    return smin(q, phi) >= smin(p, phi) + 1.0 / (1.0 + phi) - SHIFT_TOL
+    phi = _phi(phi)
+    roots = _roots(p)
+    shifted = shift_roots(roots[None, :], 0, 1.0)[0][0]  # the roots of (1 - D) p
+    return -_edge(-shifted, phi) >= -_edge(-roots, phi) + 1.0 / (1.0 + phi) - SHIFT_TOL
 
 
 def upper_shift_check(p: Polynomial, phi) -> bool:
@@ -159,8 +124,9 @@ def upper_shift_check(p: Polynomial, phi) -> bool:
     phi = float(phi)
     if not 0 < phi < 1:
         raise ValueError("phi must lie in (0, 1)")
-    q = apply_shift_operator(p, 1)
-    return smax(q, phi) <= smax(p, phi) + 1.0 / (1.0 - phi) + SHIFT_TOL
+    roots = _roots(p)
+    shifted = shift_roots(roots[None, :], 0, 1.0)[0][0]  # the roots of (1 - D) p
+    return _edge(shifted, phi) <= _edge(roots, phi) + 1.0 / (1.0 - phi) + SHIFT_TOL
 
 
 def laguerre_root_bounds(n: int, k: int) -> tuple[float, float]:

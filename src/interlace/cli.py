@@ -13,10 +13,9 @@ mixedchar mixed characteristic polynomial of a PSD list: --mode, --out
 Inputs are JSON (vector systems, matrix lists) or edge-list text
 (graphs); ``-`` reads stdin.  Exit codes: 0 success, 1 certificate
 invariant violated, 2 parse error, 3 precondition failure, 4 budget
-exceeded, 5 numerical failure (a float root computation met a
-polynomial it could not certify real-rooted: float ``mixedchar`` on the
-ten coordinate projections e_i e_i^T of dimension 10, whose
-mu = (x - 1)^10 has companion eigenvalues about 0.06 off the real axis).
+exceeded, 5 numerical failure (a breakdown of ``float_top_root``, or
+a sign violation of the float derivative chain beyond ``BACKWARD_TOL``;
+on polynomials real-rooted by theorem, round-off or a fault).
 """
 
 from __future__ import annotations

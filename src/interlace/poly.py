@@ -24,14 +24,16 @@ checker first: ``real_roots``, ``kth_largest_root`` and
 sequence and raise :class:`NotRealRootedError` (or answer no) when it
 is not.
 
-A float polynomial gets companion eigenvalues, accepted as real by an
-imaginary-part tolerance (``tolerances.IM_TOL``) or a backward-error
-rescue, then Newton steps.  ``real_roots`` always returns floats.  A
+Float polynomials take one root routine, real-rooted by construction:
+the derivative chain solved from the linear end up, each level's roots
+cutting the next level's sign-change brackets, a missing sign change a
+multiple root up to ``tolerances.BACKWARD_TOL`` and beyond it
+:class:`NotRealRootedError`.  ``real_roots`` always returns floats.  A
 float walk polynomial, real-rooted by theorem, whose top root alone is
 ranked (the float ``weaver`` children) takes ``float_top_root``
 instead: Laguerre's method from above the Laguerre-Samuelson bound, the
-loop that also starts the exact kernel, with no companion matrix.  It
-stops within its evaluation's rounding of the root and raises
+loop that also starts the exact kernel.  It stops within its
+evaluation's rounding of the root and raises
 :class:`NotRealRootedError` where the loop breaks down, which no
 real-rooted polynomial makes it do.
 ``shift_roots`` skips coefficients altogether: it applies the shift
@@ -49,7 +51,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .tolerances import COEFF_TOL, IM_TOL, LAGUERRE_TOL, ROOT_TOL, START_OFFSET
+from .tolerances import BACKWARD_TOL, COEFF_TOL, LAGUERRE_TOL, ROOT_TOL, START_OFFSET
 
 __all__ = [
     "Polynomial",
@@ -545,15 +547,14 @@ def _require_real_roots(p: Polynomial) -> None:
             "complex root (a Sturm count falls short of the distinct roots)")
 
 
-def is_real_rooted(p: Polynomial, tol: float = IM_TOL) -> bool:
+def is_real_rooted(p: Polynomial) -> bool:
     """Whether every complex root of ``p`` is real.
 
     Exact polynomials get an exact yes/no from one Sturm sequence: the
     number of distinct roots in (-B, B], for the root bound B, must be
-    deg p - deg gcd(p, p').  Float polynomials use companion-matrix
-    eigenvalues and accept imaginary parts up to ``tol * (1 + |root|)``,
-    or failing that a backward-error test, so nearby conjugate pairs are
-    treated as a real multiple root.
+    deg p - deg gcd(p, p').  Float polynomials get the answer of
+    :func:`real_roots`: yes when it finds every root in its brackets, up
+    to the backward error ``tolerances.BACKWARD_TOL``.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial is not classified")
@@ -561,40 +562,11 @@ def is_real_rooted(p: Polynomial, tol: float = IM_TOL) -> bool:
         return True
     if p.is_exact:
         return _sturm_certifies_real_roots(p)
-    q, _ = _strip_zero_roots(p)
-    return q.degree == 0 or _companion_roots(q, tol)[1]
-
-
-def _companion_roots(q: Polynomial, tol: float) -> tuple[np.ndarray, bool]:
-    """Companion eigenvalues of float ``q`` and whether they pass as real."""
-    coeffs = np.array(q.to_float().coeffs, dtype=float)
-    coeffs = coeffs / np.abs(coeffs).max()
-    roots = npoly.polyroots(coeffs)
-    if np.all(np.abs(roots.imag) <= tol * (1.0 + np.abs(roots))):
-        return roots, True
-    # Companion eigenvalues of an m-fold root scatter by about eps**(1/m)
-    # into the complex plane, so the imaginary-part test alone rejects
-    # honest multiple roots.  Rescue clause: project the roots onto the
-    # real axis and accept if the reconstructed polynomial matches the
-    # input coefficientwise within sqrt(tol); that is a backward-error
-    # criterion, never applied to accept a pair the first test passed on.
-    recon = npoly.polyfromroots(np.sort(roots.real))
-    monic = coeffs / coeffs[-1]
-    scale = max(1.0, float(np.max(np.abs(recon))), float(np.max(np.abs(monic))))
-    return roots, bool(np.max(np.abs(recon - monic)) <= math.sqrt(tol) * scale)
-
-
-def _strip_zero_roots(p: Polynomial) -> tuple[Polynomial, int]:
-    """Split ``p = x**s q`` where the s lowest coefficients are exactly zero.
-
-    Polynomials built by shift operators often carry an exact power of x;
-    splitting it off keeps the companion matrix well conditioned and
-    reports those roots as exact zeros.
-    """
-    s = 0
-    while s < len(p.coeffs) and p.coeffs[s] == 0:
-        s += 1
-    return Polynomial(p.coeffs[s:]), s
+    try:
+        _float_roots(p)
+    except NotRealRootedError:
+        return False
+    return True
 
 
 def real_roots(p: Polynomial) -> np.ndarray:
@@ -603,11 +575,9 @@ def real_roots(p: Polynomial) -> np.ndarray:
     An exact polynomial is first certified real-rooted by one Sturm
     sequence (as in :func:`is_real_rooted`); its roots then come from
     :func:`root_clusters`, each within a few ulp and inside a bracket
-    certified by exact counts.  A float polynomial has its exact zero
-    roots split off, then gets its companion eigenvalues, accepted as
-    real by the imaginary-part test or the backward-error rescue, then up
-    to four Newton steps per root.  Raises :class:`NotRealRootedError` if
-    a complex root is found.
+    certified by exact counts.  A float polynomial's are real by
+    construction (:func:`_float_roots`).  Raises :class:`NotRealRootedError`
+    on a complex root, for float ``p`` one beyond ``BACKWARD_TOL``.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has every number as a root")
@@ -616,36 +586,137 @@ def real_roots(p: Polynomial) -> np.ndarray:
     if p.is_exact:
         _require_real_roots(p)
         return np.array([c.root for c in root_clusters(p) for _ in range(c.mult)])
-    q, zeros = _strip_zero_roots(p)
-    roots = []
-    if q.degree > 0:
-        eig, real = _companion_roots(q, IM_TOL)
-        if not real:
-            bad = eig[np.abs(eig.imag) > IM_TOL * (1.0 + np.abs(eig))]
-            worst = bad[np.argmax(np.abs(bad.imag))]
-            raise NotRealRootedError(
-                f"complex root {worst:.6g} (imag part beyond tolerance)")
-        roots = _newton_polish(q.to_float(), eig.real)
-    return np.array(sorted([0.0] * zeros + roots, reverse=True), dtype=float)
+    return np.array(_float_roots(p))
 
 
-def _newton_polish(qf: Polynomial, starts, steps: int = 4) -> list[float]:
-    """Up to ``steps`` Newton steps on float ``qf`` from each start, ascending."""
-    dq = qf.derivative()
-    out = []
-    for r in np.sort(starts):
-        r = float(r)
-        for _ in range(steps):
-            fr = qf(r)
-            dr = dq(r)
-            if dr == 0:
+def _horner(c: list[float], x: float) -> tuple[float, float, float, float]:
+    """``(p(x), p'(x), p''(x)/2, bound)`` for float ``c``, lowest degree first,
+    ``bound`` = 2 (n + 1) eps sum |c_i| |x|^i on the rounding error of p(x)."""
+    f = df = hf = size = 0.0
+    ax = abs(x)
+    for coef in reversed(c):
+        hf = hf * x + df
+        df = df * x + f
+        f = f * x + coef
+        size = size * ax + abs(coef)
+    return f, df, hf, 2 * len(c) * size * _EPS
+
+
+def _compensated_horner(c: list[float], x: float) -> tuple[float, float]:
+    """``(p(x), p'(x))`` for float ``c``, p(x) as if in twice the precision:
+    each rounding error recovered exactly (Dekker's product, Knuth's sum)
+    and carried in a second Horner loop (Graillat, Langlois and Louvet)."""
+    split = 2.0 ** 27 + 1.0  # Veltkamp's: t - (t - a), t = split a, is a's high half
+    f = err = df = 0.0
+    t = split * x
+    xh = t - (t - x)
+    xl = x - xh
+    for coef in reversed(c):
+        df = df * x + f
+        t = split * f
+        fh = t - (t - f)
+        fl = f - fh
+        prod = f * x
+        perr = ((fh * xh - prod) + fh * xl + fl * xh) + fl * xl
+        f = prod + coef
+        z = f - prod
+        err = err * x + perr + ((prod - (f - z)) + (coef - z))
+    return f + err, df
+
+
+def _samuelson_interval(c: list[float]) -> tuple[float, float]:
+    """mean -+ sqrt((n - 1)/n * s), s the roots' sum of squared deviations,
+    for monic float ``c``, padded by ``START_OFFSET``: the
+    Laguerre-Samuelson interval, which holds the roots of a real-rooted
+    polynomial."""
+    n = len(c) - 1
+    mean = -c[-2] / n
+    spread = (c[-2] * c[-2] - 2 * c[-3] - n * mean * mean) if n > 1 else 0.0
+    radius = math.sqrt(max(spread, 0.0) * (n - 1) / n)
+    lo, hi = mean - radius, mean + radius
+    return lo - START_OFFSET * (1.0 + abs(lo)), hi + START_OFFSET * (1.0 + abs(hi))
+
+
+def _float_roots(p: Polynomial) -> list[float]:
+    """The roots of float ``p``, descending, real by construction.
+
+    p is real-rooted exactly when p' is and p changes sign across the
+    brackets that the roots of p' cut out of the Laguerre-Samuelson
+    interval, which holds the roots of p and of its derivatives; each
+    bracket then holds one root.  So the chain p, p', p'', ..., each made
+    monic and scaled to its roots, is solved from the linear one up, each
+    bracket by :func:`_bracket_root`.  Where a level q keeps its sign, up
+    to its evaluation's rounding, at a root e of q', e is a multiple root
+    and both brackets at e take it; exact zero roots come out so.  A miss
+    beyond ``BACKWARD_TOL`` max |q_i| sum_j |e|^j, or any at the
+    interval's ends, raises :class:`NotRealRootedError`.
+    """
+    lead = float(p.leading())
+    c = [float(x) / lead for x in p.coeffs]
+    n = len(c) - 1
+    # solve p(2^scale y) / 2^(scale n), its interval reaching |y| in [1/2, 1):
+    # exact, and a backward error relative to max |q_i| the same at any scale
+    scale = math.frexp(max(map(abs, _samuelson_interval(c))))[1]
+    c = [math.ldexp(x, scale * (i - n)) for i, x in enumerate(c)]
+    bottom, top = _samuelson_interval(c)
+    roots: list[float] = []
+    for k in range(1, n + 1):
+        q = [c[i] * math.comb(i, n - k) / math.comb(n, k) for i in range(n - k, n + 1)]
+        ends = [top] + roots + [bottom]
+        multiple = []   # ends[j] is a root of q, which should have the sign (-1)^j there
+        for j, e in enumerate(ends):
+            f, _, _, slack = _horner(q, e)
+            v = -f if j % 2 else f
+            inner = 0 < j < k
+            if v < -slack and (not inner or -v > BACKWARD_TOL * max(map(abs, q))
+                               * sum(abs(e) ** i for i in range(k + 1))):
+                raise NotRealRootedError(
+                    f"the derivative chain of p misses a sign change near {math.ldexp(e, scale):.6g}")
+            multiple.append(inner and v <= slack)
+        roots = [ends[j - 1] if multiple[j - 1] else ends[j] if multiple[j]
+                 else _bracket_root(q, ends[j], ends[j - 1], 1.0 if j % 2 else -1.0)
+                 for j in range(1, k + 1)]
+    return [math.ldexp(r, scale) for r in roots]
+
+
+def _bracket_root(q: list[float], lo: float, hi: float, s: float) -> float:
+    """The root of monic float ``q`` in [lo, hi], across which s q rises from - to +.
+
+    Laguerre steps from the top end until q is within its evaluation's
+    rounding of zero, a step leaving the sign-change bracket replaced by
+    its midpoint; then Newton steps on compensated values while they
+    shrink |q|, which reach the root of the float coefficients to an ulp.
+    """
+    n = len(q) - 1
+    x = hi
+    for _ in range(100):
+        f, df, hf, slack = _horner(q, x)
+        f, df, hf = s * f, s * df, s * hf
+        if abs(f) <= slack:
+            break
+        if f > 0:
+            hi = x
+        else:
+            lo = x
+        g = df / f
+        root = math.sqrt(max((n - 1) * (n * (g * g - 2 * hf / f) - g * g), 0.0))
+        den = g + root if f > 0 else g - root
+        nxt = x - n / den if den else x
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
                 break
-            nxt = r - fr / dr
-            if not math.isfinite(nxt) or abs(qf(nxt)) >= abs(fr):
-                break
-            r = nxt
-        out.append(r)
-    return out
+        x = nxt
+    f, df = _compensated_horner(q, x)
+    for _ in range(100):
+        nxt = x - f / df if df else x
+        if not lo <= nxt <= hi or nxt == x:
+            break
+        fn, dfn = _compensated_horner(q, nxt)
+        if not abs(fn) < abs(f):
+            break
+        x, f, df = nxt, fn, dfn
+    return x
 
 
 def kth_largest_root(p: Polynomial, k: int) -> float:
@@ -653,12 +724,12 @@ def kth_largest_root(p: Polynomial, k: int) -> float:
 
     Exact ``p`` is certified real-rooted as in :func:`real_roots`, and
     its clusters are then taken from the top only until k roots are in
-    hand.  Float ``p`` goes through :func:`real_roots`.
+    hand.  Float ``p`` goes through :func:`_float_roots`.
     """
     if not 1 <= k <= p.degree:
         raise ValueError(f"k={k} out of range for {p.degree} roots")
     if not p.is_exact:
-        return float(real_roots(p)[k - 1])
+        return _float_roots(p)[k - 1]
     _require_real_roots(p)
     for cluster in root_clusters(p):
         k -= cluster.mult
@@ -769,9 +840,8 @@ def _laguerre_from_above(c: list[float]) -> tuple[float, bool]:
     """Laguerre's method from above on monic float ``c``: (last iterate, sound).
 
     On a real-rooted polynomial it falls monotonically to the top root,
-    cubically at a simple one.  It starts at the Laguerre-Samuelson bound
-    mean + sqrt((n - 1)/n) * spread, an upper bound on the roots of any
-    real-rooted polynomial, and stops once p(x) is within the rounding
+    cubically at a simple one.  It starts at the top of
+    :func:`_samuelson_interval` and stops once p(x) is within the rounding
     error of its evaluation, before noise can carry it below the root.
     ``sound`` is false on a breakdown, which no real-rooted polynomial
     reaches: an iterate where p(x) is negative beyond its rounding, or
@@ -782,23 +852,14 @@ def _laguerre_from_above(c: list[float]) -> tuple[float, bool]:
     depend on it.
     """
     n = len(c) - 1
-    mean = -c[-2] / n
-    spread = (c[-2] * c[-2] - 2 * c[-3] - n * mean * mean) if n > 1 else 0.0
-    x = mean + math.sqrt(max(spread, 0.0) * (n - 1) / n)
-    x += START_OFFSET * (1.0 + abs(x))
+    x = _samuelson_interval(c)[1]
     sound = True
     for _ in range(100):
-        f = df = ddf = size = 0.0
-        for coef in reversed(c):
-            ddf = ddf * x + 2 * df
-            df = df * x + f
-            f = f * x + coef
-            size = size * abs(x) + abs(coef)
-        slack = 2 * (n + 1) * size * _EPS
+        f, df, hf, slack = _horner(c, x)
         if not (f > slack and df > 0):
             return x, sound and abs(f) <= slack < math.inf
         g = df / f
-        h = g * g - ddf / f
+        h = g * g - 2 * hf / f
         disc = (n - 1) * (n * h - g * g)
         sound = sound and disc >= -LAGUERRE_TOL * n * g * g
         nxt = x - n / (g + math.sqrt(max(disc, 0.0)))
@@ -1005,6 +1066,11 @@ def compare_top_roots(p: Polynomial, q: Polynomial,
 # ----------------------------------------------------------------------
 
 
+def _leq(x: float, y: float) -> bool:
+    """``x <= y`` slackened by ``ROOT_TOL * (1 + max(|x|, |y|))``."""
+    return x <= y + ROOT_TOL * (1.0 + max(abs(x), abs(y)))
+
+
 def interlaces(g: Polynomial, f: Polynomial) -> bool:
     """Whether ``g`` interlaces ``f``.
 
@@ -1019,30 +1085,17 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
     n, m = len(ra), len(rb)
     if m not in (n - 1, n) or n == 0:
         return False
-    def leq(x, y):
-        return x <= y + ROOT_TOL * (1.0 + max(abs(x), abs(y)))
-    for i in range(m):
-        if not leq(rb[i], ra[i]):
-            return False
-    for i in range(min(m, n - 1)):
-        if not leq(ra[i + 1], rb[i]):
-            return False
-    return True
+    return all(_leq(rb[i], ra[i]) for i in range(m)) and \
+        all(_leq(ra[i + 1], rb[i]) for i in range(min(m, n - 1)))
 
 
 def have_common_interlacing(polys) -> bool:
-    """Test whether a family of same-degree polynomials has a common interlacer.
+    """Whether same-degree real-rooted polynomials have a common interlacer.
 
-    Two certificates are combined, both necessary, their conjunction the
-    working criterion:
-
-    * interval test: for each j, max over the family of the (j+1)-st
-      largest root must not exceed the min of the j-th largest (within
-      ``ROOT_TOL``); a common interlacer can then be threaded through.
-    * convex-combination test: every pairwise combination
-      ``t*p + (1-t)*q`` for t = 0, 1/10, ..., 1 must be
-      real-rooted, the computable surrogate for the equivalence between
-      common interlacing and real-rootedness of all convex combinations.
+    For each j, the max over the family of the (j+1)-st largest root must
+    not exceed the min of the j-th largest (within ``ROOT_TOL``).  With
+    leading coefficients of one sign this is equivalent to every convex
+    combination being real-rooted (Dedieu; Chudnovsky-Seymour).
     """
     polys = list(polys)
     if not polys:
@@ -1057,23 +1110,5 @@ def have_common_interlacing(polys) -> bool:
     if not (all(l > 0 for l in leads) or all(l < 0 for l in leads)):
         return False
     allroots = [real_roots(p) for p in polys]
-    for j in range(n - 1):
-        upper = min(r[j] for r in allroots)
-        lower = max(r[j + 1] for r in allroots)
-        if lower > upper + ROOT_TOL * (1.0 + max(abs(lower), abs(upper))):
-            return False
-    exact = all(p.is_exact for p in polys)
-    if exact:
-        ts = [Fraction(i, 10) for i in range(11)]
-    else:
-        ts = [i / 10 for i in range(11)]
-        polys = [p.to_float() for p in polys]
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            for t in ts:
-                comb = t * polys[i] + (1 - t) * polys[j]
-                if comb.is_zero or comb.degree < n:
-                    continue
-                if not is_real_rooted(comb):
-                    return False
-    return True
+    return all(_leq(max(r[j + 1] for r in allroots), min(r[j] for r in allroots))
+               for j in range(n - 1))

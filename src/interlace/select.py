@@ -362,9 +362,9 @@ def _engine_route(d: int, fixed: list, remaining: list, exact: bool,
     candidate.  A child's polynomial needs only the traces of its
     tables, so each level makes one :func:`fold_traces` call for all its
     candidates, C(n, k) k^2 products per table, and the chosen candidate
-    alone is folded, into the tails left.  A walk on m vectors and f
-    fixed ones makes m + f + m calls of :func:`fold_terms`, O(m^2) table
-    updates in all.
+    alone is folded, into the tails left (none after the last).  A walk
+    on m vectors and f fixed ones makes m + f + m - 1 calls of
+    :func:`fold_terms`, O(m^2) table updates in all.
     """
     supports = [[(p, _vector(v, exact)) for p, v in rv.support] for rv in remaining]
     every = [(1, v) for v in fixed] + [t for s in supports for p, v in s
@@ -382,11 +382,12 @@ def _engine_route(d: int, fixed: list, remaining: list, exact: bool,
     for v in fixed:
         tails = fold_terms(tails, *arith.encode([(1, v)]))
     pledge = arith.poly([t[0] for t in tails])
-    for support in supports:
+    for level, support in enumerate(supports, 1):
         shared = [t[1] for t in tails]
         points = [arith.encode([(1, v)]) for _, v in support]
         best = choose([arith.from_traces(t) for t in fold_traces(shared, points)])
-        tails = fold_terms([t[1:] for t in tails], *points[best])
+        if level < len(supports):  # the last choice leaves only the empty tail
+            tails = fold_terms([t[1:] for t in tails], *points[best])
     return pledge
 
 

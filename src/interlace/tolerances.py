@@ -4,20 +4,20 @@ The certificates are exact root inequalities that interlacing guarantees,
 so every slack granted here weakens one.  Each is granted only where
 float rounding forces it: on float input, or on the float values
 (eigenvalues, roots) that exact walks report beside their exact
-polynomials.  No other module of the package
-holds a float literal below 1e-3 (``tests/test_tolerances.py`` checks
-this).  Callers set none of them, save two defaults: ``IM_TOL`` of
-``is_real_rooted``'s ``tol``, and ``ISO_TOL`` of the isotropy ``tol``
-that ``--tol`` sets.
+polynomials.  No other module of the package holds a float literal
+below 1e-3 (``tests/test_tolerances.py`` checks this).  Callers set none of them, save one default: ``ISO_TOL`` of the
+isotropy ``tol`` that ``--tol`` sets.
 """
 
-# Companion eigenvalues of a real-rooted float polynomial leave the real
-# axis through rounding: by about eps * cond at a simple root and by
-# eps**(1/r) at an r-fold root (1.5e-8 for r = 2, 6e-6 for r = 3).
-# Imaginary parts up to IM_TOL * (1 + |root|) pass as real, which covers
-# simple and double roots; higher multiplicities fall to the
-# backward-error rescue of ``poly._companion_roots``, at sqrt(IM_TOL).
-IM_TOL = 1e-6
+# Normwise backward error, relative to the largest coefficient once the
+# roots are scaled to about 1, within which ``poly._float_roots`` takes a
+# missing sign change of a level q of the derivative chain, at a root e
+# of q', for a multiple root rather than a complex pair.  A pair a +- ib
+# apart from the other roots leaves a miss of about b^2 |q''(a)| / 2, so
+# it is rejected once b exceeds about 1e-6 of the root scale.  On 4960
+# float mu, characteristic and enumerated expected polynomials with
+# multiple roots (d <= 10) no miss exceeded the evaluation's rounding.
+BACKWARD_TOL = 1e-12
 
 # Relative slack when float roots of two polynomials are compared for
 # interlacing: the chain allows equal roots, and a float double root is
@@ -64,19 +64,16 @@ SIGNING_TOL = 1e-8
 # ring), each a sum of many rounded terms, up to 2^20 outcomes.
 COEFF_TOL = 1e-8
 
-# Relative width at which the barriers' bisection stops: far below the
-# shift checks' slack, and some 4500 ulp of the edge, so the bisection's
-# 200 halvings always reach it.
-BISECT_TOL = 1e-12
-
-# Slack on the soft-edge inequalities of the shift checks: each side is a
-# bisection on p'/p evaluated near a float root of p, where cancellation
-# costs digits.
+# Slack on the soft-edge inequalities of the shift checks: both sides are
+# ``shift_roots`` solves, each within a few ulp of its secular equation's
+# root, on the float roots of p, which are only as good as p's own
+# rounding lets them be: an r-fold root of a float p moves by about
+# eps^(1/r) under it, and the inequality may hold with equality.
 SHIFT_TOL = 1e-7
 
-# Relative offset that lifts ``poly._float_start`` above the
-# Laguerre-Samuelson bound, which is attained when all roots but one
-# coincide and whose float value may then round below the top root;
+# Relative offset that pads ``poly._samuelson_interval``, the
+# Laguerre-Samuelson bounds, which are attained when all roots but one
+# coincide and whose float values may then round inside the roots;
 # Laguerre's steps fall monotonically to the root only from above.
 START_OFFSET = 1e-9
 

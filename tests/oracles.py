@@ -14,13 +14,18 @@ other ways:
 * the expected characteristic polynomial of a partial signing by a
   forward dict DP over the random edges and n x n leaf matrices, one DP
   per call (:func:`forward_signed_chars`), against the library's one
-  backward DP per walk with leaves on the fixed edges' vertices.
+  backward DP per walk with leaves on the fixed edges' vertices;
+* common interlacing as real-rootedness of convex combinations
+  (:func:`convex_combinations_real_rooted`), against the library's
+  root-interval criterion.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from interlace import AssignmentState, DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, \
-    mixed_char
+    is_real_rooted, mixed_char
 from interlace.graphs import LEAF_CHUNK
 from interlace.matrices import _validate_psd_list, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
@@ -133,6 +138,22 @@ def ring_mixed_char(matrices) -> Polynomial:
     for s, c_s in det_truncated(mats, exact).terms.items():
         acc = acc + c_s if len(s) % 2 == 0 else acc - c_s
     return acc
+
+
+def convex_combinations_real_rooted(polys) -> bool:
+    """Whether t p + (1 - t) q is real-rooted for every pair of ``polys``
+    and t = 0, 1/10, ..., 1.
+
+    For real-rooted polynomials of one degree whose leading coefficients
+    share a sign, every convex combination is real-rooted exactly when
+    the family has a common interlacer (Dedieu; Chudnovsky-Seymour);
+    the eleven points are a computable sample of "every".
+    """
+    polys = list(polys)
+    exact = all(p.is_exact for p in polys)
+    ts = [Fraction(i, 10) if exact else i / 10 for i in range(11)]
+    return all(is_real_rooted(t * p + (1 - t) * q)
+               for i, p in enumerate(polys) for q in polys[i + 1:] for t in ts)
 
 
 def _base(fixed, dim: int, exact: bool) -> np.ndarray:

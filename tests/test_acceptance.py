@@ -190,7 +190,7 @@ def test_criterion_05_expectation_identity_and_real_roots(capsys):
     for i, rvs in enumerate(float_systems):
         if not mixed_identity_check(rvs):
             failures.append(("float-identity", i))
-        if not is_real_rooted(expected_char_poly(rvs), tol=1e-7):
+        if not is_real_rooted(expected_char_poly(rvs)):
             failures.append(("float-roots", i))
     for i, rvs in enumerate(exact_systems):
         p = expected_char_poly(rvs)

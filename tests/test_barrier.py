@@ -93,6 +93,23 @@ def test_soft_edges_converge_to_extreme_roots():
     assert smax(f, 1e6) == pytest.approx(4.0, abs=1e-4)
 
 
+def test_soft_edges_match_50_digit_references():
+    # smax is the top root of f - f'/phi and smin the bottom root of
+    # f + f'/phi, both taken from f's float coefficients to 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(59)
+    for _ in range(40):
+        f = Polynomial.from_roots(rng.uniform(-5.0, 5.0, int(rng.integers(1, 11))).tolist())
+        phi = float(rng.uniform(0.05, 4.0))
+        with mpmath.workdps(50):
+            c = [mpmath.mpf(x) for x in f.coeffs]
+            dc = [(i + 1) * x / phi for i, x in enumerate(c[1:])] + [0]
+            for sign, edge, pick in ((-1, smax, max), (1, smin, min)):
+                shifted = [a + sign * b for a, b in zip(c, dc)]
+                roots = mpmath.polyroots(shifted[::-1], maxsteps=400, extraprec=400)
+                assert abs(edge(f, phi) - pick(mpmath.re(r) for r in roots)) <= 1e-11
+
+
 def test_lower_shift_check_deterministic():
     f = Polynomial.from_roots([0.0, 1.0, 3.0])
     g = apply_shift_operator(f, 1)

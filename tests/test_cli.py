@@ -367,15 +367,14 @@ def test_numerical_failure_exit_5(capsys, monkeypatch, iso_system_file, tmp_path
     assert "numerical failure: complex root" in capsys.readouterr().err
 
 
-def test_float_mixedchar_on_ten_coordinate_projections_exit_5(capsys, tmp_path):
+def test_float_mixedchar_on_ten_coordinate_projections_exit_0(capsys, tmp_path):
     # e_i e_i^T, i < 10, are PSD and sum to I, and mu = (x - 1)^10 is
-    # real-rooted by theorem, but the float companion solver scatters its
-    # tenfold root about 0.06 off the real axis; exact mode certifies it
+    # real-rooted by theorem: the float derivative chain finds its tenfold
+    # root exactly, and exact mode certifies it
     path = tmp_path / "projections.json"
     path.write_text(json.dumps([np.diag(row).tolist() for row in np.eye(10)]))
-    assert main(["mixedchar", str(path)]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == "" and "numerical failure" in captured.err
+    code, payload = run_cli(capsys, ["mixedchar", str(path)])
+    assert code == 0 and payload["roots"] == [1.0] * 10
     code, payload = run_cli(capsys, ["mixedchar", str(path), "--mode", "exact"])
     assert code == 0 and payload["roots"] == [1] * 10
 

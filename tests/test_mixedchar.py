@@ -246,7 +246,48 @@ def test_mixed_char_roots_real_on_random_two_point_systems():
             rvs.append(DiscreteRandomVector.two_point(
                 rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist()))
         p = expected_char_poly(rvs)
-        assert is_real_rooted(p, tol=1e-7)
+        assert is_real_rooted(p)
+
+
+@pytest.mark.parametrize("d", [4, 6, 10])
+def test_float_mixed_char_of_rotated_projections_has_roots_one(d):
+    # the projections onto the columns of an orthogonal Q sum to I, so
+    # mu = (x - 1)^d; the float table's rounding leaves a d-fold cluster,
+    # which the derivative chain takes back to its mean 1
+    q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((d, d)))
+    p = mixed_char([np.outer(q[:, i], q[:, i]) for i in range(d)])
+    assert not p.is_exact
+    assert np.max(np.abs(real_roots(p) - 1.0)) <= 1e-12
+
+
+def test_float_mixed_char_of_rank_deficient_families_is_real_rooted():
+    # sums of low-rank PSD matrices and pieces of rotated projectors:
+    # zero roots, and clusters at 1, from float tables
+    rng = np.random.default_rng(43)
+    for i in range(200):
+        d = int(rng.integers(3, 9))
+        if i % 2:
+            mats = [b @ b.T for b in (rng.standard_normal((d, int(rng.integers(1, d))))
+                                      for _ in range(int(rng.integers(1, d + 2))))]
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            mats = [np.outer(q[:, j], q[:, j]) for j in range(int(rng.integers(1, d)))]
+        roots = real_roots(mixed_char(mats))
+        assert len(roots) == d and np.all(np.diff(roots) <= 0)
+
+
+@pytest.mark.parametrize("d", [5, 8, 10])
+def test_float_mixed_char_roots_match_50_digit_references(d):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        p = mixed_char([np.outer(v, v) for v in rng.standard_normal((min(2 * d, 16), d))])
+        with mpmath.workdps(50):
+            coeffs = [mpmath.mpf(c) for c in reversed(p.coeffs)]
+            want = sorted((mpmath.re(r) for r in mpmath.polyroots(
+                coeffs, maxsteps=400, extraprec=400)), reverse=True)
+            for got, ref in zip(real_roots(p), want):
+                assert abs(got - ref) <= 1e-10 * abs(ref)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,8 @@ from interlace import (
     interlaces,
     have_common_interlacing,
     mixed_char,
+    SymMatrix,
+    char_poly,
     Graph,
     VectorSystem,
     restricted_invertibility_select,
@@ -40,6 +42,7 @@ from interlace import (
 )
 import interlace.poly as poly_module
 import interlace.select as select_module
+from oracles import convex_combinations_real_rooted
 
 
 def _cauchy_bound(p):
@@ -274,6 +277,49 @@ def test_is_real_rooted_float():
     assert is_real_rooted(Polynomial.from_roots([3.0, 3.0, 3.0]))
     assert not is_real_rooted(Polynomial([7.0, -5.0, 1.0]))
     assert not is_real_rooted(Polynomial([1.0, 0.1, 0.1, 1.0]))
+
+
+def test_float_pair_near_one_is_not_taken_for_a_multiple_root():
+    # x^2 - 2x + 1.0001 has roots 1 +- 0.01i, which leave p a miss of
+    # about 1e-4 |p''/2| near 1, far beyond a backward error of 1e-12
+    p = Polynomial([1.0001, -2.0, 1.0]) * Polynomial.from_roots([3.0, 2.0, -1.0])
+    assert not is_real_rooted(p)
+    with pytest.raises(NotRealRootedError):
+        real_roots(p)
+
+
+def test_float_close_complex_pair_is_not_real():
+    # 0.5 +- 1.5e-5 i: a miss of 2.25e-10 at 0.5
+    assert not is_real_rooted(Polynomial([0.25 + 1.5e-5 ** 2, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_float_complex_pair_is_rejected_at_every_scale(scale):
+    # 0.3 +- 0.01i beside -0.8 and 0.9, all times scale: the roots are
+    # solved at their own power-of-two scale, so the verdict is the same
+    # at each; the same pair made real passes
+    rest = Polynomial.from_roots([-0.8 * scale, 0.9 * scale])
+    pair = Polynomial([(0.3 ** 2 + 0.01 ** 2) * scale ** 2, -0.6 * scale, 1.0])
+    assert not is_real_rooted(pair * rest)
+    real = Polynomial.from_roots([0.31 * scale, 0.29 * scale]) * rest
+    assert is_real_rooted(real)
+    assert np.allclose(real_roots(real), np.array([0.9, 0.31, 0.29, -0.8]) * scale,
+                       rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [8, 10, 16, 32])
+def test_float_char_poly_of_the_identity_has_roots_one(n):
+    # the n-fold root 1: each level of the derivative chain misses its
+    # sign change at 1, so every bracket takes 1 itself
+    p = char_poly(SymMatrix(np.eye(n)))
+    assert np.max(np.abs(real_roots(p) - 1.0)) <= 1e-12
+
+
+def test_float_roots_multiple_and_zero():
+    # exact zeros come out exactly, multiple roots to full precision
+    p = Polynomial.monomial(3) * Polynomial.from_roots([2.0, 2.0, -1.5, 0.25])
+    assert real_roots(p).tolist() == [2.0, 2.0, 0.25, 0.0, 0.0, 0.0, -1.5]
+    assert kth_largest_root(p, 3) == 0.25
 
 
 def test_is_real_rooted_exact_high_multiplicity():
@@ -685,6 +731,34 @@ def test_common_interlacing_rank_one_updates():
             w = np.linalg.eigvalsh(a + np.outer(v, v))
             fam.append(Polynomial.from_roots(w.tolist()))
         assert have_common_interlacing(fam)
+
+
+def test_common_interlacing_agrees_with_convex_combinations():
+    # the production criterion against the check it replaced.  Both ways
+    # on exact families with integer roots, whose violations are whole
+    # units: the eleven-point sample caught each one in 1000 trial
+    # families, while real-valued roots leave some complex windows of t
+    # between its points.  One way on float families threaded through a
+    # common interlacer, and on their perturbations.
+    rng = np.random.default_rng(17)
+    verdicts = set()
+    for _ in range(150):
+        n = int(rng.integers(2, 6))
+        fam = [Polynomial.from_roots(rng.integers(-6, 7, n).tolist())
+               for _ in range(int(rng.integers(2, 4)))]
+        verdict = have_common_interlacing(fam)
+        assert verdict == convex_combinations_real_rooted(fam), fam
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    for _ in range(100):
+        n = int(rng.integers(2, 6))
+        edges = np.concatenate([[-7.0], np.sort(rng.uniform(-5, 5, n - 1)), [7.0]])
+        fam = [Polynomial.from_roots(rng.uniform(edges[:-1], edges[1:]).tolist())
+               for _ in range(3)]
+        assert have_common_interlacing(fam) and convex_combinations_real_rooted(fam)
+        fam = [Polynomial.from_roots((np.array(real_roots(p)) + rng.normal(0, 1, n)).tolist())
+               for p in fam]
+        assert convex_combinations_real_rooted(fam) or not have_common_interlacing(fam)
 
 
 def test_common_interlacing_rejects_mismatched_degrees():

@@ -51,7 +51,8 @@ from interlace import (
 import interlace.graphs as graphs_module
 import interlace.poly as poly_module
 import interlace.select as select_module
-from oracles import conditional_expected_poly, enumeration_walk, forward_signed_chars
+from oracles import conditional_expected_poly, convex_combinations_real_rooted, \
+    enumeration_walk, forward_signed_chars
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +217,7 @@ def test_greedy_walk_interlacing_check_passes():
             fixed=fixed + [v], remaining=rvs[level + 1:], k=2))
             for _, v in rvs[level].support]
         assert have_common_interlacing(children)
+        assert convex_combinations_real_rooted(children)
         fixed.append(rvs[level].support[choice][1])
 
 
@@ -300,7 +302,8 @@ def _coefficient_walk(system, k):
 
     Each level forms every candidate's characteristic polynomial with
     ``charpoly_batch``, applies the shift operator to its coefficients and
-    takes companion roots.  Returns (chosen, per-level candidate scores).
+    takes the roots of the float result.  Returns (chosen, per-level
+    candidate scores).
     """
     vecs = np.asarray(system.vectors, dtype=float)
     m, n = vecs.shape
@@ -695,9 +698,10 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
 
 
 def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
-    # m folds of a support's two points build the tails and m of the
-    # choice update them; the children come from traces, and their top
-    # roots from Laguerre's method, not real_roots
+    # m folds of a support's two points build the tails and m - 1 of the
+    # choice update them, the last choice leaving no tail; the children
+    # come from traces, and their top roots from Laguerre's method, not
+    # real_roots
     folds = []
     fold = select_module.fold_terms
 
@@ -714,7 +718,7 @@ def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(mon
     vs = VectorSystem.random_isotropic(3, m, np.random.default_rng(283))
     cert = greedy_walk(_lifted_state(vs), route="engine")
     assert cert.valid() and len(cert.choices) == m
-    assert sorted(folds) == [1] * m + [2] * m  # terms per fold
+    assert sorted(folds) == [1] * (m - 1) + [2] * m  # terms per fold
 
 
 def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
