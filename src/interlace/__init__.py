@@ -53,7 +53,6 @@ from .graphs import (
     signed_adjacency,
     matching_poly,
     SigningEngine,
-    expected_signed_chars,
     frontier_order,
     godsil_gutman_check,
     heilmann_lieb_check,

@@ -13,9 +13,12 @@ mixedchar mixed characteristic polynomial of a PSD list: --mode, --out
 Inputs are JSON (vector systems, matrix lists) or edge-list text
 (graphs); ``-`` reads stdin.  Exit codes: 0 success, 1 certificate
 invariant violated, 2 parse error, 3 precondition failure, 4 budget
-exceeded, 5 numerical failure (a breakdown of ``float_top_root``, or
-a sign violation of the float derivative chain beyond ``BACKWARD_TOL``;
-on polynomials real-rooted by theorem, round-off or a fault).
+exceeded, 5 numerical failure (a root routine could not certify a
+polynomial real-rooted: the Laguerre loop broke down in
+``float_top_root``, the float derivative chain missed a sign change
+beyond ``BACKWARD_TOL``, or an exact Sturm count fell short; every
+polynomial a command roots is real-rooted by theorem, so only round-off
+or a fault makes it 5).
 """
 
 from __future__ import annotations

@@ -15,11 +15,12 @@ of characteristic polynomials of fixed-signed induced subgraphs.
 edges, without enumerating signings: one backward DP over the edges
 holds every level's matchings, grouped by their vertices among the
 fixed edges', and each group's leaf is a characteristic polynomial on
-those vertices only.  :func:`expected_signed_chars` is one level of it,
-and the signing walk in ``select`` runs on one engine, taking the edges
-in :func:`frontier_order` so the cost does not depend on how the
-vertices are numbered.  A signing whose signed adjacency meets the
-bound produces a 2-lift whose new eigenvalues are precisely the signed
+those vertices only.  Each call of :meth:`SigningEngine.chars` forms
+one level's Phi_F for one sign prefix, and the signing walk in
+``select`` runs on one engine, taking the edges in
+:func:`frontier_order` so the cost does not depend on how the vertices
+are numbered.  A signing whose signed adjacency meets the bound
+produces a 2-lift whose new eigenvalues are precisely the signed
 spectrum, which is how bipartite Ramanujan graphs of every degree are
 built by repeated lifting.
 """
@@ -42,7 +43,6 @@ __all__ = [
     "signed_adjacency",
     "matching_poly",
     "SigningEngine",
-    "expected_signed_chars",
     "frontier_order",
     "godsil_gutman_check",
     "heilmann_lieb_check",
@@ -55,7 +55,7 @@ __all__ = [
 MATCHING_CAP = 24
 GG_EDGE_CAP = 20
 # Leaf groups per exact-kernel call in SigningEngine.chars: bounds the
-# (groups, rows, |V(F)|, |V(F)|) stacks, which would otherwise dominate
+# (groups, |V(F)|, |V(F)|) stacks, which would otherwise dominate
 # peak memory.
 LEAF_CHUNK = 256
 
@@ -329,9 +329,9 @@ def _matching_counts(g: Graph) -> list[int]:
 def matching_poly(g: Graph) -> Polynomial:
     """The matching polynomial ``sum_i (-1)^i m_i x^(n-2i)``, exact.
 
-    Computed independently by matching enumeration and by the signing
-    engine with nothing fixed (:func:`expected_signed_chars`, which runs
-    the deletion-contraction recurrence); the two integer polynomials must
+    Computed independently by matching enumeration and by a
+    :class:`SigningEngine` with nothing fixed (which runs the
+    deletion-contraction recurrence); the two integer polynomials must
     agree exactly or a RuntimeError flags the internal inconsistency.
     Graphs of more than ``MATCHING_CAP`` vertices are refused.
     """
@@ -343,7 +343,7 @@ def matching_poly(g: Graph) -> Polynomial:
         if g.n - 2 * i >= 0:
             coeffs[g.n - 2 * i] = (-1) ** i * mi
     direct = Polynomial(coeffs)
-    recur = expected_signed_chars(g, [[]])[0]
+    recur = SigningEngine(g).chars([])
     if direct != recur:
         raise RuntimeError("matching polynomial paths disagree; internal error")
     return direct
@@ -406,14 +406,16 @@ def _matching_tables(g: Graph, budget: int) -> list:
     return tables
 
 
-def _sign_rows(g: Graph, prefixes) -> np.ndarray:
-    """``prefixes`` as a (rows, f) int64 array of +-1, checked against g."""
-    prefixes = np.array(prefixes, dtype=np.int64, ndmin=2)
-    if prefixes.shape[1] > g.m:
-        raise ValueError(f"{prefixes.shape[1]} signs given for {g.m} edges")
-    if not (np.abs(prefixes) == 1).all():
+def _sign_prefix(g: Graph, signs) -> np.ndarray:
+    """``signs`` as a 1-D int64 array of +-1, checked against g."""
+    signs = np.array(signs, dtype=np.int64, ndmin=1)
+    if signs.ndim != 1:
+        raise ValueError("one sign prefix is taken at a time")
+    if len(signs) > g.m:
+        raise ValueError(f"{len(signs)} signs given for {g.m} edges")
+    if not (np.abs(signs) == 1).all():
         raise ValueError("signs must be +1 or -1")
-    return prefixes
+    return signs
 
 
 class SigningEngine:
@@ -452,51 +454,33 @@ class SigningEngine:
             verts.update(self.g.edges[f] if f < self.g.m else ())
         return total
 
-    def chars(self, prefixes) -> list[Polynomial]:
-        """Phi_F for each row of ``prefixes``, the signs of the first f edges."""
-        prefixes = _sign_rows(self.g, prefixes)
-        rows, f = prefixes.shape
-        n = self.g.n
+    def chars(self, signs) -> Polynomial:
+        """Phi_F for the prefix F of ``g.edges`` that ``signs`` sign."""
+        signs = _sign_prefix(self.g, signs)
+        f, n = len(signs), self.g.n
         masks, weights = self.tables[f]
         fixed = self.g.edges[:f]
         verts = sorted({v for e in fixed for v in e})
         pos = {v: i for i, v in enumerate(verts)}
         nf = len(verts)
-        signed = np.zeros((rows, nf, nf), dtype=np.int64)
-        for i, (a, b) in enumerate(fixed):
-            signed[:, pos[a], pos[b]] = signed[:, pos[b], pos[a]] = prefixes[:, i]
+        signed = np.zeros((nf, nf), dtype=np.int64)
+        for s, (a, b) in zip(signs, fixed):
+            signed[pos[a], pos[b]] = signed[pos[b], pos[a]] = s
         bits = np.array([1 << v for v in verts], dtype=masks.dtype)
         live = ((masks[:, None] & bits[None, :]) == 0).astype(np.int64)
-        total = np.zeros((rows, n + 1), dtype=object)
+        total = np.zeros(n + 1, dtype=object)
         for lo in range(0, len(masks), LEAF_CHUNK):
             keep, w = live[lo:lo + LEAF_CHUNK], weights[lo:lo + LEAF_CHUNK]
-            stack = signed[None] * (keep[:, None, :, None] * keep[:, None, None, :])
-            chars = charpoly_batch_exact(stack.reshape(len(keep) * rows, nf, nf))
-            chars = chars.reshape(len(keep), rows, nf + 1)
+            chars = charpoly_batch_exact(signed * (keep[:, :, None] * keep[:, None, :]))
             if object in (chars.dtype, w.dtype) or \
                     int(np.abs(w).sum()) * int(np.abs(chars).max()) >= 1 << 63:
                 chars, w = chars.astype(object), w.astype(object)
-            by_size = (w.T @ chars.reshape(len(w), -1)).reshape(-1, rows, nf + 1)
-            for k, part in enumerate(by_size):
+            for k, part in enumerate(w.T @ chars):
                 # x^(n - nf) / x^(2k): coefficient j lands on j - off
                 off = 2 * k - (n - nf)
                 start = max(off, 0)
-                total[:, start - off:nf + 1 - off] += part[:, start:]
-        return [Polynomial(row.tolist()) for row in total]
-
-
-def expected_signed_chars(g: Graph, prefixes,
-                          budget: int = DEFAULT_BUDGET) -> list[Polynomial]:
-    """``E_R det(xI - A_s)`` for each row of fixed signs, as exact integer polynomials.
-
-    Each row of ``prefixes`` signs the first f edges of ``g.edges`` (the
-    set F); the other edges R get independent uniform signs.  This is one
-    level of a :class:`SigningEngine`, and all rows share its DP.  The
-    DP's states, over every level, are counted against ``budget``, and
-    :class:`BudgetExceededError` is raised before any leaf is formed once
-    the count passes it.
-    """
-    return SigningEngine(g, budget).chars(prefixes)
+                total[start - off:nf + 1 - off] += part[start:]
+        return Polynomial(total.tolist())
 
 
 def frontier_order(g: Graph) -> list[int]:

@@ -31,11 +31,13 @@ multiple root up to ``tolerances.BACKWARD_TOL`` and beyond it
 :class:`NotRealRootedError`.  ``real_roots`` always returns floats.  A
 float walk polynomial, real-rooted by theorem, whose top root alone is
 ranked (the float ``weaver`` children) takes ``float_top_root``
-instead: Laguerre's method from above the Laguerre-Samuelson bound, the
-loop that also starts the exact kernel.  It stops within its
-evaluation's rounding of the root and raises
+instead: Laguerre's method from above the Laguerre-Samuelson bound.  It
+stops within its evaluation's rounding of the root and raises
 :class:`NotRealRootedError` where the loop breaks down, which no
-real-rooted polynomial makes it do.
+real-rooted polynomial makes it do.  One Laguerre loop does all three
+float jobs: it starts the exact kernel, roots weaver's children, and
+opens every bracket of the derivative chain, which adds compensated
+Newton steps.
 ``shift_roots`` skips coefficients altogether: it applies the shift
 operator to batches of real roots by bracketed secular-equation solves,
 so its output is real-rooted by construction.
@@ -679,34 +681,62 @@ def _float_roots(p: Polynomial) -> list[float]:
     return [math.ldexp(r, scale) for r in roots]
 
 
-def _bracket_root(q: list[float], lo: float, hi: float, s: float) -> float:
-    """The root of monic float ``q`` in [lo, hi], across which s q rises from - to +.
+def _laguerre(q: list[float], lo: float, hi: float,
+              s: float) -> tuple[float, float, float, bool]:
+    """Laguerre steps on monic float ``q`` from ``hi`` down to a root in
+    [lo, hi]: ``(x, lo, hi, sound)``.
 
-    Laguerre steps from the top end until q is within its evaluation's
-    rounding of zero, a step leaving the sign-change bracket replaced by
-    its midpoint; then Newton steps on compensated values while they
-    shrink |q|, which reach the root of the float coefficients to an ulp.
+    s q is positive at ``hi``.  Each iterate becomes the end of the
+    bracket on its side of the root, by the sign of s q, and a step that
+    leaves the narrowed bracket is replaced by its midpoint.  The steps stop once q(x) is within the
+    rounding error of its evaluation, or after 100 steps.  From above
+    the roots of a real-rooted polynomial they fall monotonically to the
+    top root, cubically at a simple one, and stop before noise can carry
+    them below it.  ``sound`` is false on a breakdown, which no
+    real-rooted q reaches from above all its roots: an iterate where s q
+    is negative beyond its rounding, or s q' is not positive while s q is
+    positive beyond it (a non-finite iterate or bound included); a step
+    not strictly inside (lo, hi), so one that does not descend; no stop
+    within 100 steps; or (n - 1)(n h - g^2), which is nonnegative by
+    Cauchy-Schwarz for real roots, below -``LAGUERRE_TOL`` n g^2.  The
+    iterates do not depend on it.
     """
     n = len(q) - 1
-    x = hi
+    x, sound = hi, True
     for _ in range(100):
         f, df, hf, slack = _horner(q, x)
         f, df, hf = s * f, s * df, s * hf
         if abs(f) <= slack:
-            break
+            return x, lo, hi, sound and slack < math.inf
+        sound = sound and f > slack and df > 0
         if f > 0:
             hi = x
         else:
             lo = x
         g = df / f
-        root = math.sqrt(max((n - 1) * (n * (g * g - 2 * hf / f) - g * g), 0.0))
+        disc = (n - 1) * (n * (g * g - 2 * hf / f) - g * g)
+        sound = sound and disc >= -LAGUERRE_TOL * n * g * g
+        root = math.sqrt(max(disc, 0.0))
         den = g + root if f > 0 else g - root
         nxt = x - n / den if den else x
         if not lo < nxt < hi:
+            sound = False
             nxt = 0.5 * (lo + hi)
             if not lo < nxt < hi:
                 break
         x = nxt
+    return x, lo, hi, False
+
+
+def _bracket_root(q: list[float], lo: float, hi: float, s: float) -> float:
+    """The root of monic float ``q`` in [lo, hi], across which s q rises from - to +.
+
+    :func:`_laguerre` from the top end, its breakdown flag unread (the
+    ends are roots of q', not points above every root); then Newton
+    steps on compensated values while they shrink |q|, which reach the
+    root of the float coefficients to an ulp.
+    """
+    x, lo, hi, _ = _laguerre(q, lo, hi, s)
     f, df = _compensated_horner(q, x)
     for _ in range(100):
         nxt = x - f / df if df else x
@@ -826,67 +856,42 @@ def _derivative_value(a: list[int], k: int, x: float) -> tuple[int, int]:
 def _float_start(a: list[int]) -> float:
     """A float point at or just above the top root of real-rooted ``a``.
 
-    The end of :func:`_laguerre_from_above` on the float copy of ``a``;
-    a breakdown there only costs :func:`_polish` a bisection.
+    :func:`_laguerre` on the float copy of ``a`` over its
+    Laguerre-Samuelson interval; a breakdown there only costs
+    :func:`_polish` a bisection.
     """
     try:
         c = [x / a[-1] for x in a]
     except OverflowError:
         return math.nan
-    return _laguerre_from_above(c)[0]
-
-
-def _laguerre_from_above(c: list[float]) -> tuple[float, bool]:
-    """Laguerre's method from above on monic float ``c``: (last iterate, sound).
-
-    On a real-rooted polynomial it falls monotonically to the top root,
-    cubically at a simple one.  It starts at the top of
-    :func:`_samuelson_interval` and stops once p(x) is within the rounding
-    error of its evaluation, before noise can carry it below the root.
-    ``sound`` is false on a breakdown, which no real-rooted polynomial
-    reaches: an iterate where p(x) is negative beyond its rounding, or
-    p'(x) is not positive while p(x) is positive beyond it (a non-finite
-    iterate included); a step that does not descend; no stop within 100
-    steps; or (n - 1)(n h - g^2), which is nonnegative by Cauchy-Schwarz
-    for real roots, below -``LAGUERRE_TOL`` n g^2.  The iterates do not
-    depend on it.
-    """
-    n = len(c) - 1
-    x = _samuelson_interval(c)[1]
-    sound = True
-    for _ in range(100):
-        f, df, hf, slack = _horner(c, x)
-        if not (f > slack and df > 0):
-            return x, sound and abs(f) <= slack < math.inf
-        g = df / f
-        h = g * g - 2 * hf / f
-        disc = (n - 1) * (n * h - g * g)
-        sound = sound and disc >= -LAGUERRE_TOL * n * g * g
-        nxt = x - n / (g + math.sqrt(max(disc, 0.0)))
-        if not nxt < x:
-            return x, False
-        x = nxt
-    return x, False
+    return _laguerre(c, *_samuelson_interval(c), 1.0)[0]
 
 
 def float_top_root(p: Polynomial) -> float:
     """The largest root of float ``p``, real-rooted by theorem, taken from above.
 
-    :func:`_laguerre_from_above`, the loop that starts the exact kernel,
-    on ``p`` made monic.  Its end x has |p(x)| within the rounding bound
-    of its evaluation, 2 (n + 1) eps sum |c_i| |x|^i, so at a simple root
-    it is within that bound over |p'| of the root, and at an r-fold one
-    within its r-th root (over |p^(r)/r!|).  Raises
+    Exact zero roots are split off first, as in :func:`root_clusters`:
+    with any, the answer is 0.0 when what is left is constant or has its
+    top root below 0.  Otherwise it is :func:`_laguerre`, the loop that
+    starts the exact kernel, on the rest made monic, from the top of its
+    Laguerre-Samuelson interval.  Its end x has |p(x)| within the
+    rounding bound of its evaluation, 2 (n + 1) eps sum |c_i| |x|^i, so
+    at a simple root it is within that bound over |p'| of the root, and
+    at an r-fold one within its r-th root (over |p^(r)/r!|).  Raises
     :class:`NotRealRootedError` on a breakdown.
     """
     if p.degree < 1:
         raise ValueError("a constant has no top root")
+    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    if zeros == p.degree:
+        return 0.0
     lead = float(p.leading())
-    x, sound = _laguerre_from_above([float(c) / lead for c in p.coeffs])
+    c = [float(x) / lead for x in p.coeffs[zeros:]]
+    x, _, _, sound = _laguerre(c, *_samuelson_interval(c), 1.0)
     if not sound:
         raise NotRealRootedError(
             f"Laguerre's method from above broke down near {x:.6g}")
-    return x
+    return x if x > 0 or not zeros else 0.0
 
 
 def _newton(a: list[int], x: float, k: int, steps: int = 4) -> tuple[float, list]:

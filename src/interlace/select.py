@@ -209,18 +209,6 @@ class SelectionCertificate:
             return self.achieved >= self.pledged - CERT_TOL
         return self.achieved <= self.pledged + CERT_TOL
 
-    def to_json(self) -> dict:
-        return {
-            "choices": [int(c) for c in self.choices],
-            "achieved": float(self.achieved),
-            "pledged": float(self.pledged),
-            "k": int(self.k),
-            "direction": self.direction,
-            "levels": [float(v) for v in self.levels],
-            "final_poly": [float(c) for c in self.final_poly.coeffs],
-            "valid": self.valid(),
-        }
-
 
 def _lambda_k_of_matrix(a: np.ndarray, k: int) -> float:
     w = np.linalg.eigvalsh(a.astype(float))
@@ -612,13 +600,13 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
         raise BudgetExceededError(
             f"the signing walk costs {work} DP states and leaf entries, over "
             f"the budget of {budget}")
-    phi = engine.chars([[]])[0]
+    phi = engine.chars([])
     parent = top_root(phi)
     pledged = parent.root + d
     signs: list[int] = []
     levels: list[float] = []
     for _ in walk.edges:
-        plus = engine.chars([signs + [1]])[0]
+        plus = engine.chars(signs + [1])
         minus = 2 * phi - plus
         if plus == minus:
             # each child is then their average, the parent

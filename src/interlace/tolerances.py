@@ -77,10 +77,11 @@ SHIFT_TOL = 1e-7
 # Laguerre's steps fall monotonically to the root only from above.
 START_OFFSET = 1e-9
 
-# Rounding slack of the breakdown test of ``poly._laguerre_from_above``,
-# relative to n g^2.  At a point above the roots of a real-rooted
-# polynomial, (n - 1)(n h - g^2) is nonnegative (Cauchy-Schwarz) and zero
-# only at an n-fold root, where rounding may tip it either way; on float
+# Rounding slack of the breakdown test of ``poly._laguerre``, the one
+# Laguerre loop of ``poly``, relative to n g^2; ``float_top_root`` raises
+# on a breakdown.  At a point above the roots of a real-rooted polynomial,
+# (n - 1)(n h - g^2) is nonnegative (Cauchy-Schwarz) and zero only at an
+# n-fold root, where rounding may tip it either way; on float
 # polynomials with clustered and multiple top roots, and on the bench's
 # weaver children, it stayed above 0.028 n g^2 at every step.  A complex
 # top pair drives it to about -n g^2 as the iterates pass the pair.

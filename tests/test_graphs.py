@@ -15,7 +15,6 @@ from interlace import (
     laplacian,
     signed_adjacency,
     matching_poly,
-    expected_signed_chars,
     frontier_order,
     godsil_gutman_check,
     heilmann_lieb_check,
@@ -282,11 +281,10 @@ def _signing_sum(g, prefix):
 def test_expected_signed_chars_match_exhaustive_average():
     rng = np.random.default_rng(59)
     for g in (Graph.complete_bipartite(3, 3), Graph.complete(4), Graph.petersen(), _cube()):
+        engine = SigningEngine(g)
         for f in (0, 3, min(7, g.m - 2), g.m - 1):
-            prefixes = rng.choice([-1, 1], (3, f))
-            got = expected_signed_chars(g, prefixes)
-            assert len(got) == 3
-            for prefix, phi in zip(prefixes, got):
+            for prefix in rng.choice([-1, 1], (3, f)):
+                phi = engine.chars(prefix)
                 total, count = _signing_sum(g, prefix)
                 assert all(isinstance(c, int) for c in phi.coeffs)
                 assert Polynomial(list(total)) == count * phi, (g, prefix)
@@ -294,16 +292,17 @@ def test_expected_signed_chars_match_exhaustive_average():
 
 def test_expected_signed_chars_leaf_chunks_add_up(monkeypatch):
     g = _cube()
+    engine = SigningEngine(g)
     prefixes = np.random.default_rng(67).choice([-1, 1], (2, 6))
-    whole = expected_signed_chars(g, prefixes)
+    whole = [engine.chars(prefix) for prefix in prefixes]
     monkeypatch.setattr(graphs, "LEAF_CHUNK", 1)
-    assert expected_signed_chars(g, prefixes) == whole
+    assert [engine.chars(prefix) for prefix in prefixes] == whole
 
 
 def test_expected_signed_chars_fully_signed_is_char_poly():
     g = _cube()
     signs = np.random.default_rng(61).choice([-1, 1], g.m)
-    phi = expected_signed_chars(g, [signs])[0]
+    phi = SigningEngine(g).chars(signs)
     s = Signing(dict(zip(g.edges, signs.tolist())))
     assert phi == char_poly(signed_adjacency(g, s))
 
@@ -312,17 +311,20 @@ def test_expected_signed_chars_empty_prefix_is_matching_poly():
     for g in (Graph.path(4), Graph.cycle(5), Graph.complete(4), Graph.complete(5),
               Graph.complete_bipartite(2, 3), Graph.complete_bipartite(3, 3),
               Graph.petersen(), _cube(), Graph(3, [])):
-        assert expected_signed_chars(g, [[]])[0] == matching_poly(g)
+        assert SigningEngine(g).chars([]) == matching_poly(g)
 
 
 def test_expected_signed_chars_budget_and_validation():
     g = Graph.complete_bipartite(3, 3)
     with pytest.raises(BudgetExceededError):
-        expected_signed_chars(g, [[]], budget=8)
+        SigningEngine(g, budget=8)
+    engine = SigningEngine(g)
     with pytest.raises(ValueError):
-        expected_signed_chars(g, [[1] * 10])
+        engine.chars([1] * 10)
     with pytest.raises(ValueError):
-        expected_signed_chars(g, [[1, 0]])
+        engine.chars([1, 0])
+    with pytest.raises(ValueError):
+        engine.chars([[1], [1]])
 
 
 def _in_walk_order(g):
@@ -349,9 +351,7 @@ def test_signing_engine_matches_forward_oracle_at_every_level(g):
     engine = SigningEngine(g)
     for f in range(g.m + 1):
         prefixes = rng.choice([-1, 1], (2, f))
-        want = forward_signed_chars(g, prefixes)
-        assert engine.chars(prefixes) == want, f
-        assert expected_signed_chars(g, prefixes) == want, f
+        assert [engine.chars(p) for p in prefixes] == forward_signed_chars(g, prefixes), f
 
 
 @pytest.mark.parametrize("g", ENGINE_GRAPHS, ids=["cube", "petersen", "K44", "cover24"])
@@ -361,7 +361,7 @@ def test_signing_engine_minus_child_from_parent_matches_oracle(g):
     for f in range(g.m):
         signs = rng.choice([-1, 1], f).tolist()
         plus, minus = forward_signed_chars(g, [signs + [1], signs + [-1]])
-        parent, child = engine.chars([signs])[0], engine.chars([signs + [1]])[0]
+        parent, child = engine.chars(signs), engine.chars(signs + [1])
         assert child == plus and 2 * parent - child == minus, f
 
 
@@ -379,7 +379,8 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
     entries = 0
     for f in range(g.m + 1):
         sides.clear()
-        engine.chars(rng.choice([-1, 1], (3, f)))
+        for prefix in rng.choice([-1, 1], (3, f)):
+            engine.chars(prefix)
         width = len({v for e in g.edges[:f] for v in e})
         groups = len(engine.tables[f][0])
         assert [s[1:] for s in sides] == [(width, width)] * len(sides)
@@ -402,7 +403,8 @@ def test_signing_engine_past_62_vertices_and_edges():
     assert engine.tables[0][0].dtype == object and engine.tables[0][1].dtype == object
     rng = np.random.default_rng(83)
     for f in (0, 1, 35, g.m):
-        assert engine.chars(rng.choice([-1, 1], (2, f))) == [mu[g.n]] * 2
+        for prefix in rng.choice([-1, 1], (2, f)):
+            assert engine.chars(prefix) == mu[g.n]
 
 
 def test_signing_engine_levels_and_budget():
@@ -417,9 +419,9 @@ def test_signing_engine_levels_and_budget():
         SigningEngine(g, budget=states - 1)
     SigningEngine(g, budget=states)
     with pytest.raises(ValueError):
-        engine.chars([[1] * (g.m + 1)])
+        engine.chars([1] * (g.m + 1))
     with pytest.raises(ValueError):
-        engine.chars([[1, 2]])
+        engine.chars([1, 2])
 
 
 def _frontier_sizes(g, order):

@@ -618,6 +618,19 @@ def test_float_top_root_raises_on_a_complex_top_pair():
         float_top_root(Polynomial([2.0]))
 
 
+def test_float_top_root_at_a_top_root_of_zero():
+    # at 0 the rounding bound sum |c_i| |x|^i eps vanishes with c_0 = 0, so
+    # the loop's stop never fires there; the zero roots are split off first
+    for coeffs in ([0.0, 0.0, 1.0],             # x^2
+                   [0.0, 0.0, 1.0, 1.0],        # x^2 (x + 1)
+                   [0.0, 2.0, 3.0, 1.0],        # x (x + 1) (x + 2)
+                   [0.0, -0.0, 1.0]):           # x^2, as a float walk forms it
+        got = float_top_root(Polynomial(coeffs))
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0, coeffs
+    # a positive root of the rest is the top root
+    assert float_top_root(Polynomial([0.0, 0.0, -2.0, 1.0])) == 2.0
+
+
 def _rational_isotropic(rng, n):
     """2n rational rows with Gram sum I_n: (3/5) H1 over (4/5) H2, H Householder reflections."""
     rows = []

@@ -221,16 +221,6 @@ def test_greedy_walk_interlacing_check_passes():
         fixed.append(rvs[level].support[choice][1])
 
 
-def test_certificate_json_round_trip():
-    cert = SelectionCertificate(
-        choices=[0, 1], final_poly=Polynomial([0.0, -1.0, 1.0]),
-        achieved=1.0, pledged=0.5, k=1, direction="maximize", levels=[0.7, 1.0])
-    payload = cert.to_json()
-    assert payload["valid"] is True
-    assert payload["choices"] == [0, 1]
-    assert payload["final_poly"] == [0.0, -1.0, 1.0]
-
-
 def test_certificate_invariant_direction():
     bad = SelectionCertificate(choices=[], final_poly=Polynomial([1]),
                                achieved=0.3, pledged=0.5, k=1,
@@ -561,8 +551,8 @@ def _recorded_signing_walk(monkeypatch, g):
     chars, top, compare = SigningEngine.chars, select_module.top_root, \
         select_module.compare_top_roots
 
-    def recorded_chars(self, prefixes):
-        out = chars(self, prefixes)
+    def recorded_chars(self, signs):
+        out = chars(self, signs)
         events.append(("chars", out))
         return out
 
@@ -579,12 +569,11 @@ def _recorded_signing_walk(monkeypatch, g):
     monkeypatch.setattr(select_module, "compare_top_roots", recorded_compare)
     _, cert = signing_select(g)
     walk_events = list(events)  # matching_poly below may run chars too
-    assert walk_events[0] == ("chars", [matching_poly(g)])
+    assert walk_events[0] == ("chars", matching_poly(g))
     pairs = []
     for kind, out in walk_events[1:]:
         if kind == "chars":
-            assert len(out) == 1
-            pairs.append((out[0], out[0]))
+            pairs.append((out, out))
         else:
             assert out[0] == pairs[-1][0] != out[1]
             pairs[-1] = out
@@ -678,23 +667,24 @@ def test_signing_walk_children_match_forward_oracle(monkeypatch, g):
 
 
 def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
-    passes, rows = [], []
+    passes, prefixes = [], []
     tables, chars = graphs_module._matching_tables, SigningEngine.chars
 
     def counted(*args):
         passes.append(args[1:])
         return tables(*args)
 
-    def recorded(self, prefixes):
-        rows.append(len(prefixes))
-        return chars(self, prefixes)
+    def recorded(self, signs):
+        prefixes.append(len(signs))
+        return chars(self, signs)
 
     monkeypatch.setattr(graphs_module, "_matching_tables", counted)
     monkeypatch.setattr(SigningEngine, "chars", recorded)
     _, cert = signing_select(CUBE)
     assert cert.valid()
     assert passes == [(select_module.DEFAULT_BUDGET,)]
-    assert rows == [1] * (CUBE.m + 1)
+    # one prefix per level, each one edge longer than the last
+    assert prefixes == list(range(CUBE.m + 1))
 
 
 def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
@@ -829,6 +819,16 @@ def test_weaver_m64_certifies():
     for side in (s1, s2):
         block = vs.vectors[side].T @ vs.vectors[side]
         assert np.linalg.eigvalsh(block)[-1] <= weaver_bound(alpha) + 1e-7
+
+
+@pytest.mark.parametrize("route", ["enumerate", "engine"])
+def test_float_walk_on_zero_supports_pledges_and_achieves_zero(route):
+    # every polynomial of the walk is x^2, its linear coefficient 0.0 or
+    # -0.0, whose top root 0 the float route must return
+    zero = DiscreteRandomVector.two_point([0.0, 0.0], [0.0, 0.0])
+    cert = greedy_walk(AssignmentState(fixed=[], remaining=[zero, zero], k=1), route=route)
+    assert cert.valid()
+    assert cert.pledged == cert.achieved == 0.0 and cert.levels == [0.0, 0.0]
 
 
 def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
