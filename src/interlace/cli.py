@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import real_roots, roots_above, root_clusters, NotRealRootedError
-from .matrices import SymMatrix, char_poly
+from .matrices import SymMatrix
 from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET
 from .graphs import Graph, signed_adjacency, squared_roots, is_ramanujan_bipartite, \
     two_lift
@@ -64,11 +64,15 @@ def _read_input(path: str) -> str:
         raise ParseFailure(f"cannot read {path}: {e}") from e
 
 
+def _not_a_number(name: str):
+    """json's parse_constant: NaN and Infinity are not input numbers."""
+    raise ParseFailure(f"{name} is not a finite number")
+
+
 def _load_json(text: str, exact: bool):
     try:
-        if exact:
-            return json.loads(text, parse_float=Fraction, parse_int=int)
-        return json.loads(text)
+        return json.loads(text, parse_float=Fraction if exact else float,
+                          parse_constant=_not_a_number)
     except json.JSONDecodeError as e:
         raise ParseFailure(f"invalid JSON: {e}") from e
 
@@ -97,14 +101,19 @@ def _emit(payload: dict, out_path):
         sys.stdout.write(text)
 
 
+def _number(x, exact: bool):
+    """One JSON entry; true, false and null are refused, not read as 1, 0, NaN."""
+    if x is None or isinstance(x, bool):
+        raise ParseFailure(f"{json.dumps(x)} is not a number")
+    return Fraction(x) if exact and not isinstance(x, (int, Fraction)) else x
+
+
 def _number_array(rows, exact: bool) -> np.ndarray:
     """JSON rows as a float64 array or, if ``exact``, an object array in
     which JSON integers stay ints and decimals and "p/q" strings become
     Fractions."""
-    if exact:
-        return np.array([[x if type(x) is int or isinstance(x, Fraction) else Fraction(x)
-                          for x in row] for row in rows], dtype=object)
-    return np.array(rows, dtype=float)
+    return np.array([[_number(x, exact) for x in row] for row in rows],
+                    dtype=object if exact else float)
 
 
 def _parse_vector_system(text: str, exact: bool) -> VectorSystem:
@@ -232,7 +241,8 @@ def cmd_lift(args) -> int:
         raise ParseFailure(str(e)) from e
     if g.weights is not None:
         raise ValueError("lift takes an unweighted edge list")
-    d = g.regularity()
+    # d-regular with d >= 2 means n = 2m / d <= m: refuse a larger n before using it
+    d = g.regularity() if g.n <= g.m else None
     if d is None or d < 2:
         raise ValueError("input must be d-regular with d >= 2")
     if not is_ramanujan_bipartite(g):
@@ -242,9 +252,10 @@ def cmd_lift(args) -> int:
     ok = certified = True
     for it in range(args.iterations):
         signing, cert = signing_select(g, budget=args.budget)
-        a_s = signed_adjacency(g, signing)
-        lam = float(np.max(a_s.eigenvalues()))
-        bounded = roots_above(squared_roots(char_poly(a_s)), 4 * (d - 1)) == 0
+        lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
+        # signing_select has checked final_poly, chi(A_s + dI), exactly
+        chi = cert.final_poly.taylor_shift(d)
+        bounded = roots_above(squared_roots(chi), 4 * (d - 1)) == 0
         lift = two_lift(g, signing)
         # spec(lift) = spec(A) + spec(A_s) (Bilu-Linial) and a lift stays
         # d-regular and bipartite, so a connected lift of a certified graph

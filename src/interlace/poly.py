@@ -650,9 +650,11 @@ def _float_roots(p: Polynomial) -> list[float]:
     bracket by :func:`_bracket_root`.  Where a level q keeps its sign, up
     to its evaluation's rounding, at a root e of q', e is a multiple root
     and both brackets at e take it; exact zero roots come out so.  A miss
-    beyond ``BACKWARD_TOL`` max |q_i| sum_j |e|^j, or any at the
-    interval's ends, raises :class:`NotRealRootedError`.
+    beyond ``BACKWARD_TOL`` max |q_i| sum_j |e|^j, any at the interval's
+    ends, or a coefficient that is not finite raises :class:`NotRealRootedError`.
     """
+    if not all(math.isfinite(x) for x in p.coeffs):
+        raise NotRealRootedError("p has a coefficient that is not finite")
     lead = float(p.leading())
     c = [float(x) / lead for x in p.coeffs]
     n = len(c) - 1

@@ -40,6 +40,7 @@ Three instantiations:
   Its conditional polynomials are exact and closed-form, every level's
   read off one backward matching DP (:class:`SigningEngine`), so it
   enumerates no outcomes and does not go through :func:`greedy_walk`.
+  Its last polynomial is checked equal to chi(A_s), exactly.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .matrices import SymMatrix, _coerce_array, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, fold_traces, _expected_char_with_base
 from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
-from .tolerances import ALPHA_TOL, CERT_TOL, ISO_TOL, SIGNING_TOL
+from .tolerances import ALPHA_TOL, CERT_TOL, ISO_TOL
 
 __all__ = [
     "VectorSystem",
@@ -104,14 +105,8 @@ class VectorSystem:
         return self.vectors.dtype == object
 
     def gram_sum(self) -> SymMatrix:
-        """sum_i v_i v_i^T."""
-        v = self.vectors
-        if self.is_exact:
-            acc = np.zeros((self.dim, self.dim), dtype=object)
-            for row in v:
-                acc = acc + np.outer(row, row)
-            return SymMatrix(acc)
-        return SymMatrix(v.T @ v)
+        """sum_i v_i v_i^T, exactly for exact vectors."""
+        return SymMatrix(self.vectors.T @ self.vectors)
 
     def isotropy_defect(self) -> float:
         """Spectral-norm distance of the Gram sum from the identity."""
@@ -190,10 +185,10 @@ class SelectionCertificate:
     """The audit trail of one greedy walk.
 
     ``pledged`` is lambda_k of the root expected polynomial, ``achieved``
-    is lambda_k of the realized sum, ``levels`` the lambda_k of the
-    chosen conditional polynomial after each fixing.  The walk guarantees
-    achieved >= pledged (maximize) resp. <= (minimize); :meth:`valid`
-    checks it in floats, within ``CERT_TOL``.
+    is lambda_k of the realized sum, ``final_poly`` its characteristic
+    polynomial, ``levels`` the lambda_k of the chosen conditional
+    polynomial after each fixing.  The walk guarantees achieved >= pledged
+    (maximize) resp. <= (minimize); :meth:`valid` checks it within ``CERT_TOL``.
     """
 
     choices: list
@@ -208,11 +203,6 @@ class SelectionCertificate:
         if self.direction == "maximize":
             return self.achieved >= self.pledged - CERT_TOL
         return self.achieved <= self.pledged + CERT_TOL
-
-
-def _lambda_k_of_matrix(a: np.ndarray, k: int) -> float:
-    w = np.linalg.eigvalsh(a.astype(float))
-    return float(w[-k])
 
 
 def walk_costs(dim: int, fixed: int, sizes) -> dict:
@@ -243,21 +233,21 @@ def walk_costs(dim: int, fixed: int, sizes) -> dict:
             "engine": updates * math.comb(2 * dim, dim)}
 
 
-def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
-                route: str = "auto") -> SelectionCertificate:
+def greedy_walk(state: AssignmentState,
+                budget: int = WALK_BUDGET) -> SelectionCertificate:
     """Walk the outcome tree, fixing the best support element at each level.
 
     "Best" means the largest (or smallest, per direction) k-th largest
     root of the child's conditional expected polynomial; ties go to the
     lowest support index, so runs are deterministic.
 
-    The conditional polynomials come from one of two routes, ``"enumerate"``
-    (:func:`_enumeration_route`) or ``"engine"`` (:func:`_engine_route`);
-    ``"auto"`` takes the one :func:`walk_costs` estimates cheaper, the
-    engine on a tie.  Both give the same polynomials, exact for exact
-    states.  ``budget`` caps the chosen route's estimate for the whole
-    walk; it is checked before the first step, and
-    :class:`BudgetExceededError` is raised if over.
+    The conditional polynomials come from one of two routes, outcome
+    enumeration (:func:`_enumeration_route`) or the exterior-power engine
+    (:func:`_engine_route`); the walk takes the one :func:`walk_costs`
+    estimates cheaper, the engine on a tie.  Both give the same
+    polynomials, exact for exact states.  ``budget`` caps that route's
+    estimate for the whole walk; it is checked before the first step,
+    and :class:`BudgetExceededError` is raised if over.
     """
     exact = state.is_exact
     d = state.dim
@@ -265,10 +255,7 @@ def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
     maximize = state.direction == "maximize"
     fixed = [_vector(v, exact) for v in state.fixed]
     costs = walk_costs(d, len(fixed), [len(r.support) for r in state.remaining])
-    if route == "auto":
-        route = "engine" if costs["engine"] <= costs["enumerate"] else "enumerate"
-    if route not in costs:
-        raise ValueError(f"unknown route {route!r}")
+    route = "engine" if costs["engine"] <= costs["enumerate"] else "enumerate"
     if costs[route] > budget:
         raise BudgetExceededError(
             f"the walk's {route} route costs {costs[route]} entries, over the "
@@ -289,16 +276,23 @@ def greedy_walk(state: AssignmentState, budget: int = WALK_BUDGET,
 
     walk = _engine_route if route == "engine" else _enumeration_route
     pledged = _kth_root(walk(d, fixed, state.remaining, exact, choose), k)
-    base = np.zeros((d, d), dtype=object if exact else float)
-    for v in fixed + [_vector(r.support[j][1], exact)
-                      for r, j in zip(state.remaining, choices)]:
-        base = base + np.outer(v, v)
-    achieved = _lambda_k_of_matrix(base, k)
-    cert = SelectionCertificate(choices=choices,
-                                final_poly=char_poly(SymMatrix(base)),
-                                achieved=achieved, pledged=pledged,
-                                k=k, direction=state.direction, levels=levels)
-    return cert
+    realized = fixed + [_vector(r.support[j][1], exact)
+                        for r, j in zip(state.remaining, choices)]
+    return _certificate(realized, d, exact, choices, levels, pledged, k,
+                        state.direction)
+
+
+def _certificate(vectors, dim: int, exact: bool, choices: list, levels: list,
+                 pledged: float, k: int, direction: str) -> SelectionCertificate:
+    """The certificate of a walk that realized ``vectors``: the char_poly and,
+    by ``eigvalsh``, the lambda_k of their Gram sum, summed left to right."""
+    gram = np.zeros((dim, dim), dtype=object if exact else float)
+    for v in vectors:
+        gram = gram + np.outer(v, v)
+    achieved = float(np.linalg.eigvalsh(gram.astype(float))[-k])
+    return SelectionCertificate(choices=choices, final_poly=char_poly(SymMatrix(gram)),
+                                achieved=achieved, pledged=pledged, k=k,
+                                direction=direction, levels=levels)
 
 
 def _kth_root(p: Polynomial, k: int) -> float:
@@ -433,23 +427,18 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
         roots, zeros = shift_roots(roots, zeros, 1.0 / m)
     pledged = float(roots[0, -1])
     vecs = system.vectors
-    base = np.zeros((n, n), dtype=vecs.dtype)
     chosen: list[int] = []
     levels: list[float] = []
     for _ in range(k):
         vals = _ri_scores(vecs, chosen, k)
         best_j = int(np.argmax(vals))
-        base = base + np.outer(vecs[best_j], vecs[best_j])
         chosen.append(best_j)
         levels.append(float(vals[best_j]))
     if len(set(chosen)) != k:
         raise RuntimeError("a column was selected twice; the positive pledge "
                            "should make this impossible")
-    achieved = _lambda_k_of_matrix(base, k)
-    cert = SelectionCertificate(choices=chosen,
-                                final_poly=char_poly(SymMatrix(base)),
-                                achieved=achieved, pledged=pledged,
-                                k=k, direction="maximize", levels=levels)
+    cert = _certificate(vecs[chosen], n, system.is_exact, chosen, levels, pledged,
+                        k, "maximize")
     return chosen, cert
 
 
@@ -575,16 +564,18 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     root is kept, ties going to +1.  Identical children both equal their
     parent, whose top root is reused.  The children are an interlacing
     family, so the kept one's largest root never exceeds its parent's,
-    and the final signing's top eigenvalue is at most the pledge.
+    and the final signing's top eigenvalue is at most the pledge.  The
+    last kept child is chi(A_s), checked by one Berkowitz call on A_s
+    (:class:`AssertionError` if not), so ``achieved`` is its top root.
     Returns (signing, certificate); the certificate's values are in Gram
     coordinates (the signed adjacency plus dI, the Gram sum of
     :func:`signing_vectors`), so ``choices`` is 0 for +1 and 1 for -1, in
-    walk order, and every value is shifted by d.  ``budget`` bounds the
-    walk's work, :meth:`SigningEngine.walk_entries`: the states of its
-    backward DP plus, at every level, groups x |V(F)|^2 leaf entries.  The
-    DP's states are counted as its tables grow and the whole sum before
-    the first choice; :class:`BudgetExceededError` is raised when it
-    passes ``budget``.
+    walk order, and every value, ``final_poly`` too, is shifted by d.
+    ``budget`` bounds the walk's work, :meth:`SigningEngine.walk_entries`:
+    the states of its backward DP plus, at every level, groups x |V(F)|^2
+    leaf entries.  The DP's states are counted as its tables grow and the
+    whole sum before the first choice; :class:`BudgetExceededError` is
+    raised when it passes ``budget``.
     """
     d = g.regularity()
     if d is None:
@@ -619,13 +610,12 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
         levels.append(best.root + d)
         parent = best
     signing = Signing({(order[a], order[b]): s for (a, b), s in zip(walk.edges, signs)})
-    gram = signed_adjacency(g, signing).a + d * np.eye(g.n, dtype=int)
-    achieved = _lambda_k_of_matrix(gram, 1)
-    if abs(achieved - levels[-1]) > SIGNING_TOL:
-        raise AssertionError("signed adjacency spectrum inconsistent with walk")
-    # the last kept child, every sign fixed, is chi(A_s); shifted by d, chi(gram)
+    # the last kept child, every sign fixed, is chi(A_s), whatever the labels
+    chi = char_poly(signed_adjacency(g, signing))
+    if chi != phi:
+        raise AssertionError("the walk's last polynomial is not chi(A_s)")
     cert = SelectionCertificate(choices=[0 if s == 1 else 1 for s in signs],
-                                final_poly=phi.taylor_shift(-d),
-                                achieved=achieved, pledged=pledged, k=1,
+                                final_poly=chi.taylor_shift(-d),
+                                achieved=levels[-1], pledged=pledged, k=1,
                                 direction="minimize", levels=levels)
     return signing, cert

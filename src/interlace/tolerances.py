@@ -2,11 +2,12 @@
 
 The certificates are exact root inequalities that interlacing guarantees,
 so every slack granted here weakens one.  Each is granted only where
-float rounding forces it: on float input, or on the float values
-(eigenvalues, roots) that exact walks report beside their exact
-polynomials.  No other module of the package holds a float literal
-below 1e-3 (``tests/test_tolerances.py`` checks this).  Callers set none of them, save one default: ``ISO_TOL`` of the
-isotropy ``tol`` that ``--tol`` sets.
+float rounding forces it and no exact identity can be checked instead:
+on float input, or on the float values (eigenvalues, roots) that exact
+walks report beside their exact polynomials.  No other module of the
+package holds a float literal below 1e-3 (``tests/test_tolerances.py``
+checks this).  Callers set none of them, save one default: ``ISO_TOL``
+of the isotropy ``tol`` that ``--tol`` sets.
 """
 
 # Normwise backward error, relative to the largest coefficient once the
@@ -53,11 +54,6 @@ PROB_TOL = 1e-12
 # How far weaver's alpha may fall below the largest squared norm: an
 # alpha copied from the printed norm loses its last bits.
 ALPHA_TOL = 1e-12
-
-# The signing walk's check of ``eigvalsh`` on the final signed adjacency
-# against its exact top root: ``eigvalsh`` is backward stable, off by
-# about n eps ||A_s + dI||, and ||A_s + dI|| <= 2d.
-SIGNING_TOL = 1e-8
 
 # Relative coefficientwise agreement of two float polynomials computed by
 # independent routes (outcome enumeration and the mixed characteristic

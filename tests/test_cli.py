@@ -263,11 +263,51 @@ def test_lift_non_bipartite_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_lift_huge_vertex_label_exit_3(capsys, tmp_path):
+    # n = 10^19 + 1 vertices on one edge: no d-regular graph with d >= 2
+    # has more vertices than edges, so nothing of size n is formed
+    p = tmp_path / "huge.txt"
+    p.write_text("0 10000000000000000000\n")
+    assert main(["lift", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "d-regular with d >= 2" in captured.err
+
+
 def test_lift_malformed_edges_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 1 2 3 4\n")
     code, _ = run_cli(capsys, ["lift", str(bad)])
     assert code == 2
+
+
+BOOLS = '{"vectors": [[true, false], [false, true]]}'
+INFINITE = '{"vectors": [[Infinity, 0], [0, 1]]}'
+
+
+@pytest.mark.parametrize("command, mode, text", [
+    ("mixedchar", "float", "[[[1, 0], [0, null]]]"),
+    ("mixedchar", "exact", "[[[1, 0], [0, true]]]"),
+    ("mixedchar", "float", "[[[1, 0], [0, Infinity]]]"),
+    ("mixedchar", "exact", "[[[1, 0], [0, -Infinity]]]"),
+    ("ri", "float", BOOLS), ("ri", "exact", BOOLS),
+    ("weaver", "float", BOOLS), ("weaver", "exact", BOOLS),
+    ("ri", "float", INFINITE), ("ri", "exact", INFINITE),
+    ("weaver", "float", INFINITE), ("weaver", "exact", INFINITE),
+], ids=["mixedchar-float-null", "mixedchar-exact-true", "mixedchar-float-inf",
+        "mixedchar-exact-neginf", "ri-float-bools", "ri-exact-bools",
+        "weaver-float-bools", "weaver-exact-bools", "ri-float-inf", "ri-exact-inf",
+        "weaver-float-inf", "weaver-exact-inf"])
+def test_non_numbers_in_json_input_exit_2(capsys, tmp_path, command, mode, text):
+    # JSON true, false and null are not numbers, nor are NaN and Infinity,
+    # which Python's json module reads although JSON has no such values
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [command, str(path), "--mode", mode] + (["-k", "1"] if command == "ri" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error" in captured.err
 
 
 def test_mixedchar_happy_path(capsys, tmp_path):

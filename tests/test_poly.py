@@ -631,6 +631,22 @@ def test_float_top_root_at_a_top_root_of_zero():
     assert float_top_root(Polynomial([0.0, 0.0, -2.0, 1.0])) == 2.0
 
 
+@pytest.mark.parametrize("coeffs", [[math.nan, 0.0, 1.0], [math.inf, -1.0, 1.0],
+                                    [1.0, -math.inf, 1.0], [2.0, -3.0, math.nan]],
+                         ids=["nan-x^2", "inf-double", "-inf-linear", "nan-lead"])
+def test_float_roots_refuse_non_finite_coefficients(coeffs):
+    # the derivative chain would bracket nan or a finite "root" of an
+    # infinite polynomial; a non-finite coefficient has no real roots to give
+    p = Polynomial(coeffs)
+    assert not is_real_rooted(p)
+    with pytest.raises(NotRealRootedError):
+        real_roots(p)
+    with pytest.raises(NotRealRootedError):
+        kth_largest_root(p, 1)
+    with pytest.raises(NotRealRootedError):
+        float_top_root(p)
+
+
 def _rational_isotropic(rng, n):
     """2n rational rows with Gram sum I_n: (3/5) H1 over (4/5) H2, H Householder reflections."""
     rows = []

@@ -596,10 +596,26 @@ CUBE = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
 @pytest.mark.parametrize("g", [CUBE, Graph.complete_bipartite(3, 3), Graph.petersen()],
                          ids=["cube", "K33", "petersen"])
 def test_signing_select_final_poly_is_chi_of_the_signed_gram(g):
-    # the walk takes final_poly from its last Phi, chi(A_s), shifted by d
+    # the walk takes final_poly from chi(A_s), checked equal to its last
+    # Phi, shifted by d, and achieved is the last level, its top root
     signing, cert = signing_select(g)
     gram = signed_adjacency(g, signing).a + 3 * np.eye(g.n, dtype=int)
     assert cert.final_poly == char_poly(SymMatrix(gram))
+    assert cert.final_poly.taylor_shift(3) == char_poly(signed_adjacency(g, signing))
+    assert cert.achieved == cert.levels[-1]
+
+
+def test_signing_select_raises_when_chi_of_a_s_is_not_its_last_polynomial(monkeypatch):
+    # a chi(A_s) off by one in its constant coefficient; the exact check
+    # sees a change of any coefficient, not just of the top root
+    def off_by_one(a):
+        chi = char_poly(a)
+        return Polynomial([chi.coeffs[0] + 1] + list(chi.coeffs[1:]))
+
+    monkeypatch.setattr(select_module, "char_poly", off_by_one)
+    for g in (CUBE, Graph.complete_bipartite(3, 3), Graph.petersen()):
+        with pytest.raises(AssertionError):
+            signing_select(g)
 
 
 @pytest.mark.parametrize("g", [Graph.complete(4), Graph.complete_bipartite(3, 3), CUBE,
@@ -706,7 +722,7 @@ def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(mon
     monkeypatch.setattr(poly_module, "real_roots", refuse)
     m = 12
     vs = VectorSystem.random_isotropic(3, m, np.random.default_rng(283))
-    cert = greedy_walk(_lifted_state(vs), route="engine")
+    cert = greedy_walk(_lifted_state(vs))
     assert cert.valid() and len(cert.choices) == m
     assert sorted(folds) == [1] * (m - 1) + [2] * m  # terms per fold
 
@@ -748,6 +764,14 @@ def test_signing_select_requires_regular():
 # ----------------------------------------------------------------------
 
 
+def _walk_by(route: str, state: AssignmentState) -> SelectionCertificate:
+    """greedy_walk with ``route`` made the cheaper one by its cost estimate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(select_module, "walk_costs",
+                   lambda *args: {"enumerate": 1, "engine": 1, route: 0})
+        return greedy_walk(state)
+
+
 def _lifted_state(vs: VectorSystem) -> AssignmentState:
     """weaver_partition's walk: each v is (v, 0) or (0, v) with probability 1/2."""
     d = vs.dim
@@ -786,7 +810,7 @@ def test_exact_weaver_choices_equal_enumeration_walk():
         state = _lifted_state(vs)
         choices, levels, pledged = enumeration_walk(state)
         for route in ("engine", "enumerate"):
-            cert = greedy_walk(state, route=route)
+            cert = _walk_by(route, state)
             assert cert.choices == choices
             assert cert.levels == levels
             assert cert.pledged == pledged
@@ -801,7 +825,7 @@ def test_float_weaver_levels_match_enumeration_walk():
         vs = VectorSystem.random_isotropic(3, m, rng)
         state = _lifted_state(vs)
         choices, levels, pledged = enumeration_walk(state)
-        cert = greedy_walk(state, route="engine")
+        cert = greedy_walk(state)
         assert abs(cert.pledged - pledged) <= 1e-10
         assert max(abs(a - b) for a, b in zip(cert.levels, levels)) <= 1e-10
         # the two level-0 children are equal in exact arithmetic, so rounding
@@ -826,7 +850,7 @@ def test_float_walk_on_zero_supports_pledges_and_achieves_zero(route):
     # every polynomial of the walk is x^2, its linear coefficient 0.0 or
     # -0.0, whose top root 0 the float route must return
     zero = DiscreteRandomVector.two_point([0.0, 0.0], [0.0, 0.0])
-    cert = greedy_walk(AssignmentState(fixed=[], remaining=[zero, zero], k=1), route=route)
+    cert = _walk_by(route, AssignmentState(fixed=[], remaining=[zero, zero], k=1))
     assert cert.valid()
     assert cert.pledged == cert.achieved == 0.0 and cert.levels == [0.0, 0.0]
 
@@ -839,7 +863,7 @@ def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
                                        np.array([0, Fraction(2, big)], dtype=object))
     state = AssignmentState(fixed=[np.array([0, 0], dtype=object)], remaining=[r, r], k=1)
     choices, levels, pledged = enumeration_walk(state)
-    cert = greedy_walk(state, route="engine")
+    cert = _walk_by("engine", state)
     assert (cert.choices, cert.levels, cert.pledged) == (choices, levels, pledged)
 
 
@@ -852,10 +876,6 @@ def test_greedy_walk_budget_is_checked_before_the_first_step():
         weaver_partition(vs, vs.max_norm_sq(), budget=cost - 1)
     s1, s2, cert = weaver_partition(vs, vs.max_norm_sq(), budget=cost)
     assert cert.valid()
-    with pytest.raises(BudgetExceededError):  # a forced route has no fallback
-        greedy_walk(_lifted_state(vs), route="enumerate")
-    with pytest.raises(ValueError):
-        greedy_walk(_lifted_state(vs), route="ring")
 
 
 def test_walk_costs_pick_enumeration_in_high_dimension():
@@ -892,7 +912,7 @@ def test_routes_agree_on_a_walk_with_fixed_vectors_and_three_point_supports():
            for _ in range(4)]
     for k, direction in ((1, "minimize"), (2, "maximize")):
         state = AssignmentState(fixed=fixed, remaining=rvs, k=k, direction=direction)
-        a = greedy_walk(state, route="engine")
-        b = greedy_walk(state, route="enumerate")
+        a = _walk_by("engine", state)
+        b = _walk_by("enumerate", state)
         assert (a.choices, a.levels, a.pledged) == (b.choices, b.levels, b.pledged)
         assert a.final_poly == b.final_poly and a.valid()
