@@ -18,7 +18,8 @@ polynomial real-rooted: the Laguerre loop broke down in
 ``float_top_root``, the float derivative chain missed a sign change
 beyond ``BACKWARD_TOL``, or an exact Sturm count fell short; every
 polynomial a command roots is real-rooted by theorem, so only round-off
-or a fault makes it 5).
+or a fault makes it 5; or a result to print is infinite or NaN, which
+strict JSON cannot carry).
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ EXIT_NUMERICAL = 5
 
 class ParseFailure(Exception):
     pass
+
+
+class NonFiniteResult(ArithmeticError):
+    """A result to print is infinite or NaN, which JSON cannot carry."""
 
 
 def _read_input(path: str) -> str:
@@ -93,7 +98,10 @@ def _jsonify(value):
 
 
 def _emit(payload: dict, out_path):
-    text = json.dumps(_jsonify(payload), indent=2) + "\n"
+    try:
+        text = json.dumps(_jsonify(payload), indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise NonFiniteResult(f"a result is not finite ({e})") from e
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -123,9 +131,13 @@ def _parse_vector_system(text: str, exact: bool) -> VectorSystem:
     if not isinstance(data, list) or not data:
         raise ParseFailure("expected a nonempty JSON list under 'vectors'")
     try:
-        return VectorSystem(_number_array(data, exact))
+        system = VectorSystem(_number_array(data, exact))
     except (TypeError, ValueError) as e:
         raise ParseFailure(f"malformed vector system: {e}") from e
+    # finite input whose float Gram sum overflows is refused here, exit 3,
+    # before any other arithmetic on it
+    system.gram_sum()
+    return system
 
 
 def _parse_matrices(text: str, exact: bool) -> list[SymMatrix]:
@@ -196,6 +208,8 @@ def cmd_ri(args) -> int:
         "pledged": cert.pledged,
         "bound": bound,
         "levels": cert.levels,
+        "candidates_scored": cert.scored,
+        "fallback_levels": cert.fallbacks,
         "final_poly": list(cert.final_poly.coeffs),
         "certificate_valid": cert.valid(),
     }
@@ -378,7 +392,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except NotRealRootedError as e:
+    except (NotRealRootedError, NonFiniteResult) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as e:

@@ -5,13 +5,16 @@ expected characteristic polynomial of ``sum r_i r_i^T`` has the property
 that its k-th largest root is always attained or beaten by some actual
 outcome: at every level of the outcome tree the children's conditional
 expected polynomials share a common interlacing, so the best child is at
-least as good as their average.  Walking the tree greedily - fix one
-vector at a time, always choosing the support element whose conditional
-expected polynomial has the best lambda_k - therefore lands on a
-realization no worse than the root pledge.  Each walk returns a
-:class:`SelectionCertificate` recording the pledge, the per-level trace,
-and the achieved value, with the invariant checked in floats, within
-``tolerances.CERT_TOL``.
+least as good as their average, the parent.  Walking the tree - fix one
+vector at a time, keeping a support element whose conditional expected
+polynomial's lambda_k is no worse than its parent's - therefore lands on
+a realization no worse than the root pledge.  :func:`greedy_walk` and
+:func:`signing_select` score every child and keep the best;
+:func:`restricted_invertibility_select` keeps the first that meets its
+parent, which spares it scoring most of its m children.  Each walk
+returns a :class:`SelectionCertificate` recording the pledge, the
+per-level trace, and the achieved value, with the invariant checked in
+floats, within ``tolerances.CERT_TOL``.
 
 :func:`greedy_walk` has two routes to the same polynomials.  Outcome
 enumeration costs the product of the support sizes per polynomial.  For
@@ -30,7 +33,8 @@ Three instantiations:
   The i.i.d. uniform sampling model admits the closed form
   ``(1 - (1/m) d/dx)^(k-l) char_poly(fixed sum)`` for the conditional
   polynomials, evaluated in root space: bordered Gram spectra (float or
-  exact), then :func:`shift_roots`.
+  exact), then :func:`shift_roots`, ``RI_BATCH`` candidates at a time
+  in index order until one meets its parent.
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2``, by a
   :func:`greedy_walk` over two-point block lifts in dimension 2d.
@@ -77,6 +81,12 @@ __all__ = [
 # The default cap on one greedy walk's work, in walk_costs' unit.
 WALK_BUDGET = 1 << 30
 
+# Rows restricted_invertibility_select scores at once.  A level nearly
+# always keeps a row of its first batch, and a shift_roots call on 8 rows
+# of 4-40 roots costs 1.3-1.7 times one on a single row (numpy on a
+# 2-vCPU x86 host), so a smaller batch saves little and risks a second.
+RI_BATCH = 8
+
 
 class VectorSystem:
     """A finite list of vectors in R^n, stored as the rows of an (m, n) array."""
@@ -105,8 +115,13 @@ class VectorSystem:
         return self.vectors.dtype == object
 
     def gram_sum(self) -> SymMatrix:
-        """sum_i v_i v_i^T, exactly for exact vectors."""
-        return SymMatrix(self.vectors.T @ self.vectors)
+        """sum_i v_i v_i^T, exactly for exact vectors; a float sum that
+        overflows raises ValueError, with no RuntimeWarning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.vectors.T @ self.vectors
+        if not self.is_exact and not np.isfinite(g).all():
+            raise ValueError("the Gram sum of the vectors overflows")
+        return SymMatrix(g)
 
     def isotropy_defect(self) -> float:
         """Spectral-norm distance of the Gram sum from the identity."""
@@ -189,6 +204,10 @@ class SelectionCertificate:
     polynomial, ``levels`` the lambda_k of the chosen conditional
     polynomial after each fixing.  The walk guarantees achieved >= pledged
     (maximize) resp. <= (minimize); :meth:`valid` checks it within ``CERT_TOL``.
+    A walk that stops scoring a level early, as
+    :func:`restricted_invertibility_select` does, records in ``scored``
+    the children it scored per level and in ``fallbacks`` the levels at
+    which none reached its parent; other walks leave them empty and 0.
     """
 
     choices: list
@@ -198,6 +217,8 @@ class SelectionCertificate:
     k: int
     direction: str
     levels: list = field(default_factory=list)
+    scored: list = field(default_factory=list)
+    fallbacks: int = 0
 
     def valid(self) -> bool:
         if self.direction == "maximize":
@@ -389,29 +410,43 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
 
     The sampling model is k i.i.d. draws uniform over the m columns; the
     conditional expected polynomial after fixing l vectors summing to B
-    is exactly ``(1 - (1/m) d/dx)^(k-l) char_poly(B)``.  Level l scores
-    every candidate v_j by the k-th largest root of
-    ``(1 - (1/m) d/dx)^(k-l-1) char_poly(B + v_j v_j^T)`` and keeps the
-    best, ties going to the lowest index.
+    is exactly ``(1 - (1/m) d/dx)^(k-l) char_poly(B)``.  A candidate v_j
+    at level l is scored by the k-th largest root of its child
+    ``(1 - (1/m) d/dx)^(k-l-1) char_poly(B + v_j v_j^T)``.  The parent is
+    the average of its m children, which have a common interlacing, so
+    some child's score is at least its parent's: level l scores the
+    not-yet-chosen rows in index order, ``RI_BATCH`` at a time, and keeps
+    the first whose score is at least the parent's (the pledge at level
+    0, then the previous level's kept score).  If rounding leaves none
+    there, every free row has been scored and the level keeps the best of
+    them, ties going to the lowest index; such levels are counted in the
+    certificate's ``fallbacks``.  Every kept score stays at or above the
+    pledge up to those rounding slips, and a walk costs about one batch
+    per level, not m candidates.
+
+    Skipping the chosen rows loses no child that could meet the parent:
+    a repeated row's B + v_j v_j^T has rank l, so after k - l - 1 shifts
+    its child has at most k - 1 nonzero roots and a k-th largest root of
+    0, below the positive parent.  The walk raises
+    :class:`AssertionError` unless every kept score is positive, which
+    is what that argument needs.
 
     Levels are scored in root space, the same way in both modes.  With S
     the l chosen rows, ``char_poly(S^T S + v_j v_j^T) = x^(n-l-1)
     det(x - G_j)`` where G_j is the (l+1) x (l+1) Gram matrix of S and
-    v_j, so the spectra of the (m, l+1, l+1) stack give every candidate's
+    v_j, so the spectra of a (batch, l+1, l+1) stack give the batch's
     roots and the zero root's multiplicity n - l - 1 comes from the rank.
     Float stacks take one batched ``eigvalsh``; exact stacks take one
     exact Berkowitz call and the :func:`root_clusters` of each small
     polynomial, real-rooted as the characteristic polynomial of a
     symmetric matrix, so no Sturm check runs.  :func:`shift_roots`
     then applies each ``1 - (1/m) d/dx``, and the k-th largest root is
-    the smallest of the k roots it tracks.  A level costs O(m l^3) for
-    the spectra plus O(m k^2) per shift and solver step, against m
-    characteristic polynomials of size n and their roots.  The pledge,
-    lambda_k of ``(1 - (1/m) d/dx)^k x^n``, is computed the same way.
+    the smallest of the k roots it tracks.  The pledge, lambda_k of
+    ``(1 - (1/m) d/dx)^k x^n = (1 - (1/m) d/dx)^(k-1) x^(n-1) (x - n/m)``,
+    has the shape of a level-0 child, so it rides in level 0's first
+    batch as one more row ``[n/m]``.
 
-    Repeated indices exist in the outcome tree but are provably never
-    selected while the pledge is positive - this is asserted, not
-    assumed.  ``tol`` is the isotropy tolerance of float systems
+    ``tol`` is the isotropy tolerance of float systems
     (:meth:`VectorSystem.is_isotropic`).  Returns (chosen index list,
     certificate).
     """
@@ -421,49 +456,70 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     n = system.dim
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    m = system.m
-    roots, zeros = np.empty((1, 0)), n
-    for _ in range(k):
-        roots, zeros = shift_roots(roots, zeros, 1.0 / m)
-    pledged = float(roots[0, -1])
     vecs = system.vectors
     chosen: list[int] = []
     levels: list[float] = []
+    scored: list[int] = []
+    fallbacks = 0
+    parent = None  # the pledge rides in level 0's first batch
     for _ in range(k):
-        vals = _ri_scores(vecs, chosen, k)
-        best_j = int(np.argmax(vals))
-        chosen.append(best_j)
-        levels.append(float(vals[best_j]))
-    if len(set(chosen)) != k:
-        raise RuntimeError("a column was selected twice; the positive pledge "
-                           "should make this impossible")
+        taken = set(chosen)
+        free = [j for j in range(system.m) if j not in taken]
+        vals = np.empty(0)
+        keep = None
+        for start in range(0, len(free), RI_BATCH):
+            batch = _ri_scores(vecs, chosen, free[start:start + RI_BATCH], k,
+                               pledge=parent is None)
+            if parent is None:
+                parent = pledged = float(batch[-1])
+                batch = batch[:-1]
+            vals = np.concatenate([vals, batch])
+            meets = np.flatnonzero(batch >= parent)
+            if meets.size:
+                keep = start + int(meets[0])
+                break
+        if keep is None:
+            fallbacks += 1
+            keep = int(np.argmax(vals))
+        parent = float(vals[keep])
+        if not parent > 0:
+            raise AssertionError(f"kept score {parent} is not positive")
+        chosen.append(free[keep])
+        levels.append(parent)
+        scored.append(len(vals))
     cert = _certificate(vecs[chosen], n, system.is_exact, chosen, levels, pledged,
                         k, "maximize")
+    cert.scored, cert.fallbacks = scored, fallbacks
     return chosen, cert
 
 
-def _ri_scores(vecs: np.ndarray, chosen: list, k: int) -> np.ndarray:
-    """Every row's level score, from the spectra of the bordered Gram matrices.
+def _ri_scores(vecs: np.ndarray, chosen: list, cand: list, k: int,
+               pledge: bool = False) -> np.ndarray:
+    """The level scores of rows ``cand``, from their bordered Gram spectra.
 
-    The (m, l+1, l+1) stack keeps the dtype of ``vecs``: float spectra come
-    from ``eigvalsh``, exact ones from exact Berkowitz and
-    :func:`root_clusters`.
+    The (len(cand), l+1, l+1) stack keeps the dtype of ``vecs``: float
+    spectra come from ``eigvalsh``, exact ones from exact Berkowitz and
+    :func:`root_clusters`.  With ``pledge``, at level 0 only, the row
+    ``[n/m]`` is shifted along and the pledge returned as the last score.
     """
     m, n = vecs.shape
     lvl = len(chosen)
     s = vecs[chosen]
-    cross = vecs @ s.T
-    gram = np.empty((m, lvl + 1, lvl + 1), dtype=vecs.dtype)
+    v = vecs[cand]
+    cross = v @ s.T
+    gram = np.empty((len(cand), lvl + 1, lvl + 1), dtype=vecs.dtype)
     gram[:, :lvl, :lvl] = s @ s.T
     gram[:, :lvl, lvl] = cross
     gram[:, lvl, :lvl] = cross
-    gram[:, lvl, lvl] = np.einsum("ij,ij->i", vecs, vecs)
+    gram[:, lvl, lvl] = np.einsum("ij,ij->i", v, v)
     if vecs.dtype == object:
         roots = np.array([[c.root for c in root_clusters(Polynomial(row))
                            for _ in range(c.mult)]
                           for row in charpoly_batch_exact(gram)])
     else:
         roots = np.linalg.eigvalsh(gram)
+    if pledge:
+        roots = np.concatenate([roots, [[n / m]]])
     zeros = n - lvl - 1
     for _ in range(k - lvl - 1):
         roots, zeros = shift_roots(roots, zeros, 1.0 / m)

@@ -11,6 +11,11 @@ other ways:
 * conditional expected polynomials by enumerating every outcome of the
   remaining random vectors (:func:`conditional_expected_poly`);
 * the greedy walk with enumerated children (:func:`enumeration_walk`);
+* the restricted-invertibility walk that scores every row at every
+  level and keeps the best (:func:`argmax_ri_walk`), against the
+  library's walk that keeps the first row meeting its parent, with the
+  pledge by k shifts of x^n (:func:`ri_pledge`) in place of one folded
+  into level 0;
 * the expected characteristic polynomial of a partial signing by a
   forward dict DP over the random edges and n x n leaf matrices, one DP
   per call (:func:`forward_signed_chars`), against the library's one
@@ -29,7 +34,8 @@ from interlace import AssignmentState, DEFAULT_BUDGET, Graph, Polynomial, SymMat
 from interlace.graphs import LEAF_CHUNK
 from interlace.matrices import _validate_psd_list, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
-from interlace.select import _kth_root
+from interlace.select import _kth_root, _ri_scores
+from interlace.poly import shift_roots
 
 
 class TruncatedMultiAffine:
@@ -218,6 +224,35 @@ def enumeration_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET):
         choices.append(best)
         levels.append(vals[best])
     return choices, levels, pledged
+
+
+def ri_pledge(n: int, m: int, k: int) -> float:
+    """lambda_k of (1 - D/m)^k x^n, by k shifts of x^n in root space."""
+    roots, zeros = np.empty((1, 0)), n
+    for _ in range(k):
+        roots, zeros = shift_roots(roots, zeros, 1.0 / m)
+    return float(roots[0, -1])
+
+
+def ri_level_scores(system, chosen: list, k: int) -> np.ndarray:
+    """Every row's score at the level after ``chosen``, chosen rows included."""
+    return _ri_scores(system.vectors, chosen, list(range(system.m)), k)
+
+
+def argmax_ri_walk(system, k: int):
+    """The ri walk that scores all m rows at every level and keeps the best,
+    ties going to the lowest index: (chosen, levels, pledged).
+
+    A chosen row scores 0 (its child has rank below k), so with a
+    positive pledge the best row is never a repeat.
+    """
+    chosen, levels = [], []
+    for _ in range(k):
+        vals = ri_level_scores(system, chosen, k)
+        best = int(np.argmax(vals))
+        chosen.append(best)
+        levels.append(float(vals[best]))
+    return chosen, levels, ri_pledge(system.dim, system.m, k)
 
 
 def forward_signed_chars(g: Graph, prefixes,

@@ -44,6 +44,10 @@ def test_ri_happy_path(capsys, iso_system_file):
     assert payload["certificate_valid"] is True
     assert payload["achieved"] >= payload["pledged"] - 1e-7
     assert payload["achieved"] >= payload["bound"] - 1e-7
+    # the walk's work: rows scored per level, free rows at most
+    scored = payload["candidates_scored"]
+    assert len(scored) == 2 and all(n <= 9 - lvl for lvl, n in enumerate(scored))
+    assert payload["fallback_levels"] == 0
 
 
 def test_ri_reads_stdin(capsys, monkeypatch):
@@ -405,6 +409,30 @@ def test_numerical_failure_exit_5(capsys, monkeypatch, iso_system_file, tmp_path
     monkeypatch.setattr(interlace.cli, "real_roots", _raise_not_real_rooted)
     assert main(["mixedchar", str(mats)]) == 5
     assert "numerical failure: complex root" in capsys.readouterr().err
+
+
+def test_non_finite_result_is_not_printed_exit_5(capsys, tmp_path):
+    # det = 1e400 overflows in float: the roots come out NaN, which strict
+    # JSON cannot carry
+    mats = tmp_path / "huge.json"
+    mats.write_text("[[[1e200, 0], [0, 1e200]]]")
+    code, payload = run_cli(capsys, ["mixedchar", str(mats)])
+    assert code == 5 and payload is None
+    assert main(["mixedchar", str(mats), "--out", str(tmp_path / "out.json")]) == 5
+    assert "numerical failure: a result is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", [["ri", "-k", "1"], ["weaver"]])
+def test_overflowing_gram_sum_exit_3(capsys, tmp_path, command):
+    # finite JSON whose Gram sum overflows is refused before any other
+    # arithmetic, with no RuntimeWarning (which the suite makes an error)
+    path = tmp_path / "huge.json"
+    path.write_text('{"vectors": [[1e308, 0], [0, 1]]}')
+    code = main([command[0], str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "Gram sum of the vectors overflows" in captured.err
 
 
 def test_float_mixedchar_on_ten_coordinate_projections_exit_0(capsys, tmp_path):

@@ -51,8 +51,9 @@ from interlace import (
 import interlace.graphs as graphs_module
 import interlace.poly as poly_module
 import interlace.select as select_module
-from oracles import conditional_expected_poly, convex_combinations_real_rooted, \
-    enumeration_walk, forward_signed_chars
+from oracles import argmax_ri_walk, conditional_expected_poly, \
+    convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
+    ri_level_scores
 
 
 # ----------------------------------------------------------------------
@@ -290,28 +291,41 @@ def test_ri_random_isotropic():
 def _coefficient_walk(system, k):
     """The float ri walk through monomial coefficients, as the reference.
 
-    Each level forms every candidate's characteristic polynomial with
-    ``charpoly_batch``, applies the shift operator to its coefficients and
-    takes the roots of the float result.  Returns (chosen, per-level
-    candidate scores).
+    Each candidate's characteristic polynomial comes from
+    ``charpoly_batch``; the shift operator is applied to its coefficients
+    and the roots taken of the float result, and the pledge is lambda_k of
+    ``(1 - D/m)^k x^n`` the same way.  Each level scores the unchosen rows
+    in index order and keeps the first whose score is at least its
+    parent's, or the best if none is.  Returns (chosen, pledged, per-level
+    dicts of the scores computed, by row).
     """
     vecs = np.asarray(system.vectors, dtype=float)
     m, n = vecs.shape
-    outers = vecs[:, :, None] * vecs[:, None, :]
+
+    def score(coeffs, shifts):
+        q = Polynomial(coeffs)
+        for _ in range(shifts):
+            q = apply_shift_operator(q, 1.0 / m)
+        return kth_largest_root(q, k)
+
+    pledged = parent = score([0.0] * n + [1.0], k)
     base = np.zeros((n, n))
     chosen, scores = [], []
     for lvl in range(k):
-        vals = []
-        for row in charpoly_batch(base + outers):
-            q = Polynomial(row)
-            for _ in range(k - lvl - 1):
-                q = apply_shift_operator(q, 1.0 / m)
-            vals.append(kth_largest_root(q, k))
-        best = int(np.argmax(vals))
-        base = base + outers[best]
-        chosen.append(best)
+        vals = {}
+        for j in (j for j in range(m) if j not in chosen):
+            row = charpoly_batch((base + np.outer(vecs[j], vecs[j]))[None])[0]
+            vals[j] = score(row, k - lvl - 1)
+            if vals[j] >= parent:
+                break
+        keep = next((j for j, v in vals.items() if v >= parent), None)
+        if keep is None:
+            keep = max(vals, key=vals.get)
+        base = base + np.outer(vecs[keep], vecs[keep])
+        chosen.append(keep)
         scores.append(vals)
-    return chosen, scores
+        parent = vals[keep]
+    return chosen, pledged, scores
 
 
 def test_ri_float_walk_matches_coefficient_walk():
@@ -321,14 +335,83 @@ def test_ri_float_walk_matches_coefficient_walk():
     for n, m, k in sizes:
         vs = VectorSystem.random_isotropic(n, m, rng)
         chosen, cert = restricted_invertibility_select(vs, k)
-        ref_chosen, ref_scores = _coefficient_walk(vs, k)
+        ref_chosen, parent, ref_scores = _coefficient_walk(vs, k)
+        assert cert.pledged == pytest.approx(parent, rel=1e-9)
         for lvl, (j, j_ref) in enumerate(zip(chosen, ref_chosen)):
             vals = ref_scores[lvl]
             if j != j_ref:
-                # only a tie may send the walks apart
-                assert abs(vals[j] - vals[j_ref]) < 1e-12
+                # both walks scored the lower row, and they read it on the
+                # two sides of its parent: only a near-tie sends them apart
+                assert vals[min(j, j_ref)] == pytest.approx(parent, rel=1e-9)
                 break
             assert cert.levels[lvl] == pytest.approx(vals[j], rel=1e-9)
+            parent = vals[j]
+
+
+def test_ri_keeps_the_lowest_free_row_meeting_its_parent():
+    rng = np.random.default_rng(20261019)
+    systems = [VectorSystem.random_isotropic(n, m, rng)
+               for n, m in [(4, 7), (6, 12), (9, 20), (12, 40), (16, 32)]]
+    # exact systems of rational rotations, their rows shuffled
+    for d, weights in [(4, [Fraction(3, 5), Fraction(4, 5)]), (5, [Fraction(1, 2)] * 4),
+                       (6, [Fraction(3, 5), Fraction(4, 5)])]:
+        order = rng.permutation(d * len(weights))
+        systems.append(_rational_isotropic(d, weights, order))
+    for vs in systems:
+        n, m = vs.dim, vs.m
+        for k in sorted({1, n // 2, n - 1}):
+            chosen, cert = restricted_invertibility_select(vs, k)
+            ref_chosen, ref_levels, ref_pledged = argmax_ri_walk(vs, k)
+            assert cert.pledged == pytest.approx(ref_pledged, rel=1e-12)
+            parent, fallbacks = cert.pledged, 0
+            for lvl, j in enumerate(chosen):
+                vals = ri_level_scores(vs, chosen[:lvl], k)
+                free = [i for i in range(m) if i not in chosen[:lvl]]
+                meets = [i for i in free if vals[i] >= parent]
+                if meets:
+                    assert j == meets[0]
+                    batches = free.index(j) // select_module.RI_BATCH + 1
+                    assert cert.scored[lvl] == min(len(free), batches * select_module.RI_BATCH)
+                else:
+                    fallbacks += 1
+                    assert j == max(free, key=lambda i: (vals[i], -i))
+                    assert cert.scored[lvl] == len(free)
+                assert cert.levels[lvl] == vals[j] >= parent - 1e-12
+                parent = vals[j]
+            assert cert.fallbacks == fallbacks
+            assert cert.valid() and cert.achieved >= cert.pledged - 1e-12
+            assert cert.achieved >= restricted_invertibility_bound(n, m, k) - 1e-12
+            # the best-child walk certifies too; the first-child walk can
+            # only end at or below it at level 0
+            assert ref_levels[-1] >= ref_pledged - 1e-12
+            assert cert.levels[0] <= ref_levels[0]
+
+
+def test_ri_fallback_keeps_the_best_scored_row(monkeypatch):
+    # seven copies of each e_i / sqrt(7): |v|^2 rounds below n/m = 1/7,
+    # so every level-0 child falls below the pledge by rounding
+    sevenths = [row * math.sqrt(1 / 7) for row in np.eye(4) for _ in range(7)]
+    chosen, cert = restricted_invertibility_select(VectorSystem(sevenths), 3)
+    assert cert.fallbacks == 1 and cert.scored[0] == 28
+    assert chosen[0] == 0 and cert.valid()
+    assert cert.pledged - cert.levels[0] <= 1e-15
+    # every child of the orthonormal basis equals its parent at level 0;
+    # with the pledge one ulp higher none meets it, and the level keeps
+    # the best scored row, the lowest index of the tie
+    scores = select_module._ri_scores
+
+    def raised_pledge(vecs, chosen, cand, k, pledge=False):
+        out = scores(vecs, chosen, cand, k, pledge)
+        if pledge:
+            out[-1] = np.nextafter(out[-1], np.inf)
+        return out
+
+    _, cert = restricted_invertibility_select(VectorSystem(np.eye(4)), 3)
+    assert cert.fallbacks == 0 and cert.levels[0] == cert.pledged
+    monkeypatch.setattr(select_module, "_ri_scores", raised_pledge)
+    chosen, cert = restricted_invertibility_select(VectorSystem(np.eye(4)), 3)
+    assert cert.fallbacks == 1 and cert.scored == [4, 3, 2]
+    assert chosen == [0, 1, 2] and cert.valid()
 
 
 def test_ri_basis_levels_are_exact():
