@@ -83,8 +83,9 @@ WALK_BUDGET = 1 << 30
 
 # Rows restricted_invertibility_select scores at once.  A level nearly
 # always keeps a row of its first batch, and a shift_roots call on 8 rows
-# of 4-40 roots costs 1.3-1.7 times one on a single row (numpy on a
-# 2-vCPU x86 host), so a smaller batch saves little and risks a second.
+# of 4-40 roots costs 1.1-2.6 times one on a single row, the most at
+# 24-32 roots, where its eigvalsh start, paid per row, weighs most (numpy
+# on a 2-vCPU x86 host), so a smaller batch saves little and risks a second.
 RI_BATCH = 8
 
 
@@ -97,8 +98,8 @@ class VectorSystem:
         arr = np.asarray(vectors)
         if arr.ndim != 2:
             arr = np.array([np.asarray(v) for v in vectors])
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise ValueError("need a nonempty list of equal-length vectors")
+        if arr.ndim != 2 or 0 in arr.shape:
+            raise ValueError("need a nonempty list of equal-length, nonempty vectors")
         self.vectors = _coerce_array(arr)
         self.vectors.setflags(write=False)
 

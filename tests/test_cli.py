@@ -411,11 +411,11 @@ def test_numerical_failure_exit_5(capsys, monkeypatch, iso_system_file, tmp_path
     assert "numerical failure: complex root" in capsys.readouterr().err
 
 
-def test_non_finite_result_is_not_printed_exit_5(capsys, tmp_path):
-    # det = 1e400 overflows in float: the roots come out NaN, which strict
-    # JSON cannot carry
-    mats = tmp_path / "huge.json"
-    mats.write_text("[[[1e200, 0], [0, 1e200]]]")
+def test_non_finite_result_is_not_printed_exit_5(capsys, tmp_path, monkeypatch):
+    # a root routine that returns NaN: strict JSON cannot carry it
+    mats = tmp_path / "mats.json"
+    mats.write_text("[[[1.0, 0], [0, 1.0]]]")
+    monkeypatch.setattr(interlace.cli, "real_roots", lambda p: np.array([math.nan, 0.0]))
     code, payload = run_cli(capsys, ["mixedchar", str(mats)])
     assert code == 5 and payload is None
     assert main(["mixedchar", str(mats), "--out", str(tmp_path / "out.json")]) == 5
@@ -433,6 +433,30 @@ def test_overflowing_gram_sum_exit_3(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert code == 3 and not captured.out
     assert "Gram sum of the vectors overflows" in captured.err
+
+
+@pytest.mark.parametrize("command", [["ri", "-k", "1"], ["weaver"]])
+def test_vectors_of_length_zero_exit_2(capsys, tmp_path, command):
+    # rows with no coordinates are malformed input, refused by the parser
+    # before any arithmetic
+    path = tmp_path / "empty-rows.json"
+    path.write_text('{"vectors": [[], []]}')
+    code = main([command[0], str(path)] + command[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "malformed vector system: need a nonempty list of equal-length, " \
+        "nonempty vectors" in captured.err
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_float_mixedchar_roots_at_extreme_scales(capsys, tmp_path, scale):
+    # mu = x^2 - 2 scale x: float mode prints the roots exact mode does
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps([[[scale, 0], [0, scale]]]))
+    code, payload = run_cli(capsys, ["mixedchar", str(path)])
+    assert code == 0 and payload["roots"] == [2 * scale, 0.0]
+    code, payload = run_cli(capsys, ["mixedchar", str(path), "--mode", "exact"])
+    assert code == 0 and payload["roots"] == [2 * scale, 0.0]
 
 
 def test_float_mixedchar_on_ten_coordinate_projections_exit_0(capsys, tmp_path):

@@ -6,6 +6,7 @@ test itself.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,96 @@ def test_shift_roots_rejects_bad_arguments():
         shift_roots(np.array([[1.0]]), 0, -0.5)
 
 
+def _reference_shift_roots(row, zeros, c, got, mpmath):
+    """The roots of (1 - cD)[x^zeros prod (x - row)] above each distinct
+    pole, descending, to 50 digits: two Newton steps on the secular
+    equation sum_j w_j / (x - mu_j) = 1/c from ``got``, the float roots
+    there, each result certified by a sign change of the secular function
+    within 1e-30 of it, inside its gap.  The function rises across a gap,
+    so each gap holds one root."""
+    mult = Counter(float(r) for r in row)
+    if zeros:
+        mult[0.0] += zeros
+    with mpmath.workdps(50):
+        poles = [mpmath.mpf(p) for p in sorted(mult, reverse=True)]
+        weights = [mult[float(p)] for p in poles]
+        inv_c = 1 / mpmath.mpf(c)
+
+        def secular(x):
+            terms = [w / (x - p) for w, p in zip(weights, poles)]
+            return inv_c - mpmath.fsum(terms), terms
+
+        top = poles[0] + sum(weights) * mpmath.mpf(c)
+        refs = []
+        for i, start in enumerate(got):
+            lo, hi = poles[i], poles[i - 1] if i else top
+            x = mpmath.mpf(float(start))
+            for _ in range(2):
+                g, terms = secular(x)
+                x -= g / mpmath.fsum(t * t / w for t, w in zip(terms, weights))
+            delta = mpmath.mpf(10) ** -30 * max(1, abs(x))
+            assert lo < x - delta and x + delta < hi
+            assert secular(x - delta)[0] < 0 < secular(x + delta)[0]
+            refs.append(x)
+        return refs
+
+
+def _residual_stop(row, zeros, c, x):
+    """How far from x the stop of shift_roots' loop, |g| <= (npoles + 3)
+    eps (phi - psi + 1/c) on the secular residual g, lets an unknown rest:
+    twice that bound over the slope of g at x, plus one ulp of x (a
+    bracket with no float inside also stops it)."""
+    poles = np.append(row, 0.0) if zeros else np.asarray(row)
+    weights = np.ones(poles.size)
+    if zeros:
+        weights[-1] = zeros
+    terms = weights / (x - poles)
+    size = np.abs(terms).sum() + 1 / c
+    slope = (terms * terms / weights).sum()
+    return 2 * (poles.size + 3) * np.finfo(float).eps * size / slope + math.ulp(x)
+
+
+def test_shift_roots_to_50_digit_references():
+    # random batches with and without the zero pole, their pole counts on
+    # both sides of the size above which shift_roots starts from gap
+    # midpoints instead of the eigenvalues of diag(mu) + c s s^T, every
+    # fifth with its poles within 0.3 of each other.  Each root is within
+    # 2e-15 relative, or within its loop's residual stop: unstarted, a top
+    # root far above many poles may stop ~1e-14 off
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261019)
+    for batch in range(40):
+        npoles = [5, 9, 21, 33, 40, 41, 44, 49][batch % 8]
+        zeros = int(rng.integers(1, 80)) if batch % 2 else 0
+        c = [1 / 48, 1 / 96, 0.3][batch % 3]
+        spread = (-0.1, 0.2) if batch % 5 == 0 else (-1, 2)
+        roots = rng.uniform(*spread, (2, npoles - (zeros > 0)))
+        out, z2 = shift_roots(roots, zeros, c)
+        assert out.shape == (2, npoles) and z2 == max(zeros - 1, 0)
+        for row, got in zip(roots, out):
+            for g, ref in zip(got, _reference_shift_roots(row, zeros, c, got, mpmath)):
+                slack = max(2e-15 * max(1, abs(float(ref))), _residual_stop(row, zeros, c, float(ref)))
+                assert abs(mpmath.mpf(g) - ref) <= slack
+
+
+def test_shift_roots_keep_a_repeated_pole_their_start_cannot_reach():
+    # the gaps between three copies of a pole are empty: the eigenvalues
+    # of diag(mu) + c s s^T there are the pole up to rounding, and no
+    # rounding puts them inside, so those unknowns keep the pole exactly;
+    # the others meet their references
+    mpmath = pytest.importorskip("mpmath")
+    row, zeros, c = [0.5, -0.25, 0.5, 0.5, 0.125], 2, 0.3
+    mu = np.array(sorted(row + [0.0], reverse=True))
+    s = np.sqrt(np.where(mu == 0, zeros, 1.0))
+    start = np.linalg.eigvalsh(np.diag(mu) + c * np.outer(s, s))[::-1]
+    assert np.abs(start[1:3] - 0.5).max() <= 4 * np.finfo(float).eps
+    out, z2 = shift_roots(np.array([row]), zeros, c)
+    assert z2 == 1 and list(out[0, 1:3]) == [0.5, 0.5]
+    got = np.delete(out[0], [1, 2])
+    for g, ref in zip(got, _reference_shift_roots(row, zeros, c, got, mpmath)):
+        assert abs(mpmath.mpf(g) - ref) <= 2e-15 * max(1, abs(ref))
+
+
 def test_laguerre_transform_values():
     # (1 - D)^2 x^2 = x^2 - 4x + 2
     assert laguerre_transform(2, 2).coeffs == (2, -4, 1)
@@ -305,6 +396,46 @@ def test_float_complex_pair_is_rejected_at_every_scale(scale):
     assert is_real_rooted(real)
     assert np.allclose(real_roots(real), np.array([0.9, 0.31, 0.29, -0.8]) * scale,
                        rtol=1e-14, atol=0)
+
+
+def test_float_roots_at_1e_minus_200_and_1e200():
+    # the scale comes from the coefficients' binary exponents, so nothing
+    # is squared out of range, and the interval's pad is relative to it
+    assert real_roots(Polynomial([0.0, -2e-200, 1.0])).tolist() == [2e-200, 0.0]
+    assert real_roots(Polynomial([0.0, -2e200, 1.0])).tolist() == [2e200, 0.0]
+
+
+def _scaled_coeffs(p, j):
+    """The coefficients of p(x / 2^j) 2^(j n), or None where one leaves the
+    normal floats, so that scaling it back would not be exact."""
+    n = p.degree
+    out = []
+    for i, c in enumerate(p.coeffs):
+        if c and not -1021 <= math.frexp(c)[1] + j * (n - i) <= 1024:
+            return None
+        out.append(math.ldexp(c, j * (n - i)))
+    return out
+
+
+def test_float_roots_scale_exactly_by_powers_of_two():
+    bases = [
+        Polynomial([0.0, 0.0, 0.0, -0.7, 1.0]),
+        Polynomial.from_roots([0.9, 0.31, 0.29, -0.8]),
+        Polynomial.from_roots([1.0, 1.0, 0.5, -0.25]),
+        Polynomial.monomial(2) * Polynomial.from_roots([0.3, 0.3, -1.5]),
+        char_poly(SymMatrix(np.eye(5))),
+    ]
+    reached = set()
+    for p in bases:
+        want = real_roots(p)
+        for j in range(-600, 601, 25):
+            coeffs = _scaled_coeffs(p, j)
+            if coeffs is None:
+                continue
+            reached.add(j)
+            got = real_roots(Polynomial(coeffs))
+            assert got.tolist() == [math.ldexp(r, j) for r in want]
+    assert -600 in reached and 600 in reached
 
 
 @pytest.mark.parametrize("n", [8, 10, 16, 32])

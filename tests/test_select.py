@@ -348,6 +348,27 @@ def test_ri_float_walk_matches_coefficient_walk():
             parent = vals[j]
 
 
+def _assert_walk_follows_scores(vs, k, chosen, cert):
+    """Each level of an ri walk kept the lowest free row whose oracle score
+    is >= its parent, or the best scored row when none is."""
+    parent, fallbacks = cert.pledged, 0
+    for lvl, j in enumerate(chosen):
+        vals = ri_level_scores(vs, chosen[:lvl], k)
+        free = [i for i in range(vs.m) if i not in chosen[:lvl]]
+        meets = [i for i in free if vals[i] >= parent]
+        if meets:
+            assert j == meets[0]
+            batches = free.index(j) // select_module.RI_BATCH + 1
+            assert cert.scored[lvl] == min(len(free), batches * select_module.RI_BATCH)
+        else:
+            fallbacks += 1
+            assert j == max(free, key=lambda i: (vals[i], -i))
+            assert cert.scored[lvl] == len(free)
+        assert cert.levels[lvl] == vals[j] >= parent - 1e-12
+        parent = vals[j]
+    assert cert.fallbacks == fallbacks
+
+
 def test_ri_keeps_the_lowest_free_row_meeting_its_parent():
     rng = np.random.default_rng(20261019)
     systems = [VectorSystem.random_isotropic(n, m, rng)
@@ -363,22 +384,7 @@ def test_ri_keeps_the_lowest_free_row_meeting_its_parent():
             chosen, cert = restricted_invertibility_select(vs, k)
             ref_chosen, ref_levels, ref_pledged = argmax_ri_walk(vs, k)
             assert cert.pledged == pytest.approx(ref_pledged, rel=1e-12)
-            parent, fallbacks = cert.pledged, 0
-            for lvl, j in enumerate(chosen):
-                vals = ri_level_scores(vs, chosen[:lvl], k)
-                free = [i for i in range(m) if i not in chosen[:lvl]]
-                meets = [i for i in free if vals[i] >= parent]
-                if meets:
-                    assert j == meets[0]
-                    batches = free.index(j) // select_module.RI_BATCH + 1
-                    assert cert.scored[lvl] == min(len(free), batches * select_module.RI_BATCH)
-                else:
-                    fallbacks += 1
-                    assert j == max(free, key=lambda i: (vals[i], -i))
-                    assert cert.scored[lvl] == len(free)
-                assert cert.levels[lvl] == vals[j] >= parent - 1e-12
-                parent = vals[j]
-            assert cert.fallbacks == fallbacks
+            _assert_walk_follows_scores(vs, k, chosen, cert)
             assert cert.valid() and cert.achieved >= cert.pledged - 1e-12
             assert cert.achieved >= restricted_invertibility_bound(n, m, k) - 1e-12
             # the best-child walk certifies too; the first-child walk can
@@ -388,13 +394,14 @@ def test_ri_keeps_the_lowest_free_row_meeting_its_parent():
 
 
 def test_ri_fallback_keeps_the_best_scored_row(monkeypatch):
-    # seven copies of each e_i / sqrt(7): |v|^2 rounds below n/m = 1/7,
-    # so every level-0 child falls below the pledge by rounding
-    sevenths = [row * math.sqrt(1 / 7) for row in np.eye(4) for _ in range(7)]
-    chosen, cert = restricted_invertibility_select(VectorSystem(sevenths), 3)
-    assert cert.fallbacks == 1 and cert.scored[0] == 28
-    assert chosen[0] == 0 and cert.valid()
-    assert cert.pledged - cert.levels[0] <= 1e-15
+    # seven copies of each e_i / sqrt(7): every level-0 child scores the
+    # pledge up to rounding, so rounding alone decides whether a child
+    # meets it or the level falls back; either way each level follows the
+    # oracle's scores
+    sevenths = VectorSystem([row * math.sqrt(1 / 7) for row in np.eye(4) for _ in range(7)])
+    chosen, cert = restricted_invertibility_select(sevenths, 3)
+    _assert_walk_follows_scores(sevenths, 3, chosen, cert)
+    assert cert.valid() and abs(cert.pledged - cert.levels[0]) <= 1e-15
     # every child of the orthonormal basis equals its parent at level 0;
     # with the pledge one ulp higher none meets it, and the level keeps
     # the best scored row, the lowest index of the tie
