@@ -155,6 +155,13 @@ def _parse_matrices(text: str, exact: bool) -> list[SymMatrix]:
             out.append(SymMatrix(_number_array(rows, exact)))
         except (TypeError, ValueError) as e:
             raise ParseFailure(f"matrix {i} malformed: {e}") from e
+    # finite float input whose trace sum overflows is refused here, exit 3,
+    # before any other arithmetic on it
+    if not exact:
+        with np.errstate(over="ignore"):
+            total = sum(float(m.trace()) for m in out)
+        if not math.isfinite(total):
+            raise ValueError("the trace sum of the matrices overflows")
     return out
 
 

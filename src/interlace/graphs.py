@@ -435,10 +435,12 @@ class SigningEngine:
     counted against ``budget`` before any level is formed, and
     :meth:`walk_entries` adds a walk's leaf entries to them.  A vertex
     outside V(F) is isolated in A_F, so each leaf is chi(A_F[V(F)] with
-    S zeroed) times x^(n - |V(F)|), divided by x^(2|M|): Berkowitz
+    S zeroed) times x^(n - |V(F)|), divided by x^(2|M|): the exact kernel
     (:func:`charpoly_batch_exact`) runs at size |V(F)|, on ``LEAF_CHUNK``
-    groups at a time, and in int64 while the leaves' coefficients provably
-    fit (up to |V(F)| = 45 for a cubic graph; see :func:`charpoly_batch_exact`).
+    groups at a time, in int64 on every leaf for which k times its k-th
+    coefficient provably fits (a leaf of a cubic graph with at most 42
+    nonzero rows; see :func:`charpoly_batch_exact`) and in Python ints on
+    the others.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):

@@ -4,17 +4,20 @@
 exact regime (integer dtype, or object dtype holding ints/Fractions).
 Characteristic polynomials follow the convention ``det(xI - A)``, always
 monic, lowest degree first.  There is one kernel per arithmetic, both
-batched over a (B, n, n) stack: ``charpoly_batch_exact`` runs Berkowitz's
-division-free recurrence on integers, each rational matrix cleared of its
-denominators first, in int64 left to wrap when a bound proves that the
-final coefficients fit and in Python ints otherwise, and
-``charpoly_batch`` takes float64 eigenvalues (``eigvalsh``) and multiplies
-them out with a vectorized Vieta recurrence.  ``char_poly`` is a one-row
-call of the kernel that matches the matrix's regime.
+batched over a (B, n, n) stack.  ``charpoly_batch_exact`` takes the
+power traces tr A^k from O(sqrt n) batched matrix products and solves
+Newton's identities for the coefficients, on integers, each rational
+matrix cleared of its denominators first; it runs in int64, left to
+wrap, on each matrix for which a bound proves that k times its k-th
+coefficient fits, and in Python ints on the others.  ``charpoly_batch``
+takes float64 eigenvalues (``eigvalsh``) and multiplies them out with a
+vectorized Vieta recurrence.  ``char_poly`` is a one-row call of the
+kernel that matches the matrix's regime.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -39,7 +42,9 @@ class SymMatrix:
     Exact entries (ints, Fractions) must be symmetric entry-for-entry.
     Float entries may deviate by up to ``SYM_TOL`` relative to the largest
     magnitude - products of symmetric factors routinely do - and are
-    symmetrized to ``(A + A.T)/2`` on construction.
+    symmetrized to ``A/2 + (A/2).T`` on construction; both the test and
+    the sum take the halves, so that entries near the top of the float
+    range cannot overflow.
     """
 
     __slots__ = ("a",)
@@ -53,9 +58,10 @@ class SymMatrix:
                 raise ValueError("matrix is not symmetric")
         elif arr.size:
             scale = max(1.0, float(np.max(np.abs(arr))))
-            if float(np.max(np.abs(arr - arr.T))) > SYM_TOL * scale:
+            half = arr / 2.0
+            if float(np.max(np.abs(half - half.T))) > SYM_TOL * scale / 2.0:
                 raise ValueError("matrix is not symmetric")
-            arr = (arr + arr.T) / 2.0
+            arr = half + half.T
         self.a = arr
         self.a.setflags(write=False)
 
@@ -172,84 +178,122 @@ def charpoly_batch(mats: np.ndarray) -> np.ndarray:
 def charpoly_batch_exact(mats: np.ndarray) -> np.ndarray:
     """Exact characteristic polynomials of a (B, n, n) stack, lowest-first.
 
-    Berkowitz's division-free recurrence, batched over the stack.  With
-    ``v`` the characteristic polynomial of the leading i x i block A_i
-    (highest degree first), the next block's is the full convolution of
-    ``v`` with the Toeplitz column ``t = [1, -a, -R C, -R A_i C, ...,
-    -R A_i^(i-1) C]``, truncated to length i + 2, where ``a``, ``R`` and
-    ``C`` are the new diagonal entry, row and column.
+    Le Verrier's method with the products of Paterson and Stockmeyer,
+    batched over the stack.  With s = ceil(sqrt n), the baby steps A^1 ..
+    A^s and the giant steps I, A^s, A^(2s), ... cost about 2 sqrt(n)
+    matrix products, and every power sum p_k = tr A^k, k <= n, is the
+    trace of one giant step times one baby step, read by one batched
+    einsum per giant step.
+    Newton's identities then give the coefficients c_k of x^(n-k):
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), with one exact
+    division by k each.
 
-    The recurrence runs on integers only.  An object stack (ints,
+    The kernel runs on integers only.  An object stack (ints,
     Fractions) is cleared matrix by matrix: with q the lcm of A's entry
     denominators, chi(A)(x) = q^(-n) chi(qA)(qx), so the coefficient of
-    x^j is that of qA divided by q^(n-j).  Only ring operations occur, so
-    int64 arithmetic left to wrap modulo 2^64 is exact whenever the final
-    coefficients fit (:func:`_fits_int64`); the stack then runs in int64,
-    and in Python ints otherwise.  An integer-dtype stack returns int64
-    or object; anything else is read as exact rationals and returns
-    object.
+    x^j is that of qA divided by q^(n-j).  Every step before the division
+    by k is a ring operation, so int64 arithmetic left to wrap modulo 2^64
+    yields k c_k modulo 2^64, which is k c_k itself whenever |k c_k| <
+    2^63 (:func:`_fits_int64`); the matrices for which that is proven
+    run in int64, the others in Python ints.  An integer-dtype stack
+    returns int64 if all of it ran in int64 and object otherwise;
+    anything else is read as exact rationals and returns object.
     """
     mats = np.asarray(mats)
     b, n, _ = mats.shape
     if np.issubdtype(mats.dtype, np.integer):
-        return _berkowitz(mats.astype(np.int64) if _fits_int64(mats) else mats.astype(object))
+        return _integer_charpolys(mats)
     scales, rows = [], []
     for entries in mats.reshape(b, n * n).tolist():
         q, ints = _cleared(entries)
         scales.append(q)
         rows.append(ints)
-    ints = np.array(rows, dtype=object).reshape(b, n, n)
-    co = _berkowitz(ints.astype(np.int64) if _fits_int64(ints) else ints).astype(object)
+    co = _integer_charpolys(np.array(rows, dtype=object).reshape(b, n, n)).astype(object)
     for row, q in zip(co, scales):
         if q != 1:
             row[:] = [Fraction(c, q ** (n - j)) for j, c in enumerate(row.tolist())]
     return co
 
 
-def _berkowitz(mats: np.ndarray) -> np.ndarray:
-    """The recurrence of :func:`charpoly_batch_exact`, in the dtype of ``mats``."""
+def _integer_charpolys(mats: np.ndarray) -> np.ndarray:
+    """The kernel on an integer stack: in int64 on the matrices that
+    :func:`_fits_int64` passes, in Python ints on the others; int64 if
+    all pass, object otherwise."""
+    fit = _fits_int64(mats)
+    if fit.all():
+        return _newton_traces(mats.astype(np.int64))
+    co = np.empty((len(mats), mats.shape[-1] + 1), dtype=object)
+    for part, dtype in ((fit, np.int64), (~fit, object)):
+        if part.any():
+            co[part] = _newton_traces(mats[part].astype(dtype))
+    return co
+
+
+def _newton_traces(mats: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`charpoly_batch_exact`, in the dtype of ``mats``."""
     b, n, _ = mats.shape
-    v = np.ones((b, 1), dtype=mats.dtype)
-    for i in range(n):
-        a_i = mats[:, :i, :i]
-        row = mats[:, i, :i]
-        w = mats[:, :i, i]
-        t = np.empty((b, i + 2), dtype=mats.dtype)
-        t[:, 0] = 1
-        t[:, 1] = -mats[:, i, i]
-        for q in range(2, i + 2):
-            if q > 2:
-                w = np.matmul(a_i, w[:, :, None])[:, :, 0]
-            t[:, q] = -(row * w).sum(axis=1)
-        new = np.zeros((b, i + 2), dtype=mats.dtype)
-        for j in range(i + 1):
-            new[:, j:] += v[:, j:j + 1] * t[:, :i + 2 - j]
-        v = new
-    return v[:, ::-1].copy()
+    c = np.zeros((b, n + 1), dtype=mats.dtype)
+    c[:, 0] = 1
+    if n == 0:
+        return c
+    s = math.isqrt(n - 1) + 1
+    baby = np.empty((b, s, n, n), dtype=mats.dtype)
+    baby[:, 0] = mats
+    for j in range(1, s):
+        baby[:, j] = np.matmul(baby[:, j - 1], mats)
+    # p[:, g s + j] = tr(A^(g s) A^(j + 1)) = p_(g s + j + 1); each giant
+    # step is formed, read and dropped in turn
+    p = [np.trace(baby, axis1=2, axis2=3)]
+    giant = baby[:, -1]
+    for g in range(1, -(-n // s)):
+        if g > 1:
+            giant = np.matmul(giant, baby[:, -1])
+        p.append(np.einsum("bij,bhji->bh", giant, baby))
+    p = np.concatenate(p, axis=1)
+    for k in range(1, n + 1):
+        # k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1)
+        c[:, k] = -(c[:, :k] * p[:, k - 1::-1]).sum(axis=1) // k
+    return c[:, ::-1].copy()
 
 
-def _fits_int64(mats: np.ndarray) -> bool:
-    """Whether every coefficient of every chi(A) in an integer stack lies in int64.
+def _fits_int64(mats: np.ndarray) -> np.ndarray:
+    """Per matrix of an integer stack, whether k c_k lies in int64 for
+    every coefficient c_k of x^(n-k) of its chi(A).
 
-    With lambda the eigenvalues of A, |c_(n-k)| = |e_k(lambda)| <=
-    e_k(|lambda|) <= C(n, k) r^k, where r is either bound on the mean of
-    |lambda|: the largest absolute row sum N (Gershgorin), or ||A||_F /
-    sqrt(n) (Maclaurin's inequality, the power mean and Schur's
-    sum |lambda|^2 <= ||A||_F^2).  The test runs on squares in Python
-    ints, n r^2 = min(n N^2, ||A||_F^2) taken over the stack.  Entries
-    with n max|a| >= 2^31 go to Python ints untested, so that the row
-    sums and squares below cannot overflow.  A signed adjacency stack of
-    a cubic graph (N = 3, ||A||_F^2 = 3n) fits up to n = 45.
+    Newton's identities yield k c_k before their division by k, so that
+    product, not c_k alone, must fit.  With lambda the eigenvalues of A,
+    of which at most n' are nonzero, n' the number of nonzero rows,
+    |c_k| = |e_k(lambda)| <= C(n', k) r^k, where r is either bound on
+    the mean of |lambda| over n' of them: the largest absolute row sum N
+    (Gershgorin), or ||A||_F / sqrt(n') (Maclaurin's inequality, the
+    power mean and Schur's sum |lambda|^2 <= ||A||_F^2).  The test runs
+    on squares in Python ints, k^2 C(n', k)^2 (n' r^2)^k < 2^126 n'^k
+    with n' r^2 = min(n' N^2, ||A||_F^2), once for the whole stack with
+    n' = n and the largest N and ||A||_F, and only if that fails matrix
+    by matrix.  Stacks with n max|a| >= 2^31 go to Python ints untested,
+    so that the row sums and squares below cannot overflow.  A signed
+    adjacency matrix of a cubic graph (N = 3, ||A||_F^2 = 3n) fits up to
+    n = 42, and with rows zeroed out, up to 42 nonzero rows.
     """
-    n = mats.shape[-1]
+    b, n = len(mats), mats.shape[-1]
     top = max(int(mats.max(initial=0)), -int(mats.min(initial=0)))
     if n * top >= 2 ** 31:
-        return False
+        return np.zeros(b, dtype=bool)
     a = mats.astype(np.int64)
-    rows = int(np.abs(a).sum(axis=-1).max(initial=0))
-    frobenius = int(np.einsum("bij,bij->b", a, a).max(initial=0))
-    r2n = min(n * rows * rows, frobenius)
-    return all(math.comb(n, k) ** 2 * r2n ** k < 2 ** 126 * n ** k for k in range(1, n + 1))
+    rows = np.abs(a).sum(axis=-1).max(axis=-1, initial=0).tolist()
+    frobenius = np.einsum("bij,bij->b", a, a).tolist()
+    if _bound_holds(n, min(n * max(rows, default=0) ** 2, max(frobenius, default=0))):
+        return np.ones(b, dtype=bool)
+    live = (a != 0).any(axis=-1).sum(axis=-1).tolist()
+    return np.array([_bound_holds(m, min(m * r * r, f))
+                     for m, r, f in zip(live, rows, frobenius)], dtype=bool)
+
+
+@functools.lru_cache(maxsize=1024)
+def _bound_holds(n: int, r2n: int) -> bool:
+    """k^2 C(n, k)^2 r2n^k < 2^126 n^k for k = 1..n: see :func:`_fits_int64`."""
+    return all(k * k * math.comb(n, k) ** 2 * r2n ** k < 2 ** 126 * n ** k
+               for k in range(1, n + 1))
 
 
 def _cleared(entries: list) -> tuple:

@@ -388,6 +388,8 @@ def mixed_char(matrices) -> Polynomial:
     fraction-free elimination on integers for exact input) and folded
     into the exterior-power tables as one variable (:func:`fold_terms`);
     the cost is linear in m.  Monic of degree d; exact for exact inputs.
+    A float fold that overflows leaves infinite or NaN coefficients, with
+    no RuntimeWarning; the root routines refuse them.
     """
     mats = _validate_psd_list(matrices)
     m = len(mats)
@@ -400,10 +402,11 @@ def mixed_char(matrices) -> Polynomial:
     groups = [_rank_one_terms(mat, exact) for mat in mats]
     arith = TableArithmetic(d, [t for g in groups for t in g], exact)
     tables = arith.empty()
-    for g in groups:
-        if g:
-            tables = fold_terms(tables, *arith.encode(g))
-    return arith.poly(tables)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in groups:
+            if g:
+                tables = fold_terms(tables, *arith.encode(g))
+        return arith.poly(tables)
 
 
 # ----------------------------------------------------------------------

@@ -438,9 +438,9 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     v_j, so the spectra of a (batch, l+1, l+1) stack give the batch's
     roots and the zero root's multiplicity n - l - 1 comes from the rank.
     Float stacks take one batched ``eigvalsh``; exact stacks take one
-    exact Berkowitz call and the :func:`root_clusters` of each small
-    polynomial, real-rooted as the characteristic polynomial of a
-    symmetric matrix, so no Sturm check runs.  :func:`shift_roots`
+    :func:`charpoly_batch_exact` call and the :func:`root_clusters` of
+    each small polynomial, real-rooted as the characteristic polynomial
+    of a symmetric matrix, so no Sturm check runs.  :func:`shift_roots`
     then applies each ``1 - (1/m) d/dx``, and the k-th largest root is
     the smallest of the k roots it tracks.  The pledge, lambda_k of
     ``(1 - (1/m) d/dx)^k x^n = (1 - (1/m) d/dx)^(k-1) x^(n-1) (x - n/m)``,
@@ -499,9 +499,10 @@ def _ri_scores(vecs: np.ndarray, chosen: list, cand: list, k: int,
     """The level scores of rows ``cand``, from their bordered Gram spectra.
 
     The (len(cand), l+1, l+1) stack keeps the dtype of ``vecs``: float
-    spectra come from ``eigvalsh``, exact ones from exact Berkowitz and
-    :func:`root_clusters`.  With ``pledge``, at level 0 only, the row
-    ``[n/m]`` is shifted along and the pledge returned as the last score.
+    spectra come from ``eigvalsh``, exact ones from
+    :func:`charpoly_batch_exact` and :func:`root_clusters`.  With
+    ``pledge``, at level 0 only, the row ``[n/m]`` is shifted along and
+    the pledge returned as the last score.
     """
     m, n = vecs.shape
     lvl = len(chosen)
@@ -622,8 +623,9 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     parent, whose top root is reused.  The children are an interlacing
     family, so the kept one's largest root never exceeds its parent's,
     and the final signing's top eigenvalue is at most the pledge.  The
-    last kept child is chi(A_s), checked by one Berkowitz call on A_s
-    (:class:`AssertionError` if not), so ``achieved`` is its top root.
+    last kept child is chi(A_s), checked by one
+    :func:`charpoly_batch_exact` call on A_s (:class:`AssertionError` if
+    not), so ``achieved`` is its top root.
     Returns (signing, certificate); the certificate's values are in Gram
     coordinates (the signed adjacency plus dI, the Gram sum of
     :func:`signing_vectors`), so ``choices`` is 0 for +1 and 1 for -1, in

@@ -22,7 +22,10 @@ other ways:
   backward DP per walk with leaves on the fixed edges' vertices;
 * common interlacing as real-rootedness of convex combinations
   (:func:`convex_combinations_real_rooted`), against the library's
-  root-interval criterion.
+  root-interval criterion;
+* exact characteristic polynomials by Berkowitz's division-free
+  recurrence (:func:`berkowitz_charpoly`), against the library's power
+  traces and Newton's identities.
 """
 
 from fractions import Fraction
@@ -338,3 +341,34 @@ def forward_signed_chars(g: Graph, prefixes,
             total[:, :n + 1 - 2 * k] += np.tensordot(
                 weights[lo:lo + LEAF_CHUNK, k], chars[:, :, 2 * k:], 1)
     return [Polynomial(row.tolist()) for row in total]
+
+
+def berkowitz_charpoly(mats: np.ndarray) -> np.ndarray:
+    """det(xI - A) of each matrix of a (B, n, n) stack, lowest-first, in its dtype.
+
+    Berkowitz's division-free recurrence, batched over the stack.  With
+    ``v`` the characteristic polynomial of the leading i x i block A_i
+    (highest degree first), the next block's is the full convolution of
+    ``v`` with the Toeplitz column ``t = [1, -a, -R C, -R A_i C, ...,
+    -R A_i^(i-1) C]``, truncated to length i + 2, where ``a``, ``R`` and
+    ``C`` are the new diagonal entry, row and column.  Only ring
+    operations occur, so an object stack of Python ints is exact.
+    """
+    b, n, _ = mats.shape
+    v = np.ones((b, 1), dtype=mats.dtype)
+    for i in range(n):
+        a_i = mats[:, :i, :i]
+        row = mats[:, i, :i]
+        w = mats[:, :i, i]
+        t = np.empty((b, i + 2), dtype=mats.dtype)
+        t[:, 0] = 1
+        t[:, 1] = -mats[:, i, i]
+        for q in range(2, i + 2):
+            if q > 2:
+                w = np.matmul(a_i, w[:, :, None])[:, :, 0]
+            t[:, q] = -(row * w).sum(axis=1)
+        new = np.zeros((b, i + 2), dtype=mats.dtype)
+        for j in range(i + 1):
+            new[:, j:] += v[:, j:j + 1] * t[:, :i + 2 - j]
+        v = new
+    return v[:, ::-1].copy()

@@ -435,6 +435,51 @@ def test_overflowing_gram_sum_exit_3(capsys, tmp_path, command):
     assert "Gram sum of the vectors overflows" in captured.err
 
 
+def test_float_mixedchar_entry_near_the_float_maximum(capsys, tmp_path):
+    # symmetrizing halves before adding, so 1e308 stays finite; mu = x^2 -
+    # tr(A) x, and float mode prints the roots exact mode does
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([[[1e308, 0], [0, 1]]]))
+    code, payload = run_cli(capsys, ["mixedchar", str(path)])
+    assert code == 0 and payload["roots"] == [1e308, 0.0]
+    code, payload = run_cli(capsys, ["mixedchar", str(path), "--mode", "exact"])
+    assert code == 0 and payload["roots"] == [1e308, 0.0]
+
+
+def test_float_mixedchar_asymmetric_entries_near_the_float_maximum_exit_2(capsys, tmp_path):
+    # the symmetry test compares halves, so 1e308 against -1e308 is
+    # refused as asymmetric with no RuntimeWarning
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps([[[1, 1e308], [-1e308, 1]]]))
+    code = main(["mixedchar", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "matrix is not symmetric" in captured.err
+
+
+def test_float_mixedchar_overflowing_trace_sum_exit_3(capsys, tmp_path):
+    # finite JSON whose trace sum overflows is refused before any other
+    # arithmetic, with no RuntimeWarning (which the suite makes an error)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([[[1e308, 0], [0, 1]], [[1e308, 0], [0, 1]]]))
+    code = main(["mixedchar", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and not captured.out
+    assert "trace sum of the matrices overflows" in captured.err
+
+
+def test_float_mixedchar_overflowing_fold_exit_5(capsys, tmp_path):
+    # the trace sum 4e200 is finite, but the fold forms 1e400: the
+    # coefficients come out infinite, with no RuntimeWarning, and the
+    # root routine refuses them
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps([[[1e200, 0], [0, 1e200]]] * 2))
+    code = main(["mixedchar", str(path)])
+    captured = capsys.readouterr()
+    assert code == 5 and not captured.out
+    assert "numerical failure" in captured.err
+
+
 @pytest.mark.parametrize("command", [["ri", "-k", "1"], ["weaver"]])
 def test_vectors_of_length_zero_exit_2(capsys, tmp_path, command):
     # rows with no coordinates are malformed input, refused by the parser

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from interlace import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact
-from interlace.matrices import _berkowitz
+from interlace import Graph, Signing, SigningEngine, SymMatrix, char_poly, charpoly_batch, \
+    charpoly_batch_exact, frontier_order, graphs, two_lift
 from interlace.poly import Polynomial, real_roots
+from oracles import berkowitz_charpoly
 
 
 def test_construction_and_dtype_regimes():
@@ -111,17 +112,21 @@ def test_charpoly_batch_matches_single():
 
 
 def faddeev_leverrier(a) -> list:
-    """Reference det(xI - A), lowest-first, by Faddeev-LeVerrier over Fractions.
+    """Reference det(xI - A), lowest-first, by Faddeev-LeVerrier over exact rationals.
 
-    c_k = -tr(M_k)/k with M_1 = A and M_(k+1) = A (M_k + c_k I); independent
-    of the Berkowitz recurrence inside the library.
+    c_k = -tr(M_k)/k with M_1 = A and M_(k+1) = A (M_k + c_k I), in Python
+    ints while the entries and coefficients are integers.  It shares
+    Newton's identities with the library's kernel but forms no power of A,
+    runs one matrix at a time over exact rationals, and cannot wrap.
     """
-    a = [[Fraction(x) for x in row] for row in np.asarray(a).tolist()]
+    a = [[x if type(x) is int else Fraction(x) for x in row] for row in np.asarray(a).tolist()]
     n = len(a)
     out = [Fraction(0)] * n + [Fraction(1)]
     m = a
     for k in range(1, n + 1):
-        c = -sum(m[i][i] for i in range(n)) / k
+        c = Fraction(-sum(m[i][i] for i in range(n)), k)
+        # integer matrices keep every M_k and c_k integral: stay in ints
+        c = c.numerator if c.denominator == 1 else c
         out[n - k] = c
         shifted = [[m[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
         m = [[sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
@@ -203,8 +208,8 @@ def test_charpoly_batch_exact_signed_cubic_n32_runs_int64():
         stack[:, a, b] = stack[:, b, a] = rng.choice([-1, 1], 4)
     co = charpoly_batch_exact(stack)
     assert co.dtype == np.int64
-    # the same recurrence on Python ints, which cannot wrap
-    ref = _berkowitz(stack.astype(object))
+    # Berkowitz's recurrence on Python ints, which cannot wrap
+    ref = berkowitz_charpoly(stack.astype(object))
     assert ref.dtype == object
     assert (co == ref).all()
     assert (charpoly_batch_exact(stack.astype(object)) == ref).all()
@@ -226,3 +231,128 @@ def test_charpoly_batch_exact_rational_stacks_match_faddeev_leverrier():
         assert co.dtype == object
         for b in range(3):
             assert list(co[b]) == faddeev_leverrier(stack[b])
+
+
+def _assert_matches_oracles(stack, co, rows=None):
+    """``co`` is Berkowitz's recurrence on ``stack`` in Python ints or
+    Fractions, and Faddeev-LeVerrier's on each matrix in ``rows`` (all
+    by default)."""
+    assert (co == berkowitz_charpoly(stack.astype(object))).all()
+    for b in range(len(stack)) if rows is None else rows:
+        assert list(co[b]) == faddeev_leverrier(stack[b])
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_charpoly_batch_exact_matches_berkowitz_and_faddeev_leverrier(batch):
+    # n = 0 is the (B, 0, 0) stack of a signing walk's level 0
+    rng = np.random.default_rng(43 + batch)
+    for n in range(13):
+        ints = rng.integers(-2, 3, (batch, n, n))
+        ints = ints + np.transpose(ints, (0, 2, 1))
+        co = charpoly_batch_exact(ints)
+        assert co.shape == (batch, n + 1)
+        objs = charpoly_batch_exact(ints.astype(object))
+        assert objs.dtype == object and (objs == co).all()
+        _assert_matches_oracles(ints, co)
+        fracs = np.empty((batch, n, n), dtype=object)
+        for b in range(batch):
+            for i in range(n):
+                for j in range(i, n):
+                    x = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                    fracs[b, i, j] = fracs[b, j, i] = x
+        co = charpoly_batch_exact(fracs)
+        assert co.shape == (batch, n + 1) and co.dtype == object
+        _assert_matches_oracles(fracs, co)
+
+
+def _leaf_graph(name):
+    if name == "cube":
+        return Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
+    if name == "petersen":
+        return Graph.petersen()
+    # a connected 24-vertex cubic Ramanujan double cover of K_{3,3}, in
+    # the frontier order a signing walk takes it in
+    k33 = Graph.complete_bipartite(3, 3)
+    g = two_lift(k33, Signing({e: -1 if i in (0, 4) else 1 for i, e in enumerate(k33.edges)}))
+    g = two_lift(g, Signing({e: -1 if i % 5 == 0 else 1 for i, e in enumerate(g.edges)}))
+    label = {v: i for i, v in enumerate(frontier_order(g))}
+    return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+
+
+@pytest.mark.parametrize("name", ["cube", "petersen", "cover24"])
+def test_charpoly_batch_exact_on_signing_engine_leaf_stacks(monkeypatch, name):
+    g = _leaf_graph(name)
+    stacks = []
+
+    def recorded(mats):
+        stacks.append(mats)
+        return charpoly_batch_exact(mats)
+
+    monkeypatch.setattr(graphs, "charpoly_batch_exact", recorded)
+    engine = SigningEngine(g)
+    rng = np.random.default_rng(83)
+    for f in range(g.m + 1):
+        engine.chars(rng.choice([-1, 1], f))
+    assert stacks[0].shape[1:] == (0, 0)
+    assert max(s.shape[1] for s in stacks) == g.n
+    for stack in stacks:
+        co = charpoly_batch_exact(stack)
+        assert co.dtype == np.int64
+        assert (charpoly_batch_exact(stack.astype(object)) == co).all()
+        # Faddeev-LeVerrier, one matrix at a time, on both ends of the stack
+        _assert_matches_oracles(stack, co, rows={0, len(stack) - 1})
+
+
+def _signed_cubic(n, batch, rng):
+    """Random signings of the cycle C_n with chords i ~ i + n // 2: cubic
+    for even n, one vertex of degree two for odd n."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+    stack = np.zeros((batch, n, n), dtype=np.int64)
+    for a, b in edges:
+        stack[:, a, b] = stack[:, b, a] = rng.choice([-1, 1], batch)
+    return stack
+
+
+def test_charpoly_batch_exact_int64_bound_carries_the_factor_k():
+    # chi(8 I_20) = (x - 8)^20: every coefficient fits in int64, but
+    # Newton's identities form 20 c_20 = 20 * 2^60, which wraps, so the
+    # stack must run on Python ints
+    n = 20
+    stack = 8 * np.eye(n, dtype=np.int64)[None]
+    r2n = min(n * 8 ** 2 * n, 8 ** 2 * n)
+    assert all(math.comb(n, k) ** 2 * r2n ** k < 2 ** 126 * n ** k for k in range(1, n + 1))
+    assert n * 8 ** n >= 2 ** 63
+    co = charpoly_batch_exact(stack)
+    assert co.dtype == object
+    assert list(co[0]) == [math.comb(n, j) * (-8) ** (n - j) for j in range(n + 1)]
+    _assert_matches_oracles(stack, co)
+
+
+@pytest.mark.parametrize("n", [42, 43, 44, 45, 46])
+def test_charpoly_batch_exact_signed_cubic_past_40_vertices(n):
+    # signed cubic stacks fit the bound with the factor k up to n = 42;
+    # from 43 vertices they may run on Python ints, and must agree
+    co = charpoly_batch_exact(stack := _signed_cubic(n, 2, np.random.default_rng(n)))
+    if n == 42:
+        assert co.dtype == np.int64
+    elif n % 2 == 0:
+        assert co.dtype == object
+    assert (charpoly_batch_exact(stack.astype(object)) == co).all()
+    _assert_matches_oracles(stack, co)
+
+
+def test_charpoly_batch_exact_runs_each_matrix_in_the_dtype_its_bound_allows():
+    # a 46-vertex signed cubic matrix fails the bound; with four vertices
+    # zeroed it has 42 nonzero rows and at most 42 nonzero eigenvalues,
+    # and passes.  In one stack each runs in its own dtype, and the
+    # stack returns object.
+    full = _signed_cubic(46, 1, np.random.default_rng(89))
+    zeroed = full.copy()
+    zeroed[:, :4, :] = zeroed[:, :, :4] = 0
+    assert charpoly_batch_exact(full).dtype == object
+    assert charpoly_batch_exact(zeroed).dtype == np.int64
+    stack = np.concatenate([zeroed, full, zeroed[:, :, ::-1][:, ::-1]])
+    co = charpoly_batch_exact(stack)
+    assert co.dtype == object and all(type(c) is int for c in co.ravel())
+    assert (co[0] == co[2]).all() and (co[0] == charpoly_batch_exact(zeroed)[0]).all()
+    _assert_matches_oracles(stack, co, rows={0})
