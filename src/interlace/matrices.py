@@ -306,14 +306,21 @@ def _cleared(entries: list) -> tuple:
     return q, [x.numerator * (q // x.denominator) for x in entries]
 
 
-def _validate_psd_list(matrices) -> list[SymMatrix]:
-    """The inputs as PSD ``SymMatrix`` objects of one shared dimension."""
+def _validate_matrix_list(matrices) -> list[SymMatrix]:
+    """The inputs as ``SymMatrix`` objects of one shared dimension."""
     mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices]
     if not mats:
         raise ValueError("need at least one matrix")
     d = mats[0].n
     if any(m.n != d for m in mats):
         raise ValueError("matrices must share a dimension")
+    return mats
+
+
+def _validate_psd_list(matrices) -> list[SymMatrix]:
+    """The inputs as PSD ``SymMatrix`` objects of one shared dimension,
+    each passing the float check :meth:`SymMatrix.is_psd`."""
+    mats = _validate_matrix_list(matrices)
     for i, m in enumerate(mats):
         if not m.is_psd():
             raise ValueError(f"matrix {i} is not positive semidefinite")

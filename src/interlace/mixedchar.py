@@ -16,20 +16,29 @@ traces at most eps, its largest root is at most ``(1 + sqrt(eps))^2``.
 
 Each variable is differentiated at most once before z is set to 0, so only
 the multi-affine part of the determinant matters, and applying the
-operators evaluates that part at z = -1.  The engine carries it as tables
-on exterior powers: W_k[I, J] is the multi-affine part of the k x k minor
-det Z[I, J] of Z = sum_i z_i A_i, at z = 1, and mu(x) = sum_k (-1)^k
-x^(n-k) tr W_k.  Adding a variable whose matrix is sum_j w_j u_j u_j^T
-adds sum_j w_j L_k(u_j) W_(k-1) L_k(u_j)^T to every W_k, where L_k(u) is
-the C(n, k) x C(n, k-1) map with L_k(u)[I, I - a] = (-1)^pos(a, I) u_a
-(:func:`fold_terms`).  That is division-free and linear in the number of
-variables.  Exact matrices are split into rank-one terms with integer
-vectors by fraction-free elimination (:func:`_rank_one_terms`), so exact
-tables hold integers after one common scaling of the weights
-(:class:`TableArithmetic`), in int64 under a proven magnitude bound.
-:func:`mixed_char` runs on it, and so does the greedy walk of
-:mod:`interlace.select` wherever it is cheaper than enumeration; the
-walk's children need only the traces of their tables (:func:`fold_traces`).
+operators evaluates that part at z = -1.  When every A_i = v_i v_i^T has
+rank at most one, the determinant is already affine in each z_i: by
+Cauchy-Binet each minor of sum_i z_i v_i v_i^T is a sum over sets of
+distinct i, each i at most once.  So the operators evaluate it at z = -1
+as it stands, and mu[v_1 v_1^T, ..., v_m v_m^T] = chi(sum_i v_i v_i^T)
+(MSS, Interlacing Families II).  Exact matrices are decided once each by
+fraction-free elimination (:func:`_rank_one_terms`), which gives PSD,
+rank and rank-one terms with integer vectors together; an exact family
+of ranks at most one takes chi of its sum from one exact kernel call.
+
+Every other family runs on an engine that carries the multi-affine part
+as tables on exterior powers: W_k[I, J] is the multi-affine part of the
+k x k minor det Z[I, J] of Z = sum_i z_i A_i, at z = 1, and mu(x) =
+sum_k (-1)^k x^(n-k) tr W_k.  Adding a variable whose matrix is sum_j
+w_j u_j u_j^T adds sum_j w_j L_k(u_j) W_(k-1) L_k(u_j)^T to every W_k,
+where L_k(u) is the C(n, k) x C(n, k-1) map with L_k(u)[I, I - a] =
+(-1)^pos(a, I) u_a (:func:`fold_terms`).  That is division-free and
+linear in the number of variables.  Exact tables hold integers after one
+common scaling of the weights (:class:`TableArithmetic`), in int64 under
+a proven magnitude bound.  :func:`mixed_char` runs on it for those
+families, and so does the greedy walk of :mod:`interlace.select`
+wherever it is cheaper than enumeration; the walk's children need only
+the traces of their tables (:func:`fold_traces`).
 :func:`expected_char_poly` enumerates outcomes under a budget; it is the
 independent oracle the identity is checked against, and its kernel is
 the greedy walk's other route.
@@ -45,8 +54,8 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
-from .matrices import SymMatrix, charpoly_batch, charpoly_batch_exact, _cleared, \
-    _coerce_array, _validate_psd_list
+from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact, \
+    _cleared, _coerce_array, _validate_matrix_list, _validate_psd_list
 from .tolerances import ISO_TOL, PROB_TOL
 
 __all__ = [
@@ -264,7 +273,8 @@ class TableArithmetic:
     summed over the terms of one variable, sum_j |w_j u_ja u_jb| <= D
     (Cauchy-Schwarz) keeps the new W_k within D^k + k^2 D^k.  So every
     intermediate is at most (n^2 + 1) D^n, and int64 is safe when that is
-    below 2^63: 16 sign vectors in dimension 10 give D = 16 and stay
+    below 2^63: in dimension 10, the identity and 15 outer products of
+    sign vectors have unit pivots, so L = 1, and give D = 16 and stay
     int64.  Otherwise the tables hold Python ints (object dtype).  Traces
     are summed as Python ints either way.
     """
@@ -341,7 +351,7 @@ def _ratio(num: int, den: int):
     return num if den == 1 else Fraction(num, den)
 
 
-def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
+def _rank_one_terms(mat: SymMatrix, exact: bool, name: str = "matrix") -> list:
     """Pairs (w, u) with sum w u u^T = A.
 
     Float input gives all d eigenpairs of ``eigh``.  Exact input is
@@ -355,7 +365,8 @@ def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
     zero pivot is skipped.  The elimination decides PSD exactly: A is PSD
     if and only if no pivot is negative and nothing is left at the end
     (a zero pivot of a PSD matrix has a zero row).  Otherwise ValueError
-    is raised, also for input the float PSD check's slack lets through.
+    is raised, "<name> is not positive semidefinite", also for input
+    within the float PSD check's slack.
     """
     if not exact:
         w, u = np.linalg.eigh(mat.a.astype(float))
@@ -368,7 +379,7 @@ def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
     for k in range(d):
         p = m[k][k]
         if p < 0:
-            raise ValueError("matrix is not positive semidefinite")
+            raise ValueError(f"{name} is not positive semidefinite")
         if p:
             f = [row[k] for row in m]
             g = math.gcd(*f)
@@ -377,29 +388,40 @@ def _rank_one_terms(mat: SymMatrix, exact: bool) -> list:
                  for row, fi in zip(m, f)]
             prev = p
     if any(any(row) for row in m):
-        raise ValueError("matrix is not positive semidefinite")
+        raise ValueError(f"{name} is not positive semidefinite")
     return terms
 
 
 def mixed_char(matrices) -> Polynomial:
     """Mixed characteristic polynomial of PSD matrices A_1..A_m.
 
-    Each A_i is split into rank-one terms (``eigh`` for float input,
-    fraction-free elimination on integers for exact input) and folded
-    into the exterior-power tables as one variable (:func:`fold_terms`);
-    the cost is linear in m.  Monic of degree d; exact for exact inputs.
-    A float fold that overflows leaves infinite or NaN coefficients, with
-    no RuntimeWarning; the root routines refuse them.
+    Monic of degree d; exact for exact inputs.  Exact matrices are
+    decided once each, by the fraction-free elimination of
+    :func:`_rank_one_terms`, which gives PSD (ValueError naming the first
+    matrix that is not), rank and rank-one terms together.  When every
+    A_i has rank at most one, each z_i enters det(xI + sum z_i A_i)
+    affinely, so applying the operators evaluates the determinant at
+    z = -1 and mu = chi(sum A_i): one exact :func:`char_poly` call,
+    with no tables.  Every other family is split into rank-one terms
+    (``eigh`` for float input, after a float PSD check) and folded into
+    the exterior-power tables one variable at a time (:func:`fold_terms`);
+    the cost is linear in m.  The caps are checked before any
+    elimination.  A float fold that overflows leaves infinite or NaN
+    coefficients, with no RuntimeWarning; the root routines refuse them.
     """
-    mats = _validate_psd_list(matrices)
+    mats = _validate_matrix_list(matrices)
+    exact = all(mat.is_exact for mat in mats)
+    if not exact:
+        mats = _validate_psd_list(mats)
     m = len(mats)
     d = mats[0].n
     if m > MAX_VARIABLES:
         raise ValueError(f"at most {MAX_VARIABLES} matrices supported, got {m}")
     if d > MAX_DIMENSION:
         raise ValueError(f"dimension capped at {MAX_DIMENSION}, got {d}")
-    exact = all(mat.is_exact for mat in mats)
-    groups = [_rank_one_terms(mat, exact) for mat in mats]
+    groups = [_rank_one_terms(mat, exact, f"matrix {i}") for i, mat in enumerate(mats)]
+    if exact and all(len(g) <= 1 for g in groups):
+        return char_poly(SymMatrix(sum(mat.a for mat in mats)))
     arith = TableArithmetic(d, [t for g in groups for t in g], exact)
     tables = arith.empty()
     with np.errstate(over="ignore", invalid="ignore"):

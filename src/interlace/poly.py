@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -816,8 +817,9 @@ class TopRoot(NamedTuple):
     ``lo`` and ``hi`` are dyadic rationals.  Above ``hi`` lie only the
     roots of the clusters before this one (none, for the top cluster),
     and above ``lo`` lie exactly ``mult`` more, counted with
-    multiplicity; the float ``root`` lies in (lo, hi] too.  ``mult`` is
-    one root's multiplicity unless several roots share the bracket.
+    multiplicity; the float ``root`` lies in (lo, hi] too, except that a
+    cluster above the largest float has the root inf.  ``mult`` is one
+    root's multiplicity unless several roots share the bracket.
     """
 
     root: float
@@ -967,7 +969,8 @@ def root_clusters(p: Polynomial) -> Iterator[TopRoot]:
     The top cluster starts from float Laguerre steps from above
     (:func:`_float_start`); later ones from the companion eigenvalues of
     the float copy, computed once, when a second cluster is asked for.
-    Each start is polished and certified by :func:`_polish`.
+    Each start is polished and certified by :func:`_polish`.  A root
+    above the largest float comes as inf (:func:`_bisect`).
     """
     a = _integer_coeffs(p)
     zeros = next(i for i, c in enumerate(a) if c)
@@ -989,8 +992,14 @@ def root_clusters(p: Polynomial) -> Iterator[TopRoot]:
         else:
             if starts is None:
                 top = max(map(abs, a))
-                starts = sorted(npoly.polyroots([c / top for c in a]).real.tolist(),
-                                reverse=True)
+                # a companion matrix past the float range gives no starts,
+                # and each cluster is then bisected
+                try:
+                    with np.errstate(all="ignore"):
+                        starts = sorted(npoly.polyroots([c / top for c in a]).real.tolist(),
+                                        reverse=True)
+                except np.linalg.LinAlgError:
+                    starts = []
             x = starts[done] if done < len(starts) else math.nan
         cluster = _polish(a, x, done, -bound, hi)
         yield cluster
@@ -1031,12 +1040,20 @@ def _bisect(a: list[int], done: int, lo: Fraction, hi: Fraction) -> TopRoot:
     """Halve (lo, hi], with ``done`` roots above hi and more above lo, to adjacent floats.
 
     The stop is relative to the root, which is not 0 (zero roots are
-    stripped beforehand): the bracket ends one ulp of the root wide.
+    stripped beforehand): the bracket ends one ulp of the root wide, and
+    the root is its upper end.  Past the float range the halving stops
+    at the largest float: a root above it comes as inf, and one at or
+    below minus it as that float, each with its bracket still certified.
     """
+    top = sys.float_info.max
     while True:
-        mid = Fraction(float((lo + hi) / 2))
+        try:
+            mid = Fraction(float((lo + hi) / 2))
+        except OverflowError:
+            mid = Fraction(top if lo + hi > 0 else -top)
         if not lo < mid < hi:
-            return TopRoot(float(hi), _count_above(a, lo) - done, lo, hi)
+            root = math.inf if hi > top else float(hi)
+            return TopRoot(root, _count_above(a, lo) - done, lo, hi)
         if _count_above(a, mid) > done:
             lo = mid
         else:

@@ -362,6 +362,21 @@ def test_mixedchar_exact_indefinite_exit_3(capsys, tmp_path):
     assert "positive semidefinite" in captured.err
 
 
+@pytest.mark.parametrize("mats, index", [
+    ([[[1, 0], [0, 1]], [[-1, 0], [0, 1]]], 1),  # beyond the float check's slack
+    ([[[1, 1], [1, 1]], [["-1/1000000000000", 0], [0, 0]]], 1),  # within it
+    ([[["-1/1000000000000", 0], [0, 0]], [[2, 1], [1, 2]]], 0),
+], ids=["beyond-slack", "within-slack-rank-one", "within-slack-full-rank"])
+def test_mixedchar_exact_not_psd_names_the_matrix_exit_3(capsys, tmp_path, mats, index):
+    path = tmp_path / "mats.json"
+    path.write_text(json.dumps(mats))
+    assert main(["mixedchar", str(path), "--mode", "exact"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"precondition failed: matrix {index} is not positive semidefinite\n"
+
+
 def test_mixedchar_empty_list_exit_2(capsys, tmp_path):
     mats = tmp_path / "mats.json"
     mats.write_text(json.dumps({"matrices": []}))
@@ -478,6 +493,23 @@ def test_float_mixedchar_overflowing_fold_exit_5(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 5 and not captured.out
     assert "numerical failure" in captured.err
+
+
+@pytest.mark.parametrize("mats", [
+    [[[1e308, 0], [0, 1]], [[1e308, 0], [0, 1]]],  # rank two: the tables
+    [[[1e308, 0], [0, 0]], [[1e308, 0], [0, 0]]],  # rank one: chi of the sum
+], ids=["tables", "rank-one"])
+def test_exact_mixedchar_root_past_the_float_range_exit_5(capsys, tmp_path, mats):
+    # the top root, near 2e308, has no float: a numerical failure, with no
+    # traceback, no RuntimeWarning (which the suite makes an error) and no
+    # output file
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(mats))
+    out = tmp_path / "out.json"
+    code = main(["mixedchar", str(path), "--mode", "exact", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 5 and not captured.out and not out.exists()
+    assert captured.err.startswith("numerical failure: a result is not finite")
 
 
 @pytest.mark.parametrize("command", [["ri", "-k", "1"], ["weaver"]])

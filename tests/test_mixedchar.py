@@ -446,6 +446,9 @@ def test_mixed_char_d10_m16_exact_is_fast_and_equals_char_poly_of_sum():
     total = SymMatrix(sum(np.outer(v, v) for v in vecs).astype(object))
     assert got == char_poly(total)
     assert elapsed < 2.0
+    # mixed_char takes chi of the sum by the same kernel as char_poly here;
+    # the tables fold every variable and check that identity independently
+    assert got == _engine_poly(mats)[0]
 
 
 def test_mixed_char_ldl_handles_a_zero_pivot_with_a_nonzero_row():
@@ -566,3 +569,185 @@ def test_rank_one_terms_of_integer_input_stay_on_ints():
     terms = _rank_one_terms(mat, True)
     assert all(type(x) is int for _, u in terms for x in u)
     assert [w for w, _ in terms] == [Fraction(1, 2), Fraction(3, 2)]
+
+
+# ----------------------------------------------------------------------
+# The rank-one route: mu[v_1 v_1^T, ...] = chi(sum v_i v_i^T)
+# ----------------------------------------------------------------------
+
+
+def _outers(vecs):
+    return [SymMatrix(np.outer(np.array(v, dtype=object), np.array(v, dtype=object)))
+            for v in vecs]
+
+
+def _rank_at_most_one_families(kind):
+    """Seeded exact families in which every matrix has rank 0 or 1."""
+    rng = np.random.default_rng(283)
+    if kind == "integer":
+        return [_outers(rng.integers(-3, 4, size=(int(rng.integers(1, 7)), d)).tolist())
+                for d in (2, 3, 4, 5) for _ in range(3)]
+    if kind == "rational":
+        out = []
+        for d in (2, 3, 4):
+            for q in (2, 3, 7, 10):
+                vecs = rng.integers(-4, 5, size=(int(rng.integers(1, 6)), d))
+                out.append(_outers([[Fraction(int(x), q) for x in v] for v in vecs]))
+        return out
+    if kind == "zero":
+        zero = SymMatrix.zeros(3, exact=True)
+        return [[zero], [zero, zero],
+                [zero] + _outers([[1, -1, 2]]) + [zero] + _outers([[0, 3, 1]])]
+    if kind == "d1":
+        return [_outers([[x] for x in rng.integers(-5, 6, size=m).tolist()])
+                for m in (1, 2, 5, 16)] + [_outers([[Fraction(2, 3)], [Fraction(-1, 7)]])]
+    if kind == "repeated-parallel":
+        v, w = [1, -2, 0, 3], [2, 1, 1, -1]
+        return [_outers([v, v, v]),
+                _outers([v, [2 * x for x in v], [Fraction(-1, 3) * x for x in v], w]),
+                _outers([v, w, v, w, [-x for x in w]])]
+    if kind == "m1":
+        return [_outers([v]) for v in ([5], [1, 2], [0, 0, 0], [Fraction(1, 2), -3, 4])]
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "zero", "d1",
+                                  "repeated-parallel", "m1"])
+def test_rank_one_route_equals_engine_and_ring(kind):
+    # the tables always fold and the ring expands det(xI + sum z_i A_i):
+    # neither goes through chi of the sum
+    for mats in _rank_at_most_one_families(kind):
+        assert all(len(_rank_one_terms(mat, True)) <= 1 for mat in mats)
+        got = mixed_char(mats)
+        assert got.is_exact and got.degree == mats[0].n
+        assert got == _engine_poly(mats)[0]
+        assert got == ring_mixed_char(mats)
+
+
+def test_rank_one_route_on_sixteen_sign_vectors_in_dimension_10():
+    rng = np.random.default_rng(293)
+    for m in (16, 9):
+        mats = _outers(rng.choice([-1, 1], size=(m, 10)).tolist())
+        assert mixed_char(mats) == _engine_poly(mats)[0]
+    mats = _outers(rng.choice([-1, 1], size=(3, 10)).tolist())
+    assert mixed_char(mats) == ring_mixed_char(mats)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls mixed_char makes to ``mixedchar.<name>``."""
+    import interlace.mixedchar as mc
+
+    calls = []
+    inner = getattr(mc, name)
+    monkeypatch.setattr(mc, name, lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+def test_rank_one_family_builds_no_tables_and_a_rank_two_matrix_folds(monkeypatch):
+    folds = _counting(monkeypatch, "fold_terms")
+    sums = _counting(monkeypatch, "char_poly")
+    rank_one = _outers([[1, 2, -1], [0, 1, 1], [Fraction(1, 2), 0, 3]])
+    mixed_char(rank_one)
+    assert (len(folds), len(sums)) == (0, 1)
+    # one rank-2 matrix among rank-one ones: the whole family folds, and mu
+    # is not chi of the sum
+    rank_two = SymMatrix(np.array([[2, 1, 0], [1, 2, 0], [0, 0, 0]], dtype=object))
+    for mats in (rank_one + [rank_two], [rank_two] + rank_one):
+        got = mixed_char(mats)
+        assert got == ring_mixed_char(mats)
+        assert got != char_poly(SymMatrix(sum(mat.a for mat in mats)))
+    assert (len(folds), len(sums)) == (8, 1)
+
+
+def test_float_rank_one_family_keeps_the_tables(monkeypatch):
+    # deciding a float matrix's rank would need a tolerance
+    folds = _counting(monkeypatch, "fold_terms")
+    sums = _counting(monkeypatch, "char_poly")
+    rng = np.random.default_rng(307)
+    mats = [np.outer(v, v) for v in rng.standard_normal((4, 3))]
+    got = mixed_char(mats)
+    assert not got.is_exact and got.allclose(ring_mixed_char(mats))
+    assert (len(folds), len(sums)) == (4, 0)
+
+
+def test_exact_psd_is_decided_by_the_elimination_alone():
+    # the float eigvalsh check would pass this matrix, within its slack; the
+    # elimination refuses it and names it, on both routes
+    tiny = SymMatrix(np.array([[Fraction(-1, 10 ** 12), 0], [0, 0]], dtype=object))
+    assert tiny.is_psd()
+    ones = SymMatrix(np.array([[1, 1], [1, 1]], dtype=object))
+    full = SymMatrix(np.array([[2, 1], [1, 2]], dtype=object))
+    for mats in ([ones, tiny], [full, tiny]):
+        with pytest.raises(ValueError, match="^matrix 1 is not positive semidefinite$"):
+            mixed_char(mats)
+    # entries past the float range have no float check to overflow in
+    rank_one = SymMatrix(np.array([[10 ** 400, 10 ** 200], [10 ** 200, 1]], dtype=object))
+    huge = SymMatrix(np.array([[10 ** 400, 0], [0, 1]], dtype=object))
+    for mats in ([rank_one, ones], [huge, full]):
+        assert mixed_char(mats) == _engine_poly(mats)[0]
+    with pytest.raises(ValueError, match="^matrix 0 is not positive semidefinite$"):
+        mixed_char([SymMatrix(np.array([[10 ** 400, 0], [0, -1]], dtype=object))])
+
+
+def test_exact_caps_come_before_any_elimination(monkeypatch):
+    import interlace.mixedchar as mc
+
+    def refuse(*args):
+        raise AssertionError("eliminated past a cap")
+
+    monkeypatch.setattr(mc, "_rank_one_terms", refuse)
+    with pytest.raises(ValueError, match="dimension capped at 10"):
+        mixed_char([SymMatrix.identity(11, exact=True)])
+    with pytest.raises(ValueError, match="at most 16 matrices"):
+        mixed_char([SymMatrix.identity(2, exact=True)] * 17)
+
+
+# ----------------------------------------------------------------------
+# Metamorphic identities of exact mixed_char
+# ----------------------------------------------------------------------
+
+
+def _cayley_orthogonal(rng, n):
+    """Rational orthogonal Q = (I + S)^(-1) (I - S), S skew with entries in
+    {-1, 0, 1}; I + S is invertible for every real skew S."""
+    upper = np.triu(rng.integers(-1, 2, size=(n, n)), 1)
+    s = upper - upper.T
+    a = [[Fraction(int(i == j) + int(s[i, j])) for j in range(n)] for i in range(n)]
+    b = [[Fraction(int(i == j) - int(s[i, j])) for j in range(n)] for i in range(n)]
+    for c in range(n):  # Gauss-Jordan on [I + S | I - S]
+        p = next(r for r in range(c, n) if a[r][c] != 0)
+        a[c], a[p], b[c], b[p] = a[p], a[c], b[p], b[c]
+        inv = 1 / a[c][c]
+        a[c], b[c] = [x * inv for x in a[c]], [x * inv for x in b[c]]
+        for r in range(n):
+            if r != c and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+                b[r] = [x - f * y for x, y in zip(b[r], b[c])]
+    return np.array(b, dtype=object)
+
+
+@pytest.mark.parametrize("kind", ["rank1", "mixed"])
+def test_exact_mixed_char_is_invariant_under_permutation_and_rotation(kind):
+    # mu[A_1..A_m] is symmetric in the A_i, and det(xI + sum z_i Q A_i Q^T)
+    # = det(xI + sum z_i A_i) for orthogonal Q
+    rng = np.random.default_rng(311 if kind == "rank1" else 313)
+    for _ in range(20):
+        d = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 7))
+        ranks = [1] * m if kind == "rank1" else [d] + [int(r) for r in
+                                                      rng.integers(1, d + 1, size=m - 1)]
+        mats = []
+        for r in ranks:
+            b = rng.integers(-2, 3, size=(d, r))
+            while r > 1 and np.linalg.matrix_rank(b) < 2:
+                b = rng.integers(-2, 3, size=(d, r))
+            mats.append(SymMatrix((b @ b.T).astype(object)))
+        want = mixed_char(mats)
+        q = _cayley_orthogonal(rng, d)
+        assert (q @ q.T == np.eye(d, dtype=int)).all()
+        rotated = [SymMatrix(q @ mat.a @ q.T) for mat in mats]
+        assert mixed_char(rotated) == want
+        order = rng.permutation(m)
+        assert mixed_char([mats[i] for i in order]) == want
+        assert mixed_char([rotated[i] for i in order[::-1]]) == want
