@@ -178,10 +178,9 @@ class Graph:
             return degs.pop()
         return None
 
-    def is_connected(self) -> bool:
-        """Union-find over the edges; vacuously true for n <= 1."""
-        if self.n <= 1:
-            return True
+    def forest_edges(self) -> list[bool]:
+        """Per edge, in order: does it join two components of the edges
+        before it?  One union-find; the marked edges span a forest."""
         parent = list(range(self.n))
 
         def find(x):
@@ -190,13 +189,16 @@ class Graph:
                 x = parent[x]
             return x
 
-        comps = self.n
+        joins = []
         for a, b in self.edges:
             ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps == 1
+            joins.append(ra != rb)
+            parent[ra] = rb
+        return joins
+
+    def is_connected(self) -> bool:
+        """A spanning tree among the edges; vacuously true for n <= 1."""
+        return self.n <= 1 or sum(self.forest_edges()) == self.n - 1
 
     def bipartition(self):
         """A 2-coloring (set of 'left' vertices) if bipartite, else None."""
@@ -449,10 +451,13 @@ class SigningEngine:
 
     def walk_entries(self) -> int:
         """A walk's work on this engine: the DP's states plus, at every
-        level, the leaf matrix entries of one row, groups x |V(F)|^2."""
+        level it forms, the leaf matrix entries of one row, groups x
+        |V(F)|^2.  The walk forms no level whose last edge joins two
+        components of the edges before it (:meth:`Graph.forest_edges`)."""
         total, verts = 0, set()
+        formed = [True] + [not joins for joins in self.g.forest_edges()]
         for f, (masks, _) in enumerate(self.tables):
-            total += len(masks) * (1 + len(verts) ** 2)
+            total += len(masks) * (1 + formed[f] * len(verts) ** 2)
             verts.update(self.g.edges[f] if f < self.g.m else ())
         return total
 

@@ -405,9 +405,11 @@ def mixed_char(matrices) -> Polynomial:
     with no tables.  Every other family is split into rank-one terms
     (``eigh`` for float input, after a float PSD check) and folded into
     the exterior-power tables one variable at a time (:func:`fold_terms`);
-    the cost is linear in m.  The caps are checked before any
-    elimination.  A float fold that overflows leaves infinite or NaN
-    coefficients, with no RuntimeWarning; the root routines refuse them.
+    the cost is linear in m.  The dimension cap is checked before any
+    elimination.  The cap on m guards the tables only, so it is checked
+    once the route is known, before any fold.  A float fold that
+    overflows leaves infinite or NaN coefficients, with no
+    RuntimeWarning; the root routines refuse them.
     """
     mats = _validate_matrix_list(matrices)
     exact = all(mat.is_exact for mat in mats)
@@ -415,13 +417,13 @@ def mixed_char(matrices) -> Polynomial:
         mats = _validate_psd_list(mats)
     m = len(mats)
     d = mats[0].n
-    if m > MAX_VARIABLES:
-        raise ValueError(f"at most {MAX_VARIABLES} matrices supported, got {m}")
     if d > MAX_DIMENSION:
         raise ValueError(f"dimension capped at {MAX_DIMENSION}, got {d}")
     groups = [_rank_one_terms(mat, exact, f"matrix {i}") for i, mat in enumerate(mats)]
     if exact and all(len(g) <= 1 for g in groups):
         return char_poly(SymMatrix(sum(mat.a for mat in mats)))
+    if m > MAX_VARIABLES:
+        raise ValueError(f"at most {MAX_VARIABLES} matrices supported, got {m}")
     arith = TableArithmetic(d, [t for g in groups for t in g], exact)
     tables = arith.empty()
     with np.errstate(over="ignore", invalid="ignore"):

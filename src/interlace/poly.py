@@ -818,8 +818,9 @@ class TopRoot(NamedTuple):
     roots of the clusters before this one (none, for the top cluster),
     and above ``lo`` lie exactly ``mult`` more, counted with
     multiplicity; the float ``root`` lies in (lo, hi] too, except that a
-    cluster above the largest float has the root inf.  ``mult`` is one
-    root's multiplicity unless several roots share the bracket.
+    cluster above the largest float has the root inf, and one below
+    minus it the root -inf.  ``mult`` is one root's multiplicity unless
+    several roots share the bracket.
     """
 
     root: float
@@ -970,7 +971,8 @@ def root_clusters(p: Polynomial) -> Iterator[TopRoot]:
     (:func:`_float_start`); later ones from the companion eigenvalues of
     the float copy, computed once, when a second cluster is asked for.
     Each start is polished and certified by :func:`_polish`.  A root
-    above the largest float comes as inf (:func:`_bisect`).
+    above the largest float comes as inf, and one below minus it as -inf
+    (:func:`_bisect`).
     """
     a = _integer_coeffs(p)
     zeros = next(i for i, c in enumerate(a) if c)
@@ -1024,9 +1026,10 @@ def _polish(a: list[int], x: float, done: int, lo: Fraction, hi: Fraction) -> To
     r = max(1, min(len(a) - 1, round(1.0 / (1.0 - ratio)))) if 0 < ratio < 1 else 1
     if r > 1:
         x = _newton(a, x, r - 1)[0]
-    if not x <= hi:
-        return _bisect(a, done, lo, hi)
     w = 2 * math.ulp(x)
+    # at the edge of the float range x +- w overflows, and bisection takes over
+    if not (x <= hi and math.isfinite(abs(x) + w)):
+        return _bisect(a, done, lo, hi)
     below, above = Fraction(x - w), min(Fraction(x + w), hi)
     if above < hi and _count_above(a, above) > done:
         return _bisect(a, done, above, hi)
@@ -1042,8 +1045,10 @@ def _bisect(a: list[int], done: int, lo: Fraction, hi: Fraction) -> TopRoot:
     The stop is relative to the root, which is not 0 (zero roots are
     stripped beforehand): the bracket ends one ulp of the root wide, and
     the root is its upper end.  Past the float range the halving stops
-    at the largest float: a root above it comes as inf, and one at or
-    below minus it as that float, each with its bracket still certified.
+    at the largest float: a root above it comes as inf, and one below
+    minus it as -inf, unless it is exactly minus the largest float (an
+    exact value of ``a`` there tells), each with its bracket still
+    certified.
     """
     top = sys.float_info.max
     while True:
@@ -1052,7 +1057,14 @@ def _bisect(a: list[int], done: int, lo: Fraction, hi: Fraction) -> TopRoot:
         except OverflowError:
             mid = Fraction(top if lo + hi > 0 else -top)
         if not lo < mid < hi:
-            root = math.inf if hi > top else float(hi)
+            if hi > top:
+                root = math.inf
+            elif lo >= -top:
+                root = float(hi)
+            elif hi == -top and not _derivative_value(a, 0, -top)[0]:
+                root = -top     # a root at exactly minus the largest float
+            else:               # every root of the bracket is below it
+                root = -math.inf
             return TopRoot(root, _count_above(a, lo) - done, lo, hi)
         if _count_above(a, mid) > done:
             lo = mid

@@ -8,13 +8,14 @@ expected polynomials share a common interlacing, so the best child is at
 least as good as their average, the parent.  Walking the tree - fix one
 vector at a time, keeping a support element whose conditional expected
 polynomial's lambda_k is no worse than its parent's - therefore lands on
-a realization no worse than the root pledge.  :func:`greedy_walk` and
-:func:`signing_select` score every child and keep the best;
-:func:`restricted_invertibility_select` keeps the first that meets its
-parent, which spares it scoring most of its m children.  Each walk
-returns a :class:`SelectionCertificate` recording the pledge, the
-per-level trace, and the achieved value, with the invariant checked in
-floats, within ``tolerances.CERT_TOL``.
+a realization no worse than the root pledge.  :func:`greedy_walk`
+scores every child and keeps the best; :func:`signing_select` forms no
+child where a symmetry makes both equal and otherwise roots only the
+child it keeps; :func:`restricted_invertibility_select` keeps the first
+that meets its parent, which spares it scoring most of its m children.
+Each walk returns a :class:`SelectionCertificate` recording the pledge,
+the per-level trace, and the achieved value, with the invariant checked
+in floats, within ``tolerances.CERT_TOL``.
 
 :func:`greedy_walk` has two routes to the same polynomials.  Outcome
 enumeration costs the product of the support sizes per polynomial.  For
@@ -44,7 +45,9 @@ Three instantiations:
   Its conditional polynomials are exact and closed-form, every level's
   read off one backward matching DP (:class:`SigningEngine`), so it
   enumerates no outcomes and does not go through :func:`greedy_walk`.
-  Its last polynomial is checked equal to chi(A_s), exactly.
+  Its spanning-forest levels form no child, and exact root counts at
+  the parent's bracket rank the others.  Its last polynomial is checked
+  equal to chi(A_s), exactly.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, float_top_root, kth_largest_root, root_clusters, \
-    top_root, compare_top_roots, shift_roots
+from .poly import Polynomial, TopRoot, float_top_root, kth_largest_root, \
+    root_clusters, top_root, compare_top_roots, roots_above, shift_roots
 from .matrices import SymMatrix, _coerce_array, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, fold_traces, _expected_char_with_base
@@ -600,6 +603,33 @@ def signing_vectors(g: Graph, exact: bool = True) -> list[DiscreteRandomVector]:
     return out
 
 
+def _signing_level(phi: Polynomial, parent: TopRoot, plus: Polynomial):
+    """The kept child of one signing level: (sign, polynomial, top root).
+
+    ``phi`` is the parent, ``parent`` its top root r in (lo, hi], and
+    ``plus`` the +1 child; the -1 child is 2 phi - plus.  The children
+    have a common interlacing and average to ``phi``, so one top root is
+    at most r and the other at least r.  A child with a root above hi
+    therefore has the larger top root, and the other is kept, which one
+    exact count each decides.  Only when neither child has a root above
+    hi are both top roots taken and compared (:func:`compare_top_roots`),
+    ties going to +1; identical children both equal the parent, whose
+    top root is reused.  Otherwise :func:`top_root` runs once, on the
+    kept child.
+    """
+    minus = 2 * phi - plus
+    if roots_above(plus, parent.hi):
+        return -1, minus, top_root(minus)
+    if roots_above(minus, parent.hi):
+        return 1, plus, top_root(plus)
+    if plus == minus:
+        return 1, plus, parent
+    top_plus, top_minus = top_root(plus), top_root(minus)
+    if compare_top_roots(minus, plus, top_minus, top_plus) < 0:
+        return -1, minus, top_minus
+    return 1, plus, top_plus
+
+
 def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     """Pick edge signs minimizing the top eigenvalue of the signed adjacency.
 
@@ -611,19 +641,23 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     integer polynomial Phi_F; one :class:`SigningEngine` serves the
     whole walk, its backward DP run once.  Its level 0, with nothing
     fixed, is the matching polynomial mu_G, whose top root is the pledge.
-    A parent is the average of its two children, so at every level only
-    the +1 child is formed and the -1 child is 2 parent - plus, exactly;
-    the kept child is the next level's parent.  Every Phi_F is
-    real-rooted by theorem, so the children are ranked by
+    An edge that joins two components of the edges before it
+    (:meth:`Graph.forest_edges`) forms no child: switching every vertex
+    on one side of it flips its sign and no fixed sign, and maps the
+    uniform signs of the rest onto themselves, so its two children are
+    equal (Bilu-Linial) and each is the parent.  The walk keeps +1 there
+    and reuses the parent and its top root.  At every other level only
+    the +1 child is formed, the -1 child is 2 parent - plus, exactly, and
+    :func:`_signing_level` keeps the child with the smaller largest root,
+    ties going to +1: the children straddle the parent's top root, so an
+    exact count of roots above the top of the parent's bracket nearly
+    always decides, and the kept child alone is rooted by
     :func:`top_root` (a top root in a bracket certified by exact root
-    counts) and :func:`compare_top_roots` (exact, also when the brackets
-    overlap), not by the full exact root pipeline; the tests, not this
-    walk, check the real-rootedness.  The child with the smaller largest
-    root is kept, ties going to +1.  Identical children both equal their
-    parent, whose top root is reused.  The children are an interlacing
-    family, so the kept one's largest root never exceeds its parent's,
-    and the final signing's top eigenvalue is at most the pledge.  The
-    last kept child is chi(A_s), checked by one
+    counts).  Every Phi_F is real-rooted and the children interlace by
+    theorem; the tests, not this walk, check it.  The kept child is the
+    next level's parent, and its largest root never exceeds its
+    parent's, so the final signing's top eigenvalue is at most the
+    pledge.  The last kept child is chi(A_s), checked by one
     :func:`charpoly_batch_exact` call on A_s (:class:`AssertionError` if
     not), so ``achieved`` is its top root.
     Returns (signing, certificate); the certificate's values are in Gram
@@ -631,10 +665,10 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     :func:`signing_vectors`), so ``choices`` is 0 for +1 and 1 for -1, in
     walk order, and every value, ``final_poly`` too, is shifted by d.
     ``budget`` bounds the walk's work, :meth:`SigningEngine.walk_entries`:
-    the states of its backward DP plus, at every level, groups x |V(F)|^2
-    leaf entries.  The DP's states are counted as its tables grow and the
-    whole sum before the first choice; :class:`BudgetExceededError` is
-    raised when it passes ``budget``.
+    the states of its backward DP plus, at every level the walk forms,
+    groups x |V(F)|^2 leaf entries.  The DP's states are counted as its
+    tables grow and the whole sum before the first choice;
+    :class:`BudgetExceededError` is raised when it passes ``budget``.
     """
     d = g.regularity()
     if d is None:
@@ -655,19 +689,12 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     pledged = parent.root + d
     signs: list[int] = []
     levels: list[float] = []
-    for _ in walk.edges:
-        plus = engine.chars(signs + [1])
-        minus = 2 * phi - plus
-        if plus == minus:
-            # each child is then their average, the parent
-            sign, best, phi = 1, parent, plus
-        else:
-            top_plus, top_minus = top_root(plus), top_root(minus)
-            lower = compare_top_roots(minus, plus, top_minus, top_plus) < 0
-            sign, best, phi = (-1, top_minus, minus) if lower else (1, top_plus, plus)
+    for joins in walk.forest_edges():
+        sign = 1
+        if not joins:
+            sign, phi, parent = _signing_level(phi, parent, engine.chars(signs + [1]))
         signs.append(sign)
-        levels.append(best.root + d)
-        parent = best
+        levels.append(parent.root + d)
     signing = Signing({(order[a], order[b]): s for (a, b), s in zip(walk.edges, signs)})
     # the last kept child, every sign fixed, is chi(A_s), whatever the labels
     chi = char_poly(signed_adjacency(g, signing))

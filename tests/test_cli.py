@@ -377,6 +377,23 @@ def test_mixedchar_exact_not_psd_names_the_matrix_exit_3(capsys, tmp_path, mats,
         f"precondition failed: matrix {index} is not positive semidefinite\n"
 
 
+def test_mixedchar_seventeen_matrices_exact_rank_one_exit_0_full_rank_exit_3(capsys, tmp_path):
+    # the cap of 16 matrices guards the tables: 17 exact rank-one sign
+    # outer products in d = 10 take chi of their sum, 17 full-rank
+    # matrices are refused
+    vs = np.random.default_rng(17).choice([-1, 1], size=(17, 10))
+    path = tmp_path / "rank-one.json"
+    path.write_text(json.dumps([np.outer(v, v).tolist() for v in vs]))
+    code, payload = run_cli(capsys, ["mixedchar", str(path), "--mode", "exact"])
+    assert code == 0 and payload["degree"] == 10
+    path = tmp_path / "full-rank.json"
+    path.write_text(json.dumps([[[2, 1], [1, 2]]] * 17))
+    assert main(["mixedchar", str(path), "--mode", "exact"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "precondition failed: at most 16 matrices supported, got 17\n"
+
+
 def test_mixedchar_empty_list_exit_2(capsys, tmp_path):
     mats = tmp_path / "mats.json"
     mats.write_text(json.dumps({"matrices": []}))

@@ -376,6 +376,8 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
 
     monkeypatch.setattr(graphs, "charpoly_batch_exact", recorded)
     rng = np.random.default_rng(79)
+    # a walk forms level 0 and each level whose edge closes a cycle
+    formed = [True] + [not joins for joins in g.forest_edges()]
     entries = 0
     for f in range(g.m + 1):
         sides.clear()
@@ -385,8 +387,9 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
         groups = len(engine.tables[f][0])
         assert [s[1:] for s in sides] == [(width, width)] * len(sides)
         assert sum(s[0] for s in sides) == 3 * groups
-        entries += sum(s[0] * s[1] * s[2] for s in sides)
+        entries += formed[f] * sum(s[0] * s[1] * s[2] for s in sides)
     # a walk's work: the DP's states and one row's leaf entries per level
+    # it forms
     states = sum(len(m) for m, _ in engine.tables)
     assert 3 * (engine.walk_entries() - states) == entries
 

@@ -698,8 +698,25 @@ def test_exact_caps_come_before_any_elimination(monkeypatch):
     monkeypatch.setattr(mc, "_rank_one_terms", refuse)
     with pytest.raises(ValueError, match="dimension capped at 10"):
         mixed_char([SymMatrix.identity(11, exact=True)])
-    with pytest.raises(ValueError, match="at most 16 matrices"):
-        mixed_char([SymMatrix.identity(2, exact=True)] * 17)
+
+
+def test_variable_cap_guards_the_tables_only(monkeypatch):
+    # the cap on m prices the tables: exact rank-one families take chi of
+    # their sum at any m, and every other family over the cap is refused
+    # before any fold
+    import interlace.mixedchar as mc
+
+    def refuse(*args):
+        raise AssertionError("folded past the cap")
+
+    monkeypatch.setattr(mc, "fold_terms", refuse)
+    vs = np.random.default_rng(17).choice([-1, 1], size=(17, 10))
+    mats = [SymMatrix(np.outer(v, v).astype(object)) for v in vs]
+    assert mixed_char(mats) == char_poly(SymMatrix(sum(m.a for m in mats)))
+    for mats in ([SymMatrix.identity(2, exact=True)] * 17, [np.eye(2)] * 17,
+                 [np.outer(v, v).astype(float) for v in vs]):
+        with pytest.raises(ValueError, match="^at most 16 matrices supported, got 17$"):
+            mixed_char(mats)
 
 
 # ----------------------------------------------------------------------

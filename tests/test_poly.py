@@ -6,6 +6,7 @@ test itself.
 """
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -44,6 +45,8 @@ from interlace import (
 import interlace.poly as poly_module
 import interlace.select as select_module
 from oracles import convex_combinations_real_rooted
+
+MAX_FLOAT = sys.float_info.max
 
 
 def _cauchy_bound(p):
@@ -637,6 +640,30 @@ def test_root_clusters_certify_every_root_to_a_few_ulp():
                 assert abs(Fraction(c.root) - r) <= 4 * Fraction(math.ulp(float(r)))
             # the bracket's content, by Sturm, independently of Descartes
             assert sturm_root_count(p, c.lo, c.hi) == len(set(inside))
+
+
+@pytest.mark.parametrize("roots, want", [
+    ([-10 ** 400], [-math.inf]),
+    ([-2 * int(MAX_FLOAT), 1], [1.0, -math.inf]),
+    ([-10 ** 401, -10 ** 400, 3], [3.0, -math.inf]),
+    ([-int(MAX_FLOAT)], [-MAX_FLOAT]),
+    ([int(MAX_FLOAT)], [MAX_FLOAT]),
+    ([-int(MAX_FLOAT), -int(MAX_FLOAT), 2, 0], [2.0, 0.0, -MAX_FLOAT]),
+], ids=["-1e400", "-3.6e308", "two-below", "-max", "max", "double-max"])
+def test_root_clusters_below_the_float_range(roots, want):
+    # a root below minus the largest float has no float: it comes as
+    # -inf, and minus the largest float itself as that float, each with
+    # its bracket still certified by two exact counts
+    p = Polynomial.from_roots(roots)
+    clusters = list(root_clusters(p))
+    assert [c.root for c in clusters] == want
+    assert sum(c.mult for c in clusters) == len(roots)
+    done = 0
+    for c in clusters:
+        assert roots_above(p, c.hi) == done
+        done += c.mult
+        assert roots_above(p, c.lo) == done
+        assert len([r for r in roots if c.lo < r <= c.hi]) == c.mult
 
 
 def test_mixed_char_sign_vectors_roots_to_two_ulp():

@@ -42,6 +42,7 @@ from interlace import (
     weaver_bound,
     signing_vectors,
     signing_select,
+    two_lift,
     Graph,
     Signing,
     SigningEngine,
@@ -632,42 +633,42 @@ def test_signing_select_matches_exact_enumeration_walk():
 def _recorded_signing_walk(monkeypatch, g):
     """signing_select on g, recording each level's children and every top_root call.
 
-    The walk forms Phi of the empty prefix and then each level's +1 child
-    with ``SigningEngine.chars``; its -1 child shows in the
-    ``compare_top_roots`` call that ranks distinct children, and equals
-    the +1 child when there is none.
+    The walk forms Phi of the empty prefix and then, at each level whose
+    edge closes a cycle, the +1 child with ``SigningEngine.chars``; the
+    -1 child is 2 parent - plus.  A level whose edge joins two components
+    forms no child, and both its children are recorded as its parent.
     """
-    events, ranked = [], []
-    chars, top, compare = SigningEngine.chars, select_module.top_root, \
-        select_module.compare_top_roots
+    formed, ranked = [], []
+    chars, top = SigningEngine.chars, select_module.top_root
 
     def recorded_chars(self, signs):
         out = chars(self, signs)
-        events.append(("chars", out))
+        formed.append((len(signs), out))
         return out
 
     def recorded_top(p):
         ranked.append(p)
         return top(p)
 
-    def recorded_compare(minus, plus, *args):
-        events.append(("compare", (plus, minus)))
-        return compare(minus, plus, *args)
-
     monkeypatch.setattr(SigningEngine, "chars", recorded_chars)
     monkeypatch.setattr(select_module, "top_root", recorded_top)
-    monkeypatch.setattr(select_module, "compare_top_roots", recorded_compare)
     _, cert = signing_select(g)
-    walk_events = list(events)  # matching_poly below may run chars too
-    assert walk_events[0] == ("chars", matching_poly(g))
+    levels = dict(formed)  # matching_poly below may run chars too
+    assert len(levels) == len(formed)
+    parent = levels.pop(0)
+    assert parent == matching_poly(g)
     pairs = []
-    for kind, out in walk_events[1:]:
-        if kind == "chars":
-            pairs.append((out, out))
-        else:
-            assert out[0] == pairs[-1][0] != out[1]
-            pairs[-1] = out
+    for f, choice in enumerate(cert.choices):
+        plus = levels.get(f + 1, parent)
+        pairs.append((plus, 2 * parent - plus))
+        parent = pairs[-1][choice]
     return cert, pairs, ranked
+
+
+def _in_walk_order(g: Graph) -> Graph:
+    """``g`` relabelled in frontier order, as the signing walk takes it."""
+    label = {v: i for i, v in enumerate(frontier_order(g))}
+    return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
 
 
 def _random_cubic_bipartite(half: int, seed: int) -> Graph:
@@ -733,11 +734,11 @@ def test_signing_walk_ranks_every_polynomial_once(monkeypatch):
     assert pairs[0][0] == pairs[0][1]
     assert ranked[0] == matching_poly(CUBE)
     assert cert.pledged == top_root(matching_poly(CUBE)).root + 3
-    # identical children reuse their parent's top root; distinct ones are
-    # ranked once each
-    distinct = sum(plus != minus for plus, minus in pairs)
-    assert 0 < distinct < len(pairs)
-    assert len(ranked) == 1 + 2 * distinct
+    # identical children reuse their parent's top root; of distinct ones,
+    # exact counts at the parent's bracket pick one, and only it is ranked
+    kept = [pair[c] for pair, c in zip(pairs, cert.choices) if pair[0] != pair[1]]
+    assert 0 < len(kept) < len(pairs)
+    assert ranked[1:] == kept
 
 
 def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monkeypatch):
@@ -763,8 +764,7 @@ def test_signing_walk_children_match_forward_oracle(monkeypatch, g):
     # the walk forms only the +1 child and takes the -1 child from its
     # parent; both must be the oracle's children
     cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
-    label = {v: i for i, v in enumerate(frontier_order(g))}
-    walk = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+    walk = _in_walk_order(g)
     signs = [1 - 2 * c for c in cert.choices]
     assert len(pairs) == g.m
     for f, pair in enumerate(pairs):
@@ -789,8 +789,94 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
     _, cert = signing_select(CUBE)
     assert cert.valid()
     assert passes == [(select_module.DEFAULT_BUDGET,)]
-    # one prefix per level, each one edge longer than the last
-    assert prefixes == list(range(CUBE.m + 1))
+    # one prefix for the pledge and one per level whose edge closes a
+    # cycle, its +1 child; the other levels form none
+    forest = _in_walk_order(CUBE).forest_edges()
+    assert prefixes == [0] + [f + 1 for f, joins in enumerate(forest) if not joins]
+    assert len(prefixes) == 1 + CUBE.m - (CUBE.n - 1)
+
+
+def _cover24() -> Graph:
+    """A 24-vertex cubic bipartite Ramanujan graph: two walked 2-lifts of K_{3,3}."""
+    g = Graph.complete_bipartite(3, 3)
+    for _ in range(2):
+        g = two_lift(g, signing_select(g)[0])
+    return g
+
+
+SYMMETRY_GRAPHS = [CUBE, Graph.petersen(), _cover24()]
+
+
+@pytest.mark.parametrize("g", SYMMETRY_GRAPHS, ids=["cube", "petersen", "cover24"])
+def test_signing_forest_levels_equal_their_parent(g):
+    # an edge that joins two components of the edges before it is flipped,
+    # alone among the fixed edges, by switching one side of it, so both
+    # children equal the parent whatever the prefix; every other level has
+    # children that differ for some prefix, so marking one more edge as
+    # forest fails here
+    walk = _in_walk_order(g)
+    engine = SigningEngine(walk)
+    rng = np.random.default_rng(83)
+    forest = walk.forest_edges()
+    assert sum(forest) == g.n - 1
+    for f, joins in enumerate(forest):
+        differ = []
+        for prefix in rng.choice([-1, 1], (2, f)).tolist():
+            plus = engine.chars(prefix + [1])
+            differ.append(plus != engine.chars(prefix))
+        assert not any(differ) if joins else any(differ), f
+
+
+@pytest.mark.parametrize("g", SYMMETRY_GRAPHS, ids=["cube", "petersen", "cover24"])
+def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
+    # at every level, after a random prefix, the counts at the parent's
+    # bracket keep the child compare_top_roots ranks lower (ties to +1)
+    # and root only it; a bracket widened past every root (none of a
+    # cubic graph's Phi_F lies above 3) leaves both counts 0, and the
+    # fallback ranks both children for the same choice.  Identical
+    # children, as at every forest level, keep +1 and the parent's bracket
+    walk = _in_walk_order(g)
+    engine = SigningEngine(walk)
+    rng = np.random.default_rng(89)
+    compared, ranked = [], []
+    compare = select_module.compare_top_roots
+
+    def recorded_compare(*args):
+        compared.append(args[:2])
+        return compare(*args)
+
+    def recorded_top(p):
+        ranked.append(p)
+        return top_root(p)
+
+    monkeypatch.setattr(select_module, "compare_top_roots", recorded_compare)
+    monkeypatch.setattr(select_module, "top_root", recorded_top)
+    fallbacks, ties = {True: 0, False: 0}, 0
+    for f, joins in enumerate(walk.forest_edges()):
+        prefix = rng.choice([-1, 1], f).tolist()
+        phi, plus = engine.chars(prefix), engine.chars(prefix + [1])
+        minus = 2 * phi - plus
+        assert plus == minus or not joins
+        order = compare(minus, plus)
+        ties += plus != minus and order == 0
+        sign = -1 if order < 0 else 1
+        kept = minus if sign < 0 else plus
+        parent = top_root(phi)
+        for bracket in (parent, parent._replace(hi=parent.hi + 3)):
+            compared.clear()
+            ranked.clear()
+            got = select_module._signing_level(phi, bracket, plus)
+            if plus == minus:
+                assert got == (1, plus, bracket) and not ranked
+                continue
+            assert got == (sign, kept, top_root(kept))
+            if compared:
+                assert compared == [(minus, plus)] and ranked == [plus, minus]
+                fallbacks[bracket is parent] += 1
+            else:
+                assert bracket is parent and ranked == [kept]
+    # with the true bracket, only children with equal top roots fall back
+    assert fallbacks[True] == ties and fallbacks[False] > 0
 
 
 def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
