@@ -37,8 +37,10 @@ linear in the number of variables.  Exact tables hold integers after one
 common scaling of the weights (:class:`TableArithmetic`), in int64 under
 a proven magnitude bound.  :func:`mixed_char` runs on it for those
 families, and so does the greedy walk of :mod:`interlace.select`
-wherever it is cheaper than enumeration; the walk's children need only
-the traces of their tables (:func:`fold_traces`).
+wherever it is cheaper than enumeration.  The fold adds to W_k terms
+read from W_(k-1) alone, so one ascending pass takes a variable back out
+(:func:`peel_terms`); the walk peels each level's variable off one parent
+table, and each child is the peeled table plus one term read off it.
 :func:`expected_char_poly` enumerates outcomes under a budget; it is the
 independent oracle the identity is checked against, and its kernel is
 the greedy walk's other route.
@@ -66,7 +68,7 @@ __all__ = [
     "DiscreteRandomVector",
     "TableArithmetic",
     "fold_terms",
-    "fold_traces",
+    "peel_terms",
     "mixed_char",
     "expected_char_poly",
     "mixed_identity_check",
@@ -191,54 +193,55 @@ def fold_terms(tables: list, weights, vecs) -> list:
     W_k gains sum_j w_j L_k(u_j) W_(k-1) L_k(u_j)^T for k = n down to 1,
     every term read from the old W_(k-1), so each new product carries the
     new variable exactly once.  Only ring operations occur, so the tables
-    keep their dtype (int64, object or float64).  ``tables[k]`` may carry
-    a leading batch axis, (B, C(n,k), C(n,k)): every table of the batch
-    gets the same variable.  Returns new tables; the old ones are not
-    modified and can be shared.
+    keep their dtype (int64, object or float64).  Returns new tables; the
+    old ones are not modified and can be shared.
     """
     n = len(tables) - 1
     index = _subset_index(n)
     out = [tables[0]]
     for k in range(1, n + 1):
         elem, sub, sign = index[k]
-        gathered = tables[k - 1][..., sub, :]  # (..., C(n,k), k, C(n,k-1))
+        gathered = tables[k - 1][sub]  # (C(n,k), k, C(n,k-1))
         acc = tables[k]
         for w, u in zip(weights, vecs):
-            coef = u[elem] * sign  # the nonzeros of L_k(u), row by row
-            left = np.einsum("ip,...ipj->...ij", coef, gathered)  # L_k(u) W_(k-1)
-            acc = acc + w * np.einsum("...ijq,jq->...ij", left[..., sub], coef)  # ... L_k(u)^T
+            acc = acc + w * _sandwich(gathered, u[elem] * sign, sub)
         out.append(acc)
     return out
 
 
-def fold_traces(tables: list, points) -> list:
-    """The traces tr W_k, k = 0..n, of ``fold_terms(tables, *point)`` for each point.
+def peel_terms(tables: list, weights, vecs) -> tuple:
+    """The tables without one variable, the matrix sum_j w_j u_j u_j^T.
 
-    ``points`` are (weights, vecs) pairs as :func:`fold_terms` takes them.
-    A point's term (w, u) adds w tr L_k(u) W_(k-1) L_k(u)^T to tr W_k,
-    that is w sum_I c_I^T W_(k-1)[sub_I, sub_I] c_I, where c_I are the k
-    nonzeros of row I of L_k(u) and sub_I their columns: C(n, k) k^2
-    products, where the full fold forms every entry of the new table.
-    Every term of every point goes through one einsum per k.  The traces
-    are summed as Python scalars, like :meth:`TableArithmetic.poly`'s:
-    each row's form is an entry of the folded table, so int64 holds it,
-    but their sum need not fit.
+    The inverse of :func:`fold_terms`.  A fold adds to W_k terms read
+    from W_(k-1) alone, so it is unipotent and one ascending pass undoes
+    it: T_0 = W_0 and, for k = 1..n, X_jk = L_k(u_j) T_(k-1) L_k(u_j)^T
+    and T_k = W_k - sum_j w_j X_jk.  Returns (T, X): the tables T
+    without the variable, and per term j its parts X[j] = [0, X_j1, ..,
+    X_jn], so that T + c X[j], grade by grade, is ``fold_terms(T, [c],
+    [u_j])``.  It costs as many table updates as the fold, and the
+    dtypes are kept; in int64 every intermediate is T_k plus some of the
+    w_j X_jk, within the bound the fold's are (:class:`TableArithmetic`).
     """
     n = len(tables) - 1
     index = _subset_index(n)
-    owner = [i for i, (ws, _) in enumerate(points) for _ in ws]
-    weights = [w for ws, _ in points for w in ws]
-    vecs = np.concatenate([u for _, u in points])
-    base = [sum(t.diagonal().tolist()) for t in tables]
-    traces = [list(base) for _ in points]
+    peeled = [tables[0]]
+    parts = [[np.zeros_like(tables[0])] for _ in weights]
     for k in range(1, n + 1):
         elem, sub, sign = index[k]
-        block = tables[k - 1][sub[:, :, None], sub[:, None, :]]  # (C(n,k), k, k)
-        coef = vecs[:, elem] * sign  # (terms, C(n,k), k)
-        forms = np.einsum("tip,ipq,tiq->ti", coef, block, coef)
-        for i, w, form in zip(owner, weights, forms.tolist()):
-            traces[i][k] += w * sum(form)
-    return traces
+        gathered = peeled[k - 1][sub]
+        acc = tables[k]
+        for w, u, part in zip(weights, vecs, parts):
+            part.append(_sandwich(gathered, u[elem] * sign, sub))
+            acc = acc - w * part[-1]
+        peeled.append(acc)
+    return peeled, parts
+
+
+def _sandwich(gathered, coef, sub):
+    """L_k(u) W L_k(u)^T, from ``gathered`` = W[sub] and ``coef``, the
+    nonzeros of L_k(u) row by row, u[elem] sign."""
+    left = np.einsum("ip,ipj->ij", coef, gathered)  # L_k(u) W
+    return np.einsum("ijq,jq->ij", left[:, sub], coef)  # ... L_k(u)^T
 
 
 class TableArithmetic:
@@ -299,14 +302,14 @@ class TableArithmetic:
     def encode(self, pairs) -> tuple:
         """Weights and a (terms, n) vector array, ready for :func:`fold_terms`.
 
-        Exact terms with u = 0 add nothing and are dropped: the bound
-        above does not cover their weights.
+        One term per pair, in order.  Exact terms with u = 0 add nothing
+        and get weight 0: the bound above does not cover their weights.
         """
         if self.scale is None:
             return ([float(w) for w, _ in pairs],
                     np.array([u for _, u in pairs], dtype=float).reshape(-1, self.n))
-        ints = [(self._integer(w), u) for w, u in
-                (_reduced_term(w, u) for w, u in pairs) if any(u)]
+        ints = [(self._integer(w) if any(u) else 0, u) for w, u in
+                (_reduced_term(w, u) for w, u in pairs)]
         return ([w for w, _ in ints],
                 np.array([u for _, u in ints], dtype=self.dtype).reshape(-1, self.n))
 
@@ -322,10 +325,16 @@ class TableArithmetic:
 
     def poly(self, tables: list) -> Polynomial:
         """mu(x) = sum_k (-1)^k x^(n-k) tr W_k, with the scaling undone."""
-        return self.from_traces([sum(t.diagonal().tolist()) for t in tables])
+        return self.from_traces(self.traces(tables))
+
+    @staticmethod
+    def traces(tables: list) -> list:
+        """tr W_k, k = 0..n, summed as Python scalars: an int64 table's
+        entries fit, but their sum need not."""
+        return [sum(t.diagonal().tolist()) for t in tables]
 
     def from_traces(self, traces: list) -> Polynomial:
-        """:meth:`poly` from the traces tr W_k, k = 0..n, alone (:func:`fold_traces`)."""
+        """:meth:`poly` from the traces tr W_k, k = 0..n, alone."""
         n = self.n
         co = [0] * (n + 1)
         for k, trace in enumerate(traces):

@@ -22,8 +22,8 @@ enumeration costs the product of the support sizes per polynomial.  For
 independent rank-one random vectors each conditional polynomial is also
 a mixed characteristic polynomial, which the exterior-power engine of
 :mod:`interlace.mixedchar` computes at a cost linear in the number of
-vectors but exponential in the dimension, with tail tables shared by
-every level.  Each walk takes the route :func:`walk_costs` estimates
+vectors but exponential in the dimension, each level peeling its vector
+off one parent table.  Each walk takes the route :func:`walk_costs` estimates
 cheaper, and the whole walk's estimate is checked against its budget
 before the first step.
 
@@ -62,7 +62,7 @@ from .poly import Polynomial, TopRoot, float_top_root, kth_largest_root, \
     root_clusters, top_root, compare_top_roots, roots_above, shift_roots
 from .matrices import SymMatrix, _coerce_array, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
-    TableArithmetic, fold_terms, fold_traces, _expected_char_with_base
+    TableArithmetic, fold_terms, peel_terms, _expected_char_with_base
 from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
 from .tolerances import ALPHA_TOL, CERT_TOL, ISO_TOL
 
@@ -238,22 +238,21 @@ def walk_costs(dim: int, fixed: int, sizes) -> dict:
     every polynomial, dim^2 entries each: prod(sizes) outcomes for the
     pledge and, at level l, sizes[l] children of prod(sizes[l+1:]) each.
     ``"engine"`` makes rank-one table updates of C(2 dim, dim) entries
-    each: one per support point to build the tail tables, each fixed
-    vector into all m + 1 of them, one per child, and each choice into
-    the m - l tails left.  A child costs only the traces of its update
-    (:func:`fold_traces`), C(2 dim, k) k^2 products per table W_k, but
-    is counted as a full update, so the engine's estimate is
-    conservative.  Both routes take about the same time per entry, within a factor of
-    three (exact walks 10-20 times as long as float ones, on either
-    route), so the smaller estimate picks the faster route except near
-    the crossover.
+    each: one per fixed vector and one per support point to build the
+    parent table, and one per support point to peel each level's
+    variable off it, which forms every child as well.  Both routes take
+    about the same time per entry, within a factor of three (a float
+    weaver walk of 20 vectors in R^6, dim = 12 here, on a 2-vCPU x86
+    host: 0.05 us by the engine, 0.12 us by enumeration), so the smaller
+    estimate picks the faster route except near the crossover.  Exact
+    walks take longer per entry (about five times as long as float ones
+    by the engine, for 12-21 vectors in R^3).
     """
-    m = len(sizes)
     outcomes = tail = math.prod(sizes)
     for s in sizes:
         tail //= s
         outcomes += s * tail
-    updates = 2 * sum(sizes) + fixed * (m + 1) + m * (m + 1) // 2
+    updates = 2 * sum(sizes) + fixed
     return {"enumerate": outcomes * dim * dim,
             "engine": updates * math.comb(2 * dim, dim)}
 
@@ -360,41 +359,36 @@ def _engine_route(d: int, fixed: list, remaining: list, exact: bool,
     covariances A_i, the conditional polynomial E char_poly(sum u u^T +
     sum r_i r_i^T) is the mixed characteristic polynomial mu[u u^T...,
     A_1..A_m], computed by the exterior-power engine of
-    :mod:`interlace.mixedchar`.  The tables of the tails r_t.. are built
-    once, backward, each r_t folded in as one variable whose terms come
-    straight from its support (p v v^T), into one stack.  The fixed
-    vectors are folded into the whole stack as rank-one steps, one batched
-    step per vector, so at level l the table of r_(l+1).. already holds
-    the vectors fixed so far, and a child is one more rank-one step: its
-    candidate.  A child's polynomial needs only the traces of its
-    tables, so each level makes one :func:`fold_traces` call for all its
-    candidates, C(n, k) k^2 products per table, and the chosen candidate
-    alone is folded, into the tails left (none after the last).  A walk
-    on m vectors and f fixed ones makes m + f + m - 1 calls of
-    :func:`fold_terms`, O(m^2) table updates in all.
+    :mod:`interlace.mixedchar`.  One parent table holds the vectors fixed
+    so far and the remaining r_l..; it is built forward, each fixed vector
+    folded in as a rank-one variable and each r_t as one variable whose
+    terms come straight from its support (p v v^T), and the pledge is its
+    polynomial.  Level l peels r_l off the parent (:func:`peel_terms`),
+    which leaves the table T of everything else and, for each support
+    point v, the part X read off T with which v v^T folds in: that child
+    is T + X, so its traces are tr T_k + tr X_k, and the chosen child is
+    the next parent.  A walk on m vectors and f fixed ones makes m + f
+    calls of :func:`fold_terms` and m of :func:`peel_terms`, 2 sum(sizes)
+    + f table updates in all, and holds a few tables at a time.
     """
     supports = [[(p, _vector(v, exact)) for p, v in rv.support] for rv in remaining]
     every = [(1, v) for v in fixed] + [t for s in supports for p, v in s
                                        for t in ((p, v), (1, v))]
     arith = TableArithmetic(d, every, exact)
-    # tails[k][i] is W_k of r_i.., filled backward from the empty tail i = m;
-    # at level l it is W_k of r_(l+i).. and the vectors fixed so far
-    table = arith.empty()
-    tails = [np.zeros((len(supports) + 1,) + t.shape, dtype=t.dtype) for t in table]
-    for i in range(len(supports), -1, -1):
-        if i < len(supports):
-            table = fold_terms(table, *arith.encode(supports[i]))
-        for stack, t in zip(tails, table):
-            stack[i] = t
+    parent = arith.empty()
     for v in fixed:
-        tails = fold_terms(tails, *arith.encode([(1, v)]))
-    pledge = arith.poly([t[0] for t in tails])
-    for level, support in enumerate(supports, 1):
-        shared = [t[1] for t in tails]
-        points = [arith.encode([(1, v)]) for _, v in support]
-        best = choose([arith.from_traces(t) for t in fold_traces(shared, points)])
-        if level < len(supports):  # the last choice leaves only the empty tail
-            tails = fold_terms([t[1:] for t in tails], *points[best])
+        parent = fold_terms(parent, *arith.encode([(1, v)]))
+    for support in supports:
+        parent = fold_terms(parent, *arith.encode(support))
+    pledge = arith.poly(parent)
+    for support in supports:
+        peeled, parts = peel_terms(parent, *arith.encode(support))
+        units, _ = arith.encode([(1, v) for _, v in support])
+        base = arith.traces(peeled)
+        best = choose([arith.from_traces([t + w * x for t, x in zip(base, arith.traces(part))])
+                       for w, part in zip(units, parts)])
+        parent = [t + units[best] * x for t, x in zip(peeled, parts[best])]
+        del peeled, parts  # before the next level's peel allocates its own
     return pledge
 
 
@@ -545,6 +539,12 @@ def weaver_partition(system: VectorSystem, alpha,
     minimizing lambda_1 of the lifted Gram sum assigns every vector to a
     side.  The realized maximum of the two block norms is at most
     ``(1 + sqrt(2 alpha))^2 / 2`` whenever ``alpha >= max ||v_i||^2``.
+    Swapping the two blocks maps every lift onto itself with its two
+    values exchanged, so it maps vector 0's two children onto each other:
+    their polynomials are equal, and each is the pledge.  So the walk
+    fixes (v_0, 0) and walks vectors 1..m-1 only; the certificate records
+    ``choices[0] = 0`` and ``levels[0] = pledged``, and vector 0 is
+    always on side one.
     ``budget`` is :func:`greedy_walk`'s cap on the whole walk's work, in
     :func:`walk_costs`' unit, and ``tol`` the isotropy tolerance of float
     systems (:meth:`VectorSystem.is_isotropic`).  Returns (side-one
@@ -567,8 +567,12 @@ def weaver_partition(system: VectorSystem, alpha,
         up = np.concatenate([np.asarray(row), zero])
         down = np.concatenate([zero, np.asarray(row)])
         rvs.append(DiscreteRandomVector.two_point(up, down))
-    state = AssignmentState(fixed=[], remaining=rvs, k=1, direction="minimize")
+    first, *rest = rvs
+    state = AssignmentState(fixed=[first.support[0][1]], remaining=rest, k=1,
+                            direction="minimize")
     cert = greedy_walk(state, budget=budget)
+    cert.choices.insert(0, 0)
+    cert.levels.insert(0, cert.pledged)
     s1 = [i for i, choice in enumerate(cert.choices) if choice == 0]
     s2 = [i for i, choice in enumerate(cert.choices) if choice == 1]
     return s1, s2, cert

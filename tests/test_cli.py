@@ -406,8 +406,8 @@ def test_budget_exceeded_exit_4(capsys, tmp_path):
     vs = VectorSystem.random_isotropic(3, 25, rng)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vectors": vs.vectors.astype(float).tolist()}))
-    # the cheaper route, the engine, states (100 + 325) rank-one table
-    # updates x C(12, 6) = 392700 entries up front, over a budget of 1000
+    # the cheaper route, the engine, states (96 + 1) rank-one table
+    # updates x C(12, 6) = 89628 entries up front, over a budget of 1000
     code = main(["weaver", str(path), "--budget", "1000"])
     assert code == 4
     assert "budget exceeded" in capsys.readouterr().err
@@ -424,6 +424,26 @@ def test_weaver_m25_default_budget_certifies(capsys, tmp_path):
     assert payload["certificate_valid"] is True
     assert max(payload["norm1"], payload["norm2"]) <= payload["bound"] + 1e-7
     assert payload["achieved"] <= payload["pledged"] + 1e-7
+
+
+def test_weaver_d7_m24_exits_4_before_any_fold(capsys, tmp_path, monkeypatch):
+    # with vector 0 fixed, the engine states (92 + 1) rank-one table updates
+    # x C(28, 14), about 3.7e9 entries, over the default 2^30, and
+    # enumeration states more: the walk is refused before it starts
+    import interlace.select as select_module
+
+    def refuse(*args):
+        raise AssertionError("the walk started")
+
+    for name in ("fold_terms", "peel_terms", "_expected_char_with_base"):
+        monkeypatch.setattr(select_module, name, refuse)
+    vs = VectorSystem.random_isotropic(7, 24, np.random.default_rng(7))
+    path = tmp_path / "d7.json"
+    path.write_text(json.dumps({"vectors": vs.vectors.tolist()}))
+    code = main(["weaver", str(path)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "budget exceeded" in captured.err
 
 
 def _raise_not_real_rooted(*args, **kwargs):

@@ -29,7 +29,8 @@ from interlace import (
     is_real_rooted,
     real_roots,
 )
-from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms, fold_traces
+from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms, peel_terms
+from interlace.tolerances import COEFF_TOL
 from oracles import TruncatedMultiAffine, ring_mixed_char
 
 
@@ -465,23 +466,12 @@ def test_mixed_char_ldl_handles_a_zero_pivot_with_a_nonzero_row():
             _rank_one_terms(SymMatrix(np.array(a, dtype=object)), True)
 
 
-def test_fold_terms_batch_equals_one_table_at_a_time():
-    # each table of a batch must come out as if folded alone
-    rng = np.random.default_rng(263)
-    n = 10
-    stack = [np.ones((7, 1, 1), dtype=np.int64)] + [
-        rng.integers(-3, 4, size=(7, math.comb(n, k), math.comb(n, k)))
-        for k in range(1, n + 1)]
-    weights, vecs = [2, -1], rng.integers(-2, 3, size=(2, n))
-    batched = fold_terms(stack, weights, vecs)
-    for b in range(7):
-        alone = fold_terms([t[b] for t in stack], weights, vecs)
-        assert all((x[b] == y).all() for x, y in zip(batched, alone))
-
-
-def test_fold_traces_equal_the_full_fold():
-    # the full fold of each point is the oracle: exact tables must give the
-    # same polynomials, float ones the same within COEFF_TOL
+def test_peel_terms_undo_fold_terms_and_give_each_child():
+    # on float, int64 and object tables, peeling a variable off gives back
+    # the tables it was folded into, exactly or within COEFF_TOL of the
+    # folded tables, and the
+    # peeled tables plus a support point's part give that point's child:
+    # the same polynomial as the point folded into the tables afresh
     rng = np.random.default_rng(281)
     n = 4
     dtypes = set()
@@ -489,23 +479,43 @@ def test_fold_traces_equal_the_full_fold():
         if exact:
             terms = [(Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4))),
                       [int(x) for x in rng.integers(-size, size + 1, size=n)])
-                     for _ in range(10)]
+                     for _ in range(9)]
+            terms.append((Fraction(1, 3), [0] * n))  # encode gives it weight 0
         else:
             terms = [(float(rng.uniform(0.1, 2.0)), rng.standard_normal(n)) for _ in range(10)]
-        arith = TableArithmetic(n, terms, exact)
+        arith = TableArithmetic(n, terms + [(1, u) for _, u in terms], exact)
         dtypes.add(arith.dtype)
         tables = arith.empty()
-        for group in (terms[:2], terms[2:5], terms[5:6]):
+        # a variable of two terms, then a fixed vector
+        for group in (terms[:2], [(1, terms[2][1])]):
             tables = fold_terms(tables, *arith.encode(group))
-        points = [arith.encode([t]) for t in terms[6:]] + [arith.encode(terms[7:9])]
-        if exact:
-            points.append(arith.encode([(1, [0] * n)]))  # a point with no terms
-        got = [arith.from_traces(t) for t in fold_traces(tables, points)]
-        want = [arith.poly(fold_terms(tables, *pt)) for pt in points]
-        if exact:
-            assert arith.scale > 1 and got == want
-        else:
-            assert all(a.allclose(b) for a, b in zip(got, want))
+        # three-point, two-point and one-point supports; the last point of the
+        # last is a zero vector in exact arithmetic
+        for support in (terms[3:6], terms[6:8], terms[8:]):
+            weights, vecs = arith.encode(support)
+            folded = fold_terms(tables, weights, vecs)
+            peeled, parts = peel_terms(folded, weights, vecs)
+            assert len(parts) == len(support)
+            # a float peel cancels what the fold added, and a grade's rounding
+            # feeds the next, so errors are relative to the largest folded entry
+            scale = max(np.abs(t).max() for t in folded)
+            for got, want in zip(peeled, tables):
+                assert got.dtype == want.dtype
+                if exact:
+                    assert (got == want).all()
+                else:
+                    assert np.abs(got - want).max() <= COEFF_TOL * scale
+            units, _ = arith.encode([(1, u) for _, u in support])
+            for (_, u), w, part in zip(support, units, parts):
+                child = [t + w * x for t, x in zip(peeled, part)]
+                want = arith.poly(fold_terms(tables, *arith.encode([(1, u)])))
+                got = arith.from_traces(arith.traces(child))
+                if exact:
+                    assert got == want
+                    if not any(u):  # the zero vector's child is the peeled tables
+                        assert w == 0 and all((c == t).all() for c, t in zip(child, peeled))
+                else:
+                    assert got.allclose(want)
     assert dtypes == {np.float64, np.int64, object}
 
 

@@ -880,27 +880,28 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
 
 
 def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
-    # m folds of a support's two points build the tails and m - 1 of the
-    # choice update them, the last choice leaving no tail; the children
-    # come from traces, and their top roots from Laguerre's method, not
-    # real_roots
-    folds = []
-    fold = select_module.fold_terms
+    # m folds of a support's two points build the parent table, and each
+    # level peels its two points off it again, which forms both children;
+    # the children come from traces, and their top roots from Laguerre's
+    # method, not real_roots
+    calls = {"fold_terms": [], "peel_terms": []}
 
-    def counted(*args):
-        folds.append(len(args[1]))
-        return fold(*args)
+    def counted(name):
+        inner = getattr(select_module, name)
+        return lambda *args: calls[name].append(len(args[1])) or inner(*args)
 
     def refuse(p):
         raise AssertionError("real_roots was reached")
 
-    monkeypatch.setattr(select_module, "fold_terms", counted)
+    for name in calls:
+        monkeypatch.setattr(select_module, name, counted(name))
     monkeypatch.setattr(poly_module, "real_roots", refuse)
     m = 12
     vs = VectorSystem.random_isotropic(3, m, np.random.default_rng(283))
     cert = greedy_walk(_lifted_state(vs))
     assert cert.valid() and len(cert.choices) == m
-    assert sorted(folds) == [1] * (m - 1) + [2] * m  # terms per fold
+    # terms per call
+    assert calls == {"fold_terms": [2] * m, "peel_terms": [2] * m}
 
 
 def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
@@ -1046,8 +1047,9 @@ def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
 def test_greedy_walk_budget_is_checked_before_the_first_step():
     rng = np.random.default_rng(257)
     vs = VectorSystem.random_isotropic(3, 25, rng)
-    cost = walk_costs(6, 0, [2] * 25)["engine"]
-    assert cost == (100 + 325) * math.comb(12, 6)
+    # vector 0 is fixed, and the other 24 fold into the parent and peel off it
+    cost = walk_costs(6, 1, [2] * 24)["engine"]
+    assert cost == (96 + 1) * math.comb(12, 6)
     with pytest.raises(BudgetExceededError):
         weaver_partition(vs, vs.max_norm_sq(), budget=cost - 1)
     s1, s2, cert = weaver_partition(vs, vs.max_norm_sq(), budget=cost)
@@ -1056,24 +1058,31 @@ def test_greedy_walk_budget_is_checked_before_the_first_step():
 
 def test_walk_costs_pick_enumeration_in_high_dimension():
     # two-point lifts: 2^m + 2 (2^m - 1) outcomes, n^2 entries each, against
-    # 4m + m(m+1)/2 rank-one updates of C(2n, n) entries
+    # 4m + f rank-one updates of C(2n, n) entries, f the fixed vectors
     assert walk_costs(12, 0, [2] * 6) == {"enumerate": 190 * 144,
-                                          "engine": 45 * math.comb(24, 12)}
+                                          "engine": 24 * math.comb(24, 12)}
     assert walk_costs(6, 0, [2] * 12)["engine"] < walk_costs(6, 0, [2] * 12)["enumerate"]
-    assert walk_costs(4, 1, [3]) == {"enumerate": 6 * 16, "engine": 9 * math.comb(8, 4)}
+    assert walk_costs(4, 1, [3]) == {"enumerate": 6 * 16, "engine": 7 * math.comb(8, 4)}
+    # 3 x 2 outcomes for the pledge, 3 children of 2 and 2 of 1
+    assert walk_costs(4, 3, [3, 2]) == {"enumerate": 14 * 16,
+                                        "engine": 13 * math.comb(8, 4)}
 
 
 def test_weaver_dimension_7_certifies_at_the_default_budget():
-    # the engine alone would cost 45 x C(28, 14), about 1.8e9 entries, over the
-    # default budget; enumeration costs 190 x 196 and certifies
+    # with vector 0 fixed, the engine would cost 25 x C(28, 14), about 1.0e9
+    # entries, and enumeration 190 x 196, which the walk takes
     rng = np.random.default_rng(269)
     vs = VectorSystem.random_isotropic(7, 7, rng)
     alpha = vs.max_norm_sq()
     s1, s2, cert = weaver_partition(vs, alpha)
     assert sorted(s1 + s2) == list(range(7))
     assert cert.valid()
-    choices, levels, pledged = enumeration_walk(_lifted_state(vs))
-    assert cert.choices == choices and cert.levels == levels
+    state = _lifted_state(vs)
+    state = AssignmentState(fixed=[state.remaining[0].support[0][1]],
+                            remaining=state.remaining[1:], k=1, direction="minimize")
+    choices, levels, pledged = enumeration_walk(state)
+    assert cert.pledged == pledged
+    assert cert.choices == [0] + choices and cert.levels == [pledged] + levels
     for side in (s1, s2):
         block = vs.vectors[side].T @ vs.vectors[side]
         assert np.linalg.eigvalsh(block)[-1] <= weaver_bound(alpha) + 1e-7
