@@ -15,11 +15,10 @@ Inputs are JSON (vector systems, matrix lists) or edge-list text
 invariant violated, 2 parse error, 3 precondition failure, 4 budget
 exceeded, 5 numerical failure (a root routine could not certify a
 polynomial real-rooted: the Laguerre loop broke down in
-``float_top_root``, the float derivative chain missed a sign change
-beyond ``BACKWARD_TOL``, or an exact Sturm count fell short; every
-polynomial a command roots is real-rooted by theorem, so only round-off
-or a fault makes it 5; or a result to print is infinite or NaN, which
-strict JSON cannot carry).
+``float_top_root``, or the float derivative chain missed a sign change
+beyond ``BACKWARD_TOL``; every polynomial a command roots is real-rooted
+by theorem, so only round-off or a fault makes it 5; or a result to
+print is infinite or NaN, which strict JSON cannot carry).
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
-"""Graphs, matching polynomials, signings, 2-lifts, and spectral certificates.
+"""Graphs, signings, expected characteristic polynomials of partial
+signings, 2-lifts, and Ramanujan certificates.
 
 Graphs are simple (no loops, no parallel edges), vertices are integers
 ``0..n-1``, and edges are stored as sorted pairs.  Optional positive
-weights feed the Laplacian; adjacency is always 0/1.
+weights are kept through edge lists and 2-lifts; adjacency is always
+0/1, and only the Laplacians of the tests read the weights.
 
 The spectral story: a signing flips adjacency entries to -1 on chosen
 edges.  Averaging the characteristic polynomial over all 2^{|E|}
 signings gives exactly the matching polynomial (Godsil-Gutman), whose
 largest root is at most ``2 sqrt(d-1)`` for maximum degree d
-(Heilmann-Lieb).  With the signs of some edges fixed, the average over
+(Heilmann-Lieb); ``tests/paper.py`` checks both.  With the signs of some edges fixed, the average over
 the rest is still closed-form, a sum over matchings of the random edges
 of characteristic polynomials of fixed-signed induced subgraphs.
 :class:`SigningEngine` computes it exactly for every prefix of the
@@ -39,21 +41,14 @@ __all__ = [
     "Graph",
     "Signing",
     "adjacency",
-    "laplacian",
     "signed_adjacency",
-    "matching_poly",
     "SigningEngine",
     "frontier_order",
-    "godsil_gutman_check",
-    "heilmann_lieb_check",
     "squared_roots",
     "two_lift",
     "is_ramanujan_bipartite",
-    "spectral_approx_factors",
 ]
 
-MATCHING_CAP = 24
-GG_EDGE_CAP = 20
 # Leaf groups per exact-kernel call in SigningEngine.chars: bounds the
 # (groups, |V(F)|, |V(F)|) stacks, which would otherwise dominate
 # peak memory.
@@ -274,21 +269,6 @@ def adjacency(g: Graph) -> SymMatrix:
     return SymMatrix(a)
 
 
-def laplacian(g: Graph) -> SymMatrix:
-    """Sum over edges of w * (e_a - e_b)(e_a - e_b)^T; exact for exact weights."""
-    exact = g.weights is None or all(not isinstance(w, float) for w in g.weights)
-    l = np.zeros((g.n, g.n), dtype=object if exact else float)
-    for i, (u, v) in enumerate(g.edges):
-        w = 1 if g.weights is None else g.weights[i]
-        if not exact:
-            w = float(w)
-        l[u, u] += w
-        l[v, v] += w
-        l[u, v] -= w
-        l[v, u] -= w
-    return SymMatrix(l)
-
-
 def signed_adjacency(g: Graph, s: Signing) -> SymMatrix:
     """Adjacency with entries flipped to -1 on negatively signed edges.
 
@@ -302,53 +282,6 @@ def signed_adjacency(g: Graph, s: Signing) -> SymMatrix:
         a[u, v] = s[(u, v)]
         a[v, u] = s[(u, v)]
     return SymMatrix(a)
-
-
-# ----------------------------------------------------------------------
-# Matching polynomial, two ways
-# ----------------------------------------------------------------------
-
-
-def _matching_counts(g: Graph) -> list[int]:
-    """m_i = number of i-edge matchings, by direct enumeration."""
-    edges = g.edges
-    m = len(edges)
-    counts = [0] * (g.n // 2 + 1)
-    counts[0] = 1
-
-    def rec(start: int, used: int, size: int):
-        for i in range(start, m):
-            a, b = edges[i]
-            if used >> a & 1 or used >> b & 1:
-                continue
-            counts[size + 1] += 1
-            rec(i + 1, used | 1 << a | 1 << b, size + 1)
-
-    rec(0, 0, 0)
-    return counts
-
-
-def matching_poly(g: Graph) -> Polynomial:
-    """The matching polynomial ``sum_i (-1)^i m_i x^(n-2i)``, exact.
-
-    Computed independently by matching enumeration and by a
-    :class:`SigningEngine` with nothing fixed (which runs the
-    deletion-contraction recurrence); the two integer polynomials must
-    agree exactly or a RuntimeError flags the internal inconsistency.
-    Graphs of more than ``MATCHING_CAP`` vertices are refused.
-    """
-    if g.n > MATCHING_CAP:
-        raise ValueError(f"matching polynomial capped at {MATCHING_CAP} vertices, got {g.n}")
-    counts = _matching_counts(g)
-    coeffs = [0] * (g.n + 1)
-    for i, mi in enumerate(counts):
-        if g.n - 2 * i >= 0:
-            coeffs[g.n - 2 * i] = (-1) ** i * mi
-    direct = Polynomial(coeffs)
-    recur = SigningEngine(g).chars([])
-    if direct != recur:
-        raise RuntimeError("matching polynomial paths disagree; internal error")
-    return direct
 
 
 # ----------------------------------------------------------------------
@@ -528,56 +461,6 @@ def frontier_order(g: Graph) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# Godsil-Gutman and Heilmann-Lieb
-# ----------------------------------------------------------------------
-
-
-def _charpoly_sum_over_signings(g: Graph) -> list[int]:
-    """Sum over all 2^m signings of char_poly(A_s) coefficients, exact ints."""
-    n, m = g.n, g.m
-    basis = np.zeros((m, n, n), dtype=np.int64)
-    for i, (u, v) in enumerate(g.edges):
-        basis[i, u, v] = 1
-        basis[i, v, u] = 1
-    total = np.zeros(n + 1, dtype=object)
-    chunk = 4096
-    for start in range(0, 1 << m, chunk):
-        stop = min(start + chunk, 1 << m)
-        codes = np.arange(start, stop, dtype=np.int64)
-        signs = 1 - 2 * ((codes[:, None] >> np.arange(m)[None, :]) & 1)
-        mats = np.einsum("bm,mij->bij", signs, basis)
-        total += charpoly_batch_exact(mats).sum(axis=0, dtype=object)
-    return total.tolist()
-
-
-def godsil_gutman_check(g: Graph) -> bool:
-    """Whether the exact signing-average of char polys equals the matching polynomial.
-
-    Compares ``sum_s char_poly(A_s) == 2^m * mu_G`` in integer
-    arithmetic, so no division and no tolerance is involved.
-    """
-    if g.m > GG_EDGE_CAP:
-        raise ValueError(f"signing average capped at {GG_EDGE_CAP} edges, got {g.m}")
-    total = _charpoly_sum_over_signings(g)
-    mu = matching_poly(g)
-    scale = 1 << g.m
-    mu_c = list(mu.coeffs) + [0] * (g.n + 1 - len(mu.coeffs))
-    return all(total[j] == scale * mu_c[j] for j in range(g.n + 1))
-
-
-def heilmann_lieb_check(g: Graph) -> bool:
-    """Whether every matching-polynomial root is at most 2 sqrt(d-1) in modulus, exactly.
-
-    mu_G is real-rooted and of the form x^e q(x^2) (:func:`squared_roots`),
-    so the bound holds when q has no root above the integer 4(d-1).
-    """
-    d = g.max_degree()
-    if d < 2:
-        raise ValueError("maximum degree must be at least 2")
-    return roots_above(squared_roots(matching_poly(g)), 4 * (d - 1)) == 0
-
-
-# ----------------------------------------------------------------------
 # 2-lifts and Ramanujan certification
 # ----------------------------------------------------------------------
 
@@ -644,30 +527,3 @@ def is_ramanujan_bipartite(g: Graph) -> bool:
     if q(d * d) != 0:
         raise AssertionError("connected regular bipartite graph missing trivial eigenvalues")
     return roots_above(q, 4 * (d - 1)) == int(d != 2)
-
-
-def spectral_approx_factors(h: Graph, g: Graph) -> tuple[float, float]:
-    """(kappa1, kappa2) with kappa1 L_H <= L_G <= kappa2 L_H on ones-complement.
-
-    Both graphs must be connected on the same vertex set so the
-    Laplacian null spaces coincide (span of the all-ones vector); the
-    factors are the extreme generalized eigenvalues of (L_G, L_H)
-    restricted to the complement.  With Q an orthonormal basis of that
-    complement, Q^T L_H Q is positive definite because H is connected;
-    its Cholesky factor L = chol(Q^T L_H Q) reduces the pencil to the
-    ordinary symmetric eigenproblem of L^{-1} (Q^T L_G Q) L^{-T}.
-    """
-    if h.n != g.n:
-        raise ValueError("graphs must share a vertex set")
-    if not (h.is_connected() and g.is_connected()):
-        raise ValueError("null-space mismatch: both graphs must be connected")
-    n = g.n
-    lg = laplacian(g).a.astype(float)
-    lh = laplacian(h).a.astype(float)
-    center = np.eye(n) - np.ones((n, n)) / n
-    u, sv, _ = np.linalg.svd(center)
-    q = u[:, : n - 1]
-    low = np.linalg.cholesky(q.T @ lh @ q)
-    half = np.linalg.solve(low, q.T @ lg @ q)
-    w = np.linalg.eigvalsh(np.linalg.solve(low, half.T))
-    return (float(w[0]), float(w[-1]))

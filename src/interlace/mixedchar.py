@@ -8,11 +8,12 @@ For independent random vectors ``r_i`` with covariances ``A_i = E r_i r_i^T``
 and a fixed ``B = sum_j u_j u_j^T``, ``E char_poly(B + sum_i r_i r_i^T)``
 equals mu of the rank-one parts ``u_j u_j^T`` together with the A_i (MSS,
 Interlacing Families II, Sec. 4) - an identity special to rank one,
-checked here against brute-force enumeration of finitely supported
-distributions (and known to fail already for rank-2 summands; see the
+which the tests check against enumeration of finitely supported
+distributions (and which fails already for rank-2 summands; see the
 negative test in the suite).  For PSD inputs the mixed characteristic
 polynomial is real-rooted, and when the A_i sum to the identity with
-traces at most eps, its largest root is at most ``(1 + sqrt(eps))^2``.
+traces at most eps, its largest root is at most ``(1 + sqrt(eps))^2``
+(checked in ``tests/paper.py``).
 
 Each variable is differentiated at most once before z is set to 0, so only
 the multi-affine part of the determinant matters, and applying the
@@ -41,9 +42,9 @@ wherever it is cheaper than enumeration.  The fold adds to W_k terms
 read from W_(k-1) alone, so one ascending pass takes a variable back out
 (:func:`peel_terms`); the walk peels each level's variable off one parent
 table, and each child is the peeled table plus one term read off it.
-:func:`expected_char_poly` enumerates outcomes under a budget; it is the
-independent oracle the identity is checked against, and its kernel is
-the greedy walk's other route.
+:func:`_expected_char_with_base` enumerates outcomes under a budget; it
+is the greedy walk's other route, and the tests' oracle checks the
+identity with it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import numpy as np
 from .poly import Polynomial
 from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact, \
     _cleared, _coerce_array, _validate_matrix_list, _validate_psd_list
-from .tolerances import ISO_TOL, PROB_TOL
+from .tolerances import PROB_TOL
 
 __all__ = [
     "BudgetExceededError",
@@ -70,13 +71,10 @@ __all__ = [
     "fold_terms",
     "peel_terms",
     "mixed_char",
-    "expected_char_poly",
-    "mixed_identity_check",
-    "mixed_char_root_bound",
 ]
 
-# Outcomes for expected_char_poly; for lift, a signing walk's DP states
-# plus its leaf matrix entries (SigningEngine.walk_entries).
+# The default cap on lift's signing walks: a walk's DP states plus its
+# leaf matrix entries (SigningEngine.walk_entries).
 DEFAULT_BUDGET = 1 << 20
 MAX_VARIABLES = 16
 MAX_DIMENSION = 10
@@ -443,30 +441,8 @@ def mixed_char(matrices) -> Polynomial:
 
 
 # ----------------------------------------------------------------------
-# Brute-force expectations
+# Outcome enumeration
 # ----------------------------------------------------------------------
-
-
-def _outcome_count(rvs) -> int:
-    return math.prod(len(r.support) for r in rvs)
-
-
-def expected_char_poly(rvs, budget: int = DEFAULT_BUDGET) -> Polynomial:
-    """``E char_poly(sum_i r_i r_i^T)`` by exhaustive outcome enumeration.
-
-    Exact when every random vector is exact.  Raises
-    :class:`BudgetExceededError` if the product of support sizes exceeds
-    ``budget``; nothing is ever sampled.
-    """
-    rvs = list(rvs)
-    if not rvs:
-        raise ValueError("need at least one random vector")
-    d = rvs[0].dim
-    if any(r.dim != d for r in rvs):
-        raise ValueError("random vectors must share a dimension")
-    exact = all(r.is_exact for r in rvs)
-    base = np.zeros((d, d), dtype=object) if exact else np.zeros((d, d))
-    return _expected_char_with_base(base, rvs, budget, exact)
 
 
 def _expected_char_with_base(base: np.ndarray, rvs, budget: int,
@@ -477,7 +453,7 @@ def _expected_char_with_base(base: np.ndarray, rvs, budget: int,
     one kernel call, exact (object dtype) or float.
     """
     d = base.shape[0]
-    total = _outcome_count(rvs)
+    total = math.prod(len(r.support) for r in rvs)
     if total > budget:
         raise BudgetExceededError(
             f"{total} outcomes exceed the budget of {budget}")
@@ -502,40 +478,3 @@ def _expected_char_with_base(base: np.ndarray, rvs, budget: int,
             w *= probs[i][idx[:, i]]
         acc = acc + w @ kernel(mats)
     return Polynomial(acc)
-
-
-def mixed_identity_check(rvs, budget: int = DEFAULT_BUDGET) -> bool:
-    """Whether E char_poly(sum r_i r_i^T) equals mixed_char of the covariances.
-
-    Exact inputs are compared coefficient-for-coefficient with no
-    tolerance; float inputs by :meth:`Polynomial.allclose`, within
-    ``COEFF_TOL`` relative to the largest coefficient magnitude.
-    """
-    rvs = list(rvs)
-    expected = expected_char_poly(rvs, budget)
-    mixed = mixed_char([r.covariance() for r in rvs])
-    if expected.is_exact and mixed.is_exact:
-        return expected == mixed
-    return expected.allclose(mixed)
-
-
-def mixed_char_root_bound(matrices) -> float:
-    """The bound (1 + sqrt(eps))^2, eps = max trace, for families summing to I.
-
-    Raises unless ``sum A_i`` is the identity: exactly for an exact family,
-    and for a float one within ``ISO_TOL`` in spectral norm.  The largest
-    root of the family's mixed characteristic polynomial is guaranteed to
-    be at most this value.
-    """
-    mats = _validate_psd_list(matrices)
-    d = mats[0].n
-    total = sum(mats[1:], mats[0])
-    if all(m.is_exact for m in mats):
-        is_identity = total == SymMatrix.identity(d, exact=True)
-    else:
-        dev = np.linalg.eigvalsh(total.a.astype(float) - np.eye(d))
-        is_identity = np.max(np.abs(dev)) <= ISO_TOL
-    if not is_identity:
-        raise ValueError("matrices do not sum to the identity")
-    eps = max(float(m.a.astype(float).trace()) for m in mats)
-    return float((1.0 + math.sqrt(eps)) ** 2)

@@ -17,12 +17,12 @@ walks the roots from the top down, estimating each cluster in floats,
 polishing the estimate by Newton steps with exact values, and
 certifying a bracket of dyadic ends around it by two such counts.
 ``top_root`` is its first cluster and ``compare_top_roots`` orders two
-top roots exactly.  Production paths whose polynomials are real-rooted
-by theorem call the kernel directly.  Everything else goes through the
-checker first: ``real_roots``, ``kth_largest_root`` and
-``is_real_rooted`` certify exact input real-rooted with one Sturm
-sequence and raise :class:`NotRealRootedError` (or answer no) when it
-is not.
+top roots exactly.  Every command's exact polynomials are real-rooted
+by theorem and go to the kernel directly.  ``real_roots`` on exact
+input goes through the checker first: one Sturm sequence certifies it
+real-rooted, or :class:`NotRealRootedError` is raised.  The tests'
+real-rootedness, interlacing and Sturm-count checks, which no command
+runs, live in ``tests/paper.py``.
 
 Float polynomials take one root routine, real-rooted by construction:
 the derivative chain solved from the linear end up, each level's roots
@@ -57,29 +57,21 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .tolerances import BACKWARD_TOL, COEFF_TOL, LAGUERRE_TOL, ROOT_TOL, START_OFFSET
+from .tolerances import BACKWARD_TOL, COEFF_TOL, LAGUERRE_TOL, START_OFFSET
 
 __all__ = [
     "Polynomial",
     "ZeroPolynomialError",
     "NotRealRootedError",
-    "apply_shift_operator",
     "shift_roots",
-    "laguerre_transform",
-    "diagram_identity_check",
     "sturm_sequence",
-    "sturm_root_count",
-    "is_real_rooted",
     "real_roots",
-    "kth_largest_root",
     "float_top_root",
     "TopRoot",
     "roots_above",
     "root_clusters",
     "top_root",
     "compare_top_roots",
-    "interlaces",
-    "have_common_interlacing",
 ]
 
 _EPS = np.finfo(float).eps
@@ -281,20 +273,6 @@ class Polynomial:
 # ----------------------------------------------------------------------
 
 
-def apply_shift_operator(p: Polynomial, c) -> Polynomial:
-    """Apply ``1 - c*d/dx`` to ``p``.
-
-    For real-rooted ``p`` and ``c >= 0`` the result is again real-rooted
-    (it is a nonnegative combination in the sense of polynomial
-    convolution); for ``c < 0`` no such guarantee exists and the roots
-    may leave the real axis.
-    """
-    if p.is_zero:
-        return p
-    c = _normalize_scalar(c)
-    return p - c * p.derivative()
-
-
 def shift_roots(roots, zeros: int, c):
     """Apply ``1 - c*d/dx`` in root space, batched over rows.
 
@@ -442,31 +420,6 @@ def shift_roots(roots, zeros: int, c):
     return out, max(zeros - 1, 0)
 
 
-def laguerre_transform(n: int, k: int) -> Polynomial:
-    """Return ``(1 - d/dx)^n`` applied to ``x**k``, with exact integer coefficients."""
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    p = Polynomial.monomial(k)
-    for _ in range(n):
-        p = p - p.derivative()
-    return p
-
-
-def diagram_identity_check(n: int, k: int) -> bool:
-    """Verify ``(1 - D)^k x^n == x^(n-k) * ((1 - D)^n x^k)`` exactly.
-
-    Both sides are computed independently in integer arithmetic.
-    Requires ``k <= n`` so the left side keeps degree ``n``.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    lhs = Polynomial.monomial(n)
-    for _ in range(k):
-        lhs = lhs - lhs.derivative()
-    rhs = Polynomial.monomial(n - k) * laguerre_transform(n, k)
-    return lhs == rhs
-
-
 # ----------------------------------------------------------------------
 # Sturm machinery
 # ----------------------------------------------------------------------
@@ -530,32 +483,6 @@ def _sign_changes(seq: list[Polynomial], x) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def sturm_root_count(p: Polynomial, a, b) -> int:
-    """Number of distinct real roots of exact ``p`` in the half-open interval (a, b].
-
-    Works without square-free reduction: the Sturm sequence terminates at
-    g = gcd(p, p') and the sign-change count sees each root once
-    regardless of multiplicity.  The endpoints are taken exactly, float
-    ones too.  At a root of p the count equals the one just above it, so
-    a root at b is counted and one at a is not; where g vanishes as well,
-    the count is taken on the sequence divided by g, a Sturm sequence of
-    the square-free part.
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("root count of the zero polynomial")
-    if a > b:
-        raise ValueError("need a <= b")
-    seq = sturm_sequence(p)
-    g = list(seq[-1].coeffs)
-    def changes(x):
-        x = Fraction(x)
-        if seq[-1](x) == 0:
-            return _sign_changes([Polynomial(_pseudo_divmod(list(q.coeffs), g)[0])
-                                  for q in seq], x)
-        return _sign_changes(seq, x)
-    return changes(a) - changes(b)
-
-
 # ----------------------------------------------------------------------
 # Real-rootedness and root extraction
 # ----------------------------------------------------------------------
@@ -580,33 +507,11 @@ def _require_real_roots(p: Polynomial) -> None:
             "complex root (a Sturm count falls short of the distinct roots)")
 
 
-def is_real_rooted(p: Polynomial) -> bool:
-    """Whether every complex root of ``p`` is real.
-
-    Exact polynomials get an exact yes/no from one Sturm sequence: the
-    number of distinct roots in (-B, B], for the root bound B, must be
-    deg p - deg gcd(p, p').  Float polynomials get the answer of
-    :func:`real_roots`: yes when it finds every root in its brackets, up
-    to the backward error ``tolerances.BACKWARD_TOL``.
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("the zero polynomial is not classified")
-    if p.degree == 0:
-        return True
-    if p.is_exact:
-        return _sturm_certifies_real_roots(p)
-    try:
-        _float_roots(p)
-    except NotRealRootedError:
-        return False
-    return True
-
-
 def real_roots(p: Polynomial) -> np.ndarray:
     """All real roots of ``p`` with multiplicity, sorted descending, as floats.
 
     An exact polynomial is first certified real-rooted by one Sturm
-    sequence (as in :func:`is_real_rooted`); its roots then come from
+    sequence (:func:`_sturm_certifies_real_roots`); its roots then come from
     :func:`root_clusters`, each within a few ulp and inside a bracket
     certified by exact counts.  A float polynomial's are real by
     construction (:func:`_float_roots`).  Raises :class:`NotRealRootedError`
@@ -659,15 +564,33 @@ def _compensated_horner(c: list[float], x: float) -> tuple[float, float]:
 
 def _samuelson_interval(c: list[float]) -> tuple[float, float]:
     """mean -+ sqrt((n - 1)/n * s), s the roots' sum of squared deviations,
-    for monic float ``c``, padded by ``START_OFFSET``: the
-    Laguerre-Samuelson interval, which holds the roots of a real-rooted
-    polynomial."""
+    for monic float ``c``, padded by ``START_OFFSET`` times its larger
+    end in magnitude: the Laguerre-Samuelson interval, which holds the
+    roots of a real-rooted polynomial."""
     n = len(c) - 1
     mean = -c[-2] / n
     spread = (c[-2] * c[-2] - 2 * c[-3] - n * mean * mean) if n > 1 else 0.0
     radius = math.sqrt(max(spread, 0.0) * (n - 1) / n)
     lo, hi = mean - radius, mean + radius
-    return lo - START_OFFSET * (1.0 + abs(lo)), hi + START_OFFSET * (1.0 + abs(hi))
+    pad = START_OFFSET * max(abs(lo), abs(hi))
+    return lo - pad, hi + pad
+
+
+def _scaled_monic(c: list[float]) -> tuple[list[float], int]:
+    """``(q, scale)``: q is p(2^scale y) / 2^(scale n) made monic, for float ``c``.
+
+    scale is the least integer with e_i - e_n <= scale (n - i) for every
+    nonzero c_i, e_i its binary exponent: each coefficient of q is below 2
+    in magnitude, so nothing the Laguerre-Samuelson interval squares, and
+    no value of q near its roots, overflows or underflows.  Powers of two
+    scale exactly, so the roots of q are those of p times 2^-scale, and a
+    backward error relative to max |q_i| is the same at any scale.
+    """
+    n = len(c) - 1
+    lead = math.frexp(c[n])[1]
+    scale = max((-((lead - math.frexp(x)[1]) // (n - i)) for i, x in enumerate(c[:-1]) if x),
+                default=0)
+    return [math.ldexp(x, scale * (i - n)) / c[n] for i, x in enumerate(c)], scale
 
 
 def _float_roots(p: Polynomial) -> list[float]:
@@ -686,19 +609,8 @@ def _float_roots(p: Polynomial) -> list[float]:
     """
     if not all(math.isfinite(x) for x in p.coeffs):
         raise NotRealRootedError("p has a coefficient that is not finite")
-    c = [float(x) for x in p.coeffs]
+    c, scale = _scaled_monic([float(x) for x in p.coeffs])
     n = len(c) - 1
-    # solve p(2^scale y) / 2^(scale n), made monic, scale the least integer
-    # with e_i - e_n <= scale (n - i) for every nonzero c_i, e_i its binary
-    # exponent: each scaled coefficient is below 2 in magnitude, so nothing
-    # the interval squares overflows or underflows, and its pad is relative
-    # to 2^scale.  Powers of two scale exactly, so the 2^j-scaled copies of
-    # p have exactly 2^j-scaled roots, and the backward error relative to
-    # max |q_i| is the same at any scale.
-    lead = math.frexp(c[n])[1]
-    scale = max((-((lead - math.frexp(x)[1]) // (n - i)) for i, x in enumerate(c[:-1]) if x),
-                default=0)
-    c = [math.ldexp(x, scale * (i - n)) / c[n] for i, x in enumerate(c)]
     bottom, top = _samuelson_interval(c)
     roots: list[float] = []
     for k in range(1, n + 1):
@@ -788,24 +700,6 @@ def _bracket_root(q: list[float], lo: float, hi: float, s: float) -> float:
     return x
 
 
-def kth_largest_root(p: Polynomial, k: int) -> float:
-    """The k-th largest real root, 1-indexed with multiplicity.
-
-    Exact ``p`` is certified real-rooted as in :func:`real_roots`, and
-    its clusters are then taken from the top only until k roots are in
-    hand.  Float ``p`` goes through :func:`_float_roots`.
-    """
-    if not 1 <= k <= p.degree:
-        raise ValueError(f"k={k} out of range for {p.degree} roots")
-    if not p.is_exact:
-        return _float_roots(p)[k - 1]
-    _require_real_roots(p)
-    for cluster in root_clusters(p):
-        k -= cluster.mult
-        if k <= 0:
-            return cluster.root
-
-
 # ----------------------------------------------------------------------
 # The exact root kernel, for real-rooted polynomials
 # ----------------------------------------------------------------------
@@ -864,7 +758,7 @@ def roots_above(p: Polynomial, b) -> int:
 
     Descartes' rule of signs on p(b + y).  The count is exact only when
     every root of ``p`` is real, which this does not check: call it on
-    polynomials real-rooted by construction, or after :func:`is_real_rooted`.
+    polynomials real-rooted by construction, or after a Sturm check.
     """
     return _count_above(_integer_coeffs(p), Fraction(b))
 
@@ -914,7 +808,8 @@ def float_top_root(p: Polynomial) -> float:
     Exact zero roots are split off first, as in :func:`root_clusters`:
     with any, the answer is 0.0 when what is left is constant or has its
     top root below 0.  Otherwise it is :func:`_laguerre`, the loop that
-    starts the exact kernel, on the rest made monic, from the top of its
+    starts the exact kernel, on the rest made monic and scaled to its
+    roots (:func:`_scaled_monic`), from the top of its
     Laguerre-Samuelson interval.  Its end x has |p(x)| within the
     rounding bound of its evaluation, 2 (n + 1) eps sum |c_i| |x|^i, so
     at a simple root it is within that bound over |p'| of the root, and
@@ -926,9 +821,9 @@ def float_top_root(p: Polynomial) -> float:
     zeros = next(i for i, c in enumerate(p.coeffs) if c)
     if zeros == p.degree:
         return 0.0
-    lead = float(p.leading())
-    c = [float(x) / lead for x in p.coeffs[zeros:]]
+    c, scale = _scaled_monic([float(x) for x in p.coeffs[zeros:]])
     x, _, _, sound = _laguerre(c, *_samuelson_interval(c), 1.0)
+    x = math.ldexp(x, scale)
     if not sound:
         raise NotRealRootedError(
             f"Laguerre's method from above broke down near {x:.6g}")
@@ -1131,56 +1026,3 @@ def compare_top_roots(p: Polynomial, q: Polynomial,
         if vlo >= ghi:
             return sign
     return 0
-
-
-# ----------------------------------------------------------------------
-# Interlacing
-# ----------------------------------------------------------------------
-
-
-def _leq(x: float, y: float) -> bool:
-    """``x <= y`` slackened by ``ROOT_TOL * (1 + max(|x|, |y|))``."""
-    return x <= y + ROOT_TOL * (1.0 + max(abs(x), abs(y)))
-
-
-def interlaces(g: Polynomial, f: Polynomial) -> bool:
-    """Whether ``g`` interlaces ``f``.
-
-    With roots of f being a_1 >= ... >= a_n and roots of g being
-    b_1 >= ... >= b_m, requires m in {n-1, n} and the alternating chain
-    b_i <= a_i and a_(i+1) <= b_i, each inequality slackened by
-    ``ROOT_TOL * (1 + |value|)``.  When m = n - 1 the smallest-root condition
-    is vacuous.  Both polynomials must be real-rooted.
-    """
-    ra = real_roots(f)
-    rb = real_roots(g)
-    n, m = len(ra), len(rb)
-    if m not in (n - 1, n) or n == 0:
-        return False
-    return all(_leq(rb[i], ra[i]) for i in range(m)) and \
-        all(_leq(ra[i + 1], rb[i]) for i in range(min(m, n - 1)))
-
-
-def have_common_interlacing(polys) -> bool:
-    """Whether same-degree real-rooted polynomials have a common interlacer.
-
-    For each j, the max over the family of the (j+1)-st largest root must
-    not exceed the min of the j-th largest (within ``ROOT_TOL``).  With
-    leading coefficients of one sign this is equivalent to every convex
-    combination being real-rooted (Dedieu; Chudnovsky-Seymour).
-    """
-    polys = list(polys)
-    if not polys:
-        raise ValueError("empty family")
-    degs = {p.degree for p in polys}
-    if len(degs) != 1:
-        return False
-    n = degs.pop()
-    if n == 0:
-        return True
-    leads = [float(p.leading()) for p in polys]
-    if not (all(l > 0 for l in leads) or all(l < 0 for l in leads)):
-        return False
-    allroots = [real_roots(p) for p in polys]
-    return all(_leq(max(r[j + 1] for r in allroots), min(r[j] for r in allroots))
-               for j in range(n - 1))

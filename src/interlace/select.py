@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial, TopRoot, float_top_root, kth_largest_root, \
+from .poly import Polynomial, TopRoot, float_top_root, _float_roots, \
     root_clusters, top_root, compare_top_roots, roots_above, shift_roots
 from .matrices import SymMatrix, _coerce_array, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
@@ -78,7 +78,6 @@ __all__ = [
     "weaver_partition",
     "weaver_bound",
     "signing_select",
-    "signing_vectors",
 ]
 
 # The default cap on one greedy walk's work, in walk_costs' unit.
@@ -324,10 +323,10 @@ def _kth_root(p: Polynomial, k: int) -> float:
     and so real-rooted by theorem, with no Sturm check: exact ones straight
     from :func:`root_clusters`; float ones, for k = 1, by
     :func:`float_top_root`, Laguerre's method from above, which raises
-    :class:`NotRealRootedError` on a breakdown, and for k > 1 by
-    :func:`kth_largest_root`."""
+    :class:`NotRealRootedError` on a breakdown, and for k > 1 by the
+    derivative chain of :func:`_float_roots`."""
     if not p.is_exact:
-        return float_top_root(p) if k == 1 else kth_largest_root(p, k)
+        return float_top_root(p) if k == 1 else _float_roots(p)[k - 1]
     roots = (c.root for c in root_clusters(p) for _ in range(c.mult))
     return next(itertools.islice(roots, k - 1, None))
 
@@ -588,25 +587,6 @@ def weaver_bound(alpha) -> float:
 # ----------------------------------------------------------------------
 
 
-def signing_vectors(g: Graph, exact: bool = True) -> list[DiscreteRandomVector]:
-    """Per edge (a,b): e_a + e_b or e_a - e_b with probability 1/2 each.
-
-    Their outer-product sum is A_s + dI for d-regular graphs, and the
-    covariances sum to d times the identity.
-    """
-    out = []
-    for a, b in g.edges:
-        plus = np.zeros(g.n, dtype=object if exact else float)
-        minus = np.zeros(g.n, dtype=object if exact else float)
-        one = 1 if exact else 1.0
-        plus[a] = one
-        plus[b] = one
-        minus[a] = one
-        minus[b] = -one
-        out.append(DiscreteRandomVector.two_point(plus, minus))
-    return out
-
-
 def _signing_level(phi: Polynomial, parent: TopRoot, plus: Polynomial):
     """The kept child of one signing level: (sign, polynomial, top root).
 
@@ -665,8 +645,8 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     :func:`charpoly_batch_exact` call on A_s (:class:`AssertionError` if
     not), so ``achieved`` is its top root.
     Returns (signing, certificate); the certificate's values are in Gram
-    coordinates (the signed adjacency plus dI, the Gram sum of
-    :func:`signing_vectors`), so ``choices`` is 0 for +1 and 1 for -1, in
+    coordinates (the signed adjacency plus dI, the Gram sum of the
+    signing vectors e_a + s_e e_b), so ``choices`` is 0 for +1 and 1 for -1, in
     walk order, and every value, ``final_poly`` too, is shifted by d.
     ``budget`` bounds the walk's work, :meth:`SigningEngine.walk_entries`:
     the states of its backward DP plus, at every level the walk forms,

@@ -20,11 +20,6 @@ of the isotropy ``tol`` that ``--tol`` sets.
 # multiple roots (d <= 10) no miss exceeded the evaluation's rounding.
 BACKWARD_TOL = 1e-12
 
-# Relative slack when float roots of two polynomials are compared for
-# interlacing: the chain allows equal roots, and a float double root is
-# only good to about sqrt(eps) = 1.5e-8.
-ROOT_TOL = 1e-7
-
 # Slack on a certificate's achieved >= pledged (<= when minimizing): the
 # achieved value is an ``eigvalsh`` eigenvalue and the pledge a float root
 # of another polynomial, and a walk may meet its pledge with equality.
@@ -33,8 +28,8 @@ CERT_TOL = 1e-7
 # Spectral-norm distance of a float Gram sum from I at which a vector
 # system still counts as isotropic, the default of ``--tol``: the Gram
 # sum of whitened float vectors misses I by rounding alone, about n eps.
-# The same condition on covariances bounds how far the matrices of
-# ``mixed_char_root_bound`` may sum from I.
+# The root bound for decompositions of the identity in ``tests/paper.py``
+# puts the same condition on covariances summing to I.
 ISO_TOL = 1e-8
 
 # Relative slack on the bottom eigenvalue when float input is checked
@@ -70,7 +65,10 @@ SHIFT_TOL = 1e-7
 # Relative offset that pads ``poly._samuelson_interval``, the
 # Laguerre-Samuelson bounds, which are attained when all roots but one
 # coincide and whose float values may then round inside the roots;
-# Laguerre's steps fall monotonically to the root only from above.
+# Laguerre's steps fall monotonically to the root only from above.  It
+# is relative to the interval's larger end in magnitude, with no absolute
+# part: a pad of 1e-9 above a root of 2e-12 makes the first step cancel
+# beyond the evaluation's rounding bound, which reads as a breakdown.
 START_OFFSET = 1e-9
 
 # Rounding slack of the breakdown test of ``poly._laguerre``, the one

@@ -33,12 +33,13 @@ from fractions import Fraction
 import numpy as np
 
 from interlace import AssignmentState, DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, \
-    is_real_rooted, mixed_char
+    mixed_char
 from interlace.graphs import LEAF_CHUNK
 from interlace.matrices import _validate_psd_list, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
 from interlace.select import _kth_root, _ri_scores
 from interlace.poly import shift_roots
+from paper import is_real_rooted
 
 
 class TruncatedMultiAffine:

@@ -17,40 +17,27 @@ import pytest
 
 from interlace import (
     Polynomial,
-    SymMatrix,
-    char_poly,
     real_roots,
-    is_real_rooted,
-    laguerre_transform,
-    laguerre_root_bounds,
-    apply_shift_operator,
-    smin,
-    smax,
-    lower_shift_check,
-    upper_shift_check,
     Graph,
     Signing,
     adjacency,
     signed_adjacency,
-    matching_poly,
-    godsil_gutman_check,
-    heilmann_lieb_check,
     two_lift,
     is_ramanujan_bipartite,
-    spectral_approx_factors,
     DiscreteRandomVector,
+    AssignmentState,
     mixed_char,
-    expected_char_poly,
-    mixed_identity_check,
-    mixed_char_root_bound,
     VectorSystem,
     restricted_invertibility_bound,
     restricted_invertibility_select,
     weaver_partition,
     weaver_bound,
-    signing_vectors,
     signing_select,
 )
+from interlace.barrier import laguerre_root_bounds, lower_shift_check, upper_shift_check
+from oracles import conditional_expected_poly
+from paper import godsil_gutman_check, heilmann_lieb_check, is_real_rooted, \
+    laguerre_transform, mixed_char_root_bound, signing_vectors, spectral_approx_factors
 
 
 def _report(capsys, num, name, ok, elapsed=None):
@@ -111,18 +98,22 @@ def test_criterion_02_shift_inequalities(capsys):
 # ----------------------------------------------------------------------
 
 
-def test_criterion_03_signing_average_exact(capsys):
-    t0 = time.monotonic()
+def signing_average_graphs():
+    """Criterion 3's 50 random graphs, up to 8 vertices and 10 edges."""
     rng = np.random.default_rng(20240503)
-    failures = []
-    for i in range(50):
+    for _ in range(50):
         n = int(rng.integers(2, 9))
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         rng.shuffle(pairs)
-        edges = pairs[: int(rng.integers(0, min(10, len(pairs)) + 1))]
-        g = Graph(n, edges)
+        yield Graph(n, pairs[: int(rng.integers(0, min(10, len(pairs)) + 1))])
+
+
+def test_criterion_03_signing_average_exact(capsys):
+    t0 = time.monotonic()
+    failures = []
+    for i, g in enumerate(signing_average_graphs()):
         if not godsil_gutman_check(g):
-            failures.append((i, n, len(edges)))
+            failures.append((i, g.n, g.m))
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 60.0
     _report(capsys, 3, "average of signed char polys equals matching poly (exact)",
@@ -136,9 +127,9 @@ def test_criterion_03_signing_average_exact(capsys):
 # ----------------------------------------------------------------------
 
 
-def test_criterion_04_matching_root_bound(capsys):
+def bounded_degree_graphs():
+    """Criterion 4's 100 random graphs of maximum degree 2 to 6."""
     rng = np.random.default_rng(20240504)
-    failures = []
     produced = 0
     while produced < 100:
         n = int(rng.integers(4, 15))
@@ -146,11 +137,16 @@ def test_criterion_04_matching_root_bound(capsys):
         edges = [(a, b) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < p]
         g = Graph(n, edges)
-        if not 2 <= g.max_degree() <= 6:
-            continue
-        produced += 1
+        if 2 <= g.max_degree() <= 6:
+            produced += 1
+            yield g
+
+
+def test_criterion_04_matching_root_bound(capsys):
+    failures = []
+    for produced, g in enumerate(bounded_degree_graphs(), 1):
         if not heilmann_lieb_check(g):
-            failures.append((produced, n, g.max_degree()))
+            failures.append((produced, g.n, g.max_degree()))
     ok = not failures
     _report(capsys, 4, "matching-poly roots within 2 sqrt(d-1), 100 random graphs", ok)
     assert not failures, f"root bound failed: {failures}"
@@ -184,21 +180,26 @@ def _random_rank_one_systems():
     return float_systems, exact_systems
 
 
+def _state(rvs):
+    """The root of the outcome tree of ``rvs``: nothing fixed."""
+    return AssignmentState(fixed=[], remaining=rvs, k=1)
+
+
 def test_criterion_05_expectation_identity_and_real_roots(capsys):
     float_systems, exact_systems = _random_rank_one_systems()
     failures = []
-    for i, rvs in enumerate(float_systems):
-        if not mixed_identity_check(rvs):
-            failures.append(("float-identity", i))
-        if not is_real_rooted(expected_char_poly(rvs)):
-            failures.append(("float-roots", i))
-    for i, rvs in enumerate(exact_systems):
-        p = expected_char_poly(rvs)
-        assert p.is_exact
-        if not mixed_identity_check(rvs):  # exact equality path
-            failures.append(("exact-identity", i))
-        if not is_real_rooted(p):  # certified by exact root counting
-            failures.append(("exact-roots", i))
+    for tag, systems in (("float", float_systems), ("exact", exact_systems)):
+        for i, rvs in enumerate(systems):
+            # enumeration against the engine: equal (exactly, for exact
+            # systems) or RuntimeError
+            try:
+                p = conditional_expected_poly(_state(rvs), cross_check=True)
+            except RuntimeError:
+                failures.append((f"{tag}-identity", i))
+                continue
+            assert p.is_exact == (tag == "exact")
+            if not is_real_rooted(p):  # exact input: certified by a Sturm count
+                failures.append((f"{tag}-roots", i))
     ok = not failures
     _report(capsys, 5, "expectation identity + real-rootedness, 200 systems", ok)
     assert not failures, f"failed systems: {failures[:5]}"
@@ -210,7 +211,7 @@ def test_criterion_06_outcome_bracketing(capsys):
     for tag, systems in (("float", float_systems), ("exact", exact_systems)):
         for i, rvs in enumerate(systems):
             d = rvs[0].dim
-            expect_roots = real_roots(expected_char_poly(rvs).to_float())
+            expect_roots = real_roots(conditional_expected_poly(_state(rvs)).to_float())
             leaf_w = []
             for combo in itertools.product(*[r.support for r in rvs]):
                 acc = np.zeros((d, d))

@@ -5,21 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from interlace import (
-    Polynomial,
-    apply_shift_operator,
-    lower_barrier,
-    upper_barrier,
-    smin,
-    smax,
-    lower_shift_check,
-    upper_shift_check,
-    laguerre_root_bounds,
-    laguerre_transform,
-    real_roots,
-    DetPolyFamily,
-    multivariate_barrier,
-)
+from interlace import Polynomial, real_roots
+from interlace.barrier import DetPolyFamily, laguerre_root_bounds, lower_barrier, \
+    lower_shift_check, multivariate_barrier, smax, smin, upper_barrier, upper_shift_check
+from paper import apply_shift_operator, laguerre_transform
 
 
 def test_lower_barrier_values():

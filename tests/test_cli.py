@@ -15,9 +15,9 @@ import pytest
 
 import interlace.cli
 from interlace import Graph, Signing, VectorSystem, NotRealRootedError, signing_select
-from interlace.graphs import matching_poly
 from interlace.poly import top_root
 from interlace.cli import main
+from paper import matching_poly
 
 
 def run_cli(capsys, argv):
@@ -152,6 +152,25 @@ def test_lift_pledge_is_in_adjacency_coordinates(capsys, tmp_path):
     assert step["lambda_max_signed"] <= step["pledged"] <= step["threshold"]
     root = top_root(matching_poly(Graph.complete_bipartite(3, 3))).root
     assert step["pledged"] == pytest.approx(root, rel=0, abs=math.ulp(root + 3))
+
+
+@pytest.mark.parametrize("half", [3, 4], ids=["K33", "K44"])
+def test_lift_pledge_does_not_depend_on_the_vertex_labels(capsys, tmp_path, half):
+    # the pledge is the top root of the matching polynomial, a graph
+    # invariant, taken exactly: three seeded relabellings give it bit for
+    # bit, each with a certified signing and lift
+    g = Graph.complete_bipartite(half, half)
+    rng = np.random.default_rng(half)
+    pledges = []
+    for label in [np.arange(g.n)] + [rng.permutation(g.n) for _ in range(3)]:
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{label[a]} {label[b]}\n" for a, b in g.edges))
+        code, payload = run_cli(capsys, ["lift", str(path)])
+        step = payload["steps"][0]
+        assert code == 0 and step["certificate_valid"] is True
+        assert step["lift_ramanujan"] is True
+        pledges.append(step["pledged"].hex())
+    assert pledges == pledges[:1] * 4
 
 
 def test_lift_three_iterations_reach_48_vertices(capsys, tmp_path):
@@ -751,6 +770,29 @@ def test_import_loads_numpy_and_standard_library_only():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["interlace", "numpy"]
+
+
+def test_cli_import_loads_neither_the_barriers_nor_the_paper_checks():
+    # no command reaches the barrier module, and the package holds none of
+    # the paper's identity checks (tests/paper.py) nor copies of the
+    # tests' oracles (tests/oracles.py)
+    import os
+    from pathlib import Path
+
+    gone = ["apply_shift_operator", "laguerre_transform", "diagram_identity_check",
+            "sturm_root_count", "is_real_rooted", "kth_largest_root", "interlaces",
+            "have_common_interlacing", "ROOT_TOL", "laplacian", "spectral_approx_factors",
+            "heilmann_lieb_check", "godsil_gutman_check", "GG_EDGE_CAP", "matching_poly",
+            "MATCHING_CAP", "mixed_char_root_bound", "signing_vectors",
+            "expected_char_poly", "mixed_identity_check"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import json, sys; import interlace.cli; "
+            "mods = [m for n, m in sys.modules.items() if n.split('.')[0] == 'interlace']; "
+            f"print(json.dumps(['interlace.barrier' in sys.modules, "
+            f"sorted({{n for m in mods for n in {gone!r} if hasattr(m, n)}})]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == [False, []]
 
 
 def test_exact_parse_keeps_json_integers_as_ints():

@@ -12,15 +12,10 @@ from interlace import (
     Graph,
     Signing,
     adjacency,
-    laplacian,
     signed_adjacency,
-    matching_poly,
     frontier_order,
-    godsil_gutman_check,
-    heilmann_lieb_check,
     two_lift,
     is_ramanujan_bipartite,
-    spectral_approx_factors,
     Polynomial,
     char_poly,
     charpoly_batch_exact,
@@ -32,6 +27,9 @@ from interlace import (
     signing_select,
 )
 from oracles import forward_signed_chars
+from test_acceptance import bounded_degree_graphs, signing_average_graphs
+from paper import godsil_gutman_check, heilmann_lieb_check, laplacian, matching_poly, \
+    spectral_approx_factors, _charpoly_sum_over_signings
 
 
 # ----------------------------------------------------------------------
@@ -194,16 +192,27 @@ def test_matching_poly_coefficients_count_matchings():
     assert p == Polynomial([-6, 0, 18, 0, -9, 0, 1])
 
 
-def test_matching_poly_is_real_rooted_randomized():
+def _dense_random_graphs():
     rng = np.random.default_rng(47)
     for _ in range(25):
         n = int(rng.integers(3, 10))
         density = rng.uniform(0.2, 0.9)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < density]
-        g = Graph(n, edges)
+        yield Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if rng.random() < density])
+
+
+def _sparse_random_graphs():
+    rng = np.random.default_rng(53)
+    for _ in range(25):
+        n = int(rng.integers(4, 12))
+        yield Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if rng.random() < 0.4])
+
+
+def test_matching_poly_is_real_rooted_randomized():
+    for g in _dense_random_graphs():
         r = real_roots(matching_poly(g).to_float())
-        assert len(r) == n  # real-rooted of full degree
+        assert len(r) == g.n  # real-rooted of full degree
 
 
 def test_matching_poly_cap():
@@ -245,12 +254,7 @@ def test_heilmann_lieb_requires_degree_two():
 
 
 def test_heilmann_lieb_randomized():
-    rng = np.random.default_rng(53)
-    for _ in range(25):
-        n = int(rng.integers(4, 12))
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < 0.4]
-        g = Graph(n, edges)
+    for g in _sparse_random_graphs():
         if g.max_degree() >= 2:
             assert heilmann_lieb_check(g)
 
@@ -264,20 +268,6 @@ def _cube():
     return Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
 
 
-def _signing_sum(g, prefix):
-    """Sum of char_poly(A_s) over the signings agreeing with ``prefix``, exact."""
-    free = g.m - len(prefix)
-    codes = np.arange(1 << free, dtype=np.int64)
-    signs = np.hstack([
-        np.broadcast_to(np.asarray(prefix, dtype=np.int64), (len(codes), len(prefix))),
-        1 - 2 * ((codes[:, None] >> np.arange(free)) & 1),
-    ])
-    mats = np.zeros((len(codes), g.n, g.n), dtype=np.int64)
-    for i, (a, b) in enumerate(g.edges):
-        mats[:, a, b] = mats[:, b, a] = signs[:, i]
-    return charpoly_batch_exact(mats).sum(axis=0, dtype=object), 1 << free
-
-
 def test_expected_signed_chars_match_exhaustive_average():
     rng = np.random.default_rng(59)
     for g in (Graph.complete_bipartite(3, 3), Graph.complete(4), Graph.petersen(), _cube()):
@@ -285,9 +275,9 @@ def test_expected_signed_chars_match_exhaustive_average():
         for f in (0, 3, min(7, g.m - 2), g.m - 1):
             for prefix in rng.choice([-1, 1], (3, f)):
                 phi = engine.chars(prefix)
-                total, count = _signing_sum(g, prefix)
+                total = _charpoly_sum_over_signings(g, prefix)
                 assert all(isinstance(c, int) for c in phi.coeffs)
-                assert Polynomial(list(total)) == count * phi, (g, prefix)
+                assert Polynomial(total) == (1 << (g.m - f)) * phi, (g, prefix)
 
 
 def test_expected_signed_chars_leaf_chunks_add_up(monkeypatch):
@@ -308,9 +298,16 @@ def test_expected_signed_chars_fully_signed_is_char_poly():
 
 
 def test_expected_signed_chars_empty_prefix_is_matching_poly():
-    for g in (Graph.path(4), Graph.cycle(5), Graph.complete(4), Graph.complete(5),
-              Graph.complete_bipartite(2, 3), Graph.complete_bipartite(3, 3),
-              Graph.petersen(), _cube(), Graph(3, [])):
+    # the matching polynomial two ways, enumeration and the engine's
+    # deletion-contraction DP, on every graph whose matching polynomial
+    # the tests and the acceptance suite take
+    named = [Graph.path(2), Graph.path(3), Graph.path(4), Graph.path(5), Graph.cycle(4),
+             Graph.cycle(5), Graph.cycle(6), Graph.complete(4), Graph.complete(5),
+             Graph.complete_bipartite(2, 3), Graph.complete_bipartite(3, 3),
+             Graph.petersen(), _cube(), Graph(3, []),
+             Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])]
+    for g in itertools.chain(named, _dense_random_graphs(), _sparse_random_graphs(),
+                             signing_average_graphs(), bounded_degree_graphs()):
         assert SigningEngine(g).chars([]) == matching_poly(g)
 
 

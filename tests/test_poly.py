@@ -17,22 +17,14 @@ from interlace import (
     Polynomial,
     ZeroPolynomialError,
     NotRealRootedError,
-    apply_shift_operator,
     shift_roots,
-    laguerre_transform,
-    diagram_identity_check,
     sturm_sequence,
-    sturm_root_count,
-    is_real_rooted,
     real_roots,
-    kth_largest_root,
     float_top_root,
     roots_above,
     root_clusters,
     top_root,
     compare_top_roots,
-    interlaces,
-    have_common_interlacing,
     mixed_char,
     SymMatrix,
     char_poly,
@@ -45,6 +37,8 @@ from interlace import (
 import interlace.poly as poly_module
 import interlace.select as select_module
 from oracles import convex_combinations_real_rooted
+from paper import apply_shift_operator, diagram_identity_check, have_common_interlacing, \
+    interlaces, is_real_rooted, kth_largest_root, laguerre_transform, sturm_root_count
 
 MAX_FLOAT = sys.float_info.max
 
@@ -789,6 +783,18 @@ def test_float_top_root_at_a_top_root_of_zero():
         assert got == 0.0 and math.copysign(1.0, got) == 1.0, coeffs
     # a positive root of the rest is the top root
     assert float_top_root(Polynomial([0.0, 0.0, -2.0, 1.0])) == 2.0
+
+
+def test_float_top_root_of_tiny_roots():
+    # the interval's pad is relative: one of 1e-9 above a root of 2e-12
+    # would make the first step cancel beyond the evaluation's rounding
+    assert float_top_root(Polynomial([0.0, -2e-12, 1.0])) == 2e-12
+    # scaled to its roots, no value near roots of 1e-150 underflows: the
+    # exact kernel on the same coefficients is the reference
+    for r in (2e-12, 1e-100, 1e-150):
+        p = Polynomial.from_roots([r, -r / 2, r / 3])
+        want = top_root(Polynomial([Fraction(c) for c in p.coeffs])).root
+        assert abs(float_top_root(p) - want) <= 4 * math.ulp(want)
 
 
 @pytest.mark.parametrize("coeffs", [[math.nan, 0.0, 1.0], [math.inf, -1.0, 1.0],

@@ -18,17 +18,11 @@ from interlace import (
     char_poly,
     charpoly_batch,
     charpoly_batch_exact,
-    apply_shift_operator,
     shift_roots,
-    kth_largest_root,
     real_roots,
-    is_real_rooted,
-    have_common_interlacing,
     roots_above,
-    sturm_root_count,
     top_root,
     compare_top_roots,
-    matching_poly,
     DiscreteRandomVector,
     VectorSystem,
     AssignmentState,
@@ -40,7 +34,6 @@ from interlace import (
     restricted_invertibility_select,
     weaver_partition,
     weaver_bound,
-    signing_vectors,
     signing_select,
     two_lift,
     Graph,
@@ -55,6 +48,8 @@ import interlace.select as select_module
 from oracles import argmax_ri_walk, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
     ri_level_scores
+from paper import apply_shift_operator, have_common_interlacing, is_real_rooted, \
+    kth_largest_root, matching_poly, signing_vectors, sturm_root_count
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +648,7 @@ def _recorded_signing_walk(monkeypatch, g):
     monkeypatch.setattr(SigningEngine, "chars", recorded_chars)
     monkeypatch.setattr(select_module, "top_root", recorded_top)
     _, cert = signing_select(g)
-    levels = dict(formed)  # matching_poly below may run chars too
+    levels = dict(formed)
     assert len(levels) == len(formed)
     parent = levels.pop(0)
     assert parent == matching_poly(g)
