@@ -10,6 +10,7 @@ from .poly import (
     ZeroPolynomialError,
     NotRealRootedError,
     shift_roots,
+    shift_chain,
     sturm_sequence,
     real_roots,
     float_top_root,

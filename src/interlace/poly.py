@@ -38,12 +38,15 @@ real-rooted polynomial makes it do.  One Laguerre loop does all three
 float jobs: it starts the exact kernel, roots weaver's children, and
 opens every bracket of the derivative chain, which adds compensated
 Newton steps.
-``shift_roots`` skips coefficients altogether: it applies the shift
-operator to batches of real roots by bracketed secular-equation solves,
-so its output is real-rooted by construction.  Up to 40 poles a row, the
-solves start from the eigenvalues of the diagonal-plus-rank-one matrix
-whose characteristic polynomial the shift produces, and only polish
-them; above that the eigenvalues cost more than the steps they save.
+``shift_chain`` skips coefficients altogether: it applies a power of
+the shift operator to batches of real roots, one bracketed
+secular-equation solve per factor, so its output is real-rooted by
+construction.  Up to ``EIG_START_POLES`` (40) poles a row, the solves
+start from the eigenvalues of the diagonal-plus-rank-one matrix whose
+characteristic polynomial the shift produces, and only polish them;
+above that the eigenvalues cost more than the steps they save.  A chain
+checks its arguments once and re-sorts no output row, so j shifts cost
+one call; ``shift_roots`` is the one-step chain.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ __all__ = [
     "ZeroPolynomialError",
     "NotRealRootedError",
     "shift_roots",
+    "shift_chain",
     "sturm_sequence",
     "real_roots",
     "float_top_root",
@@ -273,6 +277,14 @@ class Polynomial:
 # ----------------------------------------------------------------------
 
 
+# The most poles a row may have for the shift to start from eigenvalues
+# (see shift_roots).  The cut is the measured crossover: on the 8-row
+# calls of a float ri walk at n = 128, a started call took 0.6-0.7x the
+# time of an unstarted one at 25-32 poles, about the same at 37-48, and
+# 1.05-1.3x from 49 poles up (2-vCPU x86 host, numpy with OpenBLAS).
+EIG_START_POLES = 40
+
+
 def shift_roots(roots, zeros: int, c):
     """Apply ``1 - c*d/dx`` in root space, batched over rows.
 
@@ -281,7 +293,8 @@ def shift_roots(roots, zeros: int, c):
     ``(out, zeros')`` with ``p_b - c p_b' = x**zeros' * prod_i (x - out[b, i])``,
     each row of ``out`` sorted descending: ``zeros' = zeros - 1`` and
     ``out`` has d + 1 columns when ``zeros > 0``, otherwise ``zeros' = 0``
-    and d columns.  ``c = 0`` returns the input, sorted.
+    and d columns.  ``c = 0`` returns the input, sorted.  It is the
+    one-step :func:`shift_chain`.
 
     A root of ``p - c p'`` solves ``p'/p = sum_j w_j / (x - mu_j) = 1/c``,
     where the poles ``mu_j`` (sorted descending) are the given roots with
@@ -301,8 +314,8 @@ def shift_roots(roots, zeros: int, c):
     bracket (an empty gap, or rounding) is not used: that unknown starts
     from the bracket's midpoint, the top one from its upper end.  The
     eigenvalues cost O(npoles^3) a row against O(npoles^2) a step, so
-    above 40 poles, where they cost more than the steps they save, every
-    unknown starts from there.
+    above ``EIG_START_POLES`` (40) poles, where they cost more than the
+    steps they save, every unknown starts from there.
 
     Each gap is then solved by Gragg-style two-pole rational steps: the poles
     below the iterate are modelled by ``a + A/(x - lo)``, those above by
@@ -315,38 +328,89 @@ def shift_roots(roots, zeros: int, c):
     and interlacing whichever start an unknown took; a started one
     typically stops after one or two steps.
     """
+    return shift_chain(roots, zeros, c, 1)
+
+
+def shift_chain(roots, zeros: int, c, steps: int):
+    """Apply ``(1 - c*d/dx)**steps`` in root space: ``steps`` successive
+    :func:`shift_roots` calls in one, with the same output bit for bit.
+
+    Each step solves its secular equations exactly as :func:`shift_roots`
+    describes.  The chain only does once what a step need not redo: it
+    checks the arguments once, and after the first step, whose output
+    rows are sorted descending, it sorts a step's poles only when a
+    negative root puts the zero pole among them.  ``steps = 0`` returns
+    the input.
+    """
     roots = np.asarray(roots, dtype=float)
     if roots.ndim != 2:
         raise ValueError("roots must be a (B, d) array")
     if zeros < 0:
         raise ValueError("the zero multiplicity must be nonnegative")
+    if steps < 0:
+        raise ValueError("the number of shifts must be nonnegative")
     c = float(c)
     if c < 0:
         raise ValueError("the shift 1 - cD keeps real roots only for c >= 0")
+    if steps == 0:
+        return roots, zeros
     if c == 0:
         return -np.sort(-roots, axis=1), zeros
-    nrows, d = roots.shape
-    weights = np.ones((nrows, d + (zeros > 0)))
-    poles = roots
-    if zeros:
-        poles = np.concatenate([roots, np.zeros((nrows, 1))], axis=1)
-        weights[:, -1] = zeros
-    order = np.argsort(-poles, axis=1, kind="stable")
-    mu = np.take_along_axis(poles, order, axis=1)
-    w = np.take_along_axis(weights, order, axis=1)
-    npoles = mu.shape[1]
-    if npoles == 0:
-        return np.empty((nrows, 0)), 0
+    nrows = roots.shape[0]
+    every_row = np.arange(nrows)[:, None]
+    for step in range(steps):
+        d = roots.shape[1]
+        npoles = d + (zeros > 0)
+        if npoles == 0:
+            return np.empty((nrows, 0)), 0
+        mu, w = roots, np.ones((nrows, npoles))
+        if zeros:
+            mu = np.concatenate([roots, np.zeros((nrows, 1))], axis=1)
+            w[:, -1] = zeros
+        # Past the first step each row is sorted descending, so a zero
+        # pole below every root already sits where a stable sort puts it.
+        if step == 0 or (zeros and not (roots[:, -1] >= 0).all()):
+            order = np.argsort(-mu, axis=1, kind="stable")
+            mu, w = mu[every_row, order], w[every_row, order]
+        roots = _secular_step(mu, w, c, (d + zeros) * c)
+        zeros = max(zeros - 1, 0)
+    return roots, zeros
+
+
+# _pole_masks of up to EIG_START_POLES poles, built once.  Past that a
+# step's arithmetic dwarfs building them, and keeping every size up to P
+# would hold about 16 P^3 / 3 bytes, 11 MB at the 128 poles of n = 256.
+_SMALL_MASKS: dict = {}
+
+
+def _pole_masks(npoles: int) -> np.ndarray:
+    """(2, unknown, pole) masks of the poles below unknown i (index >= i)
+    and above it; read-only."""
+    masks = _SMALL_MASKS.get(npoles)
+    if masks is None:
+        idx = np.arange(npoles)
+        below = (idx[None, :] >= idx[:, None]).astype(float)
+        masks = np.stack([below, 1.0 - below])
+        masks.setflags(write=False)
+        if npoles <= EIG_START_POLES:
+            _SMALL_MASKS[npoles] = masks
+    return masks
+
+
+def _secular_step(mu, w, c: float, top_width: float) -> np.ndarray:
+    """One step of :func:`shift_roots` on poles ``mu`` (rows sorted
+    descending) of weights ``w``: the roots of sum_j w_j / (x - mu_j)
+    = 1/c, one per gap and one in (mu_0, mu_0 + top_width]."""
+    nrows, npoles = mu.shape
     inv_c = 1.0 / c
-    eps = np.finfo(float).eps
+    eps = _EPS
     # Unknown i lives in (mu_i, mu_(i-1)); unknown 0 in (mu_0, mu_0 + W c].
     lo = mu
     hi = np.empty_like(mu)
-    hi[:, 0] = mu[:, 0] + (d + zeros) * c
+    hi[:, 0] = mu[:, 0] + top_width
     hi[:, 1:] = mu[:, :-1]
     idx = np.arange(npoles)
-    below = (idx[None, :] >= idx[:, None]).astype(float)  # [unknown, pole]
-    above = 1.0 - below
+    masks = _pole_masks(npoles)
     x = 0.5 * (lo + hi)
     x[:, 0] = hi[:, 0]
     active = (x > lo) & ((x < hi) | (idx == 0))
@@ -354,22 +418,20 @@ def shift_roots(roots, zeros: int, c):
     down, up = lo.copy(), hi.copy()
     out = x.copy()
     rows = np.flatnonzero(active.any(axis=1))
-    lo, hi, mu, w = lo[rows], hi[rows], mu[rows], w[rows]
-    x, down, up, active = x[rows], down[rows], up[rows], active[rows]
+    if rows.size < nrows:
+        lo, hi, mu, w = lo[rows], hi[rows], mu[rows], w[rows]
+        x, down, up, active = x[rows], down[rows], up[rows], active[rows]
     # Scratch for the (rows, unknown, pole) terms; fresh arrays this size
     # cost more in page faults than the arithmetic on them.
     scratch = np.empty((2, rows.size, npoles, npoles))
-    # Start from the eigenvalues of diag(mu) + c s s^T (see above): the
-    # loop then makes about 2 passes a call on the ri bench instead of 6.8.
-    # The cut is the measured crossover: on the 8-row calls of a float ri
-    # walk at n = 128, a started call took 0.6-0.7x the time of an
-    # unstarted one at 25-32 poles, about the same at 37-48, and 1.05-1.3x
-    # from 49 poles up (2-vCPU x86 host, numpy with OpenBLAS).
-    if npoles <= 40:
+    # Start from the eigenvalues of diag(mu) + c s s^T (see shift_roots):
+    # the loop then makes about 2 passes a call on the ri bench instead
+    # of 6.8.
+    if npoles <= EIG_START_POLES:
         mat = scratch[0]
         s = np.sqrt(w)
         np.multiply(c * s[:, :, None], s[:, None, :], out=mat)
-        mat[:, idx, idx] += mu
+        mat.reshape(rows.size, -1)[:, ::npoles + 1] += mu  # the diagonals; a view
         ev = np.linalg.eigvalsh(mat)[:, ::-1]
         x = np.where(active & (ev > lo) & (ev < hi), ev, x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -378,18 +440,17 @@ def shift_roots(roots, zeros: int, c):
             live_scratch = scratch[:, :rows.size]
             diff = np.subtract(x[:, :, None], mu[:, None, :], out=live_scratch[0])
             terms = np.divide(w[:, None, :], diff, out=live_scratch[1])
-            dterms = np.divide(terms, diff, out=diff)
-            phi = np.einsum("bij,ij->bi", terms, below)
-            psi = np.einsum("bij,ij->bi", terms, above)
+            np.divide(terms, diff, out=diff)
+            # [dterms, terms] summed over the poles below and above.
+            (dphi, dpsi), (phi, psi) = np.einsum("sbij,tij->stbi", live_scratch, masks)
             g = phi + psi - inv_c
             # Rounding error of g: three roundings per term, one per sum.
             bound = (npoles + 3) * eps * (phi - psi + inv_c)
-            down_next = np.where(g > 0, x, down)
-            up_next = np.where(g > 0, up, x)
+            rising = g > 0
+            down_next = np.where(rising, x, down)
+            up_next = np.where(rising, up, x)
             # Two-pole model C + A/(y - lo) + B/(y - hi) = 1/c; B = 0 for
             # the top root, whose upper end is not a pole.
-            dphi = np.einsum("bij,ij->bi", dterms, below)
-            dpsi = np.einsum("bij,ij->bi", dterms, above)
             dlo = x - lo
             dhi = x - hi
             dhi[:, 0] = 1.0
@@ -415,9 +476,11 @@ def shift_roots(roots, zeros: int, c):
             live = active.any(axis=1)
             if not live.all():
                 out[rows] = x
+                if not live.any():
+                    break
                 rows, lo, hi, mu, w = rows[live], lo[live], hi[live], mu[live], w[live]
                 x, down, up, active = x[live], down[live], up[live], active[live]
-    return out, max(zeros - 1, 0)
+    return out
 
 
 # ----------------------------------------------------------------------

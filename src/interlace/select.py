@@ -34,8 +34,8 @@ Three instantiations:
   The i.i.d. uniform sampling model admits the closed form
   ``(1 - (1/m) d/dx)^(k-l) char_poly(fixed sum)`` for the conditional
   polynomials, evaluated in root space: bordered Gram spectra (float or
-  exact), then :func:`shift_roots`, ``RI_BATCH`` candidates at a time
-  in index order until one meets its parent.
+  exact), then one :func:`shift_chain` call per batch of candidates, in
+  index order until one meets its parent.
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2``, by a
   :func:`greedy_walk` over two-point block lifts in dimension 2d.
@@ -59,7 +59,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .poly import Polynomial, TopRoot, float_top_root, _float_roots, \
-    root_clusters, top_root, compare_top_roots, roots_above, shift_roots
+    root_clusters, top_root, compare_top_roots, roots_above, shift_chain, \
+    EIG_START_POLES
 from .matrices import SymMatrix, _coerce_array, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, peel_terms, _expected_char_with_base
@@ -83,18 +84,23 @@ __all__ = [
 # The default cap on one greedy walk's work, in walk_costs' unit.
 WALK_BUDGET = 1 << 30
 
-# Rows restricted_invertibility_select scores at once.  A level nearly
-# always keeps a row of its first batch, and a shift_roots call on 8 rows
-# of 4-40 roots costs 1.1-2.6 times one on a single row, the most at
-# 24-32 roots, where its eigvalsh start, paid per row, weighs most (numpy
-# on a 2-vCPU x86 host), so a smaller batch saves little and risks a second.
+# The most rows restricted_invertibility_select scores at once.  A level
+# nearly always keeps a row of its first batch.  Up to EIG_START_POLES
+# poles every shift starts from a per-row eigvalsh, and a chain call has
+# a large fixed part: 8 rows of 4-40 roots cost 1.1-2.6 times one row.
+# So there batches hold RI_BATCH rows; with 2-row first batches an ri
+# bench pass, where 38% of the kept rows sit at free index 2 or more,
+# ran ~1.09x slower.  Past that cut each row pays ~npoles^2 a solver
+# pass, so a level starts with 2 rows and doubles up to RI_BATCH: float
+# n = 256, k = 128 then scores 404 rows instead of 1040 (numpy on a
+# 2-vCPU x86 host).
 RI_BATCH = 8
 
 
 class VectorSystem:
     """A finite list of vectors in R^n, stored as the rows of an (m, n) array."""
 
-    __slots__ = ("vectors",)
+    __slots__ = ("vectors", "_gram")
 
     def __init__(self, vectors):
         arr = np.asarray(vectors)
@@ -104,6 +110,7 @@ class VectorSystem:
             raise ValueError("need a nonempty list of equal-length, nonempty vectors")
         self.vectors = _coerce_array(arr)
         self.vectors.setflags(write=False)
+        self._gram = None
 
     @property
     def m(self) -> int:
@@ -119,12 +126,16 @@ class VectorSystem:
 
     def gram_sum(self) -> SymMatrix:
         """sum_i v_i v_i^T, exactly for exact vectors; a float sum that
-        overflows raises ValueError, with no RuntimeWarning."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = self.vectors.T @ self.vectors
-        if not self.is_exact and not np.isfinite(g).all():
-            raise ValueError("the Gram sum of the vectors overflows")
-        return SymMatrix(g)
+        overflows raises ValueError, with no RuntimeWarning.  Formed on
+        the first call and shared by later ones; its entries are
+        read-only."""
+        if self._gram is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = self.vectors.T @ self.vectors
+            if not self.is_exact and not np.isfinite(g).all():
+                raise ValueError("the Gram sum of the vectors overflows")
+            self._gram = SymMatrix(g)
+        return self._gram
 
     def isotropy_defect(self) -> float:
         """Spectral-norm distance of the Gram sum from the identity."""
@@ -412,14 +423,16 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     ``(1 - (1/m) d/dx)^(k-l-1) char_poly(B + v_j v_j^T)``.  The parent is
     the average of its m children, which have a common interlacing, so
     some child's score is at least its parent's: level l scores the
-    not-yet-chosen rows in index order, ``RI_BATCH`` at a time, and keeps
-    the first whose score is at least the parent's (the pledge at level
+    not-yet-chosen rows in index order, in batches, and keeps the first
+    whose score is at least the parent's (the pledge at level
     0, then the previous level's kept score).  If rounding leaves none
     there, every free row has been scored and the level keeps the best of
     them, ties going to the lowest index; such levels are counted in the
     certificate's ``fallbacks``.  Every kept score stays at or above the
     pledge up to those rounding slips, and a walk costs about one batch
-    per level, not m candidates.
+    per level, not m candidates.  Batches hold ``RI_BATCH`` rows while a
+    level's shifts start from eigenvalues (k <= ``EIG_START_POLES``);
+    past that a level's batches hold 2, 4, then ``RI_BATCH`` rows.
 
     Skipping the chosen rows loses no child that could meet the parent:
     a repeated row's B + v_j v_j^T has rank l, so after k - l - 1 shifts
@@ -436,9 +449,10 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     Float stacks take one batched ``eigvalsh``; exact stacks take one
     :func:`charpoly_batch_exact` call and the :func:`root_clusters` of
     each small polynomial, real-rooted as the characteristic polynomial
-    of a symmetric matrix, so no Sturm check runs.  :func:`shift_roots`
-    then applies each ``1 - (1/m) d/dx``, and the k-th largest root is
-    the smallest of the k roots it tracks.  The pledge, lambda_k of
+    of a symmetric matrix, so no Sturm check runs.  One
+    :func:`shift_chain` call then applies the k - l - 1 factors
+    ``1 - (1/m) d/dx``, and the k-th largest root is the smallest of the
+    k roots it tracks.  The pledge, lambda_k of
     ``(1 - (1/m) d/dx)^k x^n = (1 - (1/m) d/dx)^(k-1) x^(n-1) (x - n/m)``,
     has the shape of a level-0 child, so it rides in level 0's first
     batch as one more row ``[n/m]``.
@@ -459,13 +473,16 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     scored: list[int] = []
     fallbacks = 0
     parent = None  # the pledge rides in level 0's first batch
+    first_batch = RI_BATCH if k <= EIG_START_POLES else 2
     for _ in range(k):
         taken = set(chosen)
         free = [j for j in range(system.m) if j not in taken]
         vals = np.empty(0)
         keep = None
-        for start in range(0, len(free), RI_BATCH):
-            batch = _ri_scores(vecs, chosen, free[start:start + RI_BATCH], k,
+        size = first_batch
+        while keep is None and len(vals) < len(free):
+            start = len(vals)
+            batch = _ri_scores(vecs, chosen, free[start:start + size], k,
                                pledge=parent is None)
             if parent is None:
                 parent = pledged = float(batch[-1])
@@ -474,7 +491,7 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
             meets = np.flatnonzero(batch >= parent)
             if meets.size:
                 keep = start + int(meets[0])
-                break
+            size = min(2 * size, RI_BATCH)
         if keep is None:
             fallbacks += 1
             keep = int(np.argmax(vals))
@@ -518,9 +535,7 @@ def _ri_scores(vecs: np.ndarray, chosen: list, cand: list, k: int,
         roots = np.linalg.eigvalsh(gram)
     if pledge:
         roots = np.concatenate([roots, [[n / m]]])
-    zeros = n - lvl - 1
-    for _ in range(k - lvl - 1):
-        roots, zeros = shift_roots(roots, zeros, 1.0 / m)
+    roots, _ = shift_chain(roots, n - lvl - 1, 1.0 / m, k - lvl - 1)
     return np.min(roots, axis=1)
 
 

@@ -26,6 +26,11 @@ other ways:
 * exact characteristic polynomials by Berkowitz's division-free
   recurrence (:func:`berkowitz_charpoly`), against the library's power
   traces and Newton's identities.
+
+It also holds the fixtures several test modules share: the cube graph
+(:data:`CUBE`), a graph relabelled as the signing walk takes it
+(:func:`in_walk_order`) and the root of an outcome tree
+(:func:`root_state`).
 """
 
 from fractions import Fraction
@@ -34,12 +39,27 @@ import numpy as np
 
 from interlace import AssignmentState, DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, \
     mixed_char
-from interlace.graphs import LEAF_CHUNK
+from interlace.graphs import LEAF_CHUNK, frontier_order
 from interlace.matrices import _validate_psd_list, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
 from interlace.select import _kth_root, _ri_scores
 from interlace.poly import shift_roots
 from paper import is_real_rooted
+
+
+# The 3-cube Q_3: K_{4,4} minus a perfect matching.
+CUBE = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
+
+
+def in_walk_order(g: Graph) -> Graph:
+    """``g`` relabelled in frontier order, as the signing walk takes it."""
+    label = {v: i for i, v in enumerate(frontier_order(g))}
+    return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+
+
+def root_state(rvs) -> AssignmentState:
+    """The root of the outcome tree of ``rvs``: nothing fixed."""
+    return AssignmentState(fixed=[], remaining=list(rvs), k=1)
 
 
 class TruncatedMultiAffine:

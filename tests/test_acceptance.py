@@ -25,7 +25,6 @@ from interlace import (
     two_lift,
     is_ramanujan_bipartite,
     DiscreteRandomVector,
-    AssignmentState,
     mixed_char,
     VectorSystem,
     restricted_invertibility_bound,
@@ -35,7 +34,7 @@ from interlace import (
     signing_select,
 )
 from interlace.barrier import laguerre_root_bounds, lower_shift_check, upper_shift_check
-from oracles import conditional_expected_poly
+from oracles import conditional_expected_poly, root_state
 from paper import godsil_gutman_check, heilmann_lieb_check, is_real_rooted, \
     laguerre_transform, mixed_char_root_bound, signing_vectors, spectral_approx_factors
 
@@ -180,11 +179,6 @@ def _random_rank_one_systems():
     return float_systems, exact_systems
 
 
-def _state(rvs):
-    """The root of the outcome tree of ``rvs``: nothing fixed."""
-    return AssignmentState(fixed=[], remaining=rvs, k=1)
-
-
 def test_criterion_05_expectation_identity_and_real_roots(capsys):
     float_systems, exact_systems = _random_rank_one_systems()
     failures = []
@@ -193,7 +187,7 @@ def test_criterion_05_expectation_identity_and_real_roots(capsys):
             # enumeration against the engine: equal (exactly, for exact
             # systems) or RuntimeError
             try:
-                p = conditional_expected_poly(_state(rvs), cross_check=True)
+                p = conditional_expected_poly(root_state(rvs), cross_check=True)
             except RuntimeError:
                 failures.append((f"{tag}-identity", i))
                 continue
@@ -211,7 +205,7 @@ def test_criterion_06_outcome_bracketing(capsys):
     for tag, systems in (("float", float_systems), ("exact", exact_systems)):
         for i, rvs in enumerate(systems):
             d = rvs[0].dim
-            expect_roots = real_roots(conditional_expected_poly(_state(rvs)).to_float())
+            expect_roots = real_roots(conditional_expected_poly(root_state(rvs)).to_float())
             leaf_w = []
             for combo in itertools.product(*[r.support for r in rvs]):
                 acc = np.zeros((d, d))

@@ -26,7 +26,7 @@ from interlace import (
     SigningEngine,
     signing_select,
 )
-from oracles import forward_signed_chars
+from oracles import CUBE, forward_signed_chars, in_walk_order
 from test_acceptance import bounded_degree_graphs, signing_average_graphs
 from paper import godsil_gutman_check, heilmann_lieb_check, laplacian, matching_poly, \
     spectral_approx_factors, _charpoly_sum_over_signings
@@ -264,13 +264,9 @@ def test_heilmann_lieb_randomized():
 # ----------------------------------------------------------------------
 
 
-def _cube():
-    return Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
-
-
 def test_expected_signed_chars_match_exhaustive_average():
     rng = np.random.default_rng(59)
-    for g in (Graph.complete_bipartite(3, 3), Graph.complete(4), Graph.petersen(), _cube()):
+    for g in (Graph.complete_bipartite(3, 3), Graph.complete(4), Graph.petersen(), CUBE):
         engine = SigningEngine(g)
         for f in (0, 3, min(7, g.m - 2), g.m - 1):
             for prefix in rng.choice([-1, 1], (3, f)):
@@ -281,7 +277,7 @@ def test_expected_signed_chars_match_exhaustive_average():
 
 
 def test_expected_signed_chars_leaf_chunks_add_up(monkeypatch):
-    g = _cube()
+    g = CUBE
     engine = SigningEngine(g)
     prefixes = np.random.default_rng(67).choice([-1, 1], (2, 6))
     whole = [engine.chars(prefix) for prefix in prefixes]
@@ -290,7 +286,7 @@ def test_expected_signed_chars_leaf_chunks_add_up(monkeypatch):
 
 
 def test_expected_signed_chars_fully_signed_is_char_poly():
-    g = _cube()
+    g = CUBE
     signs = np.random.default_rng(61).choice([-1, 1], g.m)
     phi = SigningEngine(g).chars(signs)
     s = Signing(dict(zip(g.edges, signs.tolist())))
@@ -304,7 +300,7 @@ def test_expected_signed_chars_empty_prefix_is_matching_poly():
     named = [Graph.path(2), Graph.path(3), Graph.path(4), Graph.path(5), Graph.cycle(4),
              Graph.cycle(5), Graph.cycle(6), Graph.complete(4), Graph.complete(5),
              Graph.complete_bipartite(2, 3), Graph.complete_bipartite(3, 3),
-             Graph.petersen(), _cube(), Graph(3, []),
+             Graph.petersen(), CUBE, Graph(3, []),
              Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])]
     for g in itertools.chain(named, _dense_random_graphs(), _sparse_random_graphs(),
                              signing_average_graphs(), bounded_degree_graphs()):
@@ -324,12 +320,6 @@ def test_expected_signed_chars_budget_and_validation():
         engine.chars([[1], [1]])
 
 
-def _in_walk_order(g):
-    """``g`` relabelled in frontier order, as the signing walk takes it."""
-    label = {v: i for i, v in enumerate(frontier_order(g))}
-    return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
-
-
 def _double_cover24():
     """A 24-vertex cubic bipartite Ramanujan graph: two walked 2-lifts of K_{3,3}."""
     g = Graph.complete_bipartite(3, 3)
@@ -338,8 +328,8 @@ def _double_cover24():
     return g
 
 
-ENGINE_GRAPHS = [_cube(), Graph.petersen(), Graph.complete_bipartite(4, 4),
-                 _in_walk_order(_double_cover24())]
+ENGINE_GRAPHS = [CUBE, Graph.petersen(), Graph.complete_bipartite(4, 4),
+                 in_walk_order(_double_cover24())]
 
 
 @pytest.mark.parametrize("g", ENGINE_GRAPHS, ids=["cube", "petersen", "K44", "cover24"])
@@ -363,7 +353,7 @@ def test_signing_engine_minus_child_from_parent_matches_oracle(g):
 
 
 def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
-    g = _in_walk_order(_double_cover24())
+    g = in_walk_order(_double_cover24())
     engine = SigningEngine(g)
     sides = []
 
@@ -408,7 +398,7 @@ def test_signing_engine_past_62_vertices_and_edges():
 
 
 def test_signing_engine_levels_and_budget():
-    g = _cube()
+    g = CUBE
     engine = SigningEngine(g)
     assert len(engine.tables) == g.m + 1
     # no edge is taken at level m and no vertex is matched yet at level 0
@@ -444,7 +434,7 @@ def _relabelled(g, rng):
 
 def test_frontier_order_is_a_permutation_with_small_frontiers():
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    for g, width in ((Graph.path(6), 1), (Graph.cycle(7), 2), (_cube(), 4),
+    for g, width in ((Graph.path(6), 1), (Graph.cycle(7), 2), (CUBE, 4),
                      (Graph.petersen(), 5), (two_triangles, 2), (Graph(3, []), 0)):
         order = frontier_order(g)
         assert sorted(order) == list(range(g.n))

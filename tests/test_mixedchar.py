@@ -21,14 +21,13 @@ from interlace import (
     SymMatrix,
     char_poly,
     DiscreteRandomVector,
-    AssignmentState,
     BudgetExceededError,
     mixed_char,
     real_roots,
 )
 from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms, peel_terms
 from interlace.tolerances import COEFF_TOL
-from oracles import TruncatedMultiAffine, conditional_expected_poly, ring_mixed_char
+from oracles import TruncatedMultiAffine, conditional_expected_poly, ring_mixed_char, root_state
 from paper import is_real_rooted, mixed_char_root_bound
 
 
@@ -163,15 +162,10 @@ def test_mixed_char_caps():
 # ----------------------------------------------------------------------
 
 
-def _state(rvs):
-    """The root of the outcome tree of ``rvs``: nothing fixed."""
-    return AssignmentState(fixed=[], remaining=list(rvs), k=1)
-
-
 def test_expected_char_poly_deterministic_case():
     r1 = DiscreteRandomVector.deterministic([1, 0])
     r2 = DiscreteRandomVector.deterministic([0, 1])
-    p = conditional_expected_poly(_state([r1, r2]))
+    p = conditional_expected_poly(root_state([r1, r2]))
     assert p == Polynomial([1, -2, 1])  # char poly of I_2
 
 
@@ -179,14 +173,14 @@ def test_expected_char_poly_exact_two_point():
     # r = (1,0) or (0,1) with prob 1/2 each, a single vector:
     # E det(xI - rr^T) = x(x-1) exactly.
     r = DiscreteRandomVector.two_point([1, 0], [0, 1])
-    assert conditional_expected_poly(_state([r])) == Polynomial([0, -1, 1])
+    assert conditional_expected_poly(root_state([r])) == Polynomial([0, -1, 1])
 
 
 def test_expected_char_poly_averages_correctly():
     # two signed copies: E over 4 outcomes; cross-check by hand enumeration
     r1 = DiscreteRandomVector.two_point([1, 1], [1, -1])
     r2 = DiscreteRandomVector.two_point([2, 0], [0, 2])
-    got = conditional_expected_poly(_state([r1, r2]))
+    got = conditional_expected_poly(root_state([r1, r2]))
     acc = Polynomial.zero()
     for v1 in ([1, 1], [1, -1]):
         for v2 in ([2, 0], [0, 2]):
@@ -199,7 +193,7 @@ def test_expectation_identity_exact():
     r1 = DiscreteRandomVector.two_point([1, 0], [0, 1])
     r2 = DiscreteRandomVector.two_point([1, 1], [1, -1])
     # exact: equal coefficient for coefficient, or RuntimeError
-    conditional_expected_poly(_state([r1, r2]), cross_check=True)
+    conditional_expected_poly(root_state([r1, r2]), cross_check=True)
 
 
 def test_expectation_identity_float_randomized():
@@ -212,7 +206,7 @@ def test_expectation_identity_float_randomized():
             v = rng.standard_normal(d)
             w = rng.standard_normal(d)
             rvs.append(DiscreteRandomVector.two_point(v.tolist(), w.tolist()))
-        conditional_expected_poly(_state(rvs), cross_check=True)
+        conditional_expected_poly(root_state(rvs), cross_check=True)
 
 
 def test_expectation_identity_fails_for_rank_two():
@@ -237,8 +231,8 @@ def test_expectation_identity_fails_for_rank_two():
 def test_expected_char_poly_budget():
     rvs = [DiscreteRandomVector.two_point([1.0, 0.0], [0.0, 1.0])] * 4
     with pytest.raises(BudgetExceededError):
-        conditional_expected_poly(_state(rvs), budget=8)  # 2^4 = 16 outcomes > 8
-    conditional_expected_poly(_state(rvs), budget=16)  # exactly at the budget is fine
+        conditional_expected_poly(root_state(rvs), budget=8)  # 2^4 = 16 outcomes > 8
+    conditional_expected_poly(root_state(rvs), budget=16)  # exactly at the budget is fine
 
 
 def test_mixed_char_roots_real_on_random_two_point_systems():
@@ -250,7 +244,7 @@ def test_mixed_char_roots_real_on_random_two_point_systems():
         for _ in range(m):
             rvs.append(DiscreteRandomVector.two_point(
                 rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist()))
-        p = conditional_expected_poly(_state(rvs))
+        p = conditional_expected_poly(root_state(rvs))
         assert is_real_rooted(p)
 
 

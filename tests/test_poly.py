@@ -18,6 +18,7 @@ from interlace import (
     ZeroPolynomialError,
     NotRealRootedError,
     shift_roots,
+    shift_chain,
     sturm_sequence,
     real_roots,
     float_top_root,
@@ -287,6 +288,38 @@ def test_shift_roots_keep_a_repeated_pole_their_start_cannot_reach():
     got = np.delete(out[0], [1, 2])
     for g, ref in zip(got, _reference_shift_roots(row, zeros, c, got, mpmath)):
         assert abs(mpmath.mpf(g) - ref) <= 2e-15 * max(1, abs(ref))
+
+
+def _successive_shifts(roots, zeros, c, steps):
+    for _ in range(steps):
+        roots, zeros = shift_roots(roots, zeros, c)
+    return roots, zeros
+
+
+def test_shift_chain_is_successive_shift_roots_bit_for_bit():
+    # negative roots put the zero pole among the others, and the second
+    # batch's exact zero roots sit beside it; rows 0 and 2 of the first
+    # shift stop after one pass and rows 1 and 3 after two; the 38-root
+    # rows with two zeros cross the 40-pole start cut on their second
+    # shift; rows with no roots and no zeros have no poles
+    rng = np.random.default_rng(20261019)
+    small = np.array([[2.0, 1.0, -0.5, 0.0, 0.0],
+                      [1.0 + 1e-9, 1.0, 1.0 - 1e-9, 0.3, -2.0],
+                      [3.0, 3.0, 3.0, -1.0, -1.0],
+                      [0.5, 0.25, 0.125, -0.125, -0.25]])
+    big = rng.uniform(-1, 2, (3, 38))
+    big[1, :6] = 1 + 1e-10 * np.arange(6)
+    cases = [(small, 3, 0.3), (np.abs(small), 3, 0.3), (small, 0, 0.3),
+             (big, 2, 1 / 96), (small, 3, 0.0), (np.empty((2, 0)), 4, 0.25),
+             (np.empty((2, 0)), 0, 0.25)]
+    for roots, zeros, c in cases:
+        for steps in range(7):
+            got, got_zeros = shift_chain(roots, zeros, c, steps)
+            want, want_zeros = _successive_shifts(roots, zeros, c, steps)
+            assert got_zeros == want_zeros
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        shift_chain(small, 3, 0.3, -1)
 
 
 def test_laguerre_transform_values():

@@ -45,9 +45,10 @@ from interlace import (
 import interlace.graphs as graphs_module
 import interlace.poly as poly_module
 import interlace.select as select_module
-from oracles import argmax_ri_walk, conditional_expected_poly, \
+from interlace.poly import EIG_START_POLES
+from oracles import CUBE, argmax_ri_walk, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
-    ri_level_scores
+    in_walk_order, ri_level_scores
 from paper import apply_shift_operator, have_common_interlacing, is_real_rooted, \
     kth_largest_root, matching_poly, signing_vectors, sturm_root_count
 
@@ -64,6 +65,19 @@ def test_vector_system_basics():
     assert vs.is_isotropic()
     assert vs.max_norm_sq() == pytest.approx(1.0)
     assert vs.gram_sum() == SymMatrix.identity(2, exact=True)
+
+
+def test_vector_system_forms_its_gram_sum_once():
+    vs = VectorSystem([[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]])
+    gram = vs.gram_sum()
+    assert vs.is_isotropic() and vs.gram_sum() is gram
+    with pytest.raises(ValueError):
+        gram.a[0, 0] = 2
+    # an overflowing float sum is refused on every call
+    huge = VectorSystem([[1e200, 0.0], [0.0, 1.0]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflows"):
+            huge.gram_sum()
 
 
 def test_vector_system_isotropy_defect():
@@ -344,6 +358,19 @@ def test_ri_float_walk_matches_coefficient_walk():
             parent = vals[j]
 
 
+def _rows_scored(k, free, pos):
+    """Rows an ri level has scored once its batch holding free row ``pos``
+    is done: batches of ``RI_BATCH`` while the level's shifts start from
+    eigenvalues (k <= EIG_START_POLES poles), else 2 rows doubling up to
+    ``RI_BATCH``."""
+    size = select_module.RI_BATCH if k <= EIG_START_POLES else 2
+    end = size
+    while end <= pos:
+        size = min(2 * size, select_module.RI_BATCH)
+        end += size
+    return min(len(free), end)
+
+
 def _assert_walk_follows_scores(vs, k, chosen, cert):
     """Each level of an ri walk kept the lowest free row whose oracle score
     is >= its parent, or the best scored row when none is."""
@@ -354,8 +381,7 @@ def _assert_walk_follows_scores(vs, k, chosen, cert):
         meets = [i for i in free if vals[i] >= parent]
         if meets:
             assert j == meets[0]
-            batches = free.index(j) // select_module.RI_BATCH + 1
-            assert cert.scored[lvl] == min(len(free), batches * select_module.RI_BATCH)
+            assert cert.scored[lvl] == _rows_scored(k, free, free.index(j))
         else:
             fallbacks += 1
             assert j == max(free, key=lambda i: (vals[i], -i))
@@ -457,6 +483,27 @@ def test_ri_pledge_matches_laguerre_roots(n, m, k):
     ref = _laguerre_pledge_roots(n, m, k)
     assert np.max(np.abs(roots[0] - ref) / ref) <= 1e-12
     assert roots[0, -1] >= restricted_invertibility_bound(n, m, k)
+
+
+def test_ri_past_the_eigenvalue_start_scores_from_two_rows(monkeypatch):
+    # k = 41 > EIG_START_POLES: each level starts with 2 rows and doubles
+    # (one level here keeps free row 7, in its third batch); forced to
+    # 8-row batches, as at k <= 40, the walk keeps the same rows
+    n, m, k = 42, 84, 41
+    vs = VectorSystem.random_isotropic(n, m, np.random.default_rng(1))
+    chosen, cert = restricted_invertibility_select(vs, k)
+    assert cert.valid() and cert.fallbacks == 0
+    kept_at = []
+    for lvl, j in enumerate(chosen):
+        free = [i for i in range(m) if i not in chosen[:lvl]]
+        kept_at.append(free.index(j))
+        assert cert.scored[lvl] == _rows_scored(k, free, kept_at[-1])
+    assert max(kept_at) == 7
+    monkeypatch.setattr(select_module, "EIG_START_POLES", k)
+    eights, cert8 = restricted_invertibility_select(vs, k)
+    assert eights == chosen and cert8.achieved == cert.achieved
+    assert np.allclose(cert8.levels, cert.levels, rtol=1e-13, atol=0)
+    assert sum(cert8.scored) > sum(cert.scored)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -660,12 +707,6 @@ def _recorded_signing_walk(monkeypatch, g):
     return cert, pairs, ranked
 
 
-def _in_walk_order(g: Graph) -> Graph:
-    """``g`` relabelled in frontier order, as the signing walk takes it."""
-    label = {v: i for i, v in enumerate(frontier_order(g))}
-    return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
-
-
 def _random_cubic_bipartite(half: int, seed: int) -> Graph:
     """A simple union of three random perfect matchings between two halves."""
     rng = np.random.default_rng(seed)
@@ -674,9 +715,6 @@ def _random_cubic_bipartite(half: int, seed: int) -> Graph:
                  for i, j in enumerate(rng.permutation(half))}
         if len(edges) == 3 * half:
             return Graph(2 * half, sorted(edges))
-
-
-CUBE = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
 
 
 @pytest.mark.parametrize("g", [CUBE, Graph.complete_bipartite(3, 3), Graph.petersen()],
@@ -759,7 +797,7 @@ def test_signing_walk_children_match_forward_oracle(monkeypatch, g):
     # the walk forms only the +1 child and takes the -1 child from its
     # parent; both must be the oracle's children
     cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
-    walk = _in_walk_order(g)
+    walk = in_walk_order(g)
     signs = [1 - 2 * c for c in cert.choices]
     assert len(pairs) == g.m
     for f, pair in enumerate(pairs):
@@ -786,7 +824,7 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
     assert passes == [(select_module.DEFAULT_BUDGET,)]
     # one prefix for the pledge and one per level whose edge closes a
     # cycle, its +1 child; the other levels form none
-    forest = _in_walk_order(CUBE).forest_edges()
+    forest = in_walk_order(CUBE).forest_edges()
     assert prefixes == [0] + [f + 1 for f, joins in enumerate(forest) if not joins]
     assert len(prefixes) == 1 + CUBE.m - (CUBE.n - 1)
 
@@ -809,7 +847,7 @@ def test_signing_forest_levels_equal_their_parent(g):
     # children equal the parent whatever the prefix; every other level has
     # children that differ for some prefix, so marking one more edge as
     # forest fails here
-    walk = _in_walk_order(g)
+    walk = in_walk_order(g)
     engine = SigningEngine(walk)
     rng = np.random.default_rng(83)
     forest = walk.forest_edges()
@@ -830,7 +868,7 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
     # cubic graph's Phi_F lies above 3) leaves both counts 0, and the
     # fallback ranks both children for the same choice.  Identical
     # children, as at every forest level, keep +1 and the parent's bracket
-    walk = _in_walk_order(g)
+    walk = in_walk_order(g)
     engine = SigningEngine(walk)
     rng = np.random.default_rng(89)
     compared, ranked = [], []
