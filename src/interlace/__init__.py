@@ -11,7 +11,6 @@ from .poly import (
     NotRealRootedError,
     shift_roots,
     shift_chain,
-    sturm_sequence,
     real_roots,
     float_top_root,
     TopRoot,

@@ -13,10 +13,12 @@ moves these soft edges: the lower edge advances by at least
 ``1/(1+phi)`` and the upper edge by at most ``1/(1-phi)`` (the latter
 needs ``phi < 1``).
 
-All of it works on ``real_roots(f)``: the barriers are sums over the
-roots, ``smax_phi`` is the top root of ``f - f'/phi`` from ``shift_roots``,
-``smin_phi(f) = -smax_phi(f(-x))``, and the shift checks take the roots of
-``(1 - D) f`` from ``shift_roots`` too.
+All of it works on the roots of ``f``: ``root_clusters``' for exact
+``f``, which must be real-rooted, and ``real_roots``' for float ``f``.
+The barriers are sums over the roots, ``smax_phi`` is the top root of
+``f - f'/phi`` from ``shift_roots``, ``smin_phi(f) = -smax_phi(f(-x))``,
+and the shift checks take the roots of ``(1 - D) f`` from
+``shift_roots`` too.
 
 ``multivariate_barrier`` is the several-variables analogue for
 ``f = det(xI + sum z_i A_i)``: the logarithmic derivative in ``z_j``,
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import Polynomial, real_roots, shift_roots
+from .poly import Polynomial, real_roots, root_clusters, shift_roots
 from .matrices import _validate_psd_list
 from .tolerances import SHIFT_TOL
 
@@ -58,10 +60,13 @@ class DetPolyFamily:
 
 
 def _roots(p: Polynomial) -> np.ndarray:
-    roots = real_roots(p)
-    if len(roots) == 0:
+    """The roots of ``p``, descending: ``root_clusters``' for exact ``p``,
+    ``real_roots``' for float ``p``."""
+    if p.degree == 0:
         raise ValueError("constant polynomial has no barrier")
-    return roots
+    if p.is_exact:
+        return np.array([c.root for c in root_clusters(p) for _ in range(c.mult)])
+    return real_roots(p)
 
 
 def lower_barrier(p: Polynomial, b) -> float:

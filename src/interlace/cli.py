@@ -259,8 +259,6 @@ def cmd_lift(args) -> int:
         g = Graph.from_edge_list(text)
     except ValueError as e:
         raise ParseFailure(str(e)) from e
-    if g.weights is not None:
-        raise ValueError("lift takes an unweighted edge list")
     # d-regular with d >= 2 means n = 2m / d <= m: refuse a larger n before using it
     d = g.regularity() if g.n <= g.m else None
     if d is None or d < 2:

@@ -1,10 +1,8 @@
 """Graphs, signings, expected characteristic polynomials of partial
 signings, 2-lifts, and Ramanujan certificates.
 
-Graphs are simple (no loops, no parallel edges), vertices are integers
-``0..n-1``, and edges are stored as sorted pairs.  Optional positive
-weights are kept through edge lists and 2-lifts; adjacency is always
-0/1, and only the Laplacians of the tests read the weights.
+Graphs are simple (no loops, no parallel edges) and unweighted,
+vertices are integers ``0..n-1``, and edges are stored as sorted pairs.
 
 The spectral story: a signing flips adjacency entries to -1 on chosen
 edges.  Averaging the characteristic polynomial over all 2^{|E|}
@@ -28,8 +26,6 @@ built by repeated lifting.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -56,11 +52,11 @@ LEAF_CHUNK = 256
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with optional edge weights."""
+    """Simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "weights")
+    __slots__ = ("n", "edges")
 
-    def __init__(self, n: int, edges, weights=None):
+    def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = []
@@ -73,18 +69,7 @@ class Graph:
             norm.append((min(a, b), max(a, b)))
         if len(set(norm)) != len(norm):
             raise ValueError("duplicate edges are not allowed")
-        if weights is not None:
-            weights = tuple(weights)
-            if len(weights) != len(norm):
-                raise ValueError("one weight per edge required")
-            if not all(0 < float(w) < math.inf for w in weights):
-                raise ValueError("edge weights must be positive and finite")
-            order = sorted(range(len(norm)), key=lambda i: norm[i])
-            self.edges = tuple(norm[i] for i in order)
-            self.weights = tuple(weights[i] for i in order)
-        else:
-            self.edges = tuple(sorted(norm))
-            self.weights = None
+        self.edges = tuple(sorted(norm))
         self.n = n
 
     # -- constructors -------------------------------------------------
@@ -116,39 +101,27 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
-        """Parse the `u v [w]` per-line format, 0-indexed; n = max vertex + 1."""
-        edges, weights = [], []
-        any_weight = False
+        """Parse the `u v` per-line format, 0-indexed; n = max vertex + 1."""
+        edges = []
         for ln, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#")[0].strip()
             if not line:
                 continue
             parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ValueError(f"line {ln}: expected 'u v [w]', got {raw!r}")
+            if len(parts) != 2:
+                raise ValueError(f"line {ln}: expected 'u v', got {raw!r}")
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError as e:
                 raise ValueError(f"line {ln}: bad vertex in {raw!r}") from e
             edges.append((u, v))
-            if len(parts) == 3:
-                any_weight = True
-                weights.append(float(parts[2]))
-            else:
-                weights.append(1.0)
         if not edges:
             raise ValueError("empty edge list")
         n = max(max(e) for e in edges) + 1
-        return cls(n, edges, weights if any_weight else None)
+        return cls(n, edges)
 
     def to_edge_list(self) -> str:
-        lines = []
-        for i, (a, b) in enumerate(self.edges):
-            if self.weights is None:
-                lines.append(f"{a} {b}")
-            else:
-                lines.append(f"{a} {b} {float(self.weights[i]):.17g}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(f"{a} {b}" for a, b in self.edges) + "\n"
 
     # -- structure queries --------------------------------------------
 
@@ -218,13 +191,12 @@ class Graph:
         return {v for v in range(self.n) if color[v] == 0}
 
     def __repr__(self):
-        w = "" if self.weights is None else ", weighted"
-        return f"Graph(n={self.n}, m={self.m}{w})"
+        return f"Graph(n={self.n}, m={self.m})"
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.n, self.edges, self.weights) == (other.n, other.edges, other.weights)
+        return (self.n, self.edges) == (other.n, other.edges)
 
 
 class Signing:
@@ -492,16 +464,12 @@ def two_lift(g: Graph, s: Signing) -> Graph:
     s.validate_for(g)
     n = g.n
     edges = []
-    weights = [] if g.weights is not None else None
-    for i, (a, b) in enumerate(g.edges):
+    for a, b in g.edges:
         if s[(a, b)] == 1:
-            pair = [(a, b), (a + n, b + n)]
+            edges.extend([(a, b), (a + n, b + n)])
         else:
-            pair = [(a, b + n), (b, a + n)]
-        edges.extend(pair)
-        if weights is not None:
-            weights.extend([g.weights[i]] * 2)
-    return Graph(2 * n, edges, weights)
+            edges.extend([(a, b + n), (b, a + n)])
+    return Graph(2 * n, edges)
 
 
 def is_ramanujan_bipartite(g: Graph) -> bool:

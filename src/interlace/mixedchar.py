@@ -42,9 +42,9 @@ wherever it is cheaper than enumeration.  The fold adds to W_k terms
 read from W_(k-1) alone, so one ascending pass takes a variable back out
 (:func:`peel_terms`); the walk peels each level's variable off one parent
 table, and each child is the peeled table plus one term read off it.
-:func:`_expected_char_with_base` enumerates outcomes under a budget; it
-is the greedy walk's other route, and the tests' oracle checks the
-identity with it.
+:func:`_expected_char_with_base` enumerates the outcomes; it is the
+greedy walk's other route, priced with it before the walk starts, and
+the tests' oracle checks the identity with it.
 """
 
 from __future__ import annotations
@@ -140,13 +140,12 @@ class DiscreteRandomVector:
         return cls([(one, vec)])
 
     @classmethod
-    def two_point(cls, v, w, p=None) -> "DiscreteRandomVector":
-        """Takes value v with probability p and w with probability 1-p (default 1/2)."""
+    def two_point(cls, v, w) -> "DiscreteRandomVector":
+        """Takes value v or w, each with probability 1/2: exactly 1/2 when
+        both are exact, 0.5 otherwise."""
         vv, ww = _coerce_vector(v), _coerce_vector(w)
-        if p is None:
-            p = Fraction(1, 2) if (vv.dtype == object and ww.dtype == object) else 0.5
-        q = (1 - p) if not isinstance(p, float) else 1.0 - p
-        return cls([(p, vv), (q, ww)])
+        half = Fraction(1, 2) if (vv.dtype == object and ww.dtype == object) else 0.5
+        return cls([(half, vv), (half, ww)])
 
     def covariance(self) -> SymMatrix:
         """E[v v^T] over the support."""
@@ -445,18 +444,14 @@ def mixed_char(matrices) -> Polynomial:
 # ----------------------------------------------------------------------
 
 
-def _expected_char_with_base(base: np.ndarray, rvs, budget: int,
-                             exact: bool) -> Polynomial:
+def _expected_char_with_base(base: np.ndarray, rvs, exact: bool) -> Polynomial:
     """E char_poly(base + sum r_i r_i^T); base is a plain (d, d) array.
 
     Outcomes are enumerated in chunks; each chunk's matrices go through
-    one kernel call, exact (object dtype) or float.
+    one kernel call, exact (object dtype) or float.  The caller has
+    checked the outcomes' count against its budget.
     """
     d = base.shape[0]
-    total = math.prod(len(r.support) for r in rvs)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} outcomes exceed the budget of {budget}")
     dtype, kernel = (object, charpoly_batch_exact) if exact else (float, charpoly_batch)
     outers = [np.stack([np.outer(v, v).astype(dtype) for _, v in r.support])
               for r in rvs]

@@ -8,27 +8,25 @@ polynomial silently becomes a float polynomial and all downstream work
 happens in double precision.  The two regimes share one API; functions
 dispatch on ``Polynomial.is_exact``.
 
-Exact roots come from one kernel, ``root_clusters``, and exact input is
-checked real-rooted by one checker.  The kernel is valid for exact
-polynomials that are real-rooted, and does not test that: for them
-Descartes' rule of signs is exact, so the sign changes of p(b + y), one
-Taylor shift in integers, count the roots above b with multiplicity.  It
-walks the roots from the top down, estimating each cluster in floats,
-polishing the estimate by Newton steps with exact values, and
-certifying a bracket of dyadic ends around it by two such counts.
-``top_root`` is its first cluster and ``compare_top_roots`` orders two
-top roots exactly.  Every command's exact polynomials are real-rooted
-by theorem and go to the kernel directly.  ``real_roots`` on exact
-input goes through the checker first: one Sturm sequence certifies it
-real-rooted, or :class:`NotRealRootedError` is raised.  The tests'
-real-rootedness, interlacing and Sturm-count checks, which no command
-runs, live in ``tests/paper.py``.
+Each arithmetic has one root entry point.  Exact roots come from one
+kernel, ``root_clusters``, valid for exact polynomials that are
+real-rooted, which it does not test: for them Descartes' rule of signs
+is exact, so the sign changes of p(b + y), one Taylor shift in
+integers, count the roots above b with multiplicity.  It walks the
+roots from the top down, estimating each cluster in floats, polishing
+the estimate by Newton steps with exact values, and certifying a
+bracket of dyadic ends around it by two such counts.  ``top_root`` is
+its first cluster and ``compare_top_roots`` orders two top roots
+exactly.  Every command's exact polynomials are real-rooted by theorem
+and go to the kernel directly.  The Sturm checker of real-rootedness,
+with the tests' interlacing and Sturm-count checks, which no command
+runs, lives in ``tests/paper.py``.
 
-Float polynomials take one root routine, real-rooted by construction:
+Float polynomials take ``real_roots``, real-rooted by construction:
 the derivative chain solved from the linear end up, each level's roots
 cutting the next level's sign-change brackets, a missing sign change a
 multiple root up to ``tolerances.BACKWARD_TOL`` and beyond it
-:class:`NotRealRootedError`.  ``real_roots`` always returns floats.  A
+:class:`NotRealRootedError`.  It refuses exact input.  A
 float walk polynomial, real-rooted by theorem, whose top root alone is
 ranked (the float ``weaver`` children) takes ``float_top_root``
 instead: Laguerre's method from above the Laguerre-Samuelson bound.  It
@@ -68,7 +66,6 @@ __all__ = [
     "NotRealRootedError",
     "shift_roots",
     "shift_chain",
-    "sturm_sequence",
     "real_roots",
     "float_top_root",
     "TopRoot",
@@ -484,109 +481,25 @@ def _secular_step(mu, w, c: float, top_width: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Sturm machinery
+# Float roots
 # ----------------------------------------------------------------------
-
-
-def _primitive(cs: list[int]) -> list[int]:
-    g = math.gcd(*cs)
-    return [c // g for c in cs]
-
-
-def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """``(q, r)`` with c f = q g + r, deg r < deg g, for some integer c > 0.
-
-    Pseudo-division in integers: each step scales the remainder by
-    |lead g| before cancelling its leading term, so q and r are positive
-    multiples of the true quotient and remainder.  r drops its
-    high zeros; ``[]`` is the zero remainder.
-    """
-    scale, sign, dg = abs(g[-1]), (1 if g[-1] > 0 else -1), len(g) - 1
-    q, r = [0] * max(len(f) - dg, 0), list(f)
-    while len(r) > dg:
-        c, shift = sign * r[-1], len(r) - 1 - dg
-        q = [scale * x for x in q]
-        q[shift] += c
-        r = [scale * x for x in r]
-        for i, y in enumerate(g):
-            r[shift + i] -= c * y
-        while r and not r[-1]:
-            r.pop()
-    return q, r
-
-
-def sturm_sequence(p: Polynomial) -> list[Polynomial]:
-    """Canonical Sturm sequence ``p, p', -rem(...), ...`` of exact ``p``.
-
-    Each element is taken up to a positive factor, which leaves every
-    sign count unchanged: the sequence runs in integers, each element
-    primitive, each remainder a pseudo-remainder.  It ends at
-    gcd(p, p'), up to a constant.  Sturm sequences are the checker of
-    real-rootedness, and a float one certifies nothing, so float input
-    raises ``TypeError``.
-    """
-    if p.is_zero:
-        raise ZeroPolynomialError("Sturm sequence of the zero polynomial")
-    if not p.is_exact:
-        raise TypeError("Sturm sequences are taken of exact polynomials only")
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    seq = [_primitive([(c * den).numerator for c in p.coeffs])]
-    if len(seq[0]) > 1:
-        seq.append(_primitive([i * c for i, c in enumerate(seq[0])][1:]))
-    while len(seq[-1]) > 1:
-        r = _pseudo_divmod(seq[-2], seq[-1])[1]
-        if not r:
-            break
-        seq.append([-c for c in _primitive(r)])
-    return [Polynomial(q) for q in seq]
-
-
-def _sign_changes(seq: list[Polynomial], x) -> int:
-    signs = [v > 0 for v in (q(x) for q in seq) if v]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-# ----------------------------------------------------------------------
-# Real-rootedness and root extraction
-# ----------------------------------------------------------------------
-
-
-def _sturm_certifies_real_roots(p: Polynomial) -> bool:
-    """Whether every root of exact, nonconstant ``p`` is real, by one Sturm sequence.
-
-    The sequence ends at g = gcd(p, p'), so p has deg p - deg g distinct
-    roots; every one of them is real exactly when that many lie in
-    (-B, B] for the root bound B.
-    """
-    seq = sturm_sequence(p)
-    bound = int(max(_root_bound(list(seq[0].coeffs)), 1))  # an integer, for speed
-    distinct = p.degree - seq[-1].degree
-    return _sign_changes(seq, -bound) - _sign_changes(seq, bound) == distinct
-
-
-def _require_real_roots(p: Polynomial) -> None:
-    if not _sturm_certifies_real_roots(p):
-        raise NotRealRootedError(
-            "complex root (a Sturm count falls short of the distinct roots)")
 
 
 def real_roots(p: Polynomial) -> np.ndarray:
-    """All real roots of ``p`` with multiplicity, sorted descending, as floats.
+    """All roots of float ``p`` with multiplicity, sorted descending.
 
-    An exact polynomial is first certified real-rooted by one Sturm
-    sequence (:func:`_sturm_certifies_real_roots`); its roots then come from
-    :func:`root_clusters`, each within a few ulp and inside a bracket
-    certified by exact counts.  A float polynomial's are real by
-    construction (:func:`_float_roots`).  Raises :class:`NotRealRootedError`
-    on a complex root, for float ``p`` one beyond ``BACKWARD_TOL``.
+    They are real by construction (:func:`_float_roots`), and
+    :class:`NotRealRootedError` is raised on a complex root beyond
+    ``BACKWARD_TOL``.  A constant has no roots.  Exact input raises
+    ``TypeError``: its roots come certified from :func:`root_clusters`,
+    which requires it real-rooted.
     """
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has every number as a root")
     if p.degree == 0:
         return np.empty(0)
     if p.is_exact:
-        _require_real_roots(p)
-        return np.array([c.root for c in root_clusters(p) for _ in range(c.mult)])
+        raise TypeError("real_roots takes float polynomials; exact ones take root_clusters")
     return np.array(_float_roots(p))
 
 
@@ -1038,6 +951,33 @@ def top_root(p: Polynomial) -> TopRoot:
     ``lo``.
     """
     return next(root_clusters(p))
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
+    """``(q, r)`` with c f = q g + r, deg r < deg g, for some integer c > 0.
+
+    Pseudo-division in integers: each step scales the remainder by
+    |lead g| before cancelling its leading term, so q and r are positive
+    multiples of the true quotient and remainder.  r drops its
+    high zeros; ``[]`` is the zero remainder.
+    """
+    scale, sign, dg = abs(g[-1]), (1 if g[-1] > 0 else -1), len(g) - 1
+    q, r = [0] * max(len(f) - dg, 0), list(f)
+    while len(r) > dg:
+        c, shift = sign * r[-1], len(r) - 1 - dg
+        q = [scale * x for x in q]
+        q[shift] += c
+        r = [scale * x for x in r]
+        for i, y in enumerate(g):
+            r[shift + i] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    return q, r
 
 
 def _drop_common_roots(a: list[int], b: list[int]) -> list[int]:

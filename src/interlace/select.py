@@ -55,13 +55,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .poly import Polynomial, TopRoot, float_top_root, _float_roots, \
     root_clusters, top_root, compare_top_roots, roots_above, shift_chain, \
     EIG_START_POLES
-from .matrices import SymMatrix, _coerce_array, char_poly, charpoly_batch_exact
+from .matrices import SymMatrix, _cleared, _coerce_array, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, peel_terms, _expected_char_with_base
 from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
@@ -128,11 +129,18 @@ class VectorSystem:
         """sum_i v_i v_i^T, exactly for exact vectors; a float sum that
         overflows raises ValueError, with no RuntimeWarning.  Formed on
         the first call and shared by later ones; its entries are
-        read-only."""
-        if self._gram is None:
+        read-only.  Exact vectors are cleared to one denominator q, so
+        the products are of Python ints and one division by q^2 ends it."""
+        if self._gram is not None:
+            return self._gram
+        if self.is_exact:
+            q, ints = _cleared(self.vectors.ravel().tolist())
+            v = np.array(ints, dtype=object).reshape(self.vectors.shape)
+            self._gram = SymMatrix(v.T @ v / Fraction(q * q))
+        else:
             with np.errstate(over="ignore", invalid="ignore"):
                 g = self.vectors.T @ self.vectors
-            if not self.is_exact and not np.isfinite(g).all():
+            if not np.isfinite(g).all():
                 raise ValueError("the Gram sum of the vectors overflows")
             self._gram = SymMatrix(g)
         return self._gram
@@ -352,11 +360,11 @@ def _enumeration_route(d: int, fixed: list, remaining: list, exact: bool,
     for v in fixed:
         base = base + np.outer(v, v)
     # greedy_walk has checked the whole walk's cost against its budget
-    pledge = _expected_char_with_base(base, remaining, math.inf, exact)
+    pledge = _expected_char_with_base(base, remaining, exact)
     for lvl, rv in enumerate(remaining):
         outers = [np.outer(v, v) for v in (_vector(v, exact) for _, v in rv.support)]
-        best = choose([_expected_char_with_base(base + o, remaining[lvl + 1:],
-                                                math.inf, exact) for o in outers])
+        best = choose([_expected_char_with_base(base + o, remaining[lvl + 1:], exact)
+                       for o in outers])
         base = base + outers[best]
     return pledge
 

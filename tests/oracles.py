@@ -33,6 +33,7 @@ It also holds the fixtures several test modules share: the cube graph
 (:func:`root_state`).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -194,6 +195,15 @@ def _base(fixed, dim: int, exact: bool) -> np.ndarray:
     return acc
 
 
+def _enumerate(base: np.ndarray, rvs, budget: int, exact: bool) -> Polynomial:
+    """``_expected_char_with_base``, refused with :class:`BudgetExceededError`
+    when the outcomes outnumber ``budget``."""
+    total = math.prod(len(r.support) for r in rvs)
+    if total > budget:
+        raise BudgetExceededError(f"{total} outcomes exceed the budget of {budget}")
+    return _expected_char_with_base(base, rvs, exact)
+
+
 def conditional_expected_poly(state: AssignmentState, budget: int = DEFAULT_BUDGET,
                               cross_check: bool = False) -> Polynomial:
     """E over the remaining randomness of char_poly(sum fixed + sum remaining).
@@ -204,8 +214,7 @@ def conditional_expected_poly(state: AssignmentState, budget: int = DEFAULT_BUDG
     covariances; a disagreement raises RuntimeError.
     """
     exact = state.is_exact
-    out = _expected_char_with_base(_base(state.fixed, state.dim, exact),
-                                   state.remaining, budget, exact)
+    out = _enumerate(_base(state.fixed, state.dim, exact), state.remaining, budget, exact)
     if cross_check:
         mats = [SymMatrix.outer(v) for v in state.fixed] \
             + [r.covariance() for r in state.remaining]
@@ -230,14 +239,13 @@ def enumeration_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET):
     maximize = state.direction == "maximize"
     base = _base(state.fixed, state.dim, exact)
     remaining = list(state.remaining)
-    pledged = _kth_root(_expected_char_with_base(base, remaining, budget, exact), k)
+    pledged = _kth_root(_enumerate(base, remaining, budget, exact), k)
     choices, levels = [], []
     for lvl, rv in enumerate(remaining):
         vals = []
         for _, vec in rv.support:
             v = np.asarray(vec).astype(object if exact else float)
-            child = _expected_char_with_base(base + np.outer(v, v), remaining[lvl + 1:],
-                                             budget, exact)
+            child = _enumerate(base + np.outer(v, v), remaining[lvl + 1:], budget, exact)
             vals.append(_kth_root(child, k))
         best = 0
         for j in range(1, len(vals)):

@@ -15,9 +15,8 @@ from interlace.graphs import Graph, squared_roots
 from interlace.matrices import SymMatrix, charpoly_batch_exact, _validate_psd_list
 from interlace.mixedchar import DiscreteRandomVector
 from interlace.poly import Polynomial, ZeroPolynomialError, NotRealRootedError, \
-    real_roots, root_clusters, roots_above, sturm_sequence, _float_roots, \
-    _normalize_scalar, _pseudo_divmod, _require_real_roots, _sign_changes, \
-    _sturm_certifies_real_roots
+    real_roots, root_clusters, roots_above, _float_roots, _normalize_scalar, \
+    _primitive, _pseudo_divmod, _root_bound
 from interlace.tolerances import ISO_TOL
 
 # Relative slack when float roots of two polynomials are compared for
@@ -32,6 +31,77 @@ GG_EDGE_CAP = 20
 # ----------------------------------------------------------------------
 # Polynomials: the shift operator, Sturm counts, interlacing
 # ----------------------------------------------------------------------
+
+
+def sturm_sequence(p: Polynomial) -> list[Polynomial]:
+    """Canonical Sturm sequence ``p, p', -rem(...), ...`` of exact ``p``.
+
+    Each element is taken up to a positive factor, which leaves every
+    sign count unchanged: the sequence runs in integers, each element
+    primitive, each remainder a pseudo-remainder.  It ends at
+    gcd(p, p'), up to a constant.  Sturm sequences are the checker of
+    real-rootedness, and a float one certifies nothing, so float input
+    raises ``TypeError``.
+    """
+    if p.is_zero:
+        raise ZeroPolynomialError("Sturm sequence of the zero polynomial")
+    if not p.is_exact:
+        raise TypeError("Sturm sequences are taken of exact polynomials only")
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    seq = [_primitive([(c * den).numerator for c in p.coeffs])]
+    if len(seq[0]) > 1:
+        seq.append(_primitive([i * c for i, c in enumerate(seq[0])][1:]))
+    while len(seq[-1]) > 1:
+        r = _pseudo_divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append([-c for c in _primitive(r)])
+    return [Polynomial(q) for q in seq]
+
+
+def _sign_changes(seq: list[Polynomial], x) -> int:
+    signs = [v > 0 for v in (q(x) for q in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _sturm_certifies_real_roots(p: Polynomial) -> bool:
+    """Whether every root of exact, nonconstant ``p`` is real, by one Sturm sequence.
+
+    The sequence ends at g = gcd(p, p'), so p has deg p - deg g distinct
+    roots; every one of them is real exactly when that many lie in
+    (-B, B] for the root bound B.
+    """
+    seq = sturm_sequence(p)
+    bound = int(max(_root_bound(list(seq[0].coeffs)), 1))  # an integer, for speed
+    distinct = p.degree - seq[-1].degree
+    return _sign_changes(seq, -bound) - _sign_changes(seq, bound) == distinct
+
+
+def _require_real_roots(p: Polynomial) -> None:
+    if not _sturm_certifies_real_roots(p):
+        raise NotRealRootedError(
+            "complex root (a Sturm count falls short of the distinct roots)")
+
+
+def exact_real_roots(p: Polynomial) -> np.ndarray:
+    """All roots of exact ``p`` with multiplicity, descending, as floats.
+
+    ``p`` is first certified real-rooted by one Sturm sequence, or
+    :class:`NotRealRootedError` is raised; its roots then come from
+    ``root_clusters``, each within a few ulp and inside a bracket
+    certified by exact counts.  A constant has no roots.
+    """
+    if p.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has every number as a root")
+    if p.degree == 0:
+        return np.empty(0)
+    _require_real_roots(p)
+    return np.array([c.root for c in root_clusters(p) for _ in range(c.mult)])
+
+
+def all_roots(p: Polynomial) -> np.ndarray:
+    """``exact_real_roots`` for exact ``p``, ``real_roots`` for float ``p``."""
+    return exact_real_roots(p) if p.is_exact else real_roots(p)
 
 
 def apply_shift_operator(p: Polynomial, c) -> Polynomial:
@@ -125,7 +195,7 @@ def is_real_rooted(p: Polynomial) -> bool:
 def kth_largest_root(p: Polynomial, k: int) -> float:
     """The k-th largest real root, 1-indexed with multiplicity.
 
-    Exact ``p`` is certified real-rooted as in ``real_roots``, and
+    Exact ``p`` is certified real-rooted as in ``exact_real_roots``, and
     its clusters are then taken from the top only until k roots are in
     hand.  Float ``p`` goes through ``poly._float_roots``.
     """
@@ -154,8 +224,8 @@ def interlaces(g: Polynomial, f: Polynomial) -> bool:
     ``ROOT_TOL * (1 + |value|)``.  When m = n - 1 the smallest-root condition
     is vacuous.  Both polynomials must be real-rooted.
     """
-    ra = real_roots(f)
-    rb = real_roots(g)
+    ra = all_roots(f)
+    rb = all_roots(g)
     n, m = len(ra), len(rb)
     if m not in (n - 1, n) or n == 0:
         return False
@@ -183,7 +253,7 @@ def have_common_interlacing(polys) -> bool:
     leads = [float(p.leading()) for p in polys]
     if not (all(l > 0 for l in leads) or all(l < 0 for l in leads)):
         return False
-    allroots = [real_roots(p) for p in polys]
+    allroots = [all_roots(p) for p in polys]
     return all(_leq(max(r[j + 1] for r in allroots), min(r[j] for r in allroots))
                for j in range(n - 1))
 
@@ -272,12 +342,16 @@ def heilmann_lieb_check(g: Graph) -> bool:
     return roots_above(squared_roots(matching_poly(g)), 4 * (d - 1)) == 0
 
 
-def laplacian(g: Graph) -> SymMatrix:
-    """Sum over edges of w * (e_a - e_b)(e_a - e_b)^T; exact for exact weights."""
-    exact = g.weights is None or all(not isinstance(w, float) for w in g.weights)
+def laplacian(g: Graph, weights=None) -> SymMatrix:
+    """Sum over edges of w * (e_a - e_b)(e_a - e_b)^T, ``weights`` one per
+    edge in ``g.edges`` order (1 each by default); exact for exact weights."""
+    if weights is None:
+        weights = [1] * g.m
+    if len(weights) != g.m:
+        raise ValueError("one weight per edge required")
+    exact = all(not isinstance(w, float) for w in weights)
     l = np.zeros((g.n, g.n), dtype=object if exact else float)
-    for i, (u, v) in enumerate(g.edges):
-        w = 1 if g.weights is None else g.weights[i]
+    for (u, v), w in zip(g.edges, weights):
         if not exact:
             w = float(w)
         l[u, u] += w
@@ -287,9 +361,11 @@ def laplacian(g: Graph) -> SymMatrix:
     return SymMatrix(l)
 
 
-def spectral_approx_factors(h: Graph, g: Graph) -> tuple[float, float]:
+def spectral_approx_factors(h: Graph, g: Graph, h_weights=None,
+                            g_weights=None) -> tuple[float, float]:
     """(kappa1, kappa2) with kappa1 L_H <= L_G <= kappa2 L_H on ones-complement.
 
+    Each Laplacian takes its graph's weights, unit ones by default.
     Both graphs must be connected on the same vertex set so the
     Laplacian null spaces coincide (span of the all-ones vector); the
     factors are the extreme generalized eigenvalues of (L_G, L_H)
@@ -303,8 +379,8 @@ def spectral_approx_factors(h: Graph, g: Graph) -> tuple[float, float]:
     if not (h.is_connected() and g.is_connected()):
         raise ValueError("null-space mismatch: both graphs must be connected")
     n = g.n
-    lg = laplacian(g).a.astype(float)
-    lh = laplacian(h).a.astype(float)
+    lg = laplacian(g, g_weights).a.astype(float)
+    lh = laplacian(h, h_weights).a.astype(float)
     center = np.eye(n) - np.ones((n, n)) / n
     u, sv, _ = np.linalg.svd(center)
     q = u[:, : n - 1]

@@ -419,8 +419,8 @@ def test_criterion_12_spectral_approximation(capsys):
     assert w[0] == pytest.approx(d, abs=1e-9)
     assert float(np.max(np.abs(w[1:]))) <= 2.0 * math.sqrt(d - 1.0) + 1e-9
 
-    scaled = Graph(n, g.edges, weights=[n / d] * g.m)
-    k1, k2 = spectral_approx_factors(Graph.complete(n), scaled)
+    # g's Laplacian scaled by n/d, one weight per edge
+    k1, k2 = spectral_approx_factors(Graph.complete(n), g, g_weights=[n / d] * g.m)
     lo = 1.0 - 2.0 * math.sqrt(2.0) / 3.0
     hi = 1.0 + 2.0 * math.sqrt(2.0) / 3.0
     ok = (lo - 1e-7 <= k1 <= k2 <= hi + 1e-7)

@@ -222,25 +222,16 @@ def test_lift_balanced_signing_of_a_cycle_is_not_certified(capsys, tmp_path, mon
     assert step["lift_ramanujan"] is False
 
 
-def test_lift_non_finite_weight_exit_2(capsys, tmp_path):
+@pytest.mark.parametrize("third", ["7", "nan"])
+def test_lift_edge_list_with_a_third_field_exit_2(capsys, tmp_path, third):
+    # graphs are unweighted, so a `u v w` line is malformed
     k33 = tmp_path / "k33.txt"
-    k33.write_text("0 3 nan\n" + "\n".join(
-        f"{a} {b} 1" for a in range(3) for b in range(3, 6) if (a, b) != (0, 3)))
+    k33.write_text("\n".join(f"{a} {b} {third}" if (a, b) == (2, 4) else f"{a} {b}"
+                             for a in range(3) for b in range(3, 6)))
     assert main(["lift", str(k33)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "positive and finite" in captured.err
-
-
-def test_lift_weighted_edge_list_exit_3(capsys, tmp_path):
-    # the signing walk reads the edges only, so a weight would be dropped
-    k33 = tmp_path / "k33.txt"
-    k33.write_text("\n".join(f"{a} {b} 7" if (a, b) == (2, 4) else f"{a} {b}"
-                             for a in range(3) for b in range(3, 6)))
-    assert main(["lift", str(k33)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "lift takes an unweighted edge list" in captured.err
+    assert "parse error" in captured.err
 
 
 def test_lift_budget_exceeded_exit_4(capsys, tmp_path):
@@ -691,14 +682,10 @@ def test_exact_input_is_isotropic_exactly_or_exit_3(capsys, tmp_path):
         assert captured.out == "" and "not isotropic" in captured.err
 
 
-def test_exact_roots_real_rooted_by_theorem_skip_the_sturm_check(capsys, monkeypatch,
-                                                                tmp_path):
-    # the Sturm checker is for polynomials from outside the library: exact
-    # mixedchar and the exact weaver walk take every root without it
-    def refuse(p):
-        raise AssertionError("Sturm check on a polynomial real-rooted by theorem")
-
-    monkeypatch.setattr(interlace.poly, "_require_real_roots", refuse)
+def test_exact_roots_real_rooted_by_theorem_skip_the_sturm_check(capsys, tmp_path):
+    # the Sturm checker is for polynomials from outside the library, and
+    # lives in tests/paper.py: exact mixedchar and the exact weaver walk
+    # take every root from root_clusters without it
     mats = tmp_path / "mats.json"
     mats.write_text(json.dumps([[[2, 1], [1, 1]], [[1, "1/3"], ["1/3", 1]]]))
     code, payload = run_cli(capsys, ["mixedchar", str(mats), "--mode", "exact"])
@@ -784,7 +771,8 @@ def test_cli_import_loads_neither_the_barriers_nor_the_paper_checks():
             "have_common_interlacing", "ROOT_TOL", "laplacian", "spectral_approx_factors",
             "heilmann_lieb_check", "godsil_gutman_check", "GG_EDGE_CAP", "matching_poly",
             "MATCHING_CAP", "mixed_char_root_bound", "signing_vectors",
-            "expected_char_poly", "mixed_identity_check"]
+            "expected_char_poly", "mixed_identity_check", "sturm_sequence",
+            "_sign_changes", "_sturm_certifies_real_roots", "_require_real_roots"]
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import json, sys; import interlace.cli; "
             "mods = [m for n, m in sys.modules.items() if n.split('.')[0] == 'interlace']; "

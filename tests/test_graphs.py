@@ -53,14 +53,6 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 3)])  # out of range
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-def test_graph_rejects_non_positive_or_non_finite_weights(bad):
-    with pytest.raises(ValueError, match="positive and finite"):
-        Graph(3, [(0, 1), (1, 2)], weights=[1.0, bad])
-    with pytest.raises(ValueError, match="positive and finite"):
-        Graph.from_edge_list(f"0 1 1\n1 2 {bad}\n")
-
-
 def test_named_graphs():
     k4 = Graph.complete(4)
     assert k4.m == 6
@@ -96,7 +88,7 @@ def test_connectivity_and_bipartition():
 
 
 def test_edge_list_round_trip():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)], weights=[1.0, 2.0, 0.5])
+    g = Graph(4, [(0, 1), (1, 2), (3, 2)])
     text = g.to_edge_list()
     back = Graph.from_edge_list(text)
     assert back == g
@@ -105,7 +97,9 @@ def test_edge_list_round_trip():
 def test_edge_list_parsing():
     g = Graph.from_edge_list("# comment line\n0 1\n1 2\n")
     assert g.n == 3 and g.m == 2
-    assert g.weights is None
+    assert g.edges == ((0, 1), (1, 2))
+    with pytest.raises(ValueError):
+        Graph.from_edge_list("0 1 2\n")  # graphs are unweighted
     with pytest.raises(ValueError):
         Graph.from_edge_list("0 1 2 3\n")
     with pytest.raises(ValueError):
@@ -120,8 +114,7 @@ def test_adjacency_and_laplacian():
     w = np.sort(l.eigenvalues())
     assert np.allclose(w, [0, 3, 3])
     # weighted laplacian row sums vanish
-    wg = Graph(3, [(0, 1), (1, 2)], weights=[Fraction(1, 2), 2])
-    lw = laplacian(wg)
+    lw = laplacian(Graph(3, [(0, 1), (1, 2)]), [Fraction(1, 2), 2])
     assert all(sum(row) == 0 for row in lw.a.tolist())
     assert lw.is_exact
 
@@ -547,13 +540,6 @@ def test_squared_roots_splits_even_and_odd_polynomials():
         squared_roots(Polynomial([1, 1, 1]))
 
 
-def test_two_lift_preserves_weights():
-    g = Graph(2, [(0, 1)], weights=[2.5])
-    s = Signing({(0, 1): -1})
-    lift = two_lift(g, s)
-    assert lift.weights == (2.5, 2.5)
-
-
 def test_is_ramanujan_bipartite():
     assert is_ramanujan_bipartite(Graph.complete_bipartite(3, 3))
     assert is_ramanujan_bipartite(Graph.cycle(4))
@@ -604,8 +590,7 @@ def test_spectral_approx_factors_self():
 
 def test_spectral_approx_factors_scaling():
     g = Graph.complete(4)
-    h = Graph(4, g.edges, weights=[2.0] * g.m)
-    k1, k2 = spectral_approx_factors(g, h)
+    k1, k2 = spectral_approx_factors(g, g, g_weights=[2.0] * g.m)
     assert k1 == pytest.approx(2) and k2 == pytest.approx(2)
 
 
@@ -652,14 +637,15 @@ def test_spectral_approx_factors_match_general_eigensolve():
         all_edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
         h = Graph(n, [e for e in all_edges if rng.random() < 0.6])
         g_edges = [e for e in all_edges if rng.random() < 0.6]
-        g = Graph(n, g_edges, weights=rng.uniform(0.5, 2.0, len(g_edges)).tolist())
+        g = Graph(n, g_edges)
+        weights = rng.uniform(0.5, 2.0, len(g_edges)).tolist()
         if not (h.is_connected() and g.is_connected()):
             continue
         q = np.linalg.svd(np.eye(n) - np.ones((n, n)) / n)[0][:, : n - 1]
-        a = q.T @ laplacian(g).a.astype(float) @ q
+        a = q.T @ laplacian(g, weights).a.astype(float) @ q
         b = q.T @ laplacian(h).a.astype(float) @ q
         w = np.sort(np.linalg.eigvals(np.linalg.solve(b, a)).real)
-        k1, k2 = spectral_approx_factors(h, g)
+        k1, k2 = spectral_approx_factors(h, g, g_weights=weights)
         assert k1 == pytest.approx(w[0], rel=1e-9)
         assert k2 == pytest.approx(w[-1], rel=1e-9)
         checked += 1

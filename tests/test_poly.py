@@ -19,7 +19,6 @@ from interlace import (
     NotRealRootedError,
     shift_roots,
     shift_chain,
-    sturm_sequence,
     real_roots,
     float_top_root,
     roots_above,
@@ -38,8 +37,9 @@ from interlace import (
 import interlace.poly as poly_module
 import interlace.select as select_module
 from oracles import convex_combinations_real_rooted
-from paper import apply_shift_operator, diagram_identity_check, have_common_interlacing, \
-    interlaces, is_real_rooted, kth_largest_root, laguerre_transform, sturm_root_count
+from paper import apply_shift_operator, diagram_identity_check, exact_real_roots, \
+    have_common_interlacing, interlaces, is_real_rooted, kth_largest_root, \
+    laguerre_transform, sturm_root_count, sturm_sequence
 
 MAX_FLOAT = sys.float_info.max
 
@@ -94,7 +94,7 @@ def test_taylor_shift():
     assert p.taylor_shift(1).coeffs == (3, 2, 1)  # (x+1)^2 + 2
     r = Polynomial.from_roots([5, -1])
     shifted = r.taylor_shift(2)  # roots move to 3 and -3
-    assert sorted(np.round(real_roots(shifted), 9)) == [-3.0, 3.0]
+    assert sorted(np.round(exact_real_roots(shifted), 9)) == [-3.0, 3.0]
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +333,7 @@ def test_laguerre_transform_values():
 
 
 def test_laguerre_roots_2_2():
-    r = real_roots(laguerre_transform(2, 2))
+    r = exact_real_roots(laguerre_transform(2, 2))
     assert np.allclose(sorted(r), [2 - math.sqrt(2), 2 + math.sqrt(2)])
 
 
@@ -491,16 +491,16 @@ def test_is_real_rooted_exact_high_multiplicity():
 
 
 def test_real_roots_basic():
-    r = real_roots(Polynomial.from_roots([1, 2, 3]))
+    r = exact_real_roots(Polynomial.from_roots([1, 2, 3]))
     assert r.shape == (3,)
     assert np.allclose(r, [3, 2, 1])  # descending
-    assert real_roots(Polynomial([5])).shape == (0,)
+    assert exact_real_roots(Polynomial([5])).shape == (0,)
 
 
 def test_real_roots_multiplicity_and_zeros():
     # x^3 (x - 2)^2: three exact zeros plus a double root at 2
     p = Polynomial.monomial(3) * Polynomial.from_roots([2, 2])
-    r = real_roots(p)
+    r = exact_real_roots(p)
     assert len(r) == 5
     assert np.sum(np.abs(r) < 1e-12) == 3  # stripped zeros are exact
     assert np.allclose(r[:2], 2, atol=1e-6)
@@ -514,17 +514,30 @@ def test_real_roots_multiplicity_and_zeros():
 def test_real_roots_exact_multiple_roots(roots):
     # companion eigenvalues of an r-fold root scatter by eps**(1/r); the
     # exact kernel polishes on the (r-1)-th derivative, where it is simple
-    got = real_roots(Polynomial.from_roots(roots))
+    got = exact_real_roots(Polynomial.from_roots(roots))
     want = sorted((float(r) for r in roots), reverse=True)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_real_roots_raises_on_complex():
-    for p in (Polynomial([7.0, -5.0, 1.0]), Polynomial([7, -5, 1])):
-        with pytest.raises(NotRealRootedError):
-            real_roots(p)
-    with pytest.raises(ZeroPolynomialError):
-        real_roots(Polynomial([]))
+    with pytest.raises(NotRealRootedError):
+        real_roots(Polynomial([7.0, -5.0, 1.0]))
+    # exact input meets the Sturm checker of the tests
+    with pytest.raises(NotRealRootedError):
+        exact_real_roots(Polynomial([7, -5, 1]))
+    for roots in (real_roots, exact_real_roots):
+        with pytest.raises(ZeroPolynomialError):
+            roots(Polynomial([]))
+
+
+def test_real_roots_refuse_exact_input():
+    # exact roots come from root_clusters, for polynomials real-rooted by
+    # theorem, or from the tests' checked exact_real_roots
+    with pytest.raises(TypeError, match="root_clusters"):
+        real_roots(Polynomial([7, -5, 1]))
+    with pytest.raises(TypeError, match="root_clusters"):
+        real_roots(Polynomial.from_roots([1, 2, 3]))
+    assert real_roots(Polynomial([5])).shape == (0,)
 
 
 def test_real_roots_matches_numpy_on_random_instances():
@@ -563,7 +576,7 @@ DEGREE_24_FOURFOLD = Polynomial([256, 0, -5120, 0, 40704, 0, -162816, 0, 344416,
 
 def _top_multiplicity(p):
     """Multiplicity of the top root, from the exact roots."""
-    roots = real_roots(p)
+    roots = exact_real_roots(p)
     return int(np.sum(np.abs(roots - roots[0]) <= 1e-9 * (1 + abs(roots[0]))))
 
 
@@ -580,7 +593,7 @@ def _top_multiplicity(p):
         "rational double", "degree 24"])
 def test_top_root_matches_exact_roots_and_certifies_its_bracket(p):
     got = top_root(p)
-    want = real_roots(p)[0]
+    want = exact_real_roots(p)[0]
     assert abs(got.root - want) <= 1e-12 * (1 + abs(want))
     assert got.lo < got.root <= got.hi
     assert got.mult == _top_multiplicity(p)
@@ -620,7 +633,7 @@ def test_top_root_bisection_fallback_certifies_the_same_root(monkeypatch):
     monkeypatch.setattr(poly_module, "_float_start", lambda a: math.nan)
     for p in (DEGREE_24_FOURFOLD, Polynomial.from_roots([Fraction(1, 3), 2, 2, -5])):
         got = top_root(p)
-        want = real_roots(p)[0]
+        want = exact_real_roots(p)[0]
         assert abs(got.root - want) <= 1e-12 * (1 + abs(want))
         assert got.lo < got.root <= got.hi
         assert roots_above(p, got.hi) == 0 and roots_above(p, got.lo) >= 1
@@ -703,7 +716,7 @@ def test_mixed_char_sign_vectors_roots_to_two_ulp():
               for c in reversed(p.coeffs)]
     want = sorted((mpmath.re(r) for r in mpmath.polyroots(coeffs, maxsteps=400,
                                                           extraprec=400)), reverse=True)
-    for got, ref in zip(real_roots(p), want):
+    for got, ref in zip(exact_real_roots(p), want):
         assert abs(mpmath.mpf(got) - ref) <= 2 * math.ulp(float(ref))
 
 
@@ -858,9 +871,11 @@ def _rational_isotropic(rng, n):
 
 
 def test_walks_on_constructions_take_no_sturm_sequence(monkeypatch):
+    import paper
+
     def refuse(p):
         raise AssertionError("a Sturm sequence was taken")
-    monkeypatch.setattr(poly_module, "sturm_sequence", refuse)
+    monkeypatch.setattr(paper, "sturm_sequence", refuse)
     vs = _rational_isotropic(np.random.default_rng(6), 6)
     assert vs.is_exact and vs.is_isotropic()
     chosen, cert = restricted_invertibility_select(vs, 3)
@@ -869,7 +884,7 @@ def test_walks_on_constructions_take_no_sturm_sequence(monkeypatch):
     assert len(signing.signs) == 9 and cert.valid()
     # outside input still meets the checker
     with pytest.raises(AssertionError):
-        real_roots(Polynomial([7, -5, 1]))
+        exact_real_roots(Polynomial([7, -5, 1]))
 
 
 def test_compare_top_roots_disjoint_equal_and_overlapping():

@@ -1,0 +1,126 @@
+"""Every module-level function of ``src`` is entered by some CLI input.
+
+A fresh interpreter runs ``cli.main`` on a fixed list of inputs under
+``sys.setprofile``, so that no cache filled by an earlier test hides a
+function, and reports the module-level functions of ``interlace`` that
+no call entered.  They must be exactly :data:`UNREACHED`, each there for
+its reason; anything else that no command runs belongs in
+``tests/paper.py`` or ``tests/oracles.py``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from interlace import VectorSystem
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+UNREACHED = {
+    # the soft-edge barriers: no command runs them, and the bench's
+    # per-layer tracer imports the module by name
+    "barrier._edge": "barrier",
+    "barrier._phi": "barrier",
+    "barrier._roots": "barrier",
+    "barrier.laguerre_root_bounds": "barrier",
+    "barrier.lower_barrier": "barrier",
+    "barrier.lower_shift_check": "barrier",
+    "barrier.multivariate_barrier": "barrier",
+    "barrier.smax": "barrier",
+    "barrier.smin": "barrier",
+    "barrier.upper_barrier": "barrier",
+    "barrier.upper_shift_check": "barrier",
+    # the one-step shift chain, which barrier and the tests call
+    "poly.shift_roots": "one-step shift_chain",
+    # the signing walk's tie fallback, taken when the parent's bracket
+    # does not decide; test_signing_level_counts_decide_as_compare_top_roots
+    # drives it
+    "poly.compare_top_roots": "signing tie fallback",
+    "poly._drop_common_roots": "signing tie fallback",
+    "poly._refine": "signing tie fallback",
+    "poly._primitive": "signing tie fallback",
+    "poly._pseudo_divmod": "signing tie fallback",
+}
+
+# Runs each argv through cli.main with the profiler on, then prints the
+# exit codes and the module-level functions never entered.
+PROBE = """
+import contextlib, importlib, inspect, io, json, pkgutil, sys
+import numpy
+codes = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+sys.setprofile(profile)
+import interlace
+from interlace.cli import main
+exits = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        exits.append(main(argv))
+sys.setprofile(None)
+unentered = []
+for info in pkgutil.iter_modules(interlace.__path__):
+    mod = importlib.import_module("interlace." + info.name)
+    for name, obj in vars(mod).items():
+        fn = inspect.unwrap(obj) if callable(obj) else obj
+        if inspect.isfunction(fn) and fn.__module__ == mod.__name__ \\
+                and fn.__code__ not in codes:
+            unentered.append(f"{info.name}.{name}")
+print(json.dumps([exits, sorted(unentered)]))
+"""
+
+
+def _write(path: Path, data) -> str:
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def _system(n: int, m: int, seed: int) -> dict:
+    vs = VectorSystem.random_isotropic(n, m, np.random.default_rng(seed))
+    return {"vectors": vs.vectors.tolist()}
+
+
+def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
+    iso4 = _write(tmp_path / "iso4.json", _system(4, 8, 0))
+    d3m6 = _write(tmp_path / "d3m6.json", _system(3, 6, 1))
+    d3m21 = _write(tmp_path / "d3m21.json", _system(3, 21, 2))
+    d7m24 = _write(tmp_path / "d7m24.json", _system(7, 24, 7))
+    # rows of a rational rotation and of I, scaled by 3/5 and 4/5
+    rot = _write(tmp_path / "rot.json", {"vectors": [["9/25", "12/25"], ["-12/25", "9/25"],
+                                                     ["4/5", "0"], ["0", "4/5"]]})
+    k33 = _write(tmp_path / "k33.txt", "".join(f"{a} {b}\n" for a in range(3)
+                                               for b in range(3, 6)))
+    floats = _write(tmp_path / "floats.json", [[[1.0, 0.5], [0.5, 1.0]], [[2.0, 0.0], [0.0, 1.0]]])
+    rank_one = _write(tmp_path / "rank1.json", [[[1, 1], [1, 1]], [[1, -1], [-1, 1]]])
+    full_rank = _write(tmp_path / "full.json", [[[2, 1], [1, 1]], [[1, "1/3"], ["1/3", 1]]])
+    huge = _write(tmp_path / "huge.json", f"[[[{10 ** 400}]]]")  # its root is past the floats
+    nan = _write(tmp_path / "nan.json", '{"vectors": [[NaN]]}')
+    calls = [
+        (["ri", iso4, "-k", "2"], 0),
+        (["ri", rot, "-k", "1", "--mode", "exact"], 0),
+        (["weaver", d3m21], 0),                      # the engine route
+        (["weaver", d3m6], 0),                       # the enumeration route
+        (["weaver", rot, "--mode", "exact"], 0),
+        (["weaver", d7m24], 4),
+        (["lift", k33], 0),
+        (["mixedchar", floats], 0),
+        (["mixedchar", rank_one, "--mode", "exact"], 0),
+        (["mixedchar", full_rank, "--mode", "exact"], 0),
+        (["mixedchar", huge, "--mode", "exact"], 5),
+        (["ri", iso4, "-k", "2", "--tol", "1e-6"], 0),
+        (["weaver", d3m6, "--alpha", "1"], 0),
+        (["ri", nan, "-k", "1"], 2),
+    ]
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps([a for a, _ in calls])],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=True)
+    exits, unentered = json.loads(proc.stdout)
+    assert exits == [code for _, code in calls]
+    assert unentered == sorted(UNREACHED)

@@ -49,8 +49,8 @@ from interlace.poly import EIG_START_POLES
 from oracles import CUBE, argmax_ri_walk, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
     in_walk_order, ri_level_scores
-from paper import apply_shift_operator, have_common_interlacing, is_real_rooted, \
-    kth_largest_root, matching_poly, signing_vectors, sturm_root_count
+from paper import apply_shift_operator, exact_real_roots, have_common_interlacing, \
+    is_real_rooted, kth_largest_root, matching_poly, signing_vectors, sturm_root_count
 
 
 # ----------------------------------------------------------------------
@@ -666,7 +666,7 @@ def test_signing_select_matches_exact_enumeration_walk():
         assert cert.choices == ref.choices
         assert [signing[(order[a], order[b])] for a, b in walk.edges] \
             == [1 - 2 * c for c in ref.choices]
-        assert abs(cert.pledged - (real_roots(matching_poly(g))[0] + d)) <= 1e-12
+        assert abs(cert.pledged - (exact_real_roots(matching_poly(g))[0] + d)) <= 1e-12
         assert cert.valid()
         assert cert.levels[-1] <= cert.pledged + 1e-12
         assert cert.achieved == pytest.approx(ref.achieved, abs=1e-9)
@@ -757,7 +757,7 @@ def test_signing_walk_children_are_real_rooted_and_certified(monkeypatch, g):
         assert t.lo < t.root <= t.hi
         assert roots_above(p, t.hi) == 0 and roots_above(p, t.lo) == t.mult >= 1
         assert sturm_root_count(p, t.lo, t.hi) == 1
-        assert abs(t.root - real_roots(p)[0]) <= 1e-12 * (1 + abs(t.root))
+        assert abs(t.root - exact_real_roots(p)[0]) <= 1e-12 * (1 + abs(t.root))
 
 
 def test_signing_walk_ranks_every_polynomial_once(monkeypatch):
@@ -781,7 +781,7 @@ def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monke
     g = Graph(8, list(k4.edges) + [(a + 4, b + 4) for a, b in k4.edges])
     cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
     ties = [level for level, (plus, minus) in enumerate(pairs) if plus != minus
-            and abs(real_roots(plus)[0] - real_roots(minus)[0]) <= 1e-9]
+            and abs(exact_real_roots(plus)[0] - exact_real_roots(minus)[0]) <= 1e-9]
     assert ties
     for level in ties:
         plus, minus = pairs[level]
