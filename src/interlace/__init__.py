@@ -9,7 +9,6 @@ from .poly import (
     Polynomial,
     ZeroPolynomialError,
     NotRealRootedError,
-    shift_roots,
     shift_chain,
     real_roots,
     float_top_root,
@@ -17,7 +16,6 @@ from .poly import (
     roots_above,
     root_clusters,
     top_root,
-    compare_top_roots,
 )
 from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact
 from .mixedchar import (

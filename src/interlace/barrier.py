@@ -16,9 +16,9 @@ needs ``phi < 1``).
 All of it works on the roots of ``f``: ``root_clusters``' for exact
 ``f``, which must be real-rooted, and ``real_roots``' for float ``f``.
 The barriers are sums over the roots, ``smax_phi`` is the top root of
-``f - f'/phi`` from ``shift_roots``, ``smin_phi(f) = -smax_phi(f(-x))``,
-and the shift checks take the roots of ``(1 - D) f`` from
-``shift_roots`` too.
+``f - f'/phi`` from one ``shift_chain`` step, ``smin_phi(f) =
+-smax_phi(f(-x))``, and the shift checks take the roots of ``(1 - D) f``
+from one step too.
 
 ``multivariate_barrier`` is the several-variables analogue for
 ``f = det(xI + sum z_i A_i)``: the logarithmic derivative in ``z_j``,
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import Polynomial, real_roots, root_clusters, shift_roots
+from .poly import Polynomial, real_roots, root_clusters, shift_chain
 from .matrices import _validate_psd_list
 from .tolerances import SHIFT_TOL
 
@@ -94,7 +94,7 @@ def _phi(phi) -> float:
 
 def _edge(roots: np.ndarray, phi: float) -> float:
     """The soft upper edge of the polynomial with these roots: the top root of p - p'/phi."""
-    return float(shift_roots(roots[None, :], 0, 1.0 / phi)[0][0, 0])
+    return float(shift_chain(roots[None, :], 0, 1.0 / phi, 1)[0][0, 0])
 
 
 def smin(p: Polynomial, phi) -> float:
@@ -117,7 +117,7 @@ def lower_shift_check(p: Polynomial, phi) -> bool:
     """
     phi = _phi(phi)
     roots = _roots(p)
-    shifted = shift_roots(roots[None, :], 0, 1.0)[0][0]  # the roots of (1 - D) p
+    shifted = shift_chain(roots[None, :], 0, 1.0, 1)[0][0]  # the roots of (1 - D) p
     return -_edge(-shifted, phi) >= -_edge(-roots, phi) + 1.0 / (1.0 + phi) - SHIFT_TOL
 
 
@@ -130,7 +130,7 @@ def upper_shift_check(p: Polynomial, phi) -> bool:
     if not 0 < phi < 1:
         raise ValueError("phi must lie in (0, 1)")
     roots = _roots(p)
-    shifted = shift_roots(roots[None, :], 0, 1.0)[0][0]  # the roots of (1 - D) p
+    shifted = shift_chain(roots[None, :], 0, 1.0, 1)[0][0]  # the roots of (1 - D) p
     return _edge(shifted, phi) <= _edge(roots, phi) + 1.0 / (1.0 - phi) + SHIFT_TOL
 
 

@@ -16,11 +16,11 @@ integers, count the roots above b with multiplicity.  It walks the
 roots from the top down, estimating each cluster in floats, polishing
 the estimate by Newton steps with exact values, and certifying a
 bracket of dyadic ends around it by two such counts.  ``top_root`` is
-its first cluster and ``compare_top_roots`` orders two top roots
-exactly.  Every command's exact polynomials are real-rooted by theorem
-and go to the kernel directly.  The Sturm checker of real-rootedness,
-with the tests' interlacing and Sturm-count checks, which no command
-runs, lives in ``tests/paper.py``.
+its first cluster, and ``_squarefree`` keeps each distinct root once, to
+tell a tie of two roots from two close ones.  Every command's exact
+polynomials are real-rooted by theorem and go to the kernel directly.
+The Sturm checker of real-rootedness, with the tests' interlacing and
+Sturm-count checks, which no command runs, lives in ``tests/paper.py``.
 
 Float polynomials take ``real_roots``, real-rooted by construction:
 the derivative chain solved from the linear end up, each level's roots
@@ -44,7 +44,7 @@ start from the eigenvalues of the diagonal-plus-rank-one matrix whose
 characteristic polynomial the shift produces, and only polish them;
 above that the eigenvalues cost more than the steps they save.  A chain
 checks its arguments once and re-sorts no output row, so j shifts cost
-one call; ``shift_roots`` is the one-step chain.
+one call.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ __all__ = [
     "Polynomial",
     "ZeroPolynomialError",
     "NotRealRootedError",
-    "shift_roots",
     "shift_chain",
     "real_roots",
     "float_top_root",
@@ -72,7 +71,6 @@ __all__ = [
     "roots_above",
     "root_clusters",
     "top_root",
-    "compare_top_roots",
 ]
 
 _EPS = np.finfo(float).eps
@@ -275,33 +273,34 @@ class Polynomial:
 
 
 # The most poles a row may have for the shift to start from eigenvalues
-# (see shift_roots).  The cut is the measured crossover: on the 8-row
+# (see shift_chain).  The cut is the measured crossover: on the 8-row
 # calls of a float ri walk at n = 128, a started call took 0.6-0.7x the
 # time of an unstarted one at 25-32 poles, about the same at 37-48, and
 # 1.05-1.3x from 49 poles up (2-vCPU x86 host, numpy with OpenBLAS).
 EIG_START_POLES = 40
 
 
-def shift_roots(roots, zeros: int, c):
-    """Apply ``1 - c*d/dx`` in root space, batched over rows.
+def shift_chain(roots, zeros: int, c, steps: int):
+    """Apply ``(1 - c*d/dx)**steps`` in root space, batched over rows.
 
     Row b of ``roots`` (shape (B, d)) and ``zeros`` stand for the monic
     polynomial ``p_b = x**zeros * prod_i (x - roots[b, i])``.  Returns
-    ``(out, zeros')`` with ``p_b - c p_b' = x**zeros' * prod_i (x - out[b, i])``,
-    each row of ``out`` sorted descending: ``zeros' = zeros - 1`` and
-    ``out`` has d + 1 columns when ``zeros > 0``, otherwise ``zeros' = 0``
-    and d columns.  ``c = 0`` returns the input, sorted.  It is the
-    one-step :func:`shift_chain`.
+    ``(out, zeros')`` with ``(1 - c D)**steps p_b = x**zeros' * prod_i (x -
+    out[b, i])``, each row of ``out`` sorted descending.  One step takes
+    ``zeros`` to ``zeros - 1`` and adds a column while ``zeros > 0``, and
+    otherwise keeps both.  ``c = 0`` returns the input, sorted, and
+    ``steps = 0`` the input as it is.
 
-    A root of ``p - c p'`` solves ``p'/p = sum_j w_j / (x - mu_j) = 1/c``,
-    where the poles ``mu_j`` (sorted descending) are the given roots with
-    weight 1 and, if ``zeros > 0``, the origin with weight ``zeros``.
-    The left side falls from +inf to -inf between neighbouring poles and
-    from +inf to 0 above the top pole, so for ``c > 0`` there is exactly
-    one root in each gap and one in ``(mu_0, mu_0 + W c]``, ``W = d + zeros``
-    (there ``p'/p <= W/(x - mu_0)``): the result is real-rooted and
-    interlaces the input by construction.  A root of multiplicity r keeps
-    r - 1 copies in place, which is why a zero-width gap returns its pole.
+    A root of one step's ``p - c p'`` solves ``p'/p = sum_j w_j / (x -
+    mu_j) = 1/c``, where the poles ``mu_j`` (sorted descending) are the
+    given roots with weight 1 and, if ``zeros > 0``, the origin with
+    weight ``zeros``.  The left side falls from +inf to -inf between
+    neighbouring poles and from +inf to 0 above the top pole, so for
+    ``c > 0`` there is exactly one root in each gap and one in ``(mu_0,
+    mu_0 + W c]``, ``W = d + zeros`` (there ``p'/p <= W/(x - mu_0)``): the
+    result is real-rooted and interlaces the input by construction.  A
+    root of multiplicity r keeps r - 1 copies in place, which is why a
+    zero-width gap returns its pole.
 
     With s_j = sqrt(w_j), ``p - c p'`` is ``x**zeros'`` times the
     characteristic polynomial of diag(mu) + c s s^T, the secular equation
@@ -324,20 +323,10 @@ def shift_roots(roots, zeros: int, c):
     and the stop do not depend on the start, so the output is real-rooted
     and interlacing whichever start an unknown took; a started one
     typically stops after one or two steps.
-    """
-    return shift_chain(roots, zeros, c, 1)
 
-
-def shift_chain(roots, zeros: int, c, steps: int):
-    """Apply ``(1 - c*d/dx)**steps`` in root space: ``steps`` successive
-    :func:`shift_roots` calls in one, with the same output bit for bit.
-
-    Each step solves its secular equations exactly as :func:`shift_roots`
-    describes.  The chain only does once what a step need not redo: it
-    checks the arguments once, and after the first step, whose output
-    rows are sorted descending, it sorts a step's poles only when a
-    negative root puts the zero pole among them.  ``steps = 0`` returns
-    the input.
+    The chain checks its arguments once, and after the first step, whose
+    rows are sorted descending, sorts a step's poles only when a negative
+    root puts the zero pole among them: bit for bit as many one-step calls.
     """
     roots = np.asarray(roots, dtype=float)
     if roots.ndim != 2:
@@ -395,7 +384,7 @@ def _pole_masks(npoles: int) -> np.ndarray:
 
 
 def _secular_step(mu, w, c: float, top_width: float) -> np.ndarray:
-    """One step of :func:`shift_roots` on poles ``mu`` (rows sorted
+    """One step of :func:`shift_chain` on poles ``mu`` (rows sorted
     descending) of weights ``w``: the roots of sum_j w_j / (x - mu_j)
     = 1/c, one per gap and one in (mu_0, mu_0 + top_width]."""
     nrows, npoles = mu.shape
@@ -421,7 +410,7 @@ def _secular_step(mu, w, c: float, top_width: float) -> np.ndarray:
     # Scratch for the (rows, unknown, pole) terms; fresh arrays this size
     # cost more in page faults than the arithmetic on them.
     scratch = np.empty((2, rows.size, npoles, npoles))
-    # Start from the eigenvalues of diag(mu) + c s s^T (see shift_roots):
+    # Start from the eigenvalues of diag(mu) + c s s^T (see shift_chain):
     # the loop then makes about 2 passes a call on the ri bench instead
     # of 6.8.
     if npoles <= EIG_START_POLES:
@@ -980,52 +969,12 @@ def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
     return q, r
 
 
-def _drop_common_roots(a: list[int], b: list[int]) -> list[int]:
-    """``a`` divided by every factor it shares with ``b``: roots(a) minus roots(b)."""
-    while True:
-        g, h = a, b     # Euclid, each remainder made primitive
-        while h:
-            g, h = h, _pseudo_divmod(g, h)[1]
-            h = _primitive(h) if h else h
-        if len(g) == 1:
-            return a
-        a = _primitive(_pseudo_divmod(a, g)[0])
-
-
-def _refine(a: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve a bracket (lo, hi] of the top root of ``a``."""
-    mid = (lo + hi) / 2
-    return (mid, hi) if _count_above(a, mid) else (lo, mid)
-
-
-def compare_top_roots(p: Polynomial, q: Polynomial,
-                      tp: TopRoot | None = None, tq: TopRoot | None = None) -> int:
-    """The sign of top(p) - top(q), exactly, for exact real-rooted ``p`` and ``q``.
-
-    Disjoint brackets (from :func:`top_root`, or passed in) decide at once.
-    Otherwise top(p) > top(q) exactly when p has a root above top(q), and
-    such a root is not a root of q; so with v = p stripped of every factor
-    shared with q, top(p) > top(q) iff v is not constant and top(v) >
-    top(q).  Those two are distinct algebraic numbers, so halving both
-    brackets by exact counts separates them.  The same with p and q
-    swapped; if neither holds, the top roots are equal.
-    """
-    tp = tp or top_root(p)
-    tq = tq or top_root(q)
-    if tp.hi <= tq.lo:
-        return -1
-    if tq.hi <= tp.lo:
-        return 1
-    for sign, f, g, tg in ((1, p, q, tq), (-1, q, p, tp)):
-        ag = _integer_coeffs(g)
-        av = _drop_common_roots(_integer_coeffs(f), ag)
-        if len(av) == 1:
-            continue
-        tv = top_root(Polynomial(av))
-        vlo, vhi, glo, ghi = tv.lo, tv.hi, tg.lo, tg.hi
-        while vlo < ghi and glo < vhi:
-            vlo, vhi = _refine(av, vlo, vhi)
-            glo, ghi = _refine(ag, glo, ghi)
-        if vlo >= ghi:
-            return sign
-    return 0
+def _squarefree(p: Polynomial) -> Polynomial:
+    """Each distinct root of exact ``p`` once: p / gcd(p, p') in integers,
+    by Euclid's algorithm with each remainder made primitive."""
+    a = _integer_coeffs(p)
+    g, h = a, [i * c for i, c in enumerate(a)][1:]
+    while h:
+        g, h = h, _pseudo_divmod(g, h)[1]
+        h = _primitive(h) if h else h
+    return Polynomial(_primitive(_pseudo_divmod(a, g)[0]))

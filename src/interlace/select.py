@@ -8,14 +8,14 @@ expected polynomials share a common interlacing, so the best child is at
 least as good as their average, the parent.  Walking the tree - fix one
 vector at a time, keeping a support element whose conditional expected
 polynomial's lambda_k is no worse than its parent's - therefore lands on
-a realization no worse than the root pledge.  :func:`greedy_walk`
-scores every child and keeps the best; :func:`signing_select` forms no
-child where a symmetry makes both equal and otherwise roots only the
-child it keeps; :func:`restricted_invertibility_select` keeps the first
-that meets its parent, which spares it scoring most of its m children.
-Each walk returns a :class:`SelectionCertificate` recording the pledge,
-the per-level trace, and the achieved value, with the invariant checked
-in floats, within ``tolerances.CERT_TOL``.
+a realization no worse than the root pledge.  Exact walks keep the
+first child that meets its parent by one rule of exact root counts,
+:func:`_meets`, which also decides their certificates; float walks
+rank float roots, :func:`greedy_walk` keeping the best child and
+:func:`restricted_invertibility_select` the first at least as good as
+its parent, and check theirs within ``tolerances.CERT_TOL``.  Each walk
+returns a :class:`SelectionCertificate` recording the pledge, the
+per-level trace, and the achieved value.
 
 :func:`greedy_walk` has two routes to the same polynomials.  Outcome
 enumeration costs the product of the support sizes per polynomial.  For
@@ -33,9 +33,9 @@ Three instantiations:
   lambda_k of the chosen Gram sum at least ``(1 - sqrt(k/n))^2 * n/m``.
   The i.i.d. uniform sampling model admits the closed form
   ``(1 - (1/m) d/dx)^(k-l) char_poly(fixed sum)`` for the conditional
-  polynomials, evaluated in root space: bordered Gram spectra (float or
-  exact), then one :func:`shift_chain` call per batch of candidates, in
-  index order until one meets its parent.
+  polynomials, from bordered Gram matrices, a batch of candidates at a
+  time in index order until one meets its parent: float ones in root
+  space, exact ones in integer coefficients.
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2``, by a
   :func:`greedy_walk` over two-point block lifts in dimension 2d.
@@ -45,23 +45,20 @@ Three instantiations:
   Its conditional polynomials are exact and closed-form, every level's
   read off one backward matching DP (:class:`SigningEngine`), so it
   enumerates no outcomes and does not go through :func:`greedy_walk`.
-  Its spanning-forest levels form no child, and exact root counts at
-  the parent's bracket rank the others.  Its last polynomial is checked
-  equal to chi(A_s), exactly.
+  Its spanning-forest levels form no child, and :func:`_meets` decides
+  the others.  Its last polynomial is checked equal to chi(A_s), exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .poly import Polynomial, TopRoot, float_top_root, _float_roots, \
-    root_clusters, top_root, compare_top_roots, roots_above, shift_chain, \
-    EIG_START_POLES
+from .poly import Polynomial, TopRoot, float_top_root, _float_roots, _squarefree, \
+    root_clusters, top_root, roots_above, shift_chain, EIG_START_POLES
 from .matrices import SymMatrix, _cleared, _coerce_array, char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, peel_terms, _expected_char_with_base
@@ -223,9 +220,10 @@ class SelectionCertificate:
 
     ``pledged`` is lambda_k of the root expected polynomial, ``achieved``
     is lambda_k of the realized sum, ``final_poly`` its characteristic
-    polynomial, ``levels`` the lambda_k of the chosen conditional
+    polynomial, ``levels`` the lambda_k of the kept conditional
     polynomial after each fixing.  The walk guarantees achieved >= pledged
-    (maximize) resp. <= (minimize); :meth:`valid` checks it within ``CERT_TOL``.
+    (maximize) resp. <= (minimize); :meth:`valid` decides it by :func:`_meets`
+    on exact walks, from ``pledge_poly`` and ``pledge_root``, else within ``CERT_TOL``.
     A walk that stops scoring a level early, as
     :func:`restricted_invertibility_select` does, records in ``scored``
     the children it scored per level and in ``fallbacks`` the levels at
@@ -241,11 +239,47 @@ class SelectionCertificate:
     levels: list = field(default_factory=list)
     scored: list = field(default_factory=list)
     fallbacks: int = 0
+    pledge_poly: Polynomial | None = None
+    pledge_root: TopRoot | None = None
 
     def valid(self) -> bool:
-        if self.direction == "maximize":
+        maximize = self.direction == "maximize"
+        if self.pledge_poly is not None:
+            return _meets(self.final_poly, self.pledge_poly, self.pledge_root, self.k, maximize)
+        if maximize:
             return self.achieved >= self.pledged - CERT_TOL
         return self.achieved <= self.pledged + CERT_TOL
+
+
+def _meets(child: Polynomial, parent: Polynomial, bracket: TopRoot, k: int,
+           maximize: bool) -> bool:
+    """Whether lambda_k(child) >= lambda_k(parent), or <= unless
+    ``maximize``, by exact root counts: the one level rule of exact walks.
+
+    Both are real-rooted, which is not checked.  ``bracket`` is the
+    cluster of ``root_clusters(parent)`` holding its lambda_k r, so r is
+    in (lo, hi].  k roots of ``child`` above hi put its lambda_k above r,
+    fewer than k above lo put it below; counts that straddle k put both
+    in (lo, hi].  Then the child is tested equal to ``parent`` up to a
+    factor, and (lo, hi] halved by a count of each until the two part or
+    it holds one distinct root of child x parent (:func:`_squarefree`),
+    which both then are.  A tie meets, so the rule always ends.
+    """
+    lo, hi = bracket.lo, bracket.hi
+    if roots_above(child, hi) >= k:
+        return maximize
+    if roots_above(child, lo) < k:
+        return not maximize
+    if child.monic() == parent.monic():
+        return True
+    distinct = _squarefree(child * parent)
+    while roots_above(distinct, lo) - roots_above(distinct, hi) > 1:
+        mid = (lo + hi) / 2
+        above = roots_above(child, mid) >= k
+        if above != (roots_above(parent, mid) >= k):
+            return above == maximize
+        lo, hi = (mid, hi) if above else (lo, mid)
+    return True
 
 
 def walk_costs(dim: int, fixed: int, sizes) -> dict:
@@ -277,11 +311,13 @@ def walk_costs(dim: int, fixed: int, sizes) -> dict:
 
 def greedy_walk(state: AssignmentState,
                 budget: int = WALK_BUDGET) -> SelectionCertificate:
-    """Walk the outcome tree, fixing the best support element at each level.
+    """Walk the outcome tree, fixing one support element at each level.
 
-    "Best" means the largest (or smallest, per direction) k-th largest
-    root of the child's conditional expected polynomial; ties go to the
-    lowest support index, so runs are deterministic.
+    An exact walk keeps the first child that meets its parent
+    (:func:`_meets`; :class:`AssertionError` if none does); a float walk
+    the best, the largest (or smallest, per direction) lambda_k, ties to
+    the lowest support index.  With two support points both keep the
+    same child: the two lambda_k straddle the parent's, and share a tie.
 
     The conditional polynomials come from one of two routes, outcome
     enumeration (:func:`_enumeration_route`) or the exterior-power engine
@@ -302,57 +338,68 @@ def greedy_walk(state: AssignmentState,
         raise BudgetExceededError(
             f"the walk's {route} route costs {costs[route]} entries, over the "
             f"budget of {budget}")
-    choices: list[int] = []
-    levels: list[float] = []
-
-    def choose(cand_polys: list) -> int:
-        cand_vals = [_kth_root(p, k) for p in cand_polys]
-        best = 0
-        for j in range(1, len(cand_vals)):
-            if (cand_vals[j] > cand_vals[best]) if maximize \
-                    else (cand_vals[j] < cand_vals[best]):
-                best = j
-        choices.append(best)
-        levels.append(cand_vals[best])
-        return best
-
+    choices, levels = [], []
     walk = _engine_route if route == "engine" else _enumeration_route
-    pledged = _kth_root(walk(d, fixed, state.remaining, exact, choose), k)
+    steps = walk(d, fixed, state.remaining, exact, choices)
+    pledge = parent = next(steps)
+    bracket = _kth_cluster(pledge, k) if exact else None
+    for children in steps:
+        if exact:
+            best = next((j for j, child in enumerate(children)
+                         if _meets(child, parent, bracket, k, maximize)), None)
+            if best is None:
+                raise AssertionError("no child meets its parent")
+            parent, bracket = children[best], _kth_cluster(children[best], k)
+        else:
+            vals = [_kth_root(p, k) for p in children]
+            best = int(np.argmax(vals) if maximize else np.argmin(vals))
+        levels.append(bracket.root if exact else vals[best])
+        choices.append(best)
     realized = fixed + [_vector(r.support[j][1], exact)
                         for r, j in zip(state.remaining, choices)]
-    return _certificate(realized, d, exact, choices, levels, pledged, k,
-                        state.direction)
+    return _certificate(realized, d, exact, choices, levels,
+                        pledge if exact else _kth_root(pledge, k), k, state.direction)
 
 
-def _certificate(vectors, dim: int, exact: bool, choices: list, levels: list,
-                 pledged: float, k: int, direction: str) -> SelectionCertificate:
-    """The certificate of a walk that realized ``vectors``: the char_poly and,
-    by ``eigvalsh``, the lambda_k of their Gram sum, summed left to right."""
-    gram = np.zeros((dim, dim), dtype=object if exact else float)
+def _certificate(vectors, dim: int, exact: bool, choices: list, levels: list, pledge,
+                 k: int, direction: str) -> SelectionCertificate:
+    """The certificate of a walk that realized ``vectors``: the char_poly
+    and lambda_k of their Gram sum.  An exact walk passes its pledge
+    polynomial and gets certified roots; a float walk passes the pledged
+    value and gets an ``eigvalsh`` eigenvalue, its sum formed left to right."""
+    if exact:
+        final, root = char_poly(VectorSystem(vectors).gram_sum()), _kth_cluster(pledge, k)
+        return SelectionCertificate(choices, final, _kth_cluster(final, k).root, root.root,
+                                    k, direction, levels, pledge_poly=pledge, pledge_root=root)
+    gram = np.zeros((dim, dim))
     for v in vectors:
         gram = gram + np.outer(v, v)
-    achieved = float(np.linalg.eigvalsh(gram.astype(float))[-k])
-    return SelectionCertificate(choices=choices, final_poly=char_poly(SymMatrix(gram)),
-                                achieved=achieved, pledged=pledged, k=k,
-                                direction=direction, levels=levels)
+    return SelectionCertificate(choices, char_poly(SymMatrix(gram)),
+                                float(np.linalg.eigvalsh(gram)[-k]), pledge, k, direction, levels)
+
+
+def _kth_cluster(p: Polynomial, k: int) -> TopRoot:
+    """The :func:`root_clusters` cluster of exact ``p``, real-rooted by
+    theorem and not checked, that holds its k-th largest root."""
+    seen = 0
+    for cluster in root_clusters(p):
+        seen += cluster.mult
+        if seen >= k:
+            return cluster
 
 
 def _kth_root(p: Polynomial, k: int) -> float:
-    """lambda_k of a walk polynomial, an expected characteristic polynomial
-    and so real-rooted by theorem, with no Sturm check: exact ones straight
-    from :func:`root_clusters`; float ones, for k = 1, by
+    """lambda_k of a float walk polynomial, an expected characteristic
+    polynomial and so real-rooted by theorem: for k = 1 by
     :func:`float_top_root`, Laguerre's method from above, which raises
     :class:`NotRealRootedError` on a breakdown, and for k > 1 by the
     derivative chain of :func:`_float_roots`."""
-    if not p.is_exact:
-        return float_top_root(p) if k == 1 else _float_roots(p)[k - 1]
-    roots = (c.root for c in root_clusters(p) for _ in range(c.mult))
-    return next(itertools.islice(roots, k - 1, None))
+    return float_top_root(p) if k == 1 else _float_roots(p)[k - 1]
 
 
-def _enumeration_route(d: int, fixed: list, remaining: list, exact: bool,
-                       choose) -> Polynomial:
-    """The pledge; at each level, ``choose`` gets the children and returns one.
+def _enumeration_route(d: int, fixed: list, remaining: list, exact: bool, choices: list):
+    """Yields the pledge, then each level's children, resuming once the
+    walk has appended the kept index to ``choices``.
 
     Every polynomial is the average of char_poly over its outcomes.
     """
@@ -360,18 +407,16 @@ def _enumeration_route(d: int, fixed: list, remaining: list, exact: bool,
     for v in fixed:
         base = base + np.outer(v, v)
     # greedy_walk has checked the whole walk's cost against its budget
-    pledge = _expected_char_with_base(base, remaining, exact)
+    yield _expected_char_with_base(base, remaining, exact)
     for lvl, rv in enumerate(remaining):
         outers = [np.outer(v, v) for v in (_vector(v, exact) for _, v in rv.support)]
-        best = choose([_expected_char_with_base(base + o, remaining[lvl + 1:], exact)
-                       for o in outers])
-        base = base + outers[best]
-    return pledge
+        yield [_expected_char_with_base(base + o, remaining[lvl + 1:], exact)
+               for o in outers]
+        base = base + outers[choices[-1]]
 
 
-def _engine_route(d: int, fixed: list, remaining: list, exact: bool,
-                  choose) -> Polynomial:
-    """The pledge; at each level, ``choose`` gets the children and returns one.
+def _engine_route(d: int, fixed: list, remaining: list, exact: bool, choices: list):
+    """Yields the pledge and each level's children, as :func:`_enumeration_route` does.
 
     With the fixed vectors u and the independent remaining r_i of
     covariances A_i, the conditional polynomial E char_poly(sum u u^T +
@@ -384,7 +429,7 @@ def _engine_route(d: int, fixed: list, remaining: list, exact: bool,
     polynomial.  Level l peels r_l off the parent (:func:`peel_terms`),
     which leaves the table T of everything else and, for each support
     point v, the part X read off T with which v v^T folds in: that child
-    is T + X, so its traces are tr T_k + tr X_k, and the chosen child is
+    is T + X, so its traces are tr T_k + tr X_k, and the kept child is
     the next parent.  A walk on m vectors and f fixed ones makes m + f
     calls of :func:`fold_terms` and m of :func:`peel_terms`, 2 sum(sizes)
     + f table updates in all, and holds a few tables at a time.
@@ -398,16 +443,15 @@ def _engine_route(d: int, fixed: list, remaining: list, exact: bool,
         parent = fold_terms(parent, *arith.encode([(1, v)]))
     for support in supports:
         parent = fold_terms(parent, *arith.encode(support))
-    pledge = arith.poly(parent)
+    yield arith.poly(parent)
     for support in supports:
         peeled, parts = peel_terms(parent, *arith.encode(support))
         units, _ = arith.encode([(1, v) for _, v in support])
         base = arith.traces(peeled)
-        best = choose([arith.from_traces([t + w * x for t, x in zip(base, arith.traces(part))])
-                       for w, part in zip(units, parts)])
-        parent = [t + units[best] * x for t, x in zip(peeled, parts[best])]
+        yield [arith.from_traces([t + w * x for t, x in zip(base, arith.traces(part))])
+               for w, part in zip(units, parts)]
+        parent = [t + units[choices[-1]] * x for t, x in zip(peeled, parts[choices[-1]])]
         del peeled, parts  # before the next level's peel allocates its own
-    return pledge
 
 
 # ----------------------------------------------------------------------
@@ -432,15 +476,17 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     the average of its m children, which have a common interlacing, so
     some child's score is at least its parent's: level l scores the
     not-yet-chosen rows in index order, in batches, and keeps the first
-    whose score is at least the parent's (the pledge at level
-    0, then the previous level's kept score).  If rounding leaves none
-    there, every free row has been scored and the level keeps the best of
-    them, ties going to the lowest index; such levels are counted in the
-    certificate's ``fallbacks``.  Every kept score stays at or above the
-    pledge up to those rounding slips, and a walk costs about one batch
-    per level, not m candidates.  Batches hold ``RI_BATCH`` rows while a
-    level's shifts start from eigenvalues (k <= ``EIG_START_POLES``);
-    past that a level's batches hold 2, 4, then ``RI_BATCH`` rows.
+    that meets the parent (the pledge at level 0, then the previous
+    level's kept child).  An exact walk decides that by :func:`_meets`.
+    A float walk keeps the first score at least its parent's; if rounding
+    leaves none there, every free row has been scored and the level keeps
+    the best of them, ties going to the lowest index, and such levels are
+    counted in the certificate's ``fallbacks``.  Every kept score stays at
+    or above the pledge up to those rounding slips, and a walk costs about
+    one batch per level, not m candidates.  Batches hold ``RI_BATCH`` rows
+    while a level's float shifts start from eigenvalues (k <=
+    ``EIG_START_POLES``); past that a level's batches hold 2, 4, then
+    ``RI_BATCH`` rows, exact walks alike.
 
     Skipping the chosen rows loses no child that could meet the parent:
     a repeated row's B + v_j v_j^T has rank l, so after k - l - 1 shifts
@@ -449,21 +495,17 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     :class:`AssertionError` unless every kept score is positive, which
     is what that argument needs.
 
-    Levels are scored in root space, the same way in both modes.  With S
-    the l chosen rows, ``char_poly(S^T S + v_j v_j^T) = x^(n-l-1)
-    det(x - G_j)`` where G_j is the (l+1) x (l+1) Gram matrix of S and
-    v_j, so the spectra of a (batch, l+1, l+1) stack give the batch's
-    roots and the zero root's multiplicity n - l - 1 comes from the rank.
-    Float stacks take one batched ``eigvalsh``; exact stacks take one
-    :func:`charpoly_batch_exact` call and the :func:`root_clusters` of
-    each small polynomial, real-rooted as the characteristic polynomial
-    of a symmetric matrix, so no Sturm check runs.  One
-    :func:`shift_chain` call then applies the k - l - 1 factors
-    ``1 - (1/m) d/dx``, and the k-th largest root is the smallest of the
-    k roots it tracks.  The pledge, lambda_k of
-    ``(1 - (1/m) d/dx)^k x^n = (1 - (1/m) d/dx)^(k-1) x^(n-1) (x - n/m)``,
-    has the shape of a level-0 child, so it rides in level 0's first
-    batch as one more row ``[n/m]``.
+    With S the l chosen rows, ``char_poly(S^T S + v_j v_j^T) =
+    x^(n-l-1) det(x - G_j)`` where G_j is the (l+1) x (l+1) Gram matrix
+    of S and v_j, so a (batch, l+1, l+1) stack gives a batch's children.
+    Float stacks take one batched ``eigvalsh``, and one
+    :func:`shift_chain` call applies the k - l - 1 factors ``1 - (1/m)
+    d/dx`` in root space; the k-th largest root is the smallest of the k
+    roots it tracks.  The float pledge, lambda_k of ``(1 - (1/m) d/dx)^k
+    x^n = (1 - (1/m) d/dx)^(k-1) x^(n-1) (x - n/m)``, has the shape of a
+    level-0 child, so it rides in level 0's first batch as one more row
+    ``[n/m]``.  Exact children are formed in integer coefficients
+    (:func:`_ri_children`), and the exact pledge is ``(m - d/dx)^k x^n``.
 
     ``tol`` is the isotropy tolerance of float systems
     (:meth:`VectorSystem.is_isotropic`).  Returns (chosen index list,
@@ -472,79 +514,99 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     if not system.is_isotropic(tol):
         raise ValueError(
             f"system is not isotropic (defect {system.isotropy_defect():.3g})")
-    n = system.dim
+    vecs = system.vectors
+    m, n = vecs.shape
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    vecs = system.vectors
-    chosen: list[int] = []
-    levels: list[float] = []
-    scored: list[int] = []
-    fallbacks = 0
-    parent = None  # the pledge rides in level 0's first batch
-    first_batch = RI_BATCH if k <= EIG_START_POLES else 2
+    exact = system.is_exact
+    parent = None  # a float pledge rides in level 0's first batch
+    if exact:  # the rows cleared to one denominator q, as gram_sum does
+        q, ints = _cleared(vecs.ravel().tolist())
+        vecs = np.array(ints, dtype=object).reshape(m, n)
+        pledge = _ri_shifted([0] * n + [1], m, k)
+        parent = (pledge, _kth_cluster(pledge, k))
+    chosen, levels, scored, fallbacks = [], [], [], 0
     for _ in range(k):
         taken = set(chosen)
-        free = [j for j in range(system.m) if j not in taken]
-        vals = np.empty(0)
-        keep = None
-        size = first_batch
+        free = [j for j in range(m) if j not in taken]
+        vals, keep = [], None
+        size = RI_BATCH if k <= EIG_START_POLES else 2
         while keep is None and len(vals) < len(free):
             start = len(vals)
-            batch = _ri_scores(vecs, chosen, free[start:start + size], k,
-                               pledge=parent is None)
-            if parent is None:
-                parent = pledged = float(batch[-1])
-                batch = batch[:-1]
-            vals = np.concatenate([vals, batch])
-            meets = np.flatnonzero(batch >= parent)
-            if meets.size:
-                keep = start + int(meets[0])
+            if exact:
+                batch = _ri_children(vecs, q, chosen, free[start:start + size], k)
+                first = next((j for j, child in enumerate(batch)
+                              if _meets(child, *parent, k, True)), None)
+            else:
+                batch = _ri_scores(vecs, chosen, free[start:start + size], k,
+                                   pledge=parent is None)
+                if parent is None:
+                    parent = pledge = float(batch[-1])
+                    batch = batch[:-1]
+                first = next(iter(np.flatnonzero(batch >= parent)), None)
+            vals.extend(batch)
+            if first is not None:
+                keep = start + int(first)
             size = min(2 * size, RI_BATCH)
         if keep is None:
+            if exact:
+                raise AssertionError("no free row meets its parent")
             fallbacks += 1
             keep = int(np.argmax(vals))
-        parent = float(vals[keep])
-        if not parent > 0:
-            raise AssertionError(f"kept score {parent} is not positive")
+        parent = (vals[keep], _kth_cluster(vals[keep], k)) if exact else float(vals[keep])
+        level = parent[1].root if exact else parent
+        if not level > 0:
+            raise AssertionError(f"kept score {level} is not positive")
         chosen.append(free[keep])
-        levels.append(parent)
+        levels.append(level)
         scored.append(len(vals))
-    cert = _certificate(vecs[chosen], n, system.is_exact, chosen, levels, pledged,
-                        k, "maximize")
+    cert = _certificate(system.vectors[chosen], n, exact, chosen, levels, pledge, k, "maximize")
     cert.scored, cert.fallbacks = scored, fallbacks
     return chosen, cert
 
 
 def _ri_scores(vecs: np.ndarray, chosen: list, cand: list, k: int,
                pledge: bool = False) -> np.ndarray:
-    """The level scores of rows ``cand``, from their bordered Gram spectra.
-
-    The (len(cand), l+1, l+1) stack keeps the dtype of ``vecs``: float
-    spectra come from ``eigvalsh``, exact ones from
-    :func:`charpoly_batch_exact` and :func:`root_clusters`.  With
-    ``pledge``, at level 0 only, the row ``[n/m]`` is shifted along and
-    the pledge returned as the last score.
+    """The float level scores of rows ``cand``, from the spectra of their
+    bordered Gram stack.  With ``pledge``, at level 0 only, the row
+    ``[n/m]`` is shifted along and the pledge returned as the last score.
     """
     m, n = vecs.shape
     lvl = len(chosen)
     s = vecs[chosen]
     v = vecs[cand]
     cross = v @ s.T
-    gram = np.empty((len(cand), lvl + 1, lvl + 1), dtype=vecs.dtype)
+    gram = np.empty((len(cand), lvl + 1, lvl + 1))
     gram[:, :lvl, :lvl] = s @ s.T
     gram[:, :lvl, lvl] = cross
     gram[:, lvl, :lvl] = cross
     gram[:, lvl, lvl] = np.einsum("ij,ij->i", v, v)
-    if vecs.dtype == object:
-        roots = np.array([[c.root for c in root_clusters(Polynomial(row))
-                           for _ in range(c.mult)]
-                          for row in charpoly_batch_exact(gram)])
-    else:
-        roots = np.linalg.eigvalsh(gram)
+    roots = np.linalg.eigvalsh(gram)
     if pledge:
         roots = np.concatenate([roots, [[n / m]]])
     roots, _ = shift_chain(roots, n - lvl - 1, 1.0 / m, k - lvl - 1)
     return np.min(roots, axis=1)
+
+
+def _ri_children(ints: np.ndarray, q: int, chosen: list, cand: list,
+                 k: int) -> list[Polynomial]:
+    """The exact children of rows ``cand`` cleared to the denominator q,
+    ``(m - d/dx)^(k-l-1) x^(n-l-1) chi(G_j)`` times q^(2(l+1)): their
+    Gram stack q^2 G_j takes one :func:`charpoly_batch_exact` call, and
+    the coefficient of x^i of chi(q^2 G_j), times q^(2i), is their own."""
+    m, n = ints.shape
+    lvl = len(chosen)
+    rows = ints[[chosen + [j] for j in cand]]
+    chis = charpoly_batch_exact(rows @ rows.transpose(0, 2, 1)).tolist()
+    return [_ri_shifted([0] * (n - lvl - 1) + [c * q ** (2 * i) for i, c in enumerate(chi)],
+                        m, k - lvl - 1) for chi in chis]
+
+
+def _ri_shifted(co: list, m: int, steps: int) -> Polynomial:
+    """``(m - d/dx)^steps`` of the integer coefficients ``co``, lowest first."""
+    for _ in range(steps):
+        co = [m * c - (i + 1) * d for i, (c, d) in enumerate(zip(co, co[1:] + [0]))]
+    return Polynomial(co)
 
 
 # ----------------------------------------------------------------------
@@ -613,28 +675,15 @@ def weaver_bound(alpha) -> float:
 def _signing_level(phi: Polynomial, parent: TopRoot, plus: Polynomial):
     """The kept child of one signing level: (sign, polynomial, top root).
 
-    ``phi`` is the parent, ``parent`` its top root r in (lo, hi], and
-    ``plus`` the +1 child; the -1 child is 2 phi - plus.  The children
-    have a common interlacing and average to ``phi``, so one top root is
-    at most r and the other at least r.  A child with a root above hi
-    therefore has the larger top root, and the other is kept, which one
-    exact count each decides.  Only when neither child has a root above
-    hi are both top roots taken and compared (:func:`compare_top_roots`),
-    ties going to +1; identical children both equal the parent, whose
-    top root is reused.  Otherwise :func:`top_root` runs once, on the
-    kept child.
+    ``phi`` is the parent, ``parent`` its top root, and ``plus`` the +1
+    child; the -1 child is 2 phi - plus.  The children average to ``phi``
+    with a common interlacing, so +1 is kept if it meets ``phi``
+    (:func:`_meets`), ties included, and -1 otherwise; only it is rooted.
     """
+    if _meets(plus, phi, parent, 1, False):
+        return 1, plus, parent if plus == phi else top_root(plus)
     minus = 2 * phi - plus
-    if roots_above(plus, parent.hi):
-        return -1, minus, top_root(minus)
-    if roots_above(minus, parent.hi):
-        return 1, plus, top_root(plus)
-    if plus == minus:
-        return 1, plus, parent
-    top_plus, top_minus = top_root(plus), top_root(minus)
-    if compare_top_roots(minus, plus, top_minus, top_plus) < 0:
-        return -1, minus, top_minus
-    return 1, plus, top_plus
+    return -1, minus, top_root(minus)
 
 
 def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
@@ -655,16 +704,16 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     equal (Bilu-Linial) and each is the parent.  The walk keeps +1 there
     and reuses the parent and its top root.  At every other level only
     the +1 child is formed, the -1 child is 2 parent - plus, exactly, and
-    :func:`_signing_level` keeps the child with the smaller largest root,
-    ties going to +1: the children straddle the parent's top root, so an
-    exact count of roots above the top of the parent's bracket nearly
-    always decides, and the kept child alone is rooted by
-    :func:`top_root` (a top root in a bracket certified by exact root
-    counts).  Every Phi_F is real-rooted and the children interlace by
-    theorem; the tests, not this walk, check it.  The kept child is the
-    next level's parent, and its largest root never exceeds its
-    parent's, so the final signing's top eigenvalue is at most the
-    pledge.  The last kept child is chi(A_s), checked by one
+    :func:`_signing_level` keeps the +1 child if it meets its parent
+    (:func:`_meets`), ties included, and the -1 child otherwise: the
+    children straddle the parent's top root, so exact counts at the ends
+    of the parent's bracket nearly always decide, and the kept child
+    alone is rooted by :func:`top_root` (a top root in a bracket
+    certified by exact root counts).  Every Phi_F is real-rooted and the
+    children interlace by theorem; the tests, not this walk, check it.
+    The kept child is the next level's parent, and its largest root
+    never exceeds its parent's, so the final signing's top eigenvalue is
+    at most the pledge.  The last kept child is chi(A_s), checked by one
     :func:`charpoly_batch_exact` call on A_s (:class:`AssertionError` if
     not), so ``achieved`` is its top root.
     Returns (signing, certificate); the certificate's values are in Gram
@@ -691,8 +740,8 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
         raise BudgetExceededError(
             f"the signing walk costs {work} DP states and leaf entries, over "
             f"the budget of {budget}")
-    phi = engine.chars([])
-    parent = top_root(phi)
+    mu = phi = engine.chars([])
+    top = parent = top_root(phi)
     pledged = parent.root + d
     signs: list[int] = []
     levels: list[float] = []
@@ -708,7 +757,8 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     if chi != phi:
         raise AssertionError("the walk's last polynomial is not chi(A_s)")
     cert = SelectionCertificate(choices=[0 if s == 1 else 1 for s in signs],
-                                final_poly=chi.taylor_shift(-d),
-                                achieved=levels[-1], pledged=pledged, k=1,
-                                direction="minimize", levels=levels)
+                                final_poly=chi.taylor_shift(-d), achieved=levels[-1],
+                                pledged=pledged, k=1, direction="minimize", levels=levels,
+                                pledge_poly=mu.taylor_shift(-d),
+                                pledge_root=TopRoot(pledged, top.mult, top.lo + d, top.hi + d))
     return signing, cert

@@ -3,8 +3,8 @@
 The certificates are exact root inequalities that interlacing guarantees,
 so every slack granted here weakens one.  Each is granted only where
 float rounding forces it and no exact identity can be checked instead:
-on float input, or on the float values (eigenvalues, roots) that exact
-walks report beside their exact polynomials.  No other module of the
+on float input.  Exact walks decide their choices and certificates by
+exact root counts.  No other module of the
 package holds a float literal below 1e-3 (``tests/test_tolerances.py``
 checks this).  Callers set none of them, save one default: ``ISO_TOL``
 of the isotropy ``tol`` that ``--tol`` sets.
@@ -20,7 +20,7 @@ of the isotropy ``tol`` that ``--tol`` sets.
 # multiple roots (d <= 10) no miss exceeded the evaluation's rounding.
 BACKWARD_TOL = 1e-12
 
-# Slack on a certificate's achieved >= pledged (<= when minimizing): the
+# Slack on a float walk's achieved >= pledged (<= when minimizing): the
 # achieved value is an ``eigvalsh`` eigenvalue and the pledge a float root
 # of another polynomial, and a walk may meet its pledge with equality.
 CERT_TOL = 1e-7
@@ -56,7 +56,7 @@ ALPHA_TOL = 1e-12
 COEFF_TOL = 1e-8
 
 # Slack on the soft-edge inequalities of the shift checks: both sides are
-# ``shift_roots`` solves, each within a few ulp of its secular equation's
+# ``shift_chain`` solves, each within a few ulp of its secular equation's
 # root, on the float roots of p, which are only as good as p's own
 # rounding lets them be: an r-fold root of a float p moves by about
 # eps^(1/r) under it, and the inequality may hold with equality.

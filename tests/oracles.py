@@ -25,7 +25,10 @@ other ways:
   root-interval criterion;
 * exact characteristic polynomials by Berkowitz's division-free
   recurrence (:func:`berkowitz_charpoly`), against the library's power
-  traces and Newton's identities.
+  traces and Newton's identities;
+* the exact order of two top roots, by stripping their common factors
+  and halving both brackets (:func:`compare_top_roots`), against the
+  library's level rule ``select._meets`` at k = 1.
 
 It also holds the fixtures several test modules share: the cube graph
 (:data:`CUBE`), a graph relabelled as the signing walk takes it
@@ -39,13 +42,14 @@ from fractions import Fraction
 import numpy as np
 
 from interlace import AssignmentState, DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, \
-    mixed_char
+    char_poly, mixed_char
 from interlace.graphs import LEAF_CHUNK, frontier_order
 from interlace.matrices import _validate_psd_list, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
-from interlace.select import _kth_root, _ri_scores
-from interlace.poly import shift_roots
-from paper import is_real_rooted
+from interlace.select import _kth_cluster, _kth_root, _ri_scores
+from interlace.poly import TopRoot, _count_above, _integer_coeffs, _primitive, \
+    _pseudo_divmod, shift_chain, top_root
+from paper import apply_shift_operator, exact_real_roots, is_real_rooted
 
 
 # The 3-cube Q_3: K_{4,4} minus a perfect matching.
@@ -229,24 +233,31 @@ def conditional_expected_poly(state: AssignmentState, budget: int = DEFAULT_BUDG
 def enumeration_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET):
     """The greedy walk with every child enumerated: (choices, levels, pledged).
 
-    Ties go to the lowest support index, as in ``greedy_walk``.  Roots
-    come from ``greedy_walk``'s own kernel, ``select._kth_root``: this
-    checks the walk's route to its polynomials, and the kernel is checked
-    against 50-digit references in the tests of ``interlace.poly``.
+    Every level keeps its best child, ties going to the lowest support
+    index: a float ``greedy_walk`` does the same, and an exact one, which
+    keeps the first child that meets its parent, keeps the same child on
+    two-point supports.  Roots come from ``greedy_walk``'s own kernels,
+    ``select._kth_cluster`` for exact polynomials and ``select._kth_root``
+    for float ones: this checks the walk's route to its polynomials and
+    its choices, and the kernels are checked against 50-digit references
+    in the tests of ``interlace.poly``.
     """
     exact = state.is_exact
     k = state.k
     maximize = state.direction == "maximize"
     base = _base(state.fixed, state.dim, exact)
     remaining = list(state.remaining)
-    pledged = _kth_root(_enumerate(base, remaining, budget, exact), k)
+    def kth(p):
+        return _kth_cluster(p, k).root if exact else _kth_root(p, k)
+
+    pledged = kth(_enumerate(base, remaining, budget, exact))
     choices, levels = [], []
     for lvl, rv in enumerate(remaining):
         vals = []
         for _, vec in rv.support:
             v = np.asarray(vec).astype(object if exact else float)
             child = _enumerate(base + np.outer(v, v), remaining[lvl + 1:], budget, exact)
-            vals.append(_kth_root(child, k))
+            vals.append(kth(child))
         best = 0
         for j in range(1, len(vals)):
             if (vals[j] > vals[best]) if maximize else (vals[j] < vals[best]):
@@ -259,16 +270,33 @@ def enumeration_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET):
 
 
 def ri_pledge(n: int, m: int, k: int) -> float:
-    """lambda_k of (1 - D/m)^k x^n, by k shifts of x^n in root space."""
+    """lambda_k of (1 - D/m)^k x^n, by k one-step shifts of x^n in root space."""
     roots, zeros = np.empty((1, 0)), n
     for _ in range(k):
-        roots, zeros = shift_roots(roots, zeros, 1.0 / m)
+        roots, zeros = shift_chain(roots, zeros, 1.0 / m, 1)
     return float(roots[0, -1])
 
 
 def ri_level_scores(system, chosen: list, k: int) -> np.ndarray:
-    """Every row's score at the level after ``chosen``, chosen rows included."""
-    return _ri_scores(system.vectors, chosen, list(range(system.m)), k)
+    """Every row's score at the level after ``chosen``, chosen rows included.
+
+    Float rows take the float walk's own kernel.  Exact rows' children
+    are formed in coefficients, (1 - D/m)^(k-l-1) char_poly(B + v v^T)
+    with B the chosen rows' Gram sum, each checked real-rooted by a
+    Sturm sequence and rooted by ``root_clusters``.
+    """
+    if not system.is_exact:
+        return _ri_scores(system.vectors, chosen, list(range(system.m)), k)
+    vecs = system.vectors
+    m, n = vecs.shape
+    base = sum((np.outer(vecs[j], vecs[j]) for j in chosen), np.zeros((n, n), dtype=object))
+    scores = []
+    for v in vecs:
+        child = char_poly(SymMatrix(base + np.outer(v, v)))
+        for _ in range(k - len(chosen) - 1):
+            child = apply_shift_operator(child, Fraction(1, m))
+        scores.append(exact_real_roots(child)[k - 1])
+    return np.array(scores)
 
 
 def argmax_ri_walk(system, k: int):
@@ -401,3 +429,55 @@ def berkowitz_charpoly(mats: np.ndarray) -> np.ndarray:
             new[:, j:] += v[:, j:j + 1] * t[:, :i + 2 - j]
         v = new
     return v[:, ::-1].copy()
+
+
+def _drop_common_roots(a: list[int], b: list[int]) -> list[int]:
+    """``a`` divided by every factor it shares with ``b``: roots(a) minus roots(b)."""
+    while True:
+        g, h = a, b     # Euclid, each remainder made primitive
+        while h:
+            g, h = h, _pseudo_divmod(g, h)[1]
+            h = _primitive(h) if h else h
+        if len(g) == 1:
+            return a
+        a = _primitive(_pseudo_divmod(a, g)[0])
+
+
+def _refine(a: list[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Halve a bracket (lo, hi] of the top root of ``a``."""
+    mid = (lo + hi) / 2
+    return (mid, hi) if _count_above(a, mid) else (lo, mid)
+
+
+def compare_top_roots(p: Polynomial, q: Polynomial,
+                      tp: TopRoot | None = None, tq: TopRoot | None = None) -> int:
+    """The sign of top(p) - top(q), exactly, for exact real-rooted ``p`` and ``q``.
+
+    Disjoint brackets (from ``top_root``, or passed in) decide at once.
+    Otherwise top(p) > top(q) exactly when p has a root above top(q), and
+    such a root is not a root of q; so with v = p stripped of every factor
+    shared with q, top(p) > top(q) iff v is not constant and top(v) >
+    top(q).  Those two are distinct algebraic numbers, so halving both
+    brackets by exact counts separates them.  The same with p and q
+    swapped; if neither holds, the top roots are equal.  A reference
+    for the library's level rule, ``select._meets``, at k = 1.
+    """
+    tp = tp or top_root(p)
+    tq = tq or top_root(q)
+    if tp.hi <= tq.lo:
+        return -1
+    if tq.hi <= tp.lo:
+        return 1
+    for sign, f, g, tg in ((1, p, q, tq), (-1, q, p, tp)):
+        ag = _integer_coeffs(g)
+        av = _drop_common_roots(_integer_coeffs(f), ag)
+        if len(av) == 1:
+            continue
+        tv = top_root(Polynomial(av))
+        vlo, vhi, glo, ghi = tv.lo, tv.hi, tg.lo, tg.hi
+        while vlo < ghi and glo < vhi:
+            vlo, vhi = _refine(av, vlo, vhi)
+            glo, ghi = _refine(ag, glo, ghi)
+        if vlo >= ghi:
+            return sign
+    return 0

@@ -17,14 +17,12 @@ from interlace import (
     Polynomial,
     ZeroPolynomialError,
     NotRealRootedError,
-    shift_roots,
     shift_chain,
     real_roots,
     float_top_root,
     roots_above,
     root_clusters,
     top_root,
-    compare_top_roots,
     mixed_char,
     SymMatrix,
     char_poly,
@@ -36,7 +34,7 @@ from interlace import (
 )
 import interlace.poly as poly_module
 import interlace.select as select_module
-from oracles import convex_combinations_real_rooted
+from oracles import compare_top_roots, convex_combinations_real_rooted
 from paper import apply_shift_operator, diagram_identity_check, exact_real_roots, \
     have_common_interlacing, interlaces, is_real_rooted, kth_largest_root, \
     laguerre_transform, sturm_root_count, sturm_sequence
@@ -130,9 +128,12 @@ def _sorted_multiset(roots, zeros):
     return np.sort(np.concatenate([roots, np.zeros(zeros)]))[::-1]
 
 
+# The shift_roots tests check one-step shift_chain calls.
+
+
 def test_shift_roots_zero_shift_is_identity():
     roots = np.array([[0.5, 2.0, -1.0], [3.0, 3.0, 0.0]])
-    out, zeros = shift_roots(roots, 4, 0)
+    out, zeros = shift_chain(roots, 4, 0, 1)
     assert zeros == 4
     assert (out == -np.sort(-roots, axis=1)).all()
 
@@ -140,14 +141,14 @@ def test_shift_roots_zero_shift_is_identity():
 def test_shift_roots_repeated_poles():
     # p = (x-2)^3 (x-1): p - p'/2 = (x-2)^2 (x^2 - 5x + 9/2), so the
     # triple root keeps two copies and the rest solve the quadratic
-    out, zeros = shift_roots(np.array([[2.0, 1.0, 2.0, 2.0]]), 0, 0.5)
+    out, zeros = shift_chain(np.array([[2.0, 1.0, 2.0, 2.0]]), 0, 0.5, 1)
     assert zeros == 0
     assert list(out[0, 1:3]) == [2.0, 2.0]
     r7 = math.sqrt(7.0)
     assert out[0, 0] == pytest.approx((5 + r7) / 2, rel=1e-15)
     assert out[0, 3] == pytest.approx((5 - r7) / 2, rel=1e-15)
     # a zero root of multiplicity s keeps s - 1 copies
-    out, zeros = shift_roots(np.empty((1, 0)), 3, 0.25)
+    out, zeros = shift_chain(np.empty((1, 0)), 3, 0.25, 1)
     assert zeros == 2 and out[0, 0] == pytest.approx(0.75, rel=1e-15)
 
 
@@ -159,7 +160,7 @@ def test_shift_roots_interlace_their_input():
         roots = rng.uniform(-3, 3, (5, d))
         roots[:, -1] = roots[:, 0]  # one repeated root per row
         c = float(rng.uniform(0.01, 2))
-        out, z2 = shift_roots(roots, zeros, c)
+        out, z2 = shift_chain(roots, zeros, c, 1)
         assert z2 == max(zeros - 1, 0)
         for row_in, row_out in zip(roots, out):
             before = _sorted_multiset(row_in, zeros)
@@ -181,7 +182,7 @@ def test_shift_roots_rational_inputs_against_sturm():
     for roots, zeros, c in cases:
         p = Polynomial.from_roots(roots + [0] * zeros)
         q = apply_shift_operator(p, c)
-        out, z2 = shift_roots(np.array([[float(r) for r in roots]]), zeros, float(c))
+        out, z2 = shift_chain(np.array([[float(r) for r in roots]]), zeros, float(c), 1)
         assert len(out[0]) + z2 == q.degree
         delta = Fraction(1, 10 ** 9)
         for r in out[0]:
@@ -193,11 +194,11 @@ def test_shift_roots_rational_inputs_against_sturm():
 
 def test_shift_roots_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        shift_roots(np.array([1.0, 2.0]), 0, 1.0)  # not a batch
+        shift_chain(np.array([1.0, 2.0]), 0, 1.0, 1)  # not a batch
     with pytest.raises(ValueError):
-        shift_roots(np.array([[1.0]]), -1, 1.0)
+        shift_chain(np.array([[1.0]]), -1, 1.0, 1)
     with pytest.raises(ValueError):
-        shift_roots(np.array([[1.0]]), 0, -0.5)
+        shift_chain(np.array([[1.0]]), 0, -0.5, 1)
 
 
 def _reference_shift_roots(row, zeros, c, got, mpmath):
@@ -235,7 +236,7 @@ def _reference_shift_roots(row, zeros, c, got, mpmath):
 
 
 def _residual_stop(row, zeros, c, x):
-    """How far from x the stop of shift_roots' loop, |g| <= (npoles + 3)
+    """How far from x the stop of shift_chain's loop, |g| <= (npoles + 3)
     eps (phi - psi + 1/c) on the secular residual g, lets an unknown rest:
     twice that bound over the slope of g at x, plus one ulp of x (a
     bracket with no float inside also stops it)."""
@@ -251,7 +252,7 @@ def _residual_stop(row, zeros, c, x):
 
 def test_shift_roots_to_50_digit_references():
     # random batches with and without the zero pole, their pole counts on
-    # both sides of the size above which shift_roots starts from gap
+    # both sides of the size above which shift_chain starts from gap
     # midpoints instead of the eigenvalues of diag(mu) + c s s^T, every
     # fifth with its poles within 0.3 of each other.  Each root is within
     # 2e-15 relative, or within its loop's residual stop: unstarted, a top
@@ -264,7 +265,7 @@ def test_shift_roots_to_50_digit_references():
         c = [1 / 48, 1 / 96, 0.3][batch % 3]
         spread = (-0.1, 0.2) if batch % 5 == 0 else (-1, 2)
         roots = rng.uniform(*spread, (2, npoles - (zeros > 0)))
-        out, z2 = shift_roots(roots, zeros, c)
+        out, z2 = shift_chain(roots, zeros, c, 1)
         assert out.shape == (2, npoles) and z2 == max(zeros - 1, 0)
         for row, got in zip(roots, out):
             for g, ref in zip(got, _reference_shift_roots(row, zeros, c, got, mpmath)):
@@ -283,7 +284,7 @@ def test_shift_roots_keep_a_repeated_pole_their_start_cannot_reach():
     s = np.sqrt(np.where(mu == 0, zeros, 1.0))
     start = np.linalg.eigvalsh(np.diag(mu) + c * np.outer(s, s))[::-1]
     assert np.abs(start[1:3] - 0.5).max() <= 4 * np.finfo(float).eps
-    out, z2 = shift_roots(np.array([row]), zeros, c)
+    out, z2 = shift_chain(np.array([row]), zeros, c, 1)
     assert z2 == 1 and list(out[0, 1:3]) == [0.5, 0.5]
     got = np.delete(out[0], [1, 2])
     for g, ref in zip(got, _reference_shift_roots(row, zeros, c, got, mpmath)):
@@ -292,7 +293,7 @@ def test_shift_roots_keep_a_repeated_pole_their_start_cannot_reach():
 
 def _successive_shifts(roots, zeros, c, steps):
     for _ in range(steps):
-        roots, zeros = shift_roots(roots, zeros, c)
+        roots, zeros = shift_chain(roots, zeros, c, 1)
     return roots, zeros
 
 
@@ -902,6 +903,11 @@ def test_compare_top_roots_disjoint_equal_and_overlapping():
     assert t_one.lo < t_near.hi and t_near.lo < t_one.hi
     assert compare_top_roots(one, near) == -1
     assert compare_top_roots(near, one, t_near, t_one) == 1
+    # the level rule at k = 1 orders the same pairs, ties meeting
+    for p, q in [(a, b), (b, a), (a, c), (c, a), (a, a), (one, near), (near, one)]:
+        order = compare_top_roots(p, q)
+        assert select_module._meets(p, q, top_root(q), 1, True) == (order >= 0)
+        assert select_module._meets(p, q, top_root(q), 1, False) == (order <= 0)
 
 
 # ----------------------------------------------------------------------

@@ -34,16 +34,6 @@ UNREACHED = {
     "barrier.smin": "barrier",
     "barrier.upper_barrier": "barrier",
     "barrier.upper_shift_check": "barrier",
-    # the one-step shift chain, which barrier and the tests call
-    "poly.shift_roots": "one-step shift_chain",
-    # the signing walk's tie fallback, taken when the parent's bracket
-    # does not decide; test_signing_level_counts_decide_as_compare_top_roots
-    # drives it
-    "poly.compare_top_roots": "signing tie fallback",
-    "poly._drop_common_roots": "signing tie fallback",
-    "poly._refine": "signing tie fallback",
-    "poly._primitive": "signing tie fallback",
-    "poly._pseudo_divmod": "signing tie fallback",
 }
 
 # Runs each argv through cli.main with the profiler on, then prints the
@@ -95,6 +85,10 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
     # rows of a rational rotation and of I, scaled by 3/5 and 4/5
     rot = _write(tmp_path / "rot.json", {"vectors": [["9/25", "12/25"], ["-12/25", "9/25"],
                                                      ["4/5", "0"], ["0", "4/5"]]})
+    # e_i / 2, each four times: every level-0 ri child equals the pledge
+    quarters = _write(tmp_path / "quarters.json",
+                      {"vectors": [["1/2" if j == i else "0" for j in range(4)]
+                                   for i in range(4) for _ in range(4)]})
     k33 = _write(tmp_path / "k33.txt", "".join(f"{a} {b}\n" for a in range(3)
                                                for b in range(3, 6)))
     floats = _write(tmp_path / "floats.json", [[[1.0, 0.5], [0.5, 1.0]], [[2.0, 0.0], [0.0, 1.0]]])
@@ -105,6 +99,7 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
     calls = [
         (["ri", iso4, "-k", "2"], 0),
         (["ri", rot, "-k", "1", "--mode", "exact"], 0),
+        (["ri", quarters, "-k", "2", "--mode", "exact"], 0),
         (["weaver", d3m21], 0),                      # the engine route
         (["weaver", d3m6], 0),                       # the enumeration route
         (["weaver", rot, "--mode", "exact"], 0),

@@ -5,6 +5,7 @@ outcome tree; the certificates' pledged-vs-achieved invariant is the
 load-bearing assertion throughout.
 """
 
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -18,11 +19,11 @@ from interlace import (
     char_poly,
     charpoly_batch,
     charpoly_batch_exact,
-    shift_roots,
     real_roots,
     roots_above,
+    shift_chain,
     top_root,
-    compare_top_roots,
+    TopRoot,
     DiscreteRandomVector,
     VectorSystem,
     AssignmentState,
@@ -46,7 +47,7 @@ import interlace.graphs as graphs_module
 import interlace.poly as poly_module
 import interlace.select as select_module
 from interlace.poly import EIG_START_POLES
-from oracles import CUBE, argmax_ri_walk, conditional_expected_poly, \
+from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
     in_walk_order, ri_level_scores
 from paper import apply_shift_operator, exact_real_roots, have_common_interlacing, \
@@ -459,6 +460,118 @@ def test_ri_basis_levels_are_exact():
     assert cert.levels[-1] == pytest.approx(0.25, abs=1e-12)
 
 
+def _cayley_quaternion(a: int, b: int, c: int) -> np.ndarray:
+    """The Cayley transform (I + S)^(-1) (I - S) of the skew 4 x 4 matrix S
+    of left multiplication by the quaternion a i + b j + c k.  S^2 = -s I,
+    s = a^2 + b^2 + c^2, so it is ((1 - s) I - 2 S) / (1 + s), rational
+    and orthogonal."""
+    units = [np.array(u, dtype=object) for u in (
+        [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+        [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])]
+    skew = a * units[0] + b * units[1] + c * units[2]
+    s = a * a + b * b + c * c
+    assert (skew.dot(skew) == -s * np.eye(4, dtype=int)).all()
+    q = ((1 - s) * np.eye(4, dtype=int) - 2 * skew) * Fraction(1, 1 + s)
+    assert (q.dot(q.T) == np.eye(4, dtype=int)).all()
+    return q
+
+
+@pytest.mark.parametrize("frame", ["quarters", "cayley"])
+def test_ri_exact_equal_norm_frame_ties_its_pledge(monkeypatch, frame):
+    # 16 rows of squared norm 1/4 summing to I_4: every level-0 child of
+    # k = 2 is (1 - D/16) x^3 (x - 1/4), the pledge (1 - D/16)^2 x^4 up
+    # to a factor, whose lambda_2 is 1/8.  Each is rooted exactly, and
+    # level 0 keeps row 0 through the rule's tie, not through its counts
+    if frame == "quarters":
+        rows = [row * Fraction(1, 2) for row in np.eye(4, dtype=int) for _ in range(4)]
+    else:
+        rows = [row * Fraction(1, 2) for abc in [(1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 1, 0)]
+                for row in _cayley_quaternion(*abc)]
+    vs = VectorSystem(rows)
+    assert vs.is_exact and vs.is_isotropic()
+    calls, meets = [], select_module._meets
+
+    def recorded(child, parent, bracket, k, maximize):
+        calls.append((child, parent, bracket, k, meets(child, parent, bracket, k, maximize)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(select_module, "_meets", recorded)
+    chosen, cert = restricted_invertibility_select(vs, 2)
+    assert cert.pledged == 0.125 and cert.levels[0] == 0.125
+    assert chosen[0] == 0 and cert.scored[0] == select_module.RI_BATCH
+    child, parent, bracket, k, met = calls[0]
+    assert met and child != parent and child.monic() == parent.monic()
+    assert roots_above(child, bracket.hi) < k <= roots_above(child, bracket.lo)
+    assert cert.fallbacks == 0 and cert.valid() and calls[-1][-1]
+    assert cert.achieved == cert.levels[-1] >= restricted_invertibility_bound(4, 16, 2)
+    assert cert.final_poly == char_poly(VectorSystem(vs.vectors[chosen]).gram_sum())
+
+
+EPS = Fraction(1, 2 ** 60)
+# (child, parent, k, lambda_k(child) - lambda_k(parent) sign); the parent's
+# bracket is its certified cluster, a few ulp wide, and children marked
+# inside have lambda_k within it, 2^-60 from the parent's or equal to it
+RULE_CASES = [
+    (Polynomial.from_roots([1 + EPS]), Polynomial.from_roots([1, -1]), 1, 1, True),
+    (Polynomial.from_roots([1 - EPS, -3]), Polynomial.from_roots([1, -1]), 1, -1, True),
+    (Polynomial.from_roots([5]), Polynomial.from_roots([1, -1]), 1, 1, False),
+    (Polynomial.from_roots([0, 0]), Polynomial.from_roots([1, -1]), 1, -1, False),
+    (3 * Polynomial.from_roots([1, -1]), Polynomial.from_roots([1, -1]), 1, 0, True),
+    (Polynomial.from_roots([1, 0]), Polynomial.from_roots([1, -1]), 1, 0, True),
+    (Polynomial.from_roots([3, 1 + EPS, -2]), Polynomial.from_roots([3, 1, -2]), 2, 1, True),
+    (Polynomial.from_roots([2, 1 - EPS, 0]), Polynomial.from_roots([3, 1, -2]), 2, -1, True),
+    (Polynomial.from_roots([5, 1]), Polynomial.from_roots([3, 1, -2]), 2, 0, True),
+    (Polynomial.from_roots([1, 1, 0]), Polynomial.from_roots([3, 1, -2]), 2, 0, True),
+    (Polynomial.from_roots([2, 2, 2]), Polynomial.from_roots([3, 1, -2]), 2, 1, False),
+]
+
+
+def _rule_errors(rule) -> set:
+    """The directions, of "maximize" and "minimize", in which ``rule`` gets
+    a case of RULE_CASES wrong."""
+    wrong = set()
+    for child, parent, k, sign, _ in RULE_CASES:
+        bracket = select_module._kth_cluster(parent, k)
+        for maximize in (True, False):
+            if rule(child, parent, bracket, k, maximize) != (sign >= 0 if maximize else sign <= 0):
+                wrong.add("maximize" if maximize else "minimize")
+    return wrong
+
+
+def test_meets_decides_by_counts_halving_and_ties():
+    for child, parent, k, sign, inside in RULE_CASES:
+        bracket = select_module._kth_cluster(parent, k)
+        # the cases marked inside straddle the bracket, and the rule halves it
+        straddle = roots_above(child, bracket.hi) < k <= roots_above(child, bracket.lo)
+        assert straddle == inside
+        if sign == 0:
+            assert exact_real_roots(child)[k - 1] == pytest.approx(exact_real_roots(parent)[k - 1])
+    assert not _rule_errors(select_module._meets)
+    # a bracket widened to (0, 4], still certified for the top root 1 of
+    # (x - 1)(x + 1), sends a child at 2 and one at 1/2 through the halving
+    parent = Polynomial.from_roots([1, -1])
+    wide = TopRoot(1.0, 1, Fraction(0), Fraction(4))
+    for root, above in ((2, True), (Fraction(1, 2), False)):
+        child = Polynomial.from_roots([root])
+        assert select_module._meets(child, parent, wide, 1, True) == above
+        assert select_module._meets(child, parent, wide, 1, False) == (not above)
+
+
+def test_meets_mutant_deciding_at_the_wrong_ends_fails():
+    # the rule with maximizing tested against lo in place of hi, and
+    # minimizing with the ends swapped, keeps children that miss
+    source = inspect.getsource(select_module._meets)
+    right = ("    if roots_above(child, hi) >= k:\n        return maximize\n"
+             "    if roots_above(child, lo) < k:\n        return not maximize\n")
+    swapped = ("    if roots_above(child, lo) >= k:\n        return maximize\n"
+               "    if roots_above(child, hi) < k:\n        return not maximize\n")
+    assert source.count(right) == 1
+    scope = dict(vars(select_module))
+    exec(source.replace(right, swapped), scope)
+    assert _rule_errors(scope["_meets"]) == {"maximize", "minimize"}
+
+
 def _laguerre_pledge_roots(n, m, k):
     """Roots of (1 - D/m)^k x^n other than 0, by Golub-Welsch.
 
@@ -478,7 +591,7 @@ def _laguerre_pledge_roots(n, m, k):
 def test_ri_pledge_matches_laguerre_roots(n, m, k):
     roots, zeros = np.empty((1, 0)), n
     for _ in range(k):
-        roots, zeros = shift_roots(roots, zeros, 1.0 / m)
+        roots, zeros = shift_chain(roots, zeros, 1.0 / m, 1)
     assert zeros == n - k
     ref = _laguerre_pledge_roots(n, m, k)
     assert np.max(np.abs(roots[0] - ref) / ref) <= 1e-12
@@ -862,54 +975,51 @@ def test_signing_forest_levels_equal_their_parent(g):
 
 @pytest.mark.parametrize("g", SYMMETRY_GRAPHS, ids=["cube", "petersen", "cover24"])
 def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
-    # at every level, after a random prefix, the counts at the parent's
-    # bracket keep the child compare_top_roots ranks lower (ties to +1)
-    # and root only it; a bracket widened past every root (none of a
-    # cubic graph's Phi_F lies above 3) leaves both counts 0, and the
-    # fallback ranks both children for the same choice.  Identical
-    # children, as at every forest level, keep +1 and the parent's bracket
+    # at every level, after a random prefix, the level rule keeps the
+    # child compare_top_roots ranks lower (ties to +1) and roots only it;
+    # a bracket widened past every root (none of a cubic graph's Phi_F
+    # lies above 3) leaves the +1 child's counts straddling whenever its
+    # top root is the larger, and the halving makes the same choice.
+    # Identical children, as at every forest level, keep +1 and the
+    # parent's bracket
     walk = in_walk_order(g)
     engine = SigningEngine(walk)
     rng = np.random.default_rng(89)
-    compared, ranked = [], []
-    compare = select_module.compare_top_roots
+    halved, ranked = [], []
+    squarefree = select_module._squarefree
 
-    def recorded_compare(*args):
-        compared.append(args[:2])
-        return compare(*args)
+    def recorded_squarefree(p):
+        halved.append(p)
+        return squarefree(p)
 
     def recorded_top(p):
         ranked.append(p)
         return top_root(p)
 
-    monkeypatch.setattr(select_module, "compare_top_roots", recorded_compare)
+    monkeypatch.setattr(select_module, "_squarefree", recorded_squarefree)
     monkeypatch.setattr(select_module, "top_root", recorded_top)
-    fallbacks, ties = {True: 0, False: 0}, 0
+    halvings, ties = {True: 0, False: 0}, 0
     for f, joins in enumerate(walk.forest_edges()):
         prefix = rng.choice([-1, 1], f).tolist()
         phi, plus = engine.chars(prefix), engine.chars(prefix + [1])
         minus = 2 * phi - plus
         assert plus == minus or not joins
-        order = compare(minus, plus)
+        order = compare_top_roots(minus, plus)
         ties += plus != minus and order == 0
         sign = -1 if order < 0 else 1
         kept = minus if sign < 0 else plus
         parent = top_root(phi)
         for bracket in (parent, parent._replace(hi=parent.hi + 3)):
-            compared.clear()
+            halved.clear()
             ranked.clear()
             got = select_module._signing_level(phi, bracket, plus)
             if plus == minus:
-                assert got == (1, plus, bracket) and not ranked
+                assert got == (1, plus, bracket) and not ranked and not halved
                 continue
-            assert got == (sign, kept, top_root(kept))
-            if compared:
-                assert compared == [(minus, plus)] and ranked == [plus, minus]
-                fallbacks[bracket is parent] += 1
-            else:
-                assert bracket is parent and ranked == [kept]
-    # with the true bracket, only children with equal top roots fall back
-    assert fallbacks[True] == ties and fallbacks[False] > 0
+            assert got == (sign, kept, top_root(kept)) and ranked == [kept]
+            halvings[bracket is parent] += bool(halved)
+    # with the true bracket, only children with equal top roots straddle it
+    assert halvings[True] == ties and halvings[False] > 0
 
 
 def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
