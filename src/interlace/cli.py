@@ -5,7 +5,7 @@ Subcommands and the flags each one reads
 ri        select k columns of an isotropic system (restricted
           invertibility): -k, --mode, --tol, --out
 weaver    partition an isotropic system into two low-norm halves:
-          --mode, --tol, --alpha, --budget, --out
+          --mode, --tol, --budget, --out
 lift      iterate signed 2-lifts of a bipartite Ramanujan graph:
           --iterations, --budget, --out
 mixedchar mixed characteristic polynomial of a PSD list: --mode, --out
@@ -164,20 +164,14 @@ def _parse_matrices(text: str, exact: bool) -> list[SymMatrix]:
     return out
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither infinite nor NaN."""
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above 0."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float above 0."""
-    value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
     return value
@@ -202,6 +196,7 @@ def _positive_int(text: str) -> int:
 def cmd_ri(args) -> int:
     system = _parse_vector_system(_read_input(args.input), args.mode == "exact")
     chosen, cert = restricted_invertibility_select(system, args.k, tol=args.tol)
+    valid = cert.valid()
     bound = restricted_invertibility_bound(system.dim, system.m, args.k)
     payload = {
         "command": "ri",
@@ -217,16 +212,18 @@ def cmd_ri(args) -> int:
         "candidates_scored": cert.scored,
         "fallback_levels": cert.fallbacks,
         "final_poly": list(cert.final_poly.coeffs),
-        "certificate_valid": cert.valid(),
+        "certificate_valid": valid,
     }
     _emit(payload, args.out)
-    return EXIT_OK if cert.valid() else EXIT_INVARIANT
+    return EXIT_OK if valid else EXIT_INVARIANT
 
 
 def cmd_weaver(args) -> int:
     system = _parse_vector_system(_read_input(args.input), args.mode == "exact")
-    alpha = args.alpha if args.alpha is not None else system.max_norm_sq()
-    s1, s2, cert = weaver_partition(system, alpha, budget=args.budget, tol=args.tol)
+    s1, s2, cert = weaver_partition(system, budget=args.budget, tol=args.tol)
+    # float norms only once the walk has checked isotropy: an exact row may
+    # lie past the floats
+    valid, alpha = cert.valid(), system.max_norm_sq()
     vec = system.vectors.astype(float)
     norms = []
     for side in (s1, s2):
@@ -239,7 +236,7 @@ def cmd_weaver(args) -> int:
         "config": {"mode": args.mode, "tol": args.tol, "budget": args.budget},
         "m": system.m,
         "dim": system.dim,
-        "alpha": float(alpha),
+        "alpha": alpha,
         "bound": weaver_bound(alpha),
         "s1": s1,
         "s2": s2,
@@ -247,10 +244,10 @@ def cmd_weaver(args) -> int:
         "norm2": norms[1],
         "achieved": cert.achieved,
         "pledged": cert.pledged,
-        "certificate_valid": cert.valid(),
+        "certificate_valid": valid,
     }
     _emit(payload, args.out)
-    return EXIT_OK if cert.valid() else EXIT_INVARIANT
+    return EXIT_OK if valid else EXIT_INVARIANT
 
 
 def cmd_lift(args) -> int:
@@ -271,16 +268,16 @@ def cmd_lift(args) -> int:
     for it in range(args.iterations):
         signing, cert = signing_select(g, budget=args.budget)
         lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
-        # signing_select has checked final_poly, chi(A_s + dI), exactly
-        chi = cert.final_poly.taylor_shift(d)
-        bounded = roots_above(squared_roots(chi), 4 * (d - 1)) == 0
+        valid = cert.valid()
+        # signing_select has checked final_poly, chi(A_s), exactly
+        bounded = roots_above(squared_roots(cert.final_poly), 4 * (d - 1)) == 0
         lift = two_lift(g, signing)
         # spec(lift) = spec(A) + spec(A_s) (Bilu-Linial) and a lift stays
         # d-regular and bipartite, so a connected lift of a certified graph
         # is Ramanujan when A_s meets the bound; at d = 2 a balanced signing
         # meets it with equality and disconnects the lift
         certified = certified and bounded and lift.is_connected()
-        ok = ok and cert.valid() and certified
+        ok = ok and valid and certified
         steps.append({
             "iteration": it,
             "n": g.n,
@@ -288,8 +285,8 @@ def cmd_lift(args) -> int:
             "signs": [signing.signs[e] for e in g.edges],
             "lambda_max_signed": lam,
             "threshold": threshold,
-            "pledged": cert.pledged - d,  # cert.pledged is in A_s + dI coordinates
-            "certificate_valid": cert.valid(),
+            "pledged": cert.pledged,
+            "certificate_valid": valid,
             "lift_n": lift.n,
             "lift_ramanujan": certified,
             "lift_edges": [list(e) for e in lift.edges],
@@ -354,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_w = command("weaver", cmd_weaver, "two-block partition of an isotropic system",
                   "JSON vector system", mode=True, tol=True)
-    p_w.add_argument("--alpha", type=_finite_float, default=None,
-                     help="norm parameter (default: max squared vector norm)")
     p_w.add_argument("--budget", type=_positive_int, default=WALK_BUDGET,
                      help="cap on the whole walk's estimated matrix or table "
                           "entries by its cheaper route, enumerated outcomes x "

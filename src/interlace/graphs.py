@@ -245,8 +245,8 @@ def signed_adjacency(g: Graph, s: Signing) -> SymMatrix:
     """Adjacency with entries flipped to -1 on negatively signed edges.
 
     For a d-regular graph it equals
-    ``sum_e (e_a + s_e e_b)(e_a + s_e e_b)^T - d I``, the rank-one form the
-    signing walk's Gram matrix ``A_s + d I`` is read in.
+    ``sum_e (e_a + s_e e_b)(e_a + s_e e_b)^T - d I``: the signing vectors
+    e_a + s_e e_b have Gram sum ``A_s + d I``.
     """
     s.validate_for(g)
     a = np.zeros((g.n, g.n), dtype=int)

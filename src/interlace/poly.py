@@ -241,16 +241,6 @@ class Polynomial:
             inv = 1.0 / lead
         return Polynomial([c * inv for c in self.coeffs])
 
-    def taylor_shift(self, c) -> "Polynomial":
-        """Return ``p(x + c)``."""
-        c = _normalize_scalar(c)
-        cs = list(self.coeffs)
-        n = len(cs)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                cs[j] = cs[j] + c * cs[j + 1]
-        return Polynomial(cs)
-
     def to_float(self) -> "Polynomial":
         return Polynomial([float(c) for c in self.coeffs])
 

@@ -4,18 +4,17 @@ Given independent finitely supported random vectors ``r_1..r_m``, the
 expected characteristic polynomial of ``sum r_i r_i^T`` has the property
 that its k-th largest root is always attained or beaten by some actual
 outcome: at every level of the outcome tree the children's conditional
-expected polynomials share a common interlacing, so the best child is at
-least as good as their average, the parent.  Walking the tree - fix one
-vector at a time, keeping a support element whose conditional expected
-polynomial's lambda_k is no worse than its parent's - therefore lands on
-a realization no worse than the root pledge.  Exact walks keep the
-first child that meets its parent by one rule of exact root counts,
-:func:`_meets`, which also decides their certificates; float walks
-rank float roots, :func:`greedy_walk` keeping the best child and
-:func:`restricted_invertibility_select` the first at least as good as
-its parent, and check theirs within ``tolerances.CERT_TOL``.  Each walk
-returns a :class:`SelectionCertificate` recording the pledge, the
-per-level trace, and the achieved value.
+expected polynomials share a common interlacing, so some child is at
+least as good as their average, the parent.  Every walk here fixes one
+vector at a time and keeps the first child, in index order, whose
+lambda_k meets its parent's (is at least it, or at most when
+minimizing), so it lands on a realization no worse than the root pledge.
+Exact walks decide that by exact root counts (:func:`_meets`); float
+walks compare float roots, and when rounding leaves no child meeting
+keep the best one, ties to the lowest index.  Each walk's
+:class:`SelectionCertificate` is read off the walk by :func:`_certificate`:
+the pledge, the per-level trace, and the last kept child, which an exact
+walk checks equal to chi of what it realized.
 
 :func:`greedy_walk` has two routes to the same polynomials.  Outcome
 enumeration costs the product of the support sizes per polynomial.  For
@@ -37,8 +36,9 @@ Three instantiations:
   time in index order until one meets its parent: float ones in root
   space, exact ones in integer coefficients.
 * ``weaver_partition``: split an isotropic system into two halves, each
-  of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2``, by a
-  :func:`greedy_walk` over two-point block lifts in dimension 2d.
+  of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2`` with alpha the
+  largest squared norm, by a :func:`greedy_walk` over two-point block
+  lifts in dimension 2d.
 * ``signing_select``: choose edge signs of a d-regular graph so the
   signed adjacency matrix has largest eigenvalue at most the largest
   root of the matching polynomial (whence at most ``2 sqrt(d-1)``).
@@ -46,7 +46,7 @@ Three instantiations:
   read off one backward matching DP (:class:`SigningEngine`), so it
   enumerates no outcomes and does not go through :func:`greedy_walk`.
   Its spanning-forest levels form no child, and :func:`_meets` decides
-  the others.  Its last polynomial is checked equal to chi(A_s), exactly.
+  the others.  Its last polynomial is checked equal to chi(A_s).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .matrices import SymMatrix, _cleared, _coerce_array, char_poly, charpoly_ba
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, peel_terms, _expected_char_with_base
 from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
-from .tolerances import ALPHA_TOL, CERT_TOL, ISO_TOL
+from .tolerances import CERT_TOL, ISO_TOL
 
 __all__ = [
     "VectorSystem",
@@ -143,8 +143,12 @@ class VectorSystem:
         return self._gram
 
     def isotropy_defect(self) -> float:
-        """Spectral-norm distance of the Gram sum from the identity."""
-        g = self.gram_sum().a.astype(float)
+        """Spectral-norm distance of the Gram sum from the identity, inf
+        when an exact Gram sum has an entry past the floats."""
+        try:
+            g = self.gram_sum().a.astype(float)
+        except OverflowError:
+            return math.inf
         return float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(self.dim)))))
 
     def is_isotropic(self, tol: float = ISO_TOL) -> bool:
@@ -216,18 +220,20 @@ def _vector(v, exact: bool) -> np.ndarray:
 
 @dataclass
 class SelectionCertificate:
-    """The audit trail of one greedy walk.
+    """The audit trail of one greedy walk, read off it by :func:`_certificate`.
 
-    ``pledged`` is lambda_k of the root expected polynomial, ``achieved``
-    is lambda_k of the realized sum, ``final_poly`` its characteristic
-    polynomial, ``levels`` the lambda_k of the kept conditional
-    polynomial after each fixing.  The walk guarantees achieved >= pledged
-    (maximize) resp. <= (minimize); :meth:`valid` decides it by :func:`_meets`
-    on exact walks, from ``pledge_poly`` and ``pledge_root``, else within ``CERT_TOL``.
-    A walk that stops scoring a level early, as
-    :func:`restricted_invertibility_select` does, records in ``scored``
-    the children it scored per level and in ``fallbacks`` the levels at
-    which none reached its parent; other walks leave them empty and 0.
+    ``pledged`` is lambda_k of the root expected polynomial, ``levels``
+    the lambda_k of the kept conditional polynomial after each fixing,
+    ``final_poly`` the characteristic polynomial of the realized matrix
+    and ``achieved`` its lambda_k; the walk guarantees achieved >= pledged
+    (maximize) resp. <= (minimize).  On exact walks ``final_poly`` is the
+    last kept child up to a positive factor, ``achieved`` is ``levels[-1]``,
+    and :meth:`valid` decides by :func:`_meets` from ``pledge_poly`` and
+    its cluster ``pledge_root``; on float walks ``achieved`` comes from
+    ``eigvalsh`` and :meth:`valid` allows ``CERT_TOL``.  ``fallbacks``
+    counts the float levels at which rounding left no child meeting its
+    parent; ``scored``, the children :func:`restricted_invertibility_select`
+    formed per level in its batches, stays empty for other walks.
     """
 
     choices: list
@@ -313,11 +319,13 @@ def greedy_walk(state: AssignmentState,
                 budget: int = WALK_BUDGET) -> SelectionCertificate:
     """Walk the outcome tree, fixing one support element at each level.
 
-    An exact walk keeps the first child that meets its parent
-    (:func:`_meets`; :class:`AssertionError` if none does); a float walk
-    the best, the largest (or smallest, per direction) lambda_k, ties to
-    the lowest support index.  With two support points both keep the
-    same child: the two lambda_k straddle the parent's, and share a tie.
+    Each level keeps the first child, in support order, whose lambda_k
+    meets its parent's.  An exact walk decides that by :func:`_meets` and
+    roots only the kept child (:class:`AssertionError` if none meets); a
+    float walk roots children in turn until one meets, and if rounding
+    leaves none keeps the best, ties to the lowest index, counting the
+    level in ``fallbacks``.  With two support points the first that meets
+    is the best: the two lambda_k straddle the parent's.
 
     The conditional polynomials come from one of two routes, outcome
     enumeration (:func:`_enumeration_route`) or the exterior-power engine
@@ -338,44 +346,67 @@ def greedy_walk(state: AssignmentState,
         raise BudgetExceededError(
             f"the walk's {route} route costs {costs[route]} entries, over the "
             f"budget of {budget}")
-    choices, levels = [], []
+    choices, levels, fallbacks = [], [], 0
     walk = _engine_route if route == "engine" else _enumeration_route
     steps = walk(d, fixed, state.remaining, exact, choices)
-    pledge = parent = next(steps)
-    bracket = _kth_cluster(pledge, k) if exact else None
+    p = next(steps)
+    pledge = parent = (p, _kth_cluster(p, k)) if exact else _kth_root(p, k)
     for children in steps:
         if exact:
-            best = next((j for j, child in enumerate(children)
-                         if _meets(child, parent, bracket, k, maximize)), None)
-            if best is None:
+            keep = next((j for j, child in enumerate(children)
+                         if _meets(child, *parent, k, maximize)), None)
+            if keep is None:
                 raise AssertionError("no child meets its parent")
-            parent, bracket = children[best], _kth_cluster(children[best], k)
+            parent = (children[keep], _kth_cluster(children[keep], k))
         else:
-            vals = [_kth_root(p, k) for p in children]
-            best = int(np.argmax(vals) if maximize else np.argmin(vals))
-        levels.append(bracket.root if exact else vals[best])
-        choices.append(best)
+            vals = []
+            for child in children:
+                vals.append(_kth_root(child, k))
+                if (vals[-1] >= parent) if maximize else (vals[-1] <= parent):
+                    keep = len(vals) - 1
+                    break
+            else:  # rounding left no child meeting its parent
+                keep = int(np.argmax(vals) if maximize else np.argmin(vals))
+                fallbacks += 1
+            parent = vals[keep]
+        levels.append(parent[1].root if exact else parent)
+        choices.append(keep)
     realized = fixed + [_vector(r.support[j][1], exact)
                         for r, j in zip(state.remaining, choices)]
-    return _certificate(realized, d, exact, choices, levels,
-                        pledge if exact else _kth_root(pledge, k), k, state.direction)
+    cert = _certificate(choices, levels, pledge, parent, _gram(realized, exact), k,
+                        state.direction)
+    cert.fallbacks = fallbacks
+    return cert
 
 
-def _certificate(vectors, dim: int, exact: bool, choices: list, levels: list, pledge,
-                 k: int, direction: str) -> SelectionCertificate:
-    """The certificate of a walk that realized ``vectors``: the char_poly
-    and lambda_k of their Gram sum.  An exact walk passes its pledge
-    polynomial and gets certified roots; a float walk passes the pledged
-    value and gets an ``eigvalsh`` eigenvalue, its sum formed left to right."""
+def _certificate(choices: list, levels: list, pledge, last, realized: SymMatrix, k: int,
+                 direction: str) -> SelectionCertificate:
+    """The certificate of a walk, from its pledge, its last kept child and
+    the matrix it realized (a Gram sum, or A_s for signings).
+
+    An exact walk passes ``pledge`` and ``last`` as (polynomial, cluster)
+    pairs, the clusters it rooted on the way: chi of ``realized`` must be
+    the last kept child up to a positive factor (:class:`AssertionError`
+    if not), and the clusters' roots are ``pledged`` and ``achieved``, so
+    no root is taken here.  A float walk passes its pledged float
+    lambda_k, and ``achieved`` is lambda_k of ``realized`` by ``eigvalsh``.
+    """
+    final = char_poly(realized)
+    if not realized.is_exact:
+        return SelectionCertificate(choices, final, float(np.linalg.eigvalsh(realized.a)[-k]),
+                                    pledge, k, direction, levels)
+    if final.monic() != last[0].monic() or final.leading() * last[0].leading() <= 0:
+        raise AssertionError("chi of what the walk realized is not its last kept polynomial")
+    return SelectionCertificate(choices, final, last[1].root, pledge[1].root, k, direction,
+                                levels, pledge_poly=pledge[0], pledge_root=pledge[1])
+
+
+def _gram(vectors, exact: bool) -> SymMatrix:
+    """sum v v^T of ``vectors``: exactly by :meth:`VectorSystem.gram_sum`,
+    or in floats summed left to right."""
     if exact:
-        final, root = char_poly(VectorSystem(vectors).gram_sum()), _kth_cluster(pledge, k)
-        return SelectionCertificate(choices, final, _kth_cluster(final, k).root, root.root,
-                                    k, direction, levels, pledge_poly=pledge, pledge_root=root)
-    gram = np.zeros((dim, dim))
-    for v in vectors:
-        gram = gram + np.outer(v, v)
-    return SelectionCertificate(choices, char_poly(SymMatrix(gram)),
-                                float(np.linalg.eigvalsh(gram)[-k]), pledge, k, direction, levels)
+        return VectorSystem(vectors).gram_sum()
+    return SymMatrix(sum((np.outer(v, v) for v in vectors), np.zeros((len(vectors[0]),) * 2)))
 
 
 def _kth_cluster(p: Polynomial, k: int) -> TopRoot:
@@ -523,8 +554,8 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     if exact:  # the rows cleared to one denominator q, as gram_sum does
         q, ints = _cleared(vecs.ravel().tolist())
         vecs = np.array(ints, dtype=object).reshape(m, n)
-        pledge = _ri_shifted([0] * n + [1], m, k)
-        parent = (pledge, _kth_cluster(pledge, k))
+        p = _ri_shifted([0] * n + [1], m, k)
+        pledge = parent = (p, _kth_cluster(p, k))
     chosen, levels, scored, fallbacks = [], [], [], 0
     for _ in range(k):
         taken = set(chosen)
@@ -560,7 +591,8 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
         chosen.append(free[keep])
         levels.append(level)
         scored.append(len(vals))
-    cert = _certificate(system.vectors[chosen], n, exact, chosen, levels, pledge, k, "maximize")
+    cert = _certificate(chosen, levels, pledge, parent, _gram(system.vectors[chosen], exact), k,
+                        "maximize")
     cert.scored, cert.fallbacks = scored, fallbacks
     return chosen, cert
 
@@ -614,21 +646,20 @@ def _ri_shifted(co: list, m: int, steps: int) -> Polynomial:
 # ----------------------------------------------------------------------
 
 
-def weaver_partition(system: VectorSystem, alpha,
-                     budget: int = WALK_BUDGET, tol: float = ISO_TOL):
+def weaver_partition(system: VectorSystem, budget: int = WALK_BUDGET, tol: float = ISO_TOL):
     """Partition an isotropic system into halves of small spectral norm.
 
     Each vector v is lifted to the two-point random vector taking values
     (v, 0) and (0, v) in R^{2d} with probability 1/2 each; a greedy walk
     minimizing lambda_1 of the lifted Gram sum assigns every vector to a
     side.  The realized maximum of the two block norms is at most
-    ``(1 + sqrt(2 alpha))^2 / 2`` whenever ``alpha >= max ||v_i||^2``.
-    Swapping the two blocks maps every lift onto itself with its two
-    values exchanged, so it maps vector 0's two children onto each other:
-    their polynomials are equal, and each is the pledge.  So the walk
-    fixes (v_0, 0) and walks vectors 1..m-1 only; the certificate records
-    ``choices[0] = 0`` and ``levels[0] = pledged``, and vector 0 is
-    always on side one.
+    :func:`weaver_bound` of alpha = max ||v_i||^2, which the walk never
+    reads.  Swapping the two blocks maps every lift onto itself with its
+    two values exchanged, so it maps vector 0's two children onto each
+    other: their polynomials are equal, and each is the pledge.  So the
+    walk fixes (v_0, 0) and walks vectors 1..m-1 only; the certificate
+    records ``choices[0] = 0`` and ``levels[0] = pledged``, and vector 0
+    is always on side one.
     ``budget`` is :func:`greedy_walk`'s cap on the whole walk's work, in
     :func:`walk_costs`' unit, and ``tol`` the isotropy tolerance of float
     systems (:meth:`VectorSystem.is_isotropic`).  Returns (side-one
@@ -637,21 +668,10 @@ def weaver_partition(system: VectorSystem, alpha,
     if not system.is_isotropic(tol):
         raise ValueError(
             f"system is not isotropic (defect {system.isotropy_defect():.3g})")
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha={alpha} is not finite")
-    mx = system.max_norm_sq()
-    if not alpha >= mx - ALPHA_TOL:
-        raise ValueError(f"alpha={alpha} is below the largest squared norm {mx}")
-    d = system.dim
-    exact = system.is_exact
-    rvs = []
-    for row in system.vectors:
-        zero = np.zeros(d, dtype=object if exact else float)
-        up = np.concatenate([np.asarray(row), zero])
-        down = np.concatenate([zero, np.asarray(row)])
-        rvs.append(DiscreteRandomVector.two_point(up, down))
-    first, *rest = rvs
+    zero = np.zeros(system.dim, dtype=object if system.is_exact else float)
+    first, *rest = [DiscreteRandomVector.two_point(np.concatenate([row, zero]),
+                                                   np.concatenate([zero, row]))
+                    for row in system.vectors]
     state = AssignmentState(fixed=[first.support[0][1]], remaining=rest, k=1,
                             direction="minimize")
     cert = greedy_walk(state, budget=budget)
@@ -713,21 +733,19 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     children interlace by theorem; the tests, not this walk, check it.
     The kept child is the next level's parent, and its largest root
     never exceeds its parent's, so the final signing's top eigenvalue is
-    at most the pledge.  The last kept child is chi(A_s), checked by one
-    :func:`charpoly_batch_exact` call on A_s (:class:`AssertionError` if
-    not), so ``achieved`` is its top root.
-    Returns (signing, certificate); the certificate's values are in Gram
-    coordinates (the signed adjacency plus dI, the Gram sum of the
-    signing vectors e_a + s_e e_b), so ``choices`` is 0 for +1 and 1 for -1, in
-    walk order, and every value, ``final_poly`` too, is shifted by d.
+    at most the pledge.  The last kept child, every sign fixed, is
+    chi(A_s) whatever the labels, and :func:`_certificate` checks it
+    exactly (:class:`AssertionError` if not), so ``achieved`` is its top
+    root.  Returns (signing, certificate); the certificate is in adjacency
+    coordinates, ``final_poly`` is chi(A_s), ``pledge_poly`` mu_G, and
+    ``choices`` is 0 for +1 and 1 for -1, in walk order.
     ``budget`` bounds the walk's work, :meth:`SigningEngine.walk_entries`:
     the states of its backward DP plus, at every level the walk forms,
     groups x |V(F)|^2 leaf entries.  The DP's states are counted as its
     tables grow and the whole sum before the first choice;
     :class:`BudgetExceededError` is raised when it passes ``budget``.
     """
-    d = g.regularity()
-    if d is None:
+    if g.regularity() is None:
         raise ValueError("graph is not regular")
     if g.m == 0:
         raise ValueError("graph has no edges")
@@ -742,23 +760,14 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
             f"the budget of {budget}")
     mu = phi = engine.chars([])
     top = parent = top_root(phi)
-    pledged = parent.root + d
-    signs: list[int] = []
-    levels: list[float] = []
+    signs, levels = [], []
     for joins in walk.forest_edges():
         sign = 1
         if not joins:
             sign, phi, parent = _signing_level(phi, parent, engine.chars(signs + [1]))
         signs.append(sign)
-        levels.append(parent.root + d)
+        levels.append(parent.root)
     signing = Signing({(order[a], order[b]): s for (a, b), s in zip(walk.edges, signs)})
-    # the last kept child, every sign fixed, is chi(A_s), whatever the labels
-    chi = char_poly(signed_adjacency(g, signing))
-    if chi != phi:
-        raise AssertionError("the walk's last polynomial is not chi(A_s)")
-    cert = SelectionCertificate(choices=[0 if s == 1 else 1 for s in signs],
-                                final_poly=chi.taylor_shift(-d), achieved=levels[-1],
-                                pledged=pledged, k=1, direction="minimize", levels=levels,
-                                pledge_poly=mu.taylor_shift(-d),
-                                pledge_root=TopRoot(pledged, top.mult, top.lo + d, top.hi + d))
+    cert = _certificate([0 if s == 1 else 1 for s in signs], levels, (mu, top), (phi, parent),
+                        signed_adjacency(g, signing), 1, "minimize")
     return signing, cert

@@ -46,10 +46,6 @@ SYM_TOL = 1e-12
 # draws of 0.1 add up to 1 only up to rounding.
 PROB_TOL = 1e-12
 
-# How far weaver's alpha may fall below the largest squared norm: an
-# alpha copied from the printed norm loses its last bits.
-ALPHA_TOL = 1e-12
-
 # Relative coefficientwise agreement of two float polynomials computed by
 # independent routes (outcome enumeration and the mixed characteristic
 # ring), each a sum of many rounded terms, up to 2^20 outcomes.

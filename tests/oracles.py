@@ -234,9 +234,8 @@ def enumeration_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET):
     """The greedy walk with every child enumerated: (choices, levels, pledged).
 
     Every level keeps its best child, ties going to the lowest support
-    index: a float ``greedy_walk`` does the same, and an exact one, which
-    keeps the first child that meets its parent, keeps the same child on
-    two-point supports.  Roots come from ``greedy_walk``'s own kernels,
+    index.  ``greedy_walk`` keeps the first child that meets its parent,
+    exact or float, which on two-point supports is the same child.  Roots come from ``greedy_walk``'s own kernels,
     ``select._kth_cluster`` for exact polynomials and ``select._kth_root``
     for float ones: this checks the walk's route to its polynomials and
     its choices, and the kernels are checked against 50-digit references

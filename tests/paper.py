@@ -118,6 +118,17 @@ def apply_shift_operator(p: Polynomial, c) -> Polynomial:
     return p - c * p.derivative()
 
 
+def taylor_shift(p: Polynomial, c) -> Polynomial:
+    """Return ``p(x + c)``, by Horner's scheme in place."""
+    c = _normalize_scalar(c)
+    cs = list(p.coeffs)
+    n = len(cs)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            cs[j] = cs[j] + c * cs[j + 1]
+    return Polynomial(cs)
+
+
 def laguerre_transform(n: int, k: int) -> Polynomial:
     """Return ``(1 - d/dx)^n`` applied to ``x**k``, with exact integer coefficients."""
     if n < 0 or k < 0:

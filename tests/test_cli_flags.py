@@ -35,6 +35,6 @@ def test_each_command_takes_exactly_its_flags():
                     if opt not in ("-h", "--help")}
              for name, parser in _subparsers().items()}
     assert flags == {"ri": {"-k", "--mode", "--tol", "--out"},
-                     "weaver": {"--mode", "--tol", "--alpha", "--budget", "--out"},
+                     "weaver": {"--mode", "--tol", "--budget", "--out"},
                      "lift": {"--iterations", "--budget", "--out"},
                      "mixedchar": {"--mode", "--out"}}

@@ -37,7 +37,7 @@ import interlace.select as select_module
 from oracles import compare_top_roots, convex_combinations_real_rooted
 from paper import apply_shift_operator, diagram_identity_check, exact_real_roots, \
     have_common_interlacing, interlaces, is_real_rooted, kth_largest_root, \
-    laguerre_transform, sturm_root_count, sturm_sequence
+    laguerre_transform, sturm_root_count, sturm_sequence, taylor_shift
 
 MAX_FLOAT = sys.float_info.max
 
@@ -89,9 +89,9 @@ def test_from_roots_and_monic():
 
 def test_taylor_shift():
     p = Polynomial([2, 0, 1])  # x^2 + 2
-    assert p.taylor_shift(1).coeffs == (3, 2, 1)  # (x+1)^2 + 2
+    assert taylor_shift(p, 1).coeffs == (3, 2, 1)  # (x+1)^2 + 2
     r = Polynomial.from_roots([5, -1])
-    shifted = r.taylor_shift(2)  # roots move to 3 and -3
+    shifted = taylor_shift(r, 2)  # roots move to 3 and -3
     assert sorted(np.round(exact_real_roots(shifted), 9)) == [-3.0, 3.0]
 
 
@@ -751,15 +751,20 @@ def _check_float_top_root(p, ref, r, mpmath) -> None:
 
 
 def _weaver_children(vs, monkeypatch) -> list:
-    """Every float polynomial whose top root a weaver walk on ``vs`` takes."""
+    """Every float polynomial a weaver walk on ``vs`` forms, by either
+    route: the pledge and each level's children, rooted or not."""
     seen = []
 
-    def recorded(p):
-        seen.append(p)
-        return float_top_root(p)
+    def recorded(route):
+        def walk(*args):
+            for step in route(*args):
+                seen.extend(step if isinstance(step, list) else [step])
+                yield step
+        return walk
 
-    monkeypatch.setattr(select_module, "float_top_root", recorded)
-    weaver_partition(vs, vs.max_norm_sq())
+    for name in ("_engine_route", "_enumeration_route"):
+        monkeypatch.setattr(select_module, name, recorded(getattr(select_module, name)))
+    weaver_partition(vs)
     return seen
 
 

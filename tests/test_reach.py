@@ -110,7 +110,6 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
         (["mixedchar", full_rank, "--mode", "exact"], 0),
         (["mixedchar", huge, "--mode", "exact"], 5),
         (["ri", iso4, "-k", "2", "--tol", "1e-6"], 0),
-        (["weaver", d3m6, "--alpha", "1"], 0),
         (["ri", nan, "-k", "1"], 2),
     ]
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps([a for a, _ in calls])],

@@ -51,7 +51,8 @@ from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expecte
     convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
     in_walk_order, ri_level_scores
 from paper import apply_shift_operator, exact_real_roots, have_common_interlacing, \
-    is_real_rooted, kth_largest_root, matching_poly, signing_vectors, sturm_root_count
+    is_real_rooted, kth_largest_root, matching_poly, signing_vectors, sturm_root_count, \
+    taylor_shift
 
 
 # ----------------------------------------------------------------------
@@ -662,7 +663,7 @@ def test_weaver_duplicated_basis():
         e[i] = math.sqrt(0.5)
         vecs.extend([e, e])
     vs = VectorSystem(vecs)
-    s1, s2, cert = weaver_partition(vs, 0.5)
+    s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(2 * n))
     assert cert.valid()
     g1 = sum(np.outer(vs.vectors[i], vs.vectors[i]) for i in s1)
@@ -676,7 +677,7 @@ def test_weaver_exhaustive_oracle_small():
     rng = np.random.default_rng(101)
     vs = VectorSystem.random_isotropic(3, 8, rng)
     alpha = vs.max_norm_sq()
-    s1, s2, cert = weaver_partition(vs, alpha)
+    s1, s2, cert = weaver_partition(vs)
     assert cert.valid()
     realized = max(
         np.linalg.eigvalsh(sum(np.outer(vs.vectors[i], vs.vectors[i])
@@ -696,19 +697,6 @@ def test_weaver_exhaustive_oracle_small():
         best = min(best, val)
     assert best - 1e-9 <= realized <= cert.pledged + 1e-7
     assert realized <= weaver_bound(alpha) + 1e-7
-
-
-def test_weaver_rejects_alpha_below_max_norm():
-    vs = VectorSystem([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        weaver_partition(vs, 0.5)
-
-
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-def test_weaver_rejects_non_finite_alpha(alpha):
-    vs = VectorSystem([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        weaver_partition(vs, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -735,7 +723,6 @@ def test_signing_vectors_gram_identity():
 
 def test_signing_select_k4_matches_exhaustive_oracle():
     g = Graph.complete(4)
-    d = 3
     signing, cert = signing_select(g)
     assert cert.valid()
     lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
@@ -744,7 +731,7 @@ def test_signing_select_k4_matches_exhaustive_oracle():
     top_matching = real_roots(matching_poly(g).to_float())[0]
     assert top_matching == pytest.approx(math.sqrt(3 + math.sqrt(6)))
     assert lam <= top_matching + 1e-7
-    assert cert.pledged == pytest.approx(top_matching + d, abs=1e-9)
+    assert cert.pledged == pytest.approx(top_matching, abs=1e-9)
     # exhaustive check over all 64 signings: greedy cannot beat the optimum
     best = math.inf
     for bits in itertools.product([1, -1], repeat=g.m):
@@ -765,7 +752,8 @@ def test_signing_select_matches_exact_enumeration_walk():
     # Reference: the exact-mode greedy walk over the rank-one signing vectors,
     # by its cheaper route (every remaining signing enumerated, or exact mixed
     # characteristic polynomials from the exterior-power engine), in the same
-    # edge order (the graph relabelled by frontier_order).
+    # edge order (the graph relabelled by frontier_order).  Its values are
+    # in Gram coordinates, A_s + dI, and the signing walk's in adjacency ones.
     cube = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
     for g in (Graph.complete(4), Graph.complete_bipartite(3, 3), Graph.complete(5), cube):
         d = g.regularity()
@@ -779,10 +767,11 @@ def test_signing_select_matches_exact_enumeration_walk():
         assert cert.choices == ref.choices
         assert [signing[(order[a], order[b])] for a, b in walk.edges] \
             == [1 - 2 * c for c in ref.choices]
-        assert abs(cert.pledged - (exact_real_roots(matching_poly(g))[0] + d)) <= 1e-12
+        assert abs(cert.pledged - exact_real_roots(matching_poly(g))[0]) <= 1e-12
         assert cert.valid()
         assert cert.levels[-1] <= cert.pledged + 1e-12
-        assert cert.achieved == pytest.approx(ref.achieved, abs=1e-9)
+        assert cert.achieved + d == pytest.approx(ref.achieved, abs=1e-9)
+        assert ref.pledged == pytest.approx(cert.pledged + d, abs=1e-9)
 
 
 def _recorded_signing_walk(monkeypatch, g):
@@ -834,25 +823,61 @@ def _random_cubic_bipartite(half: int, seed: int) -> Graph:
                          ids=["cube", "K33", "petersen"])
 def test_signing_select_final_poly_is_chi_of_the_signed_gram(g):
     # the walk takes final_poly from chi(A_s), checked equal to its last
-    # Phi, shifted by d, and achieved is the last level, its top root
+    # Phi; shifted by -d it is chi of the signing vectors' Gram sum A_s + dI.
+    # achieved is the last level, its top root
     signing, cert = signing_select(g)
     gram = signed_adjacency(g, signing).a + 3 * np.eye(g.n, dtype=int)
-    assert cert.final_poly == char_poly(SymMatrix(gram))
-    assert cert.final_poly.taylor_shift(3) == char_poly(signed_adjacency(g, signing))
+    assert cert.final_poly == char_poly(signed_adjacency(g, signing))
+    assert taylor_shift(cert.final_poly, -3) == char_poly(SymMatrix(gram))
     assert cert.achieved == cert.levels[-1]
 
 
 def test_signing_select_raises_when_chi_of_a_s_is_not_its_last_polynomial(monkeypatch):
-    # a chi(A_s) off by one in its constant coefficient; the exact check
-    # sees a change of any coefficient, not just of the top root
+    # a chi of the realization (A_s, or the Gram sum of exact ri and weaver
+    # walks) off by one in its constant coefficient; the exact check of the
+    # one certificate builder sees a change of any coefficient, not just of
+    # the top root, and a factor of -1
     def off_by_one(a):
         chi = char_poly(a)
         return Polynomial([chi.coeffs[0] + 1] + list(chi.coeffs[1:]))
 
-    monkeypatch.setattr(select_module, "char_poly", off_by_one)
-    for g in (CUBE, Graph.complete_bipartite(3, 3), Graph.petersen()):
-        with pytest.raises(AssertionError):
-            signing_select(g)
+    vs = _rational_isotropic(3, [Fraction(3, 5), Fraction(4, 5)], [3, 0, 4, 1, 5, 2])
+    walks = [lambda g=g: signing_select(g) for g in
+             (CUBE, Graph.complete_bipartite(3, 3), Graph.petersen())]
+    walks += [lambda: restricted_invertibility_select(vs, 2)]
+    walks += [lambda route=route: _walk_by(route, _lifted_state(vs))
+              for route in ("engine", "enumerate")]
+    for walk in walks:
+        walk()
+        for wrong in (off_by_one, lambda a: -char_poly(a)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(select_module, "char_poly", wrong)
+                with pytest.raises(AssertionError):
+                    walk()
+
+
+@pytest.mark.parametrize("walk", ["ri", "engine", "enumerate"])
+def test_exact_walks_root_the_pledge_and_each_kept_child_once(monkeypatch, walk):
+    # the certificate reads its levels off the walk: root_clusters runs once
+    # for the pledge and once per kept child, and never for final_poly, which
+    # is the last kept child up to a positive factor
+    rooted = []
+    clusters = select_module.root_clusters
+
+    def recorded(p):
+        rooted.append(p)
+        return clusters(p)
+
+    vs = _rational_isotropic(3, [Fraction(3, 5), Fraction(4, 5)], [3, 0, 4, 1, 5, 2])
+    monkeypatch.setattr(select_module, "root_clusters", recorded)
+    if walk == "ri":
+        _, cert = restricted_invertibility_select(vs, 2)
+    else:
+        cert = _walk_by(walk, _lifted_state(vs))
+    assert cert.valid() and cert.achieved == cert.levels[-1]
+    assert len(rooted) == 1 + len(cert.levels)
+    assert rooted[0] == cert.pledge_poly
+    assert rooted[-1].monic() == cert.final_poly and rooted[-1].leading() > 0
 
 
 @pytest.mark.parametrize("g", [Graph.complete(4), Graph.complete_bipartite(3, 3), CUBE,
@@ -879,7 +904,7 @@ def test_signing_walk_ranks_every_polynomial_once(monkeypatch):
     # first children agree and reuse its top root
     assert pairs[0][0] == pairs[0][1]
     assert ranked[0] == matching_poly(CUBE)
-    assert cert.pledged == top_root(matching_poly(CUBE)).root + 3
+    assert cert.pledged == top_root(matching_poly(CUBE)).root
     # identical children reuse their parent's top root; of distinct ones,
     # exact counts at the parent's bracket pick one, and only it is ranked
     kept = [pair[c] for pair, c in zip(pairs, cert.choices) if pair[0] != pair[1]]
@@ -1135,8 +1160,22 @@ def test_exact_weaver_choices_equal_enumeration_walk():
             assert cert.levels == levels
             assert cert.pledged == pledged
             assert cert.valid()
-        s1, s2, via_weaver = weaver_partition(vs, vs.max_norm_sq())
+        s1, s2, via_weaver = weaver_partition(vs)
         assert via_weaver.choices == choices
+
+
+def test_float_walk_roots_only_the_children_it_tests(monkeypatch):
+    # a level roots its children in support order up to the first that
+    # meets its parent: one when side one is kept, two when side two is,
+    # and the pledge once; the certificate takes eigvalsh, not a root
+    rooted = []
+    top = select_module.float_top_root
+    monkeypatch.setattr(select_module, "float_top_root", lambda p: rooted.append(p) or top(p))
+    vs = VectorSystem.random_isotropic(3, 12, np.random.default_rng(283))
+    _, _, cert = weaver_partition(vs)
+    assert cert.valid() and cert.fallbacks == 0
+    assert 0 < sum(cert.choices) < len(cert.choices) - 1
+    assert len(rooted) == 1 + sum(1 + c for c in cert.choices[1:])
 
 
 def test_float_weaver_levels_match_enumeration_walk():
@@ -1157,7 +1196,7 @@ def test_weaver_m64_certifies():
     rng = np.random.default_rng(251)
     vs = VectorSystem.random_isotropic(3, 64, rng)
     alpha = vs.max_norm_sq()
-    s1, s2, cert = weaver_partition(vs, alpha)
+    s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(64))
     assert cert.valid()
     for side in (s1, s2):
@@ -1194,8 +1233,8 @@ def test_greedy_walk_budget_is_checked_before_the_first_step():
     cost = walk_costs(6, 1, [2] * 24)["engine"]
     assert cost == (96 + 1) * math.comb(12, 6)
     with pytest.raises(BudgetExceededError):
-        weaver_partition(vs, vs.max_norm_sq(), budget=cost - 1)
-    s1, s2, cert = weaver_partition(vs, vs.max_norm_sq(), budget=cost)
+        weaver_partition(vs, budget=cost - 1)
+    s1, s2, cert = weaver_partition(vs, budget=cost)
     assert cert.valid()
 
 
@@ -1217,7 +1256,7 @@ def test_weaver_dimension_7_certifies_at_the_default_budget():
     rng = np.random.default_rng(269)
     vs = VectorSystem.random_isotropic(7, 7, rng)
     alpha = vs.max_norm_sq()
-    s1, s2, cert = weaver_partition(vs, alpha)
+    s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(7))
     assert cert.valid()
     state = _lifted_state(vs)
