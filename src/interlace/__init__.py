@@ -15,7 +15,6 @@ from .poly import (
     TopRoot,
     roots_above,
     root_clusters,
-    top_root,
 )
 from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact
 from .mixedchar import (

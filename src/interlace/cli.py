@@ -35,8 +35,7 @@ import numpy as np
 from .poly import real_roots, roots_above, root_clusters, NotRealRootedError
 from .matrices import SymMatrix
 from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET
-from .graphs import Graph, signed_adjacency, squared_roots, is_ramanujan_bipartite, \
-    two_lift
+from .graphs import Graph, squared_roots, is_ramanujan_bipartite, two_lift
 from .select import VectorSystem, restricted_invertibility_select, \
     restricted_invertibility_bound, weaver_partition, weaver_bound, signing_select, \
     WALK_BUDGET
@@ -102,8 +101,11 @@ def _emit(payload: dict, out_path):
     except ValueError as e:
         raise NonFiniteResult(f"a result is not finite ({e})") from e
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ParseFailure(f"cannot write {out_path}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -224,13 +226,9 @@ def cmd_weaver(args) -> int:
     # float norms only once the walk has checked isotropy: an exact row may
     # lie past the floats
     valid, alpha = cert.valid(), system.max_norm_sq()
-    vec = system.vectors.astype(float)
-    norms = []
-    for side in (s1, s2):
-        block = np.zeros((system.dim, system.dim))
-        for i in side:
-            block += np.outer(vec[i], vec[i])
-        norms.append(float(np.max(np.abs(np.linalg.eigvalsh(block)))) if side else 0.0)
+    # each side's Gram sum is a diagonal block of the lifted sum the walk realized
+    d = system.dim
+    norms = [SymMatrix(cert.realized.a[i:i + d, i:i + d]).norm2() for i in (0, d)]
     payload = {
         "command": "weaver",
         "config": {"mode": args.mode, "tol": args.tol, "budget": args.budget},
@@ -267,7 +265,7 @@ def cmd_lift(args) -> int:
     ok = certified = True
     for it in range(args.iterations):
         signing, cert = signing_select(g, budget=args.budget)
-        lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
+        lam = float(np.max(cert.realized.eigenvalues()))  # A_s, what the walk realized
         valid = cert.valid()
         # signing_select has checked final_poly, chi(A_s), exactly
         bounded = roots_above(squared_roots(cert.final_poly), 4 * (d - 1)) == 0

@@ -11,7 +11,8 @@ matrix cleared of its denominators first; it runs in int64, left to
 wrap, on each matrix for which a bound proves that k times its k-th
 coefficient fits, and in Python ints on the others.  ``charpoly_batch``
 takes float64 eigenvalues (``eigvalsh``) and multiplies them out with a
-vectorized Vieta recurrence.  ``char_poly`` is a one-row call of the
+vectorized Vieta recurrence, ``_vieta``, which also serves callers that
+hold the eigenvalues already.  ``char_poly`` is a one-row call of the
 kernel that matches the matrix's regime.
 """
 
@@ -163,9 +164,13 @@ def charpoly_batch(mats: np.ndarray) -> np.ndarray:
     Returns coefficients lowest-first, shape (B, n+1), via batched
     ``eigvalsh`` followed by a vectorized Vieta recurrence.
     """
-    mats = np.asarray(mats, dtype=float)
-    b, n, _ = mats.shape
-    w = np.linalg.eigvalsh(mats)
+    return _vieta(np.linalg.eigvalsh(np.asarray(mats, dtype=float)))
+
+
+def _vieta(w: np.ndarray) -> np.ndarray:
+    """Monic coefficients, lowest-first, of prod_j (x - w_j) for each row
+    of a (B, n) float stack of roots."""
+    b, n = w.shape
     # Build monic coefficients highest-degree-first by multiplying out
     # (x - w_j) across the batch, then flip to lowest-first.
     co = np.zeros((b, n + 1))

@@ -15,10 +15,10 @@ is exact, so the sign changes of p(b + y), one Taylor shift in
 integers, count the roots above b with multiplicity.  It walks the
 roots from the top down, estimating each cluster in floats, polishing
 the estimate by Newton steps with exact values, and certifying a
-bracket of dyadic ends around it by two such counts.  ``top_root`` is
-its first cluster, and ``_squarefree`` keeps each distinct root once, to
-tell a tie of two roots from two close ones.  Every command's exact
-polynomials are real-rooted by theorem and go to the kernel directly.
+bracket of dyadic ends around it by two such counts.  ``_squarefree``
+keeps each distinct root once, to tell a tie of two roots from two
+close ones.  Every command's exact polynomials are real-rooted by
+theorem and go to the kernel directly.
 The Sturm checker of real-rootedness, with the tests' interlacing and
 Sturm-count checks, which no command runs, lives in ``tests/paper.py``.
 
@@ -70,7 +70,6 @@ __all__ = [
     "TopRoot",
     "roots_above",
     "root_clusters",
-    "top_root",
 ]
 
 _EPS = np.finfo(float).eps
@@ -920,16 +919,6 @@ def _bisect(a: list[int], done: int, lo: Fraction, hi: Fraction) -> TopRoot:
             lo = mid
         else:
             hi = mid
-
-
-def top_root(p: Polynomial) -> TopRoot:
-    """The largest root of exact, real-rooted ``p``: the first of :func:`root_clusters`.
-
-    Real-rootedness is not checked.  No value is returned without its
-    bracket certified: no root lies above ``hi``, and ``mult`` lie above
-    ``lo``.
-    """
-    return next(root_clusters(p))
 
 
 def _primitive(cs: list[int]) -> list[int]:

@@ -6,15 +6,14 @@ that its k-th largest root is always attained or beaten by some actual
 outcome: at every level of the outcome tree the children's conditional
 expected polynomials share a common interlacing, so some child is at
 least as good as their average, the parent.  Every walk here fixes one
-vector at a time and keeps the first child, in index order, whose
-lambda_k meets its parent's (is at least it, or at most when
-minimizing), so it lands on a realization no worse than the root pledge.
-Exact walks decide that by exact root counts (:func:`_meets`); float
-walks compare float roots, and when rounding leaves no child meeting
-keep the best one, ties to the lowest index.  Each walk's
+vector at a time, and one rule decides each of its levels:
+:func:`_keep`, which states it, keeps the first child in index order
+that meets its parent, exact walks by exact root counts and float walks
+by float roots.  So every walk lands on a realization no worse than the
+root pledge, up to the float walks' rounding.  Each walk's
 :class:`SelectionCertificate` is read off the walk by :func:`_certificate`:
-the pledge, the per-level trace, and the last kept child, which an exact
-walk checks equal to chi of what it realized.
+the pledge, the per-level trace, the last kept child, which an exact
+walk checks equal to chi of what it realized, and that realized matrix.
 
 :func:`greedy_walk` has two routes to the same polynomials.  Outcome
 enumeration costs the product of the support sizes per polynomial.  For
@@ -33,7 +32,7 @@ Three instantiations:
   The i.i.d. uniform sampling model admits the closed form
   ``(1 - (1/m) d/dx)^(k-l) char_poly(fixed sum)`` for the conditional
   polynomials, from bordered Gram matrices, a batch of candidates at a
-  time in index order until one meets its parent: float ones in root
+  time in index order as :func:`_keep` reads them: float ones in root
   space, exact ones in integer coefficients.
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2`` with alpha the
@@ -45,8 +44,9 @@ Three instantiations:
   Its conditional polynomials are exact and closed-form, every level's
   read off one backward matching DP (:class:`SigningEngine`), so it
   enumerates no outcomes and does not go through :func:`greedy_walk`.
-  Its spanning-forest levels form no child, and :func:`_meets` decides
-  the others.  Its last polynomial is checked equal to chi(A_s).
+  Its spanning-forest levels form no child, and :func:`_keep` decides
+  the others, the -1 child by exact root counts like every exact child.
+  Its last polynomial is checked equal to chi(A_s).
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial, TopRoot, float_top_root, _float_roots, _squarefree, \
-    root_clusters, top_root, roots_above, shift_chain, EIG_START_POLES
-from .matrices import SymMatrix, _cleared, _coerce_array, char_poly, charpoly_batch_exact
+    root_clusters, roots_above, shift_chain, EIG_START_POLES
+from .matrices import SymMatrix, _cleared, _coerce_array, _vieta, char_poly, \
+    charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, peel_terms, _expected_char_with_base
 from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
@@ -123,11 +124,12 @@ class VectorSystem:
         return self.vectors.dtype == object
 
     def gram_sum(self) -> SymMatrix:
-        """sum_i v_i v_i^T, exactly for exact vectors; a float sum that
-        overflows raises ValueError, with no RuntimeWarning.  Formed on
-        the first call and shared by later ones; its entries are
-        read-only.  Exact vectors are cleared to one denominator q, so
-        the products are of Python ints and one division by q^2 ends it."""
+        """sum_i v_i v_i^T, the one Gram sum: exact for exact vectors, and
+        summed in row order by ``einsum`` for float ones, where an overflow
+        raises ValueError, with no RuntimeWarning.  Formed on the first call
+        and shared by later ones; its entries are read-only.  Exact vectors
+        are cleared to one denominator q, so the products are of Python
+        ints and one division by q^2 ends it."""
         if self._gram is not None:
             return self._gram
         if self.is_exact:
@@ -136,7 +138,7 @@ class VectorSystem:
             self._gram = SymMatrix(v.T @ v / Fraction(q * q))
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                g = self.vectors.T @ self.vectors
+                g = np.einsum("mi,mj->ij", self.vectors, self.vectors)
             if not np.isfinite(g).all():
                 raise ValueError("the Gram sum of the vectors overflows")
             self._gram = SymMatrix(g)
@@ -223,17 +225,18 @@ class SelectionCertificate:
     """The audit trail of one greedy walk, read off it by :func:`_certificate`.
 
     ``pledged`` is lambda_k of the root expected polynomial, ``levels``
-    the lambda_k of the kept conditional polynomial after each fixing,
-    ``final_poly`` the characteristic polynomial of the realized matrix
-    and ``achieved`` its lambda_k; the walk guarantees achieved >= pledged
+    the lambda_k of the child :func:`_keep` kept after each fixing,
+    ``realized`` the matrix the walk realized (a Gram sum, or A_s for
+    signings), ``final_poly`` its characteristic polynomial and
+    ``achieved`` its lambda_k; the keep rule makes achieved >= pledged
     (maximize) resp. <= (minimize).  On exact walks ``final_poly`` is the
     last kept child up to a positive factor, ``achieved`` is ``levels[-1]``,
     and :meth:`valid` decides by :func:`_meets` from ``pledge_poly`` and
     its cluster ``pledge_root``; on float walks ``achieved`` comes from
     ``eigvalsh`` and :meth:`valid` allows ``CERT_TOL``.  ``fallbacks``
-    counts the float levels at which rounding left no child meeting its
-    parent; ``scored``, the children :func:`restricted_invertibility_select`
-    formed per level in its batches, stays empty for other walks.
+    counts the float levels at which :func:`_keep` fell back; ``scored``,
+    the children :func:`restricted_invertibility_select` formed per level
+    in its batches, stays empty for other walks.
     """
 
     choices: list
@@ -247,6 +250,7 @@ class SelectionCertificate:
     fallbacks: int = 0
     pledge_poly: Polynomial | None = None
     pledge_root: TopRoot | None = None
+    realized: SymMatrix | None = None
 
     def valid(self) -> bool:
         maximize = self.direction == "maximize"
@@ -288,6 +292,42 @@ def _meets(child: Polynomial, parent: Polynomial, bracket: TopRoot, k: int,
     return True
 
 
+def _keep(children, parent, k: int, maximize: bool):
+    """The keep rule, which decides every level of every walk: (index,
+    new parent, fell_back) of the first child, in index order, that meets
+    its parent, its lambda_k at least the parent's, or at most it unless
+    ``maximize``.  A level's children average to the parent and share a
+    common interlacing, so one meets, and the kept child is the next
+    level's parent.  ``children`` is read only up to the kept one, so a
+    walk may form and root them as they are read.
+
+    Exact walks pass polynomials and ``parent`` as a (polynomial,
+    cluster) pair, the cluster of :func:`_kth_cluster`, and the kept child
+    comes back as one.  A child equal to the parent meets and keeps the
+    parent's cluster; :func:`_meets` decides the others by exact root
+    counts, a tie meeting, only the kept one is rooted, and
+    :class:`AssertionError` is raised if none meets.  Float walks pass
+    float lambda_k: the first child at least the parent's (at most, when
+    minimizing) is kept, and if rounding leaves none the best one, ties
+    to the lowest index, with fell_back set.
+    """
+    if isinstance(parent, tuple):
+        poly, cluster = parent
+        for j, child in enumerate(children):
+            if child == poly:
+                return j, parent, False
+            if _meets(child, poly, cluster, k, maximize):
+                return j, (child, _kth_cluster(child, k)), False
+        raise AssertionError("no child meets its parent")
+    vals = []
+    for j, val in enumerate(children):
+        if (val >= parent) if maximize else (val <= parent):
+            return j, val, False
+        vals.append(val)
+    j = int(np.argmax(vals) if maximize else np.argmin(vals))
+    return j, vals[j], True
+
+
 def walk_costs(dim: int, fixed: int, sizes) -> dict:
     """Estimated work of one :func:`greedy_walk` by each route, in entries.
 
@@ -319,13 +359,13 @@ def greedy_walk(state: AssignmentState,
                 budget: int = WALK_BUDGET) -> SelectionCertificate:
     """Walk the outcome tree, fixing one support element at each level.
 
-    Each level keeps the first child, in support order, whose lambda_k
-    meets its parent's.  An exact walk decides that by :func:`_meets` and
-    roots only the kept child (:class:`AssertionError` if none meets); a
-    float walk roots children in turn until one meets, and if rounding
-    leaves none keeps the best, ties to the lowest index, counting the
-    level in ``fallbacks``.  With two support points the first that meets
-    is the best: the two lambda_k straddle the parent's.
+    :func:`_keep` decides each level, reading the children in support
+    order: an exact walk hands it the children's polynomials, and only
+    the kept child is rooted; a float walk roots each child as the rule
+    reads it, so the children after the kept one stay unrooted, and its
+    fallback levels are counted in ``fallbacks``.  With two support
+    points the first that meets is the best: the two lambda_k straddle
+    the parent's.
 
     The conditional polynomials come from one of two routes, outcome
     enumeration (:func:`_enumeration_route`) or the exterior-power engine
@@ -352,28 +392,15 @@ def greedy_walk(state: AssignmentState,
     p = next(steps)
     pledge = parent = (p, _kth_cluster(p, k)) if exact else _kth_root(p, k)
     for children in steps:
-        if exact:
-            keep = next((j for j, child in enumerate(children)
-                         if _meets(child, *parent, k, maximize)), None)
-            if keep is None:
-                raise AssertionError("no child meets its parent")
-            parent = (children[keep], _kth_cluster(children[keep], k))
-        else:
-            vals = []
-            for child in children:
-                vals.append(_kth_root(child, k))
-                if (vals[-1] >= parent) if maximize else (vals[-1] <= parent):
-                    keep = len(vals) - 1
-                    break
-            else:  # rounding left no child meeting its parent
-                keep = int(np.argmax(vals) if maximize else np.argmin(vals))
-                fallbacks += 1
-            parent = vals[keep]
+        if not exact:
+            children = (_kth_root(child, k) for child in children)
+        keep, parent, fell_back = _keep(children, parent, k, maximize)
+        fallbacks += fell_back
         levels.append(parent[1].root if exact else parent)
         choices.append(keep)
     realized = fixed + [_vector(r.support[j][1], exact)
                         for r, j in zip(state.remaining, choices)]
-    cert = _certificate(choices, levels, pledge, parent, _gram(realized, exact), k,
+    cert = _certificate(choices, levels, pledge, parent, VectorSystem(realized).gram_sum(), k,
                         state.direction)
     cert.fallbacks = fallbacks
     return cert
@@ -389,24 +416,19 @@ def _certificate(choices: list, levels: list, pledge, last, realized: SymMatrix,
     the last kept child up to a positive factor (:class:`AssertionError`
     if not), and the clusters' roots are ``pledged`` and ``achieved``, so
     no root is taken here.  A float walk passes its pledged float
-    lambda_k, and ``achieved`` is lambda_k of ``realized`` by ``eigvalsh``.
+    lambda_k, and one ``eigvalsh`` of ``realized`` gives ``final_poly``
+    (by Vieta) and ``achieved``, its lambda_k.
     """
-    final = char_poly(realized)
     if not realized.is_exact:
-        return SelectionCertificate(choices, final, float(np.linalg.eigvalsh(realized.a)[-k]),
-                                    pledge, k, direction, levels)
+        w = np.linalg.eigvalsh(realized.a)
+        return SelectionCertificate(choices, Polynomial(_vieta(w[None])[0]), float(w[-k]),
+                                    pledge, k, direction, levels, realized=realized)
+    final = char_poly(realized)
     if final.monic() != last[0].monic() or final.leading() * last[0].leading() <= 0:
         raise AssertionError("chi of what the walk realized is not its last kept polynomial")
     return SelectionCertificate(choices, final, last[1].root, pledge[1].root, k, direction,
-                                levels, pledge_poly=pledge[0], pledge_root=pledge[1])
-
-
-def _gram(vectors, exact: bool) -> SymMatrix:
-    """sum v v^T of ``vectors``: exactly by :meth:`VectorSystem.gram_sum`,
-    or in floats summed left to right."""
-    if exact:
-        return VectorSystem(vectors).gram_sum()
-    return SymMatrix(sum((np.outer(v, v) for v in vectors), np.zeros((len(vectors[0]),) * 2)))
+                                levels, pledge_poly=pledge[0], pledge_root=pledge[1],
+                                realized=realized)
 
 
 def _kth_cluster(p: Polynomial, k: int) -> TopRoot:
@@ -505,19 +527,17 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     at level l is scored by the k-th largest root of its child
     ``(1 - (1/m) d/dx)^(k-l-1) char_poly(B + v_j v_j^T)``.  The parent is
     the average of its m children, which have a common interlacing, so
-    some child's score is at least its parent's: level l scores the
-    not-yet-chosen rows in index order, in batches, and keeps the first
-    that meets the parent (the pledge at level 0, then the previous
-    level's kept child).  An exact walk decides that by :func:`_meets`.
-    A float walk keeps the first score at least its parent's; if rounding
-    leaves none there, every free row has been scored and the level keeps
-    the best of them, ties going to the lowest index, and such levels are
-    counted in the certificate's ``fallbacks``.  Every kept score stays at
-    or above the pledge up to those rounding slips, and a walk costs about
-    one batch per level, not m candidates.  Batches hold ``RI_BATCH`` rows
-    while a level's float shifts start from eigenvalues (k <=
-    ``EIG_START_POLES``); past that a level's batches hold 2, 4, then
-    ``RI_BATCH`` rows, exact walks alike.
+    some child's score is at least its parent's.  Level l hands the
+    children of the not-yet-chosen rows, in index order, to :func:`_keep`
+    (the parent is the pledge at level 0, then the previous level's kept
+    child).  :func:`_ri_level` forms them a batch at a time, a batch only
+    once the rule reads past the one before, so a walk costs about one
+    batch per level, not m candidates; a float level that falls back has
+    scored every free row.  Every kept score stays at or above the pledge
+    up to those fallbacks.  Batches hold ``RI_BATCH`` rows while a
+    level's float shifts start from eigenvalues (k <= ``EIG_START_POLES``);
+    past that a level's batches hold 2, 4, then ``RI_BATCH`` rows, exact
+    walks alike.
 
     Skipping the chosen rows loses no child that could meet the parent:
     a repeated row's B + v_j v_j^T has rank l, so after k - l - 1 shifts
@@ -549,9 +569,8 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     m, n = vecs.shape
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    exact = system.is_exact
-    parent = None  # a float pledge rides in level 0's first batch
-    if exact:  # the rows cleared to one denominator q, as gram_sum does
+    q = parent = None  # a float pledge rides in level 0's first batch
+    if system.is_exact:  # the rows cleared to one denominator q, as gram_sum does
         q, ints = _cleared(vecs.ravel().tolist())
         vecs = np.array(ints, dtype=object).reshape(m, n)
         p = _ri_shifted([0] * n + [1], m, k)
@@ -560,41 +579,41 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     for _ in range(k):
         taken = set(chosen)
         free = [j for j in range(m) if j not in taken]
-        vals, keep = [], None
-        size = RI_BATCH if k <= EIG_START_POLES else 2
-        while keep is None and len(vals) < len(free):
-            start = len(vals)
-            if exact:
-                batch = _ri_children(vecs, q, chosen, free[start:start + size], k)
-                first = next((j for j, child in enumerate(batch)
-                              if _meets(child, *parent, k, True)), None)
-            else:
-                batch = _ri_scores(vecs, chosen, free[start:start + size], k,
-                                   pledge=parent is None)
-                if parent is None:
-                    parent = pledge = float(batch[-1])
-                    batch = batch[:-1]
-                first = next(iter(np.flatnonzero(batch >= parent)), None)
-            vals.extend(batch)
-            if first is not None:
-                keep = start + int(first)
-            size = min(2 * size, RI_BATCH)
-        if keep is None:
-            if exact:
-                raise AssertionError("no free row meets its parent")
-            fallbacks += 1
-            keep = int(np.argmax(vals))
-        parent = (vals[keep], _kth_cluster(vals[keep], k)) if exact else float(vals[keep])
-        level = parent[1].root if exact else parent
+        scored.append(0)
+        children = _ri_level(vecs, q, chosen, free, k, scored)
+        if parent is None:
+            pledge = parent = next(children)
+        keep, parent, fell_back = _keep(children, parent, k, True)
+        fallbacks += fell_back
+        level = parent if q is None else parent[1].root
         if not level > 0:
             raise AssertionError(f"kept score {level} is not positive")
         chosen.append(free[keep])
         levels.append(level)
-        scored.append(len(vals))
-    cert = _certificate(chosen, levels, pledge, parent, _gram(system.vectors[chosen], exact), k,
-                        "maximize")
+    cert = _certificate(chosen, levels, pledge, parent,
+                        VectorSystem(system.vectors[chosen]).gram_sum(), k, "maximize")
     cert.scored, cert.fallbacks = scored, fallbacks
     return chosen, cert
+
+
+def _ri_level(vecs: np.ndarray, q, chosen: list, free: list, k: int, scored: list):
+    """Yields the children of rows ``free`` in index order, a batch at a
+    time as :func:`_keep` reads them, adding each batch's rows to
+    ``scored[-1]``: exact polynomials (:func:`_ri_children`) of rows
+    cleared to the denominator ``q``, or float scores (:func:`_ri_scores`)
+    if ``q`` is None, at level 0 led by the pledge from the first batch."""
+    pledge = q is None and not chosen
+    size, start = (RI_BATCH if k <= EIG_START_POLES else 2), 0
+    while start < len(free):
+        rows = free[start:start + size]
+        batch = (_ri_scores(vecs, chosen, rows, k, pledge).tolist() if q is None
+                 else _ri_children(vecs, q, chosen, rows, k))
+        if pledge:
+            pledge = False
+            yield batch.pop()
+        scored[-1] += len(rows)
+        yield from batch
+        start, size = start + size, min(2 * size, RI_BATCH)
 
 
 def _ri_scores(vecs: np.ndarray, chosen: list, cand: list, k: int,
@@ -692,20 +711,6 @@ def weaver_bound(alpha) -> float:
 # ----------------------------------------------------------------------
 
 
-def _signing_level(phi: Polynomial, parent: TopRoot, plus: Polynomial):
-    """The kept child of one signing level: (sign, polynomial, top root).
-
-    ``phi`` is the parent, ``parent`` its top root, and ``plus`` the +1
-    child; the -1 child is 2 phi - plus.  The children average to ``phi``
-    with a common interlacing, so +1 is kept if it meets ``phi``
-    (:func:`_meets`), ties included, and -1 otherwise; only it is rooted.
-    """
-    if _meets(plus, phi, parent, 1, False):
-        return 1, plus, parent if plus == phi else top_root(plus)
-    minus = 2 * phi - plus
-    return -1, minus, top_root(minus)
-
-
 def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     """Pick edge signs minimizing the top eigenvalue of the signed adjacency.
 
@@ -724,19 +729,19 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     equal (Bilu-Linial) and each is the parent.  The walk keeps +1 there
     and reuses the parent and its top root.  At every other level only
     the +1 child is formed, the -1 child is 2 parent - plus, exactly, and
-    :func:`_signing_level` keeps the +1 child if it meets its parent
-    (:func:`_meets`), ties included, and the -1 child otherwise: the
-    children straddle the parent's top root, so exact counts at the ends
-    of the parent's bracket nearly always decide, and the kept child
-    alone is rooted by :func:`top_root` (a top root in a bracket
-    certified by exact root counts).  Every Phi_F is real-rooted and the
-    children interlace by theorem; the tests, not this walk, check it.
-    The kept child is the next level's parent, and its largest root
-    never exceeds its parent's, so the final signing's top eigenvalue is
-    at most the pledge.  The last kept child, every sign fixed, is
-    chi(A_s) whatever the labels, and :func:`_certificate` checks it
-    exactly (:class:`AssertionError` if not), so ``achieved`` is its top
-    root.  Returns (signing, certificate); the certificate is in adjacency
+    :func:`_keep` decides between them, +1 first, as it decides every
+    exact level: the children straddle the parent's top root, so exact
+    counts at the ends of the parent's bracket nearly always decide, the
+    -1 child's too, which is not assumed to meet by theorem, and the kept
+    child alone is rooted (a top root in a bracket certified by exact
+    root counts).  Every Phi_F is real-rooted and the children interlace
+    by theorem; the tests, not this walk, check it.  The kept child is
+    the next level's parent, and its largest root never exceeds its
+    parent's, so the final signing's top eigenvalue is at most the
+    pledge.  The last kept child, every sign fixed, is chi(A_s) whatever
+    the labels, and :func:`_certificate` checks it exactly
+    (:class:`AssertionError` if not), so ``achieved`` is its top root.
+    Returns (signing, certificate); the certificate is in adjacency
     coordinates, ``final_poly`` is chi(A_s), ``pledge_poly`` mu_G, and
     ``choices`` is 0 for +1 and 1 for -1, in walk order.
     ``budget`` bounds the walk's work, :meth:`SigningEngine.walk_entries`:
@@ -758,16 +763,17 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
         raise BudgetExceededError(
             f"the signing walk costs {work} DP states and leaf entries, over "
             f"the budget of {budget}")
-    mu = phi = engine.chars([])
-    top = parent = top_root(phi)
+    mu = engine.chars([])
+    pledge = parent = (mu, _kth_cluster(mu, 1))
     signs, levels = [], []
     for joins in walk.forest_edges():
-        sign = 1
+        keep = 0
         if not joins:
-            sign, phi, parent = _signing_level(phi, parent, engine.chars(signs + [1]))
-        signs.append(sign)
-        levels.append(parent.root)
+            plus = engine.chars(signs + [1])
+            keep, parent, _ = _keep([plus, 2 * parent[0] - plus], parent, 1, False)
+        signs.append((1, -1)[keep])
+        levels.append(parent[1].root)
     signing = Signing({(order[a], order[b]): s for (a, b), s in zip(walk.edges, signs)})
-    cert = _certificate([0 if s == 1 else 1 for s in signs], levels, (mu, top), (phi, parent),
+    cert = _certificate([0 if s == 1 else 1 for s in signs], levels, pledge, parent,
                         signed_adjacency(g, signing), 1, "minimize")
     return signing, cert

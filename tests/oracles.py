@@ -48,8 +48,8 @@ from interlace.matrices import _validate_psd_list, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
 from interlace.select import _kth_cluster, _kth_root, _ri_scores
 from interlace.poly import TopRoot, _count_above, _integer_coeffs, _primitive, \
-    _pseudo_divmod, shift_chain, top_root
-from paper import apply_shift_operator, exact_real_roots, is_real_rooted
+    _pseudo_divmod, shift_chain
+from paper import apply_shift_operator, exact_real_roots, is_real_rooted, top_root
 
 
 # The 3-cube Q_3: K_{4,4} minus a perfect matching.

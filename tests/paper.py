@@ -129,6 +129,16 @@ def taylor_shift(p: Polynomial, c) -> Polynomial:
     return Polynomial(cs)
 
 
+def top_root(p: Polynomial):
+    """The largest root of exact, real-rooted ``p``: the first of ``root_clusters``.
+
+    Real-rootedness is not checked.  No value is returned without its
+    bracket certified: no root lies above ``hi``, and ``mult`` lie above
+    ``lo``.
+    """
+    return next(root_clusters(p))
+
+
 def laguerre_transform(n: int, k: int) -> Polynomial:
     """Return ``(1 - d/dx)^n`` applied to ``x**k``, with exact integer coefficients."""
     if n < 0 or k < 0:

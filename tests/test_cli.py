@@ -4,6 +4,7 @@ Each test drives ``main`` directly with argv lists, captures the JSON
 payload, and checks both the payload and the exit code.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -14,10 +15,10 @@ import numpy as np
 import pytest
 
 import interlace.cli
-from interlace import Graph, Signing, VectorSystem, NotRealRootedError, signing_select
-from interlace.poly import top_root
+from interlace import Graph, Signing, VectorSystem, NotRealRootedError, signed_adjacency, \
+    signing_select
 from interlace.cli import main
-from paper import matching_poly
+from paper import matching_poly, top_root
 
 
 def run_cli(capsys, argv):
@@ -69,6 +70,24 @@ def test_ri_parse_failure_exit_2(capsys, tmp_path):
 def test_ri_missing_file_exit_2(capsys):
     code, _ = run_cli(capsys, ["ri", "/nonexistent/file.json", "-k", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["ri", "weaver", "lift", "mixedchar"])
+def test_unwritable_out_exit_2(capsys, tmp_path, command):
+    # --out in a missing directory is refused like an unreadable input:
+    # exit 2 with a message, not a traceback
+    inputs = {"ri": ({"vectors": [[1.0, 0.0], [0.0, 1.0]]}, ["-k", "1"]),
+              "weaver": ({"vectors": [[1.0, 0.0], [0.0, 1.0]]}, []),
+              "lift": ("".join(f"{a} {b}\n" for a in range(3) for b in range(3, 6)), []),
+              "mixedchar": ([[[2.0, 1.0], [1.0, 2.0]]], [])}
+    data, args = inputs[command]
+    path = tmp_path / "input"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    out = tmp_path / "missing" / "out.json"
+    code = main([command, str(path), *args, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert f"parse error: cannot write {out}" in captured.err
 
 
 def test_ri_precondition_failure_exit_3(capsys, tmp_path):
@@ -181,6 +200,12 @@ def test_lift_three_iterations_reach_48_vertices(capsys, tmp_path):
     assert payload["final_n"] == 48
 
 
+def _faked_walk(graph, signing, cert):
+    """A signing walk's result faked to ``signing``, its certificate ``cert``
+    on that signing's A_s, which lift reads lambda_max_signed off."""
+    return signing, dataclasses.replace(cert, realized=signed_adjacency(graph, signing))
+
+
 def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monkeypatch):
     # the all-+1 signing of K_{3,3} has lambda = 3 > 2 sqrt(2); with a valid
     # walk certificate beside it, only the exact signed bound can refuse it
@@ -189,7 +214,7 @@ def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monk
     g = Graph.complete_bipartite(3, 3)
     _, cert = signing_select(g)
     monkeypatch.setattr(interlace.cli, "signing_select",
-                        lambda graph, budget: (Signing.all_ones(graph), cert))
+                        lambda graph, budget: _faked_walk(graph, Signing.all_ones(graph), cert))
     code, payload = run_cli(capsys, ["lift", str(k33)])
     assert code == 1
     step = payload["steps"][0]
@@ -208,7 +233,7 @@ def test_lift_balanced_signing_of_a_cycle_is_not_certified(capsys, tmp_path, mon
     _, cert = signing_select(g)
     balanced = {e: -1 if 3 in e else 1 for e in g.edges}  # switching at vertex 3
     monkeypatch.setattr(interlace.cli, "signing_select",
-                        lambda graph, budget: (Signing(balanced), cert))
+                        lambda graph, budget: _faked_walk(graph, Signing(balanced), cert))
     code, payload = run_cli(capsys, ["lift", str(c8)])
     assert code == 1
     step = payload["steps"][0]

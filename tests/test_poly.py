@@ -22,7 +22,6 @@ from interlace import (
     float_top_root,
     roots_above,
     root_clusters,
-    top_root,
     mixed_char,
     SymMatrix,
     char_poly,
@@ -37,7 +36,7 @@ import interlace.select as select_module
 from oracles import compare_top_roots, convex_combinations_real_rooted
 from paper import apply_shift_operator, diagram_identity_check, exact_real_roots, \
     have_common_interlacing, interlaces, is_real_rooted, kth_largest_root, \
-    laguerre_transform, sturm_root_count, sturm_sequence, taylor_shift
+    laguerre_transform, sturm_root_count, sturm_sequence, taylor_shift, top_root
 
 MAX_FLOAT = sys.float_info.max
 

@@ -22,7 +22,6 @@ from interlace import (
     real_roots,
     roots_above,
     shift_chain,
-    top_root,
     TopRoot,
     DiscreteRandomVector,
     VectorSystem,
@@ -52,7 +51,7 @@ from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expecte
     in_walk_order, ri_level_scores
 from paper import apply_shift_operator, exact_real_roots, have_common_interlacing, \
     is_real_rooted, kth_largest_root, matching_poly, signing_vectors, sturm_root_count, \
-    taylor_shift
+    taylor_shift, top_root
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +79,19 @@ def test_vector_system_forms_its_gram_sum_once():
     for _ in range(2):
         with pytest.raises(ValueError, match="overflows"):
             huge.gram_sum()
+
+
+def test_float_gram_sum_matches_the_outer_product_loop():
+    # the loop the float Gram sum replaced, outer products added in row
+    # order, is kept here as its reference, within the rounding of m
+    # additions; some rows have a zero half, as weaver's lifted rows do
+    rng = np.random.default_rng(41)
+    for m, n in ((8, 4), (21, 6), (80, 40)):
+        v = rng.standard_normal((m, n))
+        v[::3, : n // 2] = 0.0
+        loop = sum((np.outer(row, row) for row in v), np.zeros((n, n)))
+        got = VectorSystem(v).gram_sum().a
+        assert np.allclose(got, loop, rtol=0, atol=m * np.finfo(float).eps * np.abs(loop).max())
 
 
 def test_vector_system_isotropy_defect():
@@ -573,6 +585,78 @@ def test_meets_mutant_deciding_at_the_wrong_ends_fails():
     assert _rule_errors(scope["_meets"]) == {"maximize", "minimize"}
 
 
+def test_keep_float_keeps_the_first_child_that_meets():
+    # at least the parent's lambda_k when maximizing, at most it when
+    # minimizing, ties included, in index order
+    keep = select_module._keep
+    assert keep([0.5, 1.0, 2.0, 1.5], 1.0, 1, True) == (1, 1.0, False)
+    assert keep([0.5, 1.5, 2.0], 1.0, 2, True) == (1, 1.5, False)
+    assert keep([1.5, 0.25, 0.5], 1.0, 1, False) == (1, 0.25, False)
+
+
+def test_keep_float_falls_back_to_the_best_child_ties_to_the_lowest_index():
+    # rounding can leave no child meeting its parent; the level then keeps
+    # the best child, the first of equal ones, and is flagged
+    keep = select_module._keep
+    assert keep([0.5, 0.75, 0.25, 0.75], 1.0, 1, True) == (1, 0.75, True)
+    assert keep([2.0, 1.5, 3.0, 1.5], 1.0, 1, False) == (1, 1.5, True)
+
+
+def test_keep_exact_child_equal_to_its_parent_keeps_the_parent_cluster(monkeypatch):
+    # a child above the parent's bracket misses it when minimizing, by
+    # counts alone; the next child, equal to the parent, meets and keeps
+    # the parent's cluster, and nothing is rooted
+    parent = Polynomial.from_roots([1, -1])
+    cluster = select_module._kth_cluster(parent, 1)
+
+    def refuse(p):
+        raise AssertionError("a polynomial was rooted")
+
+    monkeypatch.setattr(select_module, "root_clusters", refuse)
+    children = [Polynomial.from_roots([2, -1]), Polynomial.from_roots([1, -1]),
+                Polynomial.from_roots([0])]
+    got = select_module._keep(children, (parent, cluster), 1, False)
+    assert got == (1, (parent, cluster), False) and got[1][1] is cluster
+
+
+def test_keep_exact_raises_when_no_child_meets():
+    parent = Polynomial.from_roots([1, -1])
+    pair = (parent, select_module._kth_cluster(parent, 1))
+    misses = [Polynomial.from_roots([2]), Polynomial.from_roots([3, 0])]
+    with pytest.raises(AssertionError, match="no child meets"):
+        select_module._keep(misses, pair, 1, False)
+    with pytest.raises(AssertionError, match="no child meets"):
+        select_module._keep([Polynomial.from_roots([0, -1])], pair, 1, True)
+
+
+def test_keep_reads_the_children_only_up_to_the_kept_one():
+    # walks form and root children lazily, as the rule reads them
+    def upto(kept, children):
+        for j, child in enumerate(children):
+            if j > kept:
+                raise RuntimeError("read past the kept child")
+            yield child
+
+    keep = select_module._keep
+    assert keep(upto(1, [0.5, 1.5, 2.0]), 1.0, 1, True) == (1, 1.5, False)
+    assert keep(upto(0, [0.5, 1.5]), 1.0, 1, False) == (0, 0.5, False)
+    parent = Polynomial.from_roots([1, -1])
+    pair = (parent, select_module._kth_cluster(parent, 1))
+    below = Polynomial.from_roots([Fraction(1, 2), -1])
+    children = [Polynomial.from_roots([2, -1]), below, parent]
+    assert keep(upto(1, children), pair, 1, False) == \
+        (1, (below, select_module._kth_cluster(below, 1)), False)
+
+
+def test_signing_select_raises_when_no_child_meets(monkeypatch):
+    # the -1 child, like every exact child, is kept only once exact counts
+    # say it meets its parent, not by theorem: with a rule that refuses
+    # every child, the first level whose children differ stops the walk
+    monkeypatch.setattr(select_module, "_meets", lambda *args: False)
+    with pytest.raises(AssertionError, match="no child meets"):
+        signing_select(CUBE)
+
+
 def _laguerre_pledge_roots(n, m, k):
     """Roots of (1 - D/m)^k x^n other than 0, by Golub-Welsch.
 
@@ -775,7 +859,8 @@ def test_signing_select_matches_exact_enumeration_walk():
 
 
 def _recorded_signing_walk(monkeypatch, g):
-    """signing_select on g, recording each level's children and every top_root call.
+    """signing_select on g, recording each level's children and every
+    polynomial it roots, each a ``_kth_cluster`` call at k = 1.
 
     The walk forms Phi of the empty prefix and then, at each level whose
     edge closes a cycle, the +1 child with ``SigningEngine.chars``; the
@@ -783,19 +868,20 @@ def _recorded_signing_walk(monkeypatch, g):
     forms no child, and both its children are recorded as its parent.
     """
     formed, ranked = [], []
-    chars, top = SigningEngine.chars, select_module.top_root
+    chars, cluster = SigningEngine.chars, select_module._kth_cluster
 
     def recorded_chars(self, signs):
         out = chars(self, signs)
         formed.append((len(signs), out))
         return out
 
-    def recorded_top(p):
+    def recorded_cluster(p, k):
+        assert k == 1
         ranked.append(p)
-        return top(p)
+        return cluster(p, k)
 
     monkeypatch.setattr(SigningEngine, "chars", recorded_chars)
-    monkeypatch.setattr(select_module, "top_root", recorded_top)
+    monkeypatch.setattr(select_module, "_kth_cluster", recorded_cluster)
     _, cert = signing_select(g)
     levels = dict(formed)
     assert len(levels) == len(formed)
@@ -859,23 +945,31 @@ def test_signing_select_raises_when_chi_of_a_s_is_not_its_last_polynomial(monkey
 @pytest.mark.parametrize("walk", ["ri", "engine", "enumerate"])
 def test_exact_walks_root_the_pledge_and_each_kept_child_once(monkeypatch, walk):
     # the certificate reads its levels off the walk: root_clusters runs once
-    # for the pledge and once per kept child, and never for final_poly, which
-    # is the last kept child up to a positive factor
-    rooted = []
-    clusters = select_module.root_clusters
+    # for the pledge and once per kept child that differs from its parent,
+    # whose cluster a child equal to it keeps, and never for final_poly,
+    # which is the last kept child up to a positive factor
+    rooted, differ = [], []
+    clusters, keep = select_module.root_clusters, select_module._keep
 
     def recorded(p):
         rooted.append(p)
         return clusters(p)
 
+    def recorded_keep(children, parent, k, maximize):
+        out = keep(children, parent, k, maximize)
+        differ.append(out[1] is not parent)
+        return out
+
     vs = _rational_isotropic(3, [Fraction(3, 5), Fraction(4, 5)], [3, 0, 4, 1, 5, 2])
     monkeypatch.setattr(select_module, "root_clusters", recorded)
+    monkeypatch.setattr(select_module, "_keep", recorded_keep)
     if walk == "ri":
         _, cert = restricted_invertibility_select(vs, 2)
     else:
         cert = _walk_by(walk, _lifted_state(vs))
     assert cert.valid() and cert.achieved == cert.levels[-1]
-    assert len(rooted) == 1 + len(cert.levels)
+    assert len(differ) == len(cert.levels) and (walk == "ri" or not all(differ))
+    assert len(rooted) == 1 + sum(differ)
     assert rooted[0] == cert.pledge_poly
     assert rooted[-1].monic() == cert.final_poly and rooted[-1].leading() > 0
 
@@ -1000,13 +1094,13 @@ def test_signing_forest_levels_equal_their_parent(g):
 
 @pytest.mark.parametrize("g", SYMMETRY_GRAPHS, ids=["cube", "petersen", "cover24"])
 def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
-    # at every level, after a random prefix, the level rule keeps the
-    # child compare_top_roots ranks lower (ties to +1) and roots only it;
-    # a bracket widened past every root (none of a cubic graph's Phi_F
-    # lies above 3) leaves the +1 child's counts straddling whenever its
-    # top root is the larger, and the halving makes the same choice.
-    # Identical children, as at every forest level, keep +1 and the
-    # parent's bracket
+    # at every level, after a random prefix, the keep rule, handed the +1
+    # and -1 children, keeps the one compare_top_roots ranks lower (ties
+    # to +1) and roots only it; a bracket widened past every root (none of
+    # a cubic graph's Phi_F lies above 3) leaves the +1 child's counts
+    # straddling whenever its top root is the larger, and the halving
+    # makes the same choice.  Identical children, as at every forest
+    # level, keep +1 and the parent's bracket
     walk = in_walk_order(g)
     engine = SigningEngine(walk)
     rng = np.random.default_rng(89)
@@ -1017,12 +1111,12 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
         halved.append(p)
         return squarefree(p)
 
-    def recorded_top(p):
+    def recorded_cluster(p, k):
         ranked.append(p)
         return top_root(p)
 
     monkeypatch.setattr(select_module, "_squarefree", recorded_squarefree)
-    monkeypatch.setattr(select_module, "top_root", recorded_top)
+    monkeypatch.setattr(select_module, "_kth_cluster", recorded_cluster)
     halvings, ties = {True: 0, False: 0}, 0
     for f, joins in enumerate(walk.forest_edges()):
         prefix = rng.choice([-1, 1], f).tolist()
@@ -1037,11 +1131,11 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
         for bracket in (parent, parent._replace(hi=parent.hi + 3)):
             halved.clear()
             ranked.clear()
-            got = select_module._signing_level(phi, bracket, plus)
+            got = select_module._keep([plus, minus], (phi, bracket), 1, False)
             if plus == minus:
-                assert got == (1, plus, bracket) and not ranked and not halved
+                assert got == (0, (phi, bracket), False) and not ranked and not halved
                 continue
-            assert got == (sign, kept, top_root(kept)) and ranked == [kept]
+            assert got == ((1 - sign) // 2, (kept, top_root(kept)), False) and ranked == [kept]
             halvings[bracket is parent] += bool(halved)
     # with the true bracket, only children with equal top roots straddle it
     assert halvings[True] == ties and halvings[False] > 0
