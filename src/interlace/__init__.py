@@ -25,7 +25,6 @@ from .mixedchar import (
 )
 from .graphs import (
     Graph,
-    Signing,
     adjacency,
     signed_adjacency,
     SigningEngine,

@@ -47,6 +47,8 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_NUMERICAL = 5
+# the largest float: a float-mode input number past it is refused
+_FLOAT_MAX = sys.float_info.max
 
 
 class ParseFailure(Exception):
@@ -111,10 +113,20 @@ def _emit(payload: dict, out_path):
 
 
 def _number(x, exact: bool):
-    """One JSON entry; true, false and null are refused, not read as 1, 0, NaN."""
-    if x is None or isinstance(x, bool):
-        raise ParseFailure(f"{json.dumps(x)} is not a number")
-    return Fraction(x) if exact and not isinstance(x, (int, Fraction)) else x
+    """One JSON entry: a JSON number or, if ``exact``, a "p/q" string.
+    true, false and null are refused, not read as 1, 0, NaN, and so are
+    a string that is no fraction ("1/0") and, in float mode, any string
+    and a number past the largest float (1e400, read as inf)."""
+    kind = type(x)  # not isinstance: bool is an int, and json makes no other subclass
+    if kind is int or kind is float or kind is Fraction:
+        if exact or -_FLOAT_MAX <= x <= _FLOAT_MAX:
+            return x
+    elif exact and kind is str:
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseFailure(f"{json.dumps(x)} is not a number")
 
 
 def _number_array(rows, exact: bool) -> np.ndarray:
@@ -264,12 +276,12 @@ def cmd_lift(args) -> int:
     steps = []
     ok = certified = True
     for it in range(args.iterations):
-        signing, cert = signing_select(g, budget=args.budget)
+        signs, cert = signing_select(g, budget=args.budget)
         lam = float(np.max(cert.realized.eigenvalues()))  # A_s, what the walk realized
         valid = cert.valid()
         # signing_select has checked final_poly, chi(A_s), exactly
         bounded = roots_above(squared_roots(cert.final_poly), 4 * (d - 1)) == 0
-        lift = two_lift(g, signing)
+        lift = two_lift(g, signs)
         # spec(lift) = spec(A) + spec(A_s) (Bilu-Linial) and a lift stays
         # d-regular and bipartite, so a connected lift of a certified graph
         # is Ramanujan when A_s meets the bound; at d = 2 a balanced signing
@@ -280,7 +292,7 @@ def cmd_lift(args) -> int:
             "iteration": it,
             "n": g.n,
             "d": d,
-            "signs": [signing.signs[e] for e in g.edges],
+            "signs": signs,
             "lambda_max_signed": lam,
             "threshold": threshold,
             "pledged": cert.pledged,

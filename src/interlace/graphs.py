@@ -3,6 +3,10 @@ signings, 2-lifts, and Ramanujan certificates.
 
 Graphs are simple (no loops, no parallel edges) and unweighted,
 vertices are integers ``0..n-1``, and edges are stored as sorted pairs.
+A signing of g is a +-1 per edge of ``g.edges``, in order: a sequence
+of ``g.m`` signs.  :func:`signed_adjacency` and :func:`two_lift` take
+one, :meth:`SigningEngine.chars` takes a prefix of one, and all three
+check it by :func:`_sign_prefix`.
 
 The spectral story: a signing flips adjacency entries to -1 on chosen
 edges.  Averaging the characteristic polynomial over all 2^{|E|}
@@ -35,7 +39,6 @@ from .mixedchar import BudgetExceededError, DEFAULT_BUDGET
 
 __all__ = [
     "Graph",
-    "Signing",
     "adjacency",
     "signed_adjacency",
     "SigningEngine",
@@ -199,60 +202,41 @@ class Graph:
         return (self.n, self.edges) == (other.n, other.edges)
 
 
-class Signing:
-    """An assignment of +1/-1 to every edge of a graph."""
-
-    __slots__ = ("signs",)
-
-    def __init__(self, signs: dict):
-        norm = {}
-        for (a, b), s in signs.items():
-            if s not in (-1, 1):
-                raise ValueError(f"sign for edge ({a},{b}) must be +1 or -1")
-            norm[(min(a, b), max(a, b))] = int(s)
-        self.signs = norm
-
-    @classmethod
-    def all_ones(cls, g: Graph) -> "Signing":
-        return cls({e: 1 for e in g.edges})
-
-    def validate_for(self, g: Graph):
-        if set(self.signs) != set(g.edges):
-            raise ValueError("signing domain does not match the edge set")
-
-    def __getitem__(self, edge):
-        a, b = edge
-        return self.signs[(min(a, b), max(a, b))]
-
-    def __repr__(self):
-        return f"Signing({self.signs!r})"
-
-
 # ----------------------------------------------------------------------
 # Matrices of a graph
 # ----------------------------------------------------------------------
 
 
+def _sign_prefix(g: Graph, signs, whole: bool = False) -> np.ndarray:
+    """``signs`` as a 1-D int64 array of +-1 signing a prefix of
+    ``g.edges``, all of them if ``whole``: the one check of a signing."""
+    signs = np.array(signs, dtype=np.int64, ndmin=1)
+    if signs.ndim != 1:
+        raise ValueError("one sign prefix is taken at a time")
+    if len(signs) > g.m or whole and len(signs) < g.m:
+        raise ValueError(f"{len(signs)} signs given for {g.m} edges")
+    if not (np.abs(signs) == 1).all():
+        raise ValueError("signs must be +1 or -1")
+    return signs
+
+
 def adjacency(g: Graph) -> SymMatrix:
-    a = np.zeros((g.n, g.n), dtype=int)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
-    return SymMatrix(a)
+    """The adjacency matrix: the signed adjacency of the all-+1 signing."""
+    return signed_adjacency(g, [1] * g.m)
 
 
-def signed_adjacency(g: Graph, s: Signing) -> SymMatrix:
-    """Adjacency with entries flipped to -1 on negatively signed edges.
+def signed_adjacency(g: Graph, signs) -> SymMatrix:
+    """Adjacency with entries flipped to -1 on negatively signed edges;
+    ``signs`` is a signing of g (see the module docstring).
 
     For a d-regular graph it equals
     ``sum_e (e_a + s_e e_b)(e_a + s_e e_b)^T - d I``: the signing vectors
     e_a + s_e e_b have Gram sum ``A_s + d I``.
     """
-    s.validate_for(g)
+    signs = _sign_prefix(g, signs, whole=True)
     a = np.zeros((g.n, g.n), dtype=int)
-    for u, v in g.edges:
-        a[u, v] = s[(u, v)]
-        a[v, u] = s[(u, v)]
+    for (u, v), s in zip(g.edges, signs):
+        a[u, v] = a[v, u] = s
     return SymMatrix(a)
 
 
@@ -313,18 +297,6 @@ def _matching_tables(g: Graph, budget: int) -> list:
     return tables
 
 
-def _sign_prefix(g: Graph, signs) -> np.ndarray:
-    """``signs`` as a 1-D int64 array of +-1, checked against g."""
-    signs = np.array(signs, dtype=np.int64, ndmin=1)
-    if signs.ndim != 1:
-        raise ValueError("one sign prefix is taken at a time")
-    if len(signs) > g.m:
-        raise ValueError(f"{len(signs)} signs given for {g.m} edges")
-    if not (np.abs(signs) == 1).all():
-        raise ValueError("signs must be +1 or -1")
-    return signs
-
-
 class SigningEngine:
     """Exact Phi_F of every prefix F of ``g.edges``, from one backward DP.
 
@@ -367,7 +339,8 @@ class SigningEngine:
         return total
 
     def chars(self, signs) -> Polynomial:
-        """Phi_F for the prefix F of ``g.edges`` that ``signs`` sign."""
+        """Phi_F for the prefix F of ``g.edges`` that ``signs`` sign:
+        ``signs`` is a prefix of a signing of g (see the module docstring)."""
         signs = _sign_prefix(self.g, signs)
         f, n = len(signs), self.g.n
         masks, weights = self.tables[f]
@@ -452,8 +425,8 @@ def squared_roots(chi: Polynomial) -> Polynomial:
     return Polynomial(chi.coeffs[e::2])
 
 
-def two_lift(g: Graph, s: Signing) -> Graph:
-    """The 2-cover determined by a signing.
+def two_lift(g: Graph, signs) -> Graph:
+    """The 2-cover determined by a signing of g (see the module docstring).
 
     Vertex (v, layer) becomes ``v + layer*n``.  A +1 edge keeps both
     copies parallel, a -1 edge crosses layers.  In the basis of the sums
@@ -461,11 +434,11 @@ def two_lift(g: Graph, s: Signing) -> Graph:
     and A_s, so its spectrum is the multiset union of spec(A) and
     spec(A_s) (Bilu-Linial) and chi(lift) = chi(A) chi(A_s).
     """
-    s.validate_for(g)
+    signs = _sign_prefix(g, signs, whole=True)
     n = g.n
     edges = []
-    for a, b in g.edges:
-        if s[(a, b)] == 1:
+    for (a, b), s in zip(g.edges, signs):
+        if s == 1:
             edges.extend([(a, b), (a + n, b + n)])
         else:
             edges.extend([(a, b + n), (b, a + n)])

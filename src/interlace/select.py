@@ -45,7 +45,8 @@ Three instantiations:
   read off one backward matching DP (:class:`SigningEngine`), so it
   enumerates no outcomes and does not go through :func:`greedy_walk`.
   Its spanning-forest levels form no child, and :func:`_keep` decides
-  the others, the -1 child by exact root counts like every exact child.
+  the others, the -1 child, formed only when +1 misses, by exact root
+  counts like every exact child.
   Its last polynomial is checked equal to chi(A_s).
 """
 
@@ -63,7 +64,7 @@ from .matrices import SymMatrix, _cleared, _coerce_array, _vieta, char_poly, \
     charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, peel_terms, _expected_char_with_base
-from .graphs import Graph, Signing, SigningEngine, frontier_order, signed_adjacency
+from .graphs import Graph, SigningEngine, frontier_order, signed_adjacency
 from .tolerances import CERT_TOL, ISO_TOL
 
 __all__ = [
@@ -727,8 +728,9 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     on one side of it flips its sign and no fixed sign, and maps the
     uniform signs of the rest onto themselves, so its two children are
     equal (Bilu-Linial) and each is the parent.  The walk keeps +1 there
-    and reuses the parent and its top root.  At every other level only
-    the +1 child is formed, the -1 child is 2 parent - plus, exactly, and
+    and reuses the parent and its top root.  At every other level the
+    +1 child is formed and, only if it does not meet, the -1 child,
+    2 parent - plus exactly (:func:`_signing_children`), and
     :func:`_keep` decides between them, +1 first, as it decides every
     exact level: the children straddle the parent's top root, so exact
     counts at the ends of the parent's bracket nearly always decide, the
@@ -741,9 +743,12 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     pledge.  The last kept child, every sign fixed, is chi(A_s) whatever
     the labels, and :func:`_certificate` checks it exactly
     (:class:`AssertionError` if not), so ``achieved`` is its top root.
-    Returns (signing, certificate); the certificate is in adjacency
-    coordinates, ``final_poly`` is chi(A_s), ``pledge_poly`` mu_G, and
-    ``choices`` is 0 for +1 and 1 for -1, in walk order.
+    Returns (signs, certificate).  ``signs`` is a signing of g, a +-1 per
+    edge of ``g.edges`` in order (see :mod:`interlace.graphs`), each
+    walk sign put back at its edge's position in ``g.edges``.  The
+    certificate is in adjacency coordinates, ``final_poly`` is chi(A_s),
+    ``pledge_poly`` mu_G, and ``choices`` is 0 for +1 and 1 for -1, in
+    walk order.
     ``budget`` bounds the walk's work, :meth:`SigningEngine.walk_entries`:
     the states of its backward DP plus, at every level the walk forms,
     groups x |V(F)|^2 leaf entries.  The DP's states are counted as its
@@ -754,9 +759,9 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
         raise ValueError("graph is not regular")
     if g.m == 0:
         raise ValueError("graph has no edges")
-    order = frontier_order(g)
-    label = {v: i for i, v in enumerate(order)}
-    walk = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
+    label = {v: i for i, v in enumerate(frontier_order(g))}
+    relabelled = [tuple(sorted((label[a], label[b]))) for a, b in g.edges]
+    walk = Graph(g.n, relabelled)
     engine = SigningEngine(walk, budget)
     work = engine.walk_entries()
     if work > budget:
@@ -769,11 +774,21 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     for joins in walk.forest_edges():
         keep = 0
         if not joins:
-            plus = engine.chars(signs + [1])
-            keep, parent, _ = _keep([plus, 2 * parent[0] - plus], parent, 1, False)
+            keep, parent, _ = _keep(_signing_children(engine, signs, parent[0]), parent, 1, False)
         signs.append((1, -1)[keep])
         levels.append(parent[1].root)
-    signing = Signing({(order[a], order[b]): s for (a, b), s in zip(walk.edges, signs)})
+    at = {e: j for j, e in enumerate(walk.edges)}
+    g_signs = [signs[at[e]] for e in relabelled]
     cert = _certificate([0 if s == 1 else 1 for s in signs], levels, pledge, parent,
-                        signed_adjacency(g, signing), 1, "minimize")
-    return signing, cert
+                        signed_adjacency(g, g_signs), 1, "minimize")
+    return g_signs, cert
+
+
+def _signing_children(engine: SigningEngine, signs: list, parent: Polynomial):
+    """The children of a signing level whose edge closes a cycle, +1 then
+    -1, as :func:`_keep` reads them: the +1 child is the engine's Phi_F,
+    and the -1 child, ``2 parent - plus`` exactly, is formed only if +1
+    does not meet."""
+    plus = engine.chars(signs + [1])
+    yield plus
+    yield 2 * parent - plus

@@ -19,7 +19,6 @@ from interlace import (
     Polynomial,
     real_roots,
     Graph,
-    Signing,
     adjacency,
     signed_adjacency,
     two_lift,
@@ -356,7 +355,7 @@ def test_criterion_10_ramanujan_pipeline(capsys):
         failures.append(("k4", "above-matching-root", lam, target))
     best = math.inf
     for bits in itertools.product([1, -1], repeat=k4.m):
-        s = Signing(dict(zip(k4.edges, bits)))
+        s = list(bits)
         best = min(best, float(np.max(signed_adjacency(k4, s).eigenvalues())))
     if lam < best - 1e-9:
         failures.append(("k4", "beat-exhaustive-optimum", lam, best))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import interlace.cli
-from interlace import Graph, Signing, VectorSystem, NotRealRootedError, signed_adjacency, \
+from interlace import Graph, VectorSystem, NotRealRootedError, signed_adjacency, \
     signing_select
 from interlace.cli import main
 from paper import matching_poly, top_root
@@ -200,10 +200,10 @@ def test_lift_three_iterations_reach_48_vertices(capsys, tmp_path):
     assert payload["final_n"] == 48
 
 
-def _faked_walk(graph, signing, cert):
-    """A signing walk's result faked to ``signing``, its certificate ``cert``
+def _faked_walk(graph, signs, cert):
+    """A signing walk's result faked to ``signs``, its certificate ``cert``
     on that signing's A_s, which lift reads lambda_max_signed off."""
-    return signing, dataclasses.replace(cert, realized=signed_adjacency(graph, signing))
+    return signs, dataclasses.replace(cert, realized=signed_adjacency(graph, signs))
 
 
 def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monkeypatch):
@@ -214,7 +214,7 @@ def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monk
     g = Graph.complete_bipartite(3, 3)
     _, cert = signing_select(g)
     monkeypatch.setattr(interlace.cli, "signing_select",
-                        lambda graph, budget: _faked_walk(graph, Signing.all_ones(graph), cert))
+                        lambda graph, budget: _faked_walk(graph, [1] * graph.m, cert))
     code, payload = run_cli(capsys, ["lift", str(k33)])
     assert code == 1
     step = payload["steps"][0]
@@ -231,9 +231,9 @@ def test_lift_balanced_signing_of_a_cycle_is_not_certified(capsys, tmp_path, mon
     c8 = tmp_path / "c8.txt"
     c8.write_text(g.to_edge_list())
     _, cert = signing_select(g)
-    balanced = {e: -1 if 3 in e else 1 for e in g.edges}  # switching at vertex 3
+    balanced = [-1 if 3 in e else 1 for e in g.edges]  # switching at vertex 3
     monkeypatch.setattr(interlace.cli, "signing_select",
-                        lambda graph, budget: _faked_walk(graph, Signing(balanced), cert))
+                        lambda graph, budget: _faked_walk(graph, balanced, cert))
     code, payload = run_cli(capsys, ["lift", str(c8)])
     assert code == 1
     step = payload["steps"][0]
@@ -317,6 +317,7 @@ def test_lift_malformed_edges_exit_2(capsys, tmp_path):
 
 BOOLS = '{"vectors": [[true, false], [false, true]]}'
 INFINITE = '{"vectors": [[Infinity, 0], [0, 1]]}'
+ZERO_DENOMINATOR = '{"vectors": [["1/0", 0], [0, 1]]}'
 
 
 @pytest.mark.parametrize("command, mode, text", [
@@ -328,13 +329,28 @@ INFINITE = '{"vectors": [[Infinity, 0], [0, 1]]}'
     ("weaver", "float", BOOLS), ("weaver", "exact", BOOLS),
     ("ri", "float", INFINITE), ("ri", "exact", INFINITE),
     ("weaver", "float", INFINITE), ("weaver", "exact", INFINITE),
+    ("ri", "exact", ZERO_DENOMINATOR), ("weaver", "exact", ZERO_DENOMINATOR),
+    ("mixedchar", "exact", '[[["1/0"]]]'),
+    ("ri", "float", '{"vectors": [["inf", 0], [0, 1]]}'),
+    ("weaver", "float", '{"vectors": [["nan", 0], [0, 1]]}'),
+    ("mixedchar", "float", '[[["inf"]]]'),
+    ("ri", "float", '{"vectors": [["1", 0], [0, 1]]}'),
+    ("ri", "float", '{"vectors": [[1e400, 0], [0, 1]]}'),
+    ("mixedchar", "float", "[[[1e400]]]"),
+    ("weaver", "float", '{"vectors": [[1' + "0" * 400 + ', 0], [0, 1]]}'),
 ], ids=["mixedchar-float-null", "mixedchar-exact-true", "mixedchar-float-inf",
         "mixedchar-exact-neginf", "ri-float-bools", "ri-exact-bools",
         "weaver-float-bools", "weaver-exact-bools", "ri-float-inf", "ri-exact-inf",
-        "weaver-float-inf", "weaver-exact-inf"])
+        "weaver-float-inf", "weaver-exact-inf", "ri-exact-zero-denominator",
+        "weaver-exact-zero-denominator", "mixedchar-exact-zero-denominator",
+        "ri-float-inf-string", "weaver-float-nan-string", "mixedchar-float-inf-string",
+        "ri-float-numeric-string", "ri-float-past-max", "mixedchar-float-past-max",
+        "weaver-float-int-past-max"])
 def test_non_numbers_in_json_input_exit_2(capsys, tmp_path, command, mode, text):
     # JSON true, false and null are not numbers, nor are NaN and Infinity,
-    # which Python's json module reads although JSON has no such values
+    # which Python's json module reads although JSON has no such values;
+    # float mode takes JSON numbers a float holds, no strings and nothing
+    # past the largest float, and an exact "p/q" string needs a nonzero q
     path = tmp_path / "input.json"
     path.write_text(text)
     argv = [command, str(path), "--mode", mode] + (["-k", "1"] if command == "ri" else [])

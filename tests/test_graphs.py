@@ -10,7 +10,6 @@ import pytest
 from interlace import graphs
 from interlace import (
     Graph,
-    Signing,
     adjacency,
     signed_adjacency,
     frontier_order,
@@ -132,26 +131,36 @@ def test_laplacian_complete_graph_eigenvalues():
 
 def test_signing_basics():
     g = Graph.cycle(4)
-    s = Signing.all_ones(g)
-    assert all(s[e] == 1 for e in g.edges)
+    s = [1] * g.m
+    assert all(signed_adjacency(g, s).a[e] == 1 for e in g.edges)
     assert signed_adjacency(g, s) == adjacency(g)
-    flip = Signing({e: (-1 if i == 0 else 1) for i, e in enumerate(g.edges)})
+    flip = [-1 if i == 0 else 1 for i in range(g.m)]
     m = signed_adjacency(g, flip)
     assert m.a[0, 1] == -1 and m.a[1, 0] == -1
 
 
 def test_signing_validation():
+    # one check for every taker of a signing: +-1 entries, one per edge
+    # (a prefix for the engine), and one sequence
     g = Graph.cycle(4)
-    with pytest.raises(ValueError):
-        Signing({(0, 1): 2})  # not a sign
-    partial = Signing({(0, 1): 1})
-    with pytest.raises(ValueError):
-        partial.validate_for(g)  # wrong edge set
+    engine = SigningEngine(g)
+    for take, lengths in ((lambda s: signed_adjacency(g, s), (3, 5)),
+                          (lambda s: two_lift(g, s), (3, 5)),
+                          (engine.chars, (5,))):
+        with pytest.raises(ValueError, match="must be"):
+            take([1, 2, 1, 1])  # not a sign
+        with pytest.raises(ValueError, match="must be"):
+            take([1, 0, 1, 1])
+        for length in lengths:
+            with pytest.raises(ValueError, match="signs given"):
+                take([1] * length)  # wrong length
+        with pytest.raises(ValueError, match="at a time"):
+            take(np.ones((2, 2), dtype=int))  # 2-D
 
 
 def test_all_minus_signing_negates_bipartite_spectrum():
     g = Graph.complete_bipartite(2, 2)
-    s = Signing({e: -1 for e in g.edges})
+    s = [-1] * g.m
     w1 = np.sort(adjacency(g).eigenvalues())
     w2 = np.sort(signed_adjacency(g, s).eigenvalues())
     assert np.allclose(w1, w2)  # flipping every edge is a similarity here
@@ -224,7 +233,7 @@ def test_godsil_gutman_average_is_exact_integer_identity():
     g = Graph.cycle(4)
     total = Polynomial.zero()
     for bits in itertools.product([1, -1], repeat=g.m):
-        s = Signing(dict(zip(g.edges, bits)))
+        s = list(bits)
         total = total + char_poly(signed_adjacency(g, s))
     assert total == 2 ** g.m * matching_poly(g)
 
@@ -282,8 +291,7 @@ def test_expected_signed_chars_fully_signed_is_char_poly():
     g = CUBE
     signs = np.random.default_rng(61).choice([-1, 1], g.m)
     phi = SigningEngine(g).chars(signs)
-    s = Signing(dict(zip(g.edges, signs.tolist())))
-    assert phi == char_poly(signed_adjacency(g, s))
+    assert phi == char_poly(signed_adjacency(g, signs))
 
 
 def test_expected_signed_chars_empty_prefix_is_matching_poly():
@@ -438,8 +446,8 @@ def test_frontier_order_is_a_permutation_with_small_frontiers():
 def _cover24():
     """A connected 24-vertex cubic Ramanujan double cover of K_{3,3}."""
     k33 = Graph.complete_bipartite(3, 3)
-    g = two_lift(k33, Signing({e: -1 if i in (0, 4) else 1 for i, e in enumerate(k33.edges)}))
-    return two_lift(g, Signing({e: -1 if i % 5 == 0 else 1 for i, e in enumerate(g.edges)}))
+    g = two_lift(k33, [-1 if i in (0, 4) else 1 for i in range(k33.m)])
+    return two_lift(g, [-1 if i % 5 == 0 else 1 for i in range(g.m)])
 
 
 def test_frontier_order_does_not_depend_on_the_numbering():
@@ -461,14 +469,14 @@ def test_frontier_order_does_not_depend_on_the_numbering():
 
 def test_two_lift_all_ones_is_disjoint_double():
     g = Graph.cycle(4)
-    lift = two_lift(g, Signing.all_ones(g))
+    lift = two_lift(g, [1] * g.m)
     assert lift.n == 8 and lift.m == 8
     assert not lift.is_connected()  # two parallel copies
 
 
 def test_two_lift_all_minus_on_cycle_gives_big_cycle():
     g = Graph.cycle(3)
-    s = Signing({e: -1 for e in g.edges})
+    s = [-1] * g.m
     lift = two_lift(g, s)
     assert lift.n == 6 and lift.m == 6
     assert lift.is_connected()
@@ -482,7 +490,7 @@ def test_two_lift_spectrum_is_union():
     rng = np.random.default_rng(59)
     g = Graph.petersen()
     for _ in range(10):
-        s = Signing({e: int(rng.choice([-1, 1])) for e in g.edges})
+        s = [int(rng.choice([-1, 1])) for _ in g.edges]
         lift = two_lift(g, s)
         w_lift = np.sort(adjacency(lift).eigenvalues())
         w_union = np.sort(np.concatenate([
@@ -497,7 +505,7 @@ def _exact_char(g, s=None):
 
 
 def _random_signings(rng, g, count):
-    return [Signing({e: int(rng.choice([-1, 1])) for e in g.edges}) for _ in range(count)]
+    return [[int(rng.choice([-1, 1])) for _ in g.edges] for _ in range(count)]
 
 
 def test_signed_adjacency_is_its_rank_one_form():
@@ -507,9 +515,9 @@ def test_signed_adjacency_is_its_rank_one_form():
         d = g.regularity()
         for s in _random_signings(rng, g, 4):
             gram = np.zeros((g.n, g.n), dtype=int)
-            for a, b in g.edges:
+            for (a, b), sign in zip(g.edges, s):
                 vec = np.zeros(g.n, dtype=int)
-                vec[a], vec[b] = 1, s[(a, b)]
+                vec[a], vec[b] = 1, sign
                 gram += np.outer(vec, vec)
             assert np.array_equal(gram - d * np.eye(g.n, dtype=int), signed_adjacency(g, s).a)
 
@@ -528,8 +536,8 @@ def test_signed_bound_is_exact_at_equality():
     # the all-+1 cycle has top eigenvalue 2 = 2 sqrt(d - 1) exactly at d = 2;
     # the all-+1 K_{3,3} has 3 > 2 sqrt(2)
     c8, k33 = Graph.cycle(8), Graph.complete_bipartite(3, 3)
-    assert roots_above(squared_roots(_exact_char(c8, Signing.all_ones(c8))), 4) == 0
-    assert roots_above(squared_roots(_exact_char(k33, Signing.all_ones(k33))), 8) == 1
+    assert roots_above(squared_roots(_exact_char(c8, [1] * c8.m)), 4) == 0
+    assert roots_above(squared_roots(_exact_char(k33, [1] * k33.m)), 8) == 1
 
 
 def test_squared_roots_splits_even_and_odd_polynomials():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from interlace import Graph, Signing, SigningEngine, SymMatrix, char_poly, charpoly_batch, \
+from interlace import Graph, SigningEngine, SymMatrix, char_poly, charpoly_batch, \
     charpoly_batch_exact, frontier_order, graphs, two_lift
 from interlace.poly import Polynomial, real_roots
 from oracles import berkowitz_charpoly
@@ -273,8 +273,8 @@ def _leaf_graph(name):
     # a connected 24-vertex cubic Ramanujan double cover of K_{3,3}, in
     # the frontier order a signing walk takes it in
     k33 = Graph.complete_bipartite(3, 3)
-    g = two_lift(k33, Signing({e: -1 if i in (0, 4) else 1 for i, e in enumerate(k33.edges)}))
-    g = two_lift(g, Signing({e: -1 if i % 5 == 0 else 1 for i, e in enumerate(g.edges)}))
+    g = two_lift(k33, [-1 if i in (0, 4) else 1 for i in range(k33.m)])
+    g = two_lift(g, [-1 if i % 5 == 0 else 1 for i in range(g.m)])
     label = {v: i for i, v in enumerate(frontier_order(g))}
     return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
 

@@ -886,7 +886,7 @@ def test_walks_on_constructions_take_no_sturm_sequence(monkeypatch):
     chosen, cert = restricted_invertibility_select(vs, 3)
     assert len(set(chosen)) == 3 and cert.valid()
     signing, cert = signing_select(Graph.complete_bipartite(3, 3))
-    assert len(signing.signs) == 9 and cert.valid()
+    assert len(signing) == 9 and cert.valid()
     # outside input still meets the checker
     with pytest.raises(AssertionError):
         exact_real_roots(Polynomial([7, -5, 1]))

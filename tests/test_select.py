@@ -37,7 +37,7 @@ from interlace import (
     signing_select,
     two_lift,
     Graph,
-    Signing,
+    adjacency,
     SigningEngine,
     signed_adjacency,
     frontier_order,
@@ -800,7 +800,7 @@ def test_signing_vectors_gram_identity():
             _, v = r.support[b]
             a = np.asarray(v)
             acc = acc + np.outer(a, a)
-        s = Signing({e: 1 if b == 0 else -1 for e, b in zip(g.edges, bits)})
+        s = [1 if b == 0 else -1 for b in bits]
         expect = signed_adjacency(g, s).a + d * np.eye(g.n, dtype=int)
         assert (acc == expect).all()
 
@@ -819,7 +819,7 @@ def test_signing_select_k4_matches_exhaustive_oracle():
     # exhaustive check over all 64 signings: greedy cannot beat the optimum
     best = math.inf
     for bits in itertools.product([1, -1], repeat=g.m):
-        s = Signing(dict(zip(g.edges, bits)))
+        s = list(bits)
         best = min(best, float(np.max(signed_adjacency(g, s).eigenvalues())))
     assert lam >= best - 1e-9
 
@@ -849,7 +849,8 @@ def test_signing_select_matches_exact_enumeration_walk():
         ref = greedy_walk(state)
         signing, cert = signing_select(g)
         assert cert.choices == ref.choices
-        assert [signing[(order[a], order[b])] for a, b in walk.edges] \
+        sign = dict(zip(g.edges, signing))
+        assert [sign[tuple(sorted((order[a], order[b])))] for a, b in walk.edges] \
             == [1 - 2 * c for c in ref.choices]
         assert abs(cert.pledged - exact_real_roots(matching_poly(g))[0]) <= 1e-12
         assert cert.valid()
@@ -1070,6 +1071,53 @@ def _cover24() -> Graph:
 
 
 SYMMETRY_GRAPHS = [CUBE, Graph.petersen(), _cover24()]
+
+
+@pytest.mark.parametrize("g", [CUBE, SYMMETRY_GRAPHS[2]], ids=["cube", "cover24"])
+def test_signing_walk_forms_the_minus_child_only_when_plus_misses(monkeypatch, g):
+    # the -1 child, 2 parent - plus, is formed only when the keep rule reads
+    # it, at the levels whose +1 child does not meet its parent: one
+    # subtraction of a +1 child per level that keeps -1, and some levels
+    # keep +1 without forming -1
+    pluses, minuses, kept = [], [], []
+    chars, sub, keep = SigningEngine.chars, Polynomial.__sub__, select_module._keep
+
+    def recorded_chars(self, signs):
+        pluses.append(chars(self, signs))
+        return pluses[-1]
+
+    def recorded_sub(self, other):
+        if any(other is plus for plus in pluses):
+            minuses.append(other)
+        return sub(self, other)
+
+    def recorded_keep(children, parent, k, maximize):
+        out = keep(children, parent, k, maximize)
+        kept.append(out[0])
+        return out
+
+    monkeypatch.setattr(SigningEngine, "chars", recorded_chars)
+    monkeypatch.setattr(Polynomial, "__sub__", recorded_sub)
+    monkeypatch.setattr(select_module, "_keep", recorded_keep)
+    _, cert = signing_select(g)
+    assert len(kept) == g.m - (g.n - 1)  # one keep per level closing a cycle
+    assert len(minuses) == kept.count(1) == sum(cert.choices) > 0
+    assert kept.count(0) > 0
+
+
+@pytest.mark.parametrize("g", [CUBE, Graph.complete_bipartite(3, 3),
+                               Graph.complete_bipartite(4, 4)], ids=["cube", "K33", "K44"])
+def test_signing_select_returns_signs_in_edge_order(g):
+    # chi(lift) = chi(A) chi(A_s) exactly (Bilu-Linial), with A_s the walk's
+    # final_poly, only if each sign sits on the edge of g it was chosen
+    # for: on relabelled copies the walk's order is not g.edges'
+    rng = np.random.default_rng(97)
+    for _ in range(4):
+        perm = rng.permutation(g.n)
+        h = Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+        signs, cert = signing_select(h)
+        assert len(signs) == h.m and set(signs) <= {1, -1}
+        assert char_poly(adjacency(two_lift(h, signs))) == char_poly(adjacency(h)) * cert.final_poly
 
 
 @pytest.mark.parametrize("g", SYMMETRY_GRAPHS, ids=["cube", "petersen", "cover24"])
