@@ -1,9 +1,14 @@
 """Interlacing families: real-rooted polynomials, mixed characteristic
 polynomials, and greedy spectral selection with certificates.
 
-The package holds what the four commands run.  The soft-edge barriers
-are in :mod:`interlace.barrier`, imported by name; the paper's other
-identities and bounds are checks in ``tests/paper.py``."""
+The package holds what the four commands run, functions and class
+members alike, and imports numpy and the standard library only.  What
+no command enters stays for the bench's tracer: the soft-edge barriers
+of :mod:`interlace.barrier`, imported by name, and
+``Polynomial.derivative``, patched by name.  The paper's other
+identities and bounds are checks in ``tests/paper.py``, and the tests'
+fixtures (named graphs, polynomials from their roots, random isotropic
+systems) are in ``tests/fixtures.py``."""
 
 from .poly import (
     Polynomial,

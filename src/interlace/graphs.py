@@ -48,10 +48,12 @@ __all__ = [
     "is_ramanujan_bipartite",
 ]
 
-# Leaf groups per exact-kernel call in SigningEngine.chars: bounds the
-# (groups, |V(F)|, |V(F)|) stacks, which would otherwise dominate
-# peak memory.
-LEAF_CHUNK = 256
+# Matrix entries per exact-kernel call in SigningEngine.chars: a call
+# takes LEAF_ENTRIES // |V(F)|^2 leaf groups, and at least one, so that
+# its (groups, |V(F)|, |V(F)|) stack and the kernel's baby steps, about
+# ten copies of it, stay bounded at every |V(F)|.  Up to |V(F)| = 32 a
+# call takes at least 256 groups.
+LEAF_ENTRIES = 1 << 18
 
 
 class Graph:
@@ -75,33 +77,6 @@ class Graph:
         self.edges = tuple(sorted(norm))
         self.n = n
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-    @classmethod
-    def complete_bipartite(cls, a: int, b: int) -> "Graph":
-        return cls(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-    @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        if n < 3:
-            raise ValueError("a cycle needs at least 3 vertices")
-        return cls(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def petersen(cls) -> "Graph":
-        outer = [(i, (i + 1) % 5) for i in range(5)]
-        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        spokes = [(i, 5 + i) for i in range(5)]
-        return cls(10, outer + inner + spokes)
-
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
         """Parse the `u v` per-line format, 0-indexed; n = max vertex + 1."""
@@ -123,9 +98,6 @@ class Graph:
         n = max(max(e) for e in edges) + 1
         return cls(n, edges)
 
-    def to_edge_list(self) -> str:
-        return "\n".join(f"{a} {b}" for a, b in self.edges) + "\n"
-
     # -- structure queries --------------------------------------------
 
     @property
@@ -138,9 +110,6 @@ class Graph:
             deg[a] += 1
             deg[b] += 1
         return deg
-
-    def max_degree(self) -> int:
-        return max(self.degree_sequence(), default=0)
 
     def regularity(self):
         """The common degree d if regular, else None."""
@@ -315,8 +284,10 @@ class SigningEngine:
     :meth:`walk_entries` adds a walk's leaf entries to them.  A vertex
     outside V(F) is isolated in A_F, so each leaf is chi(A_F[V(F)] with
     S zeroed) times x^(n - |V(F)|), divided by x^(2|M|): the exact kernel
-    (:func:`charpoly_batch_exact`) runs at size |V(F)|, on ``LEAF_CHUNK``
-    groups at a time, in int64 on every leaf for which k times its k-th
+    (:func:`charpoly_batch_exact`) runs at size |V(F)|, on
+    ``LEAF_ENTRIES // |V(F)|^2`` groups at a time and at least one, so
+    that a call's stacks hold about ``LEAF_ENTRIES`` entries at every
+    size.  It runs in int64 on every leaf for which k times its k-th
     coefficient provably fits (a leaf of a cubic graph with at most 42
     nonzero rows; see :func:`charpoly_batch_exact`) and in Python ints on
     the others.
@@ -354,8 +325,9 @@ class SigningEngine:
         bits = np.array([1 << v for v in verts], dtype=masks.dtype)
         live = ((masks[:, None] & bits[None, :]) == 0).astype(np.int64)
         total = np.zeros(n + 1, dtype=object)
-        for lo in range(0, len(masks), LEAF_CHUNK):
-            keep, w = live[lo:lo + LEAF_CHUNK], weights[lo:lo + LEAF_CHUNK]
+        chunk = max(1, LEAF_ENTRIES // max(1, nf * nf))
+        for lo in range(0, len(masks), chunk):
+            keep, w = live[lo:lo + chunk], weights[lo:lo + chunk]
             chars = charpoly_batch_exact(signed * (keep[:, :, None] * keep[:, None, :]))
             if object in (chars.dtype, w.dtype) or \
                     int(np.abs(w).sum()) * int(np.abs(chars).max()) >= 1 << 63:

@@ -37,15 +37,25 @@ def _coerce_array(a):
     return np.array(arr, dtype=float)
 
 
+def _refuse_nonfinite(arr: np.ndarray, what: str) -> None:
+    """ValueError naming the first non-finite entry of a float array,
+    "<what> <index> is <value>, not finite"; exact arrays pass as they are."""
+    if arr.dtype != object and not np.isfinite(arr).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise ValueError(f"{what} {at[0] if len(at) == 1 else at} is {arr[at]}, not finite")
+
+
 class SymMatrix:
     """A real symmetric matrix.
 
     Exact entries (ints, Fractions) must be symmetric entry-for-entry.
-    Float entries may deviate by up to ``SYM_TOL`` relative to the largest
-    magnitude - products of symmetric factors routinely do - and are
-    symmetrized to ``A/2 + (A/2).T`` on construction; both the test and
-    the sum take the halves, so that entries near the top of the float
-    range cannot overflow.
+    Float entries must be finite, which is checked before any arithmetic
+    (ValueError naming the first that is not).  They may deviate by up
+    to ``SYM_TOL`` relative to the largest magnitude - products of
+    symmetric factors routinely do - and are symmetrized to
+    ``A/2 + (A/2).T`` on construction; both the test and the sum take the
+    halves, so that entries near the top of the float range cannot
+    overflow.
     """
 
     __slots__ = ("a",)
@@ -54,6 +64,7 @@ class SymMatrix:
         arr = _coerce_array(a)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+        _refuse_nonfinite(arr, "matrix entry")
         if arr.dtype == object:
             if not (arr == arr.T).all():
                 raise ValueError("matrix is not symmetric")
@@ -75,42 +86,10 @@ class SymMatrix:
         return self.a.dtype == object
 
     @classmethod
-    def zeros(cls, n: int, exact: bool = False) -> "SymMatrix":
-        if exact:
-            return cls(np.zeros((n, n), dtype=int))
-        return cls(np.zeros((n, n)))
-
-    @classmethod
     def identity(cls, n: int, exact: bool = False) -> "SymMatrix":
         if exact:
             return cls(np.eye(n, dtype=int))
         return cls(np.eye(n))
-
-    @classmethod
-    def outer(cls, v) -> "SymMatrix":
-        """Rank-one matrix v v^T."""
-        vec = np.asarray(v)
-        if vec.dtype != object and not np.issubdtype(vec.dtype, np.floating):
-            vec = np.array(vec, dtype=object)
-        return cls(np.outer(vec, vec))
-
-    def to_float(self) -> "SymMatrix":
-        return SymMatrix(self.a.astype(float))
-
-    def __add__(self, other):
-        if isinstance(other, SymMatrix):
-            return SymMatrix(self.a + other.a)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, SymMatrix):
-            return SymMatrix(self.a - other.a)
-        return NotImplemented
-
-    def __mul__(self, c):
-        return SymMatrix(self.a * c)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, SymMatrix):
@@ -153,7 +132,7 @@ def char_poly(m: SymMatrix) -> Polynomial:
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
     if m.n == 0:
-        return Polynomial.one()
+        return Polynomial((1,))
     kernel = charpoly_batch_exact if m.is_exact else charpoly_batch
     return Polynomial(kernel(m.a[None])[0])
 

@@ -58,7 +58,7 @@ import numpy as np
 
 from .poly import Polynomial
 from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact, \
-    _cleared, _coerce_array, _validate_matrix_list, _validate_psd_list
+    _cleared, _coerce_array, _refuse_nonfinite, _validate_matrix_list, _validate_psd_list
 from .tolerances import PROB_TOL
 
 __all__ = [
@@ -97,20 +97,30 @@ def _coerce_vector(v):
 
 
 class DiscreteRandomVector:
-    """A random vector supported on finitely many (probability, vector) pairs."""
+    """A random vector supported on finitely many (probability, vector) pairs.
+
+    Float probabilities and vector components must be finite; each
+    outcome is checked before any arithmetic on it, and ValueError names
+    the first that is not.  Probabilities must be positive and sum to 1,
+    exactly for exact ones and within ``PROB_TOL`` once a float enters.
+    """
 
     __slots__ = ("support",)
 
     def __init__(self, support):
         items = []
-        for prob, vec in support:
+        for i, (prob, vec) in enumerate(support):
             if isinstance(prob, float):
+                if not math.isfinite(prob):
+                    raise ValueError(f"probability of outcome {i} is {prob}, not finite")
                 p = prob
             else:
                 p = Fraction(prob)
+            vec = _coerce_vector(vec)
+            _refuse_nonfinite(vec, f"outcome {i}'s vector component")
             if p <= 0:
                 raise ValueError("probabilities must be positive")
-            items.append((p, _coerce_vector(vec)))
+            items.append((p, vec))
         if not items:
             raise ValueError("support must be nonempty")
         d = len(items[0][1])
@@ -134,26 +144,12 @@ class DiscreteRandomVector:
                    for p, v in self.support)
 
     @classmethod
-    def deterministic(cls, v) -> "DiscreteRandomVector":
-        vec = _coerce_vector(v)
-        one = 1 if vec.dtype == object else 1.0
-        return cls([(one, vec)])
-
-    @classmethod
     def two_point(cls, v, w) -> "DiscreteRandomVector":
         """Takes value v or w, each with probability 1/2: exactly 1/2 when
         both are exact, 0.5 otherwise."""
         vv, ww = _coerce_vector(v), _coerce_vector(w)
         half = Fraction(1, 2) if (vv.dtype == object and ww.dtype == object) else 0.5
         return cls([(half, vv), (half, ww)])
-
-    def covariance(self) -> SymMatrix:
-        """E[v v^T] over the support."""
-        acc = None
-        for p, v in self.support:
-            term = p * np.outer(v, v)
-            acc = term if acc is None else acc + term
-        return SymMatrix(acc)
 
     def __repr__(self):
         return f"DiscreteRandomVector({len(self.support)} outcomes, dim {self.dim})"

@@ -58,7 +58,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
-from .tolerances import BACKWARD_TOL, COEFF_TOL, LAGUERRE_TOL, START_OFFSET
+from .tolerances import BACKWARD_TOL, LAGUERRE_TOL, START_OFFSET
 
 __all__ = [
     "Polynomial",
@@ -127,31 +127,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, k: int, lead=1) -> "Polynomial":
-        """``lead * x**k``."""
-        if k < 0:
-            raise ValueError("monomial degree must be nonnegative")
-        return cls((0,) * k + (lead,))
-
-    @classmethod
-    def from_roots(cls, roots, lead=1) -> "Polynomial":
-        """Monic-up-to-``lead`` polynomial with the given roots."""
-        p = cls((lead,))
-        for r in roots:
-            p = p * cls((-_normalize_scalar(r), 1))
-        return p
-
     # -- basic queries ------------------------------------------------
 
     @property
@@ -214,7 +189,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             if self.is_zero or other.is_zero:
-                return Polynomial.zero()
+                return Polynomial(())
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
@@ -239,21 +214,6 @@ class Polynomial:
         else:
             inv = 1.0 / lead
         return Polynomial([c * inv for c in self.coeffs])
-
-    def to_float(self) -> "Polynomial":
-        return Polynomial([float(c) for c in self.coeffs])
-
-    def allclose(self, other: "Polynomial") -> bool:
-        """Coefficientwise agreement within ``COEFF_TOL``, relative to the
-        larger polynomial's size."""
-        a = [float(c) for c in self.coeffs]
-        b = [float(c) for c in other.coeffs]
-        while len(a) < len(b):
-            a.append(0.0)
-        while len(b) < len(a):
-            b.append(0.0)
-        scale = max([1.0] + [abs(c) for c in a + b])
-        return all(abs(x - y) <= COEFF_TOL * scale for x, y in zip(a, b))
 
 
 # ----------------------------------------------------------------------

@@ -60,8 +60,8 @@ import numpy as np
 
 from .poly import Polynomial, TopRoot, float_top_root, _float_roots, _squarefree, \
     root_clusters, roots_above, shift_chain, EIG_START_POLES
-from .matrices import SymMatrix, _cleared, _coerce_array, _vieta, char_poly, \
-    charpoly_batch_exact
+from .matrices import SymMatrix, _cleared, _coerce_array, _refuse_nonfinite, _vieta, \
+    char_poly, charpoly_batch_exact
 from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
     TableArithmetic, fold_terms, peel_terms, _expected_char_with_base
 from .graphs import Graph, SigningEngine, frontier_order, signed_adjacency
@@ -98,7 +98,11 @@ RI_BATCH = 8
 
 
 class VectorSystem:
-    """A finite list of vectors in R^n, stored as the rows of an (m, n) array."""
+    """A finite list of vectors in R^n, stored as the rows of an (m, n) array.
+
+    Float components must be finite: ValueError names the first that is
+    not, before any arithmetic on the rows.
+    """
 
     __slots__ = ("vectors", "_gram")
 
@@ -109,6 +113,7 @@ class VectorSystem:
         if arr.ndim != 2 or 0 in arr.shape:
             raise ValueError("need a nonempty list of equal-length, nonempty vectors")
         self.vectors = _coerce_array(arr)
+        _refuse_nonfinite(self.vectors, "vector component")
         self.vectors.setflags(write=False)
         self._gram = None
 
@@ -165,22 +170,14 @@ class VectorSystem:
         v = self.vectors.astype(float)
         return float(np.max(np.sum(v * v, axis=1)))
 
-    @classmethod
-    def random_isotropic(cls, n: int, m: int, rng) -> "VectorSystem":
-        """m >= n rows whose outer products sum exactly (numerically) to I_n."""
-        if m < n:
-            raise ValueError("need at least n vectors for isotropy")
-        g = rng.standard_normal((m, n))
-        # Whiten: rows of G (G^T G)^(-1/2) have Gram sum exactly I.
-        sym = g.T @ g
-        w, u = np.linalg.eigh(sym)
-        inv_half = u @ np.diag(1.0 / np.sqrt(w)) @ u.T
-        return cls(g @ inv_half)
-
 
 @dataclass
 class AssignmentState:
-    """A node of the outcome tree: fixed choices plus remaining randomness."""
+    """A node of the outcome tree: fixed choices plus remaining randomness.
+
+    Float components of the fixed vectors must be finite, as those of
+    the remaining ones are (:class:`DiscreteRandomVector`).
+    """
 
     fixed: list
     remaining: list
@@ -188,6 +185,8 @@ class AssignmentState:
     direction: str = "maximize"
 
     def __post_init__(self):
+        for i, v in enumerate(self.fixed):
+            _refuse_nonfinite(_coerce_array(v), f"fixed vector {i}'s component")
         if self.direction not in ("maximize", "minimize"):
             raise ValueError("direction must be 'maximize' or 'minimize'")
         if self.k < 1:

@@ -43,13 +43,15 @@ import numpy as np
 
 from interlace import AssignmentState, DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, \
     char_poly, mixed_char
-from interlace.graphs import LEAF_CHUNK, frontier_order
+from interlace.graphs import LEAF_ENTRIES, frontier_order
 from interlace.matrices import _validate_psd_list, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
 from interlace.select import _kth_cluster, _kth_root, _ri_scores
 from interlace.poly import TopRoot, _count_above, _integer_coeffs, _primitive, \
     _pseudo_divmod, shift_chain
-from paper import apply_shift_operator, exact_real_roots, is_real_rooted, top_root
+from fixtures import allclose
+from paper import apply_shift_operator, covariance, exact_real_roots, is_real_rooted, \
+    top_root
 
 
 # The 3-cube Q_3: K_{4,4} minus a perfect matching.
@@ -120,7 +122,7 @@ class TruncatedMultiAffine:
         return TruncatedMultiAffine(out)
 
     def coefficient(self, s) -> Polynomial:
-        return self.terms.get(frozenset(s), Polynomial.zero())
+        return self.terms.get(frozenset(s), Polynomial(()))
 
     def __repr__(self):
         return f"TruncatedMultiAffine({len(self.terms)} terms)"
@@ -139,7 +141,7 @@ def det_truncated(mats, exact: bool) -> TruncatedMultiAffine:
         for i, a in enumerate(arrays):
             val = a[r, c]
             if val != 0:
-                terms[frozenset({i})] = terms.get(frozenset({i}), Polynomial.zero()) \
+                terms[frozenset({i})] = terms.get(frozenset({i}), Polynomial(())) \
                     + Polynomial([val])
         return TruncatedMultiAffine(terms)
 
@@ -147,7 +149,7 @@ def det_truncated(mats, exact: bool) -> TruncatedMultiAffine:
 
     def minor(cols: frozenset) -> TruncatedMultiAffine:
         if not cols:
-            return TruncatedMultiAffine.constant(Polynomial.one())
+            return TruncatedMultiAffine.constant(Polynomial((1,)))
         hit = cache.get(cols)
         if hit is not None:
             return hit
@@ -169,7 +171,7 @@ def ring_mixed_char(matrices) -> Polynomial:
     """mu[A_1..A_m] as sum_S (-1)^|S| c_S(x) over the ring's coefficients."""
     mats = _validate_psd_list(matrices)
     exact = all(mat.is_exact for mat in mats)
-    acc = Polynomial.zero()
+    acc = Polynomial(())
     for s, c_s in det_truncated(mats, exact).terms.items():
         acc = acc + c_s if len(s) % 2 == 0 else acc - c_s
     return acc
@@ -220,11 +222,11 @@ def conditional_expected_poly(state: AssignmentState, budget: int = DEFAULT_BUDG
     exact = state.is_exact
     out = _enumerate(_base(state.fixed, state.dim, exact), state.remaining, budget, exact)
     if cross_check:
-        mats = [SymMatrix.outer(v) for v in state.fixed] \
-            + [r.covariance() for r in state.remaining]
+        mats = [SymMatrix(np.outer(v, v)) for v in state.fixed] \
+            + [covariance(r) for r in state.remaining]
         alt = mixed_char(mats)
         agree = out == alt if (out.is_exact and alt.is_exact) \
-            else out.allclose(alt)
+            else allclose(out, alt)
         if not agree:
             raise RuntimeError("enumeration and engine disagree")
     return out
@@ -334,8 +336,8 @@ def forward_signed_chars(g: Graph, prefixes,
     S = V(M) & V(F): chi(A_F[V - V(M)]) is chi of A_F with the rows and
     columns of S zeroed, divided by x^(2|M|), and the stacks of those
     matrices, for every row, go through :func:`charpoly_batch_exact`
-    ``LEAF_CHUNK`` vertex sets at a time.  All rows share the DP, since it
-    depends on F only through V(F).
+    about ``LEAF_ENTRIES`` matrix entries at a time.  All rows share the
+    DP, since it depends on F only through V(F).
 
     The DP's states, summed over its steps, are counted against
     ``budget``; :class:`BudgetExceededError` is raised as soon as the
@@ -388,14 +390,15 @@ def forward_signed_chars(g: Graph, prefixes,
     for mask, gi in groups.items():
         live[gi, [v for v in range(n) if mask >> v & 1]] = 0
     total = np.zeros((rows, n + 1), dtype=object)
-    for lo in range(0, len(groups), LEAF_CHUNK):
-        keep = live[lo:lo + LEAF_CHUNK]
+    chunk = max(1, LEAF_ENTRIES // max(1, rows * n * n))
+    for lo in range(0, len(groups), chunk):
+        keep = live[lo:lo + chunk]
         stack = signed[None] * (keep[:, None, :, None] * keep[:, None, None, :])
         chars = charpoly_batch_exact(stack.reshape(-1, n, n))
         chars = chars.reshape(len(keep), rows, n + 1).astype(object)
         for k in range(half + 1):
             total[:, :n + 1 - 2 * k] += np.tensordot(
-                weights[lo:lo + LEAF_CHUNK, k], chars[:, :, 2 * k:], 1)
+                weights[lo:lo + chunk, k], chars[:, :, 2 * k:], 1)
     return [Polynomial(row.tolist()) for row in total]
 
 

@@ -143,7 +143,7 @@ def laguerre_transform(n: int, k: int) -> Polynomial:
     """Return ``(1 - d/dx)^n`` applied to ``x**k``, with exact integer coefficients."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    p = Polynomial.monomial(k)
+    p = Polynomial((0,) * k + (1,))
     for _ in range(n):
         p = p - p.derivative()
     return p
@@ -157,10 +157,10 @@ def diagram_identity_check(n: int, k: int) -> bool:
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    lhs = Polynomial.monomial(n)
+    lhs = Polynomial((0,) * n + (1,))
     for _ in range(k):
         lhs = lhs - lhs.derivative()
-    rhs = Polynomial.monomial(n - k) * laguerre_transform(n, k)
+    rhs = Polynomial((0,) * (n - k) + (1,)) * laguerre_transform(n, k)
     return lhs == rhs
 
 
@@ -357,7 +357,7 @@ def heilmann_lieb_check(g: Graph) -> bool:
     mu_G is real-rooted and of the form x^e q(x^2) (``squared_roots``),
     so the bound holds when q has no root above the integer 4(d-1).
     """
-    d = g.max_degree()
+    d = max(g.degree_sequence(), default=0)
     if d < 2:
         raise ValueError("maximum degree must be at least 2")
     return roots_above(squared_roots(matching_poly(g)), 4 * (d - 1)) == 0
@@ -416,6 +416,15 @@ def spectral_approx_factors(h: Graph, g: Graph, h_weights=None,
 # ----------------------------------------------------------------------
 
 
+def covariance(r: DiscreteRandomVector) -> SymMatrix:
+    """E[r r^T] over the support of r."""
+    acc = None
+    for p, v in r.support:
+        term = p * np.outer(v, v)
+        acc = term if acc is None else acc + term
+    return SymMatrix(acc)
+
+
 def mixed_char_root_bound(matrices) -> float:
     """The bound (1 + sqrt(eps))^2, eps = max trace, for families summing to I.
 
@@ -426,7 +435,7 @@ def mixed_char_root_bound(matrices) -> float:
     """
     mats = _validate_psd_list(matrices)
     d = mats[0].n
-    total = sum(mats[1:], mats[0])
+    total = SymMatrix(sum(m.a for m in mats))
     if all(m.is_exact for m in mats):
         is_identity = total == SymMatrix.identity(d, exact=True)
     else:

@@ -24,6 +24,7 @@ from interlace import (
     two_lift,
     is_ramanujan_bipartite,
     DiscreteRandomVector,
+    SymMatrix,
     mixed_char,
     VectorSystem,
     restricted_invertibility_bound,
@@ -33,8 +34,9 @@ from interlace import (
     signing_select,
 )
 from interlace.barrier import laguerre_root_bounds, lower_shift_check, upper_shift_check
+from fixtures import complete, complete_bipartite, from_roots, petersen, random_isotropic
 from oracles import conditional_expected_poly, root_state
-from paper import godsil_gutman_check, heilmann_lieb_check, is_real_rooted, \
+from paper import covariance, godsil_gutman_check, heilmann_lieb_check, is_real_rooted, \
     laguerre_transform, mixed_char_root_bound, signing_vectors, spectral_approx_factors
 
 
@@ -55,7 +57,7 @@ def test_criterion_01_laguerre_bounds(capsys):
     for n in range(1, 31):
         for k in range(1, n + 1):
             p = laguerre_transform(n, k)
-            r = real_roots(p.to_float())
+            r = real_roots(Polynomial([float(c) for c in p.coeffs]))
             lo, hi = laguerre_root_bounds(n, k)
             if r.min() < lo - 1e-6 or r.max() > hi + 1e-6:
                 violations.append((n, k, float(r.min()), float(r.max())))
@@ -77,7 +79,7 @@ def test_criterion_02_shift_inequalities(capsys):
     failures = []
     for i in range(500):
         deg = int(rng.integers(1, 13))
-        f = Polynomial.from_roots(rng.uniform(-5.0, 5.0, deg).tolist())
+        f = from_roots(rng.uniform(-5.0, 5.0, deg).tolist())
         phi_lo = float(rng.uniform(0.05, 4.0))
         phi_up = float(rng.uniform(0.05, 0.95))
         if not lower_shift_check(f, phi_lo):
@@ -135,7 +137,7 @@ def bounded_degree_graphs():
         edges = [(a, b) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < p]
         g = Graph(n, edges)
-        if 2 <= g.max_degree() <= 6:
+        if 2 <= max(g.degree_sequence()) <= 6:
             produced += 1
             yield g
 
@@ -144,7 +146,7 @@ def test_criterion_04_matching_root_bound(capsys):
     failures = []
     for produced, g in enumerate(bounded_degree_graphs(), 1):
         if not heilmann_lieb_check(g):
-            failures.append((produced, g.n, g.max_degree()))
+            failures.append((produced, g.n, max(g.degree_sequence())))
     ok = not failures
     _report(capsys, 4, "matching-poly roots within 2 sqrt(d-1), 100 random graphs", ok)
     assert not failures, f"root bound failed: {failures}"
@@ -204,7 +206,8 @@ def test_criterion_06_outcome_bracketing(capsys):
     for tag, systems in (("float", float_systems), ("exact", exact_systems)):
         for i, rvs in enumerate(systems):
             d = rvs[0].dim
-            expect_roots = real_roots(conditional_expected_poly(root_state(rvs)).to_float())
+            expect = conditional_expected_poly(root_state(rvs))
+            expect_roots = real_roots(Polynomial([float(c) for c in expect.coeffs]))
             leaf_w = []
             for combo in itertools.product(*[r.support for r in rvs]):
                 acc = np.zeros((d, d))
@@ -279,7 +282,7 @@ def test_criterion_08_restricted_invertibility(capsys):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(n, 17))
         k = int(rng.integers(1, n))
-        check(VectorSystem.random_isotropic(n, m, rng), k, f"random-{i}")
+        check(random_isotropic(n, m, rng), k, f"random-{i}")
 
     ok = not failures
     _report(capsys, 8, "column selection meets (1-sqrt(k/n))^2 n/m", ok)
@@ -315,7 +318,7 @@ def test_criterion_09_weaver_partitions(capsys):
     for i in range(20):
         n = int(rng.integers(2, 6))
         m = int(rng.integers(n, 13))
-        check(VectorSystem.random_isotropic(n, m, rng), f"random-{i}")
+        check(random_isotropic(n, m, rng), f"random-{i}")
 
     ok = not failures
     _report(capsys, 9, "two-block norms within (1+sqrt(2a))^2/2", ok)
@@ -331,7 +334,7 @@ def test_criterion_10_ramanujan_pipeline(capsys):
     t0 = time.monotonic()
     failures = []
 
-    g = Graph.complete_bipartite(3, 3)
+    g = complete_bipartite(3, 3)
     for step in range(2):
         d = g.regularity()
         signing, cert = signing_select(g)
@@ -347,7 +350,7 @@ def test_criterion_10_ramanujan_pipeline(capsys):
         failures.append(("final-size", g.n))
 
     # K4 signing against the exhaustive 2^6 search
-    k4 = Graph.complete(4)
+    k4 = complete(4)
     signing, cert = signing_select(k4)
     lam = float(np.max(signed_adjacency(k4, signing).eigenvalues()))
     target = math.sqrt(3.0 + math.sqrt(6.0))
@@ -376,11 +379,11 @@ def test_criterion_10_ramanujan_pipeline(capsys):
 def test_criterion_11_generic_bound_chain(capsys):
     failures = []
     cases = [
-        ("K4", Graph.complete(4)),
-        ("K33", Graph.complete_bipartite(3, 3)),
-        ("Petersen", Graph.petersen()),
-        ("K5", Graph.complete(5)),
-        ("K44", Graph.complete_bipartite(4, 4)),
+        ("K4", complete(4)),
+        ("K33", complete_bipartite(3, 3)),
+        ("Petersen", petersen()),
+        ("K5", complete(5)),
+        ("K44", complete_bipartite(4, 4)),
     ]
     for name, g in cases:
         d = g.regularity()
@@ -388,7 +391,7 @@ def test_criterion_11_generic_bound_chain(capsys):
         # the covariances sum to d*I; scaling by 1/d makes an identity
         # decomposition with max trace 2/d, so the generic root bound is
         # d*(1 + sqrt(2/d))^2 = d + 2 + 2 sqrt(2d)
-        covs = [r.covariance() * (1.0 / d) for r in signing_vectors(g, exact=False)]
+        covs = [SymMatrix(covariance(r).a * (1.0 / d)) for r in signing_vectors(g, exact=False)]
         generic = d * mixed_char_root_bound(covs)
         closed_form = d + 2.0 + 2.0 * math.sqrt(2.0 * d)
         if abs(generic - closed_form) > 1e-9:
@@ -412,7 +415,7 @@ def test_criterion_11_generic_bound_chain(capsys):
 
 
 def test_criterion_12_spectral_approximation(capsys):
-    g = Graph.petersen()
+    g = petersen()
     n, d = g.n, g.regularity()
     assert n <= 12 and d == 3
     # certify Ramanujan directly: all nontrivial |eigenvalue| <= 2 sqrt(d-1)
@@ -421,7 +424,7 @@ def test_criterion_12_spectral_approximation(capsys):
     assert float(np.max(np.abs(w[1:]))) <= 2.0 * math.sqrt(d - 1.0) + 1e-9
 
     # g's Laplacian scaled by n/d, one weight per edge
-    k1, k2 = spectral_approx_factors(Graph.complete(n), g, g_weights=[n / d] * g.m)
+    k1, k2 = spectral_approx_factors(complete(n), g, g_weights=[n / d] * g.m)
     lo = 1.0 - 2.0 * math.sqrt(2.0) / 3.0
     hi = 1.0 + 2.0 * math.sqrt(2.0) / 3.0
     ok = (lo - 1e-7 <= k1 <= k2 <= hi + 1e-7)

@@ -8,24 +8,25 @@ import pytest
 from interlace import Polynomial, real_roots
 from interlace.barrier import DetPolyFamily, laguerre_root_bounds, lower_barrier, \
     lower_shift_check, multivariate_barrier, smax, smin, upper_barrier, upper_shift_check
+from fixtures import from_roots
 from paper import apply_shift_operator, laguerre_transform
 
 
 def test_lower_barrier_values():
     # f = (x-1)(x-2): Phi_f(b) = 1/(1-b) + 1/(2-b)
-    f = Polynomial.from_roots([1.0, 2.0])
+    f = from_roots([1.0, 2.0])
     assert lower_barrier(f, 0.0) == pytest.approx(1.0 + 0.5)
     assert lower_barrier(f, -1.0) == pytest.approx(1 / 2 + 1 / 3)
 
 
 def test_upper_barrier_values():
-    f = Polynomial.from_roots([1.0, 2.0])
+    f = from_roots([1.0, 2.0])
     assert upper_barrier(f, 3.0) == pytest.approx(1 / 2 + 1 / 1)
     assert upper_barrier(f, 4.0) == pytest.approx(1 / 3 + 1 / 2)
 
 
 def test_barrier_side_validation():
-    f = Polynomial.from_roots([1.0, 2.0])
+    f = from_roots([1.0, 2.0])
     with pytest.raises(ValueError):
         lower_barrier(f, 1.5)  # not below all roots
     with pytest.raises(ValueError):
@@ -36,7 +37,7 @@ def test_barriers_are_monotone():
     rng = np.random.default_rng(42)
     for _ in range(50):
         deg = int(rng.integers(1, 8))
-        f = Polynomial.from_roots(rng.uniform(-3, 3, deg).tolist())
+        f = from_roots(rng.uniform(-3, 3, deg).tolist())
         lo = float(real_roots(f).min())
         hi = float(real_roots(f).max())
         b1, b2 = lo - 2.0, lo - 1.0
@@ -48,7 +49,7 @@ def test_smin_phi_closed_form_single_root():
     # f = x^k has Phi_f(b) = k/(0 - b)... = -k/b, so smin_phi solves
     # -k/b = phi  =>  b = -k/phi.
     for k in (1, 2, 5):
-        f = Polynomial.monomial(k)
+        f = Polynomial((0,) * k + (1,))
         for phi in (0.5, 1.0, 2.0):
             assert smin(f, phi) == pytest.approx(-k / phi, abs=1e-9)
             assert smax(f, phi) == pytest.approx(k / phi, abs=1e-9)
@@ -58,7 +59,7 @@ def test_soft_edges_bracket_true_edges():
     rng = np.random.default_rng(4242)
     for _ in range(50):
         deg = int(rng.integers(1, 9))
-        f = Polynomial.from_roots(rng.uniform(-5, 5, deg).tolist())
+        f = from_roots(rng.uniform(-5, 5, deg).tolist())
         r = real_roots(f)
         phi = float(rng.uniform(0.2, 3.0))
         lo = smin(f, phi)
@@ -71,13 +72,13 @@ def test_soft_edges_bracket_true_edges():
 
 
 def test_soft_edges_monotone_in_phi():
-    f = Polynomial.from_roots([0.0, 1.0, 4.0])
+    f = from_roots([0.0, 1.0, 4.0])
     assert smin(f, 0.5) < smin(f, 2.0)  # larger phi, closer to roots
     assert smax(f, 0.5) > smax(f, 2.0)
 
 
 def test_soft_edges_converge_to_extreme_roots():
-    f = Polynomial.from_roots([-2.0, 1.0, 4.0])
+    f = from_roots([-2.0, 1.0, 4.0])
     assert smin(f, 1e6) == pytest.approx(-2.0, abs=1e-4)
     assert smax(f, 1e6) == pytest.approx(4.0, abs=1e-4)
 
@@ -88,7 +89,7 @@ def test_soft_edges_match_50_digit_references():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(59)
     for _ in range(40):
-        f = Polynomial.from_roots(rng.uniform(-5.0, 5.0, int(rng.integers(1, 11))).tolist())
+        f = from_roots(rng.uniform(-5.0, 5.0, int(rng.integers(1, 11))).tolist())
         phi = float(rng.uniform(0.05, 4.0))
         with mpmath.workdps(50):
             c = [mpmath.mpf(x) for x in f.coeffs]
@@ -100,7 +101,7 @@ def test_soft_edges_match_50_digit_references():
 
 
 def test_lower_shift_check_deterministic():
-    f = Polynomial.from_roots([0.0, 1.0, 3.0])
+    f = from_roots([0.0, 1.0, 3.0])
     g = apply_shift_operator(f, 1)
     for phi in (0.5, 1.0, 2.5):
         assert lower_shift_check(f, phi)
@@ -109,7 +110,7 @@ def test_lower_shift_check_deterministic():
 
 
 def test_upper_shift_check_deterministic():
-    f = Polynomial.from_roots([0.0, 1.0, 3.0])
+    f = from_roots([0.0, 1.0, 3.0])
     g = apply_shift_operator(f, 1)
     for phi in (0.3, 0.7, 0.95):
         assert upper_shift_check(f, phi)
@@ -117,7 +118,7 @@ def test_upper_shift_check_deterministic():
 
 
 def test_upper_shift_check_requires_phi_below_one():
-    f = Polynomial.from_roots([0.0, 1.0])
+    f = from_roots([0.0, 1.0])
     with pytest.raises(ValueError):
         upper_shift_check(f, 1.0)
     with pytest.raises(ValueError):
@@ -128,7 +129,7 @@ def test_shift_checks_randomized():
     rng = np.random.default_rng(2718)
     for _ in range(200):
         deg = int(rng.integers(1, 11))
-        f = Polynomial.from_roots(rng.uniform(-4, 4, deg).tolist())
+        f = from_roots(rng.uniform(-4, 4, deg).tolist())
         phi = float(rng.uniform(0.05, 4.0))
         assert lower_shift_check(f, phi)
         phi_u = float(rng.uniform(0.05, 0.95))
@@ -146,7 +147,7 @@ def test_laguerre_bounds_contain_roots_small():
     for n in range(1, 13):
         for k in range(1, n + 1):
             p = laguerre_transform(n, k)
-            r = real_roots(p.to_float())
+            r = real_roots(Polynomial([float(c) for c in p.coeffs]))
             lo, hi = laguerre_root_bounds(n, k)
             assert r.min() >= lo - 1e-6
             assert r.max() <= hi + 1e-6

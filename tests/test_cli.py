@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import interlace.cli
-from interlace import Graph, VectorSystem, NotRealRootedError, signed_adjacency, \
-    signing_select
+from interlace import NotRealRootedError, signed_adjacency, signing_select
 from interlace.cli import main
+from fixtures import complete_bipartite, cycle, random_isotropic
 from paper import matching_poly, top_root
 
 
@@ -30,7 +30,7 @@ def run_cli(capsys, argv):
 @pytest.fixture
 def iso_system_file(tmp_path):
     rng = np.random.default_rng(103)
-    vs = VectorSystem.random_isotropic(4, 9, rng)
+    vs = random_isotropic(4, 9, rng)
     path = tmp_path / "system.json"
     path.write_text(json.dumps({"vectors": vs.vectors.astype(float).tolist()}))
     return str(path)
@@ -164,7 +164,7 @@ def test_lift_pledge_is_in_adjacency_coordinates(capsys, tmp_path):
     assert code == 0
     step = payload["steps"][0]
     assert step["lambda_max_signed"] <= step["pledged"] <= step["threshold"]
-    root = top_root(matching_poly(Graph.complete_bipartite(3, 3))).root
+    root = top_root(matching_poly(complete_bipartite(3, 3))).root
     assert step["pledged"] == root
 
 
@@ -173,7 +173,7 @@ def test_lift_pledge_does_not_depend_on_the_vertex_labels(capsys, tmp_path, half
     # the pledge is the top root of the matching polynomial, a graph
     # invariant, taken exactly: three seeded relabellings give it bit for
     # bit, each with a certified signing and lift
-    g = Graph.complete_bipartite(half, half)
+    g = complete_bipartite(half, half)
     rng = np.random.default_rng(half)
     pledges = []
     for label in [np.arange(g.n)] + [rng.permutation(g.n) for _ in range(3)]:
@@ -211,7 +211,7 @@ def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monk
     # walk certificate beside it, only the exact signed bound can refuse it
     k33 = tmp_path / "k33.txt"
     k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
-    g = Graph.complete_bipartite(3, 3)
+    g = complete_bipartite(3, 3)
     _, cert = signing_select(g)
     monkeypatch.setattr(interlace.cli, "signing_select",
                         lambda graph, budget: _faked_walk(graph, [1] * graph.m, cert))
@@ -227,9 +227,9 @@ def test_lift_balanced_signing_of_a_cycle_is_not_certified(capsys, tmp_path, mon
     # a balanced signing of C8 meets the bound 2 = 2 sqrt(d - 1) with
     # equality but disconnects the lift, so only the connectivity check
     # refuses it; the walk never picks one, C_n's top matching root being < 2
-    g = Graph.cycle(8)
+    g = cycle(8)
     c8 = tmp_path / "c8.txt"
-    c8.write_text(g.to_edge_list())
+    c8.write_text("".join(f"{a} {b}\n" for a, b in g.edges))
     _, cert = signing_select(g)
     balanced = [-1 if 3 in e else 1 for e in g.edges]  # switching at vertex 3
     monkeypatch.setattr(interlace.cli, "signing_select",
@@ -449,7 +449,7 @@ def test_mixedchar_empty_list_exit_2(capsys, tmp_path):
 
 def test_budget_exceeded_exit_4(capsys, tmp_path):
     rng = np.random.default_rng(107)
-    vs = VectorSystem.random_isotropic(3, 25, rng)
+    vs = random_isotropic(3, 25, rng)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vectors": vs.vectors.astype(float).tolist()}))
     # the cheaper route, the engine, states (96 + 1) rank-one table
@@ -461,7 +461,7 @@ def test_budget_exceeded_exit_4(capsys, tmp_path):
 
 def test_weaver_m25_default_budget_certifies(capsys, tmp_path):
     rng = np.random.default_rng(107)
-    vs = VectorSystem.random_isotropic(3, 25, rng)
+    vs = random_isotropic(3, 25, rng)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vectors": vs.vectors.astype(float).tolist()}))
     code, payload = run_cli(capsys, ["weaver", str(path)])
@@ -483,7 +483,7 @@ def test_weaver_d7_m24_exits_4_before_any_fold(capsys, tmp_path, monkeypatch):
 
     for name in ("fold_terms", "peel_terms", "_expected_char_with_base"):
         monkeypatch.setattr(select_module, name, refuse)
-    vs = VectorSystem.random_isotropic(7, 24, np.random.default_rng(7))
+    vs = random_isotropic(7, 24, np.random.default_rng(7))
     path = tmp_path / "d7.json"
     path.write_text(json.dumps({"vectors": vs.vectors.tolist()}))
     code = main(["weaver", str(path)])

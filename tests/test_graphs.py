@@ -25,6 +25,7 @@ from interlace import (
     SigningEngine,
     signing_select,
 )
+from fixtures import complete, complete_bipartite, cycle, path, petersen
 from oracles import CUBE, forward_signed_chars, in_walk_order
 from test_acceptance import bounded_degree_graphs, signing_average_graphs
 from paper import godsil_gutman_check, heilmann_lieb_check, laplacian, matching_poly, \
@@ -53,26 +54,26 @@ def test_graph_rejects_bad_edges():
 
 
 def test_named_graphs():
-    k4 = Graph.complete(4)
+    k4 = complete(4)
     assert k4.m == 6
     assert k4.regularity() == 3
-    k33 = Graph.complete_bipartite(3, 3)
+    k33 = complete_bipartite(3, 3)
     assert k33.m == 9
     assert k33.regularity() == 3
     assert k33.bipartition() is not None
-    c5 = Graph.cycle(5)
+    c5 = cycle(5)
     assert c5.m == 5 and c5.regularity() == 2
     assert c5.bipartition() is None  # odd cycle
-    p4 = Graph.path(4)
+    p4 = path(4)
     assert p4.m == 3 and p4.regularity() is None
-    pete = Graph.petersen()
+    pete = petersen()
     assert pete.n == 10 and pete.m == 15 and pete.regularity() == 3
 
 
 def test_petersen_spectrum():
     # eigenvalues 3 (x1), 1 (x5), -2 (x4) -- the classical strongly
     # regular spectrum, asserted against eigvalsh
-    w = np.sort(adjacency(Graph.petersen()).eigenvalues())
+    w = np.sort(adjacency(petersen()).eigenvalues())
     expect = np.sort([3] + [1] * 5 + [-2] * 4)
     assert np.allclose(w, expect, atol=1e-8)
 
@@ -80,15 +81,15 @@ def test_petersen_spectrum():
 def test_connectivity_and_bipartition():
     g = Graph(4, [(0, 1), (2, 3)])
     assert not g.is_connected()
-    assert Graph.path(4).is_connected()
-    left = Graph.complete_bipartite(2, 3).bipartition()
+    assert path(4).is_connected()
+    left = complete_bipartite(2, 3).bipartition()
     assert left == {0, 1}
-    assert Graph.complete(3).bipartition() is None
+    assert complete(3).bipartition() is None
 
 
 def test_edge_list_round_trip():
     g = Graph(4, [(0, 1), (1, 2), (3, 2)])
-    text = g.to_edge_list()
+    text = "".join(f"{a} {b}\n" for a, b in g.edges)
     back = Graph.from_edge_list(text)
     assert back == g
 
@@ -106,7 +107,7 @@ def test_edge_list_parsing():
 
 
 def test_adjacency_and_laplacian():
-    g = Graph.complete(3)
+    g = complete(3)
     a = adjacency(g)
     assert a.a.tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
     l = laplacian(g)
@@ -120,7 +121,7 @@ def test_adjacency_and_laplacian():
 
 def test_laplacian_complete_graph_eigenvalues():
     for n in (2, 3, 5, 8):
-        w = np.sort(laplacian(Graph.complete(n)).eigenvalues())
+        w = np.sort(laplacian(complete(n)).eigenvalues())
         assert np.allclose(w, [0] + [n] * (n - 1))
 
 
@@ -130,7 +131,7 @@ def test_laplacian_complete_graph_eigenvalues():
 
 
 def test_signing_basics():
-    g = Graph.cycle(4)
+    g = cycle(4)
     s = [1] * g.m
     assert all(signed_adjacency(g, s).a[e] == 1 for e in g.edges)
     assert signed_adjacency(g, s) == adjacency(g)
@@ -142,7 +143,7 @@ def test_signing_basics():
 def test_signing_validation():
     # one check for every taker of a signing: +-1 entries, one per edge
     # (a prefix for the engine), and one sequence
-    g = Graph.cycle(4)
+    g = cycle(4)
     engine = SigningEngine(g)
     for take, lengths in ((lambda s: signed_adjacency(g, s), (3, 5)),
                           (lambda s: two_lift(g, s), (3, 5)),
@@ -159,7 +160,7 @@ def test_signing_validation():
 
 
 def test_all_minus_signing_negates_bipartite_spectrum():
-    g = Graph.complete_bipartite(2, 2)
+    g = complete_bipartite(2, 2)
     s = [-1] * g.m
     w1 = np.sort(adjacency(g).eigenvalues())
     w2 = np.sort(signed_adjacency(g, s).eigenvalues())
@@ -173,24 +174,24 @@ def test_all_minus_signing_negates_bipartite_spectrum():
 
 def test_matching_poly_small_closed_forms():
     # path P3: matchings of size 0 (1 way) and 1 (2 ways): x^3 - 2x
-    assert matching_poly(Graph.path(3)) == Polynomial([0, -2, 0, 1])
+    assert matching_poly(path(3)) == Polynomial([0, -2, 0, 1])
     # K4: m_0=1, m_1=6, m_2=3: x^4 - 6x^2 + 3
-    assert matching_poly(Graph.complete(4)) == Polynomial([3, 0, -6, 0, 1])
+    assert matching_poly(complete(4)) == Polynomial([3, 0, -6, 0, 1])
     # C4: m_1 = 4, m_2 = 2: x^4 - 4x^2 + 2
-    assert matching_poly(Graph.cycle(4)) == Polynomial([2, 0, -4, 0, 1])
+    assert matching_poly(cycle(4)) == Polynomial([2, 0, -4, 0, 1])
     # edgeless
     assert matching_poly(Graph(3, [])) == Polynomial([0, 0, 0, 1])
 
 
 def test_matching_poly_forest_equals_char_poly():
     # for forests the matching polynomial IS the characteristic polynomial
-    for g in (Graph.path(2), Graph.path(5), Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])):
+    for g in (path(2), path(5), Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])):
         assert matching_poly(g) == char_poly(adjacency(g))
 
 
 def test_matching_poly_coefficients_count_matchings():
     # K33 matching numbers: 1, 9, 18, 6
-    p = matching_poly(Graph.complete_bipartite(3, 3))
+    p = matching_poly(complete_bipartite(3, 3))
     assert p == Polynomial([-6, 0, 18, 0, -9, 0, 1])
 
 
@@ -213,25 +214,25 @@ def _sparse_random_graphs():
 
 def test_matching_poly_is_real_rooted_randomized():
     for g in _dense_random_graphs():
-        r = real_roots(matching_poly(g).to_float())
+        r = real_roots(Polynomial([float(c) for c in matching_poly(g).coeffs]))
         assert len(r) == g.n  # real-rooted of full degree
 
 
 def test_matching_poly_cap():
     with pytest.raises(ValueError):
-        matching_poly(Graph.complete(25))
+        matching_poly(complete(25))
 
 
 def test_godsil_gutman_named_graphs():
-    for g in (Graph.path(4), Graph.cycle(5), Graph.complete(4),
-              Graph.complete_bipartite(2, 3), Graph.petersen()):
+    for g in (path(4), cycle(5), complete(4),
+              complete_bipartite(2, 3), petersen()):
         assert godsil_gutman_check(g)
 
 
 def test_godsil_gutman_average_is_exact_integer_identity():
     # brute-force the 2^m signings of C4 by hand and compare
-    g = Graph.cycle(4)
-    total = Polynomial.zero()
+    g = cycle(4)
+    total = Polynomial(())
     for bits in itertools.product([1, -1], repeat=g.m):
         s = list(bits)
         total = total + char_poly(signed_adjacency(g, s))
@@ -240,24 +241,24 @@ def test_godsil_gutman_average_is_exact_integer_identity():
 
 def test_godsil_gutman_edge_cap():
     with pytest.raises(ValueError):
-        godsil_gutman_check(Graph.complete(7))  # 21 edges > cap
+        godsil_gutman_check(complete(7))  # 21 edges > cap
 
 
 def test_heilmann_lieb_named_graphs():
-    assert heilmann_lieb_check(Graph.cycle(6))       # d=2: bound 2
-    assert heilmann_lieb_check(Graph.complete(4))    # d=3: bound 2 sqrt 2
-    assert heilmann_lieb_check(Graph.petersen())     # d=3
-    assert heilmann_lieb_check(Graph.complete_bipartite(3, 3))
+    assert heilmann_lieb_check(cycle(6))       # d=2: bound 2
+    assert heilmann_lieb_check(complete(4))    # d=3: bound 2 sqrt 2
+    assert heilmann_lieb_check(petersen())     # d=3
+    assert heilmann_lieb_check(complete_bipartite(3, 3))
 
 
 def test_heilmann_lieb_requires_degree_two():
     with pytest.raises(ValueError):
-        heilmann_lieb_check(Graph.path(2))  # max degree 1
+        heilmann_lieb_check(path(2))  # max degree 1
 
 
 def test_heilmann_lieb_randomized():
     for g in _sparse_random_graphs():
-        if g.max_degree() >= 2:
+        if max(g.degree_sequence(), default=0) >= 2:
             assert heilmann_lieb_check(g)
 
 
@@ -268,7 +269,7 @@ def test_heilmann_lieb_randomized():
 
 def test_expected_signed_chars_match_exhaustive_average():
     rng = np.random.default_rng(59)
-    for g in (Graph.complete_bipartite(3, 3), Graph.complete(4), Graph.petersen(), CUBE):
+    for g in (complete_bipartite(3, 3), complete(4), petersen(), CUBE):
         engine = SigningEngine(g)
         for f in (0, 3, min(7, g.m - 2), g.m - 1):
             for prefix in rng.choice([-1, 1], (3, f)):
@@ -283,8 +284,25 @@ def test_expected_signed_chars_leaf_chunks_add_up(monkeypatch):
     engine = SigningEngine(g)
     prefixes = np.random.default_rng(67).choice([-1, 1], (2, 6))
     whole = [engine.chars(prefix) for prefix in prefixes]
-    monkeypatch.setattr(graphs, "LEAF_CHUNK", 1)
+    monkeypatch.setattr(graphs, "LEAF_ENTRIES", 1)
     assert [engine.chars(prefix) for prefix in prefixes] == whole
+
+
+@pytest.mark.parametrize("cap", [10, 200])
+def test_expected_signed_chars_leaf_stacks_bounded_in_entries(monkeypatch, cap):
+    # a kernel call takes cap // |V(F)|^2 leaf groups and at least one, so
+    # its stack holds at most cap entries, or one leaf past that
+    g = CUBE
+    engine = SigningEngine(g)
+    prefix = np.random.default_rng(71).choice([-1, 1], 8)
+    whole = engine.chars(prefix)
+    shapes, kernel = [], graphs.charpoly_batch_exact
+    monkeypatch.setattr(graphs, "charpoly_batch_exact",
+                        lambda mats: shapes.append(mats.shape) or kernel(mats))
+    monkeypatch.setattr(graphs, "LEAF_ENTRIES", cap)
+    assert engine.chars(prefix) == whole
+    assert len(shapes) > 1
+    assert all(b * n * n <= cap or b == 1 for b, n, _ in shapes)
 
 
 def test_expected_signed_chars_fully_signed_is_char_poly():
@@ -298,10 +316,10 @@ def test_expected_signed_chars_empty_prefix_is_matching_poly():
     # the matching polynomial two ways, enumeration and the engine's
     # deletion-contraction DP, on every graph whose matching polynomial
     # the tests and the acceptance suite take
-    named = [Graph.path(2), Graph.path(3), Graph.path(4), Graph.path(5), Graph.cycle(4),
-             Graph.cycle(5), Graph.cycle(6), Graph.complete(4), Graph.complete(5),
-             Graph.complete_bipartite(2, 3), Graph.complete_bipartite(3, 3),
-             Graph.petersen(), CUBE, Graph(3, []),
+    named = [path(2), path(3), path(4), path(5), cycle(4),
+             cycle(5), cycle(6), complete(4), complete(5),
+             complete_bipartite(2, 3), complete_bipartite(3, 3),
+             petersen(), CUBE, Graph(3, []),
              Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])]
     for g in itertools.chain(named, _dense_random_graphs(), _sparse_random_graphs(),
                              signing_average_graphs(), bounded_degree_graphs()):
@@ -309,7 +327,7 @@ def test_expected_signed_chars_empty_prefix_is_matching_poly():
 
 
 def test_expected_signed_chars_budget_and_validation():
-    g = Graph.complete_bipartite(3, 3)
+    g = complete_bipartite(3, 3)
     with pytest.raises(BudgetExceededError):
         SigningEngine(g, budget=8)
     engine = SigningEngine(g)
@@ -323,13 +341,13 @@ def test_expected_signed_chars_budget_and_validation():
 
 def _double_cover24():
     """A 24-vertex cubic bipartite Ramanujan graph: two walked 2-lifts of K_{3,3}."""
-    g = Graph.complete_bipartite(3, 3)
+    g = complete_bipartite(3, 3)
     for _ in range(2):
         g = two_lift(g, signing_select(g)[0])
     return g
 
 
-ENGINE_GRAPHS = [CUBE, Graph.petersen(), Graph.complete_bipartite(4, 4),
+ENGINE_GRAPHS = [CUBE, petersen(), complete_bipartite(4, 4),
                  in_walk_order(_double_cover24())]
 
 
@@ -386,7 +404,7 @@ def test_signing_engine_past_62_vertices_and_edges():
     # masks of 70 vertices and weights past 62 edges leave int64; every
     # signing of a forest has the matching polynomial as its char poly,
     # and the path's is mu_n = x mu_(n-1) - mu_(n-2)
-    g = Graph.path(70)
+    g = path(70)
     mu = [Polynomial([1]), Polynomial([0, 1])]
     while len(mu) <= g.n:
         mu.append(Polynomial([0, 1]) * mu[-1] - mu[-2])
@@ -435,8 +453,8 @@ def _relabelled(g, rng):
 
 def test_frontier_order_is_a_permutation_with_small_frontiers():
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    for g, width in ((Graph.path(6), 1), (Graph.cycle(7), 2), (CUBE, 4),
-                     (Graph.petersen(), 5), (two_triangles, 2), (Graph(3, []), 0)):
+    for g, width in ((path(6), 1), (cycle(7), 2), (CUBE, 4),
+                     (petersen(), 5), (two_triangles, 2), (Graph(3, []), 0)):
         order = frontier_order(g)
         assert sorted(order) == list(range(g.n))
         assert max(_frontier_sizes(g, order)) == width
@@ -445,7 +463,7 @@ def test_frontier_order_is_a_permutation_with_small_frontiers():
 
 def _cover24():
     """A connected 24-vertex cubic Ramanujan double cover of K_{3,3}."""
-    k33 = Graph.complete_bipartite(3, 3)
+    k33 = complete_bipartite(3, 3)
     g = two_lift(k33, [-1 if i in (0, 4) else 1 for i in range(k33.m)])
     return two_lift(g, [-1 if i % 5 == 0 else 1 for i in range(g.m)])
 
@@ -468,14 +486,14 @@ def test_frontier_order_does_not_depend_on_the_numbering():
 
 
 def test_two_lift_all_ones_is_disjoint_double():
-    g = Graph.cycle(4)
+    g = cycle(4)
     lift = two_lift(g, [1] * g.m)
     assert lift.n == 8 and lift.m == 8
     assert not lift.is_connected()  # two parallel copies
 
 
 def test_two_lift_all_minus_on_cycle_gives_big_cycle():
-    g = Graph.cycle(3)
+    g = cycle(3)
     s = [-1] * g.m
     lift = two_lift(g, s)
     assert lift.n == 6 and lift.m == 6
@@ -488,7 +506,7 @@ def test_two_lift_all_minus_on_cycle_gives_big_cycle():
 
 def test_two_lift_spectrum_is_union():
     rng = np.random.default_rng(59)
-    g = Graph.petersen()
+    g = petersen()
     for _ in range(10):
         s = [int(rng.choice([-1, 1])) for _ in g.edges]
         lift = two_lift(g, s)
@@ -511,7 +529,7 @@ def _random_signings(rng, g, count):
 def test_signed_adjacency_is_its_rank_one_form():
     # A_s = sum_e (e_a + s_e e_b)(e_a + s_e e_b)^T - d I on d-regular graphs
     rng = np.random.default_rng(61)
-    for g in (Graph.petersen(), Graph.complete_bipartite(4, 4), _cover24()):
+    for g in (petersen(), complete_bipartite(4, 4), _cover24()):
         d = g.regularity()
         for s in _random_signings(rng, g, 4):
             gram = np.zeros((g.n, g.n), dtype=int)
@@ -526,7 +544,7 @@ def test_two_lift_char_poly_is_the_product_exactly():
     # chi(lift) = chi(A) chi(A_s) in integers (Bilu-Linial), beside the
     # float spectrum-union test above
     rng = np.random.default_rng(67)
-    for g in (Graph.petersen(), Graph.complete_bipartite(4, 4), _cover24()):
+    for g in (petersen(), complete_bipartite(4, 4), _cover24()):
         chi = _exact_char(g)
         for s in _random_signings(rng, g, 3):
             assert _exact_char(two_lift(g, s)) == chi * _exact_char(g, s)
@@ -535,7 +553,7 @@ def test_two_lift_char_poly_is_the_product_exactly():
 def test_signed_bound_is_exact_at_equality():
     # the all-+1 cycle has top eigenvalue 2 = 2 sqrt(d - 1) exactly at d = 2;
     # the all-+1 K_{3,3} has 3 > 2 sqrt(2)
-    c8, k33 = Graph.cycle(8), Graph.complete_bipartite(3, 3)
+    c8, k33 = cycle(8), complete_bipartite(3, 3)
     assert roots_above(squared_roots(_exact_char(c8, [1] * c8.m)), 4) == 0
     assert roots_above(squared_roots(_exact_char(k33, [1] * k33.m)), 8) == 1
 
@@ -543,18 +561,18 @@ def test_signed_bound_is_exact_at_equality():
 def test_squared_roots_splits_even_and_odd_polynomials():
     assert squared_roots(Polynomial([-1, 0, 1])) == Polynomial([-1, 1])       # x^2 - 1
     assert squared_roots(Polynomial([0, -3, 0, 1])) == Polynomial([-3, 1])    # x^3 - 3x
-    assert squared_roots(matching_poly(Graph.cycle(4))) == Polynomial([2, -4, 1])
+    assert squared_roots(matching_poly(cycle(4))) == Polynomial([2, -4, 1])
     with pytest.raises(ValueError):
         squared_roots(Polynomial([1, 1, 1]))
 
 
 def test_is_ramanujan_bipartite():
-    assert is_ramanujan_bipartite(Graph.complete_bipartite(3, 3))
-    assert is_ramanujan_bipartite(Graph.cycle(4))
+    assert is_ramanujan_bipartite(complete_bipartite(3, 3))
+    assert is_ramanujan_bipartite(cycle(4))
     with pytest.raises(ValueError):
-        is_ramanujan_bipartite(Graph.complete(4))  # not bipartite
+        is_ramanujan_bipartite(complete(4))  # not bipartite
     with pytest.raises(ValueError):
-        is_ramanujan_bipartite(Graph.path(4))  # not regular
+        is_ramanujan_bipartite(path(4))  # not regular
     with pytest.raises(ValueError):
         is_ramanujan_bipartite(Graph(4, [(0, 1), (2, 3)]))  # disconnected
 
@@ -563,8 +581,8 @@ def test_even_cycles_are_ramanujan_at_equality():
     # d = 2: the bound 2 sqrt(d - 1) = 2 = d, so the trivial pair sits on it
     # and every nontrivial eigenvalue 2 cos(2 pi k / n) is within it
     for n in (4, 6, 8, 10, 16):
-        assert is_ramanujan_bipartite(Graph.cycle(n))
-    assert is_ramanujan_bipartite(Graph.complete_bipartite(1, 1))
+        assert is_ramanujan_bipartite(cycle(n))
+    assert is_ramanujan_bipartite(complete_bipartite(1, 1))
 
 
 def test_prism_graph_is_not_ramanujan():
@@ -591,20 +609,20 @@ def test_prism_graph_is_not_ramanujan():
 
 
 def test_spectral_approx_factors_self():
-    g = Graph.complete(4)
+    g = complete(4)
     k1, k2 = spectral_approx_factors(g, g)
     assert k1 == pytest.approx(1) and k2 == pytest.approx(1)
 
 
 def test_spectral_approx_factors_scaling():
-    g = Graph.complete(4)
+    g = complete(4)
     k1, k2 = spectral_approx_factors(g, g, g_weights=[2.0] * g.m)
     assert k1 == pytest.approx(2) and k2 == pytest.approx(2)
 
 
 def test_spectral_approx_factors_cycle_vs_complete():
     # L_C4 vs L_K4: generalized eigenvalues computed independently
-    c4, k4 = Graph.cycle(4), Graph.complete(4)
+    c4, k4 = cycle(4), complete(4)
     k1, k2 = spectral_approx_factors(c4, k4)
     # K4 laplacian has eigenvalue 4 (x3); C4 has 2, 2, 4 on the complement;
     # ratios 4/2, 4/2, 4/4 -> extremes 1 and 2
@@ -661,6 +679,6 @@ def test_spectral_approx_factors_match_general_eigensolve():
 
 def test_spectral_approx_factors_requires_connected():
     with pytest.raises(ValueError):
-        spectral_approx_factors(Graph(4, [(0, 1), (2, 3)]), Graph.complete(4))
+        spectral_approx_factors(Graph(4, [(0, 1), (2, 3)]), complete(4))
     with pytest.raises(ValueError):
-        spectral_approx_factors(Graph.complete(4), Graph.complete(5))
+        spectral_approx_factors(complete(4), complete(5))

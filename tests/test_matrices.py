@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from interlace import Graph, SigningEngine, SymMatrix, char_poly, charpoly_batch, \
-    charpoly_batch_exact, frontier_order, graphs, two_lift
+    charpoly_batch_exact, frontier_order, graphs, mixed_char, two_lift
 from interlace.poly import Polynomial, real_roots
+from fixtures import complete_bipartite, petersen
 from oracles import berkowitz_charpoly
 
 
@@ -33,14 +34,27 @@ def test_float_matrices_tolerate_roundoff_asymmetry():
         SymMatrix(np.array([[1.0, 0.5], [0.7, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_entries_must_be_finite(bad):
+    # checked before the symmetry test, whose difference of two infinite
+    # entries would be nan with a RuntimeWarning, and before eigvalsh,
+    # which takes a nan entry for a PSD matrix
+    with pytest.raises(ValueError, match=rf"matrix entry \(0, 0\) is {bad}, not finite"):
+        SymMatrix([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=rf"matrix entry \(1, 0\) is {bad}, not finite"):
+        SymMatrix([[1.0, 0.0], [bad, 1.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        mixed_char([[[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+
+
 def test_constructors_and_arithmetic():
     i3 = SymMatrix.identity(3)
-    z = SymMatrix.zeros(3)
-    assert (i3 + z) == i3
-    assert (i3 - i3) == z
-    assert (2 * i3).trace() == 6
+    z = SymMatrix(np.zeros((3, 3)))
+    assert SymMatrix(i3.a + z.a) == i3
+    assert SymMatrix(i3.a - i3.a) == z
+    assert SymMatrix(2 * i3.a).trace() == 6
     v = np.array([1, 2])
-    vv = SymMatrix.outer(v)
+    vv = SymMatrix(np.outer(v, v))
     assert vv.a[0, 1] == 2 and vv.a[1, 1] == 4
     assert vv.trace() == 5
 
@@ -269,10 +283,10 @@ def _leaf_graph(name):
     if name == "cube":
         return Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
     if name == "petersen":
-        return Graph.petersen()
+        return petersen()
     # a connected 24-vertex cubic Ramanujan double cover of K_{3,3}, in
     # the frontier order a signing walk takes it in
-    k33 = Graph.complete_bipartite(3, 3)
+    k33 = complete_bipartite(3, 3)
     g = two_lift(k33, [-1 if i in (0, 4) else 1 for i in range(k33.m)])
     g = two_lift(g, [-1 if i % 5 == 0 else 1 for i in range(g.m)])
     label = {v: i for i, v in enumerate(frontier_order(g))}

@@ -27,8 +27,9 @@ from interlace import (
 )
 from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms, peel_terms
 from interlace.tolerances import COEFF_TOL
+from fixtures import allclose
 from oracles import TruncatedMultiAffine, conditional_expected_poly, ring_mixed_char, root_state
-from paper import is_real_rooted, mixed_char_root_bound
+from paper import covariance, is_real_rooted, mixed_char_root_bound
 
 
 # ----------------------------------------------------------------------
@@ -40,16 +41,16 @@ def test_discrete_random_vector_basic():
     r = DiscreteRandomVector.two_point([1, 0], [0, 1])
     assert r.dim == 2
     assert r.is_exact
-    cov = r.covariance()
+    cov = covariance(r)
     assert cov.a[0, 0] == Fraction(1, 2)
     assert cov.a[1, 1] == Fraction(1, 2)
     assert cov.a[0, 1] == 0
 
 
 def test_deterministic_vector():
-    r = DiscreteRandomVector.deterministic([2.0, 0.0])
+    r = DiscreteRandomVector([(1.0, [2.0, 0.0])])
     assert not r.is_exact
-    assert r.covariance().a[0, 0] == pytest.approx(4.0)
+    assert covariance(r).a[0, 0] == pytest.approx(4.0)
 
 
 def test_probabilities_must_sum_to_one():
@@ -59,6 +60,19 @@ def test_probabilities_must_sum_to_one():
         DiscreteRandomVector([(Fraction(1, 3), [1]), (Fraction(1, 3), [2])])
     # float roundoff within 1e-12 is fine
     DiscreteRandomVector([(0.1, [1.0])] * 10)
+
+
+def test_float_probabilities_and_components_must_be_finite():
+    # nan <= 0 and |nan - 1| > PROB_TOL are both false, so a nan
+    # probability passes every later check unless refused first
+    with pytest.raises(ValueError, match="probability of outcome 0 is nan, not finite"):
+        DiscreteRandomVector([(math.nan, [1.0, 0.0]), (0.5, [0.0, 1.0])])
+    with pytest.raises(ValueError, match="probability of outcome 1 is inf, not finite"):
+        DiscreteRandomVector([(0.5, [1.0, 0.0]), (math.inf, [0.0, 1.0])])
+    with pytest.raises(ValueError, match="outcome 1's vector component 0 is -inf, not finite"):
+        DiscreteRandomVector([(0.5, [1.0, 0.0]), (0.5, [-math.inf, 1.0])])
+    with pytest.raises(ValueError, match="outcome 0's vector component 1 is nan, not finite"):
+        DiscreteRandomVector.two_point([0.0, math.nan], [1.0, 0.0])
 
 
 # ----------------------------------------------------------------------
@@ -95,7 +109,7 @@ def test_mixed_char_single_matrix():
     a = SymMatrix([[2, 1], [1, 2]])
     assert mixed_char([a]) == Polynomial([0, -4, 1])
     # for a rank-one matrix this coincides with its characteristic polynomial
-    vv = SymMatrix.outer(np.array([1, 2]))
+    vv = SymMatrix(np.outer([1, 2], [1, 2]))
     assert mixed_char([vv]) == char_poly(vv)
 
 
@@ -163,8 +177,8 @@ def test_mixed_char_caps():
 
 
 def test_expected_char_poly_deterministic_case():
-    r1 = DiscreteRandomVector.deterministic([1, 0])
-    r2 = DiscreteRandomVector.deterministic([0, 1])
+    r1 = DiscreteRandomVector([(1, [1, 0])])
+    r2 = DiscreteRandomVector([(1, [0, 1])])
     p = conditional_expected_poly(root_state([r1, r2]))
     assert p == Polynomial([1, -2, 1])  # char poly of I_2
 
@@ -181,7 +195,7 @@ def test_expected_char_poly_averages_correctly():
     r1 = DiscreteRandomVector.two_point([1, 1], [1, -1])
     r2 = DiscreteRandomVector.two_point([2, 0], [0, 2])
     got = conditional_expected_poly(root_state([r1, r2]))
-    acc = Polynomial.zero()
+    acc = Polynomial(())
     for v1 in ([1, 1], [1, -1]):
         for v2 in ([2, 0], [0, 2]):
             a = np.outer(v1, v1) + np.outer(v2, v2)
@@ -216,9 +230,9 @@ def test_expectation_identity_fails_for_rank_two():
     # whereas mu[I] = x^2 - 2x is real-rooted -- so they cannot agree.
     outcomes = [
         (Fraction(1, 2), SymMatrix([[2, 0], [0, 2]])),
-        (Fraction(1, 2), SymMatrix.zeros(2, exact=True)),
+        (Fraction(1, 2), SymMatrix(np.zeros((2, 2), dtype=int))),
     ]
-    avg = Polynomial.zero()
+    avg = Polynomial(())
     for p, mat in outcomes:
         avg = avg + p * char_poly(mat)
     assert avg == Polynomial([2, -2, 1])
@@ -410,7 +424,7 @@ def _engine_poly(mats, dtype=None):
 
 def test_engine_int64_for_sign_vectors_in_dimension_10():
     rng = np.random.default_rng(229)
-    mats = [SymMatrix.outer(v) for v in rng.choice([-1, 1], size=(16, 10))]
+    mats = [SymMatrix(np.outer(v, v)) for v in rng.choice([-1, 1], size=(16, 10))]
     _, chosen = _engine_poly(mats[:1])
     assert chosen is np.int64
     small = mats[:3]
@@ -438,7 +452,7 @@ def test_engine_python_ints_for_large_entries():
 def test_mixed_char_d10_m16_exact_is_fast_and_equals_char_poly_of_sum():
     rng = np.random.default_rng(239)
     vecs = rng.choice([-1, 1], size=(16, 10))
-    mats = [SymMatrix.outer(v) for v in vecs]
+    mats = [SymMatrix(np.outer(v, v)) for v in vecs]
     t0 = time.perf_counter()
     got = mixed_char(mats)
     elapsed = time.perf_counter() - t0
@@ -513,7 +527,7 @@ def test_peel_terms_undo_fold_terms_and_give_each_child():
                     if not any(u):  # the zero vector's child is the peeled tables
                         assert w == 0 and all((c == t).all() for c, t in zip(child, peeled))
                 else:
-                    assert got.allclose(want)
+                    assert allclose(got, want)
     assert dtypes == {np.float64, np.int64, object}
 
 
@@ -603,7 +617,7 @@ def _rank_at_most_one_families(kind):
                 out.append(_outers([[Fraction(int(x), q) for x in v] for v in vecs]))
         return out
     if kind == "zero":
-        zero = SymMatrix.zeros(3, exact=True)
+        zero = SymMatrix(np.zeros((3, 3), dtype=int))
         return [[zero], [zero, zero],
                 [zero] + _outers([[1, -1, 2]]) + [zero] + _outers([[0, 3, 1]])]
     if kind == "d1":
@@ -674,7 +688,7 @@ def test_float_rank_one_family_keeps_the_tables(monkeypatch):
     rng = np.random.default_rng(307)
     mats = [np.outer(v, v) for v in rng.standard_normal((4, 3))]
     got = mixed_char(mats)
-    assert not got.is_exact and got.allclose(ring_mixed_char(mats))
+    assert not got.is_exact and allclose(got, ring_mixed_char(mats))
     assert (len(folds), len(sums)) == (4, 0)
 
 

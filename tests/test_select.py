@@ -46,6 +46,8 @@ import interlace.graphs as graphs_module
 import interlace.poly as poly_module
 import interlace.select as select_module
 from interlace.poly import EIG_START_POLES
+from fixtures import complete, complete_bipartite, from_roots, path, petersen, \
+    random_isotropic
 from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
     in_walk_order, ri_level_scores
@@ -94,6 +96,14 @@ def test_float_gram_sum_matches_the_outer_product_loop():
         assert np.allclose(got, loop, rtol=0, atol=m * np.finfo(float).eps * np.abs(loop).max())
 
 
+def test_float_vector_components_must_be_finite():
+    # refused as such, not as a Gram sum that overflows
+    with pytest.raises(ValueError, match=r"vector component \(0, 0\) is inf, not finite"):
+        VectorSystem([[math.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"vector component \(1, 1\) is nan, not finite"):
+        VectorSystem([[1.0, 0.0], [0.0, math.nan]])
+
+
 def test_vector_system_isotropy_defect():
     vs = VectorSystem([[2.0, 0.0], [0.0, 1.0]])
     assert vs.isotropy_defect() == pytest.approx(3.0)  # ||diag(4,1) - I||
@@ -105,7 +115,7 @@ def test_random_isotropic_systems_are_isotropic():
     for _ in range(10):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(n, 2 * n + 4))
-        vs = VectorSystem.random_isotropic(n, m, rng)
+        vs = random_isotropic(n, m, rng)
         assert vs.is_isotropic(1e-8)
 
 
@@ -126,6 +136,12 @@ def test_assignment_state_validation():
         AssignmentState(fixed=[[1, 0, 0]], remaining=[r], k=1)  # dim clash
     with pytest.raises(ValueError):
         AssignmentState(fixed=[], remaining=[], k=1)
+
+
+def test_assignment_state_fixed_components_must_be_finite():
+    r = DiscreteRandomVector.two_point([1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="fixed vector 1's component 0 is nan, not finite"):
+        AssignmentState(fixed=[[1.0, 0.0], [math.nan, 0.0]], remaining=[r], k=1)
 
 
 def test_conditional_expected_poly_no_randomness():
@@ -300,7 +316,7 @@ def test_ri_random_isotropic():
         n = int(rng.integers(3, 7))
         m = int(rng.integers(n + 1, 2 * n + 3))
         k = int(rng.integers(1, n))
-        vs = VectorSystem.random_isotropic(n, m, rng)
+        vs = random_isotropic(n, m, rng)
         chosen, cert = restricted_invertibility_select(vs, k)
         assert len(set(chosen)) == k
         assert cert.valid()
@@ -357,7 +373,7 @@ def test_ri_float_walk_matches_coefficient_walk():
     sizes = [(4, 6, 2), (5, 9, 3), (6, 10, 3), (8, 16, 4), (10, 20, 5),
              (12, 30, 6), (16, 48, 8), (16, 40, 10)]
     for n, m, k in sizes:
-        vs = VectorSystem.random_isotropic(n, m, rng)
+        vs = random_isotropic(n, m, rng)
         chosen, cert = restricted_invertibility_select(vs, k)
         ref_chosen, parent, ref_scores = _coefficient_walk(vs, k)
         assert cert.pledged == pytest.approx(parent, rel=1e-9)
@@ -407,7 +423,7 @@ def _assert_walk_follows_scores(vs, k, chosen, cert):
 
 def test_ri_keeps_the_lowest_free_row_meeting_its_parent():
     rng = np.random.default_rng(20261019)
-    systems = [VectorSystem.random_isotropic(n, m, rng)
+    systems = [random_isotropic(n, m, rng)
                for n, m in [(4, 7), (6, 12), (9, 20), (12, 40), (16, 32)]]
     # exact systems of rational rotations, their rows shuffled
     for d, weights in [(4, [Fraction(3, 5), Fraction(4, 5)]), (5, [Fraction(1, 2)] * 4),
@@ -526,17 +542,17 @@ EPS = Fraction(1, 2 ** 60)
 # bracket is its certified cluster, a few ulp wide, and children marked
 # inside have lambda_k within it, 2^-60 from the parent's or equal to it
 RULE_CASES = [
-    (Polynomial.from_roots([1 + EPS]), Polynomial.from_roots([1, -1]), 1, 1, True),
-    (Polynomial.from_roots([1 - EPS, -3]), Polynomial.from_roots([1, -1]), 1, -1, True),
-    (Polynomial.from_roots([5]), Polynomial.from_roots([1, -1]), 1, 1, False),
-    (Polynomial.from_roots([0, 0]), Polynomial.from_roots([1, -1]), 1, -1, False),
-    (3 * Polynomial.from_roots([1, -1]), Polynomial.from_roots([1, -1]), 1, 0, True),
-    (Polynomial.from_roots([1, 0]), Polynomial.from_roots([1, -1]), 1, 0, True),
-    (Polynomial.from_roots([3, 1 + EPS, -2]), Polynomial.from_roots([3, 1, -2]), 2, 1, True),
-    (Polynomial.from_roots([2, 1 - EPS, 0]), Polynomial.from_roots([3, 1, -2]), 2, -1, True),
-    (Polynomial.from_roots([5, 1]), Polynomial.from_roots([3, 1, -2]), 2, 0, True),
-    (Polynomial.from_roots([1, 1, 0]), Polynomial.from_roots([3, 1, -2]), 2, 0, True),
-    (Polynomial.from_roots([2, 2, 2]), Polynomial.from_roots([3, 1, -2]), 2, 1, False),
+    (from_roots([1 + EPS]), from_roots([1, -1]), 1, 1, True),
+    (from_roots([1 - EPS, -3]), from_roots([1, -1]), 1, -1, True),
+    (from_roots([5]), from_roots([1, -1]), 1, 1, False),
+    (from_roots([0, 0]), from_roots([1, -1]), 1, -1, False),
+    (3 * from_roots([1, -1]), from_roots([1, -1]), 1, 0, True),
+    (from_roots([1, 0]), from_roots([1, -1]), 1, 0, True),
+    (from_roots([3, 1 + EPS, -2]), from_roots([3, 1, -2]), 2, 1, True),
+    (from_roots([2, 1 - EPS, 0]), from_roots([3, 1, -2]), 2, -1, True),
+    (from_roots([5, 1]), from_roots([3, 1, -2]), 2, 0, True),
+    (from_roots([1, 1, 0]), from_roots([3, 1, -2]), 2, 0, True),
+    (from_roots([2, 2, 2]), from_roots([3, 1, -2]), 2, 1, False),
 ]
 
 
@@ -563,10 +579,10 @@ def test_meets_decides_by_counts_halving_and_ties():
     assert not _rule_errors(select_module._meets)
     # a bracket widened to (0, 4], still certified for the top root 1 of
     # (x - 1)(x + 1), sends a child at 2 and one at 1/2 through the halving
-    parent = Polynomial.from_roots([1, -1])
+    parent = from_roots([1, -1])
     wide = TopRoot(1.0, 1, Fraction(0), Fraction(4))
     for root, above in ((2, True), (Fraction(1, 2), False)):
-        child = Polynomial.from_roots([root])
+        child = from_roots([root])
         assert select_module._meets(child, parent, wide, 1, True) == above
         assert select_module._meets(child, parent, wide, 1, False) == (not above)
 
@@ -606,27 +622,27 @@ def test_keep_exact_child_equal_to_its_parent_keeps_the_parent_cluster(monkeypat
     # a child above the parent's bracket misses it when minimizing, by
     # counts alone; the next child, equal to the parent, meets and keeps
     # the parent's cluster, and nothing is rooted
-    parent = Polynomial.from_roots([1, -1])
+    parent = from_roots([1, -1])
     cluster = select_module._kth_cluster(parent, 1)
 
     def refuse(p):
         raise AssertionError("a polynomial was rooted")
 
     monkeypatch.setattr(select_module, "root_clusters", refuse)
-    children = [Polynomial.from_roots([2, -1]), Polynomial.from_roots([1, -1]),
-                Polynomial.from_roots([0])]
+    children = [from_roots([2, -1]), from_roots([1, -1]),
+                from_roots([0])]
     got = select_module._keep(children, (parent, cluster), 1, False)
     assert got == (1, (parent, cluster), False) and got[1][1] is cluster
 
 
 def test_keep_exact_raises_when_no_child_meets():
-    parent = Polynomial.from_roots([1, -1])
+    parent = from_roots([1, -1])
     pair = (parent, select_module._kth_cluster(parent, 1))
-    misses = [Polynomial.from_roots([2]), Polynomial.from_roots([3, 0])]
+    misses = [from_roots([2]), from_roots([3, 0])]
     with pytest.raises(AssertionError, match="no child meets"):
         select_module._keep(misses, pair, 1, False)
     with pytest.raises(AssertionError, match="no child meets"):
-        select_module._keep([Polynomial.from_roots([0, -1])], pair, 1, True)
+        select_module._keep([from_roots([0, -1])], pair, 1, True)
 
 
 def test_keep_reads_the_children_only_up_to_the_kept_one():
@@ -640,10 +656,10 @@ def test_keep_reads_the_children_only_up_to_the_kept_one():
     keep = select_module._keep
     assert keep(upto(1, [0.5, 1.5, 2.0]), 1.0, 1, True) == (1, 1.5, False)
     assert keep(upto(0, [0.5, 1.5]), 1.0, 1, False) == (0, 0.5, False)
-    parent = Polynomial.from_roots([1, -1])
+    parent = from_roots([1, -1])
     pair = (parent, select_module._kth_cluster(parent, 1))
-    below = Polynomial.from_roots([Fraction(1, 2), -1])
-    children = [Polynomial.from_roots([2, -1]), below, parent]
+    below = from_roots([Fraction(1, 2), -1])
+    children = [from_roots([2, -1]), below, parent]
     assert keep(upto(1, children), pair, 1, False) == \
         (1, (below, select_module._kth_cluster(below, 1)), False)
 
@@ -688,7 +704,7 @@ def test_ri_past_the_eigenvalue_start_scores_from_two_rows(monkeypatch):
     # (one level here keeps free row 7, in its third batch); forced to
     # 8-row batches, as at k <= 40, the walk keeps the same rows
     n, m, k = 42, 84, 41
-    vs = VectorSystem.random_isotropic(n, m, np.random.default_rng(1))
+    vs = random_isotropic(n, m, np.random.default_rng(1))
     chosen, cert = restricted_invertibility_select(vs, k)
     assert cert.valid() and cert.fallbacks == 0
     kept_at = []
@@ -708,7 +724,7 @@ def test_ri_past_the_eigenvalue_start_scores_from_two_rows(monkeypatch):
 def test_ri_n40_gate(seed):
     # the coefficient walk stops here with NotRealRootedError
     n, m, k = 40, 80, 20
-    vs = VectorSystem.random_isotropic(n, m, np.random.default_rng(seed))
+    vs = random_isotropic(n, m, np.random.default_rng(seed))
     chosen, cert = restricted_invertibility_select(vs, k)
     assert len(chosen) == len(set(chosen)) == k
     assert cert.valid()
@@ -759,7 +775,7 @@ def test_weaver_duplicated_basis():
 
 def test_weaver_exhaustive_oracle_small():
     rng = np.random.default_rng(101)
-    vs = VectorSystem.random_isotropic(3, 8, rng)
+    vs = random_isotropic(3, 8, rng)
     alpha = vs.max_norm_sq()
     s1, s2, cert = weaver_partition(vs)
     assert cert.valid()
@@ -790,7 +806,7 @@ def test_weaver_exhaustive_oracle_small():
 
 def test_signing_vectors_gram_identity():
     # sum over edges of the outer products equals A_s + dI
-    g = Graph.complete(4)
+    g = complete(4)
     rvs = signing_vectors(g, exact=True)
     assert len(rvs) == g.m
     d = g.regularity()
@@ -806,13 +822,13 @@ def test_signing_vectors_gram_identity():
 
 
 def test_signing_select_k4_matches_exhaustive_oracle():
-    g = Graph.complete(4)
+    g = complete(4)
     signing, cert = signing_select(g)
     assert cert.valid()
     lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
     # theory: the greedy signed spectral radius stays below the top root
     # of the matching polynomial (here sqrt(3 + sqrt 6))
-    top_matching = real_roots(matching_poly(g).to_float())[0]
+    top_matching = real_roots(Polynomial([float(c) for c in matching_poly(g).coeffs]))[0]
     assert top_matching == pytest.approx(math.sqrt(3 + math.sqrt(6)))
     assert lam <= top_matching + 1e-7
     assert cert.pledged == pytest.approx(top_matching, abs=1e-9)
@@ -825,7 +841,7 @@ def test_signing_select_k4_matches_exhaustive_oracle():
 
 
 def test_signing_select_k33():
-    g = Graph.complete_bipartite(3, 3)
+    g = complete_bipartite(3, 3)
     signing, cert = signing_select(g)
     assert cert.valid()
     lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
@@ -839,7 +855,7 @@ def test_signing_select_matches_exact_enumeration_walk():
     # edge order (the graph relabelled by frontier_order).  Its values are
     # in Gram coordinates, A_s + dI, and the signing walk's in adjacency ones.
     cube = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
-    for g in (Graph.complete(4), Graph.complete_bipartite(3, 3), Graph.complete(5), cube):
+    for g in (complete(4), complete_bipartite(3, 3), complete(5), cube):
         d = g.regularity()
         order = frontier_order(g)
         label = {v: i for i, v in enumerate(order)}
@@ -906,7 +922,7 @@ def _random_cubic_bipartite(half: int, seed: int) -> Graph:
             return Graph(2 * half, sorted(edges))
 
 
-@pytest.mark.parametrize("g", [CUBE, Graph.complete_bipartite(3, 3), Graph.petersen()],
+@pytest.mark.parametrize("g", [CUBE, complete_bipartite(3, 3), petersen()],
                          ids=["cube", "K33", "petersen"])
 def test_signing_select_final_poly_is_chi_of_the_signed_gram(g):
     # the walk takes final_poly from chi(A_s), checked equal to its last
@@ -930,7 +946,7 @@ def test_signing_select_raises_when_chi_of_a_s_is_not_its_last_polynomial(monkey
 
     vs = _rational_isotropic(3, [Fraction(3, 5), Fraction(4, 5)], [3, 0, 4, 1, 5, 2])
     walks = [lambda g=g: signing_select(g) for g in
-             (CUBE, Graph.complete_bipartite(3, 3), Graph.petersen())]
+             (CUBE, complete_bipartite(3, 3), petersen())]
     walks += [lambda: restricted_invertibility_select(vs, 2)]
     walks += [lambda route=route: _walk_by(route, _lifted_state(vs))
               for route in ("engine", "enumerate")]
@@ -975,8 +991,8 @@ def test_exact_walks_root_the_pledge_and_each_kept_child_once(monkeypatch, walk)
     assert rooted[-1].monic() == cert.final_poly and rooted[-1].leading() > 0
 
 
-@pytest.mark.parametrize("g", [Graph.complete(4), Graph.complete_bipartite(3, 3), CUBE,
-                               Graph.petersen(), _random_cubic_bipartite(5, 3)],
+@pytest.mark.parametrize("g", [complete(4), complete_bipartite(3, 3), CUBE,
+                               petersen(), _random_cubic_bipartite(5, 3)],
                          ids=["K4", "K33", "cube", "petersen", "cubic10"])
 def test_signing_walk_children_are_real_rooted_and_certified(monkeypatch, g):
     # top_root counts roots by Descartes' rule, exact only for real-rooted
@@ -1010,7 +1026,7 @@ def test_signing_walk_ranks_every_polynomial_once(monkeypatch):
 def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monkeypatch):
     # On two disjoint copies of K4 every Phi_F factors into the two
     # copies' parts, so distinct children can share the other part's top root.
-    k4 = Graph.complete(4)
+    k4 = complete(4)
     g = Graph(8, list(k4.edges) + [(a + 4, b + 4) for a, b in k4.edges])
     cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
     ties = [level for level, (plus, minus) in enumerate(pairs) if plus != minus
@@ -1023,7 +1039,7 @@ def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monke
     assert cert.valid()
 
 
-@pytest.mark.parametrize("g", [CUBE, Graph.petersen(), Graph.complete_bipartite(4, 4),
+@pytest.mark.parametrize("g", [CUBE, petersen(), complete_bipartite(4, 4),
                                _random_cubic_bipartite(5, 3)],
                          ids=["cube", "petersen", "K44", "cubic10"])
 def test_signing_walk_children_match_forward_oracle(monkeypatch, g):
@@ -1064,13 +1080,13 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
 
 def _cover24() -> Graph:
     """A 24-vertex cubic bipartite Ramanujan graph: two walked 2-lifts of K_{3,3}."""
-    g = Graph.complete_bipartite(3, 3)
+    g = complete_bipartite(3, 3)
     for _ in range(2):
         g = two_lift(g, signing_select(g)[0])
     return g
 
 
-SYMMETRY_GRAPHS = [CUBE, Graph.petersen(), _cover24()]
+SYMMETRY_GRAPHS = [CUBE, petersen(), _cover24()]
 
 
 @pytest.mark.parametrize("g", [CUBE, SYMMETRY_GRAPHS[2]], ids=["cube", "cover24"])
@@ -1105,8 +1121,8 @@ def test_signing_walk_forms_the_minus_child_only_when_plus_misses(monkeypatch, g
     assert kept.count(0) > 0
 
 
-@pytest.mark.parametrize("g", [CUBE, Graph.complete_bipartite(3, 3),
-                               Graph.complete_bipartite(4, 4)], ids=["cube", "K33", "K44"])
+@pytest.mark.parametrize("g", [CUBE, complete_bipartite(3, 3),
+                               complete_bipartite(4, 4)], ids=["cube", "K33", "K44"])
 def test_signing_select_returns_signs_in_edge_order(g):
     # chi(lift) = chi(A) chi(A_s) exactly (Bilu-Linial), with A_s the walk's
     # final_poly, only if each sign sits on the edge of g it was chosen
@@ -1207,7 +1223,7 @@ def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(mon
         monkeypatch.setattr(select_module, name, counted(name))
     monkeypatch.setattr(poly_module, "real_roots", refuse)
     m = 12
-    vs = VectorSystem.random_isotropic(3, m, np.random.default_rng(283))
+    vs = random_isotropic(3, m, np.random.default_rng(283))
     cert = greedy_walk(_lifted_state(vs))
     assert cert.valid() and len(cert.choices) == m
     # terms per call
@@ -1222,7 +1238,7 @@ def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
         return charpoly_batch_exact(mats)
 
     monkeypatch.setattr(graphs_module, "charpoly_batch_exact", recorded)
-    k33 = Graph.complete_bipartite(3, 3)
+    k33 = complete_bipartite(3, 3)
     # the walk's tables are K_{3,3}'s in frontier order
     label = {v: i for i, v in enumerate(frontier_order(k33))}
     walk = Graph(6, [(label[a], label[b]) for a, b in k33.edges])
@@ -1241,7 +1257,7 @@ def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
 
 def test_signing_select_requires_regular():
     with pytest.raises(ValueError):
-        signing_select(Graph.path(3))
+        signing_select(path(3))
     with pytest.raises(ValueError):
         signing_select(Graph(2, []))
 
@@ -1313,7 +1329,7 @@ def test_float_walk_roots_only_the_children_it_tests(monkeypatch):
     rooted = []
     top = select_module.float_top_root
     monkeypatch.setattr(select_module, "float_top_root", lambda p: rooted.append(p) or top(p))
-    vs = VectorSystem.random_isotropic(3, 12, np.random.default_rng(283))
+    vs = random_isotropic(3, 12, np.random.default_rng(283))
     _, _, cert = weaver_partition(vs)
     assert cert.valid() and cert.fallbacks == 0
     assert 0 < sum(cert.choices) < len(cert.choices) - 1
@@ -1323,7 +1339,7 @@ def test_float_walk_roots_only_the_children_it_tests(monkeypatch):
 def test_float_weaver_levels_match_enumeration_walk():
     rng = np.random.default_rng(241)
     for m in (10, 12, 14):
-        vs = VectorSystem.random_isotropic(3, m, rng)
+        vs = random_isotropic(3, m, rng)
         state = _lifted_state(vs)
         choices, levels, pledged = enumeration_walk(state)
         cert = greedy_walk(state)
@@ -1336,7 +1352,7 @@ def test_float_weaver_levels_match_enumeration_walk():
 
 def test_weaver_m64_certifies():
     rng = np.random.default_rng(251)
-    vs = VectorSystem.random_isotropic(3, 64, rng)
+    vs = random_isotropic(3, 64, rng)
     alpha = vs.max_norm_sq()
     s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(64))
@@ -1370,7 +1386,7 @@ def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
 
 def test_greedy_walk_budget_is_checked_before_the_first_step():
     rng = np.random.default_rng(257)
-    vs = VectorSystem.random_isotropic(3, 25, rng)
+    vs = random_isotropic(3, 25, rng)
     # vector 0 is fixed, and the other 24 fold into the parent and peel off it
     cost = walk_costs(6, 1, [2] * 24)["engine"]
     assert cost == (96 + 1) * math.comb(12, 6)
@@ -1396,7 +1412,7 @@ def test_weaver_dimension_7_certifies_at_the_default_budget():
     # with vector 0 fixed, the engine would cost 25 x C(28, 14), about 1.0e9
     # entries, and enumeration 190 x 196, which the walk takes
     rng = np.random.default_rng(269)
-    vs = VectorSystem.random_isotropic(7, 7, rng)
+    vs = random_isotropic(7, 7, rng)
     alpha = vs.max_norm_sq()
     s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(7))
