@@ -2,7 +2,10 @@
 polynomials, and greedy spectral selection with certificates.
 
 The package holds what the four commands run, functions and class
-members alike, and imports numpy and the standard library only.  What
+members alike, and imports numpy and the standard library only.  Each
+walk serves one command: weaver's walk builds its own two-point lifts
+as plain (probability, vector) lists, and no general walk over random
+vectors is exported.  What
 no command enters stays for the bench's tracer: the soft-edge barriers
 of :mod:`interlace.barrier`, imported by name, and
 ``Polynomial.derivative``, patched by name.  The paper's other
@@ -25,7 +28,6 @@ from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact
 from .mixedchar import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    DiscreteRandomVector,
     mixed_char,
 )
 from .graphs import (
@@ -40,11 +42,8 @@ from .graphs import (
 )
 from .select import (
     VectorSystem,
-    AssignmentState,
     SelectionCertificate,
     WALK_BUDGET,
-    greedy_walk,
-    walk_costs,
     restricted_invertibility_select,
     restricted_invertibility_bound,
     weaver_partition,

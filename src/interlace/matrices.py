@@ -38,10 +38,16 @@ def _coerce_array(a):
 
 
 def _refuse_nonfinite(arr: np.ndarray, what: str) -> None:
-    """ValueError naming the first non-finite entry of a float array,
-    "<what> <index> is <value>, not finite"; exact arrays pass as they are."""
-    if arr.dtype != object and not np.isfinite(arr).all():
-        at = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+    """ValueError naming the first non-finite float entry of an array,
+    "<what> <index> is <value>, not finite": any entry of a float array,
+    and a float among the ints and Fractions of an exact (object) one."""
+    if arr.dtype == object:
+        bad = [i for i, x in enumerate(arr.ravel().tolist())
+               if isinstance(x, float) and not math.isfinite(x)]
+    else:
+        bad = np.flatnonzero(~np.isfinite(arr))
+    if len(bad):
+        at = tuple(int(i) for i in np.unravel_index(bad[0], arr.shape))
         raise ValueError(f"{what} {at[0] if len(at) == 1 else at} is {arr[at]}, not finite")
 
 

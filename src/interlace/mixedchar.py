@@ -37,14 +37,15 @@ where L_k(u) is the C(n, k) x C(n, k-1) map with L_k(u)[I, I - a] =
 linear in the number of variables.  Exact tables hold integers after one
 common scaling of the weights (:class:`TableArithmetic`), in int64 under
 a proven magnitude bound.  :func:`mixed_char` runs on it for those
-families, and so does the greedy walk of :mod:`interlace.select`
+families, and so does weaver's greedy walk in :mod:`interlace.select`
 wherever it is cheaper than enumeration.  The fold adds to W_k terms
 read from W_(k-1) alone, so one ascending pass takes a variable back out
 (:func:`peel_terms`); the walk peels each level's variable off one parent
 table, and each child is the peeled table plus one term read off it.
-:func:`_expected_char_with_base` enumerates the outcomes; it is the
-greedy walk's other route, priced with it before the walk starts, and
-the tests' oracle checks the identity with it.
+:func:`_enumerated_char` enumerates the outcomes of independent rows,
+each a list of (probability, vector) pairs; it is the walk's other
+route, priced with it before the walk starts, and the tests' oracle
+checks the identity with it.
 """
 
 from __future__ import annotations
@@ -58,15 +59,13 @@ import numpy as np
 
 from .poly import Polynomial
 from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact, \
-    _cleared, _coerce_array, _refuse_nonfinite, _validate_matrix_list, _validate_psd_list
-from .tolerances import PROB_TOL
+    _cleared, _validate_matrix_list, _validate_psd_list
 
 __all__ = [
     "BudgetExceededError",
     "DEFAULT_BUDGET",
     "MAX_VARIABLES",
     "MAX_DIMENSION",
-    "DiscreteRandomVector",
     "TableArithmetic",
     "fold_terms",
     "peel_terms",
@@ -82,77 +81,6 @@ MAX_DIMENSION = 10
 
 class BudgetExceededError(RuntimeError):
     """A computation would exceed its configured budget."""
-
-
-# ----------------------------------------------------------------------
-# Random vectors with finite support
-# ----------------------------------------------------------------------
-
-
-def _coerce_vector(v):
-    vec = _coerce_array(v)
-    if vec.ndim != 1:
-        raise ValueError("support vectors must be one-dimensional")
-    return vec
-
-
-class DiscreteRandomVector:
-    """A random vector supported on finitely many (probability, vector) pairs.
-
-    Float probabilities and vector components must be finite; each
-    outcome is checked before any arithmetic on it, and ValueError names
-    the first that is not.  Probabilities must be positive and sum to 1,
-    exactly for exact ones and within ``PROB_TOL`` once a float enters.
-    """
-
-    __slots__ = ("support",)
-
-    def __init__(self, support):
-        items = []
-        for i, (prob, vec) in enumerate(support):
-            if isinstance(prob, float):
-                if not math.isfinite(prob):
-                    raise ValueError(f"probability of outcome {i} is {prob}, not finite")
-                p = prob
-            else:
-                p = Fraction(prob)
-            vec = _coerce_vector(vec)
-            _refuse_nonfinite(vec, f"outcome {i}'s vector component")
-            if p <= 0:
-                raise ValueError("probabilities must be positive")
-            items.append((p, vec))
-        if not items:
-            raise ValueError("support must be nonempty")
-        d = len(items[0][1])
-        if any(len(v) != d for _, v in items):
-            raise ValueError("support vectors must share a dimension")
-        total = sum(p for p, _ in items)
-        if isinstance(total, float) or any(isinstance(p, float) for p, _ in items):
-            if abs(float(total) - 1.0) > PROB_TOL:
-                raise ValueError(f"probabilities sum to {float(total)}, not 1")
-        elif total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        self.support = tuple(items)
-
-    @property
-    def dim(self) -> int:
-        return len(self.support[0][1])
-
-    @property
-    def is_exact(self) -> bool:
-        return all(not isinstance(p, float) and v.dtype == object
-                   for p, v in self.support)
-
-    @classmethod
-    def two_point(cls, v, w) -> "DiscreteRandomVector":
-        """Takes value v or w, each with probability 1/2: exactly 1/2 when
-        both are exact, 0.5 otherwise."""
-        vv, ww = _coerce_vector(v), _coerce_vector(w)
-        half = Fraction(1, 2) if (vv.dtype == object and ww.dtype == object) else 0.5
-        return cls([(half, vv), (half, ww)])
-
-    def __repr__(self):
-        return f"DiscreteRandomVector({len(self.support)} outcomes, dim {self.dim})"
 
 
 # ----------------------------------------------------------------------
@@ -440,8 +368,9 @@ def mixed_char(matrices) -> Polynomial:
 # ----------------------------------------------------------------------
 
 
-def _expected_char_with_base(base: np.ndarray, rvs, exact: bool) -> Polynomial:
-    """E char_poly(base + sum r_i r_i^T); base is a plain (d, d) array.
+def _enumerated_char(base: np.ndarray, rows: list, exact: bool) -> Polynomial:
+    """E char_poly(base + sum r_i r_i^T); base is a plain (d, d) array, and
+    each row r_i is independent, a list of (probability, vector) pairs.
 
     Outcomes are enumerated in chunks; each chunk's matrices go through
     one kernel call, exact (object dtype) or float.  The caller has
@@ -449,14 +378,13 @@ def _expected_char_with_base(base: np.ndarray, rvs, exact: bool) -> Polynomial:
     """
     d = base.shape[0]
     dtype, kernel = (object, charpoly_batch_exact) if exact else (float, charpoly_batch)
-    outers = [np.stack([np.outer(v, v).astype(dtype) for _, v in r.support])
-              for r in rvs]
-    probs = [np.array([p if exact else float(p) for p, _ in r.support], dtype=dtype)
-             for r in rvs]
+    outers = [np.stack([np.outer(v, v).astype(dtype) for _, v in row]) for row in rows]
+    probs = [np.array([p if exact else float(p) for p, _ in row], dtype=dtype)
+             for row in rows]
     base = base.astype(dtype)
     acc = np.zeros(d + 1, dtype=dtype)
     chunk = 8192
-    ranges = itertools.product(*[range(len(r.support)) for r in rvs])
+    ranges = itertools.product(*[range(len(row)) for row in rows])
     while True:
         block = list(itertools.islice(ranges, chunk))
         if not block:
@@ -464,7 +392,7 @@ def _expected_char_with_base(base: np.ndarray, rvs, exact: bool) -> Polynomial:
         idx = np.array(block)
         mats = np.broadcast_to(base, (len(block), d, d)).copy()
         w = np.ones(len(block), dtype=dtype)
-        for i in range(len(rvs)):
+        for i in range(len(rows)):
             mats += outers[i][idx[:, i]]
             w *= probs[i][idx[:, i]]
         acc = acc + w @ kernel(mats)

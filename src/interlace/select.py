@@ -15,15 +15,16 @@ root pledge, up to the float walks' rounding.  Each walk's
 the pledge, the per-level trace, the last kept child, which an exact
 walk checks equal to chi of what it realized, and that realized matrix.
 
-:func:`greedy_walk` has two routes to the same polynomials.  Outcome
-enumeration costs the product of the support sizes per polynomial.  For
-independent rank-one random vectors each conditional polynomial is also
-a mixed characteristic polynomial, which the exterior-power engine of
-:mod:`interlace.mixedchar` computes at a cost linear in the number of
-vectors but exponential in the dimension, each level peeling its vector
-off one parent table.  Each walk takes the route :func:`walk_costs` estimates
-cheaper, and the whole walk's estimate is checked against its budget
-before the first step.
+Weaver's walk (:func:`_weaver_walk`) has two routes to the same
+polynomials.  Outcome enumeration costs 2^r outcomes for a polynomial
+with r two-point vectors still random.  For independent rank-one random
+vectors each conditional polynomial is also a mixed characteristic
+polynomial, which the exterior-power engine of :mod:`interlace.mixedchar`
+computes at a cost linear in the number of vectors but exponential in
+the dimension, each level peeling its vector off one parent table.  The
+walk takes the route :func:`_walk_costs` estimates cheaper, and the
+whole walk's estimate is checked against its budget before the first
+step.
 
 Three instantiations:
 
@@ -36,14 +37,14 @@ Three instantiations:
   space, exact ones in integer coefficients.
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2`` with alpha the
-  largest squared norm, by a :func:`greedy_walk` over two-point block
+  largest squared norm, by :func:`_weaver_walk` over two-point block
   lifts in dimension 2d.
 * ``signing_select``: choose edge signs of a d-regular graph so the
   signed adjacency matrix has largest eigenvalue at most the largest
   root of the matching polynomial (whence at most ``2 sqrt(d-1)``).
   Its conditional polynomials are exact and closed-form, every level's
   read off one backward matching DP (:class:`SigningEngine`), so it
-  enumerates no outcomes and does not go through :func:`greedy_walk`.
+  enumerates no outcomes.
   Its spanning-forest levels form no child, and :func:`_keep` decides
   the others, the -1 child, formed only when +1 misses, by exact root
   counts like every exact child.
@@ -58,22 +59,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import Polynomial, TopRoot, float_top_root, _float_roots, _squarefree, \
+from .poly import Polynomial, TopRoot, float_top_root, _squarefree, \
     root_clusters, roots_above, shift_chain, EIG_START_POLES
 from .matrices import SymMatrix, _cleared, _coerce_array, _refuse_nonfinite, _vieta, \
     char_poly, charpoly_batch_exact
-from .mixedchar import DiscreteRandomVector, BudgetExceededError, DEFAULT_BUDGET, \
-    TableArithmetic, fold_terms, peel_terms, _expected_char_with_base
+from .mixedchar import BudgetExceededError, DEFAULT_BUDGET, TableArithmetic, fold_terms, \
+    peel_terms, _enumerated_char
 from .graphs import Graph, SigningEngine, frontier_order, signed_adjacency
 from .tolerances import CERT_TOL, ISO_TOL
 
 __all__ = [
     "VectorSystem",
-    "AssignmentState",
     "SelectionCertificate",
     "WALK_BUDGET",
-    "greedy_walk",
-    "walk_costs",
     "restricted_invertibility_select",
     "restricted_invertibility_bound",
     "weaver_partition",
@@ -81,7 +79,7 @@ __all__ = [
     "signing_select",
 ]
 
-# The default cap on one greedy walk's work, in walk_costs' unit.
+# The default cap on weaver's walk's work, in _walk_costs' unit.
 WALK_BUDGET = 1 << 30
 
 # The most rows restricted_invertibility_select scores at once.  A level
@@ -169,55 +167,6 @@ class VectorSystem:
     def max_norm_sq(self) -> float:
         v = self.vectors.astype(float)
         return float(np.max(np.sum(v * v, axis=1)))
-
-
-@dataclass
-class AssignmentState:
-    """A node of the outcome tree: fixed choices plus remaining randomness.
-
-    Float components of the fixed vectors must be finite, as those of
-    the remaining ones are (:class:`DiscreteRandomVector`).
-    """
-
-    fixed: list
-    remaining: list
-    k: int
-    direction: str = "maximize"
-
-    def __post_init__(self):
-        for i, v in enumerate(self.fixed):
-            _refuse_nonfinite(_coerce_array(v), f"fixed vector {i}'s component")
-        if self.direction not in ("maximize", "minimize"):
-            raise ValueError("direction must be 'maximize' or 'minimize'")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        dims = {len(np.asarray(v)) for v in self.fixed} \
-            | {r.dim for r in self.remaining}
-        if len(dims) > 1:
-            raise ValueError("fixed vectors and random vectors must share a dimension")
-        if not dims:
-            raise ValueError("state carries no vectors at all")
-        d = dims.pop()
-        if self.k > d:
-            raise ValueError(f"k={self.k} exceeds the ambient dimension {d}")
-
-    @property
-    def dim(self) -> int:
-        if self.fixed:
-            return len(np.asarray(self.fixed[0]))
-        return self.remaining[0].dim
-
-    @property
-    def is_exact(self) -> bool:
-        return all(_coerce_array(v).dtype == object for v in self.fixed) \
-            and all(r.is_exact for r in self.remaining)
-
-
-def _vector(v, exact: bool) -> np.ndarray:
-    a = np.asarray(v)
-    if exact:
-        return a if a.dtype == object else a.astype(object)
-    return a.astype(float)
 
 
 @dataclass
@@ -328,59 +277,53 @@ def _keep(children, parent, k: int, maximize: bool):
     return j, vals[j], True
 
 
-def walk_costs(dim: int, fixed: int, sizes) -> dict:
-    """Estimated work of one :func:`greedy_walk` by each route, in entries.
+def _walk_costs(dim: int, levels: int) -> dict:
+    """Estimated work of :func:`_weaver_walk` by each route, in entries,
+    for one fixed vector in R^dim and ``levels`` two-point levels.
 
-    ``sizes`` are the support sizes of the remaining random vectors.
     ``"enumerate"`` builds and expands one dim x dim matrix per outcome of
-    every polynomial, dim^2 entries each: prod(sizes) outcomes for the
-    pledge and, at level l, sizes[l] children of prod(sizes[l+1:]) each.
-    ``"engine"`` makes rank-one table updates of C(2 dim, dim) entries
-    each: one per fixed vector and one per support point to build the
-    parent table, and one per support point to peel each level's
-    variable off it, which forms every child as well.  Both routes take
-    about the same time per entry, within a factor of three (a float
-    weaver walk of 20 vectors in R^6, dim = 12 here, on a 2-vCPU x86
-    host: 0.05 us by the engine, 0.12 us by enumeration), so the smaller
-    estimate picks the faster route except near the crossover.  Exact
-    walks take longer per entry (about five times as long as float ones
-    by the engine, for 12-21 vectors in R^3).
+    every polynomial, dim^2 entries each: 2^r outcomes for the pledge and,
+    at level l, two children of 2^(r-l-1) each, 3 2^r - 2 in all.
+    ``"engine"`` makes 4r + 1 rank-one table updates of C(2 dim, dim)
+    entries each: one for the fixed vector and two per level to build the
+    parent table, and two per level to peel its vector off it, which forms
+    both children.  Both routes take about the same time per entry,
+    within a factor of three (a float walk of 20 vectors in R^6, dim = 12
+    here, on a 2-vCPU x86 host: 0.05 us by the engine, 0.12 us by
+    enumeration), so the smaller estimate picks the faster route except
+    near the crossover.  Exact walks take longer per entry (about five
+    times as long as float ones by the engine, for 12-21 vectors in R^3).
     """
-    outcomes = tail = math.prod(sizes)
-    for s in sizes:
-        tail //= s
-        outcomes += s * tail
-    updates = 2 * sum(sizes) + fixed
-    return {"enumerate": outcomes * dim * dim,
-            "engine": updates * math.comb(2 * dim, dim)}
+    return {"enumerate": (3 * 2 ** levels - 2) * dim * dim,
+            "engine": (4 * levels + 1) * math.comb(2 * dim, dim)}
 
 
-def greedy_walk(state: AssignmentState,
-                budget: int = WALK_BUDGET) -> SelectionCertificate:
-    """Walk the outcome tree, fixing one support element at each level.
+def _weaver_walk(fixed: np.ndarray, rows: list,
+                 budget: int = WALK_BUDGET) -> SelectionCertificate:
+    """The greedy walk of :func:`weaver_partition`, minimizing lambda_1.
 
-    :func:`_keep` decides each level, reading the children in support
-    order: an exact walk hands it the children's polynomials, and only
-    the kept child is rooted; a float walk roots each child as the rule
-    reads it, so the children after the kept one stay unrooted, and its
-    fallback levels are counted in ``fallbacks``.  With two support
-    points the first that meets is the best: the two lambda_k straddle
-    the parent's.
+    ``fixed`` is fixed, and level l fixes one point of ``rows[l]``, a
+    two-point random vector [(1/2, u), (1/2, w)]; the walk is exact when
+    ``fixed`` is (an object array), and then so are the rows.
+    :func:`_keep` decides each level, reading the two children in order:
+    an exact walk hands it their polynomials, and only the kept child is
+    rooted (:func:`_kth_cluster`); a float walk roots each child as the
+    rule reads it, by :func:`float_top_root`, Laguerre's method from
+    above, which raises :class:`NotRealRootedError` on a breakdown.  So
+    the second child stays unrooted when the first meets, and the
+    fallback levels are counted in ``fallbacks``.  The two children's
+    lambda_1 straddle the parent's, so the first that meets is the best.
 
     The conditional polynomials come from one of two routes, outcome
     enumeration (:func:`_enumeration_route`) or the exterior-power engine
-    (:func:`_engine_route`); the walk takes the one :func:`walk_costs`
+    (:func:`_engine_route`); the walk takes the one :func:`_walk_costs`
     estimates cheaper, the engine on a tie.  Both give the same
-    polynomials, exact for exact states.  ``budget`` caps that route's
+    polynomials, exact for exact rows.  ``budget`` caps that route's
     estimate for the whole walk; it is checked before the first step,
     and :class:`BudgetExceededError` is raised if over.
     """
-    exact = state.is_exact
-    d = state.dim
-    k = state.k
-    maximize = state.direction == "maximize"
-    fixed = [_vector(v, exact) for v in state.fixed]
-    costs = walk_costs(d, len(fixed), [len(r.support) for r in state.remaining])
+    exact = fixed.dtype == object
+    costs = _walk_costs(len(fixed), len(rows))
     route = "engine" if costs["engine"] <= costs["enumerate"] else "enumerate"
     if costs[route] > budget:
         raise BudgetExceededError(
@@ -388,20 +331,19 @@ def greedy_walk(state: AssignmentState,
             f"budget of {budget}")
     choices, levels, fallbacks = [], [], 0
     walk = _engine_route if route == "engine" else _enumeration_route
-    steps = walk(d, fixed, state.remaining, exact, choices)
+    steps = walk(fixed, rows, exact, choices)
     p = next(steps)
-    pledge = parent = (p, _kth_cluster(p, k)) if exact else _kth_root(p, k)
+    pledge = parent = (p, _kth_cluster(p, 1)) if exact else float_top_root(p)
     for children in steps:
         if not exact:
-            children = (_kth_root(child, k) for child in children)
-        keep, parent, fell_back = _keep(children, parent, k, maximize)
+            children = (float_top_root(child) for child in children)
+        keep, parent, fell_back = _keep(children, parent, 1, False)
         fallbacks += fell_back
         levels.append(parent[1].root if exact else parent)
         choices.append(keep)
-    realized = fixed + [_vector(r.support[j][1], exact)
-                        for r, j in zip(state.remaining, choices)]
-    cert = _certificate(choices, levels, pledge, parent, VectorSystem(realized).gram_sum(), k,
-                        state.direction)
+    realized = [fixed] + [row[j][1] for row, j in zip(rows, choices)]
+    cert = _certificate(choices, levels, pledge, parent, VectorSystem(realized).gram_sum(), 1,
+                        "minimize")
     cert.fallbacks = fallbacks
     return cert
 
@@ -441,65 +383,48 @@ def _kth_cluster(p: Polynomial, k: int) -> TopRoot:
             return cluster
 
 
-def _kth_root(p: Polynomial, k: int) -> float:
-    """lambda_k of a float walk polynomial, an expected characteristic
-    polynomial and so real-rooted by theorem: for k = 1 by
-    :func:`float_top_root`, Laguerre's method from above, which raises
-    :class:`NotRealRootedError` on a breakdown, and for k > 1 by the
-    derivative chain of :func:`_float_roots`."""
-    return float_top_root(p) if k == 1 else _float_roots(p)[k - 1]
-
-
-def _enumeration_route(d: int, fixed: list, remaining: list, exact: bool, choices: list):
+def _enumeration_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
     """Yields the pledge, then each level's children, resuming once the
     walk has appended the kept index to ``choices``.
 
     Every polynomial is the average of char_poly over its outcomes.
     """
-    base = np.zeros((d, d), dtype=object if exact else float)
-    for v in fixed:
-        base = base + np.outer(v, v)
-    # greedy_walk has checked the whole walk's cost against its budget
-    yield _expected_char_with_base(base, remaining, exact)
-    for lvl, rv in enumerate(remaining):
-        outers = [np.outer(v, v) for v in (_vector(v, exact) for _, v in rv.support)]
-        yield [_expected_char_with_base(base + o, remaining[lvl + 1:], exact)
-               for o in outers]
+    base = np.zeros((len(fixed),) * 2, dtype=fixed.dtype) + np.outer(fixed, fixed)
+    # _weaver_walk has checked the whole walk's cost against its budget
+    yield _enumerated_char(base, rows, exact)
+    for lvl, row in enumerate(rows):
+        outers = [np.outer(v, v) for _, v in row]
+        yield [_enumerated_char(base + o, rows[lvl + 1:], exact) for o in outers]
         base = base + outers[choices[-1]]
 
 
-def _engine_route(d: int, fixed: list, remaining: list, exact: bool, choices: list):
+def _engine_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
     """Yields the pledge and each level's children, as :func:`_enumeration_route` does.
 
-    With the fixed vectors u and the independent remaining r_i of
-    covariances A_i, the conditional polynomial E char_poly(sum u u^T +
-    sum r_i r_i^T) is the mixed characteristic polynomial mu[u u^T...,
-    A_1..A_m], computed by the exterior-power engine of
-    :mod:`interlace.mixedchar`.  One parent table holds the vectors fixed
-    so far and the remaining r_l..; it is built forward, each fixed vector
-    folded in as a rank-one variable and each r_t as one variable whose
-    terms come straight from its support (p v v^T), and the pledge is its
-    polynomial.  Level l peels r_l off the parent (:func:`peel_terms`),
-    which leaves the table T of everything else and, for each support
-    point v, the part X read off T with which v v^T folds in: that child
-    is T + X, so its traces are tr T_k + tr X_k, and the kept child is
-    the next parent.  A walk on m vectors and f fixed ones makes m + f
-    calls of :func:`fold_terms` and m of :func:`peel_terms`, 2 sum(sizes)
-    + f table updates in all, and holds a few tables at a time.
+    With the fixed vector u and the independent rows r_l of covariances
+    A_l, the conditional polynomial E char_poly(u u^T + sum r_l r_l^T) is
+    the mixed characteristic polynomial mu[u u^T, A_1..A_m], computed by
+    the exterior-power engine of :mod:`interlace.mixedchar`.  One parent
+    table holds the vectors fixed so far and the remaining rows; it is
+    built forward, u folded in as a rank-one variable and each row as one
+    variable whose terms come straight from its points (p v v^T), and the
+    pledge is its polynomial.  Level l peels row l off the parent
+    (:func:`peel_terms`), which leaves the table T of everything else and,
+    for each point v, the part X read off T with which v v^T folds in:
+    that child is T + X, so its traces are tr T_k + tr X_k, and the kept
+    child is the next parent.  A walk on m rows makes m + 1 calls of
+    :func:`fold_terms` and m of :func:`peel_terms`, 4m + 1 table updates
+    in all, and holds a few tables at a time.
     """
-    supports = [[(p, _vector(v, exact)) for p, v in rv.support] for rv in remaining]
-    every = [(1, v) for v in fixed] + [t for s in supports for p, v in s
-                                       for t in ((p, v), (1, v))]
-    arith = TableArithmetic(d, every, exact)
-    parent = arith.empty()
-    for v in fixed:
-        parent = fold_terms(parent, *arith.encode([(1, v)]))
-    for support in supports:
-        parent = fold_terms(parent, *arith.encode(support))
+    every = [(1, fixed)] + [t for row in rows for p, v in row for t in ((p, v), (1, v))]
+    arith = TableArithmetic(len(fixed), every, exact)
+    parent = fold_terms(arith.empty(), *arith.encode([(1, fixed)]))
+    for row in rows:
+        parent = fold_terms(parent, *arith.encode(row))
     yield arith.poly(parent)
-    for support in supports:
-        peeled, parts = peel_terms(parent, *arith.encode(support))
-        units, _ = arith.encode([(1, v) for _, v in support])
+    for row in rows:
+        peeled, parts = peel_terms(parent, *arith.encode(row))
+        units, _ = arith.encode([(1, v) for _, v in row])
         base = arith.traces(peeled)
         yield [arith.from_traces([t + w * x for t, x in zip(base, arith.traces(part))])
                for w, part in zip(units, parts)]
@@ -679,21 +604,21 @@ def weaver_partition(system: VectorSystem, budget: int = WALK_BUDGET, tol: float
     walk fixes (v_0, 0) and walks vectors 1..m-1 only; the certificate
     records ``choices[0] = 0`` and ``levels[0] = pledged``, and vector 0
     is always on side one.
-    ``budget`` is :func:`greedy_walk`'s cap on the whole walk's work, in
-    :func:`walk_costs`' unit, and ``tol`` the isotropy tolerance of float
+    ``budget`` is :func:`_weaver_walk`'s cap on the whole walk's work, in
+    :func:`_walk_costs`' unit, and ``tol`` the isotropy tolerance of float
     systems (:meth:`VectorSystem.is_isotropic`).  Returns (side-one
     indices, side-two indices, certificate).
     """
     if not system.is_isotropic(tol):
         raise ValueError(
             f"system is not isotropic (defect {system.isotropy_defect():.3g})")
-    zero = np.zeros(system.dim, dtype=object if system.is_exact else float)
-    first, *rest = [DiscreteRandomVector.two_point(np.concatenate([row, zero]),
-                                                   np.concatenate([zero, row]))
-                    for row in system.vectors]
-    state = AssignmentState(fixed=[first.support[0][1]], remaining=rest, k=1,
-                            direction="minimize")
-    cert = greedy_walk(state, budget=budget)
+    exact = system.is_exact
+    zero = np.zeros(system.dim, dtype=object if exact else float)
+    half = Fraction(1, 2) if exact else 0.5
+    first, *rest = system.vectors
+    rows = [[(half, np.concatenate([v, zero])), (half, np.concatenate([zero, v]))]
+            for v in rest]
+    cert = _weaver_walk(np.concatenate([first, zero]), rows, budget)
     cert.choices.insert(0, 0)
     cert.levels.insert(0, cert.pledged)
     s1 = [i for i, choice in enumerate(cert.choices) if choice == 0]

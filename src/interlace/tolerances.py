@@ -42,10 +42,6 @@ PSD_TOL = 1e-9
 # of symmetric float factors are symmetric only up to rounding.
 SYM_TOL = 1e-12
 
-# How far float probabilities of a random vector may sum from 1: ten
-# draws of 0.1 add up to 1 only up to rounding.
-PROB_TOL = 1e-12
-
 # Relative coefficientwise agreement of two float polynomials computed by
 # independent routes (outcome enumeration and the mixed characteristic
 # ring), each a sum of many rounded terms, up to 2^20 outcomes.

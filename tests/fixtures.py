@@ -1,9 +1,12 @@
 """Test fixtures built from the library's own value types.
 
 Named graphs, polynomials from their roots, coefficientwise closeness
-of two polynomials, and random isotropic vector systems.  No command
+of two polynomials, random isotropic vector systems and two-point random
+vectors.  No command
 needs them, so they live here rather than in ``src``.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,3 +85,11 @@ def random_isotropic(n: int, m: int, rng) -> VectorSystem:
     w, u = np.linalg.eigh(sym)
     inv_half = u @ np.diag(1.0 / np.sqrt(w)) @ u.T
     return VectorSystem(g @ inv_half)
+
+
+def two_point(v, w) -> list:
+    """The random vector v or w, each with probability 1/2, as a list of
+    (probability, vector) pairs: exactly 1/2 unless a component is a float."""
+    exact = not any(isinstance(x, float) for x in [*np.ravel(v), *np.ravel(w)])
+    half = Fraction(1, 2) if exact else 0.5
+    return [(half, v), (half, w)]

@@ -31,9 +31,11 @@ other ways:
   library's level rule ``select._meets`` at k = 1.
 
 It also holds the fixtures several test modules share: the cube graph
-(:data:`CUBE`), a graph relabelled as the signing walk takes it
-(:func:`in_walk_order`) and the root of an outcome tree
-(:func:`root_state`).
+(:data:`CUBE`) and a graph relabelled as the signing walk takes it
+(:func:`in_walk_order`).
+
+A random vector here is a plain list of (probability, vector) pairs, a
+row, as weaver's walk takes its lifts.
 """
 
 import math
@@ -41,12 +43,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from interlace import AssignmentState, DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, \
-    char_poly, mixed_char
+from interlace import DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, char_poly, \
+    float_top_root, mixed_char
 from interlace.graphs import LEAF_ENTRIES, frontier_order
-from interlace.matrices import _validate_psd_list, charpoly_batch_exact
-from interlace.mixedchar import BudgetExceededError, _expected_char_with_base
-from interlace.select import _kth_cluster, _kth_root, _ri_scores
+from interlace.matrices import _coerce_array, _validate_psd_list, charpoly_batch_exact
+from interlace.mixedchar import BudgetExceededError, _enumerated_char
+from interlace.select import _kth_cluster, _ri_scores
 from interlace.poly import TopRoot, _count_above, _integer_coeffs, _primitive, \
     _pseudo_divmod, shift_chain
 from fixtures import allclose
@@ -62,11 +64,6 @@ def in_walk_order(g: Graph) -> Graph:
     """``g`` relabelled in frontier order, as the signing walk takes it."""
     label = {v: i for i, v in enumerate(frontier_order(g))}
     return Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
-
-
-def root_state(rvs) -> AssignmentState:
-    """The root of the outcome tree of ``rvs``: nothing fixed."""
-    return AssignmentState(fixed=[], remaining=list(rvs), k=1)
 
 
 class TruncatedMultiAffine:
@@ -193,37 +190,48 @@ def convex_combinations_real_rooted(polys) -> bool:
                for i, p in enumerate(polys) for q in polys[i + 1:] for t in ts)
 
 
-def _base(fixed, dim: int, exact: bool) -> np.ndarray:
+def _arrays(rows, fixed):
+    """(rows, fixed, exact) with every vector an array: exact (object)
+    unless a probability or a component is a float, float otherwise."""
+    rows = [[(p, _coerce_array(v)) for p, v in row] for row in rows]
+    fixed = [_coerce_array(v) for v in fixed]
+    exact = all(v.dtype == object for v in fixed) and all(
+        not isinstance(p, float) and v.dtype == object for row in rows for p, v in row)
+    dtype = object if exact else float
+    return ([[(p, v.astype(dtype)) for p, v in row] for row in rows],
+            [v.astype(dtype) for v in fixed], exact)
+
+
+def _base(rows, fixed, exact: bool) -> np.ndarray:
+    dim = len(fixed[0]) if fixed else len(rows[0][0][1])
     acc = np.zeros((dim, dim), dtype=object if exact else float)
     for v in fixed:
-        a = np.asarray(v).astype(object if exact else float)
-        acc = acc + np.outer(a, a)
+        acc = acc + np.outer(v, v)
     return acc
 
 
-def _enumerate(base: np.ndarray, rvs, budget: int, exact: bool) -> Polynomial:
-    """``_expected_char_with_base``, refused with :class:`BudgetExceededError`
+def _enumerate(base: np.ndarray, rows, budget: int, exact: bool) -> Polynomial:
+    """``_enumerated_char``, refused with :class:`BudgetExceededError`
     when the outcomes outnumber ``budget``."""
-    total = math.prod(len(r.support) for r in rvs)
+    total = math.prod(len(row) for row in rows)
     if total > budget:
         raise BudgetExceededError(f"{total} outcomes exceed the budget of {budget}")
-    return _expected_char_with_base(base, rvs, exact)
+    return _enumerated_char(base, rows, exact)
 
 
-def conditional_expected_poly(state: AssignmentState, budget: int = DEFAULT_BUDGET,
+def conditional_expected_poly(rows, fixed=(), budget: int = DEFAULT_BUDGET,
                               cross_check: bool = False) -> Polynomial:
-    """E over the remaining randomness of char_poly(sum fixed + sum remaining).
+    """E over the random ``rows`` of char_poly(sum fixed + sum rows).
 
-    Enumerates every remaining outcome tuple, exact in exact mode.  With
+    Enumerates every outcome tuple, exact in exact mode.  With
     ``cross_check`` the result is compared with the engine's mixed
     characteristic polynomial of the fixed rank-one matrices and the
     covariances; a disagreement raises RuntimeError.
     """
-    exact = state.is_exact
-    out = _enumerate(_base(state.fixed, state.dim, exact), state.remaining, budget, exact)
+    rows, fixed, exact = _arrays(rows, fixed)
+    out = _enumerate(_base(rows, fixed, exact), rows, budget, exact)
     if cross_check:
-        mats = [SymMatrix(np.outer(v, v)) for v in state.fixed] \
-            + [covariance(r) for r in state.remaining]
+        mats = [SymMatrix(np.outer(v, v)) for v in fixed] + [covariance(r) for r in rows]
         alt = mixed_char(mats)
         agree = out == alt if (out.is_exact and alt.is_exact) \
             else allclose(out, alt)
@@ -232,39 +240,31 @@ def conditional_expected_poly(state: AssignmentState, budget: int = DEFAULT_BUDG
     return out
 
 
-def enumeration_walk(state: AssignmentState, budget: int = DEFAULT_BUDGET):
-    """The greedy walk with every child enumerated: (choices, levels, pledged).
+def enumeration_walk(rows, fixed=(), budget: int = DEFAULT_BUDGET):
+    """The greedy walk minimizing lambda_1 with every child enumerated:
+    (choices, levels, pledged).
 
-    Every level keeps its best child, ties going to the lowest support
-    index.  ``greedy_walk`` keeps the first child that meets its parent,
-    exact or float, which on two-point supports is the same child.  Roots come from ``greedy_walk``'s own kernels,
-    ``select._kth_cluster`` for exact polynomials and ``select._kth_root``
-    for float ones: this checks the walk's route to its polynomials and
-    its choices, and the kernels are checked against 50-digit references
-    in the tests of ``interlace.poly``.
+    Every level keeps its best child, ties going to the lowest index.
+    Weaver's walk keeps the first child that meets its parent, exact or
+    float, which on two-point rows is the same child.  Roots come from
+    that walk's own kernels, ``select._kth_cluster`` for exact
+    polynomials and ``float_top_root`` for float ones: this checks the
+    walk's route to its polynomials and its choices, and the kernels are
+    checked against 50-digit references in the tests of ``interlace.poly``.
     """
-    exact = state.is_exact
-    k = state.k
-    maximize = state.direction == "maximize"
-    base = _base(state.fixed, state.dim, exact)
-    remaining = list(state.remaining)
-    def kth(p):
-        return _kth_cluster(p, k).root if exact else _kth_root(p, k)
+    rows, fixed, exact = _arrays(rows, fixed)
+    base = _base(rows, fixed, exact)
 
-    pledged = kth(_enumerate(base, remaining, budget, exact))
+    def top(p):
+        return _kth_cluster(p, 1).root if exact else float_top_root(p)
+
+    pledged = top(_enumerate(base, rows, budget, exact))
     choices, levels = [], []
-    for lvl, rv in enumerate(remaining):
-        vals = []
-        for _, vec in rv.support:
-            v = np.asarray(vec).astype(object if exact else float)
-            child = _enumerate(base + np.outer(v, v), remaining[lvl + 1:], budget, exact)
-            vals.append(kth(child))
-        best = 0
-        for j in range(1, len(vals)):
-            if (vals[j] > vals[best]) if maximize else (vals[j] < vals[best]):
-                best = j
-        v = np.asarray(rv.support[best][1]).astype(object if exact else float)
-        base = base + np.outer(v, v)
+    for lvl, row in enumerate(rows):
+        vals = [top(_enumerate(base + np.outer(v, v), rows[lvl + 1:], budget, exact))
+                for _, v in row]
+        best = vals.index(min(vals))
+        base = base + np.outer(row[best][1], row[best][1])
         choices.append(best)
         levels.append(vals[best])
     return choices, levels, pledged

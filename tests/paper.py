@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from interlace.graphs import Graph, squared_roots
-from interlace.matrices import SymMatrix, charpoly_batch_exact, _validate_psd_list
-from interlace.mixedchar import DiscreteRandomVector
+from interlace.matrices import SymMatrix, charpoly_batch_exact, _coerce_array, _validate_psd_list
 from interlace.poly import Polynomial, ZeroPolynomialError, NotRealRootedError, \
     real_roots, root_clusters, roots_above, _float_roots, _normalize_scalar, \
     _primitive, _pseudo_divmod, _root_bound
@@ -416,12 +415,12 @@ def spectral_approx_factors(h: Graph, g: Graph, h_weights=None,
 # ----------------------------------------------------------------------
 
 
-def covariance(r: DiscreteRandomVector) -> SymMatrix:
-    """E[r r^T] over the support of r."""
-    acc = None
-    for p, v in r.support:
-        term = p * np.outer(v, v)
-        acc = term if acc is None else acc + term
+def covariance(row) -> SymMatrix:
+    """E[r r^T] of a random vector r given as (probability, vector) pairs."""
+    acc = 0
+    for p, v in row:
+        v = _coerce_array(v)
+        acc = acc + p * np.outer(v, v)
     return SymMatrix(acc)
 
 
@@ -447,20 +446,19 @@ def mixed_char_root_bound(matrices) -> float:
     return float((1.0 + math.sqrt(eps)) ** 2)
 
 
-def signing_vectors(g: Graph, exact: bool = True) -> list[DiscreteRandomVector]:
-    """Per edge (a,b): e_a + e_b or e_a - e_b with probability 1/2 each.
+def signing_vectors(g: Graph, exact: bool = True) -> list:
+    """Per edge (a,b): e_a + e_b or e_a - e_b with probability 1/2 each, as
+    a list of (probability, vector) pairs, exact or float.
 
     Their outer-product sum is A_s + dI for d-regular graphs, and the
     covariances sum to d times the identity.
     """
+    dtype, half = (object, Fraction(1, 2)) if exact else (float, 0.5)
     out = []
     for a, b in g.edges:
-        plus = np.zeros(g.n, dtype=object if exact else float)
-        minus = np.zeros(g.n, dtype=object if exact else float)
-        one = 1 if exact else 1.0
-        plus[a] = one
-        plus[b] = one
-        minus[a] = one
-        minus[b] = -one
-        out.append(DiscreteRandomVector.two_point(plus, minus))
+        plus = np.zeros(g.n, dtype=dtype)
+        plus[a] = plus[b] = 1
+        minus = plus.copy()
+        minus[b] = -1
+        out.append([(half, plus), (half, minus)])
     return out

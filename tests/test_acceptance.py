@@ -23,7 +23,6 @@ from interlace import (
     signed_adjacency,
     two_lift,
     is_ramanujan_bipartite,
-    DiscreteRandomVector,
     SymMatrix,
     mixed_char,
     VectorSystem,
@@ -34,8 +33,9 @@ from interlace import (
     signing_select,
 )
 from interlace.barrier import laguerre_root_bounds, lower_shift_check, upper_shift_check
-from fixtures import complete, complete_bipartite, from_roots, petersen, random_isotropic
-from oracles import conditional_expected_poly, root_state
+from fixtures import complete, complete_bipartite, from_roots, petersen, random_isotropic, \
+    two_point
+from oracles import conditional_expected_poly
 from paper import covariance, godsil_gutman_check, heilmann_lieb_check, is_real_rooted, \
     laguerre_transform, mixed_char_root_bound, signing_vectors, spectral_approx_factors
 
@@ -166,16 +166,14 @@ def _random_rank_one_systems():
         d = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
         float_systems.append([
-            DiscreteRandomVector.two_point(rng.standard_normal(d).tolist(),
-                                           rng.standard_normal(d).tolist())
+            two_point(rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist())
             for _ in range(m)])
     exact_systems = []
     for _ in range(50):
         d = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
         exact_systems.append([
-            DiscreteRandomVector.two_point(rng.integers(-2, 3, d).tolist(),
-                                           rng.integers(-2, 3, d).tolist())
+            two_point(rng.integers(-2, 3, d).tolist(), rng.integers(-2, 3, d).tolist())
             for _ in range(m)])
     return float_systems, exact_systems
 
@@ -188,7 +186,7 @@ def test_criterion_05_expectation_identity_and_real_roots(capsys):
             # enumeration against the engine: equal (exactly, for exact
             # systems) or RuntimeError
             try:
-                p = conditional_expected_poly(root_state(rvs), cross_check=True)
+                p = conditional_expected_poly(rvs, cross_check=True)
             except RuntimeError:
                 failures.append((f"{tag}-identity", i))
                 continue
@@ -205,11 +203,11 @@ def test_criterion_06_outcome_bracketing(capsys):
     failures = []
     for tag, systems in (("float", float_systems), ("exact", exact_systems)):
         for i, rvs in enumerate(systems):
-            d = rvs[0].dim
-            expect = conditional_expected_poly(root_state(rvs))
+            d = len(rvs[0][0][1])
+            expect = conditional_expected_poly(rvs)
             expect_roots = real_roots(Polynomial([float(c) for c in expect.coeffs]))
             leaf_w = []
-            for combo in itertools.product(*[r.support for r in rvs]):
+            for combo in itertools.product(*rvs):
                 acc = np.zeros((d, d))
                 for _, v in combo:
                     a = np.asarray(v, dtype=float)

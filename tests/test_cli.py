@@ -315,6 +315,19 @@ def test_lift_malformed_edges_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n0 0", "self-loop at vertex 0"),
+    ("0 1\n1 0", "duplicate edges are not allowed"),
+    ("0 1\n-1 1", "edge (-1,1) out of range for n=2")],
+    ids=["self-loop", "duplicate", "out-of-range"])
+def test_lift_graph_refusals_exit_2(capsys, tmp_path, text, message):
+    g = tmp_path / "g.txt"
+    g.write_text(text + "\n")
+    assert main(["lift", str(g)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"parse error: {message}\n"
+
+
 BOOLS = '{"vectors": [[true, false], [false, true]]}'
 INFINITE = '{"vectors": [[Infinity, 0], [0, 1]]}'
 ZERO_DENOMINATOR = '{"vectors": [["1/0", 0], [0, 1]]}'
@@ -481,7 +494,7 @@ def test_weaver_d7_m24_exits_4_before_any_fold(capsys, tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the walk started")
 
-    for name in ("fold_terms", "peel_terms", "_expected_char_with_base"):
+    for name in ("fold_terms", "peel_terms", "_enumerated_char"):
         monkeypatch.setattr(select_module, name, refuse)
     vs = random_isotropic(7, 24, np.random.default_rng(7))
     path = tmp_path / "d7.json"

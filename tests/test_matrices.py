@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from interlace import Graph, SigningEngine, SymMatrix, char_poly, charpoly_batch, \
-    charpoly_batch_exact, frontier_order, graphs, mixed_char, two_lift
-from interlace.poly import Polynomial, real_roots
+from interlace import Graph, SigningEngine, SymMatrix, VectorSystem, char_poly, \
+    charpoly_batch, charpoly_batch_exact, frontier_order, graphs, mixed_char, two_lift
+from interlace.poly import real_roots
 from fixtures import complete_bipartite, petersen
 from oracles import berkowitz_charpoly
 
@@ -45,6 +45,18 @@ def test_float_entries_must_be_finite(bad):
         SymMatrix([[1.0, 0.0], [bad, 1.0]])
     with pytest.raises(ValueError, match="not finite"):
         mixed_char([[[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_entries_among_exact_ones_must_be_finite(bad):
+    # a Fraction makes an object array, read exactly: a float inf there
+    # reached Fraction arithmetic (OverflowError), and a nan the symmetry
+    # test ("not symmetric")
+    with pytest.raises(ValueError, match=rf"matrix entry \(1, 1\) is {bad}, not finite"):
+        SymMatrix([[Fraction(1, 2), 0], [0, bad]])
+    with pytest.raises(ValueError, match=rf"vector component \(0, 1\) is {bad}, not finite"):
+        VectorSystem([[Fraction(1, 2), bad], [0, 1]]).gram_sum()
+    assert SymMatrix([[Fraction(1, 2), 0.5], [0.5, 1]]).a[0, 1] == Fraction(1, 2)
 
 
 def test_constructors_and_arithmetic():

@@ -8,7 +8,6 @@ independent finite-support random rank-one sums are computed by direct
 enumeration and must agree.
 """
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -20,15 +19,14 @@ from interlace import (
     Polynomial,
     SymMatrix,
     char_poly,
-    DiscreteRandomVector,
     BudgetExceededError,
     mixed_char,
     real_roots,
 )
 from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms, peel_terms
 from interlace.tolerances import COEFF_TOL
-from fixtures import allclose
-from oracles import TruncatedMultiAffine, conditional_expected_poly, ring_mixed_char, root_state
+from fixtures import allclose, two_point
+from oracles import TruncatedMultiAffine, conditional_expected_poly, ring_mixed_char
 from paper import covariance, is_real_rooted, mixed_char_root_bound
 
 
@@ -38,41 +36,15 @@ from paper import covariance, is_real_rooted, mixed_char_root_bound
 
 
 def test_discrete_random_vector_basic():
-    r = DiscreteRandomVector.two_point([1, 0], [0, 1])
-    assert r.dim == 2
-    assert r.is_exact
-    cov = covariance(r)
-    assert cov.a[0, 0] == Fraction(1, 2)
-    assert cov.a[1, 1] == Fraction(1, 2)
-    assert cov.a[0, 1] == 0
+    # a random vector is a list of (probability, vector) pairs
+    cov = covariance(two_point([1, 0], [0, 1]))
+    assert cov == SymMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]]) and cov.is_exact
 
 
 def test_deterministic_vector():
-    r = DiscreteRandomVector([(1.0, [2.0, 0.0])])
-    assert not r.is_exact
-    assert covariance(r).a[0, 0] == pytest.approx(4.0)
-
-
-def test_probabilities_must_sum_to_one():
-    with pytest.raises(ValueError):
-        DiscreteRandomVector([(0.6, [1.0]), (0.6, [2.0])])
-    with pytest.raises(ValueError):
-        DiscreteRandomVector([(Fraction(1, 3), [1]), (Fraction(1, 3), [2])])
-    # float roundoff within 1e-12 is fine
-    DiscreteRandomVector([(0.1, [1.0])] * 10)
-
-
-def test_float_probabilities_and_components_must_be_finite():
-    # nan <= 0 and |nan - 1| > PROB_TOL are both false, so a nan
-    # probability passes every later check unless refused first
-    with pytest.raises(ValueError, match="probability of outcome 0 is nan, not finite"):
-        DiscreteRandomVector([(math.nan, [1.0, 0.0]), (0.5, [0.0, 1.0])])
-    with pytest.raises(ValueError, match="probability of outcome 1 is inf, not finite"):
-        DiscreteRandomVector([(0.5, [1.0, 0.0]), (math.inf, [0.0, 1.0])])
-    with pytest.raises(ValueError, match="outcome 1's vector component 0 is -inf, not finite"):
-        DiscreteRandomVector([(0.5, [1.0, 0.0]), (0.5, [-math.inf, 1.0])])
-    with pytest.raises(ValueError, match="outcome 0's vector component 1 is nan, not finite"):
-        DiscreteRandomVector.two_point([0.0, math.nan], [1.0, 0.0])
+    cov = covariance([(1.0, [2.0, 0.0])])
+    assert not cov.is_exact
+    assert cov.a[0, 0] == pytest.approx(4.0)
 
 
 # ----------------------------------------------------------------------
@@ -177,24 +149,24 @@ def test_mixed_char_caps():
 
 
 def test_expected_char_poly_deterministic_case():
-    r1 = DiscreteRandomVector([(1, [1, 0])])
-    r2 = DiscreteRandomVector([(1, [0, 1])])
-    p = conditional_expected_poly(root_state([r1, r2]))
+    r1 = [(1, [1, 0])]
+    r2 = [(1, [0, 1])]
+    p = conditional_expected_poly([r1, r2])
     assert p == Polynomial([1, -2, 1])  # char poly of I_2
 
 
 def test_expected_char_poly_exact_two_point():
     # r = (1,0) or (0,1) with prob 1/2 each, a single vector:
     # E det(xI - rr^T) = x(x-1) exactly.
-    r = DiscreteRandomVector.two_point([1, 0], [0, 1])
-    assert conditional_expected_poly(root_state([r])) == Polynomial([0, -1, 1])
+    r = two_point([1, 0], [0, 1])
+    assert conditional_expected_poly([r]) == Polynomial([0, -1, 1])
 
 
 def test_expected_char_poly_averages_correctly():
     # two signed copies: E over 4 outcomes; cross-check by hand enumeration
-    r1 = DiscreteRandomVector.two_point([1, 1], [1, -1])
-    r2 = DiscreteRandomVector.two_point([2, 0], [0, 2])
-    got = conditional_expected_poly(root_state([r1, r2]))
+    r1 = two_point([1, 1], [1, -1])
+    r2 = two_point([2, 0], [0, 2])
+    got = conditional_expected_poly([r1, r2])
     acc = Polynomial(())
     for v1 in ([1, 1], [1, -1]):
         for v2 in ([2, 0], [0, 2]):
@@ -204,10 +176,10 @@ def test_expected_char_poly_averages_correctly():
 
 
 def test_expectation_identity_exact():
-    r1 = DiscreteRandomVector.two_point([1, 0], [0, 1])
-    r2 = DiscreteRandomVector.two_point([1, 1], [1, -1])
+    r1 = two_point([1, 0], [0, 1])
+    r2 = two_point([1, 1], [1, -1])
     # exact: equal coefficient for coefficient, or RuntimeError
-    conditional_expected_poly(root_state([r1, r2]), cross_check=True)
+    conditional_expected_poly([r1, r2], cross_check=True)
 
 
 def test_expectation_identity_float_randomized():
@@ -219,8 +191,8 @@ def test_expectation_identity_float_randomized():
         for _ in range(m):
             v = rng.standard_normal(d)
             w = rng.standard_normal(d)
-            rvs.append(DiscreteRandomVector.two_point(v.tolist(), w.tolist()))
-        conditional_expected_poly(root_state(rvs), cross_check=True)
+            rvs.append(two_point(v.tolist(), w.tolist()))
+        conditional_expected_poly(rvs, cross_check=True)
 
 
 def test_expectation_identity_fails_for_rank_two():
@@ -243,10 +215,10 @@ def test_expectation_identity_fails_for_rank_two():
 
 
 def test_expected_char_poly_budget():
-    rvs = [DiscreteRandomVector.two_point([1.0, 0.0], [0.0, 1.0])] * 4
+    rvs = [two_point([1.0, 0.0], [0.0, 1.0])] * 4
     with pytest.raises(BudgetExceededError):
-        conditional_expected_poly(root_state(rvs), budget=8)  # 2^4 = 16 outcomes > 8
-    conditional_expected_poly(root_state(rvs), budget=16)  # exactly at the budget is fine
+        conditional_expected_poly(rvs, budget=8)  # 2^4 = 16 outcomes > 8
+    conditional_expected_poly(rvs, budget=16)  # exactly at the budget is fine
 
 
 def test_mixed_char_roots_real_on_random_two_point_systems():
@@ -256,9 +228,9 @@ def test_mixed_char_roots_real_on_random_two_point_systems():
         m = int(rng.integers(1, 4))
         rvs = []
         for _ in range(m):
-            rvs.append(DiscreteRandomVector.two_point(
+            rvs.append(two_point(
                 rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist()))
-        p = conditional_expected_poly(root_state(rvs))
+        p = conditional_expected_poly(rvs)
         assert is_real_rooted(p)
 
 

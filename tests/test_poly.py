@@ -817,8 +817,6 @@ def test_float_top_root_raises_on_a_complex_top_pair():
         assert not p.is_exact
         with pytest.raises(NotRealRootedError):
             float_top_root(p)
-        with pytest.raises(NotRealRootedError):
-            select_module._kth_root(p, 1)
     with pytest.raises(ValueError):
         float_top_root(Polynomial([2.0]))
 

@@ -23,13 +23,9 @@ from interlace import (
     roots_above,
     shift_chain,
     TopRoot,
-    DiscreteRandomVector,
     VectorSystem,
-    AssignmentState,
     SelectionCertificate,
     BudgetExceededError,
-    greedy_walk,
-    walk_costs,
     restricted_invertibility_bound,
     restricted_invertibility_select,
     weaver_partition,
@@ -47,7 +43,7 @@ import interlace.poly as poly_module
 import interlace.select as select_module
 from interlace.poly import EIG_START_POLES
 from fixtures import complete, complete_bipartite, from_roots, path, petersen, \
-    random_isotropic
+    random_isotropic, two_point
 from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
     in_walk_order, ri_level_scores
@@ -120,41 +116,18 @@ def test_random_isotropic_systems_are_isotropic():
 
 
 # ----------------------------------------------------------------------
-# AssignmentState and conditional expectations
+# Conditional expectations and the greedy walk
 # ----------------------------------------------------------------------
 
 
-def test_assignment_state_validation():
-    r = DiscreteRandomVector.two_point([1, 0], [0, 1])
-    with pytest.raises(ValueError):
-        AssignmentState(fixed=[], remaining=[r], k=1, direction="sideways")
-    with pytest.raises(ValueError):
-        AssignmentState(fixed=[], remaining=[r], k=0)
-    with pytest.raises(ValueError):
-        AssignmentState(fixed=[], remaining=[r], k=3)  # k > dim
-    with pytest.raises(ValueError):
-        AssignmentState(fixed=[[1, 0, 0]], remaining=[r], k=1)  # dim clash
-    with pytest.raises(ValueError):
-        AssignmentState(fixed=[], remaining=[], k=1)
-
-
-def test_assignment_state_fixed_components_must_be_finite():
-    r = DiscreteRandomVector.two_point([1.0, 0.0], [0.0, 1.0])
-    with pytest.raises(ValueError, match="fixed vector 1's component 0 is nan, not finite"):
-        AssignmentState(fixed=[[1.0, 0.0], [math.nan, 0.0]], remaining=[r], k=1)
-
-
 def test_conditional_expected_poly_no_randomness():
-    st = AssignmentState(fixed=[[1, 0], [0, 1]], remaining=[], k=1)
     # nothing left to average: just char_poly of the fixed Gram sum = I
-    assert conditional_expected_poly(st) == Polynomial([1, -2, 1])
+    assert conditional_expected_poly([], fixed=[[1, 0], [0, 1]]) == Polynomial([1, -2, 1])
 
 
 def test_conditional_expected_poly_exact_average():
-    r = DiscreteRandomVector.two_point([1, 0], [0, 1])
-    st = AssignmentState(fixed=[], remaining=[r], k=1)
     # (char(e1e1^T) + char(e2e2^T))/2 = x(x-1)
-    assert conditional_expected_poly(st) == Polynomial([0, -1, 1])
+    assert conditional_expected_poly([two_point([1, 0], [0, 1])]) == Polynomial([0, -1, 1])
 
 
 def test_conditional_expected_poly_cross_check_agrees():
@@ -162,104 +135,65 @@ def test_conditional_expected_poly_cross_check_agrees():
     for _ in range(10):
         d = int(rng.integers(2, 5))
         fixed = [rng.standard_normal(d) for _ in range(int(rng.integers(0, 3)))]
-        rvs = [DiscreteRandomVector.two_point(rng.standard_normal(d).tolist(),
-                                              rng.standard_normal(d).tolist())
-               for _ in range(int(rng.integers(1, 4)))]
-        st = AssignmentState(fixed=fixed, remaining=rvs, k=1)
-        conditional_expected_poly(st, cross_check=True)  # must not raise
+        rows = [two_point(rng.standard_normal(d).tolist(), rng.standard_normal(d).tolist())
+                for _ in range(int(rng.integers(1, 4)))]
+        conditional_expected_poly(rows, fixed, cross_check=True)  # must not raise
 
 
-# ----------------------------------------------------------------------
-# greedy_walk
-# ----------------------------------------------------------------------
+def _random_rows(rng, d: int, m: int) -> list:
+    return [two_point(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(m)]
 
 
-def _all_leaf_values(rvs, k):
-    """lambda_k of every full outcome, by brute force."""
-    vals = []
-    for combo in itertools.product(*[r.support for r in rvs]):
-        acc = np.zeros((len(np.asarray(combo[0][1])),) * 2)
-        for _, v in combo:
-            a = np.asarray(v, dtype=float)
-            acc += np.outer(a, a)
-        w = np.linalg.eigvalsh(acc)
-        vals.append(float(w[-k]))
-    return vals
-
-
-def test_greedy_walk_certificate_maximize():
-    rng = np.random.default_rng(73)
-    for _ in range(15):
-        d = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 6))
-        rvs = [DiscreteRandomVector.two_point(rng.standard_normal(d).tolist(),
-                                              rng.standard_normal(d).tolist())
-               for _ in range(m)]
-        k = int(rng.integers(1, d + 1))
-        st = AssignmentState(fixed=[], remaining=rvs, k=k, direction="maximize")
-        cert = greedy_walk(st)
-        assert cert.valid()
-        assert len(cert.choices) == m
-        assert len(cert.levels) == m
-        # the pledge must lie between the extreme leaves
-        leaves = _all_leaf_values(rvs, k)
-        assert min(leaves) - 1e-7 <= cert.pledged <= max(leaves) + 1e-7
-        # the achieved value is a genuine leaf of the outcome tree
-        assert any(abs(cert.achieved - lv) < 1e-7 for lv in leaves)
+def _all_leaf_values(rows):
+    """lambda_1 of every full outcome, by brute force."""
+    return [float(np.linalg.eigvalsh(sum(np.outer(v, v) for _, v in combo))[-1])
+            for combo in itertools.product(*rows)]
 
 
 def test_greedy_walk_certificate_minimize():
+    # weaver's walk on any two-point rows, from a zero fixed vector
     rng = np.random.default_rng(79)
     for _ in range(15):
         d = int(rng.integers(2, 5))
         m = int(rng.integers(2, 6))
-        rvs = [DiscreteRandomVector.two_point(rng.standard_normal(d).tolist(),
-                                              rng.standard_normal(d).tolist())
-               for _ in range(m)]
-        st = AssignmentState(fixed=[], remaining=rvs, k=1, direction="minimize")
-        cert = greedy_walk(st)
+        rows = _random_rows(rng, d, m)
+        cert = select_module._weaver_walk(np.zeros(d), rows)
         assert cert.valid()
-        leaves = _all_leaf_values(rvs, 1)
-        assert cert.achieved >= min(leaves) - 1e-7  # no better than the best leaf
+        assert len(cert.choices) == len(cert.levels) == m
+        leaves = _all_leaf_values(rows)
+        # the pledge lies between the extreme leaves, and the achieved
+        # value is a genuine leaf of the outcome tree
+        assert min(leaves) - 1e-7 <= cert.pledged <= max(leaves) + 1e-7
+        assert any(abs(cert.achieved - lv) < 1e-7 for lv in leaves)
         assert cert.achieved <= cert.pledged + 1e-7
 
 
 def test_greedy_walk_levels_are_monotone_toward_target():
-    # in the maximize direction each fixing can only improve (or keep)
-    # the conditional value relative to the pledge; the final level must
-    # equal the achieved value up to root-finding error
+    # each fixing can only lower (or keep) the conditional value, from
+    # the pledge on; the final level equals the achieved value up to
+    # root-finding error
     rng = np.random.default_rng(83)
-    d, m = 3, 4
-    rvs = [DiscreteRandomVector.two_point(rng.standard_normal(d).tolist(),
-                                          rng.standard_normal(d).tolist())
-           for _ in range(m)]
-    st = AssignmentState(fixed=[], remaining=rvs, k=1, direction="maximize")
-    cert = greedy_walk(st)
+    cert = select_module._weaver_walk(np.zeros(3), _random_rows(rng, 3, 4))
     seq = [cert.pledged] + list(cert.levels)
     for a, b in zip(seq, seq[1:]):
-        assert b >= a - 1e-7
+        assert b <= a + 1e-7
     assert cert.levels[-1] == pytest.approx(cert.achieved, abs=1e-6)
 
 
 def test_greedy_walk_interlacing_check_passes():
     rng = np.random.default_rng(89)
-    d, m = 3, 3
-    rvs = [DiscreteRandomVector.two_point(rng.standard_normal(d).tolist(),
-                                          rng.standard_normal(d).tolist())
-           for _ in range(m)]
-    st = AssignmentState(fixed=[], remaining=rvs, k=2, direction="maximize")
-    cert = greedy_walk(st)
+    rows = _random_rows(rng, 3, 3)
+    cert = select_module._weaver_walk(np.zeros(3), rows)
     assert cert.valid()
     # every visited sibling family has a common interlacing, the fact
     # that makes greedy sound; children by enumeration, independently
     fixed = []
     for level, choice in enumerate(cert.choices):
-        children = [conditional_expected_poly(AssignmentState(
-            fixed=fixed + [v], remaining=rvs[level + 1:], k=2))
-            for _, v in rvs[level].support]
+        children = [conditional_expected_poly(rows[level + 1:], fixed + [v])
+                    for _, v in rows[level]]
         assert have_common_interlacing(children)
         assert convex_combinations_real_rooted(children)
-        fixed.append(rvs[level].support[choice][1])
+        fixed.append(rows[level][choice][1])
 
 
 def test_certificate_invariant_direction():
@@ -813,9 +747,8 @@ def test_signing_vectors_gram_identity():
     for bits in itertools.product([0, 1], repeat=g.m):
         acc = np.zeros((g.n, g.n), dtype=object)
         for r, b in zip(rvs, bits):
-            _, v = r.support[b]
-            a = np.asarray(v)
-            acc = acc + np.outer(a, a)
+            _, v = r[b]
+            acc = acc + np.outer(v, v)
         s = [1 if b == 0 else -1 for b in bits]
         expect = signed_adjacency(g, s).a + d * np.eye(g.n, dtype=int)
         assert (acc == expect).all()
@@ -849,30 +782,25 @@ def test_signing_select_k33():
 
 
 def test_signing_select_matches_exact_enumeration_walk():
-    # Reference: the exact-mode greedy walk over the rank-one signing vectors,
-    # by its cheaper route (every remaining signing enumerated, or exact mixed
-    # characteristic polynomials from the exterior-power engine), in the same
-    # edge order (the graph relabelled by frontier_order).  Its values are
-    # in Gram coordinates, A_s + dI, and the signing walk's in adjacency ones.
-    cube = Graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
-    for g in (complete(4), complete_bipartite(3, 3), complete(5), cube):
+    # Reference: the exact walk over the rank-one signing vectors with every
+    # remaining signing enumerated, in the same edge order (the graph
+    # relabelled by frontier_order).  Its values are in Gram coordinates,
+    # A_s + dI, and the signing walk's in adjacency ones.
+    for g in (complete(4), complete_bipartite(3, 3), complete(5), CUBE):
         d = g.regularity()
         order = frontier_order(g)
-        label = {v: i for i, v in enumerate(order)}
-        walk = Graph(g.n, [(label[a], label[b]) for a, b in g.edges])
-        state = AssignmentState(fixed=[], remaining=signing_vectors(walk, exact=True),
-                                k=1, direction="minimize")
-        ref = greedy_walk(state)
+        walk = in_walk_order(g)
+        choices, levels, pledged = enumeration_walk(signing_vectors(walk, exact=True))
         signing, cert = signing_select(g)
-        assert cert.choices == ref.choices
+        assert cert.choices == choices
         sign = dict(zip(g.edges, signing))
         assert [sign[tuple(sorted((order[a], order[b])))] for a, b in walk.edges] \
-            == [1 - 2 * c for c in ref.choices]
+            == [1 - 2 * c for c in choices]
         assert abs(cert.pledged - exact_real_roots(matching_poly(g))[0]) <= 1e-12
         assert cert.valid()
         assert cert.levels[-1] <= cert.pledged + 1e-12
-        assert cert.achieved + d == pytest.approx(ref.achieved, abs=1e-9)
-        assert ref.pledged == pytest.approx(cert.pledged + d, abs=1e-9)
+        assert cert.achieved + d == pytest.approx(levels[-1], abs=1e-9)
+        assert pledged == pytest.approx(cert.pledged + d, abs=1e-9)
 
 
 def _recorded_signing_walk(monkeypatch, g):
@@ -948,7 +876,7 @@ def test_signing_select_raises_when_chi_of_a_s_is_not_its_last_polynomial(monkey
     walks = [lambda g=g: signing_select(g) for g in
              (CUBE, complete_bipartite(3, 3), petersen())]
     walks += [lambda: restricted_invertibility_select(vs, 2)]
-    walks += [lambda route=route: _walk_by(route, _lifted_state(vs))
+    walks += [lambda route=route: _walk_by(route, *_lifts(vs))
               for route in ("engine", "enumerate")]
     for walk in walks:
         walk()
@@ -983,7 +911,9 @@ def test_exact_walks_root_the_pledge_and_each_kept_child_once(monkeypatch, walk)
     if walk == "ri":
         _, cert = restricted_invertibility_select(vs, 2)
     else:
-        cert = _walk_by(walk, _lifted_state(vs))
+        # vector 0 lifted too, from a zero fixed vector: its children are equal
+        rows, first = _lifts(vs)
+        cert = _walk_by(walk, [two_point(first, np.roll(first, vs.dim))] + rows, 0 * first)
     assert cert.valid() and cert.achieved == cert.levels[-1]
     assert len(differ) == len(cert.levels) and (walk == "ri" or not all(differ))
     assert len(rooted) == 1 + sum(differ)
@@ -1206,10 +1136,10 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
 
 
 def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
-    # m folds of a support's two points build the parent table, and each
-    # level peels its two points off it again, which forms both children;
-    # the children come from traces, and their top roots from Laguerre's
-    # method, not real_roots
+    # the fixed vector and m - 1 folds of a lift's two points build the
+    # parent table, and each level peels its two points off it again, which
+    # forms both children; the children come from traces, and their top
+    # roots from Laguerre's method, not real_roots
     calls = {"fold_terms": [], "peel_terms": []}
 
     def counted(name):
@@ -1224,10 +1154,10 @@ def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(mon
     monkeypatch.setattr(poly_module, "real_roots", refuse)
     m = 12
     vs = random_isotropic(3, m, np.random.default_rng(283))
-    cert = greedy_walk(_lifted_state(vs))
+    _, _, cert = weaver_partition(vs)
     assert cert.valid() and len(cert.choices) == m
     # terms per call
-    assert calls == {"fold_terms": [2] * m, "peel_terms": [2] * m}
+    assert calls == {"fold_terms": [1] + [2] * (m - 1), "peel_terms": [2] * (m - 1)}
 
 
 def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
@@ -1267,22 +1197,21 @@ def test_signing_select_requires_regular():
 # ----------------------------------------------------------------------
 
 
-def _walk_by(route: str, state: AssignmentState) -> SelectionCertificate:
-    """greedy_walk with ``route`` made the cheaper one by its cost estimate."""
+def _walk_by(route: str, rows: list, fixed: np.ndarray) -> SelectionCertificate:
+    """Weaver's walk with ``route`` made the cheaper one by its cost estimate."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(select_module, "walk_costs",
+        mp.setattr(select_module, "_walk_costs",
                    lambda *args: {"enumerate": 1, "engine": 1, route: 0})
-        return greedy_walk(state)
+        return select_module._weaver_walk(fixed, rows)
 
 
-def _lifted_state(vs: VectorSystem) -> AssignmentState:
-    """weaver_partition's walk: each v is (v, 0) or (0, v) with probability 1/2."""
-    d = vs.dim
-    zero = np.zeros(d, dtype=object if vs.is_exact else float)
-    rvs = [DiscreteRandomVector.two_point(np.concatenate([row, zero]),
-                                          np.concatenate([zero, row]))
-           for row in vs.vectors]
-    return AssignmentState(fixed=[], remaining=rvs, k=1, direction="minimize")
+def _lifts(vs: VectorSystem) -> tuple:
+    """weaver_partition's walk, (rows, fixed): (v_0, 0) is fixed, and each
+    other v is (v, 0) or (0, v) with probability 1/2."""
+    zero = np.zeros(vs.dim, dtype=object if vs.is_exact else float)
+    first, *rest = vs.vectors
+    return ([two_point(np.concatenate([v, zero]), np.concatenate([zero, v])) for v in rest],
+            np.concatenate([first, zero]))
 
 
 def _rational_isotropic(d: int, weights, order) -> VectorSystem:
@@ -1310,16 +1239,16 @@ def test_exact_weaver_choices_equal_enumeration_walk():
     for vs in systems:
         assert vs.is_exact and vs.gram_sum() == SymMatrix.identity(vs.dim, exact=True)
         assert vs.m <= 8
-        state = _lifted_state(vs)
-        choices, levels, pledged = enumeration_walk(state)
+        rows, first = _lifts(vs)
+        choices, levels, pledged = enumeration_walk(rows, [first])
         for route in ("engine", "enumerate"):
-            cert = _walk_by(route, state)
+            cert = _walk_by(route, rows, first)
             assert cert.choices == choices
             assert cert.levels == levels
             assert cert.pledged == pledged
             assert cert.valid()
         s1, s2, via_weaver = weaver_partition(vs)
-        assert via_weaver.choices == choices
+        assert via_weaver.choices == [0] + choices
 
 
 def test_float_walk_roots_only_the_children_it_tests(monkeypatch):
@@ -1340,14 +1269,12 @@ def test_float_weaver_levels_match_enumeration_walk():
     rng = np.random.default_rng(241)
     for m in (10, 12, 14):
         vs = random_isotropic(3, m, rng)
-        state = _lifted_state(vs)
-        choices, levels, pledged = enumeration_walk(state)
-        cert = greedy_walk(state)
+        rows, first = _lifts(vs)
+        choices, levels, pledged = enumeration_walk(rows, [first])
+        _, _, cert = weaver_partition(vs)
         assert abs(cert.pledged - pledged) <= 1e-10
-        assert max(abs(a - b) for a, b in zip(cert.levels, levels)) <= 1e-10
-        # the two level-0 children are equal in exact arithmetic, so rounding
-        # may break the tie the other way and mirror the whole walk
-        assert cert.choices in (choices, [1 - c for c in choices])
+        assert max(abs(a - b) for a, b in zip(cert.levels[1:], levels)) <= 1e-10
+        assert cert.choices == [0] + choices
 
 
 def test_weaver_m64_certifies():
@@ -1366,8 +1293,8 @@ def test_weaver_m64_certifies():
 def test_float_walk_on_zero_supports_pledges_and_achieves_zero(route):
     # every polynomial of the walk is x^2, its linear coefficient 0.0 or
     # -0.0, whose top root 0 the float route must return
-    zero = DiscreteRandomVector.two_point([0.0, 0.0], [0.0, 0.0])
-    cert = _walk_by(route, AssignmentState(fixed=[], remaining=[zero, zero], k=1))
+    zero = two_point([0.0, 0.0], [0.0, 0.0])
+    cert = _walk_by(route, [zero, zero], np.zeros(2))
     assert cert.valid()
     assert cert.pledged == cert.achieved == 0.0 and cert.levels == [0.0, 0.0]
 
@@ -1376,11 +1303,11 @@ def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
     # the common scale is 2 * 10^20; the zero vector's weight would be that
     # large too, past int64, but a zero vector adds nothing to the tables
     big = 10 ** 10
-    r = DiscreteRandomVector.two_point(np.array([Fraction(1, big), 0], dtype=object),
-                                       np.array([0, Fraction(2, big)], dtype=object))
-    state = AssignmentState(fixed=[np.array([0, 0], dtype=object)], remaining=[r, r], k=1)
-    choices, levels, pledged = enumeration_walk(state)
-    cert = _walk_by("engine", state)
+    r = two_point(np.array([Fraction(1, big), 0], dtype=object),
+                  np.array([0, Fraction(2, big)], dtype=object))
+    fixed = np.array([0, 0], dtype=object)
+    choices, levels, pledged = enumeration_walk([r, r], [fixed])
+    cert = _walk_by("engine", [r, r], fixed)
     assert (cert.choices, cert.levels, cert.pledged) == (choices, levels, pledged)
 
 
@@ -1388,7 +1315,7 @@ def test_greedy_walk_budget_is_checked_before_the_first_step():
     rng = np.random.default_rng(257)
     vs = random_isotropic(3, 25, rng)
     # vector 0 is fixed, and the other 24 fold into the parent and peel off it
-    cost = walk_costs(6, 1, [2] * 24)["engine"]
+    cost = select_module._walk_costs(6, 24)["engine"]
     assert cost == (96 + 1) * math.comb(12, 6)
     with pytest.raises(BudgetExceededError):
         weaver_partition(vs, budget=cost - 1)
@@ -1397,15 +1324,14 @@ def test_greedy_walk_budget_is_checked_before_the_first_step():
 
 
 def test_walk_costs_pick_enumeration_in_high_dimension():
-    # two-point lifts: 2^m + 2 (2^m - 1) outcomes, n^2 entries each, against
-    # 4m + f rank-one updates of C(2n, n) entries, f the fixed vectors
-    assert walk_costs(12, 0, [2] * 6) == {"enumerate": 190 * 144,
-                                          "engine": 24 * math.comb(24, 12)}
-    assert walk_costs(6, 0, [2] * 12)["engine"] < walk_costs(6, 0, [2] * 12)["enumerate"]
-    assert walk_costs(4, 1, [3]) == {"enumerate": 6 * 16, "engine": 7 * math.comb(8, 4)}
-    # 3 x 2 outcomes for the pledge, 3 children of 2 and 2 of 1
-    assert walk_costs(4, 3, [3, 2]) == {"enumerate": 14 * 16,
-                                        "engine": 13 * math.comb(8, 4)}
+    # r two-point levels: 2^r + 2 (2^r - 1) outcomes, n^2 entries each,
+    # against 4r + 1 rank-one updates of C(2n, n) entries
+    costs = select_module._walk_costs
+    for n, r in ((4, 1), (6, 12), (12, 6)):
+        outcomes = 2 ** r + sum(2 * 2 ** (r - lvl - 1) for lvl in range(r))
+        assert costs(n, r) == {"enumerate": outcomes * n * n,
+                               "engine": (4 * r + 1) * math.comb(2 * n, n)}
+    assert costs(6, 12)["engine"] < costs(6, 12)["enumerate"]
 
 
 def test_weaver_dimension_7_certifies_at_the_default_budget():
@@ -1417,27 +1343,10 @@ def test_weaver_dimension_7_certifies_at_the_default_budget():
     s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(7))
     assert cert.valid()
-    state = _lifted_state(vs)
-    state = AssignmentState(fixed=[state.remaining[0].support[0][1]],
-                            remaining=state.remaining[1:], k=1, direction="minimize")
-    choices, levels, pledged = enumeration_walk(state)
+    rows, first = _lifts(vs)
+    choices, levels, pledged = enumeration_walk(rows, [first])
     assert cert.pledged == pledged
     assert cert.choices == [0] + choices and cert.levels == [pledged] + levels
     for side in (s1, s2):
         block = vs.vectors[side].T @ vs.vectors[side]
         assert np.linalg.eigvalsh(block)[-1] <= weaver_bound(alpha) + 1e-7
-
-
-def test_routes_agree_on_a_walk_with_fixed_vectors_and_three_point_supports():
-    rng = np.random.default_rng(271)
-    fixed = [rng.integers(-2, 3, size=3).astype(object) for _ in range(2)]
-    rvs = [DiscreteRandomVector([(Fraction(1, 3), rng.integers(-2, 3, size=3)),
-                                 (Fraction(1, 6), rng.integers(-2, 3, size=3)),
-                                 (Fraction(1, 2), rng.integers(-2, 3, size=3))])
-           for _ in range(4)]
-    for k, direction in ((1, "minimize"), (2, "maximize")):
-        state = AssignmentState(fixed=fixed, remaining=rvs, k=k, direction=direction)
-        a = _walk_by("engine", state)
-        b = _walk_by("enumerate", state)
-        assert (a.choices, a.levels, a.pledged) == (b.choices, b.levels, b.pledged)
-        assert a.final_poly == b.final_poly and a.valid()
