@@ -6,12 +6,13 @@ members alike, and imports numpy and the standard library only.  Each
 walk serves one command: weaver's walk builds its own two-point lifts
 as plain (probability, vector) lists, and no general walk over random
 vectors is exported.  What
-no command enters stays for the bench's tracer: the soft-edge barriers
-of :mod:`interlace.barrier`, imported by name, and
+no command enters stays for the bench's tracer: the empty module
+:mod:`interlace.barrier`, imported by name, and
 ``Polynomial.derivative``, patched by name.  The paper's other
-identities and bounds are checks in ``tests/paper.py``, and the tests'
-fixtures (named graphs, polynomials from their roots, random isotropic
-systems) are in ``tests/fixtures.py``."""
+identities and bounds are checks in ``tests/paper.py``, the soft-edge
+barriers are in ``tests/barrier.py``, and the tests' fixtures (named
+graphs, polynomials from their roots, PSD matrix lists, random
+isotropic systems) are in ``tests/fixtures.py``."""
 
 from .poly import (
     Polynomial,

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Polynomial
-from .tolerances import PSD_TOL, SYM_TOL
+from .tolerances import SYM_TOL
 
 __all__ = ["SymMatrix", "char_poly", "charpoly_batch", "charpoly_batch_exact"]
 
@@ -117,15 +117,6 @@ class SymMatrix:
         if self.n == 0:
             return 0.0
         return float(np.max(np.abs(self.eigenvalues())))
-
-    def is_psd(self) -> bool:
-        """Positive semidefinite up to ``-PSD_TOL * max(1, trace)`` on the
-        bottom eigenvalue."""
-        if self.n == 0:
-            return True
-        w = self.eigenvalues()
-        scale = max(1.0, abs(float(self.a.astype(float).trace())))
-        return bool(w[0] >= -PSD_TOL * scale)
 
 
 def char_poly(m: SymMatrix) -> Polynomial:
@@ -304,14 +295,4 @@ def _validate_matrix_list(matrices) -> list[SymMatrix]:
     d = mats[0].n
     if any(m.n != d for m in mats):
         raise ValueError("matrices must share a dimension")
-    return mats
-
-
-def _validate_psd_list(matrices) -> list[SymMatrix]:
-    """The inputs as PSD ``SymMatrix`` objects of one shared dimension,
-    each passing the float check :meth:`SymMatrix.is_psd`."""
-    mats = _validate_matrix_list(matrices)
-    for i, m in enumerate(mats):
-        if not m.is_psd():
-            raise ValueError(f"matrix {i} is not positive semidefinite")
     return mats

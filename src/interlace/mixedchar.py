@@ -26,6 +26,8 @@ as it stands, and mu[v_1 v_1^T, ..., v_m v_m^T] = chi(sum_i v_i v_i^T)
 fraction-free elimination (:func:`_rank_one_terms`), which gives PSD,
 rank and rank-one terms with integer vectors together; an exact family
 of ranks at most one takes chi of its sum from one exact kernel call.
+Float matrices are decided PSD by the one ``eigh`` that splits each into
+rank-one terms.
 
 Every other family runs on an engine that carries the multi-affine part
 as tables on exterior powers: W_k[I, J] is the multi-affine part of the
@@ -44,8 +46,7 @@ read from W_(k-1) alone, so one ascending pass takes a variable back out
 table, and each child is the peeled table plus one term read off it.
 :func:`_enumerated_char` enumerates the outcomes of independent rows,
 each a list of (probability, vector) pairs; it is the walk's other
-route, priced with it before the walk starts, and the tests' oracle
-checks the identity with it.
+route, priced with it before the walk starts.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ import numpy as np
 
 from .poly import Polynomial
 from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact, \
-    _cleared, _validate_matrix_list, _validate_psd_list
+    _cleared, _validate_matrix_list
+from .tolerances import PSD_TOL
 
 __all__ = [
     "BudgetExceededError",
@@ -284,11 +286,14 @@ def _ratio(num: int, den: int):
 def _rank_one_terms(mat: SymMatrix, exact: bool, name: str = "matrix") -> list:
     """Pairs (w, u) with sum w u u^T = A.
 
-    Float input gives all d eigenpairs of ``eigh``.  Exact input is
-    cleared once, B = qA with q the lcm of its denominators, and reduced
-    by fraction-free (Bareiss) elimination in Python ints: with pivot p,
-    the previous pivot p_ and the pivot's column f of the current matrix
-    M (which is p_ times the Schur complement of B), the term is
+    Float input gives all d eigenpairs of ``eigh``, which decides PSD
+    too: the bottom eigenvalue must be at least ``-PSD_TOL * max(1,
+    |tr A|)``, else ValueError, "<name> is not positive semidefinite".
+    Exact input is cleared once, B = qA with q the lcm of its
+    denominators, and reduced by fraction-free (Bareiss) elimination in
+    Python ints: with pivot p, the previous pivot p_ and the pivot's
+    column f of the current matrix M (which is p_ times the Schur
+    complement of B), the term is
     f f^T / (q p_ p), and M becomes (p M - f f^T) / p_, an exact division.
     Each term is taken as (g^2 / (q p_ p), f / g), g = gcd(f), so the
     vectors are primitive and the weights ints wherever they can be.  A
@@ -296,10 +301,13 @@ def _rank_one_terms(mat: SymMatrix, exact: bool, name: str = "matrix") -> list:
     if and only if no pivot is negative and nothing is left at the end
     (a zero pivot of a PSD matrix has a zero row).  Otherwise ValueError
     is raised, "<name> is not positive semidefinite", also for input
-    within the float PSD check's slack.
+    within the float rule's slack.
     """
     if not exact:
-        w, u = np.linalg.eigh(mat.a.astype(float))
+        a = mat.a.astype(float)
+        w, u = np.linalg.eigh(a)
+        if w.size and not w[0] >= -PSD_TOL * max(1.0, abs(float(a.trace()))):
+            raise ValueError(f"{name} is not positive semidefinite")
         return list(zip(w.tolist(), u.T))
     d = mat.n
     q, flat = _cleared(mat.a.ravel().tolist())
@@ -325,26 +333,25 @@ def _rank_one_terms(mat: SymMatrix, exact: bool, name: str = "matrix") -> list:
 def mixed_char(matrices) -> Polynomial:
     """Mixed characteristic polynomial of PSD matrices A_1..A_m.
 
-    Monic of degree d; exact for exact inputs.  Exact matrices are
-    decided once each, by the fraction-free elimination of
-    :func:`_rank_one_terms`, which gives PSD (ValueError naming the first
-    matrix that is not), rank and rank-one terms together.  When every
-    A_i has rank at most one, each z_i enters det(xI + sum z_i A_i)
+    Monic of degree d; exact for exact inputs.  Each matrix is decided
+    once, by :func:`_rank_one_terms`, which gives PSD (ValueError naming
+    the first matrix that is not) and rank-one terms together: exact
+    matrices by fraction-free elimination, which gives their rank too,
+    float ones by the ``eigh`` that splits them.  When the A_i are exact
+    and of rank at most one, each z_i enters det(xI + sum z_i A_i)
     affinely, so applying the operators evaluates the determinant at
     z = -1 and mu = chi(sum A_i): one exact :func:`char_poly` call,
-    with no tables.  Every other family is split into rank-one terms
-    (``eigh`` for float input, after a float PSD check) and folded into
-    the exterior-power tables one variable at a time (:func:`fold_terms`);
-    the cost is linear in m.  The dimension cap is checked before any
-    elimination.  The cap on m guards the tables only, so it is checked
-    once the route is known, before any fold.  A float fold that
+    with no tables.  Every other family's rank-one terms are folded into
+    the exterior-power tables one variable at a time
+    (:func:`fold_terms`); the cost is linear in m.  The dimension cap is
+    checked before any matrix is split, in either arithmetic.  The cap
+    on m guards the tables only, so it is checked once the route is
+    known, before any fold.  A float fold that
     overflows leaves infinite or NaN coefficients, with no
     RuntimeWarning; the root routines refuse them.
     """
     mats = _validate_matrix_list(matrices)
     exact = all(mat.is_exact for mat in mats)
-    if not exact:
-        mats = _validate_psd_list(mats)
     m = len(mats)
     d = mats[0].n
     if d > MAX_DIMENSION:

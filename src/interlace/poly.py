@@ -352,10 +352,7 @@ def _secular_step(mu, w, c: float, top_width: float) -> np.ndarray:
     x = np.where(active, x, lo)
     down, up = lo.copy(), hi.copy()
     out = x.copy()
-    rows = np.flatnonzero(active.any(axis=1))
-    if rows.size < nrows:
-        lo, hi, mu, w = lo[rows], hi[rows], mu[rows], w[rows]
-        x, down, up, active = x[rows], down[rows], up[rows], active[rows]
+    rows = np.arange(nrows)
     # Scratch for the (rows, unknown, pole) terms; fresh arrays this size
     # cost more in page faults than the arithmetic on them.
     scratch = np.empty((2, rows.size, npoles, npoles))

@@ -7,7 +7,9 @@ on float input.  Exact walks decide their choices and certificates by
 exact root counts.  No other module of the
 package holds a float literal below 1e-3 (``tests/test_tolerances.py``
 checks this).  Callers set none of them, save one default: ``ISO_TOL``
-of the isotropy ``tol`` that ``--tol`` sets.
+of the isotropy ``tol`` that ``--tol`` sets.  Two serve the tests'
+checks alone and stay here with the rest: ``COEFF_TOL`` and
+``SHIFT_TOL``.
 """
 
 # Normwise backward error, relative to the largest coefficient once the
@@ -32,10 +34,11 @@ CERT_TOL = 1e-7
 # puts the same condition on covariances summing to I.
 ISO_TOL = 1e-8
 
-# Relative slack on the bottom eigenvalue when float input is checked
-# PSD: ``eigvalsh`` returns a singular PSD matrix's zero eigenvalue only
-# to within about eps times its norm.  Exact input is decided by the
-# fraction-free elimination of ``mixedchar._rank_one_terms``.
+# Relative slack, times max(1, |trace|), on the bottom eigenvalue when
+# ``mixedchar._rank_one_terms`` decides a float matrix PSD from the
+# ``eigh`` that splits it: ``eigh`` returns a singular PSD matrix's zero
+# eigenvalue only to within about eps times its norm.  Exact input is
+# decided by the fraction-free elimination there.
 PSD_TOL = 1e-9
 
 # Relative asymmetry a float matrix may carry into ``SymMatrix``: products
@@ -47,7 +50,8 @@ SYM_TOL = 1e-12
 # ring), each a sum of many rounded terms, up to 2^20 outcomes.
 COEFF_TOL = 1e-8
 
-# Slack on the soft-edge inequalities of the shift checks: both sides are
+# Slack on the soft-edge inequalities of the shift checks of
+# ``tests/barrier.py``, which no command runs: both sides are
 # ``shift_chain`` solves, each within a few ulp of its secular equation's
 # root, on the float roots of p, which are only as good as p's own
 # rounding lets them be: an r-fold root of a float p moves by about

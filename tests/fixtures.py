@@ -1,16 +1,18 @@
 """Test fixtures built from the library's own value types.
 
 Named graphs, polynomials from their roots, coefficientwise closeness
-of two polynomials, random isotropic vector systems and two-point random
-vectors.  No command
-needs them, so they live here rather than in ``src``.
+of two polynomials, lists of PSD matrices, random isotropic vector
+systems and two-point random vectors.  No command needs them, so they
+live here rather than in ``src``.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from interlace import Graph, Polynomial, VectorSystem
+from interlace import Graph, Polynomial, SymMatrix, VectorSystem
+from interlace.matrices import _validate_matrix_list
+from interlace.mixedchar import _rank_one_terms
 from interlace.tolerances import COEFF_TOL
 
 
@@ -68,6 +70,22 @@ def allclose(p: Polynomial, q: Polynomial) -> bool:
         b.append(0.0)
     scale = max([1.0] + [abs(c) for c in a + b])
     return all(abs(x - y) <= COEFF_TOL * scale for x, y in zip(a, b))
+
+
+# ----------------------------------------------------------------------
+# Matrices
+# ----------------------------------------------------------------------
+
+
+def psd_list(matrices) -> list[SymMatrix]:
+    """The inputs as ``SymMatrix`` objects of one shared dimension, each
+    PSD by the float rule of ``mixed_char`` (``_rank_one_terms`` on its
+    float copy), exact ones too; ValueError naming the first matrix that
+    is not."""
+    mats = _validate_matrix_list(matrices)
+    for i, m in enumerate(mats):
+        _rank_one_terms(m, False, f"matrix {i}")
+    return mats
 
 
 # ----------------------------------------------------------------------

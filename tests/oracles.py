@@ -9,7 +9,10 @@ other ways:
   expansion of det(xI + sum z_i A_i) in it, then inclusion-exclusion over
   variable subsets (:func:`ring_mixed_char`);
 * conditional expected polynomials by enumerating every outcome of the
-  remaining random vectors (:func:`conditional_expected_poly`);
+  remaining random vectors, each outcome's characteristic polynomial by
+  Berkowitz's recurrence on Python ints, float input taken at its exact
+  value and the sum rounded once (:func:`conditional_expected_poly`),
+  against the library's enumeration by power traces or eigenvalues;
 * the greedy walk with enumerated children (:func:`enumeration_walk`);
 * the restricted-invertibility walk that scores every row at every
   level and keeps the best (:func:`argmax_ri_walk`), against the
@@ -38,6 +41,7 @@ A random vector here is a plain list of (probability, vector) pairs, a
 row, as weaver's walk takes its lifts.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -46,12 +50,12 @@ import numpy as np
 from interlace import DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, char_poly, \
     float_top_root, mixed_char
 from interlace.graphs import LEAF_ENTRIES, frontier_order
-from interlace.matrices import _coerce_array, _validate_psd_list, charpoly_batch_exact
-from interlace.mixedchar import BudgetExceededError, _enumerated_char
+from interlace.matrices import _coerce_array, charpoly_batch_exact
+from interlace.mixedchar import BudgetExceededError
 from interlace.select import _kth_cluster, _ri_scores
 from interlace.poly import TopRoot, _count_above, _integer_coeffs, _primitive, \
     _pseudo_divmod, shift_chain
-from fixtures import allclose
+from fixtures import allclose, psd_list
 from paper import apply_shift_operator, covariance, exact_real_roots, is_real_rooted, \
     top_root
 
@@ -166,7 +170,7 @@ def det_truncated(mats, exact: bool) -> TruncatedMultiAffine:
 
 def ring_mixed_char(matrices) -> Polynomial:
     """mu[A_1..A_m] as sum_S (-1)^|S| c_S(x) over the ring's coefficients."""
-    mats = _validate_psd_list(matrices)
+    mats = psd_list(matrices)
     exact = all(mat.is_exact for mat in mats)
     acc = Polynomial(())
     for s, c_s in det_truncated(mats, exact).terms.items():
@@ -202,21 +206,52 @@ def _arrays(rows, fixed):
             [v.astype(dtype) for v in fixed], exact)
 
 
-def _base(rows, fixed, exact: bool) -> np.ndarray:
+def _integral(rows, fixed):
+    """(rows, fixed, scale): every vector times ``scale``, the least common
+    denominator of all their components, as an object array of Python
+    ints, and every probability a Fraction.  Each float is taken at its
+    exact value."""
+    rows = [[(Fraction(p), [Fraction(x) for x in v]) for p, v in row] for row in rows]
+    fixed = [[Fraction(x) for x in v] for v in fixed]
+    vecs = fixed + [v for row in rows for _, v in row]
+    scale = math.lcm(*(x.denominator for v in vecs for x in v))
+
+    def ints(v):
+        return np.array([x.numerator * (scale // x.denominator) for x in v], dtype=object)
+
+    return [[(p, ints(v)) for p, v in row] for row in rows], [ints(v) for v in fixed], scale
+
+
+def _base(rows, fixed) -> np.ndarray:
     dim = len(fixed[0]) if fixed else len(rows[0][0][1])
-    acc = np.zeros((dim, dim), dtype=object if exact else float)
+    acc = np.zeros((dim, dim), dtype=object)
     for v in fixed:
         acc = acc + np.outer(v, v)
     return acc
 
 
-def _enumerate(base: np.ndarray, rows, budget: int, exact: bool) -> Polynomial:
-    """``_enumerated_char``, refused with :class:`BudgetExceededError`
-    when the outcomes outnumber ``budget``."""
+def _enumerate(base: np.ndarray, rows, budget: int, scale: int, exact: bool) -> Polynomial:
+    """E chi(base + sum r_i r_i^T) / scale^2 over every outcome of the
+    independent ``rows``, integral as :func:`_integral` makes them: the
+    outcomes by ``itertools.product``, each weighted by the product of its
+    probabilities, and their chi by :func:`berkowitz_charpoly` on one
+    stack of Python ints.  The sum is exact; unless ``exact``, its
+    coefficients are rounded to float at the end, and nothing before.
+    Refused with :class:`BudgetExceededError` when the outcomes outnumber
+    ``budget``."""
     total = math.prod(len(row) for row in rows)
     if total > budget:
         raise BudgetExceededError(f"{total} outcomes exceed the budget of {budget}")
-    return _enumerated_char(base, rows, exact)
+    outcomes = list(itertools.product(*rows))
+    d = base.shape[0]
+    probs = [math.prod(p for p, _ in o) for o in outcomes]
+    den = math.lcm(*(p.denominator for p in probs))
+    weights = np.array([p.numerator * (den // p.denominator) for p in probs], dtype=object)
+    vecs = np.array([[v for _, v in o] for o in outcomes], dtype=object).reshape(total, len(rows), d)
+    sums = weights @ berkowitz_charpoly(base + np.matmul(vecs.transpose(0, 2, 1), vecs))
+    # chi(s^2 A) has x^k coefficient s^(2(d - k)) times that of chi(A)
+    coeffs = [Fraction(c, den * scale ** (2 * (d - k))) for k, c in enumerate(sums)]
+    return Polynomial(coeffs if exact else [float(c) for c in coeffs])
 
 
 def conditional_expected_poly(rows, fixed=(), budget: int = DEFAULT_BUDGET,
@@ -229,7 +264,8 @@ def conditional_expected_poly(rows, fixed=(), budget: int = DEFAULT_BUDGET,
     covariances; a disagreement raises RuntimeError.
     """
     rows, fixed, exact = _arrays(rows, fixed)
-    out = _enumerate(_base(rows, fixed, exact), rows, budget, exact)
+    irows, ifixed, scale = _integral(rows, fixed)
+    out = _enumerate(_base(irows, ifixed), irows, budget, scale, exact)
     if cross_check:
         mats = [SymMatrix(np.outer(v, v)) for v in fixed] + [covariance(r) for r in rows]
         alt = mixed_char(mats)
@@ -246,22 +282,25 @@ def enumeration_walk(rows, fixed=(), budget: int = DEFAULT_BUDGET):
 
     Every level keeps its best child, ties going to the lowest index.
     Weaver's walk keeps the first child that meets its parent, exact or
-    float, which on two-point rows is the same child.  Roots come from
-    that walk's own kernels, ``select._kth_cluster`` for exact
-    polynomials and ``float_top_root`` for float ones: this checks the
-    walk's route to its polynomials and its choices, and the kernels are
-    checked against 50-digit references in the tests of ``interlace.poly``.
+    float, which on two-point rows is the same child.  The polynomials
+    come from this module's own exact enumeration, rounded to float for
+    float rows, and their roots from that walk's kernels,
+    ``select._kth_cluster`` for exact polynomials and ``float_top_root``
+    for float ones: this checks the walk's route to its polynomials and
+    its choices, and the kernels are checked against 50-digit references
+    in the tests of ``interlace.poly``.
     """
     rows, fixed, exact = _arrays(rows, fixed)
-    base = _base(rows, fixed, exact)
+    rows, fixed, scale = _integral(rows, fixed)
+    base = _base(rows, fixed)
 
     def top(p):
         return _kth_cluster(p, 1).root if exact else float_top_root(p)
 
-    pledged = top(_enumerate(base, rows, budget, exact))
+    pledged = top(_enumerate(base, rows, budget, scale, exact))
     choices, levels = [], []
     for lvl, row in enumerate(rows):
-        vals = [top(_enumerate(base + np.outer(v, v), rows[lvl + 1:], budget, exact))
+        vals = [top(_enumerate(base + np.outer(v, v), rows[lvl + 1:], budget, scale, exact))
                 for _, v in row]
         best = vals.index(min(vals))
         base = base + np.outer(row[best][1], row[best][1])

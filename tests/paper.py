@@ -12,11 +12,12 @@ from fractions import Fraction
 import numpy as np
 
 from interlace.graphs import Graph, squared_roots
-from interlace.matrices import SymMatrix, charpoly_batch_exact, _coerce_array, _validate_psd_list
+from interlace.matrices import SymMatrix, charpoly_batch_exact, _coerce_array
 from interlace.poly import Polynomial, ZeroPolynomialError, NotRealRootedError, \
     real_roots, root_clusters, roots_above, _float_roots, _normalize_scalar, \
     _primitive, _pseudo_divmod, _root_bound
 from interlace.tolerances import ISO_TOL
+from fixtures import psd_list
 
 # Relative slack when float roots of two polynomials are compared for
 # interlacing: the chain allows equal roots, and a float double root is
@@ -432,7 +433,7 @@ def mixed_char_root_bound(matrices) -> float:
     root of the family's mixed characteristic polynomial is guaranteed to
     be at most this value.
     """
-    mats = _validate_psd_list(matrices)
+    mats = psd_list(matrices)
     d = mats[0].n
     total = SymMatrix(sum(m.a for m in mats))
     if all(m.is_exact for m in mats):

@@ -32,7 +32,7 @@ from interlace import (
     weaver_bound,
     signing_select,
 )
-from interlace.barrier import laguerre_root_bounds, lower_shift_check, upper_shift_check
+from barrier import laguerre_root_bounds, lower_shift_check, upper_shift_check
 from fixtures import complete, complete_bipartite, from_roots, petersen, random_isotropic, \
     two_point
 from oracles import conditional_expected_poly

@@ -1,4 +1,5 @@
-"""Barrier functions, soft spectral edges, and shift-operator edge bounds."""
+"""Barrier functions, soft spectral edges, and shift-operator edge bounds,
+of ``tests/barrier.py``."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from interlace import Polynomial, real_roots
-from interlace.barrier import DetPolyFamily, laguerre_root_bounds, lower_barrier, \
+from barrier import DetPolyFamily, laguerre_root_bounds, lower_barrier, \
     lower_shift_check, multivariate_barrier, smax, smin, upper_barrier, upper_shift_check
 from fixtures import from_roots
 from paper import apply_shift_operator, laguerre_transform

@@ -328,6 +328,58 @@ def test_lift_graph_refusals_exit_2(capsys, tmp_path, text, message):
     assert captured.out == "" and captured.err == f"parse error: {message}\n"
 
 
+K33 = "".join(f"{a} {b}\n" for a in range(3) for b in range(3, 6))
+# C_16 x K_2: bipartite, cubic and connected, lambda_2 = 1 + 2 cos(pi/8) > 2 sqrt 2
+PRISM = "".join(f"{a} {b}\n" for i in range(16)
+                for a, b in ((i, (i + 1) % 16), (16 + i, 16 + (i + 1) % 16), (i, 16 + i)))
+K4 = "".join(f"{a} {b}\n" for a in range(4) for b in range(a + 1, 4))
+TWO_K33 = K33 + "".join(f"{a + 6} {b + 6}\n" for a in range(3) for b in range(3, 6))
+EYE11 = json.dumps([np.eye(11, dtype=int).tolist()])
+
+
+@pytest.mark.parametrize("argv, text, code, message", [
+    (["lift"], PRISM, 3, "precondition failed: input graph is not bipartite Ramanujan"),
+    (["lift"], K4, 3, "precondition failed: graph is not bipartite"),
+    (["lift"], TWO_K33, 3, "precondition failed: graph is not connected"),
+    (["lift"], "0 1\n1 2\n", 3, "precondition failed: input must be d-regular with d >= 2"),
+    (["lift"], "0 a\n", 2, "parse error: line 1: bad vertex in '0 a'"),
+    (["lift"], "# no edges\n", 2, "parse error: empty edge list"),
+    (["mixedchar"], '{"matrices": 3}', 2, "parse error: expected a JSON list of matrices"),
+    (["mixedchar"], "[[[1, 2]]]", 2, "parse error: matrix 0 malformed: expected a square "
+                                     "matrix, got shape (1, 2)"),
+    (["mixedchar", "--mode", "exact"], "[[[1, 2], [3, 4]]]", 2,
+     "parse error: matrix 0 malformed: matrix is not symmetric"),
+    (["mixedchar"], "[[[1, 0], [0, 1]], [[1]]]", 3,
+     "precondition failed: matrices must share a dimension"),
+    (["mixedchar"], EYE11, 3, "precondition failed: dimension capped at 10, got 11"),
+    (["mixedchar", "--mode", "exact"], EYE11, 3,
+     "precondition failed: dimension capped at 10, got 11"),
+    (["ri", "-k", "1.5"], '{"vectors": [[1.0, 0.0], [0.0, 1.0]]}', 2,
+     "argument -k: not an integer: '1.5'"),
+    (["ri", "-k", "1", "--tol", "abc"], '{"vectors": [[1.0, 0.0], [0.0, 1.0]]}', 2,
+     "argument --tol: not a number: 'abc'"),
+], ids=["lift-prism", "lift-k4", "lift-two-k33", "lift-path", "lift-bad-vertex",
+        "lift-comment-only", "mixedchar-not-a-list", "mixedchar-not-square",
+        "mixedchar-exact-asymmetric", "mixedchar-two-sizes", "mixedchar-float-d11",
+        "mixedchar-exact-d11", "ri-fractional-k", "ri-tol-not-a-number"])
+def test_refusals_name_their_reason_on_stderr(capsys, tmp_path, argv, text, code, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert main([argv[0], str(path)] + argv[1:]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_lift_edge_list_comments_and_blank_lines_are_skipped(capsys, tmp_path):
+    plain, commented = tmp_path / "k33.txt", tmp_path / "k33-commented.txt"
+    plain.write_text(K33)
+    commented.write_text("# K_{3,3}\n\n" + K33.replace("\n", "  # an edge\n\n"))
+    assert main(["lift", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["lift", str(commented)]) == 0
+    assert capsys.readouterr().out == want
+
+
 BOOLS = '{"vectors": [[true, false], [false, true]]}'
 INFINITE = '{"vectors": [[Infinity, 0], [0, 1]]}'
 ZERO_DENOMINATOR = '{"vectors": [["1/0", 0], [0, 1]]}'

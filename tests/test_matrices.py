@@ -75,11 +75,16 @@ def test_eigenvalues_and_psd():
     a = SymMatrix([[2, 1], [1, 2]])
     w = a.eigenvalues()
     assert np.allclose(w, [1, 3])
-    assert a.is_psd()
-    assert not SymMatrix([[1, 0], [0, -1]]).is_psd()
+    # mixed_char decides PSD, exact and float alike
+    for mat in (a, SymMatrix(a.a.astype(float))):
+        assert mixed_char([mat]).degree == 2
+    indefinite = SymMatrix([[1, 0], [0, -1]])
+    for mat in (indefinite, SymMatrix(indefinite.a.astype(float))):
+        with pytest.raises(ValueError, match="^matrix 0 is not positive semidefinite$"):
+            mixed_char([mat])
     # tiny negative eigenvalues from roundoff still count as PSD
     eps = -1e-12
-    assert SymMatrix(np.array([[eps, 0.0], [0.0, 1.0]])).is_psd()
+    assert mixed_char([SymMatrix(np.array([[eps, 0.0], [0.0, 1.0]]))]).degree == 2
 
 
 def test_norm2():

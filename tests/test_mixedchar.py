@@ -665,10 +665,10 @@ def test_float_rank_one_family_keeps_the_tables(monkeypatch):
 
 
 def test_exact_psd_is_decided_by_the_elimination_alone():
-    # the float eigvalsh check would pass this matrix, within its slack; the
-    # elimination refuses it and names it, on both routes
+    # the float rule passes this matrix, within its slack; the elimination
+    # refuses it and names it, on both routes
     tiny = SymMatrix(np.array([[Fraction(-1, 10 ** 12), 0], [0, 0]], dtype=object))
-    assert tiny.is_psd()
+    assert mixed_char([SymMatrix(tiny.a.astype(float))]).degree == 2
     ones = SymMatrix(np.array([[1, 1], [1, 1]], dtype=object))
     full = SymMatrix(np.array([[2, 1], [1, 2]], dtype=object))
     for mats in ([ones, tiny], [full, tiny]):
