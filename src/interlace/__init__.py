@@ -33,7 +33,6 @@ from .mixedchar import (
 )
 from .graphs import (
     Graph,
-    adjacency,
     signed_adjacency,
     SigningEngine,
     frontier_order,

@@ -373,9 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of successive lifts (default 1)")
     p_l.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                      help="cap on each walk's backward-DP states plus leaf "
-                          "entries, groups x |V(F)|^2 per level the walk forms "
-                          "(spanning-forest levels form none), checked before "
-                          "the first choice (default 2^20)")
+                          "entries, groups x p^2 per level the walk forms, p x p "
+                          "the Gram leaf B B^T of the fixed edges' signed "
+                          "biadjacency B, p <= q (spanning-forest levels form "
+                          "none), checked before the first choice (default 2^20)")
 
     command("mixedchar", cmd_mixedchar, "mixed characteristic polynomial of PSD matrices",
             "JSON list of matrices", mode=True)

@@ -39,7 +39,6 @@ from .mixedchar import BudgetExceededError, DEFAULT_BUDGET
 
 __all__ = [
     "Graph",
-    "adjacency",
     "signed_adjacency",
     "SigningEngine",
     "frontier_order",
@@ -49,10 +48,10 @@ __all__ = [
 ]
 
 # Matrix entries per exact-kernel call in SigningEngine.chars: a call
-# takes LEAF_ENTRIES // |V(F)|^2 leaf groups, and at least one, so that
-# its (groups, |V(F)|, |V(F)|) stack and the kernel's baby steps, about
-# ten copies of it, stay bounded at every |V(F)|.  Up to |V(F)| = 32 a
-# call takes at least 256 groups.
+# takes LEAF_ENTRIES // side^2 leaf groups, and at least one, so that
+# its (groups, side, side) stack and the kernel's baby steps, about ten
+# copies of it, stay bounded at every side, p for Gram leaves and |V(F)|
+# for full ones.  Up to side 32 a call takes at least 256 groups.
 LEAF_ENTRIES = 1 << 18
 
 
@@ -189,11 +188,6 @@ def _sign_prefix(g: Graph, signs, whole: bool = False) -> np.ndarray:
     return signs
 
 
-def adjacency(g: Graph) -> SymMatrix:
-    """The adjacency matrix: the signed adjacency of the all-+1 signing."""
-    return signed_adjacency(g, [1] * g.m)
-
-
 def signed_adjacency(g: Graph, signs) -> SymMatrix:
     """Adjacency with entries flipped to -1 on negatively signed edges;
     ``signs`` is a signing of g (see the module docstring).
@@ -283,29 +277,55 @@ class SigningEngine:
     counted against ``budget`` before any level is formed, and
     :meth:`walk_entries` adds a walk's leaf entries to them.  A vertex
     outside V(F) is isolated in A_F, so each leaf is chi(A_F[V(F)] with
-    S zeroed) times x^(n - |V(F)|), divided by x^(2|M|): the exact kernel
-    (:func:`charpoly_batch_exact`) runs at size |V(F)|, on
-    ``LEAF_ENTRIES // |V(F)|^2`` groups at a time and at least one, so
-    that a call's stacks hold about ``LEAF_ENTRIES`` entries at every
-    size.  It runs in int64 on every leaf for which k times its k-th
-    coefficient provably fits (a leaf of a cubic graph with at most 42
-    nonzero rows; see :func:`charpoly_batch_exact`) and in Python ints on
-    the others.
+    S zeroed) times x^(n - |V(F)|), divided by x^(2|M|).
+
+    When g is bipartite, as every graph ``lift`` walks is, V(F) splits
+    into its colour classes, p <= q vertices, and A_F[V(F)] = [[0, B],
+    [B^T, 0]] for the p x q signed biadjacency B, so chi(A_F[V(F)]) =
+    x^(q - p) chi(B B^T)(x^2): the leaf is the p x p Gram B B^T of the
+    masked B, and its coefficients land on every other slot from q - p.
+    Any other g keeps the |V(F)| x |V(F)| masked A_F as its leaf.  The
+    exact kernel (:func:`charpoly_batch_exact`) takes ``LEAF_ENTRIES //
+    side^2`` groups at a time and at least one, side the leaf's, so that
+    a call's stacks hold about ``LEAF_ENTRIES`` entries at every size.
+    It runs in int64 on every leaf for which k times its k-th
+    coefficient provably fits and in Python ints on the others (see
+    :func:`charpoly_batch_exact`).  In a Gram leaf of a cubic graph a row
+    has absolute sum at most 9 and squares summing to at most 27: the
+    diagonal entry is a degree, at most 3, and the others, |(B B^T)_ij|
+    at most the common neighbours of i and j, sum to at most 3 x 2.  So
+    it fits with up to 23 nonzero rows, every leaf with |V(F)| < 48
+    among them, where a full-size leaf fits with up to 42.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
         self.g = g
+        self.left = g.bipartition()
         self.tables = _matching_tables(g, budget)
+
+    def _leaf_sides(self, verts) -> tuple[list, int]:
+        """V(F) ordered for its leaf, and the leaf's side: the smaller
+        colour class first and its size p if g is bipartite, else V(F)
+        sorted and its size."""
+        verts = sorted(verts)
+        if self.left is None:
+            return verts, len(verts)
+        sides = ([v for v in verts if v in self.left],
+                 [v for v in verts if v not in self.left])
+        rows, cols = sorted(sides, key=len)
+        return rows + cols, len(rows)
 
     def walk_entries(self) -> int:
         """A walk's work on this engine: the DP's states plus, at every
         level it forms, the leaf matrix entries of one row, groups x
-        |V(F)|^2.  The walk forms no level whose last edge joins two
-        components of the edges before it (:meth:`Graph.forest_edges`)."""
+        side^2, side p for Gram leaves and |V(F)| for full ones.  The walk
+        forms no level whose last edge joins two components of the edges
+        before it (:meth:`Graph.forest_edges`)."""
         total, verts = 0, set()
         formed = [True] + [not joins for joins in self.g.forest_edges()]
         for f, (masks, _) in enumerate(self.tables):
-            total += len(masks) * (1 + formed[f] * len(verts) ** 2)
+            side = self._leaf_sides(verts)[1]
+            total += len(masks) * (1 + formed[f] * side ** 2)
             verts.update(self.g.edges[f] if f < self.g.m else ())
         return total
 
@@ -316,27 +336,36 @@ class SigningEngine:
         f, n = len(signs), self.g.n
         masks, weights = self.tables[f]
         fixed = self.g.edges[:f]
-        verts = sorted({v for e in fixed for v in e})
+        verts, side = self._leaf_sides({v for e in fixed for v in e})
         pos = {v: i for i, v in enumerate(verts)}
         nf = len(verts)
         signed = np.zeros((nf, nf), dtype=np.int64)
         for s, (a, b) in zip(signs, fixed):
             signed[pos[a], pos[b]] = signed[pos[b], pos[a]] = s
+        # the kernel's coefficient i is the leaf's at start + step i: every
+        # other one from q - p = nf - 2p for a Gram leaf
+        start, step = (nf - 2 * side, 2) if self.left is not None else (0, 1)
         bits = np.array([1 << v for v in verts], dtype=masks.dtype)
         live = ((masks[:, None] & bits[None, :]) == 0).astype(np.int64)
         total = np.zeros(n + 1, dtype=object)
-        chunk = max(1, LEAF_ENTRIES // max(1, nf * nf))
+        chunk = max(1, LEAF_ENTRIES // max(1, side * side))
         for lo in range(0, len(masks), chunk):
             keep, w = live[lo:lo + chunk], weights[lo:lo + chunk]
-            chars = charpoly_batch_exact(signed * (keep[:, :, None] * keep[:, None, :]))
+            if step == 2:
+                b = signed[:side, side:] * (keep[:, :side, None] * keep[:, None, side:])
+                leaves = np.matmul(b, b.transpose(0, 2, 1))
+            else:
+                leaves = signed * (keep[:, :, None] * keep[:, None, :])
+            chars = charpoly_batch_exact(leaves)
             if object in (chars.dtype, w.dtype) or \
                     int(np.abs(w).sum()) * int(np.abs(chars).max()) >= 1 << 63:
                 chars, w = chars.astype(object), w.astype(object)
             for k, part in enumerate(w.T @ chars):
-                # x^(n - nf) / x^(2k): coefficient j lands on j - off
-                off = 2 * k - (n - nf)
-                start = max(off, 0)
-                total[start - off:nf + 1 - off] += part[start:]
+                # times x^(n - nf) / x^(2k): coefficient i lands on
+                # step i - off, and those below 0 are zero
+                off = 2 * k - (n - nf) - start
+                first = -(-max(off, 0) // step)
+                total[step * first - off::step][:len(part) - first] += part[first:]
         return Polynomial(total.tolist())
 
 
@@ -352,10 +381,13 @@ def frontier_order(g: Graph) -> list[int]:
     From each start vertex the order grows greedily: the next vertex is
     the frontier vertex adding the fewest new ones (ties: most placed
     neighbours, then lowest label); once a component is done the same
-    rule picks among all unplaced vertices.  The order with the least
-    sum over prefixes of 2^|frontier| is returned, ties to the lowest
-    start, so the cost follows the graph's shape rather than its
-    numbering.
+    rule picks among all unplaced vertices.  Both counts are kept per
+    vertex and updated as each vertex is placed: ``fresh[u]``, its
+    neighbours neither placed nor on the frontier, and ``seen[u]``, its
+    placed ones.  The order with the least sum over prefixes of
+    2^|frontier| is returned, ties to the lowest start, so the cost
+    follows the graph's shape rather than its numbering; a start is
+    dropped once its sum reaches the best one's.
     """
     adj = [set() for _ in range(g.n)]
     for a, b in g.edges:
@@ -363,16 +395,30 @@ def frontier_order(g: Graph) -> list[int]:
         adj[b].add(a)
     best = None
     for start in range(g.n):
-        order, placed, front, cost = [start], {start}, set(adj[start]), 0
-        while len(order) < g.n:
-            cost += 1 << len(front)
-            pool = front or set(range(g.n)) - placed
-            v = min(pool, key=lambda u: (len(adj[u] - placed - front),
-                                         -len(adj[u] & placed), u))
+        fresh, seen = [len(nb) for nb in adj], [0] * g.n
+        order, front, rest, cost = [], set(), set(range(g.n)), 0
+        v = start
+        while True:
             order.append(v)
-            placed.add(v)
-            front = (front | adj[v]) - placed
-        if best is None or cost < best[0]:
+            rest.discard(v)
+            if v in front:
+                front.discard(v)
+            else:
+                for u in adj[v]:
+                    fresh[u] -= 1
+            for u in adj[v]:
+                seen[u] += 1
+                if u in rest and u not in front:
+                    front.add(u)
+                    for w in adj[u]:
+                        fresh[w] -= 1
+            if not rest:
+                break
+            cost += 1 << len(front)
+            if best is not None and cost >= best[0]:
+                break
+            v = min(front or rest, key=lambda u: (fresh[u], -seen[u], u))
+        if not rest and (best is None or cost < best[0]):
             best = (cost, order)
     return best[1] if best else []
 
@@ -421,22 +467,26 @@ def is_ramanujan_bipartite(g: Graph) -> bool:
     """Certify |lambda| <= 2 sqrt(d-1) for all nontrivial adjacency eigenvalues, exactly.
 
     Requires a connected, d-regular, bipartite graph; one eigenvalue at
-    +d and one at -d are the trivial pair and are excluded.  chi(A) is
-    taken in integers and split as x^e q(x^2) (:func:`squared_roots`):
-    q(d^2) = 0 is the trivial pair, and the graph is Ramanujan when no
-    other root of q lies above 4(d-1).  d^2 itself lies above it except
-    at d = 2, where d^2 = 4(d-1).
+    +d and one at -d are the trivial pair and are excluded.  Its sides
+    have n/2 vertices each, and with B the n/2 x n/2 biadjacency, A =
+    [[0, B], [B^T, 0]] and chi(A)(x) = q(x^2) for q = chi(B B^T), taken
+    in integers at side n/2: q(d^2) = 0 is the trivial pair, and the
+    graph is Ramanujan when no other root of q lies above 4(d-1).  d^2
+    itself lies above it except at d = 2, where d^2 = 4(d-1).
     """
     if not g.is_connected():
         raise ValueError("graph is not connected")
     d = g.regularity()
     if d is None:
         raise ValueError("graph is not regular")
-    if g.bipartition() is None:
+    left = g.bipartition()
+    if left is None:
         raise ValueError("graph is not bipartite")
     if g.n <= 2:
         return True  # the trivial pair is the whole spectrum
-    q = squared_roots(char_poly(adjacency(g)))
+    right = set(range(g.n)) - left
+    b = signed_adjacency(g, [1] * g.m).a[np.ix_(sorted(left), sorted(right))].astype(np.int64)
+    q = char_poly(SymMatrix(b @ b.T))
     if q(d * d) != 0:
         raise AssertionError("connected regular bipartite graph missing trivial eigenvalues")
     return roots_above(q, 4 * (d - 1)) == int(d != 2)

@@ -675,9 +675,11 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     walk order.
     ``budget`` bounds the walk's work, :meth:`SigningEngine.walk_entries`:
     the states of its backward DP plus, at every level the walk forms,
-    groups x |V(F)|^2 leaf entries.  The DP's states are counted as its
-    tables grow and the whole sum before the first choice;
-    :class:`BudgetExceededError` is raised when it passes ``budget``.
+    groups x side^2 leaf entries, side p for the p x p Gram leaves of a
+    bipartite g and |V(F)| for the full ones of any other.  The DP's
+    states are counted as its tables grow and the whole sum before the
+    first choice; :class:`BudgetExceededError` is raised when it passes
+    ``budget``.
     """
     if g.regularity() is None:
         raise ValueError("graph is not regular")

@@ -1,8 +1,9 @@
 """Test fixtures built from the library's own value types.
 
-Named graphs, polynomials from their roots, coefficientwise closeness
-of two polynomials, lists of PSD matrices, random isotropic vector
-systems and two-point random vectors.  No command needs them, so they
+Named graphs and their adjacency matrices, polynomials from their
+roots, coefficientwise closeness of two polynomials, lists of PSD
+matrices, random isotropic vector systems and two-point random
+vectors.  No command needs them, so they
 live here rather than in ``src``.
 """
 
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from interlace import Graph, Polynomial, SymMatrix, VectorSystem
+from interlace import Graph, Polynomial, SymMatrix, VectorSystem, signed_adjacency
 from interlace.matrices import _validate_matrix_list
 from interlace.mixedchar import _rank_one_terms
 from interlace.tolerances import COEFF_TOL
@@ -44,6 +45,11 @@ def petersen() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph(10, outer + inner + spokes)
+
+
+def adjacency(g: Graph) -> SymMatrix:
+    """The adjacency matrix: the signed adjacency of the all-+1 signing."""
+    return signed_adjacency(g, [1] * g.m)
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,13 @@ other ways:
   forward dict DP over the random edges and n x n leaf matrices, one DP
   per call (:func:`forward_signed_chars`), against the library's one
   backward DP per walk with leaves on the fixed edges' vertices;
+* the frontier order by set differences taken inside its ``min`` key,
+  every start walked to the end (:func:`set_frontier_order`), against
+  the library's counts kept per vertex, with starts dropped early;
+* the same polynomial off the library's DP tables with full-size
+  leaves by Berkowitz's recurrence in Python ints
+  (:func:`full_leaf_chars`), against the library's Gram leaves on a
+  bipartite graph;
 * common interlacing as real-rootedness of convex combinations
   (:func:`convex_combinations_real_rooted`), against the library's
   root-interval criterion;
@@ -439,6 +446,61 @@ def forward_signed_chars(g: Graph, prefixes,
             total[:, :n + 1 - 2 * k] += np.tensordot(
                 weights[lo:lo + chunk, k], chars[:, :, 2 * k:], 1)
     return [Polynomial(row.tolist()) for row in total]
+
+
+def full_leaf_chars(engine, signs) -> Polynomial:
+    """Phi_F off a :class:`interlace.SigningEngine`'s tables, with every
+    leaf the full |V(F)| x |V(F)| masked A_F in Python ints and its
+    characteristic polynomial by :func:`berkowitz_charpoly`: the leaf
+    of a graph that is not bipartite, without the library's kernel, for
+    checking the Gram leaves of a bipartite one."""
+    g, f = engine.g, len(signs)
+    masks, weights = engine.tables[f]
+    fixed = g.edges[:f]
+    verts = sorted({v for e in fixed for v in e})
+    pos = {v: i for i, v in enumerate(verts)}
+    nf = len(verts)
+    signed = np.zeros((nf, nf), dtype=object)
+    for s, (a, b) in zip(signs, fixed):
+        signed[pos[a], pos[b]] = signed[pos[b], pos[a]] = int(s)
+    keep = np.array([[not (mask >> v) & 1 for v in verts] for mask in masks.tolist()],
+                    dtype=object).reshape(len(masks), nf)
+    chars = berkowitz_charpoly(signed * (keep[:, :, None] * keep[:, None, :]))
+    total = [0] * (g.n + 1)
+    for chi, row in zip(chars.tolist(), weights.tolist()):
+        for k, w in enumerate(row):
+            # times x^(n - nf) / x^(2k)
+            for j, c in enumerate(chi):
+                if w and c:
+                    total[j + g.n - nf - 2 * k] += int(w) * c
+    return Polynomial(total)
+
+
+def set_frontier_order(g: Graph) -> list[int]:
+    """:func:`interlace.graphs.frontier_order`'s rule by sets: from each
+    start, the next vertex is the frontier vertex with the fewest
+    neighbours neither placed nor on the frontier (ties: most placed
+    neighbours, then lowest label), or, with the frontier empty, the
+    unplaced vertex by the same key; the order with the least sum over
+    proper prefixes of 2^|frontier| wins, ties to the lowest start."""
+    adj = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    best = None
+    for start in range(g.n):
+        order, placed, front, cost = [start], {start}, set(adj[start]), 0
+        while len(order) < g.n:
+            cost += 1 << len(front)
+            pool = front or set(range(g.n)) - placed
+            v = min(pool, key=lambda u: (len(adj[u] - placed - front),
+                                         -len(adj[u] & placed), u))
+            order.append(v)
+            placed.add(v)
+            front = (front | adj[v]) - placed
+        if best is None or cost < best[0]:
+            best = (cost, order)
+    return best[1] if best else []
 
 
 def berkowitz_charpoly(mats: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from interlace import (
     Polynomial,
     real_roots,
     Graph,
-    adjacency,
     signed_adjacency,
     two_lift,
     is_ramanujan_bipartite,
@@ -33,8 +32,8 @@ from interlace import (
     signing_select,
 )
 from barrier import laguerre_root_bounds, lower_shift_check, upper_shift_check
-from fixtures import complete, complete_bipartite, from_roots, petersen, random_isotropic, \
-    two_point
+from fixtures import adjacency, complete, complete_bipartite, from_roots, petersen, \
+    random_isotropic, two_point
 from oracles import conditional_expected_poly
 from paper import covariance, godsil_gutman_check, heilmann_lieb_check, is_real_rooted, \
     laguerre_transform, mixed_char_root_bound, signing_vectors, spectral_approx_factors

@@ -10,7 +10,6 @@ import pytest
 from interlace import graphs
 from interlace import (
     Graph,
-    adjacency,
     signed_adjacency,
     frontier_order,
     two_lift,
@@ -25,8 +24,9 @@ from interlace import (
     SigningEngine,
     signing_select,
 )
-from fixtures import complete, complete_bipartite, cycle, path, petersen
-from oracles import CUBE, forward_signed_chars, in_walk_order
+from fixtures import adjacency, complete, complete_bipartite, cycle, path, petersen
+from oracles import CUBE, forward_signed_chars, full_leaf_chars, in_walk_order, \
+    set_frontier_order
 from test_acceptance import bounded_degree_graphs, signing_average_graphs
 from paper import godsil_gutman_check, heilmann_lieb_check, laplacian, matching_poly, \
     spectral_approx_factors, _charpoly_sum_over_signings
@@ -290,11 +290,12 @@ def test_expected_signed_chars_leaf_chunks_add_up(monkeypatch):
 
 @pytest.mark.parametrize("cap", [10, 200])
 def test_expected_signed_chars_leaf_stacks_bounded_in_entries(monkeypatch, cap):
-    # a kernel call takes cap // |V(F)|^2 leaf groups and at least one, so
-    # its stack holds at most cap entries, or one leaf past that
-    g = CUBE
+    # a kernel call takes cap // p^2 Gram leaf groups and at least one, so
+    # its stack holds at most cap entries, or one leaf past that; level 20
+    # of the 24-vertex cover has 232 groups of side 9
+    g = in_walk_order(_double_cover24())
     engine = SigningEngine(g)
-    prefix = np.random.default_rng(71).choice([-1, 1], 8)
+    prefix = np.random.default_rng(71).choice([-1, 1], 20)
     whole = engine.chars(prefix)
     shapes, kernel = [], graphs.charpoly_batch_exact
     monkeypatch.setattr(graphs, "charpoly_batch_exact",
@@ -371,9 +372,50 @@ def test_signing_engine_minus_child_from_parent_matches_oracle(g):
         assert child == plus and 2 * parent - child == minus, f
 
 
-def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
-    g = in_walk_order(_double_cover24())
+@pytest.mark.parametrize("name", ["cube", "K33", "K44", "cover24", "cover48"])
+def test_gram_leaves_match_full_leaves_by_berkowitz(name):
+    # on a bipartite graph the engine's leaves are p x p Grams B B^T; the
+    # oracle takes the same tables with full |V(F)| x |V(F)| leaves by
+    # Berkowitz in Python ints.  The 48-vertex cover's middle levels hold
+    # thousands of groups on 20 vertices and more, so it takes its first
+    # and last levels
+    named = {"cube": CUBE, "K33": complete_bipartite(3, 3), "K44": complete_bipartite(4, 4)}
+    if name.startswith("cover"):
+        g = _double_cover24()
+        if name == "cover48":
+            g = two_lift(g, signing_select(g)[0])
+        named[name] = in_walk_order(g)
+    g = named[name]
     engine = SigningEngine(g)
+    left = engine.left
+    assert left is not None
+    levels = range(g.m + 1) if g.m <= 36 else [0, 3, 6, 9, 12, 15, 66, 69, 72]
+    rng = np.random.default_rng(89)
+    sides = set()
+    for f in levels:
+        verts = {v for e in g.edges[:f] for v in e}
+        sides.add(tuple(sorted((len(verts & left), len(verts - left)))))
+        prefix = rng.choice([-1, 1], f)
+        assert engine.chars(prefix) == full_leaf_chars(engine, prefix), (f, prefix)
+    # the empty prefix (p = 0), a lopsided V(F) (p != q) and the full signing
+    assert (0, 0) in sides and any(p != q for p, q in sides)
+    assert levels[-1] == g.m
+
+
+def test_full_leaves_on_a_graph_that_is_not_bipartite():
+    g = petersen()
+    engine = SigningEngine(g)
+    assert engine.left is None
+    rng = np.random.default_rng(97)
+    for f in range(g.m + 1):
+        prefix = rng.choice([-1, 1], f)
+        assert engine.chars(prefix) == full_leaf_chars(engine, prefix), f
+
+
+def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
+    # the leaves over V(F): on a bipartite graph the p x p Gram B B^T of
+    # the p x q signed biadjacency, p <= q the sizes of V(F)'s colour
+    # classes, and on any other graph the |V(F)| x |V(F)| masked A_F
     sides = []
 
     def recorded(mats):
@@ -382,22 +424,26 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
 
     monkeypatch.setattr(graphs, "charpoly_batch_exact", recorded)
     rng = np.random.default_rng(79)
-    # a walk forms level 0 and each level whose edge closes a cycle
-    formed = [True] + [not joins for joins in g.forest_edges()]
-    entries = 0
-    for f in range(g.m + 1):
-        sides.clear()
-        for prefix in rng.choice([-1, 1], (3, f)):
-            engine.chars(prefix)
-        width = len({v for e in g.edges[:f] for v in e})
-        groups = len(engine.tables[f][0])
-        assert [s[1:] for s in sides] == [(width, width)] * len(sides)
-        assert sum(s[0] for s in sides) == 3 * groups
-        entries += formed[f] * sum(s[0] * s[1] * s[2] for s in sides)
-    # a walk's work: the DP's states and one row's leaf entries per level
-    # it forms
-    states = sum(len(m) for m, _ in engine.tables)
-    assert 3 * (engine.walk_entries() - states) == entries
+    for g in (in_walk_order(_double_cover24()), petersen()):
+        engine = SigningEngine(g)
+        left = g.bipartition()
+        # a walk forms level 0 and each level whose edge closes a cycle
+        formed = [True] + [not joins for joins in g.forest_edges()]
+        entries = 0
+        for f in range(g.m + 1):
+            sides.clear()
+            for prefix in rng.choice([-1, 1], (3, f)):
+                engine.chars(prefix)
+            verts = {v for e in g.edges[:f] for v in e}
+            width = len(verts) if left is None else min(len(verts & left), len(verts - left))
+            groups = len(engine.tables[f][0])
+            assert [s[1:] for s in sides] == [(width, width)] * len(sides)
+            assert sum(s[0] for s in sides) == 3 * groups
+            entries += formed[f] * sum(s[0] * s[1] * s[2] for s in sides)
+        # a walk's work: the DP's states and one row's leaf entries per
+        # level it forms
+        states = sum(len(m) for m, _ in engine.tables)
+        assert 3 * (engine.walk_entries() - states) == entries
 
 
 def test_signing_engine_past_62_vertices_and_edges():
@@ -478,6 +524,22 @@ def test_frontier_order_does_not_depend_on_the_numbering():
         h = _relabelled(g, rng)
         assert max(_frontier_sizes(h, list(range(h.n)))) >= 10
         assert max(_frontier_sizes(h, frontier_order(h))) == 6
+
+
+def test_frontier_order_equals_the_set_rule():
+    # the counts kept per vertex, with starts dropped once their sum
+    # reaches the best, pick the order the set differences pick, ties
+    # included: on random dense and sparse graphs, disconnected and not
+    # bipartite among them, on named graphs and on relabelled covers
+    rng = np.random.default_rng(101)
+    named = [path(6), cycle(7), CUBE, petersen(), complete(5), Graph(3, []), Graph(1, []),
+             Graph(8, [(0, 1), (1, 2), (0, 2), (4, 5), (6, 7)]),
+             _cover24(), _relabelled(_cover24(), rng)]
+    cases = list(itertools.chain(named, _dense_random_graphs(), _sparse_random_graphs()))
+    assert any(not g.is_connected() for g in cases)
+    assert any(g.bipartition() is None for g in cases)
+    for g in cases:
+        assert frontier_order(g) == set_frontier_order(g), g
 
 
 # ----------------------------------------------------------------------

@@ -376,6 +376,45 @@ def test_sturm_counts_distinct_roots_only():
     assert sturm_root_count(mixed, 0, 5) == 2
 
 
+def _sturm_count_above(p: Polynomial, b) -> int:
+    """Roots of exact ``p`` above b, with multiplicity, by Sturm counts
+    alone: the distinct roots in (b, B] of p, of g = gcd(p, p'), of
+    gcd(g, g'), and so on, B past every root; a root of multiplicity r
+    is counted in the first r of them."""
+    total = 0
+    while p.degree > 0:
+        total += sturm_root_count(p, b, max(_cauchy_bound(p), Fraction(b)))
+        p = sturm_sequence(p)[-1]
+    return total
+
+
+def _even_or_odd(e: int, pairs, lead=1) -> Polynomial:
+    """lead x^e prod (x^2 - r)^mult over ``pairs`` of (r, mult)."""
+    p = Polynomial((0,) * e + (lead,))
+    for r, mult in pairs:
+        for _ in range(mult):
+            p = p * Polynomial((-r, 0, 1))
+    return p
+
+
+@pytest.mark.parametrize("e, pairs, lead", [
+    (1, [], 1), (1, [], 5), (2, [], 1), (0, [(4, 1)], 1), (0, [(2, 1)], 3),
+    (0, [(1, 1), (4, 1), (9, 1)], 1), (1, [(1, 1), (4, 1), (9, 1)], 2),
+    (0, [(1, 3), (4, 2)], 1), (1, [(4, 2), (Fraction(9, 4), 1)], 4),
+    (2, [(1, 1), (9, 2)], 1), (3, [(2, 1), (4, 3)], 1), (4, [(Fraction(1, 4), 2)], 16),
+    (0, [(0, 1), (1, 2)], 1),
+])
+def test_count_above_even_and_odd_against_sturm(e, pairs, lead):
+    # x^e q(x^2) counts q's roots above b^2 for b > 0, and takes the generic
+    # shift for b <= 0: multiple roots, zero roots of either parity, b at a
+    # root (1, 3/2, 2, 3, 1/2) and degrees 1 and 2 among them
+    p = _even_or_odd(e, pairs, lead)
+    assert not any(p.coeffs[1 - p.degree % 2::2])
+    for b in (-10, -3, -2, Fraction(-3, 2), -1, Fraction(-1, 2), 0, Fraction(1, 3),
+              Fraction(1, 2), 1, Fraction(3, 2), Fraction(7, 5), 2, Fraction(5, 2), 3, 10):
+        assert roots_above(p, b) == _sturm_count_above(p, b), b
+
+
 def test_sturm_on_float_coefficients():
     # a float Sturm sequence certifies nothing, so none is taken
     p = from_roots([0.5, 1.5, 2.5])

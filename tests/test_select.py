@@ -33,7 +33,6 @@ from interlace import (
     signing_select,
     two_lift,
     Graph,
-    adjacency,
     SigningEngine,
     signed_adjacency,
     frontier_order,
@@ -42,7 +41,7 @@ import interlace.graphs as graphs_module
 import interlace.poly as poly_module
 import interlace.select as select_module
 from interlace.poly import EIG_START_POLES
-from fixtures import complete, complete_bipartite, from_roots, path, petersen, \
+from fixtures import adjacency, complete, complete_bipartite, from_roots, path, petersen, \
     random_isotropic, two_point
 from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
