@@ -364,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_w.add_argument("--budget", type=_positive_int, default=WALK_BUDGET,
                      help="cap on the whole walk's estimated matrix or table "
                           "entries by its cheaper route, enumerated outcomes x "
-                          "n^2 or rank-one table updates x C(2n, n), n = 2 x "
-                          "dim, checked before the walk starts (default 2^30)")
+                          "n^2 or table sandwiches (2r + 1 for r levels) x C(2n, "
+                          "n), n = 2 x dim, checked before the walk starts "
+                          "(default 2^30)")
 
     p_l = command("lift", cmd_lift, "iterated signed 2-lifts of a Ramanujan graph",
                   "edge list file")

@@ -40,10 +40,10 @@ linear in the number of variables.  Exact tables hold integers after one
 common scaling of the weights (:class:`TableArithmetic`), in int64 under
 a proven magnitude bound.  :func:`mixed_char` runs on it for those
 families, and so does weaver's greedy walk in :mod:`interlace.select`
-wherever it is cheaper than enumeration.  The fold adds to W_k terms
-read from W_(k-1) alone, so one ascending pass takes a variable back out
-(:func:`peel_terms`); the walk peels each level's variable off one parent
-table, and each child is the peeled table plus one term read off it.
+wherever it is cheaper than enumeration.  Every grade's term reads only
+W_(k-1), so one kernel call, :func:`_sandwiches`, gives L(l) W L(r)^T
+at every grade at once; the walk's lifts use it with l != r for their
+children, and with the block swap of :func:`_block_swap` for their build.
 :func:`_enumerated_char` enumerates the outcomes of independent rows,
 each a list of (probability, vector) pairs; it is the walk's other
 route, priced with it before the walk starts.
@@ -70,7 +70,6 @@ __all__ = [
     "MAX_DIMENSION",
     "TableArithmetic",
     "fold_terms",
-    "peel_terms",
     "mixed_char",
 ]
 
@@ -92,79 +91,71 @@ class BudgetExceededError(RuntimeError):
 
 @functools.lru_cache(maxsize=None)
 def _subset_index(n: int) -> tuple:
-    """Per k = 1..n, ``(elem, sub, sign)`` describing L_k on k-subsets of range(n).
-
-    The k-subsets are numbered in lexicographic order.  Row I of the
-    (C(n, k), k) arrays ``elem`` and ``sub`` lists, for p = 0..k-1, the
-    element a = I[p] and the number of the (k-1)-subset I - a, and
-    ``sign[p]`` is (-1)^p, so L_k(u)[I, sub[I, p]] = sign[p] u[elem[I, p]].
-    """
-    out = [None]
-    number = {(): 0}
+    """``(elem, sign, grades)``, the plan of L_k, k = 1..n, on the k-subsets
+    of range(n) in lexicographic order.  In grade k, ``grades[k - 1] =
+    (sub, lo, hi)``, row I of ``sub`` lists the numbers of the subsets I -
+    I[p], p < k, and (u[elem] sign)[lo:hi], read as (C(n, k), k), holds
+    L_k(u)[I, sub[I, p]] = (-1)^p u[I[p]]: one gather for every grade."""
+    elem, sign, grades, number = [], [], [], {(): 0}
     for k in range(1, n + 1):
         subsets = list(itertools.combinations(range(n), k))
-        sub = [[number[s[:p] + s[p + 1:]] for p in range(k)] for s in subsets]
-        out.append((np.array(subsets, dtype=np.intp), np.array(sub, dtype=np.intp),
-                    np.resize(np.array([1, -1], dtype=np.int64), k)))
+        grades.append((np.array([[number[s[:p] + s[p + 1:]] for p in range(k)]
+                                 for s in subsets], dtype=np.intp),
+                       len(elem), len(elem) + k * len(subsets)))
+        elem.extend(itertools.chain.from_iterable(subsets))
+        sign.extend([1, -1][p % 2] for _ in subsets for p in range(k))
         number = {s: i for i, s in enumerate(subsets)}
+    return np.array(elem, dtype=np.intp), np.array(sign, dtype=np.int64), tuple(grades)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_swap(n: int) -> tuple:
+    """Per k = 1..n, the index with sigma Y sigma^T = Y[index] on the tables
+    of lifts, sigma = Lambda^k of a -> a + n/2 (mod n), n even.  sigma takes
+    a k-subset I to its image with the sign (-1)^(|I & top| |I & bottom|),
+    but a lift's terms each lie in one block, so W_k[I, J] = 0 unless |I &
+    top| = |J & top|, and then the signs of I and J cancel."""
+    out = []
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        number = {s: i for i, s in enumerate(subsets)}
+        perm = [number[tuple(sorted((a + n // 2) % n for a in s))] for s in subsets]
+        out.append(np.ix_(perm, perm))
     return tuple(out)
 
 
 def fold_terms(tables: list, weights, vecs) -> list:
-    """The tables with one more variable, the matrix sum_j w_j u_j u_j^T.
+    """New tables with one more variable, the matrix sum_j w_j u_j u_j^T,
+    in the old ones' dtype (int64, object or float64): W_k gains sum_j w_j
+    L_k(u_j) W_(k-1) L_k(u_j)^T, k = 1..n, read from the old W_(k-1), so
+    each new product carries the variable once."""
+    return [tables[0]] + list(_sandwiches(tables, weights, vecs, base=tables))
 
-    W_k gains sum_j w_j L_k(u_j) W_(k-1) L_k(u_j)^T for k = n down to 1,
-    every term read from the old W_(k-1), so each new product carries the
-    new variable exactly once.  Only ring operations occur, so the tables
-    keep their dtype (int64, object or float64).  Returns new tables; the
-    old ones are not modified and can be shared.
+
+def _sandwiches(tables: list, weights, lefts, rights=None, base=None):
+    """Yields, per k = 1..n, base_k + sum_j w_j L_k(l_j) W_(k-1) L_k(r_j)^T,
+    l_j and r_j the rows of ``lefts`` and ``rights`` (``lefts`` when None),
+    with no base_k when ``base`` is None: the one kernel of the tables, for
+    :func:`fold_terms` and weaver's lifts (:func:`interlace.select._engine_route`).
+    A call gathers its coefficients for every grade at once, on the cached
+    plan of :func:`_subset_index`, and W_(k-1)[sub] once a grade; each term
+    takes two batched ``matmul`` stages, X = L_k(r_j) W_(k-1) and L_k(l_j)
+    X^T, the product as W_(k-1) is symmetric, times w_j, and is added in
+    place.  The dtype is kept.
     """
-    n = len(tables) - 1
-    index = _subset_index(n)
-    out = [tables[0]]
-    for k in range(1, n + 1):
-        elem, sub, sign = index[k]
+    elem, sign, grades = _subset_index(len(tables) - 1)
+    left = lefts[:, elem] * sign
+    right = left if rights is None else rights[:, elem] * sign
+    for k, (sub, lo, hi) in enumerate(grades, 1):
         gathered = tables[k - 1][sub]  # (C(n,k), k, C(n,k-1))
-        acc = tables[k]
-        for w, u in zip(weights, vecs):
-            acc = acc + w * _sandwich(gathered, u[elem] * sign, sub)
-        out.append(acc)
-    return out
-
-
-def peel_terms(tables: list, weights, vecs) -> tuple:
-    """The tables without one variable, the matrix sum_j w_j u_j u_j^T.
-
-    The inverse of :func:`fold_terms`.  A fold adds to W_k terms read
-    from W_(k-1) alone, so it is unipotent and one ascending pass undoes
-    it: T_0 = W_0 and, for k = 1..n, X_jk = L_k(u_j) T_(k-1) L_k(u_j)^T
-    and T_k = W_k - sum_j w_j X_jk.  Returns (T, X): the tables T
-    without the variable, and per term j its parts X[j] = [0, X_j1, ..,
-    X_jn], so that T + c X[j], grade by grade, is ``fold_terms(T, [c],
-    [u_j])``.  It costs as many table updates as the fold, and the
-    dtypes are kept; in int64 every intermediate is T_k plus some of the
-    w_j X_jk, within the bound the fold's are (:class:`TableArithmetic`).
-    """
-    n = len(tables) - 1
-    index = _subset_index(n)
-    peeled = [tables[0]]
-    parts = [[np.zeros_like(tables[0])] for _ in weights]
-    for k in range(1, n + 1):
-        elem, sub, sign = index[k]
-        gathered = peeled[k - 1][sub]
-        acc = tables[k]
-        for w, u, part in zip(weights, vecs, parts):
-            part.append(_sandwich(gathered, u[elem] * sign, sub))
-            acc = acc - w * part[-1]
-        peeled.append(acc)
-    return peeled, parts
-
-
-def _sandwich(gathered, coef, sub):
-    """L_k(u) W L_k(u)^T, from ``gathered`` = W[sub] and ``coef``, the
-    nonzeros of L_k(u) row by row, u[elem] sign."""
-    left = np.einsum("ip,ipj->ij", coef, gathered)  # L_k(u) W
-    return np.einsum("ijq,jq->ij", left[:, sub], coef)  # ... L_k(u)^T
+        acc = None if base is None else base[k].copy()
+        for w, l, r in zip(weights, left[:, lo:hi], right[:, lo:hi]):
+            x = np.ascontiguousarray(np.matmul(r.reshape(-1, 1, k), gathered)[:, 0].T)
+            y = np.matmul(l.reshape(-1, 1, k), x[sub])[:, 0]
+            y *= w
+            acc = y if acc is None else np.add(acc, y, out=acc)
+            del x, y  # in place, so that an object term's ints go before the next
+        yield acc
 
 
 class TableArithmetic:
@@ -192,17 +183,18 @@ class TableArithmetic:
     Cauchy-Binet give |W_k[I, J]| <= max_I det P[I, I] <= D^k (Hadamard),
     where P = sum_t |w_t| u_t u_t^T over every term the family may use and
     D is its largest diagonal entry.  Integer w_t != 0 and u_t give
-    u_t[a]^2 <= |w_t| u_t[a]^2 <= D.  In one step, an entry of
-    L_k(u) W_(k-1) is a sum of k products u_a W_(k-1)[.], each at most
-    D^k; an entry of L_k(u) W_(k-1) L_k(u)^T is a sum of k^2 products
-    u_a u_b W_(k-1)[.], at most k^2 D^k before and after scaling by w; and
-    summed over the terms of one variable, sum_j |w_j u_ja u_jb| <= D
-    (Cauchy-Schwarz) keeps the new W_k within D^k + k^2 D^k.  So every
-    intermediate is at most (n^2 + 1) D^n, and int64 is safe when that is
-    below 2^63: in dimension 10, the identity and 15 outer products of
-    sign vectors have unit pivots, so L = 1, and give D = 16 and stay
-    int64.  Otherwise the tables hold Python ints (object dtype).  Traces
-    are summed as Python ints either way.
+    |w_t u_ta u_tb| <= D, and so |w v_a v_b| <= D for l, r = (v, +-v) from
+    a lift's points (v, 0) and (0, v) of one weight w.  So every value the
+    two stages of a term w L_k(l) W_(k-1) L_k(r)^T of :func:`_sandwiches`
+    form, l = r = u_t or those l, r, is at most k^2 D^k.  A table plus a
+    term, or plus a variable's terms (sum_j |w_j u_ja u_jb| <= D by
+    Cauchy-Schwarz), is within D^k + k^2 D^k, and plus a term and its block
+    swap or its transpose, as weaver's build and levels add them, within
+    D^k + 2 k^2 D^k.  So int64 is safe when (2 n^2 + 1) D^n < 2^63: in
+    dimension 10, the identity and 15 outer products of sign vectors have
+    unit pivots, so L = 1, and give D = 16 and stay int64.  Otherwise the
+    tables hold Python ints (object dtype).  Traces are summed as Python
+    ints either way.
     """
 
     def __init__(self, n: int, pairs, exact: bool):
@@ -220,7 +212,7 @@ class TableArithmetic:
             for a, x in enumerate(u):
                 diag[a] += w * x * x
         top = max(diag, default=0)
-        self.dtype = np.int64 if (n * n + 1) * top ** n < 2 ** 63 else object
+        self.dtype = np.int64 if (2 * n * n + 1) * top ** n < 2 ** 63 else object
 
     def encode(self, pairs) -> tuple:
         """Weights and a (terms, n) vector array, ready for :func:`fold_terms`.

@@ -21,7 +21,7 @@ with r two-point vectors still random.  For independent rank-one random
 vectors each conditional polynomial is also a mixed characteristic
 polynomial, which the exterior-power engine of :mod:`interlace.mixedchar`
 computes at a cost linear in the number of vectors but exponential in
-the dimension, each level peeling its vector off one parent table.  The
+the dimension, each level forming both children from one parent table.  The
 walk takes the route :func:`_walk_costs` estimates cheaper, and the
 whole walk's estimate is checked against its budget before the first
 step.
@@ -64,7 +64,7 @@ from .poly import Polynomial, TopRoot, float_top_root, _squarefree, \
 from .matrices import SymMatrix, _cleared, _coerce_array, _refuse_nonfinite, _vieta, \
     char_poly, charpoly_batch_exact
 from .mixedchar import BudgetExceededError, DEFAULT_BUDGET, TableArithmetic, fold_terms, \
-    peel_terms, _enumerated_char
+    _block_swap, _enumerated_char, _sandwiches
 from .graphs import Graph, SigningEngine, frontier_order, signed_adjacency
 from .tolerances import CERT_TOL, ISO_TOL
 
@@ -284,27 +284,27 @@ def _walk_costs(dim: int, levels: int) -> dict:
     ``"enumerate"`` builds and expands one dim x dim matrix per outcome of
     every polynomial, dim^2 entries each: 2^r outcomes for the pledge and,
     at level l, two children of 2^(r-l-1) each, 3 2^r - 2 in all.
-    ``"engine"`` makes 4r + 1 rank-one table updates of C(2 dim, dim)
-    entries each: one for the fixed vector and two per level to build the
-    parent table, and two per level to peel its vector off it, which forms
+    ``"engine"`` makes 2r + 1 table sandwiches of C(2 dim, dim) entries
+    each (:func:`_engine_route`): one for the fixed vector, one per level
+    to fold its lift into the parent table, and one per level that forms
     both children.  Both routes take about the same time per entry,
-    within a factor of three (a float walk of 20 vectors in R^6, dim = 12
-    here, on a 2-vCPU x86 host: 0.05 us by the engine, 0.12 us by
-    enumeration), so the smaller estimate picks the faster route except
-    near the crossover.  Exact walks take longer per entry (about five
-    times as long as float ones by the engine, for 12-21 vectors in R^3).
+    within a factor of three (float, 20 vectors in R^6, dim = 12 here, on
+    a 2-vCPU x86 host: 0.047 us by the engine, 0.12 us by enumeration), so
+    the smaller estimate picks the faster route except near the crossover.
+    Exact engine walks take 1.6-1.8 times as long per entry as float ones
+    in R^3 (12-27 vectors, int64 tables), 13 times in R^4 (16, Python ints).
     """
     return {"enumerate": (3 * 2 ** levels - 2) * dim * dim,
-            "engine": (4 * levels + 1) * math.comb(2 * dim, dim)}
+            "engine": (2 * levels + 1) * math.comb(2 * dim, dim)}
 
 
-def _weaver_walk(fixed: np.ndarray, rows: list,
-                 budget: int = WALK_BUDGET) -> SelectionCertificate:
+def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> SelectionCertificate:
     """The greedy walk of :func:`weaver_partition`, minimizing lambda_1.
 
-    ``fixed`` is fixed, and level l fixes one point of ``rows[l]``, a
-    two-point random vector [(1/2, u), (1/2, w)]; the walk is exact when
-    ``fixed`` is (an object array), and then so are the rows.
+    (first, 0) is fixed, and each vector v of ``rest`` is lifted to the
+    two-point random vector [(1/2, (v, 0)), (1/2, (0, v))] in R^2d; level
+    l fixes one point of the lift of ``rest[l]``.  The walk is exact when
+    ``first`` is (an object array), and then so is ``rest``.
     :func:`_keep` decides each level, reading the two children in order:
     an exact walk hands it their polynomials, and only the kept child is
     rooted (:func:`_kth_cluster`); a float walk roots each child as the
@@ -322,7 +322,10 @@ def _weaver_walk(fixed: np.ndarray, rows: list,
     estimate for the whole walk; it is checked before the first step,
     and :class:`BudgetExceededError` is raised if over.
     """
-    exact = fixed.dtype == object
+    exact, zero = first.dtype == object, np.zeros(len(first), dtype=first.dtype)
+    half, fixed = Fraction(1, 2) if exact else 0.5, np.concatenate([first, zero])
+    rows = [[(half, np.concatenate([v, zero])), (half, np.concatenate([zero, v]))]
+            for v in rest]
     costs = _walk_costs(len(fixed), len(rows))
     route = "engine" if costs["engine"] <= costs["enumerate"] else "enumerate"
     if costs[route] > budget:
@@ -404,32 +407,40 @@ def _engine_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
     With the fixed vector u and the independent rows r_l of covariances
     A_l, the conditional polynomial E char_poly(u u^T + sum r_l r_l^T) is
     the mixed characteristic polynomial mu[u u^T, A_1..A_m], computed by
-    the exterior-power engine of :mod:`interlace.mixedchar`.  One parent
-    table holds the vectors fixed so far and the remaining rows; it is
-    built forward, u folded in as a rank-one variable and each row as one
-    variable whose terms come straight from its points (p v v^T), and the
-    pledge is its polynomial.  Level l peels row l off the parent
-    (:func:`peel_terms`), which leaves the table T of everything else and,
-    for each point v, the part X read off T with which v v^T folds in:
-    that child is T + X, so its traces are tr T_k + tr X_k, and the kept
-    child is the next parent.  A walk on m rows makes m + 1 calls of
-    :func:`fold_terms` and m of :func:`peel_terms`, 4m + 1 table updates
-    in all, and holds a few tables at a time.
+    the exterior-power engine of :mod:`interlace.mixedchar`.  Row l's
+    lift, points a = (v, 0) and b = (0, v) of weight w = 1/2, folds into
+    the tables T of the rest as W = T + w (S_a + S_b)(T), S_x(W) = L(x) W
+    L(x)^T; the build (:func:`_lift_tables`) folds the rows, then u.  S_x
+    S_x = 0 and S_a S_b = S_b S_a, so the children T + S_a(T), T + S_b(T)
+    are W +- D, D = w (S_a - S_b)(W) = (w/2)(M + M^T), M = L(a + b) W L(a
+    - b)^T: one :func:`_sandwiches` call a level, whose traces give the
+    children's, and the kept child is the next parent.  A walk on m rows
+    makes 2m + 1 kernel calls and holds a few tables at a time.
     """
     every = [(1, fixed)] + [t for row in rows for p, v in row for t in ((p, v), (1, v))]
     arith = TableArithmetic(len(fixed), every, exact)
-    parent = fold_terms(arith.empty(), *arith.encode([(1, fixed)]))
-    for row in rows:
-        parent = fold_terms(parent, *arith.encode(row))
+    terms = [arith.encode(row[:1]) for row in rows]
+    parent = fold_terms(_lift_tables(arith.empty(), terms), *arith.encode([(1, fixed)]))
     yield arith.poly(parent)
-    for row in rows:
-        peeled, parts = peel_terms(parent, *arith.encode(row))
-        units, _ = arith.encode([(1, v) for _, v in row])
-        base = arith.traces(peeled)
-        yield [arith.from_traces([t + w * x for t, x in zip(base, arith.traces(part))])
-               for w, part in zip(units, parts)]
-        parent = [t + units[choices[-1]] * x for t, x in zip(peeled, parts[choices[-1]])]
-        del peeled, parts  # before the next level's peel allocates its own
+    d, halve = len(fixed) // 2, np.floor_divide if exact else np.true_divide
+    for w, a in terms:
+        v = a[:, :d]
+        ms = list(_sandwiches(parent, w, np.hstack([v, v]), np.hstack([v, -v])))
+        base, diff = arith.traces(parent), [0] + arith.traces(ms)
+        yield [arith.from_traces([t + s * x for t, x in zip(base, diff)]) for s in (1, -1)]
+        step = np.subtract if choices[-1] else np.add
+        parent = [parent[0]] + [step(t, halve(x + x.T, 2)) for t, x in zip(parent[1:], ms)]
+
+
+def _lift_tables(tables: list, terms: list) -> list:
+    """``tables``, invariant under the block swap sigma (:func:`_block_swap`),
+    with the lifts of ``terms``, each (w, [(v, 0)]) encoded, folded in: S_b =
+    sigma S_a sigma adds Y + sigma Y sigma^T, Y = w S_a(T), one kernel call."""
+    swap = _block_swap(len(tables) - 1)
+    for w, a in terms:
+        tables = [tables[0]] + [t + y + y[ix] for t, y, ix
+                                in zip(tables[1:], _sandwiches(tables, w, a), swap)]
+    return tables
 
 
 # ----------------------------------------------------------------------
@@ -612,13 +623,8 @@ def weaver_partition(system: VectorSystem, budget: int = WALK_BUDGET, tol: float
     if not system.is_isotropic(tol):
         raise ValueError(
             f"system is not isotropic (defect {system.isotropy_defect():.3g})")
-    exact = system.is_exact
-    zero = np.zeros(system.dim, dtype=object if exact else float)
-    half = Fraction(1, 2) if exact else 0.5
     first, *rest = system.vectors
-    rows = [[(half, np.concatenate([v, zero])), (half, np.concatenate([zero, v]))]
-            for v in rest]
-    cert = _weaver_walk(np.concatenate([first, zero]), rows, budget)
+    cert = _weaver_walk(first, rest, budget)
     cert.choices.insert(0, 0)
     cert.levels.insert(0, cert.pledged)
     s1 = [i for i, choice in enumerate(cert.choices) if choice == 0]

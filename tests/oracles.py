@@ -38,7 +38,13 @@ other ways:
   traces and Newton's identities;
 * the exact order of two top roots, by stripping their common factors
   and halving both brackets (:func:`compare_top_roots`), against the
-  library's level rule ``select._meets`` at k = 1.
+  library's level rule ``select._meets`` at k = 1;
+* weaver's engine route with the lift's algebra left unused
+  (:func:`fold_peel_route`): the parent table built by folding both
+  points of every lift, and each level's row peeled off it grade by
+  grade (:func:`peel_terms`), one einsum sandwich per term and grade,
+  against the library's block-swap build and polarized level on one
+  all-grade kernel.
 
 It also holds the fixtures several test modules share: the cube graph
 (:data:`CUBE`) and a graph relabelled as the signing walk takes it
@@ -48,6 +54,7 @@ A random vector here is a plain list of (probability, vector) pairs, a
 row, as weaver's walk takes its lifts.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -58,7 +65,7 @@ from interlace import DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, char_poly, \
     float_top_root, mixed_char
 from interlace.graphs import LEAF_ENTRIES, frontier_order
 from interlace.matrices import _coerce_array, charpoly_batch_exact
-from interlace.mixedchar import BudgetExceededError
+from interlace.mixedchar import BudgetExceededError, TableArithmetic
 from interlace.select import _kth_cluster, _ri_scores
 from interlace.poly import TopRoot, _count_above, _integer_coeffs, _primitive, \
     _pseudo_divmod, shift_chain
@@ -584,3 +591,102 @@ def compare_top_roots(p: Polynomial, q: Polynomial,
         if vlo >= ghi:
             return sign
     return 0
+
+
+# ----------------------------------------------------------------------
+# Weaver's engine route by folds and peels
+# ----------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _grade_index(n: int) -> tuple:
+    """Per k = 1..n, ``(elem, sub, sign)`` describing L_k on k-subsets of range(n).
+
+    The k-subsets are numbered in lexicographic order.  Row I of the
+    (C(n, k), k) arrays ``elem`` and ``sub`` lists, for p = 0..k-1, the
+    element a = I[p] and the number of the (k-1)-subset I - a, and
+    ``sign[p]`` is (-1)^p, so L_k(u)[I, sub[I, p]] = sign[p] u[elem[I, p]].
+    """
+    out = [None]
+    number = {(): 0}
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        sub = [[number[s[:p] + s[p + 1:]] for p in range(k)] for s in subsets]
+        out.append((np.array(subsets, dtype=np.intp), np.array(sub, dtype=np.intp),
+                    np.resize(np.array([1, -1], dtype=np.int64), k)))
+        number = {s: i for i, s in enumerate(subsets)}
+    return tuple(out)
+
+
+def _sandwich(gathered, coef, sub):
+    """L_k(u) W L_k(u)^T, from ``gathered`` = W[sub] and ``coef``, the
+    nonzeros of L_k(u) row by row, u[elem] sign."""
+    left = np.einsum("ip,ipj->ij", coef, gathered)  # L_k(u) W
+    return np.einsum("ijq,jq->ij", left[:, sub], coef)  # ... L_k(u)^T
+
+
+def einsum_fold(tables: list, weights, vecs) -> list:
+    """``mixedchar.fold_terms`` grade by grade, one einsum sandwich per
+    term: W_k gains sum_j w_j L_k(u_j) W_(k-1) L_k(u_j)^T, every term
+    read from the old W_(k-1)."""
+    index = _grade_index(len(tables) - 1)
+    out = [tables[0]]
+    for k in range(1, len(tables)):
+        elem, sub, sign = index[k]
+        gathered = tables[k - 1][sub]
+        acc = tables[k]
+        for w, u in zip(weights, vecs):
+            acc = acc + w * _sandwich(gathered, u[elem] * sign, sub)
+        out.append(acc)
+    return out
+
+
+def peel_terms(tables: list, weights, vecs) -> tuple:
+    """The tables without one variable, the matrix sum_j w_j u_j u_j^T.
+
+    The inverse of a fold.  A fold adds to W_k terms read from W_(k-1)
+    alone, so it is unipotent and one ascending pass undoes it: T_0 = W_0
+    and, for k = 1..n, X_jk = L_k(u_j) T_(k-1) L_k(u_j)^T and T_k = W_k -
+    sum_j w_j X_jk.  Returns (T, X): the tables T without the variable,
+    and per term j its parts X[j] = [0, X_j1, .., X_jn], so that T + c
+    X[j], grade by grade, is the fold of [c] and [u_j] into T.  The
+    dtypes are kept.
+    """
+    index = _grade_index(len(tables) - 1)
+    peeled = [tables[0]]
+    parts = [[np.zeros_like(tables[0])] for _ in weights]
+    for k in range(1, len(tables)):
+        elem, sub, sign = index[k]
+        gathered = peeled[k - 1][sub]
+        acc = tables[k]
+        for w, u, part in zip(weights, vecs, parts):
+            part.append(_sandwich(gathered, u[elem] * sign, sub))
+            acc = acc - w * part[-1]
+        peeled.append(acc)
+    return peeled, parts
+
+
+def fold_peel_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
+    """Yields the pledge and each level's children, as
+    ``select._engine_route`` does on the same lifted ``rows``, by 4m + 1
+    einsum passes: the fixed vector and both points of every row folded
+    into one parent table (:func:`einsum_fold`), then at each level the
+    row peeled off the parent (:func:`peel_terms`), which leaves the
+    table T of everything else and, for each point v, the part X with
+    which v v^T folds in; that child is T + X, and the kept child is the
+    next parent.  The table arithmetic is the library's
+    :class:`TableArithmetic`, so exact polynomials compare equal.
+    """
+    every = [(1, fixed)] + [t for row in rows for p, v in row for t in ((p, v), (1, v))]
+    arith = TableArithmetic(len(fixed), every, exact)
+    parent = einsum_fold(arith.empty(), *arith.encode([(1, fixed)]))
+    for row in rows:
+        parent = einsum_fold(parent, *arith.encode(row))
+    yield arith.poly(parent)
+    for row in rows:
+        peeled, parts = peel_terms(parent, *arith.encode(row))
+        units, _ = arith.encode([(1, v) for _, v in row])
+        base = arith.traces(peeled)
+        yield [arith.from_traces([t + w * x for t, x in zip(base, arith.traces(part))])
+               for w, part in zip(units, parts)]
+        parent = [t + units[choices[-1]] * x for t, x in zip(peeled, parts[choices[-1]])]

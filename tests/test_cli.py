@@ -517,8 +517,8 @@ def test_budget_exceeded_exit_4(capsys, tmp_path):
     vs = random_isotropic(3, 25, rng)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"vectors": vs.vectors.astype(float).tolist()}))
-    # the cheaper route, the engine, states (96 + 1) rank-one table
-    # updates x C(12, 6) = 89628 entries up front, over a budget of 1000
+    # the cheaper route, the engine, states (48 + 1) table sandwiches x
+    # C(12, 6) = 45276 entries up front, over a budget of 1000
     code = main(["weaver", str(path), "--budget", "1000"])
     assert code == 4
     assert "budget exceeded" in capsys.readouterr().err
@@ -538,15 +538,15 @@ def test_weaver_m25_default_budget_certifies(capsys, tmp_path):
 
 
 def test_weaver_d7_m24_exits_4_before_any_fold(capsys, tmp_path, monkeypatch):
-    # with vector 0 fixed, the engine states (92 + 1) rank-one table updates
-    # x C(28, 14), about 3.7e9 entries, over the default 2^30, and
+    # with vector 0 fixed, the engine states (46 + 1) table sandwiches x
+    # C(28, 14), about 1.9e9 entries, over the default 2^30, and
     # enumeration states more: the walk is refused before it starts
     import interlace.select as select_module
 
     def refuse(*args):
         raise AssertionError("the walk started")
 
-    for name in ("fold_terms", "peel_terms", "_enumerated_char"):
+    for name in ("fold_terms", "_sandwiches", "_enumerated_char"):
         monkeypatch.setattr(select_module, name, refuse)
     vs = random_isotropic(7, 24, np.random.default_rng(7))
     path = tmp_path / "d7.json"

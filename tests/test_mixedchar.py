@@ -23,10 +23,11 @@ from interlace import (
     mixed_char,
     real_roots,
 )
-from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms, peel_terms
+from interlace.mixedchar import TableArithmetic, _rank_one_terms, fold_terms
 from interlace.tolerances import COEFF_TOL
 from fixtures import allclose, two_point
-from oracles import TruncatedMultiAffine, conditional_expected_poly, ring_mixed_char
+from oracles import TruncatedMultiAffine, conditional_expected_poly, einsum_fold, \
+    peel_terms, ring_mixed_char
 from paper import covariance, is_real_rooted, mixed_char_root_bound
 
 
@@ -451,9 +452,9 @@ def test_mixed_char_ldl_handles_a_zero_pivot_with_a_nonzero_row():
 
 
 def test_peel_terms_undo_fold_terms_and_give_each_child():
-    # on float, int64 and object tables, peeling a variable off gives back
-    # the tables it was folded into, exactly or within COEFF_TOL of the
-    # folded tables, and the
+    # on float, int64 and object tables, the oracle's peel takes a variable
+    # that fold_terms folded in back off, exactly or within COEFF_TOL of
+    # the folded tables, and the
     # peeled tables plus a support point's part give that point's child:
     # the same polynomial as the point folded into the tables afresh
     rng = np.random.default_rng(281)
@@ -500,6 +501,37 @@ def test_peel_terms_undo_fold_terms_and_give_each_child():
                         assert w == 0 and all((c == t).all() for c, t in zip(child, peeled))
                 else:
                     assert allclose(got, want)
+    assert dtypes == {np.float64, np.int64, object}
+
+
+def test_fold_terms_equals_the_einsum_fold():
+    # the all-grade kernel against the oracle's einsum sandwich per term
+    # and grade: equal on int64 and object tables, and within COEFF_TOL of
+    # the largest entry on float ones, a variable of one to four terms at a
+    # time
+    rng = np.random.default_rng(311)
+    dtypes = set()
+    for n in (1, 3, 5):
+        for exact, size in ((False, None), (True, 3), (True, 10 ** 6)):
+            if exact:
+                terms = [(Fraction(int(rng.integers(1, 5)), int(rng.integers(1, 4))),
+                          [int(x) for x in rng.integers(-size, size + 1, size=n)])
+                         for _ in range(8)]
+            else:
+                terms = [(float(rng.uniform(0.1, 2.0)), rng.standard_normal(n)) for _ in range(8)]
+            arith = TableArithmetic(n, terms, exact)
+            dtypes.add(arith.dtype)
+            ours = theirs = arith.empty()
+            for group in (terms[:1], terms[1:3], terms[3:7], terms[7:]):
+                ours = fold_terms(ours, *arith.encode(group))
+                theirs = einsum_fold(theirs, *arith.encode(group))
+            scale = max(np.abs(t).max() for t in theirs)
+            for got, want in zip(ours, theirs):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                if exact:
+                    assert (got == want).all()
+                else:
+                    assert np.abs(got - want).max() <= COEFF_TOL * scale
     assert dtypes == {np.float64, np.int64, object}
 
 

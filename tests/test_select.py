@@ -40,11 +40,12 @@ from interlace import (
 import interlace.graphs as graphs_module
 import interlace.poly as poly_module
 import interlace.select as select_module
+from interlace.mixedchar import TableArithmetic, fold_terms
 from interlace.poly import EIG_START_POLES
 from fixtures import adjacency, complete, complete_bipartite, from_roots, path, petersen, \
     random_isotropic, two_point
 from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expected_poly, \
-    convex_combinations_real_rooted, enumeration_walk, forward_signed_chars, \
+    convex_combinations_real_rooted, enumeration_walk, fold_peel_route, forward_signed_chars, \
     in_walk_order, ri_level_scores
 from paper import apply_shift_operator, exact_real_roots, have_common_interlacing, \
     is_real_rooted, kth_largest_root, matching_poly, signing_vectors, sturm_root_count, \
@@ -139,27 +140,24 @@ def test_conditional_expected_poly_cross_check_agrees():
         conditional_expected_poly(rows, fixed, cross_check=True)  # must not raise
 
 
-def _random_rows(rng, d: int, m: int) -> list:
-    return [two_point(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(m)]
-
-
-def _all_leaf_values(rows):
+def _all_leaf_values(rows, fixed):
     """lambda_1 of every full outcome, by brute force."""
-    return [float(np.linalg.eigvalsh(sum(np.outer(v, v) for _, v in combo))[-1])
+    return [float(np.linalg.eigvalsh(np.outer(fixed, fixed)
+                                     + sum(np.outer(v, v) for _, v in combo))[-1])
             for combo in itertools.product(*rows)]
 
 
 def test_greedy_walk_certificate_minimize():
-    # weaver's walk on any two-point rows, from a zero fixed vector
+    # weaver's walk on the lifts of any vectors, from any fixed one
     rng = np.random.default_rng(79)
     for _ in range(15):
-        d = int(rng.integers(2, 5))
+        d = int(rng.integers(1, 5))
         m = int(rng.integers(2, 6))
-        rows = _random_rows(rng, d, m)
-        cert = select_module._weaver_walk(np.zeros(d), rows)
+        first, rest = rng.standard_normal(d), rng.standard_normal((m, d))
+        cert = select_module._weaver_walk(first, rest)
         assert cert.valid()
         assert len(cert.choices) == len(cert.levels) == m
-        leaves = _all_leaf_values(rows)
+        leaves = _all_leaf_values(*_lifts(first, rest))
         # the pledge lies between the extreme leaves, and the achieved
         # value is a genuine leaf of the outcome tree
         assert min(leaves) - 1e-7 <= cert.pledged <= max(leaves) + 1e-7
@@ -172,7 +170,7 @@ def test_greedy_walk_levels_are_monotone_toward_target():
     # the pledge on; the final level equals the achieved value up to
     # root-finding error
     rng = np.random.default_rng(83)
-    cert = select_module._weaver_walk(np.zeros(3), _random_rows(rng, 3, 4))
+    cert = select_module._weaver_walk(rng.standard_normal(3), rng.standard_normal((4, 3)))
     seq = [cert.pledged] + list(cert.levels)
     for a, b in zip(seq, seq[1:]):
         assert b <= a + 1e-7
@@ -181,12 +179,13 @@ def test_greedy_walk_levels_are_monotone_toward_target():
 
 def test_greedy_walk_interlacing_check_passes():
     rng = np.random.default_rng(89)
-    rows = _random_rows(rng, 3, 3)
-    cert = select_module._weaver_walk(np.zeros(3), rows)
+    first, rest = rng.standard_normal(3), rng.standard_normal((3, 3))
+    cert = select_module._weaver_walk(first, rest)
     assert cert.valid()
     # every visited sibling family has a common interlacing, the fact
     # that makes greedy sound; children by enumeration, independently
-    fixed = []
+    rows, lifted = _lifts(first, rest)
+    fixed = [lifted]
     for level, choice in enumerate(cert.choices):
         children = [conditional_expected_poly(rows[level + 1:], fixed + [v])
                     for _, v in rows[level]]
@@ -875,7 +874,7 @@ def test_signing_select_raises_when_chi_of_a_s_is_not_its_last_polynomial(monkey
     walks = [lambda g=g: signing_select(g) for g in
              (CUBE, complete_bipartite(3, 3), petersen())]
     walks += [lambda: restricted_invertibility_select(vs, 2)]
-    walks += [lambda route=route: _walk_by(route, *_lifts(vs))
+    walks += [lambda route=route: _walk_by(route, vs.vectors[0], vs.vectors[1:])
               for route in ("engine", "enumerate")]
     for walk in walks:
         walk()
@@ -911,8 +910,7 @@ def test_exact_walks_root_the_pledge_and_each_kept_child_once(monkeypatch, walk)
         _, cert = restricted_invertibility_select(vs, 2)
     else:
         # vector 0 lifted too, from a zero fixed vector: its children are equal
-        rows, first = _lifts(vs)
-        cert = _walk_by(walk, [two_point(first, np.roll(first, vs.dim))] + rows, 0 * first)
+        cert = _walk_by(walk, 0 * vs.vectors[0], vs.vectors)
     assert cert.valid() and cert.achieved == cert.levels[-1]
     assert len(differ) == len(cert.levels) and (walk == "ri" or not all(differ))
     assert len(rooted) == 1 + sum(differ)
@@ -1135,11 +1133,12 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
 
 
 def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
-    # the fixed vector and m - 1 folds of a lift's two points build the
-    # parent table, and each level peels its two points off it again, which
-    # forms both children; the children come from traces, and their top
-    # roots from Laguerre's method, not real_roots
-    calls = {"fold_terms": [], "peel_terms": []}
+    # the fixed vector's fold and one kernel call per lift of the other
+    # m - 1 vectors, its other point by the block swap, build the parent
+    # table, and one kernel call per level forms both children; the
+    # children come from traces, and their top roots from Laguerre's
+    # method, not real_roots
+    calls = {"fold_terms": [], "_sandwiches": []}
 
     def counted(name):
         inner = getattr(select_module, name)
@@ -1156,7 +1155,7 @@ def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(mon
     _, _, cert = weaver_partition(vs)
     assert cert.valid() and len(cert.choices) == m
     # terms per call
-    assert calls == {"fold_terms": [1] + [2] * (m - 1), "peel_terms": [2] * (m - 1)}
+    assert calls == {"fold_terms": [1], "_sandwiches": [1] * (2 * (m - 1))}
 
 
 def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
@@ -1196,19 +1195,18 @@ def test_signing_select_requires_regular():
 # ----------------------------------------------------------------------
 
 
-def _walk_by(route: str, rows: list, fixed: np.ndarray) -> SelectionCertificate:
+def _walk_by(route: str, first: np.ndarray, rest) -> SelectionCertificate:
     """Weaver's walk with ``route`` made the cheaper one by its cost estimate."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(select_module, "_walk_costs",
                    lambda *args: {"enumerate": 1, "engine": 1, route: 0})
-        return select_module._weaver_walk(fixed, rows)
+        return select_module._weaver_walk(first, rest)
 
 
-def _lifts(vs: VectorSystem) -> tuple:
-    """weaver_partition's walk, (rows, fixed): (v_0, 0) is fixed, and each
-    other v is (v, 0) or (0, v) with probability 1/2."""
-    zero = np.zeros(vs.dim, dtype=object if vs.is_exact else float)
-    first, *rest = vs.vectors
+def _lifts(first: np.ndarray, rest) -> tuple:
+    """_weaver_walk's lifted walk, (rows, fixed): (first, 0) is fixed, and
+    each v of ``rest`` is (v, 0) or (0, v) with probability 1/2."""
+    zero = np.zeros(len(first), dtype=first.dtype)
     return ([two_point(np.concatenate([v, zero]), np.concatenate([zero, v])) for v in rest],
             np.concatenate([first, zero]))
 
@@ -1238,10 +1236,10 @@ def test_exact_weaver_choices_equal_enumeration_walk():
     for vs in systems:
         assert vs.is_exact and vs.gram_sum() == SymMatrix.identity(vs.dim, exact=True)
         assert vs.m <= 8
-        rows, first = _lifts(vs)
+        rows, first = _lifts(vs.vectors[0], vs.vectors[1:])
         choices, levels, pledged = enumeration_walk(rows, [first])
         for route in ("engine", "enumerate"):
-            cert = _walk_by(route, rows, first)
+            cert = _walk_by(route, vs.vectors[0], vs.vectors[1:])
             assert cert.choices == choices
             assert cert.levels == levels
             assert cert.pledged == pledged
@@ -1268,14 +1266,14 @@ def test_float_weaver_levels_match_enumeration_walk():
     rng = np.random.default_rng(241)
     for m in (10, 12, 14):
         vs = random_isotropic(3, m, rng)
-        rows, first = _lifts(vs)
+        rows, first = _lifts(vs.vectors[0], vs.vectors[1:])
         choices, levels, pledged = enumeration_walk(rows, [first])
         _, _, cert = weaver_partition(vs)
         assert abs(cert.pledged - pledged) <= 1e-10
         assert max(abs(a - b) for a, b in zip(cert.levels[1:], levels)) <= 1e-10
         assert cert.choices == [0] + choices
         # weaver_partition takes the engine here; the enumeration route too
-        cert = _walk_by("enumerate", rows, first)
+        cert = _walk_by("enumerate", vs.vectors[0], vs.vectors[1:])
         assert abs(cert.pledged - pledged) <= 1e-10
         assert max(abs(a - b) for a, b in zip(cert.levels, levels)) <= 1e-10
         assert cert.choices == choices
@@ -1297,30 +1295,144 @@ def test_weaver_m64_certifies():
 def test_float_walk_on_zero_supports_pledges_and_achieves_zero(route):
     # every polynomial of the walk is x^2, its linear coefficient 0.0 or
     # -0.0, whose top root 0 the float route must return
-    zero = two_point([0.0, 0.0], [0.0, 0.0])
-    cert = _walk_by(route, [zero, zero], np.zeros(2))
+    cert = _walk_by(route, np.zeros(1), np.zeros((2, 1)))
     assert cert.valid()
     assert cert.pledged == cert.achieved == 0.0 and cert.levels == [0.0, 0.0]
 
 
 def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
-    # the common scale is 2 * 10^20; the zero vector's weight would be that
+    # the common scale is 2 * 10^20; the zero vectors' weights would be that
     # large too, past int64, but a zero vector adds nothing to the tables
     big = 10 ** 10
-    r = two_point(np.array([Fraction(1, big), 0], dtype=object),
-                  np.array([0, Fraction(2, big)], dtype=object))
-    fixed = np.array([0, 0], dtype=object)
-    choices, levels, pledged = enumeration_walk([r, r], [fixed])
-    cert = _walk_by("engine", [r, r], fixed)
-    assert (cert.choices, cert.levels, cert.pledged) == (choices, levels, pledged)
+    v = np.array([Fraction(1, big), Fraction(2, big)], dtype=object)
+    zero = np.array([0, 0], dtype=object)
+    for first, rest in ((zero, [v, v]), (zero, [v, zero, v]), (v, [zero, v])):
+        rows, fixed = _lifts(first, rest)
+        choices, levels, pledged = enumeration_walk(rows, [fixed])
+        cert = _walk_by("engine", first, rest)
+        assert (cert.choices, cert.levels, cert.pledged) == (choices, levels, pledged)
+
+
+def _route_polys(route, first, rest, picks) -> list:
+    """The pledge and each level's children that ``route`` yields on the
+    lifts of ``rest`` from (first, 0), keeping side ``picks[l]`` at level l."""
+    rows, fixed = _lifts(first, rest)
+    choices = []
+    steps = route(fixed, rows, first.dtype == object, choices)
+    out = [[next(steps)]]
+    for pick, children in zip(picks, steps):
+        out.append(children)
+        choices.append(pick)
+    return out
+
+
+def _rational_lifts(rng, d: int, m: int, exact: bool = True) -> tuple:
+    """(first, rest): m random rational vectors in R^d, small numerators
+    over denominators up to 12, one of them zero past m = 3."""
+    vecs = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))) for _ in range(d)]
+            for _ in range(m)]
+    if m > 3:
+        vecs[int(rng.integers(1, m))] = [0] * d
+    arr = np.array(vecs, dtype=object)
+    if not exact:
+        arr = arr.astype(float)
+    return arr[0], arr[1:]
+
+
+# (d, m) pairs with d = 2..5 and m = 2..10, the larger d at smaller m
+ROUTE_CASES = [(2, 2), (2, 10), (3, 6), (3, 10), (4, 4), (4, 7), (5, 2), (5, 3)]
+
+
+def test_engine_route_equals_the_fold_peel_oracle():
+    # exact polynomials, pledge and children alike, equal to the oracle's
+    # folds and peels on random rational lifts and random sides kept,
+    # zero vectors and a large common scale included
+    rng = np.random.default_rng(313)
+    big = np.array([Fraction(1, 10 ** 10), Fraction(3, 10 ** 10)], dtype=object)
+    cases = [_rational_lifts(rng, d, m) for d, m in ROUTE_CASES]
+    cases += [(0 * big, np.array([big, 0 * big, 2 * big], dtype=object)),
+              (big, np.array([big, [1, 0]], dtype=object))]
+    for first, rest in cases:
+        picks = rng.integers(0, 2, size=len(rest)).tolist()
+        got = _route_polys(select_module._engine_route, first, rest, picks)
+        want = _route_polys(fold_peel_route, first, rest, picks)
+        assert len(got) == len(rest) + 1
+        assert all(p.is_exact for level in got for p in level)
+        assert got == want
+
+
+def test_float_engine_route_is_within_1e_12_of_the_fold_peel_oracle():
+    rng = np.random.default_rng(317)
+    for d, m in ROUTE_CASES:
+        first, rest = _rational_lifts(rng, d, m, exact=False)
+        first = first + rng.standard_normal(d)
+        picks = rng.integers(0, 2, size=len(rest)).tolist()
+        got = _route_polys(select_module._engine_route, first, rest, picks)
+        want = _route_polys(fold_peel_route, first, rest, picks)
+        for ours, theirs in zip(got, want):
+            for p, q in zip(ours, theirs, strict=True):
+                scale = max(abs(c) for c in q.coeffs)
+                assert not p.is_exact and len(p.coeffs) == len(q.coeffs)
+                assert max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs)) <= 1e-12 * scale
+
+
+def test_lift_build_equals_fold_terms():
+    # the build folds each lift by one sandwich and its block swap; the
+    # tables equal fold_terms of both points, exactly, at every step, and
+    # stay invariant under the block swap
+    rng = np.random.default_rng(331)
+    for d, m in ROUTE_CASES:
+        _, rest = _rational_lifts(rng, d, m)
+        rows, _ = _lifts(np.zeros(d, dtype=object), rest)
+        arith = TableArithmetic(2 * d, [t for row in rows for t in row], True)
+        ours = theirs = arith.empty()
+        for row in rows:
+            ours = select_module._lift_tables(ours, [arith.encode(row[:1])])
+            theirs = fold_terms(theirs, *arith.encode(row))
+            assert all((a == b).all() for a, b in zip(ours, theirs))
+        # block-diagonal by |I & top|, so the swap's signs cancel
+        for k, (t, ix) in enumerate(zip(ours[1:], select_module._block_swap(2 * d)), 1):
+            tops = np.array([sum(a >= d for a in s) for s in itertools.combinations(range(2 * d), k)])
+            assert (t[ix] == t).all() and (t[tops[:, None] != tops] == 0).all()
+
+
+def test_lifted_family_between_the_int64_thresholds_agrees_with_python_ints(monkeypatch):
+    # integer lifts in R^3: the common scale is 2, from the weight 1/2, and
+    # the walk's terms are (first, 0) at weight 1 and both points of every
+    # lift at weights 1/2 and 1, so D = max_a 2 first_a^2 + 3 sum_v v_a^2 =
+    # 752 and (n^2 + 1) D^n < 2^63 <= (2 n^2 + 1) D^n for n = 6: the tables hold
+    # Python ints where the fold-only bound would have chosen int64.
+    # Forced into int64, the walk's polynomials (builds of Y + sigma Y,
+    # levels of M + M^T) are the same
+    rng = np.random.default_rng(337)
+    rest = np.array([[5] + rng.integers(-4, 5, size=2).tolist() for _ in range(10)],
+                    dtype=object)
+    first = np.array([1, -2, 3], dtype=object)
+    top = max(2 * first[a] ** 2 + 3 * sum(v[a] ** 2 for v in rest) for a in range(3))
+    assert top == 752
+    assert 37 * top ** 6 < 2 ** 63 <= 73 * top ** 6
+    rows, fixed = _lifts(first, rest)
+    every = [(1, fixed)] + [t for row in rows for p, v in row for t in ((p, v), (1, v))]
+    assert TableArithmetic(6, every, True).dtype is object
+    picks = rng.integers(0, 2, size=len(rest)).tolist()
+    as_objects = _route_polys(select_module._engine_route, first, rest, picks)
+
+    class Int64Tables(TableArithmetic):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.dtype = np.int64
+
+    monkeypatch.setattr(select_module, "TableArithmetic", Int64Tables)
+    assert _route_polys(select_module._engine_route, first, rest, picks) == as_objects
 
 
 def test_greedy_walk_budget_is_checked_before_the_first_step():
     rng = np.random.default_rng(257)
     vs = random_isotropic(3, 25, rng)
-    # vector 0 is fixed, and the other 24 fold into the parent and peel off it
+    # vector 0 is fixed, and each of the other 24 takes one kernel call to
+    # fold its lift into the parent and one at its level
     cost = select_module._walk_costs(6, 24)["engine"]
-    assert cost == (96 + 1) * math.comb(12, 6)
+    assert cost == (48 + 1) * math.comb(12, 6)
     with pytest.raises(BudgetExceededError):
         weaver_partition(vs, budget=cost - 1)
     s1, s2, cert = weaver_partition(vs, budget=cost)
@@ -1329,17 +1441,17 @@ def test_greedy_walk_budget_is_checked_before_the_first_step():
 
 def test_walk_costs_pick_enumeration_in_high_dimension():
     # r two-point levels: 2^r + 2 (2^r - 1) outcomes, n^2 entries each,
-    # against 4r + 1 rank-one updates of C(2n, n) entries
+    # against 2r + 1 table sandwiches of C(2n, n) entries
     costs = select_module._walk_costs
     for n, r in ((4, 1), (6, 12), (12, 6)):
         outcomes = 2 ** r + sum(2 * 2 ** (r - lvl - 1) for lvl in range(r))
         assert costs(n, r) == {"enumerate": outcomes * n * n,
-                               "engine": (4 * r + 1) * math.comb(2 * n, n)}
+                               "engine": (2 * r + 1) * math.comb(2 * n, n)}
     assert costs(6, 12)["engine"] < costs(6, 12)["enumerate"]
 
 
 def test_weaver_dimension_7_certifies_at_the_default_budget():
-    # with vector 0 fixed, the engine would cost 25 x C(28, 14), about 1.0e9
+    # with vector 0 fixed, the engine would cost 13 x C(28, 14), about 5.2e8
     # entries, and enumeration 190 x 196, which the walk takes
     rng = np.random.default_rng(269)
     vs = random_isotropic(7, 7, rng)
@@ -1350,7 +1462,7 @@ def test_weaver_dimension_7_certifies_at_the_default_budget():
     # seven isotropic rows in R^7 are an orthonormal basis: every outcome's
     # top eigenvalue is 1, and so is, to 1e-7, the top root of the exact
     # expected polynomial of the walk's float rows, at every level
-    rows, first = _lifts(vs)
+    rows, first = _lifts(vs.vectors[0], vs.vectors[1:])
     _, levels, pledged = enumeration_walk(rows, [first])
     assert max(abs(r - 1) for r in [pledged] + levels) <= 1e-7
     for side in (s1, s2):
@@ -1365,7 +1477,7 @@ def test_weaver_dimension_7_pledges_the_exact_expected_top_root():
     # the input of the test above, whose exact pledge and levels are 1 to 1e-7
     vs = random_isotropic(7, 7, np.random.default_rng(269))
     _, _, cert = weaver_partition(vs)
-    rows, first = _lifts(vs)
+    rows, first = _lifts(vs.vectors[0], vs.vectors[1:])
     _, levels, pledged = enumeration_walk(rows, [first])
     assert abs(cert.pledged - pledged) <= 1e-10
     assert max(abs(a - b) for a, b in zip(cert.levels, [pledged] + levels)) <= 1e-10
