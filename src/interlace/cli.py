@@ -35,7 +35,7 @@ import numpy as np
 from .poly import real_roots, roots_above, root_clusters, NotRealRootedError
 from .matrices import SymMatrix
 from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET
-from .graphs import Graph, squared_roots, is_ramanujan_bipartite, two_lift
+from .graphs import Graph, is_ramanujan_bipartite, two_lift
 from .select import VectorSystem, restricted_invertibility_select, \
     restricted_invertibility_bound, weaver_partition, weaver_bound, signing_select, \
     WALK_BUDGET
@@ -279,8 +279,8 @@ def cmd_lift(args) -> int:
         signs, cert = signing_select(g, budget=args.budget)
         lam = float(np.max(cert.realized.eigenvalues()))  # A_s, what the walk realized
         valid = cert.valid()
-        # signing_select has checked final_poly, chi(A_s), exactly
-        bounded = roots_above(squared_roots(cert.final_poly), 4 * (d - 1)) == 0
+        # signing_select has checked final_poly, q with chi(A_s) = x^e q(x^2), exactly
+        bounded = roots_above(cert.final_poly, 4 * (d - 1)) == 0
         lift = two_lift(g, signs)
         # spec(lift) = spec(A) + spec(A_s) (Bilu-Linial) and a lift stays
         # d-regular and bipartite, so a connected lift of a certified graph

@@ -16,17 +16,17 @@ largest root is at most ``2 sqrt(d-1)`` for maximum degree d
 the rest is still closed-form, a sum over matchings of the random edges
 of characteristic polynomials of fixed-signed induced subgraphs.
 :class:`SigningEngine` computes it exactly for every prefix of the
-edges, without enumerating signings: one backward DP over the edges
-holds every level's matchings, grouped by their vertices among the
-fixed edges', and each group's leaf is a characteristic polynomial on
-those vertices only.  Each call of :meth:`SigningEngine.chars` forms
-one level's Phi_F for one sign prefix, and the signing walk in
-``select`` runs on one engine, taking the edges in
-:func:`frontier_order` so the cost does not depend on how the vertices
-are numbered.  A signing whose signed adjacency meets the bound
-produces a 2-lift whose new eigenvalues are precisely the signed
-spectrum, which is how bipartite Ramanujan graphs of every degree are
-built by repeated lifting.
+edges of a bipartite graph, without enumerating signings: one backward
+DP over the edges holds every level's matchings, grouped by their
+vertices among the fixed edges', and each group's leaf is a Gram matrix
+on one colour class of those vertices.  There the average is Phi_F(x) =
+x^e q_F(x^2), e the parity of n, and each :meth:`SigningEngine.chars`
+call forms one level's q_F for one sign prefix; the signing walk in
+``select`` runs on one engine, taking the edges in :func:`frontier_order`
+so the cost does not depend on how the vertices are numbered.  A signing whose
+signed adjacency meets the bound produces a 2-lift whose new eigenvalues
+are precisely the signed spectrum, which is how bipartite Ramanujan
+graphs of every degree are built by repeated lifting.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ __all__ = [
 ]
 
 # Matrix entries per exact-kernel call in SigningEngine.chars: a call
-# takes LEAF_ENTRIES // side^2 leaf groups, and at least one, so that
-# its (groups, side, side) stack and the kernel's baby steps, about ten
-# copies of it, stay bounded at every side, p for Gram leaves and |V(F)|
-# for full ones.  Up to side 32 a call takes at least 256 groups.
+# takes LEAF_ENTRIES // p^2 p x p Gram leaf groups, and at least one, so
+# that its (groups, p, p) stack and the kernel's baby steps, about ten
+# copies of it, stay bounded at every p.  Up to p = 32 a call takes at
+# least 256 groups.
 LEAF_ENTRIES = 1 << 18
 
 
@@ -261,7 +261,8 @@ def _matching_tables(g: Graph, budget: int) -> list:
 
 
 class SigningEngine:
-    """Exact Phi_F of every prefix F of ``g.edges``, from one backward DP.
+    """Exact q_F, Phi_F(x) = x^e q_F(x^2), of every prefix F of the edges
+    of a bipartite ``g``, from one backward DP.
 
     With the first f edges' signs fixed (the set F) and the other edges R
     signed independently and uniformly, expanding ``E_R det(xI - A_s)``
@@ -279,93 +280,82 @@ class SigningEngine:
     outside V(F) is isolated in A_F, so each leaf is chi(A_F[V(F)] with
     S zeroed) times x^(n - |V(F)|), divided by x^(2|M|).
 
-    When g is bipartite, as every graph ``lift`` walks is, V(F) splits
-    into its colour classes, p <= q vertices, and A_F[V(F)] = [[0, B],
-    [B^T, 0]] for the p x q signed biadjacency B, so chi(A_F[V(F)]) =
-    x^(q - p) chi(B B^T)(x^2): the leaf is the p x p Gram B B^T of the
-    masked B, and its coefficients land on every other slot from q - p.
-    Any other g keeps the |V(F)| x |V(F)| masked A_F as its leaf.  The
-    exact kernel (:func:`charpoly_batch_exact`) takes ``LEAF_ENTRIES //
-    side^2`` groups at a time and at least one, side the leaf's, so that
-    a call's stacks hold about ``LEAF_ENTRIES`` entries at every size.
-    It runs in int64 on every leaf for which k times its k-th
-    coefficient provably fits and in Python ints on the others (see
-    :func:`charpoly_batch_exact`).  In a Gram leaf of a cubic graph a row
-    has absolute sum at most 9 and squares summing to at most 27: the
-    diagonal entry is a degree, at most 3, and the others, |(B B^T)_ij|
-    at most the common neighbours of i and j, sum to at most 3 x 2.  So
-    it fits with up to 23 nonzero rows, every leaf with |V(F)| < 48
-    among them, where a full-size leaf fits with up to 42.
+    ``g`` must be bipartite, as every graph ``lift`` walks is
+    (ValueError "graph is not bipartite" otherwise).  V(F) splits into
+    its colour classes, p <= q vertices, and A_F[V(F)] = [[0, B], [B^T,
+    0]] for the p x q signed biadjacency B, so chi(A_F[V(F)]) = x^(q - p)
+    chi(B B^T)(x^2).  A leaf with |M| = k is then x^(n - 2p - 2k) chi(B
+    B^T)(x^2) for the masked B, and n - 2p - 2k = e + 2(n // 2 - p - k):
+    its p x p Gram B B^T's chi lands in q_F at y-degree n // 2 - p - k.
+    The exact kernel (:func:`charpoly_batch_exact`) takes ``LEAF_ENTRIES
+    // p^2`` groups at a time and at least one, so that a call's stacks
+    hold about ``LEAF_ENTRIES`` entries at every p.  It runs in int64 on
+    every leaf for which k times its k-th coefficient provably fits and
+    in Python ints on the others (see :func:`charpoly_batch_exact`).  In
+    a Gram leaf of a cubic graph a row has absolute sum at most 9 and
+    squares summing to at most 27: the diagonal entry is a degree, at
+    most 3, and the others, |(B B^T)_ij| at most the common neighbours of
+    i and j, sum to at most 3 x 2.  So it fits with up to 23 nonzero
+    rows, every leaf with |V(F)| < 48 among them.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
-        self.g = g
         self.left = g.bipartition()
+        if self.left is None:
+            raise ValueError("graph is not bipartite")
+        self.g = g
         self.tables = _matching_tables(g, budget)
 
-    def _leaf_sides(self, verts) -> tuple[list, int]:
-        """V(F) ordered for its leaf, and the leaf's side: the smaller
-        colour class first and its size p if g is bipartite, else V(F)
-        sorted and its size."""
+    def _sides(self, verts) -> list:
+        """The colour classes of ``verts``, each sorted, the smaller first:
+        the rows and columns of V(F)'s biadjacency B."""
         verts = sorted(verts)
-        if self.left is None:
-            return verts, len(verts)
-        sides = ([v for v in verts if v in self.left],
-                 [v for v in verts if v not in self.left])
-        rows, cols = sorted(sides, key=len)
-        return rows + cols, len(rows)
+        return sorted(([v for v in verts if v in self.left],
+                       [v for v in verts if v not in self.left]), key=len)
 
     def walk_entries(self) -> int:
         """A walk's work on this engine: the DP's states plus, at every
-        level it forms, the leaf matrix entries of one row, groups x
-        side^2, side p for Gram leaves and |V(F)| for full ones.  The walk
-        forms no level whose last edge joins two components of the edges
-        before it (:meth:`Graph.forest_edges`)."""
+        level it forms, the leaf matrix entries of one row, groups x p^2.
+        The walk forms no level whose last edge joins two components of
+        the edges before it (:meth:`Graph.forest_edges`)."""
         total, verts = 0, set()
         formed = [True] + [not joins for joins in self.g.forest_edges()]
         for f, (masks, _) in enumerate(self.tables):
-            side = self._leaf_sides(verts)[1]
-            total += len(masks) * (1 + formed[f] * side ** 2)
+            p = len(self._sides(verts)[0])
+            total += len(masks) * (1 + formed[f] * p * p)
             verts.update(self.g.edges[f] if f < self.g.m else ())
         return total
 
     def chars(self, signs) -> Polynomial:
-        """Phi_F for the prefix F of ``g.edges`` that ``signs`` sign:
-        ``signs`` is a prefix of a signing of g (see the module docstring)."""
+        """q_F, of degree n // 2, for the prefix F of ``g.edges`` that
+        ``signs`` sign: ``signs`` is a prefix of a signing of g (see the
+        module docstring)."""
         signs = _sign_prefix(self.g, signs)
-        f, n = len(signs), self.g.n
+        f, half = len(signs), self.g.n // 2
         masks, weights = self.tables[f]
         fixed = self.g.edges[:f]
-        verts, side = self._leaf_sides({v for e in fixed for v in e})
-        pos = {v: i for i, v in enumerate(verts)}
-        nf = len(verts)
-        signed = np.zeros((nf, nf), dtype=np.int64)
+        rows, cols = self._sides({v for e in fixed for v in e})
+        p = len(rows)
+        pos = {v: i for i, v in enumerate(rows + cols)}
+        signed = np.zeros((p, len(cols)), dtype=np.int64)
         for s, (a, b) in zip(signs, fixed):
-            signed[pos[a], pos[b]] = signed[pos[b], pos[a]] = s
-        # the kernel's coefficient i is the leaf's at start + step i: every
-        # other one from q - p = nf - 2p for a Gram leaf
-        start, step = (nf - 2 * side, 2) if self.left is not None else (0, 1)
-        bits = np.array([1 << v for v in verts], dtype=masks.dtype)
+            i, j = sorted((pos[a], pos[b]))
+            signed[i, j - p] = s
+        bits = np.array([1 << v for v in rows + cols], dtype=masks.dtype)
         live = ((masks[:, None] & bits[None, :]) == 0).astype(np.int64)
-        total = np.zeros(n + 1, dtype=object)
-        chunk = max(1, LEAF_ENTRIES // max(1, side * side))
+        total = np.zeros(half + 1, dtype=object)
+        chunk = max(1, LEAF_ENTRIES // max(1, p * p))
         for lo in range(0, len(masks), chunk):
             keep, w = live[lo:lo + chunk], weights[lo:lo + chunk]
-            if step == 2:
-                b = signed[:side, side:] * (keep[:, :side, None] * keep[:, None, side:])
-                leaves = np.matmul(b, b.transpose(0, 2, 1))
-            else:
-                leaves = signed * (keep[:, :, None] * keep[:, None, :])
-            chars = charpoly_batch_exact(leaves)
+            b = signed * (keep[:, :p, None] * keep[:, None, p:])
+            chars = charpoly_batch_exact(np.matmul(b, b.transpose(0, 2, 1)))
             if object in (chars.dtype, w.dtype) or \
                     int(np.abs(w).sum()) * int(np.abs(chars).max()) >= 1 << 63:
                 chars, w = chars.astype(object), w.astype(object)
             for k, part in enumerate(w.T @ chars):
-                # times x^(n - nf) / x^(2k): coefficient i lands on
-                # step i - off, and those below 0 are zero
-                off = 2 * k - (n - nf) - start
-                first = -(-max(off, 0) // step)
-                total[step * first - off::step][:len(part) - first] += part[first:]
+                # at y-degree half - p - k; the coefficients below y^0 are zero
+                off = half - p - k
+                total[max(off, 0):off + p + 1] += part[max(-off, 0):]
         return Polynomial(total.tolist())
 
 

@@ -652,15 +652,8 @@ def _count_above(a: list[int], b: Fraction) -> int:
 
     With b = m/d, the coefficients of d^n p((m + z)/d) come from one Taylor
     shift in integers; their sign changes count its positive roots
-    (Descartes), exactly so since every root is real.  When b > 0 and
-    a = x^e q(x^2), as every characteristic and matching polynomial of a
-    bipartite graph is, the roots come in pairs +-lambda, each one root
-    lambda^2 >= 0 of q, and the count is q's roots above b^2, taken the
-    same way at half the degree.
+    (Descartes), exactly so since every root is real.
     """
-    e = (len(a) - 1) % 2
-    if b > 0 and not any(a[1 - e::2]):
-        a, b = a[e::2], b * b
     m, d = b.numerator, b.denominator
     n = len(a) - 1
     cs = [c * d ** (n - i) for i, c in enumerate(a)] if d != 1 else list(a)

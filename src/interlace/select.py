@@ -44,11 +44,12 @@ Three instantiations:
   root of the matching polynomial (whence at most ``2 sqrt(d-1)``).
   Its conditional polynomials are exact and closed-form, every level's
   read off one backward matching DP (:class:`SigningEngine`), so it
-  enumerates no outcomes.
+  enumerates no outcomes; on its bipartite graphs Phi_F(x) = x^e
+  q_F(x^2), and it walks q_F, at half the degree.
   Its spanning-forest levels form no child, and :func:`_keep` decides
   the others, the -1 child, formed only when +1 misses, by exact root
   counts like every exact child.
-  Its last polynomial is checked equal to chi(A_s).
+  Its last polynomial is checked equal to q of chi(A_s).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .matrices import SymMatrix, _cleared, _coerce_array, _refuse_nonfinite, _vi
     char_poly, charpoly_batch_exact
 from .mixedchar import BudgetExceededError, DEFAULT_BUDGET, TableArithmetic, fold_terms, \
     _block_swap, _enumerated_char, _sandwiches
-from .graphs import Graph, SigningEngine, frontier_order, signed_adjacency
+from .graphs import Graph, SigningEngine, frontier_order, signed_adjacency, squared_roots
 from .tolerances import CERT_TOL, ISO_TOL
 
 __all__ = [
@@ -185,7 +186,10 @@ class SelectionCertificate:
     ``eigvalsh`` and :meth:`valid` allows ``CERT_TOL``.  ``fallbacks``
     counts the float levels at which :func:`_keep` fell back; ``scored``,
     the children :func:`restricted_invertibility_select` formed per level
-    in its batches, stays empty for other walks.
+    in its batches, stays empty for other walks.  A signing walk's
+    ``final_poly``, ``pledge_poly`` and ``pledge_root`` are in y = x^2
+    (:func:`signing_select`), its ``levels``, ``pledged`` and ``achieved``
+    in adjacency units, the square roots of their y roots.
     """
 
     choices: list
@@ -346,13 +350,13 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
         choices.append(keep)
     realized = [fixed] + [row[j][1] for row, j in zip(rows, choices)]
     cert = _certificate(choices, levels, pledge, parent, VectorSystem(realized).gram_sum(), 1,
-                        "minimize")
+                        "minimize", False)
     cert.fallbacks = fallbacks
     return cert
 
 
 def _certificate(choices: list, levels: list, pledge, last, realized: SymMatrix, k: int,
-                 direction: str) -> SelectionCertificate:
+                 direction: str, squared: bool) -> SelectionCertificate:
     """The certificate of a walk, from its pledge, its last kept child and
     the matrix it realized (a Gram sum, or A_s for signings).
 
@@ -360,7 +364,9 @@ def _certificate(choices: list, levels: list, pledge, last, realized: SymMatrix,
     pairs, the clusters it rooted on the way: chi of ``realized`` must be
     the last kept child up to a positive factor (:class:`AssertionError`
     if not), and the clusters' roots are ``pledged`` and ``achieved``, so
-    no root is taken here.  A float walk passes its pledged float
+    no root is taken here; with ``squared``, a signing walk's, chi is read
+    in y (:func:`squared_roots`) and the roots by their square roots.
+    A float walk passes its pledged float
     lambda_k, and one ``eigvalsh`` of ``realized`` gives ``final_poly``
     (by Vieta) and ``achieved``, its lambda_k.
     """
@@ -369,11 +375,14 @@ def _certificate(choices: list, levels: list, pledge, last, realized: SymMatrix,
         return SelectionCertificate(choices, Polynomial(_vieta(w[None])[0]), float(w[-k]),
                                     pledge, k, direction, levels, realized=realized)
     final = char_poly(realized)
+    if squared:
+        final = squared_roots(final)
     if final.monic() != last[0].monic() or final.leading() * last[0].leading() <= 0:
         raise AssertionError("chi of what the walk realized is not its last kept polynomial")
-    return SelectionCertificate(choices, final, last[1].root, pledge[1].root, k, direction,
-                                levels, pledge_poly=pledge[0], pledge_root=pledge[1],
-                                realized=realized)
+    root = math.sqrt if squared else float
+    return SelectionCertificate(choices, final, root(last[1].root), root(pledge[1].root), k,
+                                direction, levels, pledge_poly=pledge[0],
+                                pledge_root=pledge[1], realized=realized)
 
 
 def _kth_cluster(p: Polynomial, k: int) -> TopRoot:
@@ -527,7 +536,7 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
         chosen.append(free[keep])
         levels.append(level)
     cert = _certificate(chosen, levels, pledge, parent,
-                        VectorSystem(system.vectors[chosen]).gram_sum(), k, "maximize")
+                        VectorSystem(system.vectors[chosen]).gram_sum(), k, "maximize", False)
     cert.scored, cert.fallbacks = scored, fallbacks
     return chosen, cert
 
@@ -650,9 +659,12 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     which keeps the engine's leaf groups small whatever the input's
     vertex numbering.  With the first edges' signs fixed, the expected
     characteristic polynomial of a uniformly random signing is the exact
-    integer polynomial Phi_F; one :class:`SigningEngine` serves the
-    whole walk, its backward DP run once.  Its level 0, with nothing
-    fixed, is the matching polynomial mu_G, whose top root is the pledge.
+    integer polynomial Phi_F, and on a bipartite g (ValueError for any
+    other) Phi_F(x) = x^e q_F(x^2): the walk takes q_F from one
+    :class:`SigningEngine`, its backward DP run once, and as y = x^2
+    increases on the nonnegative top roots, each level decides as on
+    Phi_F.  Level 0, nothing fixed, is q of the matching polynomial
+    mu_G, whose top root is the pledge.
     An edge that joins two components of the edges before it
     (:meth:`Graph.forest_edges`) forms no child: switching every vertex
     on one side of it flips its sign and no fixed sign, and maps the
@@ -670,21 +682,20 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     by theorem; the tests, not this walk, check it.  The kept child is
     the next level's parent, and its largest root never exceeds its
     parent's, so the final signing's top eigenvalue is at most the
-    pledge.  The last kept child, every sign fixed, is chi(A_s) whatever
-    the labels, and :func:`_certificate` checks it exactly
-    (:class:`AssertionError` if not), so ``achieved`` is its top root.
+    pledge.  The last kept child, every sign fixed, is q of chi(A_s)
+    whatever the labels, and :func:`_certificate` checks it exactly
+    against chi of the n x n A_s (:class:`AssertionError` if not).
     Returns (signs, certificate).  ``signs`` is a signing of g, a +-1 per
     edge of ``g.edges`` in order (see :mod:`interlace.graphs`), each
     walk sign put back at its edge's position in ``g.edges``.  The
-    certificate is in adjacency coordinates, ``final_poly`` is chi(A_s),
-    ``pledge_poly`` mu_G, and ``choices`` is 0 for +1 and 1 for -1, in
-    walk order.
+    certificate's roots are adjacency values, its polynomials in y
+    (``final_poly`` q of chi(A_s), ``pledge_poly`` q of mu_G), and
+    ``choices`` is 0 for +1 and 1 for -1, in walk order.
     ``budget`` bounds the walk's work, :meth:`SigningEngine.walk_entries`:
     the states of its backward DP plus, at every level the walk forms,
-    groups x side^2 leaf entries, side p for the p x p Gram leaves of a
-    bipartite g and |V(F)| for the full ones of any other.  The DP's
-    states are counted as its tables grow and the whole sum before the
-    first choice; :class:`BudgetExceededError` is raised when it passes
+    groups x p^2 entries of the p x p Gram leaves.  The DP's states are
+    counted as its tables grow and the whole sum before the first
+    choice; :class:`BudgetExceededError` is raised when it passes
     ``budget``.
     """
     if g.regularity() is None:
@@ -708,17 +719,17 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
         if not joins:
             keep, parent, _ = _keep(_signing_children(engine, signs, parent[0]), parent, 1, False)
         signs.append((1, -1)[keep])
-        levels.append(parent[1].root)
+        levels.append(math.sqrt(parent[1].root))
     at = {e: j for j, e in enumerate(walk.edges)}
     g_signs = [signs[at[e]] for e in relabelled]
     cert = _certificate([0 if s == 1 else 1 for s in signs], levels, pledge, parent,
-                        signed_adjacency(g, g_signs), 1, "minimize")
+                        signed_adjacency(g, g_signs), 1, "minimize", True)
     return g_signs, cert
 
 
 def _signing_children(engine: SigningEngine, signs: list, parent: Polynomial):
     """The children of a signing level whose edge closes a cycle, +1 then
-    -1, as :func:`_keep` reads them: the +1 child is the engine's Phi_F,
+    -1, as :func:`_keep` reads them: the +1 child is the engine's q_F,
     and the -1 child, ``2 parent - plus`` exactly, is formed only if +1
     does not meet."""
     plus = engine.chars(signs + [1])

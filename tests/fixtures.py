@@ -1,17 +1,20 @@
 """Test fixtures built from the library's own value types.
 
-Named graphs and their adjacency matrices, polynomials from their
+Named graphs and their adjacency matrices, a walked 24-vertex cover of
+K_{3,3}, polynomials from their
 roots, coefficientwise closeness of two polynomials, lists of PSD
 matrices, random isotropic vector systems and two-point random
 vectors.  No command needs them, so they
 live here rather than in ``src``.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
-from interlace import Graph, Polynomial, SymMatrix, VectorSystem, signed_adjacency
+from interlace import Graph, Polynomial, SymMatrix, VectorSystem, signed_adjacency, \
+    signing_select, two_lift
 from interlace.matrices import _validate_matrix_list
 from interlace.mixedchar import _rank_one_terms
 from interlace.tolerances import COEFF_TOL
@@ -45,6 +48,16 @@ def petersen() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph(10, outer + inner + spokes)
+
+
+@functools.cache
+def walked_cover24() -> Graph:
+    """A 24-vertex cubic bipartite Ramanujan graph: two walked 2-lifts of
+    K_{3,3}, each signed by ``signing_select``."""
+    g = complete_bipartite(3, 3)
+    for _ in range(2):
+        g = two_lift(g, signing_select(g)[0])
+    return g
 
 
 def adjacency(g: Graph) -> SymMatrix:

@@ -29,7 +29,12 @@ other ways:
 * the same polynomial off the library's DP tables with full-size
   leaves by Berkowitz's recurrence in Python ints
   (:func:`full_leaf_chars`), against the library's Gram leaves on a
-  bipartite graph;
+  bipartite graph, and against the forward DP on any graph;
+* the signing walk on any regular graph, bipartite or not, on the
+  forward DP's Phi_F, keeping the first child whose top root
+  :func:`compare_top_roots` puts at or below its parent's
+  (:func:`oracle_signing_walk`), against the library's walk, which takes
+  bipartite graphs only;
 * common interlacing as real-rootedness of convex combinations
   (:func:`convex_combinations_real_rooted`), against the library's
   root-interval criterion;
@@ -57,12 +62,13 @@ row, as weaver's walk takes its lifts.
 import functools
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
 
 from interlace import DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, char_poly, \
-    float_top_root, mixed_char
+    float_top_root, mixed_char, signed_adjacency
 from interlace.graphs import LEAF_ENTRIES, frontier_order
 from interlace.matrices import _coerce_array, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, TableArithmetic
@@ -455,15 +461,13 @@ def forward_signed_chars(g: Graph, prefixes,
     return [Polynomial(row.tolist()) for row in total]
 
 
-def full_leaf_chars(engine, signs) -> Polynomial:
-    """Phi_F off a :class:`interlace.SigningEngine`'s tables, with every
-    leaf the full |V(F)| x |V(F)| masked A_F in Python ints and its
-    characteristic polynomial by :func:`berkowitz_charpoly`: the leaf
-    of a graph that is not bipartite, without the library's kernel, for
-    checking the Gram leaves of a bipartite one."""
-    g, f = engine.g, len(signs)
-    masks, weights = engine.tables[f]
-    fixed = g.edges[:f]
+def full_leaves(g: Graph, tables, signs) -> np.ndarray:
+    """Level f's full-size leaves, f = len(signs), off the DP ``tables``
+    of :func:`interlace.graphs._matching_tables`: for each leaf group, the
+    |V(F)| x |V(F)| A_F over the sorted V(F) with the group's vertices
+    zeroed, a (groups, |V(F)|, |V(F)|) stack of Python ints."""
+    masks = tables[len(signs)][0]
+    fixed = g.edges[:len(signs)]
     verts = sorted({v for e in fixed for v in e})
     pos = {v: i for i, v in enumerate(verts)}
     nf = len(verts)
@@ -472,15 +476,64 @@ def full_leaf_chars(engine, signs) -> Polynomial:
         signed[pos[a], pos[b]] = signed[pos[b], pos[a]] = int(s)
     keep = np.array([[not (mask >> v) & 1 for v in verts] for mask in masks.tolist()],
                     dtype=object).reshape(len(masks), nf)
-    chars = berkowitz_charpoly(signed * (keep[:, :, None] * keep[:, None, :]))
+    return signed * (keep[:, :, None] * keep[:, None, :])
+
+
+def full_leaf_chars(g: Graph, tables, signs) -> Polynomial:
+    """Phi_F off the DP ``tables`` of g, with every leaf the full
+    |V(F)| x |V(F)| masked A_F (:func:`full_leaves`) and its
+    characteristic polynomial by :func:`berkowitz_charpoly`, on any
+    graph: for checking the library's Gram leaves on a bipartite one and
+    its tables on any other, without the library's kernel."""
+    leaves = full_leaves(g, tables, signs)
+    nf = leaves.shape[1]
     total = [0] * (g.n + 1)
-    for chi, row in zip(chars.tolist(), weights.tolist()):
+    for chi, row in zip(berkowitz_charpoly(leaves).tolist(), tables[len(signs)][1].tolist()):
         for k, w in enumerate(row):
             # times x^(n - nf) / x^(2k)
             for j, c in enumerate(chi):
                 if w and c:
                     total[j + g.n - nf - 2 * k] += int(w) * c
     return Polynomial(total)
+
+
+def oracle_signing_walk(g: Graph):
+    """The signing walk of ``interlace.signing_select`` on any regular
+    graph, bipartite or not, in x: neither the library's engine nor its
+    walk is called.
+
+    The edges are taken as the library takes them, g relabelled in
+    frontier order (:func:`in_walk_order`).  Each level forms both
+    children by :func:`forward_signed_chars` and keeps the first, +1 then
+    -1, whose top root :func:`compare_top_roots` puts at or below its
+    parent's; the children average to the parent and interlace, so one
+    does.  The last kept Phi_F must be chi(A_s) (AssertionError if not).
+    Returns a namespace: ``signs`` in g's edge order, ``choices`` (0 for
+    +1, 1 for -1) and ``pairs``, each level's (plus, minus), in walk
+    order, ``levels`` the kept children's top roots, ``pledged`` the
+    matching polynomial's, ``achieved`` the last level's, ``final_poly``
+    chi(A_s), and ``valid``, whether its top root is at most the pledge's.
+    """
+    walk = in_walk_order(g)
+    parent = pledge = forward_signed_chars(walk, [[]])[0]
+    signs, choices, pairs, levels = [], [], [], []
+    for _ in walk.edges:
+        pair = forward_signed_chars(walk, [signs + [1], signs + [-1]])
+        keep = next(j for j, child in enumerate(pair) if compare_top_roots(child, parent) <= 0)
+        parent = pair[keep]
+        signs.append(1 - 2 * keep)
+        choices.append(keep)
+        pairs.append(tuple(pair))
+        levels.append(top_root(parent).root)
+    if char_poly(signed_adjacency(walk, signs)) != parent:
+        raise AssertionError("chi(A_s) is not the walk's last polynomial")
+    label = {v: i for i, v in enumerate(frontier_order(g))}
+    at = {e: j for j, e in enumerate(walk.edges)}
+    g_signs = [signs[at[tuple(sorted((label[a], label[b])))]] for a, b in g.edges]
+    return types.SimpleNamespace(
+        signs=g_signs, choices=choices, pairs=pairs, levels=levels,
+        pledged=top_root(pledge).root, achieved=levels[-1], final_poly=parent,
+        valid=compare_top_roots(parent, pledge) <= 0)
 
 
 def set_frontier_order(g: Graph) -> list[int]:

@@ -14,6 +14,7 @@ from interlace import (
     frontier_order,
     two_lift,
     is_ramanujan_bipartite,
+    DEFAULT_BUDGET,
     Polynomial,
     char_poly,
     charpoly_batch_exact,
@@ -24,7 +25,8 @@ from interlace import (
     SigningEngine,
     signing_select,
 )
-from fixtures import adjacency, complete, complete_bipartite, cycle, path, petersen
+from fixtures import adjacency, complete, complete_bipartite, cycle, path, petersen, \
+    walked_cover24
 from oracles import CUBE, forward_signed_chars, full_leaf_chars, in_walk_order, \
     set_frontier_order
 from test_acceptance import bounded_degree_graphs, signing_average_graphs
@@ -268,15 +270,22 @@ def test_heilmann_lieb_randomized():
 
 
 def test_expected_signed_chars_match_exhaustive_average():
+    # the engine's q_F against the exhaustive sum read in y on bipartite
+    # graphs, and the forward oracle's Phi_F against it on K4 and
+    # Petersen, which the engine refuses
     rng = np.random.default_rng(59)
     for g in (complete_bipartite(3, 3), complete(4), petersen(), CUBE):
-        engine = SigningEngine(g)
+        bipartite = g.bipartition() is not None
+        engine = SigningEngine(g) if bipartite else None
         for f in (0, 3, min(7, g.m - 2), g.m - 1):
             for prefix in rng.choice([-1, 1], (3, f)):
-                phi = engine.chars(prefix)
-                total = _charpoly_sum_over_signings(g, prefix)
+                total = Polynomial(_charpoly_sum_over_signings(g, prefix))
+                if bipartite:
+                    phi, total = engine.chars(prefix), squared_roots(total)
+                else:
+                    phi = forward_signed_chars(g, [prefix])[0]
                 assert all(isinstance(c, int) for c in phi.coeffs)
-                assert Polynomial(total) == (1 << (g.m - f)) * phi, (g, prefix)
+                assert total == (1 << (g.m - f)) * phi, (g, prefix)
 
 
 def test_expected_signed_chars_leaf_chunks_add_up(monkeypatch):
@@ -293,7 +302,7 @@ def test_expected_signed_chars_leaf_stacks_bounded_in_entries(monkeypatch, cap):
     # a kernel call takes cap // p^2 Gram leaf groups and at least one, so
     # its stack holds at most cap entries, or one leaf past that; level 20
     # of the 24-vertex cover has 232 groups of side 9
-    g = in_walk_order(_double_cover24())
+    g = in_walk_order(walked_cover24())
     engine = SigningEngine(g)
     prefix = np.random.default_rng(71).choice([-1, 1], 20)
     whole = engine.chars(prefix)
@@ -310,13 +319,15 @@ def test_expected_signed_chars_fully_signed_is_char_poly():
     g = CUBE
     signs = np.random.default_rng(61).choice([-1, 1], g.m)
     phi = SigningEngine(g).chars(signs)
-    assert phi == char_poly(signed_adjacency(g, signs))
+    assert phi == squared_roots(char_poly(signed_adjacency(g, signs)))
 
 
 def test_expected_signed_chars_empty_prefix_is_matching_poly():
     # the matching polynomial two ways, enumeration and the engine's
     # deletion-contraction DP, on every graph whose matching polynomial
-    # the tests and the acceptance suite take
+    # the tests and the acceptance suite take: read in y against the
+    # engine's q on a bipartite graph, and on any other, which the engine
+    # refuses, against its DP tables with the oracle's full-size leaves
     named = [path(2), path(3), path(4), path(5), cycle(4),
              cycle(5), cycle(6), complete(4), complete(5),
              complete_bipartite(2, 3), complete_bipartite(3, 3),
@@ -324,7 +335,11 @@ def test_expected_signed_chars_empty_prefix_is_matching_poly():
              Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4)])]
     for g in itertools.chain(named, _dense_random_graphs(), _sparse_random_graphs(),
                              signing_average_graphs(), bounded_degree_graphs()):
-        assert SigningEngine(g).chars([]) == matching_poly(g)
+        mu = matching_poly(g)
+        if g.bipartition() is None:
+            assert full_leaf_chars(g, graphs._matching_tables(g, DEFAULT_BUDGET), []) == mu
+        else:
+            assert SigningEngine(g).chars([]) == squared_roots(mu)
 
 
 def test_expected_signed_chars_budget_and_validation():
@@ -340,48 +355,53 @@ def test_expected_signed_chars_budget_and_validation():
         engine.chars([[1], [1]])
 
 
-def _double_cover24():
-    """A 24-vertex cubic bipartite Ramanujan graph: two walked 2-lifts of K_{3,3}."""
-    g = complete_bipartite(3, 3)
-    for _ in range(2):
-        g = two_lift(g, signing_select(g)[0])
-    return g
-
-
 ENGINE_GRAPHS = [CUBE, petersen(), complete_bipartite(4, 4),
-                 in_walk_order(_double_cover24())]
+                 in_walk_order(walked_cover24())]
+
+
+def _engine_levels(g):
+    """(chars, read): each prefix's level polynomial and the map taking
+    the forward oracle's Phi_F to it.  On a bipartite g they are the
+    engine's q_F and :func:`squared_roots`; on any other, which the
+    engine refuses, Phi_F off the engine's DP tables with the oracle's
+    full-size leaves, and the identity."""
+    if g.bipartition() is not None:
+        return SigningEngine(g).chars, squared_roots
+    tables = graphs._matching_tables(g, DEFAULT_BUDGET)
+    return (lambda signs: full_leaf_chars(g, tables, signs)), (lambda phi: phi)
 
 
 @pytest.mark.parametrize("g", ENGINE_GRAPHS, ids=["cube", "petersen", "K44", "cover24"])
 def test_signing_engine_matches_forward_oracle_at_every_level(g):
     rng = np.random.default_rng(71)
-    engine = SigningEngine(g)
+    chars, read = _engine_levels(g)
     for f in range(g.m + 1):
         prefixes = rng.choice([-1, 1], (2, f))
-        assert [engine.chars(p) for p in prefixes] == forward_signed_chars(g, prefixes), f
+        assert [chars(p) for p in prefixes] == \
+            [read(phi) for phi in forward_signed_chars(g, prefixes)], f
 
 
 @pytest.mark.parametrize("g", ENGINE_GRAPHS, ids=["cube", "petersen", "K44", "cover24"])
 def test_signing_engine_minus_child_from_parent_matches_oracle(g):
     rng = np.random.default_rng(73)
-    engine = SigningEngine(g)
+    chars, read = _engine_levels(g)
     for f in range(g.m):
         signs = rng.choice([-1, 1], f).tolist()
-        plus, minus = forward_signed_chars(g, [signs + [1], signs + [-1]])
-        parent, child = engine.chars(signs), engine.chars(signs + [1])
+        plus, minus = map(read, forward_signed_chars(g, [signs + [1], signs + [-1]]))
+        parent, child = chars(signs), chars(signs + [1])
         assert child == plus and 2 * parent - child == minus, f
 
 
 @pytest.mark.parametrize("name", ["cube", "K33", "K44", "cover24", "cover48"])
 def test_gram_leaves_match_full_leaves_by_berkowitz(name):
-    # on a bipartite graph the engine's leaves are p x p Grams B B^T; the
-    # oracle takes the same tables with full |V(F)| x |V(F)| leaves by
-    # Berkowitz in Python ints.  The 48-vertex cover's middle levels hold
+    # the engine's leaves are p x p Grams B B^T; the oracle takes the same
+    # tables with full |V(F)| x |V(F)| leaves by Berkowitz in Python ints,
+    # its Phi_F read in y.  The 48-vertex cover's middle levels hold
     # thousands of groups on 20 vertices and more, so it takes its first
     # and last levels
     named = {"cube": CUBE, "K33": complete_bipartite(3, 3), "K44": complete_bipartite(4, 4)}
     if name.startswith("cover"):
-        g = _double_cover24()
+        g = walked_cover24()
         if name == "cover48":
             g = two_lift(g, signing_select(g)[0])
         named[name] = in_walk_order(g)
@@ -396,26 +416,27 @@ def test_gram_leaves_match_full_leaves_by_berkowitz(name):
         verts = {v for e in g.edges[:f] for v in e}
         sides.add(tuple(sorted((len(verts & left), len(verts - left)))))
         prefix = rng.choice([-1, 1], f)
-        assert engine.chars(prefix) == full_leaf_chars(engine, prefix), (f, prefix)
+        assert engine.chars(prefix) == squared_roots(full_leaf_chars(g, engine.tables, prefix)), \
+            (f, prefix)
     # the empty prefix (p = 0), a lopsided V(F) (p != q) and the full signing
     assert (0, 0) in sides and any(p != q for p, q in sides)
     assert levels[-1] == g.m
 
 
-def test_full_leaves_on_a_graph_that_is_not_bipartite():
-    g = petersen()
-    engine = SigningEngine(g)
-    assert engine.left is None
-    rng = np.random.default_rng(97)
-    for f in range(g.m + 1):
-        prefix = rng.choice([-1, 1], f)
-        assert engine.chars(prefix) == full_leaf_chars(engine, prefix), f
+def test_signing_engine_and_walk_refuse_a_graph_that_is_not_bipartite():
+    # q_F with Phi_F(x) = x^e q_F(x^2) needs a bipartite graph; the DP
+    # tables of any graph are checked above through the oracle's leaves
+    for g in (complete(4), petersen()):
+        assert g.regularity() == 3
+        with pytest.raises(ValueError, match="not bipartite"):
+            SigningEngine(g)
+        with pytest.raises(ValueError, match="not bipartite"):
+            signing_select(g)
 
 
 def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
-    # the leaves over V(F): on a bipartite graph the p x p Gram B B^T of
-    # the p x q signed biadjacency, p <= q the sizes of V(F)'s colour
-    # classes, and on any other graph the |V(F)| x |V(F)| masked A_F
+    # the leaves over V(F): the p x p Gram B B^T of the p x q signed
+    # biadjacency, p <= q the sizes of V(F)'s colour classes
     sides = []
 
     def recorded(mats):
@@ -424,7 +445,7 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
 
     monkeypatch.setattr(graphs, "charpoly_batch_exact", recorded)
     rng = np.random.default_rng(79)
-    for g in (in_walk_order(_double_cover24()), petersen()):
+    for g in (in_walk_order(walked_cover24()), CUBE):
         engine = SigningEngine(g)
         left = g.bipartition()
         # a walk forms level 0 and each level whose edge closes a cycle
@@ -435,7 +456,7 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
             for prefix in rng.choice([-1, 1], (3, f)):
                 engine.chars(prefix)
             verts = {v for e in g.edges[:f] for v in e}
-            width = len(verts) if left is None else min(len(verts & left), len(verts - left))
+            width = min(len(verts & left), len(verts - left))
             groups = len(engine.tables[f][0])
             assert [s[1:] for s in sides] == [(width, width)] * len(sides)
             assert sum(s[0] for s in sides) == 3 * groups
@@ -449,7 +470,7 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
 def test_signing_engine_past_62_vertices_and_edges():
     # masks of 70 vertices and weights past 62 edges leave int64; every
     # signing of a forest has the matching polynomial as its char poly,
-    # and the path's is mu_n = x mu_(n-1) - mu_(n-2)
+    # and the path's is mu_n = x mu_(n-1) - mu_(n-2), read in y
     g = path(70)
     mu = [Polynomial([1]), Polynomial([0, 1])]
     while len(mu) <= g.n:
@@ -459,7 +480,7 @@ def test_signing_engine_past_62_vertices_and_edges():
     rng = np.random.default_rng(83)
     for f in (0, 1, 35, g.m):
         for prefix in rng.choice([-1, 1], (2, f)):
-            assert engine.chars(prefix) == mu[g.n]
+            assert engine.chars(prefix) == squared_roots(mu[g.n])
 
 
 def test_signing_engine_levels_and_budget():

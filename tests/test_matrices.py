@@ -8,7 +8,7 @@ from interlace import Graph, SigningEngine, SymMatrix, VectorSystem, char_poly, 
     charpoly_batch, charpoly_batch_exact, frontier_order, graphs, mixed_char, two_lift
 from interlace.poly import real_roots
 from fixtures import complete_bipartite, petersen
-from oracles import berkowitz_charpoly
+from oracles import berkowitz_charpoly, full_leaves
 
 
 def test_construction_and_dtype_regimes():
@@ -320,10 +320,17 @@ def test_charpoly_batch_exact_on_signing_engine_leaf_stacks(monkeypatch, name):
         return charpoly_batch_exact(mats)
 
     monkeypatch.setattr(graphs, "charpoly_batch_exact", recorded)
-    engine = SigningEngine(g)
     rng = np.random.default_rng(83)
-    for f in range(g.m + 1):
-        engine.chars(rng.choice([-1, 1], f))
+    if name == "petersen":
+        # the engine refuses a graph that is not bipartite: its full-size
+        # |V(F)| x |V(F)| leaves, off the engine's DP tables
+        tables = graphs._matching_tables(g, graphs.DEFAULT_BUDGET)
+        for f in range(g.m + 1):
+            stacks.append(full_leaves(g, tables, rng.choice([-1, 1], f)).astype(np.int64))
+    else:
+        engine = SigningEngine(g)
+        for f in range(g.m + 1):
+            engine.chars(rng.choice([-1, 1], f))
     assert stacks[0].shape[1:] == (0, 0)
     # Gram leaves on a bipartite graph, its sides n/2 each; full ones on Petersen
     assert max(s.shape[1] for s in stacks) == (g.n if name == "petersen" else g.n // 2)

@@ -35,6 +35,7 @@ from interlace import (
     Graph,
     SigningEngine,
     signed_adjacency,
+    squared_roots,
     frontier_order,
 )
 import interlace.graphs as graphs_module
@@ -43,10 +44,10 @@ import interlace.select as select_module
 from interlace.mixedchar import TableArithmetic, fold_terms
 from interlace.poly import EIG_START_POLES
 from fixtures import adjacency, complete, complete_bipartite, from_roots, path, petersen, \
-    random_isotropic, two_point
+    random_isotropic, two_point, walked_cover24
 from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, fold_peel_route, forward_signed_chars, \
-    in_walk_order, ri_level_scores
+    in_walk_order, oracle_signing_walk, ri_level_scores
 from paper import apply_shift_operator, exact_real_roots, have_common_interlacing, \
     is_real_rooted, kth_largest_root, matching_poly, signing_vectors, sturm_root_count, \
     taylor_shift, top_root
@@ -752,18 +753,20 @@ def test_signing_vectors_gram_identity():
         assert (acc == expect).all()
 
 
-def test_signing_select_k4_matches_exhaustive_oracle():
-    g = complete(4)
+def test_signing_select_cube_matches_exhaustive_oracle():
+    # K4's signing meets the exhaustive 2^6 search in acceptance criterion
+    # 10, through the test-side walk: the library walks bipartite graphs only
+    g = CUBE
     signing, cert = signing_select(g)
     assert cert.valid()
     lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
     # theory: the greedy signed spectral radius stays below the top root
-    # of the matching polynomial (here sqrt(3 + sqrt 6))
+    # of the matching polynomial
     top_matching = real_roots(Polynomial([float(c) for c in matching_poly(g).coeffs]))[0]
-    assert top_matching == pytest.approx(math.sqrt(3 + math.sqrt(6)))
+    assert top_matching == pytest.approx(exact_real_roots(matching_poly(g))[0])
     assert lam <= top_matching + 1e-7
     assert cert.pledged == pytest.approx(top_matching, abs=1e-9)
-    # exhaustive check over all 64 signings: greedy cannot beat the optimum
+    # exhaustive check over all 4096 signings: greedy cannot beat the optimum
     best = math.inf
     for bits in itertools.product([1, -1], repeat=g.m):
         s = list(bits)
@@ -779,26 +782,40 @@ def test_signing_select_k33():
     assert lam <= 2 * math.sqrt(2) + 1e-7  # Ramanujan threshold for d=3
 
 
+def _assert_matches_exact_enumeration_walk(g, signing, cert, valid):
+    """A signing walk's result on g against the exact walk over the
+    rank-one signing vectors with every remaining signing enumerated, in
+    the same edge order (the graph relabelled by frontier_order).  Its
+    values are in Gram coordinates, A_s + dI, and the signing walk's in
+    adjacency ones."""
+    d = g.regularity()
+    order = frontier_order(g)
+    walk = in_walk_order(g)
+    choices, levels, pledged = enumeration_walk(signing_vectors(walk, exact=True))
+    assert cert.choices == choices
+    sign = dict(zip(g.edges, signing))
+    assert [sign[tuple(sorted((order[a], order[b])))] for a, b in walk.edges] \
+        == [1 - 2 * c for c in choices]
+    assert abs(cert.pledged - exact_real_roots(matching_poly(g))[0]) <= 1e-12
+    assert valid
+    assert cert.levels[-1] <= cert.pledged + 1e-12
+    assert cert.achieved + d == pytest.approx(levels[-1], abs=1e-9)
+    assert pledged == pytest.approx(cert.pledged + d, abs=1e-9)
+
+
 def test_signing_select_matches_exact_enumeration_walk():
-    # Reference: the exact walk over the rank-one signing vectors with every
-    # remaining signing enumerated, in the same edge order (the graph
-    # relabelled by frontier_order).  Its values are in Gram coordinates,
-    # A_s + dI, and the signing walk's in adjacency ones.
-    for g in (complete(4), complete_bipartite(3, 3), complete(5), CUBE):
-        d = g.regularity()
-        order = frontier_order(g)
-        walk = in_walk_order(g)
-        choices, levels, pledged = enumeration_walk(signing_vectors(walk, exact=True))
+    for g in (complete_bipartite(3, 3), CUBE):
         signing, cert = signing_select(g)
-        assert cert.choices == choices
-        sign = dict(zip(g.edges, signing))
-        assert [sign[tuple(sorted((order[a], order[b])))] for a, b in walk.edges] \
-            == [1 - 2 * c for c in choices]
-        assert abs(cert.pledged - exact_real_roots(matching_poly(g))[0]) <= 1e-12
-        assert cert.valid()
-        assert cert.levels[-1] <= cert.pledged + 1e-12
-        assert cert.achieved + d == pytest.approx(levels[-1], abs=1e-9)
-        assert pledged == pytest.approx(cert.pledged + d, abs=1e-9)
+        _assert_matches_exact_enumeration_walk(g, signing, cert, cert.valid())
+
+
+def test_oracle_signing_walk_matches_exact_enumeration_walk():
+    # K4 and K5 are not bipartite, so the library refuses them; the
+    # test-side walk that criteria 10 and 11 run on them makes the
+    # enumeration walk's choices
+    for g in (complete(4), complete(5)):
+        walk = oracle_signing_walk(g)
+        _assert_matches_exact_enumeration_walk(g, walk.signs, walk, walk.valid)
 
 
 def _recorded_signing_walk(monkeypatch, g):
@@ -829,7 +846,7 @@ def _recorded_signing_walk(monkeypatch, g):
     levels = dict(formed)
     assert len(levels) == len(formed)
     parent = levels.pop(0)
-    assert parent == matching_poly(g)
+    assert parent == squared_roots(matching_poly(g))
     pairs = []
     for f, choice in enumerate(cert.choices):
         plus = levels.get(f + 1, parent)
@@ -848,16 +865,18 @@ def _random_cubic_bipartite(half: int, seed: int) -> Graph:
             return Graph(2 * half, sorted(edges))
 
 
-@pytest.mark.parametrize("g", [CUBE, complete_bipartite(3, 3), petersen()],
-                         ids=["cube", "K33", "petersen"])
+@pytest.mark.parametrize("g", [CUBE, complete_bipartite(3, 3), complete_bipartite(4, 4)],
+                         ids=["cube", "K33", "K44"])
 def test_signing_select_final_poly_is_chi_of_the_signed_gram(g):
-    # the walk takes final_poly from chi(A_s), checked equal to its last
-    # Phi; shifted by -d it is chi of the signing vectors' Gram sum A_s + dI.
-    # achieved is the last level, its top root
+    # the walk takes final_poly from chi(A_s) read in y, checked equal to
+    # its last q; chi(A_s) shifted by -d is chi of the signing vectors'
+    # Gram sum A_s + dI.  achieved is the last level, its top root
     signing, cert = signing_select(g)
-    gram = signed_adjacency(g, signing).a + 3 * np.eye(g.n, dtype=int)
-    assert cert.final_poly == char_poly(signed_adjacency(g, signing))
-    assert taylor_shift(cert.final_poly, -3) == char_poly(SymMatrix(gram))
+    d = g.regularity()
+    chi = char_poly(signed_adjacency(g, signing))
+    gram = signed_adjacency(g, signing).a + d * np.eye(g.n, dtype=int)
+    assert cert.final_poly == squared_roots(chi)
+    assert taylor_shift(chi, -d) == char_poly(SymMatrix(gram))
     assert cert.achieved == cert.levels[-1]
 
 
@@ -872,7 +891,7 @@ def test_signing_select_raises_when_chi_of_a_s_is_not_its_last_polynomial(monkey
 
     vs = _rational_isotropic(3, [Fraction(3, 5), Fraction(4, 5)], [3, 0, 4, 1, 5, 2])
     walks = [lambda g=g: signing_select(g) for g in
-             (CUBE, complete_bipartite(3, 3), petersen())]
+             (CUBE, complete_bipartite(3, 3), complete_bipartite(4, 4))]
     walks += [lambda: restricted_invertibility_select(vs, 2)]
     walks += [lambda route=route: _walk_by(route, vs.vectors[0], vs.vectors[1:])
               for route in ("engine", "enumerate")]
@@ -924,11 +943,22 @@ def test_exact_walks_root_the_pledge_and_each_kept_child_once(monkeypatch, walk)
 def test_signing_walk_children_are_real_rooted_and_certified(monkeypatch, g):
     # top_root counts roots by Descartes' rule, exact only for real-rooted
     # input; the walk relies on Phi_F being real-rooted by theorem and does
-    # not check it, so every Phi_F it evaluates is checked here, exactly.
-    cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
-    assert len(pairs) == g.m and cert.valid()
+    # not check it, so every polynomial it evaluates is checked here,
+    # exactly: the library's q_F, whose roots, Phi_F's squared, must also
+    # be nonnegative, and on K4 and Petersen, which it refuses, the
+    # test-side walk's Phi_F
+    bipartite = g.bipartition() is not None
+    if bipartite:
+        cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
+        valid = cert.valid()
+    else:
+        walk = oracle_signing_walk(g)
+        pairs, valid = walk.pairs, walk.valid
+    assert len(pairs) == g.m and valid
     for p in {q for pair in pairs for q in pair}:
         assert is_real_rooted(p)
+        zeros = next(i for i, c in enumerate(p.coeffs) if c)
+        assert not bipartite or roots_above(p, 0) + zeros == p.degree
         t = top_root(p)
         assert t.lo < t.root <= t.hi
         assert roots_above(p, t.hi) == 0 and roots_above(p, t.lo) == t.mult >= 1
@@ -941,8 +971,9 @@ def test_signing_walk_ranks_every_polynomial_once(monkeypatch):
     # the pledge's mu_G is ranked first; one edge closes no cycle, so the
     # first children agree and reuse its top root
     assert pairs[0][0] == pairs[0][1]
-    assert ranked[0] == matching_poly(CUBE)
-    assert cert.pledged == top_root(matching_poly(CUBE)).root
+    assert ranked[0] == squared_roots(matching_poly(CUBE))
+    assert cert.pledged == math.sqrt(top_root(ranked[0]).root)
+    assert cert.pledged == pytest.approx(top_root(matching_poly(CUBE)).root, rel=1e-15)
     # identical children reuse their parent's top root; of distinct ones,
     # exact counts at the parent's bracket pick one, and only it is ranked
     kept = [pair[c] for pair, c in zip(pairs, cert.choices) if pair[0] != pair[1]]
@@ -951,10 +982,9 @@ def test_signing_walk_ranks_every_polynomial_once(monkeypatch):
 
 
 def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monkeypatch):
-    # On two disjoint copies of K4 every Phi_F factors into the two
+    # On two disjoint copies of the cube every q_F factors into the two
     # copies' parts, so distinct children can share the other part's top root.
-    k4 = complete(4)
-    g = Graph(8, list(k4.edges) + [(a + 4, b + 4) for a, b in k4.edges])
+    g = Graph(16, list(CUBE.edges) + [(a + 8, b + 8) for a, b in CUBE.edges])
     cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
     ties = [level for level, (plus, minus) in enumerate(pairs) if plus != minus
             and abs(exact_real_roots(plus)[0] - exact_real_roots(minus)[0]) <= 1e-9]
@@ -966,19 +996,20 @@ def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monke
     assert cert.valid()
 
 
-@pytest.mark.parametrize("g", [CUBE, petersen(), complete_bipartite(4, 4),
+@pytest.mark.parametrize("g", [CUBE, complete_bipartite(3, 3), complete_bipartite(4, 4),
                                _random_cubic_bipartite(5, 3)],
-                         ids=["cube", "petersen", "K44", "cubic10"])
+                         ids=["cube", "K33", "K44", "cubic10"])
 def test_signing_walk_children_match_forward_oracle(monkeypatch, g):
     # the walk forms only the +1 child and takes the -1 child from its
-    # parent; both must be the oracle's children
+    # parent; both must be the oracle's children, read in y
     cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
     walk = in_walk_order(g)
     signs = [1 - 2 * c for c in cert.choices]
     assert len(pairs) == g.m
     for f, pair in enumerate(pairs):
         prefix = signs[:f]
-        assert pair == tuple(forward_signed_chars(walk, [prefix + [1], prefix + [-1]])), f
+        children = forward_signed_chars(walk, [prefix + [1], prefix + [-1]])
+        assert pair == tuple(map(squared_roots, children)), f
 
 
 def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
@@ -1005,15 +1036,16 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
     assert len(prefixes) == 1 + CUBE.m - (CUBE.n - 1)
 
 
-def _cover24() -> Graph:
-    """A 24-vertex cubic bipartite Ramanujan graph: two walked 2-lifts of K_{3,3}."""
-    g = complete_bipartite(3, 3)
-    for _ in range(2):
-        g = two_lift(g, signing_select(g)[0])
-    return g
+SYMMETRY_GRAPHS = [CUBE, petersen(), walked_cover24()]
 
 
-SYMMETRY_GRAPHS = [CUBE, petersen(), _cover24()]
+def _level_chars(walk: Graph):
+    """Each prefix's level polynomial on ``walk``: the engine's q_F, or
+    on a graph that is not bipartite, which the engine refuses, the
+    forward oracle's Phi_F."""
+    if walk.bipartition() is None:
+        return lambda prefix: forward_signed_chars(walk, [prefix])[0]
+    return SigningEngine(walk).chars
 
 
 @pytest.mark.parametrize("g", [CUBE, SYMMETRY_GRAPHS[2]], ids=["cube", "cover24"])
@@ -1051,16 +1083,18 @@ def test_signing_walk_forms_the_minus_child_only_when_plus_misses(monkeypatch, g
 @pytest.mark.parametrize("g", [CUBE, complete_bipartite(3, 3),
                                complete_bipartite(4, 4)], ids=["cube", "K33", "K44"])
 def test_signing_select_returns_signs_in_edge_order(g):
-    # chi(lift) = chi(A) chi(A_s) exactly (Bilu-Linial), with A_s the walk's
-    # final_poly, only if each sign sits on the edge of g it was chosen
-    # for: on relabelled copies the walk's order is not g.edges'
+    # chi(lift) = chi(A) chi(A_s) exactly (Bilu-Linial), all three even and
+    # read in y with chi(A_s) the walk's final_poly, only if each sign sits
+    # on the edge of g it was chosen for: on relabelled copies the walk's
+    # order is not g.edges'
     rng = np.random.default_rng(97)
     for _ in range(4):
         perm = rng.permutation(g.n)
         h = Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
         signs, cert = signing_select(h)
         assert len(signs) == h.m and set(signs) <= {1, -1}
-        assert char_poly(adjacency(two_lift(h, signs))) == char_poly(adjacency(h)) * cert.final_poly
+        assert squared_roots(char_poly(adjacency(two_lift(h, signs)))) == \
+            squared_roots(char_poly(adjacency(h))) * cert.final_poly
 
 
 @pytest.mark.parametrize("g", SYMMETRY_GRAPHS, ids=["cube", "petersen", "cover24"])
@@ -1071,15 +1105,15 @@ def test_signing_forest_levels_equal_their_parent(g):
     # children that differ for some prefix, so marking one more edge as
     # forest fails here
     walk = in_walk_order(g)
-    engine = SigningEngine(walk)
+    chars = _level_chars(walk)
     rng = np.random.default_rng(83)
     forest = walk.forest_edges()
     assert sum(forest) == g.n - 1
     for f, joins in enumerate(forest):
         differ = []
         for prefix in rng.choice([-1, 1], (2, f)).tolist():
-            plus = engine.chars(prefix + [1])
-            differ.append(plus != engine.chars(prefix))
+            plus = chars(prefix + [1])
+            differ.append(plus != chars(prefix))
         assert not any(differ) if joins else any(differ), f
 
 
@@ -1088,12 +1122,13 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
     # at every level, after a random prefix, the keep rule, handed the +1
     # and -1 children, keeps the one compare_top_roots ranks lower (ties
     # to +1) and roots only it; a bracket widened past every root (none of
-    # a cubic graph's Phi_F lies above 3) leaves the +1 child's counts
-    # straddling whenever its top root is the larger, and the halving
+    # a cubic graph's Phi_F lies above 3, nor its q_F above 9) leaves the
+    # +1 child's counts straddling whenever its top root is the larger, and the halving
     # makes the same choice.  Identical children, as at every forest
     # level, keep +1 and the parent's bracket
     walk = in_walk_order(g)
-    engine = SigningEngine(walk)
+    chars = _level_chars(walk)
+    reach = 3 if walk.bipartition() is None else 9
     rng = np.random.default_rng(89)
     halved, ranked = [], []
     squarefree = select_module._squarefree
@@ -1111,7 +1146,7 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
     halvings, ties = {True: 0, False: 0}, 0
     for f, joins in enumerate(walk.forest_edges()):
         prefix = rng.choice([-1, 1], f).tolist()
-        phi, plus = engine.chars(prefix), engine.chars(prefix + [1])
+        phi, plus = chars(prefix), chars(prefix + [1])
         minus = 2 * phi - plus
         assert plus == minus or not joins
         order = compare_top_roots(minus, plus)
@@ -1119,7 +1154,7 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
         sign = -1 if order < 0 else 1
         kept = minus if sign < 0 else plus
         parent = top_root(phi)
-        for bracket in (parent, parent._replace(hi=parent.hi + 3)):
+        for bracket in (parent, parent._replace(hi=parent.hi + reach)):
             halved.clear()
             ranked.clear()
             got = select_module._keep([plus, minus], (phi, bracket), 1, False)
@@ -1471,13 +1506,22 @@ def test_weaver_dimension_7_certifies_at_the_default_budget():
 
 
 @pytest.mark.xfail(strict=True, reason="float weaver's pledge on a top root of multiplicity 7 "
-                   "reads 1.0189 against the exact 1.0000000562: the float expected "
+                   "reads 1.0189 against the exact 1.0000000000000155: the float expected "
                    "polynomial's summation error moves the cluster (CHANGES.md, FOUND)")
 def test_weaver_dimension_7_pledges_the_exact_expected_top_root():
-    # the input of the test above, whose exact pledge and levels are 1 to 1e-7
+    # the input of the test above, whose exact pledge and levels are 1 to 1e-7.
+    # The pledge's reference roots the exact expected polynomial of the
+    # rows at their dyadic values, not its rounded coefficients
     vs = random_isotropic(7, 7, np.random.default_rng(269))
     _, _, cert = weaver_partition(vs)
     rows, first = _lifts(vs.vectors[0], vs.vectors[1:])
+
+    def dyadic(v):
+        return np.array([Fraction(x) for x in v.tolist()], dtype=object)
+
+    exact = conditional_expected_poly([[(Fraction(p), dyadic(v)) for p, v in row] for row in rows],
+                                      [dyadic(first)])
+    assert exact.is_exact
+    assert abs(cert.pledged - select_module._kth_cluster(exact, 1).root) <= 1e-10
     _, levels, pledged = enumeration_walk(rows, [first])
-    assert abs(cert.pledged - pledged) <= 1e-10
     assert max(abs(a - b) for a, b in zip(cert.levels, [pledged] + levels)) <= 1e-10
