@@ -33,9 +33,9 @@ instead: Laguerre's method from above the Laguerre-Samuelson bound.  It
 stops within its evaluation's rounding of the root and raises
 :class:`NotRealRootedError` where the loop breaks down, which no
 real-rooted polynomial makes it do.  One Laguerre loop does all three
-float jobs: it starts the exact kernel, roots weaver's children, and
-opens every bracket of the derivative chain, which adds compensated
-Newton steps.
+float jobs: it starts every cluster of the exact kernel, roots weaver's
+children, and opens every bracket of the derivative chain, which adds
+compensated Newton steps.
 ``shift_chain`` skips coefficients altogether: it applies a power of
 the shift operator to batches of real roots, one bracketed
 secular-equation solve per factor, so its output is real-rooted by
@@ -56,7 +56,6 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .tolerances import BACKWARD_TOL, LAGUERRE_TOL, START_OFFSET
 
@@ -699,20 +698,6 @@ def _derivative_value(a: list[int], k: int, x: float) -> tuple[int, int]:
     return acc, e
 
 
-def _float_start(a: list[int]) -> float:
-    """A float point at or just above the top root of real-rooted ``a``.
-
-    :func:`_laguerre` on the float copy of ``a`` over its
-    Laguerre-Samuelson interval; a breakdown there only costs
-    :func:`_polish` a bisection.
-    """
-    try:
-        c = [x / a[-1] for x in a]
-    except OverflowError:
-        return math.nan
-    return _laguerre(c, *_samuelson_interval(c), 1.0)[0]
-
-
 def float_top_root(p: Polynomial) -> float:
     """The largest root of float ``p``, real-rooted by theorem, taken from above.
 
@@ -773,11 +758,12 @@ def root_clusters(p: Polynomial) -> Iterator[TopRoot]:
     g the reciprocal of the root bound of the reversed polynomial, so
     that no other root lies in it.
 
-    The top cluster starts from float Laguerre steps from above
-    (:func:`_float_start`); later ones from the companion eigenvalues of
-    the float copy, computed once, when a second cluster is asked for.
-    Each start is polished and certified by :func:`_polish`.  A root
-    above the largest float comes as inf, and one below minus it as -inf
+    Each cluster starts from :func:`_laguerre` from the top of a monic
+    float copy of ``p``, divided by (x - root)^mult of each cluster above
+    (:func:`_deflate`), and is polished and certified by :func:`_polish`.
+    Without a copy, past the float range or once a root of 0 or inf is
+    divided out, the clusters left are bisected.  A root above the
+    largest float comes as inf, and one below minus it as -inf
     (:func:`_bisect`).
     """
     a = _integer_coeffs(p)
@@ -785,9 +771,13 @@ def root_clusters(p: Polynomial) -> Iterator[TopRoot]:
     a = a[zeros:]
     n = len(a) - 1
     bound = _root_bound(a)
+    try:
+        c = [x / a[-1] for x in a]
+    except OverflowError:
+        c = None
     # the zero cluster comes once the positive roots are done
     positive = _count_above(a, Fraction(0)) if zeros else None
-    hi, done, starts = bound, 0, None
+    hi, done = bound, 0
     while True:
         if done == positive:
             gap = 1 / _root_bound(a[::-1])
@@ -795,24 +785,30 @@ def root_clusters(p: Polynomial) -> Iterator[TopRoot]:
             hi = -gap
         if done == n:
             return
-        if done == 0:
-            x = _float_start(a)
-        else:
-            if starts is None:
-                top = max(map(abs, a))
-                # a companion matrix past the float range gives no starts,
-                # and each cluster is then bisected
-                try:
-                    with np.errstate(all="ignore"):
-                        starts = sorted(npoly.polyroots([c / top for c in a]).real.tolist(),
-                                        reverse=True)
-                except np.linalg.LinAlgError:
-                    starts = []
-            x = starts[done] if done < len(starts) else math.nan
+        x = _laguerre(c, *_samuelson_interval(c), 1.0)[0] if c else math.nan
         cluster = _polish(a, x, done, -bound, hi)
         yield cluster
         done += cluster.mult
         hi = cluster.lo
+        c = _deflate(c, cluster.root, cluster.mult)
+
+
+def _deflate(c: list[float] | None, root: float, mult: int) -> list[float] | None:
+    """Monic float ``c`` over (x - root)^mult, monic again, or None for no c,
+    a root of 0 or past the float range, or an overflow: synthetic division
+    from the constant end, stable with the largest roots out first
+    (Wilkinson 1963)."""
+    if not (c and root and math.isfinite(root)):
+        return None
+    for _ in range(mult):
+        q = [0.0]
+        for coef in c[:-1]:
+            q.append((q[-1] - coef) / root)
+        c = q[1:]
+    if not c[-1]:
+        return None
+    c = [x / c[-1] for x in c]
+    return c if all(map(math.isfinite, c)) else None
 
 
 def _polish(a: list[int], x: float, done: int, lo: Fraction, hi: Fraction) -> TopRoot:

@@ -551,7 +551,7 @@ def test_real_roots_multiplicity_and_zeros():
     [1] * 12,
 ])
 def test_real_roots_exact_multiple_roots(roots):
-    # companion eigenvalues of an r-fold root scatter by eps**(1/r); the
+    # float starts at an r-fold root are off by about eps**(1/r); the
     # exact kernel polishes on the (r-1)-th derivative, where it is simple
     got = exact_real_roots(from_roots(roots))
     want = sorted((float(r) for r in roots), reverse=True)
@@ -667,9 +667,24 @@ def test_top_root_rejects_constants_zero_and_float_polynomials():
         top_root(Polynomial([-2.0, 1.0]))
 
 
+def _no_starts(monkeypatch):
+    """Make every float start of root_clusters NaN, as a broken-down copy would."""
+    monkeypatch.setattr(poly_module, "_laguerre", lambda q, lo, hi, s: (math.nan, lo, hi, False))
+
+
+def _counted_bisections(monkeypatch) -> list:
+    """Record the ``done`` of each :func:`poly._bisect` call."""
+    calls, bisect = [], poly_module._bisect
+
+    def counted(a, done, lo, hi):
+        calls.append(done)
+        return bisect(a, done, lo, hi)
+    monkeypatch.setattr(poly_module, "_bisect", counted)
+    return calls
+
+
 def test_top_root_bisection_fallback_certifies_the_same_root(monkeypatch):
-    import interlace.poly as poly_module
-    monkeypatch.setattr(poly_module, "_float_start", lambda a: math.nan)
+    _no_starts(monkeypatch)
     for p in (DEGREE_24_FOURFOLD, from_roots([Fraction(1, 3), 2, 2, -5])):
         got = top_root(p)
         want = exact_real_roots(p)[0]
@@ -681,7 +696,7 @@ def test_top_root_bisection_fallback_certifies_the_same_root(monkeypatch):
 def test_top_root_bisection_stops_relative_to_the_root(monkeypatch):
     # a small root under a large root bound: the bracket is still a few
     # ulp of the root wide
-    monkeypatch.setattr(poly_module, "_float_start", lambda a: math.nan)
+    _no_starts(monkeypatch)
     want = Fraction(-119, 1000)
     p = from_roots([want, Fraction(-3, 7), -1500, -2000])
     got = top_root(p)
@@ -689,6 +704,60 @@ def test_top_root_bisection_stops_relative_to_the_root(monkeypatch):
     assert got.lo < want <= got.hi
     assert got.hi - got.lo <= 4 * ulp
     assert abs(Fraction(got.root) - want) <= 4 * ulp
+
+
+def _certified(p, clusters) -> None:
+    """Each bracket holds exactly its cluster's roots, by two exact counts."""
+    done = 0
+    for c in clusters:
+        assert roots_above(p, c.hi) == done
+        done += c.mult
+        assert roots_above(p, c.lo) == done
+    assert done == p.degree
+
+
+@pytest.mark.parametrize("p", [DEGREE_24_FOURFOLD, from_roots([Fraction(1, 3), 2, 2, -5]),
+                               from_roots([Fraction(-119, 1000), Fraction(-3, 7), -1500, -2000])],
+                         ids=["degree 24", "double", "small under large"])
+def test_root_clusters_without_any_start_bisect_every_cluster(p, monkeypatch):
+    # with no float start at all, every cluster, not only the top one,
+    # comes out of _bisect with the same roots in each certified bracket
+    started = list(root_clusters(p))
+    _no_starts(monkeypatch)
+    calls = _counted_bisections(monkeypatch)
+    bisected = list(root_clusters(p))
+    assert calls == [sum(c.mult for c in started[:i]) for i in range(len(started))]
+    assert [c.mult for c in bisected] == [c.mult for c in started]
+    _certified(p, bisected)
+    for b, c in zip(bisected, started):
+        assert b.lo < c.hi and c.lo < b.hi
+        assert abs(b.root - c.root) <= 4 * math.ulp(c.root)
+
+
+@pytest.mark.parametrize("roots, want, calls", [
+    ([-10 ** 401, -10 ** 400, 3], [3.0, -math.inf], [0, 1]),
+    ([1, Fraction(1, 10 ** 400), -1], [1.0, 0.0, -1.0], [2]),
+], ids=["copy overflows", "root polished to 0"])
+def test_root_clusters_without_a_float_copy_bisect_what_is_left(roots, want, calls, monkeypatch):
+    # a float copy past the float range starts no cluster, and a cluster
+    # whose root rounds to 0 cannot be divided out, so none below it starts
+    bisections = _counted_bisections(monkeypatch)
+    p = from_roots(roots)
+    clusters = list(root_clusters(p))
+    assert [c.root for c in clusters] == want
+    assert bisections == calls
+    _certified(p, clusters)
+
+
+def test_root_clusters_start_every_cluster_of_the_n48_ri_pledge_without_bisection(monkeypatch):
+    # each start comes from the float copy with the clusters above divided
+    # out, close enough for the exact polish on every one of the 25
+    calls = _counted_bisections(monkeypatch)
+    p = select_module._ri_shifted([0] * 48 + [1], 96, 24)
+    clusters = list(root_clusters(p))
+    assert len(clusters) == 25 and calls == []
+    _certified(p, clusters)
+    assert clusters[23].root == 0.06511615086013002
 
 
 def _stress_roots(rng):
@@ -736,12 +805,8 @@ def test_root_clusters_below_the_float_range(roots, want):
     p = from_roots(roots)
     clusters = list(root_clusters(p))
     assert [c.root for c in clusters] == want
-    assert sum(c.mult for c in clusters) == len(roots)
-    done = 0
+    _certified(p, clusters)
     for c in clusters:
-        assert roots_above(p, c.hi) == done
-        done += c.mult
-        assert roots_above(p, c.lo) == done
         assert len([r for r in roots if c.lo < r <= c.hi]) == c.mult
 
 
