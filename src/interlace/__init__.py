@@ -28,10 +28,10 @@ from .poly import (
 from .matrices import SymMatrix, char_poly, charpoly_batch, charpoly_batch_exact
 from .mixedchar import (
     BudgetExceededError,
-    DEFAULT_BUDGET,
     mixed_char,
 )
 from .graphs import (
+    DEFAULT_BUDGET,
     Graph,
     signed_adjacency,
     SigningEngine,

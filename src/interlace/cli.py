@@ -34,8 +34,8 @@ import numpy as np
 
 from .poly import real_roots, roots_above, root_clusters, NotRealRootedError
 from .matrices import SymMatrix
-from .mixedchar import mixed_char, BudgetExceededError, DEFAULT_BUDGET
-from .graphs import Graph, is_ramanujan_bipartite, two_lift
+from .mixedchar import mixed_char, BudgetExceededError
+from .graphs import DEFAULT_BUDGET, Graph, is_ramanujan_bipartite, two_lift
 from .select import VectorSystem, restricted_invertibility_select, \
     restricted_invertibility_bound, weaver_partition, weaver_bound, signing_select, \
     WALK_BUDGET
@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "entries, groups x p^2 per level the walk forms, p x p "
                           "the Gram leaf B B^T of the fixed edges' signed "
                           "biadjacency B, p <= q (spanning-forest levels form "
-                          "none), checked before the first choice (default 2^20)")
+                          "none), counted as the backward DP grows; the walk "
+                          "stops as soon as the count passes it (default 2^20)")
 
     command("mixedchar", cmd_mixedchar, "mixed characteristic polynomial of PSD matrices",
             "JSON list of matrices", mode=True)

@@ -35,9 +35,10 @@ import numpy as np
 
 from .poly import Polynomial, roots_above
 from .matrices import SymMatrix, char_poly, charpoly_batch_exact
-from .mixedchar import BudgetExceededError, DEFAULT_BUDGET
+from .mixedchar import BudgetExceededError
 
 __all__ = [
+    "DEFAULT_BUDGET",
     "Graph",
     "signed_adjacency",
     "SigningEngine",
@@ -46,6 +47,10 @@ __all__ = [
     "two_lift",
     "is_ramanujan_bipartite",
 ]
+
+# The default cap on lift's signing walks, in DP states and leaf matrix
+# entries (SigningEngine).
+DEFAULT_BUDGET = 1 << 20
 
 # Matrix entries per exact-kernel call in SigningEngine.chars: a call
 # takes LEAF_ENTRIES // p^2 p x p Gram leaf groups, and at least one, so
@@ -208,7 +213,7 @@ def signed_adjacency(g: Graph, signs) -> SymMatrix:
 # ----------------------------------------------------------------------
 
 
-def _matching_tables(g: Graph, budget: int) -> list:
+def _matching_tables(g: Graph, budget: int, leaf: list) -> list:
     """The backward matching DP: level f's leaf groups and weights, f = 0..m.
 
     Takes the edges last to first.  A state is the set of matched
@@ -221,9 +226,10 @@ def _matching_tables(g: Graph, budget: int) -> list:
     needs.  Entry f of the result is (masks, weights) with one row of
     weights per mask.  The suffix's matchings, at most
     2^(edges taken), bound every entry, so the weights leave int64 only
-    past 62 edges.  The states of every level are counted against
-    ``budget`` as the tables grow; :class:`BudgetExceededError` is raised
-    as soon as the count passes it.
+    past 62 edges.  Each level costs its states times 1 + ``leaf[f]``,
+    the leaf entries of one of its groups, and the cost of the levels
+    built so far is counted against ``budget`` as the tables grow:
+    :class:`BudgetExceededError` is raised as soon as it passes.
     """
     m, half = g.m, g.n // 2
     first: dict = {}
@@ -233,7 +239,7 @@ def _matching_tables(g: Graph, budget: int) -> list:
     masks = np.zeros(1, dtype=np.int64 if g.n < 63 else object)
     weights = np.ones((1, 1), dtype=np.int64)
     tables = [(masks, weights)]
-    seen = 1
+    cost = 1 + leaf[m]
     for t in range(m - 1, -1, -1):
         a, b = g.edges[t]
         pair = 1 << a | 1 << b
@@ -252,10 +258,11 @@ def _matching_tables(g: Graph, budget: int) -> list:
         masks = cand[starts]
         weights = np.add.reduceat(vals[order], starts, axis=0)
         tables.append((masks, weights))
-        seen += len(masks)
-        if seen > budget:
+        cost += len(masks) * (1 + leaf[t])
+        if cost > budget:
             raise BudgetExceededError(
-                f"signing DP passed {budget} states with {t} of {m} edges left")
+                f"the signing walk passed the budget of {budget} DP states and leaf entries "
+                f"with {t} of {m} edges left")
     tables.reverse()
     return tables
 
@@ -274,11 +281,9 @@ class SigningEngine:
     Phi_F(G - a - b) for e = (a, b) in R unrolled; with F empty it is the
     matching polynomial.  The construction runs the DP of
     :func:`_matching_tables` once, so every level reads its leaf groups
-    S = V(M) & V(F) and their weights off one table; the DP's states are
-    counted against ``budget`` before any level is formed, and
-    :meth:`walk_entries` adds a walk's leaf entries to them.  A vertex
-    outside V(F) is isolated in A_F, so each leaf is chi(A_F[V(F)] with
-    S zeroed) times x^(n - |V(F)|), divided by x^(2|M|).
+    S = V(M) & V(F) and their weights off one table.  A vertex outside
+    V(F) is isolated in A_F, so each leaf is chi(A_F[V(F)] with S zeroed)
+    times x^(n - |V(F)|), divided by x^(2|M|).
 
     ``g`` must be bipartite, as every graph ``lift`` walks is
     (ValueError "graph is not bipartite" otherwise).  V(F) splits into
@@ -297,6 +302,12 @@ class SigningEngine:
     most 3, and the others, |(B B^T)_ij| at most the common neighbours of
     i and j, sum to at most 3 x 2.  So it fits with up to 23 nonzero
     rows, every leaf with |V(F)| < 48 among them.
+
+    ``budget`` caps a walk's work, which the DP counts as it grows: its
+    states plus one row's leaf entries, groups x p^2, at every level the
+    walk forms, level 0 and each whose last edge closes a cycle
+    (:meth:`Graph.forest_edges`).  So :class:`BudgetExceededError` comes
+    before the tables hold every level and before any level is formed.
     """
 
     def __init__(self, g: Graph, budget: int = DEFAULT_BUDGET):
@@ -304,7 +315,11 @@ class SigningEngine:
         if self.left is None:
             raise ValueError("graph is not bipartite")
         self.g = g
-        self.tables = _matching_tables(g, budget)
+        verts, leaf = set(), []
+        for f, formed in enumerate([True] + [not joins for joins in g.forest_edges()]):
+            leaf.append(formed * len(self._sides(verts)[0]) ** 2)
+            verts.update(g.edges[f] if f < g.m else ())
+        self.tables = _matching_tables(g, budget, leaf)
 
     def _sides(self, verts) -> list:
         """The colour classes of ``verts``, each sorted, the smaller first:
@@ -312,19 +327,6 @@ class SigningEngine:
         verts = sorted(verts)
         return sorted(([v for v in verts if v in self.left],
                        [v for v in verts if v not in self.left]), key=len)
-
-    def walk_entries(self) -> int:
-        """A walk's work on this engine: the DP's states plus, at every
-        level it forms, the leaf matrix entries of one row, groups x p^2.
-        The walk forms no level whose last edge joins two components of
-        the edges before it (:meth:`Graph.forest_edges`)."""
-        total, verts = 0, set()
-        formed = [True] + [not joins for joins in self.g.forest_edges()]
-        for f, (masks, _) in enumerate(self.tables):
-            p = len(self._sides(verts)[0])
-            total += len(masks) * (1 + formed[f] * p * p)
-            verts.update(self.g.edges[f] if f < self.g.m else ())
-        return total
 
     def chars(self, signs) -> Polynomial:
         """q_F, of degree n // 2, for the prefix F of ``g.edges`` that

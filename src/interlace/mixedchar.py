@@ -65,7 +65,6 @@ from .tolerances import PSD_TOL
 
 __all__ = [
     "BudgetExceededError",
-    "DEFAULT_BUDGET",
     "MAX_VARIABLES",
     "MAX_DIMENSION",
     "TableArithmetic",
@@ -73,9 +72,6 @@ __all__ = [
     "mixed_char",
 ]
 
-# The default cap on lift's signing walks: a walk's DP states plus its
-# leaf matrix entries (SigningEngine.walk_entries).
-DEFAULT_BUDGET = 1 << 20
 MAX_VARIABLES = 16
 MAX_DIMENSION = 10
 

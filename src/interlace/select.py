@@ -64,9 +64,10 @@ from .poly import Polynomial, TopRoot, float_top_root, _squarefree, \
     root_clusters, roots_above, shift_chain, EIG_START_POLES
 from .matrices import SymMatrix, _cleared, _coerce_array, _refuse_nonfinite, _vieta, \
     char_poly, charpoly_batch_exact
-from .mixedchar import BudgetExceededError, DEFAULT_BUDGET, TableArithmetic, fold_terms, \
-    _block_swap, _enumerated_char, _sandwiches
-from .graphs import Graph, SigningEngine, frontier_order, signed_adjacency, squared_roots
+from .mixedchar import BudgetExceededError, TableArithmetic, fold_terms, _block_swap, \
+    _enumerated_char, _sandwiches
+from .graphs import DEFAULT_BUDGET, Graph, SigningEngine, frontier_order, signed_adjacency, \
+    squared_roots
 from .tolerances import CERT_TOL, ISO_TOL
 
 __all__ = [
@@ -314,9 +315,10 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
     rooted (:func:`_kth_cluster`); a float walk roots each child as the
     rule reads it, by :func:`float_top_root`, Laguerre's method from
     above, which raises :class:`NotRealRootedError` on a breakdown.  So
-    the second child stays unrooted when the first meets, and the
-    fallback levels are counted in ``fallbacks``.  The two children's
-    lambda_1 straddle the parent's, so the first that meets is the best.
+    the second child stays unformed and unrooted when the first meets
+    (the routes form each child as it is read), and the fallback levels
+    are counted in ``fallbacks``.  The two children's lambda_1 straddle
+    the parent's, so the first that meets is the best.
 
     The conditional polynomials come from one of two routes, outcome
     enumeration (:func:`_enumeration_route`) or the exterior-power engine
@@ -397,7 +399,9 @@ def _kth_cluster(p: Polynomial, k: int) -> TopRoot:
 
 def _enumeration_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
     """Yields the pledge, then each level's children, resuming once the
-    walk has appended the kept index to ``choices``.
+    walk has appended the kept index to ``choices``.  A level's children
+    come as a ``map`` over arguments bound when it is made, so each is
+    formed only when :func:`_keep` reads it.
 
     Every polynomial is the average of char_poly over its outcomes.
     """
@@ -406,7 +410,8 @@ def _enumeration_route(fixed: np.ndarray, rows: list, exact: bool, choices: list
     yield _enumerated_char(base, rows, exact)
     for lvl, row in enumerate(rows):
         outers = [np.outer(v, v) for _, v in row]
-        yield [_enumerated_char(base + o, rows[lvl + 1:], exact) for o in outers]
+        yield map(_enumerated_char, [base + o for o in outers], [rows[lvl + 1:]] * 2,
+                  [exact] * 2)
         base = base + outers[choices[-1]]
 
 
@@ -436,7 +441,7 @@ def _engine_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
         v = a[:, :d]
         ms = list(_sandwiches(parent, w, np.hstack([v, v]), np.hstack([v, -v])))
         base, diff = arith.traces(parent), [0] + arith.traces(ms)
-        yield [arith.from_traces([t + s * x for t, x in zip(base, diff)]) for s in (1, -1)]
+        yield map(arith.from_traces, [[t + s * x for t, x in zip(base, diff)] for s in (1, -1)])
         step = np.subtract if choices[-1] else np.add
         parent = [parent[0]] + [step(t, halve(x + x.T, 2)) for t, x in zip(parent[1:], ms)]
 
@@ -691,12 +696,11 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     certificate's roots are adjacency values, its polynomials in y
     (``final_poly`` q of chi(A_s), ``pledge_poly`` q of mu_G), and
     ``choices`` is 0 for +1 and 1 for -1, in walk order.
-    ``budget`` bounds the walk's work, :meth:`SigningEngine.walk_entries`:
-    the states of its backward DP plus, at every level the walk forms,
-    groups x p^2 entries of the p x p Gram leaves.  The DP's states are
-    counted as its tables grow and the whole sum before the first
-    choice; :class:`BudgetExceededError` is raised when it passes
-    ``budget``.
+    ``budget`` bounds the walk's work, as :class:`SigningEngine` counts
+    it: the states of its backward DP plus, at every level the walk
+    forms, groups x p^2 entries of the p x p Gram leaves.  The DP counts
+    it as its tables grow and raises :class:`BudgetExceededError` as
+    soon as it passes ``budget``, before the first choice.
     """
     if g.regularity() is None:
         raise ValueError("graph is not regular")
@@ -706,11 +710,6 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     relabelled = [tuple(sorted((label[a], label[b]))) for a, b in g.edges]
     walk = Graph(g.n, relabelled)
     engine = SigningEngine(walk, budget)
-    work = engine.walk_entries()
-    if work > budget:
-        raise BudgetExceededError(
-            f"the signing walk costs {work} DP states and leaf entries, over "
-            f"the budget of {budget}")
     mu = engine.chars([])
     pledge = parent = (mu, _kth_cluster(mu, 1))
     signs, levels = [], []

@@ -30,6 +30,9 @@ other ways:
   leaves by Berkowitz's recurrence in Python ints
   (:func:`full_leaf_chars`), against the library's Gram leaves on a
   bipartite graph, and against the forward DP on any graph;
+* a signing walk's work in the unit of ``lift --budget``, summed over
+  an engine's finished tables (:func:`walk_entries`), against the
+  library's count as its DP grows;
 * the signing walk on any regular graph, bipartite or not, on the
   forward DP's Phi_F, keeping the first child whose top root
   :func:`compare_top_roots` puts at or below its parent's
@@ -495,6 +498,23 @@ def full_leaf_chars(g: Graph, tables, signs) -> Polynomial:
                 if w and c:
                     total[j + g.n - nf - 2 * k] += int(w) * c
     return Polynomial(total)
+
+
+def walk_entries(engine) -> int:
+    """A signing walk's work on a :class:`interlace.SigningEngine`, the
+    unit of ``lift --budget``: the DP's states plus, at every level the
+    walk forms, the leaf matrix entries of one row, groups x p^2, p the
+    smaller colour class of V(F).  The walk forms level 0 and each level
+    whose last edge closes a cycle among the edges before it
+    (:meth:`Graph.forest_edges`).  Read off the engine's finished tables;
+    the library counts the same sum while its DP grows."""
+    g, total, verts = engine.g, 0, set()
+    formed = [True] + [not joins for joins in g.forest_edges()]
+    for f, (masks, _) in enumerate(engine.tables):
+        p = len(engine._sides(verts)[0])
+        total += len(masks) * (1 + formed[f] * p * p)
+        verts.update(g.edges[f] if f < g.m else ())
+    return total
 
 
 def oracle_signing_walk(g: Graph):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from interlace import (
 from fixtures import adjacency, complete, complete_bipartite, cycle, path, petersen, \
     walked_cover24
 from oracles import CUBE, forward_signed_chars, full_leaf_chars, in_walk_order, \
-    set_frontier_order
+    set_frontier_order, walk_entries
 from test_acceptance import bounded_degree_graphs, signing_average_graphs
 from paper import godsil_gutman_check, heilmann_lieb_check, laplacian, matching_poly, \
     spectral_approx_factors, _charpoly_sum_over_signings
@@ -337,7 +338,8 @@ def test_expected_signed_chars_empty_prefix_is_matching_poly():
                              signing_average_graphs(), bounded_degree_graphs()):
         mu = matching_poly(g)
         if g.bipartition() is None:
-            assert full_leaf_chars(g, graphs._matching_tables(g, DEFAULT_BUDGET), []) == mu
+            tables = graphs._matching_tables(g, DEFAULT_BUDGET, [0] * (g.m + 1))
+            assert full_leaf_chars(g, tables, []) == mu
         else:
             assert SigningEngine(g).chars([]) == squared_roots(mu)
 
@@ -367,7 +369,7 @@ def _engine_levels(g):
     full-size leaves, and the identity."""
     if g.bipartition() is not None:
         return SigningEngine(g).chars, squared_roots
-    tables = graphs._matching_tables(g, DEFAULT_BUDGET)
+    tables = graphs._matching_tables(g, DEFAULT_BUDGET, [0] * (g.m + 1))
     return (lambda signs: full_leaf_chars(g, tables, signs)), (lambda phi: phi)
 
 
@@ -392,21 +394,31 @@ def test_signing_engine_minus_child_from_parent_matches_oracle(g):
         assert child == plus and 2 * parent - child == minus, f
 
 
+# The 48-vertex cover of K_{3,3} that lift --iterations 4 walks last, in
+# walk order, and its walk's DP states and leaf entries: over the default
+# budget, which its DP's 109,825 states alone fit.
+COVER48_WALK = 9_845_340
+
+
+def _walked_cover48() -> Graph:
+    g = walked_cover24()
+    return in_walk_order(two_lift(g, signing_select(g)[0]))
+
+
 @pytest.mark.parametrize("name", ["cube", "K33", "K44", "cover24", "cover48"])
 def test_gram_leaves_match_full_leaves_by_berkowitz(name):
     # the engine's leaves are p x p Grams B B^T; the oracle takes the same
     # tables with full |V(F)| x |V(F)| leaves by Berkowitz in Python ints,
     # its Phi_F read in y.  The 48-vertex cover's middle levels hold
     # thousands of groups on 20 vertices and more, so it takes its first
-    # and last levels
+    # and last levels, on the budget its walk needs
     named = {"cube": CUBE, "K33": complete_bipartite(3, 3), "K44": complete_bipartite(4, 4)}
-    if name.startswith("cover"):
-        g = walked_cover24()
-        if name == "cover48":
-            g = two_lift(g, signing_select(g)[0])
-        named[name] = in_walk_order(g)
+    if name == "cover24":
+        named[name] = in_walk_order(walked_cover24())
+    elif name == "cover48":
+        named[name] = _walked_cover48()
     g = named[name]
-    engine = SigningEngine(g)
+    engine = SigningEngine(g, COVER48_WALK if name == "cover48" else DEFAULT_BUDGET)
     left = engine.left
     assert left is not None
     levels = range(g.m + 1) if g.m <= 36 else [0, 3, 6, 9, 12, 15, 66, 69, 72]
@@ -464,7 +476,33 @@ def test_signing_engine_leaf_stacks_have_side_v_f(monkeypatch):
         # a walk's work: the DP's states and one row's leaf entries per
         # level it forms
         states = sum(len(m) for m, _ in engine.tables)
-        assert 3 * (engine.walk_entries() - states) == entries
+        assert 3 * (walk_entries(engine) - states) == entries
+
+
+def test_signing_engine_refuses_the_48_vertex_walk_while_its_dp_grows(monkeypatch):
+    # the DP's states fit the default budget, but with the leaf entries of
+    # the levels the walk forms the count passes it while the DP grows:
+    # _matching_tables raises before its tables hold every level
+    g = _walked_cover48()
+    returned = []
+    tables = graphs._matching_tables
+
+    def recorded(*args):
+        returned.append(tables(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(graphs, "_matching_tables", recorded)
+    with pytest.raises(BudgetExceededError, match="DP states and leaf entries") as refused:
+        SigningEngine(g)
+    assert returned == []
+    left = int(re.search(r"with (\d+) of 72 edges left", str(refused.value)).group(1))
+    assert 0 < left < g.m
+    # on the budget its walk needs, the same count, read off the tables
+    engine = SigningEngine(g, COVER48_WALK)
+    states = sum(len(m) for m, _ in engine.tables)
+    assert states == 109_825 <= DEFAULT_BUDGET < walk_entries(engine) == COVER48_WALK
+    with pytest.raises(BudgetExceededError):
+        SigningEngine(g, COVER48_WALK - 1)
 
 
 def test_signing_engine_past_62_vertices_and_edges():
@@ -489,11 +527,13 @@ def test_signing_engine_levels_and_budget():
     assert len(engine.tables) == g.m + 1
     # no edge is taken at level m and no vertex is matched yet at level 0
     assert [len(m) for m, _ in (engine.tables[0], engine.tables[-1])] == [1, 1]
-    # the budget counts every level's states, all before the first level is formed
-    states = sum(len(m) for m, _ in engine.tables)
+    # the budget counts every level's states and the leaf entries of the
+    # levels a walk forms, all before the first level is formed
+    work = walk_entries(engine)
+    assert work > sum(len(m) for m, _ in engine.tables)
     with pytest.raises(BudgetExceededError):
-        SigningEngine(g, budget=states - 1)
-    SigningEngine(g, budget=states)
+        SigningEngine(g, budget=work - 1)
+    SigningEngine(g, budget=work)
     with pytest.raises(ValueError):
         engine.chars([1] * (g.m + 1))
     with pytest.raises(ValueError):

@@ -324,7 +324,7 @@ def test_charpoly_batch_exact_on_signing_engine_leaf_stacks(monkeypatch, name):
     if name == "petersen":
         # the engine refuses a graph that is not bipartite: its full-size
         # |V(F)| x |V(F)| leaves, off the engine's DP tables
-        tables = graphs._matching_tables(g, graphs.DEFAULT_BUDGET)
+        tables = graphs._matching_tables(g, graphs.DEFAULT_BUDGET, [0] * (g.m + 1))
         for f in range(g.m + 1):
             stacks.append(full_leaves(g, tables, rng.choice([-1, 1], f)).astype(np.int64))
     else:

@@ -854,15 +854,20 @@ def _check_float_top_root(p, ref, r, mpmath) -> None:
 
 
 def _weaver_children(vs, monkeypatch) -> list:
-    """Every float polynomial a weaver walk on ``vs`` forms, by either
-    route: the pledge and each level's children, rooted or not."""
+    """Every float polynomial a weaver walk on ``vs`` can form, by either
+    route: the pledge and both children of each level, each level's
+    formed here whether or not the walk reads its second."""
     seen = []
 
     def recorded(route):
         def walk(*args):
-            for step in route(*args):
-                seen.extend(step if isinstance(step, list) else [step])
-                yield step
+            steps = route(*args)
+            seen.append(next(steps))
+            yield seen[-1]
+            for children in steps:
+                children = list(children)
+                seen.extend(children)
+                yield children
         return walk
 
     for name in ("_engine_route", "_enumeration_route"):

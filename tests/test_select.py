@@ -47,7 +47,7 @@ from fixtures import adjacency, complete, complete_bipartite, from_roots, path, 
     random_isotropic, two_point, walked_cover24
 from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, fold_peel_route, forward_signed_chars, \
-    in_walk_order, oracle_signing_walk, ri_level_scores
+    in_walk_order, oracle_signing_walk, ri_level_scores, walk_entries
 from paper import apply_shift_operator, exact_real_roots, have_common_interlacing, \
     is_real_rooted, kth_largest_root, matching_poly, signing_vectors, sturm_root_count, \
     taylor_shift, top_root
@@ -1016,9 +1016,9 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
     passes, prefixes = [], []
     tables, chars = graphs_module._matching_tables, SigningEngine.chars
 
-    def counted(*args):
-        passes.append(args[1:])
-        return tables(*args)
+    def counted(g, budget, leaf):
+        passes.append(budget)
+        return tables(g, budget, leaf)
 
     def recorded(self, signs):
         prefixes.append(len(signs))
@@ -1028,7 +1028,7 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
     monkeypatch.setattr(SigningEngine, "chars", recorded)
     _, cert = signing_select(CUBE)
     assert cert.valid()
-    assert passes == [(select_module.DEFAULT_BUDGET,)]
+    assert passes == [select_module.DEFAULT_BUDGET]
     # one prefix for the pledge and one per level whose edge closes a
     # cycle, its +1 child; the other levels form none
     forest = in_walk_order(CUBE).forest_edges()
@@ -1193,6 +1193,33 @@ def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(mon
     assert calls == {"fold_terms": [1], "_sandwiches": [1] * (2 * (m - 1))}
 
 
+@pytest.mark.parametrize("d, m, seed, route", [(7, 12, 712, "enumerate"), (3, 12, 283, "engine")])
+def test_weaver_forms_a_second_child_only_when_the_first_misses(monkeypatch, d, m, seed, route):
+    # each route hands _keep a level's children as it reads them: the
+    # pledge and every level's first child are formed, and the second only
+    # where the first does not meet, which keeps the second or falls back.
+    # 12 vectors in R^7 enumerate, and 12 in R^3 take the engine, whose
+    # pledge and children all come from traces
+    costs = select_module._walk_costs(2 * d, m - 1)
+    assert (costs["engine"] <= costs["enumerate"]) == (route == "engine")
+    formed = []
+    owner, name = ((select_module, "_enumerated_char") if route == "enumerate"
+                   else (TableArithmetic, "from_traces"))
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        formed.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    _, _, cert = weaver_partition(random_isotropic(d, m, np.random.default_rng(seed)))
+    choices = cert.choices[1:]  # vector 0 is fixed, not walked
+    assert cert.valid()
+    firsts = 1 + len(choices)
+    assert firsts + sum(choices) <= len(formed) <= firsts + sum(choices) + cert.fallbacks \
+        < firsts + len(choices)
+
+
 def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
     calls = []
 
@@ -1207,15 +1234,29 @@ def test_signing_select_budget_is_checked_before_any_kernel_call(monkeypatch):
     walk = Graph(6, [(label[a], label[b]) for a, b in k33.edges])
     engine = SigningEngine(walk)
     states = sum(len(m) for m, _ in engine.tables)
-    work = engine.walk_entries()
+    work = walk_entries(engine)
     assert work > states
-    # the DP passes 8 as it grows; states and then the leaf entries pass the rest
+    # the DP's count of states and leaf entries passes each as it grows
     for budget in (8, states - 1, states, work - 1):
         with pytest.raises(BudgetExceededError):
             signing_select(k33, budget=budget)
         assert calls == []
     signing_select(k33, budget=work)
     assert calls
+
+
+@pytest.mark.parametrize("name", ["K33", "cube", "K44", "cover24"])
+def test_signing_walk_is_refused_exactly_past_the_oracle_work(name):
+    # the library counts a walk's work as its DP grows; the oracle sums it
+    # over the finished tables of the graph in walk order, and the walk
+    # runs on exactly that budget and is refused one below it
+    g = walked_cover24() if name == "cover24" else \
+        {"K33": complete_bipartite(3, 3), "cube": CUBE, "K44": complete_bipartite(4, 4)}[name]
+    work = walk_entries(SigningEngine(in_walk_order(g), 1 << 30))
+    with pytest.raises(BudgetExceededError, match="DP states and leaf entries"):
+        signing_select(g, budget=work - 1)
+    _, cert = signing_select(g, budget=work)
+    assert cert.valid()
 
 
 def test_signing_select_requires_regular():
@@ -1356,7 +1397,7 @@ def _route_polys(route, first, rest, picks) -> list:
     steps = route(fixed, rows, first.dtype == object, choices)
     out = [[next(steps)]]
     for pick, children in zip(picks, steps):
-        out.append(children)
+        out.append(list(children))
         choices.append(pick)
     return out
 
