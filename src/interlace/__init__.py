@@ -34,9 +34,9 @@ from .graphs import (
     DEFAULT_BUDGET,
     Graph,
     signed_adjacency,
+    signed_gram,
     SigningEngine,
     frontier_order,
-    squared_roots,
     two_lift,
     is_ramanujan_bipartite,
 )

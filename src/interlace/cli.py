@@ -13,12 +13,13 @@ mixedchar mixed characteristic polynomial of a PSD list: --mode, --out
 Inputs are JSON (vector systems, matrix lists) or edge-list text
 (graphs); ``-`` reads stdin.  Exit codes: 0 success, 1 certificate
 invariant violated, 2 parse error, 3 precondition failure, 4 budget
-exceeded, 5 numerical failure (a root routine could not certify a
-polynomial real-rooted: the Laguerre loop broke down in
-``float_top_root``, or the float derivative chain missed a sign change
-beyond ``BACKWARD_TOL``; every polynomial a command roots is real-rooted
-by theorem, so only round-off or a fault makes it 5; or a result to
-print is infinite or NaN, which strict JSON cannot carry).
+exceeded (``--budget``, or "out of memory" if an allocation failed), 5
+numerical failure (a root routine could not certify a polynomial
+real-rooted: the Laguerre loop broke down in ``float_top_root``, or the
+float derivative chain missed a sign change beyond ``BACKWARD_TOL``;
+every polynomial a command roots is real-rooted by theorem, so only
+round-off or a fault makes it 5; or a result to print is infinite or
+NaN, which strict JSON cannot carry).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .poly import real_roots, roots_above, root_clusters, NotRealRootedError
 from .matrices import SymMatrix
 from .mixedchar import mixed_char, BudgetExceededError
-from .graphs import DEFAULT_BUDGET, Graph, is_ramanujan_bipartite, two_lift
+from .graphs import DEFAULT_BUDGET, Graph, is_ramanujan_bipartite, signed_adjacency, two_lift
 from .select import VectorSystem, restricted_invertibility_select, \
     restricted_invertibility_bound, weaver_partition, weaver_bound, signing_select, \
     WALK_BUDGET
@@ -277,9 +278,9 @@ def cmd_lift(args) -> int:
     ok = certified = True
     for it in range(args.iterations):
         signs, cert = signing_select(g, budget=args.budget)
-        lam = float(np.max(cert.realized.eigenvalues()))  # A_s, what the walk realized
+        lam = float(np.max(signed_adjacency(g, signs).eigenvalues()))
         valid = cert.valid()
-        # signing_select has checked final_poly, q with chi(A_s) = x^e q(x^2), exactly
+        # final_poly, chi(B_s B_s^T), is the walk's checked last q: chi(A_s)(x) = final_poly(x^2)
         bounded = roots_above(cert.final_poly, 4 * (d - 1)) == 0
         lift = two_lift(g, signs)
         # spec(lift) = spec(A) + spec(A_s) (Bilu-Linial) and a lift stays
@@ -404,6 +405,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as e:  # numpy's _ArrayMemoryError among them
+        print(f"budget exceeded: out of memory ({str(e) or type(e).__name__})", file=sys.stderr)
         return EXIT_BUDGET
     except (NotRealRootedError, NonFiniteResult) as e:
         print(f"numerical failure: {e}", file=sys.stderr)

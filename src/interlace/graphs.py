@@ -4,9 +4,9 @@ signings, 2-lifts, and Ramanujan certificates.
 Graphs are simple (no loops, no parallel edges) and unweighted,
 vertices are integers ``0..n-1``, and edges are stored as sorted pairs.
 A signing of g is a +-1 per edge of ``g.edges``, in order: a sequence
-of ``g.m`` signs.  :func:`signed_adjacency` and :func:`two_lift` take
-one, :meth:`SigningEngine.chars` takes a prefix of one, and all three
-check it by :func:`_sign_prefix`.
+of ``g.m`` signs.  :func:`signed_adjacency`, :func:`signed_gram` and
+:func:`two_lift` take one, :meth:`SigningEngine.chars` takes a prefix of
+one, and each checks it by :func:`_sign_prefix`.
 
 The spectral story: a signing flips adjacency entries to -1 on chosen
 edges.  Averaging the characteristic polynomial over all 2^{|E|}
@@ -26,7 +26,9 @@ call forms one level's q_F for one sign prefix; the signing walk in
 so the cost does not depend on how the vertices are numbered.  A signing whose
 signed adjacency meets the bound produces a 2-lift whose new eigenvalues
 are precisely the signed spectrum, which is how bipartite Ramanujan
-graphs of every degree are built by repeated lifting.
+graphs of every degree are built by repeated lifting.  The walk's
+certificate and :func:`is_ramanujan_bipartite` take chi at half degree
+too, of the n/2 x n/2 Gram of a signed biadjacency (:func:`signed_gram`).
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ __all__ = [
     "DEFAULT_BUDGET",
     "Graph",
     "signed_adjacency",
+    "signed_gram",
     "SigningEngine",
     "frontier_order",
-    "squared_roots",
     "two_lift",
     "is_ramanujan_bipartite",
 ]
@@ -206,6 +208,21 @@ def signed_adjacency(g: Graph, signs) -> SymMatrix:
     for (u, v), s in zip(g.edges, signs):
         a[u, v] = a[v, u] = s
     return SymMatrix(a)
+
+
+def signed_gram(g: Graph, signs) -> SymMatrix:
+    """B_s B_s^T for a signing of bipartite g (ValueError if not), B_s
+    the rows of :func:`signed_adjacency` on the side
+    :meth:`Graph.bipartition` returns, its columns on the other, both
+    sorted.  On equal sides, as of every d-regular g with d >= 1, A_s is
+    [[0, B_s], [B_s^T, 0]] up to the vertex order, so chi(A_s)(x) =
+    chi(B_s B_s^T)(x^2): its roots are A_s's eigenvalues squared."""
+    left = g.bipartition()
+    if left is None:
+        raise ValueError("graph is not bipartite")
+    right = sorted(set(range(g.n)) - left)
+    b = signed_adjacency(g, signs).a[np.ix_(sorted(left), right)].astype(np.int64)
+    return SymMatrix(b @ b.T)
 
 
 # ----------------------------------------------------------------------
@@ -420,21 +437,6 @@ def frontier_order(g: Graph) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def squared_roots(chi: Polynomial) -> Polynomial:
-    """q with ``chi(x) = x^e q(x^2)``, e the parity of chi's degree.
-
-    The characteristic polynomial of a bipartite (signed) graph and every
-    matching polynomial have this form, and q's roots are the squares of
-    chi's roots, one per pair +-lambda.  With chi exact and real-rooted,
-    ``roots_above(q, b^2)`` counts the pairs with |lambda| > b exactly.
-    Raises ValueError if chi has a term of the other parity.
-    """
-    e = chi.degree % 2
-    if any(chi.coeffs[1 - e::2]):
-        raise ValueError("polynomial is neither even nor odd")
-    return Polynomial(chi.coeffs[e::2])
-
-
 def two_lift(g: Graph, signs) -> Graph:
     """The 2-cover determined by a signing of g (see the module docstring).
 
@@ -460,25 +462,18 @@ def is_ramanujan_bipartite(g: Graph) -> bool:
 
     Requires a connected, d-regular, bipartite graph; one eigenvalue at
     +d and one at -d are the trivial pair and are excluded.  Its sides
-    have n/2 vertices each, and with B the n/2 x n/2 biadjacency, A =
-    [[0, B], [B^T, 0]] and chi(A)(x) = q(x^2) for q = chi(B B^T), taken
-    in integers at side n/2: q(d^2) = 0 is the trivial pair, and the
-    graph is Ramanujan when no other root of q lies above 4(d-1).  d^2
-    itself lies above it except at d = 2, where d^2 = 4(d-1).
+    have n/2 vertices each, and chi(A)(x) = q(x^2) for q the chi of the
+    n/2 x n/2 Gram :func:`signed_gram` with every sign +1, taken in
+    integers: q(d^2) = 0 is the trivial pair, and the graph is Ramanujan
+    when no other root of q lies above 4(d-1).  d^2 itself lies above it
+    except at d = 2, where d^2 = 4(d-1).
     """
     if not g.is_connected():
         raise ValueError("graph is not connected")
     d = g.regularity()
     if d is None:
         raise ValueError("graph is not regular")
-    left = g.bipartition()
-    if left is None:
-        raise ValueError("graph is not bipartite")
-    if g.n <= 2:
-        return True  # the trivial pair is the whole spectrum
-    right = set(range(g.n)) - left
-    b = signed_adjacency(g, [1] * g.m).a[np.ix_(sorted(left), sorted(right))].astype(np.int64)
-    q = char_poly(SymMatrix(b @ b.T))
+    q = char_poly(signed_gram(g, [1] * g.m))
     if q(d * d) != 0:
         raise AssertionError("connected regular bipartite graph missing trivial eigenvalues")
     return roots_above(q, 4 * (d - 1)) == int(d != 2)

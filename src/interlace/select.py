@@ -49,7 +49,8 @@ Three instantiations:
   Its spanning-forest levels form no child, and :func:`_keep` decides
   the others, the -1 child, formed only when +1 misses, by exact root
   counts like every exact child.
-  Its last polynomial is checked equal to q of chi(A_s).
+  Its last polynomial is checked equal to chi(B_s B_s^T), B_s the
+  signed biadjacency.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ from .matrices import SymMatrix, _cleared, _coerce_array, _refuse_nonfinite, _vi
     char_poly, charpoly_batch_exact
 from .mixedchar import BudgetExceededError, TableArithmetic, fold_terms, _block_swap, \
     _enumerated_char, _sandwiches
-from .graphs import DEFAULT_BUDGET, Graph, SigningEngine, frontier_order, signed_adjacency, \
-    squared_roots
+from .graphs import DEFAULT_BUDGET, Graph, SigningEngine, frontier_order, signed_gram
 from .tolerances import CERT_TOL, ISO_TOL
 
 __all__ = [
@@ -177,8 +177,8 @@ class SelectionCertificate:
 
     ``pledged`` is lambda_k of the root expected polynomial, ``levels``
     the lambda_k of the child :func:`_keep` kept after each fixing,
-    ``realized`` the matrix the walk realized (a Gram sum, or A_s for
-    signings), ``final_poly`` its characteristic polynomial and
+    ``realized`` the matrix the walk realized (a Gram sum, or B_s B_s^T
+    for signings), ``final_poly`` its characteristic polynomial and
     ``achieved`` its lambda_k; the keep rule makes achieved >= pledged
     (maximize) resp. <= (minimize).  On exact walks ``final_poly`` is the
     last kept child up to a positive factor, ``achieved`` is ``levels[-1]``,
@@ -188,9 +188,9 @@ class SelectionCertificate:
     counts the float levels at which :func:`_keep` fell back; ``scored``,
     the children :func:`restricted_invertibility_select` formed per level
     in its batches, stays empty for other walks.  A signing walk's
-    ``final_poly``, ``pledge_poly`` and ``pledge_root`` are in y = x^2
-    (:func:`signing_select`), its ``levels``, ``pledged`` and ``achieved``
-    in adjacency units, the square roots of their y roots.
+    ``realized``, ``final_poly``, ``pledge_poly`` and ``pledge_root`` are
+    in y = x^2 (:func:`signing_select`), its ``levels``, ``pledged`` and
+    ``achieved`` in adjacency units, the square roots of their y roots.
     """
 
     choices: list
@@ -352,23 +352,21 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
         choices.append(keep)
     realized = [fixed] + [row[j][1] for row, j in zip(rows, choices)]
     cert = _certificate(choices, levels, pledge, parent, VectorSystem(realized).gram_sum(), 1,
-                        "minimize", False)
+                        "minimize")
     cert.fallbacks = fallbacks
     return cert
 
 
 def _certificate(choices: list, levels: list, pledge, last, realized: SymMatrix, k: int,
-                 direction: str, squared: bool) -> SelectionCertificate:
+                 direction: str) -> SelectionCertificate:
     """The certificate of a walk, from its pledge, its last kept child and
-    the matrix it realized (a Gram sum, or A_s for signings).
+    the Gram sum it realized (B_s B_s^T for signings, whose walk is in y).
 
     An exact walk passes ``pledge`` and ``last`` as (polynomial, cluster)
     pairs, the clusters it rooted on the way: chi of ``realized`` must be
     the last kept child up to a positive factor (:class:`AssertionError`
     if not), and the clusters' roots are ``pledged`` and ``achieved``, so
-    no root is taken here; with ``squared``, a signing walk's, chi is read
-    in y (:func:`squared_roots`) and the roots by their square roots.
-    A float walk passes its pledged float
+    no root is taken here.  A float walk passes its pledged float
     lambda_k, and one ``eigvalsh`` of ``realized`` gives ``final_poly``
     (by Vieta) and ``achieved``, its lambda_k.
     """
@@ -377,12 +375,9 @@ def _certificate(choices: list, levels: list, pledge, last, realized: SymMatrix,
         return SelectionCertificate(choices, Polynomial(_vieta(w[None])[0]), float(w[-k]),
                                     pledge, k, direction, levels, realized=realized)
     final = char_poly(realized)
-    if squared:
-        final = squared_roots(final)
     if final.monic() != last[0].monic() or final.leading() * last[0].leading() <= 0:
         raise AssertionError("chi of what the walk realized is not its last kept polynomial")
-    root = math.sqrt if squared else float
-    return SelectionCertificate(choices, final, root(last[1].root), root(pledge[1].root), k,
+    return SelectionCertificate(choices, final, float(last[1].root), float(pledge[1].root), k,
                                 direction, levels, pledge_poly=pledge[0],
                                 pledge_root=pledge[1], realized=realized)
 
@@ -541,7 +536,7 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
         chosen.append(free[keep])
         levels.append(level)
     cert = _certificate(chosen, levels, pledge, parent,
-                        VectorSystem(system.vectors[chosen]).gram_sum(), k, "maximize", False)
+                        VectorSystem(system.vectors[chosen]).gram_sum(), k, "maximize")
     cert.scored, cert.fallbacks = scored, fallbacks
     return chosen, cert
 
@@ -688,14 +683,16 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     the next level's parent, and its largest root never exceeds its
     parent's, so the final signing's top eigenvalue is at most the
     pledge.  The last kept child, every sign fixed, is q of chi(A_s)
-    whatever the labels, and :func:`_certificate` checks it exactly
-    against chi of the n x n A_s (:class:`AssertionError` if not).
+    whatever the labels, which is chi of the n/2 x n/2 Gram B_s B_s^T on
+    g's own labels (:func:`signed_gram`): :func:`_certificate` checks
+    the two equal exactly (:class:`AssertionError` if not).
     Returns (signs, certificate).  ``signs`` is a signing of g, a +-1 per
     edge of ``g.edges`` in order (see :mod:`interlace.graphs`), each
     walk sign put back at its edge's position in ``g.edges``.  The
-    certificate's roots are adjacency values, its polynomials in y
-    (``final_poly`` q of chi(A_s), ``pledge_poly`` q of mu_G), and
-    ``choices`` is 0 for +1 and 1 for -1, in walk order.
+    certificate's roots are adjacency values, its ``realized`` B_s B_s^T
+    and its polynomials in y (``final_poly`` chi(B_s B_s^T),
+    ``pledge_poly`` q of mu_G), and ``choices`` is 0 for +1 and 1 for -1,
+    in walk order.
     ``budget`` bounds the walk's work, as :class:`SigningEngine` counts
     it: the states of its backward DP plus, at every level the walk
     forms, groups x p^2 entries of the p x p Gram leaves.  The DP counts
@@ -722,7 +719,8 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     at = {e: j for j, e in enumerate(walk.edges)}
     g_signs = [signs[at[e]] for e in relabelled]
     cert = _certificate([0 if s == 1 else 1 for s in signs], levels, pledge, parent,
-                        signed_adjacency(g, g_signs), 1, "minimize", True)
+                        signed_gram(g, g_signs), 1, "minimize")
+    cert.pledged, cert.achieved = math.sqrt(cert.pledged), math.sqrt(cert.achieved)
     return g_signs, cert
 
 

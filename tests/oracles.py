@@ -30,6 +30,10 @@ other ways:
   leaves by Berkowitz's recurrence in Python ints
   (:func:`full_leaf_chars`), against the library's Gram leaves on a
   bipartite graph, and against the forward DP on any graph;
+* the polynomial of a signing in y = x^2 read off its full-degree
+  chi(A_s) = x^e q(x^2) (:func:`squared_roots`), against the library's
+  chi of the half-size Gram B_s B_s^T (``graphs.signed_gram``), the
+  signing walk's ``final_poly``;
 * a signing walk's work in the unit of ``lift --budget``, summed over
   an engine's finished tables (:func:`walk_entries`), against the
   library's count as its DP grows;
@@ -498,6 +502,21 @@ def full_leaf_chars(g: Graph, tables, signs) -> Polynomial:
                 if w and c:
                     total[j + g.n - nf - 2 * k] += int(w) * c
     return Polynomial(total)
+
+
+def squared_roots(chi: Polynomial) -> Polynomial:
+    """q with ``chi(x) = x^e q(x^2)``, e the parity of chi's degree.
+
+    The characteristic polynomial of a bipartite (signed) graph and every
+    matching polynomial have this form, and q's roots are the squares of
+    chi's roots, one per pair +-lambda.  With chi exact and real-rooted,
+    ``roots_above(q, b^2)`` counts the pairs with |lambda| > b exactly.
+    Raises ValueError if chi has a term of the other parity.
+    """
+    e = chi.degree % 2
+    if any(chi.coeffs[1 - e::2]):
+        raise ValueError("polynomial is neither even nor odd")
+    return Polynomial(chi.coeffs[e::2])
 
 
 def walk_entries(engine) -> int:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from interlace.graphs import Graph, squared_roots
+from interlace.graphs import Graph
 from interlace.matrices import SymMatrix, charpoly_batch_exact, _coerce_array
 from interlace.poly import Polynomial, ZeroPolynomialError, NotRealRootedError, \
     real_roots, root_clusters, roots_above, _float_roots, _normalize_scalar, \
@@ -357,6 +357,7 @@ def heilmann_lieb_check(g: Graph) -> bool:
     mu_G is real-rooted and of the form x^e q(x^2) (``squared_roots``),
     so the bound holds when q has no root above the integer 4(d-1).
     """
+    from oracles import squared_roots  # oracles imports this module
     d = max(g.degree_sequence(), default=0)
     if d < 2:
         raise ValueError("maximum degree must be at least 2")

@@ -4,7 +4,6 @@ Each test drives ``main`` directly with argv lists, captures the JSON
 payload, and checks both the payload and the exit code.
 """
 
-import dataclasses
 import json
 import math
 import subprocess
@@ -15,9 +14,11 @@ import numpy as np
 import pytest
 
 import interlace.cli
-from interlace import NotRealRootedError, signed_adjacency, signing_select
+from interlace import Graph, NotRealRootedError, char_poly, is_ramanujan_bipartite, \
+    signed_adjacency, signing_select, two_lift
 from interlace.cli import main
 from fixtures import complete_bipartite, cycle, random_isotropic
+from oracles import CUBE, squared_roots
 from paper import matching_poly, top_root
 
 
@@ -200,12 +201,6 @@ def test_lift_three_iterations_reach_48_vertices(capsys, tmp_path):
     assert payload["final_n"] == 48
 
 
-def _faked_walk(graph, signs, cert):
-    """A signing walk's result faked to ``signs``, its certificate ``cert``
-    on that signing's A_s, which lift reads lambda_max_signed off."""
-    return signs, dataclasses.replace(cert, realized=signed_adjacency(graph, signs))
-
-
 def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monkeypatch):
     # the all-+1 signing of K_{3,3} has lambda = 3 > 2 sqrt(2); with a valid
     # walk certificate beside it, only the exact signed bound can refuse it
@@ -214,7 +209,7 @@ def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monk
     g = complete_bipartite(3, 3)
     _, cert = signing_select(g)
     monkeypatch.setattr(interlace.cli, "signing_select",
-                        lambda graph, budget: _faked_walk(graph, [1] * graph.m, cert))
+                        lambda graph, budget: ([1] * graph.m, cert))
     code, payload = run_cli(capsys, ["lift", str(k33)])
     assert code == 1
     step = payload["steps"][0]
@@ -233,7 +228,7 @@ def test_lift_balanced_signing_of_a_cycle_is_not_certified(capsys, tmp_path, mon
     _, cert = signing_select(g)
     balanced = [-1 if 3 in e else 1 for e in g.edges]  # switching at vertex 3
     monkeypatch.setattr(interlace.cli, "signing_select",
-                        lambda graph, budget: _faked_walk(graph, balanced, cert))
+                        lambda graph, budget: (balanced, cert))
     code, payload = run_cli(capsys, ["lift", str(c8)])
     assert code == 1
     step = payload["steps"][0]
@@ -262,6 +257,92 @@ def test_lift_budget_exceeded_exit_4(capsys, tmp_path):
     assert code == 4
     assert captured.out == ""
     assert "budget exceeded" in captured.err
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 235. MiB for an array"),
+     "Unable to allocate 235. MiB for an array"),
+    (MemoryError(), "MemoryError")])
+def test_lift_out_of_memory_exit_4(capsys, tmp_path, monkeypatch, error, message):
+    # an allocation that fails in the signing DP (numpy's _ArrayMemoryError
+    # is a MemoryError) is refused like a walk past its budget, with no
+    # traceback
+    def exhausted(g, budget, leaf):
+        raise error
+
+    monkeypatch.setattr(interlace.graphs, "_matching_tables", exhausted)
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    code = main(["lift", str(k33)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: out of memory ({message})\n"
+
+
+def test_lift_forms_every_exact_char_poly_at_half_the_vertices(capsys, tmp_path, monkeypatch):
+    # chi(A_s)(x) = chi(B_s B_s^T)(x^2) on a regular bipartite graph, so the
+    # signing DP's leaves, the walk's certificate and the Ramanujan test
+    # all take chi of a Gram on one side: no exact kernel call of lift gets
+    # a matrix past n/2 x n/2 for the n-vertex graph it walks
+    walked, seen = [6], []
+    kernel, walk = interlace.matrices.charpoly_batch_exact, interlace.cli.signing_select
+
+    def recorded_kernel(mats):
+        seen.append((walked[-1], max(mats.shape[1:])))
+        return kernel(mats)
+
+    def recorded_walk(graph, budget):
+        walked.append(graph.n)
+        return walk(graph, budget)
+
+    for module in (interlace.matrices, interlace.graphs, interlace.select):
+        monkeypatch.setattr(module, "charpoly_batch_exact", recorded_kernel)
+    monkeypatch.setattr(interlace.cli, "signing_select", recorded_walk)
+    k33 = tmp_path / "k33.txt"
+    k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
+    code, _ = run_cli(capsys, ["lift", str(k33), "--iterations", "3"])
+    assert code == 0 and walked == [6, 6, 12, 24]
+    assert {n for n, _ in seen} == {6, 12, 24}
+    assert all(side <= n // 2 for n, side in seen), max(seen, key=lambda t: t[1] / t[0])
+
+
+def _bench_cover24(seed: int) -> Graph:
+    """A 24-vertex cubic Ramanujan graph drawn as the bench draws its
+    cover: two random connected Ramanujan 2-lifts of K_{3,3}, its
+    vertices then relabelled at random."""
+    rng = np.random.default_rng(seed)
+    g = complete_bipartite(3, 3)
+    while g.n < 24:
+        lift = two_lift(g, [int(s) for s in rng.choice([1, -1], size=g.m)])
+        if lift.is_connected() and is_ramanujan_bipartite(lift):
+            g = lift
+    perm = rng.permutation(g.n)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+@pytest.mark.parametrize("g, iterations", [
+    (complete_bipartite(3, 3), 3), (complete_bipartite(4, 4), 2), (CUBE, 1),
+    (_bench_cover24(24), 1)], ids=["K33x3", "K44x2", "cube", "cover24"])
+def test_lift_steps_against_full_degree_chi_and_a_direct_ramanujan_test(
+        capsys, tmp_path, g, iterations):
+    # every step's walk, rerun on the graph it lifted, has final_poly q of
+    # the full-degree chi(A_s) = x^e q(x^2), the identity the certificate
+    # reads at half degree; and the printed lift_ramanujan, Bilu-Linial's
+    # shortcut on the signed bound, agrees with a direct Gram test of the
+    # printed lift
+    path = tmp_path / "g.txt"
+    path.write_text("".join(f"{a} {b}\n" for a, b in g.edges))
+    code, payload = run_cli(capsys, ["lift", str(path), "--iterations", str(iterations)])
+    assert code == 0 and len(payload["steps"]) == iterations
+    for step in payload["steps"]:
+        signs, cert = signing_select(g)
+        assert signs == step["signs"]
+        assert cert.final_poly == squared_roots(char_poly(signed_adjacency(g, signs)))
+        lift = two_lift(g, signs)
+        assert [list(e) for e in lift.edges] == step["lift_edges"]
+        assert is_ramanujan_bipartite(lift) == step["lift_ramanujan"]
+        g = lift
 
 
 def test_lift_default_budget_stops_the_fourth_lift_of_k33(capsys, tmp_path):

@@ -12,6 +12,7 @@ from interlace import graphs
 from interlace import (
     Graph,
     signed_adjacency,
+    signed_gram,
     frontier_order,
     two_lift,
     is_ramanujan_bipartite,
@@ -21,7 +22,6 @@ from interlace import (
     charpoly_batch_exact,
     real_roots,
     roots_above,
-    squared_roots,
     BudgetExceededError,
     SigningEngine,
     signing_select,
@@ -29,7 +29,7 @@ from interlace import (
 from fixtures import adjacency, complete, complete_bipartite, cycle, path, petersen, \
     walked_cover24
 from oracles import CUBE, forward_signed_chars, full_leaf_chars, in_walk_order, \
-    set_frontier_order, walk_entries
+    set_frontier_order, squared_roots, walk_entries
 from test_acceptance import bounded_degree_graphs, signing_average_graphs
 from paper import godsil_gutman_check, heilmann_lieb_check, laplacian, matching_poly, \
     spectral_approx_factors, _charpoly_sum_over_signings
@@ -679,6 +679,21 @@ def test_signed_bound_is_exact_at_equality():
     c8, k33 = cycle(8), complete_bipartite(3, 3)
     assert roots_above(squared_roots(_exact_char(c8, [1] * c8.m)), 4) == 0
     assert roots_above(squared_roots(_exact_char(k33, [1] * k33.m)), 8) == 1
+
+
+@pytest.mark.parametrize("g", [CUBE, complete_bipartite(4, 4), cycle(8), walked_cover24()],
+                         ids=["cube", "K44", "C8", "cover24"])
+def test_signed_gram_is_chi_of_a_s_at_half_degree(g):
+    # on equal sides chi(A_s)(x) = chi(B_s B_s^T)(x^2), whatever the labels
+    rng = np.random.default_rng(67)
+    perm = rng.permutation(g.n)
+    h = Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+    for s in _random_signings(rng, h, 3):
+        gram = signed_gram(h, s)
+        assert gram.n == h.n // 2
+        assert char_poly(gram) == squared_roots(_exact_char(h, s))
+    with pytest.raises(ValueError, match="not bipartite"):
+        signed_gram(complete(4), [1] * 6)
 
 
 def test_squared_roots_splits_even_and_odd_polynomials():

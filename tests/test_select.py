@@ -35,7 +35,6 @@ from interlace import (
     Graph,
     SigningEngine,
     signed_adjacency,
-    squared_roots,
     frontier_order,
 )
 import interlace.graphs as graphs_module
@@ -47,7 +46,7 @@ from fixtures import adjacency, complete, complete_bipartite, from_roots, path, 
     random_isotropic, two_point, walked_cover24
 from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expected_poly, \
     convex_combinations_real_rooted, enumeration_walk, fold_peel_route, forward_signed_chars, \
-    in_walk_order, oracle_signing_walk, ri_level_scores, walk_entries
+    in_walk_order, oracle_signing_walk, ri_level_scores, squared_roots, walk_entries
 from paper import apply_shift_operator, exact_real_roots, have_common_interlacing, \
     is_real_rooted, kth_largest_root, matching_poly, signing_vectors, sturm_root_count, \
     taylor_shift, top_root
@@ -868,9 +867,10 @@ def _random_cubic_bipartite(half: int, seed: int) -> Graph:
 @pytest.mark.parametrize("g", [CUBE, complete_bipartite(3, 3), complete_bipartite(4, 4)],
                          ids=["cube", "K33", "K44"])
 def test_signing_select_final_poly_is_chi_of_the_signed_gram(g):
-    # the walk takes final_poly from chi(A_s) read in y, checked equal to
-    # its last q; chi(A_s) shifted by -d is chi of the signing vectors'
-    # Gram sum A_s + dI.  achieved is the last level, its top root
+    # the walk takes final_poly from chi(B_s B_s^T), checked equal to its
+    # last q, which is chi(A_s) read in y; chi(A_s) shifted by -d is chi
+    # of the signing vectors' Gram sum A_s + dI.  achieved is the last
+    # level, its top root
     signing, cert = signing_select(g)
     d = g.regularity()
     chi = char_poly(signed_adjacency(g, signing))
@@ -881,8 +881,8 @@ def test_signing_select_final_poly_is_chi_of_the_signed_gram(g):
 
 
 def test_signing_select_raises_when_chi_of_a_s_is_not_its_last_polynomial(monkeypatch):
-    # a chi of the realization (A_s, or the Gram sum of exact ri and weaver
-    # walks) off by one in its constant coefficient; the exact check of the
+    # a chi of the realization (B_s B_s^T, or the Gram sum of exact ri and
+    # weaver walks) off by one in its constant coefficient; the exact check of the
     # one certificate builder sees a change of any coefficient, not just of
     # the top root, and a factor of -1
     def off_by_one(a):
