@@ -41,10 +41,10 @@ the shift operator to batches of real roots, one bracketed
 secular-equation solve per factor, so its output is real-rooted by
 construction.  Up to ``EIG_START_POLES`` (40) poles a row, the solves
 start from the eigenvalues of the diagonal-plus-rank-one matrix whose
-characteristic polynomial the shift produces, and only polish them;
+characteristic polynomial the shift produces, and most stop there;
 above that the eigenvalues cost more than the steps they save.  A chain
-checks its arguments once and re-sorts no output row, so j shifts cost
-one call.
+checks its arguments once and keeps its buffers, so j shifts cost one
+call.
 """
 
 from __future__ import annotations
@@ -222,9 +222,10 @@ class Polynomial:
 
 # The most poles a row may have for the shift to start from eigenvalues
 # (see shift_chain).  The cut is the measured crossover: on the 8-row
-# calls of a float ri walk at n = 128, a started call took 0.6-0.7x the
-# time of an unstarted one at 25-32 poles, about the same at 37-48, and
-# 1.05-1.3x from 49 poles up (2-vCPU x86 host, numpy with OpenBLAS).
+# steps of a float ri walk at n = 128, a started step took 0.7-0.85x the
+# time of an unstarted one at 22-32 poles, 0.94-1.0x at 33-39, 1.04x at
+# 40-45 and 1.05-1.2x from 46 poles up (2-vCPU x86 host, numpy with
+# OpenBLAS).
 EIG_START_POLES = 40
 
 
@@ -261,19 +262,16 @@ def shift_chain(roots, zeros: int, c, steps: int):
     above ``EIG_START_POLES`` (40) poles, where they cost more than the
     steps they save, every unknown starts from there.
 
-    Each gap is then solved by Gragg-style two-pole rational steps: the poles
-    below the iterate are modelled by ``a + A/(x - lo)``, those above by
-    ``a' + B/(x - hi)``, with A, B matched to the derivatives, and the
-    model's one root in the gap is the next iterate.  A step that leaves
-    the current sign-change bracket is replaced by its midpoint.  An entry
-    stops once the residual is within the rounding error of evaluating the
-    sum, or once the bracket holds no float between its ends.  The brackets
-    and the stop do not depend on the start, so the output is real-rooted
-    and interlacing whichever start an unknown took; a started one
-    typically stops after one or two steps.
-
-    The chain checks its arguments once, and after the first step, whose
-    rows are sorted descending, sorts a step's poles only when a negative
+    Each solver pass evaluates the pole sums at every unknown and stops
+    one once its residual is within the rounding error of the sum, or its
+    sign-change bracket holds no float inside; only while some unknown is
+    left does it form the update, a two-pole step (:func:`_two_pole_root`)
+    or the bracket's midpoint.  The brackets and the stop do not depend on
+    the start, so the output is real-rooted and interlacing whichever
+    start an unknown took.  A started step takes about two passes, the
+    second forming no update, and one from gap midpoints about seven.  The
+    chain keeps its poles, weights, iterates and scratch in buffers sized
+    once, and past the first step sorts the poles only when a negative
     root puts the zero pole among them: bit for bit as many one-step calls.
     """
     roots = np.asarray(roots, dtype=float)
@@ -288,27 +286,34 @@ def shift_chain(roots, zeros: int, c, steps: int):
         raise ValueError("the shift 1 - cD keeps real roots only for c >= 0")
     if steps == 0:
         return roots, zeros
-    if c == 0:
+    nrows, d = roots.shape
+    if c == 0 or not d + zeros:
         return -np.sort(-roots, axis=1), zeros
-    nrows = roots.shape[0]
-    every_row = np.arange(nrows)[:, None]
+    width = d + min(zeros, steps)  # the last step's poles, the output's columns
+    # Column 0 of the poles holds the upper end of the top root's bracket.
+    poles, iterate = np.empty((2, nrows, width + 1))
+    weights = np.empty((nrows, width))
+    # the (rows, unknown, pole) terms; fresh arrays cost more in page faults
+    scratch = np.empty(2 * nrows * width * width)
+    poles[:, 1:d + 1] = roots
     for step in range(steps):
-        d = roots.shape[1]
         npoles = d + (zeros > 0)
-        if npoles == 0:
-            return np.empty((nrows, 0)), 0
-        mu, w = roots, np.ones((nrows, npoles))
+        mu, w = poles[:, 1:npoles + 1], weights[:, :npoles]
+        w.fill(1.0)
         if zeros:
-            mu = np.concatenate([roots, np.zeros((nrows, 1))], axis=1)
-            w[:, -1] = zeros
+            mu[:, d] = 0.0
+            w[:, d] = zeros
         # Past the first step each row is sorted descending, so a zero
         # pole below every root already sits where a stable sort puts it.
-        if step == 0 or (zeros and not (roots[:, -1] >= 0).all()):
+        if step == 0 or (zeros and not (mu[:, d - 1] >= 0).all()):
             order = np.argsort(-mu, axis=1, kind="stable")
-            mu, w = mu[every_row, order], w[every_row, order]
-        roots = _secular_step(mu, w, c, (d + zeros) * c)
-        zeros = max(zeros - 1, 0)
-    return roots, zeros
+            mu[:] = np.take_along_axis(mu, order, axis=1)
+            w[:] = np.take_along_axis(w, order, axis=1)
+        _secular_step(poles[:, :npoles + 1], w, c, (d + zeros) * c,
+                      iterate[:, 1:npoles + 1], scratch)
+        poles, iterate = iterate, poles
+        d, zeros = npoles, max(zeros - 1, 0)
+    return poles[:, 1:].copy(), zeros
 
 
 # _pole_masks of up to EIG_START_POLES poles, built once.  Past that a
@@ -331,87 +336,80 @@ def _pole_masks(npoles: int) -> np.ndarray:
     return masks
 
 
-def _secular_step(mu, w, c: float, top_width: float) -> np.ndarray:
-    """One step of :func:`shift_chain` on poles ``mu`` (rows sorted
-    descending) of weights ``w``: the roots of sum_j w_j / (x - mu_j)
-    = 1/c, one per gap and one in (mu_0, mu_0 + top_width]."""
+def _secular_step(ends, w, c: float, top_width: float, x, scratch) -> None:
+    """One step of :func:`shift_chain` on poles mu = ``ends[:, 1:]``, rows
+    sorted descending, of weights ``w``: writes into ``x`` the roots of
+    sum_j w_j / (x - mu_j) = 1/c, one per gap and one in (mu_0, mu_0 +
+    top_width], and that end into ``ends[:, 0]``."""
+    # Unknown i lives in (mu_i, mu_(i-1)); unknown 0 in (mu_0, mu_0 + W c].
+    np.add(ends[:, 1], top_width, out=ends[:, 0])
+    mu = lo = ends[:, 1:]
+    hi = ends[:, :-1]
     nrows, npoles = mu.shape
     inv_c = 1.0 / c
-    eps = _EPS
-    # Unknown i lives in (mu_i, mu_(i-1)); unknown 0 in (mu_0, mu_0 + W c].
-    lo = mu
-    hi = np.empty_like(mu)
-    hi[:, 0] = mu[:, 0] + top_width
-    hi[:, 1:] = mu[:, :-1]
-    idx = np.arange(npoles)
-    masks = _pole_masks(npoles)
-    x = 0.5 * (lo + hi)
+    np.multiply(0.5, lo + hi, out=x)
     x[:, 0] = hi[:, 0]
-    active = (x > lo) & ((x < hi) | (idx == 0))
-    x = np.where(active, x, lo)
-    down, up = lo.copy(), hi.copy()
-    out = x.copy()
-    rows = np.arange(nrows)
-    # Scratch for the (rows, unknown, pole) terms; fresh arrays this size
-    # cost more in page faults than the arithmetic on them.
-    scratch = np.empty((2, rows.size, npoles, npoles))
+    active = x > lo
+    active[:, 1:] &= x[:, 1:] < hi[:, 1:]
+    np.copyto(x, lo, where=~active)
+    terms = scratch[:2 * nrows * npoles * npoles].reshape(2, nrows, npoles, npoles)
     # Start from the eigenvalues of diag(mu) + c s s^T (see shift_chain):
-    # the loop then makes about 2 passes a call on the ri bench instead
-    # of 6.8.
+    # about 2 passes a step on the ri bench instead of 6.8.
     if npoles <= EIG_START_POLES:
-        mat = scratch[0]
         s = np.sqrt(w)
-        np.multiply(c * s[:, :, None], s[:, None, :], out=mat)
-        mat.reshape(rows.size, -1)[:, ::npoles + 1] += mu  # the diagonals; a view
+        mat = np.multiply(c * s[:, :, None], s[:, None, :], out=terms[0])
+        mat.reshape(nrows, -1)[:, ::npoles + 1] += mu  # the diagonals; a view
         ev = np.linalg.eigvalsh(mat)[:, ::-1]
-        x = np.where(active & (ev > lo) & (ev < hi), ev, x)
+        np.copyto(x, ev, where=active & (ev > lo) & (ev < hi))
+    masks = _pole_masks(npoles)
+    down, up, h = lo.copy(), hi.copy(), hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        while rows.size:
-            # Finished entries ride along, masked out by ``active``.
-            live_scratch = scratch[:, :rows.size]
-            diff = np.subtract(x[:, :, None], mu[:, None, :], out=live_scratch[0])
-            terms = np.divide(w[:, None, :], diff, out=live_scratch[1])
-            np.divide(terms, diff, out=diff)
-            # [dterms, terms] summed over the poles below and above.
-            (dphi, dpsi), (phi, psi) = np.einsum("sbij,tij->stbi", live_scratch, masks)
+        while True:
+            sums = _pole_sums(x, mu, w, masks, terms)
+            phi, psi = sums[1]
             g = phi + psi - inv_c
             # Rounding error of g: three roundings per term, one per sum.
-            bound = (npoles + 3) * eps * (phi - psi + inv_c)
+            active &= ~(np.abs(g) <= (npoles + 3) * _EPS * (phi - psi + inv_c))
+            if not active.any():
+                return
+            # Every bracket keeps its sign change, stopped entries' unread.
             rising = g > 0
-            down_next = np.where(rising, x, down)
-            up_next = np.where(rising, up, x)
-            # Two-pole model C + A/(y - lo) + B/(y - hi) = 1/c; B = 0 for
-            # the top root, whose upper end is not a pole.
-            dlo = x - lo
-            dhi = x - hi
-            dhi[:, 0] = 1.0
-            big_a = dphi * dlo * dlo
-            big_b = dpsi * dhi * dhi
-            t = inv_c - (phi - big_a / dlo) - (psi - big_b / dhi)
-            # Its root in the gap is y = lo + u, 0 < u < h, where
-            # t u^2 - lin u + A h = 0; the discriminant is written as a sum
-            # of squares and each branch avoids cancellation.
-            h = hi - lo
-            lin = t * h + big_a + big_b
-            sq = np.sqrt((t * h - big_a + big_b) ** 2 + 4.0 * big_a * big_b)
-            u = np.where(lin > 0, 2.0 * big_a * h / (lin + sq),
-                         (lin - sq) / (2.0 * t))
-            y = lo + u
-            mid = 0.5 * (down_next + up_next)
-            active &= ~((np.abs(g) <= bound) | (y == x)
-                        | (mid == down_next) | (mid == up_next))
-            y = np.where((y > down_next) & (y < up_next), y, mid)
-            x = np.where(active, y, x)
-            down = np.where(active, down_next, down)
-            up = np.where(active, up_next, up)
-            live = active.any(axis=1)
-            if not live.all():
-                out[rows] = x
-                if not live.any():
-                    break
-                rows, lo, hi, mu, w = rows[live], lo[live], hi[live], mu[live], w[live]
-                x, down, up, active = x[live], down[live], up[live], active[live]
-    return out
+            np.copyto(down, x, where=rising)
+            np.copyto(up, x, where=~rising)
+            mid = 0.5 * (down + up)
+            y = _two_pole_root(x, lo, hi, h, sums, inv_c)
+            active &= (y != x) & (mid != down) & (mid != up)
+            np.copyto(x, np.where((y > down) & (y < up), y, mid), where=active)
+            if not active.any():
+                return
+
+
+def _pole_sums(x, mu, w, masks, terms) -> np.ndarray:
+    """[[dphi, dpsi], [phi, psi]]: the sums of w_j / (x - mu_j)^2 and of
+    w_j / (x - mu_j) over the poles below each x and above it."""
+    diff = np.subtract(x[:, :, None], mu[:, None, :], out=terms[0])
+    np.divide(w[:, None, :], diff, out=terms[1])
+    np.divide(terms[1], diff, out=diff)
+    return np.einsum("sbij,tij->stbi", terms, masks)
+
+
+def _two_pole_root(x, lo, hi, h, sums, inv_c: float) -> np.ndarray:
+    """The root in each gap (lo, hi), h wide, of Gragg's model C + A/(y - lo)
+    + B/(y - hi) = 1/c, A and B matched to the derivatives of the sums
+    below and above x (B = 0 at the top root, whose end is no pole): y =
+    lo + u, t u^2 - lin u + A h = 0, each branch free of cancellation."""
+    (dphi, dpsi), (phi, psi) = sums
+    dlo = x - lo
+    dhi = x - hi
+    dhi[:, 0] = 1.0
+    big_a = dphi * dlo * dlo
+    big_b = dpsi * dhi * dhi
+    t = inv_c - (phi - big_a / dlo) - (psi - big_b / dhi)
+    th = t * h
+    lin = th + big_a + big_b
+    sq = np.sqrt((th - big_a + big_b) ** 2 + 4.0 * big_a * big_b)
+    u = np.where(lin > 0, 2.0 * big_a * h / (lin + sq), (lin - sq) / (2.0 * t))
+    return lo + u
 
 
 # ----------------------------------------------------------------------
@@ -726,11 +724,12 @@ def float_top_root(p: Polynomial) -> float:
     return x if x > 0 or not zeros else 0.0
 
 
-def _newton(a: list[int], x: float, k: int, steps: int = 4) -> tuple[float, list]:
+def _newton(a: list[int], x: float, k: int, steps: int = 6) -> tuple[float, list]:
     """Newton steps on the k-th derivative of ``a``, values exact at each float x.
 
-    Returns the last iterate and the steps taken; stops early once a step
-    no longer moves x.
+    Returns the last iterate and the steps taken: at most ``steps``, up to
+    the first that no longer moves x or no longer shrinks.  Six polish all
+    but 4 of the 33 clusters of the n = 64 ``ri`` pledge; four, all but 13.
     """
     taken = []
     for _ in range(steps):
@@ -740,7 +739,8 @@ def _newton(a: list[int], x: float, k: int, steps: int = 4) -> tuple[float, list
             step = num / (den << e)
         except (ZeroDivisionError, OverflowError):
             break
-        if x - step == x or not math.isfinite(x - step):
+        if (x - step == x or not math.isfinite(x - step)
+                or taken and abs(step) >= abs(taken[-1])):
             break
         x -= step
         taken.append(step)

@@ -87,10 +87,10 @@ WALK_BUDGET = 1 << 30
 # The most rows restricted_invertibility_select scores at once.  A level
 # nearly always keeps a row of its first batch.  Up to EIG_START_POLES
 # poles every shift starts from a per-row eigvalsh, and a chain call has
-# a large fixed part: 8 rows of 4-40 roots cost 1.1-2.6 times one row.
-# So there batches hold RI_BATCH rows; with 2-row first batches an ri
-# bench pass, where 38% of the kept rows sit at free index 2 or more,
-# ran ~1.09x slower.  Past that cut each row pays ~npoles^2 a solver
+# a large fixed part: on an ri bench pass, 8 rows cost 1.5-2.2 times one
+# row (quartiles).  So there batches hold RI_BATCH rows; with 2-row first
+# batches that pass, where 38% of the kept rows sit at free index 2 or
+# more, ran ~1.04x slower.  Past that cut each row pays ~npoles^2 a solver
 # pass, so a level starts with 2 rows and doubles up to RI_BATCH: float
 # n = 256, k = 128 then scores 404 rows instead of 1040 (numpy on a
 # 2-vCPU x86 host).

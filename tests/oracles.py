@@ -42,6 +42,11 @@ other ways:
   :func:`compare_top_roots` puts at or below its parent's
   (:func:`oracle_signing_walk`), against the library's walk, which takes
   bipartite graphs only;
+* ``shift_chain``'s solver with fresh arrays every step, its rows
+  compacted as they finish and every pass's update formed for every
+  entry (:func:`reference_shift_chain`, :func:`reference_secular_step`),
+  against the library's chain, which keeps its buffers per chain and
+  forms an update only while an entry is live, bit for bit;
 * common interlacing as real-rootedness of convex combinations
   (:func:`convex_combinations_real_rooted`), against the library's
   root-interval criterion;
@@ -80,8 +85,8 @@ from interlace.graphs import LEAF_ENTRIES, frontier_order
 from interlace.matrices import _coerce_array, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, TableArithmetic
 from interlace.select import _kth_cluster, _ri_scores
-from interlace.poly import TopRoot, _count_above, _integer_coeffs, _primitive, \
-    _pseudo_divmod, shift_chain
+from interlace.poly import EIG_START_POLES, TopRoot, _count_above, _integer_coeffs, \
+    _pole_masks, _primitive, _pseudo_divmod, shift_chain
 from fixtures import allclose, psd_list
 from paper import apply_shift_operator, covariance, exact_real_roots, is_real_rooted, \
     top_root
@@ -782,3 +787,95 @@ def fold_peel_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
         yield [arith.from_traces([t + w * x for t, x in zip(base, arith.traces(part))])
                for w, part in zip(units, parts)]
         parent = [t + units[choices[-1]] * x for t, x in zip(peeled, parts[choices[-1]])]
+
+
+def reference_shift_chain(roots, zeros: int, c: float, steps: int):
+    """``shift_chain(roots, zeros, c, steps)`` for c > 0 and steps >= 1, one
+    :func:`reference_secular_step` per factor on freshly built poles."""
+    roots = np.asarray(roots, dtype=float)
+    nrows = roots.shape[0]
+    every_row = np.arange(nrows)[:, None]
+    for step in range(steps):
+        d = roots.shape[1]
+        npoles = d + (zeros > 0)
+        if npoles == 0:
+            return np.empty((nrows, 0)), 0
+        mu, w = roots, np.ones((nrows, npoles))
+        if zeros:
+            mu = np.concatenate([roots, np.zeros((nrows, 1))], axis=1)
+            w[:, -1] = zeros
+        if step == 0 or (zeros and not (roots[:, -1] >= 0).all()):
+            order = np.argsort(-mu, axis=1, kind="stable")
+            mu, w = mu[every_row, order], w[every_row, order]
+        roots = reference_secular_step(mu, w, c, (d + zeros) * c)
+        zeros = max(zeros - 1, 0)
+    return roots, zeros
+
+
+def reference_secular_step(mu, w, c: float, top_width: float) -> np.ndarray:
+    """The roots of sum_j w_j / (x - mu_j) = 1/c for poles ``mu`` (rows
+    sorted descending), by the library's start, update and stop, with
+    every pass forming the update for every entry."""
+    nrows, npoles = mu.shape
+    inv_c = 1.0 / c
+    eps = np.finfo(float).eps
+    lo = mu
+    hi = np.empty_like(mu)
+    hi[:, 0] = mu[:, 0] + top_width
+    hi[:, 1:] = mu[:, :-1]
+    idx = np.arange(npoles)
+    masks = _pole_masks(npoles)
+    x = 0.5 * (lo + hi)
+    x[:, 0] = hi[:, 0]
+    active = (x > lo) & ((x < hi) | (idx == 0))
+    x = np.where(active, x, lo)
+    down, up = lo.copy(), hi.copy()
+    out = x.copy()
+    rows = np.arange(nrows)
+    scratch = np.empty((2, rows.size, npoles, npoles))
+    if npoles <= EIG_START_POLES:
+        mat = scratch[0]
+        s = np.sqrt(w)
+        np.multiply(c * s[:, :, None], s[:, None, :], out=mat)
+        mat.reshape(rows.size, -1)[:, ::npoles + 1] += mu
+        ev = np.linalg.eigvalsh(mat)[:, ::-1]
+        x = np.where(active & (ev > lo) & (ev < hi), ev, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            live_scratch = scratch[:, :rows.size]
+            diff = np.subtract(x[:, :, None], mu[:, None, :], out=live_scratch[0])
+            terms = np.divide(w[:, None, :], diff, out=live_scratch[1])
+            np.divide(terms, diff, out=diff)
+            (dphi, dpsi), (phi, psi) = np.einsum("sbij,tij->stbi", live_scratch, masks)
+            g = phi + psi - inv_c
+            bound = (npoles + 3) * eps * (phi - psi + inv_c)
+            rising = g > 0
+            down_next = np.where(rising, x, down)
+            up_next = np.where(rising, up, x)
+            dlo = x - lo
+            dhi = x - hi
+            dhi[:, 0] = 1.0
+            big_a = dphi * dlo * dlo
+            big_b = dpsi * dhi * dhi
+            t = inv_c - (phi - big_a / dlo) - (psi - big_b / dhi)
+            h = hi - lo
+            lin = t * h + big_a + big_b
+            sq = np.sqrt((t * h - big_a + big_b) ** 2 + 4.0 * big_a * big_b)
+            u = np.where(lin > 0, 2.0 * big_a * h / (lin + sq),
+                         (lin - sq) / (2.0 * t))
+            y = lo + u
+            mid = 0.5 * (down_next + up_next)
+            active &= ~((np.abs(g) <= bound) | (y == x)
+                        | (mid == down_next) | (mid == up_next))
+            y = np.where((y > down_next) & (y < up_next), y, mid)
+            x = np.where(active, y, x)
+            down = np.where(active, down_next, down)
+            up = np.where(active, up_next, up)
+            live = active.any(axis=1)
+            if not live.all():
+                out[rows] = x
+                if not live.any():
+                    break
+                rows, lo, hi, mu, w = rows[live], lo[live], hi[live], mu[live], w[live]
+                x, down, up, active = x[live], down[live], up[live], active[live]
+    return out

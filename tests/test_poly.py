@@ -33,7 +33,8 @@ from interlace import (
 import interlace.poly as poly_module
 import interlace.select as select_module
 from fixtures import complete_bipartite, from_roots, random_isotropic
-from oracles import compare_top_roots, convex_combinations_real_rooted
+from oracles import compare_top_roots, convex_combinations_real_rooted, \
+    reference_shift_chain
 from paper import apply_shift_operator, diagram_identity_check, exact_real_roots, \
     have_common_interlacing, interlaces, is_real_rooted, kth_largest_root, \
     laguerre_transform, sturm_root_count, sturm_sequence, taylor_shift, top_root
@@ -320,6 +321,56 @@ def test_shift_chain_is_successive_shift_roots_bit_for_bit():
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         shift_chain(small, 3, 0.3, -1)
+
+
+def test_shift_chain_is_the_reference_kernel_bit_for_bit():
+    # random batches on both sides of the 40-pole eigenvalue start, with
+    # and without the zero pole, some rows with a pole repeated three
+    # times (two empty gaps), some with exact zero and negative roots
+    # beside the zero pole, against the kernel that forms every update
+    # for every entry and compacts its rows as they finish
+    rng = np.random.default_rng(20261020)
+    for batch in range(48):
+        npoles = [3, 9, 21, 39, 40, 41, 47, 57][batch % 8]
+        zeros = int(rng.integers(1, 80)) if batch % 2 else 0
+        c = [1 / 48, 1 / 96, 0.3][batch % 3]
+        roots = rng.uniform(-1, 2, (int(rng.integers(1, 9)), npoles - (zeros > 0)))
+        if batch % 3 == 0:
+            roots[0, 1:3] = roots[0, 0]
+        if batch % 4 == 1:
+            roots[-1, :2] = 0.0
+        steps = int(rng.integers(1, 4))
+        got, got_zeros = shift_chain(roots, zeros, c, steps)
+        want, want_zeros = reference_shift_chain(roots, zeros, c, steps)
+        assert got_zeros == want_zeros
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("roots, zeros, c", [
+    ([[4.0, 2.0, 1.0]], 1, 0.5),
+    ([[1.0, 0.5], [2.0, 1.5]], 2, 0.125),
+])
+def test_a_step_whose_start_every_entry_accepts_forms_no_update(roots, zeros, c, monkeypatch):
+    # every root comes out as the eigenvalue of diag(mu) + c s s^T that
+    # started it: the pole sums are evaluated once, to stop every entry,
+    # and no two-pole update is formed
+    calls = Counter()
+
+    def counted(name):
+        kernel = getattr(poly_module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(poly_module, name, call)
+    counted("_pole_sums")
+    counted("_two_pole_root")
+    out, _ = shift_chain(np.array(roots), zeros, c, 1)
+    assert calls == {"_pole_sums": 1}
+    for row, got in zip(roots, out):
+        mu = np.array(sorted(row + [0.0], reverse=True))
+        s = np.sqrt(np.where(mu == 0, zeros, 1.0))
+        assert (got == np.linalg.eigvalsh(np.diag(mu) + c * np.outer(s, s))[::-1]).all()
 
 
 def test_laguerre_transform_values():
@@ -758,6 +809,17 @@ def test_root_clusters_start_every_cluster_of_the_n48_ri_pledge_without_bisectio
     assert len(clusters) == 25 and calls == []
     _certified(p, clusters)
     assert clusters[23].root == 0.06511615086013002
+
+
+def test_root_clusters_bisect_four_clusters_of_the_n64_ri_pledge(monkeypatch):
+    # the float copy of (128 - D)^32 x^64 loses its top roots, and starts
+    # land up to 3.5e-3 off; Newton steps until they stop shrinking, six
+    # at most, polish all but four of its 33 clusters
+    calls = _counted_bisections(monkeypatch)
+    p = select_module._ri_shifted([0] * 64 + [1], 128, 32)
+    clusters = list(root_clusters(p))
+    assert len(clusters) == 33 and len(calls) == 4
+    _certified(p, clusters)
 
 
 def _stress_roots(rng):

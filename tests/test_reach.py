@@ -96,6 +96,7 @@ def _system(n: int, m: int, seed: int) -> dict:
 
 def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
     iso4 = _write(tmp_path / "iso4.json", _system(4, 8, 0))
+    iso8 = _write(tmp_path / "iso8.json", _system(8, 16, 0))
     d3m6 = _write(tmp_path / "d3m6.json", _system(3, 6, 1))
     d3m21 = _write(tmp_path / "d3m21.json", _system(3, 21, 2))
     d7m24 = _write(tmp_path / "d7m24.json", _system(7, 24, 7))
@@ -115,6 +116,7 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
     nan = _write(tmp_path / "nan.json", '{"vectors": [[NaN]]}')
     calls = [
         (["ri", iso4, "-k", "2"], 0),
+        (["ri", iso8, "-k", "4"], 0),                # iso4's shifts all stop at their starts
         (["ri", rot, "-k", "1", "--mode", "exact"], 0),
         (["ri", quarters, "-k", "2", "--mode", "exact"], 0),
         (["weaver", d3m21], 0),                      # the engine route
