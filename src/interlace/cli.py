@@ -255,6 +255,7 @@ def cmd_weaver(args) -> int:
         "norm2": norms[1],
         "achieved": cert.achieved,
         "pledged": cert.pledged,
+        "fallback_levels": cert.fallbacks,
         "certificate_valid": valid,
     }
     _emit(payload, args.out)
@@ -365,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_w.add_argument("--budget", type=_positive_int, default=WALK_BUDGET,
                      help="cap on the whole walk's estimated matrix or table "
                           "entries by its cheaper route, enumerated outcomes x "
-                          "n^2 or table sandwiches (2r + 1 for r levels) x C(2n, "
-                          "n), n = 2 x dim, checked before the walk starts "
+                          "n^2 or leg products (2r + 1 for r levels) x C(2n, n), "
+                          "n = 2 x dim, checked before the walk starts "
                           "(default 2^30)")
 
     p_l = command("lift", cmd_lift, "iterated signed 2-lifts of a Ramanujan graph",

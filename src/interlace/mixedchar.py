@@ -38,12 +38,27 @@ where L_k(u) is the C(n, k) x C(n, k-1) map with L_k(u)[I, I - a] =
 (-1)^pos(a, I) u_a (:func:`fold_terms`).  That is division-free and
 linear in the number of variables.  Exact tables hold integers after one
 common scaling of the weights (:class:`TableArithmetic`), in int64 under
-a proven magnitude bound.  :func:`mixed_char` runs on it for those
-families, and so does weaver's greedy walk in :mod:`interlace.select`
-wherever it is cheaper than enumeration.  Every grade's term reads only
-W_(k-1), so one kernel call, :func:`_sandwiches`, gives L(l) W L(r)^T
-at every grade at once; the walk's lifts use it with l != r for their
-children, and with the block swap of :func:`_block_swap` for their build.
+a proven magnitude bound.  Every grade's term reads only W_(k-1), so a
+fold forms every grade at once, on the nonzeros of L_k(u): :func:`mixed_char`
+runs on it.
+
+Weaver's greedy walk in :mod:`interlace.select` runs the same engine,
+wherever it is cheaper than enumeration, on a lifted family in R^d +
+R^d whose terms each lie in one block.  So W_k[I, J] = 0 unless |I &
+top| = |J & top|, and the walk holds only the blocks, as one P x P
+matrix Phi of pair tables, P = C(2d, d) (:func:`_pair_plan`): its rows
+are the top pairs (j, S, S') and its columns the bottom pairs (i, R,
+R'), with S, S' j-subsets of the top coordinates and R, R' i-subsets
+of the bottom ones, and Phi[(j, S, S'), (i, R, R')] = W_(j+i)[S + R, S'
++ R'].  A top point (u, 0) acts on the rows alone: its product L W
+L^T takes, per top grade j, two BLAS products of the dense C(d, j) x
+C(d, j-1) matrix L_j(u) with Phi's rows of grade j - 1
+(:func:`_sandwiches`), whatever the columns hold.  The block swap of
+the two halves is Phi -> Phi^T, the signs of I and J cancelling within
+a block, so a bottom point's product is the same on Phi^T, and the
+traces tr W_k are sums over the pairs (j, S, S), (i, R, R)
+(:func:`_pair_traces`).
+
 :func:`_enumerated_char` enumerates the outcomes of independent rows,
 each a list of (probability, vector) pairs; it is the walk's other
 route, priced with it before the walk starts.
@@ -104,54 +119,98 @@ def _subset_index(n: int) -> tuple:
     return np.array(elem, dtype=np.intp), np.array(sign, dtype=np.int64), tuple(grades)
 
 
-@functools.lru_cache(maxsize=None)
-def _block_swap(n: int) -> tuple:
-    """Per k = 1..n, the index with sigma Y sigma^T = Y[index] on the tables
-    of lifts, sigma = Lambda^k of a -> a + n/2 (mod n), n even.  sigma takes
-    a k-subset I to its image with the sign (-1)^(|I & top| |I & bottom|),
-    but a lift's terms each lie in one block, so W_k[I, J] = 0 unless |I &
-    top| = |J & top|, and then the signs of I and J cancel."""
-    out = []
-    for k in range(1, n + 1):
-        subsets = list(itertools.combinations(range(n), k))
-        number = {s: i for i, s in enumerate(subsets)}
-        perm = [number[tuple(sorted((a + n // 2) % n for a in s))] for s in subsets]
-        out.append(np.ix_(perm, perm))
-    return tuple(out)
-
-
 def fold_terms(tables: list, weights, vecs) -> list:
     """New tables with one more variable, the matrix sum_j w_j u_j u_j^T,
     in the old ones' dtype (int64, object or float64): W_k gains sum_j w_j
     L_k(u_j) W_(k-1) L_k(u_j)^T, k = 1..n, read from the old W_(k-1), so
-    each new product carries the variable once."""
-    return [tables[0]] + list(_sandwiches(tables, weights, vecs, base=tables))
-
-
-def _sandwiches(tables: list, weights, lefts, rights=None, base=None):
-    """Yields, per k = 1..n, base_k + sum_j w_j L_k(l_j) W_(k-1) L_k(r_j)^T,
-    l_j and r_j the rows of ``lefts`` and ``rights`` (``lefts`` when None),
-    with no base_k when ``base`` is None: the one kernel of the tables, for
-    :func:`fold_terms` and weaver's lifts (:func:`interlace.select._engine_route`).
-    A call gathers its coefficients for every grade at once, on the cached
-    plan of :func:`_subset_index`, and W_(k-1)[sub] once a grade; each term
-    takes two batched ``matmul`` stages, X = L_k(r_j) W_(k-1) and L_k(l_j)
-    X^T, the product as W_(k-1) is symmetric, times w_j, and is added in
-    place.  The dtype is kept.
+    each new product carries the variable once.  The coefficients of every
+    grade are gathered at once, on the cached plan of :func:`_subset_index`,
+    and W_(k-1)[sub] once a grade; each term takes two batched ``matmul``
+    stages, X = L_k(u_j) W_(k-1) and L_k(u_j) X^T, the product as W_(k-1)
+    is symmetric, times w_j, and is added in place.
     """
     elem, sign, grades = _subset_index(len(tables) - 1)
-    left = lefts[:, elem] * sign
-    right = left if rights is None else rights[:, elem] * sign
+    coef = vecs[:, elem] * sign
+    out = [tables[0]]
     for k, (sub, lo, hi) in enumerate(grades, 1):
         gathered = tables[k - 1][sub]  # (C(n,k), k, C(n,k-1))
-        acc = None if base is None else base[k].copy()
-        for w, l, r in zip(weights, left[:, lo:hi], right[:, lo:hi]):
-            x = np.ascontiguousarray(np.matmul(r.reshape(-1, 1, k), gathered)[:, 0].T)
-            y = np.matmul(l.reshape(-1, 1, k), x[sub])[:, 0]
+        acc = tables[k].copy()
+        for w, c in zip(weights, coef[:, lo:hi]):
+            c = c.reshape(-1, 1, k)
+            x = np.ascontiguousarray(np.matmul(c, gathered)[:, 0].T)
+            y = np.matmul(c, x[sub])[:, 0]
             y *= w
-            acc = y if acc is None else np.add(acc, y, out=acc)
+            np.add(acc, y, out=acc)
             del x, y  # in place, so that an object term's ints go before the next
-        yield acc
+        out.append(acc)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_plan(d: int) -> tuple:
+    """``(cuts, legs, spots, diag, starts)``, the plan of weaver's pair
+    tables on R^d + R^d.  The top pairs (j, S, S'), S and S' j-subsets of
+    range(d) in lexicographic order, are numbered grade by grade and
+    S-major: grade j holds rows cuts[j]:cuts[j + 1], C(d, j)^2 of them, and
+    P = cuts[-1] = C(2d, d).  ``spots`` scatters u[elem] sign of
+    :func:`_subset_index` into one flat buffer that holds each dense
+    C(d, j) x C(d, j-1) matrix L_j(u), j = 1..d, row-major at
+    legs[j - 1]:legs[j].  ``diag`` numbers the pairs (j, S, S), and
+    ``starts`` where each grade of them begins."""
+    _, _, grades = _subset_index(d)
+    cuts, legs, spots, diag, starts = [0], [0], [np.zeros(0, dtype=np.intp)], [], []
+    for j in range(d + 1):
+        c = math.comb(d, j)
+        starts.append(len(diag))
+        diag.extend(cuts[-1] + s * (c + 1) for s in range(c))
+        cuts.append(cuts[-1] + c * c)
+        if j:
+            below = math.comb(d, j - 1)
+            spots.append((legs[-1] + np.arange(c)[:, None] * below + grades[j - 1][0]).ravel())
+            legs.append(legs[-1] + c * below)
+    return (tuple(cuts), tuple(legs), np.concatenate(spots), np.array(diag, dtype=np.intp),
+            np.array(starts, dtype=np.intp))
+
+
+def _sandwiches(phi: np.ndarray, w, u: np.ndarray) -> np.ndarray:
+    """w S_a(Phi), a = (u, 0) the top point of u in R^d, on weaver's pair
+    tables Phi (:func:`_pair_plan`): every row block of top grade j = 1..d
+    becomes w L_j(u) Phi_(j-1) L_j(u)^T, read pair by pair, Phi_(j-1) the
+    rows of grade j - 1 as a C(d, j-1) x C(d, j-1) table of row vectors;
+    grade 0 is zero.  Phi may have any number of columns.  Each grade
+    takes two ``matmul`` stages of the dense C(d, j) x C(d, j-1) matrix
+    L_j(u) (BLAS on float tables), the first batched over the rows of
+    Phi_(j-1) and the second one product, into the rows of the result.
+    The dtype is kept."""
+    d, width = len(u), phi.shape[1]
+    elem, sign, _ = _subset_index(d)
+    cuts, legs, spots, _, _ = _pair_plan(d)
+    flat = np.zeros(legs[-1], dtype=phi.dtype)
+    flat[spots] = u[elem] * sign
+    out = np.zeros_like(phi)
+    for j in range(1, d + 1):
+        c, below = math.comb(d, j), math.comb(d, j - 1)
+        leg = flat[legs[j - 1]:legs[j]].reshape(c, below)
+        x = np.matmul(leg, phi[cuts[j - 1]:cuts[j]].reshape(below, below, width))
+        np.matmul(leg * w, x.reshape(below, c * width),
+                  out=out[cuts[j]:cuts[j + 1]].reshape(c, c * width))
+    return out
+
+
+def _pair_traces(phi: np.ndarray, d: int) -> list:
+    """tr W_k, k = 0..2d, of weaver's pair tables on R^d + R^d, summed as
+    Python scalars: the diagonal of W_k is Phi[(j, S, S), (i, R, R)] over
+    j + i = k."""
+    _, _, _, diag, starts = _pair_plan(d)
+    sub = phi[diag[:, None], diag]
+    if sub.dtype != np.float64:
+        sub = sub.astype(object)
+    blocks = np.add.reduceat(np.add.reduceat(sub, starts, axis=0), starts, axis=1).tolist()
+    traces = [0] * (2 * d + 1)
+    for j, row in enumerate(blocks):
+        for i, x in enumerate(row):
+            traces[j + i] += x
+    return traces
 
 
 class TableArithmetic:
@@ -179,18 +238,24 @@ class TableArithmetic:
     Cauchy-Binet give |W_k[I, J]| <= max_I det P[I, I] <= D^k (Hadamard),
     where P = sum_t |w_t| u_t u_t^T over every term the family may use and
     D is its largest diagonal entry.  Integer w_t != 0 and u_t give
-    |w_t u_ta u_tb| <= D, and so |w v_a v_b| <= D for l, r = (v, +-v) from
-    a lift's points (v, 0) and (0, v) of one weight w.  So every value the
-    two stages of a term w L_k(l) W_(k-1) L_k(r)^T of :func:`_sandwiches`
-    form, l = r = u_t or those l, r, is at most k^2 D^k.  A table plus a
-    term, or plus a variable's terms (sum_j |w_j u_ja u_jb| <= D by
-    Cauchy-Schwarz), is within D^k + k^2 D^k, and plus a term and its block
-    swap or its transpose, as weaver's build and levels add them, within
-    D^k + 2 k^2 D^k.  So int64 is safe when (2 n^2 + 1) D^n < 2^63: in
-    dimension 10, the identity and 15 outer products of sign vectors have
-    unit pivots, so L = 1, and give D = 16 and stay int64.  Otherwise the
-    tables hold Python ints (object dtype).  Traces are summed as Python
-    ints either way.
+    |w_t u_ta u_tb| <= D, so |w_t u_ta| <= D and |u_ta| <= D^(1/2).  A
+    term's product w L_k(u) W_(k-1) L_k(u)^T, by :func:`fold_terms` or by
+    :func:`_sandwiches` on weaver's pair tables (a top grade j <= k of
+    grade k = j + i), takes two stages.  The first, L W, sums at most k
+    nonzero products u_a W_(k-1)[.], within k D^k; the dense L_j(u) adds
+    only exact zeros.  The second sums at most k of those, each times w
+    u_b, which is at most k^2 products w u_a u_b W_(k-1)[.], so within
+    k^2 D^k, as is every partial sum.  A table plus a term, or plus a
+    variable's terms (sum_j |w_j u_ja u_jb| <= D by Cauchy-Schwarz), is
+    within D^k + k^2 D^k.  Weaver's pair stages add two terms to a table:
+    its build Phi + Y + Y^T and vector 0's child Phi + Y - Y^T, Y = w
+    S_a(Phi); at a level D = w S_a(Phi) - w S_b(Phi), within 2 k^2 D^k,
+    and Phi +- D, a child's table; every partial sum is within D^k + 2 k^2
+    D^k.  So int64 is safe when (2 n^2 + 1) D^n < 2^63, n = 2d for weaver:
+    in dimension 10, the identity and 15 outer products of sign vectors
+    have unit pivots, so L = 1, and give D = 16 and stay int64.  Otherwise
+    the tables hold Python ints (object dtype).  Traces are summed as
+    Python ints either way.
     """
 
     def __init__(self, n: int, pairs, exact: bool):

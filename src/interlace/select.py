@@ -65,8 +65,8 @@ from .poly import Polynomial, TopRoot, float_top_root, _squarefree, \
     root_clusters, roots_above, shift_chain, EIG_START_POLES
 from .matrices import SymMatrix, _cleared, _coerce_array, _refuse_nonfinite, _vieta, \
     char_poly, charpoly_batch_exact
-from .mixedchar import BudgetExceededError, TableArithmetic, fold_terms, _block_swap, \
-    _enumerated_char, _sandwiches
+from .mixedchar import BudgetExceededError, TableArithmetic, fold_terms, _enumerated_char, \
+    _pair_traces, _sandwiches
 from .graphs import DEFAULT_BUDGET, Graph, SigningEngine, frontier_order, signed_gram
 from .tolerances import CERT_TOL, ISO_TOL
 
@@ -289,15 +289,17 @@ def _walk_costs(dim: int, levels: int) -> dict:
     ``"enumerate"`` builds and expands one dim x dim matrix per outcome of
     every polynomial, dim^2 entries each: 2^r outcomes for the pledge and,
     at level l, two children of 2^(r-l-1) each, 3 2^r - 2 in all.
-    ``"engine"`` makes 2r + 1 table sandwiches of C(2 dim, dim) entries
-    each (:func:`_engine_route`): one for the fixed vector, one per level
-    to fold its lift into the parent table, and one per level that forms
-    both children.  Both routes take about the same time per entry,
-    within a factor of three (float, 20 vectors in R^6, dim = 12 here, on
-    a 2-vCPU x86 host: 0.047 us by the engine, 0.12 us by enumeration), so
-    the smaller estimate picks the faster route except near the crossover.
-    Exact engine walks take 1.6-1.8 times as long per entry as float ones
-    in R^3 (12-27 vectors, int64 tables), 13 times in R^4 (16, Python ints).
+    ``"engine"`` makes 2r + 1 leg products (:func:`_engine_route`): one
+    per level to fold its lift into the parent table, one for the fixed
+    vector's kept side, and one per level that forms both children.  It
+    counts each as C(2 dim, dim) entries, the lifted tables' size, though
+    the pair tables hold C(dim, dim/2)^2 of them, 2.3 times fewer at dim
+    6 and 3.2 at dim 12.  Per estimated entry (float, 20 vectors in R^6,
+    dim = 12, on a 2-vCPU x86 host) the engine takes 0.0043 us and
+    enumeration 0.066 us, so near the crossover the smaller estimate can
+    pick enumeration where the engine would be faster.  Exact engine
+    walks take 2.2-2.8 times as long per entry as float ones in R^3
+    (12-27 vectors, int64 tables), 14 times in R^4 (16, Python ints).
     """
     return {"enumerate": (3 * 2 ** levels - 2) * dim * dim,
             "engine": (2 * levels + 1) * math.comb(2 * dim, dim)}
@@ -413,43 +415,57 @@ def _enumeration_route(fixed: np.ndarray, rows: list, exact: bool, choices: list
 def _engine_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
     """Yields the pledge and each level's children, as :func:`_enumeration_route` does.
 
-    With the fixed vector u and the independent rows r_l of covariances
-    A_l, the conditional polynomial E char_poly(u u^T + sum r_l r_l^T) is
-    the mixed characteristic polynomial mu[u u^T, A_1..A_m], computed by
-    the exterior-power engine of :mod:`interlace.mixedchar`.  Row l's
-    lift, points a = (v, 0) and b = (0, v) of weight w = 1/2, folds into
-    the tables T of the rest as W = T + w (S_a + S_b)(T), S_x(W) = L(x) W
-    L(x)^T; the build (:func:`_lift_tables`) folds the rows, then u.  S_x
-    S_x = 0 and S_a S_b = S_b S_a, so the children T + S_a(T), T + S_b(T)
-    are W +- D, D = w (S_a - S_b)(W) = (w/2)(M + M^T), M = L(a + b) W L(a
-    - b)^T: one :func:`_sandwiches` call a level, whose traces give the
-    children's, and the kept child is the next parent.  A walk on m rows
-    makes 2m + 1 kernel calls and holds a few tables at a time.
+    With the fixed vector (u, 0) and the independent rows r_l of
+    covariances A_l, the conditional polynomial E char_poly((u, 0)(u, 0)^T
+    + sum r_l r_l^T) is the mixed characteristic polynomial of the lifted
+    family, computed by the exterior-power engine of
+    :mod:`interlace.mixedchar` on its pair tables Phi (:func:`_pair_plan`):
+    Phi[(j, S, S'), (i, R, R')] = W_(j+i)[S + R, S' + R'], S, S' in the
+    top block and R, R' in the bottom one, which holds every entry that
+    is not zero.  The block swap sigma is Phi -> Phi^T.  A lift, points a
+    = (v, 0) and b = (0, v) of weight w = 1/2, folds into the tables T of
+    the rest as T + w (S_a + S_b)(T), S_x(W) = L(x) W L(x)^T, and S_b(Phi)
+    = S_a(Phi^T)^T (:func:`_sandwiches` forms w S_a).  The walk starts
+    from u's lift, whose top tables are :func:`fold_terms` of u at weight
+    w in R^d, in the column of the empty bottom pair and, by sigma, in
+    the row of the empty top pair.  sigma leaves that alone, so each row
+    folds in by Y + Y^T, Y = w S_a(Phi), and the tables of every lift are
+    the pledge: u's two children are each other's sigma image, so their
+    polynomials are equal, and they average to it.  S_x S_x = 0 and S_a
+    S_b = S_b S_a, so a lift's children T + S_a(T), T + S_b(T) are Phi +-
+    D, D = w (S_a - S_b)(Phi).  u's child (u, 0) is Phi + Y - Y^T.  At a
+    level, D comes from one :func:`_sandwiches` call on [Phi, Phi^T]; the
+    children's traces are tr Phi +- tr D, and the kept child is the next
+    Phi, whose traces are read from it again, not carried.  A walk on m
+    rows makes one fold in R^d and 2m + 1 leg products, and holds a few
+    tables at a time.
     """
-    every = [(1, fixed)] + [t for row in rows for p, v in row for t in ((p, v), (1, v))]
-    arith = TableArithmetic(len(fixed), every, exact)
+    d = len(fixed) // 2
+    half = Fraction(1, 2) if exact else 0.5
+    lift = [(half, fixed), (half, np.roll(fixed, d))]
+    every = [(1, fixed)] + lift[1:] + [t for row in rows for p, v in row
+                                       for t in ((p, v), (1, v))]
+    arith = TableArithmetic(2 * d, every, exact)
+    (w0,), u = arith.encode(lift[:1])
+    tops = fold_terms([np.ones((1, 1), dtype=arith.dtype)] + [
+        np.zeros((c, c), dtype=arith.dtype) for c in (math.comb(d, j) for j in range(1, d + 1))],
+        [w0], u[:, :d])
+    size = math.comb(2 * d, d)
+    phi = np.zeros((size, size), dtype=arith.dtype)
+    phi[:, 0] = phi[0, :] = np.concatenate([t.ravel() for t in tops])
     terms = [arith.encode(row[:1]) for row in rows]
-    parent = fold_terms(_lift_tables(arith.empty(), terms), *arith.encode([(1, fixed)]))
-    yield arith.poly(parent)
-    d, halve = len(fixed) // 2, np.floor_divide if exact else np.true_divide
-    for w, a in terms:
-        v = a[:, :d]
-        ms = list(_sandwiches(parent, w, np.hstack([v, v]), np.hstack([v, -v])))
-        base, diff = arith.traces(parent), [0] + arith.traces(ms)
-        yield map(arith.from_traces, [[t + s * x for t, x in zip(base, diff)] for s in (1, -1)])
-        step = np.subtract if choices[-1] else np.add
-        parent = [parent[0]] + [step(t, halve(x + x.T, 2)) for t, x in zip(parent[1:], ms)]
-
-
-def _lift_tables(tables: list, terms: list) -> list:
-    """``tables``, invariant under the block swap sigma (:func:`_block_swap`),
-    with the lifts of ``terms``, each (w, [(v, 0)]) encoded, folded in: S_b =
-    sigma S_a sigma adds Y + sigma Y sigma^T, Y = w S_a(T), one kernel call."""
-    swap = _block_swap(len(tables) - 1)
-    for w, a in terms:
-        tables = [tables[0]] + [t + y + y[ix] for t, y, ix
-                                in zip(tables[1:], _sandwiches(tables, w, a), swap)]
-    return tables
+    for (w,), a in terms:
+        y = _sandwiches(phi, w, a[0, :d])
+        phi = phi + y + y.T
+    yield arith.from_traces(_pair_traces(phi, d))
+    y = _sandwiches(phi, w0, u[0, :d])
+    phi = phi + y - y.T
+    for (w,), a in terms:
+        z = _sandwiches(np.hstack([phi, phi.T]), w, a[0, :d])
+        diff = z[:, :size] - z[:, size:].T
+        base, step = _pair_traces(phi, d), _pair_traces(diff, d)
+        yield map(arith.from_traces, [[t + s * x for t, x in zip(base, step)] for s in (1, -1)])
+        phi = (np.subtract if choices[-1] else np.add)(phi, diff)
 
 
 # ----------------------------------------------------------------------

@@ -60,8 +60,8 @@ other ways:
   (:func:`fold_peel_route`): the parent table built by folding both
   points of every lift, and each level's row peeled off it grade by
   grade (:func:`peel_terms`), one einsum sandwich per term and grade,
-  against the library's block-swap build and polarized level on one
-  all-grade kernel.
+  against the library's pair tables, built by leg products and their
+  transposes, each level from one leg product on [Phi, Phi^T].
 
 It also holds the fixtures several test modules share: the cube graph
 (:data:`CUBE`) and a graph relabelled as the signing walk takes it

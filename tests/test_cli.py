@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import interlace.cli
-from interlace import Graph, NotRealRootedError, char_poly, is_ramanujan_bipartite, \
-    signed_adjacency, signing_select, two_lift
+from interlace import Graph, NotRealRootedError, VectorSystem, char_poly, \
+    is_ramanujan_bipartite, signed_adjacency, signing_select, two_lift, weaver_partition
 from interlace.cli import main
 from fixtures import complete_bipartite, cycle, random_isotropic
 from oracles import CUBE, squared_roots
@@ -120,6 +120,26 @@ def test_weaver_happy_path(capsys, iso_system_file):
     assert payload["norm1"] <= payload["bound"] + 1e-7
     assert payload["norm2"] <= payload["bound"] + 1e-7
     assert payload["certificate_valid"] is True
+
+
+def test_weaver_reports_its_fallback_levels(capsys, tmp_path):
+    # fallback_levels is the walk's count of levels at which rounding left
+    # no child meeting its parent, as ri reports it; an exact walk has none.
+    # 400 rows in R^4 (CI's generator) walk into the clustered late levels
+    g = np.random.default_rng(400).standard_normal((400, 4))
+    w, u = np.linalg.eigh(g.T @ g)
+    vs = VectorSystem(g @ (u / np.sqrt(w)) @ u.T)
+    path = tmp_path / "weaver400.json"
+    path.write_text(json.dumps({"vectors": vs.vectors.tolist()}))
+    code, payload = run_cli(capsys, ["weaver", str(path)])
+    s1, s2, cert = weaver_partition(vs)
+    assert code == 0 and payload["certificate_valid"] is True
+    assert (payload["s1"], payload["s2"]) == (s1, s2)
+    assert payload["fallback_levels"] == cert.fallbacks
+    had = tmp_path / "had.json"
+    had.write_text(json.dumps({"vectors": [["1/2", "1/2"], ["1/2", "-1/2"]] * 2}))
+    code, payload = run_cli(capsys, ["weaver", str(had), "--mode", "exact"])
+    assert code == 0 and payload["fallback_levels"] == 0
 
 
 def test_weaver_exact_mode(capsys, tmp_path):

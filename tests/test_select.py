@@ -1168,16 +1168,19 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
 
 
 def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
-    # the fixed vector's fold and one kernel call per lift of the other
-    # m - 1 vectors, its other point by the block swap, build the parent
-    # table, and one kernel call per level forms both children; the
-    # children come from traces, and their top roots from Laguerre's
-    # method, not real_roots
+    # vector 0's lift starts the pair tables by one fold_terms call of its
+    # top point in R^3; one leg product per lift of the other m - 1
+    # vectors builds them, its other point by the transpose, one forms
+    # vector 0's kept child, and one per level forms both children on
+    # [Phi, Phi^T]; the children come from traces, and their top roots
+    # from Laguerre's method, not real_roots
     calls = {"fold_terms": [], "_sandwiches": []}
 
     def counted(name):
         inner = getattr(select_module, name)
-        return lambda *args: calls[name].append(len(args[1])) or inner(*args)
+        return lambda *args: calls[name].append((len(args[0]) - 1, len(args[1]))
+                                                if name == "fold_terms" else args[0].shape) \
+            or inner(*args)
 
     def refuse(p):
         raise AssertionError("real_roots was reached")
@@ -1185,12 +1188,13 @@ def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(mon
     for name in calls:
         monkeypatch.setattr(select_module, name, counted(name))
     monkeypatch.setattr(poly_module, "real_roots", refuse)
-    m = 12
+    m, size = 12, math.comb(6, 3)
     vs = random_isotropic(3, m, np.random.default_rng(283))
     _, _, cert = weaver_partition(vs)
     assert cert.valid() and len(cert.choices) == m
-    # terms per call
-    assert calls == {"fold_terms": [1], "_sandwiches": [1] * (2 * (m - 1))}
+    # fold_terms: dimension and terms; _sandwiches: the tables it reads
+    assert calls == {"fold_terms": [(3, 1)],
+                     "_sandwiches": [(size, size)] * m + [(size, 2 * size)] * (m - 1)}
 
 
 @pytest.mark.parametrize("d, m, seed, route", [(7, 12, 712, "enumerate"), (3, 12, 283, "engine")])
@@ -1355,6 +1359,22 @@ def test_float_weaver_levels_match_enumeration_walk():
         assert cert.choices == choices
 
 
+def test_float_weaver_d4_m400_rereads_each_parents_traces():
+    # 400 rows in R^4 (CI's generator): the late levels' roots cluster,
+    # and traces carried from level to level as parent +- tr D drift enough
+    # to raise NotRealRootedError; each kept child's traces are read from
+    # its tables, and the walk certifies
+    g = np.random.default_rng(400).standard_normal((400, 4))
+    w, u = np.linalg.eigh(g.T @ g)
+    vs = VectorSystem(g @ (u / np.sqrt(w)) @ u.T)
+    s1, s2, cert = weaver_partition(vs)
+    assert sorted(s1 + s2) == list(range(400))
+    assert cert.valid() and cert.achieved <= cert.pledged
+    for side in (s1, s2):
+        block = vs.vectors[side].T @ vs.vectors[side]
+        assert np.linalg.eigvalsh(block)[-1] <= weaver_bound(vs.max_norm_sq()) + 1e-7
+
+
 def test_weaver_m64_certifies():
     rng = np.random.default_rng(251)
     vs = random_isotropic(3, 64, rng)
@@ -1452,24 +1472,47 @@ def test_float_engine_route_is_within_1e_12_of_the_fold_peel_oracle():
                 assert max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs)) <= 1e-12 * scale
 
 
+def _lifted_tables(phi: np.ndarray, d: int) -> list:
+    """Weaver's pair tables read back into the lifted layout: W_k, k =
+    0..2d, on the k-subsets of range(2d) in lexicographic order, with
+    W_(j+i)[S + R, S' + R'] = Phi[(j, S, S'), (i, R, R')] for the top
+    pairs (j, S, S') and the bottom pairs (i, R, R'), numbered alike, and
+    every other entry zero."""
+    pairs = [(s, t) for j in range(d + 1) for s in itertools.combinations(range(d), j)
+             for t in itertools.combinations(range(d), j)]
+    number = [{s: i for i, s in enumerate(itertools.combinations(range(2 * d), k))}
+              for k in range(2 * d + 1)]
+    tables = [np.zeros((len(n), len(n)), dtype=phi.dtype) for n in number]
+    for row, (s, t) in zip(phi, pairs):
+        for x, (r, q) in zip(row, pairs):
+            k = len(s) + len(r)
+            tables[k][number[k][s + tuple(a + d for a in r)],
+                      number[k][t + tuple(a + d for a in q)]] = x
+    return tables
+
+
 def test_lift_build_equals_fold_terms():
-    # the build folds each lift by one sandwich and its block swap; the
-    # tables equal fold_terms of both points, exactly, at every step, and
-    # stay invariant under the block swap
+    # the build folds each lift into the pair tables by one leg product and
+    # its transpose; read back into the lifted layout they equal fold_terms
+    # of both points, exactly, at every step, which leaves every entry off
+    # the blocks zero, and they stay invariant under the block swap, Phi = Phi^T
     rng = np.random.default_rng(331)
     for d, m in ROUTE_CASES:
         _, rest = _rational_lifts(rng, d, m)
         rows, _ = _lifts(np.zeros(d, dtype=object), rest)
         arith = TableArithmetic(2 * d, [t for row in rows for t in row], True)
-        ours = theirs = arith.empty()
+        size = math.comb(2 * d, d)
+        ours = np.zeros((size, size), dtype=arith.dtype)
+        ours[0, 0] = 1
+        theirs = arith.empty()
         for row in rows:
-            ours = select_module._lift_tables(ours, [arith.encode(row[:1])])
+            (w,), a = arith.encode(row[:1])
+            y = select_module._sandwiches(ours, w, a[0, :d])
+            ours = ours + y + y.T
             theirs = fold_terms(theirs, *arith.encode(row))
-            assert all((a == b).all() for a, b in zip(ours, theirs))
-        # block-diagonal by |I & top|, so the swap's signs cancel
-        for k, (t, ix) in enumerate(zip(ours[1:], select_module._block_swap(2 * d)), 1):
-            tops = np.array([sum(a >= d for a in s) for s in itertools.combinations(range(2 * d), k)])
-            assert (t[ix] == t).all() and (t[tops[:, None] != tops] == 0).all()
+            assert (ours == ours.T).all()
+            assert all((a == b).all() for a, b in zip(_lifted_tables(ours, d), theirs,
+                                                      strict=True))
 
 
 def test_lifted_family_between_the_int64_thresholds_agrees_with_python_ints(monkeypatch):
