@@ -83,24 +83,16 @@ def _load_json(text: str, exact: bool):
         raise ParseFailure(f"invalid JSON: {e}") from e
 
 
-def _jsonify(value):
-    """Recursive JSON-compatible conversion; Fractions become 'p/q' strings."""
+def _fraction(value):
+    """json's ``default`` hook: a Fraction becomes an int or a "p/q" string."""
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict, out_path):
     try:
-        text = json.dumps(_jsonify(payload), indent=2, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False, default=_fraction) + "\n"
     except ValueError as e:
         raise NonFiniteResult(f"a result is not finite ({e})") from e
     if out_path:
@@ -226,7 +218,9 @@ def cmd_ri(args) -> int:
         "levels": cert.levels,
         "candidates_scored": cert.scored,
         "fallback_levels": cert.fallbacks,
-        "final_poly": list(cert.final_poly.coeffs),
+        # the walk's polynomials drop their factor x^(n-k), restored here
+        "final_poly": [0 if system.is_exact else 0.0] * (system.dim - args.k)
+        + list(cert.final_poly.coeffs),
         "certificate_valid": valid,
     }
     _emit(payload, args.out)

@@ -65,8 +65,8 @@ from .poly import Polynomial, TopRoot, float_top_root, _squarefree, \
     root_clusters, roots_above, shift_chain, EIG_START_POLES
 from .matrices import SymMatrix, _cleared, _coerce_array, _refuse_nonfinite, _vieta, \
     char_poly, charpoly_batch_exact
-from .mixedchar import BudgetExceededError, TableArithmetic, fold_terms, _enumerated_char, \
-    _pair_traces, _sandwiches
+from .mixedchar import BudgetExceededError, TableArithmetic, _enumerated_char, _pair_traces, \
+    _sandwiches
 from .graphs import DEFAULT_BUDGET, Graph, SigningEngine, frontier_order, signed_gram
 from .tolerances import CERT_TOL, ISO_TOL
 
@@ -177,8 +177,10 @@ class SelectionCertificate:
 
     ``pledged`` is lambda_k of the root expected polynomial, ``levels``
     the lambda_k of the child :func:`_keep` kept after each fixing,
-    ``realized`` the matrix the walk realized (a Gram sum, or B_s B_s^T
-    for signings), ``final_poly`` its characteristic polynomial and
+    ``realized`` the matrix the walk realized (a Gram sum for weaver, the
+    k x k Gram V V^T of the k chosen rows for ri, whose Gram sum V^T V
+    has the same nonzero spectrum, and B_s B_s^T for signings),
+    ``final_poly`` its characteristic polynomial and
     ``achieved`` its lambda_k; the keep rule makes achieved >= pledged
     (maximize) resp. <= (minimize).  On exact walks ``final_poly`` is the
     last kept child up to a positive factor, ``achieved`` is ``levels[-1]``,
@@ -289,17 +291,19 @@ def _walk_costs(dim: int, levels: int) -> dict:
     ``"enumerate"`` builds and expands one dim x dim matrix per outcome of
     every polynomial, dim^2 entries each: 2^r outcomes for the pledge and,
     at level l, two children of 2^(r-l-1) each, 3 2^r - 2 in all.
-    ``"engine"`` makes 2r + 1 leg products (:func:`_engine_route`): one
+    ``"engine"`` counts 2r + 1 leg products (:func:`_engine_route`): one
     per level to fold its lift into the parent table, one for the fixed
-    vector's kept side, and one per level that forms both children.  It
-    counts each as C(2 dim, dim) entries, the lifted tables' size, though
-    the pair tables hold C(dim, dim/2)^2 of them, 2.3 times fewer at dim
-    6 and 3.2 at dim 12.  Per estimated entry (float, 20 vectors in R^6,
-    dim = 12, on a 2-vCPU x86 host) the engine takes 0.0043 us and
-    enumeration 0.066 us, so near the crossover the smaller estimate can
-    pick enumeration where the engine would be faster.  Exact engine
-    walks take 2.2-2.8 times as long per entry as float ones in R^3
-    (12-27 vectors, int64 tables), 14 times in R^4 (16, Python ints).
+    vector's kept side, and one per level that forms both children; the
+    fold of the fixed vector's own lift into the unit table is not
+    counted.  It counts each as C(2 dim, dim) entries, the lifted tables'
+    size, though the pair tables hold C(dim, dim/2)^2 of them, 2.3 times
+    fewer at dim 6 and 3.2 at dim 12.  Per estimated entry (float, 20
+    vectors in R^6, dim = 12, on a 2-vCPU x86 host) the engine takes
+    0.0043 us and enumeration 0.066 us, so near the crossover the smaller
+    estimate can pick enumeration where the engine would be faster.
+    Exact engine walks take 2.2-2.8 times as long per entry as float ones
+    in R^3 (12-27 vectors, int64 tables), 14 times in R^4 (16, Python
+    ints).
     """
     return {"enumerate": (3 * 2 ** levels - 2) * dim * dim,
             "engine": (2 * levels + 1) * math.comb(2 * dim, dim)}
@@ -362,7 +366,9 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
 def _certificate(choices: list, levels: list, pledge, last, realized: SymMatrix, k: int,
                  direction: str) -> SelectionCertificate:
     """The certificate of a walk, from its pledge, its last kept child and
-    the Gram sum it realized (B_s B_s^T for signings, whose walk is in y).
+    the Gram matrix it realized (V V^T of the chosen rows for ri, whose
+    walk drops the factor x^(n-k), and B_s B_s^T for signings, whose walk
+    is in y).
 
     An exact walk passes ``pledge`` and ``last`` as (polynomial, cluster)
     pairs, the clusters it rooted on the way: chi of ``realized`` must be
@@ -426,35 +432,29 @@ def _engine_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
     = (v, 0) and b = (0, v) of weight w = 1/2, folds into the tables T of
     the rest as T + w (S_a + S_b)(T), S_x(W) = L(x) W L(x)^T, and S_b(Phi)
     = S_a(Phi^T)^T (:func:`_sandwiches` forms w S_a).  The walk starts
-    from u's lift, whose top tables are :func:`fold_terms` of u at weight
-    w in R^d, in the column of the empty bottom pair and, by sigma, in
-    the row of the empty top pair.  sigma leaves that alone, so each row
-    folds in by Y + Y^T, Y = w S_a(Phi), and the tables of every lift are
-    the pledge: u's two children are each other's sigma image, so their
-    polynomials are equal, and they average to it.  S_x S_x = 0 and S_a
+    from the unit table, W_0 = 1 alone, which sigma leaves alone, and
+    each lift, u's first, folds in by Y + Y^T, Y = w S_a(Phi), which
+    keeps it so.  The tables of every lift are the pledge: u's two
+    children are each other's sigma image, so their polynomials are
+    equal, and they average to it.  S_x S_x = 0 and S_a
     S_b = S_b S_a, so a lift's children T + S_a(T), T + S_b(T) are Phi +-
     D, D = w (S_a - S_b)(Phi).  u's child (u, 0) is Phi + Y - Y^T.  At a
     level, D comes from one :func:`_sandwiches` call on [Phi, Phi^T]; the
     children's traces are tr Phi +- tr D, and the kept child is the next
     Phi, whose traces are read from it again, not carried.  A walk on m
-    rows makes one fold in R^d and 2m + 1 leg products, and holds a few
-    tables at a time.
+    rows makes 2m + 2 leg products, and holds a few tables at a time.
     """
     d = len(fixed) // 2
     half = Fraction(1, 2) if exact else 0.5
-    lift = [(half, fixed), (half, np.roll(fixed, d))]
-    every = [(1, fixed)] + lift[1:] + [t for row in rows for p, v in row
-                                       for t in ((p, v), (1, v))]
+    every = [(1, fixed), (half, np.roll(fixed, d))] + [t for row in rows for p, v in row
+                                                       for t in ((p, v), (1, v))]
     arith = TableArithmetic(2 * d, every, exact)
-    (w0,), u = arith.encode(lift[:1])
-    tops = fold_terms([np.ones((1, 1), dtype=arith.dtype)] + [
-        np.zeros((c, c), dtype=arith.dtype) for c in (math.comb(d, j) for j in range(1, d + 1))],
-        [w0], u[:, :d])
+    (w0,), u = arith.encode([(half, fixed)])
     size = math.comb(2 * d, d)
     phi = np.zeros((size, size), dtype=arith.dtype)
-    phi[:, 0] = phi[0, :] = np.concatenate([t.ravel() for t in tops])
+    phi[0, 0] = 1
     terms = [arith.encode(row[:1]) for row in rows]
-    for (w,), a in terms:
+    for (w,), a in [((w0,), u)] + terms:
         y = _sandwiches(phi, w, a[0, :d])
         phi = phi + y + y.T
     yield arith.from_traces(_pair_traces(phi, d))
@@ -518,6 +518,13 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     level-0 child, so it rides in level 0's first batch as one more row
     ``[n/m]``.  Exact children are formed in integer coefficients
     (:func:`_ri_children`), and the exact pledge is ``(m - d/dx)^k x^n``.
+    Each of them, the pledge too, is x^(n-k) times a polynomial of
+    degree k, which alone the exact walk forms, shifts and roots
+    (:func:`_ri_shifted`): its roots are the top k, all >= 0.  Both
+    arithmetics certify on the k x k Gram V V^T of the chosen rows V,
+    whose chi is x^(n-k) less than that of their Gram sum V^T V: an exact
+    walk checks it equal to its last kept child, and a float walk takes
+    ``achieved`` and ``final_poly`` from its ``eigvalsh``.
 
     ``tol`` is the isotropy tolerance of float systems
     (:meth:`VectorSystem.is_isotropic`).  Returns (chosen index list,
@@ -534,7 +541,7 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     if system.is_exact:  # the rows cleared to one denominator q, as gram_sum does
         q, ints = _cleared(vecs.ravel().tolist())
         vecs = np.array(ints, dtype=object).reshape(m, n)
-        p = _ri_shifted([0] * n + [1], m, k)
+        p = _ri_shifted([1], n, m, k)
         pledge = parent = (p, _kth_cluster(p, k))
     chosen, levels, scored, fallbacks = [], [], [], 0
     for _ in range(k):
@@ -552,7 +559,7 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
         chosen.append(free[keep])
         levels.append(level)
     cert = _certificate(chosen, levels, pledge, parent,
-                        VectorSystem(system.vectors[chosen]).gram_sum(), k, "maximize")
+                        VectorSystem(system.vectors[chosen].T).gram_sum(), k, "maximize")
     cert.scored, cert.fallbacks = scored, fallbacks
     return chosen, cert
 
@@ -603,21 +610,27 @@ def _ri_scores(vecs: np.ndarray, chosen: list, cand: list, k: int,
 def _ri_children(ints: np.ndarray, q: int, chosen: list, cand: list,
                  k: int) -> list[Polynomial]:
     """The exact children of rows ``cand`` cleared to the denominator q,
-    ``(m - d/dx)^(k-l-1) x^(n-l-1) chi(G_j)`` times q^(2(l+1)): their
-    Gram stack q^2 G_j takes one :func:`charpoly_batch_exact` call, and
-    the coefficient of x^i of chi(q^2 G_j), times q^(2i), is their own."""
+    ``(m - d/dx)^(k-l-1) x^(n-l-1) chi(G_j)`` times q^(2(l+1)), each less
+    its factor x^(n-k) (:func:`_ri_shifted`), so of degree k: their
+    (l+1) x (l+1) Gram stack q^2 G_j takes one
+    :func:`charpoly_batch_exact` call, and the coefficient of x^i of
+    chi(q^2 G_j), times q^(2i), is that of q^(2(l+1)) chi(G_j)."""
     m, n = ints.shape
     lvl = len(chosen)
     rows = ints[[chosen + [j] for j in cand]]
     chis = charpoly_batch_exact(rows @ rows.transpose(0, 2, 1)).tolist()
-    return [_ri_shifted([0] * (n - lvl - 1) + [c * q ** (2 * i) for i, c in enumerate(chi)],
-                        m, k - lvl - 1) for chi in chis]
+    return [_ri_shifted([c * q ** (2 * i) for i, c in enumerate(chi)], n - lvl - 1, m,
+                        k - lvl - 1) for chi in chis]
 
 
-def _ri_shifted(co: list, m: int, steps: int) -> Polynomial:
-    """``(m - d/dx)^steps`` of the integer coefficients ``co``, lowest first."""
-    for _ in range(steps):
-        co = [m * c - (i + 1) * d for i, (c, d) in enumerate(zip(co, co[1:] + [0]))]
+def _ri_shifted(co: list, zeros: int, m: int, steps: int) -> Polynomial:
+    """h with ``(m - d/dx)^steps (x^zeros g) = x^(zeros - steps) h``, g the
+    integer coefficients ``co``, lowest first, and steps <= zeros: a step
+    takes x^z g to x^(z-1) (m x g - z g - x g'), so h_i = m g_(i-1) - (z +
+    i) g_i, and z falls by one.  Every polynomial of an exact ri walk is
+    x^(n-k) times such an h of degree k."""
+    for z in range(zeros, zeros - steps, -1):
+        co = [m * c - (z + i) * d for i, (c, d) in enumerate(zip([0] + co, co + [0]))]
     return Polynomial(co)
 
 

