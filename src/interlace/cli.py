@@ -203,7 +203,7 @@ def _positive_int(text: str) -> int:
 def cmd_ri(args) -> int:
     system = _parse_vector_system(_read_input(args.input), args.mode == "exact")
     chosen, cert = restricted_invertibility_select(system, args.k, tol=args.tol)
-    valid = cert.valid()
+    valid = cert.valid
     bound = restricted_invertibility_bound(system.dim, system.m, args.k)
     payload = {
         "command": "ri",
@@ -232,7 +232,7 @@ def cmd_weaver(args) -> int:
     s1, s2, cert = weaver_partition(system, budget=args.budget, tol=args.tol)
     # float norms only once the walk has checked isotropy: an exact row may
     # lie past the floats
-    valid, alpha = cert.valid(), system.max_norm_sq()
+    valid, alpha = cert.valid, system.max_norm_sq()
     # each side's Gram sum is a diagonal block of the lifted sum the walk realized
     d = system.dim
     norms = [SymMatrix(cert.realized.a[i:i + d, i:i + d]).norm2() for i in (0, d)]
@@ -274,7 +274,7 @@ def cmd_lift(args) -> int:
     for it in range(args.iterations):
         signs, cert = signing_select(g, budget=args.budget)
         lam = float(np.max(signed_adjacency(g, signs).eigenvalues()))
-        valid = cert.valid()
+        valid = cert.valid
         # final_poly, chi(B_s B_s^T), is the walk's checked last q: chi(A_s)(x) = final_poly(x^2)
         bounded = roots_above(cert.final_poly, 4 * (d - 1)) == 0
         lift = two_lift(g, signs)

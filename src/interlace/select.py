@@ -2,18 +2,19 @@
 
 Given independent finitely supported random vectors ``r_1..r_m``, the
 expected characteristic polynomial of ``sum r_i r_i^T`` has the property
-that its k-th largest root is always attained or beaten by some actual
+that its largest root is always attained or beaten by some actual
 outcome: at every level of the outcome tree the children's conditional
-expected polynomials share a common interlacing, so some child is at
-least as good as their average, the parent.  Every walk here fixes one
-vector at a time, and one rule decides each of its levels:
-:func:`_keep`, which states it, keeps the first child in index order
-that meets its parent, exact walks by exact root counts and float walks
-by float roots.  So every walk lands on a realization no worse than the
-root pledge, up to the float walks' rounding.  Each walk's
-:class:`SelectionCertificate` is read off the walk by :func:`_certificate`:
-the pledge, the per-level trace, the last kept child, which an exact
-walk checks equal to chi of what it realized, and that realized matrix.
+expected polynomials share a common interlacing, so some child's largest
+root is at most their average's, the parent's.  Every walk here fixes
+one vector at a time and minimizes a top root, and one rule decides each
+of its levels: :func:`_keep`, which states it, keeps the first child in
+index order whose top root is at most its parent's, exact walks by exact
+root counts and float walks by float roots.  So every walk lands on a
+realization no worse than the root pledge, up to the float walks'
+rounding.  Each walk's :class:`SelectionCertificate` is read off the
+walk by :func:`_certificate`: the pledge, the per-level trace, the last
+kept child, which an exact walk checks equal to chi of what it realized,
+and that realized matrix.
 
 Weaver's walk (:func:`_weaver_walk`) has two routes to the same
 polynomials.  Outcome enumeration costs 2^r outcomes for a polynomial
@@ -34,7 +35,9 @@ Three instantiations:
   ``(1 - (1/m) d/dx)^(k-l) char_poly(fixed sum)`` for the conditional
   polynomials, from bordered Gram matrices, a batch of candidates at a
   time in index order as :func:`_keep` reads them: float ones in root
-  space, exact ones in integer coefficients.
+  space, exact ones in integer coefficients.  lambda_k of V^T V is minus
+  the top root of the degree-k cofactor of chi(-V V^T), so the walk runs
+  on the negated Gram and reads its results back once certified.
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2`` with alpha the
   largest squared norm, by :func:`_weaver_walk` over two-point block
@@ -175,112 +178,106 @@ class VectorSystem:
 class SelectionCertificate:
     """The audit trail of one greedy walk, read off it by :func:`_certificate`.
 
-    ``pledged`` is lambda_k of the root expected polynomial, ``levels``
-    the lambda_k of the child :func:`_keep` kept after each fixing,
-    ``realized`` the matrix the walk realized (a Gram sum for weaver, the
-    k x k Gram V V^T of the k chosen rows for ri, whose Gram sum V^T V
-    has the same nonzero spectrum, and B_s B_s^T for signings),
-    ``final_poly`` its characteristic polynomial and
-    ``achieved`` its lambda_k; the keep rule makes achieved >= pledged
-    (maximize) resp. <= (minimize).  On exact walks ``final_poly`` is the
-    last kept child up to a positive factor, ``achieved`` is ``levels[-1]``,
-    and :meth:`valid` decides by :func:`_meets` from ``pledge_poly`` and
-    its cluster ``pledge_root``; on float walks ``achieved`` comes from
-    ``eigvalsh`` and :meth:`valid` allows ``CERT_TOL``.  ``fallbacks``
+    Every walk minimizes a top root.  ``pledged`` is the top root of the
+    root expected polynomial, ``levels`` the top root of the child
+    :func:`_keep` kept after each fixing, ``realized`` the matrix the walk
+    realized (a Gram sum for weaver, the k x k Gram V V^T of the k chosen
+    rows for ri, whose Gram sum V^T V has the same nonzero spectrum, and
+    B_s B_s^T for signings), ``final_poly`` its characteristic polynomial
+    and ``achieved`` its top eigenvalue; the keep rule makes achieved <=
+    pledged, and ``valid`` records that check.  On exact walks
+    ``final_poly`` is the last kept child up to a positive factor,
+    ``achieved`` is ``levels[-1]``, and ``valid`` is decided by
+    :func:`_meets` against the pledge; on float walks ``achieved`` comes
+    from ``eigvalsh`` and ``valid`` allows ``CERT_TOL``.  ``fallbacks``
     counts the float levels at which :func:`_keep` fell back; ``scored``,
     the children :func:`restricted_invertibility_select` formed per level
-    in its batches, stays empty for other walks.  A signing walk's
-    ``realized``, ``final_poly``, ``pledge_poly`` and ``pledge_root`` are
-    in y = x^2 (:func:`signing_select`), its ``levels``, ``pledged`` and
-    ``achieved`` in adjacency units, the square roots of their y roots.
+    in its batches, stays empty for other walks.
+
+    Two walks read their results back into the problem's units once the
+    walk is certified.  ri walks -V V^T: its ``pledged``, ``levels`` and
+    ``achieved`` are negated back to lambda_k values, so achieved >=
+    pledged, its ``final_poly`` is reflected back to chi(V V^T), and
+    ``realized`` is V V^T (:func:`restricted_invertibility_select`).  A
+    signing walk's ``realized`` and ``final_poly`` are in y = x^2
+    (:func:`signing_select`), its ``levels``, ``pledged`` and ``achieved``
+    in adjacency units, the square roots of their y roots.
     """
 
     choices: list
     final_poly: Polynomial
     achieved: float
     pledged: float
-    k: int
-    direction: str
+    valid: bool
     levels: list = field(default_factory=list)
     scored: list = field(default_factory=list)
     fallbacks: int = 0
-    pledge_poly: Polynomial | None = None
-    pledge_root: TopRoot | None = None
     realized: SymMatrix | None = None
 
-    def valid(self) -> bool:
-        maximize = self.direction == "maximize"
-        if self.pledge_poly is not None:
-            return _meets(self.final_poly, self.pledge_poly, self.pledge_root, self.k, maximize)
-        if maximize:
-            return self.achieved >= self.pledged - CERT_TOL
-        return self.achieved <= self.pledged + CERT_TOL
 
+def _meets(child: Polynomial, parent: Polynomial, bracket: TopRoot) -> bool:
+    """Whether the top root of ``child`` is at most the parent's, by exact
+    root counts: the one level rule of exact walks.
 
-def _meets(child: Polynomial, parent: Polynomial, bracket: TopRoot, k: int,
-           maximize: bool) -> bool:
-    """Whether lambda_k(child) >= lambda_k(parent), or <= unless
-    ``maximize``, by exact root counts: the one level rule of exact walks.
-
-    Both are real-rooted, which is not checked.  ``bracket`` is the
-    cluster of ``root_clusters(parent)`` holding its lambda_k r, so r is
-    in (lo, hi].  k roots of ``child`` above hi put its lambda_k above r,
-    fewer than k above lo put it below; counts that straddle k put both
-    in (lo, hi].  Then the child is tested equal to ``parent`` up to a
-    factor, and (lo, hi] halved by a count of each until the two part or
-    it holds one distinct root of child x parent (:func:`_squarefree`),
-    which both then are.  A tie meets, so the rule always ends.
+    Both are real-rooted, which is not checked.  ``bracket`` is the top
+    cluster of ``root_clusters(parent)``, so its top root r is in (lo,
+    hi].  A root of ``child`` above hi puts its top root above r, and none
+    above lo puts it below; otherwise both are in (lo, hi].  Then the
+    child is tested equal to ``parent`` up to a factor, and (lo, hi]
+    halved by a count of each until the two part or it holds one distinct
+    root of child x parent (:func:`_squarefree`), which both then are.  A
+    tie meets, so the rule always ends.
     """
     lo, hi = bracket.lo, bracket.hi
-    if roots_above(child, hi) >= k:
-        return maximize
-    if roots_above(child, lo) < k:
-        return not maximize
+    if roots_above(child, hi):
+        return False
+    if not roots_above(child, lo):
+        return True
     if child.monic() == parent.monic():
         return True
     distinct = _squarefree(child * parent)
     while roots_above(distinct, lo) - roots_above(distinct, hi) > 1:
         mid = (lo + hi) / 2
-        above = roots_above(child, mid) >= k
-        if above != (roots_above(parent, mid) >= k):
-            return above == maximize
+        above = roots_above(child, mid) > 0
+        if above != (roots_above(parent, mid) > 0):
+            return not above
         lo, hi = (mid, hi) if above else (lo, mid)
     return True
 
 
-def _keep(children, parent, k: int, maximize: bool):
+def _keep(children, parent):
     """The keep rule, which decides every level of every walk: (index,
     new parent, fell_back) of the first child, in index order, that meets
-    its parent, its lambda_k at least the parent's, or at most it unless
-    ``maximize``.  A level's children average to the parent and share a
-    common interlacing, so one meets, and the kept child is the next
-    level's parent.  ``children`` is read only up to the kept one, so a
-    walk may form and root them as they are read.
+    its parent, its top root at most the parent's.  A level's children
+    average to the parent and share a common interlacing, so one meets,
+    and the kept child is the next level's parent.  ``children`` is read
+    only up to the kept one, so a walk may form and root them as they are
+    read.
 
     Exact walks pass polynomials and ``parent`` as a (polynomial,
-    cluster) pair, the cluster of :func:`_kth_cluster`, and the kept child
+    cluster) pair, the cluster of :func:`_top_cluster`, and the kept child
     comes back as one.  A child equal to the parent meets and keeps the
     parent's cluster; :func:`_meets` decides the others by exact root
     counts, a tie meeting, only the kept one is rooted, and
     :class:`AssertionError` is raised if none meets.  Float walks pass
-    float lambda_k: the first child at least the parent's (at most, when
-    minimizing) is kept, and if rounding leaves none the best one, ties
-    to the lowest index, with fell_back set.
+    float top roots: the first child at most the parent's is kept, and if
+    rounding leaves none the lowest one, ties to the lowest index, with
+    fell_back set.
     """
     if isinstance(parent, tuple):
         poly, cluster = parent
         for j, child in enumerate(children):
             if child == poly:
                 return j, parent, False
-            if _meets(child, poly, cluster, k, maximize):
-                return j, (child, _kth_cluster(child, k)), False
+            if _meets(child, poly, cluster):
+                return j, (child, _top_cluster(child)), False
         raise AssertionError("no child meets its parent")
     vals = []
     for j, val in enumerate(children):
-        if (val >= parent) if maximize else (val <= parent):
+        if val <= parent:
             return j, val, False
         vals.append(val)
-    j = int(np.argmax(vals) if maximize else np.argmin(vals))
+    j = int(np.argmin(vals))
     return j, vals[j], True
 
 
@@ -300,7 +297,12 @@ def _walk_costs(dim: int, levels: int) -> dict:
     fewer at dim 6 and 3.2 at dim 12.  Per estimated entry (float, 20
     vectors in R^6, dim = 12, on a 2-vCPU x86 host) the engine takes
     0.0043 us and enumeration 0.066 us, so near the crossover the smaller
-    estimate can pick enumeration where the engine would be faster.
+    estimate can pick enumeration where the engine would be faster.  That
+    does not hold one dimension up: on 12 vectors in R^7 (dim = 14, float)
+    the estimate picks enumeration, 0.11 s and 44 MB peak, and the engine,
+    forced, takes 9.7-10.4 s and 973 MB, about 85 times as long.  So the
+    per-entry times differ by dimension, and a re-pricing must be made
+    per dimension.
     Exact engine walks take 2.2-2.8 times as long per entry as float ones
     in R^3 (12-27 vectors, int64 tables), 14 times in R^4 (16, Python
     ints).
@@ -318,7 +320,7 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
     ``first`` is (an object array), and then so is ``rest``.
     :func:`_keep` decides each level, reading the two children in order:
     an exact walk hands it their polynomials, and only the kept child is
-    rooted (:func:`_kth_cluster`); a float walk roots each child as the
+    rooted (:func:`_top_cluster`); a float walk roots each child as the
     rule reads it, by :func:`float_top_root`, Laguerre's method from
     above, which raises :class:`NotRealRootedError` on a breakdown.  So
     the second child stays unformed and unrooted when the first meets
@@ -348,56 +350,54 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
     walk = _engine_route if route == "engine" else _enumeration_route
     steps = walk(fixed, rows, exact, choices)
     p = next(steps)
-    pledge = parent = (p, _kth_cluster(p, 1)) if exact else float_top_root(p)
+    pledge = parent = (p, _top_cluster(p)) if exact else float_top_root(p)
     for children in steps:
         if not exact:
             children = (float_top_root(child) for child in children)
-        keep, parent, fell_back = _keep(children, parent, 1, False)
+        keep, parent, fell_back = _keep(children, parent)
         fallbacks += fell_back
         levels.append(parent[1].root if exact else parent)
         choices.append(keep)
     realized = [fixed] + [row[j][1] for row, j in zip(rows, choices)]
-    cert = _certificate(choices, levels, pledge, parent, VectorSystem(realized).gram_sum(), 1,
-                        "minimize")
+    cert = _certificate(choices, levels, pledge, parent, VectorSystem(realized).gram_sum())
     cert.fallbacks = fallbacks
     return cert
 
 
-def _certificate(choices: list, levels: list, pledge, last, realized: SymMatrix, k: int,
-                 direction: str) -> SelectionCertificate:
+def _certificate(choices: list, levels: list, pledge, last,
+                 realized: SymMatrix) -> SelectionCertificate:
     """The certificate of a walk, from its pledge, its last kept child and
-    the Gram matrix it realized (V V^T of the chosen rows for ri, whose
+    the Gram matrix it realized (-V V^T of the chosen rows for ri, whose
     walk drops the factor x^(n-k), and B_s B_s^T for signings, whose walk
     is in y).
 
     An exact walk passes ``pledge`` and ``last`` as (polynomial, cluster)
     pairs, the clusters it rooted on the way: chi of ``realized`` must be
     the last kept child up to a positive factor (:class:`AssertionError`
-    if not), and the clusters' roots are ``pledged`` and ``achieved``, so
-    no root is taken here.  A float walk passes its pledged float
-    lambda_k, and one ``eigvalsh`` of ``realized`` gives ``final_poly``
-    (by Vieta) and ``achieved``, its lambda_k.
+    if not), the clusters' roots are ``pledged`` and ``achieved``, so no
+    root is taken here, and :func:`_meets` decides ``valid``.  A float
+    walk passes its pledged float top root, and one ``eigvalsh`` of
+    ``realized`` gives ``final_poly`` (by Vieta, the eigenvalues multiplied
+    out in descending order) and ``achieved``, its top eigenvalue, valid
+    within ``CERT_TOL`` of the pledge.
     """
     if not realized.is_exact:
         w = np.linalg.eigvalsh(realized.a)
-        return SelectionCertificate(choices, Polynomial(_vieta(w[None])[0]), float(w[-k]),
-                                    pledge, k, direction, levels, realized=realized)
+        achieved = float(w[-1])
+        return SelectionCertificate(choices, Polynomial(_vieta(w[None, ::-1])[0]), achieved,
+                                    pledge, achieved <= pledge + CERT_TOL, levels,
+                                    realized=realized)
     final = char_poly(realized)
     if final.monic() != last[0].monic() or final.leading() * last[0].leading() <= 0:
         raise AssertionError("chi of what the walk realized is not its last kept polynomial")
-    return SelectionCertificate(choices, final, float(last[1].root), float(pledge[1].root), k,
-                                direction, levels, pledge_poly=pledge[0],
-                                pledge_root=pledge[1], realized=realized)
+    return SelectionCertificate(choices, final, float(last[1].root), float(pledge[1].root),
+                                _meets(final, *pledge), levels, realized=realized)
 
 
-def _kth_cluster(p: Polynomial, k: int) -> TopRoot:
-    """The :func:`root_clusters` cluster of exact ``p``, real-rooted by
-    theorem and not checked, that holds its k-th largest root."""
-    seen = 0
-    for cluster in root_clusters(p):
-        seen += cluster.mult
-        if seen >= k:
-            return cluster
+def _top_cluster(p: Polynomial) -> TopRoot:
+    """The top :func:`root_clusters` cluster of exact ``p``, real-rooted by
+    theorem and not checked."""
+    return next(root_clusters(p))
 
 
 def _enumeration_route(fixed: np.ndarray, rows: list, exact: bool, choices: list):
@@ -488,7 +488,17 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     at level l is scored by the k-th largest root of its child
     ``(1 - (1/m) d/dx)^(k-l-1) char_poly(B + v_j v_j^T)``.  The parent is
     the average of its m children, which have a common interlacing, so
-    some child's score is at least its parent's.  Level l hands the
+    some child's score is at least its parent's.
+
+    With S the l chosen rows, ``char_poly(S^T S + v_j v_j^T) =
+    x^(n-l-1) det(x - G_j)`` where G_j is the (l+1) x (l+1) Gram matrix
+    of S and v_j (:func:`_bordered_gram`), so every polynomial of the walk
+    is x^(n-k) times a cofactor of degree k, whose roots are its top k,
+    all >= 0, and whose smallest root is lambda_k.  The walk runs on the
+    negated Gram -G_j, where every walk minimizes a top root: negating
+    reflects the cofactor, x -> -x, and turns ``1 - (1/m) d/dx`` into
+    ``1 + (1/m) d/dx``, so lambda_k is minus the top root of the reflected
+    cofactor, and the walk minimizes -lambda_k.  Level l hands the
     children of the not-yet-chosen rows, in index order, to :func:`_keep`
     (the parent is the pledge at level 0, then the previous level's kept
     child).  :func:`_ri_level` forms them a batch at a time, a batch only
@@ -507,24 +517,24 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     :class:`AssertionError` unless every kept score is positive, which
     is what that argument needs.
 
-    With S the l chosen rows, ``char_poly(S^T S + v_j v_j^T) =
-    x^(n-l-1) det(x - G_j)`` where G_j is the (l+1) x (l+1) Gram matrix
-    of S and v_j, so a (batch, l+1, l+1) stack gives a batch's children.
-    Float stacks take one batched ``eigvalsh``, and one
+    Float stacks G_j take one batched ``eigvalsh``, and one
     :func:`shift_chain` call applies the k - l - 1 factors ``1 - (1/m)
-    d/dx`` in root space; the k-th largest root is the smallest of the k
-    roots it tracks.  The float pledge, lambda_k of ``(1 - (1/m) d/dx)^k
-    x^n = (1 - (1/m) d/dx)^(k-1) x^(n-1) (x - n/m)``, has the shape of a
-    level-0 child, so it rides in level 0's first batch as one more row
-    ``[n/m]``.  Exact children are formed in integer coefficients
-    (:func:`_ri_children`), and the exact pledge is ``(m - d/dx)^k x^n``.
-    Each of them, the pledge too, is x^(n-k) times a polynomial of
-    degree k, which alone the exact walk forms, shifts and roots
-    (:func:`_ri_shifted`): its roots are the top k, all >= 0.  Both
-    arithmetics certify on the k x k Gram V V^T of the chosen rows V,
-    whose chi is x^(n-k) less than that of their Gram sum V^T V: an exact
-    walk checks it equal to its last kept child, and a float walk takes
-    ``achieved`` and ``final_poly`` from its ``eigvalsh``.
+    d/dx`` in root space; a score is minus the smallest of the k roots it
+    tracks (:func:`_ri_scores`).  The float pledge, lambda_k of ``(1 -
+    (1/m) d/dx)^k x^n = (1 - (1/m) d/dx)^(k-1) x^(n-1) (x - n/m)``, has
+    the shape of a level-0 child, so it rides in level 0's first batch as
+    one more row ``[n/m]``.  Exact children are the reflected cofactors
+    themselves, formed in integer coefficients from one kernel call on
+    the stack -q^2 G_j (:func:`_ri_children`, :func:`_ri_shifted`), and
+    the exact pledge is ``(m + d/dx)^k x^n`` less its x^(n-k); each is
+    rooted at its top cluster alone.  Both arithmetics certify on -V V^T,
+    V the chosen rows, whose chi is the reflection of chi(V V^T), x^(n-k)
+    less than that of their Gram sum V^T V: an exact walk checks it equal
+    to its last kept child, and a float walk takes ``achieved`` and
+    ``final_poly`` from its ``eigvalsh``.  Once certified, ``pledged``,
+    ``levels`` and ``achieved`` are negated back to lambda_k values,
+    ``final_poly`` is reflected back to chi(V V^T), and ``realized`` is
+    V V^T.
 
     ``tol`` is the isotropy tolerance of float systems
     (:meth:`VectorSystem.is_isotropic`).  Returns (chosen index list,
@@ -542,7 +552,7 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
         q, ints = _cleared(vecs.ravel().tolist())
         vecs = np.array(ints, dtype=object).reshape(m, n)
         p = _ri_shifted([1], n, m, k)
-        pledge = parent = (p, _kth_cluster(p, k))
+        pledge = parent = (p, _top_cluster(p))
     chosen, levels, scored, fallbacks = [], [], [], 0
     for _ in range(k):
         taken = set(chosen)
@@ -551,15 +561,18 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
         children = _ri_level(vecs, q, chosen, free, k, scored)
         if parent is None:
             pledge = parent = next(children)
-        keep, parent, fell_back = _keep(children, parent, k, True)
+        keep, parent, fell_back = _keep(children, parent)
         fallbacks += fell_back
         level = parent if q is None else parent[1].root
-        if not level > 0:
-            raise AssertionError(f"kept score {level} is not positive")
+        if not level < 0:
+            raise AssertionError(f"kept score {-level} is not positive")
         chosen.append(free[keep])
         levels.append(level)
-    cert = _certificate(chosen, levels, pledge, parent,
-                        VectorSystem(system.vectors[chosen].T).gram_sum(), k, "maximize")
+    gram = VectorSystem(system.vectors[chosen].T).gram_sum()
+    cert = _certificate(chosen, levels, pledge, parent, SymMatrix(-gram.a))
+    cert.pledged, cert.achieved = -cert.pledged, -cert.achieved
+    cert.levels = [-level for level in levels]
+    cert.final_poly, cert.realized = _reflected(cert.final_poly), gram
     cert.scored, cert.fallbacks = scored, fallbacks
     return chosen, cert
 
@@ -584,54 +597,71 @@ def _ri_level(vecs: np.ndarray, q, chosen: list, free: list, k: int, scored: lis
         start, size = start + size, min(2 * size, RI_BATCH)
 
 
-def _ri_scores(vecs: np.ndarray, chosen: list, cand: list, k: int,
-               pledge: bool = False) -> np.ndarray:
-    """The float level scores of rows ``cand``, from the spectra of their
-    bordered Gram stack.  With ``pledge``, at level 0 only, the row
-    ``[n/m]`` is shifted along and the pledge returned as the last score.
-    """
-    m, n = vecs.shape
+def _bordered_gram(vecs: np.ndarray, chosen: list, cand: list) -> np.ndarray:
+    """The (len(cand), l+1, l+1) stack G_j of the Gram matrices of the l
+    rows ``chosen``, S, bordered by each row v_j of ``cand``: S S^T formed
+    once, the cross terms S v_j and the squared norms |v_j|^2.  Float rows
+    take the norms by ``einsum``; exact rows, integers cleared to one
+    denominator, stay Python ints."""
     lvl = len(chosen)
-    s = vecs[chosen]
-    v = vecs[cand]
+    s, v = vecs[chosen], vecs[cand]
     cross = v @ s.T
-    gram = np.empty((len(cand), lvl + 1, lvl + 1))
+    gram = np.empty((len(cand), lvl + 1, lvl + 1), dtype=vecs.dtype)
     gram[:, :lvl, :lvl] = s @ s.T
     gram[:, :lvl, lvl] = cross
     gram[:, lvl, :lvl] = cross
-    gram[:, lvl, lvl] = np.einsum("ij,ij->i", v, v)
-    roots = np.linalg.eigvalsh(gram)
+    gram[:, lvl, lvl] = (v * v).sum(axis=1) if vecs.dtype == object \
+        else np.einsum("ij,ij->i", v, v)
+    return gram
+
+
+def _ri_scores(vecs: np.ndarray, chosen: list, cand: list, k: int,
+               pledge: bool = False) -> np.ndarray:
+    """The float level scores of rows ``cand``, minus the lambda_k of their
+    children, from the spectra of their bordered Gram stack.  With
+    ``pledge``, at level 0 only, the row ``[n/m]`` is shifted along and
+    the pledge returned as the last score.
+    """
+    m, n = vecs.shape
+    lvl = len(chosen)
+    roots = np.linalg.eigvalsh(_bordered_gram(vecs, chosen, cand))
     if pledge:
         roots = np.concatenate([roots, [[n / m]]])
     roots, _ = shift_chain(roots, n - lvl - 1, 1.0 / m, k - lvl - 1)
-    return np.min(roots, axis=1)
+    return -np.min(roots, axis=1)
 
 
 def _ri_children(ints: np.ndarray, q: int, chosen: list, cand: list,
                  k: int) -> list[Polynomial]:
     """The exact children of rows ``cand`` cleared to the denominator q,
-    ``(m - d/dx)^(k-l-1) x^(n-l-1) chi(G_j)`` times q^(2(l+1)), each less
+    ``(m + d/dx)^(k-l-1) x^(n-l-1) chi(-G_j)`` times q^(2(l+1)), each less
     its factor x^(n-k) (:func:`_ri_shifted`), so of degree k: their
-    (l+1) x (l+1) Gram stack q^2 G_j takes one
-    :func:`charpoly_batch_exact` call, and the coefficient of x^i of
-    chi(q^2 G_j), times q^(2i), is that of q^(2(l+1)) chi(G_j)."""
+    negated bordered Gram stack -q^2 G_j (:func:`_bordered_gram`) takes
+    one :func:`charpoly_batch_exact` call, and the coefficient of x^i of
+    chi(-q^2 G_j), times q^(2i), is that of q^(2(l+1)) chi(-G_j)."""
     m, n = ints.shape
     lvl = len(chosen)
-    rows = ints[[chosen + [j] for j in cand]]
-    chis = charpoly_batch_exact(rows @ rows.transpose(0, 2, 1)).tolist()
+    chis = charpoly_batch_exact(-_bordered_gram(ints, chosen, cand)).tolist()
     return [_ri_shifted([c * q ** (2 * i) for i, c in enumerate(chi)], n - lvl - 1, m,
                         k - lvl - 1) for chi in chis]
 
 
 def _ri_shifted(co: list, zeros: int, m: int, steps: int) -> Polynomial:
-    """h with ``(m - d/dx)^steps (x^zeros g) = x^(zeros - steps) h``, g the
+    """h with ``(m + d/dx)^steps (x^zeros g) = x^(zeros - steps) h``, g the
     integer coefficients ``co``, lowest first, and steps <= zeros: a step
-    takes x^z g to x^(z-1) (m x g - z g - x g'), so h_i = m g_(i-1) - (z +
+    takes x^z g to x^(z-1) (m x g + z g + x g'), so h_i = m g_(i-1) + (z +
     i) g_i, and z falls by one.  Every polynomial of an exact ri walk is
-    x^(n-k) times such an h of degree k."""
+    x^(n-k) times such an h of degree k, the reflection of the cofactor
+    that ``(m - d/dx)^steps`` makes of x^zeros times the reflection of g."""
     for z in range(zeros, zeros - steps, -1):
-        co = [m * c - (z + i) * d for i, (c, d) in enumerate(zip([0] + co, co + [0]))]
+        co = [m * c + (z + i) * d for i, (c, d) in enumerate(zip([0] + co, co + [0]))]
     return Polynomial(co)
+
+
+def _reflected(p: Polynomial) -> Polynomial:
+    """(-1)^deg p p(-x): the roots of ``p`` negated, its leading coefficient kept."""
+    d = p.degree
+    return Polynomial([-c if (d - i) % 2 else c for i, c in enumerate(p.coeffs)])
 
 
 # ----------------------------------------------------------------------
@@ -719,9 +749,9 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     edge of ``g.edges`` in order (see :mod:`interlace.graphs`), each
     walk sign put back at its edge's position in ``g.edges``.  The
     certificate's roots are adjacency values, its ``realized`` B_s B_s^T
-    and its polynomials in y (``final_poly`` chi(B_s B_s^T),
-    ``pledge_poly`` q of mu_G), and ``choices`` is 0 for +1 and 1 for -1,
-    in walk order.
+    and its ``final_poly`` chi(B_s B_s^T) in y, its ``valid`` decided in y
+    against q of mu_G, and ``choices`` is 0 for +1 and 1 for -1, in walk
+    order.
     ``budget`` bounds the walk's work, as :class:`SigningEngine` counts
     it: the states of its backward DP plus, at every level the walk
     forms, groups x p^2 entries of the p x p Gram leaves.  The DP counts
@@ -737,18 +767,18 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     walk = Graph(g.n, relabelled)
     engine = SigningEngine(walk, budget)
     mu = engine.chars([])
-    pledge = parent = (mu, _kth_cluster(mu, 1))
+    pledge = parent = (mu, _top_cluster(mu))
     signs, levels = [], []
     for joins in walk.forest_edges():
         keep = 0
         if not joins:
-            keep, parent, _ = _keep(_signing_children(engine, signs, parent[0]), parent, 1, False)
+            keep, parent, _ = _keep(_signing_children(engine, signs, parent[0]), parent)
         signs.append((1, -1)[keep])
         levels.append(math.sqrt(parent[1].root))
     at = {e: j for j, e in enumerate(walk.edges)}
     g_signs = [signs[at[e]] for e in relabelled]
     cert = _certificate([0 if s == 1 else 1 for s in signs], levels, pledge, parent,
-                        signed_gram(g, g_signs), 1, "minimize")
+                        signed_gram(g, g_signs))
     cert.pledged, cert.achieved = math.sqrt(cert.pledged), math.sqrt(cert.achieved)
     return g_signs, cert
 

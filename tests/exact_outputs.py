@@ -4,9 +4,9 @@ the SHA-256 of each one's canonical JSON.
 The set is every bench instance of seeds 0-2 whose command runs exactly
 (all ``lift`` rows, the exact ``ri`` rows, and the exact rank-one and
 full-rank ``mixedchar`` rows, drawn from ``perfbench/instances.py``),
-plus the exact ``ri`` and ``weaver`` inputs of the CI workflow.  Exact
-outputs depend on neither BLAS nor the numpy version, so their digests
-can be pinned.  ``lift``'s ``lambda_max_signed`` comes from a float
+plus the exact ``ri`` and ``weaver`` inputs of the CI workflow and one
+deeper exact ``ri`` walk, n=32, k=16.  Exact outputs depend on neither
+BLAS nor the numpy version, so their digests can be pinned.  ``lift``'s ``lambda_max_signed`` comes from a float
 ``eigvalsh``: it is left out of the digest, and
 ``tests/test_exact_outputs.py`` recomputes it instead.
 
@@ -17,6 +17,14 @@ repository root, by
 
 which rewrites ``tests/exact_outputs.json``; the change then names the
 instances whose digests moved.
+
+CI's exact ``ri`` at n=48, k=24 takes about 20 s, past what the suite
+runs, and its step checks the SHA-256 of its output against
+``tests/ri48_exact.sha256``, which, from the repository root,
+
+    PYTHONPATH=src:perfbench:tests python -c "import json, pathlib, tempfile, numpy as np; from instances import rational_isotropic; from exact_outputs import _sha, run; d = tempfile.TemporaryDirectory(); text = json.dumps({'vectors': [[str(x) for x in r] for r in rational_isotropic(np.random.default_rng(48), 48)]}); print(_sha(run(['ri', '-k', '24', '--mode', 'exact'], '.json', text, pathlib.Path(d.name))[1]))" > tests/ri48_exact.sha256
+
+rewrites.
 """
 
 import contextlib
@@ -82,6 +90,7 @@ def cases() -> list:
             ("ci/ri-rational12", ["ri", "-k", "6", "--mode", "exact"], ".json", rational(12)),
             ("ci/ri-frame", ["ri", "-k", "2", "--mode", "exact"], ".json", frame),
             ("ci/ri-rational24", ["ri", "-k", "12", "--mode", "exact"], ".json", rational(24)),
+            ("deep/ri-rational32", ["ri", "-k", "16", "--mode", "exact"], ".json", rational(32)),
             ("ci/weaver-rational3", ["weaver", "--mode", "exact"], ".json", rational(3)),
             ("ci/weaver-cayley12", ["weaver", "--mode", "exact"], ".json", cayley(12, 3)),
             ("ci/weaver-cayley16", ["weaver", "--mode", "exact"], ".json", cayley(16, 4)),

@@ -55,7 +55,7 @@ other ways:
   traces and Newton's identities;
 * the exact order of two top roots, by stripping their common factors
   and halving both brackets (:func:`compare_top_roots`), against the
-  library's level rule ``select._meets`` at k = 1;
+  library's level rule ``select._meets``;
 * weaver's engine route with the lift's algebra left unused
   (:func:`fold_peel_route`): the parent table built by folding both
   points of every lift, and each level's row peeled off it grade by
@@ -84,7 +84,7 @@ from interlace import DEFAULT_BUDGET, Graph, Polynomial, SymMatrix, char_poly, \
 from interlace.graphs import LEAF_ENTRIES, frontier_order
 from interlace.matrices import _coerce_array, charpoly_batch_exact
 from interlace.mixedchar import BudgetExceededError, TableArithmetic
-from interlace.select import _kth_cluster, _ri_scores
+from interlace.select import _ri_scores, _top_cluster
 from interlace.poly import EIG_START_POLES, TopRoot, _count_above, _integer_coeffs, \
     _pole_masks, _primitive, _pseudo_divmod, shift_chain
 from fixtures import allclose, psd_list
@@ -317,7 +317,7 @@ def enumeration_walk(rows, fixed=(), budget: int = DEFAULT_BUDGET):
     float, which on two-point rows is the same child.  The polynomials
     come from this module's own exact enumeration, rounded to float for
     float rows, and their roots from that walk's kernels,
-    ``select._kth_cluster`` for exact polynomials and ``float_top_root``
+    ``select._top_cluster`` for exact polynomials and ``float_top_root``
     for float ones: this checks the walk's route to its polynomials and
     its choices, and the kernels are checked against 50-digit references
     in the tests of ``interlace.poly``.
@@ -327,7 +327,7 @@ def enumeration_walk(rows, fixed=(), budget: int = DEFAULT_BUDGET):
     base = _base(rows, fixed)
 
     def top(p):
-        return _kth_cluster(p, 1).root if exact else float_top_root(p)
+        return _top_cluster(p).root if exact else float_top_root(p)
 
     pledged = top(_enumerate(base, rows, budget, scale, exact))
     choices, levels = [], []
@@ -352,13 +352,14 @@ def ri_pledge(n: int, m: int, k: int) -> float:
 def ri_level_scores(system, chosen: list, k: int) -> np.ndarray:
     """Every row's score at the level after ``chosen``, chosen rows included.
 
-    Float rows take the float walk's own kernel.  Exact rows' children
+    Float rows take the float walk's own kernel, whose scores are minus
+    lambda_k, negated back.  Exact rows' children
     are formed in coefficients, (1 - D/m)^(k-l-1) char_poly(B + v v^T)
     with B the chosen rows' Gram sum, each checked real-rooted by a
     Sturm sequence and rooted by ``root_clusters``.
     """
     if not system.is_exact:
-        return _ri_scores(system.vectors, chosen, list(range(system.m)), k)
+        return -_ri_scores(system.vectors, chosen, list(range(system.m)), k)
     vecs = system.vectors
     m, n = vecs.shape
     base = sum((np.outer(vecs[j], vecs[j]) for j in chosen), np.zeros((n, n), dtype=object))
@@ -667,7 +668,7 @@ def compare_top_roots(p: Polynomial, q: Polynomial,
     top(q).  Those two are distinct algebraic numbers, so halving both
     brackets by exact counts separates them.  The same with p and q
     swapped; if neither holds, the top roots are equal.  A reference
-    for the library's level rule, ``select._meets``, at k = 1.
+    for the library's level rule, ``select._meets``.
     """
     tp = tp or top_root(p)
     tq = tq or top_root(q)

@@ -260,7 +260,7 @@ def test_criterion_08_restricted_invertibility(capsys):
     def check(vs, k, tag):
         chosen, cert = restricted_invertibility_select(vs, k)
         bound = restricted_invertibility_bound(vs.dim, vs.m, k)
-        if not cert.valid() or cert.achieved < bound - 1e-7:
+        if not cert.valid or cert.achieved < bound - 1e-7:
             failures.append((tag, k, cert.achieved, bound))
 
     # orthonormal system, every admissible k
@@ -306,7 +306,7 @@ def test_criterion_09_weaver_partitions(capsys):
             norm = float(np.linalg.eigvalsh(block)[-1]) if side else 0.0
             if norm > bound + 1e-7:
                 failures.append((tag, name, norm, bound))
-        if not cert.valid():
+        if not cert.valid:
             failures.append((tag, "certificate", cert.achieved, cert.pledged))
 
     check(VectorSystem(np.vstack([np.eye(4), np.eye(4)]) / math.sqrt(2)),
@@ -338,7 +338,7 @@ def test_criterion_10_ramanujan_pipeline(capsys):
         lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
         if lam > 2.0 * math.sqrt(2.0) + 1e-7:
             failures.append((f"lift-{step}", "signed-lambda", lam))
-        if not cert.valid():
+        if not cert.valid:
             failures.append((f"lift-{step}", "certificate", cert.achieved))
         g = two_lift(g, signing)
         if not is_ramanujan_bipartite(g):

@@ -47,7 +47,7 @@ def test_exact_outputs_equal_their_committed_digests(tmp_path):
         moved.append(f"{ident}: exit {old['exit']} -> {new['exit']}, first moved field {first}")
     assert not moved, f"{len(moved)} exact outputs moved:\n" + "\n".join(moved)
     assert not lams, "lambda_max_signed off its recomputation:\n" + "\n".join(lams)
-    assert len(got) == 144
+    assert len(got) == 145
 
 
 def _exact_ri_cases() -> list:
@@ -59,7 +59,7 @@ def test_exact_ri_final_poly_times_x_to_the_n_minus_k_is_chi_of_the_n_by_n_gram_
     # printed final_poly, x^(n-k) restored, is chi of their n x n Gram sum,
     # formed here from the printed subset of the input rows
     ri = _exact_ri_cases()
-    assert len(ri) == 18
+    assert len(ri) == 19
     for ident, args, suffix, text in ri:
         code, payload, _ = run(args, suffix, text, tmp_path)
         assert code == 0 and payload["certificate_valid"] is True, ident
@@ -89,3 +89,24 @@ def test_exact_ri_forms_no_characteristic_polynomial_of_side_above_k(tmp_path, m
     assert code == 0 and payload["certificate_valid"] is True
     k = payload["k"]
     assert max(max(s) for s in sides) == k and all(a == b for a, b in sides)
+
+
+def test_exact_ri_takes_one_cluster_per_rooted_polynomial(tmp_path, monkeypatch):
+    # ri walks the reflected degree-k cofactors, whose top root is minus
+    # lambda_k: the pledge and each kept child are rooted at their top
+    # cluster alone, k + 1 clusters in all, where lambda_k of the cofactors
+    # themselves is their bottom cluster, below k - 1 others
+    taken = []
+    clusters = select_module.root_clusters
+
+    def counted(p):
+        for cluster in clusters(p):
+            taken.append(cluster)
+            yield cluster
+
+    monkeypatch.setattr(select_module, "root_clusters", counted)
+    ident, args, suffix, text = next(c for c in _exact_ri_cases()
+                                     if c[0] == "ci/ri-rational24")
+    code, payload, _ = run(args, suffix, text, tmp_path)
+    assert code == 0 and payload["certificate_valid"] is True
+    assert len(taken) == payload["k"] + 1

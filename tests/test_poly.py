@@ -804,7 +804,8 @@ def test_root_clusters_start_every_cluster_of_the_n48_ri_pledge_without_bisectio
     # each start comes from the float copy with the clusters above divided
     # out, close enough for the exact polish on every one of the 25
     calls = _counted_bisections(monkeypatch)
-    p = Polynomial([0] * 24 + list(select_module._ri_shifted([1], 48, 96, 24).coeffs))
+    pledge = select_module._reflected(select_module._ri_shifted([1], 48, 96, 24))
+    p = Polynomial([0] * 24 + list(pledge.coeffs))
     clusters = list(root_clusters(p))
     assert len(clusters) == 25 and calls == []
     _certified(p, clusters)
@@ -816,7 +817,8 @@ def test_root_clusters_bisect_four_clusters_of_the_n64_ri_pledge(monkeypatch):
     # land up to 3.5e-3 off; Newton steps until they stop shrinking, six
     # at most, polish all but four of its 33 clusters
     calls = _counted_bisections(monkeypatch)
-    p = Polynomial([0] * 32 + list(select_module._ri_shifted([1], 64, 128, 32).coeffs))
+    pledge = select_module._reflected(select_module._ri_shifted([1], 64, 128, 32))
+    p = Polynomial([0] * 32 + list(pledge.coeffs))
     clusters = list(root_clusters(p))
     assert len(clusters) == 33 and len(calls) == 4
     _certified(p, clusters)
@@ -1053,9 +1055,9 @@ def test_walks_on_constructions_take_no_sturm_sequence(monkeypatch):
     vs = _rational_isotropic(np.random.default_rng(6), 6)
     assert vs.is_exact and vs.is_isotropic()
     chosen, cert = restricted_invertibility_select(vs, 3)
-    assert len(set(chosen)) == 3 and cert.valid()
+    assert len(set(chosen)) == 3 and cert.valid
     signing, cert = signing_select(complete_bipartite(3, 3))
-    assert len(signing) == 9 and cert.valid()
+    assert len(signing) == 9 and cert.valid
     # outside input still meets the checker
     with pytest.raises(AssertionError):
         exact_real_roots(Polynomial([7, -5, 1]))
@@ -1076,11 +1078,10 @@ def test_compare_top_roots_disjoint_equal_and_overlapping():
     assert t_one.lo < t_near.hi and t_near.lo < t_one.hi
     assert compare_top_roots(one, near) == -1
     assert compare_top_roots(near, one, t_near, t_one) == 1
-    # the level rule at k = 1 orders the same pairs, ties meeting
+    # the level rule orders the same pairs, ties meeting
     for p, q in [(a, b), (b, a), (a, c), (c, a), (a, a), (one, near), (near, one)]:
         order = compare_top_roots(p, q)
-        assert select_module._meets(p, q, top_root(q), 1, True) == (order >= 0)
-        assert select_module._meets(p, q, top_root(q), 1, False) == (order <= 0)
+        assert select_module._meets(p, q, top_root(q)) == (order <= 0)
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ import interlace.poly as poly_module
 import interlace.select as select_module
 from interlace.mixedchar import TableArithmetic, fold_terms
 from interlace.poly import EIG_START_POLES
+from interlace.tolerances import CERT_TOL
 from fixtures import adjacency, complete, complete_bipartite, from_roots, path, petersen, \
     random_isotropic, two_point, walked_cover24
 from oracles import CUBE, argmax_ri_walk, compare_top_roots, conditional_expected_poly, \
@@ -155,7 +156,7 @@ def test_greedy_walk_certificate_minimize():
         m = int(rng.integers(2, 6))
         first, rest = rng.standard_normal(d), rng.standard_normal((m, d))
         cert = select_module._weaver_walk(first, rest)
-        assert cert.valid()
+        assert cert.valid
         assert len(cert.choices) == len(cert.levels) == m
         leaves = _all_leaf_values(*_lifts(first, rest))
         # the pledge lies between the extreme leaves, and the achieved
@@ -181,7 +182,7 @@ def test_greedy_walk_interlacing_check_passes():
     rng = np.random.default_rng(89)
     first, rest = rng.standard_normal(3), rng.standard_normal((3, 3))
     cert = select_module._weaver_walk(first, rest)
-    assert cert.valid()
+    assert cert.valid
     # every visited sibling family has a common interlacing, the fact
     # that makes greedy sound; children by enumeration, independently
     rows, lifted = _lifts(first, rest)
@@ -195,14 +196,14 @@ def test_greedy_walk_interlacing_check_passes():
 
 
 def test_certificate_invariant_direction():
-    bad = SelectionCertificate(choices=[], final_poly=Polynomial([1]),
-                               achieved=0.3, pledged=0.5, k=1,
-                               direction="maximize")
-    assert not bad.valid()
-    good = SelectionCertificate(choices=[], final_poly=Polynomial([1]),
-                                achieved=0.3, pledged=0.5, k=1,
-                                direction="minimize")
-    assert good.valid()
+    # a float certificate is valid while its top eigenvalue stays within
+    # CERT_TOL above the pledge, and no further
+    realized = SymMatrix(np.diag([0.25, 0.5]))
+    for pledge, valid in ((0.75, True), (0.5, True), (0.5 - CERT_TOL / 2, True),
+                          (0.5 - 2 * CERT_TOL, False), (0.25, False)):
+        cert = select_module._certificate([], [], pledge, None, realized)
+        assert isinstance(cert, SelectionCertificate)
+        assert cert.achieved == 0.5 and cert.valid is valid, pledge
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +220,7 @@ def test_ri_orthonormal_basis():
     vs = VectorSystem([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     chosen, cert = restricted_invertibility_select(vs, 2)
     assert len(chosen) == len(set(chosen)) == 2
-    assert cert.valid()
+    assert cert.valid
     assert cert.achieved == pytest.approx(1.0)  # distinct basis vectors
     assert cert.pledged >= restricted_invertibility_bound(3, 3, 2) - 1e-9
 
@@ -236,7 +237,7 @@ def test_ri_duplicated_basis_exact():
     vs = VectorSystem(vecs)
     assert vs.is_exact and vs.is_isotropic()
     chosen, cert = restricted_invertibility_select(vs, 2)
-    assert cert.valid()
+    assert cert.valid
     # picking two distinct directions gives lambda_2 = 1/4
     assert cert.achieved == pytest.approx(0.25)
     assert cert.achieved >= restricted_invertibility_bound(n, 4 * n, 2) - 1e-7
@@ -251,7 +252,7 @@ def test_ri_random_isotropic():
         vs = random_isotropic(n, m, rng)
         chosen, cert = restricted_invertibility_select(vs, k)
         assert len(set(chosen)) == k
-        assert cert.valid()
+        assert cert.valid
         assert cert.achieved >= restricted_invertibility_bound(n, m, k) - 1e-7
         # certificate matches a direct eigenvalue computation
         sub = np.array([np.asarray(vs.vectors[i], dtype=float) for i in chosen])
@@ -369,7 +370,7 @@ def test_ri_keeps_the_lowest_free_row_meeting_its_parent():
             ref_chosen, ref_levels, ref_pledged = argmax_ri_walk(vs, k)
             assert cert.pledged == pytest.approx(ref_pledged, rel=1e-12)
             _assert_walk_follows_scores(vs, k, chosen, cert)
-            assert cert.valid() and cert.achieved >= cert.pledged - 1e-12
+            assert cert.valid and cert.achieved >= cert.pledged - 1e-12
             assert cert.achieved >= restricted_invertibility_bound(n, m, k) - 1e-12
             # the best-child walk certifies too; the first-child walk can
             # only end at or below it at level 0
@@ -385,16 +386,17 @@ def test_ri_fallback_keeps_the_best_scored_row(monkeypatch):
     sevenths = VectorSystem([row * math.sqrt(1 / 7) for row in np.eye(4) for _ in range(7)])
     chosen, cert = restricted_invertibility_select(sevenths, 3)
     _assert_walk_follows_scores(sevenths, 3, chosen, cert)
-    assert cert.valid() and abs(cert.pledged - cert.levels[0]) <= 1e-15
+    assert cert.valid and abs(cert.pledged - cert.levels[0]) <= 1e-15
     # every child of the orthonormal basis equals its parent at level 0;
     # with the pledge one ulp higher none meets it, and the level keeps
     # the best scored row, the lowest index of the tie
     scores = select_module._ri_scores
 
     def raised_pledge(vecs, chosen, cand, k, pledge=False):
+        # scores are -lambda_k: the pledge's lambda_k one ulp higher
         out = scores(vecs, chosen, cand, k, pledge)
         if pledge:
-            out[-1] = np.nextafter(out[-1], np.inf)
+            out[-1] = np.nextafter(out[-1], -np.inf)
         return out
 
     _, cert = restricted_invertibility_select(VectorSystem(np.eye(4)), 3)
@@ -402,7 +404,7 @@ def test_ri_fallback_keeps_the_best_scored_row(monkeypatch):
     monkeypatch.setattr(select_module, "_ri_scores", raised_pledge)
     chosen, cert = restricted_invertibility_select(VectorSystem(np.eye(4)), 3)
     assert cert.fallbacks == 1 and cert.scored == [4, 3, 2]
-    assert chosen == [0, 1, 2] and cert.valid()
+    assert chosen == [0, 1, 2] and cert.valid
 
 
 def test_ri_basis_levels_are_exact():
@@ -453,18 +455,18 @@ def test_ri_exact_equal_norm_frame_ties_its_pledge(monkeypatch, frame):
     assert vs.is_exact and vs.is_isotropic()
     calls, meets = [], select_module._meets
 
-    def recorded(child, parent, bracket, k, maximize):
-        calls.append((child, parent, bracket, k, meets(child, parent, bracket, k, maximize)))
+    def recorded(child, parent, bracket):
+        calls.append((child, parent, bracket, meets(child, parent, bracket)))
         return calls[-1][-1]
 
     monkeypatch.setattr(select_module, "_meets", recorded)
     chosen, cert = restricted_invertibility_select(vs, 2)
     assert cert.pledged == 0.125 and cert.levels[0] == 0.125
     assert chosen[0] == 0 and cert.scored[0] == select_module.RI_BATCH
-    child, parent, bracket, k, met = calls[0]
+    child, parent, bracket, met = calls[0]
     assert met and child != parent and child.monic() == parent.monic()
-    assert roots_above(child, bracket.hi) < k <= roots_above(child, bracket.lo)
-    assert cert.fallbacks == 0 and cert.valid() and calls[-1][-1]
+    assert roots_above(child, bracket.hi) == 0 < roots_above(child, bracket.lo)
+    assert cert.fallbacks == 0 and cert.valid and calls[-1][-1]
     assert cert.achieved == cert.levels[-1] >= restricted_invertibility_bound(4, 16, 2)
     # final_poly is chi of the 2 x 2 Gram V V^T; x^2 of it is chi of the 4 x 4 sum
     assert Polynomial([0] * 2 + list(cert.final_poly.coeffs)) \
@@ -472,44 +474,39 @@ def test_ri_exact_equal_norm_frame_ties_its_pledge(monkeypatch, frame):
 
 
 EPS = Fraction(1, 2 ** 60)
-# (child, parent, k, lambda_k(child) - lambda_k(parent) sign); the parent's
-# bracket is its certified cluster, a few ulp wide, and children marked
-# inside have lambda_k within it, 2^-60 from the parent's or equal to it
+# (child, parent, top(child) - top(parent) sign, inside); the parent's
+# bracket is its certified top cluster, a few ulp wide, and children marked
+# inside have their top root within it, 2^-60 from the parent's or equal to it
 RULE_CASES = [
-    (from_roots([1 + EPS]), from_roots([1, -1]), 1, 1, True),
-    (from_roots([1 - EPS, -3]), from_roots([1, -1]), 1, -1, True),
-    (from_roots([5]), from_roots([1, -1]), 1, 1, False),
-    (from_roots([0, 0]), from_roots([1, -1]), 1, -1, False),
-    (3 * from_roots([1, -1]), from_roots([1, -1]), 1, 0, True),
-    (from_roots([1, 0]), from_roots([1, -1]), 1, 0, True),
-    (from_roots([3, 1 + EPS, -2]), from_roots([3, 1, -2]), 2, 1, True),
-    (from_roots([2, 1 - EPS, 0]), from_roots([3, 1, -2]), 2, -1, True),
-    (from_roots([5, 1]), from_roots([3, 1, -2]), 2, 0, True),
-    (from_roots([1, 1, 0]), from_roots([3, 1, -2]), 2, 0, True),
-    (from_roots([2, 2, 2]), from_roots([3, 1, -2]), 2, 1, False),
+    (from_roots([1 + EPS]), from_roots([1, -1]), 1, True),
+    (from_roots([1 - EPS, -3]), from_roots([1, -1]), -1, True),
+    (from_roots([5]), from_roots([1, -1]), 1, False),
+    (from_roots([0, 0]), from_roots([1, -1]), -1, False),
+    (3 * from_roots([1, -1]), from_roots([1, -1]), 0, True),
+    (from_roots([1, 0]), from_roots([1, -1]), 0, True),
+    (from_roots([3 + EPS, 1, -2]), from_roots([3, 1, -2]), 1, True),
+    (from_roots([3 - EPS, 2, 0]), from_roots([3, 1, -2]), -1, True),
+    (from_roots([3, 1]), from_roots([3, 1, -2]), 0, True),
+    (from_roots([3, 3, 0]), from_roots([3, 1, -2]), 0, True),
+    (from_roots([4, 4, 4]), from_roots([3, 1, -2]), 1, False),
 ]
 
 
-def _rule_errors(rule) -> set:
-    """The directions, of "maximize" and "minimize", in which ``rule`` gets
-    a case of RULE_CASES wrong."""
-    wrong = set()
-    for child, parent, k, sign, _ in RULE_CASES:
-        bracket = select_module._kth_cluster(parent, k)
-        for maximize in (True, False):
-            if rule(child, parent, bracket, k, maximize) != (sign >= 0 if maximize else sign <= 0):
-                wrong.add("maximize" if maximize else "minimize")
-    return wrong
+def _rule_errors(rule) -> list:
+    """The cases of RULE_CASES that ``rule`` gets wrong: a child meets
+    exactly when its top root is at most the parent's."""
+    return [i for i, (child, parent, sign, _) in enumerate(RULE_CASES)
+            if rule(child, parent, select_module._top_cluster(parent)) != (sign <= 0)]
 
 
 def test_meets_decides_by_counts_halving_and_ties():
-    for child, parent, k, sign, inside in RULE_CASES:
-        bracket = select_module._kth_cluster(parent, k)
+    for child, parent, sign, inside in RULE_CASES:
+        bracket = select_module._top_cluster(parent)
         # the cases marked inside straddle the bracket, and the rule halves it
-        straddle = roots_above(child, bracket.hi) < k <= roots_above(child, bracket.lo)
+        straddle = roots_above(child, bracket.hi) == 0 < roots_above(child, bracket.lo)
         assert straddle == inside
         if sign == 0:
-            assert exact_real_roots(child)[k - 1] == pytest.approx(exact_real_roots(parent)[k - 1])
+            assert exact_real_roots(child)[0] == pytest.approx(exact_real_roots(parent)[0])
     assert not _rule_errors(select_module._meets)
     # a bracket widened to (0, 4], still certified for the top root 1 of
     # (x - 1)(x + 1), sends a child at 2 and one at 1/2 through the halving
@@ -517,47 +514,45 @@ def test_meets_decides_by_counts_halving_and_ties():
     wide = TopRoot(1.0, 1, Fraction(0), Fraction(4))
     for root, above in ((2, True), (Fraction(1, 2), False)):
         child = from_roots([root])
-        assert select_module._meets(child, parent, wide, 1, True) == above
-        assert select_module._meets(child, parent, wide, 1, False) == (not above)
+        assert select_module._meets(child, parent, wide) == (not above)
 
 
 def test_meets_mutant_deciding_at_the_wrong_ends_fails():
-    # the rule with maximizing tested against lo in place of hi, and
-    # minimizing with the ends swapped, keeps children that miss
+    # the rule with its two ends swapped, a root above lo missing and none
+    # above hi meeting, drops every child whose top root lies in the
+    # parent's bracket, the ones below the parent's and the ties
     source = inspect.getsource(select_module._meets)
-    right = ("    if roots_above(child, hi) >= k:\n        return maximize\n"
-             "    if roots_above(child, lo) < k:\n        return not maximize\n")
-    swapped = ("    if roots_above(child, lo) >= k:\n        return maximize\n"
-               "    if roots_above(child, hi) < k:\n        return not maximize\n")
+    right = ("    if roots_above(child, hi):\n        return False\n"
+             "    if not roots_above(child, lo):\n        return True\n")
+    swapped = ("    if roots_above(child, lo):\n        return False\n"
+               "    if not roots_above(child, hi):\n        return True\n")
     assert source.count(right) == 1
     scope = dict(vars(select_module))
     exec(source.replace(right, swapped), scope)
-    assert _rule_errors(scope["_meets"]) == {"maximize", "minimize"}
+    wrong = _rule_errors(scope["_meets"])
+    assert {RULE_CASES[i][2] for i in wrong} == {-1, 0}
 
 
 def test_keep_float_keeps_the_first_child_that_meets():
-    # at least the parent's lambda_k when maximizing, at most it when
-    # minimizing, ties included, in index order
+    # at most the parent's top root, ties included, in index order
     keep = select_module._keep
-    assert keep([0.5, 1.0, 2.0, 1.5], 1.0, 1, True) == (1, 1.0, False)
-    assert keep([0.5, 1.5, 2.0], 1.0, 2, True) == (1, 1.5, False)
-    assert keep([1.5, 0.25, 0.5], 1.0, 1, False) == (1, 0.25, False)
+    assert keep([2.0, 1.0, 0.5, 1.5], 1.0) == (1, 1.0, False)
+    assert keep([1.5, 0.25, 0.5], 1.0) == (1, 0.25, False)
 
 
 def test_keep_float_falls_back_to_the_best_child_ties_to_the_lowest_index():
     # rounding can leave no child meeting its parent; the level then keeps
     # the best child, the first of equal ones, and is flagged
     keep = select_module._keep
-    assert keep([0.5, 0.75, 0.25, 0.75], 1.0, 1, True) == (1, 0.75, True)
-    assert keep([2.0, 1.5, 3.0, 1.5], 1.0, 1, False) == (1, 1.5, True)
+    assert keep([2.0, 1.5, 3.0, 1.5], 1.0) == (1, 1.5, True)
 
 
 def test_keep_exact_child_equal_to_its_parent_keeps_the_parent_cluster(monkeypatch):
-    # a child above the parent's bracket misses it when minimizing, by
-    # counts alone; the next child, equal to the parent, meets and keeps
-    # the parent's cluster, and nothing is rooted
+    # a child above the parent's bracket misses it by counts alone; the
+    # next child, equal to the parent, meets and keeps the parent's
+    # cluster, and nothing is rooted
     parent = from_roots([1, -1])
-    cluster = select_module._kth_cluster(parent, 1)
+    cluster = select_module._top_cluster(parent)
 
     def refuse(p):
         raise AssertionError("a polynomial was rooted")
@@ -565,18 +560,16 @@ def test_keep_exact_child_equal_to_its_parent_keeps_the_parent_cluster(monkeypat
     monkeypatch.setattr(select_module, "root_clusters", refuse)
     children = [from_roots([2, -1]), from_roots([1, -1]),
                 from_roots([0])]
-    got = select_module._keep(children, (parent, cluster), 1, False)
+    got = select_module._keep(children, (parent, cluster))
     assert got == (1, (parent, cluster), False) and got[1][1] is cluster
 
 
 def test_keep_exact_raises_when_no_child_meets():
     parent = from_roots([1, -1])
-    pair = (parent, select_module._kth_cluster(parent, 1))
-    misses = [from_roots([2]), from_roots([3, 0])]
+    pair = (parent, select_module._top_cluster(parent))
+    misses = [from_roots([2]), from_roots([3, 0]), from_roots([1 + EPS, -1])]
     with pytest.raises(AssertionError, match="no child meets"):
-        select_module._keep(misses, pair, 1, False)
-    with pytest.raises(AssertionError, match="no child meets"):
-        select_module._keep([from_roots([0, -1])], pair, 1, True)
+        select_module._keep(misses, pair)
 
 
 def test_keep_reads_the_children_only_up_to_the_kept_one():
@@ -588,14 +581,14 @@ def test_keep_reads_the_children_only_up_to_the_kept_one():
             yield child
 
     keep = select_module._keep
-    assert keep(upto(1, [0.5, 1.5, 2.0]), 1.0, 1, True) == (1, 1.5, False)
-    assert keep(upto(0, [0.5, 1.5]), 1.0, 1, False) == (0, 0.5, False)
+    assert keep(upto(1, [2.0, 0.5, 1.5]), 1.0) == (1, 0.5, False)
+    assert keep(upto(0, [0.5, 1.5]), 1.0) == (0, 0.5, False)
     parent = from_roots([1, -1])
-    pair = (parent, select_module._kth_cluster(parent, 1))
+    pair = (parent, select_module._top_cluster(parent))
     below = from_roots([Fraction(1, 2), -1])
     children = [from_roots([2, -1]), below, parent]
-    assert keep(upto(1, children), pair, 1, False) == \
-        (1, (below, select_module._kth_cluster(below, 1)), False)
+    assert keep(upto(1, children), pair) == \
+        (1, (below, select_module._top_cluster(below)), False)
 
 
 def test_signing_select_raises_when_no_child_meets(monkeypatch):
@@ -640,7 +633,7 @@ def test_ri_past_the_eigenvalue_start_scores_from_two_rows(monkeypatch):
     n, m, k = 42, 84, 41
     vs = random_isotropic(n, m, np.random.default_rng(1))
     chosen, cert = restricted_invertibility_select(vs, k)
-    assert cert.valid() and cert.fallbacks == 0
+    assert cert.valid and cert.fallbacks == 0
     kept_at = []
     for lvl, j in enumerate(chosen):
         free = [i for i in range(m) if i not in chosen[:lvl]]
@@ -661,7 +654,7 @@ def test_ri_n40_gate(seed):
     vs = random_isotropic(n, m, np.random.default_rng(seed))
     chosen, cert = restricted_invertibility_select(vs, k)
     assert len(chosen) == len(set(chosen)) == k
-    assert cert.valid()
+    assert cert.valid
     assert cert.achieved >= restricted_invertibility_bound(n, m, k) - 1e-7
     assert cert.pledged == pytest.approx(_laguerre_pledge_roots(n, m, k)[-1], rel=1e-12)
 
@@ -699,7 +692,7 @@ def test_weaver_duplicated_basis():
     vs = VectorSystem(vecs)
     s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(2 * n))
-    assert cert.valid()
+    assert cert.valid
     g1 = sum(np.outer(vs.vectors[i], vs.vectors[i]) for i in s1)
     g2 = sum(np.outer(vs.vectors[i], vs.vectors[i]) for i in s2)
     bound = weaver_bound(0.5)
@@ -712,7 +705,7 @@ def test_weaver_exhaustive_oracle_small():
     vs = random_isotropic(3, 8, rng)
     alpha = vs.max_norm_sq()
     s1, s2, cert = weaver_partition(vs)
-    assert cert.valid()
+    assert cert.valid
     realized = max(
         np.linalg.eigvalsh(sum(np.outer(vs.vectors[i], vs.vectors[i])
                                for i in side) if side else np.zeros((3, 3)))[-1]
@@ -759,7 +752,7 @@ def test_signing_select_cube_matches_exhaustive_oracle():
     # 10, through the test-side walk: the library walks bipartite graphs only
     g = CUBE
     signing, cert = signing_select(g)
-    assert cert.valid()
+    assert cert.valid
     lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
     # theory: the greedy signed spectral radius stays below the top root
     # of the matching polynomial
@@ -778,7 +771,7 @@ def test_signing_select_cube_matches_exhaustive_oracle():
 def test_signing_select_k33():
     g = complete_bipartite(3, 3)
     signing, cert = signing_select(g)
-    assert cert.valid()
+    assert cert.valid
     lam = float(np.max(signed_adjacency(g, signing).eigenvalues()))
     assert lam <= 2 * math.sqrt(2) + 1e-7  # Ramanujan threshold for d=3
 
@@ -807,7 +800,7 @@ def _assert_matches_exact_enumeration_walk(g, signing, cert, valid):
 def test_signing_select_matches_exact_enumeration_walk():
     for g in (complete_bipartite(3, 3), CUBE):
         signing, cert = signing_select(g)
-        _assert_matches_exact_enumeration_walk(g, signing, cert, cert.valid())
+        _assert_matches_exact_enumeration_walk(g, signing, cert, cert.valid)
 
 
 def test_oracle_signing_walk_matches_exact_enumeration_walk():
@@ -821,7 +814,7 @@ def test_oracle_signing_walk_matches_exact_enumeration_walk():
 
 def _recorded_signing_walk(monkeypatch, g):
     """signing_select on g, recording each level's children and every
-    polynomial it roots, each a ``_kth_cluster`` call at k = 1.
+    polynomial it roots, each a ``_top_cluster`` call.
 
     The walk forms Phi of the empty prefix and then, at each level whose
     edge closes a cycle, the +1 child with ``SigningEngine.chars``; the
@@ -829,20 +822,19 @@ def _recorded_signing_walk(monkeypatch, g):
     forms no child, and both its children are recorded as its parent.
     """
     formed, ranked = [], []
-    chars, cluster = SigningEngine.chars, select_module._kth_cluster
+    chars, cluster = SigningEngine.chars, select_module._top_cluster
 
     def recorded_chars(self, signs):
         out = chars(self, signs)
         formed.append((len(signs), out))
         return out
 
-    def recorded_cluster(p, k):
-        assert k == 1
+    def recorded_cluster(p):
         ranked.append(p)
-        return cluster(p, k)
+        return cluster(p)
 
     monkeypatch.setattr(SigningEngine, "chars", recorded_chars)
-    monkeypatch.setattr(select_module, "_kth_cluster", recorded_cluster)
+    monkeypatch.setattr(select_module, "_top_cluster", recorded_cluster)
     _, cert = signing_select(g)
     levels = dict(formed)
     assert len(levels) == len(formed)
@@ -919,8 +911,8 @@ def test_exact_walks_root_the_pledge_and_each_kept_child_once(monkeypatch, walk)
         rooted.append(p)
         return clusters(p)
 
-    def recorded_keep(children, parent, k, maximize):
-        out = keep(children, parent, k, maximize)
+    def recorded_keep(children, parent):
+        out = keep(children, parent)
         differ.append(out[1] is not parent)
         return out
 
@@ -932,11 +924,15 @@ def test_exact_walks_root_the_pledge_and_each_kept_child_once(monkeypatch, walk)
     else:
         # vector 0 lifted too, from a zero fixed vector: its children are equal
         cert = _walk_by(walk, 0 * vs.vectors[0], vs.vectors)
-    assert cert.valid() and cert.achieved == cert.levels[-1]
+    assert cert.valid and cert.achieved == cert.levels[-1]
     assert len(differ) == len(cert.levels) and (walk == "ri" or not all(differ))
     assert len(rooted) == 1 + sum(differ)
-    assert rooted[0] == cert.pledge_poly
-    assert rooted[-1].monic() == cert.final_poly and rooted[-1].leading() > 0
+    # ri walks the reflections x -> -x of its polynomials and reads its
+    # results back: negated roots, and final_poly reflected
+    sign, final = (-1, select_module._reflected(cert.final_poly)) if walk == "ri" \
+        else (1, cert.final_poly)
+    assert next(clusters(rooted[0])).root == sign * cert.pledged
+    assert rooted[-1].monic() == final and rooted[-1].leading() > 0
 
 
 @pytest.mark.parametrize("g", [complete(4), complete_bipartite(3, 3), CUBE,
@@ -952,7 +948,7 @@ def test_signing_walk_children_are_real_rooted_and_certified(monkeypatch, g):
     bipartite = g.bipartition() is not None
     if bipartite:
         cert, pairs, _ = _recorded_signing_walk(monkeypatch, g)
-        valid = cert.valid()
+        valid = cert.valid
     else:
         walk = oracle_signing_walk(g)
         pairs, valid = walk.pairs, walk.valid
@@ -995,7 +991,7 @@ def test_signing_walk_sends_distinct_children_with_equal_top_roots_to_plus(monke
         plus, minus = pairs[level]
         assert compare_top_roots(plus, minus) == 0
         assert cert.choices[level] == 0
-    assert cert.valid()
+    assert cert.valid
 
 
 @pytest.mark.parametrize("g", [CUBE, complete_bipartite(3, 3), complete_bipartite(4, 4),
@@ -1029,7 +1025,7 @@ def test_signing_walk_runs_one_backward_pass_and_one_row_per_level(monkeypatch):
     monkeypatch.setattr(graphs_module, "_matching_tables", counted)
     monkeypatch.setattr(SigningEngine, "chars", recorded)
     _, cert = signing_select(CUBE)
-    assert cert.valid()
+    assert cert.valid
     assert passes == [select_module.DEFAULT_BUDGET]
     # one prefix for the pledge and one per level whose edge closes a
     # cycle, its +1 child; the other levels form none
@@ -1068,8 +1064,8 @@ def test_signing_walk_forms_the_minus_child_only_when_plus_misses(monkeypatch, g
             minuses.append(other)
         return sub(self, other)
 
-    def recorded_keep(children, parent, k, maximize):
-        out = keep(children, parent, k, maximize)
+    def recorded_keep(children, parent):
+        out = keep(children, parent)
         kept.append(out[0])
         return out
 
@@ -1139,12 +1135,12 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
         halved.append(p)
         return squarefree(p)
 
-    def recorded_cluster(p, k):
+    def recorded_cluster(p):
         ranked.append(p)
         return top_root(p)
 
     monkeypatch.setattr(select_module, "_squarefree", recorded_squarefree)
-    monkeypatch.setattr(select_module, "_kth_cluster", recorded_cluster)
+    monkeypatch.setattr(select_module, "_top_cluster", recorded_cluster)
     halvings, ties = {True: 0, False: 0}, 0
     for f, joins in enumerate(walk.forest_edges()):
         prefix = rng.choice([-1, 1], f).tolist()
@@ -1159,7 +1155,7 @@ def test_signing_level_counts_decide_as_compare_top_roots(monkeypatch, g):
         for bracket in (parent, parent._replace(hi=parent.hi + reach)):
             halved.clear()
             ranked.clear()
-            got = select_module._keep([plus, minus], (phi, bracket), 1, False)
+            got = select_module._keep([plus, minus], (phi, bracket))
             if plus == minus:
                 assert got == (0, (phi, bracket), False) and not ranked and not halved
                 continue
@@ -1187,7 +1183,7 @@ def test_float_engine_walk_makes_two_folds_per_vector_and_no_companion_roots(mon
     m, size = 12, math.comb(6, 3)
     vs = random_isotropic(3, m, np.random.default_rng(283))
     _, _, cert = weaver_partition(vs)
-    assert cert.valid() and len(cert.choices) == m
+    assert cert.valid and len(cert.choices) == m
     # the tables each _sandwiches call reads
     assert calls == [(size, size)] * (m + 1) + [(size, 2 * size)] * (m - 1)
 
@@ -1213,7 +1209,7 @@ def test_weaver_forms_a_second_child_only_when_the_first_misses(monkeypatch, d, 
     monkeypatch.setattr(owner, name, counted)
     _, _, cert = weaver_partition(random_isotropic(d, m, np.random.default_rng(seed)))
     choices = cert.choices[1:]  # vector 0 is fixed, not walked
-    assert cert.valid()
+    assert cert.valid
     firsts = 1 + len(choices)
     assert firsts + sum(choices) <= len(formed) <= firsts + sum(choices) + cert.fallbacks \
         < firsts + len(choices)
@@ -1255,7 +1251,7 @@ def test_signing_walk_is_refused_exactly_past_the_oracle_work(name):
     with pytest.raises(BudgetExceededError, match="DP states and leaf entries"):
         signing_select(g, budget=work - 1)
     _, cert = signing_select(g, budget=work)
-    assert cert.valid()
+    assert cert.valid
 
 
 def test_signing_select_requires_regular():
@@ -1318,7 +1314,7 @@ def test_exact_weaver_choices_equal_enumeration_walk():
             assert cert.choices == choices
             assert cert.levels == levels
             assert cert.pledged == pledged
-            assert cert.valid()
+            assert cert.valid
         s1, s2, via_weaver = weaver_partition(vs)
         assert via_weaver.choices == [0] + choices
 
@@ -1332,7 +1328,7 @@ def test_float_walk_roots_only_the_children_it_tests(monkeypatch):
     monkeypatch.setattr(select_module, "float_top_root", lambda p: rooted.append(p) or top(p))
     vs = random_isotropic(3, 12, np.random.default_rng(283))
     _, _, cert = weaver_partition(vs)
-    assert cert.valid() and cert.fallbacks == 0
+    assert cert.valid and cert.fallbacks == 0
     assert 0 < sum(cert.choices) < len(cert.choices) - 1
     assert len(rooted) == 1 + sum(1 + c for c in cert.choices[1:])
 
@@ -1364,7 +1360,7 @@ def test_float_weaver_d4_m400_rereads_each_parents_traces():
     vs = VectorSystem(g @ (u / np.sqrt(w)) @ u.T)
     s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(400))
-    assert cert.valid() and cert.achieved <= cert.pledged
+    assert cert.valid and cert.achieved <= cert.pledged
     for side in (s1, s2):
         block = vs.vectors[side].T @ vs.vectors[side]
         assert np.linalg.eigvalsh(block)[-1] <= weaver_bound(vs.max_norm_sq()) + 1e-7
@@ -1376,7 +1372,7 @@ def test_weaver_m64_certifies():
     alpha = vs.max_norm_sq()
     s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(64))
-    assert cert.valid()
+    assert cert.valid
     for side in (s1, s2):
         block = vs.vectors[side].T @ vs.vectors[side]
         assert np.linalg.eigvalsh(block)[-1] <= weaver_bound(alpha) + 1e-7
@@ -1387,7 +1383,7 @@ def test_float_walk_on_zero_supports_pledges_and_achieves_zero(route):
     # every polynomial of the walk is x^2, its linear coefficient 0.0 or
     # -0.0, whose top root 0 the float route must return
     cert = _walk_by(route, np.zeros(1), np.zeros((2, 1)))
-    assert cert.valid()
+    assert cert.valid
     assert cert.pledged == cert.achieved == 0.0 and cert.levels == [0.0, 0.0]
 
 
@@ -1550,7 +1546,7 @@ def test_greedy_walk_budget_is_checked_before_the_first_step():
     with pytest.raises(BudgetExceededError):
         weaver_partition(vs, budget=cost - 1)
     s1, s2, cert = weaver_partition(vs, budget=cost)
-    assert cert.valid()
+    assert cert.valid
 
 
 def test_walk_costs_pick_enumeration_in_high_dimension():
@@ -1572,7 +1568,7 @@ def test_weaver_dimension_7_certifies_at_the_default_budget():
     alpha = vs.max_norm_sq()
     s1, s2, cert = weaver_partition(vs)
     assert sorted(s1 + s2) == list(range(7))
-    assert cert.valid()
+    assert cert.valid
     # seven isotropic rows in R^7 are an orthonormal basis: every outcome's
     # top eigenvalue is 1, and so is, to 1e-7, the top root of the exact
     # expected polynomial of the walk's float rows, at every level
@@ -1601,6 +1597,6 @@ def test_weaver_dimension_7_pledges_the_exact_expected_top_root():
     exact = conditional_expected_poly([[(Fraction(p), dyadic(v)) for p, v in row] for row in rows],
                                       [dyadic(first)])
     assert exact.is_exact
-    assert abs(cert.pledged - select_module._kth_cluster(exact, 1).root) <= 1e-10
+    assert abs(cert.pledged - select_module._top_cluster(exact).root) <= 1e-10
     _, levels, pledged = enumeration_walk(rows, [first])
     assert max(abs(a - b) for a, b in zip(cert.levels, [pledged] + levels)) <= 1e-10
