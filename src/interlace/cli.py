@@ -34,9 +34,9 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import real_roots, roots_above, root_clusters, NotRealRootedError
-from .matrices import SymMatrix
+from .matrices import SymMatrix, char_poly
 from .mixedchar import mixed_char, BudgetExceededError
-from .graphs import DEFAULT_BUDGET, Graph, is_ramanujan_bipartite, signed_adjacency, two_lift
+from .graphs import DEFAULT_BUDGET, Graph, is_ramanujan_bipartite, two_lift
 from .select import VectorSystem, restricted_invertibility_select, \
     restricted_invertibility_bound, weaver_partition, weaver_bound, signing_select, \
     WALK_BUDGET
@@ -233,9 +233,12 @@ def cmd_weaver(args) -> int:
     # float norms only once the walk has checked isotropy: an exact row may
     # lie past the floats
     valid, alpha = cert.valid, system.max_norm_sq()
-    # each side's Gram sum is a diagonal block of the lifted sum the walk realized
+    # each side's Gram sum is a diagonal block of the lifted sum the walk
+    # realized; an exact block's norm is the top root of its chi, PSD by
+    # construction
     d = system.dim
-    norms = [SymMatrix(cert.realized.a[i:i + d, i:i + d]).norm2() for i in (0, d)]
+    norms = [next(root_clusters(char_poly(b))).root if b.is_exact else b.norm2()
+             for b in (SymMatrix(cert.realized.a[i:i + d, i:i + d]) for i in (0, d))]
     payload = {
         "command": "weaver",
         "config": {"mode": args.mode, "tol": args.tol, "budget": args.budget},
@@ -273,7 +276,6 @@ def cmd_lift(args) -> int:
     ok = certified = True
     for it in range(args.iterations):
         signs, cert = signing_select(g, budget=args.budget)
-        lam = float(np.max(signed_adjacency(g, signs).eigenvalues()))
         valid = cert.valid
         # final_poly, chi(B_s B_s^T), is the walk's checked last q: chi(A_s)(x) = final_poly(x^2)
         bounded = roots_above(cert.final_poly, 4 * (d - 1)) == 0
@@ -289,7 +291,8 @@ def cmd_lift(args) -> int:
             "n": g.n,
             "d": d,
             "signs": signs,
-            "lambda_max_signed": lam,
+            # lambda_max(A_s): sqrt of the top root of chi(B_s B_s^T), checked by the walk
+            "lambda_max_signed": cert.achieved,
             "threshold": threshold,
             "pledged": cert.pledged,
             "certificate_valid": valid,

@@ -1,7 +1,8 @@
 """Real symmetric matrices and characteristic polynomials.
 
 ``SymMatrix`` wraps a numpy array in one of two regimes: float64, or an
-exact regime (integer dtype, or object dtype holding ints/Fractions).
+exact regime, an object array holding ints and Fractions, to which an
+integer array is converted.
 Characteristic polynomials follow the convention ``det(xI - A)``, always
 monic, lowest degree first.  There is one kernel per arithmetic, both
 batched over a (B, n, n) stack.  ``charpoly_batch_exact`` takes the

@@ -1,14 +1,17 @@
 """The committed exact outputs: every CLI call whose output is exact, and
-the SHA-256 of each one's canonical JSON.
+the SHA-256 of each one's canonical JSON, whole.
 
 The set is every bench instance of seeds 0-2 whose command runs exactly
 (all ``lift`` rows, the exact ``ri`` rows, and the exact rank-one and
 full-rank ``mixedchar`` rows, drawn from ``perfbench/instances.py``),
 plus the exact ``ri`` and ``weaver`` inputs of the CI workflow and one
-deeper exact ``ri`` walk, n=32, k=16.  Exact outputs depend on neither
-BLAS nor the numpy version, so their digests can be pinned.  ``lift``'s ``lambda_max_signed`` comes from a float
-``eigvalsh``: it is left out of the digest, and
-``tests/test_exact_outputs.py`` recomputes it instead.
+deeper exact ``ri`` walk, n=32, k=16.  Every number these calls print
+comes from exact arithmetic: ``lift``'s ``lambda_max_signed`` is its
+certificate's ``achieved`` and an exact ``weaver`` norm the top root of
+chi of its side's exact Gram sum.  No field is left out of a digest, and
+``tests/test_exact_outputs.py`` runs the set with the ``numpy.linalg``
+solvers patched to raise, so the outputs depend on neither BLAS nor the
+numpy version.
 
 A change that moves an exact output regenerates the file, from the
 repository root, by
@@ -16,15 +19,10 @@ repository root, by
     PYTHONPATH=src python tests/exact_outputs.py
 
 which rewrites ``tests/exact_outputs.json``; the change then names the
-instances whose digests moved.
-
-CI's exact ``ri`` at n=48, k=24 takes about 20 s, past what the suite
-runs, and its step checks the SHA-256 of its output against
-``tests/ri48_exact.sha256``, which, from the repository root,
-
-    PYTHONPATH=src:perfbench:tests python -c "import json, pathlib, tempfile, numpy as np; from instances import rational_isotropic; from exact_outputs import _sha, run; d = tempfile.TemporaryDirectory(); text = json.dumps({'vectors': [[str(x) for x in r] for r in rational_isotropic(np.random.default_rng(48), 48)]}); print(_sha(run(['ri', '-k', '24', '--mode', 'exact'], '.json', text, pathlib.Path(d.name))[1]))" > tests/ri48_exact.sha256
-
-rewrites.
+instances whose digests moved.  The entries named in ``SLOW`` are
+written too, but the suite does not run them: CI's exact ``ri`` at
+n=48, k=24 takes about 20 s, and the CI step that runs it compares its
+output's :func:`record` with its entry.
 """
 
 import contextlib
@@ -43,8 +41,8 @@ from interlace.cli import main
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "exact_outputs.json"
 SEEDS = (0, 1, 2)
-# fields whose values come from float eigvalsh, checked by recomputation
-FLOAT_FIELDS = ("lambda_max_signed",)
+# entries past what the suite runs, each checked by a CI step instead
+SLOW = ("ci/ri-rational48",)
 
 
 @contextlib.contextmanager
@@ -67,9 +65,10 @@ def _exact(inst) -> bool:
             or (inst.workload == "mixedchar" and inst.family in ("rank1", "fullrank")))
 
 
-def cases() -> list:
+def cases(slow: bool = False) -> list:
     """(id, argv without the input path, input suffix, input text) of
-    every instance of the set, bench instances first."""
+    every instance of the set, bench instances first, those of ``SLOW``
+    only if ``slow``."""
     with _bench_instances() as bench:
         out = [(f"seed{seed}/{inst.id}", inst.args, inst.suffix, inst.text)
                for seed in SEEDS for workload in ("ri", "lift", "mixedchar")
@@ -95,6 +94,9 @@ def cases() -> list:
             ("ci/weaver-cayley12", ["weaver", "--mode", "exact"], ".json", cayley(12, 3)),
             ("ci/weaver-cayley16", ["weaver", "--mode", "exact"], ".json", cayley(16, 4)),
         ]
+        if slow:
+            out.append(("ci/ri-rational48", ["ri", "-k", "24", "--mode", "exact"], ".json",
+                        rational(48)))
     return out
 
 
@@ -115,32 +117,31 @@ def _sha(value) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def pinned(payload) -> dict | None:
-    """The output with the float fields left out, or None for no output."""
-    if payload is None:
-        return None
-    if payload.get("command") == "lift":
-        steps = [{k: v for k, v in s.items() if k not in FLOAT_FIELDS}
-                 for s in payload["steps"]]
-        return dict(payload, steps=steps)
-    return payload
-
-
 def record(code: int, payload, err: str) -> dict:
     """The committed entry of one call: its exit code, the SHA-256 of its
-    canonical pinned output (of its stderr when it prints nothing), and a
-    short digest per top-level field, which names the first that moved."""
-    body = pinned(payload)
-    if body is None:
+    canonical output (of its stderr when it prints nothing), and a short
+    digest per top-level field, which names the first that moved."""
+    if payload is None:
         return {"exit": code, "sha256": _sha(err), "fields": {}}
-    return {"exit": code, "sha256": _sha(body),
-            "fields": {k: _sha(v)[:12] for k, v in body.items()}}
+    return {"exit": code, "sha256": _sha(payload),
+            "fields": {k: _sha(v)[:12] for k, v in payload.items()}}
+
+
+def moved(old: dict, new: dict) -> str | None:
+    """How entry ``new`` differs from the committed ``old``: its exit codes
+    and first moved field, or None if they are equal."""
+    if old == new:
+        return None
+    fields = [k for k in new["fields"] if new["fields"][k] != old["fields"].get(k)]
+    fields += [k for k in old["fields"] if k not in new["fields"]]
+    return f"exit {old['exit']} -> {new['exit']}, first moved field " + \
+        (fields[0] if fields else "stderr")
 
 
 def generate() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {ident: record(*run(args, suffix, text, Path(tmp)))
-                for ident, args, suffix, text in cases()}
+                for ident, args, suffix, text in cases(slow=True)}
 
 
 if __name__ == "__main__":

@@ -223,7 +223,9 @@ def test_lift_three_iterations_reach_48_vertices(capsys, tmp_path):
 
 def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monkeypatch):
     # the all-+1 signing of K_{3,3} has lambda = 3 > 2 sqrt(2); with a valid
-    # walk certificate beside it, only the exact signed bound can refuse it
+    # walk certificate beside it, only the exact signed bound can refuse it.
+    # lambda_max_signed is the certificate's achieved, not of these signs:
+    # the real walk cannot pair them, its chi check would raise
     k33 = tmp_path / "k33.txt"
     k33.write_text("\n".join(f"{a} {b}" for a in range(3) for b in range(3, 6)))
     g = complete_bipartite(3, 3)
@@ -234,14 +236,15 @@ def test_lift_exact_signed_bound_rejects_all_plus_signing(capsys, tmp_path, monk
     assert code == 1
     step = payload["steps"][0]
     assert step["signs"] == [1] * 9 and step["certificate_valid"] is True
-    assert step["lambda_max_signed"] == pytest.approx(3.0)
+    assert step["lambda_max_signed"] == cert.achieved
     assert step["lift_ramanujan"] is False
 
 
 def test_lift_balanced_signing_of_a_cycle_is_not_certified(capsys, tmp_path, monkeypatch):
     # a balanced signing of C8 meets the bound 2 = 2 sqrt(d - 1) with
     # equality but disconnects the lift, so only the connectivity check
-    # refuses it; the walk never picks one, C_n's top matching root being < 2
+    # refuses it; the walk never picks one, C_n's top matching root being < 2.
+    # lambda_max_signed is the certificate's achieved, not of these signs
     g = cycle(8)
     c8 = tmp_path / "c8.txt"
     c8.write_text("".join(f"{a} {b}\n" for a, b in g.edges))
@@ -253,7 +256,7 @@ def test_lift_balanced_signing_of_a_cycle_is_not_certified(capsys, tmp_path, mon
     assert code == 1
     step = payload["steps"][0]
     assert step["certificate_valid"] is True
-    assert step["lambda_max_signed"] == pytest.approx(2.0)
+    assert step["lambda_max_signed"] == cert.achieved
     assert step["lift_ramanujan"] is False
 
 
