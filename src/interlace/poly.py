@@ -34,8 +34,9 @@ stops within its evaluation's rounding of the root and raises
 :class:`NotRealRootedError` where the loop breaks down, which no
 real-rooted polynomial makes it do.  One Laguerre loop does all three
 float jobs: it starts every cluster of the exact kernel, roots weaver's
-children, and opens every bracket of the derivative chain, which adds
-compensated Newton steps.
+children, and opens every bracket of the derivative chain.  One Newton
+polish, with values exact at each float iterate, finishes the roots of
+both the exact kernel and the chain.
 ``shift_chain`` skips coefficients altogether: it applies a power of
 the shift operator to batches of real roots, one bracketed
 secular-equation solve per factor, so its output is real-rooted by
@@ -448,28 +449,6 @@ def _horner(c: list[float], x: float) -> tuple[float, float, float, float]:
     return f, df, hf, 2 * len(c) * size * _EPS
 
 
-def _compensated_horner(c: list[float], x: float) -> tuple[float, float]:
-    """``(p(x), p'(x))`` for float ``c``, p(x) as if in twice the precision:
-    each rounding error recovered exactly (Dekker's product, Knuth's sum)
-    and carried in a second Horner loop (Graillat, Langlois and Louvet)."""
-    split = 2.0 ** 27 + 1.0  # Veltkamp's: t - (t - a), t = split a, is a's high half
-    f = err = df = 0.0
-    t = split * x
-    xh = t - (t - x)
-    xl = x - xh
-    for coef in reversed(c):
-        df = df * x + f
-        t = split * f
-        fh = t - (t - f)
-        fl = f - fh
-        prod = f * x
-        perr = ((fh * xh - prod) + fh * xl + fl * xh) + fl * xl
-        f = prod + coef
-        z = f - prod
-        err = err * x + perr + ((prod - (f - z)) + (coef - z))
-    return f + err, df
-
-
 def _samuelson_interval(c: list[float]) -> tuple[float, float]:
     """mean -+ sqrt((n - 1)/n * s), s the roots' sum of squared deviations,
     for monic float ``c``, padded by ``START_OFFSET`` times its larger
@@ -509,9 +488,11 @@ def _float_roots(p: Polynomial) -> list[float]:
     interval, which holds the roots of p and of its derivatives; each
     bracket then holds one root.  So the chain p, p', p'', ..., each made
     monic and scaled to its roots, is solved from the linear one up, each
-    bracket by :func:`_bracket_root`.  Where a level q keeps its sign, up
-    to its evaluation's rounding, at a root e of q', e is a multiple root
-    and both brackets at e take it; exact zero roots come out so.  A miss
+    bracket by :func:`_bracket_root` on the level's coefficients and on
+    the same read exactly, as integers over one power of two (floats are
+    dyadic).  Where a level q keeps its sign, up to its evaluation's
+    rounding, at a root e of q', e is a multiple root and both brackets
+    at e take it; exact zero roots come out so.  A miss
     beyond ``BACKWARD_TOL`` max |q_i| sum_j |e|^j, any at the interval's
     ends, or a coefficient that is not finite raises :class:`NotRealRootedError`.
     """
@@ -523,6 +504,9 @@ def _float_roots(p: Polynomial) -> list[float]:
     roots: list[float] = []
     for k in range(1, n + 1):
         q = [c[i] * math.comb(i, n - k) / math.comb(n, k) for i in range(n - k, n + 1)]
+        ratios = [x.as_integer_ratio() for x in q]
+        den = max(d for _, d in ratios)
+        a = [m * (den // d) for m, d in ratios]
         ends = [top] + roots + [bottom]
         multiple = []   # ends[j] is a root of q, which should have the sign (-1)^j there
         for j, e in enumerate(ends):
@@ -535,7 +519,7 @@ def _float_roots(p: Polynomial) -> list[float]:
                     f"the derivative chain of p misses a sign change near {math.ldexp(e, scale):.6g}")
             multiple.append(inner and v <= slack)
         roots = [ends[j - 1] if multiple[j - 1] else ends[j] if multiple[j]
-                 else _bracket_root(q, ends[j], ends[j - 1], 1.0 if j % 2 else -1.0)
+                 else _bracket_root(q, a, ends[j], ends[j - 1], 1.0 if j % 2 else -1.0)
                  for j in range(1, k + 1)]
     return [math.ldexp(r, scale) for r in roots]
 
@@ -587,25 +571,19 @@ def _laguerre(q: list[float], lo: float, hi: float,
     return x, lo, hi, False
 
 
-def _bracket_root(q: list[float], lo: float, hi: float, s: float) -> float:
+def _bracket_root(q: list[float], a: list[int], lo: float, hi: float, s: float) -> float:
     """The root of monic float ``q`` in [lo, hi], across which s q rises from - to +.
 
     :func:`_laguerre` from the top end, its breakdown flag unread (the
-    ends are roots of q', not points above every root); then Newton
-    steps on compensated values while they shrink |q|, which reach the
-    root of the float coefficients to an ulp.
+    ends are roots of q', not points above every root); then
+    :func:`_newton` on ``a``, q's coefficients times one power of two, with
+    values exact at each float iterate, which reaches the root of the
+    float coefficients to an ulp.  Laguerre's iterate stays if Newton's
+    leaves the narrowed bracket.
     """
     x, lo, hi, _ = _laguerre(q, lo, hi, s)
-    f, df = _compensated_horner(q, x)
-    for _ in range(100):
-        nxt = x - f / df if df else x
-        if not lo <= nxt <= hi or nxt == x:
-            break
-        fn, dfn = _compensated_horner(q, nxt)
-        if not abs(fn) < abs(f):
-            break
-        x, f, df = nxt, fn, dfn
-    return x
+    y = _newton(a, x, 0)[0]
+    return y if lo <= y <= hi else x
 
 
 # ----------------------------------------------------------------------
@@ -685,15 +663,17 @@ def _root_bound(a: list[int]) -> Fraction:
     return Fraction(2) ** (2 + max(exps, default=0))
 
 
-def _derivative_value(a: list[int], k: int, x: float) -> tuple[int, int]:
-    """``(num, e)`` with the k-th derivative of ``a`` at x equal to num / 2^(e deg)."""
+def _derivative_value(a: list[int], x: float) -> tuple[int, int, int]:
+    """``(num, dnum, e)``: the integer polynomial ``a`` at x is num / 2^(e deg)
+    and its derivative dnum / 2^(e (deg - 1)), by one Horner pass in integers."""
     m, den = x.as_integer_ratio()
     e = den.bit_length() - 1
-    coeffs = [math.perm(i, k) * c for i, c in enumerate(a)][k:]
-    acc = 0
-    for j, c in enumerate(reversed(coeffs)):
-        acc = acc * m + (c << (e * j))
-    return acc, e
+    acc = dacc = shift = 0
+    for c in reversed(a):
+        dacc = dacc * m + acc
+        acc = acc * m + (c << shift)
+        shift += e
+    return acc, dacc, e
 
 
 def float_top_root(p: Polynomial) -> float:
@@ -725,24 +705,28 @@ def float_top_root(p: Polynomial) -> float:
 
 
 def _newton(a: list[int], x: float, k: int, steps: int = 6) -> tuple[float, list]:
-    """Newton steps on the k-th derivative of ``a``, values exact at each float x.
+    """Newton steps on the k-th derivative of the integer polynomial ``a``,
+    values exact at each float x by :func:`_derivative_value`, the
+    derivatives' coefficients formed once.  It polishes the exact kernel's
+    clusters and the float derivative chain's roots alike.
 
     Returns the last iterate and the steps taken: at most ``steps``, up to
     the first that no longer moves x or no longer shrinks.  Six polish all
     but 4 of the 33 clusters of the n = 64 ``ri`` pledge; four, all but 13.
     """
+    for _ in range(k):
+        a = [i * c for i, c in enumerate(a)][1:]
     taken = []
     for _ in range(steps):
-        num, e = _derivative_value(a, k, x)
-        den, _ = _derivative_value(a, k + 1, x)
+        num, den, e = _derivative_value(a, x)
         try:
             step = num / (den << e)
         except (ZeroDivisionError, OverflowError):
             break
-        if (x - step == x or not math.isfinite(x - step)
-                or taken and abs(step) >= abs(taken[-1])):
+        nxt = x - step
+        if nxt == x or not math.isfinite(nxt) or taken and abs(step) >= abs(taken[-1]):
             break
-        x -= step
+        x = nxt
         taken.append(step)
     return x, taken
 
@@ -863,7 +847,7 @@ def _bisect(a: list[int], done: int, lo: Fraction, hi: Fraction) -> TopRoot:
                 root = math.inf
             elif lo >= -top:
                 root = float(hi)
-            elif hi == -top and not _derivative_value(a, 0, -top)[0]:
+            elif hi == -top and not _derivative_value(a, -top)[0]:
                 root = -top     # a root at exactly minus the largest float
             else:               # every root of the bracket is below it
                 root = -math.inf

@@ -49,6 +49,22 @@ def _weaver_faults(ident: str, text: str, out: dict) -> list:
     return faults
 
 
+def _ri_faults(ident: str, text: str, out: dict) -> list:
+    """What an exact ri output's final_poly gets wrong: the walk certifies
+    on the k x k Gram V V^T of the chosen rows, and the printed
+    final_poly, x^(n-k) restored, must be chi of their n x n Gram sum,
+    formed here from the printed subset of the input rows."""
+    rows = [[Fraction(x) for x in r] for r in json.loads(text)["vectors"]]
+    n, k = out["n"], out["k"]
+    gram = sum(np.outer(rows[i], rows[i]) for i in out["subset"])
+    final = [Fraction(c) for c in out["final_poly"]]
+    if not (len(final) == n + 1 and final[:n - k] == [0] * (n - k)):
+        return [f"{ident}: final_poly is not x^(n-k) times a degree-k polynomial"]
+    if Polynomial(final) != char_poly(SymMatrix(gram)):
+        return [f"{ident}: final_poly is not chi of the chosen rows' Gram sum"]
+    return []
+
+
 def test_exact_outputs_equal_their_committed_digests(tmp_path, monkeypatch):
     # the instances are built first: perfbench's float generators use eigh
     pinned = cases()
@@ -57,7 +73,7 @@ def test_exact_outputs_equal_their_committed_digests(tmp_path, monkeypatch):
             raise LinalgCalled(f"numpy.linalg.{_name}")
         monkeypatch.setattr(np.linalg, name, refused)
     want = {k: v for k, v in json.loads(DIGESTS.read_text()).items() if k not in SLOW}
-    got, lapack, faults = {}, [], []
+    got, lapack, faults, ri = {}, [], [], 0
     for ident, args, suffix, text in pinned:
         try:
             code, payload, err = run(args, suffix, text, tmp_path)
@@ -72,6 +88,9 @@ def test_exact_outputs_equal_their_committed_digests(tmp_path, monkeypatch):
             faults += [f"{ident} step {s['iteration']}: certificate_valid or "
                        "lift_ramanujan is not true" for s in payload["steps"]
                        if not (s["certificate_valid"] is True and s["lift_ramanujan"] is True)]
+        if command == "ri":
+            ri += 1
+            faults += _ri_faults(ident, text, payload)
         if command == "weaver":
             faults += _weaver_faults(ident, text, payload)
         if ident == "ci/ri-frame" and not payload["pledged"] == payload["levels"][0] == 0.125:
@@ -85,28 +104,11 @@ def test_exact_outputs_equal_their_committed_digests(tmp_path, monkeypatch):
             diffs.append(f"{ident}: {moved(want[ident], got[ident])}")
     assert not diffs, f"{len(diffs)} exact outputs moved:\n" + "\n".join(diffs)
     assert not faults, "\n".join(faults)
-    assert len(got) == 145
+    assert len(got) == 145 and ri == 19
 
 
 def _exact_ri_cases() -> list:
     return [c for c in cases() if c[1][0] == "ri"]
-
-
-def test_exact_ri_final_poly_times_x_to_the_n_minus_k_is_chi_of_the_n_by_n_gram_sum(tmp_path):
-    # the walk certifies on the k x k Gram V V^T of the chosen rows; the
-    # printed final_poly, x^(n-k) restored, is chi of their n x n Gram sum,
-    # formed here from the printed subset of the input rows
-    ri = _exact_ri_cases()
-    assert len(ri) == 19
-    for ident, args, suffix, text in ri:
-        code, payload, _ = run(args, suffix, text, tmp_path)
-        assert code == 0 and payload["certificate_valid"] is True, ident
-        rows = [[Fraction(x) for x in r] for r in json.loads(text)["vectors"]]
-        n, k = payload["n"], payload["k"]
-        gram = sum(np.outer(rows[i], rows[i]) for i in payload["subset"])
-        final = [Fraction(c) for c in payload["final_poly"]]
-        assert len(final) == n + 1 and final[:n - k] == [0] * (n - k), ident
-        assert Polynomial(final) == char_poly(SymMatrix(gram)), ident
 
 
 def test_exact_ri_forms_no_characteristic_polynomial_of_side_above_k(tmp_path, monkeypatch):
