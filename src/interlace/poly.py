@@ -490,9 +490,10 @@ def _float_roots(p: Polynomial) -> list[float]:
     monic and scaled to its roots, is solved from the linear one up, each
     bracket by :func:`_bracket_root` on the level's coefficients and on
     the same read exactly, as integers over one power of two (floats are
-    dyadic).  Where a level q keeps its sign, up to its evaluation's
-    rounding, at a root e of q', e is a multiple root and both brackets
-    at e take it; exact zero roots come out so.  A miss
+    dyadic), and on the level's value at the bracket's top end, which the
+    sign check has evaluated.  Where a level q keeps its sign, up to its
+    evaluation's rounding, at a root e of q', e is a multiple root and
+    both brackets at e take it; exact zero roots come out so.  A miss
     beyond ``BACKWARD_TOL`` max |q_i| sum_j |e|^j, any at the interval's
     ends, or a coefficient that is not finite raises :class:`NotRealRootedError`.
     """
@@ -508,9 +509,9 @@ def _float_roots(p: Polynomial) -> list[float]:
         den = max(d for _, d in ratios)
         a = [m * (den // d) for m, d in ratios]
         ends = [top] + roots + [bottom]
+        at = [_horner(q, e) for e in ends]
         multiple = []   # ends[j] is a root of q, which should have the sign (-1)^j there
-        for j, e in enumerate(ends):
-            f, _, _, slack = _horner(q, e)
+        for j, (e, (f, _, _, slack)) in enumerate(zip(ends, at)):
             v = -f if j % 2 else f
             inner = 0 < j < k
             if v < -slack and (not inner or -v > BACKWARD_TOL * max(map(abs, q))
@@ -519,13 +520,13 @@ def _float_roots(p: Polynomial) -> list[float]:
                     f"the derivative chain of p misses a sign change near {math.ldexp(e, scale):.6g}")
             multiple.append(inner and v <= slack)
         roots = [ends[j - 1] if multiple[j - 1] else ends[j] if multiple[j]
-                 else _bracket_root(q, a, ends[j], ends[j - 1], 1.0 if j % 2 else -1.0)
-                 for j in range(1, k + 1)]
+                 else _bracket_root(q, a, ends[j], ends[j - 1], 1.0 if j % 2 else -1.0,
+                                    at[j - 1]) for j in range(1, k + 1)]
     return [math.ldexp(r, scale) for r in roots]
 
 
-def _laguerre(q: list[float], lo: float, hi: float,
-              s: float) -> tuple[float, float, float, bool]:
+def _laguerre(q: list[float], lo: float, hi: float, s: float,
+              at_hi: tuple | None = None) -> tuple[float, float, float, bool]:
     """Laguerre steps on monic float ``q`` from ``hi`` down to a root in
     [lo, hi]: ``(x, lo, hi, sound)``.
 
@@ -542,13 +543,16 @@ def _laguerre(q: list[float], lo: float, hi: float,
     not strictly inside (lo, hi), so one that does not descend; no stop
     within 100 steps; or (n - 1)(n h - g^2), which is nonnegative by
     Cauchy-Schwarz for real roots, below -``LAGUERRE_TOL`` n g^2.  The
-    iterates do not depend on it.
+    iterates do not depend on it.  ``at_hi``, if given, is
+    :func:`_horner`'s tuple for q at ``hi``, which the first step then
+    takes in place of evaluating it again.
     """
     n = len(q) - 1
     x, sound = hi, True
     for _ in range(100):
-        f, df, hf, slack = _horner(q, x)
+        f, df, hf, slack = at_hi or _horner(q, x)
         f, df, hf = s * f, s * df, s * hf
+        at_hi = None
         if abs(f) <= slack:
             return x, lo, hi, sound and slack < math.inf
         sound = sound and f > slack and df > 0
@@ -571,17 +575,18 @@ def _laguerre(q: list[float], lo: float, hi: float,
     return x, lo, hi, False
 
 
-def _bracket_root(q: list[float], a: list[int], lo: float, hi: float, s: float) -> float:
+def _bracket_root(q: list[float], a: list[int], lo: float, hi: float, s: float,
+                  at_hi: tuple) -> float:
     """The root of monic float ``q`` in [lo, hi], across which s q rises from - to +.
 
-    :func:`_laguerre` from the top end, its breakdown flag unread (the
-    ends are roots of q', not points above every root); then
-    :func:`_newton` on ``a``, q's coefficients times one power of two, with
-    values exact at each float iterate, which reaches the root of the
-    float coefficients to an ulp.  Laguerre's iterate stays if Newton's
-    leaves the narrowed bracket.
+    :func:`_laguerre` from the top end, handed ``at_hi``, q's evaluation
+    there, its breakdown flag unread (the ends are roots of q', not points
+    above every root); then :func:`_newton` on ``a``, q's coefficients
+    times one power of two, with values exact at each float iterate,
+    which reaches the root of the float coefficients to an ulp.
+    Laguerre's iterate stays if Newton's leaves the narrowed bracket.
     """
-    x, lo, hi, _ = _laguerre(q, lo, hi, s)
+    x, lo, hi, _ = _laguerre(q, lo, hi, s, at_hi)
     y = _newton(a, x, 0)[0]
     return y if lo <= y <= hi else x
 

@@ -11,10 +11,14 @@ of its levels: :func:`_keep`, which states it, keeps the first child in
 index order whose top root is at most its parent's, exact walks by exact
 root counts and float walks by float roots.  So every walk lands on a
 realization no worse than the root pledge, up to the float walks'
-rounding.  Each walk's :class:`SelectionCertificate` is read off the
-walk by :func:`_certificate`: the pledge, the per-level trace, the last
-kept child, which an exact walk checks equal to chi of what it realized,
-and that realized matrix.
+rounding.  One loop, :func:`_walk`, runs every walk: it applies the rule
+at each level a walk's level generator yields, records the kept index
+and the kept child, counts the levels that fall back, and reads the
+walk's :class:`SelectionCertificate` off it by :func:`_certificate`:
+the pledge, the per-level trace, the last kept child, which an exact
+walk checks equal to chi of what it realized, and that realized matrix.
+Each walk below keeps only its level generator and its read-back into
+the problem's units.
 
 Weaver's walk (:func:`_weaver_walk`) has two routes to the same
 polynomials.  Outcome enumeration costs 2^r outcomes for a polynomial
@@ -27,7 +31,7 @@ walk takes the route :func:`_walk_costs` estimates cheaper, and the
 whole walk's estimate is checked against its budget before the first
 step.
 
-Three instantiations:
+Three instantiations, each a level generator and a read-back:
 
 * ``restricted_invertibility_select``: pick k of m isotropic vectors with
   lambda_k of the chosen Gram sum at least ``(1 - sqrt(k/n))^2 * n/m``.
@@ -37,11 +41,12 @@ Three instantiations:
   time in index order as :func:`_keep` reads them: float ones in root
   space, exact ones in integer coefficients.  lambda_k of V^T V is minus
   the top root of the degree-k cofactor of chi(-V V^T), so the walk runs
-  on the negated Gram and reads its results back once certified.
+  on the negated Gram and reads its results back once certified,
+  negated and reflected.
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2`` with alpha the
   largest squared norm, by :func:`_weaver_walk` over two-point block
-  lifts in dimension 2d.
+  lifts in dimension 2d; the read-back puts vector 0, fixed, first.
 * ``signing_select``: choose edge signs of a d-regular graph so the
   signed adjacency matrix has largest eigenvalue at most the largest
   root of the matching polynomial (whence at most ``2 sqrt(d-1)``).
@@ -49,11 +54,11 @@ Three instantiations:
   read off one backward matching DP (:class:`SigningEngine`), so it
   enumerates no outcomes; on its bipartite graphs Phi_F(x) = x^e
   q_F(x^2), and it walks q_F, at half the degree.
-  Its spanning-forest levels form no child, and :func:`_keep` decides
-  the others, the -1 child, formed only when +1 misses, by exact root
-  counts like every exact child.
-  Its last polynomial is checked equal to chi(B_s B_s^T), B_s the
-  signed biadjacency.
+  Its spanning-forest levels form no child, which :func:`_walk` takes
+  as decided by symmetry, and :func:`_keep` decides the others, the -1
+  child, formed only when +1 misses, by exact root counts like every
+  exact child.  Its last polynomial is checked equal to chi(B_s B_s^T),
+  B_s the signed biadjacency, and the read-back takes square roots.
 """
 
 from __future__ import annotations
@@ -176,11 +181,13 @@ class VectorSystem:
 
 @dataclass
 class SelectionCertificate:
-    """The audit trail of one greedy walk, read off it by :func:`_certificate`.
+    """The audit trail of one greedy walk, read off the one walk loop,
+    :func:`_walk`, by :func:`_certificate`.
 
-    Every walk minimizes a top root.  ``pledged`` is the top root of the
-    root expected polynomial, ``levels`` the top root of the child
-    :func:`_keep` kept after each fixing, ``realized`` the matrix the walk
+    Every walk minimizes a top root.  ``choices`` is the index the walk
+    kept at each level, ``pledged`` the top root of the root expected
+    polynomial, ``levels`` the top root of the child :func:`_keep` kept
+    after each fixing, ``realized`` the matrix the walk
     realized (a Gram sum for weaver, the k x k Gram V V^T of the k chosen
     rows for ri, whose Gram sum V^T V has the same nonzero spectrum, and
     B_s B_s^T for signings), ``final_poly`` its characteristic polynomial
@@ -190,18 +197,21 @@ class SelectionCertificate:
     ``achieved`` is ``levels[-1]``, and ``valid`` is decided by
     :func:`_meets` against the pledge; on float walks ``achieved`` comes
     from ``eigvalsh`` and ``valid`` allows ``CERT_TOL``.  ``fallbacks``
-    counts the float levels at which :func:`_keep` fell back; ``scored``,
-    the children :func:`restricted_invertibility_select` formed per level
-    in its batches, stays empty for other walks.
+    counts the float levels at which :func:`_keep` fell back, as the loop
+    counts them; ``scored``, the children
+    :func:`restricted_invertibility_select` formed per level in its
+    batches, stays empty for other walks.
 
-    Two walks read their results back into the problem's units once the
-    walk is certified.  ri walks -V V^T: its ``pledged``, ``levels`` and
-    ``achieved`` are negated back to lambda_k values, so achieved >=
+    Each walk reads its results back into the problem's units once the
+    loop has certified it.  ri walks -V V^T: its ``pledged``, ``levels``
+    and ``achieved`` are negated back to lambda_k values, so achieved >=
     pledged, its ``final_poly`` is reflected back to chi(V V^T), and
     ``realized`` is V V^T (:func:`restricted_invertibility_select`).  A
     signing walk's ``realized`` and ``final_poly`` are in y = x^2
     (:func:`signing_select`), its ``levels``, ``pledged`` and ``achieved``
-    in adjacency units, the square roots of their y roots.
+    in adjacency units, the square roots of their y roots.  Weaver's
+    ``choices`` and ``levels`` start with vector 0's, which its walk
+    fixes (:func:`weaver_partition`).
     """
 
     choices: list
@@ -246,9 +256,10 @@ def _meets(child: Polynomial, parent: Polynomial, bracket: TopRoot) -> bool:
 
 
 def _keep(children, parent):
-    """The keep rule, which decides every level of every walk: (index,
-    new parent, fell_back) of the first child, in index order, that meets
-    its parent, its top root at most the parent's.  A level's children
+    """The keep rule, which decides every level of every walk, called by
+    the one walk loop, :func:`_walk`, alone: (index, new parent,
+    fell_back) of the first child, in index order, that meets its
+    parent, its top root at most the parent's.  A level's children
     average to the parent and share a common interlacing, so one meets,
     and the kept child is the next level's parent.  ``children`` is read
     only up to the kept one, so a walk may form and root them as they are
@@ -279,6 +290,75 @@ def _keep(children, parent):
         vals.append(val)
     j = int(np.argmin(vals))
     return j, vals[j], True
+
+
+def _walk(pledge, levels, choices: list, kept: list, realize) -> SelectionCertificate:
+    """The one walk loop: :func:`_keep` decides each level that ``levels``
+    yields, and :func:`_certificate` reads the walk once they end.
+
+    ``pledge`` is the root expected polynomial's float top root, or the
+    exact polynomial itself, rooted here at its top cluster, or None for
+    level 0's first child, which is then the pledge and is not offered
+    to the rule (float ri's pledge rides in its first batch).  It goes
+    first into ``kept``.  A level is an iterator over its children in
+    index order, which the rule reads only up to the kept one, so a walk
+    forms them as they are read; or None, a level decided by symmetry,
+    whose children are equal: it keeps 0 and the parent, and forms
+    nothing.  Each level's
+    kept index goes into ``choices`` and its kept child into ``kept``
+    (float top roots, or (polynomial, cluster) pairs on exact walks)
+    before the next level is asked for, so ``kept[-1]`` is always the
+    parent, and ``levels`` may read both lists to form the next level;
+    ri's also turns each kept index, a position among its free rows, into
+    the row's own index.  ``realize()``, called once the levels end,
+    gives the matrix the walk realized, and the float levels at which the
+    rule fell back are counted in the certificate's ``fallbacks``.
+    """
+    kept.append((pledge, _top_cluster(pledge)) if isinstance(pledge, Polynomial) else pledge)
+    fallbacks = 0
+    for children in levels:
+        keep, parent = 0, kept[-1]
+        if children is not None:
+            if parent is None:
+                parent = kept[0] = next(children)
+            keep, parent, fell_back = _keep(children, parent)
+            fallbacks += fell_back
+        choices.append(keep)
+        kept.append(parent)
+    return _certificate(choices, kept, realize(), fallbacks)
+
+
+def _certificate(choices: list, kept: list, realized: SymMatrix,
+                 fallbacks: int) -> SelectionCertificate:
+    """The certificate of a walk (:func:`_walk`), from its kept parents,
+    the pledge first and the last kept child last, and the Gram matrix it
+    realized (-V V^T of the chosen rows for ri, whose walk drops the
+    factor x^(n-k), and B_s B_s^T for signings, whose walk is in y).
+
+    An exact walk's parents are (polynomial, cluster) pairs, the
+    clusters it rooted on the way: chi of ``realized`` must be the last
+    kept child up to a positive factor (:class:`AssertionError` if not),
+    the clusters' roots are ``pledged``, ``levels`` and ``achieved``, so
+    no root is taken here, and :func:`_meets` decides ``valid``.  A float
+    walk's parents are float top roots, and one ``eigvalsh`` of
+    ``realized`` gives ``final_poly`` (by Vieta, the eigenvalues
+    multiplied out in descending order) and ``achieved``, its top
+    eigenvalue, valid within ``CERT_TOL`` of the pledge; ``fallbacks`` is
+    the loop's count of its levels that fell back.
+    """
+    pledge, last = kept[0], kept[-1]
+    if not realized.is_exact:
+        w = np.linalg.eigvalsh(realized.a)
+        achieved = float(w[-1])
+        return SelectionCertificate(choices, Polynomial(_vieta(w[None, ::-1])[0]), achieved,
+                                    pledge, achieved <= pledge + CERT_TOL, kept[1:],
+                                    fallbacks=fallbacks, realized=realized)
+    final = char_poly(realized)
+    if final.monic() != last[0].monic() or final.leading() * last[0].leading() <= 0:
+        raise AssertionError("chi of what the walk realized is not its last kept polynomial")
+    return SelectionCertificate(choices, final, float(last[1].root), float(pledge[1].root),
+                                _meets(final, *pledge), [p[1].root for p in kept[1:]],
+                                realized=realized)
 
 
 def _walk_costs(dim: int, levels: int) -> dict:
@@ -318,15 +398,17 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
     two-point random vector [(1/2, (v, 0)), (1/2, (0, v))] in R^2d; level
     l fixes one point of the lift of ``rest[l]``.  The walk is exact when
     ``first`` is (an object array), and then so is ``rest``.
-    :func:`_keep` decides each level, reading the two children in order:
-    an exact walk hands it their polynomials, and only the kept child is
-    rooted (:func:`_top_cluster`); a float walk roots each child as the
-    rule reads it, by :func:`float_top_root`, Laguerre's method from
-    above, which raises :class:`NotRealRootedError` on a breakdown.  So
-    the second child stays unformed and unrooted when the first meets
-    (the routes form each child as it is read), and the fallback levels
-    are counted in ``fallbacks``.  The two children's lambda_1 straddle
-    the parent's, so the first that meets is the best.
+    The route's pledge and levels go to :func:`_walk`, whose rule reads
+    each level's two children in order: an exact walk hands it their
+    polynomials, and only the kept child is rooted (:func:`_top_cluster`);
+    a float walk roots each child as the rule reads it, by
+    :func:`float_top_root`, Laguerre's method from above, which raises
+    :class:`NotRealRootedError` on a breakdown.  So the second child
+    stays unformed and unrooted when the first meets (the routes form
+    each child as it is read, from the kept indices the loop has
+    recorded).  The two children's lambda_1 straddle the parent's, so the
+    first that meets is the best.  The walk realizes the Gram sum of
+    (first, 0) and the kept points.
 
     The conditional polynomials come from one of two routes, outcome
     enumeration (:func:`_enumeration_route`) or the exterior-power engine
@@ -346,52 +428,13 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
         raise BudgetExceededError(
             f"the walk's {route} route costs {costs[route]} entries, over the "
             f"budget of {budget}")
-    choices, levels, fallbacks = [], [], 0
+    choices = []
     walk = _engine_route if route == "engine" else _enumeration_route
     steps = walk(fixed, rows, exact, choices)
     p = next(steps)
-    pledge = parent = (p, _top_cluster(p)) if exact else float_top_root(p)
-    for children in steps:
-        if not exact:
-            children = (float_top_root(child) for child in children)
-        keep, parent, fell_back = _keep(children, parent)
-        fallbacks += fell_back
-        levels.append(parent[1].root if exact else parent)
-        choices.append(keep)
-    realized = [fixed] + [row[j][1] for row, j in zip(rows, choices)]
-    cert = _certificate(choices, levels, pledge, parent, VectorSystem(realized).gram_sum())
-    cert.fallbacks = fallbacks
-    return cert
-
-
-def _certificate(choices: list, levels: list, pledge, last,
-                 realized: SymMatrix) -> SelectionCertificate:
-    """The certificate of a walk, from its pledge, its last kept child and
-    the Gram matrix it realized (-V V^T of the chosen rows for ri, whose
-    walk drops the factor x^(n-k), and B_s B_s^T for signings, whose walk
-    is in y).
-
-    An exact walk passes ``pledge`` and ``last`` as (polynomial, cluster)
-    pairs, the clusters it rooted on the way: chi of ``realized`` must be
-    the last kept child up to a positive factor (:class:`AssertionError`
-    if not), the clusters' roots are ``pledged`` and ``achieved``, so no
-    root is taken here, and :func:`_meets` decides ``valid``.  A float
-    walk passes its pledged float top root, and one ``eigvalsh`` of
-    ``realized`` gives ``final_poly`` (by Vieta, the eigenvalues multiplied
-    out in descending order) and ``achieved``, its top eigenvalue, valid
-    within ``CERT_TOL`` of the pledge.
-    """
-    if not realized.is_exact:
-        w = np.linalg.eigvalsh(realized.a)
-        achieved = float(w[-1])
-        return SelectionCertificate(choices, Polynomial(_vieta(w[None, ::-1])[0]), achieved,
-                                    pledge, achieved <= pledge + CERT_TOL, levels,
-                                    realized=realized)
-    final = char_poly(realized)
-    if final.monic() != last[0].monic() or final.leading() * last[0].leading() <= 0:
-        raise AssertionError("chi of what the walk realized is not its last kept polynomial")
-    return SelectionCertificate(choices, final, float(last[1].root), float(pledge[1].root),
-                                _meets(final, *pledge), levels, realized=realized)
+    levels = steps if exact else (map(float_top_root, children) for children in steps)
+    return _walk(p if exact else float_top_root(p), levels, choices, [], lambda: VectorSystem(
+        [fixed] + [row[j][1] for row, j in zip(rows, choices)]).gram_sum())
 
 
 def _top_cluster(p: Polynomial) -> TopRoot:
@@ -498,8 +541,9 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     negated Gram -G_j, where every walk minimizes a top root: negating
     reflects the cofactor, x -> -x, and turns ``1 - (1/m) d/dx`` into
     ``1 + (1/m) d/dx``, so lambda_k is minus the top root of the reflected
-    cofactor, and the walk minimizes -lambda_k.  Level l hands the
-    children of the not-yet-chosen rows, in index order, to :func:`_keep`
+    cofactor, and the walk minimizes -lambda_k.  Level l of
+    :func:`_ri_levels` hands the children of the not-yet-chosen rows, in
+    index order, to :func:`_walk`, whose rule :func:`_keep` decides it
     (the parent is the pledge at level 0, then the previous level's kept
     child).  :func:`_ri_level` forms them a batch at a time, a batch only
     once the rule reads past the one before, so a walk costs about one
@@ -515,7 +559,7 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     its child has at most k - 1 nonzero roots and a k-th largest root of
     0, below the positive parent.  The walk raises
     :class:`AssertionError` unless every kept score is positive, which
-    is what that argument needs.
+    is what that argument needs, before the next level forms.
 
     Float stacks G_j take one batched ``eigvalsh``, and one
     :func:`shift_chain` call applies the k - l - 1 factors ``1 - (1/m)
@@ -543,38 +587,41 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     if not system.is_isotropic(tol):
         raise ValueError(
             f"system is not isotropic (defect {system.isotropy_defect():.3g})")
-    vecs = system.vectors
-    m, n = vecs.shape
+    m, n = system.vectors.shape
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    q = parent = None  # a float pledge rides in level 0's first batch
-    if system.is_exact:  # the rows cleared to one denominator q, as gram_sum does
+    # a float pledge rides in level 0's first batch
+    pledge = _ri_shifted([1], n, m, k) if system.is_exact else None
+    chosen, kept, scored = [], [], []
+    cert = _walk(pledge, _ri_levels(system, k, chosen, kept, scored), chosen, kept,
+                 lambda: SymMatrix(-VectorSystem(system.vectors[chosen].T).gram_sum().a))
+    cert.pledged, cert.achieved = -cert.pledged, -cert.achieved
+    cert.levels = [-level for level in cert.levels]
+    cert.final_poly, cert.realized = _reflected(cert.final_poly), SymMatrix(-cert.realized.a)
+    cert.scored = scored
+    return chosen, cert
+
+
+def _ri_levels(system: VectorSystem, k: int, chosen: list, kept: list, scored: list):
+    """The levels of :func:`restricted_invertibility_select`, for
+    :func:`_walk`: level l yields the children of the free rows in index
+    order (:func:`_ri_level`), rows cleared to one denominator q for an
+    exact walk, as ``gram_sum`` does.  Once the level's child is kept, its
+    score is checked positive, :class:`AssertionError` if not, and the
+    kept index, a position among the free rows, is turned into the row's
+    own index in ``chosen``, the walk's choices."""
+    vecs, q = system.vectors, None
+    if system.is_exact:
         q, ints = _cleared(vecs.ravel().tolist())
-        vecs = np.array(ints, dtype=object).reshape(m, n)
-        p = _ri_shifted([1], n, m, k)
-        pledge = parent = (p, _top_cluster(p))
-    chosen, levels, scored, fallbacks = [], [], [], 0
+        vecs = np.array(ints, dtype=object).reshape(vecs.shape)
+    free = list(range(len(vecs)))
     for _ in range(k):
-        taken = set(chosen)
-        free = [j for j in range(m) if j not in taken]
         scored.append(0)
-        children = _ri_level(vecs, q, chosen, free, k, scored)
-        if parent is None:
-            pledge = parent = next(children)
-        keep, parent, fell_back = _keep(children, parent)
-        fallbacks += fell_back
-        level = parent if q is None else parent[1].root
+        yield _ri_level(vecs, q, chosen, free, k, scored)
+        level = kept[-1] if q is None else kept[-1][1].root
         if not level < 0:
             raise AssertionError(f"kept score {-level} is not positive")
-        chosen.append(free[keep])
-        levels.append(level)
-    gram = VectorSystem(system.vectors[chosen].T).gram_sum()
-    cert = _certificate(chosen, levels, pledge, parent, SymMatrix(-gram.a))
-    cert.pledged, cert.achieved = -cert.pledged, -cert.achieved
-    cert.levels = [-level for level in levels]
-    cert.final_poly, cert.realized = _reflected(cert.final_poly), gram
-    cert.scored, cert.fallbacks = scored, fallbacks
-    return chosen, cert
+        chosen[-1] = free.pop(chosen[-1])
 
 
 def _ri_level(vecs: np.ndarray, q, chosen: list, free: list, k: int, scored: list):
@@ -728,8 +775,9 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     (:meth:`Graph.forest_edges`) forms no child: switching every vertex
     on one side of it flips its sign and no fixed sign, and maps the
     uniform signs of the rest onto themselves, so its two children are
-    equal (Bilu-Linial) and each is the parent.  The walk keeps +1 there
-    and reuses the parent and its top root.  At every other level the
+    equal (Bilu-Linial) and each is the parent.  Its level is None, which
+    :func:`_walk` takes as decided by symmetry: it keeps +1 and reuses the
+    parent and its top root.  At every other level the
     +1 child is formed and, only if it does not meet, the -1 child,
     2 parent - plus exactly (:func:`_signing_children`), and
     :func:`_keep` decides between them, +1 first, as it decides every
@@ -766,28 +814,26 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     relabelled = [tuple(sorted((label[a], label[b]))) for a, b in g.edges]
     walk = Graph(g.n, relabelled)
     engine = SigningEngine(walk, budget)
-    mu = engine.chars([])
-    pledge = parent = (mu, _top_cluster(mu))
-    signs, levels = [], []
-    for joins in walk.forest_edges():
-        keep = 0
-        if not joins:
-            keep, parent, _ = _keep(_signing_children(engine, signs, parent[0]), parent)
-        signs.append((1, -1)[keep])
-        levels.append(math.sqrt(parent[1].root))
     at = {e: j for j, e in enumerate(walk.edges)}
-    g_signs = [signs[at[e]] for e in relabelled]
-    cert = _certificate([0 if s == 1 else 1 for s in signs], levels, pledge, parent,
-                        signed_gram(g, g_signs))
+    choices, kept = [], []
+
+    def g_signs():
+        return [(1, -1)[choices[at[e]]] for e in relabelled]
+
+    levels = (None if joins else _signing_children(engine, choices, kept[-1][0])
+              for joins in walk.forest_edges())
+    cert = _walk(engine.chars([]), levels, choices, kept, lambda: signed_gram(g, g_signs()))
+    cert.levels = [math.sqrt(level) for level in cert.levels]
     cert.pledged, cert.achieved = math.sqrt(cert.pledged), math.sqrt(cert.achieved)
-    return g_signs, cert
+    return g_signs(), cert
 
 
-def _signing_children(engine: SigningEngine, signs: list, parent: Polynomial):
+def _signing_children(engine: SigningEngine, choices: list, parent: Polynomial):
     """The children of a signing level whose edge closes a cycle, +1 then
-    -1, as :func:`_keep` reads them: the +1 child is the engine's q_F,
+    -1, as :func:`_keep` reads them, the signs before it fixed by
+    ``choices``, 0 for +1 and 1 for -1: the +1 child is the engine's q_F,
     and the -1 child, ``2 parent - plus`` exactly, is formed only if +1
     does not meet."""
-    plus = engine.chars(signs + [1])
+    plus = engine.chars([(1, -1)[c] for c in choices] + [1])
     yield plus
     yield 2 * parent - plus

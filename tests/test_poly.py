@@ -665,6 +665,41 @@ def test_float_roots_are_polished_to_an_ulp_of_a_sign_change():
             assert exact(Fraction(r) - w) * exact(Fraction(r) + w) <= 0, (p, r)
 
 
+def test_float_roots_hand_the_sign_check_evaluation_to_laguerre(monkeypatch):
+    # each level's sign check evaluates q at every bracket end, and
+    # Laguerre's first step in a bracket takes the check's value at its top
+    # end: one _horner call fewer per rooted bracket than a Laguerre that
+    # evaluates there again, with the same roots.  Exact zero roots and a
+    # double root leave some brackets unrooted
+    rng = np.random.default_rng(51)
+    polys = [from_roots(rng.uniform(-1, 1, deg).tolist()) for deg in range(3, 13)]
+    polys += [mixed_char([np.outer(v, v) for v in rng.standard_normal((10, 5))])
+              for _ in range(4)]
+    polys += [from_roots([0, 0, 0.5, -0.25]), from_roots([1.5, 1.5, -1, 0.25])]
+    horner, laguerre = poly_module._horner, poly_module._laguerre
+    calls, brackets = [], []
+
+    def counted(*args):
+        calls.append(1)
+        return horner(*args)
+
+    def unhanded(q, lo, hi, s, *handed):
+        brackets.append(1)
+        return laguerre(q, lo, hi, s)
+
+    monkeypatch.setattr(poly_module, "_horner", counted)
+    for p in polys:
+        calls.clear()
+        roots = real_roots(p)
+        handed = len(calls)
+        calls.clear()
+        brackets.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(poly_module, "_laguerre", unhanded)
+            assert real_roots(p).tolist() == roots.tolist()
+        assert len(calls) - handed == len(brackets) > 0, p
+
+
 def test_kth_largest_root():
     p = from_roots([1, 2, 3])
     assert kth_largest_root(p, 1) == pytest.approx(3)

@@ -11,20 +11,25 @@ are not counted, nor are the protocol methods of :data:`EXEMPT`.  The
 functions never entered must be exactly :data:`UNREACHED`, each there
 for its reason; anything else that no command runs belongs in
 ``tests/fixtures.py``, ``tests/paper.py``, ``tests/barrier.py`` or
-``tests/oracles.py``.  The one module no command imports,
+``tests/oracles.py``.  Within the one walk loop, ``select._walk``, line
+events show every statement run by some input, and one input has a
+level that falls back.  The one module no command imports,
 ``interlace.barrier``, is there for the bench's tracer alone and must
 hold its docstring and nothing else.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 
+import interlace.select as select_module
 from fixtures import random_isotropic
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -39,25 +44,40 @@ UNREACHED = {
 # they make the value types usable, whether or not a command calls them.
 EXEMPT = ("__repr__", "__eq__", "__hash__", "__setattr__")
 
-# Runs each argv through cli.main with the profiler on, then prints the
-# exit codes and the functions never entered.
+# Runs each argv through cli.main with the profiler on, and with line
+# events in select._walk, then prints the exit codes, the functions never
+# entered, the lines of _walk run and whether a level fell back.
 PROBE = """
 import contextlib, importlib, inspect, io, json, pkgutil, sys
 import numpy
-codes = set()
+codes, walk_lines, fell_back = set(), set(), set()
 
 def profile(frame, event, arg):
     if event == "call":
         codes.add(frame.f_code)
 
+def lines(frame, event, arg):
+    if event == "line":
+        walk_lines.add(frame.f_lineno)
+        fell_back.add(frame.f_locals.get("fell_back"))
+    return lines
+
 sys.setprofile(profile)
 import interlace
 from interlace.cli import main
+from interlace.select import _walk
+
+def trace(frame, event, arg):
+    # line events in the walk loop's frames alone
+    return lines if frame.f_code is _walk.__code__ else None
+
+sys.settrace(trace)
 exits = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         exits.append(main(argv))
 sys.setprofile(None)
+sys.settrace(None)
 exempt = set(json.loads(sys.argv[2]))
 
 def functions(mod):
@@ -80,8 +100,16 @@ for info in pkgutil.iter_modules(interlace.__path__):
         if inspect.isfunction(fn) and fn.__code__.co_filename == mod.__file__ \\
                 and fn.__code__ not in codes:
             unentered.append(f"{info.name}.{name}")
-print(json.dumps([exits, sorted(unentered)]))
+print(json.dumps([exits, sorted(unentered), sorted(walk_lines), True in fell_back]))
 """
+
+
+def _statement_lines(fn) -> set:
+    """The first line of every statement in the body of ``fn`` but its docstring."""
+    source, start = inspect.getsourcelines(fn)
+    body = ast.parse(textwrap.dedent("".join(source))).body[0].body[1:]
+    return {node.lineno + start - 1 for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.stmt)}
 
 
 def _write(path: Path, data) -> str:
@@ -114,6 +142,11 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
     full_rank = _write(tmp_path / "full.json", [[[2, 1], [1, 1]], [[1, "1/3"], ["1/3", 1]]])
     huge = _write(tmp_path / "huge.json", f"[[[{10 ** 400}]]]")  # its root is past the floats
     nan = _write(tmp_path / "nan.json", '{"vectors": [[NaN]]}')
+    # 400 rows in R^4, whitened: rounding leaves some late levels with no
+    # child at most its parent's top root, and they fall back
+    g = np.random.default_rng(400).standard_normal((400, 4))
+    w, u = np.linalg.eigh(g.T @ g)
+    d4m400 = _write(tmp_path / "d4m400.json", {"vectors": (g @ (u / np.sqrt(w)) @ u.T).tolist()})
     calls = [
         (["ri", iso4, "-k", "2"], 0),
         (["ri", iso8, "-k", "4"], 0),                # iso4's shifts all stop at their starts
@@ -123,6 +156,7 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
         (["weaver", d3m6], 0),                       # the enumeration route
         (["weaver", rot, "--mode", "exact"], 0),
         (["weaver", d7m24], 4),
+        (["weaver", d4m400], 0),
         (["lift", k33], 0),
         (["mixedchar", floats], 0),
         (["mixedchar", rank_one, "--mode", "exact"], 0),
@@ -136,9 +170,12 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
                            json.dumps(EXEMPT)],
                           env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
                           capture_output=True, text=True, check=True)
-    exits, unentered = json.loads(proc.stdout)
+    exits, unentered, walk_lines, fell_back = json.loads(proc.stdout)
     assert exits == [code for _, code in calls]
     assert unentered == sorted(UNREACHED)
+    # every statement of the one walk loop runs, and some level falls back
+    assert set(walk_lines) == _statement_lines(select_module._walk)
+    assert fell_back
 
 
 def test_the_barrier_module_holds_a_docstring_alone():

@@ -201,7 +201,7 @@ def test_certificate_invariant_direction():
     realized = SymMatrix(np.diag([0.25, 0.5]))
     for pledge, valid in ((0.75, True), (0.5, True), (0.5 - CERT_TOL / 2, True),
                           (0.5 - 2 * CERT_TOL, False), (0.25, False)):
-        cert = select_module._certificate([], [], pledge, None, realized)
+        cert = select_module._certificate([], [pledge], realized, 0)
         assert isinstance(cert, SelectionCertificate)
         assert cert.achieved == 0.5 and cert.valid is valid, pledge
 
@@ -589,6 +589,89 @@ def test_keep_reads_the_children_only_up_to_the_kept_one():
     children = [from_roots([2, -1]), below, parent]
     assert keep(upto(1, children), pair) == \
         (1, (below, select_module._top_cluster(below)), False)
+
+
+def _realized(*eigs):
+    """``realize`` for :func:`select._walk`: a diagonal matrix of ``eigs``."""
+    return lambda: SymMatrix(np.diag(eigs))
+
+
+def _read(children, formed):
+    """The ``children``, each appended to ``formed`` as it is read."""
+    for child in children:
+        formed.append(child)
+        yield child
+
+
+def test_walk_forms_no_child_after_the_kept_one():
+    formed, choices, kept = [], [], []
+    levels = ([2.0, 0.75, 0.5], [0.25, 0.5])
+    cert = select_module._walk(1.0, (_read(lv, formed) for lv in levels), choices, kept,
+                               _realized(0.25))
+    assert formed == [2.0, 0.75, 0.25]
+    assert cert.choices == choices == [1, 0] and kept == [1.0, 0.75, 0.25]
+    assert cert.levels == [0.75, 0.25] and cert.fallbacks == 0 and cert.valid
+
+
+def test_walk_keeps_0_and_the_parent_at_a_level_decided_by_symmetry():
+    # the level generator reads both lists before it forms the next level
+    choices, kept = [], []
+
+    def levels():
+        yield iter([2.0, 0.5])
+        assert (choices, kept) == ([1], [1.0, 0.5])
+        yield None
+        assert (choices, kept) == ([1, 0], [1.0, 0.5, 0.5])
+
+    cert = select_module._walk(1.0, levels(), choices, kept, _realized(0.5))
+    assert cert.choices == [1, 0] and cert.levels == [0.5, 0.5] and cert.valid
+    # an exact one keeps its parent's (polynomial, cluster) pair, unrooted again
+    choices, kept = [], []
+    cert = select_module._walk(from_roots([1, -1]), iter([None]), choices, kept,
+                               _realized(Fraction(1), Fraction(-1)))
+    assert choices == [0] and kept[1] is kept[0] and cert.valid and cert.achieved == 1.0
+
+
+def test_walk_takes_a_none_pledge_from_level_0_never_offering_it_to_keep(monkeypatch):
+    offered, keep = [], select_module._keep
+    monkeypatch.setattr(select_module, "_keep",
+                        lambda children, parent: keep(_read(children, offered), parent))
+    levels = ([1.0, 2.0, 0.75], [0.5])
+    cert = select_module._walk(None, (iter(lv) for lv in levels), [], [], _realized(0.5))
+    assert cert.pledged == 1.0 and offered == [2.0, 0.75, 0.5]
+    assert cert.choices == [1, 0] and cert.levels == [0.75, 0.5] and cert.valid
+
+
+def test_walk_counts_the_levels_that_fall_back(walk=None):
+    # the mutant test below passes a walk that drops the count
+    walk = walk or select_module._walk
+    levels = ([2.0, 1.5], [1.0, 0.5], [1.25, 1.5])
+    cert = walk(1.0, (iter(lv) for lv in levels), [], [], _realized(1.25))
+    assert cert.choices == [1, 0, 0] and cert.levels == [1.5, 1.0, 1.25]
+    assert cert.fallbacks == 2
+
+
+def test_walk_raises_at_an_exact_level_where_no_child_meets():
+    misses = [from_roots([2]), from_roots([3, 0])]
+    with pytest.raises(AssertionError, match="no child meets"):
+        select_module._walk(from_roots([1, -1]), iter([iter(misses)]), [], [],
+                            lambda: pytest.fail("a walk that raised was realized"))
+
+
+def test_walk_mutant_dropping_the_fallback_count_fails():
+    # the loop with its fallback increment dropped fails the count on
+    # synthetic levels and on ri's walk whose level 0 falls back
+    source = inspect.getsource(select_module._walk)
+    count = "            fallbacks += fell_back\n"
+    assert source.count(count) == 1
+    scope = dict(vars(select_module))
+    exec(source.replace(count, ""), scope)
+    with pytest.raises(AssertionError):
+        test_walk_counts_the_levels_that_fall_back(scope["_walk"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(select_module, "_walk", scope["_walk"])
+        with pytest.raises(AssertionError):
+            test_ri_fallback_keeps_the_best_scored_row(mp)
 
 
 def test_signing_select_raises_when_no_child_meets(monkeypatch):
