@@ -709,20 +709,20 @@ def float_top_root(p: Polynomial) -> float:
     return x if x > 0 or not zeros else 0.0
 
 
-def _newton(a: list[int], x: float, k: int, steps: int = 6) -> tuple[float, list]:
+def _newton(a: list[int], x: float, k: int) -> tuple[float, list]:
     """Newton steps on the k-th derivative of the integer polynomial ``a``,
     values exact at each float x by :func:`_derivative_value`, the
     derivatives' coefficients formed once.  It polishes the exact kernel's
     clusters and the float derivative chain's roots alike.
 
-    Returns the last iterate and the steps taken: at most ``steps``, up to
-    the first that no longer moves x or no longer shrinks.  Six polish all
-    but 4 of the 33 clusters of the n = 64 ``ri`` pledge; four, all but 13.
+    Returns the last iterate and the steps taken: at most six, up to the
+    first that no longer moves x or no longer shrinks.  Six polish all but
+    4 of the 33 clusters of the n = 64 ``ri`` pledge; four, all but 13.
     """
     for _ in range(k):
         a = [i * c for i, c in enumerate(a)][1:]
     taken = []
-    for _ in range(steps):
+    for _ in range(6):
         num, den, e = _derivative_value(a, x)
         try:
             step = num / (den << e)

@@ -9,12 +9,15 @@ root is at most their average's, the parent's.  Every walk here fixes
 one vector at a time and minimizes a top root, and one rule decides each
 of its levels: :func:`_keep`, which states it, keeps the first child in
 index order whose top root is at most its parent's, exact walks by exact
-root counts and float walks by float roots.  So every walk lands on a
-realization no worse than the root pledge, up to the float walks'
-rounding.  One loop, :func:`_walk`, runs every walk: it applies the rule
-at each level a walk's level generator yields, records the kept index
-and the kept child, counts the levels that fall back, and reads the
-walk's :class:`SelectionCertificate` off it by :func:`_certificate`:
+root counts and float walks by float roots.  At a level whose children
+are equal by a symmetry each child is the parent, so such a level
+yields the parent alone, and the rule keeps it, rooting nothing.  So
+every walk lands on a realization no worse than the root pledge, up to
+the float walks' rounding.  One loop, :func:`_walk`, runs every walk: it
+applies the rule at each level a walk's level generator yields, records
+the kept index and the kept child, counts the levels that fall back,
+and reads the walk's :class:`SelectionCertificate` off it by
+:func:`_certificate`:
 the pledge, the per-level trace, the last kept child, which an exact
 walk checks equal to chi of what it realized, and that realized matrix.
 Each walk below keeps only its level generator and its read-back into
@@ -46,7 +49,8 @@ Three instantiations, each a level generator and a read-back:
 * ``weaver_partition``: split an isotropic system into two halves, each
   of spectral norm at most ``(1 + sqrt(2 alpha))^2 / 2`` with alpha the
   largest squared norm, by :func:`_weaver_walk` over two-point block
-  lifts in dimension 2d; the read-back puts vector 0, fixed, first.
+  lifts in dimension 2d, whose first level, vector 0's, the block swap
+  decides.
 * ``signing_select``: choose edge signs of a d-regular graph so the
   signed adjacency matrix has largest eigenvalue at most the largest
   root of the matching polynomial (whence at most ``2 sqrt(d-1)``).
@@ -54,15 +58,16 @@ Three instantiations, each a level generator and a read-back:
   read off one backward matching DP (:class:`SigningEngine`), so it
   enumerates no outcomes; on its bipartite graphs Phi_F(x) = x^e
   q_F(x^2), and it walks q_F, at half the degree.
-  Its spanning-forest levels form no child, which :func:`_walk` takes
-  as decided by symmetry, and :func:`_keep` decides the others, the -1
-  child, formed only when +1 misses, by exact root counts like every
-  exact child.  Its last polynomial is checked equal to chi(B_s B_s^T),
+  Its spanning-forest levels are decided by symmetry, each yielding its
+  parent alone, and :func:`_keep` decides the others, the -1 child,
+  formed only when +1 misses, by exact root counts like every exact
+  child.  Its last polynomial is checked equal to chi(B_s B_s^T),
   B_s the signed biadjacency, and the read-back takes square roots.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -210,8 +215,8 @@ class SelectionCertificate:
     signing walk's ``realized`` and ``final_poly`` are in y = x^2
     (:func:`signing_select`), its ``levels``, ``pledged`` and ``achieved``
     in adjacency units, the square roots of their y roots.  Weaver's
-    ``choices`` and ``levels`` start with vector 0's, which its walk
-    fixes (:func:`weaver_partition`).
+    ``choices`` and ``levels`` start with vector 0's, 0 and the pledge,
+    a level the block swap decides (:func:`_weaver_walk`).
     """
 
     choices: list
@@ -232,18 +237,17 @@ def _meets(child: Polynomial, parent: Polynomial, bracket: TopRoot) -> bool:
     Both are real-rooted, which is not checked.  ``bracket`` is the top
     cluster of ``root_clusters(parent)``, so its top root r is in (lo,
     hi].  A root of ``child`` above hi puts its top root above r, and none
-    above lo puts it below; otherwise both are in (lo, hi].  Then the
-    child is tested equal to ``parent`` up to a factor, and (lo, hi]
-    halved by a count of each until the two part or it holds one distinct
-    root of child x parent (:func:`_squarefree`), which both then are.  A
-    tie meets, so the rule always ends.
+    above lo puts it below; otherwise both are in (lo, hi].  Then (lo,
+    hi] is halved by a count of each until the two part or it holds one
+    distinct root of child x parent (:func:`_squarefree`), which both then
+    are.  A tie meets, so the rule always ends.  A child proportional to
+    the parent has the parent's roots, so no count parts the two, and it
+    meets, at once when the cluster holds one distinct root.
     """
     lo, hi = bracket.lo, bracket.hi
     if roots_above(child, hi):
         return False
     if not roots_above(child, lo):
-        return True
-    if child.monic() == parent.monic():
         return True
     distinct = _squarefree(child * parent)
     while roots_above(distinct, lo) - roots_above(distinct, hi) > 1:
@@ -267,13 +271,16 @@ def _keep(children, parent):
 
     Exact walks pass polynomials and ``parent`` as a (polynomial,
     cluster) pair, the cluster of :func:`_top_cluster`, and the kept child
-    comes back as one.  A child equal to the parent meets and keeps the
-    parent's cluster; :func:`_meets` decides the others by exact root
-    counts, a tie meeting, only the kept one is rooted, and
-    :class:`AssertionError` is raised if none meets.  Float walks pass
-    float top roots: the first child at most the parent's is kept, and if
-    rounding leaves none the lowest one, ties to the lowest index, with
-    fell_back set.
+    comes back as one.  A child equal to the parent meets, and the parent
+    pair itself is kept, nothing rooted: this decides every exact level
+    whose children are equal by a symmetry, which yields the parent alone
+    (``lift``'s forest edges, exact weaver's vector 0).  :func:`_meets`
+    decides the others by exact root counts, a tie meeting, only the kept
+    one is rooted, and :class:`AssertionError` is raised if none meets.
+    Float walks pass float top roots: the first child at most the
+    parent's is kept, the parent's own root too (float weaver's vector
+    0), and if rounding leaves none the lowest one, ties to the lowest
+    index, with fell_back set.
     """
     if isinstance(parent, tuple):
         poly, cluster = parent
@@ -297,14 +304,12 @@ def _walk(pledge, levels, choices: list, kept: list, realize) -> SelectionCertif
     yields, and :func:`_certificate` reads the walk once they end.
 
     ``pledge`` is the root expected polynomial's float top root, or the
-    exact polynomial itself, rooted here at its top cluster, or None for
-    level 0's first child, which is then the pledge and is not offered
-    to the rule (float ri's pledge rides in its first batch).  It goes
-    first into ``kept``.  A level is an iterator over its children in
-    index order, which the rule reads only up to the kept one, so a walk
-    forms them as they are read; or None, a level decided by symmetry,
-    whose children are equal: it keeps 0 and the parent, and forms
-    nothing.  Each level's
+    exact polynomial itself, rooted here at its top cluster.  It goes
+    first into ``kept``.  A level is an iterable of its children in index
+    order, which the rule reads only up to the kept one, so a walk forms
+    them as they are read.  A level decided by symmetry, whose children
+    are equal, yields the parent alone, float top root or polynomial,
+    which the rule keeps, forming and rooting nothing.  Each level's
     kept index goes into ``choices`` and its kept child into ``kept``
     (float top roots, or (polynomial, cluster) pairs on exact walks)
     before the next level is asked for, so ``kept[-1]`` is always the
@@ -317,12 +322,8 @@ def _walk(pledge, levels, choices: list, kept: list, realize) -> SelectionCertif
     kept.append((pledge, _top_cluster(pledge)) if isinstance(pledge, Polynomial) else pledge)
     fallbacks = 0
     for children in levels:
-        keep, parent = 0, kept[-1]
-        if children is not None:
-            if parent is None:
-                parent = kept[0] = next(children)
-            keep, parent, fell_back = _keep(children, parent)
-            fallbacks += fell_back
+        keep, parent, fell_back = _keep(children, kept[-1])
+        fallbacks += fell_back
         choices.append(keep)
         kept.append(parent)
     return _certificate(choices, kept, realize(), fallbacks)
@@ -396,8 +397,12 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
 
     (first, 0) is fixed, and each vector v of ``rest`` is lifted to the
     two-point random vector [(1/2, (v, 0)), (1/2, (0, v))] in R^2d; level
-    l fixes one point of the lift of ``rest[l]``.  The walk is exact when
-    ``first`` is (an object array), and then so is ``rest``.
+    l + 1 fixes one point of the lift of ``rest[l]``.  Level 0 is
+    ``first``'s, decided by the block swap (:func:`weaver_partition`): its
+    one child is the pledge, float top root or polynomial, which the rule
+    keeps, so ``choices`` starts with 0 and ``levels`` with the pledge.
+    The walk is exact when ``first`` is (an object array), and then so is
+    ``rest``.
     The route's pledge and levels go to :func:`_walk`, whose rule reads
     each level's two children in order: an exact walk hands it their
     polynomials, and only the kept child is rooted (:func:`_top_cluster`);
@@ -408,7 +413,7 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
     each child as it is read, from the kept indices the loop has
     recorded).  The two children's lambda_1 straddle the parent's, so the
     first that meets is the best.  The walk realizes the Gram sum of
-    (first, 0) and the kept points.
+    (first, 0) and the points kept from level 1 on.
 
     The conditional polynomials come from one of two routes, outcome
     enumeration (:func:`_enumeration_route`) or the exterior-power engine
@@ -432,9 +437,10 @@ def _weaver_walk(first: np.ndarray, rest, budget: int = WALK_BUDGET) -> Selectio
     walk = _engine_route if route == "engine" else _enumeration_route
     steps = walk(fixed, rows, exact, choices)
     p = next(steps)
-    levels = steps if exact else (map(float_top_root, children) for children in steps)
-    return _walk(p if exact else float_top_root(p), levels, choices, [], lambda: VectorSystem(
-        [fixed] + [row[j][1] for row, j in zip(rows, choices)]).gram_sum())
+    if not exact:
+        p, steps = float_top_root(p), (map(float_top_root, children) for children in steps)
+    return _walk(p, itertools.chain([(p,)], steps), choices, [], lambda: VectorSystem(
+        [fixed] + [row[j][1] for row, j in zip(rows, choices[1:])]).gram_sum())
 
 
 def _top_cluster(p: Polynomial) -> TopRoot:
@@ -541,18 +547,19 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     negated Gram -G_j, where every walk minimizes a top root: negating
     reflects the cofactor, x -> -x, and turns ``1 - (1/m) d/dx`` into
     ``1 + (1/m) d/dx``, so lambda_k is minus the top root of the reflected
-    cofactor, and the walk minimizes -lambda_k.  Level l of
-    :func:`_ri_levels` hands the children of the not-yet-chosen rows, in
-    index order, to :func:`_walk`, whose rule :func:`_keep` decides it
-    (the parent is the pledge at level 0, then the previous level's kept
-    child).  :func:`_ri_level` forms them a batch at a time, a batch only
-    once the rule reads past the one before, so a walk costs about one
-    batch per level, not m candidates; a float level that falls back has
-    scored every free row.  Every kept score stays at or above the pledge
-    up to those fallbacks.  Batches hold ``RI_BATCH`` rows while a
-    level's float shifts start from eigenvalues (k <= ``EIG_START_POLES``);
-    past that a level's batches hold 2, 4, then ``RI_BATCH`` rows, exact
-    walks alike.
+    cofactor, and the walk minimizes -lambda_k.  :func:`_ri_levels`
+    yields the pledge first, which this walk takes by ``next`` and hands
+    to :func:`_walk`, and then at level l the children of the
+    not-yet-chosen rows, in index order, which the loop's rule
+    :func:`_keep` decides (the parent is the pledge at level 0, then the
+    previous level's kept child).  :func:`_ri_level` forms them a batch
+    at a time, a batch only once the rule reads past the one before, so
+    a walk costs about one batch per level, not m candidates; a float
+    level that falls back has scored every free row.  Every kept score
+    stays at or above the pledge up to those fallbacks.  Batches hold
+    ``RI_BATCH`` rows while a level's float shifts start from eigenvalues
+    (k <= ``EIG_START_POLES``); past that a level's batches hold 2, 4,
+    then ``RI_BATCH`` rows, exact walks alike.
 
     Skipping the chosen rows loses no child that could meet the parent:
     a repeated row's B + v_j v_j^T has rank l, so after k - l - 1 shifts
@@ -567,7 +574,8 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     tracks (:func:`_ri_scores`).  The float pledge, lambda_k of ``(1 -
     (1/m) d/dx)^k x^n = (1 - (1/m) d/dx)^(k-1) x^(n-1) (x - n/m)``, has
     the shape of a level-0 child, so it rides in level 0's first batch as
-    one more row ``[n/m]``.  Exact children are the reflected cofactors
+    one more row ``[n/m]``, in the same :func:`shift_chain` call, and is
+    never offered to the rule.  Exact children are the reflected cofactors
     themselves, formed in integer coefficients from one kernel call on
     the stack -q^2 G_j (:func:`_ri_children`, :func:`_ri_shifted`), and
     the exact pledge is ``(m + d/dx)^k x^n`` less its x^(n-k); each is
@@ -590,10 +598,9 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
     m, n = system.vectors.shape
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
-    # a float pledge rides in level 0's first batch
-    pledge = _ri_shifted([1], n, m, k) if system.is_exact else None
     chosen, kept, scored = [], [], []
-    cert = _walk(pledge, _ri_levels(system, k, chosen, kept, scored), chosen, kept,
+    levels = _ri_levels(system, k, chosen, kept, scored)
+    cert = _walk(next(levels), levels, chosen, kept,
                  lambda: SymMatrix(-VectorSystem(system.vectors[chosen].T).gram_sum().a))
     cert.pledged, cert.achieved = -cert.pledged, -cert.achieved
     cert.levels = [-level for level in cert.levels]
@@ -603,34 +610,42 @@ def restricted_invertibility_select(system: VectorSystem, k: int,
 
 
 def _ri_levels(system: VectorSystem, k: int, chosen: list, kept: list, scored: list):
-    """The levels of :func:`restricted_invertibility_select`, for
-    :func:`_walk`: level l yields the children of the free rows in index
-    order (:func:`_ri_level`), rows cleared to one denominator q for an
-    exact walk, as ``gram_sum`` does.  Once the level's child is kept, its
-    score is checked positive, :class:`AssertionError` if not, and the
-    kept index, a position among the free rows, is turned into the row's
-    own index in ``chosen``, the walk's choices."""
-    vecs, q = system.vectors, None
+    """The pledge, then the levels of :func:`restricted_invertibility_select`,
+    for :func:`_walk`.  The exact pledge is ``(m + d/dx)^k x^n`` less its
+    x^(n-k); the float one leads level 0's children, shifted with their
+    first batch (:func:`_ri_level`), and is taken from them before the
+    level is yielded.  Level l yields the children of the free rows in
+    index order, rows cleared to one denominator q for an exact walk, as
+    ``gram_sum`` does.  Once the level's child is kept, its score is
+    checked positive, :class:`AssertionError` if not, and the kept index,
+    a position among the free rows, is turned into the row's own index in
+    ``chosen``, the walk's choices."""
+    (m, n), vecs, q = system.vectors.shape, system.vectors, None
     if system.is_exact:
         q, ints = _cleared(vecs.ravel().tolist())
         vecs = np.array(ints, dtype=object).reshape(vecs.shape)
-    free = list(range(len(vecs)))
+        yield _ri_shifted([1], n, m, k)
+    free = list(range(m))
     for _ in range(k):
         scored.append(0)
-        yield _ri_level(vecs, q, chosen, free, k, scored)
+        pledge = q is None and not chosen
+        children = _ri_level(vecs, q, chosen, free, k, scored, pledge)
+        if pledge:
+            yield next(children)
+        yield children
         level = kept[-1] if q is None else kept[-1][1].root
         if not level < 0:
             raise AssertionError(f"kept score {-level} is not positive")
         chosen[-1] = free.pop(chosen[-1])
 
 
-def _ri_level(vecs: np.ndarray, q, chosen: list, free: list, k: int, scored: list):
+def _ri_level(vecs: np.ndarray, q, chosen: list, free: list, k: int, scored: list, pledge: bool):
     """Yields the children of rows ``free`` in index order, a batch at a
     time as :func:`_keep` reads them, adding each batch's rows to
     ``scored[-1]``: exact polynomials (:func:`_ri_children`) of rows
     cleared to the denominator ``q``, or float scores (:func:`_ri_scores`)
-    if ``q`` is None, at level 0 led by the pledge from the first batch."""
-    pledge = q is None and not chosen
+    if ``q`` is None, led, with ``pledge``, by the pledge shifted in the
+    first batch."""
     size, start = (RI_BATCH if k <= EIG_START_POLES else 2), 0
     while start < len(free):
         rows = free[start:start + size]
@@ -727,9 +742,10 @@ def weaver_partition(system: VectorSystem, budget: int = WALK_BUDGET, tol: float
     reads.  Swapping the two blocks maps every lift onto itself with its
     two values exchanged, so it maps vector 0's two children onto each
     other: their polynomials are equal, and each is the pledge.  So the
-    walk fixes (v_0, 0) and walks vectors 1..m-1 only; the certificate
-    records ``choices[0] = 0`` and ``levels[0] = pledged``, and vector 0
-    is always on side one.
+    walk's first level, vector 0's, yields the pledge alone, which
+    :func:`_keep` keeps: the walk fixes (v_0, 0), its certificate's
+    ``choices[0]`` is 0 and ``levels[0]`` the pledge, and vector 0 is
+    always on side one.
     ``budget`` is :func:`_weaver_walk`'s cap on the whole walk's work, in
     :func:`_walk_costs`' unit, and ``tol`` the isotropy tolerance of float
     systems (:meth:`VectorSystem.is_isotropic`).  Returns (side-one
@@ -740,8 +756,6 @@ def weaver_partition(system: VectorSystem, budget: int = WALK_BUDGET, tol: float
             f"system is not isotropic (defect {system.isotropy_defect():.3g})")
     first, *rest = system.vectors
     cert = _weaver_walk(first, rest, budget)
-    cert.choices.insert(0, 0)
-    cert.levels.insert(0, cert.pledged)
     s1 = [i for i, choice in enumerate(cert.choices) if choice == 0]
     s2 = [i for i, choice in enumerate(cert.choices) if choice == 1]
     return s1, s2, cert
@@ -775,9 +789,9 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     (:meth:`Graph.forest_edges`) forms no child: switching every vertex
     on one side of it flips its sign and no fixed sign, and maps the
     uniform signs of the rest onto themselves, so its two children are
-    equal (Bilu-Linial) and each is the parent.  Its level is None, which
-    :func:`_walk` takes as decided by symmetry: it keeps +1 and reuses the
-    parent and its top root.  At every other level the
+    equal (Bilu-Linial) and each is the parent.  So its level yields the
+    parent alone, which :func:`_keep` keeps: +1, and the parent with its
+    top root, nothing formed or rooted.  At every other level the
     +1 child is formed and, only if it does not meet, the -1 child,
     2 parent - plus exactly (:func:`_signing_children`), and
     :func:`_keep` decides between them, +1 first, as it decides every
@@ -820,7 +834,7 @@ def signing_select(g: Graph, budget: int = DEFAULT_BUDGET):
     def g_signs():
         return [(1, -1)[choices[at[e]]] for e in relabelled]
 
-    levels = (None if joins else _signing_children(engine, choices, kept[-1][0])
+    levels = ((kept[-1][0],) if joins else _signing_children(engine, choices, kept[-1][0])
               for joins in walk.forest_edges())
     cert = _walk(engine.chars([]), levels, choices, kept, lambda: signed_gram(g, g_signs()))
     cert.levels = [math.sqrt(level) for level in cert.levels]

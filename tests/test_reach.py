@@ -11,9 +11,10 @@ are not counted, nor are the protocol methods of :data:`EXEMPT`.  The
 functions never entered must be exactly :data:`UNREACHED`, each there
 for its reason; anything else that no command runs belongs in
 ``tests/fixtures.py``, ``tests/paper.py``, ``tests/barrier.py`` or
-``tests/oracles.py``.  Within the one walk loop, ``select._walk``, line
-events show every statement run by some input, and one input has a
-level that falls back.  The one module no command imports,
+``tests/oracles.py``.  Within the one walk loop, ``select._walk``, and
+its rule, ``select._keep``, line events show every statement run by some
+input but the rule's ``raise``: among them a level decided by symmetry
+and a level that falls back.  The one module no command imports,
 ``interlace.barrier``, is there for the bench's tracer alone and must
 hold its docstring and nothing else.
 """
@@ -45,12 +46,12 @@ UNREACHED = {
 EXEMPT = ("__repr__", "__eq__", "__hash__", "__setattr__")
 
 # Runs each argv through cli.main with the profiler on, and with line
-# events in select._walk, then prints the exit codes, the functions never
-# entered, the lines of _walk run and whether a level fell back.
+# events in select._walk and select._keep, then prints the exit codes, the
+# functions never entered and the lines of _walk and _keep run.
 PROBE = """
 import contextlib, importlib, inspect, io, json, pkgutil, sys
 import numpy
-codes, walk_lines, fell_back = set(), set(), set()
+codes, walk_lines = set(), set()
 
 def profile(frame, event, arg):
     if event == "call":
@@ -58,18 +59,17 @@ def profile(frame, event, arg):
 
 def lines(frame, event, arg):
     if event == "line":
-        walk_lines.add(frame.f_lineno)
-        fell_back.add(frame.f_locals.get("fell_back"))
+        walk_lines.add((frame.f_code.co_name, frame.f_lineno))
     return lines
 
 sys.setprofile(profile)
 import interlace
 from interlace.cli import main
-from interlace.select import _walk
+from interlace.select import _keep, _walk
 
 def trace(frame, event, arg):
-    # line events in the walk loop's frames alone
-    return lines if frame.f_code is _walk.__code__ else None
+    # line events in the walk loop's and the rule's frames alone
+    return lines if frame.f_code in (_walk.__code__, _keep.__code__) else None
 
 sys.settrace(trace)
 exits = []
@@ -100,16 +100,17 @@ for info in pkgutil.iter_modules(interlace.__path__):
         if inspect.isfunction(fn) and fn.__code__.co_filename == mod.__file__ \\
                 and fn.__code__ not in codes:
             unentered.append(f"{info.name}.{name}")
-print(json.dumps([exits, sorted(unentered), sorted(walk_lines), True in fell_back]))
+print(json.dumps([exits, sorted(unentered), sorted(walk_lines)]))
 """
 
 
-def _statement_lines(fn) -> set:
-    """The first line of every statement in the body of ``fn`` but its docstring."""
+def _statement_lines(fn, kind=ast.stmt) -> set:
+    """(name of ``fn``, first line) of every statement of ``kind`` in the
+    body of ``fn`` but its docstring."""
     source, start = inspect.getsourcelines(fn)
     body = ast.parse(textwrap.dedent("".join(source))).body[0].body[1:]
-    return {node.lineno + start - 1 for stmt in body for node in ast.walk(stmt)
-            if isinstance(node, ast.stmt)}
+    return {(fn.__name__, node.lineno + start - 1) for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, kind)}
 
 
 def _write(path: Path, data) -> str:
@@ -143,7 +144,8 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
     huge = _write(tmp_path / "huge.json", f"[[[{10 ** 400}]]]")  # its root is past the floats
     nan = _write(tmp_path / "nan.json", '{"vectors": [[NaN]]}')
     # 400 rows in R^4, whitened: rounding leaves some late levels with no
-    # child at most its parent's top root, and they fall back
+    # child at most its parent's top root, and they fall back, the one
+    # input whose walk runs _keep's fallback
     g = np.random.default_rng(400).standard_normal((400, 4))
     w, u = np.linalg.eigh(g.T @ g)
     d4m400 = _write(tmp_path / "d4m400.json", {"vectors": (g @ (u / np.sqrt(w)) @ u.T).tolist()})
@@ -154,10 +156,10 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
         (["ri", quarters, "-k", "2", "--mode", "exact"], 0),
         (["weaver", d3m21], 0),                      # the engine route
         (["weaver", d3m6], 0),                       # the enumeration route
-        (["weaver", rot, "--mode", "exact"], 0),
+        (["weaver", rot, "--mode", "exact"], 0),     # vector 0's level keeps the pledge
         (["weaver", d7m24], 4),
         (["weaver", d4m400], 0),
-        (["lift", k33], 0),
+        (["lift", k33], 0),                          # its forest edges keep their parent
         (["mixedchar", floats], 0),
         (["mixedchar", rank_one, "--mode", "exact"], 0),
         (["mixedchar", full_rank, "--mode", "exact"], 0),
@@ -170,12 +172,15 @@ def test_cli_inputs_enter_every_function_off_the_list(tmp_path):
                            json.dumps(EXEMPT)],
                           env=dict(os.environ, PYTHONPATH=str(SRC)), cwd=tmp_path,
                           capture_output=True, text=True, check=True)
-    exits, unentered, walk_lines, fell_back = json.loads(proc.stdout)
+    exits, unentered, walk_lines = json.loads(proc.stdout)
     assert exits == [code for _, code in calls]
     assert unentered == sorted(UNREACHED)
-    # every statement of the one walk loop runs, and some level falls back
-    assert set(walk_lines) == _statement_lines(select_module._walk)
-    assert fell_back
+    # every statement of the one walk loop and of its rule runs, but the
+    # rule's raise: an exact child equal to its parent is kept, and a
+    # float level falls back
+    keep = select_module._keep
+    assert set(map(tuple, walk_lines)) == _statement_lines(select_module._walk) | (
+        _statement_lines(keep) - _statement_lines(keep, ast.Raise))
 
 
 def test_the_barrier_module_holds_a_docstring_alone():

@@ -157,7 +157,8 @@ def test_greedy_walk_certificate_minimize():
         first, rest = rng.standard_normal(d), rng.standard_normal((m, d))
         cert = select_module._weaver_walk(first, rest)
         assert cert.valid
-        assert len(cert.choices) == len(cert.levels) == m
+        choices, levels = _past_vector_0(cert)
+        assert len(choices) == len(levels) == m
         leaves = _all_leaf_values(*_lifts(first, rest))
         # the pledge lies between the extreme leaves, and the achieved
         # value is a genuine leaf of the outcome tree
@@ -187,7 +188,7 @@ def test_greedy_walk_interlacing_check_passes():
     # that makes greedy sound; children by enumeration, independently
     rows, lifted = _lifts(first, rest)
     fixed = [lifted]
-    for level, choice in enumerate(cert.choices):
+    for level, choice in enumerate(_past_vector_0(cert)[0]):
         children = [conditional_expected_poly(rows[level + 1:], fixed + [v])
                     for _, v in rows[level]]
         assert have_common_interlacing(children)
@@ -407,6 +408,38 @@ def test_ri_fallback_keeps_the_best_scored_row(monkeypatch):
     assert chosen == [0, 1, 2] and cert.valid
 
 
+def test_ri_takes_its_float_pledge_from_level_0s_first_batch_never_offering_it_to_keep(
+        monkeypatch):
+    # float ri's pledge is shifted in level 0's first _ri_scores call, the
+    # one call with the pledge row, comes first out of _ri_levels and goes
+    # to the walk as its pledge: _keep is offered level 0's rows alone
+    calls, offered = [], []
+    scores, keep = select_module._ri_scores, select_module._keep
+
+    def recorded_scores(vecs, chosen, cand, k, pledge=False):
+        calls.append((len(chosen), pledge, scores(vecs, chosen, cand, k, pledge).tolist()))
+        return np.array(calls[-1][2])
+
+    def recorded_keep(children, parent):
+        offered.append((parent, []))
+        return keep(_read(children, offered[-1][1]), parent)
+
+    vs = random_isotropic(4, 12, np.random.default_rng(61))
+    monkeypatch.setattr(select_module, "_ri_scores", recorded_scores)
+    monkeypatch.setattr(select_module, "_keep", recorded_keep)
+    _, cert = restricted_invertibility_select(vs, 2)
+    assert calls[0][:2] == (0, True) and [pledge for _, pledge, _ in calls].count(True) == 1
+    first = calls[0][2]
+    assert first[-1] == -cert.pledged == offered[0][0]
+    level0 = first[:-1] + [x for lvl, _, out in calls[1:] if lvl == 0 for x in out]
+    assert offered[0][1] == level0[:len(offered[0][1])]
+    assert cert.valid and len(offered) == 2
+    # the exact pledge comes first too, a polynomial the walk roots itself
+    exact = VectorSystem(np.eye(4, dtype=int))
+    assert next(select_module._ri_levels(exact, 2, [], [], [])) == \
+        select_module._ri_shifted([1], 4, 4, 2)
+
+
 def test_ri_basis_levels_are_exact():
     # the last level is lambda_k of a Gram sum of distinct basis vectors;
     # companion roots of its repeated eigenvalue missed it by up to ~2e-6
@@ -613,33 +646,27 @@ def test_walk_forms_no_child_after_the_kept_one():
     assert cert.levels == [0.75, 0.25] and cert.fallbacks == 0 and cert.valid
 
 
-def test_walk_keeps_0_and_the_parent_at_a_level_decided_by_symmetry():
-    # the level generator reads both lists before it forms the next level
+def test_walk_keeps_0_and_the_parent_at_a_level_decided_by_symmetry(monkeypatch):
+    # a level whose children are equal by a symmetry has one child, its
+    # parent; the level generator reads both lists before it forms the next
     choices, kept = [], []
 
     def levels():
         yield iter([2.0, 0.5])
         assert (choices, kept) == ([1], [1.0, 0.5])
-        yield None
+        yield (kept[-1],)
         assert (choices, kept) == ([1, 0], [1.0, 0.5, 0.5])
 
     cert = select_module._walk(1.0, levels(), choices, kept, _realized(0.5))
     assert cert.choices == [1, 0] and cert.levels == [0.5, 0.5] and cert.valid
-    # an exact one keeps its parent's (polynomial, cluster) pair, unrooted again
-    choices, kept = [], []
-    cert = select_module._walk(from_roots([1, -1]), iter([None]), choices, kept,
+    # an exact one keeps the very parent pair, rooted once, as the pledge
+    rooted, clusters = [], select_module.root_clusters
+    monkeypatch.setattr(select_module, "root_clusters", lambda p: rooted.append(p) or clusters(p))
+    pledge, choices, kept = from_roots([1, -1]), [], []
+    cert = select_module._walk(pledge, ((kept[-1][0],) for _ in range(2)), choices, kept,
                                _realized(Fraction(1), Fraction(-1)))
-    assert choices == [0] and kept[1] is kept[0] and cert.valid and cert.achieved == 1.0
-
-
-def test_walk_takes_a_none_pledge_from_level_0_never_offering_it_to_keep(monkeypatch):
-    offered, keep = [], select_module._keep
-    monkeypatch.setattr(select_module, "_keep",
-                        lambda children, parent: keep(_read(children, offered), parent))
-    levels = ([1.0, 2.0, 0.75], [0.5])
-    cert = select_module._walk(None, (iter(lv) for lv in levels), [], [], _realized(0.5))
-    assert cert.pledged == 1.0 and offered == [2.0, 0.75, 0.5]
-    assert cert.choices == [1, 0] and cert.levels == [0.75, 0.5] and cert.valid
+    assert choices == [0, 0] and kept[2] is kept[1] is kept[0] and rooted == [pledge]
+    assert cert.valid and cert.achieved == 1.0
 
 
 def test_walk_counts_the_levels_that_fall_back(walk=None):
@@ -662,7 +689,7 @@ def test_walk_mutant_dropping_the_fallback_count_fails():
     # the loop with its fallback increment dropped fails the count on
     # synthetic levels and on ri's walk whose level 0 falls back
     source = inspect.getsource(select_module._walk)
-    count = "            fallbacks += fell_back\n"
+    count = "        fallbacks += fell_back\n"
     assert source.count(count) == 1
     scope = dict(vars(select_module))
     exec(source.replace(count, ""), scope)
@@ -672,6 +699,26 @@ def test_walk_mutant_dropping_the_fallback_count_fails():
         mp.setattr(select_module, "_walk", scope["_walk"])
         with pytest.raises(AssertionError):
             test_ri_fallback_keeps_the_best_scored_row(mp)
+
+
+def test_keep_mutant_dropping_the_identity_return_fails():
+    # the identity return is the one place where a level decided by
+    # symmetry, lift's forest edges and weaver's vector 0, is decided:
+    # without it each such child is rooted as a new cluster
+    source = inspect.getsource(select_module._keep)
+    identity = "            if child == poly:\n                return j, parent, False\n"
+    assert source.count(identity) == 1
+    scope = dict(vars(select_module))
+    exec(source.replace(identity, ""), scope)
+    tests = [test_keep_exact_child_equal_to_its_parent_keeps_the_parent_cluster,
+             test_walk_keeps_0_and_the_parent_at_a_level_decided_by_symmetry,
+             lambda mp: test_exact_walks_root_the_pledge_and_each_kept_child_once(mp, "engine"),
+             test_signing_walk_ranks_every_polynomial_once]
+    for test in tests:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(select_module, "_keep", scope["_keep"])
+            with pytest.raises(AssertionError):
+                test(mp)
 
 
 def test_signing_select_raises_when_no_child_meets(monkeypatch):
@@ -1134,7 +1181,8 @@ def test_signing_walk_forms_the_minus_child_only_when_plus_misses(monkeypatch, g
     # the -1 child, 2 parent - plus, is formed only when the keep rule reads
     # it, at the levels whose +1 child does not meet its parent: one
     # subtraction of a +1 child per level that keeps -1, and some levels
-    # keep +1 without forming -1
+    # keep +1 without forming -1.  A forest edge's level, decided by
+    # symmetry, keeps +1 and forms no child
     pluses, minuses, kept = [], [], []
     chars, sub, keep = SigningEngine.chars, Polynomial.__sub__, select_module._keep
 
@@ -1148,17 +1196,23 @@ def test_signing_walk_forms_the_minus_child_only_when_plus_misses(monkeypatch, g
         return sub(self, other)
 
     def recorded_keep(children, parent):
+        formed = len(pluses)
         out = keep(children, parent)
-        kept.append(out[0])
+        kept.append((out[0], len(pluses) - formed))
         return out
 
     monkeypatch.setattr(SigningEngine, "chars", recorded_chars)
     monkeypatch.setattr(Polynomial, "__sub__", recorded_sub)
     monkeypatch.setattr(select_module, "_keep", recorded_keep)
     _, cert = signing_select(g)
-    assert len(kept) == g.m - (g.n - 1)  # one keep per level closing a cycle
-    assert len(minuses) == kept.count(1) == sum(cert.choices) > 0
-    assert kept.count(0) > 0
+    forest = in_walk_order(g).forest_edges()
+    assert len(kept) == len(forest) == g.m  # one keep per level
+    assert all(level == (0, 0) for level, joins in zip(kept, forest) if joins)
+    closing = [level for level, joins in zip(kept, forest) if not joins]
+    assert len(closing) == g.m - (g.n - 1) and all(formed == 1 for _, formed in closing)
+    closing = [j for j, _ in closing]
+    assert len(minuses) == closing.count(1) == sum(cert.choices) > 0
+    assert closing.count(0) > 0
 
 
 @pytest.mark.parametrize("g", [CUBE, complete_bipartite(3, 3),
@@ -1357,6 +1411,13 @@ def _walk_by(route: str, first: np.ndarray, rest) -> SelectionCertificate:
         return select_module._weaver_walk(first, rest)
 
 
+def _past_vector_0(cert: SelectionCertificate) -> tuple:
+    """A weaver walk's (choices, levels) past its first level, vector 0's,
+    which the block swap decides: it keeps 0 and the pledge."""
+    assert cert.choices[0] == 0 and cert.levels[0] == cert.pledged
+    return cert.choices[1:], cert.levels[1:]
+
+
 def _lifts(first: np.ndarray, rest) -> tuple:
     """_weaver_walk's lifted walk, (rows, fixed): (first, 0) is fixed, and
     each v of ``rest`` is (v, 0) or (0, v) with probability 1/2."""
@@ -1394,8 +1455,7 @@ def test_exact_weaver_choices_equal_enumeration_walk():
         choices, levels, pledged = enumeration_walk(rows, [first])
         for route in ("engine", "enumerate"):
             cert = _walk_by(route, vs.vectors[0], vs.vectors[1:])
-            assert cert.choices == choices
-            assert cert.levels == levels
+            assert _past_vector_0(cert) == (choices, levels)
             assert cert.pledged == pledged
             assert cert.valid
         s1, s2, via_weaver = weaver_partition(vs)
@@ -1428,9 +1488,10 @@ def test_float_weaver_levels_match_enumeration_walk():
         assert cert.choices == [0] + choices
         # weaver_partition takes the engine here; the enumeration route too
         cert = _walk_by("enumerate", vs.vectors[0], vs.vectors[1:])
+        walked, walked_levels = _past_vector_0(cert)
         assert abs(cert.pledged - pledged) <= 1e-10
-        assert max(abs(a - b) for a, b in zip(cert.levels, levels)) <= 1e-10
-        assert cert.choices == choices
+        assert max(abs(a - b) for a, b in zip(walked_levels, levels)) <= 1e-10
+        assert walked == choices
 
 
 def test_float_weaver_d4_m400_rereads_each_parents_traces():
@@ -1467,7 +1528,7 @@ def test_float_walk_on_zero_supports_pledges_and_achieves_zero(route):
     # -0.0, whose top root 0 the float route must return
     cert = _walk_by(route, np.zeros(1), np.zeros((2, 1)))
     assert cert.valid
-    assert cert.pledged == cert.achieved == 0.0 and cert.levels == [0.0, 0.0]
+    assert cert.pledged == cert.achieved == 0.0 and _past_vector_0(cert)[1] == [0.0, 0.0]
 
 
 def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
@@ -1480,7 +1541,7 @@ def test_exact_walk_with_a_zero_vector_and_a_large_common_scale():
         rows, fixed = _lifts(first, rest)
         choices, levels, pledged = enumeration_walk(rows, [fixed])
         cert = _walk_by("engine", first, rest)
-        assert (cert.choices, cert.levels, cert.pledged) == (choices, levels, pledged)
+        assert (*_past_vector_0(cert), cert.pledged) == (choices, levels, pledged)
 
 
 def _route_polys(route, first, rest, picks) -> list:
